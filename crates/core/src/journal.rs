@@ -37,6 +37,8 @@ use crate::harness::{Degradation, NativeOutcome, PhaseEnergy, PhaseTimes};
 use eth_cluster::counters::CounterSet;
 use eth_cluster::metrics::RunMetrics;
 use eth_data::crc::crc32;
+use eth_data::io::le::{put_slice_le, read_vec_le, LeElement};
+use eth_data::Vec3;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
 use serde::{Deserialize, Serialize};
@@ -587,7 +589,14 @@ fn encode_result(spec_hash: u64, outcome: &NativeOutcome) -> Result<Vec<u8>> {
     };
     let json = serde_json::to_string(&header)
         .map_err(|e| CoreError::Config(format!("unserializable result header: {e}")))?;
-    let mut buf = Vec::with_capacity(64 + json.len());
+    let pixel_bytes: usize = outcome
+        .images
+        .iter()
+        .map(|image| 8 + image.pixels().len() * Vec3::BYTES)
+        .sum();
+    // magic + header length + header + image count + images + CRC trailer
+    let exact = 4 + 4 + json.len() + 4 + pixel_bytes + 4;
+    let mut buf = Vec::with_capacity(exact);
     buf.extend_from_slice(RESULT_MAGIC);
     buf.extend_from_slice(&(json.len() as u32).to_le_bytes());
     buf.extend_from_slice(json.as_bytes());
@@ -595,14 +604,11 @@ fn encode_result(spec_hash: u64, outcome: &NativeOutcome) -> Result<Vec<u8>> {
     for image in &outcome.images {
         buf.extend_from_slice(&(image.width() as u32).to_le_bytes());
         buf.extend_from_slice(&(image.height() as u32).to_le_bytes());
-        for px in image.pixels() {
-            buf.extend_from_slice(&px.x.to_le_bytes());
-            buf.extend_from_slice(&px.y.to_le_bytes());
-            buf.extend_from_slice(&px.z.to_le_bytes());
-        }
+        put_slice_le(&mut buf, image.pixels());
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(buf.len(), exact, "result size out of sync with its layout");
     Ok(buf)
 }
 
@@ -687,21 +693,12 @@ pub fn load_result(
         rest = &rest[8..];
         let pixel_bytes = width
             .checked_mul(height)
-            .and_then(|n| n.checked_mul(12))
+            .and_then(|n| n.checked_mul(Vec3::BYTES))
             .ok_or_else(|| corrupt(index, "image dimensions overflow"))?;
         if rest.len() < pixel_bytes {
             return Err(corrupt(index, "pixel data truncated"));
         }
-        let pixels = rest[..pixel_bytes]
-            .chunks_exact(12)
-            .map(|c| {
-                eth_data::Vec3::new(
-                    f32::from_le_bytes(c[..4].try_into().unwrap()),
-                    f32::from_le_bytes(c[4..8].try_into().unwrap()),
-                    f32::from_le_bytes(c[8..12].try_into().unwrap()),
-                )
-            })
-            .collect();
+        let pixels = read_vec_le(&rest[..pixel_bytes]);
         images.push(
             Image::from_pixels(width, height, pixels)
                 .map_err(|e| corrupt(index, &format!("bad image: {e}")))?,

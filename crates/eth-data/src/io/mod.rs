@@ -10,6 +10,10 @@
 //!   so users can move data between ETH and VTK-based tools
 //!   ("the design requires that the data is exported as VTK data objects",
 //!   Section III-B).
+//!
+//! [`le`] holds the bulk little-endian array copies `binary` and the
+//! journal's result files share.
 
 pub mod binary;
+pub mod le;
 pub mod vtk_legacy;

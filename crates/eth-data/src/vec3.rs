@@ -8,7 +8,11 @@ use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component `f32` vector (positions, directions, velocities, colors).
+///
+/// `#[repr(C)]`: twelve bytes, x then y then z, no padding. The bulk
+/// payload copies in [`crate::io::le`] depend on that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[repr(C)]
 pub struct Vec3 {
     pub x: f32,
     pub y: f32,

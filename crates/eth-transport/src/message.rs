@@ -53,6 +53,10 @@ pub const FRAME_MAGIC_V2: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x02]);
 /// fields). Use [`read_frame_limited`] to tighten it per channel.
 pub const MAX_PAYLOAD: u64 = 1 << 34; // 16 GiB
 
+/// Largest payload buffer reserved on the strength of the length prefix
+/// alone; longer payloads grow as their bytes arrive.
+const PAYLOAD_RESERVE_CAP: u64 = 64 << 20;
+
 /// A decoded frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -95,7 +99,8 @@ pub fn write_frame(
 /// Read one frame from a stream (blocking), accepting payloads up to
 /// `max_payload` bytes and either frame version. A wrong magic word or an
 /// oversized length prefix fails with [`TransportError::Decode`] before
-/// any payload allocation.
+/// any payload allocation; a stream that ends before `len` payload bytes
+/// is an error, never a truncated [`Frame`].
 pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header)?;
@@ -123,8 +128,19 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> 
     } else {
         None
     };
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The length prefix is a claim until the bytes arrive: reserve at most
+    // `PAYLOAD_RESERVE_CAP` up front and let `read_to_end` grow the buffer
+    // as the stream delivers, so a corrupt or hostile prefix cannot make
+    // this allocate gigabytes. Nothing is zero-filled first either.
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE_CAP) as usize);
+    let got = r.by_ref().take(len).read_to_end(&mut payload)? as u64;
+    if got != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame payload ended after {got} of {len} bytes"),
+        )
+        .into());
+    }
     Ok(Frame {
         from,
         tag,
@@ -260,6 +276,29 @@ mod tests {
         write_frame(&mut wire, 0, 0, None, &Bytes::from_static(b"abcdef")).unwrap();
         wire.truncate(wire.len() - 2);
         assert!(read_frame(&mut wire.as_slice()).is_err());
+    }
+
+    #[test]
+    fn lying_length_prefix_errors_without_reserving_it() {
+        // A well-formed header (magic ok, length under MAX_PAYLOAD) that
+        // claims 8 GiB in front of 100 bytes: the short stream is an
+        // error naming how far it got, and it is reached having reserved
+        // `PAYLOAD_RESERVE_CAP`, not the claimed 8 GiB.
+        let mut wire = Vec::new();
+        let mut header = BytesMut::new();
+        header.put_u32_le(FRAME_MAGIC);
+        header.put_u32_le(1);
+        header.put_u32_le(2);
+        header.put_u64_le(8 << 30);
+        wire.extend_from_slice(&header);
+        wire.extend_from_slice(&[0xAB; 100]);
+        match read_frame(&mut wire.as_slice()) {
+            Err(TransportError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                assert!(e.to_string().contains("100 of 8589934592"), "{e}");
+            }
+            other => panic!("expected an UnexpectedEof error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl<'c> BenchmarkGroup<'c> {
                 format!(" ({:.3e} elem/s)", n as f64 / mean.as_secs_f64())
             }
             Some(Throughput::Bytes(n)) if mean.as_secs_f64() > 0.0 => {
-                format!(" ({:.3e} B/s)", n as f64 / mean.as_secs_f64())
+                format!(" ({:.3} GB/s)", n as f64 / mean.as_secs_f64() / 1e9)
             }
             _ => String::new(),
         };
