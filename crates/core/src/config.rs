@@ -485,6 +485,7 @@ impl RenderTuning {
 
 /// A fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(finish_with = "read_legacy_keys")]
 pub struct ExperimentSpec {
     pub name: String,
     pub application: Application,
@@ -503,12 +504,6 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Directory PPM artifacts are written into (none = keep in memory).
     pub artifact_dir: Option<PathBuf>,
-    /// Quantization-compress blocks crossing a process boundary
-    /// (intercore IPC / internode sockets). Bounded-error lossy transport
-    /// (see `eth_data::compress`); tight coupling ignores it (data never
-    /// leaves the process).
-    #[serde(default)]
-    pub compress_transport: bool,
     /// Internode only: number of visualization ranks when it differs from
     /// the simulation rank count (Figure 2's "differing numbers of nodes
     /// for each"). `None` pairs one viz rank per sim rank. Each viz rank
@@ -542,13 +537,33 @@ pub struct ExperimentSpec {
     /// unbounded, the historical behavior.
     #[serde(default)]
     pub resources: Option<ResourcePolicy>,
-    /// Block codec for data crossing a process boundary. Supersedes the
-    /// boolean `compress_transport` (which maps to `Quantize`):
-    /// `Lossless` ships full-precision CRC-trailed blocks (smaller than
-    /// nothing only in code size, but byte-identical); `Quantize` is the
-    /// bounded-error lossy codec. `None` defers to `compress_transport`.
+    /// Block codec for data crossing a process boundary (intercore IPC /
+    /// internode sockets; tight coupling never leaves the process):
+    /// `Lossless` ships full-precision CRC-trailed blocks (byte-identical
+    /// images); `Quantize` is the bounded-error lossy codec; `None` ships
+    /// plain `EBD2`.
     #[serde(default)]
     pub wire_compression: Option<eth_data::compress::Codec>,
+}
+
+/// Spec files written before the codec axis existed carry a boolean
+/// `compress_transport` (`true` always meant `Quantize`). It is still read
+/// — README, CI and job-file JSON keep loading — and never written.
+fn read_legacy_keys(
+    spec: &mut ExperimentSpec,
+    fields: &[(String, serde::Value)],
+) -> std::result::Result<(), serde::DeError> {
+    let legacy = serde::field(fields, "compress_transport").map(bool::deserialize_value);
+    if legacy.transpose()? == Some(true) {
+        if spec.wire_compression.is_some() {
+            return Err(serde::DeError::custom(
+                "set either wire_compression or the legacy compress_transport \
+                 flag, not both (compress_transport means Quantize)",
+            ));
+        }
+        spec.wire_compression = Some(eth_data::compress::Codec::Quantize);
+    }
+    Ok(())
 }
 
 impl ExperimentSpec {
@@ -560,15 +575,6 @@ impl ExperimentSpec {
     pub fn sampling(&self) -> Result<SamplingSpec> {
         SamplingSpec::new(self.sampling_ratio, SamplingMethod::Random, self.seed)
             .map_err(CoreError::from)
-    }
-
-    /// The codec applied to blocks crossing a process boundary, if any:
-    /// `wire_compression` when set, else the legacy `compress_transport`
-    /// flag (which always meant quantization).
-    pub fn wire_codec(&self) -> Option<eth_data::compress::Codec> {
-        self.wire_compression.or(self
-            .compress_transport
-            .then_some(eth_data::compress::Codec::Quantize))
     }
 
     /// Viz-side rank count at step 0: intercore pairs one viz rank per sim
@@ -709,13 +715,6 @@ impl ExperimentSpec {
         if let Some(resources) = &self.resources {
             resources.validate().map_err(CoreError::Config)?;
         }
-        if self.wire_compression.is_some() && self.compress_transport {
-            return Err(CoreError::Config(
-                "set either wire_compression or the legacy compress_transport \
-                 flag, not both (compress_transport means Quantize)"
-                    .into(),
-            ));
-        }
         // A rank kill is contextual: the plan cannot know the run shape, so
         // the spec checks it — the victim and step must exist, the coupling
         // must have independent rank lifetimes, and someone must be
@@ -853,7 +852,6 @@ impl ExperimentSpecBuilder {
                 sampling_ratio: 1.0,
                 seed: 42,
                 artifact_dir: None,
-                compress_transport: false,
                 viz_ranks: None,
                 fault_plan: None,
                 recovery: None,
@@ -913,11 +911,6 @@ impl ExperimentSpecBuilder {
 
     pub fn artifact_dir(mut self, dir: PathBuf) -> Self {
         self.spec.artifact_dir = Some(dir);
-        self
-    }
-
-    pub fn compress_transport(mut self, on: bool) -> Self {
-        self.spec.compress_transport = on;
         self
     }
 
@@ -1102,23 +1095,39 @@ mod tests {
     }
 
     #[test]
-    fn wire_codec_resolution_and_exclusivity() {
+    fn legacy_compress_transport_key_still_loads_and_is_never_written() {
         use eth_data::compress::Codec;
-        let none = ExperimentSpec::builder("t").build().unwrap();
-        assert_eq!(none.wire_codec(), None);
-        let legacy = ExperimentSpec::builder("t").compress_transport(true).build().unwrap();
-        assert_eq!(legacy.wire_codec(), Some(Codec::Quantize));
-        let explicit = ExperimentSpec::builder("t")
+        let spec = ExperimentSpec::builder("t")
             .wire_compression(Codec::Lossless)
             .build()
             .unwrap();
-        assert_eq!(explicit.wire_codec(), Some(Codec::Lossless));
-        // both knobs at once is a misconfiguration, not a precedence rule
-        assert!(ExperimentSpec::builder("t")
-            .compress_transport(true)
-            .wire_compression(Codec::Lossless)
-            .build()
-            .is_err());
+        let text = serde_json::to_string(&spec).unwrap();
+        assert!(!text.contains("compress_transport"), "{text}");
+        let back: ExperimentSpec = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.wire_compression, Some(Codec::Lossless));
+
+        // files from before the removal carry the boolean, with or without
+        // the codec key beside it: the flag maps onto the codec axis
+        let plain = serde_json::to_string(&ExperimentSpec::builder("t").build().unwrap()).unwrap();
+        let with = |codec: &str, flag: &str| {
+            plain.replace(
+                "\"wire_compression\":null",
+                &format!("{codec}\"compress_transport\":{flag}"),
+            )
+        };
+        assert_ne!(with("", "true"), plain, "fixture did not rewrite the key");
+        for codec in ["", "\"wire_compression\":null,"] {
+            let on: ExperimentSpec = serde_json::from_str(&with(codec, "true")).unwrap();
+            assert_eq!(on.wire_compression, Some(Codec::Quantize));
+            let off: ExperimentSpec = serde_json::from_str(&with(codec, "false")).unwrap();
+            assert_eq!(off.wire_compression, None);
+        }
+        let explicit = "\"wire_compression\":\"Lossless\",";
+        let kept: ExperimentSpec = serde_json::from_str(&with(explicit, "false")).unwrap();
+        assert_eq!(kept.wire_compression, Some(Codec::Lossless));
+        // both set at once is a misconfiguration, not a precedence rule
+        assert!(serde_json::from_str::<ExperimentSpec>(&with(explicit, "true")).is_err());
+        assert!(serde_json::from_str::<ExperimentSpec>(&with("", "7")).is_err());
     }
 
     #[test]

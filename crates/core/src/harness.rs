@@ -21,6 +21,12 @@
 //!   "applications": sim ranks publish to the layout file, open their
 //!   sockets and wait; viz ranks poll the file and connect (the paper's
 //!   Section III-C bootstrap), then receive blocks over TCP.
+//!
+//! All three run the same step — one `sim_role` loop and one `viz_role`
+//! loop, generic over the `PairLink` a block crosses — under a
+//! `StepPolicy` built once from the spec. Fault tolerance and migration
+//! are parts of that policy; the plain run is the empty policy
+//! (DESIGN.md §5).
 
 use crate::config::{Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
@@ -37,7 +43,7 @@ use eth_cluster::task::NodeGroup;
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::staging;
 use eth_data::{Aabb, DataObject};
-use eth_render::composite::{composite_direct, composite_direct_masked, composite_owned, RankMask};
+use eth_render::composite::composite_owned;
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
@@ -46,7 +52,7 @@ use eth_transport::collectives::{
     gather, gather_surviving, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer,
     send_adopt_notice, send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer,
 };
-use eth_transport::comm::{Communicator, TransportError};
+use eth_transport::comm::{Communicator, Result as LinkResult, TransportError};
 use eth_transport::layout::LayoutFile;
 use eth_transport::local::LocalComm;
 use eth_transport::message::{decode_dataset_from, encode_dataset};
@@ -54,7 +60,7 @@ use eth_transport::runner::{
     run_ranks, run_ranks_heartbeat, run_ranks_supervised, spawn_migration_supervisor, MigrationBook,
 };
 use eth_transport::socket::{connect_to, listen_as};
-use eth_transport::{HeartbeatBoard, HeartbeatPolicy};
+use eth_transport::{FaultPlan, HeartbeatBoard, HeartbeatPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -285,13 +291,12 @@ impl NativeOutcome {
     }
 }
 
-/// Encode a block for a process boundary, honoring the spec's wire
-/// codec ([`ExperimentSpec::wire_codec`]: explicit `wire_compression`,
-/// or `Quantize` via the legacy `compress_transport` flag). Compressed
-/// sends record raw-vs-compressed byte counters so campaigns can report
-/// what the codec actually bought on the wire.
+/// Encode a block for a process boundary, honoring the spec's
+/// `wire_compression` codec. Compressed sends record raw-vs-compressed
+/// byte counters so campaigns can report what the codec actually bought
+/// on the wire.
 fn encode_block(spec: &ExperimentSpec, block: &DataObject) -> Bytes {
-    match spec.wire_codec() {
+    match spec.wire_compression {
         Some(codec) => {
             let payload = codec.encode(block);
             eth_obs::count("wire_raw_bytes", eth_data::io::binary::encoded_len(block) as f64);
@@ -307,13 +312,16 @@ fn encode_block(spec: &ExperimentSpec, block: &DataObject) -> Bytes {
 /// surfaces as [`TransportError::Corrupt`] attributed to the sender — the
 /// codec detects it, the chaos layer's own bookkeeping is not consulted.
 fn decode_block(spec: &ExperimentSpec, from: usize, payload: Bytes) -> Result<DataObject> {
-    match spec.wire_codec() {
+    match spec.wire_compression {
         Some(codec) => Ok(codec.decode(payload)?),
         None => Ok(decode_dataset_from(from, payload)?),
     }
 }
 
-/// Per-rank result inside the parallel sections.
+/// Per-rank result inside the parallel sections. The default is also the
+/// tombstone of a rank that died mid-run: nothing rendered, nothing to
+/// report.
+#[derive(Default)]
 struct RankOutput {
     images: Vec<Image>,
     stats: RenderStats,
@@ -324,22 +332,6 @@ struct RankOutput {
     recovery_latency_s: Vec<f64>,
     /// Handoff handshake stalls this rank observed (migration sources).
     migration_disruption_s: Vec<f64>,
-}
-
-impl RankOutput {
-    /// The output of a rank that died mid-run: nothing rendered, nothing
-    /// to report — its partition's story continues in the adopter.
-    fn tombstone() -> RankOutput {
-        RankOutput {
-            images: Vec::new(),
-            stats: RenderStats::default(),
-            phases: PhaseTimes::default(),
-            bytes_sent: 0,
-            degradation: Degradation::default(),
-            recovery_latency_s: Vec::new(),
-            migration_disruption_s: Vec::new(),
-        }
-    }
 }
 
 /// Minimal per-rank recovery state, snapshotted after each completed step.
@@ -375,21 +367,15 @@ pub(crate) struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    fn new(ranks: usize) -> CheckpointStore {
+    fn new(ranks: usize, spill: Option<crate::journal::Journal>) -> CheckpointStore {
         CheckpointStore {
             slots: Mutex::new(vec![None; ranks]),
-            spill: None,
-        }
-    }
-
-    fn with_spill(ranks: usize, journal: crate::journal::Journal) -> CheckpointStore {
-        CheckpointStore {
-            slots: Mutex::new(vec![None; ranks]),
-            spill: Some(journal),
+            spill,
         }
     }
 
     fn record(&self, checkpoint: StepCheckpoint) {
+        eth_obs::count("step_checkpoints", 1.0);
         if let Some(journal) = &self.spill {
             // spill failures must not fail the step: the in-memory slot
             // still updates and adoption proceeds from it
@@ -411,7 +397,7 @@ impl CheckpointStore {
 }
 
 /// Background liveness beacon for one rank: beats the board every half
-/// heartbeat interval until silenced (the rank finished — or was killed,
+/// heartbeat interval until dropped (the rank finished — or was killed,
 /// which is exactly a beacon going silent). Beating from a helper thread
 /// keeps detection latency independent of step duration; a genuinely
 /// wedged rank is still caught by the global deadline backstop.
@@ -422,6 +408,7 @@ struct Beater {
 
 impl Beater {
     fn spawn(board: &Arc<HeartbeatBoard>, rank: usize, policy: HeartbeatPolicy) -> Beater {
+        eth_obs::count("liveness_threads", 1.0);
         let stop = Arc::new(AtomicBool::new(false));
         let board = board.clone();
         let flag = stop.clone();
@@ -437,40 +424,15 @@ impl Beater {
             handle: Some(handle),
         }
     }
-
-    /// Stop beating *now* (the kill path: the rank must fall silent before
-    /// it parks awaiting its own death).
-    fn silence(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl Drop for Beater {
+    /// Stops beating *now*: on the kill path the rank must have fallen
+    /// silent before it parks awaiting its own death.
     fn drop(&mut self) {
-        self.silence();
-    }
-}
-
-/// What a rank's data-intake closure hands back for one step: the blocks
-/// that actually arrived plus timing and any faults absorbed getting them.
-struct StepIntake {
-    blocks: Vec<DataObject>,
-    sim_time: Duration,
-    transfer_time: Duration,
-    degradation: Degradation,
-}
-
-impl StepIntake {
-    /// A clean intake (no process boundary, nothing lost).
-    fn clean(blocks: Vec<DataObject>, sim_time: Duration, transfer_time: Duration) -> StepIntake {
-        StepIntake {
-            blocks,
-            sim_time,
-            transfer_time,
-            degradation: Degradation::default(),
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -745,7 +707,6 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     base.name = format!("{}-baseline", spec.name);
     base.sampling_ratio = 1.0;
     base.coupling = Coupling::Tight;
-    base.compress_transport = false;
     base.wire_compression = None;
     base.viz_ranks = None;
     base.fault_plan = None;
@@ -753,110 +714,6 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     base.migration = None;
     base.artifact_dir = None;
     base
-}
-
-/// Render + composite for one rank across all steps, gathering to `root`
-/// over `comm`. Returns the rank's output (root holds the images).
-///
-/// `take_blocks` may hand the rank *several* blocks per step (asymmetric
-/// internode layouts assign multiple simulation ranks to one visualization
-/// rank); each block renders independently and the rank's frames are
-/// depth-merged locally before the cross-rank composite — standard
-/// sort-last behaviour.
-#[allow(clippy::too_many_arguments)]
-fn viz_side(
-    spec: &ExperimentSpec,
-    comm: &dyn Communicator,
-    root: usize,
-    staged: &StagedData,
-    mut take_blocks: impl FnMut(usize) -> Result<StepIntake>,
-) -> Result<RankOutput> {
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    for step in 0..spec.steps {
-        let intake = take_blocks(step)?;
-        phases.sim_s += intake.sim_time.as_secs_f64();
-        phases.transfer_s += intake.transfer_time.as_secs_f64();
-        // Classify the step: faults with nothing delivered = a dropped
-        // step (this rank renders stale/empty); faults with partial
-        // delivery = a degraded step. Either way the rank presses on and
-        // joins every composite, so one sick link never deadlocks the run.
-        let mut step_deg = intake.degradation;
-        if step_deg.faults() > 0 {
-            if intake.blocks.is_empty() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
-        }
-        degradation.absorb(&step_deg);
-        let blocks = intake.blocks;
-
-        // Every rank colors through the global transfer-function range.
-        let pipeline = pipeline_for_step(spec, staged, step);
-        let t_viz = Instant::now();
-        let mut frames: Vec<Framebuffer> = Vec::new();
-        for block in &blocks {
-            let out = pipeline.execute_step(step, block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            if frames.is_empty() {
-                frames = out.frames;
-            } else {
-                for (acc, fb) in frames.iter_mut().zip(&out.frames) {
-                    acc.composite_in(fb);
-                }
-            }
-        }
-        // A rank with no blocks (over-provisioned asymmetric layout) must
-        // still join every composite gather with empty frames, or the
-        // collective deadlocks.
-        if frames.is_empty() {
-            frames = (0..spec.images_per_step)
-                .map(|_| Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO))
-                .collect();
-        }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-        let t_comp = Instant::now();
-        for (image_index, fb) in frames.into_iter().enumerate() {
-            let payload = Bytes::from(fb.to_bytes());
-            let gathered = gather(comm, root, payload)?;
-            if let Some(parts) = gathered {
-                // Non-rendering ranks (the intercore sim side) contribute
-                // empty payloads to keep the collective uniform; skip them.
-                let buffers: Vec<Framebuffer> = parts
-                    .iter()
-                    .filter(|raw| !raw.is_empty())
-                    .map(|raw| {
-                        Framebuffer::from_bytes(raw).ok_or_else(|| {
-                            CoreError::Config("malformed framebuffer on the wire".into())
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let (merged, _cstats) = composite_direct(buffers);
-                let image = merged.into_image();
-                pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
-            }
-        }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        // The composite root closing a step is the frame boundary the
-        // critical-path walk in `eth_obs::merge` attributes backwards from.
-        if comm.rank() == root {
-            eth_obs::step_mark(step as u64);
-        }
-    }
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s: Vec::new(),
-        migration_disruption_s: Vec::new(),
-    })
 }
 
 /// Pipeline configured with the step's global color range.
@@ -908,20 +765,6 @@ fn merge_outputs(spec: &ExperimentSpec, wall_s: f64, outputs: Vec<RankOutput>) -
     }
 }
 
-/// Launch local-fabric ranks, supervised when the spec's fault plan sets a
-/// per-rank wall-clock budget: a hung or panicking rank then surfaces as
-/// [`CoreError::Rank`] instead of wedging or aborting the sweep.
-fn run_ranks_maybe_supervised<T, F>(spec: &ExperimentSpec, size: usize, body: F) -> Result<Vec<T>>
-where
-    T: Send + 'static,
-    F: Fn(LocalComm) -> T + Send + Sync + Clone + 'static,
-{
-    match spec.fault_plan.as_ref().and_then(|p| p.rank_timeout()) {
-        Some(budget) => Ok(run_ranks_supervised(size, budget, body)?),
-        None => Ok(run_ranks(size, body)),
-    }
-}
-
 /// Run an experiment natively (see module docs).
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
@@ -961,14 +804,6 @@ where
     let mut outcome = merge_outputs(spec, t0.elapsed().as_secs_f64(), outputs);
     attribute_run(&mut outcome, &recorder.take(), t0_ns);
     Ok(outcome)
-}
-
-fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    match spec.coupling {
-        Coupling::Tight => run_tight(spec, staged),
-        Coupling::Intercore => run_intercore(spec, staged),
-        Coupling::Internode => run_internode(spec, staged),
-    }
 }
 
 /// Modeled node utilization while one span of `phase` runs: compute
@@ -1131,501 +966,347 @@ fn attribute_run(outcome: &mut NativeOutcome, trace: &eth_obs::Trace, t0_ns: u64
     outcome.counters = counters;
 }
 
-/// Wall-clock backstop for a heartbeat-supervised run: the plan's per-rank
-/// budget when one is set, else a generous default (heartbeats, not this
-/// deadline, are the primary detector).
-fn recovery_deadline(spec: &ExperimentSpec) -> Duration {
-    spec.fault_plan
-        .as_ref()
-        .and_then(|p| p.rank_timeout())
-        .unwrap_or(Duration::from_secs(120))
-}
-
-/// Run `size` heartbeat-supervised ranks and collect the survivors'
-/// outputs. Ranks that died mid-run left tombstones (or, past the grace
-/// window, nothing); losses beyond the policy's budget surfaced as
-/// [`CoreError::Rank`] inside the runner.
-fn run_ranks_recovering<F>(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    size: usize,
-    body: F,
-) -> Result<Vec<RankOutput>>
-where
-    F: Fn(LocalComm, Arc<HeartbeatBoard>) -> Result<RankOutput> + Send + Sync + Clone + 'static,
-{
-    let run = run_ranks_heartbeat(
-        size,
-        policy.heartbeat,
-        policy.max_rank_losses as usize,
-        recovery_deadline(spec),
-        body,
-    )
-    .map_err(CoreError::Rank)?;
-    run.outputs.into_iter().flatten().collect()
-}
-
-fn run_tight(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    let ranks = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    if let Some(policy) = spec.recovery {
-        // Tight coupling has one lifetime per rank (nothing to adopt), but
-        // the heartbeat supervision still applies: a silent rank surfaces
-        // with step attribution instead of wedging to the global deadline.
-        return run_ranks_recovering(spec, policy, ranks, move |comm, board| {
-            let rank = comm.rank();
-            let _beater = Beater::spawn(&board, rank, policy.heartbeat);
-            viz_side(&spec_body, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                if step > 0 {
-                    board.step_done(rank, step - 1);
-                }
-                Ok(StepIntake::clean(vec![block], t.elapsed(), Duration::ZERO))
-            })
-        });
-    }
-    let results = run_ranks_maybe_supervised(spec, ranks, move |comm| {
-        let rank = comm.rank();
-        viz_side(&spec_body, &comm, 0, &staged, |step| {
-            // "simulation": the proxy presents its block (a copy, as a real
-            // proxy's load would be)
-            let t = Instant::now();
-            let block = staged.block(step, rank)?;
-            Ok(StepIntake::clean(vec![block], t.elapsed(), Duration::ZERO))
-        })
-    })?;
-    results.into_iter().collect()
-}
-
 const DATA_TAG_BASE: u32 = 0x1000;
 
-fn run_intercore(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    if spec.migration.is_some() {
-        let policy = spec.recovery.expect("validated: migration requires recovery");
-        return run_intercore_migrating(spec, staged, policy);
-    }
-    if let Some(policy) = spec.recovery {
-        return run_intercore_recovering(spec, staged, policy);
-    }
-    let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    // 2R ranks on one fabric: 0..R sim, R..2R viz. Viz ranks composite via
-    // a gather rooted at viz rank R (index 0 of the viz side); the sim
-    // ranks also participate in the gather with empty payloads so the
-    // collective spans the communicator.
-    let results = run_ranks_maybe_supervised(spec, 2 * r, move |comm| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let tolerant = spec.fault_plan.is_some();
-        // With a fault plan, the whole fabric runs behind the chaos
-        // wrapper; the plan's tag window keeps the composite collectives
-        // fault-free while the data path misbehaves.
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
-        };
-        let comm = comm.as_ref();
-        if rank < r {
-            // simulation proxy side
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec.steps {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(spec, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match comm.send(r + rank, DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    // a dead viz link must not kill the simulation: note it
-                    // and keep stepping (the paired viz rank degrades)
-                    Err(e) if tolerant => degradation.count(&e),
-                    Err(e) => return Err(e.into()),
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                // join the per-image composite gathers with empty payloads
-                for _ in 0..spec.images_per_step {
-                    gather(comm, r, Bytes::new())?;
-                }
-            }
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: comm.traffic().bytes_sent,
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        } else {
-            // visualization proxy side
-            let sim_rank = rank - r;
-            let out = viz_side(spec, comm, r, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                // the chaos wrapper applies the plan's receive deadline, so
-                // this cannot block forever on a dropped message
-                let blocks = match comm.recv(sim_rank, DATA_TAG_BASE + step as u32) {
-                    Ok(payload) => match decode_block(spec, sim_rank, payload) {
-                        Ok(block) => vec![block],
-                        Err(_) if tolerant => {
-                            deg.corrupt_payloads += 1;
-                            Vec::new()
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Err(e) if tolerant => {
-                        deg.count(&e);
-                        Vec::new()
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            Ok(out)
-        }
-    })?;
-    results.into_iter().collect()
+/// How long a visualization rank polls the layout file for a simulation
+/// rank's address before giving up on the bootstrap.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+/// Budget for one block to arrive under liveness supervision when the
+/// fault plan sets no receive deadline.
+const DEFAULT_RECV_BUDGET: Duration = Duration::from_secs(2);
+/// Wall-clock backstop of a heartbeat-supervised run when the fault plan
+/// sets no per-rank budget (heartbeats, not this, are the primary detector).
+const DEFAULT_RUN_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Everything a run's step loop does beyond "present, move, render,
+/// composite", resolved once from the spec. The three couplings run the
+/// same [`sim_role`] / [`viz_role`] step and differ only in the
+/// [`PairLink`] a block crosses; fault tolerance and elasticity are parts
+/// of this policy, and every part may be empty. The empty policy is the
+/// plain run: it starts no heartbeat thread and no supervisor, records no
+/// checkpoint, and never polls a receive.
+struct StepPolicy {
+    /// Faults on the data path degrade a step instead of failing the run
+    /// (the spec carries a fault plan or a recovery policy).
+    tolerant: bool,
+    /// The plan the pair links run behind; inert when the spec has none.
+    plan: FaultPlan,
+    /// Heartbeats, liveness-sliced receives, step checkpoints, adoption.
+    liveness: Option<Liveness>,
+    /// Planned partition handoffs in control-plane order. Empty means
+    /// static ownership: a rank's frame lands in the rank's own composite
+    /// slot. Non-empty means contributions are framed per partition, so
+    /// the image bytes do not depend on who rendered what.
+    handoffs: Vec<Handoff>,
+    /// One arbitration cell per handoff (commit vs. death-abort).
+    book: Arc<MigrationBook>,
+    handoff_timeout: Duration,
+    /// A rank with nothing to render contributes a hole the root counts
+    /// per frame, rather than a blank frame. Holes reach the root where
+    /// the composite can carry them: framed contributions (any handoff
+    /// plan) and the liveness-aware intercore gather. An internode
+    /// recovery run without migration pre-merges co-owned partitions
+    /// behind a plain gather, so there the *draining* rank counts what it
+    /// could not render, once per step.
+    holes_at_root: bool,
 }
 
-/// Intercore coupling under a [`RecoveryPolicy`]: the same 2R-rank fabric,
-/// but every rank beats a shared [`HeartbeatBoard`], composites go through
-/// the surviving-contributor gather, and a confirmed-dead simulation rank's
-/// partition is adopted by its paired visualization rank from the last
-/// step checkpoint.
-fn run_intercore_recovering(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    let checkpoints = Arc::new(CheckpointStore::new(r));
-    run_ranks_recovering(spec, policy, 2 * r, move |comm, board| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
-        };
-        let comm = comm.as_ref();
-        let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-        if rank < r {
-            intercore_sim_recovering(spec, comm, &board, &staged, &checkpoints, &mut beater)
-        } else {
-            intercore_viz_recovering(spec, policy, comm, &board, &staged, &checkpoints)
+/// The recovery part of a [`StepPolicy`].
+struct Liveness {
+    recovery: RecoveryPolicy,
+    checkpoints: CheckpointStore,
+    /// A missing block is either a lost message (one degraded step) or a
+    /// death in progress. Receives run in slices a bit past the detection
+    /// deadline, re-checking liveness between slices: a slow-but-alive
+    /// pair gets the whole `recv_budget`, a confirmed death resolves in
+    /// O(detection).
+    recv_slice: Duration,
+    recv_budget: Duration,
+    /// Wall-clock backstop for composite gathers, a killed rank's wait for
+    /// its own death notice, and the heartbeat runner.
+    run_deadline: Duration,
+}
+
+impl StepPolicy {
+    fn new(spec: &ExperimentSpec) -> StepPolicy {
+        let plan = spec.fault_plan.clone().unwrap_or_default();
+        let liveness = spec.recovery.map(|recovery| {
+            let recv_slice =
+                recovery.heartbeat.detection_deadline() * 2 + Duration::from_millis(25);
+            // Internode runs that keep artifacts spill every checkpoint
+            // through the journal WAL, so a post-mortem can replay the
+            // adoption decision.
+            let spill = match (&spec.artifact_dir, spec.coupling) {
+                (Some(dir), Coupling::Internode) => {
+                    crate::journal::Journal::open(&dir.join("recovery")).ok()
+                }
+                _ => None,
+            };
+            Liveness {
+                recovery,
+                checkpoints: CheckpointStore::new(spec.ranks, spill),
+                recv_slice,
+                recv_budget: plan
+                    .deadline()
+                    .unwrap_or(DEFAULT_RECV_BUDGET)
+                    .max(recv_slice),
+                run_deadline: plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE),
+            }
+        });
+        let handoffs = spec.migration_handoffs();
+        StepPolicy {
+            tolerant: spec.fault_plan.is_some() || liveness.is_some(),
+            holes_at_root: liveness.is_some()
+                && (!handoffs.is_empty() || spec.coupling == Coupling::Intercore),
+            book: MigrationBook::new(handoffs.len()),
+            handoff_timeout: spec
+                .migration
+                .map_or(Duration::ZERO, |m| m.handoff_timeout()),
+            plan,
+            liveness,
+            handoffs,
         }
+    }
+}
+
+/// What every rank of a run shares: the spec, the staged data, the policy,
+/// and — iff the policy has a liveness part — the board ranks beat on.
+struct RankCx<'a> {
+    spec: &'a ExperimentSpec,
+    staged: &'a StagedData,
+    policy: &'a StepPolicy,
+    board: Option<&'a Arc<HeartbeatBoard>>,
+}
+
+impl<'a> RankCx<'a> {
+    fn live(&self) -> Option<(&'a Liveness, &'a Arc<HeartbeatBoard>)> {
+        self.policy.liveness.as_ref().zip(self.board)
+    }
+
+    fn is_dead(&self, rank: usize) -> bool {
+        self.board.is_some_and(|board| board.is_dead(rank))
+    }
+
+    fn beater(&self, slot: usize) -> Option<Beater> {
+        self.live()
+            .map(|(live, board)| Beater::spawn(board, slot, live.recovery.heartbeat))
+    }
+}
+
+/// The process boundary between a simulation rank and the visualization
+/// rank that drains it — the one thing the couplings do not share.
+trait PairLink {
+    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()>;
+    /// Blocking receive; with `within`, give up after that long.
+    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes>;
+    /// Bytes this end put on the link that no fabric counter covers.
+    fn bytes_sent(&self) -> u64;
+}
+
+/// Intercore: the pair exchanges blocks over the fabric both ranks sit on
+/// (the same-node process boundary); the fabric's counters see the bytes.
+struct FabricLink<'a> {
+    comm: &'a dyn Communicator,
+    peer: usize,
+}
+
+impl PairLink for FabricLink<'_> {
+    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()> {
+        self.comm.send(self.peer, tag, payload)
+    }
+
+    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes> {
+        match within {
+            Some(timeout) => self.comm.recv_timeout(self.peer, tag, timeout),
+            None => self.comm.recv(self.peer, tag),
+        }
+    }
+
+    fn bytes_sent(&self) -> u64 {
+        0
+    }
+}
+
+/// Internode: a TCP stream bootstrapped through the layout file. The link
+/// always runs behind the chaos wrapper; with no plan it is a passthrough.
+impl PairLink for ChaosChannel {
+    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()> {
+        ChaosChannel::send(self, tag, payload)
+    }
+
+    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes> {
+        match within {
+            Some(timeout) => self.recv_timeout(tag, timeout),
+            None => ChaosChannel::recv(self, tag),
+        }
+    }
+
+    fn bytes_sent(&self) -> u64 {
+        ChaosChannel::bytes_sent(self)
+    }
+}
+
+/// How a visualization rank gets one simulation rank's block.
+enum Wire<'a> {
+    /// Tight: sim and viz share the rank's call stack; the proxy presents
+    /// its block in-process (a copy, as a real proxy's load would be).
+    InProcess,
+    Link(Box<dyn PairLink + 'a>),
+}
+
+/// The fabric visualization ranks composite over; viz index 0 is the root.
+#[derive(Clone, Copy)]
+struct VizFabric<'a> {
+    comm: &'a dyn Communicator,
+    /// Fabric rank of viz index 0: intercore seats the R simulation ranks
+    /// in front (they idle in every gather so the collective spans the
+    /// communicator); tight and internode fabrics are all-viz.
+    base: usize,
+    /// The fabric's ranks sit on the liveness board: they beat, may be
+    /// declared dead, and composites must gather around the dead.
+    on_board: bool,
+}
+
+/// One composite gather to the fabric's root. On a fabric whose ranks can
+/// die mid-run the root skips the dead and bounds every other receive;
+/// `salt` keeps a contribution that arrives after its frame timed out from
+/// being mistaken for the next frame's.
+fn gather_frames(
+    cx: &RankCx,
+    fabric: VizFabric,
+    salt: u32,
+    payload: Bytes,
+) -> Result<Option<Vec<Option<Bytes>>>> {
+    Ok(match cx.live().filter(|_| fabric.on_board) {
+        Some((live, board)) => gather_surviving(
+            fabric.comm,
+            fabric.base,
+            salt,
+            payload,
+            &|peer| board.is_dead(peer),
+            live.run_deadline,
+        )?,
+        None => gather(fabric.comm, fabric.base, payload)?
+            .map(|parts| parts.into_iter().map(Some).collect()),
     })
 }
 
-/// The simulation side of a recovering intercore run. A scripted kill
-/// silences the rank's beats and parks it until the supervisor declares it
-/// dead; otherwise the rank streams its block, joins every composite
-/// gather, records a step checkpoint, and reports liveness progress.
-fn intercore_sim_recovering(
-    spec: &ExperimentSpec,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    checkpoints: &CheckpointStore,
-    beater: &mut Beater,
+/// The simulation side of a step: present the block, encode it, push it
+/// across the pair link. `composite` is the visualization fabric when this
+/// rank is seated on it (intercore) and must idle in its gathers.
+fn sim_role(
+    cx: &RankCx,
+    rank: usize,
+    link: &dyn PairLink,
+    composite: Option<VizFabric>,
 ) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let rank = comm.rank();
-    let plan = spec.fault_plan.clone().unwrap_or_default();
-    let gather_budget = recovery_deadline(spec);
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
+    let spec = cx.spec;
+    let mut beater = cx.beater(rank);
+    let mut out = RankOutput::default();
     for step in 0..spec.steps {
-        if plan.kills(rank, step) {
+        if let (true, Some((live, board))) = (cx.policy.plan.kills(rank, step), cx.live()) {
             // The scripted death: stop beating, wait to be declared dead
             // (so detection latency is measured against a real silence),
-            // and leave a tombstone. The paired viz rank adopts from the
-            // checkpoint this rank recorded for step - 1.
-            beater.silence();
-            board.await_death(rank, gather_budget);
-            return Ok(RankOutput::tombstone());
+            // and leave a tombstone — the partition's story continues in
+            // whoever drains this rank. Returning drops the link, so the
+            // drainer sees it snap rather than stall.
+            beater.take();
+            board.await_death(rank, live.run_deadline);
+            return Ok(RankOutput::default());
         }
         let t = Instant::now();
-        let block = staged.block(step, rank)?;
+        let block = cx.staged.block(step, rank)?;
         let payload = encode_block(spec, &block);
-        phases.sim_s += t.elapsed().as_secs_f64();
-        let t2 = Instant::now();
-        match comm.send(r + rank, DATA_TAG_BASE + step as u32, payload) {
+        out.phases.sim_s += t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        match link.send(DATA_TAG_BASE + step as u32, payload) {
             Ok(()) => {}
-            Err(e) => degradation.count(&e),
+            // a dead viz link must not kill the simulation: note it and
+            // keep stepping (the draining viz rank degrades)
+            Err(e) if cx.policy.tolerant => out.degradation.count(&e),
+            Err(e) => return Err(e.into()),
         }
-        phases.transfer_s += t2.elapsed().as_secs_f64();
-        for image_index in 0..spec.images_per_step {
-            let salt = (step * spec.images_per_step + image_index) as u32;
-            gather_surviving(
-                comm,
-                r,
-                salt,
-                Bytes::new(),
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
+        out.phases.transfer_s += t.elapsed().as_secs_f64();
+        if let Some(fabric) = composite {
+            for image_index in 0..spec.images_per_step {
+                let salt = (step * spec.images_per_step + image_index) as u32;
+                gather_frames(cx, fabric, salt, Bytes::new())?;
+            }
         }
-        checkpoints.record(StepCheckpoint {
-            rank,
-            partition: rank,
-            step,
-            proxy_cursor: step + 1,
-            rng_state: spec.seed ^ rank as u64,
-            degradation,
-        });
-        board.step_done(rank, step);
+        if let Some((live, board)) = cx.live() {
+            live.checkpoints.record(StepCheckpoint {
+                rank,
+                partition: rank,
+                step,
+                proxy_cursor: step + 1,
+                rng_state: spec.seed ^ rank as u64,
+                degradation: out.degradation,
+            });
+            board.step_done(rank, step);
+        }
     }
-    Ok(RankOutput {
-        images: Vec::new(),
-        stats: RenderStats::default(),
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s: Vec::new(),
-        migration_disruption_s: Vec::new(),
-    })
+    if let Some(board) = cx.board {
+        // an un-killed rank must report completion or a supervisor would
+        // read its silence as a death
+        board.mark_done(rank);
+    }
+    out.bytes_sent = link.bytes_sent() + composite.map_or(0, |f| f.comm.traffic().bytes_sent);
+    Ok(out)
 }
 
-/// The visualization side of a recovering intercore run: receives the
-/// paired simulation rank's block under a liveness-bounded deadline, adopts
-/// the partition when the pair is confirmed dead, and composites through
-/// the surviving-contributor gather with a [`RankMask`] over the holes.
-fn intercore_viz_recovering(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    // The viz side once consulted the dead rank's checkpoint cursor here;
-    // adoption now needs only the shared staged store, but the parameter
-    // stays so the sim/viz rank bodies keep symmetric signatures.
-    _checkpoints: &CheckpointStore,
-) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let root = r;
-    let rank = comm.rank();
-    let sim = rank - r;
-    let detection = policy.heartbeat.detection_deadline();
-    // A missing block is either a lost message (one degraded step) or a
-    // death in progress. Receive in slices a bit past the detection
-    // deadline, re-checking liveness between slices: a slow-but-alive pair
-    // gets the full budget, a confirmed death resolves in O(detection).
-    let wait = detection * 2 + Duration::from_millis(25);
-    let recv_budget = spec
-        .fault_plan
-        .as_ref()
-        .and_then(|p| p.deadline())
-        .unwrap_or(Duration::from_secs(2))
-        .max(wait);
-    let gather_budget = recovery_deadline(spec);
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    let mut recovery_latency_s = Vec::new();
-    let mut adopted = false;
-    let mut own_notice: Option<AdoptNotice> = None;
-
-    for step in 0..spec.steps {
-        let t = Instant::now();
-        let mut step_deg = Degradation::default();
-        let mut blocks = Vec::new();
-        if !adopted && !board.is_dead(sim) {
-            let deadline = Instant::now() + recv_budget;
+/// Receive `sim`'s block for this step. Without a liveness part this is one
+/// blocking receive (the chaos wrapper applies the plan's deadline, so a
+/// dropped message costs one deadline, not the run). With one, the receive
+/// is sliced against the board; `None` with `sim` dead means "adopt", any
+/// other `None` is a lost block already counted in `deg`.
+fn drain(
+    cx: &RankCx,
+    link: &dyn PairLink,
+    sim: usize,
+    tag: u32,
+    deg: &mut Degradation,
+) -> Result<Option<DataObject>> {
+    let received = match cx.live() {
+        None => link.recv(tag, None),
+        Some((live, board)) => {
+            let deadline = Instant::now() + live.recv_budget;
             loop {
-                // the pair died while we waited: fall through to adoption
+                // dead already, or died while we waited: the caller adopts
                 if board.is_dead(sim) {
-                    break;
+                    return Ok(None);
                 }
                 let now = Instant::now();
                 if now >= deadline {
-                    step_deg.timeouts += 1;
-                    break;
+                    break Err(TransportError::Timeout {
+                        peer: sim,
+                        elapsed: live.recv_budget,
+                    });
                 }
-                match comm.recv_timeout(sim, DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                {
-                    Ok(payload) => {
-                        match decode_block(spec, sim, payload) {
-                            Ok(block) => blocks.push(block),
-                            Err(_) => step_deg.corrupt_payloads += 1,
-                        }
-                        break;
-                    }
+                match link.recv(tag, Some(live.recv_slice.min(deadline - now))) {
                     Err(TransportError::Timeout { .. }) => continue,
-                    Err(e) => {
-                        if !board.is_dead(sim) {
-                            step_deg.count(&e);
-                        }
-                        break;
-                    }
+                    // a link that snaps because its rank died is a death,
+                    // not a fault
+                    Err(_) if board.is_dead(sim) => return Ok(None),
+                    other => break other,
                 }
             }
         }
-        if blocks.is_empty() && board.is_dead(sim) {
-            if !adopted {
-                // First step after the confirmed death: record the loss and
-                // (policy permitting) adopt the partition from the dead
-                // rank's last checkpoint.
-                let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                adopted = true;
-                step_deg.rank_losses += 1;
-                eth_obs::count("rank_losses", 1.0);
-                let death = board.death_of(sim);
-                let latency_ns = death
-                    .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                    .unwrap_or(0);
-                if policy.adopt {
-                    step_deg.adopted_partitions += 1;
-                    eth_obs::count("adopted_partitions", 1.0);
-                    // The dead rank may have checkpointed *past* this
-                    // step: sim and viz ranks progress independently, so
-                    // under scheduler skew its proxy cursor can be ahead
-                    // of the adopter. That is fine — the partition
-                    // re-renders from the shared staged store at the
-                    // adopter's own step, not from the cursor.
-                    let notice = AdoptNotice {
-                        dead_rank: sim,
-                        adopted_at_step: step,
-                        adopter: rank,
-                        latency_ns,
-                    };
-                    if rank == root {
-                        // the root adopted its own pair; no wire round-trip
-                        own_notice = Some(notice);
-                    } else {
-                        send_adopt_notice(comm, root, &notice)?;
-                    }
-                }
-            }
-            if policy.adopt {
-                // the adopted partition renders from the shared staged
-                // store, picking up exactly where the checkpoint left off
-                blocks.push(staged.block(step, sim)?);
-            } else {
-                step_deg.dropped_steps += 1;
-            }
-        }
-        if step_deg.faults() > 0 {
-            if blocks.is_empty() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
-        }
-        phases.transfer_s += t.elapsed().as_secs_f64();
-
-        let pipeline = pipeline_for_step(spec, staged, step);
-        let t_viz = Instant::now();
-        let mut frames: Vec<Framebuffer> = Vec::new();
-        for block in &blocks {
-            let out = pipeline.execute_step(step, block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            if frames.is_empty() {
-                frames = out.frames;
-            } else {
-                for (acc, fb) in frames.iter_mut().zip(&out.frames) {
-                    acc.composite_in(fb);
-                }
-            }
-        }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-        let t_comp = Instant::now();
-        for image_index in 0..spec.images_per_step {
-            // An empty payload marks "no contribution this frame" so the
-            // root composites around the hole instead of merging a blank.
-            let payload = frames
-                .get(image_index)
-                .map(|fb| Bytes::from(fb.to_bytes()))
-                .unwrap_or_default();
-            let salt = (step * spec.images_per_step + image_index) as u32;
-            let gathered = gather_surviving(
-                comm,
-                root,
-                salt,
-                payload,
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
-            if let Some(parts) = gathered {
-                let mut slots: Vec<Option<Framebuffer>> = Vec::with_capacity(r);
-                let mut mask = RankMask::none(r);
-                for v in 0..r {
-                    match &parts[r + v] {
-                        Some(raw) if !raw.is_empty() => {
-                            slots.push(Some(Framebuffer::from_bytes(raw).ok_or_else(|| {
-                                CoreError::Config("malformed framebuffer on the wire".into())
-                            })?))
-                        }
-                        Some(_) => slots.push(None),
-                        None => {
-                            slots.push(None);
-                            mask.mark_missing(v);
-                        }
-                    }
-                }
-                let image = if slots.iter().any(Option::is_some) {
-                    let (merged, cstats) = composite_direct_masked(slots, &mask);
-                    step_deg.missing_contributions += cstats.missing_contributions;
-                    merged.into_image()
-                } else {
-                    // every contributor lost this frame: emit a dark image
-                    // rather than wedge or panic
-                    step_deg.missing_contributions += r as u64;
-                    Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO).into_image()
-                };
-                pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
-            }
-        }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        degradation.absorb(&step_deg);
-        board.step_done(rank, step);
+    };
+    match received
+        .map_err(CoreError::from)
+        .and_then(|payload| decode_block(cx.spec, sim, payload))
+    {
+        Ok(block) => return Ok(Some(block)),
+        Err(e) if !cx.policy.tolerant => return Err(e),
+        Err(CoreError::Transport(e)) => deg.count(&e),
+        // the wire codec rejected the payload
+        Err(_) => deg.corrupt_payloads += 1,
     }
-
-    // The root drains the control plane: one adoption notice per dead
-    // simulation rank carries the adopter's measured detection-to-adoption
-    // latency. A missing notice falls back to the board's own estimate.
-    if rank == root {
-        for death in board.deaths() {
-            if death.rank >= r {
-                continue;
-            }
-            let notice = if root == r + death.rank {
-                own_notice.filter(|n| n.dead_rank == death.rank)
-            } else if policy.adopt {
-                recv_adopt_notice(comm, r + death.rank, death.rank, detection * 4).ok()
-            } else {
-                None
-            };
-            let latency = notice
-                .map(|n| n.latency_ns as f64 * 1e-9)
-                .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-            recovery_latency_s.push(latency);
-            eth_obs::count("adopt_notices", 1.0);
-        }
+    if cx.policy.liveness.is_some() && !cx.policy.holes_at_root {
+        // the root will not see this hole: count it here
+        deg.missing_contributions += 1;
     }
-
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s,
-        migration_disruption_s: Vec::new(),
-    })
+    Ok(None)
 }
 
 /// Encode one visualization rank's contribution to a composite as a
@@ -1646,55 +1327,70 @@ fn encode_contribution(entries: &[(usize, &Framebuffer)]) -> Bytes {
     Bytes::from(buf)
 }
 
+fn malformed_contribution() -> CoreError {
+    CoreError::Config("malformed framebuffer contribution on the wire".into())
+}
+
 /// Inverse of [`encode_contribution`].
 fn decode_contribution(raw: &[u8]) -> Result<Vec<(usize, Framebuffer)>> {
-    fn malformed() -> CoreError {
-        CoreError::Config("malformed framed contribution on the wire".into())
-    }
     if raw.len() < 4 {
-        return Err(malformed());
+        return Err(malformed_contribution());
     }
     let count = u32::from_le_bytes(raw[0..4].try_into().unwrap()) as usize;
     let mut entries = Vec::with_capacity(count);
     let mut at = 4;
     for _ in 0..count {
         if raw.len() < at + 8 {
-            return Err(malformed());
+            return Err(malformed_contribution());
         }
         let partition = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
         let len = u32::from_le_bytes(raw[at + 4..at + 8].try_into().unwrap()) as usize;
         at += 8;
         if raw.len() < at + len {
-            return Err(malformed());
+            return Err(malformed_contribution());
         }
-        let fb = Framebuffer::from_bytes(&raw[at..at + len]).ok_or_else(malformed)?;
+        let fb = Framebuffer::from_bytes(&raw[at..at + len]).ok_or_else(malformed_contribution)?;
         at += len;
         entries.push((partition, fb));
     }
     Ok(entries)
 }
 
-/// Decode a gather of framed contributions and composite them in
-/// partition order; an empty round (every contributor lost) yields a dark
-/// frame rather than a panic. Returns the image plus the contributor
-/// holes the root composited around.
-fn composite_contributions<'a>(
+/// Composite one gathered frame at the root. Each contribution lands in a
+/// slot — the sender's viz index under static ownership, the partition id
+/// under a handoff plan — and the fold runs in ascending slot order, so a
+/// slot nobody filled is a hole composited around and counted. A frame
+/// every contributor lost comes out dark rather than wedging or panicking.
+fn composite_parts(
     spec: &ExperimentSpec,
-    parts: impl Iterator<Item = &'a Bytes>,
+    base: usize,
+    by_partition: bool,
+    parts: &[Option<Bytes>],
 ) -> Result<(Image, u64)> {
     let mut contribs = Vec::new();
-    for part in parts {
-        if part.is_empty() {
+    for (sender, raw) in parts.iter().enumerate() {
+        // a hole — or a simulation rank idling in the gather
+        let Some(raw) = raw.as_ref().filter(|raw| !raw.is_empty()) else {
             continue;
+        };
+        if by_partition {
+            contribs.extend(decode_contribution(raw)?);
+        } else {
+            let fb = Framebuffer::from_bytes(raw).ok_or_else(malformed_contribution)?;
+            contribs.push((sender - base, fb));
         }
-        contribs.extend(decode_contribution(part)?);
     }
+    let slots = if by_partition {
+        spec.ranks
+    } else {
+        parts.len() - base
+    };
     if contribs.is_empty() {
         let dark = Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO);
-        return Ok((dark.into_image(), spec.ranks as u64));
+        return Ok((dark.into_image(), slots as u64));
     }
-    let (merged, cstats) = composite_owned(spec.ranks, contribs);
-    Ok((merged.into_image(), cstats.missing_contributions))
+    let (merged, stats) = composite_owned(slots, contribs);
+    Ok((merged.into_image(), stats.missing_contributions))
 }
 
 /// The fallback handoff state when the partition has no checkpoint yet
@@ -1710,8 +1406,8 @@ fn synthetic_checkpoint(spec: &ExperimentSpec, partition: usize, step: usize) ->
     }
 }
 
-/// Run the three-phase handshakes scheduled for `step` that involve viz
-/// index `me`: offer → checkpoint-state transfer → ack, all on the
+/// Run the three-phase handshakes scheduled for `step` that involve this
+/// viz rank: offer → checkpoint-state transfer → ack, all on the
 /// chaos-exempt control plane. Every rank walks the handoff list in the
 /// same (index) order, so a rank that sources one handoff and targets
 /// another can never cross-wait with a peer. Commits flip the local
@@ -1720,29 +1416,20 @@ fn synthetic_checkpoint(spec: &ExperimentSpec, partition: usize, step: usize) ->
 ///
 /// Death wins the migration-vs-death race deterministically: intake runs
 /// before the handshake, and a killed simulation rank parks until the
-/// board confirms its death, so by offer time `board.is_dead` already
-/// reflects any death scheduled at or before this step.
-#[allow(clippy::too_many_arguments)]
+/// board confirms its death, so by offer time the board already reflects
+/// any death scheduled at or before this step.
 fn migrate_handshakes(
-    spec: &ExperimentSpec,
-    comm: &dyn Communicator,
-    is_dead: &dyn Fn(usize) -> bool,
-    checkpoints: &CheckpointStore,
-    book: &MigrationBook,
-    handoffs: &[Handoff],
-    owners: &mut [usize],
-    me: usize,
+    cx: &RankCx,
+    fabric: VizFabric,
     step: usize,
-    fabric: &dyn Fn(usize) -> usize,
+    owners: &mut [usize],
     deg: &mut Degradation,
     disruption: &mut Vec<f64>,
 ) -> Result<()> {
-    let timeout = spec
-        .migration
-        .as_ref()
-        .map(|plan| plan.handoff_timeout())
-        .unwrap_or(Duration::from_secs(1));
-    for (index, h) in handoffs.iter().enumerate() {
+    let (spec, policy, comm) = (cx.spec, cx.policy, fabric.comm);
+    let (book, timeout) = (&policy.book, policy.handoff_timeout);
+    let me = comm.rank() - fabric.base;
+    for (index, h) in policy.handoffs.iter().enumerate() {
         if h.step != step {
             continue;
         }
@@ -1750,26 +1437,31 @@ fn migrate_handshakes(
             let t = Instant::now();
             // Death wins: never offer a partition whose simulation rank is
             // confirmed dead — the adoption path keeps rendering it here.
-            if is_dead(h.partition) || !book.is_pending(index) {
+            if cx.is_dead(h.partition) || !book.is_pending(index) {
                 book.abort(index);
                 deg.migration_failures += 1;
                 eth_obs::count("migration_failures", 1.0);
                 disruption.push(t.elapsed().as_secs_f64());
                 continue;
             }
-            let state = checkpoints
-                .latest(h.partition)
+            let state = cx
+                .live()
+                .and_then(|(live, _)| live.checkpoints.latest(h.partition))
                 .unwrap_or_else(|| synthetic_checkpoint(spec, h.partition, step));
-            let payload = serde_json::to_vec(&state).map(Bytes::from).unwrap_or_default();
+            let payload = serde_json::to_vec(&state)
+                .map(Bytes::from)
+                .unwrap_or_default();
             let offer = MigrateOffer {
                 handoff: index,
                 partition: h.partition,
-                source: fabric(me),
+                source: comm.rank(),
                 step,
             };
-            send_migrate_offer(comm, fabric(h.to), &offer, payload)?;
-            match recv_migrate_ack(comm, fabric(h.to), index, timeout) {
-                Ok(MigrateAck { committed: true, .. }) => {
+            send_migrate_offer(comm, fabric.base + h.to, &offer, payload)?;
+            match recv_migrate_ack(comm, fabric.base + h.to, index, timeout) {
+                Ok(MigrateAck {
+                    committed: true, ..
+                }) => {
                     owners[h.partition] = h.to;
                     deg.migrations += 1;
                     eth_obs::count("migrations", 1.0);
@@ -1789,37 +1481,29 @@ fn migrate_handshakes(
         } else if h.to == me {
             // The source skips offering a dead partition, so don't burn
             // the timeout waiting for an offer that will never come.
-            if is_dead(h.partition) || book.is_aborted(index) {
+            if cx.is_dead(h.partition) || book.is_aborted(index) {
                 continue;
             }
             // A receive error means the source never offered (it saw the
             // death or aborted first); the source owns the failure
             // accounting, so nothing to do here on that path.
-            if let Ok((offer, state)) = recv_migrate_offer(comm, fabric(h.from), index, timeout) {
+            if let Ok((offer, state)) =
+                recv_migrate_offer(comm, fabric.base + h.from, index, timeout)
+            {
                 debug_assert_eq!(offer.partition, h.partition);
-                let committed = !is_dead(h.partition) && book.try_commit(index);
-                send_migrate_ack(
-                    comm,
-                    fabric(h.from),
-                    &MigrateAck {
-                        handoff: index,
-                        committed,
-                    },
-                )?;
+                let committed = !cx.is_dead(h.partition) && book.try_commit(index);
+                let ack = MigrateAck {
+                    handoff: index,
+                    committed,
+                };
+                send_migrate_ack(comm, fabric.base + h.from, &ack)?;
                 if committed {
                     owners[h.partition] = h.to;
-                    if let Ok(ckpt) = serde_json::from_slice::<StepCheckpoint>(&state) {
-                        // the simulation side streams ahead of the viz
-                        // steps (sends are non-blocking), so the cursor
-                        // may already be past `step`; it can never be
-                        // past the end of the run
-                        debug_assert!(
-                            ckpt.proxy_cursor <= spec.steps,
-                            "handoff cursor {} past the run ({} steps)",
-                            ckpt.proxy_cursor,
-                            spec.steps
-                        );
-                    }
+                    // the simulation side streams ahead of the viz steps
+                    // (sends are non-blocking), so the cursor may already
+                    // be past `step`; it can never be past the run
+                    debug_assert!(serde_json::from_slice::<StepCheckpoint>(&state)
+                        .map_or(true, |ckpt| ckpt.proxy_cursor <= spec.steps));
                 }
             }
         }
@@ -1827,1058 +1511,469 @@ fn migrate_handshakes(
     Ok(())
 }
 
-/// Intercore coupling under a [`crate::config::MigrationPlan`]: the
-/// recovering 2R-rank fabric plus voluntary, zero-loss partition handoffs
-/// between visualization ranks. The simulation side is exactly the
-/// recovering one. Every visualization rank always drains its wire pair
-/// (identical backpressure and fault accounting to a run without
-/// migration) but renders only the partitions it currently *owns* —
-/// migrated-in partitions render from the shared staged store, which is
-/// byte-identical to the wire block — and composites through framed
-/// per-partition contributions.
-fn run_intercore_migrating(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
+/// The visualization side of a step: drain the wires, run this step's
+/// handshakes (intake first, so a death racing a migration is already on
+/// the board), render the partitions this rank owns, contribute to the
+/// composite gather; the root folds and keeps the images.
+///
+/// `wires` are the `(simulation rank, wire)` pairs this rank drains,
+/// ascending. Pairings are the *initial* layout's for the whole run — a
+/// migrated partition's original feeder keeps draining its wire (identical
+/// backpressure and fault accounting to a run without migration) while the
+/// new owner renders from the shared staged store.
+fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result<RankOutput> {
+    let (spec, policy, staged) = (cx.spec, cx.policy, cx.staged);
+    let comm = fabric.comm;
     let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    let checkpoints = Arc::new(CheckpointStore::new(r));
-    let handoffs = spec.migration_handoffs();
-    let book = MigrationBook::new(handoffs.len());
-    run_ranks_recovering(spec, policy, 2 * r, move |comm, board| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
-        };
-        let comm = comm.as_ref();
-        let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-        if rank < r {
-            intercore_sim_recovering(spec, comm, &board, &staged, &checkpoints, &mut beater)
-        } else {
-            intercore_viz_migrating(
-                spec,
-                policy,
-                comm,
-                &board,
-                &staged,
-                &checkpoints,
-                &book,
-                &handoffs,
-            )
-        }
-    })
-}
-
-/// The visualization side of a migrating intercore run. Step shape:
-/// drain the wire pair, run this step's handshakes (intake first, so a
-/// death racing a migration is already on the board), render the owned
-/// partitions in ascending order, then gather framed contributions to
-/// the root for the ownership-mapped composite.
-#[allow(clippy::too_many_arguments)]
-fn intercore_viz_migrating(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    checkpoints: &CheckpointStore,
-    book: &MigrationBook,
-    handoffs: &[Handoff],
-) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let root = r;
-    let rank = comm.rank();
-    let me = rank - r; // viz index == initially owned partition
-    let detection = policy.heartbeat.detection_deadline();
-    let wait = detection * 2 + Duration::from_millis(25);
-    let recv_budget = spec
-        .fault_plan
+    let me = comm.rank() - fabric.base;
+    let is_root = me == 0;
+    let adopt = policy
+        .liveness
         .as_ref()
-        .and_then(|p| p.deadline())
-        .unwrap_or(Duration::from_secs(2))
-        .max(wait);
-    let gather_budget = recovery_deadline(spec);
+        .is_some_and(|live| live.recovery.adopt);
+    let by_partition = !policy.handoffs.is_empty();
+    let _beater = fabric.on_board.then(|| cx.beater(comm.rank())).flatten();
     let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    let mut recovery_latency_s = Vec::new();
-    let mut migration_disruption_s = Vec::new();
-    let mut adopted = false;
-    let mut own_notice: Option<AdoptNotice> = None;
+    // simulation ranks whose death this rank has accounted (exactly once,
+    // by the drainer — the partition may live elsewhere by then)
+    let mut lost = vec![false; r];
+    let mut own_notices: Vec<AdoptNotice> = Vec::new();
+    let mut out = RankOutput::default();
 
     for step in 0..spec.steps {
-        let t = Instant::now();
-        let mut step_deg = Degradation::default();
+        let mut deg = Degradation::default();
 
-        // 1. Intake: always drain the wire pair, owner or not.
-        let mut wire_block = None;
-        if !adopted && !board.is_dead(me) {
-            let deadline = Instant::now() + recv_budget;
-            loop {
-                if board.is_dead(me) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    step_deg.timeouts += 1;
-                    break;
-                }
-                match comm.recv_timeout(me, DATA_TAG_BASE + step as u32, wait.min(deadline - now)) {
-                    Ok(payload) => {
-                        match decode_block(spec, me, payload) {
-                            Ok(block) => wire_block = Some(block),
-                            Err(_) => step_deg.corrupt_payloads += 1,
+        // 1. Intake: drain every wire this rank holds, owner or not.
+        let mut wire_blocks: Vec<Option<DataObject>> = vec![None; r];
+        for (sim, wire) in &wires {
+            let sim = *sim;
+            let t = Instant::now();
+            let Wire::Link(link) = wire else {
+                wire_blocks[sim] = Some(staged.block(step, sim)?);
+                out.phases.sim_s += t.elapsed().as_secs_f64();
+                continue;
+            };
+            let tag = DATA_TAG_BASE + step as u32;
+            wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?;
+            if let Some((_, board)) = cx.live().filter(|_| wire_blocks[sim].is_none()) {
+                if board.is_dead(sim) && !std::mem::replace(&mut lost[sim], true) {
+                    let _span = eth_obs::span(eth_obs::Phase::Recovery);
+                    deg.rank_losses += 1;
+                    eth_obs::count("rank_losses", 1.0);
+                    if adopt {
+                        deg.adopted_partitions += 1;
+                        eth_obs::count("adopted_partitions", 1.0);
+                        // The dead rank may have checkpointed *past* this
+                        // step (sim and viz ranks progress independently).
+                        // That is fine — the partition re-renders from the
+                        // shared staged store at the adopter's own step.
+                        let notice = AdoptNotice {
+                            dead_rank: sim,
+                            adopted_at_step: step,
+                            adopter: r + owners[sim],
+                            latency_ns: board.death_of(sim).map_or(0, |death| {
+                                board.now_ns().saturating_sub(death.last_beat_ns)
+                            }),
+                        };
+                        if is_root {
+                            // the root drained the dead rank itself; no
+                            // wire round-trip
+                            own_notices.push(notice);
+                        } else {
+                            send_adopt_notice(comm, fabric.base, &notice)?;
                         }
-                        break;
                     }
-                    Err(TransportError::Timeout { .. }) => continue,
-                    Err(e) => {
-                        if !board.is_dead(me) {
-                            step_deg.count(&e);
-                        }
-                        break;
+                }
+                if lost[sim] && !adopt {
+                    // dark from here on: see `StepPolicy::holes_at_root`
+                    if policy.holes_at_root {
+                        deg.dropped_steps += 1;
+                    } else {
+                        deg.missing_contributions += 1;
                     }
                 }
             }
+            out.phases.transfer_s += t.elapsed().as_secs_f64();
         }
-        if wire_block.is_none() && board.is_dead(me) && !adopted {
-            // The drainer accounts the loss exactly once; the partition's
-            // *current* owner (maybe another rank, post-migration) keeps
-            // rendering it from the shared staged store.
-            let _span = eth_obs::span(eth_obs::Phase::Recovery);
-            adopted = true;
-            step_deg.rank_losses += 1;
-            eth_obs::count("rank_losses", 1.0);
-            let latency_ns = board
-                .death_of(me)
-                .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                .unwrap_or(0);
-            if policy.adopt {
-                step_deg.adopted_partitions += 1;
-                eth_obs::count("adopted_partitions", 1.0);
-                let notice = AdoptNotice {
-                    dead_rank: me,
-                    adopted_at_step: step,
-                    adopter: r + owners[me],
-                    latency_ns,
-                };
-                if rank == root {
-                    own_notice = Some(notice);
-                } else {
-                    send_adopt_notice(comm, root, &notice)?;
-                }
-            }
-        }
-        if step_deg.faults() > 0 {
-            if wire_block.is_none() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
-        }
-        phases.transfer_s += t.elapsed().as_secs_f64();
 
         // 2. This step's handshakes (after intake: death wins the race).
         migrate_handshakes(
-            spec,
-            comm,
-            &|p| board.is_dead(p),
-            checkpoints,
-            book,
-            handoffs,
-            &mut owners,
-            me,
+            cx,
+            fabric,
             step,
-            &|viz| r + viz,
-            &mut step_deg,
-            &mut migration_disruption_s,
+            &mut owners,
+            &mut deg,
+            &mut out.migration_disruption_s,
         )?;
 
-        // 3. Render the owned partitions, each one separately so the
-        //    composite can place it by partition id.
+        // 3. Render the owned partitions in ascending order. Every rank
+        //    colors through the step's global transfer-function range.
         let pipeline = pipeline_for_step(spec, staged, step);
         let t_viz = Instant::now();
         let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
-        for (p, &owner) in owners.iter().enumerate() {
-            if owner != me {
-                continue;
-            }
-            let block = if p == me && wire_block.is_some() {
-                wire_block.take().unwrap()
-            } else if board.is_dead(p) || p != me {
-                // dead pair (adoption) or migrated-in partition: the
-                // shared staged store is byte-identical to the wire block
-                if board.is_dead(p) && !policy.adopt {
-                    continue; // the hole is counted at the composite
-                }
-                staged.block(step, p)?
-            } else {
-                // own pair, alive, but the message was lost: a hole
-                continue;
+        for p in (0..r).filter(|&p| owners[p] == me) {
+            let block = match wire_blocks[p].take() {
+                Some(block) => block,
+                // dead and not adopted: dark
+                None if cx.is_dead(p) && !adopt => continue,
+                // own wire, alive, but the message was lost: a hole
+                None if !cx.is_dead(p) && wires.iter().any(|(sim, _)| *sim == p) => continue,
+                // adopted or migrated-in: the shared staged store is
+                // byte-identical to the wire block
+                None => staged.block(step, p)?,
             };
-            let out = pipeline.execute_step(step, &block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            rendered.push((p, out.frames));
+            let pass = pipeline.execute_step(step, &block, &staged.bounds[step])?;
+            out.stats = accumulate(out.stats, pass.stats);
+            match rendered.last_mut() {
+                // Static ownership: co-owned partitions depth-merge locally
+                // (standard sort-last) into the rank's one composite slot.
+                Some((_, merged)) if !by_partition => {
+                    for (acc, fb) in merged.iter_mut().zip(&pass.frames) {
+                        acc.composite_in(fb);
+                    }
+                }
+                _ => rendered.push((if by_partition { p } else { me }, pass.frames)),
+            }
         }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
+        // Classify the step: faults with nothing rendered = a dropped step,
+        // faults with partial delivery = a degraded step. Either way the
+        // rank presses on and joins every composite, so one sick link
+        // never deadlocks the run.
+        if deg.faults() > 0 {
+            if rendered.is_empty() {
+                deg.dropped_steps += 1;
+            } else {
+                deg.degraded_steps += 1;
+            }
+        }
+        if rendered.is_empty() && !policy.holes_at_root {
+            // nothing to render (lost block, over-provisioned layout): join
+            // the composite with blank frames
+            let blank = Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO);
+            rendered.push((me, vec![blank; spec.images_per_step]));
+        }
+        out.phases.viz_s += t_viz.elapsed().as_secs_f64();
 
-        // 4. Framed gather and ownership-mapped composite at the root.
+        // 4. Contribute to each frame's gather; the root composites.
         let t_comp = Instant::now();
         for image_index in 0..spec.images_per_step {
             let entries: Vec<(usize, &Framebuffer)> = rendered
                 .iter()
-                .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
+                .filter_map(|(slot, frames)| frames.get(image_index).map(|fb| (*slot, fb)))
                 .collect();
-            let payload = if entries.is_empty() {
-                Bytes::new()
-            } else {
-                encode_contribution(&entries)
+            let payload = match entries.first() {
+                None => Bytes::new(),
+                Some(_) if by_partition => encode_contribution(&entries),
+                Some((_, fb)) => Bytes::from(fb.to_bytes()),
             };
             let salt = (step * spec.images_per_step + image_index) as u32;
-            let gathered = gather_surviving(
-                comm,
-                root,
-                salt,
-                payload,
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
-            if let Some(parts) = gathered {
-                let (image, missing) = composite_contributions(spec, parts.iter().flatten())?;
-                step_deg.missing_contributions += missing;
+            if let Some(parts) = gather_frames(cx, fabric, salt, payload)? {
+                let (image, missing) = composite_parts(spec, fabric.base, by_partition, &parts)?;
+                deg.missing_contributions += missing;
                 pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
+                out.images.push(image);
             }
         }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        degradation.absorb(&step_deg);
-        board.step_done(rank, step);
+        out.phases.composite_s += t_comp.elapsed().as_secs_f64();
+        out.degradation.absorb(&deg);
+        if is_root {
+            // The composite root closing a step is the frame boundary the
+            // critical-path walk in `eth_obs::merge` attributes backwards from.
+            eth_obs::step_mark(step as u64);
+        }
+        if let Some(board) = cx.board.filter(|_| fabric.on_board) {
+            board.step_done(comm.rank(), step);
+        }
     }
 
-    // The root drains the control plane exactly as the recovering path.
-    if rank == root {
-        for death in board.deaths() {
-            if death.rank >= r {
-                continue;
-            }
-            let notice = if root == r + death.rank {
-                own_notice.filter(|n| n.dead_rank == death.rank)
-            } else if policy.adopt {
-                recv_adopt_notice(comm, r + death.rank, death.rank, detection * 4).ok()
+    // The root drains the control plane: one adoption notice per dead
+    // simulation rank, from the rank that drained it, carries the measured
+    // detection-to-adoption latency. A missing notice falls back to the
+    // board's own estimate.
+    if let Some((live, board)) = cx.live().filter(|_| is_root) {
+        let patience = live.recovery.heartbeat.detection_deadline() * 4;
+        for death in board.deaths().into_iter().filter(|death| death.rank < r) {
+            let drainer = spec.initial_owner(death.rank);
+            let notice = if drainer == me {
+                own_notices
+                    .iter()
+                    .find(|n| n.dead_rank == death.rank)
+                    .copied()
+            } else if adopt {
+                recv_adopt_notice(comm, fabric.base + drainer, death.rank, patience).ok()
             } else {
                 None
             };
             let latency = notice
                 .map(|n| n.latency_ns as f64 * 1e-9)
                 .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-            recovery_latency_s.push(latency);
+            out.recovery_latency_s.push(latency);
             eth_obs::count("adopt_notices", 1.0);
         }
     }
 
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s,
-        migration_disruption_s,
-    })
+    out.bytes_sent = comm.traffic().bytes_sent
+        + wires
+            .iter()
+            .map(|(_, wire)| match wire {
+                Wire::InProcess => 0,
+                Wire::Link(link) => link.bytes_sent(),
+            })
+            .sum::<u64>();
+    Ok(out)
 }
 
-fn run_internode(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
+fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
+    let policy = Arc::new(StepPolicy::new(spec));
+    match spec.coupling {
+        Coupling::Tight | Coupling::Intercore => launch_local(spec, staged, policy),
+        Coupling::Internode => launch_sockets(spec, staged, policy),
+    }
+}
+
+/// Tight and intercore: every rank is a thread on one in-process fabric.
+/// Tight seats R ranks whose sim and viz share a call stack; intercore
+/// seats 2R — simulation ranks `0..R` in front of their paired
+/// visualization ranks `R..2R`. With a liveness part every rank beats the
+/// runner's board and the collector doubles as the supervisor; ranks that
+/// died mid-run leave tombstones (or, past the grace window, nothing), and
+/// losses beyond the policy's budget fail the run inside the runner.
+fn launch_local(
+    spec: &ExperimentSpec,
+    staged: &Arc<StagedData>,
+    policy: Arc<StepPolicy>,
+) -> Result<Vec<RankOutput>> {
+    let r = spec.ranks;
+    let base = if spec.coupling == Coupling::Intercore {
+        r
+    } else {
+        0
+    };
+    let body = {
+        let (spec, staged, policy) = (spec.clone(), staged.clone(), policy.clone());
+        move |comm: LocalComm, board: Option<Arc<HeartbeatBoard>>| -> Result<RankOutput> {
+            let rank = comm.rank();
+            // With a fault plan the whole fabric runs behind the chaos
+            // wrapper; the plan's tag window keeps the composite
+            // collectives fault-free while the data path misbehaves.
+            let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
+                Some(plan) => Box::new(ChaosComm::new(comm, plan)),
+                None => Box::new(comm),
+            };
+            let comm = comm.as_ref();
+            let cx = RankCx {
+                spec: &spec,
+                staged: &staged,
+                policy: &policy,
+                board: board.as_ref(),
+            };
+            let fabric = VizFabric {
+                comm,
+                base,
+                on_board: board.is_some(),
+            };
+            if rank < base {
+                let link = FabricLink {
+                    comm,
+                    peer: base + rank,
+                };
+                sim_role(&cx, rank, &link, Some(fabric))
+            } else {
+                let sim = rank - base;
+                let wire = match base {
+                    0 => Wire::InProcess,
+                    _ => Wire::Link(Box::new(FabricLink { comm, peer: sim })),
+                };
+                viz_role(&cx, fabric, vec![(sim, wire)])
+            }
+        }
+    };
+    match &policy.liveness {
+        Some(live) => run_ranks_heartbeat(
+            base + r,
+            live.recovery.heartbeat,
+            live.recovery.max_rank_losses as usize,
+            live.run_deadline,
+            move |comm, board| body(comm, Some(board)),
+        )
+        .map_err(CoreError::Rank)?
+        .outputs
+        .into_iter()
+        .flatten()
+        .collect(),
+        // Without one, the plan's per-rank wall-clock budget (if any) still
+        // supervises: a hung or panicking rank surfaces as
+        // `CoreError::Rank` instead of wedging or aborting the sweep.
+        None => match policy.plan.rank_timeout() {
+            Some(budget) => run_ranks_supervised(base + r, budget, move |c| body(c, None))?,
+            None => run_ranks(base + r, move |c| body(c, None)),
+        }
+        .into_iter()
+        .collect(),
+    }
+}
+
+/// The run's layout directory, removed however the launcher leaves — by
+/// return, by error, or by a rank's panic unwinding through it.
+struct LayoutDir(std::path::PathBuf);
+
+impl Drop for LayoutDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Internode: R simulation threads and V visualization threads in separate
+/// "applications". Simulation ranks publish to the layout file, open their
+/// sockets and wait; visualization ranks poll the file and connect (the
+/// paper's Section III-C bootstrap), then composite among themselves over
+/// a local fabric. With an asymmetric layout (`viz_ranks != ranks`) viz
+/// rank `v` serves the sim ranks `{s : s % V == v}`; the fabric is sized to
+/// [`ExperimentSpec::max_viz_count`], so a `Rescale` that grows the
+/// application has fresh ranks ready (they hold no sockets until a handoff
+/// gives them work) and one that shrinks leaves the retiring ranks
+/// draining their wires with nothing to render.
+///
+/// With a liveness part the simulation ranks beat a board watched by a
+/// supervisor thread (those are the ranks a scripted kill can take down;
+/// viz ranks only consult the board), and with handoffs a migration
+/// supervisor aborts pending handoffs whose partition's rank died.
+fn launch_sockets(
+    spec: &ExperimentSpec,
+    staged: &Arc<StagedData>,
+    policy: Arc<StepPolicy>,
+) -> Result<Vec<RankOutput>> {
     use eth_transport::local::LocalFabric;
+    use eth_transport::runner::{spawn_supervisor, RankFailure};
     use std::thread;
 
-    if spec.migration.is_some() {
-        let policy = spec.recovery.expect("validated: migration requires recovery");
-        return run_internode_migrating(spec, staged, policy);
-    }
-    if let Some(policy) = spec.recovery {
-        return run_internode_recovering(spec, staged, policy);
-    }
     let r = spec.ranks;
     // Layout file in a fresh temp dir per run. The counter keeps dirs
     // distinct when a campaign runs same-named internode points
     // concurrently in one process.
     static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
+    let layout_dir = LayoutDir(std::env::temp_dir().join(format!(
         "eth-layout-{}-{:x}-{}",
         spec.name.replace('/', "_"),
         std::process::id(),
         LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
+    )));
+    let _ = std::fs::remove_dir_all(&layout_dir.0);
+    let layout = LayoutFile::create(&layout_dir.0)?;
+
+    let board = policy.liveness.as_ref().map(|_| HeartbeatBoard::new(r));
+    let supervisors = policy
+        .liveness
+        .as_ref()
+        .zip(board.as_ref())
+        .map(|(live, board)| {
+            let heartbeat = live.recovery.heartbeat;
+            eth_obs::count("liveness_threads", 1.0);
+            let deaths = spawn_supervisor(board, heartbeat);
+            // Death arbitration: abort any still-pending handoff whose
+            // partition's simulation rank stopped beating.
+            let aborts = (!policy.handoffs.is_empty()).then(|| {
+                eth_obs::count("liveness_threads", 1.0);
+                let watch = policy
+                    .handoffs
+                    .iter()
+                    .map(|h| h.partition)
+                    .enumerate()
+                    .collect();
+                spawn_migration_supervisor(board, &policy.book, watch, heartbeat)
+            });
+            (deaths, aborts)
+        });
 
     // Raw spawns don't inherit the caller's recorder sinks the way
     // run_ranks does, so hand the context across and claim rank ids on
     // the run's modeled node layout: sim ranks 0..R, viz ranks R..R+V.
     let obs = eth_obs::current_context();
-    // Visualization application: viz ranks connect through the layout
-    // file, and composite among themselves over a local fabric.
-    // With an asymmetric layout (spec.viz_ranks != ranks), viz rank v
-    // serves the sim ranks {s : s % viz_count == v} and merges their
-    // blocks locally before compositing.
-    // Spawned before the simulation side so their bootstrap waits show
-    // up inside covered connect_to spans instead of as unattributable
+    type Role = Box<dyn FnOnce(&RankCx) -> Result<RankOutput> + Send>;
+    let spawn_rank = |obs_rank: usize, role: Role| {
+        let (spec, staged, policy) = (spec.clone(), staged.clone(), policy.clone());
+        let (board, obs) = (board.clone(), obs.clone());
+        thread::spawn(move || {
+            let _obs = obs.attach();
+            eth_obs::set_rank(obs_rank);
+            role(&RankCx {
+                spec: &spec,
+                staged: &staged,
+                policy: &policy,
+                board: board.as_ref(),
+            })
+        })
+    };
+    // Visualization ranks spawn first so their bootstrap waits show up
+    // inside covered connect_to spans instead of as unattributable
     // pre-spawn idle when the box is oversubscribed.
-    let viz_count = spec.viz_ranks.unwrap_or(r).max(1);
-    let viz_comms = LocalFabric::new(viz_count);
     let mut viz_handles = Vec::new();
-    for (rank, comm) in viz_comms.into_iter().enumerate() {
+    for (v, comm) in LocalFabric::new(spec.max_viz_count())
+        .into_iter()
+        .enumerate()
+    {
         let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        let my_sims: Vec<usize> = (0..r).filter(|s| s % viz_count == rank).collect();
-        let obs = obs.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + rank);
-            let tolerant = spec.fault_plan.is_some();
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                // the viz rank announces its own rank on the pair link, so
-                // frames and errors on both ends carry true identities
-                let chan = connect_to(&layout, sim_rank, rank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut out = viz_side(&spec, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                let mut blocks = Vec::with_capacity(chans.len());
-                for (chan, &sim_rank) in chans.iter().zip(&my_sims) {
-                    // the chaos wrapper applies the plan's receive
-                    // deadline: a silent or dead sim rank costs one
-                    // deadline, not the whole run
-                    match chan.recv(DATA_TAG_BASE + step as u32) {
-                        Ok(payload) => match decode_block(&spec, sim_rank, payload) {
-                            Ok(block) => blocks.push(block),
-                            Err(_) if tolerant => deg.corrupt_payloads += 1,
-                            Err(e) => return Err(e),
-                        },
-                        Err(e) if tolerant => deg.count(&e),
-                        Err(e) => return Err(e.into()),
-                    }
+        viz_handles.push(spawn_rank(
+            r + v,
+            Box::new(move |cx| {
+                let mut wires = Vec::new();
+                for sim in (0..r).filter(|&sim| cx.spec.initial_owner(sim) == v) {
+                    // the viz rank announces its own rank on the pair link,
+                    // so frames and errors on both ends carry true identities
+                    let chan = connect_to(&layout, sim, v, CONNECT_TIMEOUT)?;
+                    let link = ChaosChannel::new(chan, cx.policy.plan.clone());
+                    wires.push((sim, Wire::Link(Box::new(link))));
                 }
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            for chan in &chans {
-                out.bytes_sent += chan.bytes_sent();
-            }
-            Ok(out)
-        }));
+                let fabric = VizFabric {
+                    comm: &comm,
+                    base: 0,
+                    on_board: false,
+                };
+                viz_role(cx, fabric, wires)
+            }),
+        ));
     }
-
-    // Simulation application: each rank publishes, listens, then streams
-    // its blocks to the paired visualization rank. The pair link always
-    // goes through the chaos wrapper; with no plan it is a passthrough.
     let mut sim_handles = Vec::new();
     for rank in 0..r {
-        let staged = staged.clone();
         let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let tolerant = spec_sim.fault_plan.is_some();
-            let chan = ChaosChannel::new(
-                listen_as(&layout, rank)?,
-                spec_sim.fault_plan.clone().unwrap_or_default(),
-            );
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) if tolerant => {
-                        // the viz link is gone: the simulation keeps its
-                        // remaining steps to itself instead of dying
-                        degradation.count(&e);
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-            }
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
+        sim_handles.push(spawn_rank(
+            rank,
+            Box::new(move |cx| {
+                let link = ChaosChannel::new(listen_as(&layout, rank)?, cx.policy.plan.clone());
+                sim_role(cx, rank, &link, None)
+            }),
+        ));
     }
 
+    // Join every rank before reporting anything: an early return would
+    // detach the rest (and used to leak the layout directory with them).
     let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
+    let mut failure = None;
+    let mut panic = None;
+    for handle in sim_handles.into_iter().chain(viz_handles) {
+        match handle.join() {
+            Ok(Ok(output)) => outputs.push(output),
+            Ok(Err(e)) => failure = failure.or(Some(e)),
+            Err(payload) => panic = panic.or(Some(payload)),
         }
     }
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    Ok(outputs)
-}
-
-/// Internode coupling under a [`RecoveryPolicy`]. The simulation ranks beat
-/// a [`HeartbeatBoard`] watched by a supervisor thread; a scripted kill
-/// silences one and the supervisor declares it dead in
-/// O(detection deadline). The owning visualization rank adopts the dead
-/// rank's partition from its last step checkpoint (spilled through the
-/// journal when an artifact directory is set) and the run completes
-/// without a campaign-level retry.
-fn run_internode_recovering(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use eth_transport::runner::{spawn_supervisor, RankFailure};
-    use std::thread;
-
-    let r = spec.ranks;
-    static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
-        "eth-layout-rec-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
-        std::process::id(),
-        LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
-
-    // Liveness covers the simulation application: those are the ranks a
-    // scripted kill can take down mid-run. The supervisor thread declares
-    // deaths; viz ranks only consult the board.
-    let board = HeartbeatBoard::new(r);
-    let supervisor = spawn_supervisor(&board, policy.heartbeat);
-    // Step checkpoints spill through the journal WAL when the run keeps
-    // artifacts, so a post-mortem can replay the adoption decision.
-    let checkpoints = Arc::new(match &spec.artifact_dir {
-        Some(dir) => match crate::journal::Journal::open(&dir.join("recovery")) {
-            Ok(journal) => CheckpointStore::with_spill(r, journal),
-            Err(_) => CheckpointStore::new(r),
-        },
-        None => CheckpointStore::new(r),
-    });
-
-    let obs = eth_obs::current_context();
-    let mut sim_handles = Vec::new();
-    for rank in 0..r {
-        let staged = staged.clone();
-        let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let plan = spec_sim.fault_plan.clone().unwrap_or_default();
-            let chan = ChaosChannel::new(listen_as(&layout, rank)?, plan.clone());
-            let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                if plan.kills(rank, step) {
-                    // Fall silent and wait for the supervisor's verdict;
-                    // dropping `chan` afterwards snaps the pair link, so
-                    // the viz side sees Disconnected rather than a stall.
-                    beater.silence();
-                    board.await_death(rank, recovery_deadline(&spec_sim));
-                    return Ok(RankOutput::tombstone());
-                }
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        // the viz link is gone: keep the remaining steps
-                        // local instead of dying
-                        degradation.count(&e);
-                        break;
-                    }
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                checkpoints.record(StepCheckpoint {
-                    rank,
-                    partition: rank,
-                    step,
-                    proxy_cursor: step + 1,
-                    rng_state: spec_sim.seed ^ rank as u64,
-                    degradation,
-                });
-                board.step_done(rank, step);
-            }
-            // an un-killed rank must report completion or the supervisor
-            // would read its silence as a death
-            board.mark_done(rank);
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
+    drop(supervisors);
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
-
-    let viz_count = spec.viz_ranks.unwrap_or(r).max(1);
-    let viz_comms = LocalFabric::new(viz_count);
-    let mut viz_handles = Vec::new();
-    for (rank, comm) in viz_comms.into_iter().enumerate() {
-        let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        let my_sims: Vec<usize> = (0..r).filter(|s| s % viz_count == rank).collect();
-        let obs = obs.clone();
-        let board = board.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + rank);
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let detection = policy.heartbeat.detection_deadline();
-            let wait = detection * 2 + Duration::from_millis(25);
-            let recv_budget = plan
-                .deadline()
-                .unwrap_or(Duration::from_secs(2))
-                .max(wait);
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                let chan = connect_to(&layout, sim_rank, rank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut adopted = vec![false; my_sims.len()];
-            let mut local_notices: Vec<AdoptNotice> = Vec::new();
-            let mut out = viz_side(&spec, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                let mut blocks = Vec::with_capacity(chans.len());
-                for (i, (chan, &sim)) in chans.iter().zip(&my_sims).enumerate() {
-                    if !adopted[i] && !board.is_dead(sim) {
-                        // Sliced receive, re-checking liveness between
-                        // slices: a slow-but-alive sim gets the full
-                        // budget, a confirmed death adopts in O(detection).
-                        let deadline = Instant::now() + recv_budget;
-                        let mut delivered = false;
-                        loop {
-                            if board.is_dead(sim) {
-                                break;
-                            }
-                            let now = Instant::now();
-                            if now >= deadline {
-                                deg.timeouts += 1;
-                                deg.missing_contributions += 1;
-                                delivered = true; // budget spent; not a death
-                                break;
-                            }
-                            match chan
-                                .recv_timeout(DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                            {
-                                Ok(payload) => {
-                                    match decode_block(&spec, sim, payload) {
-                                        Ok(block) => blocks.push(block),
-                                        Err(_) => {
-                                            deg.corrupt_payloads += 1;
-                                            deg.missing_contributions += 1;
-                                        }
-                                    }
-                                    delivered = true;
-                                    break;
-                                }
-                                Err(TransportError::Timeout { .. }) => continue,
-                                Err(e) => {
-                                    if !board.is_dead(sim) {
-                                        deg.count(&e);
-                                        deg.missing_contributions += 1;
-                                        delivered = true;
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        if delivered {
-                            continue;
-                        }
-                    }
-                    if board.is_dead(sim) {
-                        if !adopted[i] {
-                            let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                            adopted[i] = true;
-                            deg.rank_losses += 1;
-                            eth_obs::count("rank_losses", 1.0);
-                            let latency_ns = board
-                                .death_of(sim)
-                                .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                                .unwrap_or(0);
-                            if policy.adopt {
-                                deg.adopted_partitions += 1;
-                                eth_obs::count("adopted_partitions", 1.0);
-                                // The dead rank's checkpoint cursor may be
-                                // ahead of this step under scheduler skew;
-                                // adoption renders from the shared staged
-                                // store at the adopter's step regardless.
-                                let notice = AdoptNotice {
-                                    dead_rank: sim,
-                                    adopted_at_step: step,
-                                    adopter: r + rank,
-                                    latency_ns,
-                                };
-                                if rank == 0 {
-                                    local_notices.push(notice);
-                                } else {
-                                    send_adopt_notice(&comm, 0, &notice)?;
-                                }
-                            }
-                        }
-                        if policy.adopt {
-                            blocks.push(staged.block(step, sim)?);
-                        } else {
-                            deg.missing_contributions += 1;
-                        }
-                    }
-                }
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            for chan in &chans {
-                out.bytes_sent += chan.bytes_sent();
-            }
-            // The root collects one adoption notice per dead simulation
-            // rank from that rank's owner, recording detection-to-adoption
-            // latency for the run's histograms.
-            if rank == 0 {
-                for death in board.deaths() {
-                    let owner = death.rank % viz_count;
-                    let notice = if owner == 0 {
-                        local_notices.iter().find(|n| n.dead_rank == death.rank).copied()
-                    } else if policy.adopt {
-                        recv_adopt_notice(&comm, owner, death.rank, detection * 4).ok()
-                    } else {
-                        None
-                    };
-                    let latency = notice
-                        .map(|n| n.latency_ns as f64 * 1e-9)
-                        .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-                    out.recovery_latency_s.push(latency);
-                    eth_obs::count("adopt_notices", 1.0);
-                }
-            }
-            Ok(out)
-        }));
+    if let Some(e) = failure {
+        return Err(e);
     }
-
-    let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
+    if let Some((live, board)) = policy.liveness.as_ref().zip(board) {
+        let deaths = board.deaths();
+        if let Some(d) = deaths.get(live.recovery.max_rank_losses as usize) {
+            return Err(CoreError::Rank(RankFailure::Hang {
+                rank: d.rank,
+                waited: d.detection_latency(),
+                last_step: d.last_step,
+            }));
         }
     }
-    supervisor.stop();
-    let deaths = board.deaths();
-    if deaths.len() > policy.max_rank_losses as usize {
-        let d = &deaths[policy.max_rank_losses as usize];
-        return Err(CoreError::Rank(RankFailure::Hang {
-            rank: d.rank,
-            waited: d.detection_latency(),
-            last_step: d.last_step,
-        }));
-    }
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    Ok(outputs)
-}
-
-/// Internode coupling under a [`crate::config::MigrationPlan`]: the
-/// recovering two-application layout made elastic. The visualization
-/// fabric is sized to [`ExperimentSpec::max_viz_count`], so a `Rescale`
-/// that grows the application has fresh ranks ready to adopt partitions,
-/// and one that shrinks leaves the retiring ranks draining their wires
-/// with nothing to render. Wire pairings are fixed by the *initial*
-/// layout — a migrated partition's original feeder keeps draining the
-/// TCP stream (identical backpressure and fault accounting) while the
-/// new owner renders from the shared staged store. A dedicated migration
-/// supervisor aborts pending handoffs whose partition's simulation rank
-/// died: death wins, the PR-5-style adoption path takes over.
-fn run_internode_migrating(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use eth_transport::runner::{spawn_supervisor, RankFailure};
-    use std::thread;
-
-    let r = spec.ranks;
-    static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
-        "eth-layout-mig-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
-        std::process::id(),
-        LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
-
-    let board = HeartbeatBoard::new(r);
-    let supervisor = spawn_supervisor(&board, policy.heartbeat);
-    let handoffs = spec.migration_handoffs();
-    let book = MigrationBook::new(handoffs.len());
-    // Death arbitration: the supervisor aborts any still-pending handoff
-    // whose partition's simulation rank stopped beating.
-    let watch: Vec<(usize, usize)> = handoffs.iter().enumerate().map(|(i, h)| (i, h.partition)).collect();
-    let migration_supervisor = spawn_migration_supervisor(&board, &book, watch, policy.heartbeat);
-    let checkpoints = Arc::new(match &spec.artifact_dir {
-        Some(dir) => match crate::journal::Journal::open(&dir.join("recovery")) {
-            Ok(journal) => CheckpointStore::with_spill(r, journal),
-            Err(_) => CheckpointStore::new(r),
-        },
-        None => CheckpointStore::new(r),
-    });
-
-    let obs = eth_obs::current_context();
-    let mut sim_handles = Vec::new();
-    for rank in 0..r {
-        let staged = staged.clone();
-        let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let plan = spec_sim.fault_plan.clone().unwrap_or_default();
-            let chan = ChaosChannel::new(listen_as(&layout, rank)?, plan.clone());
-            let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                if plan.kills(rank, step) {
-                    beater.silence();
-                    board.await_death(rank, recovery_deadline(&spec_sim));
-                    return Ok(RankOutput::tombstone());
-                }
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        degradation.count(&e);
-                        break;
-                    }
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                checkpoints.record(StepCheckpoint {
-                    rank,
-                    partition: rank,
-                    step,
-                    proxy_cursor: step + 1,
-                    rng_state: spec_sim.seed ^ rank as u64,
-                    degradation,
-                });
-                board.step_done(rank, step);
-            }
-            board.mark_done(rank);
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
-    }
-
-    let initial_viz = spec.initial_viz_count();
-    let viz_count = spec.max_viz_count();
-    let viz_comms = LocalFabric::new(viz_count);
-    let mut viz_handles = Vec::new();
-    for (vrank, comm) in viz_comms.into_iter().enumerate() {
-        let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        // Wire pairing is the *initial* layout's: ranks past it (Rescale
-        // headroom) hold no sockets until a handoff gives them work.
-        let my_sims: Vec<usize> = if vrank < initial_viz {
-            (0..r).filter(|s| s % initial_viz == vrank).collect()
-        } else {
-            Vec::new()
-        };
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        let book = book.clone();
-        let handoffs = handoffs.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + vrank);
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let detection = policy.heartbeat.detection_deadline();
-            let wait = detection * 2 + Duration::from_millis(25);
-            let recv_budget = plan
-                .deadline()
-                .unwrap_or(Duration::from_secs(2))
-                .max(wait);
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                let chan = connect_to(&layout, sim_rank, vrank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
-            let mut adopted = vec![false; r];
-            let mut local_notices: Vec<AdoptNotice> = Vec::new();
-            let mut images = Vec::new();
-            let mut stats = RenderStats::default();
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            let mut recovery_latency_s = Vec::new();
-            let mut migration_disruption_s = Vec::new();
-
-            for step in 0..spec.steps {
-                let t = Instant::now();
-                let mut step_deg = Degradation::default();
-
-                // 1. Drain every wire this rank holds, owner or not.
-                let mut wire_blocks: Vec<Option<DataObject>> = vec![None; r];
-                for (chan, &sim) in chans.iter().zip(&my_sims) {
-                    if !adopted[sim] && !board.is_dead(sim) {
-                        let deadline = Instant::now() + recv_budget;
-                        let mut delivered = false;
-                        loop {
-                            if board.is_dead(sim) {
-                                break;
-                            }
-                            let now = Instant::now();
-                            if now >= deadline {
-                                step_deg.timeouts += 1;
-                                delivered = true; // budget spent; not a death
-                                break;
-                            }
-                            match chan
-                                .recv_timeout(DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                            {
-                                Ok(payload) => {
-                                    match decode_block(&spec, sim, payload) {
-                                        Ok(block) => wire_blocks[sim] = Some(block),
-                                        Err(_) => step_deg.corrupt_payloads += 1,
-                                    }
-                                    delivered = true;
-                                    break;
-                                }
-                                Err(TransportError::Timeout { .. }) => continue,
-                                Err(e) => {
-                                    if !board.is_dead(sim) {
-                                        step_deg.count(&e);
-                                        delivered = true;
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        if delivered {
-                            continue;
-                        }
-                    }
-                    if board.is_dead(sim) && !adopted[sim] {
-                        // The drainer accounts the loss exactly once; the
-                        // partition's current owner keeps rendering it.
-                        let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                        adopted[sim] = true;
-                        step_deg.rank_losses += 1;
-                        eth_obs::count("rank_losses", 1.0);
-                        let latency_ns = board
-                            .death_of(sim)
-                            .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                            .unwrap_or(0);
-                        if policy.adopt {
-                            step_deg.adopted_partitions += 1;
-                            eth_obs::count("adopted_partitions", 1.0);
-                            let notice = AdoptNotice {
-                                dead_rank: sim,
-                                adopted_at_step: step,
-                                adopter: r + owners[sim],
-                                latency_ns,
-                            };
-                            if vrank == 0 {
-                                local_notices.push(notice);
-                            } else {
-                                send_adopt_notice(&comm, 0, &notice)?;
-                            }
-                        }
-                    }
-                }
-                if step_deg.faults() > 0 {
-                    if wire_blocks.iter().all(Option::is_none) {
-                        step_deg.dropped_steps += 1;
-                    } else {
-                        step_deg.degraded_steps += 1;
-                    }
-                }
-                phases.transfer_s += t.elapsed().as_secs_f64();
-
-                // 2. This step's handshakes (after intake: death wins).
-                migrate_handshakes(
-                    &spec,
-                    &comm,
-                    &|p| board.is_dead(p),
-                    &checkpoints,
-                    &book,
-                    &handoffs,
-                    &mut owners,
-                    vrank,
-                    step,
-                    &|viz| viz,
-                    &mut step_deg,
-                    &mut migration_disruption_s,
-                )?;
-
-                // 3. Render the owned partitions in ascending order.
-                let pipeline = pipeline_for_step(&spec, &staged, step);
-                let t_viz = Instant::now();
-                let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
-                for p in 0..r {
-                    if owners[p] != vrank {
-                        continue;
-                    }
-                    let block = match wire_blocks[p].take() {
-                        Some(block) => block,
-                        None if board.is_dead(p) => {
-                            if !policy.adopt {
-                                continue; // the hole is counted at the root
-                            }
-                            staged.block(step, p)?
-                        }
-                        // migrated-in partition (no wire here): the shared
-                        // staged store is byte-identical to the wire block
-                        None if my_sims.binary_search(&p).is_err() => {
-                            staged.block(step, p)?
-                        }
-                        // own wire, alive, message lost: a hole this frame
-                        None => continue,
-                    };
-                    let out = pipeline.execute_step(step, &block, &staged.bounds[step])?;
-                    stats = accumulate(stats, out.stats);
-                    rendered.push((p, out.frames));
-                }
-                phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-                // 4. Framed gather + ownership-mapped composite at root 0.
-                let t_comp = Instant::now();
-                for image_index in 0..spec.images_per_step {
-                    let entries: Vec<(usize, &Framebuffer)> = rendered
-                        .iter()
-                        .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
-                        .collect();
-                    let payload = if entries.is_empty() {
-                        Bytes::new()
-                    } else {
-                        encode_contribution(&entries)
-                    };
-                    let gathered = gather(&comm, 0, payload)?;
-                    if let Some(parts) = gathered {
-                        let (image, missing) = composite_contributions(&spec, parts.iter())?;
-                        step_deg.missing_contributions += missing;
-                        pipeline.write_artifact(step, image_index, &image)?;
-                        images.push(image);
-                    }
-                }
-                phases.composite_s += t_comp.elapsed().as_secs_f64();
-                degradation.absorb(&step_deg);
-            }
-
-            let mut bytes_sent = comm.traffic().bytes_sent;
-            for chan in &chans {
-                bytes_sent += chan.bytes_sent();
-            }
-            // Root collects one adoption notice per dead simulation rank
-            // from that rank's *drainer* (the wire holder observes the
-            // death even when the partition lives elsewhere now).
-            if vrank == 0 {
-                for death in board.deaths() {
-                    let drainer = death.rank % initial_viz;
-                    let notice = if drainer == 0 {
-                        local_notices.iter().find(|n| n.dead_rank == death.rank).copied()
-                    } else if policy.adopt {
-                        recv_adopt_notice(&comm, drainer, death.rank, detection * 4).ok()
-                    } else {
-                        None
-                    };
-                    let latency = notice
-                        .map(|n| n.latency_ns as f64 * 1e-9)
-                        .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-                    recovery_latency_s.push(latency);
-                    eth_obs::count("adopt_notices", 1.0);
-                }
-            }
-            Ok(RankOutput {
-                images,
-                stats,
-                phases,
-                bytes_sent,
-                degradation,
-                recovery_latency_s,
-                migration_disruption_s,
-            })
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-    supervisor.stop();
-    migration_supervisor.stop();
-    let deaths = board.deaths();
-    if deaths.len() > policy.max_rank_losses as usize {
-        let d = &deaths[policy.max_rank_losses as usize];
-        return Err(CoreError::Rank(RankFailure::Hang {
-            rank: d.rank,
-            waited: d.detection_latency(),
-            last_step: d.last_step,
-        }));
-    }
-    let _ = std::fs::remove_dir_all(&layout_dir);
     Ok(outputs)
 }
 
@@ -3085,9 +2180,17 @@ mod tests {
 
     #[test]
     fn clean_runs_report_no_degradation() {
-        let out = run_native(&base_spec("clean")).unwrap();
-        assert!(out.degradation.is_clean());
-        assert!(!out.report().contains("degraded"));
+        for coupling in Coupling::all() {
+            let mut spec = base_spec("clean");
+            spec.coupling = coupling;
+            let out = run_native(&spec).unwrap();
+            assert!(out.degradation.is_clean());
+            assert!(!out.report().contains("degraded"));
+            // the empty policy starts no beater or supervisor thread and
+            // records no checkpoint
+            assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
+            assert_eq!(out.counters.get("step_checkpoints"), 0.0, "{coupling:?}");
+        }
     }
 
     #[test]
@@ -3121,6 +2224,28 @@ mod tests {
         );
         assert!(out.degradation.disconnects >= 1, "{:?}", out.degradation);
         assert!(out.report().contains("degraded"));
+    }
+
+    #[test]
+    fn failed_internode_run_joins_its_ranks_and_leaves_no_layout_dir() {
+        // No fault plan, so nothing is tolerated: the composite root fails
+        // mid-run (its artifact directory is a regular file), which snaps
+        // its links under the other ranks. The launcher must still join
+        // everyone, report the error, and remove the layout directory.
+        let blocker = std::env::temp_dir().join(format!("eth-blocker-{:x}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut spec = base_spec("layout-leak");
+        spec.coupling = Coupling::Internode;
+        spec.artifact_dir = Some(blocker.join("artifacts"));
+        assert!(run_native(&spec).is_err(), "artifact write cannot succeed");
+        std::fs::remove_file(&blocker).unwrap();
+        let prefix = format!("eth-layout-layout-leak-{:x}-", std::process::id());
+        let leaked: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&prefix))
+            .collect();
+        assert!(leaked.is_empty(), "leaked layout dirs: {leaked:?}");
     }
 
     #[test]
@@ -3326,17 +2451,30 @@ mod tests {
 
     #[test]
     fn recovery_policy_without_faults_changes_nothing() {
+        use crate::config::{MigrationPattern, MigrationPlan};
         let reference = run_native(&base_spec("rec-noop")).unwrap();
-        for coupling in [Coupling::Tight, Coupling::Intercore, Coupling::Internode] {
+        // A handoff plan none of whose handoffs ever comes due (validation
+        // rejects it, so these two inputs enter below `run_native`): the
+        // policy has every part switched on and nothing to do.
+        let never = MigrationPlan::new(MigrationPattern::Sudden { from: 0, to: 1, at_step: 99 });
+        for (coupling, migration) in [
+            (Coupling::Tight, None),
+            (Coupling::Intercore, None),
+            (Coupling::Internode, None),
+            (Coupling::Intercore, Some(never)),
+            (Coupling::Internode, Some(never)),
+        ] {
             let mut spec = base_spec("rec-noop");
             spec.coupling = coupling;
             spec.recovery = Some(fast_recovery());
-            let out = run_native(&spec).unwrap();
-            assert_eq!(out.degradation.rank_losses, 0);
+            spec.migration = migration;
+            let out = run_recorded(&spec, |spec| Ok(Arc::new(stage_data(spec)?))).unwrap();
+            assert!(out.degradation.is_clean(), "{coupling:?}: {:?}", out.degradation);
             assert_eq!(out.recovery_latency_s.len(), 0);
-            for (a, b) in reference.images.iter().zip(&out.images) {
-                assert_eq!(a, b, "recovery supervision changed pixels under {coupling:?}");
-            }
+            assert_eq!(out.migration_disruption_s.len(), 0);
+            assert_eq!(reference.images, out.images, "policy changed pixels under {coupling:?}");
+            // liveness did start (contrast `clean_runs_report_no_degradation`)
+            assert!(out.counters.get("liveness_threads") > 0.0, "{coupling:?}");
         }
     }
 

@@ -22,57 +22,9 @@ pub struct CompositeStats {
     pub bytes_exchanged: u64,
     /// Number of per-pixel merge operations performed.
     pub merge_ops: u64,
-    /// Contributors absent from this composite (dead or silent ranks whose
-    /// images never arrived). Non-zero marks a degraded frame.
+    /// Slots nobody contributed to ([`composite_owned`]: dead or silent
+    /// ranks whose frames never arrived). Non-zero marks a degraded frame.
     pub missing_contributions: u64,
-}
-
-/// Which contributor ranks are missing from a composite. Between a rank's
-/// death and its partition's adoption, compositing proceeds over the
-/// survivors: the mask names the holes so the schedule skips them (instead
-/// of deadlocking on a peer that will never send) and the degradation is
-/// counted per frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankMask {
-    missing: Vec<bool>,
-}
-
-impl RankMask {
-    /// A mask over `size` contributors with nobody missing.
-    pub fn none(size: usize) -> RankMask {
-        RankMask {
-            missing: vec![false; size],
-        }
-    }
-
-    /// A mask with the given contributors missing.
-    pub fn from_missing(size: usize, missing: &[usize]) -> RankMask {
-        let mut mask = RankMask::none(size);
-        for &r in missing {
-            mask.mark_missing(r);
-        }
-        mask
-    }
-
-    pub fn mark_missing(&mut self, rank: usize) {
-        self.missing[rank] = true;
-    }
-
-    pub fn is_missing(&self, rank: usize) -> bool {
-        self.missing.get(rank).copied().unwrap_or(false)
-    }
-
-    pub fn len(&self) -> usize {
-        self.missing.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.missing.is_empty()
-    }
-
-    pub fn missing_count(&self) -> u64 {
-        self.missing.iter().filter(|&&m| m).count() as u64
-    }
 }
 
 /// Bytes one full framebuffer occupies on the wire (RGB f32 + depth f32).
@@ -162,94 +114,33 @@ pub fn composite_binary_swap(buffers: Vec<Framebuffer>) -> (Framebuffer, Composi
     (bufs.remove(0), stats)
 }
 
-/// Pull the surviving buffers out of per-rank slots, validating the slots
-/// against the mask and charging the missing count.
-fn surviving(
-    slots: Vec<Option<Framebuffer>>,
-    mask: &RankMask,
-) -> (Vec<Framebuffer>, u64) {
-    assert_eq!(
-        slots.len(),
-        mask.len(),
-        "rank mask covers {} contributors but {} slots were provided",
-        mask.len(),
-        slots.len()
-    );
-    let mut missing = 0u64;
-    let mut out = Vec::with_capacity(slots.len());
-    for (rank, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(fb) => {
-                assert!(
-                    !mask.is_missing(rank),
-                    "rank {rank} is masked missing but contributed a buffer"
-                );
-                out.push(fb);
-            }
-            None => missing += 1,
-        }
-    }
-    assert!(
-        !out.is_empty(),
-        "every contributor is missing: nothing to composite"
-    );
-    (out, missing)
-}
-
-/// [`composite_direct`] over per-rank slots with missing contributors.
-/// Slots are indexed by contributor rank; `None` marks a hole (which must
-/// be masked or have silently timed out). The surviving images composite
-/// exactly as the unmasked schedule would, and
-/// [`CompositeStats::missing_contributions`] counts the holes — with an
-/// all-present mask the result is byte-identical to [`composite_direct`].
-pub fn composite_direct_masked(
-    slots: Vec<Option<Framebuffer>>,
-    mask: &RankMask,
-) -> (Framebuffer, CompositeStats) {
-    let (bufs, missing) = surviving(slots, mask);
-    let (fb, mut stats) = composite_direct(bufs);
-    stats.missing_contributions = missing;
-    (fb, stats)
-}
-
-/// [`composite_binary_swap`] over per-rank slots with missing
-/// contributors; see [`composite_direct_masked`]. The swap schedule runs
-/// over the survivors only, so no round ever waits on a dead peer.
-pub fn composite_binary_swap_masked(
-    slots: Vec<Option<Framebuffer>>,
-    mask: &RankMask,
-) -> (Framebuffer, CompositeStats) {
-    let (bufs, missing) = surviving(slots, mask);
-    let (fb, mut stats) = composite_binary_swap(bufs);
-    stats.missing_contributions = missing;
-    (fb, stats)
-}
-
-/// Ownership-mapped compositing (DESIGN.md §13): contributions arrive as
-/// `(partition, framebuffer)` pairs from whichever rank currently owns
-/// each partition, and the fold runs in ascending **partition** order —
-/// never contributor order — so the image bytes are independent of which
-/// rank rendered which partition. This is what makes a migrated run
+/// Slot-mapped compositing (DESIGN.md §13): contributions arrive as
+/// `(slot, framebuffer)` pairs and the fold runs in ascending **slot**
+/// order — never arrival order. Under static ownership a slot is a
+/// contributor rank; under a migration plan it is a partition id, filled
+/// by whichever rank currently owns the partition, so the image bytes are
+/// independent of who rendered what. This is what makes a migrated run
 /// byte-identical to the undisturbed one.
 ///
-/// Duplicate contributions for one partition (a handoff whose ack was
-/// lost after commit: both owners render it) merge idempotently; a
-/// partition nobody contributed counts as a missing contribution.
+/// Duplicate contributions for one slot (a handoff whose ack was lost
+/// after commit: both owners render it) merge idempotently; a slot nobody
+/// filled (a dead or silent contributor) is composited around and counted
+/// in [`CompositeStats::missing_contributions`].
 ///
-/// Panics when *no* partition has a contribution (callers handle the
-/// all-dead dark frame themselves, as with the masked schedules).
+/// Panics when *no* slot has a contribution (callers emit the all-dead
+/// dark frame themselves).
 pub fn composite_owned(
-    partitions: usize,
+    slot_count: usize,
     contribs: Vec<(usize, Framebuffer)>,
 ) -> (Framebuffer, CompositeStats) {
     let mut stats = CompositeStats::default();
-    let mut slots: Vec<Option<Framebuffer>> = (0..partitions).map(|_| None).collect();
-    for (partition, fb) in contribs {
+    let mut slots: Vec<Option<Framebuffer>> = (0..slot_count).map(|_| None).collect();
+    for (slot, fb) in contribs {
         assert!(
-            partition < partitions,
-            "contribution for partition {partition} but only {partitions} exist"
+            slot < slot_count,
+            "contribution for slot {slot} but only {slot_count} exist"
         );
-        match &mut slots[partition] {
+        match &mut slots[slot] {
             Some(existing) => {
                 let _span = eth_obs::span(eth_obs::Phase::Composite);
                 stats.merge_ops += (fb.width() * fb.height()) as u64;
@@ -395,82 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_mask_accounting() {
-        let mut mask = RankMask::none(4);
-        assert_eq!(mask.missing_count(), 0);
-        assert!(!mask.is_empty());
-        mask.mark_missing(2);
-        assert!(mask.is_missing(2) && !mask.is_missing(0));
-        assert_eq!(mask.missing_count(), 1);
-        assert_eq!(mask, RankMask::from_missing(4, &[2]));
-        // out-of-range queries are simply not missing
-        assert!(!mask.is_missing(99));
-    }
-
-    #[test]
-    fn masked_composite_with_everyone_present_is_byte_identical() {
-        let count = 4;
-        let make = || {
-            (0..count)
-                .map(|i| striped(16, 8, i, count, (i + 1) as f32))
-                .collect::<Vec<_>>()
-        };
-        let (plain, _) = composite_direct(make());
-        let slots: Vec<Option<Framebuffer>> = make().into_iter().map(Some).collect();
-        let (masked, stats) = composite_direct_masked(slots, &RankMask::none(count));
-        assert_eq!(plain, masked);
-        assert_eq!(stats.missing_contributions, 0);
-        let slots: Vec<Option<Framebuffer>> = make().into_iter().map(Some).collect();
-        let (swapped, sstats) = composite_binary_swap_masked(slots, &RankMask::none(count));
-        assert_eq!(plain, swapped);
-        assert_eq!(sstats.missing_contributions, 0);
-    }
-
-    #[test]
-    fn masked_composite_skips_the_dead_and_counts_the_hole() {
-        let count = 4;
-        let dead = 1usize;
-        let full: Vec<Framebuffer> = (0..count)
-            .map(|i| striped(16, 8, i, count, (i + 1) as f32))
-            .collect();
-        // expected image: composite of the survivors only
-        let survivors: Vec<Framebuffer> = full
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != dead)
-            .map(|(_, fb)| fb.clone())
-            .collect();
-        let (want, _) = composite_direct(survivors);
-        let mask = RankMask::from_missing(count, &[dead]);
-        let slots: Vec<Option<Framebuffer>> = full
-            .iter()
-            .enumerate()
-            .map(|(i, fb)| (i != dead).then(|| fb.clone()))
-            .collect();
-        let (got, stats) = composite_direct_masked(slots.clone(), &mask);
-        assert_eq!(got, want);
-        assert_eq!(stats.missing_contributions, 1);
-        let (swapped, sstats) = composite_binary_swap_masked(slots, &mask);
-        assert_eq!(swapped, want);
-        assert_eq!(sstats.missing_contributions, 1);
-    }
-
-    #[test]
-    fn masked_composite_tolerates_unmasked_timeouts() {
-        // a hole the mask did not predict (a live rank that missed its
-        // deadline) still counts as a missing contribution
-        let slots = vec![Some(striped(8, 8, 0, 2, 1.0)), None];
-        let (_, stats) = composite_direct_masked(slots, &RankMask::none(2));
-        assert_eq!(stats.missing_contributions, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing to composite")]
-    fn masked_composite_rejects_all_missing() {
-        composite_direct_masked(vec![None, None], &RankMask::from_missing(2, &[0, 1]));
-    }
-
-    #[test]
     fn owned_composite_is_contributor_order_independent() {
         let count = 4;
         let make = |i: usize| striped(16, 8, i, count, (i + 1) as f32);
@@ -501,8 +316,11 @@ mod tests {
     fn owned_composite_counts_unowned_partitions_as_missing() {
         let count = 3;
         let make = |i: usize| striped(16, 8, i, count, (i + 1) as f32);
-        let (_, stats) = composite_owned(count, vec![(0, make(0)), (2, make(2))]);
+        let (got, stats) = composite_owned(count, vec![(0, make(0)), (2, make(2))]);
         assert_eq!(stats.missing_contributions, 1);
+        // the hole is composited around: the survivors fold as if alone
+        let (want, _) = composite_direct(vec![make(0), make(2)]);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -26,8 +26,12 @@ struct Counters {
 pub struct LocalComm {
     rank: usize,
     size: usize,
-    /// Sender to every rank's inbox (including self).
-    outboxes: Vec<Sender<Envelope>>,
+    /// Sender to every *other* rank's inbox. A rank holds no sender to its
+    /// own inbox (self-sends go straight to `pending`), so once every peer
+    /// has dropped its endpoint a blocked receive fails with
+    /// `Disconnected` instead of waiting forever for a message nobody is
+    /// left to send.
+    outboxes: Vec<Option<Sender<Envelope>>>,
     inbox: Receiver<Envelope>,
     /// Messages received but not yet matched by (from, tag).
     pending: Mutex<Vec<Envelope>>,
@@ -55,7 +59,11 @@ impl LocalFabric {
             .map(|(rank, inbox)| LocalComm {
                 rank,
                 size,
-                outboxes: senders.clone(),
+                outboxes: senders
+                    .iter()
+                    .enumerate()
+                    .map(|(to, tx)| (to != rank).then(|| tx.clone()))
+                    .collect(),
                 inbox,
                 pending: Mutex::new(Vec::new()),
                 counters: Arc::new(Counters::default()),
@@ -110,7 +118,15 @@ impl LocalComm {
                         })
                     }
                     Err(RecvTimeoutError::Disconnected) => {
-                        return Err(TransportError::Disconnected { peer: from })
+                        // Nothing can arrive any more, but the caller
+                        // budgeted for a timeout: report it at the deadline,
+                        // so how a lost message is classified never depends
+                        // on how early the peers happened to exit.
+                        std::thread::sleep(d.saturating_duration_since(Instant::now()));
+                        return Err(TransportError::Timeout {
+                            peer: from,
+                            elapsed: started.elapsed(),
+                        });
                     }
                 },
             };
@@ -153,9 +169,16 @@ impl Communicator for LocalComm {
         if let Some(ctx) = ctx {
             eth_obs::flow_out(ctx, to, tag, payload.len() as u64);
         }
-        self.outboxes[to]
-            .send((self.rank, tag, ctx, payload))
-            .map_err(|_| TransportError::Disconnected { peer: to })
+        let envelope = (self.rank, tag, ctx, payload);
+        match &self.outboxes[to] {
+            Some(tx) => tx
+                .send(envelope)
+                .map_err(|_| TransportError::Disconnected { peer: to }),
+            None => {
+                self.pending.lock().push(envelope);
+                Ok(())
+            }
+        }
     }
 
     fn recv(&self, from: usize, tag: u32) -> Result<Bytes> {
@@ -265,6 +288,33 @@ mod tests {
             other => panic!("expected Timeout, got {other:?}"),
         }
         assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn blocked_recv_fails_once_every_peer_is_gone() {
+        // Rank 1 leaves without sending: rank 0's unbounded receive must
+        // error out instead of waiting forever (a launcher that joins
+        // every rank would otherwise wedge on the first rank failure) ...
+        let mut comms = LocalFabric::new(2);
+        let c1 = comms.pop().unwrap();
+        let c0 = comms.pop().unwrap();
+        c1.send(0, 1, Bytes::from_static(b"last words")).unwrap();
+        drop(c1);
+        // ... after delivering what the peer queued before it left
+        assert_eq!(&c0.recv(1, 1).unwrap()[..], b"last words");
+        let err = c0.recv(1, 2).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Disconnected { peer: 1 }),
+            "{err}"
+        );
+        // a bounded receive still reports the timeout it was given
+        let err = c0
+            .recv_timeout(1, 2, std::time::Duration::from_millis(20))
+            .unwrap_err();
+        assert!(
+            matches!(err, TransportError::Timeout { peer: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

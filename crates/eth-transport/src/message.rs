@@ -13,10 +13,11 @@
 //!
 //! Version 0x02 frames carry a 16-byte [`eth_obs::SpanContext`] between
 //! the header and the payload, stitching the send span to the matching
-//! receive span in merged traces. Writers only emit v2 when the flight
-//! recorder is live (`eth_obs::flow_context()` returned a context), so
-//! the wire carries **zero** extra bytes when recording is off; readers
-//! accept both versions, so legacy v1 frames still decode.
+//! receive span in merged traces. Both versions are current: writers emit
+//! v2 only when the flight recorder is live (`eth_obs::flow_context()`
+//! returned a context) and v1 otherwise, so the wire carries **zero**
+//! extra bytes when recording is off. v1 is what every un-recorded run
+//! sends — readers accept both.
 //!
 //! The magic word makes a desynchronized or corrupted stream fail fast
 //! with [`TransportError::Decode`] instead of interpreting garbage as a
@@ -63,13 +64,13 @@ pub struct Frame {
     pub from: u32,
     pub tag: u32,
     /// Sender's span context (v2 frames recorded under a live flight
-    /// recorder); `None` on legacy v1 frames.
+    /// recorder); `None` on v1 frames (recording off).
     pub ctx: Option<SpanContext>,
     pub payload: Bytes,
 }
 
 /// Write one frame to a stream. A `Some` context emits a v2 frame; `None`
-/// emits the legacy v1 layout byte-for-byte (recording off ⇒ zero cost).
+/// emits the v1 layout byte-for-byte (recording off ⇒ zero cost).
 pub fn write_frame(
     w: &mut impl Write,
     from: u32,
@@ -201,7 +202,7 @@ mod tests {
         let payload = Bytes::from_static(b"hello ranks");
         let mut wire = Vec::new();
         write_frame(&mut wire, 3, 77, None, &payload).unwrap();
-        // legacy layout byte-for-byte: no context word when ctx is None
+        // v1 layout byte-for-byte: no context word when ctx is None
         assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
         let frame = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(frame.from, 3);
@@ -229,10 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_frames_still_decode() {
-        // A pre-context frame written by hand with the old layout: must
-        // decode identically under the version-bumped reader.
-        let payload = b"old wire format";
+    fn v1_frames_decode() {
+        // A context-free frame written by hand, byte for byte what an
+        // un-recorded writer sends: must decode under the v2-aware reader.
+        let payload = b"no span context";
         let mut wire = Vec::new();
         let mut header = BytesMut::new();
         header.put_u32_le(FRAME_MAGIC);

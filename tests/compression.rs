@@ -8,15 +8,16 @@ use eth::data::DataObject;
 use eth::sim::HaccConfig;
 
 fn spec(name: &str, compressed: bool) -> ExperimentSpec {
-    ExperimentSpec::builder(name)
+    let mut spec = ExperimentSpec::builder(name)
         .application(Application::Hacc { particles: 6_000 })
         .algorithm(Algorithm::GaussianSplat)
         .coupling(Coupling::Internode)
         .ranks(2)
         .image_size(64, 64)
-        .compress_transport(compressed)
         .build()
-        .unwrap()
+        .unwrap();
+    spec.wire_compression = compressed.then_some(compress::Codec::Quantize);
+    spec
 }
 
 #[test]
