@@ -1,16 +1,22 @@
-//! Render hot path: HLBVH vs median-split build times, and tiled
-//! packet-traversal frame times (DESIGN.md §14). The JSON-report variant
-//! with acceptance gates is `reproduce render-bench`; this is the
-//! statistics-grade criterion view of the same two loops.
+//! Render hot path: HLBVH vs median-split build times, tiled
+//! packet-traversal frame times, and the two particle rasterizers beside
+//! their hardware reference (DESIGN.md §14). The JSON-report variant with
+//! acceptance gates is `reproduce render-bench`; this is the
+//! statistics-grade criterion view of the same loops.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eth_bench::render::scatter;
+use eth_core::config::Application;
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
+use eth_render::raster::points::render_points;
+use eth_render::raster::splat::render_splats;
 use eth_render::ray::bvh::SphereBvh;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_sim::hacc::HaccConfig;
+use std::time::{Duration, Instant};
 
 const RADIUS: f32 = 0.01;
 
@@ -63,5 +69,79 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_frame);
+/// `render_points` and `render_splats` on a HACC cloud at 512², beside the
+/// floor neither can beat: one serial loop that projects every particle and
+/// evaluates its colour, and writes no pixel. The last line per size prints
+/// each rasterizer's median as a multiple of that loop's.
+fn bench_particles(c: &mut Criterion) {
+    let lighting = Lighting::default();
+    let mut group = c.benchmark_group("particles");
+    group.sample_size(15);
+    group.measurement_time(Duration::from_secs(4));
+    group.warm_up_time(Duration::from_millis(500));
+    for n in [100_000usize, 1_000_000] {
+        let cloud = HaccConfig::with_particles(n)
+            .generate(1)
+            .expect("hacc generates");
+        let density = cloud.scalar("density").expect("hacc carries density");
+        let tf = TransferFunction::fit(Colormap::Viridis, density);
+        let camera = Camera::framing(&cloud.bounds(), 512, 512);
+        // the harness's defaults: 3x3 blocks, impostors at 3/4 of the mean spacing
+        let radius = Application::Hacc { particles: n }.particle_radius();
+        group.throughput(Throughput::Elements(n as u64));
+        let mut medians = Vec::new();
+        let mut row = |name: &str, frame: &mut dyn FnMut()| {
+            let mut times = Vec::new();
+            group.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| {
+                    let t = Instant::now();
+                    frame();
+                    times.push(t.elapsed());
+                })
+            });
+            times.sort();
+            medians.push(times[times.len() / 2].as_secs_f64());
+        };
+        row("project_and_colour", &mut || {
+            let projector = camera.projector();
+            let mut sum = Vec3::ZERO;
+            for (&p, &value) in cloud.positions().iter().zip(density) {
+                if let Some((fx, fy, depth)) = projector.project(p) {
+                    sum = sum + tf.color(value) + Vec3::new(fx, fy, depth);
+                }
+            }
+            black_box(sum);
+        });
+        row("points", &mut || {
+            black_box(render_points(
+                &cloud,
+                Some("density"),
+                &tf,
+                &camera,
+                Vec3::ZERO,
+                2,
+            ));
+        });
+        row("splat", &mut || {
+            black_box(render_splats(
+                &cloud,
+                Some("density"),
+                &tf,
+                &camera,
+                &lighting,
+                Vec3::ZERO,
+                radius,
+            ));
+        });
+        eprintln!(
+            "  particles/{n}: points {:.2}x, splat {:.2}x the projection loop ({:.1} ms)",
+            medians[1] / medians[0],
+            medians[2] / medians[0],
+            medians[0] * 1e3,
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_frame, bench_particles);
 criterion_main!(benches);

@@ -17,6 +17,7 @@ use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::{render, RenderOptions, RenderStats};
 use eth_render::Image;
 use eth_sim::interface::InSituSink;
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 /// Per-step output of a pipeline.
@@ -84,7 +85,13 @@ impl VizPipeline {
         data: &DataObject,
         global_bounds: &eth_data::Aabb,
     ) -> Result<StepFrames> {
-        let sampled = self.sample(data)?;
+        // The identity sampling renders the block in place; only a real
+        // reduction allocates.
+        let sampled = if self.spec.sampling()?.is_identity() {
+            Cow::Borrowed(data)
+        } else {
+            Cow::Owned(self.sample(data)?)
+        };
         let algorithm = self
             .spec
             .algorithm

@@ -136,11 +136,58 @@ impl Camera {
         }
     }
 
+    /// The per-frame projection constants; build once, project many.
+    pub fn projector(&self) -> Projector {
+        Projector {
+            position: self.position,
+            forward: self.forward,
+            right: self.right,
+            up: self.up,
+            tan_half: (self.fov_y * 0.5).tan(),
+            aspect: self.aspect(),
+            width: self.width as f32,
+            height: self.height as f32,
+        }
+    }
+
     /// Project a world point to `(x_pixel, y_pixel, view_depth)`.
     ///
     /// Returns `None` for points at or behind the eye plane. The returned
     /// pixel coordinates are continuous (callers round/clip); `view_depth`
     /// is the distance along the forward axis, suitable for z-buffering.
+    /// Loops over many points should hoist [`Camera::projector`].
+    pub fn project(&self, p: Vec3) -> Option<(f32, f32, f32)> {
+        self.projector().project(p)
+    }
+
+    /// Screen-space radius (pixels) of a world-space radius at view depth.
+    /// Splatters use this to size their footprints.
+    pub fn pixels_per_world_unit(&self, depth: f32) -> f32 {
+        self.projector().pixels_per_world_unit(depth)
+    }
+}
+
+/// A camera's world → screen map with `tan(fov_y / 2)` and the aspect
+/// ratio evaluated once instead of per point (the tangent alone costs more
+/// than the rest of a projection). The f32 expression order is the one
+/// `Camera::project` always had — `depth * tan_half * aspect`, never a
+/// pre-multiplied `tan_half * aspect` — so every coordinate is
+/// bit-identical to the unhoisted form.
+#[derive(Debug, Clone, Copy)]
+pub struct Projector {
+    position: Vec3,
+    forward: Vec3,
+    right: Vec3,
+    up: Vec3,
+    tan_half: f32,
+    aspect: f32,
+    width: f32,
+    height: f32,
+}
+
+impl Projector {
+    /// See [`Camera::project`].
+    #[inline]
     pub fn project(&self, p: Vec3) -> Option<(f32, f32, f32)> {
         let rel = p - self.position;
         let depth = rel.dot(self.forward);
@@ -149,19 +196,17 @@ impl Camera {
         }
         let x_view = rel.dot(self.right);
         let y_view = rel.dot(self.up);
-        let tan_half = (self.fov_y * 0.5).tan();
-        let ndc_x = x_view / (depth * tan_half * self.aspect());
-        let ndc_y = y_view / (depth * tan_half);
-        let fx = (ndc_x + 1.0) * 0.5 * self.width as f32;
-        let fy = (1.0 - ndc_y) * 0.5 * self.height as f32;
+        let ndc_x = x_view / (depth * self.tan_half * self.aspect);
+        let ndc_y = y_view / (depth * self.tan_half);
+        let fx = (ndc_x + 1.0) * 0.5 * self.width;
+        let fy = (1.0 - ndc_y) * 0.5 * self.height;
         Some((fx, fy, depth))
     }
 
-    /// Screen-space radius (pixels) of a world-space radius at view depth.
-    /// Splatters use this to size their footprints.
+    /// See [`Camera::pixels_per_world_unit`].
+    #[inline]
     pub fn pixels_per_world_unit(&self, depth: f32) -> f32 {
-        let tan_half = (self.fov_y * 0.5).tan();
-        self.height as f32 / (2.0 * depth.max(1e-6) * tan_half)
+        self.height / (2.0 * depth.max(1e-6) * self.tan_half)
     }
 }
 
@@ -258,6 +303,76 @@ mod tests {
         assert!(c.forward().is_finite());
         assert!(c.right().is_finite());
         assert!((c.right().length() - 1.0).abs() < 1e-4);
+    }
+
+    /// `Camera::project` as it was before the tangent and the aspect ratio
+    /// were hoisted into [`Projector`]: both evaluated per point.
+    fn project_unhoisted(c: &Camera, p: Vec3) -> Option<(f32, f32, f32)> {
+        let rel = p - c.position;
+        let depth = rel.dot(c.forward);
+        if depth <= 1e-6 {
+            return None;
+        }
+        let x_view = rel.dot(c.right);
+        let y_view = rel.dot(c.up);
+        let tan_half = (c.fov_y * 0.5).tan();
+        let ndc_x = x_view / (depth * tan_half * c.aspect());
+        let ndc_y = y_view / (depth * tan_half);
+        let fx = (ndc_x + 1.0) * 0.5 * c.width as f32;
+        let fy = (1.0 - ndc_y) * 0.5 * c.height as f32;
+        Some((fx, fy, depth))
+    }
+
+    #[test]
+    fn hoisted_projection_is_bit_identical() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let bits =
+            |r: Option<(f32, f32, f32)>| r.map(|(x, y, d)| (x.to_bits(), y.to_bits(), d.to_bits()));
+        let mut rng = StdRng::seed_from_u64(14);
+        let cameras = [
+            cam(),
+            Camera::framing(&Aabb::new(Vec3::splat(-1.0), Vec3::splat(2.0)), 37, 23),
+            Camera::look_at(
+                Vec3::new(3.0, 1.0, -2.0),
+                Vec3::ZERO,
+                Vec3::new(0.0, 1.0, 0.0),
+                17.5,
+                511,
+                129,
+            ),
+        ];
+        for c in cameras {
+            let projector = c.projector();
+            let (mut behind, mut ahead) = (0, 0);
+            for _ in 0..20_000 {
+                // a cube around the eye, so about half the points are behind it
+                let p = c.position
+                    + Vec3::new(
+                        rng.random_range(-8.0f32..8.0),
+                        rng.random_range(-8.0f32..8.0),
+                        rng.random_range(-8.0f32..8.0),
+                    );
+                let want = project_unhoisted(&c, p);
+                match want {
+                    Some(_) => ahead += 1,
+                    None => behind += 1,
+                }
+                assert_eq!(bits(projector.project(p)), bits(want), "{p:?}");
+                assert_eq!(bits(c.project(p)), bits(want), "{p:?}");
+            }
+            assert!(
+                behind > 1000 && ahead > 1000,
+                "{behind} behind, {ahead} ahead"
+            );
+            for depth in [-1.0f32, 0.0, 1e-7, 0.3, 5.0, 1e6] {
+                let want = c.height as f32 / (2.0 * depth.max(1e-6) * (c.fov_y * 0.5).tan());
+                assert_eq!(
+                    projector.pixels_per_world_unit(depth).to_bits(),
+                    want.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

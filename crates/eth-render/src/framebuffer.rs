@@ -99,6 +99,12 @@ impl Framebuffer {
         }
     }
 
+    /// The colour and depth planes, row-major, for renderers that fill
+    /// disjoint pixel ranges on parallel workers.
+    pub(crate) fn planes_mut(&mut self) -> (&mut [Vec3], &mut [f32]) {
+        (&mut self.color, &mut self.depth)
+    }
+
     #[inline]
     pub fn depth_at(&self, x: usize, y: usize) -> f32 {
         self.depth[self.idx(x, y)]

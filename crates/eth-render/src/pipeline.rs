@@ -143,7 +143,12 @@ pub struct RenderStats {
     pub rays: u64,
     /// Per-ray work: BVH traversal steps or march samples.
     pub ray_steps: u64,
-    /// Fragments that passed the depth test.
+    /// Fragment work. For the two particle rasterizers: fragments
+    /// rasterized inside the image, before the depth test — a function of
+    /// the data and the camera alone, the same at any thread count and
+    /// under any particle order. For the triangle rasterizer: fragments
+    /// that passed the depth test (which depends on draw order). For the
+    /// raycasters: rays that hit.
     pub fragments: u64,
     /// Framebuffer tiles rendered (tiled backends; 0 otherwise).
     #[serde(default)]

@@ -7,7 +7,10 @@
 //!   whose per-pixel normals model a sphere,
 //! * [`triangle`] — a z-buffered, perspective-correct triangle rasterizer
 //!   consuming the meshes produced by marching cubes / slicing.
+//!
+//! The two particle rasterizers share one kernel (`scatter.rs`).
 
 pub mod points;
+mod scatter;
 pub mod splat;
 pub mod triangle;

@@ -9,39 +9,28 @@
 //! Cost shape: O(N) with a per-particle constant proportional to the block
 //! area (`point_size²` fragments per particle).
 //!
-//! Parallel structure: particles are *projected* in parallel chunks, the
-//! resulting fragments binned (in input order) to the framebuffer tiles
-//! their blocks overlap, and tiles rendered in parallel into small
-//! thread-local scratch buffers reused across tiles (`map_init`). The old
-//! shape — a full `width × height` framebuffer allocated per rayon chunk
-//! and depth-composited afterwards — paid O(chunks · pixels) allocation
-//! and merge traffic per frame; tile scratch is O(threads · tile²).
-//! Fragments within a tile apply in input order with a strict `<` depth
-//! test, which is exactly the winner the old chunk-composite order
-//! produced, so images are unchanged — for any thread count.
+//! Parallel structure: one pass of the shared scatter kernel
+//! (`raster/scatter.rs`). Each worker projects its contiguous slice of the
+//! particles once and depth-tests every block straight into its own
+//! per-pixel `(depth, input index)` winner buffer; the transfer function
+//! then runs once per covered pixel, on the winner, instead of once per
+//! particle. The winner — nearest depth, ties to the earlier particle — is
+//! a minimum, so the image is the same for any thread count.
 
+use super::scatter::{resolve, scatter};
 use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
-use crate::tile::{self, DEFAULT_TILE};
 use eth_data::{PointCloud, Vec3};
-use rayon::prelude::*;
 
-/// Statistics returned by the points renderer.
+/// Statistics returned by the points renderer. A function of the input
+/// alone: the same at any thread count and under any particle order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointsStats {
     pub points_in: usize,
     pub points_projected: usize,
+    /// Block pixels rasterized inside the image, before the depth test.
     pub fragments: u64,
-}
-
-/// A projected particle block awaiting rasterization.
-#[derive(Debug, Clone, Copy)]
-struct Splat {
-    cx: isize,
-    cy: isize,
-    depth: f32,
-    color: Vec3,
 }
 
 /// Render a point cloud as fixed-size color blocks.
@@ -61,132 +50,45 @@ pub fn render_points(
     let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
     let positions = cloud.positions();
     let half = (point_size / 2) as isize;
-    let width = camera.width;
-    let height = camera.height;
+    let projector = camera.projector();
 
-    // 1. Project all particles in parallel; chunk results concatenate in
-    //    input order.
-    let chunk = (positions.len() / (rayon::current_num_threads() * 4)).max(4096);
-    let projected: Vec<Vec<Splat>> = positions
-        .par_chunks(chunk)
-        .enumerate()
-        .map(|(ci, ps)| {
-            let base = ci * chunk;
-            let mut out = Vec::with_capacity(ps.len());
-            for (i, &p) in ps.iter().enumerate() {
-                let Some((fx, fy, depth)) = camera.project(p) else {
+    let scattered = scatter(
+        positions.len(),
+        camera.width,
+        camera.height,
+        |indices, sink| {
+            let mut projected = 0usize;
+            for (i, &p) in indices.clone().zip(&positions[indices]) {
+                let Some((fx, fy, depth)) = projector.project(p) else {
                     continue;
                 };
-                let value = match scalars {
-                    Some(s) => s[base + i],
-                    None => depth,
-                };
-                out.push(Splat {
-                    cx: fx as isize,
-                    cy: fy as isize,
-                    depth,
-                    color: tf.color(value),
-                });
+                projected += 1;
+                sink.block(i, fx as isize, fy as isize, half, depth);
             }
-            out
+            projected
+        },
+    );
+    let fb = resolve(&scattered, background, |i, _, _, depth| {
+        tf.color(match scalars {
+            Some(s) => s[i],
+            None => depth,
         })
-        .collect();
-    let splats: Vec<Splat> = projected.into_iter().flatten().collect();
-
-    // 2. Bin each splat into every tile its block overlaps (blocks up to
-    //    9 px wide can straddle tile borders). Serial walk in input order
-    //    keeps per-tile fragment order deterministic.
-    let tiles = tile::tiles(width, height, DEFAULT_TILE);
-    let tile_cols = width.div_ceil(DEFAULT_TILE).max(1);
-    let mut bins: Vec<Vec<u32>> = vec![Vec::new(); tiles.len()];
-    for (si, s) in splats.iter().enumerate() {
-        let x_lo = (s.cx - half).max(0);
-        let x_hi = (s.cx + half).min(width as isize - 1);
-        let y_lo = (s.cy - half).max(0);
-        let y_hi = (s.cy + half).min(height as isize - 1);
-        if x_lo > x_hi || y_lo > y_hi {
-            continue;
-        }
-        let t0x = x_lo as usize / DEFAULT_TILE;
-        let t1x = x_hi as usize / DEFAULT_TILE;
-        let t0y = y_lo as usize / DEFAULT_TILE;
-        let t1y = y_hi as usize / DEFAULT_TILE;
-        for ty in t0y..=t1y {
-            for tx in t0x..=t1x {
-                bins[ty * tile_cols + tx].push(si as u32);
-            }
-        }
-    }
-
-    // 3. Rasterize tiles in parallel. Scratch depth/color buffers are
-    //    per-thread and reused across tiles — no full-size allocations.
-    let results: Vec<(Vec<(f32, Vec3)>, u64)> = tiles
-        .par_iter()
-        .zip(bins.par_iter())
-        .map_init(
-            || {
-                (
-                    vec![f32::INFINITY; DEFAULT_TILE * DEFAULT_TILE],
-                    vec![background; DEFAULT_TILE * DEFAULT_TILE],
-                )
-            },
-            |scratch, (t, bin)| {
-                let (depth, color) = scratch;
-                let _span = eth_obs::span(eth_obs::Phase::Tile);
-                let n = t.pixels();
-                depth[..n].fill(f32::INFINITY);
-                color[..n].fill(background);
-                let mut fragments = 0u64;
-                for &si in bin.iter() {
-                    let s = &splats[si as usize];
-                    for dy in -half..=half {
-                        for dx in -half..=half {
-                            let x = s.cx + dx;
-                            let y = s.cy + dy;
-                            if x < (t.x0 as isize)
-                                || y < (t.y0 as isize)
-                                || x >= (t.x0 + t.w) as isize
-                                || y >= (t.y0 + t.h) as isize
-                            {
-                                continue;
-                            }
-                            let i = (y as usize - t.y0) * t.w + (x as usize - t.x0);
-                            if s.depth < depth[i] {
-                                depth[i] = s.depth;
-                                color[i] = s.color;
-                                fragments += 1;
-                            }
-                        }
-                    }
-                }
-                let pixels = depth[..n]
-                    .iter()
-                    .zip(&color[..n])
-                    .map(|(&d, &c)| (d, c))
-                    .collect();
-                (pixels, fragments)
-            },
-        )
-        .collect();
-
-    let mut fb = Framebuffer::new(width, height, background);
-    let mut stats = PointsStats {
+    });
+    let stats = PointsStats {
         points_in: positions.len(),
-        points_projected: splats.len(),
-        ..Default::default()
+        points_projected: scattered.slices().sum(),
+        fragments: scattered.fragments(),
     };
-    for (t, (pixels, fragments)) in tiles.iter().zip(results) {
-        stats.fragments += fragments;
-        fb.blit(t.x0, t.y0, t.w, t.h, &pixels);
-    }
     (fb, stats)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::scatter::testing::{at_thread_counts, cameras, hostile_cloud};
     use super::*;
     use crate::color::Colormap;
     use eth_data::field::Attribute;
+    use proptest::prelude::*;
 
     fn cam() -> Camera {
         Camera::look_at(
@@ -236,7 +138,8 @@ mod tests {
         let cloud =
             PointCloud::from_positions(vec![Vec3::new(0.0, 1.0, 0.0), Vec3::new(0.0, -1.0, 0.0)]);
         let mut c = PointCloud::from_positions(cloud.positions().to_vec());
-        c.set_attribute("v", Attribute::Scalar(vec![0.0, 1.0])).unwrap();
+        c.set_attribute("v", Attribute::Scalar(vec![0.0, 1.0]))
+            .unwrap();
         let (fb, _) = render_points(&c, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
         // the nearer point (y=-1, value 1.0 -> white) wins the center pixel
         assert_eq!(fb.color_at(32, 32), Vec3::ONE);
@@ -250,26 +153,86 @@ mod tests {
         assert_eq!(fb.fragments_landed(), 0);
     }
 
-    #[test]
-    fn parallel_rendering_is_deterministic() {
-        // Many points; parallel chunking must not change the image.
-        let mut pos = Vec::new();
-        for i in 0..5000 {
-            let t = i as f32 * 0.01;
-            pos.push(Vec3::new(t.sin(), t.cos() * 0.5, (i % 50) as f32 * 0.02 - 0.5));
+    /// The specification of the renderer: particles in input order, every
+    /// block pixel through the framebuffer's strict `<` depth test.
+    fn reference_points(
+        cloud: &PointCloud,
+        scalar: Option<&str>,
+        tf: &TransferFunction,
+        camera: &Camera,
+        background: Vec3,
+        point_size: usize,
+    ) -> (Framebuffer, PointsStats) {
+        let half = (point_size.clamp(1, 9) / 2) as isize;
+        let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
+        let mut fb = Framebuffer::new(camera.width, camera.height, background);
+        let mut stats = PointsStats {
+            points_in: cloud.positions().len(),
+            ..Default::default()
+        };
+        for (i, &p) in cloud.positions().iter().enumerate() {
+            let Some((fx, fy, depth)) = camera.project(p) else {
+                continue;
+            };
+            stats.points_projected += 1;
+            let color = tf.color(scalars.map_or(depth, |s| s[i]));
+            for dy in -half..=half {
+                for dx in -half..=half {
+                    let x = (fx as isize).saturating_add(dx);
+                    let y = (fy as isize).saturating_add(dy);
+                    fb.write_clipped(x, y, depth, color);
+                    let inside = (0..camera.width as isize).contains(&x)
+                        && (0..camera.height as isize).contains(&y);
+                    stats.fragments += (inside && depth < f32::INFINITY) as u64;
+                }
+            }
         }
-        let cloud = PointCloud::from_positions(pos);
-        let (fa, _) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 2);
-        let (fb, _) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 2);
-        assert_eq!(fa, fb);
+        (fb, stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Frame and statistics equal the serial reference at every thread
+        /// count, on hostile clouds (see `hostile_cloud`).
+        #[test]
+        fn matches_serial_reference(
+            seed in 0u64..u64::MAX,
+            n in 0usize..12_000,
+            cam in 0usize..3,
+            point_size in 1usize..10,
+            flags in 0u8..8,
+        ) {
+            // one case in four is a handful of particles; half colour by depth
+            let n = if flags & 3 == 0 { n % 40 } else { n };
+            let scalar = (flags & 4 == 0).then_some("v");
+            let camera = cameras()[cam];
+            let cloud = hostile_cloud(seed, n, &camera);
+            let background = Vec3::new(0.1, 0.2, 0.3);
+            let want = reference_points(&cloud, scalar, &tf(), &camera, background, point_size);
+            for (threads, got) in at_thread_counts(|| {
+                render_points(&cloud, scalar, &tf(), &camera, background, point_size)
+            }) {
+                prop_assert!(got.0 == want.0, "frame differs at {threads} threads");
+                prop_assert_eq!(got.1, want.1, "stats differ at {} threads", threads);
+            }
+        }
     }
 
     #[test]
-    fn blocks_crossing_tile_borders_are_complete() {
-        // A 5x5 block centered right on a 16-pixel tile boundary must land
-        // all 25 fragments even though four tiles share it.
+    fn blocks_clip_at_the_image_border() {
+        // The particle behind pixel (0, 0): a 5x5 block keeps its 3x3 corner.
+        let c = cam();
+        let corner = c.primary_ray(0, 0).at(5.0);
+        let cloud = PointCloud::from_positions(vec![corner]);
+        let (fb, stats) = render_points(&cloud, None, &tf(), &c, Vec3::ZERO, 5);
+        assert_eq!(stats.fragments, 9);
+        assert_eq!(fb.fragments_landed(), 9);
+    }
+
+    #[test]
+    fn wide_blocks_are_complete() {
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        // center pixel of a 64x64 image is (32, 32) = a tile corner
         let (fb, stats) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 5);
         assert_eq!(stats.fragments, 25);
         assert_eq!(fb.fragments_landed(), 25);

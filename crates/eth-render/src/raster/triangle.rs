@@ -42,20 +42,28 @@ pub fn rasterize_mesh(
     background: Vec3,
 ) -> (Framebuffer, RasterStats) {
     debug_assert!(mesh.validate(), "invalid mesh handed to rasterizer");
-    // Project all vertices once.
-    let projected: Vec<Option<ProjVert>> = mesh
+    // Project all vertices once, one contiguous slice per worker.
+    let projector = camera.projector();
+    let mut projected: Vec<Option<ProjVert>> = vec![None; mesh.positions.len()];
+    let slice = mesh
         .positions
-        .par_iter()
+        .len()
+        .div_ceil(rayon::current_num_threads())
+        .max(1);
+    projected
+        .par_chunks_mut(slice)
+        .zip(mesh.positions.par_chunks(slice))
         .enumerate()
-        .map(|(i, &p)| {
-            camera.project(p).map(|(x, y, depth)| ProjVert {
-                x,
-                y,
-                depth,
-                index: i as u32,
-            })
-        })
-        .collect();
+        .for_each(|(s, (out, positions))| {
+            for (i, (slot, &p)) in out.iter_mut().zip(positions).enumerate() {
+                *slot = projector.project(p).map(|(x, y, depth)| ProjVert {
+                    x,
+                    y,
+                    depth,
+                    index: (s * slice + i) as u32,
+                });
+            }
+        });
 
     let chunk = (mesh.indices.len() / (rayon::current_num_threads() * 4)).max(1024);
     let (fb, stats) = mesh

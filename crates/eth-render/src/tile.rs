@@ -1,10 +1,8 @@
-//! Framebuffer tiling: the rayon work unit for every renderer.
+//! Framebuffer tiling: the rayon work unit of the raycasters.
 //!
-//! Renderers used to parallelize over rows (raycasters) or primitive
-//! chunks (rasterizers, each allocating a full-size framebuffer merged
-//! afterwards). Both shapes waste work: rows are too fine for packet
-//! traversal to find coherent rays, and per-chunk full-size buffers cost
-//! O(chunks × width × height) memory traffic in the merge.
+//! The raycasters used to parallelize over rows, which are too fine for
+//! packet traversal to find coherent rays. (The particle rasterizers
+//! parallelize over the *input* instead — see `raster/scatter.rs`.)
 //!
 //! A [`TileRect`] is a small screen-space rectangle (16×16 by default —
 //! big enough to amortize scheduling, small enough to load-balance an

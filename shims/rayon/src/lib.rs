@@ -287,6 +287,13 @@ where
 }
 
 /// `par_iter`/`par_chunks` on slices.
+///
+/// `par_iter` materializes one heap item per *element* (a `Vec<&T>`, and
+/// `enumerate`/`zip` each rebuild it as a `Vec` of tuples) before any work
+/// starts — 8–16 bytes written and read back per element. Loops over
+/// particles or vertices should take `par_chunks` of one slice per worker
+/// and iterate the slice themselves; `par_iter` is for coarse items
+/// (tiles, blocks, design points).
 pub trait ParallelSlice<T: Sync> {
     fn par_iter(&self) -> ParIter<&T>;
     fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]>;
