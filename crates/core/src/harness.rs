@@ -23,10 +23,10 @@
 //!   Section III-C bootstrap), then receive blocks over TCP.
 //!
 //! All three run the same step — one `sim_role` loop and one `viz_role`
-//! loop, generic over the `PairLink` a block crosses — under a
-//! `StepPolicy` built once from the spec. Fault tolerance and migration
-//! are parts of that policy; the plain run is the empty policy
-//! (DESIGN.md §5).
+//! loop, generic over the [`PairLink`] a block crosses — under a
+//! `StepPolicy` built once from the spec, and start their ranks through
+//! the one [`launch`]. Fault tolerance and migration are parts of that
+//! policy; the plain run is the empty policy (DESIGN.md §5).
 
 use crate::config::{Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
@@ -47,19 +47,21 @@ use eth_render::composite::composite_owned;
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
-use eth_transport::chaos::{ChaosChannel, ChaosComm};
+use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
     gather, gather_surviving, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer,
     send_adopt_notice, send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer,
 };
-use eth_transport::comm::{Communicator, Result as LinkResult, TransportError};
+use eth_transport::comm::{Communicator, TransportError};
+use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::layout::LayoutFile;
-use eth_transport::local::LocalComm;
+use eth_transport::link::{FabricLink, PairLink};
+use eth_transport::local::LocalFabric;
 use eth_transport::message::{decode_dataset_from, encode_dataset};
 use eth_transport::runner::{
-    run_ranks, run_ranks_heartbeat, run_ranks_supervised, spawn_migration_supervisor, MigrationBook,
+    launch, spawn_migration_supervisor, MigrationBook, Seat, Supervision, Watch,
 };
-use eth_transport::socket::{connect_to, listen_as};
+use eth_transport::socket::{connect_to, listen_as, BOOTSTRAP_TIMEOUT};
 use eth_transport::{FaultPlan, HeartbeatBoard, HeartbeatPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -966,11 +968,6 @@ fn attribute_run(outcome: &mut NativeOutcome, trace: &eth_obs::Trace, t0_ns: u64
     outcome.counters = counters;
 }
 
-const DATA_TAG_BASE: u32 = 0x1000;
-
-/// How long a visualization rank polls the layout file for a simulation
-/// rank's address before giving up on the bootstrap.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 /// Budget for one block to arrive under liveness supervision when the
 /// fault plan sets no receive deadline.
 const DEFAULT_RECV_BUDGET: Duration = Duration::from_secs(2);
@@ -989,7 +986,9 @@ struct StepPolicy {
     /// Faults on the data path degrade a step instead of failing the run
     /// (the spec carries a fault plan or a recovery policy).
     tolerant: bool,
-    /// The plan the pair links run behind; inert when the spec has none.
+    /// The spec's fault plan, inert when it has none: scripted kills and
+    /// the receive and run budgets are read from here. The pair links run
+    /// behind it only when the spec really carries one ([`RankCx::link`]).
     plan: FaultPlan,
     /// Heartbeats, liveness-sliced receives, step checkpoints, adoption.
     liveness: Option<Liveness>,
@@ -1023,7 +1022,7 @@ struct Liveness {
     recv_slice: Duration,
     recv_budget: Duration,
     /// Wall-clock backstop for composite gathers, a killed rank's wait for
-    /// its own death notice, and the heartbeat runner.
+    /// its own death notice, and the launcher.
     run_deadline: Duration,
 }
 
@@ -1071,78 +1070,36 @@ impl StepPolicy {
 
 /// What every rank of a run shares: the spec, the staged data, the policy,
 /// and — iff the policy has a liveness part — the board ranks beat on.
-struct RankCx<'a> {
-    spec: &'a ExperimentSpec,
-    staged: &'a StagedData,
-    policy: &'a StepPolicy,
-    board: Option<&'a Arc<HeartbeatBoard>>,
+struct RankCx {
+    spec: ExperimentSpec,
+    staged: Arc<StagedData>,
+    policy: StepPolicy,
+    board: Option<Arc<HeartbeatBoard>>,
 }
 
-impl<'a> RankCx<'a> {
-    fn live(&self) -> Option<(&'a Liveness, &'a Arc<HeartbeatBoard>)> {
-        self.policy.liveness.as_ref().zip(self.board)
+impl RankCx {
+    fn live(&self) -> Option<(&Liveness, &Arc<HeartbeatBoard>)> {
+        self.policy.liveness.as_ref().zip(self.board.as_ref())
     }
 
     fn is_dead(&self, rank: usize) -> bool {
-        self.board.is_some_and(|board| board.is_dead(rank))
+        self.board.as_ref().is_some_and(|board| board.is_dead(rank))
     }
 
     fn beater(&self, slot: usize) -> Option<Beater> {
         self.live()
             .map(|(live, board)| Beater::spawn(board, slot, live.recovery.heartbeat))
     }
-}
 
-/// The process boundary between a simulation rank and the visualization
-/// rank that drains it — the one thing the couplings do not share.
-trait PairLink {
-    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()>;
-    /// Blocking receive; with `within`, give up after that long.
-    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes>;
-    /// Bytes this end put on the link that no fabric counter covers.
-    fn bytes_sent(&self) -> u64;
-}
-
-/// Intercore: the pair exchanges blocks over the fabric both ranks sit on
-/// (the same-node process boundary); the fabric's counters see the bytes.
-struct FabricLink<'a> {
-    comm: &'a dyn Communicator,
-    peer: usize,
-}
-
-impl PairLink for FabricLink<'_> {
-    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()> {
-        self.comm.send(self.peer, tag, payload)
-    }
-
-    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes> {
-        match within {
-            Some(timeout) => self.comm.recv_timeout(self.peer, tag, timeout),
-            None => self.comm.recv(self.peer, tag),
+    /// The pair link a rank's blocks cross: `link` itself, behind the chaos
+    /// wrapper iff the spec carries a fault plan. The wrapper never sees a
+    /// communicator, so collectives and control messages are out of its
+    /// reach, and an experiment without a plan pays nothing for it.
+    fn link<'l>(&self, link: impl PairLink + 'l) -> Box<dyn PairLink + 'l> {
+        match &self.spec.fault_plan {
+            Some(plan) => Box::new(ChaosLink::new(link, plan.clone())),
+            None => Box::new(link),
         }
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        0
-    }
-}
-
-/// Internode: a TCP stream bootstrapped through the layout file. The link
-/// always runs behind the chaos wrapper; with no plan it is a passthrough.
-impl PairLink for ChaosChannel {
-    fn send(&self, tag: u32, payload: Bytes) -> LinkResult<()> {
-        ChaosChannel::send(self, tag, payload)
-    }
-
-    fn recv(&self, tag: u32, within: Option<Duration>) -> LinkResult<Bytes> {
-        match within {
-            Some(timeout) => self.recv_timeout(tag, timeout),
-            None => ChaosChannel::recv(self, tag),
-        }
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        ChaosChannel::bytes_sent(self)
     }
 }
 
@@ -1200,7 +1157,7 @@ fn sim_role(
     link: &dyn PairLink,
     composite: Option<VizFabric>,
 ) -> Result<RankOutput> {
-    let spec = cx.spec;
+    let spec = &cx.spec;
     let mut beater = cx.beater(rank);
     let mut out = RankOutput::default();
     for step in 0..spec.steps {
@@ -1219,7 +1176,7 @@ fn sim_role(
         let payload = encode_block(spec, &block);
         out.phases.sim_s += t.elapsed().as_secs_f64();
         let t = Instant::now();
-        match link.send(DATA_TAG_BASE + step as u32, payload) {
+        match link.send(DATA_TAG_MIN + step as u32, payload) {
             Ok(()) => {}
             // a dead viz link must not kill the simulation: note it and
             // keep stepping (the draining viz rank degrades)
@@ -1244,11 +1201,6 @@ fn sim_role(
             });
             board.step_done(rank, step);
         }
-    }
-    if let Some(board) = cx.board {
-        // an un-killed rank must report completion or a supervisor would
-        // read its silence as a death
-        board.mark_done(rank);
     }
     out.bytes_sent = link.bytes_sent() + composite.map_or(0, |f| f.comm.traffic().bytes_sent);
     Ok(out)
@@ -1294,7 +1246,7 @@ fn drain(
     };
     match received
         .map_err(CoreError::from)
-        .and_then(|payload| decode_block(cx.spec, sim, payload))
+        .and_then(|payload| decode_block(&cx.spec, sim, payload))
     {
         Ok(block) => return Ok(Some(block)),
         Err(e) if !cx.policy.tolerant => return Err(e),
@@ -1426,7 +1378,7 @@ fn migrate_handshakes(
     deg: &mut Degradation,
     disruption: &mut Vec<f64>,
 ) -> Result<()> {
-    let (spec, policy, comm) = (cx.spec, cx.policy, fabric.comm);
+    let (spec, policy, comm) = (&cx.spec, &cx.policy, fabric.comm);
     let (book, timeout) = (&policy.book, policy.handoff_timeout);
     let me = comm.rank() - fabric.base;
     for (index, h) in policy.handoffs.iter().enumerate() {
@@ -1522,7 +1474,7 @@ fn migrate_handshakes(
 /// backpressure and fault accounting to a run without migration) while the
 /// new owner renders from the shared staged store.
 fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result<RankOutput> {
-    let (spec, policy, staged) = (cx.spec, cx.policy, cx.staged);
+    let (spec, policy, staged) = (&cx.spec, &cx.policy, &cx.staged);
     let comm = fabric.comm;
     let r = spec.ranks;
     let me = comm.rank() - fabric.base;
@@ -1553,7 +1505,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                 out.phases.sim_s += t.elapsed().as_secs_f64();
                 continue;
             };
-            let tag = DATA_TAG_BASE + step as u32;
+            let tag = DATA_TAG_MIN + step as u32;
             wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?;
             if let Some((_, board)) = cx.live().filter(|_| wire_blocks[sim].is_none()) {
                 if board.is_dead(sim) && !std::mem::replace(&mut lost[sim], true) {
@@ -1681,7 +1633,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
             // critical-path walk in `eth_obs::merge` attributes backwards from.
             eth_obs::step_mark(step as u64);
         }
-        if let Some(board) = cx.board.filter(|_| fabric.on_board) {
+        if let Some(board) = cx.board.as_ref().filter(|_| fabric.on_board) {
             board.step_done(comm.rank(), step);
         }
     }
@@ -1723,98 +1675,106 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
     Ok(out)
 }
 
+/// What a rank's thread does.
+type Role = Box<dyn FnOnce(&RankCx) -> Result<RankOutput> + Send>;
+
+impl RankCx {
+    /// Start one thread per `(rank, role)` through the transport's launcher
+    /// and collect them under the policy's supervision: none for the empty
+    /// policy (a blocking collect), the plan's per-rank wall-clock budget
+    /// if it sets one, and with a liveness part the heartbeat watch whose
+    /// collector doubles as the supervisor. A hung or panicking rank, or
+    /// one death too many, surfaces as [`CoreError::Rank`] instead of
+    /// wedging or aborting the sweep; ranks that died within the loss
+    /// budget leave tombstones (or, past the grace window, nothing). Every
+    /// rank is collected before the first rank error is reported.
+    fn launch(self: Arc<RankCx>, roles: Vec<(usize, Role)>) -> Result<Vec<RankOutput>> {
+        let supervision = Supervision {
+            budget: match &self.policy.liveness {
+                Some(live) => Some(live.run_deadline),
+                None => self.policy.plan.rank_timeout(),
+            },
+            watch: self.live().map(|(live, board)| Watch {
+                board: board.clone(),
+                policy: live.recovery.heartbeat,
+                max_losses: live.recovery.max_rank_losses as usize,
+            }),
+        };
+        let seats = roles
+            .into_iter()
+            .map(|(rank, role)| {
+                let cx = self.clone();
+                Seat::new(rank, move || role(&cx))
+            })
+            .collect();
+        launch(seats, &supervision)?.into_iter().flatten().collect()
+    }
+}
+
 fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    let policy = Arc::new(StepPolicy::new(spec));
+    let policy = StepPolicy::new(spec);
+    // Who beats the board: every rank of a local fabric; under internode
+    // the simulation ranks — the ones a scripted kill can take down (viz
+    // ranks only consult it).
+    let board = policy.liveness.as_ref().map(|_| {
+        HeartbeatBoard::new(match spec.coupling {
+            Coupling::Intercore => 2 * spec.ranks,
+            Coupling::Tight | Coupling::Internode => spec.ranks,
+        })
+    });
+    let cx = Arc::new(RankCx {
+        spec: spec.clone(),
+        staged: staged.clone(),
+        policy,
+        board,
+    });
     match spec.coupling {
-        Coupling::Tight | Coupling::Intercore => launch_local(spec, staged, policy),
-        Coupling::Internode => launch_sockets(spec, staged, policy),
+        Coupling::Tight | Coupling::Intercore => launch_local(cx),
+        Coupling::Internode => launch_sockets(cx),
     }
 }
 
 /// Tight and intercore: every rank is a thread on one in-process fabric.
 /// Tight seats R ranks whose sim and viz share a call stack; intercore
 /// seats 2R — simulation ranks `0..R` in front of their paired
-/// visualization ranks `R..2R`. With a liveness part every rank beats the
-/// runner's board and the collector doubles as the supervisor; ranks that
-/// died mid-run leave tombstones (or, past the grace window, nothing), and
-/// losses beyond the policy's budget fail the run inside the runner.
-fn launch_local(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: Arc<StepPolicy>,
-) -> Result<Vec<RankOutput>> {
-    let r = spec.ranks;
-    let base = if spec.coupling == Coupling::Intercore {
+/// visualization ranks `R..2R`, each pair's link a view of the fabric.
+fn launch_local(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
+    let r = run.spec.ranks;
+    let base = if run.spec.coupling == Coupling::Intercore {
         r
     } else {
         0
     };
-    let body = {
-        let (spec, staged, policy) = (spec.clone(), staged.clone(), policy.clone());
-        move |comm: LocalComm, board: Option<Arc<HeartbeatBoard>>| -> Result<RankOutput> {
-            let rank = comm.rank();
-            // With a fault plan the whole fabric runs behind the chaos
-            // wrapper; the plan's tag window keeps the composite
-            // collectives fault-free while the data path misbehaves.
-            let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-                Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-                None => Box::new(comm),
-            };
-            let comm = comm.as_ref();
-            let cx = RankCx {
-                spec: &spec,
-                staged: &staged,
-                policy: &policy,
-                board: board.as_ref(),
-            };
-            let fabric = VizFabric {
-                comm,
-                base,
-                on_board: board.is_some(),
-            };
-            if rank < base {
-                let link = FabricLink {
-                    comm,
-                    peer: base + rank,
-                };
-                sim_role(&cx, rank, &link, Some(fabric))
-            } else {
-                let sim = rank - base;
-                let wire = match base {
-                    0 => Wire::InProcess,
-                    _ => Wire::Link(Box::new(FabricLink { comm, peer: sim })),
-                };
-                viz_role(&cx, fabric, vec![(sim, wire)])
-            }
-        }
-    };
-    match &policy.liveness {
-        Some(live) => run_ranks_heartbeat(
-            base + r,
-            live.recovery.heartbeat,
-            live.recovery.max_rank_losses as usize,
-            live.run_deadline,
-            move |comm, board| body(comm, Some(board)),
-        )
-        .map_err(CoreError::Rank)?
-        .outputs
+    let roles = LocalFabric::new(base + r)
         .into_iter()
-        .flatten()
-        .collect(),
-        // Without one, the plan's per-rank wall-clock budget (if any) still
-        // supervises: a hung or panicking rank surfaces as
-        // `CoreError::Rank` instead of wedging or aborting the sweep.
-        None => match policy.plan.rank_timeout() {
-            Some(budget) => run_ranks_supervised(base + r, budget, move |c| body(c, None))?,
-            None => run_ranks(base + r, move |c| body(c, None)),
-        }
-        .into_iter()
-        .collect(),
-    }
+        .enumerate()
+        .map(|(rank, comm)| {
+            let role: Role = Box::new(move |cx| {
+                let fabric = VizFabric {
+                    comm: &comm,
+                    base,
+                    on_board: cx.board.is_some(),
+                };
+                let link = |peer| cx.link(FabricLink { comm: &comm, peer });
+                if rank < base {
+                    sim_role(cx, rank, link(base + rank).as_ref(), Some(fabric))
+                } else {
+                    let sim = rank - base;
+                    let wire = match base {
+                        0 => Wire::InProcess,
+                        _ => Wire::Link(link(sim)),
+                    };
+                    viz_role(cx, fabric, vec![(sim, wire)])
+                }
+            });
+            (rank, role)
+        })
+        .collect();
+    run.launch(roles)
 }
 
 /// The run's layout directory, removed however the launcher leaves — by
-/// return, by error, or by a rank's panic unwinding through it.
+/// return or by error.
 struct LayoutDir(std::path::PathBuf);
 
 impl Drop for LayoutDir {
@@ -1834,95 +1794,55 @@ impl Drop for LayoutDir {
 /// gives them work) and one that shrinks leaves the retiring ranks
 /// draining their wires with nothing to render.
 ///
-/// With a liveness part the simulation ranks beat a board watched by a
-/// supervisor thread (those are the ranks a scripted kill can take down;
-/// viz ranks only consult the board), and with handoffs a migration
-/// supervisor aborts pending handoffs whose partition's rank died.
-fn launch_sockets(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: Arc<StepPolicy>,
-) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use eth_transport::runner::{spawn_supervisor, RankFailure};
-    use std::thread;
-
-    let r = spec.ranks;
+/// Ranks claim ids on the run's modeled node layout: sim ranks `0..R` (the
+/// board's slots under a liveness part), viz ranks `R..R+V`. With handoffs
+/// a migration supervisor aborts pending handoffs whose partition's rank
+/// died.
+fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
+    let r = run.spec.ranks;
     // Layout file in a fresh temp dir per run. The counter keeps dirs
     // distinct when a campaign runs same-named internode points
     // concurrently in one process.
     static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
     let layout_dir = LayoutDir(std::env::temp_dir().join(format!(
         "eth-layout-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
+        run.spec.name.replace('/', "_"),
         std::process::id(),
         LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
     )));
     let _ = std::fs::remove_dir_all(&layout_dir.0);
     let layout = LayoutFile::create(&layout_dir.0)?;
 
-    let board = policy.liveness.as_ref().map(|_| HeartbeatBoard::new(r));
-    let supervisors = policy
-        .liveness
-        .as_ref()
-        .zip(board.as_ref())
+    // Death arbitration: abort any still-pending handoff whose partition's
+    // simulation rank stopped beating.
+    let handoffs = &run.policy.handoffs;
+    let _aborts = run
+        .live()
+        .filter(|_| !handoffs.is_empty())
         .map(|(live, board)| {
-            let heartbeat = live.recovery.heartbeat;
             eth_obs::count("liveness_threads", 1.0);
-            let deaths = spawn_supervisor(board, heartbeat);
-            // Death arbitration: abort any still-pending handoff whose
-            // partition's simulation rank stopped beating.
-            let aborts = (!policy.handoffs.is_empty()).then(|| {
-                eth_obs::count("liveness_threads", 1.0);
-                let watch = policy
-                    .handoffs
-                    .iter()
-                    .map(|h| h.partition)
-                    .enumerate()
-                    .collect();
-                spawn_migration_supervisor(board, &policy.book, watch, heartbeat)
-            });
-            (deaths, aborts)
+            let watch = handoffs.iter().map(|h| h.partition).enumerate().collect();
+            spawn_migration_supervisor(board, &run.policy.book, watch, live.recovery.heartbeat)
         });
 
-    // Raw spawns don't inherit the caller's recorder sinks the way
-    // run_ranks does, so hand the context across and claim rank ids on
-    // the run's modeled node layout: sim ranks 0..R, viz ranks R..R+V.
-    let obs = eth_obs::current_context();
-    type Role = Box<dyn FnOnce(&RankCx) -> Result<RankOutput> + Send>;
-    let spawn_rank = |obs_rank: usize, role: Role| {
-        let (spec, staged, policy) = (spec.clone(), staged.clone(), policy.clone());
-        let (board, obs) = (board.clone(), obs.clone());
-        thread::spawn(move || {
-            let _obs = obs.attach();
-            eth_obs::set_rank(obs_rank);
-            role(&RankCx {
-                spec: &spec,
-                staged: &staged,
-                policy: &policy,
-                board: board.as_ref(),
-            })
-        })
-    };
     // Visualization ranks spawn first so their bootstrap waits show up
     // inside covered connect_to spans instead of as unattributable
     // pre-spawn idle when the box is oversubscribed.
-    let mut viz_handles = Vec::new();
-    for (v, comm) in LocalFabric::new(spec.max_viz_count())
+    let mut roles: Vec<(usize, Role)> = Vec::new();
+    for (v, comm) in LocalFabric::new(run.spec.max_viz_count())
         .into_iter()
         .enumerate()
     {
         let layout = layout.clone();
-        viz_handles.push(spawn_rank(
+        roles.push((
             r + v,
             Box::new(move |cx| {
                 let mut wires = Vec::new();
                 for sim in (0..r).filter(|&sim| cx.spec.initial_owner(sim) == v) {
                     // the viz rank announces its own rank on the pair link,
                     // so frames and errors on both ends carry true identities
-                    let chan = connect_to(&layout, sim, v, CONNECT_TIMEOUT)?;
-                    let link = ChaosChannel::new(chan, cx.policy.plan.clone());
-                    wires.push((sim, Wire::Link(Box::new(link))));
+                    let chan = connect_to(&layout, sim, v, BOOTSTRAP_TIMEOUT)?;
+                    wires.push((sim, Wire::Link(cx.link(chan))));
                 }
                 let fabric = VizFabric {
                     comm: &comm,
@@ -1933,48 +1853,17 @@ fn launch_sockets(
             }),
         ));
     }
-    let mut sim_handles = Vec::new();
     for rank in 0..r {
         let layout = layout.clone();
-        sim_handles.push(spawn_rank(
+        roles.push((
             rank,
             Box::new(move |cx| {
-                let link = ChaosChannel::new(listen_as(&layout, rank)?, cx.policy.plan.clone());
-                sim_role(cx, rank, &link, None)
+                let link = cx.link(listen_as(&layout, rank)?);
+                sim_role(cx, rank, link.as_ref(), None)
             }),
         ));
     }
-
-    // Join every rank before reporting anything: an early return would
-    // detach the rest (and used to leak the layout directory with them).
-    let mut outputs = Vec::new();
-    let mut failure = None;
-    let mut panic = None;
-    for handle in sim_handles.into_iter().chain(viz_handles) {
-        match handle.join() {
-            Ok(Ok(output)) => outputs.push(output),
-            Ok(Err(e)) => failure = failure.or(Some(e)),
-            Err(payload) => panic = panic.or(Some(payload)),
-        }
-    }
-    drop(supervisors);
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    if let Some((live, board)) = policy.liveness.as_ref().zip(board) {
-        let deaths = board.deaths();
-        if let Some(d) = deaths.get(live.recovery.max_rank_losses as usize) {
-            return Err(CoreError::Rank(RankFailure::Hang {
-                rank: d.rank,
-                waited: d.detection_latency(),
-                last_step: d.last_step,
-            }));
-        }
-    }
-    Ok(outputs)
+    run.launch(roles)
 }
 
 /// A paper-scale design point for the cluster simulator.
@@ -2186,10 +2075,12 @@ mod tests {
             let out = run_native(&spec).unwrap();
             assert!(out.degradation.is_clean());
             assert!(!out.report().contains("degraded"));
-            // the empty policy starts no beater or supervisor thread and
-            // records no checkpoint
+            // the empty policy starts no beater or supervisor thread,
+            // records no checkpoint, and collects its ranks without ever
+            // waking on a clock
             assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
             assert_eq!(out.counters.get("step_checkpoints"), 0.0, "{coupling:?}");
+            assert_eq!(out.counters.get("supervised_launches"), 0.0, "{coupling:?}");
         }
     }
 
@@ -2325,6 +2216,26 @@ mod tests {
             }
             Err(other) => panic!("expected a rank failure, got {other}"),
             Ok(_) => {} // a very fast machine may finish inside 1 ms
+        }
+        // Every coupling is launched the same way, so the budget bounds the
+        // pair couplings too — with no recovery policy. Each send is
+        // delayed far past the budget, so these cannot finish inside it.
+        for coupling in [Coupling::Intercore, Coupling::Internode] {
+            let plan = FaultPlan::seeded(1)
+                .with_delay(1.0, 400)
+                .with_rank_timeout_ms(100);
+            let mut spec = base_spec("slow-link");
+            spec.coupling = coupling;
+            spec.fault_plan = Some(plan);
+            let t0 = Instant::now();
+            match run_native(&spec) {
+                Err(CoreError::Rank(f)) => {
+                    assert!(f.to_string().contains("did not finish"), "{coupling:?}: {f}")
+                }
+                Err(other) => panic!("{coupling:?}: expected a rank failure, got {other}"),
+                Ok(_) => panic!("{coupling:?}: the rank budget was ignored"),
+            }
+            assert!(t0.elapsed() < Duration::from_millis(700), "{coupling:?} waited out the run");
         }
     }
 
@@ -2475,6 +2386,7 @@ mod tests {
             assert_eq!(reference.images, out.images, "policy changed pixels under {coupling:?}");
             // liveness did start (contrast `clean_runs_report_no_degradation`)
             assert!(out.counters.get("liveness_threads") > 0.0, "{coupling:?}");
+            assert_eq!(out.counters.get("supervised_launches"), 1.0, "{coupling:?}");
         }
     }
 

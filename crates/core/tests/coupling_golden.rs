@@ -3,10 +3,14 @@
 //! `fixtures/coupling_golden.txt` was generated at the commit *before* the
 //! nine coupling loops in `harness.rs` were collapsed into one sim role and
 //! one viz role (PR 13's parent, f778ce3), by running [`print_rows`] there
-//! five times — all 16 rows repeated byte for byte. The unified path must
-//! reproduce every row exactly: each image's CRC-32 (raw little-endian f32
-//! pixels), every [`Degradation`] counter, and `bytes_moved`. Timing fields
-//! are excluded — they are the only part of an outcome that may differ.
+//! five times — all 16 rows repeated byte for byte. Its second block (7
+//! rows: payload corruption, a link cut from either end, tight under a
+//! lossy plan) was generated the same way at PR 15's parent, acac922,
+//! before the two chaos wrappers became one and the six launchers one. The
+//! current path must reproduce every row exactly: each image's CRC-32 (raw
+//! little-endian f32 pixels), every [`Degradation`] counter, and
+//! `bytes_moved`. Timing fields are excluded — they are the only part of an
+//! outcome that may differ.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`
@@ -125,6 +129,42 @@ fn specs() -> Vec<ExperimentSpec> {
 
     let mut tight = base("tight-recovery", Coupling::Tight, 3);
     tight.recovery = Some(recovery(true));
+    out.push(tight);
+
+    // The rest of the chaos path (second fixture block, generated at acac922).
+    for (tag, coupling) in [("ic", Coupling::Intercore), ("in", Coupling::Internode)] {
+        let mut corrupt = base(&format!("{tag}-corrupt"), coupling, 3);
+        corrupt.fault_plan = Some(FaultPlan::seeded(9).with_corrupt(0.5));
+        out.push(corrupt);
+    }
+    // A link cut after two messages, once from each end. A plan names the
+    // *peer* of the endpoint that enacts it. Intercore: simulation rank 1
+    // talks to fabric rank 3 + 1, which talks back to 1. Internode numbers
+    // the two applications separately, so 4 simulation ranks drain into 2
+    // visualization ranks: peer 0 cuts simulation ranks 0 and 2 at the send
+    // (and rank 0's link at the receive as well), peer 3 only the receive.
+    for (name, coupling, ranks, viz, peer) in [
+        ("ic-cut-sim", Coupling::Intercore, 3, None, 4),
+        ("ic-cut-viz", Coupling::Intercore, 3, None, 1),
+        ("in-cut-sim", Coupling::Internode, 4, Some(2), 0),
+        ("in-cut-viz", Coupling::Internode, 4, Some(2), 3),
+    ] {
+        let mut cut = base(name, coupling, ranks);
+        cut.viz_ranks = viz;
+        cut.fault_plan = Some(
+            FaultPlan::seeded(3)
+                .with_disconnect(peer, 2)
+                .with_recv_deadline_ms(150),
+        );
+        out.push(cut);
+    }
+    // Tight has no pair link: a lossy plan has nothing to act on.
+    let mut tight = base("tight-drop", Coupling::Tight, 3);
+    tight.fault_plan = Some(
+        FaultPlan::seeded(5)
+            .with_drop(0.4)
+            .with_recv_deadline_ms(150),
+    );
     out.push(tight);
     out
 }

@@ -10,11 +10,12 @@
 //! number encoded, so user traffic (low tags) never collides as long as it
 //! stays below [`COLLECTIVE_TAG_BASE`]. Above the collectives sits the
 //! **control plane** (`0xE0xx_xxxx`): liveness and recovery notices such as
-//! partition-adoption announcements. Both classes are outside the default
-//! fault-plan tag window — chaos may lose *data*, never the messages that
-//! coordinate reacting to the loss — but unlike collectives the control
-//! plane is liveness-aware: control receives always carry a deadline, so a
-//! dead peer degrades the run instead of deadlocking it.
+//! partition-adoption announcements. Both classes travel on the
+//! communicator, never on a fault-wrapped pair link — chaos may lose
+//! *data*, never the messages that coordinate reacting to the loss — but
+//! unlike collectives the control plane is liveness-aware: control
+//! receives always carry a deadline, so a dead peer degrades the run
+//! instead of deadlocking it.
 
 use crate::comm::{Communicator, Result, TransportError};
 use bytes::Bytes;
@@ -30,8 +31,7 @@ const TAG_REDUCE: u32 = COLLECTIVE_TAG_BASE + 0x0300_0000;
 
 /// Tags at or above this value are reserved for the control plane
 /// (rank-liveness and recovery coordination). Sits above
-/// [`COLLECTIVE_TAG_BASE`], so control traffic is exempt from the default
-/// chaos window exactly like collectives are.
+/// [`COLLECTIVE_TAG_BASE`], clear of both collectives and data.
 pub const CONTROL_TAG_BASE: u32 = 0xE000_0000;
 
 /// Adoption notice: `TAG_ADOPT_NOTICE + dead_rank`, sent by the rank that
@@ -581,19 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn control_tags_sit_above_collectives_and_outside_the_chaos_window() {
+    fn control_tags_sit_above_collectives_and_data() {
         const { assert!(CONTROL_TAG_BASE > COLLECTIVE_TAG_BASE) };
         const { assert!(TAG_ADOPT_NOTICE >= CONTROL_TAG_BASE) };
         const { assert!(TAG_MIGRATE_OFFER >= CONTROL_TAG_BASE) };
         const { assert!(TAG_MIGRATE_STATE >= CONTROL_TAG_BASE) };
         const { assert!(TAG_MIGRATE_ACK >= CONTROL_TAG_BASE) };
-        // the default fault-plan window ends at the collective base, so
-        // control traffic is chaos-exempt by construction
-        let plan = crate::fault::FaultPlan::seeded(1).with_drop(1.0);
-        assert!(!plan.targets(TAG_ADOPT_NOTICE));
-        assert!(!plan.targets(TAG_MIGRATE_OFFER));
-        assert!(!plan.targets(TAG_MIGRATE_STATE + 7));
-        assert!(!plan.targets(TAG_MIGRATE_ACK + 7));
+        const { assert!(crate::fault::DATA_TAG_MIN < COLLECTIVE_TAG_BASE) };
     }
 
     #[test]

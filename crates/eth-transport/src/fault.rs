@@ -9,16 +9,18 @@
 //! into the experiment spec, vary the seed or the probabilities, and the
 //! observed degradation is reproducible.
 //!
-//! The plan only *describes* faults; [`crate::chaos::ChaosComm`] and
-//! [`crate::chaos::ChaosChannel`] enact them around a real communicator.
+//! The plan only *describes* faults; [`crate::chaos::ChaosLink`] enacts them
+//! on a sim↔viz pair link. Every message on such a link is data, so a plan
+//! has no tag window: what is exempt (collectives, control messages) is
+//! exempt by never travelling on a wrapped link.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Default data-tag window: faults apply to harness data traffic
-/// (tags `>= 0x1000`) but never to collective tags
-/// (`>= `[`crate::collectives::COLLECTIVE_TAG_BASE`]), so compositing
-/// barriers and gathers stay reliable while the data path misbehaves.
+/// First tag of harness data traffic: step `n`'s block crosses its pair
+/// link under `DATA_TAG_MIN + n`. The range up to
+/// [`crate::collectives::COLLECTIVE_TAG_BASE`] is data's alone, so a block
+/// on a link that shares a fabric with collectives never matches one.
 pub const DATA_TAG_MIN: u32 = 0x1000;
 
 /// splitmix64: tiny, statistically solid, dependency-free PRNG. Used for
@@ -127,13 +129,7 @@ pub struct FaultPlan {
     /// the experiment for the run to survive).
     #[serde(default)]
     pub kill_rank_at_step: Option<KillSpec>,
-    /// Faults (and receive deadlines) apply only to tags in
-    /// `[min_tag, max_tag)`.
-    #[serde(default = "default_min_tag")]
-    pub min_tag: u32,
-    #[serde(default = "default_max_tag")]
-    pub max_tag: u32,
-    /// Receive deadline on fault-targeted tags, milliseconds; 0 = none.
+    /// Receive deadline on a wrapped link, milliseconds; 0 = none.
     /// When set, no receive on the data path can block indefinitely.
     #[serde(default)]
     pub recv_deadline_ms: u64,
@@ -153,14 +149,6 @@ pub struct FaultPlan {
     pub alloc_fail_at_stage: Option<u64>,
 }
 
-fn default_min_tag() -> u32 {
-    DATA_TAG_MIN
-}
-
-fn default_max_tag() -> u32 {
-    crate::collectives::COLLECTIVE_TAG_BASE
-}
-
 impl Default for FaultPlan {
     fn default() -> FaultPlan {
         FaultPlan {
@@ -171,8 +159,6 @@ impl Default for FaultPlan {
             delay_ms: 0,
             disconnect: None,
             kill_rank_at_step: None,
-            min_tag: default_min_tag(),
-            max_tag: default_max_tag(),
             recv_deadline_ms: 0,
             rank_timeout_ms: 0,
             disk_full_at_append: None,
@@ -243,11 +229,6 @@ impl FaultPlan {
         self
     }
 
-    /// Does the plan apply to this tag?
-    pub fn targets(&self, tag: u32) -> bool {
-        tag >= self.min_tag && tag < self.max_tag
-    }
-
     /// Any fault configured at all? (An inert plan wraps transparently.)
     pub fn is_active(&self) -> bool {
         self.drop_prob > 0.0
@@ -299,12 +280,6 @@ impl FaultPlan {
                     .into(),
             );
         }
-        if self.min_tag >= self.max_tag {
-            return Err(format!(
-                "fault plan tag window [{:#x}, {:#x}) is empty",
-                self.min_tag, self.max_tag
-            ));
-        }
         // a plan that can lose messages must bound the waits it causes,
         // or the run would hang instead of degrading
         let lossy = self.drop_prob > 0.0 || self.disconnect.is_some();
@@ -345,7 +320,7 @@ impl FaultPlan {
     /// Decide the faults for one message: a pure function of the plan and
     /// the message key, so the schedule is identical on every run.
     pub fn decide(&self, side: FaultSide, from: usize, to: usize, tag: u32, seq: u64) -> FaultDecision {
-        if !self.targets(tag) || !self.is_active() {
+        if !self.is_active() {
             return FaultDecision::default();
         }
         // distinct stream per side so wrapping both endpoints of one link
@@ -542,21 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn collective_tags_are_never_faulted() {
-        let plan = FaultPlan::seeded(1).with_drop(1.0).with_corrupt(1.0);
-        let d = plan.decide(
-            FaultSide::Send,
-            0,
-            1,
-            crate::collectives::COLLECTIVE_TAG_BASE + 5,
-            0,
-        );
-        assert!(d.is_clean());
-        // tags below the data window are also exempt
-        assert!(plan.decide(FaultSide::Send, 0, 1, 5, 0).is_clean());
-    }
-
-    #[test]
     fn disconnect_threshold() {
         let plan = FaultPlan::seeded(3).with_disconnect(2, 5);
         assert!(!plan.disconnects(2, 4));
@@ -595,10 +555,12 @@ mod tests {
         // on the data path stays inert
         assert!(!plan.is_active());
         assert!(plan.validate().is_ok());
-        // legacy plans (no resource fields) still parse, defaulting off
-        let legacy: FaultPlan = serde_json::from_str(r#"{"seed":9,"drop_prob":0.0}"#).unwrap();
-        assert_eq!(legacy.disk_full_at_append, None);
-        assert_eq!(legacy.alloc_fail_at_stage, None);
+        // legacy plans still parse: fields added since default off, and a
+        // key this version no longer has (older writers emitted a tag
+        // window) is ignored
+        let legacy: FaultPlan =
+            serde_json::from_str(r#"{"seed":9,"drop_prob":0.0,"retired_key":4096}"#).unwrap();
+        assert_eq!(legacy, FaultPlan { seed: 9, ..FaultPlan::default() });
     }
 
     #[test]
@@ -627,10 +589,6 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("delay_prob"));
         let bad = FaultPlan::seeded(1).with_delay(0.2, 0);
         assert!(bad.validate().unwrap_err().contains("delay_ms"));
-
-        let mut bad = FaultPlan::seeded(1);
-        bad.max_tag = bad.min_tag;
-        assert!(bad.validate().unwrap_err().contains("tag window"));
 
         // lossy without a deadline would hang instead of degrading
         let bad = FaultPlan::default().with_drop(0.1);

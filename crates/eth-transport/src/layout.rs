@@ -10,15 +10,13 @@
 //!
 //! To make concurrent publication race-free without file locking, the
 //! "layout file" is a directory: each rank writes `rank_<n>.addr`
-//! atomically (write to temp + rename). Readers poll until the expected
-//! number of entries exists.
+//! atomically (write to temp + rename). A reader polls for the one entry
+//! it needs ([`crate::socket::connect_to`]).
 
 use crate::comm::{Result, TransportError};
-use std::collections::BTreeMap;
 use std::fs;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Handle to a layout directory.
 #[derive(Debug, Clone)]
@@ -61,57 +59,11 @@ impl LayoutFile {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// Block until `ranks` addresses are published (polling), or time out.
-    pub fn wait_for(
-        &self,
-        ranks: usize,
-        timeout: Duration,
-    ) -> Result<BTreeMap<usize, SocketAddr>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let mut found = BTreeMap::new();
-            for rank in 0..ranks {
-                if let Some(addr) = self.lookup(rank)? {
-                    found.insert(rank, addr);
-                }
-            }
-            if found.len() == ranks {
-                return Ok(found);
-            }
-            if Instant::now() > deadline {
-                return Err(TransportError::Bootstrap(format!(
-                    "timed out waiting for layout: {}/{} ranks published",
-                    found.len(),
-                    ranks
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// Remove all published entries (start of a fresh experiment).
-    pub fn clear(&self) -> Result<()> {
-        if self.dir.exists() {
-            for entry in fs::read_dir(&self.dir)? {
-                let entry = entry?;
-                if entry
-                    .file_name()
-                    .to_string_lossy()
-                    .ends_with(".addr")
-                {
-                    fs::remove_file(entry.path())?;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("eth-layout-tests").join(name);
@@ -125,43 +77,6 @@ mod tests {
         let addr: SocketAddr = "127.0.0.1:4567".parse().unwrap();
         layout.publish(2, addr).unwrap();
         assert_eq!(layout.lookup(2).unwrap(), Some(addr));
-        assert_eq!(layout.lookup(0).unwrap(), None);
-    }
-
-    #[test]
-    fn wait_for_sees_concurrent_publishers() {
-        let layout = LayoutFile::create(&tmp("wait")).unwrap();
-        let l2 = layout.clone();
-        let t = thread::spawn(move || {
-            for rank in 0..3 {
-                thread::sleep(Duration::from_millis(10));
-                l2.publish(rank, format!("127.0.0.1:{}", 5000 + rank).parse().unwrap())
-                    .unwrap();
-            }
-        });
-        let map = layout.wait_for(3, Duration::from_secs(5)).unwrap();
-        assert_eq!(map.len(), 3);
-        assert_eq!(map[&1], "127.0.0.1:5001".parse().unwrap());
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let layout = LayoutFile::create(&tmp("timeout")).unwrap();
-        layout
-            .publish(0, "127.0.0.1:9000".parse().unwrap())
-            .unwrap();
-        let err = layout.wait_for(2, Duration::from_millis(50)).unwrap_err();
-        assert!(err.to_string().contains("1/2"));
-    }
-
-    #[test]
-    fn clear_removes_entries() {
-        let layout = LayoutFile::create(&tmp("clear")).unwrap();
-        layout
-            .publish(0, "127.0.0.1:9000".parse().unwrap())
-            .unwrap();
-        layout.clear().unwrap();
         assert_eq!(layout.lookup(0).unwrap(), None);
     }
 

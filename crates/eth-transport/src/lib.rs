@@ -2,42 +2,48 @@
 //!
 //! The original ETH runs on MPI within a job and "communicating via the
 //! socket layer" between the simulation- and visualization-proxy jobs
-//! (Section III-C). This crate is that substrate:
+//! (Section III-C). This crate is that substrate, with one implementation
+//! of each job:
 //!
 //! * [`comm`] — the [`comm::Communicator`] trait: rank-addressed, tagged,
 //!   ordered point-to-point messaging with traffic counters,
-//! * [`local`] — in-process backend (threads + crossbeam channels): the
-//!   intra-job MPI role, used by tight/intercore coupling and by tests,
-//! * [`socket`] — TCP loopback backend with the paper's layout-file
+//! * [`local`] — the communicator: in-process (threads + crossbeam
+//!   channels), the intra-job MPI role, used by every coupling's
+//!   compositing and by tests,
+//! * [`link`] — the [`link::PairLink`] a block crosses between a
+//!   simulation rank and the visualization rank that drains it: a view of
+//!   a communicator inside one job, a socket between two,
+//! * [`socket`] — the socket pair link with the paper's layout-file
 //!   bootstrap: every simulation-proxy rank publishes `ip:port` to a
 //!   globally visible layout file, opens its port and waits; visualization
 //!   ranks poll the file and connect (Section III-C),
 //! * [`layout`] — the layout file itself,
 //! * [`collectives`] — barrier / broadcast / gather / reduce built on
 //!   point-to-point (binomial trees), used by compositing and the harness,
-//! * [`runner`] — the `mpirun` equivalent: spawn N ranks as threads over a
-//!   fabric and join them (optionally supervised with per-rank timeouts),
+//! * [`runner`] — the `mpirun` equivalent: one launcher that spawns a
+//!   thread per rank and collects them under an optional wall-clock budget
+//!   and an optional heartbeat watch,
 //! * [`fault`] — deterministic, serializable fault plans (drop / corrupt /
 //!   delay / disconnect as pure functions of a seed and the message key),
-//! * [`chaos`] — wrappers that enact a fault plan around a real
-//!   communicator or stream channel.
+//! * [`chaos`] — the wrapper that enacts a fault plan on a pair link.
 
 pub mod chaos;
 pub mod collectives;
 pub mod comm;
 pub mod fault;
 pub mod layout;
+pub mod link;
 pub mod local;
 pub mod message;
 pub mod runner;
 pub mod socket;
 
-pub use chaos::{ChaosChannel, ChaosComm};
+pub use chaos::ChaosLink;
 pub use comm::{Communicator, TransportError};
 pub use fault::{Backoff, BackoffShape, FaultPlan, KillSpec};
+pub use link::{FabricLink, PairLink};
 pub use local::LocalFabric;
 pub use runner::{
-    run_ranks, run_ranks_heartbeat, run_ranks_supervised, spawn_migration_supervisor,
-    spawn_supervisor, DeathNotice, HeartbeatBoard, HeartbeatPolicy, HeartbeatRun, MigrationBook,
-    RankFailure, Supervisor,
+    launch, run_ranks, spawn_migration_supervisor, DeathNotice, HeartbeatBoard, HeartbeatPolicy,
+    MigrationBook, RankFailure, Seat, Supervision, Supervisor, Watch,
 };

@@ -379,7 +379,7 @@ mod tests {
             Vec3::new(2.0, 3.0, 4.0),
         ]));
         let mut bytes = encode_dataset(&obj).to_vec();
-        // flip a body byte (past the magic), exactly what ChaosComm does
+        // flip a body byte (past the magic), exactly what the chaos wrapper does
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         match decode_dataset_from(7, Bytes::from(bytes)) {

@@ -5,9 +5,10 @@
 //! never a panic.
 
 use bytes::Bytes;
-use eth_transport::chaos::ChaosComm;
+use eth_transport::chaos::ChaosLink;
 use eth_transport::comm::Communicator;
 use eth_transport::fault::{FaultKind, FaultPlan, DATA_TAG_MIN};
+use eth_transport::link::{FabricLink, PairLink};
 use eth_transport::local::LocalFabric;
 
 const RANKS: usize = 3;
@@ -29,43 +30,43 @@ fn chaos_drops_dangle_and_corrupt_messages_still_pair() {
     let guard = recorder.attach();
     let ctx = eth_obs::current_context();
 
-    let comms: Vec<ChaosComm<_>> = LocalFabric::new(RANKS)
-        .into_iter()
-        .map(|c| ChaosComm::new(c, plan.clone()))
-        .collect();
+    // every rank holds a wrapped pair link to each of its peers
+    let comms = LocalFabric::new(RANKS);
     let mut logs = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for comm in &comms {
-            let ctx = ctx.clone();
+            let (ctx, plan) = (ctx.clone(), plan.clone());
             handles.push(scope.spawn(move || {
                 let _obs = ctx.attach();
                 let rank = comm.rank();
                 eth_obs::set_rank(rank);
-                for peer in (0..RANKS).filter(|&p| p != rank) {
+                let links: Vec<_> = (0..RANKS)
+                    .filter(|&peer| peer != rank)
+                    .map(|peer| ChaosLink::new(FabricLink { comm, peer }, plan.clone()))
+                    .collect();
+                for link in &links {
                     for i in 0..SENDS {
                         let tag = DATA_TAG_MIN + i as u32;
-                        comm.send(peer, tag, Bytes::from(vec![rank as u8; 64]))
+                        link.send(tag, Bytes::from(vec![rank as u8; 64]))
                             .expect("chaos send never errors without a disconnect plan");
                     }
                 }
                 // Drain what survived. A dropped message costs one
                 // bounded deadline; a corrupted one arrives (and thus
                 // pairs its flow) before failing integrity.
-                for peer in (0..RANKS).filter(|&p| p != rank) {
+                for link in &links {
                     for i in 0..SENDS {
-                        let _ = comm.recv(peer, DATA_TAG_MIN + i as u32);
+                        let _ = link.recv(DATA_TAG_MIN + i as u32, None);
                     }
                 }
+                links.iter().flat_map(ChaosLink::fault_log).collect::<Vec<_>>()
             }));
         }
         for h in handles {
-            h.join().expect("no rank panicked");
+            logs.extend(h.join().expect("no rank panicked"));
         }
     });
-    for comm in &comms {
-        logs.extend(comm.fault_log());
-    }
     drop(guard);
     let trace = recorder.take();
     assert!(trace.check_well_formed().is_ok());
