@@ -1,883 +1,343 @@
-//! Regenerate every table and figure of the paper's evaluation.
+//! Regenerate every table and figure of the paper's evaluation, and drive
+//! the harness' benchmarks, smokes and campaign service.
 //!
-//! ```text
-//! reproduce                      # print all artifacts as markdown
-//! reproduce table1 fig15         # print a subset
-//! reproduce --csv out/           # also write one CSV per artifact
-//! reproduce table2 --journal d/  # durable: journal table2's campaign to d/
-//! reproduce table2 --journal d/ --resume   # restore completed points
-//! reproduce table2 --recovery    # kill one rank per point, recover in-run
-//! reproduce chaos-campaign       # lossy campaign demo with retries
-//! reproduce chaos-campaign --seed 42
-//! reproduce chaos-campaign --kill-rank     # in-run rank-loss recovery demo
-//! reproduce migrate              # elasticity benchmark (BENCH_migration.json)
-//! reproduce migrate --smoke      # CI-sized: byte-identity + counters only
-//! reproduce bench                # campaign-throughput benchmark
-//! reproduce bench --smoke        # CI-sized benchmark
-//! reproduce bench --out FILE     # where to write the JSON report
-//! reproduce render-bench         # HLBVH/tiling/progressive benchmark
-//! reproduce render-bench --quick # CI smoke: schema + byte-identity
-//! reproduce table2 --memory-budget 256M    # beyond-RAM: spill + stream back
-//! reproduce pressure-bench       # resource-pressure benchmark (BENCH_pressure.json)
-//! reproduce pressure-bench --quick         # CI-sized
-//! reproduce pressure-chaos       # seeded ENOSPC/OOM chaos smoke (CI)
-//! reproduce serve                # campaign service on :7070 until SIGTERM
-//! reproduce serve --root d/      # durable root (restart resumes campaigns)
-//! reproduce serve-chaos          # self-checking service smoke (CI)
-//! reproduce trace-analyze FILE   # per-step critical path of a saved trace
-//! reproduce trace-smoke          # CI: 4-rank flow-stitching invariants
-//! ```
-//!
-//! Flight-recorder flags, valid with any of the above:
-//!
-//! ```text
-//! --trace FILE      # export a Chrome trace-event JSON (Perfetto-loadable)
-//! --metrics FILE    # export campaign telemetry as Prometheus text, plus
-//!                   # FILE.jsonl (needs table2, chaos-campaign, or migrate)
-//! --verbose         # per-artifact progress on stderr
-//! --quiet           # artifacts only, no progress chatter
-//! ```
+//! Everything this binary accepts is one row of [`COMMANDS`]: a name, a
+//! flag spec, whether `--metrics` applies, a handler. [`plan`] resolves an
+//! argument list against that table (every usage error is an `Err` there
+//! and exit code 2 in `main`), and `reproduce --help` prints the text
+//! [`usage`] generates from it. Tables and reports go to stdout; what is
+//! said to the human goes to stderr through `say!` / `die`.
 
+use eth_bench::cli::{die, Args, Flag, Report, Takes};
 use eth_bench::progress::{Progress, Verbosity};
-use eth_bench::{campaign, chaos, migrate, pressure, render, runs, serve};
+use eth_bench::runs::Table2;
+use eth_bench::{campaign, chaos, migrate, pressure, render, runs, say, serve, trace};
 use eth_core::CampaignTelemetry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// `reproduce bench [--smoke] [--out PATH]`: run the campaign-throughput
-/// benchmark and write `BENCH_campaign.json`.
-fn run_bench(args: &[String], progress: &Progress) {
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_campaign.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a file argument");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown bench option '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    progress.begin("bench");
-    let report = match campaign::run_campaign_bench(smoke) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign bench failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", report.summary());
-    if !report.images_byte_identical {
-        eprintln!("campaign images diverged from sequential execution");
-        std::process::exit(1);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    progress.done("bench", "complete");
-    progress.note(&format!("wrote {}", out_path.display()));
+struct Command {
+    /// The first word that selects it; `""` is the default command.
+    name: &'static str,
+    /// Usage text for positional words (`""` = none accepted).
+    positional: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    /// Whether `--metrics` applies: the handler runs a campaign.
+    metrics: bool,
+    /// Usage rules beyond the flag spec.
+    check: fn(&Args) -> Result<(), String>,
+    /// Returns the telemetry of the campaign it ran, if it ran one.
+    run: fn(&Args, &Progress) -> Option<CampaignTelemetry>,
 }
 
-/// `reproduce render-bench [--quick] [--out PATH]`: run the render
-/// hot-path benchmark — HLBVH vs median-split build curves, tiled frame
-/// times, byte-identity, the progressive RMSE ladder — and write
-/// `BENCH_render.json`. Exits nonzero if the contract is violated
-/// (timing gates only in the full-size run; `--quick` is for CI).
-fn run_render_bench(args: &[String], progress: &Progress) {
-    let mut quick = false;
-    let mut out_path = PathBuf::from("BENCH_render.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a file argument");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown render-bench option '{other}'");
-                std::process::exit(2);
-            }
-        }
+const fn flag(name: &'static str, takes: Takes, help: &'static str) -> Flag {
+    Flag { name, takes, help }
+}
+
+const OUT: Flag = flag("--out", Takes::Text("FILE"), "where to write the JSON report");
+
+/// Valid with every command, in any position.
+const GLOBAL: &[Flag] = &[
+    flag("--trace", Takes::Text("FILE"), "export a stitched Chrome trace-event JSON (Perfetto-loadable)"),
+    flag("--metrics", Takes::Text("FILE"), "export campaign telemetry as Prometheus text, plus FILE.jsonl"),
+    flag("--verbose", Takes::Nothing, "per-artifact progress on stderr"),
+    flag("--quiet", Takes::Nothing, "artifacts only, no progress chatter"),
+    flag("--help", Takes::Nothing, "print this text"),
+    flag("-h", Takes::Nothing, "print this text"),
+];
+
+/// What a row leaves unsaid: no positionals, no `--metrics`, no extra rules.
+const ROW: Command = Command {
+    name: "",
+    positional: "",
+    about: "",
+    flags: &[],
+    metrics: false,
+    check: |_| Ok(()),
+    run: |_, _| None,
+};
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "",
+        positional: "[ARTIFACT ..]",
+        about: "print the paper's tables and figures as markdown (all of them when none is named)",
+        flags: &[
+            flag("--csv", Takes::Text("DIR"), "also write one CSV per artifact"),
+            flag("--journal", Takes::Text("DIR"), "table2: durable campaign journaled to DIR"),
+            flag("--resume", Takes::Nothing, "table2: restore the points --journal DIR already finished"),
+            flag("--recovery", Takes::Nothing, "table2: kill one rank per point, recover in-run"),
+            flag("--memory-budget", Takes::Size("SIZE"), "table2: beyond RAM, spill + stream back (e.g. 256M)"),
+        ],
+        metrics: true,
+        check: check_artifacts,
+        run: run_artifacts,
+    },
+    Command {
+        name: "chaos-campaign",
+        about: "lossy campaign demo: seeded faults, retries with backoff, quarantine",
+        flags: &[
+            flag("--seed", Takes::Int("N"), "fault and failure-schedule seed (default 7)"),
+            flag("--kill-rank", Takes::Nothing, "instead: one seeded rank kill per point, recovered in-run"),
+        ],
+        metrics: true,
+        run: run_chaos,
+        ..ROW
+    },
+    Command {
+        name: "migrate",
+        about: "elasticity benchmark: every migration schedule against a byte-identity contract",
+        flags: &[
+            flag("--smoke", Takes::Nothing, "CI-sized: byte-identity + counters only"),
+            flag("--samples", Takes::Int("N"), "samples per pattern"),
+            OUT,
+        ],
+        metrics: true,
+        run: |args, progress| {
+            let samples = match args.int("--samples") {
+                Some(n) => n as usize,
+                None if args.has("--smoke") => migrate::SMOKE_SAMPLES,
+                None => migrate::FULL_SAMPLES,
+            };
+            report("migrate", args, progress, || {
+                migrate::run_migration_bench(samples).map(|(report, campaign)| (report, Some(campaign)))
+            })
+        },
+        ..ROW
+    },
+    Command {
+        name: "bench",
+        about: "campaign-throughput benchmark",
+        flags: &[flag("--smoke", Takes::Nothing, "CI-sized"), OUT],
+        run: |args, progress| {
+            report("bench", args, progress, || Ok((campaign::run_campaign_bench(args.has("--smoke"))?, None)))
+        },
+        ..ROW
+    },
+    Command {
+        name: "render-bench",
+        about: "render hot path: HLBVH build curve, tiling, progressive RMSE ladder",
+        flags: &[flag("--quick", Takes::Nothing, "CI smoke: schema + byte-identity, no timing gates"), OUT],
+        run: |args, progress| {
+            report("render-bench", args, progress, || Ok((render::run_render_bench(args.has("--quick"))?, None)))
+        },
+        ..ROW
+    },
+    Command {
+        name: "pressure-bench",
+        about: "resource-pressure benchmark: bounded memory, spill, wire codecs, chaos",
+        flags: &[flag("--quick", Takes::Nothing, "CI-sized"), OUT],
+        run: |args, progress| {
+            report("pressure-bench", args, progress, || Ok((pressure::run_pressure_bench(args.has("--quick"))?, None)))
+        },
+        ..ROW
+    },
+    Command {
+        name: "pressure-chaos",
+        about: "seeded ENOSPC/OOM chaos smoke: recover, quarantine, resume",
+        flags: &[flag("--seed", Takes::Int("N"), "fault seed (default 11)")],
+        run: |args, progress| {
+            let seed = args.int("--seed").unwrap_or(11);
+            report("pressure-chaos", args, progress, || Ok((pressure::pressure_chaos(seed)?, None)))
+        },
+        ..ROW
+    },
+    Command {
+        name: "serve",
+        about: "campaign service until SIGTERM, then a graceful drain (scrape GET /metrics)",
+        flags: &[
+            flag("--addr", Takes::Text("HOST:PORT"), "listen address (default 127.0.0.1:7070)"),
+            flag("--root", Takes::Text("DIR"), "durable root; a restart resumes its campaigns (default serve-root)"),
+            flag("--slots", Takes::Int("N"), "scheduler slots per campaign"),
+            flag("--max-queued-points", Takes::Int("N"), "shed submissions beyond this many unfinished points"),
+            flag("--per-tenant-inflight", Takes::Int("N"), "running campaigns one tenant may hold"),
+            flag("--request-deadline-ms", Takes::Int("N"), "per-request read deadline"),
+            flag("--drain-timeout-ms", Takes::Int("N"), "how long drain waits for in-flight points"),
+        ],
+        run: |args, progress| serve::run_serve(args, progress),
+        ..ROW
+    },
+    Command {
+        name: "serve-chaos",
+        about: "self-checking service smoke: dedupe, 429 shed, drain, restart, resume",
+        flags: &[flag("--root", Takes::Text("DIR"), "service root (default: a fresh temp dir)")],
+        run: |args, progress| {
+            serve::run_serve_chaos(args, progress);
+            None
+        },
+        ..ROW
+    },
+    Command {
+        name: "trace-analyze",
+        positional: "FILE",
+        about: "per-step critical path of a saved (stitched or plain) trace",
+        flags: &[flag("--top", Takes::Int("N"), "rows per table (default 5)")],
+        metrics: false,
+        check: |args| match args.positional.len() {
+            1 => Ok(()),
+            _ => Err("usage: reproduce trace-analyze FILE [--top N]".into()),
+        },
+        run: |args, _| {
+            trace::analyze(Path::new(&args.positional[0]), args.int("--top").unwrap_or(5) as usize);
+            None
+        },
+    },
+    Command {
+        name: "trace-smoke",
+        about: "4-rank flow-stitching and critical-path invariants",
+        flags: &[],
+        run: |_, progress| {
+            trace::smoke(progress);
+            None
+        },
+        ..ROW
+    },
+];
+
+/// The usage text, generated from [`COMMANDS`] and [`GLOBAL`].
+fn usage() -> String {
+    let flag_help =
+        |out: &mut String, f: &Flag| out.push_str(&format!("        {:<28} {}\n", f.usage(), f.help));
+    let mut out = String::new();
+    for c in COMMANDS {
+        let words: Vec<String> = [c.name, c.positional]
+            .iter()
+            .filter(|w| !w.is_empty())
+            .map(|w| w.to_string())
+            .chain(c.flags.iter().map(|f| format!("[{}]", f.usage())))
+            .collect();
+        let lead = if out.is_empty() { "usage:" } else { "      " };
+        out.push_str(&format!("{lead} reproduce {}\n        {}\n", words.join(" "), c.about));
+        c.flags.iter().for_each(|f| flag_help(&mut out, f));
     }
-    progress.begin("render-bench");
-    let report = match render::run_render_bench(quick) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("render bench failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    out.push_str("with any of the above:\n");
+    GLOBAL.iter().for_each(|f| flag_help(&mut out, f));
+    out.push_str(&format!("artifacts: {}\n", runs::ARTIFACT_IDS.join(" ")));
+    out
+}
+
+/// Resolve `argv` against the table: the first word after any leading
+/// global flags names the command (anything else is the default
+/// command's), and the rest parses against that command's flags plus
+/// [`GLOBAL`]. Every `Err` is a usage error.
+fn plan(argv: &[String]) -> Result<(&'static Command, Args), String> {
+    let mut at = 0;
+    while let Some(global) = argv.get(at).and_then(|w| GLOBAL.iter().find(|f| f.name == w)) {
+        at += if global.takes == Takes::Nothing { 1 } else { 2 };
+    }
+    let named = argv.get(at).and_then(|w| COMMANDS.iter().find(|c| !c.name.is_empty() && c.name == w));
+    let command = named.unwrap_or(&COMMANDS[0]);
+    let mut rest = argv.to_vec();
+    if named.is_some() {
+        rest.remove(at);
+    }
+    let spec: Vec<Flag> = GLOBAL.iter().chain(command.flags).copied().collect();
+    let args = Args::parse(&spec, &rest)?;
+    if command.positional.is_empty() && !args.positional.is_empty() {
+        return Err(format!("{} takes no '{}'", command.name, args.positional[0]));
+    }
+    if args.has("--metrics") && !command.metrics {
+        let name = command.name;
+        return Err(format!("--metrics does not apply to {name} (use table2, chaos-campaign, or migrate)"));
+    }
+    (command.check)(&args)?;
+    Ok((command, args))
+}
+
+/// The default command's rules: known artifacts only, and the campaign
+/// flags only where table2 — the one native-render campaign — is selected.
+fn check_artifacts(args: &Args) -> Result<(), String> {
+    let known = runs::ARTIFACT_IDS;
+    if let Some(w) = args.positional.iter().find(|w| !known.contains(&w.as_str())) {
+        return Err(format!("unknown artifact '{w}' (known: {})", known.join(", ")));
+    }
+    if args.has("--resume") && !args.has("--journal") {
+        return Err("--resume needs --journal DIR".into());
+    }
+    let table2 = args.positional.is_empty() || args.positional.iter().any(|w| w == "table2");
+    let modes = ["--journal", "--recovery", "--memory-budget"];
+    if let Some(f) = modes.iter().chain(&["--metrics"]).find(|f| args.has(f) && !table2) {
+        return Err(format!("{f} only applies to table2 (--metrics also to chaos-campaign and migrate)"));
+    }
+    if modes.iter().filter(|f| args.has(f)).count() > 1 {
+        return Err("--journal, --recovery and --memory-budget do not combine".into());
+    }
+    Ok(())
+}
+
+/// The one driver behind `bench`, `render-bench`, `migrate`,
+/// `pressure-bench` and `pressure-chaos`: run, print the summary, write the
+/// JSON (to `--out`, else the report's default path, if it has one), hold
+/// the report to its contract. Hands back the telemetry of the campaign
+/// the run included, if it had one.
+fn report<R: Report>(
+    name: &'static str,
+    args: &Args,
+    progress: &Progress,
+    run: impl FnOnce() -> eth_core::Result<(R, Option<CampaignTelemetry>)>,
+) -> Option<CampaignTelemetry> {
+    progress.begin(name);
+    let (report, telemetry) = run().unwrap_or_else(|e| die(1, format!("{name} failed: {e}")));
     println!("{}", report.summary());
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {}: {e}", out_path.display());
-        std::process::exit(1);
+    if let Some(path) = args.get("--out").or(R::DEFAULT_OUT) {
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
+        write_file(Path::new(path), json + "\n");
+        progress.note(&format!("wrote {path}"));
     }
     if let Err(e) = report.check() {
-        eprintln!("render bench contract violated: {e}");
-        std::process::exit(1);
+        die(1, format!("{name} contract violated: {e}"));
     }
-    progress.done("render-bench", "complete");
-    progress.note(&format!("wrote {}", out_path.display()));
-}
-
-/// `reproduce migrate [--smoke] [--samples N] [--out PATH]`: run the
-/// elasticity benchmark — every migration schedule measured for per-
-/// handoff disruption against a byte-identity contract — and write
-/// `BENCH_migration.json`. Returns the campaign pass's telemetry so
-/// `--metrics` exports the migration counters.
-fn run_migrate(args: &[String], progress: &Progress) -> CampaignTelemetry {
-    let mut samples = migrate::FULL_SAMPLES;
-    let mut out_path = PathBuf::from("BENCH_migration.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => samples = migrate::SMOKE_SAMPLES,
-            "--samples" => {
-                samples = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--samples needs a positive integer argument");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a file argument");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown migrate option '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    progress.begin("migrate");
-    let (report, telemetry) = match migrate::run_migration_bench(samples) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("migration bench failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", report.summary());
-    if !report.byte_identical {
-        eprintln!("migration changed the images: the zero-loss contract is broken");
-        std::process::exit(1);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    progress.done("migrate", "complete");
-    progress.note(&format!("wrote {}", out_path.display()));
+    progress.done(name, "complete");
     telemetry
 }
 
-/// `reproduce chaos-campaign [--seed N] [--kill-rank]`: run the lossy
-/// retry/quarantine demo campaign — or, with `--kill-rank`, the in-run
-/// fault-tolerance demo where every point loses one rank to a seeded kill
-/// and must complete by heartbeat detection + partition adoption, without
-/// a campaign-level retry. Prints the report and hands back telemetry.
-fn run_chaos(args: &[String], progress: &Progress) -> CampaignTelemetry {
-    let mut seed = 7u64;
-    let mut kill_rank = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs an integer argument");
-                        std::process::exit(2);
-                    });
-            }
-            "--kill-rank" => kill_rank = true,
-            other => {
-                eprintln!("unknown chaos-campaign option '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    if kill_rank {
-        progress.begin("kill-rank");
-        let (table, outcome) = match chaos::kill_campaign(seed) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("kill-rank campaign failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!("{}", table.to_markdown());
-        // The acceptance gate CI greps for: every point must have survived
-        // exactly its scripted loss and adopted the partition, first try.
-        let recovered = outcome.results.iter().all(|r| match r {
-            Ok(n) => n.degradation.rank_losses == 1 && n.degradation.adopted_partitions == 1,
-            Err(_) => false,
-        });
-        let no_retries = outcome.attempts.iter().all(|&a| a == 1);
-        if !recovered || !no_retries || !outcome.quarantined.is_empty() {
-            eprintln!(
-                "kill-rank campaign did not recover in-run: attempts {:?}, quarantined {:?}",
-                outcome.attempts, outcome.quarantined
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "kill-rank: {} points, every point completed with rank_losses == 1 \
-             and adopted_partitions == 1, no retries",
-            outcome.results.len()
-        );
-        progress.done("kill-rank", "complete");
-        return outcome.telemetry;
-    }
-    progress.begin("chaos-campaign");
-    let (table, outcome) = match chaos::chaos_campaign(seed) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("chaos campaign failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", table.to_markdown());
-    progress.note(&format!(
-        "campaign: {} points, {} attempts total, {} quarantined, {:.2}s",
-        outcome.results.len(),
-        outcome.attempts.iter().sum::<u32>(),
-        outcome.quarantined.len(),
-        outcome.wall_s,
-    ));
-    progress.done("chaos-campaign", "complete");
-    outcome.telemetry
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| die(1, format!("failed to write {}: {e}", path.display())));
 }
 
-/// `reproduce pressure-bench [--quick] [--out PATH]`: run the resource-
-/// pressure benchmark — beyond-RAM byte-identity under a staging budget,
-/// spill/reload throughput, wire compression counters, peak RSS, and the
-/// seeded ENOSPC/alloc-failure chaos campaign — and write
-/// `BENCH_pressure.json`. Exits nonzero if the contract is violated.
-fn run_pressure_bench(args: &[String], progress: &Progress) {
-    let mut quick = false;
-    let mut out_path = PathBuf::from("BENCH_pressure.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a file argument");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown pressure-bench option '{other}'");
-                std::process::exit(2);
-            }
-        }
+/// The default command: print the selected artifacts in paper order.
+/// table2 runs through the campaign engine (so its outcome carries
+/// telemetry for `--metrics`), plain, journaled, under a rank kill per
+/// point, or under a memory budget.
+fn run_artifacts(args: &Args, progress: &Progress) -> Option<CampaignTelemetry> {
+    let journal = args.get("--journal").map(Path::new);
+    if let Some(dir) = journal.filter(|d| args.has("--resume") && !d.join("journal.jsonl").exists()) {
+        die(2, format!("--resume: no journal at {}", dir.display()));
     }
-    progress.begin("pressure-bench");
-    let report = match pressure::run_pressure_bench(quick) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pressure bench failed: {e}");
-            std::process::exit(1);
-        }
+    let variant = match args.size("--memory-budget") {
+        Some(budget) => Table2::Budgeted(budget),
+        None if args.has("--recovery") => Table2::Recovery,
+        None => Table2::Plain,
     };
-    println!("{}", report.summary());
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    if let Err(e) = report.check() {
-        eprintln!("pressure bench contract violated: {e}");
-        std::process::exit(1);
-    }
-    progress.done("pressure-bench", "complete");
-    progress.note(&format!("wrote {}", out_path.display()));
-}
-
-/// `reproduce pressure-chaos [--seed N]`: the CI smoke — a seeded
-/// campaign where points tear ENOSPC mid-write (must recover on retry)
-/// or fail allocation while staging (must quarantine as OutOfMemory),
-/// with zero panics, byte-identical recovered images, and a full
-/// journal-resume restore. Exits nonzero on any violation.
-fn run_pressure_chaos(args: &[String], progress: &Progress) {
-    let mut seed = 11u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer argument");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown pressure-chaos option '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    progress.begin("pressure-chaos");
-    let chaos = match pressure::pressure_chaos(seed) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pressure chaos failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", chaos.summary());
-    if let Err(e) = chaos.check() {
-        eprintln!("pressure chaos contract violated: {e}");
-        std::process::exit(1);
-    }
-    progress.done("pressure-chaos", "complete");
-}
-
-/// Parse a human byte size: plain bytes, or `K`/`M`/`G` suffixed
-/// (binary units, e.g. `256M` = 256 MiB).
-fn parse_byte_size(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let (digits, unit) = match s.char_indices().find(|(_, c)| !c.is_ascii_digit()) {
-        Some((i, _)) => s.split_at(i),
-        None => (s, ""),
-    };
-    let n: u64 = digits.parse().ok()?;
-    let shift = match unit.to_ascii_uppercase().as_str() {
-        "" | "B" => 0,
-        "K" | "KB" | "KIB" => 10,
-        "M" | "MB" | "MIB" => 20,
-        "G" | "GB" | "GIB" => 30,
-        _ => return None,
-    };
-    n.checked_shl(shift)
-}
-
-/// Pull `--flag VALUE` out of the argument list (any position).
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a file argument");
-        std::process::exit(2);
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Some(PathBuf::from(value))
-}
-
-/// Pull a bare `--flag` out of the argument list (any position).
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
-/// `reproduce trace-smoke`: run one 4-rank internode point and hold the
-/// causal-tracing invariants: flows all pair, nothing dangles, the
-/// critical-path walk explains ≥90% of every step's wall time, and the
-/// images are byte-identical to a second (differently-recorded) run.
-/// CI runs this with `--trace FILE` and validates the stitched JSON too.
-fn run_trace_smoke(progress: &Progress) {
-    use eth_core::{run_native, Application, Coupling, ExperimentSpec};
-    progress.begin("trace-smoke");
-    let spec = ExperimentSpec::builder("trace-smoke")
-        .application(Application::Hacc { particles: 4_000 })
-        .coupling(Coupling::Internode)
-        .ranks(4)
-        // Asymmetric layout: four sim ranks stream to one viz rank. The
-        // CI box may have a single core, and every extra runnable thread
-        // turns scheduler wait into honest-but-unattributable idle in the
-        // critical-path walk; this shape keeps real cross-node flows while
-        // staying close to serial execution.
-        .viz_ranks(1)
-        .steps(3)
-        .image_size(64, 64)
-        .build()
-        .expect("trace-smoke spec validates");
-    let outcome = match run_native(&spec) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("trace-smoke run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let Some(cp) = &outcome.critical_path else {
-        eprintln!("trace-smoke: run produced no critical-path summary");
-        std::process::exit(1);
-    };
-    if cp.steps != spec.steps as u64 {
-        eprintln!("trace-smoke: walked {} step windows, expected {}", cp.steps, spec.steps);
-        std::process::exit(1);
-    }
-    if cp.dangling_flows != 0 {
-        eprintln!("trace-smoke: {} dangling flows in a clean run", cp.dangling_flows);
-        std::process::exit(1);
-    }
-    let share_sum = cp.share_sum();
-    if share_sum < 0.9 {
-        eprintln!(
-            "trace-smoke: critical-path shares cover {:.1}% of step wall time (< 90%)",
-            share_sum * 100.0
-        );
-        for p in &cp.phases {
-            eprintln!("  {}: {:.6}s ({:.1}%)", p.phase, p.seconds, p.share * 100.0);
-        }
-        eprintln!("  idle: {:.6}s of {:.6}s", cp.idle_s, cp.total_s);
-        eprintln!("  windows: {:?}", cp.step_s);
-        if std::env::var("ETH_SMOKE_KEEP_GOING").is_err() {
-            std::process::exit(1);
-        }
-    }
-    // Tracing must not perturb the rendered output: a second run (same
-    // spec, separately recorded) has to produce byte-identical images.
-    // Run it on a thread with no inherited context so a `--trace` export
-    // stays one clean run instead of two concatenated ones.
-    let rerun = std::thread::spawn({
-        let spec = spec.clone();
-        move || run_native(&spec)
-    });
-    let again = match rerun.join().expect("rerun thread never panics") {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("trace-smoke rerun failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let identical = outcome.images.len() == again.images.len()
-        && outcome
-            .images
-            .iter()
-            .zip(&again.images)
-            .all(|(a, b)| a.to_png() == b.to_png());
-    if !identical {
-        eprintln!("trace-smoke: images diverged between recorded runs");
-        std::process::exit(1);
-    }
-    println!(
-        "trace-smoke ok: {} steps, coverage {:.1}%, shares {:.1}%, \
-         {} flow pairs, 0 dangling, images byte-identical",
-        cp.steps,
-        cp.coverage * 100.0,
-        share_sum * 100.0,
-        outcome.counters.get("flow_matched"),
-    );
-    progress.done("trace-smoke", "complete");
-}
-
-/// `reproduce trace-analyze FILE [--top N]`: read a (stitched or plain)
-/// Chrome trace JSON and print the per-step critical-path attribution.
-/// Prefers the summary a stitched export embeds; a plain trace gets its
-/// flows re-paired and the walk re-run here.
-fn run_trace_analyze(args: &[String]) {
-    let mut top = 5usize;
-    let mut file: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => {
-                top = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--top needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            other if file.is_none() && !other.starts_with('-') => {
-                file = Some(PathBuf::from(other));
-            }
-            other => {
-                eprintln!("unknown trace-analyze option '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(file) = file else {
-        eprintln!("usage: reproduce trace-analyze FILE [--top N]");
-        std::process::exit(2);
-    };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to read {}: {e}", file.display());
-            std::process::exit(1);
-        }
-    };
-    let value = match serde_json::parse_value_complete(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{} is not valid JSON: {e}", file.display());
-            std::process::exit(1);
-        }
-    };
-    let (trace, embedded) = match eth_obs::trace_from_chrome(&value) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{} is not a Chrome trace: {e}", file.display());
-            std::process::exit(1);
-        }
-    };
-    let summary = match embedded {
-        Some(s) => s,
-        // Plain export: re-pair the flows and walk the critical path here.
-        None => match eth_obs::MergedTrace::build(trace).critical_path {
-            Some(s) => s,
-            None => {
-                eprintln!(
-                    "{}: no step marks in the trace; record with --trace on a run \
-                     that composites at least one step",
-                    file.display()
-                );
-                std::process::exit(1);
-            }
-        },
-    };
-    println!(
-        "critical path over {} steps ({:.3}s total, coverage {:.1}%{}):",
-        summary.steps,
-        summary.total_s,
-        summary.coverage * 100.0,
-        if summary.dangling_flows > 0 {
-            format!(", {} dangling flows", summary.dangling_flows)
-        } else {
-            String::new()
-        }
-    );
-    println!("| phase | seconds | share |");
-    println!("|---|---|---|");
-    for p in summary.phases.iter().take(top) {
-        println!("| {} | {:.6} | {:.1}% |", p.phase, p.seconds, p.share * 100.0);
-    }
-    if summary.idle_s > 0.0 {
-        println!("| (idle) | {:.6} | {:.1}% |", summary.idle_s, (1.0 - summary.coverage) * 100.0);
-    }
-    println!();
-    println!("bounding ranks (heaviest first):");
-    for r in summary.bounding_ranks.iter().take(top) {
-        let rank = if r.rank == eth_obs::NO_RANK {
-            "harness".to_string()
-        } else {
-            format!("rank {}", r.rank)
-        };
-        println!("  {rank}: bounded {} steps, {:.6}s on the path", r.steps_bounded, r.seconds);
-    }
-}
-
-/// Write the flight-recorder exports the user asked for.
-fn write_exports(
-    recorder: &eth_obs::Recorder,
-    trace_path: Option<&PathBuf>,
-    metrics_path: Option<&PathBuf>,
-    telemetry: Option<&CampaignTelemetry>,
-    progress: &Progress,
-) {
-    if let Some(path) = trace_path {
-        let trace = recorder.take();
-        if let Err(e) = trace.check_well_formed() {
-            eprintln!("internal error: malformed trace: {e}");
-            std::process::exit(1);
-        }
-        let records = trace.records.len();
-        // Stitched view: every matched send/recv pair becomes a Perfetto
-        // flow arrow, and the critical-path summary rides along in the
-        // JSON for `reproduce trace-analyze`.
-        let merged = eth_obs::MergedTrace::build(trace);
-        if let Err(e) = std::fs::write(path, merged.to_chrome_trace()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        progress.note(&format!(
-            "wrote {} ({records} trace records, {} flows stitched, {} dangling)",
-            path.display(),
-            merged.matched.len(),
-            merged.dangling_out + merged.dangling_in,
-        ));
-    }
-    if let Some(path) = metrics_path {
-        let Some(t) = telemetry else {
-            eprintln!("--metrics: no campaign ran (use table2, chaos-campaign, or migrate)");
-            std::process::exit(2);
-        };
-        if let Err(e) = std::fs::write(path, t.to_prometheus()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        let jsonl = PathBuf::from(format!("{}.jsonl", path.display()));
-        if let Err(e) = std::fs::write(&jsonl, t.to_jsonl()) {
-            eprintln!("failed to write {}: {e}", jsonl.display());
-            std::process::exit(1);
-        }
-        progress.note(&format!(
-            "wrote {} and {}",
-            path.display(),
-            jsonl.display()
-        ));
-    }
-}
-
-/// Run whichever subcommand/artifacts the arguments select; returns the
-/// telemetry of the campaign that ran (if one did).
-fn dispatch(args: Vec<String>, progress: &Progress, want_metrics: bool) -> Option<CampaignTelemetry> {
-    if args.first().map(String::as_str) == Some("bench") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to bench (use table2, chaos-campaign, or migrate)");
-            std::process::exit(2);
-        }
-        run_bench(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("render-bench") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to render-bench");
-            std::process::exit(2);
-        }
-        run_render_bench(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to serve (scrape GET /metrics instead)");
-            std::process::exit(2);
-        }
-        serve::run_serve(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("serve-chaos") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to serve-chaos");
-            std::process::exit(2);
-        }
-        serve::run_serve_chaos(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("trace-smoke") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to trace-smoke");
-            std::process::exit(2);
-        }
-        run_trace_smoke(progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("trace-analyze") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to trace-analyze");
-            std::process::exit(2);
-        }
-        run_trace_analyze(&args[1..]);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("pressure-bench") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to pressure-bench");
-            std::process::exit(2);
-        }
-        run_pressure_bench(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("pressure-chaos") {
-        if want_metrics {
-            eprintln!("--metrics does not apply to pressure-chaos");
-            std::process::exit(2);
-        }
-        run_pressure_chaos(&args[1..], progress);
-        return None;
-    }
-    if args.first().map(String::as_str) == Some("chaos-campaign") {
-        return Some(run_chaos(&args[1..], progress));
-    }
-    if args.first().map(String::as_str) == Some("migrate") {
-        return Some(run_migrate(&args[1..], progress));
-    }
-
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut journal_dir: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut recovery = false;
-    let mut memory_budget: Option<u64> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--memory-budget" => {
-                let size = it.next().unwrap_or_else(|| {
-                    eprintln!("--memory-budget needs a size argument (e.g. 256M)");
-                    std::process::exit(2);
-                });
-                memory_budget = Some(parse_byte_size(&size).unwrap_or_else(|| {
-                    eprintln!("--memory-budget: cannot parse '{size}' (try 256M, 1G, 65536)");
-                    std::process::exit(2);
-                }));
-            }
-            "--csv" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory argument");
-                    std::process::exit(2);
-                });
-                csv_dir = Some(PathBuf::from(dir));
-            }
-            "--journal" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("--journal needs a directory argument");
-                    std::process::exit(2);
-                });
-                journal_dir = Some(PathBuf::from(dir));
-            }
-            "--resume" => resume = true,
-            "--recovery" => recovery = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: reproduce [--csv DIR] [--journal DIR [--resume]] \
-                     [table2 --recovery | table2 --memory-budget SIZE] \
-                     [table1 table2 fig8 .. fig15]\n\
-                     \x20      reproduce chaos-campaign [--seed N] [--kill-rank]\n\
-                     \x20      reproduce migrate [--smoke] [--samples N] [--out FILE]\n\
-                     \x20      reproduce bench [--smoke] [--out FILE]\n\
-                     \x20      reproduce render-bench [--quick] [--out FILE]\n\
-                     \x20      reproduce pressure-bench [--quick] [--out FILE]\n\
-                     \x20      reproduce pressure-chaos [--seed N]\n\
-                     \x20      reproduce trace-analyze FILE [--top N]\n\
-                     \x20      reproduce trace-smoke\n\
-                     global: [--trace FILE] [--metrics FILE] [--verbose | --quiet]"
-                );
-                std::process::exit(0);
-            }
-            other => wanted.push(other.to_string()),
-        }
-    }
-    if resume && journal_dir.is_none() {
-        eprintln!("--resume needs --journal DIR");
-        std::process::exit(2);
-    }
-    if recovery {
-        if journal_dir.is_some() {
-            eprintln!("--recovery does not combine with --journal");
-            std::process::exit(2);
-        }
-        if !(wanted.is_empty() || wanted.iter().any(|w| w == "table2")) {
-            eprintln!("--recovery only applies to table2");
-            std::process::exit(2);
-        }
-    }
-    if memory_budget.is_some() {
-        if journal_dir.is_some() || recovery {
-            eprintln!("--memory-budget does not combine with --journal or --recovery");
-            std::process::exit(2);
-        }
-        if !(wanted.is_empty() || wanted.iter().any(|w| w == "table2")) {
-            eprintln!("--memory-budget only applies to table2");
-            std::process::exit(2);
-        }
-    }
-    let known = runs::ARTIFACT_IDS;
-    for w in &wanted {
-        if !known.contains(&w.as_str()) {
-            eprintln!("unknown artifact '{w}' (known: {})", known.join(", "));
-            std::process::exit(2);
-        }
-    }
-    let table2_selected = wanted.is_empty() || wanted.iter().any(|w| w == "table2");
-    if want_metrics && !table2_selected {
-        eprintln!("--metrics needs a campaign artifact (table2), chaos-campaign, or migrate");
-        std::process::exit(2);
-    }
-
-    let mut telemetry: Option<CampaignTelemetry> = None;
-    let mut table2_done = false;
-    if let Some(dir) = &journal_dir {
-        if resume && !dir.join("journal.jsonl").exists() {
-            eprintln!("--resume: no journal at {}", dir.display());
-            std::process::exit(2);
-        }
-        // The journaled path covers the native-render campaign, table2.
-        if !table2_selected {
-            eprintln!("--journal only applies to table2");
-            std::process::exit(2);
-        }
-        progress.begin("table2");
-        let (table, outcome) = match runs::table2_journaled(dir) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("journaled reproduction failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!("{}", table.to_markdown());
-        progress.note(&format!(
-            "campaign: {} points ({} restored from journal, {} ran, {} quarantined)",
-            outcome.results.len(),
-            outcome.restored.len(),
-            outcome.results.len() - outcome.restored.len(),
-            outcome.quarantined.len(),
-        ));
-        progress.done("table2", "complete (journaled)");
-        telemetry = Some(outcome.telemetry);
-        if !wanted.is_empty() && wanted.iter().all(|w| w == "table2") {
-            return telemetry; // only table2 requested: done
-        }
-        wanted.retain(|w| w != "table2");
-        table2_done = true;
-    }
-
-    for id in known {
-        if table2_done && id == "table2" {
-            continue; // already printed from the journaled campaign
-        }
-        if !wanted.is_empty() && !wanted.iter().any(|w| w == id) {
-            continue;
-        }
+    let wanted = &args.positional;
+    let mut telemetry = None;
+    for id in runs::ARTIFACT_IDS.into_iter().filter(|id| wanted.is_empty() || wanted.iter().any(|w| w == id)) {
         progress.begin(id);
-        let table = if id == "table2" {
-            // Run through the campaign engine so the outcome carries
-            // telemetry for a possible --metrics export. With --recovery
-            // every point additionally survives a seeded rank kill and the
-            // table grows a per-point recovery summary column.
-            let ran = if recovery {
-                runs::table2_recovery_campaign()
-            } else if let Some(budget) = memory_budget {
-                runs::table2_budgeted_campaign(budget)
-            } else {
-                runs::table2_campaign()
-            };
-            match ran {
-                Ok((table, outcome)) => {
-                    telemetry = Some(outcome.telemetry);
-                    table
-                }
-                Err(e) => {
-                    eprintln!("reproduction failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+        let (table, campaign) = if id == "table2" {
+            runs::table2_campaign(variant, journal).map(|(table, outcome)| (table, Some(outcome)))
         } else {
-            match runs::artifact(id) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("reproduction failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
+            runs::artifact(id).map(|table| (table, None))
+        }
+        .unwrap_or_else(|e| die(1, format!("reproduction failed: {e}")));
         println!("{}", table.to_markdown());
-        if let Some(dir) = &csv_dir {
-            let path = dir.join(format!("{id}.csv"));
-            if let Err(e) = table.write_csv(&path) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
+        if let Some(outcome) = campaign {
+            if journal.is_some() {
+                progress.note(&format!(
+                    "campaign: {} points ({} restored from journal, {} ran, {} quarantined)",
+                    outcome.results.len(),
+                    outcome.restored.len(),
+                    outcome.results.len() - outcome.restored.len(),
+                    outcome.quarantined.len(),
+                ));
             }
+            telemetry = Some(outcome.telemetry);
+        }
+        if let Some(dir) = args.get("--csv") {
+            let path = Path::new(dir).join(format!("{id}.csv"));
+            table
+                .write_csv(&path)
+                .unwrap_or_else(|e| die(1, format!("failed to write {}: {e}", path.display())));
             progress.note(&format!("wrote {}\n", path.display()));
         }
         progress.done(id, "complete");
@@ -885,27 +345,204 @@ fn dispatch(args: Vec<String>, progress: &Progress, want_metrics: bool) -> Optio
     telemetry
 }
 
+/// `chaos-campaign`: the lossy retry/quarantine demo campaign — or, with
+/// `--kill-rank`, the in-run fault-tolerance demo where every point loses
+/// one rank to a seeded kill and must complete by heartbeat detection +
+/// partition adoption, without a campaign-level retry.
+fn run_chaos(args: &Args, progress: &Progress) -> Option<CampaignTelemetry> {
+    let seed = args.int("--seed").unwrap_or(7);
+    let kill = args.has("--kill-rank");
+    let name = if kill { "kill-rank" } else { "chaos-campaign" };
+    progress.begin(name);
+    let ran = if kill { chaos::kill_campaign(seed) } else { chaos::chaos_campaign(seed) };
+    let (table, outcome) = ran.unwrap_or_else(|e| die(1, format!("{name} failed: {e}")));
+    println!("{}", table.to_markdown());
+    if kill {
+        // The acceptance gate CI greps for: every point must have survived
+        // exactly its scripted loss and adopted the partition, first try.
+        let recovered = outcome.results.iter().all(|r| {
+            r.as_ref().is_ok_and(|n| {
+                n.degradation.rank_losses == 1 && n.degradation.adopted_partitions == 1
+            })
+        });
+        let no_retries = outcome.attempts.iter().all(|&a| a == 1);
+        if !recovered || !no_retries || !outcome.quarantined.is_empty() {
+            die(1, format!(
+                "kill-rank campaign did not recover in-run: attempts {:?}, quarantined {:?}",
+                outcome.attempts, outcome.quarantined
+            ));
+        }
+        println!(
+            "kill-rank: {} points, every point completed with rank_losses == 1 \
+             and adopted_partitions == 1, no retries",
+            outcome.results.len()
+        );
+    } else {
+        progress.note(&format!(
+            "campaign: {} points, {} attempts total, {} quarantined, {:.2}s",
+            outcome.results.len(),
+            outcome.attempts.iter().sum::<u32>(),
+            outcome.quarantined.len(),
+            outcome.wall_s,
+        ));
+    }
+    progress.done(name, "complete");
+    Some(outcome.telemetry)
+}
+
+/// Write the flight-recorder exports the user asked for.
+fn write_exports(
+    recorder: &eth_obs::Recorder,
+    args: &Args,
+    telemetry: Option<&CampaignTelemetry>,
+    progress: &Progress,
+) {
+    if let Some(path) = args.get("--trace").map(Path::new) {
+        let trace = recorder.take();
+        if let Err(e) = trace.check_well_formed() {
+            die(1, format!("internal error: malformed trace: {e}"));
+        }
+        let records = trace.records.len();
+        // Stitched view: every matched send/recv pair becomes a Perfetto
+        // flow arrow, and the critical-path summary rides along in the
+        // JSON for `reproduce trace-analyze`.
+        let merged = eth_obs::MergedTrace::build(trace);
+        write_file(path, merged.to_chrome_trace());
+        progress.note(&format!(
+            "wrote {} ({records} trace records, {} flows stitched, {} dangling)",
+            path.display(),
+            merged.matched.len(),
+            merged.dangling_out + merged.dangling_in,
+        ));
+    }
+    if let Some(path) = args.get("--metrics").map(Path::new) {
+        let t = telemetry.expect("plan() admits --metrics only where a campaign runs");
+        write_file(path, t.to_prometheus());
+        let jsonl = PathBuf::from(format!("{}.jsonl", path.display()));
+        write_file(&jsonl, t.to_jsonl());
+        progress.note(&format!("wrote {} and {}", path.display(), jsonl.display()));
+    }
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = take_value_flag(&mut args, "--trace");
-    let metrics_path = take_value_flag(&mut args, "--metrics");
-    let quiet = take_flag(&mut args, "--quiet");
-    let verbose = take_flag(&mut args, "--verbose");
-    let progress = Progress::new(Verbosity::from_flags(quiet, verbose));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = plan(&argv).unwrap_or_else(|e| die(2, e));
+    if args.has("--help") || args.has("-h") {
+        say!("{}", usage());
+        return;
+    }
+    let progress = Progress::new(Verbosity::from_flags(args.has("--quiet"), args.has("--verbose")));
 
     // With --trace (or --metrics) the whole invocation runs under an
     // attached flight recorder; every spawned rank/point thread inherits
     // it through the observability context.
     let recorder = eth_obs::Recorder::new();
-    let _flight = (trace_path.is_some() || metrics_path.is_some()).then(|| recorder.attach());
+    let _flight = (args.has("--trace") || args.has("--metrics")).then(|| recorder.attach());
 
-    let telemetry = dispatch(args, &progress, metrics_path.is_some());
+    let telemetry = (command.run)(&args, &progress);
+    write_exports(&recorder, &args, telemetry.as_ref(), &progress);
+}
 
-    write_exports(
-        &recorder,
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        telemetry.as_ref(),
-        &progress,
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// Every `reproduce …` command line in `text`: lines (with `\`
+    /// continuations joined) that run the binary, cut at the first shell
+    /// operator or comment, quotes and `$` dropped. With `fenced_only`,
+    /// only inside ``` blocks (prose mentions wrap mid-invocation).
+    fn invocations(text: &str, fenced_only: bool) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        let mut fenced = false;
+        let mut lines = text.lines();
+        while let Some(line) = lines.next() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let mut full = line.to_string();
+            while full.trim_end().ends_with('\\') {
+                full.truncate(full.trim_end().len() - 1);
+                full.push_str(lines.next().unwrap_or(""));
+            }
+            let all = words(&full);
+            let Some(at) = all.iter().position(|w| w == "reproduce" || w.ends_with("/reproduce")) else {
+                continue;
+            };
+            if (fenced_only && !fenced) || all[..at].iter().any(|w| w.starts_with('#')) {
+                continue;
+            }
+            let stop = |w: &String| ["#", "|", ">", "2>", "&"].iter().any(|op| w.starts_with(op));
+            out.push(
+                all[at + 1..]
+                    .iter()
+                    .take_while(|w| !stop(w))
+                    .filter(|w| *w != "--")
+                    .map(|w| w.trim_end_matches(')').replace(['"', '$'], ""))
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn every_documented_invocation_parses() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |rel: &str| std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
+        let mut all = invocations(&read(".github/workflows/ci.yml"), false);
+        let ci = all.len();
+        all.extend(invocations(&read("README.md"), true));
+        assert!(ci >= 16 && all.len() >= ci + 13, "extraction broke: {ci} + {}", all.len() - ci);
+        for argv in &all {
+            if let Err(e) = plan(argv) {
+                panic!("`reproduce {}` no longer parses: {e}", argv.join(" "));
+            }
+        }
+        // the usage text is the table: it cannot omit a command
+        let usage = usage();
+        for c in COMMANDS {
+            assert!(usage.contains(&format!("reproduce {}", c.name)), "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn usage_errors_are_errors() {
+        for bad in [
+            "bench --nope", // unknown flag
+            "--nope",
+            "bench --out", // missing value
+            "--csv",
+            "chaos-campaign --seed x", // unparseable value
+            "table2 --memory-budget 1parsec",
+            "bench extra",                   // stray positional
+            "tableX",                        // unknown artifact
+            "table2 --resume",               // without --journal
+            "fig8 --journal D",              // campaign flags need table2
+            "table2 --journal D --recovery", // modes do not combine
+            "trace-analyze",                 // FILE is required
+        ] {
+            assert!(plan(&words(bad)).is_err(), "`reproduce {bad}` must be refused");
+        }
+        // flags may sit anywhere, globals even before the command word
+        let (command, args) = plan(&words("--quiet --trace t.json bench --smoke --out x.json")).unwrap();
+        assert_eq!(command.name, "bench");
+        assert!(args.has("--quiet") && args.has("--smoke"));
+        assert_eq!((args.get("--trace"), args.get("--out")), (Some("t.json"), Some("x.json")));
+        assert_eq!(plan(&words("table2 --memory-budget 256M")).unwrap().1.size("--memory-budget"), Some(256 << 20));
+    }
+
+    #[test]
+    fn metrics_applies_exactly_where_a_campaign_runs() {
+        for c in COMMANDS {
+            let file = if c.positional == "FILE" { " t.json" } else { "" };
+            let refused = plan(&words(&format!("{}{file} --metrics m.prom", c.name))).is_err();
+            assert_eq!(refused, !["", "chaos-campaign", "migrate"].contains(&c.name), "{}", c.name);
+        }
+        assert!(plan(&words("table2 fig8 --metrics m.prom")).is_ok());
+        assert!(plan(&words("fig8 --metrics m.prom")).is_err(), "no campaign artifact selected");
+    }
 }

@@ -15,6 +15,7 @@ use eth_core::error::Result;
 use eth_core::harness::baseline_spec;
 use eth_core::{run_native, Campaign, NativeOutcome, RunCaches};
 use eth_transport::message::{encode_dataset, encoded_dataset_len};
+use crate::cli::Report;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -55,9 +56,18 @@ pub struct CampaignBenchReport {
     pub encode_bytes_per_sec: f64,
 }
 
-impl CampaignBenchReport {
-    /// One-line human summary for terminals.
-    pub fn summary(&self) -> String {
+impl Report for CampaignBenchReport {
+    const DEFAULT_OUT: Option<&'static str> = Some("BENCH_campaign.json");
+
+    fn check(&self) -> std::result::Result<(), String> {
+        if self.images_byte_identical {
+            Ok(())
+        } else {
+            Err("campaign images diverged from sequential execution".into())
+        }
+    }
+
+    fn summary(&self) -> String {
         format!(
             "campaign: {} points in {:.3}s ({:.2} points/s, {:.2}x vs sequential \
              {:.3}s), staging hit rate {:.0}% ({} hits / {} misses), baselines \

@@ -5,7 +5,8 @@
 //! payload corruption on the data path, bounded by a receive deadline), so
 //! the harness exercises its degraded paths for real. On top of that, a
 //! seeded transient-failure schedule injects timeouts at the campaign
-//! boundary via [`Campaign::run_custom`] — the knob that lets recovery
+//! boundary through a runner wrapped around [`run_attempt`] (see
+//! [`Campaign::execute`]) — the knob that lets recovery
 //! policy itself be swept as a design axis: some points succeed first
 //! try, some need retries (with jittered backoff against fresh fault
 //! seeds), and points whose schedule outlasts `max_attempts` are
@@ -15,9 +16,9 @@
 //! same quarantine set, same degradation counters, results in input order.
 
 use eth_core::config::{Application, Coupling, ExperimentSpec};
-use eth_core::harness::{run_native_cached, RunCaches};
+use eth_core::harness::RunCaches;
 use eth_core::results::ResultTable;
-use eth_core::{spec_for_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
+use eth_core::{run_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
 use eth_core::{RecoveryPolicy, RetryOn, RetryPolicy};
 use eth_transport::fault::SplitMix64;
 use eth_transport::{BackoffShape, FaultPlan, HeartbeatPolicy, TransportError};
@@ -74,8 +75,11 @@ fn specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
 /// Run the chaos campaign. Returns the per-point report table plus the
 /// raw [`CampaignOutcome`] (attempt counts, quarantine set, cache stats).
 pub fn chaos_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
+    chaos_campaign_over(seed, &RunCaches::new())
+}
+
+fn chaos_campaign_over(seed: u64, caches: &RunCaches) -> Result<(ResultTable, CampaignOutcome)> {
     let specs = specs(seed)?;
-    let caches = RunCaches::new();
     let policy = RetryPolicy {
         max_attempts: MAX_ATTEMPTS,
         // short backoff: this is a demo, not a production outage
@@ -90,17 +94,18 @@ pub fn chaos_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
             RetryOn::Corrupt,
         ],
     };
+    let flaky = |index: usize, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches| {
+        if attempt <= planned_failures(seed, index) {
+            return Err(CoreError::Transport(TransportError::Timeout {
+                peer: 0,
+                elapsed: Duration::from_millis(1),
+            }));
+        }
+        run_attempt(spec, attempt, caches)
+    };
     let outcome = Campaign::new()
         .with_retry_policy(policy)
-        .run_custom(&specs, |index, spec, attempt| {
-            if attempt <= planned_failures(seed, index) {
-                return Err(CoreError::Transport(TransportError::Timeout {
-                    peer: 0,
-                    elapsed: Duration::from_millis(1),
-                }));
-            }
-            run_native_cached(&spec_for_attempt(spec, attempt), &caches)
-        });
+        .execute(&specs, caches, None, Some(&flaky))?;
 
     let mut t = ResultTable::new(
         &format!("Chaos campaign (seed {seed}, lossy plan, max {MAX_ATTEMPTS} attempts)"),
@@ -280,7 +285,8 @@ mod tests {
 
     #[test]
     fn chaos_campaign_is_deterministic_and_exercises_retry_and_quarantine() {
-        let (t1, o1) = chaos_campaign(7).unwrap();
+        let caches = RunCaches::new();
+        let (t1, o1) = chaos_campaign_over(7, &caches).unwrap();
         let (t2, o2) = chaos_campaign(7).unwrap();
         assert_eq!(o1.attempts, o2.attempts, "attempt counts must be seeded");
         assert_eq!(o1.quarantined, o2.quarantined, "quarantine set must be seeded");
@@ -301,6 +307,15 @@ mod tests {
             o1.attempts
         );
         assert!(!o1.quarantined.is_empty(), "some point should quarantine");
+
+        // the runner staged through the campaign's caches, and the outcome
+        // says so (it used to report all-zero cache counters)
+        assert_eq!(o1.cache, caches.stats());
+        assert!(o1.cache.staging_misses >= 1, "{:?}", o1.cache);
+        assert_eq!(
+            o1.telemetry.counters.get("cache_staging_hit_rate"),
+            o1.cache.staging_hit_rate()
+        );
 
         // quarantined slots carry the structured error; everything else
         // rendered despite the lossy plan

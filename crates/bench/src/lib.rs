@@ -9,9 +9,11 @@
 
 pub mod campaign;
 pub mod chaos;
+pub mod cli;
 pub mod migrate;
 pub mod pressure;
 pub mod progress;
 pub mod render;
 pub mod runs;
 pub mod serve;
+pub mod trace;

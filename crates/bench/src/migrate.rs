@@ -20,6 +20,7 @@ use eth_core::{
     RecoveryPolicy, RunCaches,
 };
 use eth_transport::HeartbeatPolicy;
+use crate::cli::Report;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -64,9 +65,18 @@ pub struct MigrationBenchReport {
     pub wall_s: f64,
 }
 
-impl MigrationBenchReport {
-    /// One-line human summary for terminals.
-    pub fn summary(&self) -> String {
+impl Report for MigrationBenchReport {
+    const DEFAULT_OUT: Option<&'static str> = Some("BENCH_migration.json");
+
+    fn check(&self) -> std::result::Result<(), String> {
+        if self.byte_identical {
+            Ok(())
+        } else {
+            Err("migration changed the images: the zero-loss contract is broken".into())
+        }
+    }
+
+    fn summary(&self) -> String {
         let worst = self
             .patterns
             .iter()

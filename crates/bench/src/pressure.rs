@@ -19,6 +19,7 @@
 //!
 //! `reproduce pressure-chaos` runs measurement 4 alone as a CI smoke.
 
+use crate::cli::Report;
 use eth_core::config::{Application, Coupling, ExperimentSpec, ResourcePolicy};
 use eth_core::harness::RunCaches;
 use eth_core::{run_native, Algorithm, Campaign, CoreError, Result, RetryPolicy};
@@ -77,9 +78,10 @@ pub struct PressureReport {
     pub chaos: PressureChaos,
 }
 
-impl PressureReport {
-    /// One-line human summary for terminals.
-    pub fn summary(&self) -> String {
+impl Report for PressureReport {
+    const DEFAULT_OUT: Option<&'static str> = Some("BENCH_pressure.json");
+
+    fn summary(&self) -> String {
         format!(
             "pressure: staged {} B under a {} B budget (peak {} B, spilled {} B, \
              byte-identical: {}), staging {:.1} MB/s ({} spills / {} reloads), \
@@ -106,7 +108,7 @@ impl PressureReport {
 
     /// The benchmark's contract; `reproduce pressure-bench` exits nonzero
     /// when any clause fails.
-    pub fn check(&self) -> std::result::Result<(), String> {
+    fn check(&self) -> std::result::Result<(), String> {
         if self.schema != SCHEMA {
             return Err(format!("schema {:?} != {SCHEMA:?}", self.schema));
         }
@@ -161,8 +163,10 @@ pub struct PressureChaos {
     pub resume_restored: usize,
 }
 
-impl PressureChaos {
-    pub fn summary(&self) -> String {
+impl Report for PressureChaos {
+    const DEFAULT_OUT: Option<&'static str> = None;
+
+    fn summary(&self) -> String {
         format!(
             "pressure-chaos (seed {}): {} points — {} first-try, {} recovered \
              from torn ENOSPC, {} quarantined OOM (classified: {}), recovered \
@@ -180,7 +184,7 @@ impl PressureChaos {
 
     /// The chaos contract: deterministic outcome sets, correct failure
     /// classification, byte-identical recovery, full restore on resume.
-    pub fn check(&self) -> std::result::Result<(), String> {
+    fn check(&self) -> std::result::Result<(), String> {
         if self.first_try + self.recovered + self.quarantined != self.points {
             return Err(format!(
                 "outcome sets do not partition the campaign: {} + {} + {} != {}",

@@ -52,7 +52,7 @@ impl Progress {
     pub fn begin(&self, what: &'static str) {
         eth_obs::instant(what);
         if self.level == Verbosity::Verbose {
-            eprintln!("[reproduce] {what} ...");
+            crate::say!("[reproduce] {what} ...");
         }
     }
 
@@ -61,7 +61,7 @@ impl Progress {
     pub fn done(&self, what: &'static str, detail: &str) {
         eth_obs::instant(what);
         if self.level == Verbosity::Verbose {
-            eprintln!("[reproduce] {what} {detail}");
+            crate::say!("[reproduce] {what} {detail}");
         }
     }
 
@@ -70,7 +70,7 @@ impl Progress {
     pub fn note(&self, msg: &str) {
         eth_obs::instant("note");
         if self.level != Verbosity::Quiet {
-            eprintln!("{msg}");
+            crate::say!("{msg}");
         }
     }
 }

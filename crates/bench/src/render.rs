@@ -18,6 +18,7 @@
 //! * the progressive-refinement RMSE ladder: per-pass RMSE versus the
 //!   converged image must decrease monotonically and end exactly at 0.
 
+use crate::cli::Report;
 use eth_core::error::{CoreError, Result};
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
@@ -94,9 +95,10 @@ pub struct RenderBenchReport {
     pub progressive_exact: bool,
 }
 
-impl RenderBenchReport {
-    /// One-line human summary for terminals.
-    pub fn summary(&self) -> String {
+impl Report for RenderBenchReport {
+    const DEFAULT_OUT: Option<&'static str> = Some("BENCH_render.json");
+
+    fn summary(&self) -> String {
         let largest = self.build_curve.last().map(|p| p.particles).unwrap_or(0);
         format!(
             "render: hlbvh build {:.2}x vs median (largest common size), \
@@ -118,7 +120,7 @@ impl RenderBenchReport {
     /// Check the perf/correctness contract. Timing gates (`speedup`,
     /// scaling exponent) only apply to the full-size run — quick mode is
     /// for schema and byte-identity under CI noise.
-    pub fn check(&self) -> std::result::Result<(), String> {
+    fn check(&self) -> std::result::Result<(), String> {
         if self.schema != SCHEMA {
             return Err(format!("schema {:?} != {SCHEMA:?}", self.schema));
         }

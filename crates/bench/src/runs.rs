@@ -180,88 +180,83 @@ fn table2_images(
     Ok(images)
 }
 
+/// Which edit [`table2_campaign`] applies to the nine Table II specs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Table2 {
+    /// The specs as they are.
+    Plain,
+    /// Beyond RAM (`reproduce table2 --memory-budget 256M`): every point
+    /// carries a staging memory budget of this many bytes, so datasets
+    /// larger than it spill to compressed chunks and stream back — and the
+    /// campaign scheduler itself runs under the same policy's backpressure
+    /// watermarks. The RMSE column is identical to [`Table2::Plain`]'s:
+    /// bounded memory costs spill traffic, not pixels.
+    Budgeted(u64),
+    /// Under fire (`reproduce table2 --recovery`): every point runs
+    /// intercore-coupled with a [`RecoveryPolicy`] and a seeded
+    /// `kill_rank_at_step` on one simulation rank, so each of the nine
+    /// cells loses a rank mid-run and recovers by partition adoption, and
+    /// the table grows a per-point recovery column. Because adoption
+    /// re-renders the dead rank's partition from the shared staged data,
+    /// the RMSE column is identical to [`Table2::Plain`]'s — which is
+    /// exactly the demonstration: a rank loss costs detection latency and
+    /// extra work on the adopter, not pixels.
+    Recovery,
+}
+
 /// **Table II** as a campaign: the nine render points go through
-/// [`Campaign::run_with`] over one shared cache (HACC stages once, each
+/// [`Campaign::execute`] over one shared cache (HACC stages once, each
 /// algorithm's full-fidelity baseline renders once), and the outcome
 /// carries the campaign's flight-recorder telemetry for
-/// `reproduce table2 --metrics`.
-pub fn table2_campaign() -> Result<(ResultTable, CampaignOutcome)> {
-    let specs = table2_specs()?;
-    let caches = RunCaches::new();
-    let outcome = Campaign::new().run_with(&specs, &caches);
-    let images = table2_images(&specs, &outcome)?;
-    let table = table2_from_images(&caches, &images, None)?;
-    Ok((table, outcome))
-}
-
-/// [`table2_campaign`] beyond RAM: every point carries a staging memory
-/// budget (`reproduce table2 --memory-budget 256M`), so datasets larger
-/// than the budget spill to compressed chunks and stream back — and the
-/// campaign scheduler itself runs under the same policy's backpressure
-/// watermarks. The RMSE column is identical to the unbudgeted
-/// [`table2`]: bounded memory costs spill traffic, not pixels.
-pub fn table2_budgeted_campaign(budget: u64) -> Result<(ResultTable, CampaignOutcome)> {
-    let policy = eth_core::config::ResourcePolicy::with_memory_budget(budget);
+/// `reproduce table2 --metrics`. With a `journal` directory the campaign
+/// is durable: a run killed partway can be re-invoked with the same
+/// directory and restores every completed point instead of re-rendering
+/// it; the table itself is byte-identical either way.
+pub fn table2_campaign(
+    variant: Table2,
+    journal: Option<&Path>,
+) -> Result<(ResultTable, CampaignOutcome)> {
     let mut specs = table2_specs()?;
-    for spec in &mut specs {
-        spec.resources = Some(policy.clone());
+    let mut campaign = Campaign::new();
+    match variant {
+        Table2::Plain => {}
+        Table2::Budgeted(budget) => {
+            let policy = eth_core::config::ResourcePolicy::with_memory_budget(budget);
+            for spec in &mut specs {
+                spec.resources = Some(policy.clone());
+            }
+            campaign = campaign.with_resources(policy);
+        }
+        Table2::Recovery => {
+            for (i, spec) in specs.iter_mut().enumerate() {
+                spec.name = format!("{}-recovery", spec.name);
+                spec.coupling = Coupling::Intercore;
+                spec.recovery = Some(RecoveryPolicy {
+                    heartbeat: HeartbeatPolicy {
+                        interval_ms: 10,
+                        miss_budget: 3,
+                    },
+                    max_rank_losses: 1,
+                    adopt: true,
+                });
+                let victim = i % spec.ranks;
+                let step = i % spec.steps;
+                spec.fault_plan = Some(FaultPlan::seeded(0xE7).with_kill_rank_at_step(victim, step));
+            }
+        }
     }
     let caches = RunCaches::new();
-    let outcome = Campaign::new().with_resources(policy).run_with(&specs, &caches);
+    let outcome = campaign.execute(&specs, &caches, journal, None)?;
     let images = table2_images(&specs, &outcome)?;
-    let table = table2_from_images(&caches, &images, None)?;
-    Ok((table, outcome))
-}
-
-/// [`table2_campaign`] under fire: every point runs intercore-coupled with
-/// a [`RecoveryPolicy`] and a seeded `kill_rank_at_step` on one simulation
-/// rank, so each of the nine cells loses a rank mid-run and recovers by
-/// partition adoption. Because adoption re-renders the dead rank's
-/// partition from the shared staged data, the RMSE column is identical to
-/// the undisturbed [`table2`] — which is exactly the demonstration: a rank
-/// loss costs detection latency and extra work on the adopter, not pixels.
-pub fn table2_recovery_campaign() -> Result<(ResultTable, CampaignOutcome)> {
-    let mut specs = table2_specs()?;
-    for (i, spec) in specs.iter_mut().enumerate() {
-        spec.name = format!("{}-recovery", spec.name);
-        spec.coupling = Coupling::Intercore;
-        spec.recovery = Some(RecoveryPolicy {
-            heartbeat: HeartbeatPolicy {
-                interval_ms: 10,
-                miss_budget: 3,
-            },
-            max_rank_losses: 1,
-            adopt: true,
-        });
-        let victim = i % spec.ranks;
-        let step = i % spec.steps;
-        spec.fault_plan = Some(FaultPlan::seeded(0xE7).with_kill_rank_at_step(victim, step));
-    }
-    let caches = RunCaches::new();
-    let outcome = Campaign::new().run_with(&specs, &caches);
-    let images = table2_images(&specs, &outcome)?;
-    let table = table2_from_images(&caches, &images, Some(&outcome))?;
+    let recovery = (variant == Table2::Recovery).then_some(&outcome);
+    let table = table2_from_images(&caches, &images, recovery)?;
     Ok((table, outcome))
 }
 
 /// **Table II** — accuracy (real rendered RMSE on this machine) vs energy
 /// saved (cluster model) per sampling ratio and algorithm.
 pub fn table2() -> Result<ResultTable> {
-    Ok(table2_campaign()?.0)
-}
-
-/// [`table2`] as a durable campaign: the nine render points go through
-/// [`Campaign::run_journaled`] against `dir`, so a run killed partway can
-/// be re-invoked with the same directory and restores every completed
-/// point from the journal instead of re-rendering it. The table itself is
-/// byte-identical to [`table2`]'s.
-pub fn table2_journaled(dir: &Path) -> Result<(ResultTable, CampaignOutcome)> {
-    let specs = table2_specs()?;
-    let caches = RunCaches::new();
-    let outcome = Campaign::new().run_journaled(&specs, &caches, dir)?;
-    let images = table2_images(&specs, &outcome)?;
-    let table = table2_from_images(&caches, &images, None)?;
-    Ok((table, outcome))
+    Ok(table2_campaign(Table2::Plain, None)?.0)
 }
 
 /// **Figure 8** — normalized execution time vs data size (fixed 400

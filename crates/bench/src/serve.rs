@@ -15,6 +15,7 @@
 //! journal, and resume byte-identically on restart), and a metrics
 //! scrape. Exits nonzero on any violated contract.
 
+use crate::cli::{die, Args};
 use crate::progress::Progress;
 use eth_core::config::{Algorithm, Application, ExperimentSpec};
 use eth_core::serve::{CampaignRequest, CampaignStatus, Server, Service, ServicePolicy};
@@ -47,71 +48,33 @@ fn install_signal_handlers() {
     }
 }
 
-fn bad_usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// `reproduce serve [--addr A] [--root DIR] [--slots N] [--max-queued-points N]
-/// [--per-tenant-inflight N] [--request-deadline-ms N] [--drain-timeout-ms N]`
-pub fn run_serve(args: &[String], progress: &Progress) {
-    let mut addr = "127.0.0.1:7070".to_string();
-    let mut root = PathBuf::from("serve-root");
-    let mut slots: Option<usize> = None;
-    let mut policy = ServicePolicy::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next_usize = |flag: &str| -> usize {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| bad_usage(&format!("{flag} needs a positive integer")))
-        };
-        match a.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .unwrap_or_else(|| bad_usage("--addr needs host:port"))
-                    .clone();
-            }
-            "--root" => {
-                root = PathBuf::from(it.next().unwrap_or_else(|| bad_usage("--root needs a directory")));
-            }
-            "--slots" => slots = Some(next_usize("--slots")),
-            "--max-queued-points" => policy.max_queued_points = next_usize("--max-queued-points"),
-            "--per-tenant-inflight" => policy.per_tenant_inflight = next_usize("--per-tenant-inflight"),
-            "--request-deadline-ms" => policy.request_deadline_ms = next_usize("--request-deadline-ms") as u64,
-            "--drain-timeout-ms" => policy.drain_timeout_ms = next_usize("--drain-timeout-ms") as u64,
-            other => bad_usage(&format!("unknown serve option '{other}'")),
-        }
-    }
-
-    let mut service = match Service::new(&root, policy) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to open service root {}: {e}", root.display());
-            std::process::exit(1);
-        }
+/// `reproduce serve`: flags per its row in `reproduce`'s subcommand table.
+pub fn run_serve(args: &Args, progress: &Progress) -> ! {
+    let addr = args.get("--addr").unwrap_or("127.0.0.1:7070");
+    let root = PathBuf::from(args.get("--root").unwrap_or("serve-root"));
+    let defaults = ServicePolicy::default();
+    let int = |flag: &str, default: u64| args.int(flag).unwrap_or(default);
+    let policy = ServicePolicy {
+        max_queued_points: int("--max-queued-points", defaults.max_queued_points as u64) as usize,
+        per_tenant_inflight: int("--per-tenant-inflight", defaults.per_tenant_inflight as u64) as usize,
+        request_deadline_ms: int("--request-deadline-ms", defaults.request_deadline_ms),
+        drain_timeout_ms: int("--drain-timeout-ms", defaults.drain_timeout_ms),
+        ..defaults
     };
-    if let Some(n) = slots {
-        service = service.with_slots(n);
+
+    let mut service = Service::new(&root, policy)
+        .unwrap_or_else(|e| die(1, format!("failed to open service root {}: {e}", root.display())));
+    if let Some(n) = args.int("--slots") {
+        service = service.with_slots(n as usize);
     }
-    match service.resume_existing() {
-        Ok(resumed) if !resumed.is_empty() => {
-            progress.note(&format!("resumed campaigns: {resumed:?}"));
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("resume scan failed: {e}");
-            std::process::exit(1);
-        }
+    let resumed = service
+        .resume_existing()
+        .unwrap_or_else(|e| die(1, format!("resume scan failed: {e}")));
+    if !resumed.is_empty() {
+        progress.note(&format!("resumed campaigns: {resumed:?}"));
     }
-    let mut server = match Server::start(service.clone(), &addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut server = Server::start(service.clone(), addr)
+        .unwrap_or_else(|e| die(1, format!("failed to bind {addr}: {e}")));
     install_signal_handlers();
     println!("eth serve listening on http://{}", server.addr());
     println!("root: {}", root.display());
@@ -228,20 +191,8 @@ fn metric_value(metrics: &str, name: &str) -> Option<f64> {
 
 /// `reproduce serve-chaos [--root DIR]`: boot a real server, attack it,
 /// verify every robustness contract, exit nonzero on failure.
-pub fn run_serve_chaos(args: &[String], progress: &Progress) {
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => {
-                root = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| bad_usage("--root needs a directory")),
-                ));
-            }
-            other => bad_usage(&format!("unknown serve-chaos option '{other}'")),
-        }
-    }
-    let root = root.unwrap_or_else(|| {
+pub fn run_serve_chaos(args: &Args, progress: &Progress) {
+    let root = args.get("--root").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("eth-serve-chaos-{:x}", std::process::id()))
     });
     let _ = std::fs::remove_dir_all(&root);
@@ -427,8 +378,7 @@ pub fn run_serve_chaos(args: &[String], progress: &Progress) {
 
     progress.done("serve-chaos", "complete");
     if checks.failed > 0 {
-        eprintln!("serve-chaos: {} check(s) failed", checks.failed);
-        std::process::exit(1);
+        die(1, format!("serve-chaos: {} check(s) failed", checks.failed));
     }
     println!("serve-chaos: all checks passed");
 }

@@ -479,12 +479,16 @@ fn global_scalar_range(obj: &DataObject, name: &str) -> Option<(f32, f32)> {
     (lo.is_finite() && hi > lo).then_some((lo, hi))
 }
 
-fn stage_data(spec: &ExperimentSpec) -> Result<StagedData> {
+/// Stage `spec`'s blocks into a store that reports its bytes to
+/// `accountant` (the owning [`RunCaches`]', or a throwaway one for an
+/// uncached run, whose store then accounts to itself).
+fn stage_data(spec: &ExperimentSpec, accountant: staging::StagingAccountant) -> Result<StagedData> {
     let _span = eth_obs::span(eth_obs::Phase::Stage);
     let resources = spec.resources.clone().unwrap_or_default();
-    let store = staging::BlockStore::new(
+    let store = staging::BlockStore::accounted(
         resources.memory_budget_bytes,
         resources.spill_dir.clone(),
+        accountant,
     );
     let alloc_fail_at = spec.fault_plan.as_ref().and_then(|p| p.alloc_fail_at_stage);
     let mut bounds = Vec::with_capacity(spec.steps);
@@ -630,6 +634,9 @@ pub struct RunCaches {
     staging: Mutex<HashMap<StageKey, Arc<MemoSlot<StagedData>>>>,
     baselines: Mutex<HashMap<String, Arc<MemoSlot<Vec<Image>>>>>,
     stats: Mutex<CacheStats>,
+    /// Byte totals over every store this cache set staged: the number
+    /// its owner (a campaign, `eth serve`) is held to by a memory budget.
+    accountant: staging::StagingAccountant,
 }
 
 impl RunCaches {
@@ -642,12 +649,19 @@ impl RunCaches {
         *self.stats.lock().unwrap()
     }
 
+    /// Resident / spilled staged bytes held by this cache set.
+    pub fn accountant(&self) -> &staging::StagingAccountant {
+        &self.accountant
+    }
+
     fn staged(&self, spec: &ExperimentSpec) -> Result<Arc<StagedData>> {
         // The lookup span covers the memoize call, so a miss (or blocking
         // on a first-comer's staging pass) shows up as lookup latency; the
         // nested Stage span carries the compute itself.
         let lookup = eth_obs::span(eth_obs::Phase::CacheLookup);
-        let (data, hit) = memoize(&self.staging, stage_key(spec), || stage_data(spec))?;
+        let (data, hit) = memoize(&self.staging, stage_key(spec), || {
+            stage_data(spec, self.accountant.clone())
+        })?;
         drop(lookup);
         eth_obs::count(
             if hit { "staging_cache_hits" } else { "staging_cache_misses" },
@@ -770,7 +784,9 @@ fn merge_outputs(spec: &ExperimentSpec, wall_s: f64, outputs: Vec<RankOutput>) -
 /// Run an experiment natively (see module docs).
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
-    run_recorded(spec, |spec| Ok(Arc::new(stage_data(spec)?)))
+    run_recorded(spec, |spec| {
+        Ok(Arc::new(stage_data(spec, staging::StagingAccountant::new())?))
+    })
 }
 
 /// [`run_native`], but staging goes through `caches` so repeated runs over
@@ -2379,7 +2395,7 @@ mod tests {
             spec.coupling = coupling;
             spec.recovery = Some(fast_recovery());
             spec.migration = migration;
-            let out = run_recorded(&spec, |spec| Ok(Arc::new(stage_data(spec)?))).unwrap();
+            let out = run_recorded(&spec, |spec| Ok(Arc::new(stage_data(spec, Default::default())?))).unwrap();
             assert!(out.degradation.is_clean(), "{coupling:?}: {:?}", out.degradation);
             assert_eq!(out.recovery_latency_s.len(), 0);
             assert_eq!(out.migration_disruption_s.len(), 0);
@@ -2569,7 +2585,7 @@ mod tests {
         assert_eq!(full.images, lean.images, "budget changed the image");
         // The byte-accountant must show real spill traffic and a peak
         // residency that never exceeded the budget, even transiently.
-        let staged = stage_data(&spec).unwrap();
+        let staged = stage_data(&spec, Default::default()).unwrap();
         let stats = staged.store.stats();
         assert!(stats.spills > 0, "budget too large to exercise spilling");
         assert!(
@@ -2579,7 +2595,7 @@ mod tests {
         );
         staged.store.assert_within_budget();
         // Every block streams back byte-identical from its chunk.
-        let unbudgeted = stage_data(&base_spec("budget")).unwrap();
+        let unbudgeted = stage_data(&base_spec("budget"), Default::default()).unwrap();
         for step in 0..spec.steps {
             for rank in 0..spec.ranks {
                 let a = staged.block(step, rank).unwrap();

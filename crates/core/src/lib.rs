@@ -20,9 +20,12 @@
 //!
 //! * [`pipeline`] — the per-rank visualization pipeline (sample → render →
 //!   composite → artifact), usable directly as an in-situ sink,
-//! * [`sweep`] — cartesian parameter sweeps over the design space,
-//! * [`journal`] — the crash-safe campaign journal behind
-//!   [`sweep::Campaign::run_journaled`] and resume,
+//! * [`sweep`] — cartesian parameter sweeps over the design space, and
+//!   the campaign engine that runs them: one body,
+//!   [`sweep::Campaign::execute`], handed the caches its points share, an
+//!   optional journal directory and an optional wrapping point runner,
+//! * [`journal`] — the crash-safe campaign journal a campaign with a
+//!   directory writes and a later run over the same directory restores,
 //! * [`results`] — result tables (markdown/CSV) for the experiment index,
 //! * [`calibrate`] — measures this host's kernel rates to fit the cluster
 //!   model's [`eth_cluster::Calibration`],
@@ -58,6 +61,6 @@ pub use serve::{
 };
 pub use telemetry::{counters_to_prometheus, CampaignTelemetry};
 pub use sweep::{
-    spec_for_attempt, Campaign, CampaignOutcome, CancelToken, DegradedReason, PointResult,
-    RetryOn, RetryPolicy, Sweep,
+    run_attempt, spec_for_attempt, Campaign, CampaignOutcome, CancelToken, DegradedReason,
+    PointResult, PointRunner, RetryOn, RetryPolicy, Sweep,
 };

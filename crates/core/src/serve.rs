@@ -24,9 +24,10 @@
 //! * **Graceful drain** — [`Service::drain`] stops admission, cancels
 //!   every running campaign's [`CancelToken`] (in-flight points finish
 //!   and journal; queued points are abandoned), and waits up to
-//!   `drain_timeout_ms`. Because every campaign runs through
-//!   [`Campaign::run_journaled_custom`]'s WAL, a restarted service
-//!   resumes every tenant's campaign to **byte-identical** results via
+//!   `drain_timeout_ms`; a worker only stops counting as running once its
+//!   terminal record and summary are on disk. Because every campaign runs
+//!   through [`Campaign::execute`]'s WAL, a restarted service resumes
+//!   every tenant's campaign to **byte-identical** results via
 //!   [`Service::resume_existing`].
 //!
 //! Everything is hand-rolled on `std` (TCP, HTTP/1.1, SSE, base64) —
@@ -34,9 +35,9 @@
 
 use crate::config::{Algorithm, Coupling, ExperimentSpec, ResourcePolicy};
 use crate::error::{CoreError, Result};
-use crate::harness::{run_native_cached, NativeOutcome, RunCaches};
+use crate::harness::{NativeOutcome, RunCaches};
 use crate::journal;
-use crate::sweep::{spec_for_attempt, Campaign, CancelToken, PointResult, Sweep};
+use crate::sweep::{lock_recover, run_attempt, Campaign, CancelToken, PointResult, Sweep};
 use crate::telemetry::counters_to_prometheus;
 use eth_cluster::counters::CounterSet;
 use serde::{Deserialize, Serialize};
@@ -70,13 +71,6 @@ const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// SSE keepalive cadence; also the disconnect-detection latency bound.
 const SSE_TICK: Duration = Duration::from_millis(200);
 
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Service invariants are restored before every unlock; a poisoned
-    // mutex here only means some *other* holder panicked mid-section,
-    // and panics inside locked sections are short and state-restoring.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 // ---------------------------------------------------------------------------
 // Policy and request/response types
 // ---------------------------------------------------------------------------
@@ -101,7 +95,7 @@ pub struct ServicePolicy {
     pub subscriber_buffer: usize,
     /// Resource governance for the whole service: the disk quota bounds
     /// each campaign's journal, the memory budget's high watermark sheds
-    /// new submissions (429 + Retry-After) while process-wide staged
+    /// new submissions (429 + Retry-After) while the service's own staged
     /// residency sits above it, and the same policy gates the campaign
     /// scheduler's admissions (see [`Campaign::with_resources`]).
     /// `None` (the default, and what legacy service records deserialize
@@ -401,6 +395,11 @@ impl EventHub {
         }
     }
 
+    /// [`EventHub::publish`] with `payload` serialized as the data.
+    fn publish_json<T: Serialize>(&self, name: &str, payload: &T) {
+        self.publish(name, serde_json::to_string(payload).unwrap_or_default());
+    }
+
     /// Mark every subscriber closed (they drain their queues and end).
     fn close_all(&self) {
         let subs = lock_recover(&self.subscribers).clone();
@@ -428,12 +427,13 @@ pub type PointRunner = dyn Fn(&ExperimentSpec, u32) -> PointResult + Send + Sync
 /// and progress counters.
 struct CampaignEntry {
     id: usize,
-    tenant: String,
+    /// The request this campaign was admitted with (persisted verbatim in
+    /// [`SERVICE_FILE`], so a terminal record keeps the tenant's axes).
+    request: CampaignRequest,
     dir: PathBuf,
     specs: Vec<ExperimentSpec>,
     hashes: Vec<u64>,
     token: CancelToken,
-    cancel_on_disconnect: bool,
     hub: EventHub,
     /// Points not yet executed or abandoned; reconciled into the global
     /// queue depth when the worker exits.
@@ -461,7 +461,7 @@ impl CampaignEntry {
         let p = lock_recover(&self.progress);
         CampaignStatus {
             id: self.id,
-            tenant: self.tenant.clone(),
+            tenant: self.request.tenant.clone(),
             state: p.state.name().to_string(),
             points_total: self.specs.len(),
             points_done: p.done,
@@ -487,13 +487,23 @@ struct ServiceState {
     next_id: usize,
 }
 
+impl ServiceState {
+    /// Running campaigns `tenant` holds (the per-tenant admission count).
+    fn tenant_inflight(&self, tenant: &str) -> usize {
+        self.entries
+            .iter()
+            .filter(|e| e.request.tenant == tenant && e.state() == CampaignState::Running)
+            .count()
+    }
+}
+
 struct ServiceInner {
     root: PathBuf,
     policy: ServicePolicy,
     /// Process-lifetime anchor for the `/metrics` uptime gauge.
     started: Instant,
     /// Scheduler slots each campaign's [`Campaign`] runs with.
-    slots: usize,
+    slots: AtomicUsize,
     /// One cache set for the whole service: staging shared across
     /// campaigns *and* tenants.
     caches: RunCaches,
@@ -531,7 +541,7 @@ impl Service {
                 root: root.to_path_buf(),
                 policy,
                 started: Instant::now(),
-                slots,
+                slots: AtomicUsize::new(slots),
                 caches: RunCaches::new(),
                 memo: Mutex::new(HashMap::new()),
                 state: Mutex::new(ServiceState {
@@ -550,41 +560,15 @@ impl Service {
     }
 
     /// Override the per-campaign scheduler slot budget (defaults to this
-    /// host's available parallelism).
+    /// host's available parallelism). Every clone of the service sees it;
+    /// campaigns admitted afterwards run with it.
     pub fn with_slots(self, slots: usize) -> Service {
-        // Sole-owner at construction time in practice; fall back to a
-        // rebuilt inner if the Arc is shared.
-        let mut inner = Arc::try_unwrap(self.inner).unwrap_or_else(|arc| ServiceInner {
-            root: arc.root.clone(),
-            policy: arc.policy.clone(),
-            started: arc.started,
-            slots: arc.slots,
-            caches: RunCaches::new(),
-            memo: Mutex::new(HashMap::new()),
-            state: Mutex::new(ServiceState {
-                entries: Vec::new(),
-                queued_points: 0,
-                active: 0,
-                next_id: 0,
-            }),
-            wake: Condvar::new(),
-            metrics: Mutex::new(CounterSet::new()),
-            campaign_metrics: Mutex::new(CounterSet::new()),
-            draining: arc.draining.clone(),
-            runner_override: Mutex::new(None),
-        });
-        inner.slots = slots.max(1);
-        Service {
-            inner: Arc::new(inner),
-        }
+        self.inner.slots.store(slots.max(1), Ordering::SeqCst);
+        self
     }
 
     pub fn policy(&self) -> &ServicePolicy {
         &self.inner.policy
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.inner.root
     }
 
     pub fn is_draining(&self) -> bool {
@@ -633,7 +617,7 @@ impl Service {
             .as_ref()
             .and_then(|r| r.high_threshold_bytes())
         {
-            let resident = eth_data::staging::process_resident_bytes();
+            let resident = self.inner.caches.accountant().resident_bytes();
             if resident >= high {
                 self.add_metric("memory_pressure_shed_total", 1.0);
                 return Err(self.shed(&format!(
@@ -648,11 +632,7 @@ impl Service {
 
         let entry = {
             let mut st = lock_recover(&self.inner.state);
-            let inflight = st
-                .entries
-                .iter()
-                .filter(|e| e.tenant == req.tenant && e.state() == CampaignState::Running)
-                .count();
+            let inflight = st.tenant_inflight(&req.tenant);
             if inflight >= self.inner.policy.per_tenant_inflight {
                 drop(st);
                 return Err(self.shed(&format!(
@@ -678,19 +658,9 @@ impl Service {
                 return Err(AdmissionError::Io(e));
             }
             let entry = self.make_entry(id, req, specs, dir);
-            st.queued_points += entry.specs.len();
-            st.active += 1;
-            st.entries.push(entry.clone());
-            let depth = st.queued_points;
-            let active = st.active;
-            drop(st);
-            self.set_metric("queue_depth_points", depth as f64);
-            self.set_metric("inflight_campaigns", active as f64);
+            self.admit(st, entry.clone(), "admitted_campaigns_total");
             entry
         };
-        self.add_metric("admitted_campaigns_total", 1.0);
-        self.update_tenant_gauge(&entry.tenant);
-        self.spawn_worker(entry.clone());
         Ok(entry.status())
     }
 
@@ -737,21 +707,9 @@ impl Service {
             }
             let specs = record.request.specs()?;
             let entry = self.make_entry(record.id, &record.request, specs, dir);
-            {
-                let mut st = lock_recover(&self.inner.state);
-                st.queued_points += entry.specs.len();
-                st.active += 1;
-                st.entries.push(entry.clone());
-                let depth = st.queued_points;
-                let active = st.active;
-                drop(st);
-                self.set_metric("queue_depth_points", depth as f64);
-                self.set_metric("inflight_campaigns", active as f64);
-            }
-            self.add_metric("resumed_campaigns_total", 1.0);
-            self.update_tenant_gauge(&entry.tenant);
             resumed.push(entry.id);
-            self.spawn_worker(entry);
+            let st = lock_recover(&self.inner.state);
+            self.admit(st, entry, "resumed_campaigns_total");
         }
         Ok(resumed)
     }
@@ -816,7 +774,7 @@ impl Service {
         };
         let remaining = entry.hub.unsubscribe(sub);
         if disconnected
-            && entry.cancel_on_disconnect
+            && entry.request.cancel_on_disconnect
             && remaining == 0
             && entry.state() == CampaignState::Running
         {
@@ -885,7 +843,7 @@ impl Service {
             }
         }
         drop(st);
-        self.set_metric("drains_total", 1.0);
+        lock_recover(&self.inner.metrics).set("drains_total", 1.0);
         report
     }
 
@@ -912,22 +870,23 @@ impl Service {
              eth_serve_build_info{{version=\"{}\"}} 1",
             crate::telemetry::escape_label_value(env!("CARGO_PKG_VERSION"))
         );
-        // Process-wide pressure gauges straight from the staging byte
-        // accountant, so backpressure is observable where operators
-        // already look.
+        // Pressure gauges straight from the service's own staging byte
+        // accountant (the number `submit` sheds on), so backpressure is
+        // observable where operators already look.
+        let staged = self.inner.caches.accountant();
         let _ = writeln!(
             out,
-            "# HELP eth_serve_staging_resident_bytes Staged blocks resident in memory, process-wide.\n\
+            "# HELP eth_serve_staging_resident_bytes Staged blocks resident in this service's caches.\n\
              # TYPE eth_serve_staging_resident_bytes gauge\n\
              eth_serve_staging_resident_bytes {}",
-            eth_data::staging::process_resident_bytes()
+            staged.resident_bytes()
         );
         let _ = writeln!(
             out,
-            "# HELP eth_serve_staging_spilled_bytes_total Staged bytes spilled to disk chunks, process lifetime.\n\
+            "# HELP eth_serve_staging_spilled_bytes_total Staged bytes this service spilled to disk chunks.\n\
              # TYPE eth_serve_staging_spilled_bytes_total counter\n\
              eth_serve_staging_spilled_bytes_total {}",
-            eth_data::staging::process_spilled_bytes()
+            staged.spilled_bytes()
         );
         out
     }
@@ -955,12 +914,8 @@ impl Service {
 
     fn shed(&self, reason: &str) -> AdmissionError {
         self.add_metric("shed_total", 1.0);
-        let (depth, _) = {
-            let st = lock_recover(&self.inner.state);
-            (st.queued_points, st.active)
-        };
         // Crude but monotone: the deeper the queue, the longer the hint.
-        let retry_after_s = 1 + (depth / self.inner.slots.max(1)) as u64;
+        let retry_after_s = 1 + (self.queue_depth() / self.slots()) as u64;
         AdmissionError::Shed {
             retry_after_s,
             reason: reason.to_string(),
@@ -991,12 +946,11 @@ impl Service {
         let outstanding = AtomicUsize::new(specs.len());
         Arc::new(CampaignEntry {
             id,
-            tenant: req.tenant.clone(),
+            request: req.clone(),
             dir,
             specs,
             hashes,
             token: CancelToken::new(),
-            cancel_on_disconnect: req.cancel_on_disconnect,
             hub: EventHub::new(self.inner.policy.subscriber_buffer),
             outstanding,
             progress: Mutex::new(EntryProgress {
@@ -1044,17 +998,14 @@ impl Service {
     /// Execute one point through the cross-tenant dedupe memo: the first
     /// requester of a spec hash computes (holding the per-key slot), and
     /// every identical concurrent or later request shares the outcome.
-    fn run_point(&self, spec: &ExperimentSpec, attempt: u32) -> PointResult {
-        let exec = |spec: &ExperimentSpec, attempt: u32| -> PointResult {
-            let over = lock_recover(&self.inner.runner_override).clone();
-            match over {
-                Some(runner) => runner(spec, attempt),
-                None => run_native_cached(&spec_for_attempt(spec, attempt), &self.inner.caches),
-            }
+    fn run_point(&self, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches) -> PointResult {
+        let exec = || match lock_recover(&self.inner.runner_override).clone() {
+            Some(runner) => runner(spec, attempt),
+            None => run_attempt(spec, attempt, caches),
         };
         if attempt > 1 {
             // Retried attempts run a perturbed spec; never memoized.
-            return exec(spec, attempt);
+            return exec();
         }
         let key = journal::spec_hash(spec);
         let slot = lock_recover(&self.inner.memo)
@@ -1067,11 +1018,71 @@ impl Service {
             return Ok((**hit).clone());
         }
         self.add_metric("dedupe_misses_total", 1.0);
-        let result = exec(spec, attempt);
+        let result = exec();
         if let Ok(outcome) = &result {
             *guard = Some(Arc::new(outcome.clone()));
         }
         result
+    }
+
+    fn slots(&self) -> usize {
+        self.inner.slots.load(Ordering::SeqCst)
+    }
+
+    /// Admission bookkeeping, the one way a campaign starts counting:
+    /// its points join the queue bound, it becomes a live worker, the
+    /// gauges follow, and the worker starts. Takes the state guard so
+    /// `submit` can check its bounds and admit atomically.
+    fn admit(&self, mut st: MutexGuard<'_, ServiceState>, entry: Arc<CampaignEntry>, counter: &str) {
+        st.queued_points += entry.specs.len();
+        st.active += 1;
+        st.entries.push(entry.clone());
+        self.sync_gauges(&st, &entry.request.tenant);
+        drop(st);
+        self.add_metric(counter, 1.0);
+        self.spawn_worker(entry);
+    }
+
+    /// The inverse of [`Service::admit`], run exactly once per admitted
+    /// campaign when its worker is over, in an order that makes what
+    /// observers see imply what is on disk: first the terminal record and
+    /// summary become durable; only then does the entry's state leave
+    /// `Running` (so a status poll that reads "done" can restart the
+    /// service and find `done: true`); subscribers are told; and last the
+    /// campaign stops counting as live and [`Service::drain`] is woken, so
+    /// a drain that returns un-timed-out finds every epilogue on disk.
+    fn retire(&self, entry: &CampaignEntry, state: CampaignState) {
+        let mut status = entry.status();
+        status.state = state.name().to_string();
+        if state.is_terminal() {
+            let _ = self.write_record(&entry.dir, entry.id, &entry.request, true);
+        }
+        if let Ok(text) = serde_json::to_string_pretty(&status) {
+            let _ = fs::write(entry.dir.join(OUTCOME_FILE), text);
+        }
+        {
+            let mut p = lock_recover(&entry.progress);
+            p.wall_s = status.wall_s;
+            p.state = state;
+        }
+        entry.hub.publish_json("campaign-done", &status);
+        entry.hub.close_all();
+        let mut st = lock_recover(&self.inner.state);
+        // Points never executed (abandoned, or restored without running).
+        st.queued_points = st.queued_points.saturating_sub(entry.outstanding.swap(0, Ordering::SeqCst));
+        st.active = st.active.saturating_sub(1);
+        self.sync_gauges(&st, &entry.request.tenant);
+        drop(st);
+        self.inner.wake.notify_all();
+    }
+
+    /// Publish the admission gauges from `st` (the caller holds the state
+    /// lock, so a reader that saw the state change sees the gauges too).
+    fn sync_gauges(&self, st: &ServiceState, tenant: &str) {
+        let mut metrics = lock_recover(&self.inner.metrics);
+        metrics.set("queue_depth_points", st.queued_points as f64);
+        metrics.set("inflight_campaigns", st.active as f64);
+        metrics.set(&format!("inflight_tenant_{tenant}"), st.tenant_inflight(tenant) as f64);
     }
 
     fn spawn_worker(&self, entry: Arc<CampaignEntry>) {
@@ -1080,95 +1091,40 @@ impl Service {
         let worker_entry = entry.clone();
         let spawn = thread::Builder::new().name(name).spawn(move || {
             let entry = worker_entry;
-            let run = catch_unwind(AssertUnwindSafe(|| service.run_campaign(&entry)));
-            if run.is_err() {
-                service.add_metric("worker_panics_total", 1.0);
-                let mut p = lock_recover(&entry.progress);
-                p.state = CampaignState::Failed;
-                p.wall_s = entry.started.elapsed().as_secs_f64();
-            }
-            service.finish_worker(&entry);
+            let state = catch_unwind(AssertUnwindSafe(|| service.run_campaign(&entry)))
+                .unwrap_or_else(|_| {
+                    service.add_metric("worker_panics_total", 1.0);
+                    CampaignState::Failed
+                });
+            service.retire(&entry, state);
         });
         if spawn.is_err() {
             // Could not start the worker: undo the admission bookkeeping
             // so drain and the queue bound don't wait on a ghost.
             self.add_metric("worker_spawn_failures_total", 1.0);
-            let mut p = lock_recover(&entry.progress);
-            p.state = CampaignState::Failed;
-            drop(p);
-            self.finish_worker(&entry);
+            self.retire(&entry, CampaignState::Failed);
         }
     }
 
-    /// Worker epilogue: reconcile queue depth, persist the terminal
-    /// record, publish the final event, and wake any drain waiter.
-    fn finish_worker(&self, entry: &Arc<CampaignEntry>) {
-        let remaining = entry.outstanding.swap(0, Ordering::SeqCst);
-        {
-            let mut st = lock_recover(&self.inner.state);
-            st.queued_points = st.queued_points.saturating_sub(remaining);
-            st.active = st.active.saturating_sub(1);
-            let depth = st.queued_points;
-            let active = st.active;
-            drop(st);
-            self.set_metric("queue_depth_points", depth as f64);
-            self.set_metric("inflight_campaigns", active as f64);
-        }
-        self.update_tenant_gauge(&entry.tenant);
-        let status = entry.status();
-        if entry.state().is_terminal() {
-            let req = CampaignRequest {
-                tenant: entry.tenant.clone(),
-                base: entry.specs[0].clone(),
-                algorithms: Vec::new(),
-                couplings: Vec::new(),
-                sampling_ratios: Vec::new(),
-                rank_counts: Vec::new(),
-                cancel_on_disconnect: entry.cancel_on_disconnect,
-            };
-            // Re-read the original request if possible so the persisted
-            // record keeps the tenant's sweep axes (not the flattened
-            // base); fall back to the synthesized single-point form.
-            let original: Option<ServiceRecord> = fs::read_to_string(entry.dir.join(SERVICE_FILE))
-                .ok()
-                .and_then(|t| serde_json::from_str(&t).ok());
-            let request = original.map(|r| r.request).unwrap_or(req);
-            let _ = self.write_record(&entry.dir, entry.id, &request, true);
-        }
-        if let Ok(text) = serde_json::to_string_pretty(&status) {
-            let _ = fs::write(entry.dir.join(OUTCOME_FILE), text);
-        }
-        entry.hub.publish(
-            "campaign-done",
-            serde_json::to_string(&status).unwrap_or_default(),
-        );
-        entry.hub.close_all();
-        self.inner.wake.notify_all();
-    }
-
-    fn run_campaign(&self, entry: &Arc<CampaignEntry>) {
-        entry.hub.publish(
-            "campaign-started",
-            serde_json::to_string(&entry.status()).unwrap_or_default(),
-        );
-        let mut campaign = Campaign::with_capacity(self.inner.slots)
-            .with_cancel_token(entry.token.clone());
+    /// Run `entry`'s campaign to its end and return the state it ended in
+    /// ([`Service::retire`] publishes it once it is durable).
+    fn run_campaign(&self, entry: &CampaignEntry) -> CampaignState {
+        entry.hub.publish_json("campaign-started", &entry.status());
+        let mut campaign =
+            Campaign::with_capacity(self.slots()).with_cancel_token(entry.token.clone());
         if let Some(resources) = &self.inner.policy.resources {
             campaign = campaign.with_resources(resources.clone());
         }
-        let result = campaign.run_journaled_custom(&entry.specs, &entry.dir, |index, spec, attempt| {
-            entry.hub.publish(
-                "point-started",
-                serde_json::to_string(&PointEvent {
-                    index,
-                    name: spec.name.clone(),
-                    ok: true,
-                    wall_s: 0.0,
-                })
-                .unwrap_or_default(),
-            );
+        let runner = |index: usize, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches| {
+            let event = |ok: bool, wall_s: f64| PointEvent {
+                index,
+                name: spec.name.clone(),
+                ok,
+                wall_s,
+            };
+            entry.hub.publish_json("point-started", &event(true, 0.0));
             let t0 = Instant::now();
-            let point = self.run_point(spec, attempt);
+            let point = self.run_point(spec, attempt, caches);
             // One fewer unfinished point, globally and for this entry.
             let _ = entry
                 .outstanding
@@ -1176,72 +1132,43 @@ impl Service {
             {
                 let mut st = lock_recover(&self.inner.state);
                 st.queued_points = st.queued_points.saturating_sub(1);
-                let depth = st.queued_points;
-                drop(st);
-                self.set_metric("queue_depth_points", depth as f64);
+                self.sync_gauges(&st, &entry.request.tenant);
             }
             let wall_s = t0.elapsed().as_secs_f64();
             self.observe_metric("point_s", wall_s);
             match &point {
                 Ok(outcome) => {
-                    {
-                        let mut p = lock_recover(&entry.progress);
-                        p.done += 1;
-                    }
-                    entry.hub.publish(
-                        "point-finished",
-                        serde_json::to_string(&PointEvent {
-                            index,
-                            name: spec.name.clone(),
-                            ok: true,
-                            wall_s,
-                        })
-                        .unwrap_or_default(),
-                    );
+                    lock_recover(&entry.progress).done += 1;
+                    entry.hub.publish_json("point-finished", &event(true, wall_s));
                     if let Some(image) = outcome.images.first() {
-                        entry.hub.publish(
-                            "image",
-                            serde_json::to_string(&ImageEvent {
-                                index,
-                                width: image.width(),
-                                height: image.height(),
-                                png_base64: base64(&image.to_png()),
-                            })
-                            .unwrap_or_default(),
-                        );
+                        let image = ImageEvent {
+                            index,
+                            width: image.width(),
+                            height: image.height(),
+                            png_base64: base64(&image.to_png()),
+                        };
+                        entry.hub.publish_json("image", &image);
                     }
                 }
                 Err(e) => {
                     if !matches!(e, CoreError::Canceled) {
-                        let mut p = lock_recover(&entry.progress);
-                        p.failed += 1;
+                        lock_recover(&entry.progress).failed += 1;
                     }
-                    entry.hub.publish(
-                        "point-failed",
-                        serde_json::to_string(&PointEvent {
-                            index,
-                            name: spec.name.clone(),
-                            ok: false,
-                            wall_s,
-                        })
-                        .unwrap_or_default(),
-                    );
+                    entry.hub.publish_json("point-failed", &event(false, wall_s));
                 }
             }
             point
-        });
-        let mut p = lock_recover(&entry.progress);
-        p.wall_s = entry.started.elapsed().as_secs_f64();
+        };
+        let result =
+            campaign.execute(&entry.specs, &self.inner.caches, Some(&entry.dir), Some(&runner));
         match result {
             Err(e) => {
-                p.state = CampaignState::Failed;
-                drop(p);
                 self.add_metric("failed_campaigns_total", 1.0);
-                entry
-                    .hub
-                    .publish("error", format!("{{\"message\":{}}}", json_string(&e.to_string())));
+                entry.hub.publish_json("error", &ErrorEvent { message: e.to_string() });
+                CampaignState::Failed
             }
             Ok(outcome) => {
+                let mut p = lock_recover(&entry.progress);
                 let interrupted = outcome
                     .results
                     .iter()
@@ -1255,14 +1182,13 @@ impl Service {
                 p.done = done;
                 p.failed = failed;
                 p.restored = outcome.restored.len();
-                p.state = if p.user_canceled {
+                let state = if p.user_canceled {
                     CampaignState::Canceled
                 } else if interrupted {
                     CampaignState::Interrupted
                 } else {
                     CampaignState::Done
                 };
-                let state = p.state;
                 drop(p);
                 if state == CampaignState::Interrupted {
                     self.add_metric("interrupted_campaigns_total", 1.0);
@@ -1270,10 +1196,7 @@ impl Service {
                     self.add_metric("completed_campaigns_total", 1.0);
                 }
                 lock_recover(&self.inner.campaign_metrics).merge(&outcome.telemetry.counters);
-                entry.hub.publish(
-                    "telemetry",
-                    serde_json::to_string(&outcome.telemetry.counters).unwrap_or_default(),
-                );
+                entry.hub.publish_json("telemetry", &outcome.telemetry.counters);
                 // Stitch the campaign's cross-rank trace: persist the
                 // Perfetto view for `GET /campaigns/{id}/trace` and carry
                 // the critical-path summary onto the terminal status.
@@ -1284,6 +1207,7 @@ impl Service {
                         lock_recover(&entry.progress).critical_path = Some(cp);
                     }
                 }
+                state
             }
         }
     }
@@ -1292,22 +1216,14 @@ impl Service {
         lock_recover(&self.inner.metrics).add(name, v);
     }
 
-    fn set_metric(&self, name: &str, v: f64) {
-        lock_recover(&self.inner.metrics).set(name, v);
-    }
-
     fn observe_metric(&self, name: &str, v: f64) {
         lock_recover(&self.inner.metrics).observe(name, v);
     }
+}
 
-    fn update_tenant_gauge(&self, tenant: &str) {
-        let inflight = lock_recover(&self.inner.state)
-            .entries
-            .iter()
-            .filter(|e| e.tenant == tenant && e.state() == CampaignState::Running)
-            .count();
-        self.set_metric(&format!("inflight_tenant_{tenant}"), inflight as f64);
-    }
+#[derive(Serialize)]
+struct ErrorEvent {
+    message: String,
 }
 
 #[derive(Serialize)]
@@ -1412,7 +1328,7 @@ fn handle_connection(service: Service, stream: TcpStream) {
         if let Some(mut s) = spare {
             let _ = write_response(
                 &mut s,
-                &Response::json(500, "{\"error\":\"internal server error\"}"),
+                &Response::error(500, "internal server error"),
             );
         }
     }
@@ -1450,6 +1366,16 @@ impl Response {
             body: body.as_bytes().to_vec(),
             retry_after: None,
         }
+    }
+
+    /// `{"error": message}` with `status`.
+    fn error(status: u16, message: impl Into<String>) -> Response {
+        #[derive(Serialize)]
+        struct ErrorBody {
+            error: String,
+        }
+        let body = ErrorBody { error: message.into() };
+        Response::json(status, &serde_json::to_string(&body).unwrap_or_default())
     }
 
     fn text(status: u16, body: &str) -> Response {
@@ -1579,18 +1505,15 @@ fn handle_request(service: &Service, mut stream: TcpStream) {
         Err(RequestError::Closed) => return,
         Err(RequestError::Timeout) => {
             service.add_metric("deadline_expired_total", 1.0);
-            let _ = write_response(&mut stream, &Response::json(408, "{\"error\":\"request deadline exceeded\"}"));
+            let _ = write_response(&mut stream, &Response::error(408, "request deadline exceeded"));
             return;
         }
         Err(RequestError::TooLarge) => {
-            let _ = write_response(&mut stream, &Response::json(413, "{\"error\":\"request too large\"}"));
+            let _ = write_response(&mut stream, &Response::error(413, "request too large"));
             return;
         }
         Err(RequestError::Bad(msg)) => {
-            let _ = write_response(
-                &mut stream,
-                &Response::json(400, &format!("{{\"error\":{}}}", json_string(msg))),
-            );
+            let _ = write_response(&mut stream, &Response::error(400, msg));
             return;
         }
     };
@@ -1606,7 +1529,7 @@ fn handle_request(service: &Service, mut stream: TcpStream) {
                 return;
             }
         }
-        let _ = write_response(&mut stream, &Response::json(404, "{\"error\":\"no such campaign\"}"));
+        let _ = write_response(&mut stream, &Response::error(404, "no such campaign"));
         return;
     }
 
@@ -1629,35 +1552,24 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
         ("POST", ["campaigns"]) => {
             let body = match std::str::from_utf8(&request.body) {
                 Ok(s) => s,
-                Err(_) => return Response::json(400, "{\"error\":\"body is not utf-8\"}"),
+                Err(_) => return Response::error(400, "body is not utf-8"),
             };
             let req: CampaignRequest = match serde_json::from_str(body) {
                 Ok(r) => r,
-                Err(e) => {
-                    return Response::json(
-                        400,
-                        &format!("{{\"error\":{}}}", json_string(&format!("bad campaign request: {e}"))),
-                    )
-                }
+                Err(e) => return Response::error(400, format!("bad campaign request: {e}")),
             };
             match service.submit(&req) {
                 Ok(status) => Response::json(
                     201,
                     &serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string()),
                 ),
-                Err(AdmissionError::Draining) => Response::json(503, "{\"error\":\"service is draining\"}"),
+                Err(AdmissionError::Draining) => Response::error(503, "service is draining"),
                 Err(AdmissionError::Shed { retry_after_s, reason }) => Response {
-                    status: 429,
-                    content_type: "application/json",
-                    body: format!("{{\"error\":{}}}", json_string(&reason)).into_bytes(),
                     retry_after: Some(retry_after_s),
+                    ..Response::error(429, reason)
                 },
-                Err(AdmissionError::Invalid(msg)) => {
-                    Response::json(400, &format!("{{\"error\":{}}}", json_string(&msg)))
-                }
-                Err(AdmissionError::Io(e)) => {
-                    Response::json(500, &format!("{{\"error\":{}}}", json_string(&e.to_string())))
-                }
+                Err(AdmissionError::Invalid(msg)) => Response::error(400, msg),
+                Err(AdmissionError::Io(e)) => Response::error(500, e.to_string()),
             }
         }
         ("GET", ["campaigns"]) => Response::json(
@@ -1669,14 +1581,14 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
                 200,
                 &serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string()),
             ),
-            None => Response::json(404, "{\"error\":\"no such campaign\"}"),
+            None => Response::error(404, "no such campaign"),
         },
         ("DELETE", ["campaigns", id]) => match id.parse::<usize>() {
             Ok(id) if service.cancel(id) => Response::json(202, "{\"canceled\":true}"),
             Ok(id) if service.status(id).is_some() => {
-                Response::json(409, "{\"error\":\"campaign is not running\"}")
+                Response::error(409, "campaign is not running")
             }
-            _ => Response::json(404, "{\"error\":\"no such campaign\"}"),
+            _ => Response::error(404, "no such campaign"),
         },
         ("GET", ["campaigns", id, "trace"]) => {
             match id.parse::<usize>().ok().and_then(|id| service.campaign_trace(id)) {
@@ -1686,7 +1598,7 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
                     body,
                     retry_after: None,
                 },
-                None => Response::json(404, "{\"error\":\"campaign has no stitched trace\"}"),
+                None => Response::error(404, "campaign has no stitched trace"),
             }
         }
         ("GET", ["campaigns", id, "points", index, "image"]) => {
@@ -1698,9 +1610,9 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
                         body: png,
                         retry_after: None,
                     },
-                    None => Response::json(404, "{\"error\":\"point has no finished image\"}"),
+                    None => Response::error(404, "point has no finished image"),
                 },
-                _ => Response::json(404, "{\"error\":\"bad campaign or point id\"}"),
+                _ => Response::error(404, "bad campaign or point id"),
             }
         }
         ("POST", ["drain"]) => {
@@ -1710,7 +1622,7 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
                 &serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string()),
             )
         }
-        _ => Response::json(404, "{\"error\":\"no such route\"}"),
+        _ => Response::error(404, "no such route"),
     }
 }
 
@@ -1720,7 +1632,7 @@ fn route(service: &Service, request: &Request, segments: &[&str]) -> Response {
 /// queue means the scheduler never waits on this socket.
 fn handle_sse(service: &Service, id: usize, mut stream: TcpStream) {
     let Some(sub) = service.subscribe(id) else {
-        let _ = write_response(&mut stream, &Response::json(404, "{\"error\":\"no such campaign\"}"));
+        let _ = write_response(&mut stream, &Response::error(404, "no such campaign"));
         return;
     };
     service.add_metric("sse_subscribers_total", 1.0);
@@ -1778,25 +1690,6 @@ pub fn base64(data: &[u8]) -> String {
     out
 }
 
-/// JSON-escape `s` into a quoted string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1812,9 +1705,9 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn error_bodies_escape_through_the_one_serializer() {
+        let body = Response::error(400, "a\"b\\c\n\u{1}").body;
+        assert_eq!(body, br#"{"error":"a\"b\\c\n\u0001"}"#);
     }
 
     #[test]
@@ -1871,9 +1764,8 @@ mod tests {
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&root);
-        // A 1-byte budget puts the high watermark at 0 bytes: any process
-        // residency (including none) is "over", so the shed path is
-        // deterministic without pinning global gauges from a test.
+        // A 1-byte budget puts the high watermark at 0 bytes: any
+        // residency (including the fresh service's none) is "over".
         let policy = ServicePolicy {
             resources: Some(ResourcePolicy::with_memory_budget(1)),
             ..ServicePolicy::default()

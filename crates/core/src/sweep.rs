@@ -295,7 +295,8 @@ pub struct CampaignOutcome {
     pub results: Vec<PointResult>,
     /// End-to-end wall time for the whole campaign.
     pub wall_s: f64,
-    /// Staging/baseline cache counters accumulated across all points.
+    /// Counters of the [`RunCaches`] the campaign ran against, read when
+    /// it finished (cumulative if the caches served earlier campaigns).
     pub cache: CacheStats,
     /// Attempts each point consumed (1 = succeeded or failed terminally
     /// on the first try; restored points keep their recorded count).
@@ -304,7 +305,7 @@ pub struct CampaignOutcome {
     /// aside as [`CoreError::Quarantined`].
     pub quarantined: Vec<usize>,
     /// Indices restored from a campaign journal instead of re-run
-    /// (always empty outside [`Campaign::run_journaled`] / resume).
+    /// (always empty without a journal directory).
     pub restored: Vec<usize>,
     /// Aggregate flight-recorder telemetry for the whole campaign (queue
     /// wait / cache / journal latency histograms, retry and degradation
@@ -381,11 +382,14 @@ impl CampaignOutcome {
 /// a wide point cannot be starved by a stream of narrow ones; results are
 /// returned in input order no matter when each point finishes.
 ///
-/// Each point runs through [`run_native_cached`] against a shared
-/// [`RunCaches`], so points differing only on the algorithm / ratio /
-/// coupling axes share a single staging pass. Determinism: staged data and
-/// rendering are pure functions of the spec, so a campaign's images are
-/// byte-identical to running each spec alone, sequentially.
+/// Every way of running a campaign is [`Campaign::execute`]: it is handed
+/// the [`RunCaches`] its points share (so points differing only on the
+/// algorithm / ratio / coupling axes share a single staging pass, and the
+/// scheduler reads *those caches'* resident bytes at its backpressure
+/// gate), a journal directory that may be absent, and a point runner that
+/// may be absent. Determinism: staged data and rendering are pure
+/// functions of the spec, so a campaign's images are byte-identical to
+/// running each spec alone, sequentially.
 ///
 /// A failing point — including one whose supervised ranks panic or hang
 /// (see [`RankFailure`]) — records its error in its result slot and the
@@ -401,6 +405,22 @@ impl Default for Campaign {
     fn default() -> Self {
         Campaign::new()
     }
+}
+
+/// A per-attempt point runner, `(index, spec, attempt, caches)`. A
+/// supplied runner *wraps* the real execution — inject a transient
+/// failure, consult a memo, publish progress — and reaches it through
+/// [`run_attempt`] with the campaign's own caches, so what it stages is
+/// shared and counted like any other point's (`reproduce chaos-campaign`
+/// and `eth serve` are the two callers). It MUST be a deterministic
+/// function of `(spec, attempt)` for restored results to equal re-runs.
+pub type PointRunner<'a> =
+    dyn Fn(usize, &ExperimentSpec, u32, &RunCaches) -> PointResult + Sync + 'a;
+
+/// One attempt of one point, the way a campaign runs it when no runner is
+/// supplied: [`spec_for_attempt`] through [`run_native_cached`].
+pub fn run_attempt(spec: &ExperimentSpec, attempt: u32, caches: &RunCaches) -> PointResult {
+    run_native_cached(&spec_for_attempt(spec, attempt), caches)
 }
 
 impl Campaign {
@@ -424,18 +444,15 @@ impl Campaign {
     /// Attach a campaign-level [`ResourcePolicy`]. Its disk quota bounds
     /// the journal (WAL plus persisted results together), and its memory
     /// budget's watermarks gate admission: the scheduler stops admitting
-    /// new points while process-wide staged residency sits above the high
-    /// watermark and resumes once it drains below the low one. Stalls are
-    /// bounded (a stuck gauge cannot deadlock the campaign — the staging
-    /// stores self-enforce their budgets regardless) and counted in the
+    /// new points while the staged residency of *the caches this campaign
+    /// runs against* sits above the high watermark and resumes once it
+    /// drains below the low one. Stalls are bounded (a gauge that never
+    /// drains cannot deadlock the campaign — the staging stores
+    /// self-enforce their budgets regardless) and counted in the
     /// `backpressure_stalls` telemetry counter.
     pub fn with_resources(mut self, resources: ResourcePolicy) -> Campaign {
         self.resources = Some(resources);
         self
-    }
-
-    pub fn resources(&self) -> Option<&ResourcePolicy> {
-        self.resources.as_ref()
     }
 
     /// Attach a cancellation token (see [`CancelToken`] for semantics).
@@ -451,10 +468,6 @@ impl Campaign {
             ..policy
         };
         self
-    }
-
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     pub fn capacity(&self) -> usize {
@@ -474,154 +487,96 @@ impl Campaign {
         threads.clamp(1, self.capacity)
     }
 
-    /// Run every spec with a fresh cache set.
+    /// [`Campaign::run_with`] over a fresh cache set.
     pub fn run(&self, specs: &[ExperimentSpec]) -> CampaignOutcome {
         self.run_with(specs, &RunCaches::new())
     }
 
-    /// Materialize and run a sweep.
-    pub fn run_sweep(&self, sweep: &Sweep) -> Result<CampaignOutcome> {
-        Ok(self.run(&sweep.specs()?))
-    }
-
-    /// Run every spec against a caller-provided cache set (use this to
-    /// share staging across several campaigns over the same data).
+    /// [`Campaign::execute`] with no journal and the default runner (pass
+    /// the same `caches` to several campaigns to share staging between
+    /// them).
     pub fn run_with(&self, specs: &[ExperimentSpec], caches: &RunCaches) -> CampaignOutcome {
-        let t0 = Instant::now();
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        let (results, attempts, quarantined, trace) =
-            self.run_engine(specs, None, prefilled, |_, spec, attempt| {
-                run_native_cached(&spec_for_attempt(spec, attempt), caches)
-            });
-        let cache = caches.stats();
-        let telemetry =
-            CampaignTelemetry::from_campaign(&trace, &results, &attempts, &quarantined, &[], &cache);
-        CampaignOutcome {
-            results,
-            wall_s: t0.elapsed().as_secs_f64(),
-            cache,
-            attempts,
-            quarantined,
-            restored: Vec::new(),
-            telemetry,
-            trace,
-        }
+        self.execute(specs, caches, None, None)
+            .expect("a campaign without a journal directory has no fallible setup")
     }
 
-    /// Run with a caller-supplied per-attempt runner instead of
-    /// [`run_native_cached`]. This is the hook for sweeping *recovery
-    /// policy itself* as a design axis: the runner sees
-    /// `(index, spec, attempt)` and can inject deterministic transient
-    /// failures around the real execution (see `reproduce
-    /// chaos-campaign`). Scheduling, retry, backoff, and quarantine
-    /// behave exactly as in [`Campaign::run_with`].
-    pub fn run_custom<F>(&self, specs: &[ExperimentSpec], runner: F) -> CampaignOutcome
-    where
-        F: Fn(usize, &ExperimentSpec, u32) -> PointResult + Sync,
-    {
-        let t0 = Instant::now();
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        let (results, attempts, quarantined, trace) =
-            self.run_engine(specs, None, prefilled, runner);
-        let cache = CacheStats::default();
-        let telemetry =
-            CampaignTelemetry::from_campaign(&trace, &results, &attempts, &quarantined, &[], &cache);
-        CampaignOutcome {
-            results,
-            wall_s: t0.elapsed().as_secs_f64(),
-            cache,
-            attempts,
-            quarantined,
-            restored: Vec::new(),
-            telemetry,
-            trace,
-        }
-    }
-
-    /// [`Campaign::run_with`] with a crash-safe journal in `dir` (see
-    /// [`crate::journal`]): every attempt is logged write-ahead, every
-    /// finished point's result is persisted and checksummed, and a
-    /// journal left by an earlier (killed) run restores its completed
-    /// points instead of re-running them. A point whose spec hash changed
-    /// since the journal was written — or whose result file is missing or
-    /// fails verification — is simply re-run; in-flight and failed points
-    /// always re-run.
+    /// [`Campaign::execute`] with a crash-safe journal in `dir` and the
+    /// default runner.
     pub fn run_journaled(
         &self,
         specs: &[ExperimentSpec],
         caches: &RunCaches,
         dir: &Path,
     ) -> Result<CampaignOutcome> {
-        let mut outcome = self.run_journaled_custom(specs, dir, |_, spec, attempt| {
-            run_native_cached(&spec_for_attempt(spec, attempt), caches)
-        })?;
-        // The custom path cannot see the caches; splice the real stats in.
-        outcome.cache = caches.stats();
-        outcome
-            .telemetry
-            .counters
-            .set("cache_staging_hit_rate", outcome.cache.staging_hit_rate());
-        Ok(outcome)
+        self.execute(specs, caches, Some(dir), None)
     }
 
-    /// [`Campaign::run_journaled`] with a caller-supplied per-attempt
-    /// runner (the journaled analog of [`Campaign::run_custom`]). This is
-    /// the entry point the campaign service builds on: the runner can
-    /// layer a cross-tenant result memo or chaos injection around the real
-    /// execution while keeping the WAL, restore-on-resume, and
-    /// byte-identical-results contract intact. The runner MUST be a
-    /// deterministic function of `(spec, attempt)` for restored results to
-    /// be equivalent to re-runs.
-    pub fn run_journaled_custom<F>(
+    /// Run the campaign: the one body behind every entry point.
+    ///
+    /// With a `journal_dir` (see [`crate::journal`]) every attempt is
+    /// logged write-ahead, every finished point's result is persisted and
+    /// checksummed, and a journal left by an earlier (killed, drained,
+    /// canceled) run restores its completed points instead of re-running
+    /// them; a point whose spec hash changed since — or whose result file
+    /// is missing or fails verification — is simply re-run, as are
+    /// in-flight and failed points. Without one the log is empty and every
+    /// durable step below is a no-op. `Err` is only ever a journal setup
+    /// failure (unopenable or locked directory).
+    ///
+    /// `runner` defaults to [`run_attempt`]; see [`PointRunner`].
+    ///
+    /// Retry flow: a failed attempt covered by the retry policy releases
+    /// its slots, is journaled as a failed attempt, sleeps its jittered
+    /// backoff, then takes a *fresh* ticket and rejoins the FIFO queue —
+    /// so retries cannot starve first attempts and admission stays
+    /// strictly ordered. Once `max_attempts` are spent the point is
+    /// quarantined and the campaign proceeds.
+    pub fn execute(
         &self,
         specs: &[ExperimentSpec],
-        dir: &Path,
-        runner: F,
-    ) -> Result<CampaignOutcome>
-    where
-        F: Fn(usize, &ExperimentSpec, u32) -> PointResult + Sync,
-    {
+        caches: &RunCaches,
+        journal_dir: Option<&Path>,
+        runner: Option<&PointRunner<'_>>,
+    ) -> Result<CampaignOutcome> {
         let t0 = Instant::now();
-        let journal = Journal::open(dir)?
-            .with_quota(self.resources.as_ref().and_then(|r| r.disk_quota_bytes));
-        let hashes: Vec<u64> = specs.iter().map(journal::spec_hash).collect();
-        journal::write_manifest(dir, specs, &hashes)?;
-
-        // Replay: the last Finished record per index wins. Only a
-        // successful record whose spec hash still matches *and* whose
-        // persisted result verifies is worth restoring.
-        let mut finished: HashMap<usize, (u64, u32, bool)> = HashMap::new();
-        for record in journal::replay(dir)? {
-            if let JournalRecord::Finished {
-                index,
-                spec_hash,
-                attempt,
-                outcome,
-                ..
-            } = record
-            {
-                finished.insert(index, (spec_hash, attempt, outcome == RecordedOutcome::Ok));
+        let quota = self.resources.as_ref().and_then(|r| r.disk_quota_bytes);
+        let (log, mut slots) = CampaignLog::open(journal_dir, specs, quota)?;
+        let restored: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_some()).collect();
+        let runner = runner.unwrap_or(&|_, spec, attempt, caches| run_attempt(spec, attempt, caches));
+        // Restored points take neither a ticket nor a thread: tickets are
+        // dense over the points that actually run.
+        let sem = WeightedSemaphore::new(self.capacity, specs.len() - restored.len());
+        // Campaign flight recorder: every point thread stacks it on top
+        // of whatever sinks the caller attached (e.g. the CLI's --trace
+        // recorder), so the campaign sees its own spans and the caller
+        // still sees everything.
+        let recorder = eth_obs::Recorder::new();
+        let obs = eth_obs::current_context();
+        thread::scope(|s| {
+            let live = specs
+                .iter()
+                .zip(slots.iter_mut())
+                .enumerate()
+                .filter(|(_, (_, slot))| slot.is_none());
+            for (ticket, (index, (spec, slot))) in live.enumerate() {
+                let (sem, log) = (&sem, log.point(index, spec));
+                let (obs, recorder) = (obs.clone(), recorder.clone());
+                s.spawn(move || {
+                    let _ctx = obs.attach();
+                    let _rec = recorder.attach();
+                    *slot = Some(self.run_point(sem, ticket, spec, caches, runner, &log));
+                });
             }
-        }
-        let mut prefilled: Vec<Option<(PointResult, u32)>> =
-            (0..specs.len()).map(|_| None).collect();
-        let mut restored = Vec::new();
-        for (index, spec) in specs.iter().enumerate() {
-            let Some(&(hash, attempt, ok)) = finished.get(&index) else {
-                continue;
-            };
-            if !ok || hash != hashes[index] {
-                continue; // failed, or the spec changed: re-run
-            }
-            if let Ok(outcome) = journal::load_result(dir, index, hash, spec) {
-                prefilled[index] = Some((Ok(outcome), attempt));
-                restored.push(index);
-            }
-        }
-
-        let (results, attempts, quarantined, trace) =
-            self.run_engine(specs, Some(&journal), prefilled, runner);
-        let cache = CacheStats::default();
+        });
+        let trace = recorder.take();
+        let (results, attempts): (Vec<PointResult>, Vec<u32>) = slots
+            .into_iter()
+            .map(|slot| slot.expect("every live point thread writes its slot before exiting"))
+            .unzip();
+        let quarantined: Vec<usize> = (0..results.len())
+            .filter(|&i| matches!(results[i], Err(CoreError::Quarantined { .. })))
+            .collect();
+        let cache = caches.stats();
         let telemetry = CampaignTelemetry::from_campaign(
             &trace,
             &results,
@@ -642,265 +597,231 @@ impl Campaign {
         })
     }
 
-    /// Resume (or start) a journaled campaign over `sweep` in `dir` with
-    /// a fresh cache set.
-    pub fn resume(&self, dir: &Path, sweep: &Sweep) -> Result<CampaignOutcome> {
-        self.run_journaled(&sweep.specs()?, &RunCaches::new(), dir)
+    /// One point's life on its scheduler thread: gate, queue, attempt,
+    /// log, and — while the retry policy covers the failure — again.
+    /// Returns the final result and the attempts it consumed.
+    fn run_point(
+        &self,
+        sem: &WeightedSemaphore,
+        mut ticket: usize,
+        spec: &ExperimentSpec,
+        caches: &RunCaches,
+        runner: &PointRunner<'_>,
+        log: &PointLog<'_>,
+    ) -> (PointResult, u32) {
+        let policy = &self.retry;
+        let index = log.index;
+        let cost = self.point_cost(spec);
+        let mut backoff = policy
+            .backoff
+            .instantiate(0x9E37_79B9_7F4A_7C15 ^ index as u64, policy.max_attempts);
+        let mut attempt = 1u32;
+        loop {
+            self.hold_at_gate(caches);
+            {
+                // time spent waiting for slots = queue wait
+                let _wait = eth_obs::span(eth_obs::Phase::QueueWait);
+                if !sem.acquire(ticket, cost, self.cancel.as_ref()) {
+                    // Canceled while queued: the ticket is consumed (the
+                    // line stays dense) but the point never starts. No
+                    // Finished record is journaled, so a resume re-runs it.
+                    return (Err(CoreError::Canceled), attempt);
+                }
+            }
+            log.started(attempt);
+            let t = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| runner(index, spec, attempt, caches)));
+            sem.release(cost);
+            let elapsed_s = t.elapsed().as_secs_f64();
+            let result = result
+                // A panic that escapes the harness (i.e. outside any rank
+                // supervision) is contained here: it becomes this point's
+                // failure instead of poisoning the campaign.
+                .unwrap_or_else(|payload| {
+                    Err(CoreError::Rank(RankFailure::Panic {
+                        rank: index,
+                        message: panic_message(payload),
+                    }))
+                })
+                .and_then(|outcome| log.persist(outcome));
+            let (result, retry) = match result {
+                Err(err) if policy.covers(&err) => {
+                    let budget_left = attempt < policy.max_attempts;
+                    if budget_left && !self.canceled() {
+                        (Err(err), true)
+                    } else if budget_left {
+                        // Retry budget remained, but the token fired: the
+                        // point was abandoned, not quarantined — a resume
+                        // retries it.
+                        (Err(CoreError::Canceled), false)
+                    } else {
+                        let quarantine = CoreError::Quarantined {
+                            attempts: attempt,
+                            last_error: Box::new(err),
+                        };
+                        (Err(quarantine), false)
+                    }
+                }
+                other => (other, false),
+            };
+            log.finished(attempt, elapsed_s, &result, !retry);
+            if !retry {
+                return (result, attempt);
+            }
+            attempt += 1;
+            if let Some(delay) = backoff.next_delay() {
+                let _bo = eth_obs::span(eth_obs::Phase::Backoff);
+                thread::sleep(delay);
+            }
+            // fresh ticket, taken right before re-acquiring so the FIFO
+            // line never waits on a sleeping retry
+            ticket = sem.take_ticket();
+        }
     }
 
-    /// The scheduler core shared by all entry points. `runner` executes
-    /// one attempt of one point; `prefilled` slots (restored from a
-    /// journal) keep their value and only burn their admission ticket.
-    ///
-    /// Retry flow: a failed attempt covered by the retry policy releases
-    /// its slots, is journaled as a failed attempt, sleeps its jittered
-    /// backoff, then takes a *fresh* ticket and rejoins the FIFO queue —
-    /// so retries cannot starve first attempts and admission stays
-    /// strictly ordered. Once `max_attempts` are spent the point is
-    /// quarantined and the campaign proceeds.
-    fn run_engine<F>(
-        &self,
-        specs: &[ExperimentSpec],
-        journal: Option<&Journal>,
-        prefilled: Vec<Option<(PointResult, u32)>>,
-        runner: F,
-    ) -> (Vec<PointResult>, Vec<u32>, Vec<usize>, eth_obs::Trace)
-    where
-        F: Fn(usize, &ExperimentSpec, u32) -> PointResult + Sync,
-    {
-        let sem = WeightedSemaphore::new(self.capacity, specs.len());
-        let policy = &self.retry;
-        let cancel = self.cancel.as_ref();
-        // Admission watermarks from the campaign resource policy: stop
-        // admitting while process-wide staged residency is above `high`,
-        // resume once it drains below `low`.
-        let pressure = self
+    fn canceled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(|c| c.is_canceled())
+    }
+
+    /// Backpressure: hold a point at the gate while the campaign's caches
+    /// sit above the resource policy's high watermark, until they drain
+    /// below the low one. The wait is bounded — staging stores
+    /// self-enforce their budgets, so a gauge that never drains degrades
+    /// to normal admission instead of deadlocking.
+    fn hold_at_gate(&self, caches: &RunCaches) {
+        let Some((high, low)) = self
             .resources
             .as_ref()
-            .and_then(|r| Some((r.high_threshold_bytes()?, r.low_threshold_bytes()?)));
-        // Campaign flight recorder: every point thread stacks it on top
-        // of whatever sinks the caller attached (e.g. the CLI's --trace
-        // recorder), so the campaign sees its own spans and the caller
-        // still sees everything.
-        let recorder = eth_obs::Recorder::new();
-        let obs = eth_obs::current_context();
-        let mut slots = prefilled;
-        thread::scope(|s| {
-            for (index, (spec, slot)) in specs.iter().zip(slots.iter_mut()).enumerate() {
-                let sem = &sem;
-                let runner = &runner;
-                let cost = self.point_cost(spec);
-                if slot.is_some() {
-                    // Restored from the journal: consume the admission
-                    // ticket (tickets must stay dense) without occupying
-                    // any slots or re-running anything.
-                    s.spawn(move || sem.acquire(index, 0, None));
-                    continue;
-                }
-                let obs = obs.clone();
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    let _ctx = obs.attach();
-                    let _rec = recorder.attach();
-                    let hash = journal.map(|_| journal::spec_hash(spec)).unwrap_or(0);
-                    let mut backoff = policy
-                        .backoff
-                        .instantiate(0x9E37_79B9_7F4A_7C15 ^ index as u64, policy.max_attempts);
-                    let fail_at = spec
-                        .fault_plan
-                        .as_ref()
-                        .and_then(|p| p.disk_full_at_append);
-                    let mut attempt = 1u32;
-                    let mut ticket = index;
-                    loop {
-                        // Backpressure: hold this point at the gate while
-                        // the process sits above the high watermark. The
-                        // wait is bounded — staging stores self-enforce
-                        // their budgets, so a stuck gauge degrades to
-                        // normal admission instead of deadlocking.
-                        if let Some((high, low)) = pressure {
-                            if eth_data::staging::process_resident_bytes() >= high {
-                                eth_obs::count("backpressure_stalls", 1.0);
-                                let gate = Instant::now();
-                                while eth_data::staging::process_resident_bytes() > low
-                                    && gate.elapsed() < BACKPRESSURE_STALL_CAP
-                                    && !cancel.is_some_and(|c| c.is_canceled())
-                                {
-                                    thread::sleep(Duration::from_millis(5));
-                                }
-                            }
-                        }
-                        {
-                            // time spent waiting for slots = queue wait
-                            let _wait = eth_obs::span(eth_obs::Phase::QueueWait);
-                            if !sem.acquire(ticket, cost, cancel) {
-                                // Canceled while queued: the ticket is
-                                // consumed (the line stays dense) but the
-                                // point never starts. No Finished record
-                                // is journaled, so a resume re-runs it.
-                                *slot = Some((Err(CoreError::Canceled), attempt));
-                                return;
-                            }
-                        }
-                        if let Some(j) = journal {
-                            // Write-ahead: losing an append costs a re-run
-                            // on resume, never a wrong result, so appends
-                            // are best-effort from the scheduler's side.
-                            let _ = j.append_for_point(
-                                Some(index),
-                                fail_at,
-                                &JournalRecord::Started {
-                                    index,
-                                    spec_hash: hash,
-                                    attempt,
-                                },
-                            );
-                        }
-                        let t = Instant::now();
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| runner(index, spec, attempt)));
-                        sem.release(cost);
-                        let elapsed_s = t.elapsed().as_secs_f64();
-                        // A panic that escapes the harness (i.e. outside
-                        // any rank supervision) is contained here: it
-                        // becomes this point's failure instead of
-                        // poisoning the campaign.
-                        let result = result.unwrap_or_else(|payload| {
-                            Err(CoreError::Rank(RankFailure::Panic {
-                                rank: index,
-                                message: panic_message(payload),
-                            }))
-                        });
-                        // A success that cannot be persisted is not a
-                        // success: a quota hit (or injected disk-full)
-                        // while saving the result converts the point to a
-                        // resource failure, so it rides the same
-                        // degrade/retry/quarantine path as any other
-                        // transient fault instead of silently dropping
-                        // durability.
-                        let result = match result {
-                            Ok(outcome) => match journal {
-                                Some(j) => j
-                                    .save_result_governed(index, fail_at, hash, &outcome)
-                                    .map(|()| outcome),
-                                None => Ok(outcome),
-                            },
-                            Err(err) => Err(err),
-                        };
-                        match result {
-                            Ok(outcome) => {
-                                if let Some(j) = journal {
-                                    let _ = j.append_for_point(
-                                        Some(index),
-                                        fail_at,
-                                        &JournalRecord::Finished {
-                                            index,
-                                            spec_hash: hash,
-                                            attempt,
-                                            elapsed_s,
-                                            outcome: RecordedOutcome::Ok,
-                                        },
-                                    );
-                                    eth_obs::count(
-                                        "journal_quota_used",
-                                        j.quota_used() as f64,
-                                    );
-                                }
-                                *slot = Some((Ok(outcome), attempt));
-                                return;
-                            }
-                            Err(err) => {
-                                let retryable = policy.covers(&err);
-                                let canceled =
-                                    cancel.is_some_and(|c| c.is_canceled());
-                                if retryable && attempt < policy.max_attempts && !canceled {
-                                    if let Some(j) = journal {
-                                        let _ = j.append_for_point(
-                                            Some(index),
-                                            fail_at,
-                                            &JournalRecord::Finished {
-                                                index,
-                                                spec_hash: hash,
-                                                attempt,
-                                                elapsed_s,
-                                                outcome: RecordedOutcome::Err {
-                                                    error: err.to_string(),
-                                                    quarantined: false,
-                                                },
-                                            },
-                                        );
-                                    }
-                                    attempt += 1;
-                                    if let Some(delay) = backoff.next_delay() {
-                                        let _bo = eth_obs::span(eth_obs::Phase::Backoff);
-                                        thread::sleep(delay);
-                                    }
-                                    // fresh ticket, taken right before
-                                    // re-acquiring so the FIFO line never
-                                    // waits on a sleeping retry
-                                    ticket = sem.take_ticket();
-                                    continue;
-                                }
-                                let final_err = if canceled
-                                    && retryable
-                                    && attempt < policy.max_attempts
-                                {
-                                    // Retry budget remained, but the token
-                                    // fired: the point was abandoned, not
-                                    // quarantined — a resume retries it.
-                                    CoreError::Canceled
-                                } else if retryable {
-                                    CoreError::Quarantined {
-                                        attempts: attempt,
-                                        last_error: Box::new(err),
-                                    }
-                                } else {
-                                    err
-                                };
-                                if let Some(j) = journal {
-                                    let _ = j.append_for_point(
-                                        Some(index),
-                                        fail_at,
-                                        &JournalRecord::Finished {
-                                            index,
-                                            spec_hash: hash,
-                                            attempt,
-                                            elapsed_s,
-                                            outcome: RecordedOutcome::Err {
-                                                error: final_err.to_string(),
-                                                quarantined: matches!(
-                                                    final_err,
-                                                    CoreError::Quarantined { .. }
-                                                ),
-                                            },
-                                        },
-                                    );
-                                    eth_obs::count(
-                                        "journal_quota_used",
-                                        j.quota_used() as f64,
-                                    );
-                                }
-                                *slot = Some((Err(final_err), attempt));
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let mut results = Vec::with_capacity(slots.len());
-        let mut attempts = Vec::with_capacity(slots.len());
-        let mut quarantined = Vec::new();
-        for (index, slot) in slots.into_iter().enumerate() {
-            let (result, tries) =
-                slot.expect("every point thread writes its slot before exiting");
-            if matches!(result, Err(CoreError::Quarantined { .. })) {
-                quarantined.push(index);
-            }
-            results.push(result);
-            attempts.push(tries);
+            .and_then(|r| Some((r.high_threshold_bytes()?, r.low_threshold_bytes()?)))
+        else {
+            return;
+        };
+        let resident = || caches.accountant().resident_bytes();
+        if resident() < high {
+            return;
         }
-        (results, attempts, quarantined, recorder.take())
+        eth_obs::count("backpressure_stalls", 1.0);
+        let gate = Instant::now();
+        while resident() > low && gate.elapsed() < BACKPRESSURE_STALL_CAP && !self.canceled() {
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// The campaign's durable side: an open [`Journal`], or nothing. "No
+/// journal" is the empty log — every [`PointLog`] method is a no-op
+/// without a directory, so the scheduler never asks which one it has.
+struct CampaignLog {
+    journal: Option<Journal>,
+    /// [`journal::spec_hash`] per input spec (empty without a journal).
+    hashes: Vec<u64>,
+}
+
+/// One slot per input spec: `Some` once the point has its final result
+/// and attempt count (restored from the journal, or run).
+type Slots = Vec<Option<(PointResult, u32)>>;
+
+impl CampaignLog {
+    /// Open `dir`'s journal under `quota`, write the manifest and replay
+    /// the WAL into pre-filled slots. The last Finished record per index
+    /// wins, and only a successful one whose spec hash still matches *and*
+    /// whose persisted result verifies is restored. Without a `dir`: the
+    /// empty log and all-empty slots.
+    fn open(dir: Option<&Path>, specs: &[ExperimentSpec], quota: Option<u64>) -> Result<(CampaignLog, Slots)> {
+        let mut slots: Slots = (0..specs.len()).map(|_| None).collect();
+        let Some(dir) = dir else {
+            return Ok((CampaignLog { journal: None, hashes: Vec::new() }, slots));
+        };
+        let journal = Journal::open(dir)?.with_quota(quota);
+        let hashes: Vec<u64> = specs.iter().map(journal::spec_hash).collect();
+        journal::write_manifest(dir, specs, &hashes)?;
+        let mut finished: HashMap<usize, (u64, u32, bool)> = HashMap::new();
+        for record in journal::replay(dir)? {
+            if let JournalRecord::Finished { index, spec_hash, attempt, outcome, .. } = record {
+                finished.insert(index, (spec_hash, attempt, outcome == RecordedOutcome::Ok));
+            }
+        }
+        for (index, spec) in specs.iter().enumerate() {
+            match finished.get(&index) {
+                Some(&(hash, attempt, true)) if hash == hashes[index] => {
+                    if let Ok(outcome) = journal::load_result(dir, index, hash, spec) {
+                        slots[index] = Some((Ok(outcome), attempt));
+                    }
+                }
+                _ => {} // never finished, failed, or the spec changed: run it
+            }
+        }
+        Ok((CampaignLog { journal: Some(journal), hashes }, slots))
+    }
+
+    fn point(&self, index: usize, spec: &ExperimentSpec) -> PointLog<'_> {
+        PointLog {
+            journal: self.journal.as_ref(),
+            index,
+            spec_hash: self.hashes.get(index).copied().unwrap_or(0),
+            fail_at: spec.fault_plan.as_ref().and_then(|p| p.disk_full_at_append),
+        }
+    }
+}
+
+/// One point's view of the [`CampaignLog`].
+struct PointLog<'a> {
+    journal: Option<&'a Journal>,
+    index: usize,
+    spec_hash: u64,
+    /// The point's injected disk-full ordinal, if its fault plan has one.
+    fail_at: Option<u64>,
+}
+
+impl PointLog<'_> {
+    /// Write-ahead append on this point's behalf. Losing an append costs
+    /// a re-run on resume, never a wrong result, so appends are
+    /// best-effort from the scheduler's side.
+    fn append(&self, journal: &Journal, record: JournalRecord) {
+        let _ = journal.append_for_point(Some(self.index), self.fail_at, &record);
+    }
+
+    fn started(&self, attempt: u32) {
+        let Some(journal) = self.journal else { return };
+        let record = JournalRecord::Started {
+            index: self.index,
+            spec_hash: self.spec_hash,
+            attempt,
+        };
+        self.append(journal, record);
+    }
+
+    /// Persist a successful attempt's result. A success that cannot be
+    /// persisted is not a success: a quota hit (or injected disk-full)
+    /// while saving converts the point to a resource failure, so it rides
+    /// the same retry/quarantine path as any other transient fault instead
+    /// of silently dropping durability.
+    fn persist(&self, outcome: NativeOutcome) -> PointResult {
+        let Some(journal) = self.journal else { return Ok(outcome) };
+        journal.save_result_governed(self.index, self.fail_at, self.spec_hash, &outcome)?;
+        Ok(outcome)
+    }
+
+    /// Record how `attempt` ended; `last` marks the point's final attempt.
+    fn finished(&self, attempt: u32, elapsed_s: f64, result: &PointResult, last: bool) {
+        let Some(journal) = self.journal else { return };
+        let record = JournalRecord::Finished {
+            index: self.index,
+            spec_hash: self.spec_hash,
+            attempt,
+            elapsed_s,
+            outcome: match result {
+                Ok(_) => RecordedOutcome::Ok,
+                Err(err) => RecordedOutcome::Err {
+                    error: err.to_string(),
+                    quarantined: matches!(err, CoreError::Quarantined { .. }),
+                },
+            },
+        };
+        self.append(journal, record);
+        if last {
+            eth_obs::count("journal_quota_used", journal.quota_used() as f64);
+        }
     }
 }
 
@@ -934,14 +855,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
-/// Recover a mutex guard whether or not the lock is poisoned. The
-/// scheduler's shared state is two integers whose invariants are restored
-/// before every unlock, so a panic in an unrelated holder (the campaign
-/// catches point panics *around* this lock, but a panic between
-/// `acquire` and `release` — e.g. inside a journal append — would poison
-/// it) must not cascade `PoisonError` unwinds into every other queued
-/// point. See the `poisoned_scheduler_lock_does_not_cascade` test.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Recover a mutex guard whether or not the lock is poisoned — for locks
+/// whose holders restore their invariants before every unlock, so a
+/// poisoned mutex only means some *other* holder panicked mid-section
+/// (the campaign catches point panics *around* the scheduler lock, but a
+/// panic between `acquire` and `release` — e.g. inside a journal append —
+/// would poison it) and must not cascade `PoisonError` unwinds into every
+/// other queued point or service request. See the
+/// `poisoned_scheduler_lock_does_not_cascade` test.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -1115,44 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_isolates_failing_points() {
-        let mut good = base();
-        good.ranks = 1;
-        good.application = Application::Hacc { particles: 800 };
-        good.width = 24;
-        good.height = 24;
-        // an invalid point: zero sampling ratio fails validation inside
-        // run_native_cached, not up front in specs()
-        let mut bad = good.clone();
-        bad.sampling_ratio = 0.0;
-        let out = Campaign::with_capacity(4).run(&[good.clone(), bad, good]);
-        assert_eq!(out.results.len(), 3);
-        assert_eq!(out.failures(), 1);
-        assert!(out.results[0].is_ok());
-        assert!(out.results[1].is_err(), "invalid point must fail in place");
-        assert!(out.results[2].is_ok(), "failure must not poison later points");
-        assert_eq!(out.outcomes().count(), 2);
-        assert!(out.wall_s > 0.0);
-        assert!(out.points_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn campaign_shares_staging_across_axes() {
-        let specs = Sweep::over(base())
-            .algorithms(&Algorithm::particle_algorithms())
-            .sampling_ratios(&[1.0, 0.5])
-            .specs()
-            .unwrap();
-        let out = Campaign::with_capacity(8).run(&specs);
-        assert_eq!(out.failures(), 0);
-        // every point shares one (application, seed, steps, ranks) key:
-        // exactly one staging pass, all the rest hits
-        assert_eq!(out.cache.staging_misses, 1);
-        assert_eq!(out.cache.staging_hits, specs.len() as u64 - 1);
-        assert!(out.cache.staging_hit_rate() >= (specs.len() - 1) as f64 / specs.len() as f64);
-    }
-
-    #[test]
     fn retry_policy_roundtrips_through_serde() {
         let policy = RetryPolicy::standard(3);
         let text = serde_json::to_string(&policy).unwrap();
@@ -1212,106 +1096,328 @@ mod tests {
         })
     }
 
-    #[test]
-    fn retry_recovers_and_hits_the_caches() {
-        // Attempt 1 does its staging work, then "fails" with a transient
-        // error; attempt 2 must succeed AND be served from RunCaches — a
-        // retry never re-stages.
-        let specs = vec![small_point()];
-        let caches = RunCaches::new();
-        let campaign = Campaign::with_capacity(4).with_retry_policy(RetryPolicy::standard(3));
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        let (results, attempts, quarantined, _trace) =
-            campaign.run_engine(&specs, None, prefilled, |_, spec, attempt| {
-                let out = run_native_cached(spec, &caches)?;
-                if attempt == 1 {
-                    return Err(injected_timeout());
-                }
-                Ok(out)
-            });
-        assert!(results[0].is_ok(), "{:?}", results[0].as_ref().err());
-        assert_eq!(attempts, vec![2]);
-        assert!(quarantined.is_empty());
-        let stats = caches.stats();
-        assert_eq!(stats.staging_misses, 1, "retry re-staged instead of hitting the cache");
-        assert_eq!(stats.staging_hits, 1);
+    /// The three points every table cell runs: one staging key, three
+    /// sampling ratios. Index [`VICTIM`] is the one a scenario afflicts.
+    fn table_points() -> Vec<ExperimentSpec> {
+        [1.0, 0.5, 0.25]
+            .iter()
+            .enumerate()
+            .map(|(i, &ratio)| {
+                let mut s = small_point();
+                s.sampling_ratio = ratio;
+                s.name = format!("cell-{i}");
+                s
+            })
+            .collect()
     }
 
-    #[test]
-    fn exhausted_retries_quarantine_and_the_campaign_proceeds() {
-        let specs = vec![small_point(), small_point()];
-        let caches = RunCaches::new();
-        let campaign = Campaign::with_capacity(4).with_retry_policy(RetryPolicy::standard(3));
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        // point 0 always times out; point 1 is healthy
-        let (results, attempts, quarantined, _trace) =
-            campaign.run_engine(&specs, None, prefilled, |index, spec, _| {
-                if index == 0 {
-                    return Err(injected_timeout());
-                }
-                run_native_cached(spec, &caches)
-            });
-        match &results[0] {
-            Err(CoreError::Quarantined { attempts, last_error }) => {
-                assert_eq!(*attempts, 3);
-                assert!(matches!(
-                    **last_error,
-                    CoreError::Transport(TransportError::Timeout { .. })
-                ));
-            }
-            Err(other) => panic!("expected quarantine, got {other}"),
-            Ok(_) => panic!("expected quarantine, got success"),
-        }
-        assert!(results[1].is_ok(), "quarantine must not poison other points");
-        assert_eq!(attempts, vec![3, 1]);
-        assert_eq!(quarantined, vec![0]);
-    }
+    const VICTIM: usize = 1;
 
-    #[test]
-    fn non_retryable_failures_are_not_quarantined() {
-        // even under an aggressive policy, a deterministic failure gets
-        // exactly one attempt and a plain error
-        let mut bad = small_point();
-        bad.sampling_ratio = 0.0;
-        let campaign = Campaign::with_capacity(2).with_retry_policy(RetryPolicy::standard(5));
-        let out = campaign.run(&[bad]);
-        assert_eq!(out.attempts, vec![1]);
-        assert!(out.quarantined.is_empty());
-        assert!(matches!(out.results[0], Err(CoreError::Config(_))));
-    }
-
-    #[test]
-    fn journaled_run_restores_completed_points() {
-        let dir = std::env::temp_dir().join(format!(
-            "eth-sweep-journal-{:x}",
-            std::process::id()
-        ));
+    fn table_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("eth-sweep-{tag}-{:x}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut specs = vec![small_point()];
-        for (i, ratio) in [0.5, 0.25].iter().enumerate() {
-            let mut s = small_point();
-            s.sampling_ratio = *ratio;
-            s.name = format!("sweep-j{i}");
-            specs.push(s);
+        dir
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Journaled {
+        No,
+        Fresh,
+        /// Point 0 already finished in an earlier run over the directory.
+        Restorable,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Runner {
+        /// `runner: None`; the scenario is induced through the victim's spec.
+        Default,
+        /// A runner wrapping [`run_attempt`] induces the scenario.
+        Wrapping,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Scenario {
+        Clean,
+        TransientThenOk,
+        Exhausted,
+        NonRetryable,
+        PanicInRunner,
+        CancelWhileQueued,
+        CancelDuringBackoff,
+    }
+
+    /// What a point's result slot must hold.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Want {
+        Ok,
+        Quarantined,
+        Config,
+        Panic,
+        Canceled,
+    }
+
+    fn class_of(r: &PointResult) -> Want {
+        match r {
+            Ok(_) => Want::Ok,
+            Err(CoreError::Quarantined { .. }) => Want::Quarantined,
+            Err(CoreError::Config(_)) => Want::Config,
+            Err(CoreError::Rank(RankFailure::Panic { .. })) => Want::Panic,
+            Err(CoreError::Canceled) => Want::Canceled,
+            Err(other) => panic!("unexpected failure class: {other}"),
         }
+    }
+
+    /// One cell's campaign and what it must produce, before restoration
+    /// is accounted for (a restored point is `Ok`, 1 attempt, 0 runs).
+    struct Cell {
+        specs: Vec<ExperimentSpec>,
+        retry: RetryPolicy,
+        capacity: usize,
+        want: [Want; 3],
+        attempts: [u32; 3],
+        /// Runner invocations per point (0 = abandoned while queued).
+        runs: [u32; 3],
+    }
+
+    /// The cell for `(scenario, runner)`, or `None` where the default
+    /// runner has no way to produce the behaviour: it cannot panic outside
+    /// rank supervision or fire a token mid-attempt, and its only seeded
+    /// transient that clears on retry is a torn journal write.
+    fn cell(scenario: Scenario, runner: Runner, journaled: Journaled, token: &CancelToken) -> Option<Cell> {
+        use Want::{Canceled, Config, Ok, Panic, Quarantined};
+        let mut c = Cell {
+            specs: table_points(),
+            retry: RetryPolicy::standard(3),
+            capacity: 4,
+            want: [Ok; 3],
+            attempts: [1; 3],
+            runs: [1; 3],
+        };
+        let by_spec = runner == Runner::Default;
+        match scenario {
+            Scenario::Clean => {}
+            Scenario::TransientThenOk => {
+                if by_spec {
+                    if journaled == Journaled::No {
+                        return None;
+                    }
+                    // Ordinal 1 is attempt 1's result write (0 was its
+                    // Started append): the save tears, the point classifies
+                    // as a resource fault, and attempt 2's writes land.
+                    c.specs[VICTIM].fault_plan = Some(
+                        eth_transport::fault::FaultPlan::default().with_disk_full_at_append(1),
+                    );
+                }
+                (c.attempts[VICTIM], c.runs[VICTIM]) = (2, 2);
+            }
+            Scenario::Exhausted => {
+                if by_spec {
+                    c.specs[VICTIM].fault_plan = Some(
+                        eth_transport::fault::FaultPlan::default().with_alloc_fail_at_stage(0),
+                    );
+                }
+                c.want[VICTIM] = Quarantined;
+                (c.attempts[VICTIM], c.runs[VICTIM]) = (3, 3);
+            }
+            Scenario::NonRetryable => {
+                if by_spec {
+                    // fails validation inside run_native_cached
+                    c.specs[VICTIM].sampling_ratio = 0.0;
+                }
+                c.want[VICTIM] = Config;
+            }
+            Scenario::PanicInRunner => {
+                if by_spec {
+                    return None;
+                }
+                c.retry = RetryPolicy::none();
+                c.want[VICTIM] = Panic;
+            }
+            // Capacity 1 serializes the points in input order.
+            Scenario::CancelWhileQueued => {
+                c.capacity = 1;
+                if by_spec {
+                    token.cancel(); // fired before anything is admitted
+                    (c.want, c.runs) = ([Canceled; 3], [0; 3]);
+                } else {
+                    // the victim fires it mid-run and still completes
+                    (c.want[2], c.runs[2]) = (Canceled, 0);
+                }
+            }
+            Scenario::CancelDuringBackoff => {
+                if by_spec {
+                    return None;
+                }
+                c.capacity = 1;
+                c.retry = RetryPolicy::standard(5);
+                (c.want[VICTIM], c.want[2], c.runs[2]) = (Canceled, Canceled, 0);
+            }
+        }
+        Some(c)
+    }
+
+    /// Every way of running a campaign, as one table: {no journal, fresh
+    /// journal, journal with a restorable point} × {default runner,
+    /// wrapping runner} × the seven scheduler behaviours.
+    #[test]
+    fn campaign_table() {
+        use Scenario::*;
+        let reference = Campaign::with_capacity(2).run(&table_points());
+        assert_eq!(reference.failures(), 0);
+        let images = |out: &CampaignOutcome, i: usize| out.results[i].as_ref().unwrap().images.clone();
+        let mut cells = 0;
+
+        for scenario in [Clean, TransientThenOk, Exhausted, NonRetryable, PanicInRunner, CancelWhileQueued, CancelDuringBackoff] {
+            for runner in [Runner::Default, Runner::Wrapping] {
+                for journaled in [Journaled::No, Journaled::Fresh, Journaled::Restorable] {
+                    let token = CancelToken::new();
+                    let Some(cell) = cell(scenario, runner, journaled, &token) else { continue };
+                    cells += 1;
+                    let tag = format!("{scenario:?}-{runner:?}-{journaled:?}");
+                    let dir = (journaled != Journaled::No).then(|| table_dir(&tag));
+                    if journaled == Journaled::Restorable {
+                        let earlier = Campaign::with_capacity(2)
+                            .run_journaled(&cell.specs[..1], &RunCaches::new(), dir.as_ref().unwrap())
+                            .unwrap();
+                        assert_eq!(earlier.failures(), 0, "{tag}");
+                    }
+                    let restored: Vec<usize> = if journaled == Journaled::Restorable { vec![0] } else { vec![] };
+
+                    let calls = Mutex::new(Vec::new());
+                    let wrapper = |index: usize, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches| {
+                        calls.lock().unwrap().push(index);
+                        let victim = index == VICTIM;
+                        match scenario {
+                            // attempt 1 does its staging work, then "fails"
+                            TransientThenOk if victim && attempt == 1 => {
+                                run_attempt(spec, attempt, caches)?;
+                                Err(injected_timeout())
+                            }
+                            Exhausted if victim => Err(injected_timeout()),
+                            NonRetryable if victim => Err(CoreError::Config("injected".into())),
+                            PanicInRunner if victim => panic!("point panic must stay contained"),
+                            CancelWhileQueued if victim => {
+                                let out = run_attempt(spec, attempt, caches);
+                                token.cancel();
+                                out
+                            }
+                            CancelDuringBackoff if victim => {
+                                token.cancel();
+                                Err(injected_timeout())
+                            }
+                            _ => run_attempt(spec, attempt, caches),
+                        }
+                    };
+                    let caches = RunCaches::new();
+                    let out = Campaign::with_capacity(cell.capacity)
+                        .with_retry_policy(cell.retry.clone())
+                        .with_cancel_token(token.clone())
+                        .execute(
+                            &cell.specs,
+                            &caches,
+                            dir.as_deref(),
+                            (runner == Runner::Wrapping).then_some(&wrapper as &PointRunner<'_>),
+                        )
+                        .unwrap();
+
+                    // results / attempts / quarantined / restored, in input order
+                    let is_restored = |i: usize| restored.contains(&i);
+                    for i in 0..3 {
+                        let (want, attempts) = if is_restored(i) {
+                            (Want::Ok, 1)
+                        } else {
+                            (cell.want[i], cell.attempts[i])
+                        };
+                        assert_eq!(class_of(&out.results[i]), want, "{tag}: point {i}");
+                        assert_eq!(out.attempts[i], attempts, "{tag}: point {i} attempts");
+                    }
+                    assert_eq!(out.restored, restored, "{tag}");
+                    let quarantined: Vec<usize> =
+                        (0..3).filter(|&i| cell.want[i] == Want::Quarantined).collect();
+                    assert_eq!(out.quarantined, quarantined, "{tag}");
+                    if let Err(CoreError::Quarantined { attempts, last_error }) = &out.results[VICTIM] {
+                        assert_eq!(*attempts, 3, "{tag}");
+                        let class = RetryPolicy::classify(last_error);
+                        let want = if runner == Runner::Default { RetryOn::Resource } else { RetryOn::Timeout };
+                        assert_eq!(class, Some(want), "{tag}: {last_error}");
+                    }
+                    assert_eq!(out.failures(), out.results.iter().filter(|r| r.is_err()).count());
+                    assert!(out.wall_s > 0.0 && out.points_per_sec() > 0.0, "{tag}");
+                    assert!(token.is_canceled() == matches!(scenario, CancelWhileQueued | CancelDuringBackoff));
+
+                    // the runner ran exactly the attempts the scheduler admitted
+                    let runs = |i: usize| if is_restored(i) { 0 } else { cell.runs[i] };
+                    if runner == Runner::Wrapping {
+                        let calls = calls.lock().unwrap();
+                        for i in 0..3 {
+                            let n = calls.iter().filter(|&&c| c == i).count() as u32;
+                            assert_eq!(n, runs(i), "{tag}: point {i} runner calls");
+                        }
+                    }
+
+                    // the engine holds the caches: stats are read, never spliced
+                    assert_eq!(out.cache, caches.stats(), "{tag}");
+                    assert_eq!(
+                        out.telemetry.counters.get("cache_staging_hit_rate"),
+                        out.cache.staging_hit_rate(),
+                        "{tag}"
+                    );
+                    if scenario == Clean || (scenario, runner) == (TransientThenOk, Runner::Wrapping) {
+                        // one staging key: one pass, every other lookup —
+                        // a retry's included — is a hit
+                        let lookups: u32 = (0..3).map(runs).sum();
+                        assert_eq!(out.cache.staging_misses, 1, "{tag}");
+                        assert_eq!(out.cache.staging_hits, lookups as u64 - 1, "{tag}");
+                    }
+
+                    // A second run over the journal restores every point
+                    // that finished, byte-identically, and re-runs only
+                    // the rest (abandoned, failed, quarantined).
+                    let Some(dir) = dir else { continue };
+                    let finished: Vec<usize> = (0..3).filter(|&i| out.results[i].is_ok()).collect();
+                    let reran = Mutex::new(Vec::new());
+                    let counting = |index: usize, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches| {
+                        reran.lock().unwrap().push(index);
+                        run_attempt(spec, attempt, caches)
+                    };
+                    let again = Campaign::with_capacity(2)
+                        .execute(&cell.specs, &RunCaches::new(), Some(&dir), Some(&counting))
+                        .unwrap();
+                    assert_eq!(again.restored, finished, "{tag}: second run");
+                    let mut reran = reran.into_inner().unwrap();
+                    reran.sort_unstable();
+                    let unfinished: Vec<usize> = (0..3).filter(|i| !finished.contains(i)).collect();
+                    assert_eq!(reran, unfinished, "{tag}: second run re-ran a finished point");
+                    for i in 0..3 {
+                        if finished.contains(&i) {
+                            assert_eq!(images(&again, i), images(&out, i), "{tag}: point {i} restored");
+                        }
+                        // wherever the spec is the undisturbed one, the
+                        // pixels are the undisturbed campaign's
+                        if again.results[i].is_ok() && cell.specs[i].fault_plan.is_none() {
+                            assert_eq!(images(&again, i), images(&reference, i), "{tag}: point {i}");
+                        }
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
+        // 42 minus the seven cells `cell` documents as not constructible
+        assert_eq!(cells, 35);
+    }
+
+    #[test]
+    fn editing_a_spec_invalidates_exactly_that_journaled_point() {
+        let dir = table_dir("spec-edit");
+        let mut specs = table_points();
         let campaign = Campaign::with_capacity(4);
         let first = campaign.run_journaled(&specs, &RunCaches::new(), &dir).unwrap();
         assert_eq!(first.failures(), 0);
         assert!(first.restored.is_empty());
-
-        // second run restores everything, byte-identically, running nothing
-        let second = campaign.run_journaled(&specs, &RunCaches::new(), &dir).unwrap();
-        assert_eq!(second.restored, vec![0, 1, 2]);
-        assert_eq!(second.cache.staging_misses, 0, "restored run must not stage");
-        for (a, b) in first.results.iter().zip(&second.results) {
-            assert_eq!(a.as_ref().unwrap().images, b.as_ref().unwrap().images);
-        }
-
-        // editing one spec invalidates exactly that point
         specs[1].seed += 1;
-        let third = campaign.run_journaled(&specs, &RunCaches::new(), &dir).unwrap();
-        assert_eq!(third.restored, vec![0, 2]);
-        assert_eq!(third.failures(), 0);
+        let second = campaign.run_journaled(&specs, &RunCaches::new(), &dir).unwrap();
+        assert_eq!(second.restored, vec![0, 2]);
+        assert_eq!(second.failures(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1334,121 +1440,6 @@ mod tests {
         sem.release(2);
         assert!(sem.acquire(1, 1, None));
         sem.release(1);
-        // and a full campaign over the poisoned-lock scenario completes:
-        // point 0 panics inside the runner; point 1 must still run.
-        let specs = vec![small_point(), small_point()];
-        let campaign = Campaign::with_capacity(2);
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        let (results, ..) = campaign.run_engine(&specs, None, prefilled, |index, spec, _| {
-            if index == 0 {
-                panic!("point panic must stay contained");
-            }
-            run_native_cached(spec, &RunCaches::new())
-        });
-        assert!(matches!(
-            results[0],
-            Err(CoreError::Rank(RankFailure::Panic { .. }))
-        ));
-        assert!(results[1].is_ok(), "panic poisoned an unrelated point");
-    }
-
-    #[test]
-    fn cancel_token_abandons_unstarted_points() {
-        let token = CancelToken::new();
-        // capacity 1 serializes the points; the first point cancels the
-        // campaign while running, so every later point must be abandoned
-        // without its runner ever executing.
-        let campaign = Campaign::with_capacity(1).with_cancel_token(token.clone());
-        let specs = vec![small_point(), small_point(), small_point()];
-        let ran = std::sync::Arc::new(AtomicUsize::new(0));
-        let ran2 = ran.clone();
-        let caches = RunCaches::new();
-        let prefilled = (0..specs.len()).map(|_| None).collect();
-        let token2 = token.clone();
-        let (results, attempts, quarantined, _) =
-            campaign.run_engine(&specs, None, prefilled, move |index, spec, _| {
-                ran2.fetch_add(1, Ordering::SeqCst);
-                let out = run_native_cached(spec, &caches);
-                if index == 0 {
-                    token2.cancel();
-                }
-                out
-            });
-        assert!(results[0].is_ok(), "in-flight point must complete");
-        for r in &results[1..] {
-            assert!(matches!(r, Err(CoreError::Canceled)), "got {r:?}");
-        }
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "canceled points must not run");
-        assert_eq!(attempts, vec![1, 1, 1]);
-        assert!(quarantined.is_empty());
-        assert!(token.is_canceled());
-    }
-
-    #[test]
-    fn cancel_token_preempts_retries() {
-        // A retryable failure after the token fired is abandoned as
-        // Canceled (budget left unspent), never quarantined.
-        let token = CancelToken::new();
-        let campaign = Campaign::with_capacity(2)
-            .with_retry_policy(RetryPolicy::standard(5))
-            .with_cancel_token(token.clone());
-        let token2 = token.clone();
-        let out = campaign.run_custom(&[small_point()], move |_, _, _| {
-            token2.cancel();
-            Err(injected_timeout())
-        });
-        assert!(matches!(out.results[0], Err(CoreError::Canceled)));
-        assert_eq!(out.attempts, vec![1], "no retry after cancellation");
-        assert!(out.quarantined.is_empty());
-    }
-
-    #[test]
-    fn canceled_journaled_campaign_resumes_byte_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "eth-sweep-cancel-{:x}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut specs = vec![small_point()];
-        for i in 0..2 {
-            let mut s = small_point();
-            s.sampling_ratio = 0.5 - 0.25 * i as f64;
-            s.name = format!("cancel-{i}");
-            specs.push(s);
-        }
-        // First pass: cancel after point 0 completes; later points abandon.
-        let token = CancelToken::new();
-        let campaign = Campaign::with_capacity(1).with_cancel_token(token.clone());
-        let caches = RunCaches::new();
-        let token2 = token.clone();
-        let interrupted = campaign
-            .run_journaled_custom(&specs, &dir, move |index, spec, _| {
-                let out = run_native_cached(spec, &caches);
-                if index == 0 {
-                    token2.cancel();
-                }
-                out
-            })
-            .unwrap();
-        assert!(interrupted.results[0].is_ok());
-        assert!(matches!(interrupted.results[1], Err(CoreError::Canceled)));
-
-        // Resume without the token: canceled points re-run, the finished
-        // one restores, and the images match an undisturbed campaign.
-        let resumed = Campaign::with_capacity(1)
-            .run_journaled(&specs, &RunCaches::new(), &dir)
-            .unwrap();
-        assert_eq!(resumed.restored, vec![0]);
-        assert_eq!(resumed.failures(), 0);
-        let undisturbed = Campaign::with_capacity(1).run(&specs);
-        for (a, b) in resumed.results.iter().zip(&undisturbed.results) {
-            assert_eq!(a.as_ref().unwrap().images, b.as_ref().unwrap().images);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1465,40 +1456,6 @@ mod tests {
         assert!(RetryPolicy::standard(3).covers(&df));
         assert!(RetryPolicy::standard(3).covers(&oom));
         assert!(!RetryPolicy::none().covers(&df));
-    }
-
-    #[test]
-    fn injected_disk_full_retries_to_recovery_and_resumes_byte_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "eth-sweep-diskfull-{:x}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut spec = small_point();
-        // Ordinal 1 for this point is attempt 1's result write (0 was its
-        // Started append): the save tears, the point classifies as a
-        // resource fault, and attempt 2's writes — past the ordinal — land.
-        spec.fault_plan = Some(
-            eth_transport::fault::FaultPlan::default().with_disk_full_at_append(1),
-        );
-        let campaign = Campaign::with_capacity(2).with_retry_policy(RetryPolicy::standard(3));
-        let out = campaign
-            .run_journaled(&[spec.clone()], &RunCaches::new(), &dir)
-            .unwrap();
-        assert!(out.results[0].is_ok(), "{:?}", out.results[0].as_ref().err());
-        assert_eq!(out.attempts, vec![2], "expected exactly one torn attempt");
-        assert!(out.quarantined.is_empty());
-
-        // The persisted result restores byte-identically on resume.
-        let resumed = campaign
-            .run_journaled(&[spec], &RunCaches::new(), &dir)
-            .unwrap();
-        assert_eq!(resumed.restored, vec![0]);
-        assert_eq!(
-            out.results[0].as_ref().unwrap().images,
-            resumed.results[0].as_ref().unwrap().images,
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1532,17 +1489,17 @@ mod tests {
 
     #[test]
     fn backpressure_gate_stalls_above_high_watermark_and_is_bounded() {
-        // Pin process-wide residency above the watermark with an external
-        // unbounded store, as a long-lived staging cache would.
-        let store = eth_data::staging::BlockStore::unbounded();
-        let block = small_point().application.generate(0, 1).unwrap();
-        store.insert(0, block).unwrap();
-        let resident = eth_data::staging::process_resident_bytes();
+        // Pin the campaign's *own* caches above the watermark, as a
+        // long-lived staging cache would: one earlier point left its
+        // staged blocks resident. No other store in the process counts.
+        let caches = RunCaches::new();
+        run_attempt(&small_point(), 1, &caches).unwrap();
+        let resident = caches.accountant().resident_bytes();
         assert!(resident > 0);
         let campaign = Campaign::with_capacity(2)
             .with_resources(ResourcePolicy::with_memory_budget(resident));
         let t = Instant::now();
-        let out = campaign.run(&[small_point()]);
+        let out = campaign.run_with(&[small_point()], &caches);
         assert!(out.results[0].is_ok());
         // The gate held admission for the (bounded) stall cap, then let
         // the point through rather than deadlocking on a gauge that will
@@ -1552,7 +1509,13 @@ mod tests {
             "gate did not stall: {:?}",
             t.elapsed()
         );
-        drop(store);
+        assert_eq!(out.telemetry.counters.get("backpressure_stalls"), 1.0);
+        // ...and a campaign whose caches hold nothing never stalls, no
+        // matter what the rest of the process has staged.
+        let t = Instant::now();
+        let out = campaign.run(&[small_point()]);
+        assert!(out.results[0].is_ok());
+        assert!(t.elapsed() < BACKPRESSURE_STALL_CAP, "stalled on someone else's bytes");
     }
 
     #[test]

@@ -213,6 +213,51 @@ fn drain_interrupts_journals_and_restart_resumes_byte_identical() {
     assert_eq!(svc3.status(admitted.id).unwrap().state, "done");
 }
 
+/// A non-running status and an un-timed-out drain both promise that the
+/// campaign's epilogue is on disk: `reproduce serve` exits right after
+/// `drain()`, and a client that polled "done" may restart the service.
+#[test]
+fn terminal_status_and_drain_imply_a_durable_epilogue() {
+    let durable = |root: &std::path::Path, status: &eth_core::serve::CampaignStatus| {
+        let dir = root.join(format!("campaign-{:04}", status.id));
+        let text = std::fs::read_to_string(dir.join("outcome.json"))
+            .unwrap_or_else(|e| panic!("campaign {} is {} but has no summary: {e}", status.id, status.state));
+        let summary: eth_core::serve::CampaignStatus = serde_json::from_str(&text).unwrap();
+        assert_eq!(summary.state, status.state);
+        let record = std::fs::read_to_string(dir.join("service.json")).unwrap();
+        assert!(record.contains("\"done\": true"), "terminal record not durable: {record}");
+    };
+    for round in 0..8 {
+        let root = tmp_root(&format!("epilogue-{round}"));
+        let svc = Service::new(&root, ServicePolicy::default()).unwrap().with_slots(1);
+        let admitted = svc
+            .submit(&CampaignRequest::single("erin", small_spec("epilogue")))
+            .unwrap();
+        // Spin, don't sleep: the check has to land inside the worker's
+        // epilogue window, right behind the state change.
+        let t0 = Instant::now();
+        let summary = root.join("campaign-0000").join("outcome.json");
+        let (status, on_disk) = loop {
+            let status = svc.status(admitted.id).unwrap();
+            if status.state != "running" {
+                // one stat, before the worker can get any further
+                break (status, summary.exists());
+            }
+            assert!(t0.elapsed() < Duration::from_secs(30), "campaign never finished");
+            std::hint::spin_loop();
+        };
+        assert!(on_disk, "status said {} before the summary was on disk", status.state);
+        assert_eq!(status.state, "done");
+        durable(&root, &status);
+
+        let report = svc.drain();
+        assert!(!report.timed_out, "{report:?}");
+        for status in svc.list().iter().filter(|s| s.state != "running") {
+            durable(&root, status);
+        }
+    }
+}
+
 /// Minimal HTTP/1.1 client: one request, read to EOF.
 fn http(addr: std::net::SocketAddr, request: &str) -> (u16, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).unwrap();

@@ -27,10 +27,10 @@
 //! sequence and the budget — no timers, no randomness — so a budgeted
 //! campaign's pressure counters replay exactly.
 //!
-//! Process-wide gauges ([`process_resident_bytes`],
-//! [`process_spilled_bytes`]) aggregate every live store so schedulers
-//! (sweep admission, `eth serve` shedding) can observe memory pressure
-//! without holding a reference to each store.
+//! A [`StagingAccountant`] handle aggregates every store it was handed
+//! to, so whoever owns a set of stores (a campaign's caches, `eth serve`)
+//! can observe *its own* memory pressure without holding a reference to
+//! each store — and without reading anyone else's.
 
 use crate::compress::Codec;
 use crate::dataset::DataObject;
@@ -40,25 +40,38 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Bytes currently resident across every live [`BlockStore`] in this
-/// process. The backpressure signal: sweep admission and service
-/// shedding compare this against a policy's watermarks.
-static PROCESS_RESIDENT: AtomicU64 = AtomicU64::new(0);
-/// Total bytes ever spilled to disk across this process.
-static PROCESS_SPILLED: AtomicU64 = AtomicU64::new(0);
 /// Uniquifier for anonymous spill directories.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide resident staged bytes (sum over live stores).
-pub fn process_resident_bytes() -> u64 {
-    PROCESS_RESIDENT.load(Ordering::Relaxed)
+/// Byte totals over every [`BlockStore`] built with (a clone of) this
+/// handle. This is the backpressure signal: sweep admission and service
+/// shedding compare the owner's resident total against a policy's
+/// watermarks. Statistics only — the counters publish no other data.
+#[derive(Debug, Clone, Default)]
+pub struct StagingAccountant(Arc<Totals>);
+
+#[derive(Debug, Default)]
+struct Totals {
+    resident: AtomicU64,
+    spilled: AtomicU64,
 }
 
-/// Process-wide cumulative spilled bytes.
-pub fn process_spilled_bytes() -> u64 {
-    PROCESS_SPILLED.load(Ordering::Relaxed)
+impl StagingAccountant {
+    pub fn new() -> StagingAccountant {
+        StagingAccountant::default()
+    }
+
+    /// Bytes currently resident, summed over the live stores on this handle.
+    pub fn resident_bytes(&self) -> u64 {
+        self.0.resident.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative bytes the stores on this handle spilled to disk.
+    pub fn spilled_bytes(&self) -> u64 {
+        self.0.spilled.load(Ordering::Relaxed)
+    }
 }
 
 /// Byte-accountant counters for one store. All sizes are exact encoded
@@ -103,6 +116,7 @@ struct Inner {
 
 /// A bounded-memory staging area for indexed data blocks.
 pub struct BlockStore {
+    accountant: StagingAccountant,
     budget: Option<u64>,
     dir: PathBuf,
     owns_dir: bool,
@@ -118,8 +132,19 @@ impl BlockStore {
     /// A store holding at most `budget` encoded bytes resident, spilling
     /// to `spill_dir` (or a fresh per-process temp directory when
     /// `None`). An explicit directory is swept of stale chunks first —
-    /// the torn-spill leftovers of a crashed predecessor.
+    /// the torn-spill leftovers of a crashed predecessor. The store
+    /// accounts to itself; see [`BlockStore::accounted`].
     pub fn new(budget: Option<u64>, spill_dir: Option<PathBuf>) -> BlockStore {
+        BlockStore::accounted(budget, spill_dir, StagingAccountant::new())
+    }
+
+    /// [`BlockStore::new`], with the store's resident and spilled bytes
+    /// added to `accountant`'s totals for as long as the store lives.
+    pub fn accounted(
+        budget: Option<u64>,
+        spill_dir: Option<PathBuf>,
+        accountant: StagingAccountant,
+    ) -> BlockStore {
         let (dir, owns_dir) = match spill_dir {
             Some(d) => {
                 sweep_stale_chunks(&d);
@@ -135,6 +160,7 @@ impl BlockStore {
             ),
         };
         BlockStore {
+            accountant,
             budget,
             dir,
             owns_dir,
@@ -170,13 +196,13 @@ impl BlockStore {
             inner.slots[index] = Slot::Spilled { path, bytes };
             inner.stats.spills += 1;
             inner.stats.spilled_bytes += bytes;
-            PROCESS_SPILLED.fetch_add(bytes, Ordering::Relaxed);
+            self.accountant.0.spilled.fetch_add(bytes, Ordering::Relaxed);
             return Ok(());
         }
         self.make_room(&mut inner, bytes)?;
         inner.slots[index] = Slot::Resident { obj, bytes, last_use: now };
         inner.stats.resident_bytes += bytes;
-        PROCESS_RESIDENT.fetch_add(bytes, Ordering::Relaxed);
+        self.accountant.0.resident.fetch_add(bytes, Ordering::Relaxed);
         inner.stats.peak_resident_bytes =
             inner.stats.peak_resident_bytes.max(inner.stats.resident_bytes);
         Ok(())
@@ -212,7 +238,7 @@ impl BlockStore {
                         last_use: now,
                     };
                     inner.stats.resident_bytes += bytes;
-                    PROCESS_RESIDENT.fetch_add(bytes, Ordering::Relaxed);
+                    self.accountant.0.resident.fetch_add(bytes, Ordering::Relaxed);
                     inner.stats.peak_resident_bytes = inner
                         .stats
                         .peak_resident_bytes
@@ -326,8 +352,8 @@ impl BlockStore {
         inner.stats.resident_bytes -= bytes;
         inner.stats.spills += 1;
         inner.stats.spilled_bytes += bytes;
-        PROCESS_RESIDENT.fetch_sub(bytes, Ordering::Relaxed);
-        PROCESS_SPILLED.fetch_add(bytes, Ordering::Relaxed);
+        self.accountant.0.resident.fetch_sub(bytes, Ordering::Relaxed);
+        self.accountant.0.spilled.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
@@ -349,7 +375,7 @@ impl BlockStore {
         match std::mem::replace(&mut inner.slots[index], Slot::Vacant) {
             Slot::Resident { bytes, .. } => {
                 inner.stats.resident_bytes -= bytes;
-                PROCESS_RESIDENT.fetch_sub(bytes, Ordering::Relaxed);
+                self.accountant.0.resident.fetch_sub(bytes, Ordering::Relaxed);
             }
             Slot::Spilled { path, .. } => {
                 let _ = fs::remove_file(path);
@@ -367,7 +393,10 @@ impl BlockStore {
 impl Drop for BlockStore {
     fn drop(&mut self) {
         let inner = self.inner.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-        PROCESS_RESIDENT.fetch_sub(inner.stats.resident_bytes, Ordering::Relaxed);
+        self.accountant
+            .0
+            .resident
+            .fetch_sub(inner.stats.resident_bytes, Ordering::Relaxed);
         for slot in &inner.slots {
             if let Slot::Spilled { path, .. } = slot {
                 let _ = fs::remove_file(path);
@@ -475,13 +504,20 @@ mod tests {
     }
 
     #[test]
-    fn process_gauges_track_stores_and_release_on_drop() {
-        let before = process_resident_bytes();
-        let store = BlockStore::unbounded();
+    fn accountant_tracks_its_own_stores_and_releases_on_drop() {
+        let ours = StagingAccountant::new();
+        let one = binary::encoded_len(&block(1, 300)) as u64;
+        let store = BlockStore::accounted(Some(one), None, ours.clone());
+        let unrelated = BlockStore::unbounded();
+        unrelated.insert(0, block(9, 300)).unwrap();
         store.insert(0, block(1, 300)).unwrap();
-        assert!(process_resident_bytes() > before);
+        assert_eq!(ours.resident_bytes(), one, "someone else's store leaked in");
+        store.insert(1, block(2, 300)).unwrap(); // evicts block 0
+        assert_eq!(ours.resident_bytes(), one);
+        assert_eq!(ours.spilled_bytes(), one);
         drop(store);
-        assert_eq!(process_resident_bytes(), before);
+        assert_eq!(ours.resident_bytes(), 0);
+        assert_eq!(ours.spilled_bytes(), one, "spilled is cumulative");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use eth::core::config::{Algorithm, Application, ExperimentSpec};
 use eth::core::journal::JOURNAL_FILE;
-use eth::core::sweep::{Campaign, Sweep};
+use eth::core::harness::RunCaches;
+use eth::core::sweep::{Campaign, CampaignOutcome, Sweep};
 use eth::render::image::Image;
 use proptest::prelude::*;
 use std::fs;
@@ -37,6 +38,13 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// Resume (or start) the journaled campaign over `sweep` in `dir`.
+fn resume(dir: &Path, sweep: &Sweep) -> CampaignOutcome {
+    Campaign::new()
+        .run_journaled(&sweep.specs().unwrap(), &RunCaches::new(), dir)
+        .unwrap()
+}
+
 /// The uninterrupted reference: one journaled run of the sweep, kept as
 /// the raw campaign-directory bytes plus the images it produced.
 struct Reference {
@@ -50,7 +58,7 @@ fn reference() -> &'static Reference {
     static REF: OnceLock<Reference> = OnceLock::new();
     REF.get_or_init(|| {
         let dir = tmp("reference");
-        let outcome = Campaign::new().resume(&dir, &sweep()).unwrap();
+        let outcome = resume(&dir, &sweep());
         assert_eq!(outcome.failures(), 0);
         let images = outcome
             .results
@@ -114,7 +122,7 @@ proptest! {
         let dir = tmp("truncated");
         stage_truncated(&dir, keep);
 
-        let outcome = Campaign::new().resume(&dir, &sweep()).unwrap();
+        let outcome = resume(&dir, &sweep());
         prop_assert_eq!(outcome.failures(), 0);
         prop_assert_eq!(outcome.results.len(), r.images.len());
         prop_assert_eq!(outcome.restored.len(), surviving_finishes(keep));
@@ -132,13 +140,13 @@ proptest! {
 #[test]
 fn resume_reruns_only_points_whose_spec_changed() {
     let dir = tmp("spec-change");
-    let first = Campaign::new().resume(&dir, &sweep()).unwrap();
+    let first = resume(&dir, &sweep());
     assert_eq!(first.failures(), 0);
     assert!(first.restored.is_empty(), "fresh run restores nothing");
 
     // Same sweep, one axis value changed: only the changed point re-runs.
     let changed = Sweep::over(base()).sampling_ratios(&[1.0, 0.5, 0.125]);
-    let second = Campaign::new().resume(&dir, &changed).unwrap();
+    let second = resume(&dir, &changed);
     assert_eq!(second.failures(), 0);
     assert_eq!(
         second.restored,
