@@ -1,21 +1,29 @@
 //! Render hot path: HLBVH vs median-split build times, tiled
-//! packet-traversal frame times, and the two particle rasterizers beside
-//! their hardware reference (DESIGN.md §14). The JSON-report variant with
+//! packet-traversal frame times, and the two particle rasterizers and the
+//! two grid extraction filters, each beside its hardware reference
+//! (DESIGN.md §14, §19). The JSON-report variant with
 //! acceptance gates is `reproduce render-bench`; this is the
 //! statistics-grade criterion view of the same loops.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use eth_bench::render::scatter;
 use eth_core::config::Application;
+use eth_data::partition::partition_grid_slabs;
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
+use eth_render::geometry::marching_cubes::extract_isosurface;
+use eth_render::geometry::slice::extract_slice;
+use eth_render::geometry::Plane;
 use eth_render::raster::points::render_points;
 use eth_render::raster::splat::render_splats;
 use eth_render::ray::bvh::SphereBvh;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
 use eth_sim::hacc::HaccConfig;
+use eth_sim::xrage::XrageConfig;
 use std::time::{Duration, Instant};
 
 const RADIUS: f32 = 0.01;
@@ -69,6 +77,20 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bench `frame` under `id`; returns the median of its iterations in seconds.
+fn median_of(group: &mut BenchmarkGroup<'_>, id: BenchmarkId, frame: &mut dyn FnMut()) -> f64 {
+    let mut times = Vec::new();
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            let t = Instant::now();
+            frame();
+            times.push(t.elapsed());
+        })
+    });
+    times.sort();
+    times[times.len() / 2].as_secs_f64()
+}
+
 /// `render_points` and `render_splats` on a HACC cloud at 512², beside the
 /// floor neither can beat: one serial loop that projects every particle and
 /// evaluates its colour, and writes no pixel. The last line per size prints
@@ -91,16 +113,7 @@ fn bench_particles(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         let mut medians = Vec::new();
         let mut row = |name: &str, frame: &mut dyn FnMut()| {
-            let mut times = Vec::new();
-            group.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| {
-                    let t = Instant::now();
-                    frame();
-                    times.push(t.elapsed());
-                })
-            });
-            times.sort();
-            medians.push(times[times.len() / 2].as_secs_f64());
+            medians.push(median_of(&mut group, BenchmarkId::new(name, n), frame));
         };
         row("project_and_colour", &mut || {
             let projector = camera.projector();
@@ -143,5 +156,55 @@ fn bench_particles(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_frame, bench_particles);
+/// `extract_isosurface` and `extract_slice` on the slab one rank of the
+/// `xrage.iso.intercore` workload extracts (192³ over two ranks), beside the
+/// floor neither can beat: one pass over the same field counting the
+/// vertices above the isovalue. The last line prints each filter's median as
+/// a multiple of that pass's.
+fn bench_extract(c: &mut Criterion) {
+    let cfg = XrageConfig::with_dims([192, 192, 192]);
+    let whole = cfg.generate(0).expect("xrage generates");
+    let slab = &partition_grid_slabs(&whole, 2).expect("two slabs")[0];
+    let field = slab
+        .scalar("temperature")
+        .expect("xrage carries temperature");
+    let isovalue = cfg.front_isovalue(0);
+    let plane = Plane::from_point_normal(slab.bounds().center(), Vec3::new(1.0, -0.6, 0.35));
+    let [nx, ny, nz] = slab.dims();
+    let label = format!("{nx}x{ny}x{nz}");
+
+    let mut group = c.benchmark_group("extract");
+    group.sample_size(15);
+    group.measurement_time(Duration::from_secs(4));
+    group.warm_up_time(Duration::from_millis(500));
+    group.throughput(Throughput::Elements(slab.num_cells() as u64));
+    let mut medians = Vec::new();
+    let mut row = |name: &str, frame: &mut dyn FnMut()| {
+        medians.push(median_of(&mut group, BenchmarkId::new(name, &label), frame));
+    };
+    row("count_above", &mut || {
+        black_box(field.iter().filter(|&&v| v > isovalue).count());
+    });
+    row("extract_iso", &mut || {
+        black_box(extract_isosurface(slab, "temperature", isovalue).expect("field present"));
+    });
+    row("extract_slice", &mut || {
+        black_box(extract_slice(slab, "temperature", &plane).expect("field present"));
+    });
+    eprintln!(
+        "  extract/{label}: iso {:.2}x, slice {:.2}x the counting pass ({:.2} ms)",
+        medians[1] / medians[0],
+        medians[2] / medians[0],
+        medians[0] * 1e3,
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_build,
+    bench_frame,
+    bench_particles,
+    bench_extract
+);
 criterion_main!(benches);

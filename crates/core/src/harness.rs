@@ -456,9 +456,10 @@ struct StagedData {
 }
 
 impl StagedData {
-    /// Fetch (a copy of) the block for `(step, rank)`, streaming it back
-    /// from its spill chunk when the budget evicted it.
-    fn block(&self, step: usize, rank: usize) -> Result<DataObject> {
+    /// A handle to the block for `(step, rank)` — shared with the store
+    /// while resident, streamed back from its spill chunk when the budget
+    /// evicted it.
+    fn block(&self, step: usize, rank: usize) -> Result<Arc<DataObject>> {
         Ok(self.store.get(step * self.ranks + rank)?)
     }
 }
@@ -1122,7 +1123,8 @@ impl RankCx {
 /// How a visualization rank gets one simulation rank's block.
 enum Wire<'a> {
     /// Tight: sim and viz share the rank's call stack; the proxy presents
-    /// its block in-process (a copy, as a real proxy's load would be).
+    /// its block in-process, as a handle to the staged block. The load a
+    /// real proxy would do is the spill reload under a memory budget.
     InProcess,
     Link(Box<dyn PairLink + 'a>),
 }
@@ -1512,7 +1514,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
         let mut deg = Degradation::default();
 
         // 1. Intake: drain every wire this rank holds, owner or not.
-        let mut wire_blocks: Vec<Option<DataObject>> = vec![None; r];
+        let mut wire_blocks: Vec<Option<Arc<DataObject>>> = vec![None; r];
         for (sim, wire) in &wires {
             let sim = *sim;
             let t = Instant::now();
@@ -1522,7 +1524,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                 continue;
             };
             let tag = DATA_TAG_MIN + step as u32;
-            wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?;
+            wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?.map(Arc::new);
             if let Some((_, board)) = cx.live().filter(|_| wire_blocks[sim].is_none()) {
                 if board.is_dead(sim) && !std::mem::replace(&mut lost[sim], true) {
                     let _span = eth_obs::span(eth_obs::Phase::Recovery);

@@ -14,7 +14,7 @@ use crate::error::Result;
 use eth_data::sampling::{sample_grid_field, sample_points};
 use eth_data::DataObject;
 use eth_render::framebuffer::Framebuffer;
-use eth_render::pipeline::{render, RenderOptions, RenderStats};
+use eth_render::pipeline::{render_views, RenderOptions, RenderStats};
 use eth_render::Image;
 use eth_sim::interface::InSituSink;
 use std::borrow::Cow;
@@ -96,23 +96,28 @@ impl VizPipeline {
             .spec
             .algorithm
             .resolve(&self.spec.application, step, self.spec.seed);
-        let mut frames = Vec::with_capacity(self.spec.images_per_step);
+        let cameras: Vec<_> = (0..self.spec.images_per_step)
+            .map(|image_index| {
+                orbit_camera(
+                    global_bounds,
+                    self.spec.width,
+                    self.spec.height,
+                    image_index,
+                    self.spec.images_per_step,
+                )
+            })
+            .collect();
+        let mut opts = self.options.clone();
+        // Fix the transfer-function range from the *unsampled* block so
+        // sampling changes content, not color scale.
+        if opts.range.is_none() {
+            opts.range = scalar_range(data, opts.scalar.as_deref());
+        }
+        // one call for the step's images: what does not depend on the camera
+        // (the raycaster's BVH) is built once per step
+        let mut frames = Vec::with_capacity(cameras.len());
         let mut stats = RenderStats::default();
-        for image_index in 0..self.spec.images_per_step {
-            let camera = orbit_camera(
-                global_bounds,
-                self.spec.width,
-                self.spec.height,
-                image_index,
-                self.spec.images_per_step,
-            );
-            let mut opts = self.options.clone();
-            // Fix the transfer-function range from the *unsampled* block so
-            // sampling changes content, not color scale.
-            if opts.range.is_none() {
-                opts.range = scalar_range(data, opts.scalar.as_deref());
-            }
-            let out = render(&sampled, &algorithm, &camera, &opts)?;
+        for out in render_views(&sampled, &algorithm, &cameras, &opts)? {
             stats = accumulate(stats, out.stats);
             frames.push(out.framebuffer);
         }
@@ -212,6 +217,35 @@ mod tests {
         // orbiting camera: the two images differ
         assert_ne!(out.frames[0], out.frames[1]);
         assert!(out.stats.fragments > 0);
+    }
+
+    #[test]
+    fn raycast_step_builds_its_bvh_once() {
+        let s = ExperimentSpec::builder("bvh-once")
+            .application(Application::Hacc { particles: 2_000 })
+            .algorithm(Algorithm::RaycastSpheres)
+            .image_size(48, 48)
+            .images_per_step(3)
+            .build()
+            .unwrap();
+        let pipe = VizPipeline::new(&s);
+        let data = s.application.generate(0, s.seed).unwrap();
+        let bounds = data.bounds();
+        let out = pipe.execute_step(0, &data, &bounds).unwrap();
+        assert_eq!(out.frames.len(), 3);
+
+        // each frame is the frame a render of its own makes; the step is
+        // charged the build of one of them
+        let algorithm = s.algorithm.resolve(&s.application, 0, s.seed);
+        let mut opts = pipe.options.clone();
+        opts.range = scalar_range(&data, opts.scalar.as_deref());
+        for (image_index, frame) in out.frames.iter().enumerate() {
+            let camera = orbit_camera(&bounds, 48, 48, image_index, 3);
+            let alone = eth_render::pipeline::render(&data, &algorithm, &camera, &opts).unwrap();
+            assert!(*frame == alone.framebuffer, "image {image_index} differs");
+            assert!(alone.stats.build_ops > 0);
+            assert_eq!(out.stats.build_ops, alone.stats.build_ops);
+        }
     }
 
     #[test]

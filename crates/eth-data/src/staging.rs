@@ -98,7 +98,7 @@ pub struct StagingStats {
 enum Slot {
     Vacant,
     Resident {
-        obj: DataObject,
+        obj: Arc<DataObject>,
         bytes: u64,
         last_use: u64,
     },
@@ -200,7 +200,11 @@ impl BlockStore {
             return Ok(());
         }
         self.make_room(&mut inner, bytes)?;
-        inner.slots[index] = Slot::Resident { obj, bytes, last_use: now };
+        inner.slots[index] = Slot::Resident {
+            obj: Arc::new(obj),
+            bytes,
+            last_use: now,
+        };
         inner.stats.resident_bytes += bytes;
         self.accountant.0.resident.fetch_add(bytes, Ordering::Relaxed);
         inner.stats.peak_resident_bytes =
@@ -208,23 +212,26 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Fetch a copy of block `index`, streaming it back from its spill
-    /// chunk if it was evicted. Re-admission respects the budget: the
+    /// Fetch a handle to block `index`, streaming it back from its spill
+    /// chunk if it was evicted. A resident block is shared, not copied (the
+    /// store's lock is held for a reference count, not a deep copy); the
+    /// store accounts what *it* holds, so a handle that outlives an eviction
+    /// is the holder's memory. Re-admission respects the budget: the
     /// reloaded block only stays resident if it fits after evicting
     /// colder blocks.
-    pub fn get(&self, index: usize) -> Result<DataObject> {
+    pub fn get(&self, index: usize) -> Result<Arc<DataObject>> {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.clock += 1;
         let now = inner.clock;
         match inner.slots.get_mut(index) {
             Some(Slot::Resident { obj, last_use, .. }) => {
                 *last_use = now;
-                Ok(obj.clone())
+                Ok(Arc::clone(obj))
             }
             Some(Slot::Spilled { path, bytes }) => {
                 let (path, bytes) = (path.clone(), *bytes);
                 let raw = fs::read(&path)?;
-                let obj = Codec::Lossless.decode(crate::Bytes::from(raw))?;
+                let obj = Arc::new(Codec::Lossless.decode(crate::Bytes::from(raw))?);
                 inner.stats.reloads += 1;
                 inner.stats.reloaded_bytes += bytes;
                 // Re-admit only a block that can ever fit: a block
@@ -233,7 +240,7 @@ impl BlockStore {
                     self.make_room(&mut inner, bytes)?;
                     let _ = fs::remove_file(&path);
                     inner.slots[index] = Slot::Resident {
-                        obj: obj.clone(),
+                        obj: Arc::clone(&obj),
                         bytes,
                         last_use: now,
                     };
@@ -585,7 +592,7 @@ mod tests {
                         let next = BlockStore::new(Some(budget), None);
                         for (i, seed) in staged.iter().enumerate() {
                             if let Some(seed) = seed {
-                                next.insert(i, store.get(i).unwrap()).unwrap();
+                                next.insert(i, (*store.get(i).unwrap()).clone()).unwrap();
                                 prop_assert_eq!(
                                     positions(&next.get(i).unwrap()),
                                     positions(&block(*seed, 150))

@@ -2,31 +2,33 @@
 //!
 //! The paper's geometry pipeline "identif\[ies\] the cells of the data grid
 //! that contain fragments of the surface, and then determin\[es\] the geometry
-//! within those cells" (Section IV-C). We implement that cell scan with the
-//! Freudenthal (Kuhn) 6-tetrahedra decomposition: every cell is split into
-//! six tetrahedra along the main diagonal, and marching-tetrahedra rules
-//! emit 1–2 triangles per crossed tetrahedron.
+//! within those cells" (Section IV-C). Both halves live in
+//! [`zero_set`](super::zero_set): a bit-parallel sign sweep finds the cells
+//! whose corners straddle the isovalue, and every such cell is split into the
+//! six Freudenthal (Kuhn) tetrahedra, each emitting 1–2 triangles by
+//! marching-tetrahedra rules. This file supplies what is particular to an
+//! isosurface: the predicate `field > isovalue`, and vertices placed by
+//! linear interpolation of the field along the crossed edge, with normals
+//! from the grid's central-difference gradient.
 //!
 //! Compared to table-driven marching cubes this produces slightly more
 //! triangles for the same surface, but (a) the cost shape is identical —
 //! O(cells) scanned, geometry ∝ surface size — which is what the paper's
 //! evaluation measures, and (b) the Freudenthal split tiles the lattice
 //! consistently, so surfaces are crack-free across cell and rank boundaries
-//! by construction.
-//!
-//! Vertices on shared tetrahedron edges are deduplicated through an edge →
-//! vertex map, and normals come from the grid's central-difference gradient,
-//! so the output is a compact, smoothly-shaded mesh.
+//! by construction. Vertices on shared tetrahedron edges are created once, so
+//! the output is a compact, smoothly-shaded mesh.
 
 use crate::geometry::mesh::TriangleMesh;
+use crate::geometry::zero_set::{self, crossing_weight, Surface};
 use eth_data::error::Result;
-use eth_data::UniformGrid;
-use std::collections::HashMap;
+use eth_data::{UniformGrid, Vec3};
 
 /// Statistics from one extraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IsosurfaceStats {
-    /// Cells examined (the full scan the paper charges the geometry pipeline).
+    /// Cells examined (the full scan the paper charges the geometry
+    /// pipeline): every cell's corner signs are tested, 64 cells at a time.
     pub cells_scanned: u64,
     /// Cells straddling the isovalue that emitted geometry.
     pub cells_crossed: u64,
@@ -34,29 +36,34 @@ pub struct IsosurfaceStats {
     pub vertices: u64,
 }
 
-/// The six tetrahedra of the Freudenthal decomposition, as indices into the
-/// cube-corner table below. Each walks a monotone path 0 → 7, so facial
-/// diagonals agree between neighboring cells.
-const TETS: [[usize; 4]; 6] = [
-    [0, 1, 3, 7],
-    [0, 1, 5, 7],
-    [0, 2, 3, 7],
-    [0, 2, 6, 7],
-    [0, 4, 5, 7],
-    [0, 4, 6, 7],
-];
+struct Isosurface<'a> {
+    grid: &'a UniformGrid,
+    values: &'a [f32],
+    isovalue: f32,
+}
 
-/// Cube corner offsets in (dx, dy, dz); corner index bit k selects axis k.
-const CORNERS: [(usize, usize, usize); 8] = [
-    (0, 0, 0),
-    (1, 0, 0),
-    (0, 1, 0),
-    (1, 1, 0),
-    (0, 0, 1),
-    (1, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-];
+impl Surface for Isosurface<'_> {
+    fn level(&self) -> f32 {
+        self.isovalue
+    }
+
+    fn row<'a>(&'a self, i0: usize, j: usize, k: usize, buf: &'a mut [f32]) -> &'a [f32] {
+        &self.values[self.grid.vertex_index(i0, j, k)..][..buf.len()]
+    }
+
+    fn crossing(&self, [ia, ja, ka]: [usize; 3], [ib, jb, kb]: [usize; 3]) -> (Vec3, Vec3, f32) {
+        let (grid, values, iso) = (self.grid, self.values, self.isovalue);
+        let fa = values[grid.vertex_index(ia, ja, ka)];
+        let fb = values[grid.vertex_index(ib, jb, kb)];
+        let t = crossing_weight(iso - fa, fa, fb);
+        let pa = grid.vertex_position(ia, ja, ka);
+        let pb = grid.vertex_position(ib, jb, kb);
+        let na = grid.gradient_at_vertex(values, ia, ja, ka);
+        let nb = grid.gradient_at_vertex(values, ib, jb, kb);
+        // surface normal points down-gradient; sign handled by two-sided shading
+        (pa.lerp(pb, t), na.lerp(nb, t).normalized(), iso)
+    }
+}
 
 /// Extract the isosurface of `field` at `isovalue`.
 pub fn extract_isosurface(
@@ -64,139 +71,19 @@ pub fn extract_isosurface(
     field: &str,
     isovalue: f32,
 ) -> Result<(TriangleMesh, IsosurfaceStats)> {
-    let values = grid.scalar(field)?;
-    let dims = grid.dims();
-    let mut mesh = TriangleMesh::new();
-    let mut stats = IsosurfaceStats::default();
-    // Edge (global vertex id pair, sorted) -> mesh vertex index.
-    let mut edge_cache: HashMap<(u32, u32), u32> = HashMap::new();
-
-    if dims[0] < 2 || dims[1] < 2 || dims[2] < 2 {
-        return Ok((mesh, stats));
-    }
-
-    for k in 0..dims[2] - 1 {
-        for j in 0..dims[1] - 1 {
-            for i in 0..dims[0] - 1 {
-                stats.cells_scanned += 1;
-                // Gather corner ids and values.
-                let mut ids = [0u32; 8];
-                let mut f = [0f32; 8];
-                let mut above = 0u8;
-                for (c, &(dx, dy, dz)) in CORNERS.iter().enumerate() {
-                    let idx = grid.vertex_index(i + dx, j + dy, k + dz);
-                    ids[c] = idx as u32;
-                    f[c] = values[idx];
-                    if f[c] > isovalue {
-                        above |= 1 << c;
-                    }
-                }
-                // Quick reject: all corners on one side.
-                if above == 0 || above == 0xff {
-                    continue;
-                }
-                let mut emitted = false;
-                for tet in &TETS {
-                    emitted |= march_tet(
-                        grid, values, isovalue, &ids, &f, tet, &mut mesh, &mut edge_cache,
-                    );
-                }
-                if emitted {
-                    stats.cells_crossed += 1;
-                }
-            }
-        }
-    }
-    stats.triangles = mesh.num_triangles() as u64;
-    stats.vertices = mesh.num_vertices() as u64;
-    Ok((mesh, stats))
-}
-
-/// Emit triangles for one tetrahedron; returns true if any were emitted.
-#[allow(clippy::too_many_arguments)]
-fn march_tet(
-    grid: &UniformGrid,
-    values: &[f32],
-    iso: f32,
-    ids: &[u32; 8],
-    f: &[f32; 8],
-    tet: &[usize; 4],
-    mesh: &mut TriangleMesh,
-    cache: &mut HashMap<(u32, u32), u32>,
-) -> bool {
-    let mut mask = 0u8;
-    for (b, &c) in tet.iter().enumerate() {
-        if f[c] > iso {
-            mask |= 1 << b;
-        }
-    }
-    if mask == 0 || mask == 0b1111 {
-        return false;
-    }
-    // Local helper: vertex on the edge between tet-local corners a, b.
-    let mut edge_vertex = |a: usize, b: usize| -> u32 {
-        let (ga, gb) = (ids[tet[a]], ids[tet[b]]);
-        let key = if ga < gb { (ga, gb) } else { (gb, ga) };
-        if let Some(&v) = cache.get(&key) {
-            return v;
-        }
-        let (fa, fb) = (f[tet[a]], f[tet[b]]);
-        let t = if (fb - fa).abs() < 1e-20 {
-            0.5
-        } else {
-            ((iso - fa) / (fb - fa)).clamp(0.0, 1.0)
-        };
-        let (ia, ja, ka) = grid.vertex_coords(ga as usize);
-        let (ib, jb, kb) = grid.vertex_coords(gb as usize);
-        let pa = grid.vertex_position(ia, ja, ka);
-        let pb = grid.vertex_position(ib, jb, kb);
-        let na = grid.gradient_at_vertex(values, ia, ja, ka);
-        let nb = grid.gradient_at_vertex(values, ib, jb, kb);
-        let p = pa.lerp(pb, t);
-        // surface normal points down-gradient; sign handled by two-sided shading
-        let n = na.lerp(nb, t).normalized();
-        let v = mesh.push_vertex(p, n, iso);
-        cache.insert(key, v);
-        v
+    let surface = Isosurface {
+        grid,
+        values: grid.scalar(field)?,
+        isovalue,
     };
-
-    // Enumerate marching-tetrahedra cases by popcount of the mask.
-    let inside: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) != 0).collect();
-    match inside.len() {
-        1 => {
-            // One corner above: one triangle across its three edges.
-            let a = inside[0];
-            let others: Vec<usize> = (0..4).filter(|&b| b != a).collect();
-            let v0 = edge_vertex(a, others[0]);
-            let v1 = edge_vertex(a, others[1]);
-            let v2 = edge_vertex(a, others[2]);
-            mesh.push_triangle(v0, v1, v2);
-        }
-        3 => {
-            // Mirror case: one corner below.
-            let a = (0..4).find(|&b| mask & (1 << b) == 0).unwrap();
-            let others: Vec<usize> = (0..4).filter(|&b| b != a).collect();
-            let v0 = edge_vertex(a, others[0]);
-            let v1 = edge_vertex(a, others[1]);
-            let v2 = edge_vertex(a, others[2]);
-            mesh.push_triangle(v0, v1, v2);
-        }
-        2 => {
-            // Two above / two below: quad across the four crossing edges.
-            let (a0, a1) = (inside[0], inside[1]);
-            let below: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) == 0).collect();
-            let (b0, b1) = (below[0], below[1]);
-            let v00 = edge_vertex(a0, b0);
-            let v01 = edge_vertex(a0, b1);
-            let v11 = edge_vertex(a1, b1);
-            let v10 = edge_vertex(a1, b0);
-            // fan the quad v00-v01-v11-v10
-            mesh.push_triangle(v00, v01, v11);
-            mesh.push_triangle(v00, v11, v10);
-        }
-        _ => unreachable!("mask 0 and 15 already rejected"),
-    }
-    true
+    let (mesh, cells_crossed) = zero_set::extract(grid.dims(), &surface);
+    let stats = IsosurfaceStats {
+        cells_scanned: grid.num_cells() as u64,
+        cells_crossed,
+        triangles: mesh.num_triangles() as u64,
+        vertices: mesh.num_vertices() as u64,
+    };
+    Ok((mesh, stats))
 }
 
 #[cfg(test)]

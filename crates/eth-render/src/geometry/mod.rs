@@ -3,8 +3,11 @@
 
 pub mod marching_cubes;
 pub mod mesh;
+#[cfg(test)]
+mod reference;
 pub mod slice;
 pub mod unstructured;
+mod zero_set;
 
 pub use mesh::TriangleMesh;
 pub use slice::Plane;

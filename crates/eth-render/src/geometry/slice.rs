@@ -1,18 +1,20 @@
 //! Slicing-plane extraction — the "VTK slice" filter.
 //!
-//! A slicing plane through volumetric data is extracted exactly like an
-//! isosurface, but of the *signed distance to the plane* at isovalue 0:
-//! every cell is scanned, cells straddling the plane emit polygon fragments
-//! ("the work … is proportional (roughly) to the 2/3 root of the input data
-//! size" for the *output*, while the scan still touches all cells —
-//! Section IV-C). The extracted triangles are colored by the data field
-//! interpolated at the cut, which is what makes the slice useful.
+//! A slicing plane through volumetric data is the zero set of the *signed
+//! distance to the plane*, extracted by the same sign sweep and tetrahedra
+//! emission as an isosurface ([`zero_set`](super::zero_set)): every cell is
+//! scanned, cells straddling the plane emit polygon fragments ("the work … is
+//! proportional (roughly) to the 2/3 root of the input data size" for the
+//! *output*, while the scan still touches all cells — Section IV-C). The
+//! distance is evaluated from a vertex's `(i, j, k)` wherever it is needed,
+//! never stored per vertex. The extracted triangles are colored by the data
+//! field interpolated at the cut, which is what makes the slice useful.
 
 use crate::geometry::mesh::TriangleMesh;
+use crate::geometry::zero_set::{self, crossing_weight, Surface};
 use eth_data::error::{DataError, Result};
 use eth_data::{UniformGrid, Vec3};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A plane in Hessian normal form: `dot(normal, p) = offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,13 +62,40 @@ pub struct SliceStats {
     pub triangles: u64,
 }
 
-/// Extract the cut of `plane` through the grid, colored by `field`.
-///
-/// Implementation: the signed distance to the plane is evaluated at grid
-/// vertices and the zero-set is extracted with the same Freudenthal
-/// tetrahedra scan as the isosurface filter; triangle-vertex scalars are the
-/// data field interpolated along the cut edges, and normals are the plane
-/// normal (slices are flat).
+struct Cut<'a> {
+    grid: &'a UniformGrid,
+    values: &'a [f32],
+    plane: &'a Plane,
+}
+
+impl Surface for Cut<'_> {
+    fn level(&self) -> f32 {
+        0.0
+    }
+
+    fn row<'a>(&'a self, i0: usize, j: usize, k: usize, buf: &'a mut [f32]) -> &'a [f32] {
+        for (b, d) in buf.iter_mut().enumerate() {
+            *d = self.plane.distance(self.grid.vertex_position(i0 + b, j, k));
+        }
+        buf
+    }
+
+    fn crossing(&self, [ia, ja, ka]: [usize; 3], [ib, jb, kb]: [usize; 3]) -> (Vec3, Vec3, f32) {
+        let (grid, values, plane) = (self.grid, self.values, self.plane);
+        let pa = grid.vertex_position(ia, ja, ka);
+        let pb = grid.vertex_position(ib, jb, kb);
+        let (da, db) = (plane.distance(pa), plane.distance(pb));
+        let t = crossing_weight(-da, da, db);
+        // Color by the data field along the cut edge; slices are flat.
+        let va = values[grid.vertex_index(ia, ja, ka)];
+        let vb = values[grid.vertex_index(ib, jb, kb)];
+        (pa.lerp(pb, t), plane.normal, va * (1.0 - t) + vb * t)
+    }
+}
+
+/// Extract the cut of `plane` through the grid, colored by `field`:
+/// triangle-vertex scalars are the data field interpolated along the cut
+/// edges, and normals are the plane normal.
 pub fn extract_slice(
     grid: &UniformGrid,
     field: &str,
@@ -77,150 +106,18 @@ pub fn extract_slice(
             "slice plane has zero normal".into(),
         ));
     }
-    let values = grid.scalar(field)?;
-    let dims = grid.dims();
-    let mut mesh = TriangleMesh::new();
-    let mut stats = SliceStats::default();
-    let mut cache: HashMap<(u32, u32), u32> = HashMap::new();
-
-    if dims[0] < 2 || dims[1] < 2 || dims[2] < 2 {
-        return Ok((mesh, stats));
-    }
-
-    // Distance at every vertex: one O(V) pass (the full-scan cost the paper
-    // charges geometry slicing).
-    let mut dist = Vec::with_capacity(grid.num_vertices());
-    for idx in 0..grid.num_vertices() {
-        let (i, j, k) = grid.vertex_coords(idx);
-        dist.push(plane.distance(grid.vertex_position(i, j, k)));
-    }
-
-    const TETS: [[usize; 4]; 6] = [
-        [0, 1, 3, 7],
-        [0, 1, 5, 7],
-        [0, 2, 3, 7],
-        [0, 2, 6, 7],
-        [0, 4, 5, 7],
-        [0, 4, 6, 7],
-    ];
-    const CORNERS: [(usize, usize, usize); 8] = [
-        (0, 0, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-        (1, 1, 0),
-        (0, 0, 1),
-        (1, 0, 1),
-        (0, 1, 1),
-        (1, 1, 1),
-    ];
-
-    for k in 0..dims[2] - 1 {
-        for j in 0..dims[1] - 1 {
-            for i in 0..dims[0] - 1 {
-                stats.cells_scanned += 1;
-                let mut ids = [0u32; 8];
-                let mut d = [0f32; 8];
-                let mut above = 0u8;
-                for (c, &(dx, dy, dz)) in CORNERS.iter().enumerate() {
-                    let idx = grid.vertex_index(i + dx, j + dy, k + dz);
-                    ids[c] = idx as u32;
-                    d[c] = dist[idx];
-                    if d[c] > 0.0 {
-                        above |= 1 << c;
-                    }
-                }
-                if above == 0 || above == 0xff {
-                    continue;
-                }
-                let mut emitted = false;
-                for tet in &TETS {
-                    emitted |= slice_tet(
-                        grid, values, &dist, plane, &ids, &d, tet, &mut mesh, &mut cache,
-                    );
-                }
-                if emitted {
-                    stats.cells_cut += 1;
-                }
-            }
-        }
-    }
-    stats.triangles = mesh.num_triangles() as u64;
-    Ok((mesh, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn slice_tet(
-    grid: &UniformGrid,
-    values: &[f32],
-    _dist: &[f32],
-    plane: &Plane,
-    ids: &[u32; 8],
-    d: &[f32; 8],
-    tet: &[usize; 4],
-    mesh: &mut TriangleMesh,
-    cache: &mut HashMap<(u32, u32), u32>,
-) -> bool {
-    let mut mask = 0u8;
-    for (b, &c) in tet.iter().enumerate() {
-        if d[c] > 0.0 {
-            mask |= 1 << b;
-        }
-    }
-    if mask == 0 || mask == 0b1111 {
-        return false;
-    }
-    let mut edge_vertex = |a: usize, b: usize| -> u32 {
-        let (ga, gb) = (ids[tet[a]], ids[tet[b]]);
-        let key = if ga < gb { (ga, gb) } else { (gb, ga) };
-        if let Some(&v) = cache.get(&key) {
-            return v;
-        }
-        let (da, db) = (d[tet[a]], d[tet[b]]);
-        let t = if (db - da).abs() < 1e-20 {
-            0.5
-        } else {
-            (-da / (db - da)).clamp(0.0, 1.0)
-        };
-        let (ia, ja, ka) = grid.vertex_coords(ga as usize);
-        let (ib, jb, kb) = grid.vertex_coords(gb as usize);
-        let pa = grid.vertex_position(ia, ja, ka);
-        let pb = grid.vertex_position(ib, jb, kb);
-        let p = pa.lerp(pb, t);
-        // Color by the data field along the cut edge.
-        let s = values[ga as usize] * (1.0 - t) + values[gb as usize] * t;
-        let v = mesh.push_vertex(p, plane.normal, s);
-        cache.insert(key, v);
-        v
+    let surface = Cut {
+        grid,
+        values: grid.scalar(field)?,
+        plane,
     };
-
-    let inside: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) != 0).collect();
-    match inside.len() {
-        1 | 3 => {
-            let a = if inside.len() == 1 {
-                inside[0]
-            } else {
-                (0..4).find(|&b| mask & (1 << b) == 0).unwrap()
-            };
-            let others: Vec<usize> = (0..4).filter(|&b| b != a).collect();
-            let v0 = edge_vertex(a, others[0]);
-            let v1 = edge_vertex(a, others[1]);
-            let v2 = edge_vertex(a, others[2]);
-            mesh.push_triangle(v0, v1, v2);
-        }
-        2 => {
-            let (a0, a1) = (inside[0], inside[1]);
-            let below: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) == 0).collect();
-            let (b0, b1) = (below[0], below[1]);
-            let v00 = edge_vertex(a0, b0);
-            let v01 = edge_vertex(a0, b1);
-            let v11 = edge_vertex(a1, b1);
-            let v10 = edge_vertex(a1, b0);
-            mesh.push_triangle(v00, v01, v11);
-            mesh.push_triangle(v00, v11, v10);
-        }
-        _ => unreachable!(),
-    }
-    true
+    let (mesh, cells_cut) = zero_set::extract(grid.dims(), &surface);
+    let stats = SliceStats {
+        cells_scanned: grid.num_cells() as u64,
+        cells_cut,
+        triangles: mesh.num_triangles() as u64,
+    };
+    Ok((mesh, stats))
 }
 
 #[cfg(test)]

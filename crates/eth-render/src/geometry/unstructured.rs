@@ -2,10 +2,12 @@
 //!
 //! The Section VII extension's geometry filter: marching tetrahedra
 //! directly on the cells of an [`UnstructuredGrid`], emitting 1–2
-//! triangles per crossed tet. Normals come from each tetrahedron's exact
-//! linear-field gradient, blended across the cells sharing an edge vertex.
+//! triangles per crossed tet through the case table the uniform-grid
+//! filters use. Normals come from each tetrahedron's exact linear-field
+//! gradient, blended across the cells sharing an edge vertex.
 
 use crate::geometry::mesh::TriangleMesh;
+use crate::geometry::zero_set::{crossing_weight, emit_tet};
 use eth_data::error::Result;
 use eth_data::unstructured::UnstructuredGrid;
 use eth_data::Vec3;
@@ -60,7 +62,7 @@ pub fn extract_isosurface_unstructured(
             values[ids[2] as usize],
             values[ids[3] as usize],
         ];
-        let mut mask = 0u8;
+        let mut mask = 0usize;
         for (b, &v) in f.iter().enumerate() {
             if v > isovalue {
                 mask |= 1 << b;
@@ -72,7 +74,7 @@ pub fn extract_isosurface_unstructured(
         stats.cells_crossed += 1;
         let grad = tet_gradient(p[0], p[1], p[2], p[3], f).normalized();
 
-        let mut edge_vertex = |a: usize, b: usize| -> u32 {
+        emit_tet(mask, &mut out, |out, a, b| {
             let (ga, gb) = (ids[a], ids[b]);
             let key = if ga < gb { (ga, gb) } else { (gb, ga) };
             if let Some(&v) = edge_cache.get(&key) {
@@ -82,46 +84,12 @@ pub fn extract_isosurface_unstructured(
                 *count += 1;
                 return v;
             }
-            let (fa, fb) = (f[a], f[b]);
-            let t = if (fb - fa).abs() < 1e-20 {
-                0.5
-            } else {
-                ((isovalue - fa) / (fb - fa)).clamp(0.0, 1.0)
-            };
-            let pos = p[a].lerp(p[b], t);
-            let v = out.push_vertex(pos, grad, isovalue);
+            let t = crossing_weight(isovalue - f[a], f[a], f[b]);
+            let v = out.push_vertex(p[a].lerp(p[b], t), grad, isovalue);
             normal_acc.push((grad, 1));
             edge_cache.insert(key, v);
             v
-        };
-
-        let inside: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) != 0).collect();
-        match inside.len() {
-            1 | 3 => {
-                let a = if inside.len() == 1 {
-                    inside[0]
-                } else {
-                    (0..4).find(|&b| mask & (1 << b) == 0).expect("mixed mask")
-                };
-                let others: Vec<usize> = (0..4).filter(|&b| b != a).collect();
-                let v0 = edge_vertex(a, others[0]);
-                let v1 = edge_vertex(a, others[1]);
-                let v2 = edge_vertex(a, others[2]);
-                out.push_triangle(v0, v1, v2);
-            }
-            2 => {
-                let (a0, a1) = (inside[0], inside[1]);
-                let below: Vec<usize> = (0..4).filter(|&b| mask & (1 << b) == 0).collect();
-                let (b0, b1) = (below[0], below[1]);
-                let v00 = edge_vertex(a0, b0);
-                let v01 = edge_vertex(a0, b1);
-                let v11 = edge_vertex(a1, b1);
-                let v10 = edge_vertex(a1, b0);
-                out.push_triangle(v00, v01, v11);
-                out.push_triangle(v00, v11, v10);
-            }
-            _ => unreachable!("mask 0 and 15 already rejected"),
-        }
+        });
     }
     // finalize blended normals
     for (i, (acc, count)) in normal_acc.iter().enumerate() {

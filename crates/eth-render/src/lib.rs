@@ -37,3 +37,20 @@ pub use camera::Camera;
 pub use framebuffer::Framebuffer;
 pub use image::Image;
 pub use pipeline::{RenderAlgorithm, RenderStats};
+
+#[cfg(test)]
+pub(crate) mod testing {
+    /// `run()` under rayon pools of 1, 2, 3 and 8 threads.
+    pub fn at_thread_counts<T>(run: impl Fn() -> T) -> Vec<(usize, T)> {
+        [1, 2, 3, 8]
+            .into_iter()
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("the pool builder cannot fail");
+                (threads, pool.install(&run))
+            })
+            .collect()
+    }
+}

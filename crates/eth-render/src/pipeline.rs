@@ -190,7 +190,8 @@ fn transfer_function(obj: &DataObject, opts: &RenderOptions) -> TransferFunction
     }
 }
 
-/// Render one frame of `obj` with `algorithm`.
+/// Render one frame of `obj` with `algorithm`: the one-camera case of
+/// [`render_views`].
 ///
 /// Errors when the algorithm and data class do not match (e.g. raycast
 /// spheres on a grid) or when a required scalar field is missing.
@@ -200,6 +201,23 @@ pub fn render(
     camera: &Camera,
     opts: &RenderOptions,
 ) -> Result<RenderOutput> {
+    let mut views = render_views(obj, algorithm, std::slice::from_ref(camera), opts)?;
+    Ok(views.pop().expect("one output per camera"))
+}
+
+/// Render `obj` with `algorithm` once per camera, in order.
+///
+/// The raycaster's sphere BVH does not depend on the camera: it is built
+/// once, inside the first view, whose [`RenderStats`] carry the build's
+/// `build_ops` and `build_time` (the paper's "initial structure-generation
+/// phase"; later views report 0). Every frame equals the one [`render`]
+/// makes with the same camera.
+pub fn render_views(
+    obj: &DataObject,
+    algorithm: &RenderAlgorithm,
+    cameras: &[Camera],
+    opts: &RenderOptions,
+) -> Result<Vec<RenderOutput>> {
     if !algorithm.accepts(obj) {
         return Err(DataError::InvalidArgument(format!(
             "algorithm '{}' cannot render '{}' data",
@@ -207,8 +225,25 @@ pub fn render(
             obj.kind()
         )));
     }
-    let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let tf = transfer_function(obj, opts);
+    let mut raycaster = None;
+    cameras
+        .iter()
+        .map(|camera| render_view(obj, algorithm, camera, opts, &tf, &mut raycaster))
+        .collect()
+}
+
+/// One view of [`render_views`]; `raycaster` is the sphere structure the
+/// views share, built by whichever comes first.
+fn render_view(
+    obj: &DataObject,
+    algorithm: &RenderAlgorithm,
+    camera: &Camera,
+    opts: &RenderOptions,
+    tf: &TransferFunction,
+    raycaster: &mut Option<SphereRaycaster>,
+) -> Result<RenderOutput> {
+    let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let scalar = opts.scalar.as_deref();
     let mut stats = RenderStats {
         elements: obj.num_elements() as u64,
@@ -219,7 +254,7 @@ pub fn render(
     let fb = match (algorithm, obj) {
         (RenderAlgorithm::VtkPoints { point_size }, DataObject::Points(cloud)) => {
             let t0 = Instant::now();
-            let (fb, s) = render_points(cloud, scalar, &tf, camera, opts.background, *point_size);
+            let (fb, s) = render_points(cloud, scalar, tf, camera, opts.background, *point_size);
             stats.render_time = t0.elapsed();
             stats.fragments = s.fragments;
             fb
@@ -229,7 +264,7 @@ pub fn render(
             let (fb, s) = render_splats(
                 cloud,
                 scalar,
-                &tf,
+                tf,
                 camera,
                 &opts.lighting,
                 opts.background,
@@ -240,26 +275,24 @@ pub fn render(
             fb
         }
         (RenderAlgorithm::RaycastSpheres { radius }, DataObject::Points(cloud)) => {
-            let t0 = Instant::now();
-            let rc = SphereRaycaster::build(cloud, scalar, *radius);
-            stats.build_time = t0.elapsed();
-            stats.build_ops = rc.build_ops();
+            let rc = raycaster.get_or_insert_with(|| {
+                let t0 = Instant::now();
+                let rc = SphereRaycaster::build(cloud, scalar, *radius);
+                stats.build_time = t0.elapsed();
+                stats.build_ops = rc.build_ops();
+                rc
+            });
             let t1 = Instant::now();
             let (fb, s) = match opts.progressive {
                 Some(stride) => {
-                    let (fb, s, p) = rc.render_progressive(
-                        camera,
-                        &tf,
-                        &opts.lighting,
-                        opts.background,
-                        stride,
-                    );
+                    let (fb, s, p) =
+                        rc.render_progressive(camera, tf, &opts.lighting, opts.background, stride);
                     passes = p;
                     (fb, s)
                 }
                 None => rc.render_tiled(
                     camera,
-                    &tf,
+                    tf,
                     &opts.lighting,
                     opts.background,
                     opts.tile.unwrap_or(crate::tile::DEFAULT_TILE),
@@ -282,8 +315,7 @@ pub fn render(
             stats.build_ops = s.cells_scanned;
             stats.triangles = s.triangles;
             let t1 = Instant::now();
-            let (fb, rs) =
-                rasterize_mesh(&mesh, &tf, camera, &opts.lighting, opts.background);
+            let (fb, rs) = rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
             fb
@@ -298,7 +330,7 @@ pub fn render(
                 field,
                 *isovalue,
                 camera,
-                &tf,
+                tf,
                 &opts.lighting,
                 opts.background,
             )?;
@@ -324,8 +356,7 @@ pub fn render(
             stats.build_ops = scanned;
             stats.triangles = mesh.num_triangles() as u64;
             let t1 = Instant::now();
-            let (fb, rs) =
-                rasterize_mesh(&mesh, &tf, camera, &opts.lighting, opts.background);
+            let (fb, rs) = rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
             fb
@@ -335,7 +366,7 @@ pub fn render(
                 DataError::InvalidArgument("slice rendering needs options.scalar".into())
             })?;
             let t0 = Instant::now();
-            let (fb, s) = render_slices(grid, field, planes, camera, &tf, opts.background)?;
+            let (fb, s) = render_slices(grid, field, planes, camera, tf, opts.background)?;
             stats.render_time = t0.elapsed();
             stats.rays = s.rays;
             stats.ray_steps = s.plane_tests;

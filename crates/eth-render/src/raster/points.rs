@@ -84,7 +84,8 @@ pub fn render_points(
 
 #[cfg(test)]
 mod tests {
-    use super::super::scatter::testing::{at_thread_counts, cameras, hostile_cloud};
+    use super::super::scatter::testing::{cameras, hostile_cloud};
+    use crate::testing::at_thread_counts;
     use super::*;
     use crate::color::Colormap;
     use eth_data::field::Attribute;

@@ -254,20 +254,6 @@ pub(super) mod testing {
             .expect("one value per particle");
         cloud
     }
-
-    /// `render()` under rayon pools of 1, 2, 3 and 8 threads.
-    pub fn at_thread_counts<T>(render: impl Fn() -> T) -> Vec<(usize, T)> {
-        [1, 2, 3, 8]
-            .into_iter()
-            .map(|threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("the pool builder cannot fail");
-                (threads, pool.install(&render))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -174,7 +174,8 @@ pub fn render_splats(
 
 #[cfg(test)]
 mod tests {
-    use super::super::scatter::testing::{at_thread_counts, cameras, hostile_cloud};
+    use super::super::scatter::testing::{cameras, hostile_cloud};
+    use crate::testing::at_thread_counts;
     use super::*;
     use crate::color::Colormap;
     use proptest::prelude::*;

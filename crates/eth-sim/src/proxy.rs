@@ -102,7 +102,7 @@ impl SimulationSource for StagedSource {
 
     fn timestep(&mut self, step: usize) -> Result<DataObject> {
         if self.store.contains(step) {
-            return self.store.get(step);
+            return self.store.get(step).map(std::sync::Arc::unwrap_or_clone);
         }
         let block = self.inner.timestep(step)?;
         self.store.insert(step, block.clone())?;
