@@ -1,7 +1,7 @@
 //! Render hot path: HLBVH vs median-split build times, tiled
-//! packet-traversal frame times, and the two particle rasterizers and the
-//! two grid extraction filters, each beside its hardware reference
-//! (DESIGN.md §14, §19). The JSON-report variant with
+//! packet-traversal frame times, and the two particle rasterizers, the two
+//! grid extraction filters and the triangle rasterizer, each beside its
+//! hardware reference (DESIGN.md §14, §19). The JSON-report variant with
 //! acceptance gates is `reproduce render-bench`; this is the
 //! statistics-grade criterion view of the same loops.
 
@@ -9,7 +9,7 @@ use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use eth_bench::render::scatter;
-use eth_core::config::Application;
+use eth_core::config::{orbit_camera, Application};
 use eth_data::partition::partition_grid_slabs;
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
@@ -19,9 +19,11 @@ use eth_render::geometry::slice::extract_slice;
 use eth_render::geometry::Plane;
 use eth_render::raster::points::render_points;
 use eth_render::raster::splat::render_splats;
+use eth_render::raster::triangle::rasterize_mesh;
 use eth_render::ray::bvh::SphereBvh;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::Framebuffer;
 use eth_sim::hacc::HaccConfig;
 use eth_sim::xrage::XrageConfig;
 use std::time::{Duration, Instant};
@@ -200,11 +202,85 @@ fn bench_extract(c: &mut Criterion) {
     group.finish();
 }
 
+/// `rasterize_mesh` on the two isosurface meshes the ranks of the
+/// `xrage.iso.intercore` workload draw per frame (192³, seed 1, step 0, two
+/// slabs, 512²), on one and on two threads, beside the floor it cannot
+/// beat: project every vertex once and clear one `Framebuffer`. The last
+/// line per slab prints each thread count's median as a multiple of that
+/// floor's; the two-thread row must not be the slower one.
+fn bench_raster(c: &mut Criterion) {
+    let cfg = XrageConfig {
+        dims: [192, 192, 192],
+        seed: 1,
+        ..Default::default()
+    };
+    let whole = cfg.generate(0).expect("xrage generates");
+    let isovalue = cfg.front_isovalue(0);
+    let camera = orbit_camera(&whole.bounds(), 512, 512, 0, 1);
+    let tf = TransferFunction::fit(
+        Colormap::Viridis,
+        whole
+            .scalar("temperature")
+            .expect("xrage carries temperature"),
+    );
+    let lighting = Lighting::default();
+
+    let mut group = c.benchmark_group("raster");
+    group.sample_size(15);
+    group.measurement_time(Duration::from_secs(4));
+    group.warm_up_time(Duration::from_millis(500));
+    for (r, slab) in partition_grid_slabs(&whole, 2)
+        .expect("two slabs")
+        .iter()
+        .enumerate()
+    {
+        let (mesh, _) = extract_isosurface(slab, "temperature", isovalue).expect("field present");
+        let label = format!("slab{r}-{}tris", mesh.num_triangles());
+        group.throughput(Throughput::Elements(mesh.num_triangles() as u64));
+        let mut medians = Vec::new();
+        let mut row = |name: &str, frame: &mut dyn FnMut()| {
+            medians.push(median_of(&mut group, BenchmarkId::new(name, &label), frame));
+        };
+        row("project_and_clear", &mut || {
+            let projector = camera.projector();
+            let mut sum = Vec3::ZERO;
+            for &p in &mesh.positions {
+                if let Some((fx, fy, depth)) = projector.project(p) {
+                    sum += Vec3::new(fx, fy, depth);
+                }
+            }
+            black_box(sum);
+            black_box(Framebuffer::new(camera.width, camera.height, Vec3::ZERO));
+        });
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the pool builder cannot fail");
+            row(&format!("rasterize_{threads}t"), &mut || {
+                pool.install(|| {
+                    black_box(rasterize_mesh(&mesh, &tf, &camera, &lighting, Vec3::ZERO));
+                });
+            });
+        }
+        eprintln!(
+            "  raster/{label}: 1 thread {:.2}x, 2 threads {:.2}x project-and-clear ({:.2} ms); \
+             2 threads / 1 thread = {:.2}",
+            medians[1] / medians[0],
+            medians[2] / medians[0],
+            medians[0] * 1e3,
+            medians[2] / medians[1],
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_build,
     bench_frame,
     bench_particles,
-    bench_extract
+    bench_extract,
+    bench_raster
 );
 criterion_main!(benches);

@@ -1301,13 +1301,19 @@ fn malformed_contribution() -> CoreError {
     CoreError::Config("malformed framebuffer contribution on the wire".into())
 }
 
+/// Wire size of the smallest entry: partition, length, a 0×0 framebuffer.
+const MIN_ENTRY_BYTES: usize = 4 + 4 + 20;
+
 /// Inverse of [`encode_contribution`].
 fn decode_contribution(raw: &[u8]) -> Result<Vec<(usize, Framebuffer)>> {
     if raw.len() < 4 {
         return Err(malformed_contribution());
     }
     let count = u32::from_le_bytes(raw[0..4].try_into().unwrap()) as usize;
-    let mut entries = Vec::with_capacity(count);
+    // The count is wire data: let the bytes actually present bound the
+    // allocation (an entry is its two prefixes and at least a framebuffer
+    // header), so a lying prefix ends in `Err` below, not in an abort.
+    let mut entries = Vec::with_capacity(count.min(raw.len() / MIN_ENTRY_BYTES));
     let mut at = 4;
     for _ in 0..count {
         if raw.len() < at + 8 {
@@ -2653,5 +2659,62 @@ mod tests {
         // inert and the run completes normally.
         spec.fault_plan = Some(FaultPlan::default().with_alloc_fail_at_stage(10_000));
         run_native(&spec).unwrap();
+    }
+
+    mod contribution_wire {
+        use super::*;
+        use eth_data::Vec3;
+        use proptest::prelude::*;
+
+        /// Two entries of different sizes, the second with something drawn.
+        fn two_entries() -> (Framebuffer, Framebuffer) {
+            let mut second = Framebuffer::new(2, 2, Vec3::splat(0.25));
+            second.write(1, 0, 3.5, Vec3::new(0.5, f32::MIN_POSITIVE, -0.0));
+            (Framebuffer::new(3, 1, Vec3::ONE), second)
+        }
+
+        #[test]
+        fn a_lying_count_prefix_is_an_error_not_an_allocation() {
+            // ~4.3 G entries claimed by four bytes, and by a valid payload
+            assert!(decode_contribution(&[0xff; 4]).is_err());
+            let (a, b) = two_entries();
+            let mut raw = encode_contribution(&[(0, &a), (1, &b)]).to_vec();
+            raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_contribution(&raw).is_err());
+        }
+
+        #[test]
+        fn truncation_at_every_offset_is_an_error() {
+            let (a, b) = two_entries();
+            let raw = encode_contribution(&[(4, &a), (1, &b)]);
+            let back = decode_contribution(&raw).expect("a valid contribution decodes");
+            assert_eq!(back, vec![(4, a), (1, b)]);
+            for cut in 0..raw.len() {
+                assert!(decode_contribution(&raw[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary bytes, and a valid contribution with any four of
+            /// its bytes overwritten, decode to `Ok` or `Err` — no panic,
+            /// no abort.
+            #[test]
+            fn decoding_is_total(
+                noise in prop::collection::vec(0u16..256, 0..200),
+                at in 0usize..1000,
+                patch in 0u64..1 << 32,
+            ) {
+                let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+                let _ = decode_contribution(&noise);
+                let _ = Framebuffer::from_bytes(&noise);
+                let (a, b) = two_entries();
+                let mut raw = encode_contribution(&[(0, &a), (1, &b)]).to_vec();
+                let at = at % (raw.len() - 3);
+                raw[at..at + 4].copy_from_slice(&(patch as u32).to_le_bytes());
+                let _ = decode_contribution(&raw);
+            }
+        }
     }
 }

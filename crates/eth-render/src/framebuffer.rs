@@ -5,6 +5,7 @@
 //! the sort-last structure a distributed ETH run uses.
 
 use crate::image::Image;
+use eth_data::io::le::{put_slice_le, read_vec_le, LeElement};
 use eth_data::Vec3;
 
 /// An RGB color buffer with a parallel depth buffer.
@@ -146,62 +147,45 @@ impl Framebuffer {
     }
 
     /// Serialize for shipping across ranks (compositing). Little-endian:
-    /// `w:u32, h:u32, bg:3xf32, color:3*w*h*f32, depth:w*h*f32`.
+    /// `w:u32, h:u32, bg:3xf32, color:3*w*h*f32, depth:w*h*f32` — each
+    /// plane one bulk copy ([`eth_data::io::le`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.width * self.height;
-        let mut out = Vec::with_capacity(8 + 12 + n * 16);
+        let mut out = Vec::with_capacity(HEADER_BYTES + n * PIXEL_BYTES);
         out.extend_from_slice(&(self.width as u32).to_le_bytes());
         out.extend_from_slice(&(self.height as u32).to_le_bytes());
-        for ch in [self.background.x, self.background.y, self.background.z] {
-            out.extend_from_slice(&ch.to_le_bytes());
-        }
-        for c in &self.color {
-            out.extend_from_slice(&c.x.to_le_bytes());
-            out.extend_from_slice(&c.y.to_le_bytes());
-            out.extend_from_slice(&c.z.to_le_bytes());
-        }
-        for d in &self.depth {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
+        put_slice_le(&mut out, &[self.background]);
+        put_slice_le(&mut out, &self.color);
+        put_slice_le(&mut out, &self.depth);
         out
     }
 
     /// Inverse of [`Framebuffer::to_bytes`]. Returns `None` on malformed
-    /// input.
+    /// input; the planes are sized by the bytes present, never by the
+    /// dimensions the header claims.
     pub fn from_bytes(raw: &[u8]) -> Option<Framebuffer> {
-        if raw.len() < 20 {
-            return None;
-        }
-        let f32_at = |o: usize| -> Option<f32> {
-            Some(f32::from_le_bytes(raw.get(o..o + 4)?.try_into().ok()?))
-        };
-        let width = u32::from_le_bytes(raw[0..4].try_into().ok()?) as usize;
-        let height = u32::from_le_bytes(raw[4..8].try_into().ok()?) as usize;
+        let (header, planes) = raw.split_at_checked(HEADER_BYTES)?;
+        let width = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
+        let height = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
         let n = width.checked_mul(height)?;
-        if raw.len() != n.checked_mul(16)?.checked_add(20)? {
+        if planes.len() != n.checked_mul(PIXEL_BYTES)? {
             return None;
         }
-        let background = Vec3::new(f32_at(8)?, f32_at(12)?, f32_at(16)?);
-        let mut color = Vec::with_capacity(n);
-        let base = 20;
-        for i in 0..n {
-            let o = base + i * 12;
-            color.push(Vec3::new(f32_at(o)?, f32_at(o + 4)?, f32_at(o + 8)?));
-        }
-        let dbase = base + n * 12;
-        let mut depth = Vec::with_capacity(n);
-        for i in 0..n {
-            depth.push(f32_at(dbase + i * 4)?);
-        }
+        let (color, depth) = planes.split_at(n * Vec3::BYTES);
         Some(Framebuffer {
             width,
             height,
-            color,
-            depth,
-            background,
+            color: read_vec_le(color),
+            depth: read_vec_le(depth),
+            background: Vec3::read_le(&header[8..]),
         })
     }
 }
+
+/// Wire size of the dimensions and the background colour.
+const HEADER_BYTES: usize = 8 + Vec3::BYTES;
+/// Wire size of one pixel's colour and depth.
+const PIXEL_BYTES: usize = Vec3::BYTES + f32::BYTES;
 
 /// Below this pixel count the split/join overhead outweighs the merge
 /// itself, so small (preview-sized) buffers stay on one thread.
@@ -234,6 +218,7 @@ fn merge_nearest(color: &mut [Vec3], depth: &mut [f32], oc: &[Vec3], od: &[f32])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn nearer_fragment_wins() {
@@ -315,6 +300,75 @@ mod tests {
         bogus[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         bogus[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Framebuffer::from_bytes(&bogus).is_none());
+    }
+
+    /// The wire format written one `f32` at a time, as `to_bytes` did
+    /// before it copied whole planes.
+    fn to_bytes_per_float(fb: &Framebuffer) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(fb.width as u32).to_le_bytes());
+        out.extend_from_slice(&(fb.height as u32).to_le_bytes());
+        let colors = std::iter::once(&fb.background).chain(&fb.color);
+        let channels = colors.flat_map(|c| [c.x, c.y, c.z]);
+        for value in channels.chain(fb.depth.iter().copied()) {
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any bit pattern — NaN payloads, -0.0, subnormals — survives the
+        /// wire exactly, in the bytes the per-float encoder wrote.
+        #[test]
+        fn wire_roundtrip_is_bit_exact(
+            width in 0usize..9,
+            height in 0usize..9,
+            bits in prop::collection::vec(0u64..1 << 32, 259..260),
+        ) {
+            let bits: Vec<u32> = bits.into_iter().map(|b| b as u32).collect();
+            let mut values = bits.iter().map(|&b| f32::from_bits(b));
+            let mut vec3 = || Vec3::new(
+                values.next().unwrap(),
+                values.next().unwrap(),
+                values.next().unwrap(),
+            );
+            let mut fb = Framebuffer::new(width, height, vec3());
+            for c in &mut fb.color {
+                *c = vec3();
+            }
+            for (d, &b) in fb.depth.iter_mut().zip(&bits) {
+                *d = f32::from_bits(b.rotate_left(7));
+            }
+            let raw = fb.to_bytes();
+            prop_assert_eq!(&raw, &to_bytes_per_float(&fb));
+            let back = Framebuffer::from_bytes(&raw).expect("a valid encoding decodes");
+            prop_assert_eq!(back.to_bytes(), raw);
+        }
+
+        /// Arbitrary bytes, and valid encodings with their dimensions
+        /// overwritten or their tail cut, come back `None` — never a panic
+        /// and never an allocation sized by the header.
+        #[test]
+        fn wire_decode_is_total(
+            raw in prop::collection::vec(0u16..256, 0..120),
+            claim in (0u64..1 << 32, 0u64..1 << 32),
+            cut in 0usize..1000,
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            if let Some(fb) = Framebuffer::from_bytes(&raw) {
+                prop_assert_eq!(raw.len(), HEADER_BYTES + PIXEL_BYTES * fb.width * fb.height);
+            }
+            let valid = Framebuffer::new(3, 2, Vec3::ONE).to_bytes();
+            let mut lying = valid.clone();
+            lying[0..4].copy_from_slice(&(claim.0 as u32).to_le_bytes());
+            lying[4..8].copy_from_slice(&(claim.1 as u32).to_le_bytes());
+            if claim.0 * claim.1 != 6 {
+                prop_assert!(Framebuffer::from_bytes(&lying).is_none());
+            }
+            prop_assert!(Framebuffer::from_bytes(&valid[..cut % valid.len()]).is_none());
+        }
     }
 
     #[test]

@@ -40,6 +40,17 @@ pub use pipeline::{RenderAlgorithm, RenderStats};
 
 #[cfg(test)]
 pub(crate) mod testing {
+    /// `v`'s bits, with every NaN as one value: which NaN an operation
+    /// returns depends on the operand order the compiler picked, so two
+    /// compilations of one expression may differ there and nowhere else.
+    pub fn bits_nan_as_one(v: f32) -> u32 {
+        if v.is_nan() {
+            u32::MAX
+        } else {
+            v.to_bits()
+        }
+    }
+
     /// `run()` under rayon pools of 1, 2, 3 and 8 threads.
     pub fn at_thread_counts<T>(run: impl Fn() -> T) -> Vec<(usize, T)> {
         [1, 2, 3, 8]

@@ -143,12 +143,10 @@ pub struct RenderStats {
     pub rays: u64,
     /// Per-ray work: BVH traversal steps or march samples.
     pub ray_steps: u64,
-    /// Fragment work. For the two particle rasterizers: fragments
-    /// rasterized inside the image, before the depth test — a function of
-    /// the data and the camera alone, the same at any thread count and
-    /// under any particle order. For the triangle rasterizer: fragments
-    /// that passed the depth test (which depends on draw order). For the
-    /// raycasters: rays that hit.
+    /// Fragment work. For the rasterizers: fragments rasterized inside
+    /// the image, before the depth test — a function of the data and the
+    /// camera alone, the same at any thread count and under any primitive
+    /// order. For the raycasters: rays that hit.
     pub fragments: u64,
     /// Framebuffer tiles rendered (tiled backends; 0 otherwise).
     #[serde(default)]

@@ -8,7 +8,7 @@
 //! * [`triangle`] — a z-buffered, perspective-correct triangle rasterizer
 //!   consuming the meshes produced by marching cubes / slicing.
 //!
-//! The two particle rasterizers share one kernel (`scatter.rs`).
+//! All three are front ends of one kernel (`scatter.rs`).
 
 pub mod points;
 mod scatter;

@@ -1,19 +1,22 @@
-//! The particle rasterizers' shared kernel: depth-keyed scatter, resolve.
+//! The rasterizers' shared kernel: depth-keyed scatter, resolve.
+//!
+//! Three front ends: `points`, `splat` and `triangle`. Their primitives
+//! are particles or triangles; the kernel only sees indices.
 //!
 //! [`scatter`] cuts the input indices `0..n` into one contiguous slice per
 //! worker. Each worker owns a `width × height` buffer of packed
 //! `(depth, input index)` keys and depth-tests every fragment its
-//! particles generate straight into it. [`resolve`] then takes the
+//! primitives generate straight into it. [`resolve`] then takes the
 //! per-pixel minimum over the worker buffers and calls the rasterizer's
-//! shader once per *covered pixel* — never per particle or per fragment —
+//! shader once per *covered pixel* — never per primitive or per fragment —
 //! to fill the [`Framebuffer`].
 //!
 //! The winner of a pixel is the lexicographic minimum of `(depth, index)`:
 //! exactly what an input-order loop with a strict `<` depth test keeps
-//! (nearest fragment, ties to the earlier particle). A minimum does not
+//! (nearest fragment, ties to the earlier primitive). A minimum does not
 //! depend on the order its operands arrive in, so the image is the same at
 //! any worker count and any slice boundaries by construction. Scratch is
-//! `workers × pixels × 8` bytes; nothing is sized by the particle count.
+//! `workers × pixels × 8` bytes; nothing is sized by the primitive count.
 
 use crate::framebuffer::Framebuffer;
 use eth_data::Vec3;
@@ -23,8 +26,11 @@ use std::ops::Range;
 /// Key of a pixel nothing landed on; greater than every fragment's key.
 const EMPTY: u64 = u64::MAX;
 
-/// Below this many particles a slice costs less than spawning its worker.
+/// Below this many primitives a slice costs less than spawning its worker.
 const MIN_SLICE: usize = 1024;
+
+/// So does a resolve band below this many pixels.
+const MIN_BAND: usize = 32 * 1024;
 
 /// One worker's winner buffer, handed to the rasterizer's slice loop.
 pub(crate) struct Sink {
@@ -67,7 +73,7 @@ impl Sink {
     }
 
     /// Depth-test the square block of pixels within `half` of `(cx, cy)`,
-    /// all at `depth`, for particle `index`.
+    /// all at `depth`, for primitive `index`.
     #[inline]
     pub(crate) fn block(&mut self, index: usize, cx: isize, cy: isize, half: isize, depth: f32) {
         let Some(key) = Sink::key(depth, index) else {
@@ -89,7 +95,7 @@ impl Sink {
         }
     }
 
-    /// Depth-test one fragment of particle `index` at pixel `(x, y)`.
+    /// Depth-test one fragment of primitive `index` at pixel `(x, y)`.
     #[inline]
     pub(crate) fn put(&mut self, index: usize, x: isize, y: isize, depth: f32) {
         if x < 0 || y < 0 || x >= self.width || y >= self.height {
@@ -133,7 +139,7 @@ where
 {
     assert!(
         n <= u32::MAX as usize,
-        "the winner key holds a 32-bit particle index"
+        "the winner key holds a 32-bit primitive index"
     );
     let slice = n.div_ceil(rayon::current_num_threads()).max(MIN_SLICE);
     let workers = (0..n.div_ceil(slice))
@@ -158,7 +164,7 @@ where
 
 /// Build the frame: every pixel some fragment landed on gets the winning
 /// fragment's depth and `shade(index, x, y, depth)` as its colour, where
-/// `index` is the winning particle; the rest stay cleared.
+/// `index` is the winning primitive; the rest stay cleared.
 pub(crate) fn resolve<S, F>(scattered: &Scattered<S>, background: Vec3, shade: F) -> Framebuffer
 where
     S: Sync,
@@ -166,7 +172,7 @@ where
 {
     let &Scattered { width, height, .. } = scattered;
     let mut fb = Framebuffer::new(width, height, background);
-    let band = height.div_ceil(rayon::current_num_threads()) * width;
+    let band = (height.div_ceil(rayon::current_num_threads()) * width).max(MIN_BAND);
     let (color, depth) = fb.planes_mut();
     color
         .par_chunks_mut(band)
@@ -195,7 +201,7 @@ where
     fb
 }
 
-/// Inputs both rasterizers' equivalence tests draw from.
+/// Inputs the rasterizers' equivalence tests draw from.
 #[cfg(test)]
 pub(super) mod testing {
     use crate::camera::Camera;
@@ -287,5 +293,36 @@ mod tests {
         assert_eq!(Sink::key(f32::NAN, 0), None);
         assert_eq!(Sink::key(-f32::NAN, 0), None);
         assert!(Sink::key(f32::MAX, u32::MAX as usize).unwrap() < EMPTY);
+    }
+
+    #[test]
+    fn resolve_bands_hand_the_shader_each_pixels_own_coordinates() {
+        // Several bands at 2+ threads (MIN_BAND is not a multiple of the
+        // width, so they start mid-row), one below that.
+        let (width, height) = (301usize, 257usize);
+        assert!(width * height > 2 * MIN_BAND && !MIN_BAND.is_multiple_of(width));
+        let frames = crate::testing::at_thread_counts(|| {
+            let scattered = scatter(20_000, width, height, |indices, sink| {
+                for i in indices {
+                    let (x, y) = (i * 7919 % width, i * 104_729 % height);
+                    sink.put(i, x as isize, y as isize, (i % 13) as f32);
+                }
+            });
+            resolve(&scattered, Vec3::ZERO, |i, x, y, depth| {
+                Vec3::new(i as f32, (y * width + x) as f32, depth)
+            })
+        });
+        let (_, first) = &frames[0];
+        assert!(first.fragments_landed() > 10_000);
+        let pixels = first.color_buffer().iter().zip(first.depth_buffer());
+        for (pixel, (color, depth)) in pixels.enumerate() {
+            if depth.is_finite() {
+                assert_eq!((color.y, color.z), (pixel as f32, *depth));
+                assert_eq!(color.x as usize * 7919 % width, pixel % width);
+            }
+        }
+        for (threads, frame) in &frames {
+            assert!(frame == first, "frame differs at {threads} threads");
+        }
     }
 }

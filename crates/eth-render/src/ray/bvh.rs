@@ -879,7 +879,42 @@ impl SphereBvh {
     /// result is bit-identical to a scalar [`SphereBvh::intersect`] of the
     /// same ray. `steps` counts packet node visits + packet sphere tests
     /// (one per packet, not per lane — the packet is the unit of work).
+    ///
+    /// One body, two instantiations: compiled with AVX2 enabled where the
+    /// running CPU has it (8 lanes are one `ymm` register), for the target
+    /// baseline otherwise. Both execute the same IEEE operations in the same
+    /// order — wider registers, no fused multiply-add — so the choice does
+    /// not reach a single bit of the result.
     pub fn intersect_packet(
+        &self,
+        p: &RayPacket,
+        t_max: f32,
+        steps: &mut u64,
+    ) -> [Option<SphereHit>; PACKET_WIDTH] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `intersect_packet_avx2` needs only `avx2` beyond the
+            // x86-64 baseline, and the running CPU was just seen to have it.
+            return unsafe { self.intersect_packet_avx2(p, t_max, steps) };
+        }
+        self.intersect_packet_lanes(p, t_max, steps)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn intersect_packet_avx2(
+        &self,
+        p: &RayPacket,
+        t_max: f32,
+        steps: &mut u64,
+    ) -> [Option<SphereHit>; PACKET_WIDTH] {
+        self.intersect_packet_lanes(p, t_max, steps)
+    }
+
+    // the negated comparisons are the point: a NaN must pass all three
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[inline(always)]
+    fn intersect_packet_lanes(
         &self,
         p: &RayPacket,
         t_max: f32,
@@ -907,38 +942,38 @@ impl SphereBvh {
                 for slot in start..start + node.count as usize {
                     *steps += 1;
                     let c = self.centers[slot];
+                    // All 8 lanes, no early-outs, so the loop vectorizes.
+                    // Same op order as ray_sphere: oc = o - c, b = oc·d,
+                    // csq = oc·oc - r², disc = b² - csq; its three exits
+                    // become one flag, each negated so that a NaN falls
+                    // through them exactly as it does there.
+                    let mut t = [0.0f32; PACKET_WIDTH];
+                    let mut hit = [false; PACKET_WIDTH];
                     for l in 0..PACKET_WIDTH {
-                        // Same op order as ray_sphere: oc = o - c,
-                        // b = oc·d, csq = oc·oc - r², disc = b² - csq.
                         let ocx = p.ox[l] - c.x;
                         let ocy = p.oy[l] - c.y;
                         let ocz = p.oz[l] - c.z;
                         let b = ocx * p.dx[l] + ocy * p.dy[l] + ocz * p.dz[l];
                         let csq = (ocx * ocx + ocy * ocy + ocz * ocz) - r2;
                         let disc = b * b - csq;
-                        if disc < 0.0 {
-                            continue;
-                        }
                         let sq = disc.sqrt();
-                        let mut t = -b - sq;
-                        if t <= 1e-4 {
-                            t = -b + sq;
-                            if t <= 1e-4 {
-                                continue;
-                            }
-                        }
-                        if t >= best_t[l] {
-                            continue;
-                        }
+                        let (t0, t1) = (-b - sq, -b + sq);
+                        t[l] = if t0 <= 1e-4 { t1 } else { t0 };
+                        hit[l] = !(disc < 0.0) & !(t[l] <= 1e-4) & !(t[l] >= best_t[l]);
+                    }
+                    if hit == [false; PACKET_WIDTH] {
+                        continue;
+                    }
+                    for l in (0..PACKET_WIDTH).filter(|&l| hit[l]) {
                         let pos = Vec3::new(
-                            p.ox[l] + p.dx[l] * t,
-                            p.oy[l] + p.dy[l] * t,
-                            p.oz[l] + p.dz[l] * t,
+                            p.ox[l] + p.dx[l] * t[l],
+                            p.oy[l] + p.dy[l] * t[l],
+                            p.oz[l] + p.dz[l] * t[l],
                         );
                         let normal = (pos - c) / self.radius;
-                        best_t[l] = t;
+                        best_t[l] = t[l];
                         best[l] = Some(SphereHit {
-                            t,
+                            t: t[l],
                             prim: self.prim_index[slot],
                             position: pos,
                             normal,
@@ -1120,6 +1155,32 @@ mod tests {
 
     #[test]
     fn packet_traversal_matches_scalar_bitwise() {
+        /// Every lane of the packet against a scalar traversal of its ray.
+        fn check(bvh: &SphereBvh, rays: &[Ray]) {
+            let bits = crate::testing::bits_nan_as_one;
+            let p = RayPacket::from_rays(rays);
+            let mut psteps = 0;
+            let phits = bvh.intersect_packet(&p, f32::MAX, &mut psteps);
+            for (l, r) in rays.iter().enumerate() {
+                let mut s = 0;
+                let scalar = bvh.intersect(r, f32::MAX, &mut s);
+                match (phits[l], scalar) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!(bits(a.t), bits(b.t), "lane {l}");
+                        assert_eq!(a.prim, b.prim, "lane {l}");
+                        let (na, nb) = (a.normal, b.normal);
+                        assert_eq!(
+                            [na.x, na.y, na.z].map(bits),
+                            [nb.x, nb.y, nb.z].map(bits),
+                            "lane {l}"
+                        );
+                    }
+                    (a, b) => panic!("lane {l}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+
         let centers = scatter(3_000);
         let bvh = SphereBvh::build(&centers, 0.06);
         for base in 0..40 {
@@ -1134,21 +1195,39 @@ mod tests {
                     ray(o, Vec3::ZERO)
                 })
                 .collect();
-            let p = RayPacket::from_rays(&rays);
-            let mut psteps = 0;
-            let phits = bvh.intersect_packet(&p, f32::MAX, &mut psteps);
-            for (l, r) in rays.iter().enumerate() {
-                let mut s = 0;
-                let scalar = bvh.intersect(r, f32::MAX, &mut s);
-                match (phits[l], scalar) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.t.to_bits(), b.t.to_bits(), "lane {l}");
-                        assert_eq!(a.prim, b.prim, "lane {l}");
-                        assert_eq!(a.normal, b.normal, "lane {l}");
-                    }
-                    (a, b) => panic!("lane {l}: {a:?} vs {b:?}"),
+            check(&bvh, &rays);
+        }
+
+        // One leaf that every ray enters, so both traversals test the same
+        // spheres in the same order: non-finite centres (a NaN discriminant
+        // is not `< 0.0`, so it falls through every exit of `ray_sphere`)
+        // in every position among two finite ones, and rays that start
+        // outside, inside a sphere (the far root) and on its surface.
+        let finite = [Vec3::new(0.3, 0.1, -0.2), Vec3::new(-0.6, 0.2, 0.4)];
+        let hostile = [
+            Vec3::new(f32::NAN, 0.0, 0.0),
+            Vec3::new(0.0, f32::INFINITY, 0.0),
+            Vec3::new(-0.4, f32::NEG_INFINITY, f32::NAN),
+        ];
+        let rays: Vec<Ray> = (0..PACKET_WIDTH)
+            .map(|l| {
+                let inside = finite[0] + Vec3::new(0.05 * l as f32, 0.0, 0.1);
+                match l % 4 {
+                    0 => ray(inside, finite[1]),
+                    1 => ray(finite[1] + Vec3::new(0.5, 0.0, 0.0), finite[0]),
+                    2 => ray(Vec3::new(0.0, -5.0, 0.01 * l as f32), finite[1]),
+                    _ => ray(Vec3::new(0.1 * l as f32, -5.0, 0.0), finite[0]),
                 }
+            })
+            .collect();
+        for subset in 0..8usize {
+            let mut centers = finite.to_vec();
+            centers.extend((0..3).filter(|h| subset >> h & 1 == 1).map(|h| hostile[h]));
+            for _ in 0..centers.len() {
+                centers.rotate_left(1);
+                let leaf = SphereBvh::build_median(&centers, 0.5);
+                assert_eq!(leaf.nodes.len(), 1);
+                check(&leaf, &rays);
             }
         }
     }

@@ -10,6 +10,13 @@
 //! too), the full extraction statistics, and the colour and depth planes of
 //! the frame `pipeline::render` makes of it.
 //!
+//! One column is younger: `fragments=` was regenerated when the triangle
+//! rasterizer moved onto the scatter kernel (PR 19). Until then it counted
+//! depth-test passes inside per-chunk framebuffers, so it depended on the
+//! chunk count and three rows failed on a one-core runner; it now counts
+//! fragments inside the image before the depth test, a function of mesh
+//! and camera alone. Every other column of every row is the parent's.
+//!
 //! Rows cover x-extents on both sides of a 64-vertex word boundary, empty
 //! and tie isovalues, rank slabs, constant / non-finite / masked fields,
 //! two-vertex-thick and degenerate grids, and slicing planes through
