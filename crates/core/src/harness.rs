@@ -40,6 +40,7 @@ use eth_cluster::metrics::RunMetrics;
 use eth_cluster::node::ClusterSpec;
 use eth_cluster::power::{self, BusyInterval};
 use eth_cluster::task::NodeGroup;
+use eth_data::io::pool::PayloadPool;
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::staging;
 use eth_data::{Aabb, DataObject};
@@ -57,7 +58,7 @@ use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::layout::LayoutFile;
 use eth_transport::link::{FabricLink, PairLink};
 use eth_transport::local::LocalFabric;
-use eth_transport::message::{decode_dataset_from, encode_dataset};
+use eth_transport::message::{decode_dataset_from, encode_dataset_in};
 use eth_transport::runner::{
     launch, spawn_migration_supervisor, MigrationBook, Seat, Supervision, Watch,
 };
@@ -296,16 +297,18 @@ impl NativeOutcome {
 /// Encode a block for a process boundary, honoring the spec's
 /// `wire_compression` codec. Compressed sends record raw-vs-compressed
 /// byte counters so campaigns can report what the codec actually bought
-/// on the wire.
-fn encode_block(spec: &ExperimentSpec, block: &DataObject) -> Bytes {
+/// on the wire. Either way the bytes sit in a buffer leased from the run's
+/// pool, which has it back once the far side (or whatever dropped the
+/// message on the way) lets go of it.
+fn encode_block(spec: &ExperimentSpec, block: &DataObject, pool: &PayloadPool) -> Bytes {
     match spec.wire_compression {
         Some(codec) => {
-            let payload = codec.encode(block);
+            let payload = codec.encode_in(block, pool);
             eth_obs::count("wire_raw_bytes", eth_data::io::binary::encoded_len(block) as f64);
             eth_obs::count("wire_compressed_bytes", payload.len() as f64);
             payload
         }
-        None => encode_dataset(block),
+        None => encode_dataset_in(block, pool),
     }
 }
 
@@ -638,6 +641,11 @@ pub struct RunCaches {
     /// Byte totals over every store this cache set staged: the number
     /// its owner (a campaign, `eth serve`) is held to by a memory budget.
     accountant: staging::StagingAccountant,
+    /// The encoded-payload buffers of every run through this cache set:
+    /// leased per block, back on the last drop, a few parked between runs.
+    /// Its counts depend on how far simulation ranks ran ahead, so they
+    /// stay out of [`CacheStats`].
+    payloads: PayloadPool,
 }
 
 impl RunCaches {
@@ -696,7 +704,8 @@ impl RunCaches {
         let (images, hit) = memoize(&self.baselines, key, || {
             let base = baseline_spec(spec);
             base.validate()?;
-            Ok(run_staged(&base, self.staged(&base)?)?.images)
+            let staged = self.staged(&base)?;
+            Ok(run_recorded(&base, &self.payloads, move |_| Ok(staged))?.images)
         })?;
         drop(lookup);
         eth_obs::count(
@@ -785,7 +794,7 @@ fn merge_outputs(spec: &ExperimentSpec, wall_s: f64, outputs: Vec<RankOutput>) -
 /// Run an experiment natively (see module docs).
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
-    run_recorded(spec, |spec| {
+    run_recorded(spec, &PayloadPool::new(), |spec| {
         Ok(Arc::new(stage_data(spec, staging::StagingAccountant::new())?))
     })
 }
@@ -796,12 +805,7 @@ pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
 /// are a pure function of the cache key.
 pub fn run_native_cached(spec: &ExperimentSpec, caches: &RunCaches) -> Result<NativeOutcome> {
     spec.validate()?;
-    run_recorded(spec, |spec| caches.staged(spec))
-}
-
-/// The post-staging body shared by the cached and uncached entry points.
-fn run_staged(spec: &ExperimentSpec, staged: Arc<StagedData>) -> Result<NativeOutcome> {
-    run_recorded(spec, move |_| Ok(staged))
+    run_recorded(spec, &caches.payloads, |spec| caches.staged(spec))
 }
 
 /// Run one experiment under a per-run flight recorder: stage (or fetch)
@@ -809,7 +813,13 @@ fn run_staged(spec: &ExperimentSpec, staged: Arc<StagedData>) -> Result<NativeOu
 /// drain the trace into the outcome's power attribution and counters.
 /// The recorder stacks on whatever sinks the caller already attached
 /// (e.g. a campaign-level recorder), so both see the same spans.
-fn run_recorded<F>(spec: &ExperimentSpec, stage: F) -> Result<NativeOutcome>
+/// `payloads` is the owning [`RunCaches`]' pool, or a fresh one that lives
+/// as long as an uncached run.
+fn run_recorded<F>(
+    spec: &ExperimentSpec,
+    payloads: &PayloadPool,
+    stage: F,
+) -> Result<NativeOutcome>
 where
     F: FnOnce(&ExperimentSpec) -> Result<Arc<StagedData>>,
 {
@@ -818,7 +828,7 @@ where
     let t0_ns = eth_obs::now_ns();
     let outputs = {
         let _obs = recorder.attach();
-        stage(spec).and_then(|staged| run_coupled(spec, &staged))
+        stage(spec).and_then(|staged| run_coupled(spec, &staged, payloads))
     }?;
     let mut outcome = merge_outputs(spec, t0.elapsed().as_secs_f64(), outputs);
     attribute_run(&mut outcome, &recorder.take(), t0_ns);
@@ -1092,6 +1102,8 @@ struct RankCx {
     staged: Arc<StagedData>,
     policy: StepPolicy,
     board: Option<Arc<HeartbeatBoard>>,
+    /// Where simulation ranks lease the buffers they encode into.
+    payloads: PayloadPool,
 }
 
 impl RankCx {
@@ -1191,7 +1203,7 @@ fn sim_role(
         }
         let t = Instant::now();
         let block = cx.staged.block(step, rank)?;
-        let payload = encode_block(spec, &block);
+        let payload = encode_block(spec, &block, &cx.payloads);
         out.phases.sim_s += t.elapsed().as_secs_f64();
         let t = Instant::now();
         match link.send(DATA_TAG_MIN + step as u32, payload) {
@@ -1286,14 +1298,15 @@ fn drain(
 /// a migrated partition moves to a different sender but lands in the
 /// same composite slot.
 fn encode_contribution(entries: &[(usize, &Framebuffer)]) -> Bytes {
-    let mut buf = Vec::new();
+    let total = 4 + entries.iter().map(|(_, fb)| 8 + fb.byte_len()).sum::<usize>();
+    let mut buf = Vec::with_capacity(total);
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (partition, fb) in entries {
-        let body = fb.to_bytes();
         buf.extend_from_slice(&(*partition as u32).to_le_bytes());
-        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&body);
+        buf.extend_from_slice(&(fb.byte_len() as u32).to_le_bytes());
+        fb.write_bytes(&mut buf);
     }
+    debug_assert_eq!(buf.len(), total);
     Bytes::from(buf)
 }
 
@@ -1735,7 +1748,11 @@ impl RankCx {
     }
 }
 
-fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
+fn run_coupled(
+    spec: &ExperimentSpec,
+    staged: &Arc<StagedData>,
+    payloads: &PayloadPool,
+) -> Result<Vec<RankOutput>> {
     let policy = StepPolicy::new(spec);
     // Who beats the board: every rank of a local fabric; under internode
     // the simulation ranks — the ones a scripted kill can take down (viz
@@ -1751,6 +1768,7 @@ fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<Ra
         staged: staged.clone(),
         policy,
         board,
+        payloads: payloads.clone(),
     });
     match spec.coupling {
         Coupling::Tight | Coupling::Intercore => launch_local(cx),
@@ -2278,6 +2296,73 @@ mod tests {
         assert!((stats.staging_hit_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// One step of two ranks whose encoded blocks (~1.5 MB each) clear the
+    /// payload pool's floor: with one step no rank can run ahead, so the
+    /// pool's counts are exact.
+    fn pooled_spec(name: &str, coupling: Coupling) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::builder(name)
+            .application(Application::Hacc { particles: 80_000 })
+            .algorithm(Algorithm::VtkPoints)
+            .ranks(2)
+            .steps(1)
+            .images_per_step(1)
+            .image_size(32, 32)
+            .build()
+            .unwrap();
+        spec.coupling = coupling;
+        spec
+    }
+
+    #[test]
+    fn warm_pair_runs_encode_into_parked_buffers() {
+        for coupling in [Coupling::Intercore, Coupling::Internode] {
+            let spec = pooled_spec("pool-warm", coupling);
+            let uncached = run_native(&spec).unwrap();
+            let caches = RunCaches::new();
+            let cold = run_native_cached(&spec, &caches).unwrap();
+            let stats = caches.payloads.stats();
+            assert_eq!(
+                (stats.leased, stats.fresh, stats.returned, stats.parked),
+                (2, 2, 2, 2),
+                "{coupling:?} cold"
+            );
+            let warm = run_native_cached(&spec, &caches).unwrap();
+            let stats = caches.payloads.stats();
+            // two more leases, no allocation, both back again
+            assert_eq!(
+                (stats.leased, stats.fresh, stats.returned, stats.parked),
+                (4, 2, 4, 2),
+                "{coupling:?} warm"
+            );
+            for out in [&cold, &warm] {
+                assert_eq!(out.images, uncached.images, "{coupling:?}");
+                assert_eq!(out.bytes_moved, uncached.bytes_moved, "{coupling:?}");
+            }
+            // the codec arm leases from the same pool
+            let mut packed = spec.clone();
+            packed.wire_compression = Some(eth_data::compress::Codec::Lossless);
+            let out = run_native_cached(&packed, &caches).unwrap();
+            assert_eq!(out.images, uncached.images, "{coupling:?} lossless codec");
+            let stats = caches.payloads.stats();
+            assert_eq!((stats.leased, stats.fresh, stats.returned), (6, 2, 6), "{coupling:?}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_data_message_still_returns_its_lease() {
+        // Every block is dropped inside the chaos wrapper: nothing decodes
+        // a payload, nothing calls the pool, and every buffer is back.
+        let mut spec = pooled_spec("pool-chaos", Coupling::Intercore);
+        spec.steps = 2;
+        spec.fault_plan = Some(FaultPlan::seeded(77).with_drop(1.0).with_recv_deadline_ms(150));
+        let caches = RunCaches::new();
+        let out = run_native_cached(&spec, &caches).unwrap();
+        assert!(out.degradation.dropped_steps > 0, "{:?}", out.degradation);
+        let stats = caches.payloads.stats();
+        assert_eq!((stats.leased, stats.returned), (4, 4));
+        assert!(stats.parked >= 1, "a dropped message's buffer was freed, not parked");
+    }
+
     #[test]
     fn baseline_renders_once_across_ratio_and_coupling_axes() {
         let caches = RunCaches::new();
@@ -2403,7 +2488,10 @@ mod tests {
             spec.coupling = coupling;
             spec.recovery = Some(fast_recovery());
             spec.migration = migration;
-            let out = run_recorded(&spec, |spec| Ok(Arc::new(stage_data(spec, Default::default())?))).unwrap();
+            let out = run_recorded(&spec, &PayloadPool::new(), |spec| {
+                Ok(Arc::new(stage_data(spec, Default::default())?))
+            })
+            .unwrap();
             assert!(out.degradation.is_clean(), "{coupling:?}: {:?}", out.degradation);
             assert_eq!(out.recovery_latency_s.len(), 0);
             assert_eq!(out.migration_disruption_s.len(), 0);
@@ -2687,6 +2775,15 @@ mod tests {
         fn truncation_at_every_offset_is_an_error() {
             let (a, b) = two_entries();
             let raw = encode_contribution(&[(4, &a), (1, &b)]);
+            // count, then per entry: partition, length, `to_bytes`
+            let mut framed = 2u32.to_le_bytes().to_vec();
+            for (partition, fb) in [(4u32, &a), (1, &b)] {
+                let body = fb.to_bytes();
+                framed.extend_from_slice(&partition.to_le_bytes());
+                framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                framed.extend_from_slice(&body);
+            }
+            assert_eq!(raw, framed);
             let back = decode_contribution(&raw).expect("a valid contribution decodes");
             assert_eq!(back, vec![(4, a), (1, b)]);
             for cut in 0..raw.len() {

@@ -18,11 +18,12 @@
 
 use crate::dataset::DataObject;
 use crate::error::{DataError, Result};
-use crate::field::Attribute;
+use crate::field::{Attribute, AttributeSet};
 use crate::grid::UniformGrid;
+use crate::io::pool::PayloadPool;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use serde::{Deserialize, Serialize};
 
 const MAGIC: &[u8; 4] = b"EBC1";
@@ -47,6 +48,19 @@ impl Codec {
         match self {
             Codec::Quantize => compress(obj),
             Codec::Lossless => crate::io::binary::encode(obj),
+        }
+    }
+
+    /// [`Codec::encode`], byte for byte, into a buffer leased from `pool`
+    /// (see [`crate::io::pool`]).
+    pub fn encode_in(&self, obj: &DataObject, pool: &PayloadPool) -> Bytes {
+        match self {
+            Codec::Quantize => {
+                let mut lease = pool.lease(compressed_len(obj));
+                write(obj, lease.vec());
+                lease.freeze()
+            }
+            Codec::Lossless => crate::io::binary::encode_in(obj, pool),
         }
     }
 
@@ -113,7 +127,7 @@ fn value_range(values: &[f32]) -> (f32, f32) {
     }
 }
 
-fn put_attr(buf: &mut BytesMut, name: &str, attr: &Attribute) {
+fn put_attr(buf: &mut Vec<u8>, name: &str, attr: &Attribute) {
     buf.put_u32_le(name.len() as u32);
     buf.put_slice(name.as_bytes());
     match attr {
@@ -218,7 +232,35 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
 /// Compress a dataset for the wire. Positions get 16 bits/axis, scalars
 /// 8 bits, vectors 8 bits/component; ids stay lossless.
 pub fn compress(obj: &DataObject) -> Bytes {
-    let mut buf = BytesMut::with_capacity(obj.payload_bytes() / 2 + 256);
+    let mut buf = Vec::with_capacity(compressed_len(obj));
+    write(obj, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Exact size of [`compress`]'s output for `obj`.
+fn compressed_len(obj: &DataObject) -> usize {
+    let attrs = |set: &AttributeSet| {
+        4 + set
+            .iter()
+            .map(|(name, attr)| {
+                4 + name.len()
+                    + 9
+                    + match attr {
+                        Attribute::Scalar(v) => 8 + v.len(),
+                        Attribute::Vector(v) => 24 + 3 * v.len(),
+                        Attribute::Id(v) => 8 * v.len(),
+                    }
+            })
+            .sum::<usize>()
+    };
+    5 + match obj {
+        DataObject::Points(cloud) => 8 + 24 + 6 * cloud.len() + attrs(cloud.attributes()),
+        DataObject::Grid(grid) => 24 + 24 + attrs(grid.attributes()),
+    }
+}
+
+/// The compressor: appends `obj`'s [`compressed_len`] bytes to `buf`.
+fn write(obj: &DataObject, buf: &mut Vec<u8>) {
     buf.put_slice(MAGIC);
     match obj {
         DataObject::Points(cloud) => {
@@ -240,7 +282,7 @@ pub fn compress(obj: &DataObject) -> Bytes {
             }
             buf.put_u32_le(cloud.attributes().len() as u32);
             for (name, attr) in cloud.attributes().iter() {
-                put_attr(&mut buf, name, attr);
+                put_attr(buf, name, attr);
             }
         }
         DataObject::Grid(grid) => {
@@ -260,11 +302,11 @@ pub fn compress(obj: &DataObject) -> Bytes {
             }
             buf.put_u32_le(grid.attributes().len() as u32);
             for (name, attr) in grid.attributes().iter() {
-                put_attr(&mut buf, name, attr);
+                put_attr(buf, name, attr);
             }
         }
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len(), compressed_len(obj), "compressed_len out of sync");
 }
 
 /// Decompress a payload produced by [`compress`].
@@ -446,6 +488,11 @@ mod tests {
         // quantize path through the enum matches the free functions
         let q = Codec::Quantize.encode(&obj);
         assert_eq!(q, compress(&obj));
+        // and both codecs write the same bytes into a leased buffer
+        let pool = PayloadPool::new();
+        for codec in [Codec::Quantize, Codec::Lossless] {
+            assert_eq!(codec.encode_in(&obj, &pool), codec.encode(&obj));
+        }
         assert_eq!(
             Codec::Quantize.decode(q).unwrap().num_elements(),
             obj.num_elements()

@@ -26,16 +26,29 @@ pub struct UniformGrid {
 }
 
 impl UniformGrid {
-    /// Create an empty grid of the given shape.
+    /// Create an empty grid of the given shape. Dims, origin and spacing
+    /// may come off a wire or a file ([`crate::io::binary::decode`]), so
+    /// everything the other methods assume is checked here: a vertex count
+    /// that fits `usize`, a finite origin, finite positive spacing (asked
+    /// as "all positive", which a NaN fails; "any `<= 0.0`" lets it pass).
     pub fn new(dims: [usize; 3], origin: Vec3, spacing: Vec3) -> Result<Self> {
-        if dims.contains(&0) {
+        let vertices = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .unwrap_or(0);
+        if vertices == 0 {
             return Err(DataError::InvalidArgument(format!(
-                "grid dims must be non-zero, got {dims:?}"
+                "grid dims must be non-zero with a product that fits usize, got {dims:?}"
             )));
         }
-        if spacing.x <= 0.0 || spacing.y <= 0.0 || spacing.z <= 0.0 {
+        if !spacing.to_array().iter().all(|&s| s > 0.0 && s.is_finite()) {
             return Err(DataError::InvalidArgument(format!(
-                "grid spacing must be positive, got {spacing:?}"
+                "grid spacing must be positive and finite, got {spacing:?}"
+            )));
+        }
+        if origin.to_array().iter().any(|o| !o.is_finite()) {
+            return Err(DataError::InvalidArgument(format!(
+                "grid origin must be finite, got {origin:?}"
             )));
         }
         Ok(UniformGrid {
@@ -324,6 +337,17 @@ mod tests {
     fn construction_validates() {
         assert!(UniformGrid::new([0, 3, 3], Vec3::ZERO, Vec3::ONE).is_err());
         assert!(UniformGrid::new([3, 3, 3], Vec3::ZERO, Vec3::new(1.0, 0.0, 1.0)).is_err());
+        // what a decoder can be handed: a vertex count past usize, and
+        // geometry no comparison orders
+        let wide = 1usize << 32;
+        assert!(UniformGrid::new([wide, wide, wide], Vec3::ZERO, Vec3::ONE).is_err());
+        assert!(UniformGrid::new([wide, wide, 0], Vec3::ZERO, Vec3::ONE).is_err());
+        for bad in [f32::NAN, f32::INFINITY, -1.0] {
+            assert!(UniformGrid::new([3, 3, 3], Vec3::ZERO, Vec3::new(1.0, bad, 1.0)).is_err());
+        }
+        for bad in [f32::NAN, f32::NEG_INFINITY] {
+            assert!(UniformGrid::new([3, 3, 3], Vec3::new(bad, 0.0, 0.0), Vec3::ONE).is_err());
+        }
     }
 
     #[test]

@@ -43,6 +43,12 @@
 //!   [`put_slice_le`] — on a little-endian target a `memcpy` of the source
 //!   array viewed as bytes. The CRC is taken chunk by chunk as the bytes
 //!   go in, not in a second pass over a body that has left the cache.
+//! * [`encode_in`] is the same encoder writing into a buffer leased from a
+//!   [`PayloadPool`], for callers that encode block after block: a fresh
+//!   buffer of tens of megabytes that is filled on one thread and dropped
+//!   on another is mapped, zero-filled a page fault at a time and unmapped
+//!   again every call, which costs more than the copy and the checksum
+//!   together (`benches/codec.rs`, the `threaded` rows; DESIGN.md §20).
 //! * [`decode`] makes one CRC pass over the body (it must finish before
 //!   any byte is trusted), then one copy per section out of the shared
 //!   wire buffer into a fresh, aligned `Vec` ([`read_vec_le`]).
@@ -51,8 +57,8 @@
 //! element by element inside [`crate::io::le`], which is also where the
 //! codec's one `unsafe` block (the slice-to-bytes view) lives.
 //!
-//! The encoder writes into a [`bytes::BytesMut`] so the same bytes can be
-//! shipped over the transport layer without re-serialization.
+//! The encoder's buffer is frozen into a [`bytes::Bytes`] so the same
+//! bytes can be shipped over the transport layer without re-serialization.
 
 use crate::crc::{crc32, Crc32};
 use crate::dataset::DataObject;
@@ -60,9 +66,10 @@ use crate::error::{DataError, Result};
 use crate::field::{Attribute, AttributeSet};
 use crate::grid::UniformGrid;
 use crate::io::le::{put_slice_le, read_vec_le, LeElement};
+use crate::io::pool::PayloadPool;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::fs::File;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
@@ -88,12 +95,12 @@ const HASH_CHUNK: usize = 64 << 10;
 /// byte written to it so far, so the trailer costs no second pass over a
 /// body that has long left the cache (measured in `benches/codec.rs`: ~10 %
 /// of a 32 MiB encode; no difference at 1 MiB).
-struct Body {
-    buf: BytesMut,
+struct Body<'a> {
+    buf: &'a mut Vec<u8>,
     crc: Crc32,
 }
 
-impl BufMut for Body {
+impl BufMut for Body<'_> {
     fn put_slice(&mut self, src: &[u8]) {
         for chunk in src.chunks(HASH_CHUNK) {
             self.buf.put_slice(chunk);
@@ -104,13 +111,13 @@ impl BufMut for Body {
 
 /// Attribute header (`type`, `len`) followed by the payload as one
 /// section copy.
-fn put_payload<T: LeElement>(buf: &mut Body, ty: u8, v: &[T]) {
+fn put_payload<T: LeElement>(buf: &mut Body<'_>, ty: u8, v: &[T]) {
     buf.put_u8(ty);
     buf.put_u64_le(v.len() as u64);
     put_slice_le(buf, v);
 }
 
-fn put_attributes(buf: &mut Body, attrs: &AttributeSet) {
+fn put_attributes(buf: &mut Body<'_>, attrs: &AttributeSet) {
     buf.put_u32_le(attrs.len() as u32);
     for (name, attr) in attrs.iter() {
         buf.put_u32_le(name.len() as u32);
@@ -131,6 +138,9 @@ fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
     }
 }
 
+/// Wire size of the smallest attribute: name length, type, element count.
+const MIN_ATTR_BYTES: usize = 4 + 1 + 8;
+
 /// Decode a `len`-element payload section off the front of `buf`.
 /// `Bytes::split_to` shares the allocation, so the section views the wire
 /// buffer directly; the element conversion is the only copy.
@@ -147,7 +157,9 @@ fn take<T: LeElement>(buf: &mut Bytes, len: usize, what: &str) -> Result<Vec<T>>
 fn get_attributes(buf: &mut Bytes) -> Result<Vec<(String, Attribute)>> {
     need(buf, 4, "attribute count")?;
     let n_attr = buf.get_u32_le() as usize;
-    let mut attrs = Vec::with_capacity(n_attr);
+    // The count is wire data: the bytes present bound the table, so a
+    // lying count ends in a truncation error below, not in an abort.
+    let mut attrs = Vec::with_capacity(n_attr.min(buf.remaining() / MIN_ATTR_BYTES));
     for _ in 0..n_attr {
         need(buf, 4, "attribute name length")?;
         let name_len = buf.get_u32_le() as usize;
@@ -199,9 +211,23 @@ pub fn encoded_len(obj: &DataObject) -> usize {
 
 /// Encode a dataset into a fresh byte buffer.
 pub fn encode(obj: &DataObject) -> Bytes {
-    let exact = encoded_len(obj);
+    let mut buf = Vec::with_capacity(encoded_len(obj));
+    write(obj, &mut buf);
+    Bytes::from(buf)
+}
+
+/// [`encode`], byte for byte, into a buffer leased from `pool`; the buffer
+/// goes back to the pool when the last handle to the returned bytes drops.
+pub fn encode_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
+    let mut lease = pool.lease(encoded_len(obj));
+    write(obj, lease.vec());
+    lease.freeze()
+}
+
+/// The encoder: appends `obj`'s [`encoded_len`] bytes to the empty `buf`.
+fn write(obj: &DataObject, buf: &mut Vec<u8>) {
     let mut body = Body {
-        buf: BytesMut::with_capacity(exact),
+        buf,
         crc: Crc32::new(),
     };
     body.put_slice(MAGIC);
@@ -221,10 +247,13 @@ pub fn encode(obj: &DataObject) -> Bytes {
             put_attributes(&mut body, g.attributes());
         }
     }
-    let Body { mut buf, crc } = body;
+    let Body { buf, crc } = body;
     buf.put_u32_le(crc.finish());
-    debug_assert_eq!(buf.len(), exact, "encoded_len out of sync with encode");
-    buf.freeze()
+    debug_assert_eq!(
+        buf.len(),
+        encoded_len(obj),
+        "encoded_len out of sync with encode"
+    );
 }
 
 /// Decode a dataset from bytes produced by [`encode`].
@@ -454,6 +483,34 @@ mod tests {
         ] {
             assert_eq!(encode(&obj).len(), encoded_len(&obj));
         }
+    }
+
+    #[test]
+    fn encode_in_writes_the_bytes_encode_writes() {
+        // one encoder, two places the buffer can come from: under the
+        // pool's floor (a plain allocation) and above it (a parked buffer
+        // with a previous block's capacity)
+        let big = {
+            let n = crate::io::pool::FLOOR_BYTES / 12 + 1;
+            let mut c = PointCloud::from_positions(vec![Vec3::new(1.0, -2.0, 0.5); n]);
+            c.set_attribute("id", Attribute::Id((0..n as u64).collect()))
+                .unwrap();
+            DataObject::Points(c)
+        };
+        let pool = PayloadPool::new();
+        for obj in [
+            sample_points(),
+            sample_grid(),
+            DataObject::Points(PointCloud::new()),
+            big.clone(),
+            big,
+        ] {
+            let leased = encode_in(&obj, &pool);
+            assert_eq!(leased, encode(&obj));
+            assert_eq!(decode(leased).unwrap(), obj);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.leased, stats.fresh, stats.returned), (2, 1, 2));
     }
 
     #[test]

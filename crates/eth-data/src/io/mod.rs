@@ -12,8 +12,10 @@
 //!   Section III-B).
 //!
 //! [`le`] holds the bulk little-endian array copies `binary` and the
-//! journal's result files share.
+//! journal's result files share; [`pool`] owns the buffers a step loop
+//! encodes into.
 
 pub mod binary;
 pub mod le;
+pub mod pool;
 pub mod vtk_legacy;

@@ -7,6 +7,108 @@ use eth_data::partition::{decompose_domain, partition_grid_slabs, partition_poin
 use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
 use eth_data::{Aabb, DataError, DataObject, PointCloud, UniformGrid, Vec3};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, noting the largest single request each thread
+/// has made: `decode_is_total` holds the decoder to allocations sized by
+/// the bytes it was given, not by the lengths those bytes claim.
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: a thread being torn down may allocate after its locals
+    // are gone
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; `note` touches only a `Cell<usize>` thread-local
+// with a const initializer and no destructor, so it neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestRequest = LargestRequest;
+
+/// `EBD2` framing around `body`: the magic in front, the body's true
+/// CRC-32 behind, so the decoder's integrity check passes and the
+/// structural parse is what meets the bytes.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut raw = b"EBD2".to_vec();
+    raw.extend_from_slice(body);
+    let crc = eth_data::crc::crc32(&raw);
+    raw.extend_from_slice(&crc.to_le_bytes());
+    raw
+}
+
+/// Decode `raw` — `Ok` or `Err`, a panic fails the test — and return the
+/// largest allocation the call made.
+fn decode_noting_allocations(raw: Vec<u8>) -> usize {
+    let bytes = eth_data::Bytes::from(raw);
+    LARGEST.with(|largest| largest.set(0));
+    let _ = binary::decode(bytes);
+    LARGEST.with(|largest| largest.get())
+}
+
+/// What a decode of `len` bytes may allocate at once: the bytes, times the
+/// worst ratio of in-memory to wire size (a 56-byte attribute-table entry,
+/// its table grown by doubling, against the 13 bytes the smallest
+/// attribute takes on the wire), plus room for an error message.
+fn allocation_bound(len: usize) -> usize {
+    16 * len + 1024
+}
+
+/// The smallest grid body behind a valid checksum that used to get past
+/// `UniformGrid::new`: 2³² vertices a side and NaN spacing.
+fn hostile_grid() -> Vec<u8> {
+    let mut body = vec![2u8];
+    for _ in 0..3 {
+        body.extend_from_slice(&(1u64 << 32).to_le_bytes());
+    }
+    for v in [0.0, 0.0, 0.0, f32::NAN, f32::NAN, f32::NAN] {
+        body.extend_from_slice(&v.to_le_bytes());
+    }
+    body.extend_from_slice(&1u32.to_le_bytes()); // one attribute
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.push(b'f');
+    body.push(0); // scalar
+    body.extend_from_slice(&0u64.to_le_bytes()); // of no elements
+    framed(&body)
+}
+
+#[test]
+fn hostile_grid_behind_a_valid_checksum_is_an_error() {
+    // debug: `num_vertices` overflowed in `set_attribute`; release: decoded
+    // to `Ok` with 0 elements and NaN bounds
+    let raw = hostile_grid();
+    assert!(matches!(
+        binary::decode(raw.into()),
+        Err(DataError::InvalidArgument(_))
+    ));
+}
 
 fn arb_vec3(range: f32) -> impl Strategy<Value = Vec3> {
     (
@@ -280,6 +382,66 @@ proptest! {
             prop_assert!(matches!(err, DataError::Format(_)), "offset {offset}: {err}");
         } else {
             prop_assert!(matches!(err, DataError::Corrupt(_)), "offset {offset}: {err}");
+        }
+    }
+}
+
+/// Values a length, count or dimension field can be overwritten with.
+const HOSTILE: [u64; 10] = [
+    0,
+    1,
+    u32::MAX as u64,
+    1 << 32,
+    (1 << 61) + 1,
+    u64::MAX / 12,
+    u64::MAX,
+    0x7FC0_0000_7FC0_0000, // two f32 NaNs
+    0x7F80_0000_FF80_0000, // -inf, +inf
+    0x8000_0000_BF80_0000, // -1.0, -0.0
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// ROADMAP 1d for `EBD2`: `binary::decode` is total. Arbitrary bytes,
+    /// the same bytes behind a valid magic and checksum, and valid
+    /// encodings with a header, length or dims field overwritten (and the
+    /// trailer recomputed, so the parse really runs) all come back `Ok` or
+    /// `Err` without a panic — this runs in debug, where arithmetic
+    /// overflow is one — and without an allocation sized by a claimed
+    /// length.
+    #[test]
+    fn decode_is_total(
+        noise in prop::collection::vec(0u16..256, 0..96),
+        kind in 0u8..4,
+        (offset, width, hostile, random) in (0usize..usize::MAX, 0usize..2, 0usize..HOSTILE.len() + 1, 0u64..u64::MAX),
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        let mut body = vec![kind];
+        body.extend_from_slice(&noise);
+
+        let mut grid = UniformGrid::new([2, 3, 2], Vec3::ZERO, Vec3::ONE).unwrap();
+        grid.set_attribute("f", Attribute::Scalar(vec![0.5; 12])).unwrap();
+        let mut cloud = PointCloud::from_positions(vec![Vec3::ONE, Vec3::ZERO]);
+        cloud.set_attribute("id", Attribute::Id(vec![7, 8])).unwrap();
+        cloud.set_attribute("v", Attribute::Vector(vec![Vec3::ONE; 2])).unwrap();
+        let valid = if kind % 2 == 0 { DataObject::Grid(grid) } else { DataObject::Points(cloud) };
+        let encoded = binary::encode(&valid).to_vec();
+        // overwrite 4 or 8 bytes anywhere in the body (magic and trailer
+        // excluded): every header, count, dims and length field is a site
+        let mut patched = encoded[4..encoded.len() - 4].to_vec();
+        let width = [4, 8][width];
+        let at = offset % (patched.len() - width + 1);
+        let value = HOSTILE.get(hostile).copied().unwrap_or(random);
+        patched[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+
+        for raw in [noise, framed(&body), framed(&patched)] {
+            let len = raw.len();
+            let largest = decode_noting_allocations(raw);
+            prop_assert!(
+                largest <= allocation_bound(len),
+                "decoding {len} bytes allocated {largest} at once"
+            );
         }
     }
 }

@@ -150,14 +150,24 @@ impl Framebuffer {
     /// `w:u32, h:u32, bg:3xf32, color:3*w*h*f32, depth:w*h*f32` — each
     /// plane one bulk copy ([`eth_data::io::le`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.width * self.height;
-        let mut out = Vec::with_capacity(HEADER_BYTES + n * PIXEL_BYTES);
+        let mut out = Vec::with_capacity(self.byte_len());
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Length of [`Framebuffer::to_bytes`], without building it.
+    pub fn byte_len(&self) -> usize {
+        HEADER_BYTES + self.width * self.height * PIXEL_BYTES
+    }
+
+    /// Append [`Framebuffer::to_bytes`] to `out`, for callers framing
+    /// several framebuffers into one message.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.width as u32).to_le_bytes());
         out.extend_from_slice(&(self.height as u32).to_le_bytes());
-        put_slice_le(&mut out, &[self.background]);
-        put_slice_le(&mut out, &self.color);
-        put_slice_le(&mut out, &self.depth);
-        out
+        put_slice_le(out, &[self.background]);
+        put_slice_le(out, &self.color);
+        put_slice_le(out, &self.depth);
     }
 
     /// Inverse of [`Framebuffer::to_bytes`]. Returns `None` on malformed

@@ -33,6 +33,7 @@
 use crate::comm::{Result, TransportError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use eth_data::io::binary;
+use eth_data::io::pool::PayloadPool;
 use eth_data::DataObject;
 use eth_obs::SpanContext;
 use std::io::{Read, Write};
@@ -155,14 +156,25 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     read_frame_limited(r, MAX_PAYLOAD)
 }
 
+fn encode_spanned(encode: impl FnOnce() -> Bytes) -> Bytes {
+    let mut span = eth_obs::span(eth_obs::Phase::Encode);
+    let bytes = encode();
+    span.set_bytes(bytes.len() as u64);
+    bytes
+}
+
 /// Encode a dataset for shipping. The encoder preallocates the exact
 /// encoded size ([`encoded_dataset_len`]), so building the payload is a
 /// single allocation with no growth copies.
 pub fn encode_dataset(obj: &DataObject) -> Bytes {
-    let mut span = eth_obs::span(eth_obs::Phase::Encode);
-    let bytes = binary::encode(obj);
-    span.set_bytes(bytes.len() as u64);
-    bytes
+    encode_spanned(|| binary::encode(obj))
+}
+
+/// [`encode_dataset`] into a buffer leased from `pool`, which gets it back
+/// when the last handle to the payload drops — wherever the message ends
+/// up. For senders that ship block after block.
+pub fn encode_dataset_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
+    encode_spanned(|| binary::encode_in(obj, pool))
 }
 
 /// Exact byte length [`encode_dataset`] produces for `obj`, without

@@ -1,8 +1,11 @@
 //! Minimal `bytes` stand-in.
 //!
-//! `Bytes` is a reference-counted `Vec<u8>` plus a sub-range, so `clone`,
+//! `Bytes` is a reference-counted byte store plus a sub-range, so `clone`,
 //! `slice` and `split_to` are O(1) and never copy payload bytes — the
-//! property the transport layer's zero-copy decode path depends on.
+//! property the transport layer's zero-copy decode path depends on. The
+//! store is a `Vec<u8>` or, through [`Bytes::from_owner`], any value that
+//! can lend its bytes; it is dropped with the last handle, on whichever
+//! thread drops it.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -11,9 +14,14 @@ use std::sync::Arc;
 /// Cheaply cloneable, sliceable, immutable byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<Store>,
     start: usize,
     end: usize,
+}
+
+enum Store {
+    Vec(Vec<u8>),
+    Owner(Box<dyn AsRef<[u8]> + Send + Sync>),
 }
 
 impl Bytes {
@@ -37,8 +45,29 @@ impl Bytes {
         self.start == self.end
     }
 
+    /// A `Bytes` over `owner`'s bytes that keeps `owner` alive and drops
+    /// it with the last handle (clones, slices and splits all count), so
+    /// the owner's `Drop` is where a buffer goes back to whoever lent it.
+    /// The real crate asks only `Send` of the owner; this stand-in shares
+    /// it behind a safe `Arc` and so also asks `Sync`.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Bytes {
+            data: Arc::new(Store::Owner(Box::new(owner))),
+            start: 0,
+            end,
+        }
+    }
+
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all = match &*self.data {
+            Store::Vec(v) => v.as_slice(),
+            Store::Owner(owner) => (**owner).as_ref(),
+        };
+        &all[self.start..self.end]
     }
 
     /// O(1) sub-range sharing the same backing allocation.
@@ -102,7 +131,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Arc::new(Store::Vec(v)),
             start: 0,
             end,
         }
@@ -384,6 +413,34 @@ mod tests {
         assert_eq!(&b.slice(1..3)[..], &[1, 2]);
         assert_eq!(b.slice(..).len(), 4);
         assert_eq!(b.slice(4..4).len(), 0);
+    }
+
+    #[test]
+    fn owner_is_dropped_with_the_last_handle() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Lent(Vec<u8>, Arc<AtomicUsize>);
+        impl AsRef<[u8]> for Lent {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Lent {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut b = Bytes::from_owner(Lent(vec![1, 2, 3, 4], drops.clone()));
+        assert_eq!(&b[..], &[1, 2, 3, 4]);
+        let head = b.split_to(1);
+        let tail = b.slice(1..);
+        assert_eq!((&head[..], &tail[..]), (&[1u8][..], &[3u8, 4][..]));
+        drop(b);
+        drop(head);
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "a slice still views it");
+        // the last handle goes on another thread; the owner goes with it
+        std::thread::spawn(move || drop(tail)).join().unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]
