@@ -1,7 +1,8 @@
 //! Render hot path: HLBVH vs median-split build times, tiled
-//! packet-traversal frame times, and the two particle rasterizers, the two
-//! grid extraction filters and the triangle rasterizer, each beside its
-//! hardware reference (DESIGN.md §14, §19). The JSON-report variant with
+//! packet-traversal frame times, the build and the frame on one rank's share
+//! of the `hacc.raycast.tight` workload with a per-phase split, and the two
+//! particle rasterizers, the two grid extraction filters and the triangle
+//! rasterizer, each beside its hardware reference (DESIGN.md §14, §19). The JSON-report variant with
 //! acceptance gates is `reproduce render-bench`; this is the
 //! statistics-grade criterion view of the same loops.
 
@@ -10,7 +11,7 @@ use criterion::{
 };
 use eth_bench::render::scatter;
 use eth_core::config::{orbit_camera, Application};
-use eth_data::partition::partition_grid_slabs;
+use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
@@ -20,9 +21,10 @@ use eth_render::geometry::Plane;
 use eth_render::raster::points::render_points;
 use eth_render::raster::splat::render_splats;
 use eth_render::raster::triangle::rasterize_mesh;
-use eth_render::ray::bvh::SphereBvh;
+use eth_render::ray::bvh::{RayPacket, SphereBvh, PACKET_WIDTH};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::tile::{tiles, DEFAULT_TILE};
 use eth_render::Framebuffer;
 use eth_sim::hacc::HaccConfig;
 use eth_sim::xrage::XrageConfig;
@@ -91,6 +93,143 @@ fn median_of(group: &mut BenchmarkGroup<'_>, id: BenchmarkId, frame: &mut dyn Fn
     });
     times.sort();
     times[times.len() / 2].as_secs_f64()
+}
+
+/// Each pass of `SphereBvh::build`, named by the flight-recorder instant
+/// that closes it, with its median milliseconds over `runs` builds (the
+/// first pass starts with the build's span).
+fn build_passes(centers: &[Vec3], radius: f32, runs: usize) -> Vec<(&'static str, f64)> {
+    let mut passes: Vec<(&'static str, Vec<f64>)> = Vec::new();
+    for _ in 0..runs {
+        let recorder = eth_obs::Recorder::new();
+        {
+            let _attached = recorder.attach();
+            black_box(SphereBvh::build(centers, radius));
+        }
+        let trace = recorder.take();
+        let mut last = trace
+            .spans()
+            .find(|s| s.phase == eth_obs::Phase::BvhBuild)
+            .expect("the build records its span")
+            .start_ns;
+        let instants = trace.records.iter().filter_map(|record| match record {
+            eth_obs::Record::Instant { name, ts_ns, .. } => Some((*name, *ts_ns)),
+            _ => None,
+        });
+        for (i, (name, ts_ns)) in instants.enumerate() {
+            if passes.len() == i {
+                passes.push((name, Vec::new()));
+            }
+            passes[i].1.push((ts_ns - last) as f64 * 1e-6);
+            last = ts_ns;
+        }
+    }
+    passes
+        .into_iter()
+        .map(|(name, mut ms)| {
+            ms.sort_by(f64::total_cmp);
+            (name, ms[ms.len() / 2])
+        })
+        .collect()
+}
+
+/// `SphereBvh::build` and one `render_tiled` frame on the two partitions
+/// the ranks of the `hacc.raycast.tight` workload raycast (HACC 2 M, seed
+/// 1, step 0, two ranks: 922 480 and 1 077 520 particles), orbit camera at
+/// 512², on one thread — the per-rank reference the end-to-end benchmark
+/// cannot show. The line after each partition splits both into phases:
+/// the build's from the instants that close its passes, the frame's by
+/// timing every packet generated alone, then generated and traversed
+/// (shading and the stores are the rest).
+fn bench_workload_ranks(c: &mut Criterion) {
+    let particles = 2_000_000;
+    let whole = HaccConfig {
+        particles,
+        seed: 1,
+        ..Default::default()
+    }
+    .generate(0)
+    .expect("hacc generates");
+    let radius = Application::Hacc { particles }.particle_radius();
+    let camera = orbit_camera(&whole.bounds(), 512, 512, 0, 1);
+    let density = whole.scalar("density").expect("hacc carries density");
+    let tf = TransferFunction::fit(Colormap::Viridis, density);
+    let lighting = Lighting::default();
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builder cannot fail");
+    let rays = camera.ray_generator();
+    let frame_tiles = tiles(camera.width, camera.height, DEFAULT_TILE);
+    // every packet of a frame, in tile order, as `render_tiled` makes them
+    let packets = |visit: &mut dyn FnMut(RayPacket)| {
+        for t in &frame_tiles {
+            for py in t.y0..t.y0 + t.h {
+                let ndc_y = rays.ndc_y(py);
+                for px in (t.x0..t.x0 + t.w).step_by(PACKET_WIDTH) {
+                    let lanes = PACKET_WIDTH.min(t.x0 + t.w - px);
+                    visit(RayPacket::generate(&rays, lanes, |l| {
+                        (rays.ndc_x(px + l), ndc_y)
+                    }));
+                }
+            }
+        }
+    };
+    for part in partition_points(&whole, 2).expect("two ranks") {
+        let n = part.len();
+        let centers = part.positions();
+        let mut group = c.benchmark_group("bvh_build");
+        group.sample_size(10);
+        group.measurement_time(Duration::from_secs(3));
+        group.warm_up_time(Duration::from_millis(500));
+        group.throughput(Throughput::Elements(n as u64));
+        let build = median_of(&mut group, BenchmarkId::new("hacc_rank_1t", n), &mut || {
+            one.install(|| black_box(SphereBvh::build(centers, radius)));
+        });
+        group.finish();
+        let passes = one.install(|| build_passes(centers, radius, 9));
+
+        let rc = SphereRaycaster::build(&part, Some("density"), radius);
+        let bvh = SphereBvh::build(centers, radius);
+        let mut group = c.benchmark_group("render_frame");
+        group.sample_size(10);
+        group.measurement_time(Duration::from_secs(3));
+        group.warm_up_time(Duration::from_millis(500));
+        group.throughput(Throughput::Elements(camera.num_pixels() as u64));
+        let mut row = |name: &str, frame: &mut dyn FnMut()| {
+            let id = BenchmarkId::new(name, n);
+            one.install(|| median_of(&mut group, id, frame))
+        };
+        let frame = row("hacc_rank_1t", &mut || {
+            black_box(rc.render(&camera, &tf, &lighting, Vec3::ZERO));
+        });
+        let generate = row("hacc_rank_1t_generate", &mut || {
+            packets(&mut |p| {
+                black_box(p);
+            });
+        });
+        let traverse = row("hacc_rank_1t_generate_traverse", &mut || {
+            let mut steps = 0;
+            packets(&mut |p| {
+                black_box(bvh.intersect_packet(&p, f32::MAX, &mut steps));
+            });
+        });
+        group.finish();
+        let passes: Vec<String> = passes
+            .iter()
+            .map(|(name, ms)| format!("{} {ms:.1}", name.trim_start_matches("bvh_")))
+            .collect();
+        eprintln!(
+            "  hacc_rank/{n}: build {:.1} ms ({}) | frame {:.1} ms (ray generation {:.1}, \
+             traversal {:.1}, shade {:.1})",
+            build * 1e3,
+            passes.join(", "),
+            frame * 1e3,
+            generate * 1e3,
+            (traverse - generate) * 1e3,
+            (frame - traverse) * 1e3,
+        );
+    }
 }
 
 /// `render_points` and `render_splats` on a HACC cloud at 512², beside the
@@ -279,6 +418,7 @@ criterion_group!(
     benches,
     bench_build,
     bench_frame,
+    bench_workload_ranks,
     bench_particles,
     bench_extract,
     bench_raster

@@ -274,7 +274,8 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
     let lighting = Lighting::default();
     let mut frame_curve = Vec::new();
     for &n in &frame_sizes {
-        let rc = SphereRaycaster::build(&cloud(n, 42), None, RADIUS);
+        let points = cloud(n, 42);
+        let rc = SphereRaycaster::build(&points, None, RADIUS);
         let cam = camera(fw, fh);
         let (frame_ms, (_, stats)) =
             best_ms(repeats, || rc.render(&cam, &tf(), &lighting, Vec3::ZERO));

@@ -1,7 +1,7 @@
 //! Pinhole camera shared by both pipelines.
 //!
-//! The rasterizer uses [`Camera::project`] (world → screen + view depth)
-//! and the raycaster uses [`Camera::primary_ray`] (pixel → world ray); both
+//! The rasterizers use [`Camera::projector`] (world → screen + view depth)
+//! and the raycasters use [`Camera::ray_generator`] (pixel → world ray); both
 //! are derived from the same view frustum, so the two pipelines render
 //! pixel-comparable images — which is what makes the paper's RMSE
 //! comparisons between backends meaningful.
@@ -120,19 +120,24 @@ impl Camera {
     }
 
     /// World-space ray through the center of pixel `(px, py)`.
-    /// Pixel (0,0) is the top-left corner.
+    /// Pixel (0,0) is the top-left corner. Loops over many pixels should
+    /// hoist [`Camera::ray_generator`].
     pub fn primary_ray(&self, px: usize, py: usize) -> Ray {
-        let tan_half = (self.fov_y * 0.5).tan();
-        // NDC in [-1, 1], y flipped so +y is up
-        let ndc_x = ((px as f32 + 0.5) / self.width as f32) * 2.0 - 1.0;
-        let ndc_y = 1.0 - ((py as f32 + 0.5) / self.height as f32) * 2.0;
-        let dir = (self.forward
-            + self.right * (ndc_x * tan_half * self.aspect())
-            + self.up * (ndc_y * tan_half))
-            .normalized();
-        Ray {
-            origin: self.position,
-            dir,
+        let rays = self.ray_generator();
+        rays.ray(rays.ndc_x(px), rays.ndc_y(py))
+    }
+
+    /// The per-frame ray constants; build once, cast many.
+    pub fn ray_generator(&self) -> RayGenerator {
+        RayGenerator {
+            position: self.position,
+            forward: self.forward,
+            right: self.right,
+            up: self.up,
+            tan_half: (self.fov_y * 0.5).tan(),
+            aspect: self.aspect(),
+            width: self.width as f32,
+            height: self.height as f32,
         }
     }
 
@@ -164,6 +169,63 @@ impl Camera {
     /// Splatters use this to size their footprints.
     pub fn pixels_per_world_unit(&self, depth: f32) -> f32 {
         self.projector().pixels_per_world_unit(depth)
+    }
+}
+
+/// A camera's pixel → world-ray map with `tan(fov_y / 2)` and the aspect
+/// ratio evaluated once per frame instead of per ray — the inverse of
+/// [`Projector`], and the only way the raycasters make a primary ray.
+/// Callers evaluate [`RayGenerator::ndc_y`] once per pixel row. The f32
+/// expression order is the one `Camera::primary_ray` always had —
+/// `(ndc_x * tan_half) * aspect`, never a pre-multiplied `tan_half *
+/// aspect` — so every ray is bit-identical to the unhoisted form.
+#[derive(Debug, Clone, Copy)]
+pub struct RayGenerator {
+    position: Vec3,
+    forward: Vec3,
+    right: Vec3,
+    up: Vec3,
+    tan_half: f32,
+    aspect: f32,
+    width: f32,
+    height: f32,
+}
+
+impl RayGenerator {
+    /// Where every ray starts: the eye.
+    #[inline]
+    pub fn origin(&self) -> Vec3 {
+        self.position
+    }
+
+    /// NDC x in [-1, 1] of the centre of pixel column `px`.
+    #[inline]
+    pub fn ndc_x(&self, px: usize) -> f32 {
+        ((px as f32 + 0.5) / self.width) * 2.0 - 1.0
+    }
+
+    /// NDC y in [-1, 1] of the centre of pixel row `py`, flipped so +y is up.
+    #[inline]
+    pub fn ndc_y(&self, py: usize) -> f32 {
+        1.0 - ((py as f32 + 0.5) / self.height) * 2.0
+    }
+
+    /// Unit direction through the NDC point `(ndc_x, ndc_y)`.
+    #[inline]
+    pub fn dir(&self, ndc_x: f32, ndc_y: f32) -> Vec3 {
+        (self.forward
+            + self.right * (ndc_x * self.tan_half * self.aspect)
+            + self.up * (ndc_y * self.tan_half))
+            .normalized()
+    }
+
+    /// The ray from the eye through the NDC point `(ndc_x, ndc_y)`.
+    #[inline]
+    pub fn ray(&self, ndc_x: f32, ndc_y: f32) -> Ray {
+        Ray {
+            origin: self.position,
+            dir: self.dir(ndc_x, ndc_y),
+        }
     }
 }
 
@@ -213,6 +275,7 @@ impl Projector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cam() -> Camera {
         Camera::look_at(
@@ -371,6 +434,57 @@ mod tests {
                     projector.pixels_per_world_unit(depth).to_bits(),
                     want.to_bits()
                 );
+            }
+        }
+    }
+
+    /// `Camera::primary_ray` as it was before the tangent, the aspect ratio
+    /// and the row's NDC y were hoisted into [`RayGenerator`]: all three
+    /// evaluated per ray.
+    fn primary_ray_unhoisted(c: &Camera, px: usize, py: usize) -> Ray {
+        let tan_half = (c.fov_y * 0.5).tan();
+        let ndc_x = ((px as f32 + 0.5) / c.width as f32) * 2.0 - 1.0;
+        let ndc_y = 1.0 - ((py as f32 + 0.5) / c.height as f32) * 2.0;
+        let dir = (c.forward
+            + c.right * (ndc_x * tan_half * c.aspect())
+            + c.up * (ndc_y * tan_half))
+            .normalized();
+        Ray {
+            origin: c.position,
+            dir,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every pixel of an odd-sized image, at fields of view from a
+        /// sliver to nearly flat: the generator's ray, and `primary_ray`
+        /// that calls it, have the unhoisted form's bits.
+        #[test]
+        fn generated_rays_are_bit_identical(
+            width in 1usize..140,
+            height in 1usize..90,
+            fov in (0u32..3, 0.0f32..1.0),
+            eye in (-9.0f32..9.0, -9.0f32..9.0, -9.0f32..9.0),
+        ) {
+            let fov = match fov.0 {
+                0 => 0.001 + fov.1,
+                1 => 1.0 + fov.1 * 178.0,
+                _ => 179.0 + fov.1 * 0.999,
+            };
+            let eye = Vec3::new(eye.0, eye.1, eye.2);
+            let target = Vec3::new(0.3, -0.2, 0.1);
+            let c = Camera::look_at(eye, target, Vec3::new(0.0, 0.0, 1.0), fov, width, height);
+            let bits = |r: Ray| [r.origin, r.dir].map(|v| [v.x, v.y, v.z].map(f32::to_bits));
+            let rays = c.ray_generator();
+            for py in 0..height {
+                let ndc_y = rays.ndc_y(py);
+                for px in 0..width {
+                    let want = bits(primary_ray_unhoisted(&c, px, py));
+                    prop_assert_eq!(bits(rays.ray(rays.ndc_x(px), ndc_y)), want);
+                    prop_assert_eq!(bits(c.primary_ray(px, py)), want);
+                }
             }
         }
     }

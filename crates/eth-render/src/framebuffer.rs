@@ -73,31 +73,13 @@ impl Framebuffer {
     }
 
     /// Unconditional write: replace color *and* depth, no depth test.
-    /// Tiled renderers use this to land fully-computed tile pixels, and
-    /// progressive refinement uses it to overwrite coarse fill-in values
+    /// Progressive refinement uses it to overwrite coarse fill-in values
     /// with exact ones (which may be *farther* than the stand-in).
     #[inline]
     pub fn store(&mut self, x: usize, y: usize, depth: f32, color: Vec3) {
         let i = self.idx(x, y);
         self.depth[i] = depth;
         self.color[i] = color;
-    }
-
-    /// Blit a row-major `w × h` block of `(depth, color)` pixels at
-    /// `(x0, y0)`, unconditionally (see [`Framebuffer::store`]). The tile
-    /// must lie inside the buffer and `pixels` must hold exactly `w * h`
-    /// entries.
-    pub fn blit(&mut self, x0: usize, y0: usize, w: usize, h: usize, pixels: &[(f32, Vec3)]) {
-        assert!(x0 + w <= self.width && y0 + h <= self.height, "tile out of bounds");
-        assert_eq!(pixels.len(), w * h, "tile pixel count mismatch");
-        for row in 0..h {
-            let dst = (y0 + row) * self.width + x0;
-            for col in 0..w {
-                let (d, c) = pixels[row * w + col];
-                self.depth[dst + col] = d;
-                self.color[dst + col] = c;
-            }
-        }
     }
 
     /// The colour and depth planes, row-major, for renderers that fill

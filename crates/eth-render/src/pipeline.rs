@@ -233,13 +233,13 @@ pub fn render_views(
 
 /// One view of [`render_views`]; `raycaster` is the sphere structure the
 /// views share, built by whichever comes first.
-fn render_view(
-    obj: &DataObject,
+fn render_view<'a>(
+    obj: &'a DataObject,
     algorithm: &RenderAlgorithm,
     camera: &Camera,
     opts: &RenderOptions,
     tf: &TransferFunction,
-    raycaster: &mut Option<SphereRaycaster>,
+    raycaster: &mut Option<SphereRaycaster<'a>>,
 ) -> Result<RenderOutput> {
     let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let scalar = opts.scalar.as_deref();

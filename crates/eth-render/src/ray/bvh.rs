@@ -8,13 +8,17 @@
 //! Two builders share one node layout and one traversal:
 //!
 //! * [`SphereBvh::build`] — the default **HLBVH** (hierarchical linear
-//!   BVH, PBR-book recipe): sphere centers are quantized to 30-bit Morton
-//!   codes, radix-sorted in O(N) (rayon-parallel histogram + scatter),
-//!   grouped into treelets by their high code prefix, each treelet emitted
-//!   bottom-up from Morton-bit splits (parallel across treelets), and the
-//!   treelet roots joined by a sweep-SAH upper tree. Build cost is linear
-//!   in N up to the (tiny) upper tree, which is why million-particle
-//!   frames rebuild in milliseconds.
+//!   BVH, PBR-book recipe), in six passes: centroid bounds on lane
+//!   accumulators; 30-bit Morton codes with each chunk's histogram of the
+//!   9-bit treelet prefix, in one pass; one stable scatter of `(code,
+//!   index)` keys by that prefix; then per treelet, while its run is in
+//!   cache, an LSD sort of the 21 bits below the prefix, the gather of
+//!   centres into Morton order, and its root box and node count; a
+//!   sweep-SAH upper tree over the treelet roots, laid out first; and each
+//!   treelet emitted from Morton-bit splits straight into its final node
+//!   slots (parallel across treelets). Build cost is linear in N up to the
+//!   (tiny) upper tree, which is why million-particle frames rebuild in
+//!   milliseconds.
 //! * [`SphereBvh::build_median`] — the previous top-down median split
 //!   (O(N log N)), kept as the reference baseline for benchmarks and
 //!   byte-identity tests.
@@ -25,10 +29,15 @@
 //! packet advances through the tree on explicit 8-wide SoA lanes
 //! (plain `[f32; 8]` arithmetic — no unstable intrinsics — in the exact
 //! operation order of the scalar path, so per-lane results are
-//! bit-identical to scalar traversal).
+//! bit-identical to scalar traversal). The slab test and the sphere test
+//! are both part of the one `#[inline(always)]` traversal body, so under
+//! runtime-detected AVX2 the whole walk runs on `ymm` registers.
+//! Packets are generated straight into their lanes from the camera's
+//! per-frame [`RayGenerator`] ([`RayPacket::generate`]).
 
-use crate::camera::Ray;
+use crate::camera::{Ray, RayGenerator};
 use eth_data::{Aabb, Vec3};
+use std::mem::MaybeUninit;
 
 /// Flattened BVH node.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +198,8 @@ fn build_subtree(
 }
 
 // ---------------------------------------------------------------------------
-// HLBVH build: Morton codes, radix sort, treelets, sweep-SAH upper tree.
+// HLBVH build: Morton keys, one prefix scatter, treelets sorted and emitted
+// in cache, sweep-SAH upper tree.
 // ---------------------------------------------------------------------------
 
 /// Bits of Morton code (10 per axis).
@@ -199,11 +209,38 @@ const MORTON_BITS: u32 = 30;
 /// of parallel grain, and few enough roots that the sweep-SAH upper tree
 /// costs ~1 ms.
 const TREELET_PREFIX_BITS: u32 = 9;
+const TREELETS: usize = 1 << TREELET_PREFIX_BITS;
+/// Shift that leaves a code's treelet prefix.
+const PREFIX_SHIFT: u32 = MORTON_BITS - TREELET_PREFIX_BITS;
+/// Passes `build_ops` charges the sort: the three 10-bit digits of a full
+/// LSD sort of 30-bit codes, which is what the builder ran when the counter
+/// was calibrated. The sort now runs one prefix scatter and at most three
+/// in-cache digit passes per treelet; the counter keeps its meaning.
+const SORT_PASSES: u64 = 3;
+/// Runs this short are sorted by comparison instead of by digits.
+const SHORT_RUN: usize = 32;
+/// Runs this long are sorted by two wide digits instead of three narrow.
+const LONG_RUN: usize = 1536;
+/// Keys are computed this many at a time (a loop with no histogram in
+/// it vectorizes), then counted.
+const KEY_BLOCK: usize = 64;
 
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct MortonPrim {
-    code: u32,
-    prim: u32,
+/// A primitive's sort key: its Morton code in the high half, its input
+/// index in the low half. Keys are unique, so every correct sort of them
+/// is the stable sort by code.
+#[inline]
+fn sort_key(code: u32, prim: usize) -> u64 {
+    (code as u64) << 32 | prim as u64
+}
+
+#[inline]
+fn key_code(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+#[inline]
+fn key_prim(key: u64) -> u32 {
+    key as u32
 }
 
 /// Spread the low 10 bits of `v` so bit i lands at position 3i.
@@ -233,164 +270,238 @@ fn morton_axis(bit: i32) -> u8 {
     }
 }
 
-/// Quantize `p` into the 1024³ grid over `bounds`.
+/// Morton code of `p`'s cell in the 1024³ grid over the centroid bounds
+/// (`min`, `scale`): [`morton3`] of the cell `(v.max(0.0) as u32).min(1023)`
+/// picks on each axis. The clamp is two comparisons before the conversion —
+/// NaN and negatives to 0, from 1023 up to 1023 — so the conversion never
+/// sees an out-of-range value and the loop over centres vectorizes.
 #[inline]
-fn quantize(p: Vec3, min: Vec3, scale: Vec3) -> (u32, u32, u32) {
-    let q = |v: f32| (v.max(0.0) as u32).min(1023);
-    (
-        q((p.x - min.x) * scale.x),
-        q((p.y - min.y) * scale.y),
-        q((p.z - min.z) * scale.z),
+fn morton_code(p: Vec3, min: Vec3, scale: Vec3) -> u32 {
+    let cell = |v: f32| {
+        let v = if v > 0.0 { v } else { 0.0 };
+        (if v < 1023.0 { v } else { 1023.0 }) as i32 as u32
+    };
+    morton3(
+        cell((p.x - min.x) * scale.x),
+        cell((p.y - min.y) * scale.y),
+        cell((p.z - min.z) * scale.z),
     )
 }
 
+/// The box `expand_point` over every centre would give, on 24 lane
+/// accumulators: eight centres are 24 consecutive floats, so lane `j` only
+/// ever sees component `j % 3`. `v < lo` is `lo.min(v)` here, NaN included
+/// (the accumulators start infinite and never become NaN); min and max do
+/// not depend on the order their operands arrive in, so the fold at the
+/// end gives the serial loop's box — up to which zero a `-0.0`/`+0.0` tie
+/// keeps, which neither a Morton cell nor a padded box can see.
+fn centroid_bounds(centers: &[Vec3]) -> Aabb {
+    const LANES: usize = 24;
+    // SAFETY: `Vec3` is `#[repr(C)]` over three `f32`s, so `n` centres are
+    // `3n` consecutive floats.
+    let flat: &[f32] =
+        unsafe { std::slice::from_raw_parts(centers.as_ptr().cast::<f32>(), centers.len() * 3) };
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let blocks = flat.chunks_exact(LANES);
+    let rest = centers.len() - blocks.remainder().len() / 3;
+    for block in blocks {
+        for j in 0..LANES {
+            let v = block[j];
+            lo[j] = if v < lo[j] { v } else { lo[j] };
+            hi[j] = if v > hi[j] { v } else { hi[j] };
+        }
+    }
+    let mut bounds = Aabb::empty();
+    for j in (0..LANES).step_by(3) {
+        let lane = Aabb::new(
+            Vec3::new(lo[j], lo[j + 1], lo[j + 2]),
+            Vec3::new(hi[j], hi[j + 1], hi[j + 2]),
+        );
+        bounds.expand_box(&lane);
+    }
+    for &c in &centers[rest..] {
+        bounds.expand_point(c);
+    }
+    bounds
+}
+
 /// Wrapper making a raw output pointer shareable across the scatter's
-/// rayon tasks. Safety rests on the offset tables: every (chunk, digit)
+/// rayon tasks. Safety rests on the offset tables: every (chunk, bucket)
 /// pair owns a disjoint destination range, so no two tasks write the same
 /// slot.
-struct ScatterOut(*mut MortonPrim);
-unsafe impl Send for ScatterOut {}
-unsafe impl Sync for ScatterOut {}
+struct ScatterOut<T>(*mut T);
+// SAFETY: the one field is a pointer the tasks only write `T`s through,
+// each to slots no other task touches; moving `T`s to other threads needs
+// `T: Send`, and nothing is read through it while they run.
+unsafe impl<T: Send> Send for ScatterOut<T> {}
+// SAFETY: as above — a shared `&ScatterOut` only lets a task write its own
+// disjoint slots.
+unsafe impl<T: Send> Sync for ScatterOut<T> {}
 
-const RADIX_BITS: u32 = 10;
-const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
-const RADIX_PASSES: u32 = MORTON_BITS / RADIX_BITS;
-/// Fixed chunk fan-out for the parallel sort. Independent of the thread
-/// count (stability of LSD radix makes the output unique anyway, but a
-/// fixed layout also keeps the *work decomposition* reproducible).
-const RADIX_CHUNKS: usize = 64;
-
-/// Stable LSD radix sort of `pairs` by their 30-bit code: 3 passes × 10
-/// bits, parallel per-chunk histograms and a parallel scatter into
-/// per-(chunk, digit) disjoint ranges. O(N), deterministic for any thread
-/// count.
-fn radix_sort_morton(pairs: &mut Vec<MortonPrim>) {
-    use rayon::prelude::*;
-    let n = pairs.len();
-    if n < 2 {
+/// Sort one treelet's keys by code, stably (all share the treelet prefix):
+/// LSD over the 21 code bits below it, `scratch` as the second buffer —
+/// three 7-bit digits, or for a long run two wide ones (fewer passes over
+/// it; a 2 Ki-entry histogram costs less than a pass only when the run is
+/// long). A digit every key shares would move nothing and is skipped, so a
+/// run of coincident centres costs only its counting passes.
+fn sort_run(run: &mut [u64], scratch: &mut Vec<u64>) {
+    if run.len() <= SHORT_RUN {
+        run.sort_unstable();
         return;
     }
-    let chunk = n.div_ceil(RADIX_CHUNKS);
-    let mut scratch = vec![MortonPrim::default(); n];
-    for pass in 0..RADIX_PASSES {
-        let shift = pass * RADIX_BITS;
-        // Per-chunk digit histograms.
-        let histos: Vec<Vec<u32>> = pairs
-            .par_chunks(chunk)
-            .map(|ps| {
-                let mut h = vec![0u32; RADIX_BUCKETS];
-                for p in ps {
-                    h[((p.code >> shift) as usize) & (RADIX_BUCKETS - 1)] += 1;
-                }
-                h
-            })
-            .collect();
-        // Exclusive prefix: digit bases, then per-(chunk, digit) starts.
-        let mut starts = vec![0u32; histos.len() * RADIX_BUCKETS];
-        let mut base = 0u32;
-        for d in 0..RADIX_BUCKETS {
-            for (c, h) in histos.iter().enumerate() {
-                starts[c * RADIX_BUCKETS + d] = base;
-                base += h[d];
-            }
+    let digits: &[(u32, u32)] = if run.len() < LONG_RUN {
+        &[(0, 7), (7, 7), (14, 7)]
+    } else {
+        &[(0, 11), (11, 10)]
+    };
+    if scratch.len() < run.len() {
+        scratch.resize(run.len(), 0);
+    }
+    let tmp = &mut scratch[..run.len()];
+    let mut in_run = true;
+    let mut histogram = [0u32; 1 << 11];
+    for &(shift, bits) in digits {
+        let at = &mut histogram[..1 << bits];
+        let digit = |key: u64| (key >> (32 + shift)) as usize & ((1 << bits) - 1);
+        let (src, dst) = if in_run {
+            (&*run, &mut *tmp)
+        } else {
+            (&*tmp, &mut *run)
+        };
+        at.fill(0);
+        for &key in src {
+            at[digit(key)] += 1;
         }
-        // Scatter: chunk c writes digit d's elements into its own range.
-        let out = ScatterOut(scratch.as_mut_ptr());
-        pairs
-            .par_chunks(chunk)
-            .zip(starts.par_chunks(RADIX_BUCKETS))
-            .for_each(|(ps, chunk_starts)| {
-                let out = &out;
-                let mut cursor = chunk_starts.to_vec();
-                for &p in ps {
-                    let d = ((p.code >> shift) as usize) & (RADIX_BUCKETS - 1);
-                    // SAFETY: `cursor[d]` walks the disjoint range reserved
-                    // for this (chunk, digit) pair by the prefix sums.
-                    unsafe { out.0.add(cursor[d] as usize).write(p) };
-                    cursor[d] += 1;
-                }
-            });
-        std::mem::swap(pairs, &mut scratch);
+        if at.contains(&(src.len() as u32)) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in at.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &key in src {
+            let d = digit(key);
+            dst[at[d] as usize] = key;
+            at[d] += 1;
+        }
+        in_run = !in_run;
+    }
+    if !in_run {
+        run.copy_from_slice(tmp);
     }
 }
 
-/// One built treelet: pre-order nodes whose *leaf* payloads are absolute
-/// primitive offsets while *interior* payloads are still relative to the
-/// treelet's own node base (fixed during assembly).
-struct Treelet {
-    nodes: Vec<Node>,
-    /// Primitive-visit ops spent emitting this treelet.
+/// Where the treelet emitter cuts the sorted `codes[start..end]`, entered at
+/// Morton bit `bit`: `None` for a leaf, else the split index and the bit
+/// that split it — the first position where that bit flips from 0 to 1,
+/// skipping bits that do not discriminate the range (no node is emitted
+/// for those), or the median once the bits are exhausted (coincident
+/// centres; the returned bit is then negative).
+#[inline]
+fn cut(codes: &[u32], start: usize, end: usize, mut bit: i32) -> Option<(usize, i32)> {
+    if end - start <= LEAF_SIZE {
+        return None;
+    }
+    while bit >= 0 {
+        let mask = 1u32 << bit;
+        if codes[start] & mask != codes[end - 1] & mask {
+            // The codes share every bit above `bit`, so it is sorted too.
+            let mid = start + codes[start..end].partition_point(|&c| c & mask == 0);
+            return Some((mid, bit));
+        }
+        bit -= 1;
+    }
+    Some((start + (end - start) / 2, bit))
+}
+
+/// Nodes and build ops the emitter will spend on `codes[start..end]`:
+/// [`TreeletEmitter::emit`]'s recursion without the bounds.
+fn treelet_shape(codes: &[u32], start: usize, end: usize, bit: i32) -> (usize, u64) {
+    match cut(codes, start, end, bit) {
+        None => (1, (end - start) as u64),
+        Some((mid, bit)) => {
+            let (ln, lo) = treelet_shape(codes, start, mid, bit - 1);
+            let (rn, ro) = treelet_shape(codes, mid, end, bit - 1);
+            (1 + ln + rn, 1 + lo + ro)
+        }
+    }
+}
+
+/// One treelet's place in the build: its primitives' range in the
+/// Morton-ordered arrays, and what [`treelet_shape`] and its centres say.
+struct TreeletPlan {
+    start: usize,
+    len: usize,
+    bounds: Aabb,
+    nodes: usize,
     ops: u64,
 }
 
-/// Emit the treelet subtree over `sorted[start..end]` by splitting at
-/// Morton bit `bit` (descending). Returns the root's index in `nodes`.
-/// Bounds are built bottom-up (leaves scan their ≤ LEAF_SIZE primitives,
-/// interiors union their children), keeping emission O(range).
-fn emit_treelet(
-    codes: &[u32],
-    sorted_centers: &[Vec3],
+/// One treelet on its way into its final node slots: its Morton-sorted
+/// codes and its centres gathered in the same order.
+struct TreeletEmitter<'a> {
+    codes: &'a [u32],
+    centers: &'a [Vec3],
     radius: f32,
-    start: usize,
-    end: usize,
-    bit: i32,
-    out: &mut Treelet,
-) -> usize {
-    let count = end - start;
-    if count <= LEAF_SIZE {
-        let mut bounds = Aabb::empty();
-        for &c in &sorted_centers[start..end] {
-            bounds.expand_point(c);
-        }
-        out.ops += count as u64;
-        let idx = out.nodes.len();
-        out.nodes.push(Node {
-            bounds: bounds.padded(radius),
-            payload: start as u32,
-            count: count as u16,
-            axis: 0,
-        });
-        return idx;
-    }
-    // Split point: where `bit` flips from 0 to 1 in the sorted codes, or
-    // the median once the code bits are exhausted (coincident centers).
-    let mid = if bit < 0 {
-        start + count / 2
-    } else {
-        let mask = 1u32 << bit;
-        if codes[start] & mask == codes[end - 1] & mask {
-            // Bit does not discriminate this range: descend a level
-            // without emitting a node.
-            return emit_treelet(codes, sorted_centers, radius, start, end, bit - 1, out);
-        }
-        // Binary search for the first element with the bit set.
-        let (mut lo, mut hi) = (start, end - 1);
-        while lo + 1 < hi {
-            let m = (lo + hi) / 2;
-            if codes[m] & mask == 0 {
-                lo = m;
-            } else {
-                hi = m;
+    /// Primitive slot of `codes[0]`.
+    prim_base: usize,
+    /// Absolute node index of `out[0]`.
+    base: usize,
+    /// Exactly the treelet's slots, as [`treelet_shape`] counted them.
+    out: &'a mut [MaybeUninit<Node>],
+    /// Next slot to write.
+    next: usize,
+}
+
+impl TreeletEmitter<'_> {
+    /// Emit the subtree over `codes[start..end]`, entered at Morton bit
+    /// `bit`, pre-order from `out[next]`. Bounds are built bottom-up
+    /// (leaves scan their ≤ LEAF_SIZE primitives, interiors union their
+    /// children) and every slot is written once, after its children.
+    /// Returns the subtree's bounds.
+    fn emit(&mut self, start: usize, end: usize, bit: i32) -> Aabb {
+        let idx = self.next;
+        self.next += 1;
+        let Some((mid, bit)) = cut(self.codes, start, end, bit) else {
+            // `p < lo` is `lo.min(p)` on a box that starts empty (no NaN
+            // ever enters it), up to the sign of a zero, which padding
+            // erases; it is one instruction where `f32::min` is three.
+            let mut lo = Vec3::splat(f32::INFINITY);
+            let mut hi = Vec3::splat(f32::NEG_INFINITY);
+            for &p in &self.centers[start..end] {
+                lo = Vec3::new(
+                    if p.x < lo.x { p.x } else { lo.x },
+                    if p.y < lo.y { p.y } else { lo.y },
+                    if p.z < lo.z { p.z } else { lo.z },
+                );
+                hi = Vec3::new(
+                    if p.x > hi.x { p.x } else { hi.x },
+                    if p.y > hi.y { p.y } else { hi.y },
+                    if p.z > hi.z { p.z } else { hi.z },
+                );
             }
-        }
-        hi
-    };
-    out.ops += 1;
-    let idx = out.nodes.len();
-    out.nodes.push(Node {
-        bounds: Aabb::empty(),
-        payload: 0,
-        count: 0,
-        axis: if bit < 0 { 0 } else { morton_axis(bit) },
-    });
-    let left = emit_treelet(codes, sorted_centers, radius, start, mid, bit - 1, out);
-    debug_assert_eq!(left, idx + 1);
-    let right = emit_treelet(codes, sorted_centers, radius, mid, end, bit - 1, out);
-    let bounds = out.nodes[left].bounds.union(&out.nodes[right].bounds);
-    let node = &mut out.nodes[idx];
-    node.bounds = bounds;
-    node.payload = right as u32; // relative to this treelet's base
-    idx
+            let bounds = Aabb::new(lo, hi).padded(self.radius);
+            self.out[idx].write(Node {
+                bounds,
+                payload: (self.prim_base + start) as u32,
+                count: (end - start) as u16,
+                axis: 0,
+            });
+            return bounds;
+        };
+        let left = self.emit(start, mid, bit - 1);
+        let right_idx = self.next;
+        let right = self.emit(mid, end, bit - 1);
+        let bounds = left.union(&right);
+        self.out[idx].write(Node {
+            bounds,
+            payload: (self.base + right_idx) as u32,
+            count: 0,
+            axis: if bit < 0 { 0 } else { morton_axis(bit) },
+        });
+        bounds
+    }
 }
 
 /// Upper tree over treelet roots (values are treelet indices).
@@ -413,7 +524,7 @@ fn surface_area(b: &Aabb) -> f32 {
 /// Build the upper tree by full-sweep SAH over the treelet roots: for each
 /// axis the roots are ordered by centroid and every split position costed
 /// with prefix/suffix bounds; the cheapest (axis, split) wins. Treelet
-/// counts are ≤ 4096, so the sweep is negligible next to the linear phase.
+/// counts are ≤ 512, so the sweep is negligible next to the linear phase.
 /// `items` are `(bounds, treelet index)` pairs, reordered in place.
 fn build_upper_sah(items: &mut [(Aabb, usize)]) -> Upper {
     if items.len() == 1 {
@@ -471,29 +582,21 @@ fn build_upper_sah(items: &mut [(Aabb, usize)]) -> Upper {
     }
 }
 
-/// Nodes the flattened `upper` subtree occupies (interiors + treelets).
-fn upper_node_count(upper: &Upper, treelets: &[Treelet]) -> usize {
-    match upper {
-        Upper::Leaf(t) => treelets[*t].nodes.len(),
-        Upper::Interior { left, right, .. } => {
-            1 + upper_node_count(left, treelets) + upper_node_count(right, treelets)
-        }
-    }
-}
-
-/// Flatten the upper tree + treelets into one pre-order node array,
-/// rebasing treelet-relative interior payloads onto their absolute slot.
-fn flatten_upper(upper: &Upper, treelets: &[Treelet], out: &mut Vec<Node>) {
+/// Lay the upper tree out in pre-order from node `at`: write its interior
+/// nodes into `nodes` and each treelet's first node index into `bases`
+/// (a treelet occupies `plans[t].nodes` slots). Returns the index past the
+/// subtree.
+fn place_upper(
+    upper: &Upper,
+    plans: &[TreeletPlan],
+    at: usize,
+    nodes: &mut [MaybeUninit<Node>],
+    bases: &mut [usize],
+) -> usize {
     match upper {
         Upper::Leaf(t) => {
-            let base = out.len() as u32;
-            out.extend(treelets[*t].nodes.iter().map(|n| {
-                let mut n = n.clone();
-                if n.count == 0 {
-                    n.payload += base;
-                }
-                n
-            }));
+            bases[*t] = at;
+            at + plans[*t].nodes
         }
         Upper::Interior {
             bounds,
@@ -501,16 +604,15 @@ fn flatten_upper(upper: &Upper, treelets: &[Treelet], out: &mut Vec<Node>) {
             left,
             right,
         } => {
-            let idx = out.len();
-            out.push(Node {
+            let right_at = place_upper(left, plans, at + 1, nodes, bases);
+            let end = place_upper(right, plans, right_at, nodes, bases);
+            nodes[at].write(Node {
                 bounds: *bounds,
-                payload: 0,
+                payload: right_at as u32,
                 count: 0,
                 axis: *axis,
             });
-            flatten_upper(left, treelets, out);
-            out[idx].payload = out.len() as u32;
-            flatten_upper(right, treelets, out);
+            end
         }
     }
 }
@@ -522,9 +624,9 @@ fn flatten_upper(upper: &Upper, treelets: &[Treelet], out: &mut Vec<Node>) {
 /// Lanes per ray packet.
 pub const PACKET_WIDTH: usize = 8;
 
-/// Eight rays in structure-of-arrays form. Unfilled lanes replicate lane 0
-/// so every lane always holds finite data; callers read back only the
-/// first [`RayPacket::lanes`] results.
+/// Eight rays in structure-of-arrays form. Unfilled lanes repeat the last
+/// filled one, so every lane always holds a real ray; callers read back
+/// only the first [`RayPacket::lanes`] results.
 #[derive(Debug, Clone)]
 pub struct RayPacket {
     pub ox: [f32; PACKET_WIDTH],
@@ -541,7 +643,7 @@ pub struct RayPacket {
 }
 
 impl RayPacket {
-    /// Pack up to 8 rays; lanes beyond `rays.len()` replicate the first.
+    /// Pack up to 8 rays; lanes beyond `rays.len()` repeat the last.
     pub fn from_rays(rays: &[Ray]) -> RayPacket {
         assert!(!rays.is_empty() && rays.len() <= PACKET_WIDTH);
         let mut p = RayPacket {
@@ -557,19 +659,65 @@ impl RayPacket {
             lanes: rays.len(),
         };
         for l in 0..PACKET_WIDTH {
-            let r = rays[l.min(rays.len() - 1)];
-            let inv = r.inv_dir();
-            p.ox[l] = r.origin.x;
-            p.oy[l] = r.origin.y;
-            p.oz[l] = r.origin.z;
-            p.dx[l] = r.dir.x;
-            p.dy[l] = r.dir.y;
-            p.dz[l] = r.dir.z;
-            p.ix[l] = inv.x;
-            p.iy[l] = inv.y;
-            p.iz[l] = inv.z;
+            p.set_lane(l, rays[l.min(rays.len() - 1)]);
         }
         p
+    }
+
+    /// The rays `rays` casts through the NDC points `ndc(0..lanes)`,
+    /// generated straight into the lanes (no `Ray` list, no copy); lanes
+    /// beyond `lanes` repeat the last point, as [`RayPacket::from_rays`]
+    /// pads.
+    #[inline]
+    pub fn generate(
+        rays: &RayGenerator,
+        lanes: usize,
+        ndc: impl Fn(usize) -> (f32, f32),
+    ) -> RayPacket {
+        assert!((1..=PACKET_WIDTH).contains(&lanes));
+        let o = rays.origin();
+        let mut p = RayPacket {
+            ox: [o.x; PACKET_WIDTH],
+            oy: [o.y; PACKET_WIDTH],
+            oz: [o.z; PACKET_WIDTH],
+            dx: [0.0; PACKET_WIDTH],
+            dy: [0.0; PACKET_WIDTH],
+            dz: [0.0; PACKET_WIDTH],
+            ix: [0.0; PACKET_WIDTH],
+            iy: [0.0; PACKET_WIDTH],
+            iz: [0.0; PACKET_WIDTH],
+            lanes,
+        };
+        for l in 0..PACKET_WIDTH {
+            let (x, y) = ndc(l.min(lanes - 1));
+            p.set_dir(l, rays.dir(x, y));
+        }
+        p
+    }
+
+    #[inline]
+    fn set_lane(&mut self, l: usize, ray: Ray) {
+        self.ox[l] = ray.origin.x;
+        self.oy[l] = ray.origin.y;
+        self.oz[l] = ray.origin.z;
+        self.set_dir(l, ray.dir);
+    }
+
+    /// Lane `l`'s direction and its reciprocal ([`Ray::inv_dir`]).
+    #[inline]
+    fn set_dir(&mut self, l: usize, dir: Vec3) {
+        self.dx[l] = dir.x;
+        self.dy[l] = dir.y;
+        self.dz[l] = dir.z;
+        self.ix[l] = 1.0 / dir.x;
+        self.iy[l] = 1.0 / dir.y;
+        self.iz[l] = 1.0 / dir.z;
+    }
+
+    /// Lane `l`'s direction.
+    #[inline]
+    pub fn dir(&self, l: usize) -> Vec3 {
+        Vec3::new(self.dx[l], self.dy[l], self.dz[l])
     }
 
     /// Lane 0's direction component along `axis` (traversal-order hint).
@@ -583,27 +731,36 @@ impl RayPacket {
     }
 }
 
-/// Slab-test all 8 lanes against `b`; true if any lane's interval
-/// `[1e-4, best_t(lane)]` survives. Same max/min structure per lane as
-/// `Aabb::ray_intersect`.
-#[inline]
-fn packet_hits_aabb(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool {
+/// Slab-test all 8 lanes against `b`: true if any lane's interval
+/// `[1e-4, best_t(lane)]` survives — `Aabb::ray_intersect`'s max/min per
+/// lane, with no early exit and no call, so it compiles into the traversal
+/// body under whatever features that body was compiled with. Each
+/// `f32::max`/`min` is a comparison and a select, chosen so NaN lanes come
+/// out as they do through those functions: `t0` starts at 1e-4 and is
+/// never NaN, so `n > t0` takes `n` exactly when `t0.max(n)` does; `t1`
+/// starts at the lane's best `t`, which a NaN hit can have made NaN, and
+/// `t1.min(f)` takes `f` when `t1` is NaN, so the select does too.
+#[inline(always)]
+fn packet_enters(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool {
     let mut t0 = [1e-4f32; PACKET_WIDTH];
     let mut t1 = *best_t;
-    macro_rules! axis {
-        ($o:ident, $i:ident, $lo:expr, $hi:expr) => {
-            for l in 0..PACKET_WIDTH {
-                let near = ($lo - p.$o[l]) * p.$i[l];
-                let far = ($hi - p.$o[l]) * p.$i[l];
-                let (n, f) = if near > far { (far, near) } else { (near, far) };
-                t0[l] = t0[l].max(n);
-                t1[l] = t1[l].min(f);
-            }
-        };
+    let slabs = [
+        (&p.ox, &p.ix, b.min.x, b.max.x),
+        (&p.oy, &p.iy, b.min.y, b.max.y),
+        (&p.oz, &p.iz, b.min.z, b.max.z),
+    ];
+    for (o, inv, lo, hi) in slabs {
+        for l in 0..PACKET_WIDTH {
+            let near = (lo - o[l]) * inv[l];
+            let far = (hi - o[l]) * inv[l];
+            let swap = near > far;
+            let n = if swap { far } else { near };
+            let f = if swap { near } else { far };
+            t0[l] = if n > t0[l] { n } else { t0[l] };
+            let take = f < t1[l] || t1[l].is_nan();
+            t1[l] = if take { f } else { t1[l] };
+        }
     }
-    axis!(ox, ix, b.min.x, b.max.x);
-    axis!(oy, iy, b.min.y, b.max.y);
-    axis!(oz, iz, b.min.z, b.max.z);
     let mut any = false;
     for l in 0..PACKET_WIDTH {
         any |= t0[l] <= t1[l];
@@ -615,11 +772,16 @@ impl SphereBvh {
     /// Build over `centers` with the given world-space sphere radius.
     ///
     /// The default build is the HLBVH: linear time, rayon-parallel, and
-    /// deterministic for any thread count (the Morton radix sort is
-    /// stable, treelets build independently, and the upper SAH sweep is
+    /// deterministic for any thread count (the Morton order is a stable
+    /// sort, treelets build independently, and the upper SAH sweep is
     /// ordered). Traversal semantics are identical to the median-split
     /// baseline — for any ray, the nearest hit is the same sphere.
+    ///
+    /// Six passes, each closed by a flight-recorder instant named after
+    /// it (`bvh_bounds`, `bvh_keys`, `bvh_scatter`, `bvh_treelets`,
+    /// `bvh_upper`, `bvh_emit`) so a trace shows where a build went.
     pub fn build(centers: &[Vec3], radius: f32) -> SphereBvh {
+        use rayon::prelude::*;
         assert!(radius > 0.0, "sphere radius must be positive");
         let _span = eth_obs::span_bytes(
             eth_obs::Phase::BvhBuild,
@@ -631,97 +793,182 @@ impl SphereBvh {
         }
         let mut ops = n as u64; // Morton pass visits every primitive once
 
-        // 1. Quantize centers into the centroid bounds and Morton-encode.
-        let mut cb = Aabb::empty();
-        for &c in centers {
-            cb.expand_point(c);
-        }
+        // 1. Centroid bounds → quantization scale.
+        let cb = centroid_bounds(centers);
         let extent = cb.extent();
         let scale = Vec3::new(
             if extent.x > 0.0 { 1024.0 / extent.x } else { 0.0 },
             if extent.y > 0.0 { 1024.0 / extent.y } else { 0.0 },
             if extent.z > 0.0 { 1024.0 / extent.z } else { 0.0 },
         );
-        use rayon::prelude::*;
-        // Per-primitive work goes through `par_chunks_mut` — one parallel
-        // item per contiguous chunk, so the pipeline's per-item cost is
-        // amortized over thousands of primitives.
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(4096);
-        let mut pairs: Vec<MortonPrim> = vec![MortonPrim::default(); n];
-        pairs.par_chunks_mut(chunk).enumerate().for_each(|(ci, ps)| {
-            let base = ci * chunk;
-            for (i, slot) in ps.iter_mut().enumerate() {
-                let (x, y, z) = quantize(centers[base + i], cb.min, scale);
-                *slot = MortonPrim {
-                    code: morton3(x, y, z),
-                    prim: (base + i) as u32,
-                };
-            }
-        });
+        eth_obs::instant("bvh_bounds");
 
-        // 2. Radix-sort by code (stable, O(N), parallel).
-        radix_sort_morton(&mut pairs);
-        ops += RADIX_PASSES as u64 * n as u64;
-
-        // 3. Reorder primitives into Morton order once, right after the
-        //    sort: the single random-access gather of the whole build.
-        //    Every later phase (treelet bounds, leaf payloads, traversal)
-        //    reads the reordered arrays sequentially.
+        // 2. Morton codes and, in the same pass, each chunk's histogram of
+        //    treelet prefixes. One chunk per worker: the chunking decides
+        //    only who writes which slot, never the order.
+        let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(4096);
         let mut codes: Vec<u32> = vec![0; n];
-        let mut sorted_centers: Vec<Vec3> = vec![Vec3::ZERO; n];
-        let mut prim_index: Vec<u32> = vec![0; n];
-        codes
+        let histograms: Vec<[u32; TREELETS]> = codes
             .par_chunks_mut(chunk)
-            .zip(sorted_centers.par_chunks_mut(chunk))
-            .zip(prim_index.par_chunks_mut(chunk))
             .enumerate()
-            .for_each(|(ci, ((ks, cs), ps))| {
-                let base = ci * chunk;
-                for i in 0..ks.len() {
-                    let mp = pairs[base + i];
-                    ks[i] = mp.code;
-                    cs[i] = centers[mp.prim as usize];
-                    ps[i] = mp.prim;
+            .map(|(ci, ks)| {
+                // Four interleaved counters per prefix: neighbouring
+                // centres mostly share a prefix, and one counter would
+                // make every increment wait for the last.
+                let mut counts = [[0u32; TREELETS]; 4];
+                let cs = centers[ci * chunk..].chunks(KEY_BLOCK);
+                for (ks, cs) in ks.chunks_mut(KEY_BLOCK).zip(cs) {
+                    for (k, &c) in ks.iter_mut().zip(cs) {
+                        *k = morton_code(c, cb.min, scale);
+                    }
+                    for (i, &k) in ks.iter().enumerate() {
+                        counts[i % 4][(k >> PREFIX_SHIFT) as usize] += 1;
+                    }
                 }
-            });
-        drop(pairs);
-
-        // 4. Treelets: runs of equal high-prefix bits, emitted in parallel.
-        let prefix_shift = MORTON_BITS - TREELET_PREFIX_BITS;
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        for i in 1..=n {
-            if i == n || codes[i] >> prefix_shift != codes[start] >> prefix_shift {
-                ranges.push((start, i));
-                start = i;
-            }
-        }
-        let first_bit = prefix_shift as i32 - 1;
-        let treelets: Vec<Treelet> = ranges
-            .par_iter()
-            .map(|&(s, e)| {
-                let mut t = Treelet {
-                    nodes: Vec::with_capacity(2 * (e - s) / LEAF_SIZE + 1),
-                    ops: 0,
-                };
-                emit_treelet(&codes, &sorted_centers, radius, s, e, first_bit, &mut t);
-                t
+                std::array::from_fn(|b| counts.iter().map(|count| count[b]).sum())
             })
             .collect();
-        ops += treelets.iter().map(|t| t.ops).sum::<u64>();
+        eth_obs::instant("bvh_keys");
 
-        // 5. Sweep-SAH upper tree over the treelet roots.
-        let mut items: Vec<(Aabb, usize)> = treelets
+        // 3. One stable scatter by prefix: chunk c's keys of treelet b land
+        //    after every earlier chunk's, so each treelet's run is in input
+        //    order. Treelets are the non-empty prefixes, in prefix order.
+        let mut cursors = histograms;
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut base = 0u32;
+        for b in 0..TREELETS {
+            let start = base;
+            for cursor in cursors.iter_mut() {
+                (cursor[b], base) = (base, base + cursor[b]);
+            }
+            if base > start {
+                runs.push((start as usize, (base - start) as usize));
+            }
+        }
+        let mut keys: Vec<u64> = vec![0; n];
+        let out = ScatterOut(keys.as_mut_ptr());
+        codes
+            .par_chunks(chunk)
+            .zip(cursors.into_par_iter())
+            .enumerate()
+            .for_each(|(ci, (ks, mut cursor))| {
+                let out = &out;
+                for (i, &code) in ks.iter().enumerate() {
+                    let b = (code >> PREFIX_SHIFT) as usize;
+                    let key = sort_key(code, ci * chunk + i);
+                    // SAFETY: `cursor[b]` walks the disjoint range reserved
+                    // for this (chunk, treelet) pair by the prefix sums,
+                    // inside `keys`' `n` slots.
+                    unsafe { out.0.add(cursor[b] as usize).write(key) };
+                    cursor[b] += 1;
+                }
+            });
+        ops += SORT_PASSES * n as u64;
+        eth_obs::instant("bvh_scatter");
+
+        // 4. Per treelet, while its run is in cache: sort it, gather its
+        //    centres, input indices and codes into Morton order (the single
+        //    random-access read of the build), and take its root bounds
+        //    and node count. The root of a treelet is the union of its
+        //    padded leaves, which is the padded box of all its centres:
+        //    padding subtracts or adds the same radius, which is monotone.
+        let mut sorted_centers: Vec<Vec3> = Vec::with_capacity(n);
+        let mut prim_index: Vec<u32> = vec![0; n];
+        let prefix_bit = PREFIX_SHIFT as i32 - 1;
+        let plans: Vec<TreeletPlan> = {
+            let mut keys_left = keys.as_mut_slice();
+            let mut codes_left = codes.as_mut_slice();
+            let mut centers_left = &mut sorted_centers.spare_capacity_mut()[..n];
+            let mut prims_left = prim_index.as_mut_slice();
+            let mut work = Vec::with_capacity(runs.len());
+            for &(start, len) in &runs {
+                let (k, kr) = std::mem::take(&mut keys_left).split_at_mut(len);
+                let (o, or) = std::mem::take(&mut codes_left).split_at_mut(len);
+                let (c, cr) = std::mem::take(&mut centers_left).split_at_mut(len);
+                let (p, pr) = std::mem::take(&mut prims_left).split_at_mut(len);
+                (keys_left, codes_left, centers_left, prims_left) = (kr, or, cr, pr);
+                work.push((start, k, o, c, p));
+            }
+            work.into_par_iter()
+                .map_init(Vec::new, |scratch, (start, run, out_k, out_c, out_p)| {
+                    sort_run(run, scratch);
+                    let outs = out_k.iter_mut().zip(out_c.iter_mut()).zip(out_p);
+                    for (&key, ((code, slot), prim)) in run.iter().zip(outs) {
+                        (*code, *prim) = (key_code(key), key_prim(key));
+                        slot.write(centers[*prim as usize]);
+                    }
+                    // SAFETY: the loop above wrote every slot of `out_c`.
+                    let gathered = unsafe { &*(out_c as *mut _ as *const [Vec3]) };
+                    let bounds = centroid_bounds(gathered);
+                    let (nodes, ops) = treelet_shape(out_k, 0, run.len(), prefix_bit);
+                    TreeletPlan {
+                        start,
+                        len: run.len(),
+                        bounds: bounds.padded(radius),
+                        nodes,
+                        ops,
+                    }
+                })
+                .collect()
+        };
+        ops += plans.iter().map(|plan| plan.ops).sum::<u64>();
+        // SAFETY: the treelet runs partition `0..n`, and each wrote every
+        // slot of its range above.
+        unsafe { sorted_centers.set_len(n) };
+        drop(keys);
+        eth_obs::instant("bvh_treelets");
+
+        // 5. Sweep-SAH upper tree over the treelet roots, laid out first:
+        //    its interior nodes are written, and every treelet learns where
+        //    its nodes go.
+        let mut items: Vec<(Aabb, usize)> = plans
             .iter()
             .enumerate()
-            .map(|(i, t)| (t.nodes[0].bounds, i))
+            .map(|(t, plan)| (plan.bounds, t))
             .collect();
         let upper = build_upper_sah(&mut items);
-        ops += treelets.len() as u64;
+        ops += plans.len() as u64;
+        let mut bases = vec![0; plans.len()];
+        let total = plans.iter().map(|p| p.nodes).sum::<usize>() + plans.len() - 1;
+        let mut nodes: Vec<Node> = Vec::with_capacity(total);
+        let slots = &mut nodes.spare_capacity_mut()[..total];
+        assert_eq!(place_upper(&upper, &plans, 0, slots, &mut bases), total);
+        eth_obs::instant("bvh_upper");
 
-        // 6. Flatten into one pre-order array.
-        let mut nodes = Vec::with_capacity(upper_node_count(&upper, &treelets));
-        flatten_upper(&upper, &treelets, &mut nodes);
+        // 6. Every treelet emits straight into its own slots, in parallel.
+        let mut order: Vec<usize> = (0..plans.len()).collect();
+        order.sort_by_key(|&t| bases[t]);
+        let mut work = Vec::with_capacity(plans.len());
+        let mut rest = slots;
+        let mut at = 0;
+        for t in order {
+            let (_interiors, tail) = std::mem::take(&mut rest).split_at_mut(bases[t] - at);
+            let (own, tail) = tail.split_at_mut(plans[t].nodes);
+            (rest, at) = (tail, bases[t] + plans[t].nodes);
+            work.push((t, own));
+        }
+        work.into_par_iter().for_each(|(t, own)| {
+            let plan = &plans[t];
+            let range = plan.start..plan.start + plan.len;
+            let mut treelet = TreeletEmitter {
+                codes: &codes[range.clone()],
+                centers: &sorted_centers[range],
+                radius,
+                prim_base: plan.start,
+                base: bases[t],
+                out: own,
+                next: 0,
+            };
+            treelet.emit(0, plan.len, prefix_bit);
+            assert_eq!(
+                treelet.next, plan.nodes,
+                "treelet {t} emits the nodes it counted"
+            );
+        });
+        // SAFETY: `place_upper` wrote the upper interiors and each treelet
+        // wrote all of its slots (asserted); together they are `0..total`.
+        unsafe { nodes.set_len(total) };
+        eth_obs::instant("bvh_emit");
 
         let bvh = SphereBvh {
             nodes,
@@ -934,7 +1181,7 @@ impl SphereBvh {
             sp -= 1;
             let node = &self.nodes[stack[sp] as usize];
             *steps += 1;
-            if !packet_hits_aabb(p, &node.bounds, &best_t) {
+            if !packet_enters(p, &node.bounds, &best_t) {
                 continue;
             }
             if node.count > 0 {
@@ -1040,6 +1287,310 @@ fn ray_sphere(ray: &Ray, center: Vec3, radius: f32, t_max: f32) -> Option<(f32, 
     let pos = ray.at(t);
     let normal = (pos - center) / radius;
     Some((t, pos, normal))
+}
+
+/// The kernels the build and the traversal replaced, kept as the
+/// specification their replacements are tested against bit for bit: the
+/// nine-pass HLBVH build (three-pass LSD radix sort of `(code, prim)`
+/// pairs, gather, per-treelet node `Vec`s, flatten) and the out-of-line
+/// packet slab test.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub(super) struct MortonPrim {
+        pub(super) code: u32,
+        pub(super) prim: u32,
+    }
+
+    const RADIX_BITS: u32 = 10;
+    const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+    const RADIX_PASSES: u32 = MORTON_BITS / RADIX_BITS;
+    const RADIX_CHUNKS: usize = 64;
+
+    fn quantize(p: Vec3, min: Vec3, scale: Vec3) -> (u32, u32, u32) {
+        let q = |v: f32| (v.max(0.0) as u32).min(1023);
+        (
+            q((p.x - min.x) * scale.x),
+            q((p.y - min.y) * scale.y),
+            q((p.z - min.z) * scale.z),
+        )
+    }
+
+    /// Stable LSD radix sort of `pairs` by their 30-bit code: 3 passes × 10
+    /// bits, parallel per-chunk histograms and a parallel scatter into
+    /// per-(chunk, digit) disjoint ranges.
+    pub(super) fn radix_sort_morton(pairs: &mut Vec<MortonPrim>) {
+        use rayon::prelude::*;
+        let n = pairs.len();
+        if n < 2 {
+            return;
+        }
+        let chunk = n.div_ceil(RADIX_CHUNKS);
+        let mut scratch = vec![MortonPrim::default(); n];
+        for pass in 0..RADIX_PASSES {
+            let shift = pass * RADIX_BITS;
+            let histos: Vec<Vec<u32>> = pairs
+                .par_chunks(chunk)
+                .map(|ps| {
+                    let mut h = vec![0u32; RADIX_BUCKETS];
+                    for p in ps {
+                        h[((p.code >> shift) as usize) & (RADIX_BUCKETS - 1)] += 1;
+                    }
+                    h
+                })
+                .collect();
+            let mut starts = vec![0u32; histos.len() * RADIX_BUCKETS];
+            let mut base = 0u32;
+            for d in 0..RADIX_BUCKETS {
+                for (c, h) in histos.iter().enumerate() {
+                    starts[c * RADIX_BUCKETS + d] = base;
+                    base += h[d];
+                }
+            }
+            let out = ScatterOut(scratch.as_mut_ptr());
+            pairs
+                .par_chunks(chunk)
+                .zip(starts.par_chunks(RADIX_BUCKETS))
+                .for_each(|(ps, chunk_starts)| {
+                    let out = &out;
+                    let mut cursor = chunk_starts.to_vec();
+                    for &p in ps {
+                        let d = ((p.code >> shift) as usize) & (RADIX_BUCKETS - 1);
+                        // SAFETY: as in the build's scatter.
+                        unsafe { out.0.add(cursor[d] as usize).write(p) };
+                        cursor[d] += 1;
+                    }
+                });
+            std::mem::swap(pairs, &mut scratch);
+        }
+    }
+
+    struct Treelet {
+        nodes: Vec<Node>,
+        ops: u64,
+    }
+
+    fn emit_treelet(
+        codes: &[u32],
+        sorted_centers: &[Vec3],
+        radius: f32,
+        start: usize,
+        end: usize,
+        bit: i32,
+        out: &mut Treelet,
+    ) -> usize {
+        let count = end - start;
+        if count <= LEAF_SIZE {
+            let mut bounds = Aabb::empty();
+            for &c in &sorted_centers[start..end] {
+                bounds.expand_point(c);
+            }
+            out.ops += count as u64;
+            let idx = out.nodes.len();
+            out.nodes.push(Node {
+                bounds: bounds.padded(radius),
+                payload: start as u32,
+                count: count as u16,
+                axis: 0,
+            });
+            return idx;
+        }
+        let mid = if bit < 0 {
+            start + count / 2
+        } else {
+            let mask = 1u32 << bit;
+            if codes[start] & mask == codes[end - 1] & mask {
+                return emit_treelet(codes, sorted_centers, radius, start, end, bit - 1, out);
+            }
+            let (mut lo, mut hi) = (start, end - 1);
+            while lo + 1 < hi {
+                let m = (lo + hi) / 2;
+                if codes[m] & mask == 0 {
+                    lo = m;
+                } else {
+                    hi = m;
+                }
+            }
+            hi
+        };
+        out.ops += 1;
+        let idx = out.nodes.len();
+        out.nodes.push(Node {
+            bounds: Aabb::empty(),
+            payload: 0,
+            count: 0,
+            axis: if bit < 0 { 0 } else { morton_axis(bit) },
+        });
+        let left = emit_treelet(codes, sorted_centers, radius, start, mid, bit - 1, out);
+        debug_assert_eq!(left, idx + 1);
+        let right = emit_treelet(codes, sorted_centers, radius, mid, end, bit - 1, out);
+        let bounds = out.nodes[left].bounds.union(&out.nodes[right].bounds);
+        let node = &mut out.nodes[idx];
+        node.bounds = bounds;
+        node.payload = right as u32;
+        idx
+    }
+
+    fn upper_node_count(upper: &Upper, treelets: &[Treelet]) -> usize {
+        match upper {
+            Upper::Leaf(t) => treelets[*t].nodes.len(),
+            Upper::Interior { left, right, .. } => {
+                1 + upper_node_count(left, treelets) + upper_node_count(right, treelets)
+            }
+        }
+    }
+
+    fn flatten_upper(upper: &Upper, treelets: &[Treelet], out: &mut Vec<Node>) {
+        match upper {
+            Upper::Leaf(t) => {
+                let base = out.len() as u32;
+                out.extend(treelets[*t].nodes.iter().map(|n| {
+                    let mut n = n.clone();
+                    if n.count == 0 {
+                        n.payload += base;
+                    }
+                    n
+                }));
+            }
+            Upper::Interior {
+                bounds,
+                axis,
+                left,
+                right,
+            } => {
+                let idx = out.len();
+                out.push(Node {
+                    bounds: *bounds,
+                    payload: 0,
+                    count: 0,
+                    axis: *axis,
+                });
+                flatten_upper(left, treelets, out);
+                out[idx].payload = out.len() as u32;
+                flatten_upper(right, treelets, out);
+            }
+        }
+    }
+
+    /// `SphereBvh::build` as it was: bounds, Morton pairs, radix sort,
+    /// gather, treelets into their own `Vec`s, upper tree, flatten.
+    pub(crate) fn build(centers: &[Vec3], radius: f32) -> SphereBvh {
+        use rayon::prelude::*;
+        assert!(radius > 0.0, "sphere radius must be positive");
+        let n = centers.len();
+        if n == 0 {
+            return SphereBvh::empty(radius);
+        }
+        let mut ops = n as u64;
+        let mut cb = Aabb::empty();
+        for &c in centers {
+            cb.expand_point(c);
+        }
+        let extent = cb.extent();
+        let scale = Vec3::new(
+            if extent.x > 0.0 { 1024.0 / extent.x } else { 0.0 },
+            if extent.y > 0.0 { 1024.0 / extent.y } else { 0.0 },
+            if extent.z > 0.0 { 1024.0 / extent.z } else { 0.0 },
+        );
+        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(4096);
+        let mut pairs: Vec<MortonPrim> = vec![MortonPrim::default(); n];
+        pairs.par_chunks_mut(chunk).enumerate().for_each(|(ci, ps)| {
+            let base = ci * chunk;
+            for (i, slot) in ps.iter_mut().enumerate() {
+                let (x, y, z) = quantize(centers[base + i], cb.min, scale);
+                *slot = MortonPrim {
+                    code: morton3(x, y, z),
+                    prim: (base + i) as u32,
+                };
+            }
+        });
+        radix_sort_morton(&mut pairs);
+        ops += RADIX_PASSES as u64 * n as u64;
+        let mut codes: Vec<u32> = vec![0; n];
+        let mut sorted_centers: Vec<Vec3> = vec![Vec3::ZERO; n];
+        let mut prim_index: Vec<u32> = vec![0; n];
+        codes
+            .par_chunks_mut(chunk)
+            .zip(sorted_centers.par_chunks_mut(chunk))
+            .zip(prim_index.par_chunks_mut(chunk))
+            .enumerate()
+            .for_each(|(ci, ((ks, cs), ps))| {
+                let base = ci * chunk;
+                for i in 0..ks.len() {
+                    let mp = pairs[base + i];
+                    ks[i] = mp.code;
+                    cs[i] = centers[mp.prim as usize];
+                    ps[i] = mp.prim;
+                }
+            });
+        drop(pairs);
+        let prefix_shift = MORTON_BITS - TREELET_PREFIX_BITS;
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        let mut start = 0;
+        for i in 1..=n {
+            if i == n || codes[i] >> prefix_shift != codes[start] >> prefix_shift {
+                ranges.push((start, i));
+                start = i;
+            }
+        }
+        let first_bit = prefix_shift as i32 - 1;
+        let treelets: Vec<Treelet> = ranges
+            .par_iter()
+            .map(|&(s, e)| {
+                let mut t = Treelet {
+                    nodes: Vec::with_capacity(2 * (e - s) / LEAF_SIZE + 1),
+                    ops: 0,
+                };
+                emit_treelet(&codes, &sorted_centers, radius, s, e, first_bit, &mut t);
+                t
+            })
+            .collect();
+        ops += treelets.iter().map(|t| t.ops).sum::<u64>();
+        let mut items: Vec<(Aabb, usize)> = treelets
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.nodes[0].bounds, i))
+            .collect();
+        let upper = build_upper_sah(&mut items);
+        ops += treelets.len() as u64;
+        let mut nodes = Vec::with_capacity(upper_node_count(&upper, &treelets));
+        flatten_upper(&upper, &treelets, &mut nodes);
+        SphereBvh {
+            nodes,
+            centers: sorted_centers,
+            prim_index,
+            radius,
+            build_ops: ops,
+        }
+    }
+
+    /// The packet slab test as a separate `#[inline]` function, which the
+    /// AVX2 traversal called out of line.
+    pub(super) fn packet_hits_aabb(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool {
+        let mut t0 = [1e-4f32; PACKET_WIDTH];
+        let mut t1 = *best_t;
+        macro_rules! axis {
+            ($o:ident, $i:ident, $lo:expr, $hi:expr) => {
+                for l in 0..PACKET_WIDTH {
+                    let near = ($lo - p.$o[l]) * p.$i[l];
+                    let far = ($hi - p.$o[l]) * p.$i[l];
+                    let (n, f) = if near > far { (far, near) } else { (near, far) };
+                    t0[l] = t0[l].max(n);
+                    t1[l] = t1[l].min(f);
+                }
+            };
+        }
+        axis!(ox, ix, b.min.x, b.max.x);
+        axis!(oy, iy, b.min.y, b.max.y);
+        axis!(oz, iz, b.min.z, b.max.z);
+        let mut any = false;
+        for l in 0..PACKET_WIDTH {
+            any |= t0[l] <= t1[l];
+        }
+        any
+    }
 }
 
 #[cfg(test)]
@@ -1388,21 +1939,248 @@ mod tests {
 
     #[test]
     fn radix_sort_sorts_and_is_stable() {
+        // One treelet's run: a shared prefix, a narrow range below it
+        // (duplicates, so stability shows), at lengths on both sides of
+        // the comparison-sort cut; and runs whose digits are all shared.
         let mut s = 99u64;
-        let mut pairs: Vec<MortonPrim> = (0..50_000u32)
-            .map(|i| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                MortonPrim {
-                    // narrow key range forces duplicates (stability check)
-                    code: ((s >> 40) as u32) & 0xffff,
-                    prim: i,
-                }
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 40) as u32
+        };
+        let prefix = 0x15 << PREFIX_SHIFT;
+        let mut scratch = Vec::new();
+        let lens = [
+            0,
+            1,
+            9,
+            SHORT_RUN,
+            SHORT_RUN + 1,
+            1_000,
+            LONG_RUN - 1,
+            LONG_RUN,
+            50_000,
+        ];
+        for len in lens {
+            // every digit varies; the narrow digits' low two; one narrow
+            // digit; one wide digit; none
+            for below in [0x1f_ffff, 0x3fff, 0x7f << 7, 0x3ff << 11, 0] {
+                let mut run: Vec<u64> = (0..len)
+                    .map(|i| sort_key(prefix | (next() & below), 7 * i))
+                    .collect();
+                let mut want = run.clone();
+                want.sort_by_key(|&k| key_code(k)); // stable == by (code, input order)
+                sort_run(&mut run, &mut scratch);
+                assert_eq!(run, want, "{len} keys below {below:#x}");
+            }
+        }
+    }
+
+    /// The scattered and the clustered clouds the reference tests build:
+    /// `kind` 0 uniform, 1 duplicate-heavy (a coarse lattice, so most
+    /// centres repeat exactly), 2 all coincident, 3 hostile (a quarter of
+    /// the centres NaN or ±∞ in one coordinate), 4 clustered (halos a few
+    /// treelet cells wide in a thin background, as HACC is).
+    fn cloud(kind: u32, n: usize, seed: u64) -> Vec<Vec3> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let halos: Vec<Vec3> = (0..6)
+            .map(|_| {
+                Vec3::new(
+                    rng.random_range(0.0f32..1.0),
+                    rng.random_range(0.0f32..1.0),
+                    0.5,
+                )
             })
             .collect();
-        let mut reference = pairs.clone();
-        radix_sort_morton(&mut pairs);
-        reference.sort_by_key(|p| (p.code, p.prim)); // stable == by (code, insertion)
-        assert_eq!(pairs, reference);
+        (0..n)
+            .map(|i| {
+                let mut u = || rng.random_range(-1.0f32..1.0);
+                let p = Vec3::new(u(), u(), u());
+                match kind {
+                    0 => p,
+                    1 => Vec3::new((p.x * 3.0).round(), (p.y * 2.0).round(), 0.25),
+                    2 => Vec3::new(0.5, -0.25, 1e-3),
+                    3 => match i % 8 {
+                        1 => Vec3::new(f32::NAN, p.y, p.z),
+                        3 => Vec3::new(p.x, f32::INFINITY, p.z),
+                        5 => Vec3::new(p.x, p.y, f32::NEG_INFINITY),
+                        _ => p,
+                    },
+                    _ if i % 4 == 0 => p,
+                    _ => halos[i % halos.len()] + p * 0.01,
+                }
+            })
+            .collect()
+    }
+
+    /// Everything a tree is made of, as bits (a NaN centre is kept, and
+    /// compared, as the bits it has).
+    type TreeBits = (Vec<([u32; 6], u32, u16, u8)>, Vec<[u32; 3]>, Vec<u32>, u64);
+
+    fn tree_bits(bvh: &SphereBvh) -> TreeBits {
+        let bits = |v: Vec3| [v.x, v.y, v.z].map(f32::to_bits);
+        let nodes = bvh.nodes.iter().map(|n| {
+            let [a, b, c] = bits(n.bounds.min);
+            let [d, e, f] = bits(n.bounds.max);
+            ([a, b, c, d, e, f], n.payload, n.count, n.axis)
+        });
+        (
+            nodes.collect(),
+            bvh.centers.iter().map(|&c| bits(c)).collect(),
+            bvh.prim_index.clone(),
+            bvh.build_ops,
+        )
+    }
+
+    /// `build` against the parent's build, node for node, at 1 and 3
+    /// threads, on every cloud kind at sizes on both sides of a leaf, a
+    /// short run, a chunk and a treelet cell.
+    #[test]
+    fn build_matches_reference_node_for_node() {
+        let sizes = [
+            0usize, 1, 7, 8, 9, 16, 17, 33, 100, 513, 4_097, 10_000, 100_000,
+        ];
+        for kind in 0..5 {
+            for &n in &sizes {
+                let centers = cloud(kind, n, 3 + n as u64);
+                let radius = if kind == 1 { 0.3 } else { 0.01 };
+                let want = tree_bits(&reference::build(&centers, radius));
+                for threads in [1, 3] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("the pool builder cannot fail");
+                    let got = tree_bits(&pool.install(|| SphereBvh::build(&centers, radius)));
+                    assert!(got == want, "kind {kind}, {n} centres, {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// A slab-test case: a box, eight rays and their best `t`s, built to
+    /// hit every NaN path — directions with ±0 components (an infinite
+    /// reciprocal), origins exactly on a slab plane (`0 · ∞` is NaN),
+    /// NaN and infinite best `t`s, empty, flat, infinite and NaN boxes.
+    fn slab_case(seed: u64) -> (RayPacket, Aabb, [f32; PACKET_WIDTH]) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut u = |r: f32| rng.random_range(-r..r);
+        let (lo, hi) = (
+            Vec3::new(u(2.0), u(2.0), u(2.0)),
+            Vec3::new(u(2.0), u(2.0), u(2.0)),
+        );
+        let b = match seed % 6 {
+            0 => Aabb::empty(),
+            1 => Aabb::new(lo, lo),
+            2 => Aabb::new(
+                Vec3::new(f32::NEG_INFINITY, lo.y, lo.z),
+                Vec3::new(f32::INFINITY, hi.y, hi.z),
+            ),
+            3 => Aabb::new(Vec3::new(lo.x, f32::NAN, lo.z), hi),
+            _ => Aabb::new(lo.min(hi), lo.max(hi)),
+        };
+        let mut rays = Vec::new();
+        let mut best_t = [0.0; PACKET_WIDTH];
+        for (l, t) in best_t.iter_mut().enumerate() {
+            let mut origin = Vec3::new(u(4.0), u(4.0), u(4.0));
+            let mut dir = Vec3::new(u(1.0), u(1.0), u(1.0)).normalized();
+            match (seed as usize + l) % 5 {
+                0 => dir.x = 0.0,
+                1 => (dir.y, origin.y) = (-0.0, b.min.y),
+                2 => (dir.z, dir.x, origin.z) = (0.0, 0.0, b.max.z),
+                3 => origin = b.min,
+                _ => {}
+            }
+            rays.push(Ray { origin, dir });
+            *t = [
+                f32::MAX,
+                f32::INFINITY,
+                f32::NAN,
+                u(9.0).abs(),
+                1e-4,
+                0.0,
+                -1.0,
+            ][(l + seed as usize) % 7];
+        }
+        (RayPacket::from_rays(&rays), b, best_t)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn packet_enters_avx2(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool {
+        packet_enters(p, b, best_t)
+    }
+
+    /// The inlined slab test against the parent's out-of-line one, on the
+    /// baseline target and, where the CPU has it, compiled under AVX2.
+    #[test]
+    fn packet_slab_verdict_matches_reference() {
+        let (mut entered, mut missed) = (0, 0);
+        for seed in 0..20_000u64 {
+            let (p, b, best_t) = slab_case(seed);
+            let want = reference::packet_hits_aabb(&p, &b, &best_t);
+            assert_eq!(packet_enters(&p, &b, &best_t), want, "case {seed}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the running CPU was just seen to have AVX2.
+                assert_eq!(
+                    unsafe { packet_enters_avx2(&p, &b, &best_t) },
+                    want,
+                    "case {seed}"
+                );
+            }
+            if want {
+                entered += 1;
+            } else {
+                missed += 1;
+            }
+        }
+        assert!(
+            entered > 2_000 && missed > 2_000,
+            "{entered} entered, {missed} missed"
+        );
+    }
+
+    /// Packets generated straight into their lanes hold the rays
+    /// `primary_ray` makes, padding included, bit for bit.
+    #[test]
+    fn generated_packets_are_primary_rays() {
+        let bits = |p: &RayPacket| {
+            [
+                &p.ox, &p.oy, &p.oz, &p.dx, &p.dy, &p.dz, &p.ix, &p.iy, &p.iz,
+            ]
+            .map(|lanes| lanes.map(f32::to_bits))
+        };
+        for (fov, w, h) in [(0.01f32, 97, 61), (45.0, 150, 90), (179.9, 13, 7)] {
+            let c = crate::camera::Camera::look_at(
+                Vec3::new(1.0, -4.0, 0.5),
+                Vec3::ZERO,
+                Vec3::new(0.0, 0.0, 1.0),
+                fov,
+                w,
+                h,
+            );
+            let rays = c.ray_generator();
+            for py in 0..h {
+                for px0 in (0..w).step_by(5) {
+                    let lanes = PACKET_WIDTH.min(w - px0);
+                    let want: Vec<Ray> = (px0..px0 + lanes).map(|x| c.primary_ray(x, py)).collect();
+                    let got = RayPacket::generate(&rays, lanes, |l| {
+                        (rays.ndc_x(px0 + l), rays.ndc_y(py))
+                    });
+                    assert_eq!(got.lanes, lanes);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&RayPacket::from_rays(&want)),
+                        "({px0}, {py})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! produce a hit point in data space is O(1), and in the case of structured
 //! grids looking up the corresponding data value is also O(1), so the cost
 //! of rendering slicing planes is O(number of pixels)." (Section IV-C)
+//!
+//! Rays come from the camera's per-frame generator, and pixels are written
+//! in place by 16×16 tiles, as in the other two raycasters.
 
 use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::geometry::slice::Plane;
+use crate::tile::{self, DEFAULT_TILE};
 use eth_data::error::Result;
 use eth_data::UniformGrid;
 use eth_data::Vec3;
-use rayon::prelude::*;
 
 /// Statistics for one slice-raycast frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -33,17 +36,16 @@ pub fn render_slices(
     tf: &TransferFunction,
     background: Vec3,
 ) -> Result<(Framebuffer, PlaneRaycastStats)> {
-    let values = grid.scalar(field)?.to_vec();
-    let width = camera.width;
-    let height = camera.height;
+    let values = grid.scalar(field)?;
+    let rays = camera.ray_generator();
 
-    let rows: Vec<(Vec<(f32, Vec3)>, PlaneRaycastStats)> = (0..height)
-        .into_par_iter()
-        .map(|py| {
-            let mut row = Vec::with_capacity(width);
-            let mut st = PlaneRaycastStats::default();
-            for px in 0..width {
-                let ray = camera.primary_ray(px, py);
+    let mut fb = Framebuffer::new(camera.width, camera.height, background);
+    let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
+        let mut st = PlaneRaycastStats::default();
+        for py in t.y0..t.y0 + t.h {
+            let ndc_y = rays.ndc_y(py);
+            for px in t.x0..t.x0 + t.w {
+                let ray = rays.ray(rays.ndc_x(px), ndc_y);
                 st.rays += 1;
                 let mut best_t = f32::INFINITY;
                 let mut best_color = background;
@@ -59,29 +61,25 @@ pub fn render_slices(
                     }
                     let p = ray.at(t);
                     // O(1) structured-grid lookup at the hit point.
-                    if let Some(v) = grid.sample_trilinear(&values, p) {
+                    if let Some(v) = grid.sample_trilinear(values, p) {
                         best_t = t;
                         best_color = tf.color(v);
                         st.hits += 1;
                     }
                 }
-                row.push((best_t, best_color));
+                if best_t.is_finite() {
+                    band.store(px, py, best_t, best_color);
+                }
             }
-            (row, st)
-        })
-        .collect();
+        }
+        st
+    });
 
-    let mut fb = Framebuffer::new(width, height, background);
     let mut stats = PlaneRaycastStats::default();
-    for (py, (row, st)) in rows.into_iter().enumerate() {
+    for st in traced {
         stats.rays += st.rays;
         stats.plane_tests += st.plane_tests;
         stats.hits += st.hits;
-        for (px, (depth, color)) in row.into_iter().enumerate() {
-            if depth.is_finite() {
-                fb.write(px, py, depth, color);
-            }
-        }
     }
     Ok((fb, stats))
 }

@@ -11,10 +11,13 @@
 //! cell spacing, detects sign changes of `f - iso`, refines the crossing by
 //! bisection, and shades with the trilinear gradient.
 //!
-//! Parallelism is tile-based (see [`crate::tile`]): each 16×16 framebuffer
-//! tile is one rayon work unit producing a compact pixel vector that is
-//! blitted serially — per-pixel math is untouched, so images are identical
-//! to the old row-parallel renderer.
+//! Parallelism is tile-based (see [`crate::tile`]): 16×16 framebuffer tiles
+//! write their pixels straight into the frame, one band of tile rows per
+//! rayon item. Rays come from the camera's per-frame [`RayGenerator`]
+//! (`tan(fov_y/2)` once per frame, NDC y once per row); per-pixel math is
+//! untouched, so images are identical to the old row-parallel renderer.
+//!
+//! [`RayGenerator`]: crate::camera::RayGenerator
 
 use crate::camera::Camera;
 use crate::color::TransferFunction;
@@ -23,7 +26,6 @@ use crate::shading::Lighting;
 use crate::tile::{self, DEFAULT_TILE};
 use eth_data::error::Result;
 use eth_data::{UniformGrid, Vec3};
-use rayon::prelude::*;
 
 /// Statistics from one ray-marched frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,34 +48,31 @@ pub fn render_isosurface(
     lighting: &Lighting,
     background: Vec3,
 ) -> Result<(Framebuffer, RaymarchStats)> {
-    let values = grid.scalar(field)?.to_vec();
+    let values = grid.scalar(field)?;
     let bounds = grid.bounds();
     let spacing = grid.spacing();
     let dt = spacing.min_component().min(spacing.max_component()) * 0.7;
-    let width = camera.width;
-    let height = camera.height;
+    let rays = camera.ray_generator();
 
-    let tiles = tile::tiles(width, height, DEFAULT_TILE);
-    let results: Vec<(Vec<(f32, Vec3)>, RaymarchStats)> = tiles
-        .par_iter()
-        .map(|t| {
-            let _span = eth_obs::span(eth_obs::Phase::Tile);
-            let mut pixels = Vec::with_capacity(t.pixels());
-            let mut st = RaymarchStats::default();
-            for (px, py) in t.pixels_iter() {
-                let ray = camera.primary_ray(px, py);
+    let mut fb = Framebuffer::new(camera.width, camera.height, background);
+    let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
+        let _span = eth_obs::span(eth_obs::Phase::Tile);
+        let mut st = RaymarchStats::default();
+        for py in t.y0..t.y0 + t.h {
+            let ndc_y = rays.ndc_y(py);
+            for px in t.x0..t.x0 + t.w {
+                let ray = rays.ray(rays.ndc_x(px), ndc_y);
                 st.rays += 1;
                 let inv = ray.inv_dir();
-                let Some((t0, t1)) = bounds.ray_intersect(ray.origin, inv, 1e-4, f32::MAX)
-                else {
-                    pixels.push((f32::INFINITY, background));
+                // A miss leaves the pixel as the frame was cleared.
+                let Some((t0, t1)) = bounds.ray_intersect(ray.origin, inv, 1e-4, f32::MAX) else {
                     continue;
                 };
                 st.rays_entering += 1;
                 // March from entry to exit. Samples that land epsilon
                 // outside the grid (entry/exit faces) are skipped rather
                 // than aborting the ray.
-                let sample = |t: f32| grid.sample_trilinear(&values, ray.at(t));
+                let sample = |t: f32| grid.sample_trilinear(values, ray.at(t));
                 let mut hit = None;
                 let mut prev: Option<(f32, f32)> = None; // (t, f - iso)
                 let mut t = t0.max(1e-4);
@@ -89,8 +88,7 @@ pub fn render_isosurface(
                                 let mut f_lo = fp;
                                 for _ in 0..8 {
                                     let mid = 0.5 * (lo + hi);
-                                    let fm =
-                                        sample(mid).map(|v| v - isovalue).unwrap_or(0.0);
+                                    let fm = sample(mid).map(|v| v - isovalue).unwrap_or(0.0);
                                     st.march_steps += 1;
                                     if fm.signum() == f_lo.signum() {
                                         lo = mid;
@@ -112,31 +110,24 @@ pub fn render_isosurface(
                     }
                     t += dt;
                 }
-                match hit {
-                    Some(th) => {
-                        st.hits += 1;
-                        let p = ray.at(th);
-                        let normal = grid
-                            .gradient_at_point(&values, p)
-                            .unwrap_or(Vec3::ZERO);
-                        let color = lighting.shade(tf.color(isovalue), normal, -ray.dir);
-                        pixels.push((th, color));
-                    }
-                    None => pixels.push((f32::INFINITY, background)),
+                if let Some(th) = hit {
+                    st.hits += 1;
+                    let p = ray.at(th);
+                    let normal = grid.gradient_at_point(values, p).unwrap_or(Vec3::ZERO);
+                    let color = lighting.shade(tf.color(isovalue), normal, -ray.dir);
+                    band.store(px, py, th, color);
                 }
             }
-            (pixels, st)
-        })
-        .collect();
+        }
+        st
+    });
 
-    let mut fb = Framebuffer::new(width, height, background);
     let mut stats = RaymarchStats::default();
-    for (t, (pixels, st)) in tiles.iter().zip(results) {
+    for st in traced {
         stats.rays += st.rays;
         stats.rays_entering += st.rays_entering;
         stats.hits += st.hits;
         stats.march_steps += st.march_steps;
-        fb.blit(t.x0, t.y0, t.w, t.h, &pixels);
     }
     eth_obs::count("rays_traced", stats.rays as f64);
     Ok((fb, stats))

@@ -5,13 +5,21 @@
 //! intersect a sphere, a simple geometric calculation produces an
 //! intersection depth and orientation for shading." (Section IV-C)
 //!
-//! The hot path is tiled and packetized: the rayon work unit is a 16×16
-//! framebuffer tile (see [`crate::tile`]), and within a tile rays advance
-//! through the BVH eight at a time ([`RayPacket`]) — adjacent pixels walk
-//! almost the same node path, so one packet visit amortizes the node
-//! fetch across all coherent lanes. Lane arithmetic mirrors the scalar
-//! path operation-for-operation, so tiled/packet frames are byte-identical
-//! to a scalar per-pixel render.
+//! The hot path is tiled and packetized: 16×16 framebuffer tiles write
+//! their pixels straight into the frame, one band of tile rows per rayon
+//! item (see [`crate::tile::trace_in_place`]), and within a tile rays
+//! advance through the BVH eight at a time ([`RayPacket`]) — adjacent
+//! pixels walk almost the same node path, so one packet visit amortizes
+//! the node fetch across all coherent lanes. Packets are generated
+//! straight into their lanes from the camera's per-frame
+//! [`RayGenerator`](crate::camera::RayGenerator), which evaluates
+//! `tan(fov_y/2)` once per frame and each row's NDC y once per row, in the
+//! expression order `Camera::primary_ray` always had. Lane arithmetic
+//! mirrors the scalar path operation-for-operation, so tiled/packet frames
+//! are byte-identical to a scalar per-pixel render.
+//!
+//! A raycaster lives inside one `render_views` call, so it borrows the
+//! colouring attribute from the cloud rather than copying it.
 //!
 //! [`SphereRaycaster::render_progressive`] trades latency for completeness
 //! the way interactive in-situ viewers do: a strided coarse pass fills the
@@ -19,7 +27,7 @@
 //! halve the stride and refine in place until the image equals the full
 //! render bit-for-bit.
 
-use crate::camera::{Camera, Ray};
+use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::ray::bvh::{RayPacket, SphereBvh, SphereHit, PACKET_WIDTH};
@@ -28,8 +36,8 @@ use crate::tile::{self, DEFAULT_TILE};
 use eth_data::{PointCloud, Vec3};
 use rayon::prelude::*;
 
-/// One traced unit of screen-space work: depth/color pixels in row-major
-/// tile order, traversal steps spent, and hits found.
+/// One traced packet of progressive anchors: their depth/color pixels in
+/// anchor order, traversal steps spent, and hits found.
 type TracedPixels = (Vec<(f32, Vec3)>, u64, u64);
 
 /// Statistics from one sphere-raycast render.
@@ -62,20 +70,20 @@ pub struct ProgressivePass {
 /// paper's "initial structure-generation phase" can be timed separately
 /// from per-frame rendering (Figure 8's sub-linear scaling rests on this
 /// split).
-pub struct SphereRaycaster {
+pub struct SphereRaycaster<'a> {
     bvh: SphereBvh,
-    scalars: Option<Vec<f32>>,
+    /// The colouring attribute, borrowed from the cloud the tree was built
+    /// over: a raycaster lives inside one `render_views` call.
+    scalars: Option<&'a [f32]>,
 }
 
-impl SphereRaycaster {
+impl<'a> SphereRaycaster<'a> {
     /// Build the acceleration structure over a point cloud.
     ///
     /// * `scalar` — optional attribute for color lookup.
     /// * `radius` — world-space particle radius.
-    pub fn build(cloud: &PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster {
-        let scalars = scalar
-            .and_then(|name| cloud.scalar(name).ok())
-            .map(|s| s.to_vec());
+    pub fn build(cloud: &'a PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster<'a> {
+        let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
         SphereRaycaster {
             bvh: SphereBvh::build(cloud.positions(), radius),
             scalars,
@@ -84,10 +92,12 @@ impl SphereRaycaster {
 
     /// Like [`SphereRaycaster::build`] but with the median-split baseline
     /// builder (benchmarks and byte-identity tests).
-    pub fn build_median(cloud: &PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster {
-        let scalars = scalar
-            .and_then(|name| cloud.scalar(name).ok())
-            .map(|s| s.to_vec());
+    pub fn build_median(
+        cloud: &'a PointCloud,
+        scalar: Option<&str>,
+        radius: f32,
+    ) -> SphereRaycaster<'a> {
+        let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
         SphereRaycaster {
             bvh: SphereBvh::build_median(cloud.positions(), radius),
             scalars,
@@ -107,7 +117,7 @@ impl SphereRaycaster {
     fn shade(
         &self,
         hit: Option<SphereHit>,
-        ray: &Ray,
+        dir: Vec3,
         tf: &TransferFunction,
         lighting: &Lighting,
         background: Vec3,
@@ -118,7 +128,7 @@ impl SphereRaycaster {
                     Some(s) => s[hit.prim as usize],
                     None => hit.t,
                 };
-                (hit.t, lighting.shade(tf.color(value), hit.normal, -ray.dir))
+                (hit.t, lighting.shade(tf.color(value), hit.normal, -dir))
             }
             None => (f32::INFINITY, background),
         }
@@ -136,9 +146,11 @@ impl SphereRaycaster {
     }
 
     /// Render one frame; framebuffer tiles of `tile_size × tile_size`
-    /// pixels are the parallel work unit, and rays within a tile traverse
-    /// the BVH in packets of [`PACKET_WIDTH`]. Tiles write disjoint pixel
-    /// ranges, so the image is identical for any thread count.
+    /// pixels are the parallel work unit (written straight into the frame,
+    /// see [`tile::trace_in_place`]), and rays within a tile are generated
+    /// into packets of [`PACKET_WIDTH`] and traverse the BVH together.
+    /// Tiles write disjoint pixel ranges, so the image is identical for any
+    /// thread count.
     pub fn render_tiled(
         &self,
         camera: &Camera,
@@ -147,52 +159,38 @@ impl SphereRaycaster {
         background: Vec3,
         tile_size: usize,
     ) -> (Framebuffer, SphereRaycastStats) {
-        let width = camera.width;
-        let height = camera.height;
-        let tiles = tile::tiles(width, height, tile_size);
-        let results: Vec<TracedPixels> = tiles
-            .par_iter()
-            .map(|t| {
-                let _span = eth_obs::span(eth_obs::Phase::Tile);
-                let mut pixels = Vec::with_capacity(t.pixels());
-                let mut steps = 0u64;
-                let mut hits = 0u64;
-                let mut rays: Vec<Ray> = Vec::with_capacity(PACKET_WIDTH);
-                for py in t.y0..t.y0 + t.h {
-                    let mut px = t.x0;
-                    while px < t.x0 + t.w {
-                        let lanes = PACKET_WIDTH.min(t.x0 + t.w - px);
-                        rays.clear();
-                        for l in 0..lanes {
-                            rays.push(camera.primary_ray(px + l, py));
-                        }
-                        let packet = RayPacket::from_rays(&rays);
-                        let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
-                        for l in 0..lanes {
-                            if lane_hits[l].is_some() {
-                                hits += 1;
-                            }
-                            pixels.push(self.shade(lane_hits[l], &rays[l], tf, lighting, background));
-                        }
-                        px += lanes;
+        let rays = camera.ray_generator();
+        let mut fb = Framebuffer::new(camera.width, camera.height, background);
+        let traced = tile::trace_in_place(&mut fb, tile_size, |t, band| {
+            let _span = eth_obs::span(eth_obs::Phase::Tile);
+            let mut steps = 0u64;
+            let mut hits = 0u64;
+            for py in t.y0..t.y0 + t.h {
+                let ndc_y = rays.ndc_y(py);
+                for px in (t.x0..t.x0 + t.w).step_by(PACKET_WIDTH) {
+                    let lanes = PACKET_WIDTH.min(t.x0 + t.w - px);
+                    let packet = RayPacket::generate(&rays, lanes, |l| (rays.ndc_x(px + l), ndc_y));
+                    let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
+                    for (l, &hit) in lane_hits[..lanes].iter().enumerate() {
+                        hits += hit.is_some() as u64;
+                        let (depth, color) =
+                            self.shade(hit, packet.dir(l), tf, lighting, background);
+                        band.store(px + l, py, depth, color);
                     }
                 }
-                (pixels, steps, hits)
-            })
-            .collect();
-
-        let mut fb = Framebuffer::new(width, height, background);
+            }
+            (steps, hits)
+        });
         let mut stats = SphereRaycastStats {
             particles: self.bvh.num_primitives(),
             build_ops: self.bvh.build_ops(),
-            rays: (width * height) as u64,
-            tiles: tiles.len() as u64,
+            rays: camera.num_pixels() as u64,
+            tiles: traced.len() as u64,
             ..Default::default()
         };
-        for (t, (pixels, steps, hits)) in tiles.iter().zip(results) {
+        for (steps, hits) in traced {
             stats.traversal_steps += steps;
             stats.hits += hits;
-            fb.blit(t.x0, t.y0, t.w, t.h, &pixels);
         }
         eth_obs::count("rays_traced", stats.rays as f64);
         (fb, stats)
@@ -218,6 +216,7 @@ impl SphereRaycaster {
         let width = camera.width;
         let height = camera.height;
         let stride0 = initial_stride.next_power_of_two().clamp(2, 64);
+        let rays = camera.ray_generator();
         let mut fb = Framebuffer::new(width, height, background);
         let mut stats = SphereRaycastStats {
             particles: self.bvh.num_primitives(),
@@ -248,9 +247,10 @@ impl SphereRaycaster {
             let traced: Vec<TracedPixels> = anchors
                 .par_chunks(PACKET_WIDTH)
                 .map(|chunk| {
-                    let rays: Vec<Ray> =
-                        chunk.iter().map(|&(x, y)| camera.primary_ray(x, y)).collect();
-                    let packet = RayPacket::from_rays(&rays);
+                    let packet = RayPacket::generate(&rays, chunk.len(), |l| {
+                        let (x, y) = chunk[l];
+                        (rays.ndc_x(x), rays.ndc_y(y))
+                    });
                     let mut steps = 0u64;
                     let mut hits = 0u64;
                     let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
@@ -259,7 +259,7 @@ impl SphereRaycaster {
                             if lane_hits[l].is_some() {
                                 hits += 1;
                             }
-                            self.shade(lane_hits[l], &rays[l], tf, lighting, background)
+                            self.shade(lane_hits[l], packet.dir(l), tf, lighting, background)
                         })
                         .collect();
                     (frags, steps, hits)
@@ -413,7 +413,8 @@ mod tests {
 
     #[test]
     fn empty_cloud_gives_background() {
-        let rc = SphereRaycaster::build(&PointCloud::new(), None, 0.5);
+        let cloud = PointCloud::new();
+        let rc = SphereRaycaster::build(&cloud, None, 0.5);
         let (fb, stats) = rc.render(&cam(16), &tf(), &Lighting::default(), Vec3::splat(0.3));
         assert_eq!(stats.hits, 0);
         assert_eq!(fb.color_at(8, 8), Vec3::splat(0.3));

@@ -6,10 +6,15 @@
 //!
 //! A [`TileRect`] is a small screen-space rectangle (16×16 by default —
 //! big enough to amortize scheduling, small enough to load-balance an
-//! uneven image). Workers produce a compact per-tile pixel vector and the
-//! caller blits tiles into the framebuffer serially; since every tile owns
-//! a disjoint pixel range, the result is identical for any thread count
-//! or tile completion order.
+//! uneven image). [`trace_in_place`] cuts the framebuffer's planes into
+//! bands of tile rows — disjoint `&mut` slices, one rayon item each — and
+//! a band's tiles store their pixels straight into it. Every tile owns a
+//! disjoint pixel range, so the result is identical for any thread count,
+//! tile size or completion order.
+
+use crate::framebuffer::Framebuffer;
+use eth_data::Vec3;
+use rayon::prelude::*;
 
 /// Default tile edge in pixels.
 pub const DEFAULT_TILE: usize = 16;
@@ -28,19 +33,60 @@ pub struct TileRect {
     pub h: usize,
 }
 
-impl TileRect {
-    /// Number of pixels in the tile.
-    pub fn pixels(&self) -> usize {
-        self.w * self.h
-    }
+/// One band of whole image rows, as the tiles inside it write it.
+pub(crate) struct Band<'a> {
+    color: &'a mut [Vec3],
+    depth: &'a mut [f32],
+    width: usize,
+    /// Image row of the band's first row.
+    y0: usize,
+}
 
-    /// Row-major `(x, y)` coordinates of every pixel in the tile — the
-    /// order tile pixel vectors are laid out in (and that
-    /// `Framebuffer::blit` expects).
-    pub fn pixels_iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (self.y0..self.y0 + self.h)
-            .flat_map(move |y| (self.x0..self.x0 + self.w).map(move |x| (x, y)))
+impl Band<'_> {
+    /// Replace pixel `(x, y)` (image coordinates, inside this band).
+    #[inline]
+    pub(crate) fn store(&mut self, x: usize, y: usize, depth: f32, color: Vec3) {
+        let i = (y - self.y0) * self.width + x;
+        self.depth[i] = depth;
+        self.color[i] = color;
     }
+}
+
+/// Run `trace(tile, band)` for every tile of `fb` (see [`tiles`]) on the
+/// rayon workers; `trace` stores its tile's pixels into `band`, the rows
+/// that hold it. Returns what each call returned, in row-major tile order.
+pub(crate) fn trace_in_place<S, F>(fb: &mut Framebuffer, tile: usize, trace: F) -> Vec<S>
+where
+    S: Send,
+    F: Fn(TileRect, &mut Band<'_>) -> S + Sync,
+{
+    let (width, height) = (fb.width(), fb.height());
+    let tile = tile.clamp(MIN_TILE, MAX_TILE);
+    let (color, depth) = fb.planes_mut();
+    let band_pixels = (tile * width).max(1);
+    let bands: Vec<Vec<S>> = color
+        .par_chunks_mut(band_pixels)
+        .zip(depth.par_chunks_mut(band_pixels))
+        .enumerate()
+        .map(|(b, (color, depth))| {
+            let y0 = b * tile;
+            let h = tile.min(height - y0);
+            let mut band = Band {
+                color,
+                depth,
+                width,
+                y0,
+            };
+            (0..width)
+                .step_by(tile)
+                .map(|x0| {
+                    let w = tile.min(width - x0);
+                    trace(TileRect { x0, y0, w, h }, &mut band)
+                })
+                .collect()
+        })
+        .collect();
+    bands.into_iter().flatten().collect()
 }
 
 /// Cut a `width × height` image into row-major tiles of at most
@@ -90,6 +136,39 @@ mod tests {
         assert!(ts.iter().all(|t| t.w <= MIN_TILE && t.h <= MIN_TILE));
         let ts = tiles(4096, 16, 100_000);
         assert!(ts.iter().all(|t| t.w <= MAX_TILE));
+    }
+
+    #[test]
+    fn in_place_tiles_are_the_tile_list_and_write_each_pixel_once() {
+        for (w, h, t) in [
+            (97, 61, 4),
+            (150, 90, 16),
+            (33, 9, 64),
+            (5, 5, 16),
+            (512, 3, 300),
+        ] {
+            for (threads, (fb, visited)) in crate::testing::at_thread_counts(|| {
+                let mut fb = Framebuffer::new(w, h, Vec3::ZERO);
+                let visited = trace_in_place(&mut fb, t, |tile, band| {
+                    for y in tile.y0..tile.y0 + tile.h {
+                        for x in tile.x0..tile.x0 + tile.w {
+                            band.store(x, y, (y * w + x) as f32, Vec3::splat(x as f32));
+                        }
+                    }
+                    tile
+                });
+                (fb, visited)
+            }) {
+                assert_eq!(
+                    visited,
+                    tiles(w, h, t),
+                    "{w}x{h} tile {t}, {threads} threads"
+                );
+                for (i, (&d, c)) in fb.depth_buffer().iter().zip(fb.color_buffer()).enumerate() {
+                    assert_eq!((d, c.x), (i as f32, (i % w) as f32), "pixel {i}");
+                }
+            }
+        }
     }
 
     #[test]
