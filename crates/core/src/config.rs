@@ -485,7 +485,6 @@ impl RenderTuning {
 
 /// A fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(finish_with = "read_legacy_keys")]
 pub struct ExperimentSpec {
     pub name: String,
     pub application: Application,
@@ -544,26 +543,6 @@ pub struct ExperimentSpec {
     /// plain `EBD2`.
     #[serde(default)]
     pub wire_compression: Option<eth_data::compress::Codec>,
-}
-
-/// Spec files written before the codec axis existed carry a boolean
-/// `compress_transport` (`true` always meant `Quantize`). It is still read
-/// — README, CI and job-file JSON keep loading — and never written.
-fn read_legacy_keys(
-    spec: &mut ExperimentSpec,
-    fields: &[(String, serde::Value)],
-) -> std::result::Result<(), serde::DeError> {
-    let legacy = serde::field(fields, "compress_transport").map(bool::deserialize_value);
-    if legacy.transpose()? == Some(true) {
-        if spec.wire_compression.is_some() {
-            return Err(serde::DeError::custom(
-                "set either wire_compression or the legacy compress_transport \
-                 flag, not both (compress_transport means Quantize)",
-            ));
-        }
-        spec.wire_compression = Some(eth_data::compress::Codec::Quantize);
-    }
-    Ok(())
 }
 
 impl ExperimentSpec {
@@ -1095,39 +1074,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_compress_transport_key_still_loads_and_is_never_written() {
-        use eth_data::compress::Codec;
-        let spec = ExperimentSpec::builder("t")
-            .wire_compression(Codec::Lossless)
-            .build()
-            .unwrap();
-        let text = serde_json::to_string(&spec).unwrap();
-        assert!(!text.contains("compress_transport"), "{text}");
-        let back: ExperimentSpec = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.wire_compression, Some(Codec::Lossless));
-
-        // files from before the removal carry the boolean, with or without
-        // the codec key beside it: the flag maps onto the codec axis
+    fn a_retired_key_is_ignored_as_unknown() {
+        // `compress_transport` predates the codec axis; a file that still
+        // carries it loads as if it did not
         let plain = serde_json::to_string(&ExperimentSpec::builder("t").build().unwrap()).unwrap();
-        let with = |codec: &str, flag: &str| {
-            plain.replace(
-                "\"wire_compression\":null",
-                &format!("{codec}\"compress_transport\":{flag}"),
-            )
-        };
-        assert_ne!(with("", "true"), plain, "fixture did not rewrite the key");
-        for codec in ["", "\"wire_compression\":null,"] {
-            let on: ExperimentSpec = serde_json::from_str(&with(codec, "true")).unwrap();
-            assert_eq!(on.wire_compression, Some(Codec::Quantize));
-            let off: ExperimentSpec = serde_json::from_str(&with(codec, "false")).unwrap();
-            assert_eq!(off.wire_compression, None);
-        }
-        let explicit = "\"wire_compression\":\"Lossless\",";
-        let kept: ExperimentSpec = serde_json::from_str(&with(explicit, "false")).unwrap();
-        assert_eq!(kept.wire_compression, Some(Codec::Lossless));
-        // both set at once is a misconfiguration, not a precedence rule
-        assert!(serde_json::from_str::<ExperimentSpec>(&with(explicit, "true")).is_err());
-        assert!(serde_json::from_str::<ExperimentSpec>(&with("", "7")).is_err());
+        let old = plain.replace(
+            "\"wire_compression\":null",
+            "\"wire_compression\":null,\"compress_transport\":true",
+        );
+        assert_ne!(old, plain, "fixture did not add the key");
+        let spec: ExperimentSpec = serde_json::from_str(&old).unwrap();
+        assert_eq!(spec.wire_compression, None);
     }
 
     #[test]

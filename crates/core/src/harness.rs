@@ -44,14 +44,14 @@ use eth_data::io::pool::PayloadPool;
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::staging;
 use eth_data::{Aabb, DataObject};
-use eth_render::composite::composite_owned;
+use eth_render::composite::{composite_parts, encode_contribution};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
 use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
-    gather, gather_surviving, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer,
-    send_adopt_notice, send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer,
+    gather, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer, send_adopt_notice,
+    send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer, Survivors,
 };
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
@@ -93,10 +93,11 @@ impl PhaseTimes {
 /// degradation record (deterministic for a given plan seed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Degradation {
-    /// Steps a visualization rank completed with *no* fresh data (it
-    /// rendered nothing and joined the composite with empty frames).
+    /// Steps in which a visualization rank hit a transport fault and had
+    /// nothing to render (it contributed the empty payload).
     pub dropped_steps: u64,
-    /// Steps completed with partial data (some, not all, blocks arrived).
+    /// Steps in which a visualization rank hit a transport fault and still
+    /// rendered something (some, not all, blocks arrived).
     pub degraded_steps: u64,
     /// Receives that hit their deadline.
     pub timeouts: u64,
@@ -112,9 +113,10 @@ pub struct Degradation {
     /// step checkpoint.
     #[serde(default)]
     pub adopted_partitions: u64,
-    /// Per-frame contributor holes composited around (frames produced
-    /// between a rank's death and its partition's adoption, plus frames a
-    /// live rank failed to deliver in time).
+    /// Holes composited around: one per frame for each partition slot the
+    /// root received no contribution for, whatever the cause — a dead
+    /// partition nobody adopted, a lost block, a cut link. Counted at the
+    /// composite root and nowhere else.
     #[serde(default)]
     pub missing_contributions: u64,
     /// Planned partition handoffs that committed: the target acked, took
@@ -982,6 +984,8 @@ fn attribute_run(outcome: &mut NativeOutcome, trace: &eth_obs::Trace, t0_ns: u64
         if d.rank_losses > 0 {
             counters.add("recovery_rank_losses", d.rank_losses as f64);
             counters.add("recovery_adopted_partitions", d.adopted_partitions as f64);
+        }
+        if d.missing_contributions > 0 {
             counters.add(
                 "recovery_missing_contributions",
                 d.missing_contributions as f64,
@@ -1020,21 +1024,11 @@ struct StepPolicy {
     /// Heartbeats, liveness-sliced receives, step checkpoints, adoption.
     liveness: Option<Liveness>,
     /// Planned partition handoffs in control-plane order. Empty means
-    /// static ownership: a rank's frame lands in the rank's own composite
-    /// slot. Non-empty means contributions are framed per partition, so
-    /// the image bytes do not depend on who rendered what.
+    /// static ownership.
     handoffs: Vec<Handoff>,
     /// One arbitration cell per handoff (commit vs. death-abort).
     book: Arc<MigrationBook>,
     handoff_timeout: Duration,
-    /// A rank with nothing to render contributes a hole the root counts
-    /// per frame, rather than a blank frame. Holes reach the root where
-    /// the composite can carry them: framed contributions (any handoff
-    /// plan) and the liveness-aware intercore gather. An internode
-    /// recovery run without migration pre-merges co-owned partitions
-    /// behind a plain gather, so there the *draining* rank counts what it
-    /// could not render, once per step.
-    holes_at_root: bool,
 }
 
 /// The recovery part of a [`StepPolicy`].
@@ -1082,8 +1076,6 @@ impl StepPolicy {
         let handoffs = spec.migration_handoffs();
         StepPolicy {
             tolerant: spec.fault_plan.is_some() || liveness.is_some(),
-            holes_at_root: liveness.is_some()
-                && (!handoffs.is_empty() || spec.coupling == Coupling::Intercore),
             book: MigrationBook::new(handoffs.len()),
             handoff_timeout: spec
                 .migration
@@ -1107,6 +1099,26 @@ struct RankCx {
 }
 
 impl RankCx {
+    fn new(spec: &ExperimentSpec, staged: &Arc<StagedData>, payloads: &PayloadPool) -> Arc<RankCx> {
+        let policy = StepPolicy::new(spec);
+        // Who beats the board: every rank of a local fabric; under internode
+        // the simulation ranks — the ones a scripted kill can take down (viz
+        // ranks only consult it).
+        let board = policy.liveness.as_ref().map(|_| {
+            HeartbeatBoard::new(match spec.coupling {
+                Coupling::Intercore => 2 * spec.ranks,
+                Coupling::Tight | Coupling::Internode => spec.ranks,
+            })
+        });
+        Arc::new(RankCx {
+            spec: spec.clone(),
+            staged: staged.clone(),
+            policy,
+            board,
+            payloads: payloads.clone(),
+        })
+    }
+
     fn live(&self) -> Option<(&Liveness, &Arc<HeartbeatBoard>)> {
         self.policy.liveness.as_ref().zip(self.board.as_ref())
     }
@@ -1141,52 +1153,23 @@ enum Wire<'a> {
     Link(Box<dyn PairLink + 'a>),
 }
 
-/// The fabric visualization ranks composite over; viz index 0 is the root.
+/// The fabric visualization ranks composite over: its ranks `base..size`
+/// are viz indices `0..V`, and viz index 0 is the root.
 #[derive(Clone, Copy)]
 struct VizFabric<'a> {
     comm: &'a dyn Communicator,
     /// Fabric rank of viz index 0: intercore seats the R simulation ranks
-    /// in front (they idle in every gather so the collective spans the
-    /// communicator); tight and internode fabrics are all-viz.
+    /// in front (the gather leaves them out); tight and internode fabrics
+    /// are all-viz.
     base: usize,
     /// The fabric's ranks sit on the liveness board: they beat, may be
     /// declared dead, and composites must gather around the dead.
     on_board: bool,
 }
 
-/// One composite gather to the fabric's root. On a fabric whose ranks can
-/// die mid-run the root skips the dead and bounds every other receive;
-/// `salt` keeps a contribution that arrives after its frame timed out from
-/// being mistaken for the next frame's.
-fn gather_frames(
-    cx: &RankCx,
-    fabric: VizFabric,
-    salt: u32,
-    payload: Bytes,
-) -> Result<Option<Vec<Option<Bytes>>>> {
-    Ok(match cx.live().filter(|_| fabric.on_board) {
-        Some((live, board)) => gather_surviving(
-            fabric.comm,
-            fabric.base,
-            salt,
-            payload,
-            &|peer| board.is_dead(peer),
-            live.run_deadline,
-        )?,
-        None => gather(fabric.comm, fabric.base, payload)?
-            .map(|parts| parts.into_iter().map(Some).collect()),
-    })
-}
-
 /// The simulation side of a step: present the block, encode it, push it
-/// across the pair link. `composite` is the visualization fabric when this
-/// rank is seated on it (intercore) and must idle in its gathers.
-fn sim_role(
-    cx: &RankCx,
-    rank: usize,
-    link: &dyn PairLink,
-    composite: Option<VizFabric>,
-) -> Result<RankOutput> {
+/// across the pair link.
+fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput> {
     let spec = &cx.spec;
     let mut beater = cx.beater(rank);
     let mut out = RankOutput::default();
@@ -1214,12 +1197,6 @@ fn sim_role(
             Err(e) => return Err(e.into()),
         }
         out.phases.transfer_s += t.elapsed().as_secs_f64();
-        if let Some(fabric) = composite {
-            for image_index in 0..spec.images_per_step {
-                let salt = (step * spec.images_per_step + image_index) as u32;
-                gather_frames(cx, fabric, salt, Bytes::new())?;
-            }
-        }
         if let Some((live, board)) = cx.live() {
             live.checkpoints.record(StepCheckpoint {
                 rank,
@@ -1232,7 +1209,7 @@ fn sim_role(
             board.step_done(rank, step);
         }
     }
-    out.bytes_sent = link.bytes_sent() + composite.map_or(0, |f| f.comm.traffic().bytes_sent);
+    out.bytes_sent = link.bytes_sent();
     Ok(out)
 }
 
@@ -1240,7 +1217,8 @@ fn sim_role(
 /// blocking receive (the chaos wrapper applies the plan's deadline, so a
 /// dropped message costs one deadline, not the run). With one, the receive
 /// is sliced against the board; `None` with `sim` dead means "adopt", any
-/// other `None` is a lost block already counted in `deg`.
+/// other `None` is a lost block whose fault is counted in `deg` (the hole
+/// it leaves is the root's to count).
 fn drain(
     cx: &RankCx,
     link: &dyn PairLink,
@@ -1284,102 +1262,11 @@ fn drain(
         // the wire codec rejected the payload
         Err(_) => deg.corrupt_payloads += 1,
     }
-    if cx.policy.liveness.is_some() && !cx.policy.holes_at_root {
-        // the root will not see this hole: count it here
-        deg.missing_contributions += 1;
-    }
     Ok(None)
-}
-
-/// Encode one visualization rank's contribution to a composite as a
-/// framed list of `(partition, framebuffer)` entries, so the root can
-/// fold in ascending *partition* order regardless of which rank rendered
-/// what. This is what decouples the image bytes from the ownership map:
-/// a migrated partition moves to a different sender but lands in the
-/// same composite slot.
-fn encode_contribution(entries: &[(usize, &Framebuffer)]) -> Bytes {
-    let total = 4 + entries.iter().map(|(_, fb)| 8 + fb.byte_len()).sum::<usize>();
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (partition, fb) in entries {
-        buf.extend_from_slice(&(*partition as u32).to_le_bytes());
-        buf.extend_from_slice(&(fb.byte_len() as u32).to_le_bytes());
-        fb.write_bytes(&mut buf);
-    }
-    debug_assert_eq!(buf.len(), total);
-    Bytes::from(buf)
 }
 
 fn malformed_contribution() -> CoreError {
     CoreError::Config("malformed framebuffer contribution on the wire".into())
-}
-
-/// Wire size of the smallest entry: partition, length, a 0×0 framebuffer.
-const MIN_ENTRY_BYTES: usize = 4 + 4 + 20;
-
-/// Inverse of [`encode_contribution`].
-fn decode_contribution(raw: &[u8]) -> Result<Vec<(usize, Framebuffer)>> {
-    if raw.len() < 4 {
-        return Err(malformed_contribution());
-    }
-    let count = u32::from_le_bytes(raw[0..4].try_into().unwrap()) as usize;
-    // The count is wire data: let the bytes actually present bound the
-    // allocation (an entry is its two prefixes and at least a framebuffer
-    // header), so a lying prefix ends in `Err` below, not in an abort.
-    let mut entries = Vec::with_capacity(count.min(raw.len() / MIN_ENTRY_BYTES));
-    let mut at = 4;
-    for _ in 0..count {
-        if raw.len() < at + 8 {
-            return Err(malformed_contribution());
-        }
-        let partition = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
-        let len = u32::from_le_bytes(raw[at + 4..at + 8].try_into().unwrap()) as usize;
-        at += 8;
-        if raw.len() < at + len {
-            return Err(malformed_contribution());
-        }
-        let fb = Framebuffer::from_bytes(&raw[at..at + len]).ok_or_else(malformed_contribution)?;
-        at += len;
-        entries.push((partition, fb));
-    }
-    Ok(entries)
-}
-
-/// Composite one gathered frame at the root. Each contribution lands in a
-/// slot — the sender's viz index under static ownership, the partition id
-/// under a handoff plan — and the fold runs in ascending slot order, so a
-/// slot nobody filled is a hole composited around and counted. A frame
-/// every contributor lost comes out dark rather than wedging or panicking.
-fn composite_parts(
-    spec: &ExperimentSpec,
-    base: usize,
-    by_partition: bool,
-    parts: &[Option<Bytes>],
-) -> Result<(Image, u64)> {
-    let mut contribs = Vec::new();
-    for (sender, raw) in parts.iter().enumerate() {
-        // a hole — or a simulation rank idling in the gather
-        let Some(raw) = raw.as_ref().filter(|raw| !raw.is_empty()) else {
-            continue;
-        };
-        if by_partition {
-            contribs.extend(decode_contribution(raw)?);
-        } else {
-            let fb = Framebuffer::from_bytes(raw).ok_or_else(malformed_contribution)?;
-            contribs.push((sender - base, fb));
-        }
-    }
-    let slots = if by_partition {
-        spec.ranks
-    } else {
-        parts.len() - base
-    };
-    if contribs.is_empty() {
-        let dark = Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO);
-        return Ok((dark.into_image(), slots as u64));
-    }
-    let (merged, stats) = composite_owned(slots, contribs);
-    Ok((merged.into_image(), stats.missing_contributions))
 }
 
 /// The fallback handoff state when the partition has no checkpoint yet
@@ -1502,8 +1389,10 @@ fn migrate_handshakes(
 
 /// The visualization side of a step: drain the wires, run this step's
 /// handshakes (intake first, so a death racing a migration is already on
-/// the board), render the partitions this rank owns, contribute to the
-/// composite gather; the root folds and keeps the images.
+/// the board), render the partitions this rank owns, and contribute them
+/// to each frame's gather as one partition-framed payload; the root folds
+/// the partition slots in ascending order, counts the empty ones, and
+/// keeps the images.
 ///
 /// `wires` are the `(simulation rank, wire)` pairs this rank drains,
 /// ascending. Pairings are the *initial* layout's for the whole run — a
@@ -1520,7 +1409,6 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
         .liveness
         .as_ref()
         .is_some_and(|live| live.recovery.adopt);
-    let by_partition = !policy.handoffs.is_empty();
     let _beater = fabric.on_board.then(|| cx.beater(comm.rank())).flatten();
     let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
     // simulation ranks whose death this rank has accounted (exactly once,
@@ -1528,6 +1416,13 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
     let mut lost = vec![false; r];
     let mut own_notices: Vec<AdoptNotice> = Vec::new();
     let mut out = RankOutput::default();
+    // On a fabric whose ranks can die mid-run the gather's root skips the
+    // dead and bounds every other receive.
+    let is_dead = |peer| cx.is_dead(peer);
+    let survivors = cx.live().filter(|_| fabric.on_board).map(|(live, _)| Survivors {
+        is_dead: &is_dead,
+        timeout: live.run_deadline,
+    });
 
     for step in 0..spec.steps {
         let mut deg = Degradation::default();
@@ -1573,14 +1468,6 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                         }
                     }
                 }
-                if lost[sim] && !adopt {
-                    // dark from here on: see `StepPolicy::holes_at_root`
-                    if policy.holes_at_root {
-                        deg.dropped_steps += 1;
-                    } else {
-                        deg.missing_contributions += 1;
-                    }
-                }
             }
             out.phases.transfer_s += t.elapsed().as_secs_f64();
         }
@@ -1613,16 +1500,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
             };
             let pass = pipeline.execute_step(step, &block, &staged.bounds[step])?;
             out.stats = accumulate(out.stats, pass.stats);
-            match rendered.last_mut() {
-                // Static ownership: co-owned partitions depth-merge locally
-                // (standard sort-last) into the rank's one composite slot.
-                Some((_, merged)) if !by_partition => {
-                    for (acc, fb) in merged.iter_mut().zip(&pass.frames) {
-                        acc.composite_in(fb);
-                    }
-                }
-                _ => rendered.push((if by_partition { p } else { me }, pass.frames)),
-            }
+            rendered.push((p, pass.frames));
         }
         // Classify the step: faults with nothing rendered = a dropped step,
         // faults with partial delivery = a degraded step. Either way the
@@ -1635,30 +1513,25 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                 deg.degraded_steps += 1;
             }
         }
-        if rendered.is_empty() && !policy.holes_at_root {
-            // nothing to render (lost block, over-provisioned layout): join
-            // the composite with blank frames
-            let blank = Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO);
-            rendered.push((me, vec![blank; spec.images_per_step]));
-        }
         out.phases.viz_s += t_viz.elapsed().as_secs_f64();
 
-        // 4. Contribute to each frame's gather; the root composites.
+        // 4. Contribute to each frame's gather over the viz ranks; the root
+        //    composites.
         let t_comp = Instant::now();
         for image_index in 0..spec.images_per_step {
             let entries: Vec<(usize, &Framebuffer)> = rendered
                 .iter()
-                .filter_map(|(slot, frames)| frames.get(image_index).map(|fb| (*slot, fb)))
+                .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
                 .collect();
-            let payload = match entries.first() {
-                None => Bytes::new(),
-                Some(_) if by_partition => encode_contribution(&entries),
-                Some((_, fb)) => Bytes::from(fb.to_bytes()),
-            };
+            let payload = Bytes::from(encode_contribution(&entries));
             let salt = (step * spec.images_per_step + image_index) as u32;
-            if let Some(parts) = gather_frames(cx, fabric, salt, payload)? {
-                let (image, missing) = composite_parts(spec, fabric.base, by_partition, &parts)?;
-                deg.missing_contributions += missing;
+            let members = fabric.base..comm.size();
+            if let Some(parts) = gather(comm, members, salt, payload, survivors)? {
+                let received = parts.iter().flatten().map(|raw| &raw[..]);
+                let (frame, stats) = composite_parts(r, spec.width, spec.height, received)
+                    .ok_or_else(malformed_contribution)?;
+                deg.missing_contributions += stats.missing_contributions;
+                let image = frame.into_image();
                 pipeline.write_artifact(step, image_index, &image)?;
                 out.images.push(image);
             }
@@ -1701,6 +1574,8 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
         }
     }
 
+    // A visualization rank only receives on its wires, so the fabric's
+    // counters and the links' never count one byte twice.
     out.bytes_sent = comm.traffic().bytes_sent
         + wires
             .iter()
@@ -1753,23 +1628,7 @@ fn run_coupled(
     staged: &Arc<StagedData>,
     payloads: &PayloadPool,
 ) -> Result<Vec<RankOutput>> {
-    let policy = StepPolicy::new(spec);
-    // Who beats the board: every rank of a local fabric; under internode
-    // the simulation ranks — the ones a scripted kill can take down (viz
-    // ranks only consult it).
-    let board = policy.liveness.as_ref().map(|_| {
-        HeartbeatBoard::new(match spec.coupling {
-            Coupling::Intercore => 2 * spec.ranks,
-            Coupling::Tight | Coupling::Internode => spec.ranks,
-        })
-    });
-    let cx = Arc::new(RankCx {
-        spec: spec.clone(),
-        staged: staged.clone(),
-        policy,
-        board,
-        payloads: payloads.clone(),
-    });
+    let cx = RankCx::new(spec, staged, payloads);
     match spec.coupling {
         Coupling::Tight | Coupling::Intercore => launch_local(cx),
         Coupling::Internode => launch_sockets(cx),
@@ -1791,28 +1650,32 @@ fn launch_local(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
         .into_iter()
         .enumerate()
         .map(|(rank, comm)| {
-            let role: Role = Box::new(move |cx| {
-                let fabric = VizFabric {
-                    comm: &comm,
-                    base,
-                    on_board: cx.board.is_some(),
-                };
-                let link = |peer| cx.link(FabricLink { comm: &comm, peer });
-                if rank < base {
-                    sim_role(cx, rank, link(base + rank).as_ref(), Some(fabric))
-                } else {
-                    let sim = rank - base;
-                    let wire = match base {
-                        0 => Wire::InProcess,
-                        _ => Wire::Link(link(sim)),
-                    };
-                    viz_role(cx, fabric, vec![(sim, wire)])
-                }
-            });
+            let role: Role = Box::new(move |cx| local_role(cx, rank, base, &comm));
             (rank, role)
         })
         .collect();
     run.launch(roles)
+}
+
+/// One rank of a local fabric: fabric ranks below `base` simulate, the
+/// rest visualize, each draining the simulation rank `base` below it (or,
+/// tight, presenting its own block in-process).
+fn local_role(cx: &RankCx, rank: usize, base: usize, comm: &dyn Communicator) -> Result<RankOutput> {
+    let link = |peer| cx.link(FabricLink::new(comm, peer));
+    if rank < base {
+        return sim_role(cx, rank, link(base + rank).as_ref());
+    }
+    let sim = rank - base;
+    let wire = match base {
+        0 => Wire::InProcess,
+        _ => Wire::Link(link(sim)),
+    };
+    let fabric = VizFabric {
+        comm,
+        base,
+        on_board: cx.board.is_some(),
+    };
+    viz_role(cx, fabric, vec![(sim, wire)])
 }
 
 /// The run's layout directory, removed however the launcher leaves — by
@@ -1901,7 +1764,7 @@ fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
             rank,
             Box::new(move |cx| {
                 let link = cx.link(listen_as(&layout, rank)?);
-                sim_role(cx, rank, link.as_ref(), None)
+                sim_role(cx, rank, link.as_ref())
             }),
         ));
     }
@@ -2123,6 +1986,42 @@ mod tests {
             assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
             assert_eq!(out.counters.get("step_checkpoints"), 0.0, "{coupling:?}");
             assert_eq!(out.counters.get("supervised_launches"), 0.0, "{coupling:?}");
+        }
+    }
+
+    #[test]
+    fn intercore_simulation_ranks_send_their_blocks_and_nothing_else() {
+        // The composite gathers cover the visualization ranks only: a
+        // simulation rank's one message per step is its data block, and
+        // those bytes reach `bytes_moved` through its link.
+        let mut spec = base_spec("ic-sends");
+        spec.coupling = Coupling::Intercore;
+        let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
+        let cx = RankCx::new(&spec, &staged, &PayloadPool::new());
+        let r = spec.ranks;
+        let ranks: Vec<(RankOutput, eth_transport::comm::TrafficCounters)> =
+            std::thread::scope(|s| {
+                let handles: Vec<_> = LocalFabric::new(2 * r)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, comm)| {
+                        let cx = &cx;
+                        s.spawn(move || (local_role(cx, rank, r, &comm).unwrap(), comm.traffic()))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+        for (rank, (out, traffic)) in ranks.iter().enumerate().take(r) {
+            assert_eq!(traffic.messages_sent, spec.steps as u64, "sim rank {rank}");
+            assert!(traffic.bytes_sent > 0, "sim rank {rank}");
+            assert_eq!(out.bytes_sent, traffic.bytes_sent, "sim rank {rank}");
+        }
+        // the root keeps every frame; the other viz ranks send one
+        // contribution per frame and nothing else
+        assert_eq!(ranks[r].0.images.len(), spec.steps * spec.images_per_step);
+        for (out, traffic) in &ranks[r + 1..] {
+            assert_eq!(traffic.messages_sent, (spec.steps * spec.images_per_step) as u64);
+            assert_eq!(out.bytes_sent, traffic.bytes_sent);
         }
     }
 
@@ -2747,71 +2646,5 @@ mod tests {
         // inert and the run completes normally.
         spec.fault_plan = Some(FaultPlan::default().with_alloc_fail_at_stage(10_000));
         run_native(&spec).unwrap();
-    }
-
-    mod contribution_wire {
-        use super::*;
-        use eth_data::Vec3;
-        use proptest::prelude::*;
-
-        /// Two entries of different sizes, the second with something drawn.
-        fn two_entries() -> (Framebuffer, Framebuffer) {
-            let mut second = Framebuffer::new(2, 2, Vec3::splat(0.25));
-            second.write(1, 0, 3.5, Vec3::new(0.5, f32::MIN_POSITIVE, -0.0));
-            (Framebuffer::new(3, 1, Vec3::ONE), second)
-        }
-
-        #[test]
-        fn a_lying_count_prefix_is_an_error_not_an_allocation() {
-            // ~4.3 G entries claimed by four bytes, and by a valid payload
-            assert!(decode_contribution(&[0xff; 4]).is_err());
-            let (a, b) = two_entries();
-            let mut raw = encode_contribution(&[(0, &a), (1, &b)]).to_vec();
-            raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode_contribution(&raw).is_err());
-        }
-
-        #[test]
-        fn truncation_at_every_offset_is_an_error() {
-            let (a, b) = two_entries();
-            let raw = encode_contribution(&[(4, &a), (1, &b)]);
-            // count, then per entry: partition, length, `to_bytes`
-            let mut framed = 2u32.to_le_bytes().to_vec();
-            for (partition, fb) in [(4u32, &a), (1, &b)] {
-                let body = fb.to_bytes();
-                framed.extend_from_slice(&partition.to_le_bytes());
-                framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                framed.extend_from_slice(&body);
-            }
-            assert_eq!(raw, framed);
-            let back = decode_contribution(&raw).expect("a valid contribution decodes");
-            assert_eq!(back, vec![(4, a), (1, b)]);
-            for cut in 0..raw.len() {
-                assert!(decode_contribution(&raw[..cut]).is_err(), "cut at {cut}");
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            /// Arbitrary bytes, and a valid contribution with any four of
-            /// its bytes overwritten, decode to `Ok` or `Err` — no panic,
-            /// no abort.
-            #[test]
-            fn decoding_is_total(
-                noise in prop::collection::vec(0u16..256, 0..200),
-                at in 0usize..1000,
-                patch in 0u64..1 << 32,
-            ) {
-                let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
-                let _ = decode_contribution(&noise);
-                let _ = Framebuffer::from_bytes(&noise);
-                let (a, b) = two_entries();
-                let mut raw = encode_contribution(&[(0, &a), (1, &b)]).to_vec();
-                let at = at % (raw.len() - 3);
-                raw[at..at + 4].copy_from_slice(&(patch as u32).to_le_bytes());
-                let _ = decode_contribution(&raw);
-            }
-        }
     }
 }

@@ -683,7 +683,10 @@ pub fn load_result(
     let mut rest = &rest[header_len..];
     let image_count = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
     rest = &rest[4..];
-    let mut images = Vec::with_capacity(image_count);
+    // The count sits behind a CRC stored in the same file, so it is a
+    // claim: an image needs at least its 8 dimension bytes, and the bytes
+    // present bound the reservation (a lying count ends in `Err` below).
+    let mut images = Vec::with_capacity(image_count.min(rest.len() / 8));
     for _ in 0..image_count {
         if rest.len() < 8 {
             return Err(corrupt(index, "image table truncated"));
@@ -1035,5 +1038,66 @@ mod tests {
         // missing file is an error too (caller re-runs)
         assert!(load_result(&dir, 5, hash, &spec).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    mod result_file {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A result file around `tail`: valid magic, a valid header for
+        /// spec hash 7, then `tail` where the image table goes, and a CRC
+        /// recomputed over all of it — what a file that passes its checksum
+        /// but lies in its image table looks like.
+        fn with_tail(tail: &[u8]) -> Vec<u8> {
+            let header = ResultHeader {
+                spec_hash: 7,
+                wall_s: 0.0,
+                phases: PhaseTimes::default(),
+                stats: RenderStats::default(),
+                bytes_moved: 0,
+                degradation: Degradation::default(),
+                metrics: RunMetrics::default(),
+                phase_energy: Vec::new(),
+                counters: CounterSet::new(),
+                recovery_latency_s: Vec::new(),
+                migration_disruption_s: Vec::new(),
+            };
+            let json = serde_json::to_string(&header).unwrap();
+            let mut buf = RESULT_MAGIC.to_vec();
+            buf.extend_from_slice(&(json.len() as u32).to_le_bytes());
+            buf.extend_from_slice(json.as_bytes());
+            buf.extend_from_slice(tail);
+            let crc = crc32(&buf);
+            buf.extend_from_slice(&crc.to_le_bytes());
+            buf
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// An image count the bytes present cannot hold is `Err` —
+            /// never a count-sized reservation and an abort — and any other
+            /// tail loads or fails without panicking.
+            #[test]
+            fn loading_is_total(
+                count in 0u64..1 << 32,
+                noise in prop::collection::vec(0u16..256, 0..96),
+            ) {
+                let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+                let dir = tmp_dir("result-total");
+                Journal::open(&dir).unwrap();
+                let spec = small_spec("total");
+                let mut tail = (count as u32).to_le_bytes().to_vec();
+                tail.extend_from_slice(&noise);
+                fs::write(result_path(&dir, 0), with_tail(&tail)).unwrap();
+                let loaded = load_result(&dir, 0, 7, &spec);
+                if count as usize > noise.len() / 8 {
+                    prop_assert!(loaded.is_err(), "{count} images in {} bytes", noise.len());
+                }
+                fs::write(result_path(&dir, 0), with_tail(&noise)).unwrap();
+                let _ = load_result(&dir, 0, 7, &spec);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

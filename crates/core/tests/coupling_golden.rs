@@ -12,6 +12,12 @@
 //! `bytes_moved`. Timing fields are excluded — they are the only part of an
 //! outcome that may differ.
 //!
+//! The table was regenerated once since, after a64bf82, when the composite
+//! became one path (partition-framed contributions over one gather, holes
+//! counted only at the root): the image CRCs of all 23 rows stayed
+//! byte-identical to that commit's table, and the fixture's header lists
+//! what moved in `bytes=`, `dropped=` and `missing=` and why.
+//!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`
 //! and copy the lines between the `BEGIN`/`END` markers.

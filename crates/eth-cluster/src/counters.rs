@@ -249,23 +249,6 @@ impl CounterSet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.values.iter().map(|(k, &v)| (k.as_str(), v))
     }
-
-    /// Flatten to an f64 vector + schema, for transport over
-    /// `collectives::reduce_f64`.
-    pub fn to_vec(&self) -> (Vec<String>, Vec<f64>) {
-        let names: Vec<String> = self.values.keys().cloned().collect();
-        let vals: Vec<f64> = self.values.values().cloned().collect();
-        (names, vals)
-    }
-
-    /// Rebuild from a schema + vector (inverse of [`CounterSet::to_vec`]).
-    pub fn from_vec(names: &[String], values: &[f64]) -> CounterSet {
-        let mut c = CounterSet::new();
-        for (n, v) in names.iter().zip(values) {
-            c.set(n, *v);
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -296,17 +279,6 @@ mod tests {
         assert_eq!(a.get("frags"), 1.0);
         assert_eq!(a.get("cells"), 7.0);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn vec_roundtrip_is_order_stable() {
-        let mut c = CounterSet::new();
-        c.add("zeta", 1.0);
-        c.add("alpha", 2.0);
-        let (names, vals) = c.to_vec();
-        assert_eq!(names, vec!["alpha".to_string(), "zeta".to_string()]);
-        let back = CounterSet::from_vec(&names, &vals);
-        assert_eq!(back, c);
     }
 
     #[test]

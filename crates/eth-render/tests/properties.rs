@@ -2,7 +2,7 @@
 
 use eth_render::camera::{Camera, Ray};
 use eth_render::color::{Colormap, TransferFunction};
-use eth_render::composite::{composite_binary_swap, composite_direct};
+use eth_render::composite::composite_direct;
 use eth_render::framebuffer::Framebuffer;
 use eth_render::geometry::marching_cubes::extract_isosurface;
 use eth_render::ray::bvh::{RayPacket, SphereBvh};
@@ -121,9 +121,12 @@ proptest! {
         let mut rev = bufs.clone();
         rev.reverse();
         let (direct_rev, _) = composite_direct(rev);
-        let (swap, _) = composite_binary_swap(bufs);
+        // a tree: each half folded on its own, then the two halves
+        let (left, _) = composite_direct(bufs[..n / 2].to_vec());
+        let (right, _) = composite_direct(bufs[n / 2..].to_vec());
+        let (tree, _) = composite_direct(vec![left, right]);
         prop_assert_eq!(direct.color_buffer(), direct_rev.color_buffer());
-        prop_assert_eq!(direct.color_buffer(), swap.color_buffer());
+        prop_assert_eq!(direct.color_buffer(), tree.color_buffer());
     }
 
     /// Projection followed by primary-ray casting must pass near the point.

@@ -171,11 +171,7 @@ mod tests {
         plan: &FaultPlan,
     ) -> (ChaosLink<FabricLink<'a>>, ChaosLink<FabricLink<'a>>) {
         let end = |rank: usize| {
-            let link = FabricLink {
-                comm: &comms[rank],
-                peer: 1 - rank,
-            };
-            ChaosLink::new(link, plan.clone())
+            ChaosLink::new(FabricLink::new(&comms[rank], 1 - rank), plan.clone())
         };
         (end(0), end(1))
     }
@@ -253,26 +249,20 @@ mod tests {
     #[test]
     fn collectives_survive_total_data_drop() {
         // The wrapper sits on the pair link, so a plan that drops ALL data
-        // cannot touch the barrier and gather running on the same fabric —
-        // not even a message that reuses a collective's own tag.
-        use crate::collectives::{barrier, gather, COLLECTIVE_TAG_BASE};
+        // cannot touch the gathers running on the same fabric — not even a
+        // message that reuses a collective's own tag.
+        use crate::collectives::{gather, COLLECTIVE_TAG_BASE};
         use crate::runner::run_ranks;
         let totals = run_ranks(3, |c| {
             let plan = FaultPlan::seeded(8).with_drop(1.0).with_recv_deadline_ms(100);
-            let link = ChaosLink::new(
-                FabricLink {
-                    comm: &c,
-                    peer: (c.rank() + 1) % 3,
-                },
-                plan,
-            );
+            let link = ChaosLink::new(FabricLink::new(&c, (c.rank() + 1) % 3), plan);
             link.send(TAG, Bytes::from_static(b"lost")).unwrap();
             link.send(COLLECTIVE_TAG_BASE + 1, Bytes::from_static(b"lost too")).unwrap();
-            barrier(&c).unwrap();
-            let g = gather(&c, 0, Bytes::from(vec![c.rank() as u8])).unwrap();
-            barrier(&c).unwrap();
+            let mine = || Bytes::from(vec![c.rank() as u8]);
+            gather(&c, 0..3, 0, mine(), None).unwrap();
+            let g = gather(&c, 0..3, 1, mine(), None).unwrap();
             assert_eq!(link.fault_log().len(), 2);
-            g.map(|parts| parts.len()).unwrap_or(0)
+            g.map(|parts| parts.iter().flatten().count()).unwrap_or(0)
         });
         assert_eq!(totals, vec![3, 0, 0]);
     }

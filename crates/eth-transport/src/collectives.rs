@@ -1,33 +1,34 @@
-//! Collective operations built on point-to-point messaging.
+//! The composite gather and the control plane, on point-to-point messaging.
 //!
-//! The harness needs barriers (phase separation under intercore coupling),
-//! gather (image compositing to root), broadcast (experiment parameters),
-//! and reduce/allreduce (metric aggregation). All are implemented as
-//! binomial trees / dissemination rounds over [`Communicator`], so they run
-//! unchanged over the in-process and socket backends.
+//! The step loop needs exactly one collective: every visualization rank's
+//! contribution to a frame, gathered at the compositing root ([`gather`]).
+//! It runs over [`Communicator`], so it is the same on the in-process and
+//! socket backends, and it covers a range of the communicator's ranks, so
+//! a fabric that also seats simulation ranks need not involve them.
 //!
-//! Tags: collectives use the top tag bits (`0xC0xx_xxxx`) with the round
-//! number encoded, so user traffic (low tags) never collides as long as it
-//! stays below [`COLLECTIVE_TAG_BASE`]. Above the collectives sits the
-//! **control plane** (`0xE0xx_xxxx`): liveness and recovery notices such as
+//! Tags: the gather uses the top tag bits (`0xC0xx_xxxx`) salted per call,
+//! so user traffic (low tags) never collides as long as it stays below
+//! [`COLLECTIVE_TAG_BASE`]. Above it sits the **control plane**
+//! (`0xE0xx_xxxx`): liveness and recovery notices such as
 //! partition-adoption announcements. Both classes travel on the
 //! communicator, never on a fault-wrapped pair link — chaos may lose
 //! *data*, never the messages that coordinate reacting to the loss — but
-//! unlike collectives the control plane is liveness-aware: control
+//! unlike a plain gather the control plane is liveness-aware: control
 //! receives always carry a deadline, so a dead peer degrades the run
 //! instead of deadlocking it.
 
 use crate::comm::{Communicator, Result, TransportError};
 use bytes::Bytes;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Tags at or above this value are reserved for collectives.
 pub const COLLECTIVE_TAG_BASE: u32 = 0xC000_0000;
 
-const TAG_BARRIER: u32 = COLLECTIVE_TAG_BASE;
-const TAG_BCAST: u32 = COLLECTIVE_TAG_BASE + 0x0100_0000;
+/// Tag base for [`gather`], salted per call (the harness salts by step ×
+/// image), so a contribution that arrives *after* its frame timed out can
+/// never be mistaken for the next frame's.
 const TAG_GATHER: u32 = COLLECTIVE_TAG_BASE + 0x0200_0000;
-const TAG_REDUCE: u32 = COLLECTIVE_TAG_BASE + 0x0300_0000;
 
 /// Tags at or above this value are reserved for the control plane
 /// (rank-liveness and recovery coordination). Sits above
@@ -237,227 +238,84 @@ pub fn recv_adopt_notice(
     AdoptNotice::decode(&bytes)
 }
 
-/// Dissemination barrier: log2(P) rounds; returns when all ranks entered.
-pub fn barrier(comm: &dyn Communicator) -> Result<()> {
-    let size = comm.size();
-    let rank = comm.rank();
-    if size == 1 {
-        return Ok(());
-    }
-    let mut round = 0u32;
-    let mut distance = 1usize;
-    while distance < size {
-        let to = (rank + distance) % size;
-        let from = (rank + size - distance) % size;
-        comm.send(to, TAG_BARRIER + round, Bytes::new())?;
-        comm.recv(from, TAG_BARRIER + round)?;
-        distance *= 2;
-        round += 1;
-    }
-    Ok(())
+/// The liveness part of a [`gather`] whose contributors can die mid-run.
+#[derive(Clone, Copy)]
+pub struct Survivors<'a> {
+    /// Whether the caller believes a rank dead: its slot is a hole, not a
+    /// wait.
+    pub is_dead: &'a dyn Fn(usize) -> bool,
+    /// Budget for each live contributor's payload.
+    pub timeout: Duration,
 }
 
-/// Binomial-tree broadcast from `root`; returns the payload on every rank.
-pub fn broadcast(comm: &dyn Communicator, root: usize, payload: Option<Bytes>) -> Result<Bytes> {
-    let size = comm.size();
-    let rank = comm.rank();
-    comm.check_peer(root)?;
-    // Work in a rotated space where the root is rank 0.
-    let vrank = (rank + size - root) % size;
-    let data = if rank == root {
-        payload.ok_or_else(|| {
-            crate::comm::TransportError::InvalidArgument(
-                "root must supply the broadcast payload".into(),
-            )
-        })?
-    } else {
-        // Receive from parent: highest set bit of vrank.
-        let mut mask = 1usize;
-        while mask * 2 <= vrank {
-            mask *= 2;
-        }
-        let vparent = vrank - mask;
-        let parent = (vparent + root) % size;
-        comm.recv(parent, TAG_BCAST)?
-    };
-    // Forward to children.
-    let mut mask = 1usize;
-    while mask <= vrank {
-        mask *= 2;
-    }
-    while mask < size {
-        let vchild = vrank + mask;
-        if vchild < size {
-            let child = (vchild + root) % size;
-            comm.send(child, TAG_BCAST, data.clone())?;
-        }
-        mask *= 2;
-    }
-    Ok(data)
-}
-
-/// Gather every rank's payload at `root`. Returns `Some(vec)` (indexed by
-/// rank) on the root, `None` elsewhere. Flat gather: each non-root sends
-/// directly (the direct-send compositing schedule).
+/// Gather the payloads of the ranks `members` at the first of them, the
+/// root. Returns `Some(slots)` on the root, indexed by position in
+/// `members` (its own payload in slot 0; `None` in a slot is a missing
+/// contribution), and `None` elsewhere. `salt` must be unique per logical
+/// gather (e.g. step × image) so late payloads cannot cross gathers.
+///
+/// Without `survivors` every receive blocks and any error fails the
+/// gather: the plain run pays for nothing. With it, the root skips ranks
+/// believed dead and receives from the others in short slices, re-checking
+/// liveness between them, so a rank declared dead mid-gather resolves to a
+/// hole in O(detection latency), a disconnected or silent one in at most
+/// `timeout` — never a deadlock — while a live straggler keeps the whole
+/// budget.
 pub fn gather(
     comm: &dyn Communicator,
-    root: usize,
-    payload: Bytes,
-) -> Result<Option<Vec<Bytes>>> {
-    let size = comm.size();
-    let rank = comm.rank();
-    comm.check_peer(root)?;
-    if rank == root {
-        let mut out: Vec<Bytes> = Vec::with_capacity(size);
-        for from in 0..size {
-            out.push(if from == root {
-                payload.clone()
-            } else {
-                comm.recv(from, TAG_GATHER)?
-            });
-        }
-        Ok(Some(out))
-    } else {
-        comm.send(root, TAG_GATHER, payload)?;
-        Ok(None)
-    }
-}
-
-/// Tag base for [`gather_surviving`]: salted per call (the harness salts
-/// by step × image), so a contribution that arrives *after* its step timed
-/// out can never be mistaken for the next step's payload.
-const TAG_GATHER_LIVE: u32 = COLLECTIVE_TAG_BASE + 0x0400_0000;
-
-/// Gather that tolerates dead contributors. Like [`gather`], but the root
-/// skips ranks the caller believes dead (`is_dead`) and bounds every other
-/// receive by `timeout`, so a rank that died between liveness checks costs
-/// one timeout, never a deadlock. Returns `Some(per-rank slots)` on the
-/// root — `None` in a slot is a missing contribution (dead, disconnected,
-/// or past deadline) — and `None` elsewhere. `salt` must be unique per
-/// logical gather (e.g. step index) so late payloads cannot cross steps.
-pub fn gather_surviving(
-    comm: &dyn Communicator,
-    root: usize,
+    members: Range<usize>,
     salt: u32,
     payload: Bytes,
-    is_dead: &dyn Fn(usize) -> bool,
-    timeout: Duration,
+    survivors: Option<Survivors>,
 ) -> Result<Option<Vec<Option<Bytes>>>> {
-    let size = comm.size();
     let rank = comm.rank();
-    comm.check_peer(root)?;
-    let tag = TAG_GATHER_LIVE + salt;
-    if rank == root {
-        let mut out: Vec<Option<Bytes>> = Vec::with_capacity(size);
-        // Receive in short slices, re-checking liveness between them: a
-        // rank that is declared dead mid-gather resolves to a hole in
-        // O(detection latency), while a live straggler keeps the whole
-        // `timeout` budget.
-        let slice = Duration::from_millis(5).min(timeout.max(Duration::from_millis(1)));
-        for from in 0..size {
-            if from == root {
-                out.push(Some(payload.clone()));
-                continue;
-            }
-            let deadline = Instant::now() + timeout;
-            let slot = loop {
-                if is_dead(from) {
-                    break None;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break None;
-                }
-                match comm.recv_timeout(from, tag, slice.min(deadline - now)) {
-                    Ok(bytes) => break Some(bytes),
-                    Err(TransportError::Timeout { .. }) => continue,
-                    Err(TransportError::Disconnected { .. }) => break None,
-                    Err(e) => return Err(e),
-                }
-            };
-            out.push(slot);
-        }
-        Ok(Some(out))
-    } else {
-        comm.send(root, tag, payload)?;
-        Ok(None)
-    }
-}
-
-/// Binomial-tree reduction of f64 vectors (element-wise `combine`), result
-/// at `root`. Returns `Some(result)` on the root, `None` elsewhere.
-pub fn reduce_f64(
-    comm: &dyn Communicator,
-    root: usize,
-    mut values: Vec<f64>,
-    combine: fn(f64, f64) -> f64,
-) -> Result<Option<Vec<f64>>> {
-    let size = comm.size();
-    let rank = comm.rank();
-    comm.check_peer(root)?;
-    let vrank = (rank + size - root) % size;
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
-        if vrank & mask != 0 {
-            // send to partner and leave
-            let vpartner = vrank - mask;
-            let partner = (vpartner + root) % size;
-            comm.send(partner, TAG_REDUCE + round, encode_f64s(&values))?;
-            return Ok(None);
-        }
-        let vpartner = vrank + mask;
-        if vpartner < size {
-            let partner = (vpartner + root) % size;
-            let theirs = decode_f64s(&comm.recv(partner, TAG_REDUCE + round)?)?;
-            if theirs.len() != values.len() {
-                return Err(crate::comm::TransportError::InvalidArgument(format!(
-                    "reduce length mismatch: {} vs {}",
-                    theirs.len(),
-                    values.len()
-                )));
-            }
-            for (v, t) in values.iter_mut().zip(theirs) {
-                *v = combine(*v, t);
-            }
-        }
-        mask *= 2;
-        round += 1;
-    }
-    Ok(Some(values))
-}
-
-/// Reduce-then-broadcast: every rank gets the combined vector.
-pub fn allreduce_f64(
-    comm: &dyn Communicator,
-    values: Vec<f64>,
-    combine: fn(f64, f64) -> f64,
-) -> Result<Vec<f64>> {
-    let reduced = reduce_f64(comm, 0, values, combine)?;
-    let payload = reduced.map(|v| encode_f64s(&v));
-    let bytes = broadcast(comm, 0, payload)?;
-    decode_f64s(&bytes)
-}
-
-fn encode_f64s(values: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-fn decode_f64s(bytes: &Bytes) -> Result<Vec<f64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(crate::comm::TransportError::Decode(format!(
-            "f64 vector payload of {} bytes",
-            bytes.len()
+    if !members.contains(&rank) {
+        return Err(TransportError::InvalidArgument(format!(
+            "rank {rank} is not a member of the gather over {members:?}"
         )));
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-        .collect())
+    comm.check_peer(members.end - 1)?;
+    let (root, tag) = (members.start, TAG_GATHER + salt);
+    if rank != root {
+        comm.send(root, tag, payload)?;
+        return Ok(None);
+    }
+    let mut slots = Vec::with_capacity(members.len());
+    slots.push(Some(payload));
+    for from in root + 1..members.end {
+        slots.push(match survivors {
+            None => Some(comm.recv(from, tag)?),
+            Some(live) => recv_surviving(comm, from, tag, live)?,
+        });
+    }
+    Ok(Some(slots))
+}
+
+/// One contributor's payload under [`Survivors`]: `None` when it is (or is
+/// declared) dead, disconnects, or misses its budget.
+fn recv_surviving(
+    comm: &dyn Communicator,
+    from: usize,
+    tag: u32,
+    live: Survivors,
+) -> Result<Option<Bytes>> {
+    let slice = Duration::from_millis(5).min(live.timeout.max(Duration::from_millis(1)));
+    let deadline = Instant::now() + live.timeout;
+    loop {
+        if (live.is_dead)(from) {
+            return Ok(None);
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Ok(None);
+        }
+        match comm.recv_timeout(from, tag, slice.min(deadline - now)) {
+            Ok(bytes) => return Ok(Some(bytes)),
+            Err(TransportError::Timeout { .. }) => continue,
+            Err(TransportError::Disconnected { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -483,101 +341,40 @@ mod tests {
     }
 
     #[test]
-    fn barrier_completes_at_various_sizes() {
-        for size in [1usize, 2, 3, 4, 5, 8] {
-            let done = on_ranks(size, |c| {
-                barrier(c).unwrap();
-                true
-            });
-            assert_eq!(done.len(), size);
-        }
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        // All ranks increment a counter before the barrier; after it, every
-        // rank must observe the full count.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c2 = counter.clone();
-        let size = 4;
-        let seen = on_ranks(size, move |c| {
-            c2.fetch_add(1, Ordering::SeqCst);
-            barrier(c).unwrap();
-            c2.load(Ordering::SeqCst)
-        });
-        for s in seen {
-            assert_eq!(s, size);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_every_root() {
-        for root in 0..4usize {
-            let got = on_ranks(4, move |c| {
-                let payload = if c.rank() == root {
-                    Some(Bytes::from(vec![root as u8; 3]))
-                } else {
-                    None
-                };
-                broadcast(c, root, payload).unwrap()
-            });
-            for g in got {
-                assert_eq!(&g[..], &[root as u8; 3]);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_by_rank() {
+    fn gather_collects_a_member_range_by_position() {
+        // ranks 0 and 1 sit outside the gather (an intercore fabric's
+        // simulation ranks): they never take part, and the root is rank 2
         let results = on_ranks(5, |c| {
-            gather(c, 2, Bytes::from(vec![c.rank() as u8])).unwrap()
+            if c.rank() < 2 {
+                return None;
+            }
+            gather(c, 2..5, 3, Bytes::from(vec![c.rank() as u8]), None).unwrap()
         });
-        for (rank, r) in results.iter().enumerate() {
-            if rank == 2 {
-                let v = r.as_ref().unwrap();
-                for (i, b) in v.iter().enumerate() {
-                    assert_eq!(b[0] as usize, i);
+        let slots = results[2].as_ref().unwrap();
+        let got: Vec<u8> = slots.iter().map(|slot| slot.as_ref().unwrap()[0]).collect();
+        assert_eq!(got, vec![2, 3, 4]);
+        assert!(results.iter().enumerate().all(|(rank, r)| rank == 2 || r.is_none()));
+        // a rank outside the range is refused, not silently counted
+        let refused = on_ranks(2, |c| gather(c, 1..2, 0, Bytes::new(), None).is_err());
+        assert_eq!(refused, vec![true, false]);
+    }
+
+    #[test]
+    fn salted_gathers_never_cross() {
+        // rank 1 contributes to gather 8 before gather 7: the root still
+        // files each payload under its own salt
+        let results = on_ranks(2, |c| {
+            let mine = |salt: u8| Bytes::from(vec![salt, c.rank() as u8]);
+            let order = if c.rank() == 1 { [8, 7] } else { [7, 8] };
+            let mut got = Vec::new();
+            for salt in order {
+                if let Some(slots) = gather(c, 0..2, salt as u32, mine(salt), None).unwrap() {
+                    got.push(slots[1].clone().unwrap());
                 }
-            } else {
-                assert!(r.is_none());
             }
-        }
-    }
-
-    #[test]
-    fn reduce_sums_vectors() {
-        for size in [1usize, 2, 3, 4, 7] {
-            let results = on_ranks(size, |c| {
-                let mine = vec![c.rank() as f64, 1.0];
-                reduce_f64(c, 0, mine, |a, b| a + b).unwrap()
-            });
-            let root = results[0].as_ref().unwrap();
-            let expect: f64 = (0..size).map(|r| r as f64).sum();
-            assert_eq!(root[0], expect, "size {size}");
-            assert_eq!(root[1], size as f64);
-            for r in &results[1..] {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max_everywhere() {
-        let results = on_ranks(6, |c| {
-            allreduce_f64(c, vec![c.rank() as f64], f64::max).unwrap()
+            got
         });
-        for r in results {
-            assert_eq!(r, vec![5.0]);
-        }
-    }
-
-    #[test]
-    fn f64_codec_roundtrip_and_rejects_misaligned() {
-        let v = vec![1.5, -2.25, 1e300];
-        assert_eq!(decode_f64s(&encode_f64s(&v)).unwrap(), v);
-        assert!(decode_f64s(&Bytes::from_static(b"12345")).is_err());
+        assert_eq!(results[0], vec![Bytes::from(vec![7, 1]), Bytes::from(vec![8, 1])]);
     }
 
     #[test]
@@ -673,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_surviving_skips_the_dead_and_never_blocks_on_them() {
+    fn a_surviving_gather_skips_the_dead_and_never_blocks_on_them() {
         use std::time::Instant;
         // rank 2 is "dead": it never calls the gather at all. The root
         // must still return, with rank 2's slot empty, well inside the
@@ -683,15 +480,11 @@ mod tests {
             if c.rank() == 2 {
                 return None; // dead rank: no participation
             }
-            gather_surviving(
-                c,
-                0,
-                5,
-                Bytes::from(vec![c.rank() as u8]),
-                &|r| r == 2,
-                Duration::from_secs(5),
-            )
-            .unwrap()
+            let survivors = Survivors {
+                is_dead: &|r| r == 2,
+                timeout: Duration::from_secs(5),
+            };
+            gather(c, 0..4, 5, Bytes::from(vec![c.rank() as u8]), Some(survivors)).unwrap()
         });
         let slots = results[0].as_ref().unwrap();
         assert_eq!(slots.len(), 4);
@@ -704,22 +497,18 @@ mod tests {
     }
 
     #[test]
-    fn gather_surviving_counts_a_silent_live_rank_as_missing() {
+    fn a_surviving_gather_counts_a_silent_live_rank_as_missing() {
         // rank 1 is believed alive but never sends: the root times out on
         // it (bounded) and records a missing contribution.
         let results = on_ranks(3, |c| {
             if c.rank() == 1 {
                 return None;
             }
-            gather_surviving(
-                c,
-                0,
-                9,
-                Bytes::from(vec![c.rank() as u8]),
-                &|_| false,
-                Duration::from_millis(50),
-            )
-            .unwrap()
+            let survivors = Survivors {
+                is_dead: &|_| false,
+                timeout: Duration::from_millis(50),
+            };
+            gather(c, 0..3, 9, Bytes::from(vec![c.rank() as u8]), Some(survivors)).unwrap()
         });
         let slots = results[0].as_ref().unwrap();
         assert!(slots[1].is_none(), "silent rank must surface as missing");

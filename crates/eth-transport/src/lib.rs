@@ -18,8 +18,8 @@
 //!   globally visible layout file, opens its port and waits; visualization
 //!   ranks poll the file and connect (Section III-C),
 //! * [`layout`] — the layout file itself,
-//! * [`collectives`] — barrier / broadcast / gather / reduce built on
-//!   point-to-point (binomial trees), used by compositing and the harness,
+//! * [`collectives`] — the composite gather over a range of ranks (with
+//!   an optional liveness part) and the control-plane messages,
 //! * [`runner`] — the `mpirun` equivalent: one launcher that spawns a
 //!   thread per rank and collects them under an optional wall-clock budget
 //!   and an optional heartbeat watch,

@@ -10,6 +10,7 @@
 
 use crate::comm::{Communicator, Result};
 use bytes::Bytes;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A tagged, ordered, two-ended channel between a rank and one fixed peer.
@@ -27,15 +28,27 @@ pub trait PairLink {
     /// after that long with [`crate::TransportError::Timeout`].
     fn recv(&self, tag: u32, within: Option<Duration>) -> Result<Bytes>;
 
-    /// Bytes this end put on a wire of its own. A view of a communicator
-    /// reports 0: that communicator's `traffic()` already counts them.
+    /// Bytes this end sent through the link. A view of a communicator
+    /// reports its own sends, which that communicator's `traffic()` counts
+    /// as well: a rank adding the two must not also send through the view.
     fn bytes_sent(&self) -> u64;
 }
 
 /// A [`Communicator`] seen from one rank towards one peer.
 pub struct FabricLink<'a> {
-    pub comm: &'a dyn Communicator,
-    pub peer: usize,
+    comm: &'a dyn Communicator,
+    peer: usize,
+    sent: AtomicU64,
+}
+
+impl<'a> FabricLink<'a> {
+    pub fn new(comm: &'a dyn Communicator, peer: usize) -> FabricLink<'a> {
+        FabricLink {
+            comm,
+            peer,
+            sent: AtomicU64::new(0),
+        }
+    }
 }
 
 impl PairLink for FabricLink<'_> {
@@ -48,6 +61,8 @@ impl PairLink for FabricLink<'_> {
     }
 
     fn send(&self, tag: u32, payload: Bytes) -> Result<()> {
+        // counted as the communicator counts it: once handed over
+        self.sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.comm.send(self.peer, tag, payload)
     }
 
@@ -59,7 +74,7 @@ impl PairLink for FabricLink<'_> {
     }
 
     fn bytes_sent(&self) -> u64 {
-        0
+        self.sent.load(Ordering::Relaxed)
     }
 }
 
@@ -72,21 +87,16 @@ mod tests {
     #[test]
     fn fabric_link_is_the_communicator_fixed_on_one_peer() {
         let comms = LocalFabric::new(3);
-        let up = FabricLink {
-            comm: &comms[0],
-            peer: 2,
-        };
-        let down = FabricLink {
-            comm: &comms[2],
-            peer: 0,
-        };
+        let up = FabricLink::new(&comms[0], 2);
+        let down = FabricLink::new(&comms[2], 0);
         assert_eq!((up.local_rank(), up.peer_rank()), (0, 2));
         up.send(7, Bytes::from_static(b"block")).unwrap();
         assert_eq!(&down.recv(7, None).unwrap()[..], b"block");
         let err = down.recv(7, Some(Duration::from_millis(20))).unwrap_err();
         assert!(matches!(err, TransportError::Timeout { peer: 0, .. }), "{err}");
-        // the fabric's own counters saw the bytes
-        assert_eq!(up.bytes_sent(), 0);
+        // the view counts its own sends, as the fabric's counters do
+        assert_eq!(up.bytes_sent(), 5);
+        assert_eq!(down.bytes_sent(), 0);
         assert_eq!(comms[0].traffic().bytes_sent, 5);
     }
 }

@@ -413,4 +413,59 @@ mod tests {
         let f = read_frame(&mut wire.as_slice()).unwrap();
         assert!(f.payload.is_empty());
     }
+
+    mod totality {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn bytes(raw: Vec<u16>) -> Vec<u8> {
+            raw.into_iter().map(|b| b as u8).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary bytes, and a header under either magic with any
+            /// length prefix in front of arbitrary bytes, read to `Ok` or
+            /// `Err` — never a panic. A prefix over the limit, or claiming
+            /// more bytes than the stream holds, is `Err`; any other is the
+            /// frame it describes.
+            #[test]
+            fn reading_is_total(
+                noise in prop::collection::vec(0u16..256, 0..64),
+                v2 in 0u8..2,
+                from in 0u64..1 << 32,
+                tag in 0u64..1 << 32,
+                short in 0u64..128,
+                any_len in 0u64..u64::MAX,
+                tight in 0u64..256,
+                pick in 0u8..4,
+                body in prop::collection::vec(0u16..256, 0..160),
+            ) {
+                let _ = read_frame_limited(&mut bytes(noise).as_slice(), MAX_PAYLOAD);
+                // short prefixes often fit the bytes present; any other
+                // almost never does
+                let len = if pick & 1 == 0 { short } else { any_len };
+                let limit = if pick & 2 == 0 { MAX_PAYLOAD } else { tight };
+
+                let body = bytes(body);
+                let mut wire = BytesMut::new();
+                wire.put_u32_le(if v2 == 1 { FRAME_MAGIC_V2 } else { FRAME_MAGIC });
+                wire.put_u32_le(from as u32);
+                wire.put_u32_le(tag as u32);
+                wire.put_u64_le(len);
+                wire.extend_from_slice(&body);
+                let ctx = if v2 == 1 { FRAME_CONTEXT_BYTES } else { 0 };
+                let present = body.len().saturating_sub(ctx) as u64;
+                match read_frame_limited(&mut &wire[..], limit) {
+                    Ok(frame) => {
+                        prop_assert!(len <= limit && len <= present && body.len() >= ctx);
+                        prop_assert_eq!(&frame.payload[..], &body[ctx..ctx + len as usize]);
+                        prop_assert_eq!((frame.from, frame.tag), (from as u32, tag as u32));
+                    }
+                    Err(_) => prop_assert!(len > limit || len > present || body.len() < ctx),
+                }
+            }
+        }
+    }
 }

@@ -684,7 +684,7 @@ pub fn spawn_migration_supervisor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allreduce_f64, barrier};
+    use crate::collectives::gather;
     use bytes::Bytes;
 
     #[test]
@@ -705,19 +705,18 @@ mod tests {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
             c.send(next, 0, Bytes::from(vec![c.rank() as u8])).unwrap();
-            let from_prev = c.recv(prev, 0).unwrap()[0] as usize;
-            barrier(&c).unwrap();
-            from_prev
+            c.recv(prev, 0).unwrap()[0] as usize
         });
         assert_eq!(sums, vec![3, 0, 1, 2]);
     }
 
     #[test]
-    fn collectives_work_over_runner() {
-        let totals = run_ranks(6, |c| {
-            allreduce_f64(&c, vec![1.0], |a, b| a + b).unwrap()[0]
+    fn the_gather_works_over_runner() {
+        let gathered = run_ranks(6, |c| {
+            let mine = Bytes::from(vec![c.rank() as u8]);
+            gather(&c, 0..6, 0, mine, None).unwrap().map(|slots| slots.len())
         });
-        assert!(totals.iter().all(|&t| t == 6.0));
+        assert_eq!(gathered, vec![Some(6), None, None, None, None, None]);
     }
 
     #[test]

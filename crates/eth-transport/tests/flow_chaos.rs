@@ -43,7 +43,7 @@ fn chaos_drops_dangle_and_corrupt_messages_still_pair() {
                 eth_obs::set_rank(rank);
                 let links: Vec<_> = (0..RANKS)
                     .filter(|&peer| peer != rank)
-                    .map(|peer| ChaosLink::new(FabricLink { comm, peer }, plan.clone()))
+                    .map(|peer| ChaosLink::new(FabricLink::new(comm, peer), plan.clone()))
                     .collect();
                 for link in &links {
                     for i in 0..SENDS {

@@ -7,12 +7,10 @@
 //! - enums with unit, tuple, and struct variants (externally tagged)
 //! - `#[serde(default)]` and `#[serde(default = "path")]` on fields
 //! - `Option<T>` fields are implicitly optional (missing key -> `None`)
-//! - shim-only: `#[serde(finish_with = "path")]` on a struct runs
-//!   `path(&mut Self, &[(String, Value)]) -> Result<(), DeError>` over the
-//!   freshly built value and the raw object — the place to read keys an
-//!   older writer used (with real serde this would be `try_from`)
+//! - keys no field names are ignored
 //!
-//! Anything else (generics, tuple structs, other serde attributes) panics
+//! Anything else (generics, tuple structs, other serde attributes, any
+//! serde attribute on the container) panics
 //! at expansion time with a clear message, so unsupported use fails the
 //! build loudly instead of mis-serializing.
 
@@ -47,8 +45,7 @@ struct Variant {
 }
 
 enum Shape {
-    /// Fields plus the container's `finish_with` hook, if any.
-    Struct(Vec<Field>, Option<String>),
+    Struct(Vec<Field>),
     Enum(Vec<Variant>),
 }
 
@@ -56,7 +53,7 @@ enum Shape {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse_item(input);
     let code = match &shape {
-        Shape::Struct(fields, _) => gen_ser_struct(&name, fields),
+        Shape::Struct(fields) => gen_ser_struct(&name, fields),
         Shape::Enum(variants) => gen_ser_enum(&name, variants),
     };
     code.parse().expect("serde shim derive: generated invalid Serialize impl")
@@ -66,7 +63,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse_item(input);
     let code = match &shape {
-        Shape::Struct(fields, finish) => gen_de_struct(&name, fields, finish.as_deref()),
+        Shape::Struct(fields) => gen_de_struct(&name, fields),
         Shape::Enum(variants) => gen_de_enum(&name, variants),
     };
     code.parse().expect("serde shim derive: generated invalid Deserialize impl")
@@ -77,13 +74,16 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 fn parse_item(input: TokenStream) -> (String, Shape) {
     let mut toks = input.into_iter().peekable();
     let mut kind: Option<String> = None;
-    let mut finish: Option<String> = None;
     while let Some(tt) = toks.next() {
         match tt {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                // outer attribute: only `#[serde(finish_with = "path")]` matters
+                // outer attribute: doc comment, derive, repr — never serde
                 if let Some(TokenTree::Group(g)) = toks.next() {
-                    finish = finish.or(parse_finish_with(g.stream()));
+                    let first = g.stream().into_iter().next();
+                    assert!(
+                        !matches!(&first, Some(TokenTree::Ident(i)) if i.to_string() == "serde"),
+                        "serde shim derive: container attributes are not supported"
+                    );
                 }
             }
             TokenTree::Ident(id) => {
@@ -112,9 +112,8 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
     match toks.next() {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
             if kind == "struct" {
-                (name, Shape::Struct(parse_fields(g.stream()), finish))
+                (name, Shape::Struct(parse_fields(g.stream())))
             } else {
-                assert!(finish.is_none(), "serde shim derive: finish_with on enum `{name}`");
                 (name, Shape::Enum(parse_variants(g.stream())))
             }
         }
@@ -124,25 +123,6 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
         other => panic!(
             "serde shim derive: unsupported shape for `{name}` (tuple/unit struct?): {other:?}"
         ),
-    }
-}
-
-/// `serde(finish_with = "path")` → `path`; any other attribute → `None`.
-fn parse_finish_with(attr: TokenStream) -> Option<String> {
-    let mut toks = attr.into_iter();
-    match (toks.next(), toks.next()) {
-        (Some(TokenTree::Ident(i)), Some(TokenTree::Group(g))) if i.to_string() == "serde" => {
-            let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            match inner.as_slice() {
-                [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(lit)]
-                    if key.to_string() == "finish_with" && eq.as_char() == '=' =>
-                {
-                    Some(lit.to_string().trim_matches('"').to_string())
-                }
-                other => panic!("serde shim derive: unsupported container attribute {other:?}"),
-            }
-        }
-        _ => None, // doc comment, derive, repr, ...
     }
 }
 
@@ -359,11 +339,8 @@ fn field_init_list(owner: &str, fields: &[Field], src: &str) -> String {
         .collect()
 }
 
-fn gen_de_struct(name: &str, fields: &[Field], finish: Option<&str>) -> String {
+fn gen_de_struct(name: &str, fields: &[Field]) -> String {
     let inits = field_init_list(name, fields, "__fields");
-    let finish = finish.map_or(String::new(), |path| {
-        format!("{path}(&mut __out, __fields)?;")
-    });
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
             fn deserialize_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
@@ -371,10 +348,7 @@ fn gen_de_struct(name: &str, fields: &[Field], finish: Option<&str>) -> String {
                     ::std::option::Option::Some(f) => f,\n\
                     ::std::option::Option::None => return ::std::result::Result::Err(::serde::DeError::custom(\"{name}: expected object\")),\n\
                 }};\n\
-                #[allow(unused_mut)]\n\
-                let mut __out = {name} {{ {inits} }};\n\
-                {finish}\n\
-                ::std::result::Result::Ok(__out)\n\
+                ::std::result::Result::Ok({name} {{ {inits} }})\n\
             }}\n\
         }}"
     )
