@@ -11,6 +11,7 @@ use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
 use crate::field::{Attribute, AttributeSet};
 use crate::vec3::Vec3;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A vertex-centered uniform grid with named attribute arrays.
@@ -285,7 +286,25 @@ impl UniformGrid {
 
     /// Extract the sub-grid covering vertex range `[lo, hi)` on each axis.
     /// Used by the slab partitioner.
+    ///
+    /// Every kept x-row is contiguous in the source, so each attribute is
+    /// copied row by row, one output k-plane per work item.
     pub fn extract_subgrid(&self, lo: [usize; 3], hi: [usize; 3]) -> Result<UniformGrid> {
+        let mut out = self.subgrid_shell(lo, hi)?;
+        for (name, attr) in self.attributes.iter() {
+            let kept = match attr {
+                Attribute::Scalar(v) => Attribute::Scalar(self.copy_rows(v, lo, hi)),
+                Attribute::Vector(v) => Attribute::Vector(self.copy_rows(v, lo, hi)),
+                Attribute::Id(v) => Attribute::Id(self.copy_rows(v, lo, hi)),
+            };
+            out.set_attribute(name, kept)?;
+        }
+        Ok(out)
+    }
+
+    /// The attribute-less grid over vertex range `[lo, hi)`, after checking
+    /// the range.
+    fn subgrid_shell(&self, lo: [usize; 3], hi: [usize; 3]) -> Result<UniformGrid> {
         for a in 0..3 {
             if lo[a] >= hi[a] || hi[a] > self.dims[a] {
                 return Err(DataError::InvalidArgument(format!(
@@ -296,8 +315,39 @@ impl UniformGrid {
         }
         let dims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
         let origin = self.vertex_position(lo[0], lo[1], lo[2]);
-        let mut out = UniformGrid::new(dims, origin, self.spacing)?;
-        // Gather flat indices of the kept vertices, x-fastest to match layout.
+        UniformGrid::new(dims, origin, self.spacing)
+    }
+
+    /// The values of `src` at the vertices in `[lo, hi)`, x-fastest.
+    fn copy_rows<T: Copy + Default + Send + Sync>(
+        &self,
+        src: &[T],
+        lo: [usize; 3],
+        hi: [usize; 3],
+    ) -> Vec<T> {
+        let (row, plane) = (hi[0] - lo[0], (hi[0] - lo[0]) * (hi[1] - lo[1]));
+        let mut out = vec![T::default(); plane * (hi[2] - lo[2])];
+        out.par_chunks_mut(plane)
+            .zip((lo[2]..hi[2]).into_par_iter())
+            .for_each(|(dst, k)| {
+                for (dst, j) in dst.chunks_exact_mut(row).zip(lo[1]..hi[1]) {
+                    let start = self.vertex_index(lo[0], j, k);
+                    dst.copy_from_slice(&src[start..start + row]);
+                }
+            });
+        out
+    }
+
+    /// The extraction [`UniformGrid::extract_subgrid`] replaced: a flat
+    /// index per kept vertex, a gather, and a copy of the gathered set.
+    #[cfg(test)]
+    pub(crate) fn reference_extract_subgrid(
+        &self,
+        lo: [usize; 3],
+        hi: [usize; 3],
+    ) -> Result<UniformGrid> {
+        let mut out = self.subgrid_shell(lo, hi)?;
+        let dims = out.dims();
         let mut indices = Vec::with_capacity(dims[0] * dims[1] * dims[2]);
         for k in lo[2]..hi[2] {
             for j in lo[1]..hi[1] {
@@ -315,7 +365,7 @@ impl UniformGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ramp_grid() -> UniformGrid {
@@ -421,6 +471,84 @@ mod tests {
         assert_eq!(f[0], 101.0);
         // last is (2,1,2) -> 2 + 10 + 200
         assert_eq!(*f.last().unwrap(), 212.0);
+    }
+
+    /// A grid of `dims` carrying one attribute of each variant, every
+    /// value a distinct bit pattern (NaNs included).
+    pub(crate) fn bit_pattern_grid(dims: [usize; 3]) -> UniformGrid {
+        let mut g =
+            UniformGrid::new(dims, Vec3::new(-1.0, 0.5, 2.0), Vec3::new(0.5, 0.25, 2.0)).unwrap();
+        let n = g.num_vertices() as u64;
+        let bits = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32;
+        let scalar = (0..n).map(|i| f32::from_bits(bits(i))).collect();
+        let vector = (0..n)
+            .map(|i| Vec3::new(i as f32, f32::from_bits(bits(i + n)), -(i as f32)))
+            .collect();
+        g.set_attribute("s", Attribute::Scalar(scalar)).unwrap();
+        g.set_attribute("v", Attribute::Vector(vector)).unwrap();
+        g.set_attribute("id", Attribute::Id((0..n).map(|i| !i).collect()))
+            .unwrap();
+        g
+    }
+
+    pub(crate) type AttributeBits = Vec<(String, Vec<u64>)>;
+
+    /// Every attribute array by bits, in order.
+    pub(crate) fn attribute_bits(attrs: &AttributeSet) -> AttributeBits {
+        attrs
+            .iter()
+            .map(|(name, attr)| {
+                let bits = match attr {
+                    Attribute::Scalar(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+                    Attribute::Vector(v) => v
+                        .iter()
+                        .flat_map(|p| p.to_array())
+                        .map(|x| x.to_bits() as u64)
+                        .collect(),
+                    Attribute::Id(v) => v.clone(),
+                };
+                (name.to_string(), bits)
+            })
+            .collect()
+    }
+
+    pub(crate) fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn subgrid_matches_reference_bit_for_bit(
+            (nx, ny, nz) in (1usize..41, 1usize..41, 1usize..41),
+            (a, b, c) in (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20),
+        ) {
+            let g = bit_pattern_grid([nx, ny, nz]);
+            let dims = g.dims();
+            let (mut lo, mut hi) = ([0; 3], [0; 3]);
+            for (axis, r) in [a, b, c].into_iter().enumerate() {
+                let d = dims[axis] as u64;
+                lo[axis] = (r % d) as usize;
+                hi[axis] = lo[axis] + 1 + ((r >> 10) % (d - lo[axis] as u64)) as usize;
+            }
+            let want = g.reference_extract_subgrid(lo, hi).unwrap();
+            for threads in [1, 2] {
+                let got = at_threads(threads, || g.extract_subgrid(lo, hi)).unwrap();
+                proptest::prop_assert_eq!(
+                    (got.dims(), got.origin(), got.spacing()),
+                    (want.dims(), want.origin(), want.spacing())
+                );
+                proptest::prop_assert!(
+                    attribute_bits(got.attributes()) == attribute_bits(want.attributes()),
+                    "[{lo:?}, {hi:?}) of {dims:?} differs at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! * [`partition`] — spatial decomposition of a dataset across ranks,
 //! * [`sampling`] — the spatial down-sampling operator studied in the paper,
-//! * [`io`] — a legacy-VTK-ASCII subset plus a fast binary format, so a
+//! * [`io`] — a fast binary format, so a
 //!   "preliminary run" can write per-rank, per-timestep files to disk and the
 //!   simulation proxy can read them back (Figures 3 and 7 of the paper),
 //! * [`stats`] — summary statistics used by tests and workload validation.

@@ -13,8 +13,11 @@
 
 use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
+use crate::field::Attribute;
 use crate::grid::UniformGrid;
 use crate::points::PointCloud;
+use crate::vec3::Vec3;
+use rayon::prelude::*;
 
 /// How many blocks along each axis for a given rank count: a near-cubic
 /// factorization of `n` into three factors, largest factor on the longest
@@ -89,14 +92,14 @@ pub fn decompose_domain(domain: &Aabb, n: usize) -> Vec<Aabb> {
     for bk in 0..f[2] {
         for bj in 0..f[1] {
             for bi in 0..f[0] {
-                let min = crate::vec3::Vec3::new(
+                let min = Vec3::new(
                     domain.min.x + bi as f32 * step[0],
                     domain.min.y + bj as f32 * step[1],
                     domain.min.z + bk as f32 * step[2],
                 );
                 // Use exact domain max on the last block of each axis to
                 // avoid floating-point shortfall at the boundary.
-                let max = crate::vec3::Vec3::new(
+                let max = Vec3::new(
                     if bi + 1 == f[0] { domain.max.x } else { domain.min.x + (bi + 1) as f32 * step[0] },
                     if bj + 1 == f[1] { domain.max.y } else { domain.min.y + (bj + 1) as f32 * step[1] },
                     if bk + 1 == f[2] { domain.max.z } else { domain.min.z + (bk + 1) as f32 * step[2] },
@@ -110,46 +113,139 @@ pub fn decompose_domain(domain: &Aabb, n: usize) -> Vec<Aabb> {
 
 /// Assign every particle of `cloud` to exactly one of `n` spatial blocks,
 /// returning per-rank clouds (attributes gathered consistently).
+///
+/// The blocks decompose the bounds of the finite points. A point goes to
+/// the first block holding it half-open, else the first holding it closed
+/// (the global max faces), else the block with the nearest center. A
+/// coordinate that is not finite is first clamped into those bounds: ±∞ to
+/// the face it points at, NaN to the min face.
+///
+/// One parallel pass labels every point with its block and counts each
+/// worker's points per block; then every array is scattered, stably, into
+/// per-block arrays allocated at their final length, each worker writing
+/// its own run of every block.
 pub fn partition_points(cloud: &PointCloud, n: usize) -> Result<Vec<PointCloud>> {
     if n == 0 {
         return Err(DataError::InvalidArgument("zero ranks".into()));
     }
-    let domain = cloud.bounds();
+    if u32::try_from(n).is_err() {
+        return Err(DataError::InvalidArgument(format!(
+            "{n} ranks overflow a u32 block label"
+        )));
+    }
     if cloud.is_empty() {
         // n empty clouds — a rank is allowed to hold no data.
         return Ok((0..n).map(|_| cloud.gather(&[]).unwrap()).collect());
     }
-    let blocks = decompose_domain(&domain, n);
-    let mut index_lists: Vec<Vec<usize>> = vec![Vec::new(); n];
-    'next_point: for (pi, &p) in cloud.positions().iter().enumerate() {
-        for (bi, b) in blocks.iter().enumerate() {
-            // Half-open membership makes interior faces unambiguous; points
-            // on the global max faces fall through to the closed test below.
-            if b.contains_half_open(p) {
-                index_lists[bi].push(pi);
-                continue 'next_point;
-            }
+    let positions = cloud.positions();
+    let mut domain = Aabb::empty();
+    for &p in positions {
+        if p.is_finite() {
+            domain.expand_point(p);
         }
-        // Domain-boundary points (on a global max face): first closed match.
-        for (bi, b) in blocks.iter().enumerate() {
-            if b.contains(p) {
-                index_lists[bi].push(pi);
-                continue 'next_point;
-            }
+    }
+    let blocks = decompose_domain(&domain, n);
+    let block_of = |p: Vec3| -> usize {
+        let p = p.max(domain.min).min(domain.max);
+        // Half-open membership makes interior faces unambiguous; points
+        // on the global max faces fall through to the closed test.
+        if let Some(b) = blocks.iter().position(|b| b.contains_half_open(p)) {
+            return b;
+        }
+        if let Some(b) = blocks.iter().position(|b| b.contains(p)) {
+            return b;
         }
         // Floating-point stragglers go to the nearest block center.
-        let (bi, _) = blocks
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let da = (a.center() - p).length_squared();
-                let db = (b.center() - p).length_squared();
-                da.partial_cmp(&db).unwrap()
-            })
-            .expect("at least one block");
-        index_lists[bi].push(pi);
+        let distance = |b: &Aabb| (b.center() - p).length_squared();
+        (0..n)
+            .min_by(|&a, &b| distance(&blocks[a]).total_cmp(&distance(&blocks[b])))
+            .expect("at least one block")
+    };
+    let chunk = positions.len().div_ceil(rayon::current_num_threads());
+    let labelled: Vec<(Vec<u32>, Vec<usize>)> = positions
+        .par_chunks(chunk)
+        .map(|points| {
+            let mut counts = vec![0usize; n];
+            let labels = points
+                .iter()
+                .map(|&p| {
+                    let b = block_of(p);
+                    counts[b] += 1;
+                    b as u32
+                })
+                .collect();
+            (labels, counts)
+        })
+        .collect();
+    let scatter = Scatter { chunk, n, labelled };
+    let mut parts: Vec<PointCloud> = scatter
+        .apply(positions)
+        .into_iter()
+        .map(PointCloud::from_positions)
+        .collect();
+    for (name, attr) in cloud.attributes().iter() {
+        let split: Vec<Attribute> = match attr {
+            Attribute::Scalar(v) => scatter
+                .apply(v)
+                .into_iter()
+                .map(Attribute::Scalar)
+                .collect(),
+            Attribute::Vector(v) => scatter
+                .apply(v)
+                .into_iter()
+                .map(Attribute::Vector)
+                .collect(),
+            Attribute::Id(v) => scatter.apply(v).into_iter().map(Attribute::Id).collect(),
+        };
+        for (part, attr) in parts.iter_mut().zip(split) {
+            part.set_attribute(name, attr)?;
+        }
     }
-    index_lists.iter().map(|ix| cloud.gather(ix)).collect()
+    Ok(parts)
+}
+
+/// A stable counting-sort scatter: element `i` of an array goes to block
+/// `labels[i]`, after every earlier element of that block.
+struct Scatter {
+    /// Elements per worker chunk.
+    chunk: usize,
+    /// Number of blocks.
+    n: usize,
+    /// Per chunk: each element's block, and the chunk's count per block.
+    labelled: Vec<(Vec<u32>, Vec<usize>)>,
+}
+
+impl Scatter {
+    fn apply<T: Copy + Default + Send + Sync>(&self, src: &[T]) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..self.n)
+            .map(|b| {
+                let len = self.labelled.iter().map(|(_, counts)| counts[b]).sum();
+                vec![T::default(); len]
+            })
+            .collect();
+        // Cut every block's array into one run per chunk, in chunk order.
+        let mut runs: Vec<Vec<&mut [T]>> = self.labelled.iter().map(|_| Vec::new()).collect();
+        for (b, block) in out.iter_mut().enumerate() {
+            let mut rest = block.as_mut_slice();
+            for (chunk_runs, (_, counts)) in runs.iter_mut().zip(&self.labelled) {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(counts[b]);
+                chunk_runs.push(run);
+                rest = tail;
+            }
+        }
+        src.par_chunks(self.chunk)
+            .zip(self.labelled.par_iter())
+            .zip(runs.into_par_iter())
+            .for_each(|((src, (labels, _)), mut runs)| {
+                let mut next = vec![0usize; self.n];
+                for (&v, &b) in src.iter().zip(labels) {
+                    let b = b as usize;
+                    runs[b][next[b]] = v;
+                    next[b] += 1;
+                }
+            });
+        out
+    }
 }
 
 /// Partition a grid into `n` slabs along its longest axis.
@@ -275,6 +371,220 @@ mod tests {
         let parts = partition_points(&c, 4).unwrap();
         assert_eq!(parts.len(), 4);
         assert!(parts.iter().all(|p| p.is_empty()));
+    }
+
+    /// The partitioner [`partition_points`] replaced: per-block index
+    /// lists, then one gather per block.
+    fn reference_partition_points(cloud: &PointCloud, n: usize) -> Result<Vec<PointCloud>> {
+        if n == 0 {
+            return Err(DataError::InvalidArgument("zero ranks".into()));
+        }
+        let domain = cloud.bounds();
+        if cloud.is_empty() {
+            return Ok((0..n).map(|_| cloud.gather(&[]).unwrap()).collect());
+        }
+        let blocks = decompose_domain(&domain, n);
+        let mut index_lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+        'next_point: for (pi, &p) in cloud.positions().iter().enumerate() {
+            for (bi, b) in blocks.iter().enumerate() {
+                if b.contains_half_open(p) {
+                    index_lists[bi].push(pi);
+                    continue 'next_point;
+                }
+            }
+            for (bi, b) in blocks.iter().enumerate() {
+                if b.contains(p) {
+                    index_lists[bi].push(pi);
+                    continue 'next_point;
+                }
+            }
+            let (bi, _) = blocks
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let da = (a.center() - p).length_squared();
+                    let db = (b.center() - p).length_squared();
+                    da.partial_cmp(&db).unwrap()
+                })
+                .expect("at least one block");
+            index_lists[bi].push(pi);
+        }
+        index_lists.iter().map(|ix| cloud.gather(ix)).collect()
+    }
+
+    /// The slab partitioner over the extraction it used before
+    /// [`UniformGrid::extract_subgrid`] copied rows.
+    fn reference_partition_grid_slabs(grid: &UniformGrid, n: usize) -> Vec<UniformGrid> {
+        let dims = grid.dims();
+        let axis = grid.bounds().longest_axis();
+        let cells = dims[axis] - 1;
+        if n == 1 || cells == 0 {
+            return vec![grid.clone(); n];
+        }
+        let slabs = n.min(cells);
+        let mut out = Vec::with_capacity(n);
+        for s in 0..slabs {
+            let (mut lo, mut hi) = ([0usize; 3], dims);
+            lo[axis] = s * cells / slabs;
+            hi[axis] = (s + 1) * cells / slabs + 1;
+            out.push(grid.reference_extract_subgrid(lo, hi).unwrap());
+        }
+        while out.len() < n {
+            let (mut lo, mut hi) = ([0usize; 3], dims);
+            lo[axis] = dims[axis] - 1;
+            hi[axis] = dims[axis];
+            out.push(grid.reference_extract_subgrid(lo, hi).unwrap());
+        }
+        out
+    }
+
+    /// A cloud mixing points on an integer lattice over `[0, 12]^3` —
+    /// duplicates, and points on the faces of any 1/2/3/4/6-way split —
+    /// with points between the lattice planes, carrying one attribute of
+    /// each variant.
+    fn lattice_cloud(cells: &[(u32, u32, u32, u32)], jitter: f32) -> PointCloud {
+        let mut pos = vec![Vec3::ZERO, Vec3::splat(12.0)];
+        for (i, &(x, y, z, on_lattice)) in cells.iter().enumerate() {
+            let off = if on_lattice > 0 {
+                0.0
+            } else {
+                jitter * (i % 7) as f32 / 7.0
+            };
+            pos.push(Vec3::new(x as f32 + off, y as f32, z as f32 + off * 0.5));
+        }
+        let n = pos.len() as u64;
+        let mut c = PointCloud::from_positions(pos);
+        let bits = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32;
+        c.set_attribute("id", Attribute::Id((0..n).collect()))
+            .unwrap();
+        c.set_attribute(
+            "v",
+            Attribute::Vector(
+                (0..n)
+                    .map(|i| Vec3::splat(f32::from_bits(bits(i))))
+                    .collect(),
+            ),
+        )
+        .unwrap();
+        c.set_attribute(
+            "s",
+            Attribute::Scalar((0..n).map(|i| f32::from_bits(bits(i + n))).collect()),
+        )
+        .unwrap();
+        c
+    }
+
+    fn cloud_bits(c: &PointCloud) -> (Vec<[u32; 3]>, AttributeBits) {
+        let pos = c
+            .positions()
+            .iter()
+            .map(|p| p.to_array().map(f32::to_bits))
+            .collect();
+        (pos, attribute_bits(c.attributes()))
+    }
+
+    use crate::grid::tests::{at_threads, attribute_bits, bit_pattern_grid, AttributeBits};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn partition_points_matches_reference_bit_for_bit(
+            cells in prop::collection::vec((0u32..13, 0u32..13, 0u32..13, 0u32..3), 1..300),
+            (n, jitter) in (1usize..13, 0.0f32..1.0),
+        ) {
+            let cloud = lattice_cloud(&cells, jitter);
+            let want: Vec<_> = reference_partition_points(&cloud, n)
+                .unwrap()
+                .iter()
+                .map(cloud_bits)
+                .collect();
+            for threads in [1, 2] {
+                let got: Vec<_> = at_threads(threads, || partition_points(&cloud, n))
+                    .unwrap()
+                    .iter()
+                    .map(cloud_bits)
+                    .collect();
+                prop_assert!(got == want, "{n} blocks differ at {threads} threads");
+            }
+        }
+
+        #[test]
+        fn grid_slabs_match_reference_bit_for_bit(
+            (nx, ny, nz) in (1usize..41, 1usize..41, 1usize..41),
+            n in 1usize..50,
+        ) {
+            let g = bit_pattern_grid([nx, ny, nz]);
+            let want = reference_partition_grid_slabs(&g, n);
+            for threads in [1, 2] {
+                let got = at_threads(threads, || partition_grid_slabs(&g, n)).unwrap();
+                prop_assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    prop_assert_eq!(
+                        (got.dims(), got.origin(), got.spacing()),
+                        (want.dims(), want.origin(), want.spacing())
+                    );
+                    prop_assert!(
+                        attribute_bits(got.attributes()) == attribute_bits(want.attributes()),
+                        "{n} slabs of {:?} differ at {threads} threads",
+                        g.dims()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_points_land_in_exactly_one_block() {
+        let finite = random_cloud(200, 3);
+        let odd = [
+            Vec3::new(f32::NAN, 1.0, 1.0),
+            Vec3::splat(f32::NAN),
+            Vec3::new(f32::INFINITY, 0.5, 0.5),
+            Vec3::new(0.0, f32::NEG_INFINITY, 2.0),
+            Vec3::new(f32::INFINITY, f32::NEG_INFINITY, f32::NAN),
+        ];
+        let mut pos = finite.positions().to_vec();
+        pos.extend(odd);
+        let mut cloud = PointCloud::from_positions(pos);
+        let ids = (0..cloud.len() as u64).collect();
+        cloud.set_attribute("id", Attribute::Id(ids)).unwrap();
+        for n in [1usize, 2, 3, 4, 7, 8] {
+            let parts = partition_points(&cloud, n).unwrap();
+            assert_eq!(parts.len(), n);
+            let mut seen = vec![0u32; cloud.len()];
+            for p in &parts {
+                for &id in p.attribute("id").unwrap().as_id().unwrap() {
+                    seen[id as usize] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&s| s == 1), "n={n}: {seen:?}");
+            if n == 2 {
+                // the split is along x (the longest axis): +∞ lands on the
+                // max side, NaN on the min side
+                let holds = |b: usize, id: u64| {
+                    parts[b]
+                        .attribute("id")
+                        .unwrap()
+                        .as_id()
+                        .unwrap()
+                        .contains(&id)
+                };
+                assert!(holds(1, 202) && holds(0, 200), "n=2: {parts:?}");
+            }
+            // the finite points split as they do without the others
+            let without: Vec<_> = partition_points(&finite, n).unwrap();
+            for (with, without) in parts.iter().zip(&without) {
+                let ids = with.attribute("id").unwrap().as_id().unwrap();
+                let kept: Vec<u64> = ids.iter().copied().filter(|&i| i < 200).collect();
+                assert_eq!(kept, without.attribute("id").unwrap().as_id().unwrap());
+            }
+        }
+        // a cloud with no finite point at all
+        let lost = PointCloud::from_positions(odd.to_vec());
+        let parts = partition_points(&lost, 3).unwrap();
+        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), odd.len());
     }
 
     fn labeled_grid(dims: [usize; 3]) -> UniformGrid {

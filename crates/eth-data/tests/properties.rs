@@ -2,7 +2,7 @@
 
 use eth_data::compress;
 use eth_data::field::Attribute;
-use eth_data::io::{binary, vtk_legacy};
+use eth_data::io::binary;
 use eth_data::partition::{decompose_domain, partition_grid_slabs, partition_points};
 use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
 use eth_data::{Aabb, DataError, DataObject, PointCloud, UniformGrid, Vec3};
@@ -154,19 +154,6 @@ proptest! {
         let obj = DataObject::Grid(g);
         let back = binary::decode(binary::encode(&obj)).unwrap();
         prop_assert_eq!(obj, back);
-    }
-
-    #[test]
-    fn vtk_roundtrip_points(cloud in arb_cloud(60)) {
-        // Legacy VTK stores ids as f32; restrict to the exactly-representable
-        // range (ids < 200 here, far below 2^24).
-        let obj = DataObject::Points(cloud.clone());
-        let text = vtk_legacy::to_string(&obj);
-        let back = vtk_legacy::from_str(&text).unwrap();
-        let p = back.as_points().unwrap();
-        prop_assert_eq!(p.len(), cloud.len());
-        // scalars survive exactly (they are small half-integers)
-        prop_assert_eq!(p.scalar("w").unwrap(), cloud.scalar("w").unwrap());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use eth_data::error::{DataError, Result};
 use eth_data::field::Attribute;
 use eth_data::{Aabb, UniformGrid, Vec3};
+use rayon::prelude::*;
 
 /// One octree node. Children are indices into the arena; leaves carry the
 /// field value sampled at their center.
@@ -150,6 +151,12 @@ impl AmrTree {
     /// Value at point `p`: the leaf containing `p` (its center sample).
     /// Points outside the domain return `None`.
     pub fn sample(&self, p: Vec3) -> Option<f32> {
+        self.leaf(p).map(|n| n.value)
+    }
+
+    /// The leaf containing `p`: a descent that goes to the upper child on
+    /// each axis where `p` is at or past the node's center.
+    fn leaf(&self, p: Vec3) -> Option<&OctNode> {
         if !self.nodes[0].bounds.contains(p) {
             return None;
         }
@@ -157,7 +164,7 @@ impl AmrTree {
         loop {
             let n = &self.nodes[node];
             match n.children {
-                None => return Some(n.value),
+                None => return Some(n),
                 Some(children) => {
                     let c = n.bounds.center();
                     let mut oct = 0usize;
@@ -250,7 +257,53 @@ impl AmrTree {
 
     /// Resample onto a uniform grid (the paper's downsampling stage).
     /// Vertices outside every leaf (cannot happen inside the domain) get 0.
+    ///
+    /// One k-plane per work item. A vertex keeps the previous vertex's leaf
+    /// while it lies in that leaf's half-open box: a leaf's faces are the
+    /// centers its ancestors split at, so every comparison of the descent
+    /// from the root would pick this leaf again. Each value is therefore
+    /// `sample` at the vertex, on any thread count.
     pub fn resample(&self, dims: [usize; 3], field_name: &str) -> Result<UniformGrid> {
+        let mut grid = UniformGrid::over_bounds(dims, self.bounds())?;
+        let [nx, ny, _] = dims;
+        let (origin, spacing) = (grid.origin(), grid.spacing());
+        // Clamp vertices on the max faces inward so they land in a leaf.
+        let bounds = self.bounds();
+        let eps = bounds.extent() * 1e-6;
+        let axis = |a: usize, n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| (origin[a] + i as f32 * spacing[a]).min(bounds.max[a] - eps[a]))
+                .collect()
+        };
+        let (xs, ys, zs) = (axis(0, nx), axis(1, ny), axis(2, dims[2]));
+        let mut values = vec![0.0f32; grid.num_vertices()];
+        values
+            .par_chunks_mut(nx * ny)
+            .zip(zs.into_par_iter())
+            .for_each(|(plane, z)| {
+                let mut last: Option<&OctNode> = None;
+                for (row, &y) in plane.chunks_exact_mut(nx).zip(&ys) {
+                    for (v, &x) in row.iter_mut().zip(&xs) {
+                        let q = Vec3::new(x, y, z);
+                        if !last.is_some_and(|n| n.bounds.contains_half_open(q)) {
+                            last = self.leaf(q);
+                        }
+                        *v = last.map_or(0.0, |n| n.value);
+                    }
+                }
+            });
+        grid.set_attribute(field_name, Attribute::Scalar(values))?;
+        Ok(grid)
+    }
+
+    /// The resampling loop [`AmrTree::resample`] replaced: every vertex
+    /// walks down from the root.
+    #[cfg(test)]
+    pub(crate) fn reference_resample(
+        &self,
+        dims: [usize; 3],
+        field_name: &str,
+    ) -> Result<UniformGrid> {
         let mut grid = UniformGrid::over_bounds(dims, self.bounds())?;
         let mut values = Vec::with_capacity(grid.num_vertices());
         for idx in 0..grid.num_vertices() {

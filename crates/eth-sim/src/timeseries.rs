@@ -46,9 +46,30 @@ pub struct Manifest {
 impl Manifest {
     /// The recorded checksum for a block, if this series carries them.
     pub fn block_crc(&self, step: usize, rank: usize) -> Option<u32> {
-        self.block_crcs
-            .get(step * self.num_ranks + rank)
-            .copied()
+        if rank >= self.num_ranks {
+            return None;
+        }
+        let index = step.checked_mul(self.num_ranks)?.checked_add(rank)?;
+        self.block_crcs.get(index).copied()
+    }
+
+    /// Reject a shape whose block count overflows, and a checksum list
+    /// that is neither absent (a legacy series) nor one entry per block —
+    /// a short list would leave the trailing blocks unverified.
+    fn validate(&self) -> Result<()> {
+        let blocks = self.num_steps.checked_mul(self.num_ranks).ok_or_else(|| {
+            DataError::Format(format!(
+                "manifest shape overflows: {} steps x {} ranks",
+                self.num_steps, self.num_ranks
+            ))
+        })?;
+        if !self.block_crcs.is_empty() && self.block_crcs.len() != blocks {
+            return Err(DataError::Format(format!(
+                "manifest lists {} block checksums for {blocks} blocks",
+                self.block_crcs.len()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -151,11 +172,13 @@ pub struct TimeSeriesReader {
 }
 
 impl TimeSeriesReader {
-    /// Open a series directory (reads the manifest).
+    /// Open a series directory: read the manifest and check its shape
+    /// against its checksum list.
     pub fn open(root: &Path) -> Result<Self> {
         let text = fs::read_to_string(manifest_path(root))?;
         let manifest: Manifest = serde_json::from_str(&text)
             .map_err(|e| DataError::Format(format!("manifest decode: {e}")))?;
+        manifest.validate()?;
         Ok(TimeSeriesReader {
             root: root.to_path_buf(),
             manifest,
@@ -315,6 +338,79 @@ mod tests {
             Vec3::splat(3.0)
         );
         fs::remove_dir_all(&root).ok();
+    }
+
+    fn write_manifest(root: &Path, steps: usize, ranks: usize, crcs: usize) {
+        let crcs = vec!["7"; crcs].join(",");
+        let text = format!(
+            r#"{{"name":"m","num_ranks":{ranks},"num_steps":{steps},"kind":"grid","block_crcs":[{crcs}]}}"#
+        );
+        fs::create_dir_all(root).unwrap();
+        fs::write(manifest_path(root), text).unwrap();
+    }
+
+    #[test]
+    fn manifest_checksum_list_must_cover_every_block() {
+        let root = tmp("crc-count");
+        for (steps, ranks, crcs, ok) in [
+            (3, 2, 6, true),
+            (3, 2, 0, true),
+            (3, 2, 5, false),
+            (3, 2, 7, false),
+            (usize::MAX, 2, 0, false),
+            (usize::MAX, 2, 1, false),
+        ] {
+            write_manifest(&root, steps, ranks, crcs);
+            let got = TimeSeriesReader::open(&root);
+            assert_eq!(got.is_ok(), ok, "{steps} steps, {ranks} ranks, {crcs} crcs");
+            if let Err(e) = got {
+                assert!(matches!(e, DataError::Format(_)), "{e}");
+            }
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_manifest_opens_or_errs(
+            (steps, ranks, crcs) in (0usize..6, 0usize..6, 0usize..40),
+            (huge, pick) in (0usize..usize::MAX, 0u8..4),
+            (step, rank) in (0usize..usize::MAX, 0usize..8),
+        ) {
+            let (steps, ranks) = match pick {
+                0 => (huge, ranks),
+                1 => (steps, huge),
+                _ => (steps, ranks),
+            };
+            // a manifest built in memory skips `open`'s checks
+            let unchecked = Manifest {
+                name: "m".into(),
+                num_ranks: ranks,
+                num_steps: steps,
+                kind: "grid".into(),
+                block_crcs: vec![7; crcs],
+            };
+            let _ = unchecked.block_crc(step, rank);
+            let root = tmp(&format!("any-{steps}-{ranks}-{crcs}"));
+            write_manifest(&root, steps, ranks, crcs);
+            // Ok or Err, never a panic — and an open series answers every
+            // block question without one either
+            if let Ok(r) = TimeSeriesReader::open(&root) {
+                let m = r.manifest();
+                proptest::prop_assert!(crcs == 0 || Some(crcs) == steps.checked_mul(ranks));
+                let _ = m.block_crc(step, rank);
+                let _ = m.block_crc(step % steps.max(1), rank);
+                let _ = r.read_block(step, rank);
+            }
+            // the same shape with its checksum list one entry short
+            if let Some(blocks @ 2..=64) = steps.checked_mul(ranks) {
+                write_manifest(&root, steps, ranks, blocks - 1);
+                proptest::prop_assert!(TimeSeriesReader::open(&root).is_err());
+            }
+            fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]
