@@ -7,7 +7,8 @@
 //!    budgeted run must spill, stay under budget at its peak, and render
 //!    byte-identical images.
 //! 2. **Staging throughput** — MB/s through the byte-accounted
-//!    [`BlockStore`] while it spills and reloads under a tight budget.
+//!    staging [`TimeSeries`] while it spills and reloads under a tight
+//!    budget.
 //! 3. **Wire compression** — compressed vs raw bytes on the internode
 //!    path, plus the lossless codec's byte-identity contract.
 //! 4. **Pressure chaos** — a seeded campaign where a third of the points
@@ -23,7 +24,7 @@ use crate::cli::Report;
 use eth_core::config::{Application, Coupling, ExperimentSpec, ResourcePolicy};
 use eth_core::harness::RunCaches;
 use eth_core::{run_native, Algorithm, Campaign, CoreError, Result, RetryPolicy};
-use eth_data::staging::BlockStore;
+use eth_sim::timeseries::{StagingAccountant, TimeSeries};
 use eth_transport::fault::SplitMix64;
 use eth_transport::{BackoffShape, FaultPlan};
 use serde::Serialize;
@@ -416,14 +417,15 @@ pub fn run_pressure_bench(quick: bool) -> Result<PressureReport> {
         total += eth_data::io::binary::encoded_len(&obj) as u64;
         blocks.push(obj);
     }
-    let store = BlockStore::new(Some((total / 3).max(1)), None);
+    let budget = Some((total / 3).max(1));
+    let store = TimeSeries::new(1, staging_blocks, budget, None, StagingAccountant::new())?;
     let t2 = Instant::now();
     for (step, obj) in blocks.iter().enumerate() {
-        store.insert(step, obj.clone())?;
+        store.insert(step, 0, obj.clone())?;
     }
     let mut moved = total;
     for (step, obj) in blocks.iter().enumerate() {
-        let back = store.get(step)?;
+        let back = store.get(step, 0)?;
         moved += eth_data::io::binary::encoded_len(&back) as u64;
         if eth_data::io::binary::encode(&back) != eth_data::io::binary::encode(obj) {
             return Err(CoreError::Config(format!(

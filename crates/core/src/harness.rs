@@ -1,7 +1,9 @@
 //! Experiment execution: native mode and cluster-sim mode.
 //!
 //! **Native mode** ([`run_native`]) is the real thing at laptop scale: data
-//! is generated per step, partitioned across ranks, moved through the
+//! is generated per step and partitioned across ranks into one time series
+//! (the paper's preliminary run), presented rank by rank through
+//! [`SimulationProxy`]s, moved through the
 //! chosen coupling over the real transport, rendered with the real
 //! renderers, and depth-composited to rank 0, which keeps (and optionally
 //! writes) the final images. Every phase is wall-clock timed and all
@@ -30,7 +32,7 @@
 
 use crate::config::{Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
-use crate::pipeline::{accumulate, VizPipeline};
+use crate::pipeline::{accumulate, scalar_range, VizPipeline};
 use bytes::Bytes;
 use eth_cluster::costmodel::{AlgorithmClass, Calibration, CostModel, Workload};
 use eth_cluster::counters::CounterSet;
@@ -42,12 +44,13 @@ use eth_cluster::power::{self, BusyInterval};
 use eth_cluster::task::NodeGroup;
 use eth_data::io::pool::PayloadPool;
 use eth_data::partition::{partition_grid_slabs, partition_points};
-use eth_data::staging;
 use eth_data::{Aabb, DataObject};
 use eth_render::composite::{composite_parts, encode_contribution};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
+use eth_sim::timeseries::{StagingAccountant, TimeSeries};
+use eth_sim::SimulationProxy;
 use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
     gather, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer, send_adopt_notice,
@@ -448,54 +451,31 @@ impl Drop for Beater {
 /// and the global scalar range (so every rank colors through the same
 /// transfer function — rank-local ranges would shift colors per block).
 ///
-/// Blocks live in a byte-accounted [`staging::BlockStore`]: with a
-/// memory budget on the spec, least-recently-used blocks spill to
-/// lossless on-disk chunks and stream back on [`StagedData::block`], so
-/// a staged dataset larger than the budget replays with byte-identical
-/// images while peak resident bytes stay ≤ the budget.
+/// The blocks are one [`TimeSeries`], the "preliminary run" every
+/// simulation rank's [`SimulationProxy`] presents: all resident without a
+/// memory budget; with one, the least-recently-used blocks live in the
+/// series' files and stream back on access, so a staged dataset larger
+/// than the budget replays with byte-identical images while peak resident
+/// bytes stay ≤ the budget.
 struct StagedData {
-    store: staging::BlockStore,
-    ranks: usize,
+    series: Arc<TimeSeries>,
     bounds: Vec<Aabb>,
     scalar_ranges: Vec<Option<(f32, f32)>>,
 }
 
-impl StagedData {
-    /// A handle to the block for `(step, rank)` — shared with the store
-    /// while resident, streamed back from its spill chunk when the budget
-    /// evicted it.
-    fn block(&self, step: usize, rank: usize) -> Result<Arc<DataObject>> {
-        Ok(self.store.get(step * self.ranks + rank)?)
-    }
-}
-
-fn global_scalar_range(obj: &DataObject, name: &str) -> Option<(f32, f32)> {
-    let values = match obj {
-        DataObject::Points(p) => p.scalar(name).ok()?,
-        DataObject::Grid(g) => g.scalar(name).ok()?,
-    };
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &v in values {
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    (lo.is_finite() && hi > lo).then_some((lo, hi))
-}
-
-/// Stage `spec`'s blocks into a store that reports its bytes to
+/// Stage `spec`'s blocks into a series that reports its bytes to
 /// `accountant` (the owning [`RunCaches`]', or a throwaway one for an
-/// uncached run, whose store then accounts to itself).
-fn stage_data(spec: &ExperimentSpec, accountant: staging::StagingAccountant) -> Result<StagedData> {
+/// uncached run, whose series then accounts to itself).
+fn stage_data(spec: &ExperimentSpec, accountant: StagingAccountant) -> Result<StagedData> {
     let _span = eth_obs::span(eth_obs::Phase::Stage);
     let resources = spec.resources.clone().unwrap_or_default();
-    let store = staging::BlockStore::accounted(
+    let series = TimeSeries::new(
+        spec.ranks,
+        spec.steps,
         resources.memory_budget_bytes,
-        resources.spill_dir.clone(),
+        resources.spill_dir.as_deref(),
         accountant,
-    );
+    )?;
     let alloc_fail_at = spec.fault_plan.as_ref().and_then(|p| p.alloc_fail_at_stage);
     let mut bounds = Vec::with_capacity(spec.steps);
     let mut scalar_ranges = Vec::with_capacity(spec.steps);
@@ -503,10 +483,7 @@ fn stage_data(spec: &ExperimentSpec, accountant: staging::StagingAccountant) -> 
     for step in 0..spec.steps {
         let global = spec.application.generate(step, spec.seed)?;
         bounds.push(global.bounds());
-        scalar_ranges.push(global_scalar_range(
-            &global,
-            spec.application.default_scalar(),
-        ));
+        scalar_ranges.push(scalar_range(&global, Some(spec.application.default_scalar())));
         let parts: Vec<DataObject> = match &global {
             DataObject::Points(cloud) => partition_points(cloud, spec.ranks)?
                 .into_iter()
@@ -526,17 +503,16 @@ fn stage_data(spec: &ExperimentSpec, accountant: staging::StagingAccountant) -> 
                      injected alloc_fail_at_stage"
                 )));
             }
-            store.insert(step * spec.ranks + rank, part)?;
+            series.insert(step, rank, part)?;
             staged_blocks += 1;
         }
     }
-    let stats = store.stats();
+    let stats = series.stats();
     eth_obs::count("staging_resident_bytes", stats.resident_bytes as f64);
     eth_obs::count("staging_peak_resident_bytes", stats.peak_resident_bytes as f64);
     eth_obs::count("spilled_bytes_total", stats.spilled_bytes as f64);
     Ok(StagedData {
-        store,
-        ranks: spec.ranks,
+        series: Arc::new(series),
         bounds,
         scalar_ranges,
     })
@@ -642,7 +618,7 @@ pub struct RunCaches {
     stats: Mutex<CacheStats>,
     /// Byte totals over every store this cache set staged: the number
     /// its owner (a campaign, `eth serve`) is held to by a memory budget.
-    accountant: staging::StagingAccountant,
+    accountant: StagingAccountant,
     /// The encoded-payload buffers of every run through this cache set:
     /// leased per block, back on the last drop, a few parked between runs.
     /// Its counts depend on how far simulation ranks ran ahead, so they
@@ -661,7 +637,7 @@ impl RunCaches {
     }
 
     /// Resident / spilled staged bytes held by this cache set.
-    pub fn accountant(&self) -> &staging::StagingAccountant {
+    pub fn accountant(&self) -> &StagingAccountant {
         &self.accountant
     }
 
@@ -797,7 +773,7 @@ fn merge_outputs(spec: &ExperimentSpec, wall_s: f64, outputs: Vec<RankOutput>) -
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
     run_recorded(spec, &PayloadPool::new(), |spec| {
-        Ok(Arc::new(stage_data(spec, staging::StagingAccountant::new())?))
+        Ok(Arc::new(stage_data(spec, StagingAccountant::new())?))
     })
 }
 
@@ -1146,10 +1122,10 @@ impl RankCx {
 
 /// How a visualization rank gets one simulation rank's block.
 enum Wire<'a> {
-    /// Tight: sim and viz share the rank's call stack; the proxy presents
-    /// its block in-process, as a handle to the staged block. The load a
-    /// real proxy would do is the spill reload under a memory budget.
-    InProcess,
+    /// Tight: sim and viz share the rank's call stack; the rank's proxy
+    /// presents its block in-process, as the series' own handle. The load
+    /// a real proxy would do is the series read under a memory budget.
+    InProcess(SimulationProxy),
     Link(Box<dyn PairLink + 'a>),
 }
 
@@ -1167,10 +1143,12 @@ struct VizFabric<'a> {
     on_board: bool,
 }
 
-/// The simulation side of a step: present the block, encode it, push it
-/// across the pair link.
+/// The simulation side of a step: the rank's proxy presents the block, the
+/// rank encodes it and pushes it across the pair link. A block the proxy
+/// skipped crosses as the empty payload, a hole the composite root counts.
 fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput> {
     let spec = &cx.spec;
+    let mut proxy = SimulationProxy::new(cx.staged.series.clone(), rank);
     let mut beater = cx.beater(rank);
     let mut out = RankOutput::default();
     for step in 0..spec.steps {
@@ -1185,8 +1163,10 @@ fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput>
             return Ok(RankOutput::default());
         }
         let t = Instant::now();
-        let block = cx.staged.block(step, rank)?;
-        let payload = encode_block(spec, &block, &cx.payloads);
+        let payload = match proxy.step(step)? {
+            Some(block) => encode_block(spec, &block, &cx.payloads),
+            None => Bytes::new(),
+        };
         out.phases.sim_s += t.elapsed().as_secs_f64();
         let t = Instant::now();
         match link.send(DATA_TAG_MIN + step as u32, payload) {
@@ -1202,7 +1182,7 @@ fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput>
                 rank,
                 partition: rank,
                 step,
-                proxy_cursor: step + 1,
+                proxy_cursor: proxy.cursor(),
                 rng_state: spec.seed ^ rank as u64,
                 degradation: out.degradation,
             });
@@ -1217,8 +1197,9 @@ fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput>
 /// blocking receive (the chaos wrapper applies the plan's deadline, so a
 /// dropped message costs one deadline, not the run). With one, the receive
 /// is sliced against the board; `None` with `sim` dead means "adopt", any
-/// other `None` is a lost block whose fault is counted in `deg` (the hole
-/// it leaves is the root's to count).
+/// other `None` is a lost block whose fault is counted in `deg`, or the
+/// empty payload of a block the simulation rank's proxy skipped (either
+/// way, the hole it leaves is the root's to count).
 fn drain(
     cx: &RankCx,
     link: &dyn PairLink,
@@ -1252,6 +1233,9 @@ fn drain(
             }
         }
     };
+    if received.as_ref().is_ok_and(Bytes::is_empty) {
+        return Ok(None);
+    }
     match received
         .map_err(CoreError::from)
         .and_then(|payload| decode_block(&cx.spec, sim, payload))
@@ -1398,8 +1382,8 @@ fn migrate_handshakes(
 /// ascending. Pairings are the *initial* layout's for the whole run — a
 /// migrated partition's original feeder keeps draining its wire (identical
 /// backpressure and fault accounting to a run without migration) while the
-/// new owner renders from the shared staged store.
-fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result<RankOutput> {
+/// new owner presents the partition through a proxy of its own.
+fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wire)>) -> Result<RankOutput> {
     let (spec, policy, staged) = (&cx.spec, &cx.policy, &cx.staged);
     let comm = fabric.comm;
     let r = spec.ranks;
@@ -1415,6 +1399,8 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
     // by the drainer — the partition may live elsewhere by then)
     let mut lost = vec![false; r];
     let mut own_notices: Vec<AdoptNotice> = Vec::new();
+    // proxies for the partitions this rank adopts or migrates in
+    let mut inherited: Vec<Option<SimulationProxy>> = (0..r).map(|_| None).collect();
     let mut out = RankOutput::default();
     // On a fabric whose ranks can die mid-run the gather's root skips the
     // dead and bounds every other receive.
@@ -1429,13 +1415,16 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
 
         // 1. Intake: drain every wire this rank holds, owner or not.
         let mut wire_blocks: Vec<Option<Arc<DataObject>>> = vec![None; r];
-        for (sim, wire) in &wires {
+        for (sim, wire) in &mut wires {
             let sim = *sim;
             let t = Instant::now();
-            let Wire::Link(link) = wire else {
-                wire_blocks[sim] = Some(staged.block(step, sim)?);
-                out.phases.sim_s += t.elapsed().as_secs_f64();
-                continue;
+            let link = match wire {
+                Wire::InProcess(proxy) => {
+                    wire_blocks[sim] = proxy.step(step)?;
+                    out.phases.sim_s += t.elapsed().as_secs_f64();
+                    continue;
+                }
+                Wire::Link(link) => link,
             };
             let tag = DATA_TAG_MIN + step as u32;
             wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?.map(Arc::new);
@@ -1449,8 +1438,8 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                         eth_obs::count("adopted_partitions", 1.0);
                         // The dead rank may have checkpointed *past* this
                         // step (sim and viz ranks progress independently).
-                        // That is fine — the partition re-renders from the
-                        // shared staged store at the adopter's own step.
+                        // That is fine — the adopter's own proxy presents
+                        // the partition at the adopter's own step.
                         let notice = AdoptNotice {
                             dead_rank: sim,
                             adopted_at_step: step,
@@ -1494,9 +1483,17 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
                 None if cx.is_dead(p) && !adopt => continue,
                 // own wire, alive, but the message was lost: a hole
                 None if !cx.is_dead(p) && wires.iter().any(|(sim, _)| *sim == p) => continue,
-                // adopted or migrated-in: the shared staged store is
-                // byte-identical to the wire block
-                None => staged.block(step, p)?,
+                // adopted or migrated-in: this rank's proxy presents the
+                // partition, byte-identical to the wire block (a block it
+                // skips is a hole)
+                None => {
+                    let proxy = inherited[p]
+                        .get_or_insert_with(|| SimulationProxy::new(staged.series.clone(), p));
+                    match proxy.step(step)? {
+                        Some(block) => block,
+                        None => continue,
+                    }
+                }
             };
             let pass = pipeline.execute_step(step, &block, &staged.bounds[step])?;
             out.stats = accumulate(out.stats, pass.stats);
@@ -1580,7 +1577,7 @@ fn viz_role(cx: &RankCx, fabric: VizFabric, wires: Vec<(usize, Wire)>) -> Result
         + wires
             .iter()
             .map(|(_, wire)| match wire {
-                Wire::InProcess => 0,
+                Wire::InProcess(_) => 0,
                 Wire::Link(link) => link.bytes_sent(),
             })
             .sum::<u64>();
@@ -1667,7 +1664,7 @@ fn local_role(cx: &RankCx, rank: usize, base: usize, comm: &dyn Communicator) ->
     }
     let sim = rank - base;
     let wire = match base {
-        0 => Wire::InProcess,
+        0 => Wire::InProcess(SimulationProxy::new(cx.staged.series.clone(), sim)),
         _ => Wire::Link(link(sim)),
     };
     let fabric = VizFabric {
@@ -2314,7 +2311,7 @@ mod tests {
         assert_eq!(out.degradation.adopted_partitions, 1);
         assert_eq!(out.images.len(), reference.images.len());
         // Adoption re-renders the dead rank's partition from the shared
-        // staged store, so every image — not just the pre-kill ones — is
+        // staged series, so every image — not just the pre-kill ones — is
         // byte-identical to the run where nobody died.
         for (i, (a, b)) in reference.images.iter().zip(&out.images).enumerate() {
             assert_eq!(a, b, "image {i} diverged after adoption");
@@ -2439,7 +2436,7 @@ mod tests {
         assert_eq!(out.degradation.migration_failures, 0);
         assert_eq!(out.degradation.rank_losses, 0);
         assert_eq!(out.images.len(), reference.images.len());
-        // The migrated partition renders from the shared staged store and
+        // The migrated partition renders from the shared staged series and
         // lands in the same composite slot: no frame drops, no pixel moves.
         for (i, (a, b)) in reference.images.iter().zip(&out.images).enumerate() {
             assert_eq!(a, b, "image {i} diverged under migration");
@@ -2581,25 +2578,61 @@ mod tests {
         // The byte-accountant must show real spill traffic and a peak
         // residency that never exceeded the budget, even transiently.
         let staged = stage_data(&spec, Default::default()).unwrap();
-        let stats = staged.store.stats();
+        let stats = staged.series.stats();
         assert!(stats.spills > 0, "budget too large to exercise spilling");
         assert!(
             stats.peak_resident_bytes <= budget,
             "peak {} exceeded budget {budget}",
             stats.peak_resident_bytes
         );
-        staged.store.assert_within_budget();
-        // Every block streams back byte-identical from its chunk.
+        staged.series.assert_within_budget();
+        // Every block streams back byte-identical from its file.
         let unbudgeted = stage_data(&base_spec("budget"), Default::default()).unwrap();
         for step in 0..spec.steps {
             for rank in 0..spec.ranks {
-                let a = staged.block(step, rank).unwrap();
-                let b = unbudgeted.block(step, rank).unwrap();
+                let a = staged.series.get(step, rank).unwrap();
+                let b = unbudgeted.series.get(step, rank).unwrap();
                 assert_eq!(
                     eth_data::io::binary::encode(&a),
                     eth_data::io::binary::encode(&b),
                     "spilled block ({step},{rank}) diverged"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_block_on_disk_costs_one_frame_under_every_coupling() {
+        let mut spec = base_spec("bad-block");
+        spec.steps = 3;
+        let reference = run_native(&spec).unwrap();
+        // A budget below one block: every block lives in its series file
+        // and every fetch reads it back.
+        spec.resources = Some(crate::config::ResourcePolicy::with_memory_budget(1));
+        let per_step = spec.images_per_step;
+        for coupling in Coupling::all() {
+            spec.coupling = coupling;
+            let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
+            let victim = staged.series.root().join("step_0001").join("rank_0000.ebd");
+            let mut bytes = std::fs::read(&victim).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&victim, &bytes).unwrap();
+            let out = run_recorded(&spec, &PayloadPool::new(), |_| Ok(staged.clone())).unwrap();
+            assert_eq!(out.counters.get("proxy_skipped_steps"), 1.0, "{coupling:?}");
+            // the hole is counted once per frame at the root, and nothing else moves
+            let holes = Degradation {
+                missing_contributions: per_step as u64,
+                ..Default::default()
+            };
+            assert_eq!(out.degradation, holes, "{coupling:?}");
+            assert_eq!(out.images.len(), reference.images.len(), "{coupling:?}");
+            for (i, (a, b)) in reference.images.iter().zip(&out.images).enumerate() {
+                if i / per_step == 1 {
+                    assert_ne!(a, b, "{coupling:?}: image {i} lost no partition");
+                } else {
+                    assert_eq!(a, b, "{coupling:?}: image {i} of a clean step diverged");
+                }
             }
         }
     }

@@ -41,6 +41,7 @@ use eth_data::io::le::{put_slice_le, read_vec_le, LeElement};
 use eth_data::Vec3;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
+use eth_sim::timeseries::process_alive;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -127,32 +128,6 @@ static HELD_LOCKS: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
 
 fn lock_key(dir: &Path) -> PathBuf {
     fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf())
-}
-
-#[cfg(target_os = "linux")]
-fn process_alive(pid: u32) -> bool {
-    // `/proc/{pid}` alone is not enough: a SIGKILL'd holder whose parent
-    // died without reaping it (`timeout -s KILL` kills both) lingers as
-    // a zombie — dead for lock purposes. The state field of
-    // `/proc/{pid}/stat` is the first token after the parenthesized comm
-    // (which may itself contain parens, so split at the *last* ')').
-    match fs::read_to_string(format!("/proc/{pid}/stat")) {
-        Ok(stat) => match stat.rfind(')') {
-            Some(close) => {
-                let state = stat[close + 1..].trim_start().chars().next();
-                !matches!(state, Some('Z') | Some('X') | None)
-            }
-            None => true, // unparseable but present: assume alive
-        },
-        Err(_) => false,
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn process_alive(_pid: u32) -> bool {
-    // No portable liveness probe: assume the holder is alive (refusing a
-    // possibly-stale lock is safe; stealing a live one is not).
-    true
 }
 
 /// Take the campaign-directory lock: an atomically-created lockfile

@@ -143,8 +143,10 @@ impl VizPipeline {
     }
 }
 
-/// Scalar range of a block's default field, if present.
-fn scalar_range(data: &DataObject, scalar: Option<&str>) -> Option<(f32, f32)> {
+/// The finite min/max of a block's `scalar` field, if it has one with a
+/// nonzero extent: the transfer-function range of a block (or, over a
+/// step's whole dataset, of every rank's block).
+pub(crate) fn scalar_range(data: &DataObject, scalar: Option<&str>) -> Option<(f32, f32)> {
     let name = scalar?;
     let values = match data {
         DataObject::Points(p) => p.scalar(name).ok()?,
@@ -158,11 +160,7 @@ fn scalar_range(data: &DataObject, scalar: Option<&str>) -> Option<(f32, f32)> {
             hi = hi.max(v);
         }
     }
-    if lo.is_finite() && hi > lo {
-        Some((lo, hi))
-    } else {
-        None
-    }
+    (lo.is_finite() && hi > lo).then_some((lo, hi))
 }
 
 /// Sum two stats records (per-step accumulation).
@@ -194,6 +192,7 @@ impl InSituSink for VizPipeline {
 mod tests {
     use super::*;
     use crate::config::{Algorithm, Application, ExperimentSpec};
+    use eth_sim::timeseries::{StagingAccountant, TimeSeries};
     use eth_sim::SimulationProxy;
 
     fn spec() -> ExperimentSpec {
@@ -276,12 +275,11 @@ mod tests {
     fn pipeline_as_in_situ_sink() {
         // The quickstart shape: proxy drives the pipeline directly.
         let s = spec();
-        let app = s.application.clone();
-        let seed = s.seed;
-        let mut proxy = SimulationProxy::from_generator(0, 1, 2, move |step, _| {
-            app.generate(step, seed)
-                .map_err(|e| eth_data::error::DataError::InvalidArgument(e.to_string()))
-        });
+        let series = TimeSeries::new(1, 2, None, None, StagingAccountant::new()).unwrap();
+        for step in 0..2 {
+            series.insert(step, 0, s.application.generate(step, s.seed).unwrap()).unwrap();
+        }
+        let mut proxy = SimulationProxy::new(std::sync::Arc::new(series), 0);
         let mut pipe = VizPipeline::new(&s);
         proxy.run(&mut pipe).unwrap();
         assert_eq!(pipe.outputs.len(), 2);

@@ -12,9 +12,8 @@
 //! * [`power`] — the idle + utilization-proportional dynamic power model,
 //!   calibrated against the paper's own published numbers, and the
 //!   5-second Apollo-8000-style power sampler,
-//! * [`event`] — a minimal discrete-event queue,
 //! * [`task`]/[`machine`] — phase graphs (compute, transfer, composite) and
-//!   the list scheduler that executes them on node groups,
+//!   the greedy list scheduler that executes them on node groups,
 //! * [`costmodel`] — per-algorithm analytic costs whose constants are
 //!   calibrated from the real kernels in `eth-render`,
 //! * [`coupling`] — tight / intercore / internode schedule builders,
@@ -28,7 +27,6 @@
 pub mod counters;
 pub mod costmodel;
 pub mod coupling;
-pub mod event;
 pub mod machine;
 pub mod metrics;
 pub mod node;

@@ -1,12 +1,11 @@
 //! The cluster machine: executes a phase graph on node groups.
 //!
-//! List scheduling over the discrete-event queue: a phase starts when all
-//! its dependencies have finished *and* every node in its group is free.
+//! Greedy list scheduling in insertion order: a phase starts when all its
+//! dependencies have finished *and* every node in its group is free.
 //! Node groups that overlap therefore serialize (which is exactly how
 //! intercore time-sharing behaves), while disjoint groups pipeline (the
 //! internode case).
 
-use crate::event::EventQueue;
 use crate::node::ClusterSpec;
 use crate::power::{integrate, BusyInterval, PowerProfile};
 use crate::task::{PhaseGraph, PhaseId, PhaseKind};
@@ -57,9 +56,6 @@ impl ClusterMachine {
         let mut finish = vec![0.0f64; graph.len()];
         let mut schedule = Vec::with_capacity(graph.len());
         let mut busy_by_kind: HashMap<String, f64> = HashMap::new();
-        // The event queue validates monotone progress of the greedy pass
-        // (and gives the trace a deterministic tie order).
-        let mut queue = EventQueue::new();
 
         for (id, phase) in graph.phases().iter().enumerate() {
             assert!(
@@ -81,6 +77,7 @@ impl ClusterMachine {
                 .fold(0.0f64, f64::max);
             let start = deps_ready.max(nodes_ready);
             let end = start + phase.duration_s;
+            assert!(end.max(0.0).is_finite(), "phase '{}' never ends", phase.name);
             for t in &mut node_free[group_range] {
                 *t = end;
             }
@@ -92,13 +89,8 @@ impl ClusterMachine {
             });
             *busy_by_kind.entry(kind_name(phase.kind).to_string()).or_default() +=
                 phase.duration_s * phase.group.count as f64;
-            queue.schedule(end.max(queue.now()), id);
         }
-        // Drain the queue (keeps `now` = last completion).
-        let mut makespan = 0.0f64;
-        while let Some((t, _)) = queue.next() {
-            makespan = makespan.max(t);
-        }
+        let makespan = schedule.iter().map(|s| s.end).fold(0.0f64, f64::max);
         ExecutionTrace {
             schedule,
             makespan,

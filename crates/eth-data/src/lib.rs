@@ -34,7 +34,6 @@ pub mod io;
 pub mod partition;
 pub mod points;
 pub mod sampling;
-pub mod staging;
 pub mod stats;
 pub mod unstructured;
 pub mod vec3;

@@ -6,30 +6,12 @@
 //! comparably-sized analysis component — is at the heart of in-situ
 //! processing." (Section I)
 //!
-//! [`SimulationSource`] is the producer side (a real simulation, or ETH's
-//! proxy replaying recorded data); [`InSituSink`] is the consumer side (the
-//! visualization proxy). The harness wires a source to a sink through one
-//! of the coupling strategies.
+//! The producer side is ETH's [`crate::SimulationProxy`] presenting a
+//! recorded time series; [`InSituSink`] is the consumer side (the
+//! visualization proxy).
 
 use eth_data::error::Result;
 use eth_data::DataObject;
-
-/// Producer side: yields one dataset per timestep for one rank.
-pub trait SimulationSource {
-    /// Number of timesteps this source will produce.
-    fn num_timesteps(&self) -> usize;
-
-    /// Rank of this source within its parallel job.
-    fn rank(&self) -> usize;
-
-    /// Total ranks in the job.
-    fn num_ranks(&self) -> usize;
-
-    /// Produce (or load) the data for `step`. Steps are visited in order by
-    /// the proxy driver, but sources must tolerate repeated calls (the
-    /// intercore coupling re-runs a step if the viz phase is re-scheduled).
-    fn timestep(&mut self, step: usize) -> Result<DataObject>;
-}
 
 /// Consumer side: receives each timestep's data.
 pub trait InSituSink {
@@ -66,41 +48,6 @@ impl InSituSink for CountingSink {
     }
 }
 
-/// A source wrapping a fixed in-memory sequence (tests, tiny experiments).
-pub struct VecSource {
-    rank: usize,
-    num_ranks: usize,
-    steps: Vec<DataObject>,
-}
-
-impl VecSource {
-    pub fn new(rank: usize, num_ranks: usize, steps: Vec<DataObject>) -> VecSource {
-        VecSource {
-            rank,
-            num_ranks,
-            steps,
-        }
-    }
-}
-
-impl SimulationSource for VecSource {
-    fn num_timesteps(&self) -> usize {
-        self.steps.len()
-    }
-
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
-    fn timestep(&mut self, step: usize) -> Result<DataObject> {
-        Ok(self.steps[step].clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,17 +67,5 @@ mod tests {
         assert_eq!(sink.elements, 8);
         assert_eq!(sink.bytes, 8 * 12);
         assert!(sink.finished);
-    }
-
-    #[test]
-    fn vec_source_replays_in_order() {
-        let mut src = VecSource::new(1, 4, vec![obj(1), obj(2)]);
-        assert_eq!(src.num_timesteps(), 2);
-        assert_eq!(src.rank(), 1);
-        assert_eq!(src.num_ranks(), 4);
-        assert_eq!(src.timestep(0).unwrap().num_elements(), 1);
-        assert_eq!(src.timestep(1).unwrap().num_elements(), 2);
-        // repeatable
-        assert_eq!(src.timestep(0).unwrap().num_elements(), 1);
     }
 }

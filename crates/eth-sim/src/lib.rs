@@ -13,10 +13,13 @@
 //!   xRAGE asteroid-impact outputs, produced through the same
 //!   AMR → structured-grid downsampling path the paper describes,
 //! * [`amr`] — the octree AMR substrate used by the xRAGE path,
-//! * [`timeseries`] — the on-disk layout of the "preliminary run"
-//!   (per-timestep, per-rank files; Figure 7),
-//! * [`proxy`] — the simulation proxy that replays those files (or an
-//!   in-memory generator) into the in-situ interface.
+//! * [`timeseries`] — the "preliminary run" as one time series of
+//!   per-timestep, per-rank blocks (Figure 7): resident up to a memory
+//!   budget, in per-block files past it, and the staging store every
+//!   native run fills,
+//! * [`proxy`] — the simulation proxy that presents one rank's blocks of
+//!   such a series to the in-situ interface, skipping a corrupt or
+//!   missing block instead of failing the rank.
 //!
 //! Both generators are substitutions for data we cannot have (documented in
 //! DESIGN.md): they produce the same *structural* content the visualization
@@ -31,6 +34,7 @@ pub mod timeseries;
 pub mod xrage;
 
 pub use hacc::HaccConfig;
-pub use interface::{InSituSink, SimulationSource};
+pub use interface::InSituSink;
 pub use proxy::SimulationProxy;
+pub use timeseries::TimeSeries;
 pub use xrage::XrageConfig;

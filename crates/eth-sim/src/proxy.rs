@@ -2,258 +2,106 @@
 //!
 //! "The ETH simulation proxy reads data from the disk and then operates on
 //! the data in parallel" (Section III-A). A proxy instance represents one
-//! rank of the simulation job; it obtains its per-rank blocks either from a
-//! recorded [`TimeSeriesReader`] (the
-//! production path, Figure 7) or from an in-memory generator (the quick
-//! path used by experiments that synthesize data on the fly), and drives an
-//! [`InSituSink`] through every timestep.
+//! rank of the simulation job: it presents that rank's blocks of a
+//! [`TimeSeries`] — a recording opened from disk (Figure 7), or the
+//! staging series the harness fills for a run — one timestep at a time.
+//! The harness's step loop presents every block through
+//! [`SimulationProxy::step`]; [`SimulationProxy::run`] drives an
+//! [`InSituSink`] through the same rule.
+//!
+//! One bad block costs a frame, not the rank: a block whose file is
+//! corrupt or missing is skipped, counted once in `proxy_skipped_steps`,
+//! and the proxy moves on.
 
-use crate::interface::{InSituSink, SimulationSource};
-use crate::timeseries::TimeSeriesReader;
+use crate::interface::InSituSink;
+use crate::timeseries::TimeSeries;
 use eth_data::error::{DataError, Result};
 use eth_data::DataObject;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A rank of the simulation proxy.
 pub struct SimulationProxy {
-    source: Box<dyn SimulationSource + Send>,
-    /// Next step to produce: advances past each completed (or degraded)
-    /// step so recovery can resume a rank's traversal from its last
-    /// checkpoint instead of replaying from step zero.
+    series: Arc<TimeSeries>,
+    rank: usize,
+    /// Next step to produce: advances past each presented (or skipped)
+    /// step, so a checkpoint records where the rank's traversal stands.
     cursor: usize,
 }
 
-/// Source backed by a recorded time series on disk.
-struct DiskSource {
-    reader: TimeSeriesReader,
-    rank: usize,
-}
-
-impl SimulationSource for DiskSource {
-    fn num_timesteps(&self) -> usize {
-        self.reader.manifest().num_steps
-    }
-
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.reader.manifest().num_ranks
-    }
-
-    fn timestep(&mut self, step: usize) -> Result<DataObject> {
-        self.reader.read_block(step, self.rank)
-    }
-}
-
-/// Source backed by a generator closure (rank-partitioned synthesis).
-struct GeneratorSource<F> {
-    generate: F,
-    rank: usize,
-    num_ranks: usize,
-    num_steps: usize,
-}
-
-impl<F> SimulationSource for GeneratorSource<F>
-where
-    F: FnMut(usize, usize) -> Result<DataObject>,
-{
-    fn num_timesteps(&self) -> usize {
-        self.num_steps
-    }
-
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
-    fn timestep(&mut self, step: usize) -> Result<DataObject> {
-        (self.generate)(step, self.rank)
-    }
-}
-
-/// Source wrapper that memoizes blocks through a byte-budgeted
-/// [`eth_data::staging::BlockStore`]: the first read of a step goes to
-/// the inner source, every later read (recovery replays, adoption
-/// tails, repeated `step` calls) is served from the staging store —
-/// resident when it fits the budget, streamed back from a compressed
-/// spill chunk when it does not. Residency never exceeds the budget.
-struct StagedSource {
-    inner: Box<dyn SimulationSource + Send>,
-    store: eth_data::staging::BlockStore,
-}
-
-impl SimulationSource for StagedSource {
-    fn num_timesteps(&self) -> usize {
-        self.inner.num_timesteps()
-    }
-
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.inner.num_ranks()
-    }
-
-    fn timestep(&mut self, step: usize) -> Result<DataObject> {
-        if self.store.contains(step) {
-            return self.store.get(step).map(std::sync::Arc::unwrap_or_clone);
-        }
-        let block = self.inner.timestep(step)?;
-        self.store.insert(step, block.clone())?;
-        Ok(block)
-    }
-}
-
 impl SimulationProxy {
+    /// Proxy presenting `rank`'s blocks of `series`.
+    pub fn new(series: Arc<TimeSeries>, rank: usize) -> SimulationProxy {
+        SimulationProxy {
+            series,
+            rank,
+            cursor: 0,
+        }
+    }
+
     /// Proxy replaying a recorded series from `root` as `rank`.
     pub fn from_disk(root: &Path, rank: usize) -> Result<SimulationProxy> {
-        let reader = TimeSeriesReader::open(root)?;
-        if rank >= reader.manifest().num_ranks {
-            return Err(DataError::InvalidArgument(format!(
-                "rank {rank} outside series with {} ranks",
-                reader.manifest().num_ranks
-            )));
-        }
-        Ok(SimulationProxy {
-            source: Box::new(DiskSource { reader, rank }),
-            cursor: 0,
-        })
-    }
-
-    /// Proxy generating data on the fly. `generate(step, rank)` must return
-    /// the block this rank would have loaded.
-    pub fn from_generator<F>(
-        rank: usize,
-        num_ranks: usize,
-        num_steps: usize,
-        generate: F,
-    ) -> SimulationProxy
-    where
-        F: FnMut(usize, usize) -> Result<DataObject> + Send + 'static,
-    {
-        SimulationProxy {
-            source: Box::new(GeneratorSource {
-                generate,
-                rank,
-                num_ranks,
-                num_steps,
-            }),
-            cursor: 0,
-        }
-    }
-
-    /// Proxy over any custom source.
-    pub fn from_source(source: Box<dyn SimulationSource + Send>) -> SimulationProxy {
-        SimulationProxy { source, cursor: 0 }
-    }
-
-    /// Interpose a byte-budgeted staging store between this proxy and its
-    /// source: blocks are memoized on first read and re-reads are served
-    /// from the store, with least-recently-used blocks spilled to
-    /// compressed on-disk chunks (in `spill_dir`, or a private temp
-    /// directory) whenever residency would exceed `memory_budget_bytes`.
-    /// `None` keeps everything resident — a pure memoization layer.
-    pub fn with_staging_budget(
-        self,
-        memory_budget_bytes: Option<u64>,
-        spill_dir: Option<std::path::PathBuf>,
-    ) -> SimulationProxy {
-        SimulationProxy {
-            source: Box::new(StagedSource {
-                inner: self.source,
-                store: eth_data::staging::BlockStore::new(memory_budget_bytes, spill_dir),
-            }),
-            cursor: self.cursor,
-        }
-    }
-
-    pub fn rank(&self) -> usize {
-        self.source.rank()
-    }
-
-    pub fn num_ranks(&self) -> usize {
-        self.source.num_ranks()
+        Ok(SimulationProxy::new(
+            Arc::new(TimeSeries::open(root)?),
+            rank,
+        ))
     }
 
     pub fn num_timesteps(&self) -> usize {
-        self.source.num_timesteps()
+        self.series.num_steps()
     }
 
-    /// Produce the data for one step (the "simulation compute" phase).
-    pub fn step(&mut self, step: usize) -> Result<DataObject> {
-        let data = self.source.timestep(step)?;
+    /// Present the block for one step (the "simulation compute" phase): the
+    /// series' own handle, never a copy. A block that is corrupt or missing
+    /// on disk is `None` — a degraded step, counted in
+    /// `proxy_skipped_steps` — and every other failure (a step or rank
+    /// outside the series, an I/O error) is an error.
+    pub fn step(&mut self, step: usize) -> Result<Option<Arc<DataObject>>> {
+        let block = match self.series.get(step, self.rank) {
+            Ok(block) => Some(block),
+            Err(DataError::Corrupt(_)) => None,
+            Err(DataError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(other) => return Err(other),
+        };
+        if block.is_none() {
+            eth_obs::count("proxy_skipped_steps", 1.0);
+        }
         self.cursor = self.cursor.max(step + 1);
-        Ok(data)
+        Ok(block)
     }
 
     /// The next step this proxy would produce: the number of steps it has
-    /// completed so far. A recovery checkpoint records this so an adopting
-    /// rank can [`SimulationProxy::run_from`] the dead rank's position.
+    /// presented or skipped so far. A step checkpoint records it.
     pub fn cursor(&self) -> usize {
         self.cursor
     }
 
-    /// The migration cursor handoff: jump the cursor forward to `step`
-    /// without producing data, so a proxy standing in for a migrated-in
-    /// partition resumes exactly where the transferred checkpoint says the
-    /// source left off. Forward-only — applying a stale checkpoint never
-    /// rewinds progress already made.
-    pub fn adopt_cursor(&mut self, step: usize) {
-        self.cursor = self.cursor.max(step);
-    }
-
     /// Drive a sink through every timestep (tight coupling: source and sink
-    /// in the same call stack, exactly the paper's unified mode).
-    ///
-    /// A block that fails to load because its file is corrupt or missing is
-    /// a *degraded* step — it is skipped and counted in
-    /// [`ProxyRunStats::skipped_steps`] so one bad block on disk costs a
-    /// frame, not the whole rank. Every other failure (bad shape, decode
-    /// errors from a generator, sink errors) still aborts the run.
+    /// in the same call stack, exactly the paper's unified mode). Skipped
+    /// steps are counted in [`ProxyRunStats::skipped_steps`]; any other
+    /// failure, the sink's included, aborts the run.
     pub fn run(&mut self, sink: &mut dyn InSituSink) -> Result<ProxyRunStats> {
         self.run_from(0, sink)
     }
 
     /// [`SimulationProxy::run`], starting at `start_step` instead of zero.
-    /// This is the adoption path: a rank that inherits a dead peer's
-    /// partition replays only the steps the peer had not completed.
     pub fn run_from(
         &mut self,
         start_step: usize,
         sink: &mut dyn InSituSink,
     ) -> Result<ProxyRunStats> {
         let mut stats = ProxyRunStats::default();
-        for step in start_step..self.source.num_timesteps() {
-            self.cursor = self.cursor.max(step);
+        for step in start_step..self.num_timesteps() {
             let sim_span = eth_obs::span(eth_obs::Phase::Sim);
-            let data = match self.source.timestep(step) {
-                Ok(data) => data,
-                Err(DataError::Corrupt(_)) => {
-                    stats.skipped_steps += 1;
-                    self.cursor = self.cursor.max(step + 1);
-                    eth_obs::count("proxy_skipped_steps", 1.0);
-                    continue;
-                }
-                Err(DataError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                    stats.skipped_steps += 1;
-                    self.cursor = self.cursor.max(step + 1);
-                    eth_obs::count("proxy_skipped_steps", 1.0);
-                    continue;
-                }
-                Err(other) => return Err(other),
+            let Some(data) = self.step(step)? else {
+                stats.skipped_steps += 1;
+                continue;
             };
             drop(sim_span);
             stats.steps += 1;
             stats.elements += data.num_elements() as u64;
             stats.bytes_presented += data.payload_bytes() as u64;
             sink.consume(step, &data)?;
-            self.cursor = self.cursor.max(step + 1);
         }
         sink.finish()?;
         Ok(stats)
@@ -276,7 +124,7 @@ mod tests {
     use super::*;
     use crate::hacc::HaccConfig;
     use crate::interface::CountingSink;
-    use crate::timeseries::TimeSeriesWriter;
+    use crate::timeseries::StagingAccountant;
     use eth_data::partition::partition_points;
     use std::fs;
     use std::path::PathBuf;
@@ -287,12 +135,21 @@ mod tests {
         dir
     }
 
+    /// An all-resident single-rank series of `steps` HACC steps.
+    fn staged(particles: usize, steps: usize) -> Arc<TimeSeries> {
+        let cfg = HaccConfig::with_particles(particles);
+        let series = TimeSeries::new(1, steps, None, None, StagingAccountant::new()).unwrap();
+        for step in 0..steps {
+            series
+                .insert(step, 0, DataObject::Points(cfg.generate(step).unwrap()))
+                .unwrap();
+        }
+        Arc::new(series)
+    }
+
     #[test]
-    fn generator_proxy_drives_sink() {
-        let cfg = HaccConfig::with_particles(500);
-        let mut proxy = SimulationProxy::from_generator(0, 1, 3, move |step, _rank| {
-            Ok(DataObject::Points(cfg.generate(step)?))
-        });
+    fn proxy_drives_sink() {
+        let mut proxy = SimulationProxy::new(staged(500, 3), 0);
         let mut sink = CountingSink::default();
         let stats = proxy.run(&mut sink).unwrap();
         assert_eq!(stats.steps, 3);
@@ -303,18 +160,29 @@ mod tests {
     }
 
     #[test]
+    fn a_step_presents_the_series_block_itself() {
+        let series = staged(100, 2);
+        let mut proxy = SimulationProxy::new(series.clone(), 0);
+        let presented = proxy.step(1).unwrap().unwrap();
+        assert!(
+            Arc::ptr_eq(&presented, &series.get(1, 0).unwrap()),
+            "the proxy copied a block"
+        );
+    }
+
+    #[test]
     fn disk_proxy_replays_preliminary_run() {
         // Preliminary run: generate, partition over 2 ranks, write.
         let root = tmp("replay");
         let cfg = HaccConfig::with_particles(800);
         let ranks = 2;
         let steps = 2;
-        let mut w = TimeSeriesWriter::create(&root, "hacc", ranks, steps).unwrap();
+        let w = TimeSeries::create(&root, "hacc", ranks, steps).unwrap();
         for step in 0..steps {
             let cloud = cfg.generate(step).unwrap();
             let parts = partition_points(&cloud, ranks).unwrap();
             for (rank, part) in parts.into_iter().enumerate() {
-                w.write_block(step, rank, &DataObject::Points(part)).unwrap();
+                w.insert(step, rank, DataObject::Points(part)).unwrap();
             }
         }
         w.close().unwrap();
@@ -323,7 +191,6 @@ mod tests {
         let mut total = 0u64;
         for rank in 0..ranks {
             let mut proxy = SimulationProxy::from_disk(&root, rank).unwrap();
-            assert_eq!(proxy.num_ranks(), 2);
             assert_eq!(proxy.num_timesteps(), 2);
             let mut sink = CountingSink::default();
             proxy.run(&mut sink).unwrap();
@@ -334,18 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn disk_proxy_validates_rank() {
-        let root = tmp("badrank");
-        let mut w = TimeSeriesWriter::create(&root, "x", 1, 1).unwrap();
-        w.write_block(
-            0,
-            0,
-            &DataObject::Points(eth_data::PointCloud::new()),
-        )
-        .unwrap();
-        w.close().unwrap();
-        assert!(SimulationProxy::from_disk(&root, 5).is_err());
-        fs::remove_dir_all(&root).ok();
+    fn a_rank_outside_the_series_aborts_the_run() {
+        let mut proxy = SimulationProxy::new(staged(100, 2), 5);
+        let mut sink = CountingSink::default();
+        let err = proxy.run(&mut sink).unwrap_err();
+        assert!(matches!(err, DataError::InvalidArgument(_)), "{err}");
+        assert!(!sink.finished);
     }
 
     #[test]
@@ -353,10 +214,10 @@ mod tests {
         let root = tmp("degraded");
         let cfg = HaccConfig::with_particles(300);
         let steps = 4;
-        let mut w = TimeSeriesWriter::create(&root, "hacc", 1, steps).unwrap();
+        let w = TimeSeries::create(&root, "hacc", 1, steps).unwrap();
         for step in 0..steps {
             let cloud = cfg.generate(step).unwrap();
-            w.write_block(step, 0, &DataObject::Points(cloud)).unwrap();
+            w.insert(step, 0, DataObject::Points(cloud)).unwrap();
         }
         w.close().unwrap();
 
@@ -375,41 +236,25 @@ mod tests {
         assert_eq!(stats.skipped_steps, 2, "steps 1 and 2 degraded");
         assert_eq!(sink.steps, 2);
         assert!(sink.finished);
+        assert_eq!(
+            proxy.cursor(),
+            steps,
+            "a skipped step still advances the cursor"
+        );
         fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn generator_errors_still_abort_the_run() {
-        let mut proxy = SimulationProxy::from_generator(0, 1, 3, |step, _rank| {
-            if step == 1 {
-                Err(DataError::InvalidArgument("synthesis bug".into()))
-            } else {
-                Ok(DataObject::Points(eth_data::PointCloud::new()))
-            }
-        });
-        let mut sink = CountingSink::default();
-        let err = proxy.run(&mut sink).unwrap_err();
-        assert!(err.to_string().contains("synthesis bug"));
-        assert!(!sink.finished);
-    }
-
-    #[test]
     fn run_from_replays_only_the_tail() {
-        let cfg = HaccConfig::with_particles(200);
-        let make = || {
-            let cfg = cfg.clone();
-            SimulationProxy::from_generator(0, 1, 5, move |step, _rank| {
-                Ok(DataObject::Points(cfg.generate(step)?))
-            })
-        };
+        let series = staged(200, 5);
         let mut full_sink = CountingSink::default();
-        let mut full = make();
+        let mut full = SimulationProxy::new(series.clone(), 0);
         full.run(&mut full_sink).unwrap();
         assert_eq!(full.cursor(), 5);
 
         // an adopter resuming from a checkpoint at step 3 sees steps 3..5
         let mut tail_sink = CountingSink::default();
-        let mut tail = make();
+        let mut tail = SimulationProxy::new(series, 0);
         let stats = tail.run_from(3, &mut tail_sink).unwrap();
         assert_eq!(stats.steps, 2);
         assert_eq!(tail_sink.steps, 2);
@@ -419,10 +264,7 @@ mod tests {
 
     #[test]
     fn cursor_tracks_completed_steps() {
-        let cfg = HaccConfig::with_particles(100);
-        let mut proxy = SimulationProxy::from_generator(0, 1, 4, move |step, _| {
-            Ok(DataObject::Points(cfg.generate(step)?))
-        });
+        let mut proxy = SimulationProxy::new(staged(100, 4), 0);
         assert_eq!(proxy.cursor(), 0);
         proxy.step(0).unwrap();
         assert_eq!(proxy.cursor(), 1);
@@ -434,74 +276,34 @@ mod tests {
     }
 
     #[test]
-    fn adopt_cursor_is_forward_only_and_feeds_run_from() {
-        let cfg = HaccConfig::with_particles(100);
-        let make = || {
-            let cfg = cfg.clone();
-            SimulationProxy::from_generator(0, 1, 5, move |step, _rank| {
-                Ok(DataObject::Points(cfg.generate(step)?))
-            })
-        };
-        let mut proxy = make();
-        proxy.adopt_cursor(3);
-        assert_eq!(proxy.cursor(), 3);
-        // a stale checkpoint never rewinds
-        proxy.adopt_cursor(1);
-        assert_eq!(proxy.cursor(), 3);
-        // resuming from the adopted cursor replays only the tail
-        let mut sink = CountingSink::default();
-        let cursor = proxy.cursor();
-        let stats = proxy.run_from(cursor, &mut sink).unwrap();
-        assert_eq!(stats.steps, 2);
-        assert_eq!(proxy.cursor(), 5);
-    }
-
-    #[test]
-    fn staging_budget_replays_byte_identically_and_counts_the_source_once() {
-        let cfg = HaccConfig::with_particles(600);
-        let reads = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let make = |budget: Option<u64>| {
-            let cfg = cfg.clone();
-            let reads = reads.clone();
-            SimulationProxy::from_generator(0, 1, 4, move |step, _rank| {
-                reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Ok(DataObject::Points(cfg.generate(step)?))
-            })
-            .with_staging_budget(budget, None)
-        };
-        // A budget far below four blocks forces spills; replayed steps
-        // must still come back byte-identical and never hit the source.
-        let mut budgeted = make(Some(8_000));
-        let mut plain = make(None);
-        reads.store(0, std::sync::atomic::Ordering::SeqCst);
+    fn budgeted_series_replays_byte_identically() {
+        // A budget far below four blocks forces spills; every step, and a
+        // second recovery-style pass over all of them, must come back
+        // byte-identical to the all-resident series.
+        let plain = staged(600, 4);
+        let budgeted = TimeSeries::new(1, 4, Some(8_000), None, StagingAccountant::new()).unwrap();
         for step in 0..4 {
-            let a = budgeted.step(step).unwrap();
-            let b = plain.step(step).unwrap();
-            assert_eq!(a, b, "step {step} diverged under the budget");
+            budgeted
+                .insert(step, 0, (*plain.get(step, 0).unwrap()).clone())
+                .unwrap();
         }
-        assert_eq!(reads.load(std::sync::atomic::Ordering::SeqCst), 8);
-        // Recovery-style replay of the full range: all served from the
-        // stores (spill chunks included), zero extra source reads.
-        for step in 0..4 {
-            let a = budgeted.step(step).unwrap();
-            let b = plain.step(step).unwrap();
-            assert_eq!(a, b, "replayed step {step} diverged");
-        }
-        assert_eq!(
-            reads.load(std::sync::atomic::Ordering::SeqCst),
-            8,
-            "replay must not re-run the simulation source"
+        let budgeted = Arc::new(budgeted);
+        let (mut a, mut b) = (
+            SimulationProxy::new(budgeted.clone(), 0),
+            SimulationProxy::new(plain, 0),
         );
-    }
-
-    #[test]
-    fn step_is_repeatable() {
-        let cfg = HaccConfig::with_particles(100);
-        let mut proxy = SimulationProxy::from_generator(0, 1, 2, move |step, _| {
-            Ok(DataObject::Points(cfg.generate(step)?))
-        });
-        let a = proxy.step(1).unwrap();
-        let b = proxy.step(1).unwrap();
-        assert_eq!(a, b);
+        for _pass in 0..2 {
+            for step in 0..4 {
+                assert_eq!(
+                    a.step(step).unwrap(),
+                    b.step(step).unwrap(),
+                    "step {step} diverged"
+                );
+            }
+        }
+        assert!(
+            budgeted.stats().reloads > 0,
+            "the budget never forced a reload"
+        );
     }
 }

@@ -18,7 +18,7 @@ use eth::core::results::{fmt_kw, fmt_s, ResultTable};
 use eth::data::partition::partition_points;
 use eth::data::DataObject;
 use eth::sim::interface::CountingSink;
-use eth::sim::timeseries::TimeSeriesWriter;
+use eth::sim::timeseries::TimeSeries;
 use eth::sim::{HaccConfig, SimulationProxy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,11 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recording = std::env::temp_dir().join("eth-cosmology-recording");
     let _ = std::fs::remove_dir_all(&recording);
     let hacc = HaccConfig::with_particles(particles);
-    let mut writer = TimeSeriesWriter::create(&recording, "hacc-demo", ranks, steps)?;
+    let writer = TimeSeries::create(&recording, "hacc-demo", ranks, steps)?;
     for step in 0..steps {
         let cloud = hacc.generate(step)?;
         for (rank, block) in partition_points(&cloud, ranks)?.into_iter().enumerate() {
-            writer.write_block(step, rank, &DataObject::Points(block))?;
+            writer.insert(step, rank, DataObject::Points(block))?;
         }
     }
     let manifest = writer.close()?;

@@ -6,7 +6,7 @@ use eth::core::harness::run_native;
 use eth::data::partition::partition_points;
 use eth::data::DataObject;
 use eth::sim::interface::CountingSink;
-use eth::sim::timeseries::TimeSeriesWriter;
+use eth::sim::timeseries::TimeSeries;
 use eth::sim::{HaccConfig, SimulationProxy};
 
 fn hacc_spec(name: &str, alg: Algorithm, coupling: Coupling) -> ExperimentSpec {
@@ -133,11 +133,11 @@ fn preliminary_run_replay_reaches_the_same_particles() {
     let cfg = HaccConfig::with_particles(2_000);
     let ranks = 3;
     let steps = 2;
-    let mut w = TimeSeriesWriter::create(&dir, "e2e", ranks, steps).unwrap();
+    let w = TimeSeries::create(&dir, "e2e", ranks, steps).unwrap();
     for step in 0..steps {
         let cloud = cfg.generate(step).unwrap();
         for (rank, part) in partition_points(&cloud, ranks).unwrap().into_iter().enumerate() {
-            w.write_block(step, rank, &DataObject::Points(part)).unwrap();
+            w.insert(step, rank, DataObject::Points(part)).unwrap();
         }
     }
     w.close().unwrap();

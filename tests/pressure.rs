@@ -8,9 +8,9 @@
 use eth::core::config::{Algorithm, Application, ExperimentSpec};
 use eth::core::sweep::{Campaign, Sweep};
 use eth::core::RetryPolicy;
-use eth::data::staging::BlockStore;
 use eth::data::DataObject;
 use eth::render::image::Image;
+use eth::sim::timeseries::{StagingAccountant, TimeSeries};
 use eth::transport::fault::FaultPlan;
 use proptest::prelude::*;
 use std::fs;
@@ -146,19 +146,19 @@ proptest! {
         let blocks = staging_blocks();
         let total: u64 = blocks.iter().map(|(_, b)| b.len() as u64).sum();
         let budget = (total / divisor).max(1);
-        let store = BlockStore::new(Some(budget), None);
+        let store = TimeSeries::new(1, 6, Some(budget), None, StagingAccountant::new()).unwrap();
 
         let mut inserted = [false; 6];
         for &i in &ops {
             if inserted[i] {
-                let back = store.get(i).unwrap();
+                let back = store.get(i, 0).unwrap();
                 let encoded = eth::data::io::binary::encode(&back);
                 prop_assert_eq!(
                     encoded.as_ref(), blocks[i].1.as_slice(),
                     "block {} diverged mid-interleaving (budget {})", i, budget
                 );
             } else {
-                store.insert(i, blocks[i].0.clone()).unwrap();
+                store.insert(i, 0, blocks[i].0.clone()).unwrap();
                 inserted[i] = true;
             }
         }
@@ -168,7 +168,7 @@ proptest! {
             if !inserted[i] {
                 continue;
             }
-            let back = store.get(i).unwrap();
+            let back = store.get(i, 0).unwrap();
             let encoded = eth::data::io::binary::encode(&back);
             prop_assert_eq!(
                 encoded.as_ref(), bytes.as_slice(),
