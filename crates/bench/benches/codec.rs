@@ -1,8 +1,9 @@
 //! Codec layer against its hardware reference (ROADMAP item 2): `crc32`,
 //! `binary::encode` and `binary::decode` beside a `copy_from_slice` of the
-//! same byte count, at a cache-resident and a DRAM-sized block. Encode and
-//! decode at best copy every byte once and checksum it once, so the copy
-//! row is their ceiling and the crc row is the rest of their cost.
+//! same byte count, at a cache-resident and a DRAM-sized block. Encode at
+//! best copies every byte once and checksums it once, so the copy row is
+//! its ceiling and the crc row the rest of its cost; decode checksums the
+//! bytes and views them in place, so the crc row is its floor.
 //!
 //! The `encode` row runs where the allocator is kindest: one thread that
 //! allocates and frees the same size over and over, so glibc hands the same
@@ -34,7 +35,7 @@ fn block(bytes: usize) -> DataObject {
     let mut cloud = PointCloud::from_positions(
         (0..n)
             .map(|i| Vec3::new(f(i), f(i + 1), f(i + 2)))
-            .collect(),
+            .collect::<Vec<_>>(),
     );
     cloud
         .set_attribute(

@@ -66,7 +66,7 @@ fn test_cloud(n: usize) -> PointCloud {
     }
     let mut c = PointCloud::from_positions(pos);
     let d: Vec<f32> = (0..n).map(|i| (i % 97) as f32).collect();
-    c.set_attribute("density", Attribute::Scalar(d)).unwrap();
+    c.set_attribute("density", Attribute::Scalar(d.into())).unwrap();
     c
 }
 
@@ -86,7 +86,7 @@ fn test_grid(side: usize) -> UniformGrid {
             }
         }
     }
-    g.set_attribute("temperature", Attribute::Scalar(vals)).unwrap();
+    g.set_attribute("temperature", Attribute::Scalar(vals.into())).unwrap();
     g
 }
 

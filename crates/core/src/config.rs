@@ -540,7 +540,7 @@ pub struct ExperimentSpec {
     /// internode sockets; tight coupling never leaves the process):
     /// `Lossless` ships full-precision CRC-trailed blocks (byte-identical
     /// images); `Quantize` is the bounded-error lossy codec; `None` ships
-    /// plain `EBD2`.
+    /// plain `EBD3`.
     #[serde(default)]
     pub wire_compression: Option<eth_data::compress::Codec>,
 }

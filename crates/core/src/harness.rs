@@ -2245,6 +2245,30 @@ mod tests {
     }
 
     #[test]
+    fn an_intercore_blocks_lease_comes_back_only_after_the_block_drops() {
+        // The viz rank's block is a view of the payload the simulation
+        // rank encoded into its lease: the buffer goes home when the
+        // rendered block drops, not at decode.
+        let spec = pooled_spec("pool-view", Coupling::Intercore);
+        let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
+        let pool = PayloadPool::new();
+        let cx = RankCx::new(&spec, &staged, &pool);
+        let block = staged.series.get(0, 0).unwrap();
+        let fabric = LocalFabric::new(2);
+        let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
+        sim.send(DATA_TAG_MIN, encode_block(&spec, &block, &pool))
+            .unwrap();
+        let mut deg = Degradation::default();
+        let got = drain(&cx, &viz, 0, DATA_TAG_MIN, &mut deg).unwrap().unwrap();
+        assert_eq!(&got, &*block);
+        let stats = pool.stats();
+        assert_eq!((stats.leased, stats.returned), (1, 0), "returned at decode");
+        drop(got);
+        let stats = pool.stats();
+        assert_eq!((stats.leased, stats.returned, stats.parked), (1, 1, 1));
+    }
+
+    #[test]
     fn a_dropped_data_message_still_returns_its_lease() {
         // Every block is dropped inside the chaos wrapper: nothing decodes
         // a payload, nothing calls the pool, and every buffer is back.

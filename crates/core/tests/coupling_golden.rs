@@ -16,7 +16,10 @@
 //! became one path (partition-framed contributions over one gather, holes
 //! counted only at the root): the image CRCs of all 23 rows stayed
 //! byte-identical to that commit's table, and the fixture's header lists
-//! what moved in `bytes=`, `dropped=` and `missing=` and why.
+//! what moved in `bytes=`, `dropped=` and `missing=` and why. Its
+//! `bytes=` counts were re-counted once more when blocks became `EBD3`
+//! (arrays padded to their alignment); the fixture's header gives each
+//! changed value as the pad bytes of the blocks that row moved.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`

@@ -355,6 +355,29 @@ fn http_surface_end_to_end() {
 }
 
 #[test]
+fn a_deeply_nested_body_is_a_400_and_the_service_lives_on() {
+    // 1 MiB of `[` used to overflow the JSON parser's stack, which aborts
+    // the whole process, not just the connection
+    let root = tmp_root("nesting");
+    let svc = Service::new(&root, ServicePolicy::default()).unwrap();
+    let mut server = Server::start(svc, "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    let body = "[".repeat(1 << 20);
+    let (status, reply) = http(
+        addr,
+        &format!(
+            "POST /campaigns HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&reply));
+    assert!(String::from_utf8_lossy(&reply).contains("nesting"));
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
+    server.shutdown();
+}
+
+#[test]
 fn stalled_clients_get_408_within_the_deadline() {
     let root = tmp_root("deadline");
     let policy = ServicePolicy {

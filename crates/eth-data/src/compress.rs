@@ -20,6 +20,7 @@ use crate::dataset::DataObject;
 use crate::error::{DataError, Result};
 use crate::field::{Attribute, AttributeSet};
 use crate::grid::UniformGrid;
+use crate::io::aligned::AlignedBuf;
 use crate::io::pool::PayloadPool;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
@@ -31,7 +32,7 @@ const MAGIC: &[u8; 4] = b"EBC1";
 /// A named block codec: the unit of choice for the wire format and the
 /// spill format. `Quantize` is the bounded-error scheme this module
 /// implements (`EBC1`); `Lossless` is the CRC-trailed binary format
-/// ([`crate::io::binary`], `EBD2`) — bigger on the wire, but blocks
+/// ([`crate::io::binary`], `EBD3`) — bigger on the wire, but blocks
 /// round-trip byte-identically, which is what staging spill requires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Codec {
@@ -43,7 +44,7 @@ pub enum Codec {
 
 impl Codec {
     /// Encode one block with this codec. Both encodings are
-    /// self-describing (distinct magics, `EBC1` vs `EBD2`).
+    /// self-describing (distinct magics, `EBC1` vs `EBD3`).
     pub fn encode(&self, obj: &DataObject) -> Bytes {
         match self {
             Codec::Quantize => compress(obj),
@@ -57,7 +58,7 @@ impl Codec {
         match self {
             Codec::Quantize => {
                 let mut lease = pool.lease(compressed_len(obj));
-                write(obj, lease.vec());
+                write(obj, lease.buf());
                 lease.freeze()
             }
             Codec::Lossless => crate::io::binary::encode_in(obj, pool),
@@ -127,7 +128,7 @@ fn value_range(values: &[f32]) -> (f32, f32) {
     }
 }
 
-fn put_attr(buf: &mut Vec<u8>, name: &str, attr: &Attribute) {
+fn put_attr(buf: &mut AlignedBuf, name: &str, attr: &Attribute) {
     buf.put_u32_le(name.len() as u32);
     buf.put_slice(name.as_bytes());
     match attr {
@@ -201,7 +202,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
             for _ in 0..count {
                 v.push(dequantize(buf.get_u8() as u32, lo, hi, 256));
             }
-            Attribute::Scalar(v)
+            Attribute::Scalar(v.into())
         }
         ATTR_VECTOR_Q8 => {
             need(buf, 24 + count * 3, "vector payload")?;
@@ -214,7 +215,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
                 let z = dequantize(buf.get_u8() as u32, lo.z, hi.z, 256);
                 v.push(Vec3::new(x, y, z));
             }
-            Attribute::Vector(v)
+            Attribute::Vector(v.into())
         }
         ATTR_ID_RAW => {
             need(buf, count * 8, "id payload")?;
@@ -222,7 +223,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
             for _ in 0..count {
                 v.push(buf.get_u64_le());
             }
-            Attribute::Id(v)
+            Attribute::Id(v.into())
         }
         other => return Err(DataError::Format(format!("unknown compressed attr {other}"))),
     };
@@ -232,9 +233,9 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
 /// Compress a dataset for the wire. Positions get 16 bits/axis, scalars
 /// 8 bits, vectors 8 bits/component; ids stay lossless.
 pub fn compress(obj: &DataObject) -> Bytes {
-    let mut buf = Vec::with_capacity(compressed_len(obj));
+    let mut buf = AlignedBuf::with_capacity(compressed_len(obj));
     write(obj, &mut buf);
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// Exact size of [`compress`]'s output for `obj`.
@@ -260,7 +261,7 @@ fn compressed_len(obj: &DataObject) -> usize {
 }
 
 /// The compressor: appends `obj`'s [`compressed_len`] bytes to `buf`.
-fn write(obj: &DataObject, buf: &mut Vec<u8>) {
+fn write(obj: &DataObject, buf: &mut AlignedBuf) {
     buf.put_slice(MAGIC);
     match obj {
         DataObject::Points(cloud) => {
@@ -439,7 +440,7 @@ mod tests {
     fn grid_field_roundtrip() {
         let mut g = UniformGrid::new([6, 5, 4], Vec3::ZERO, Vec3::ONE).unwrap();
         let vals: Vec<f32> = (0..120).map(|i| (i as f32 * 0.37).sin() * 100.0).collect();
-        g.set_attribute("t", Attribute::Scalar(vals.clone())).unwrap();
+        g.set_attribute("t", Attribute::Scalar(vals.clone().into())).unwrap();
         let back = decompress(compress(&DataObject::Grid(g.clone()))).unwrap();
         let bg = back.as_grid().unwrap();
         assert_eq!(bg.dims(), g.dims());
@@ -467,7 +468,7 @@ mod tests {
         // constant field (zero range)
         let flat = {
             let mut c = PointCloud::from_positions(vec![Vec3::ONE; 10]);
-            c.set_attribute("k", Attribute::Scalar(vec![5.0; 10])).unwrap();
+            c.set_attribute("k", Attribute::Scalar(vec![5.0; 10].into())).unwrap();
             DataObject::Points(c)
         };
         let back = decompress(compress(&flat)).unwrap();

@@ -5,19 +5,21 @@
 //! This mirrors VTK's point-data arrays, which is all the original ETH needs
 //! from the VTK data model.
 
+use crate::array::Array;
 use crate::error::{DataError, Result};
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
-/// One typed attribute array.
+/// One typed attribute array: owned, or a view of the payload it was
+/// decoded from ([`Array`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Attribute {
     /// Per-element scalar (e.g. temperature, density).
-    Scalar(Vec<f32>),
+    Scalar(Array<f32>),
     /// Per-element vector (e.g. velocity).
-    Vector(Vec<Vec3>),
+    Vector(Array<Vec3>),
     /// Per-element 64-bit id (e.g. HACC particle ids).
-    Id(Vec<u64>),
+    Id(Array<u64>),
 }
 
 impl Attribute {
@@ -53,12 +55,13 @@ impl Attribute {
         }
     }
 
-    /// Append all elements of `other` (must be the same variant).
+    /// Append all elements of `other` (must be the same variant). A view
+    /// is copied into an owned array first ([`Array::make_mut`]).
     pub fn append(&mut self, other: &Attribute) -> Result<()> {
         match (self, other) {
-            (Attribute::Scalar(a), Attribute::Scalar(b)) => a.extend_from_slice(b),
-            (Attribute::Vector(a), Attribute::Vector(b)) => a.extend_from_slice(b),
-            (Attribute::Id(a), Attribute::Id(b)) => a.extend_from_slice(b),
+            (Attribute::Scalar(a), Attribute::Scalar(b)) => a.make_mut().extend_from_slice(b),
+            (Attribute::Vector(a), Attribute::Vector(b)) => a.make_mut().extend_from_slice(b),
+            (Attribute::Id(a), Attribute::Id(b)) => a.make_mut().extend_from_slice(b),
             (me, other) => {
                 return Err(DataError::InvalidArgument(format!(
                     "cannot append {} attribute to {} attribute",
@@ -200,28 +203,28 @@ mod tests {
 
     fn sample_set() -> AttributeSet {
         let mut s = AttributeSet::new();
-        s.insert("t", Attribute::Scalar(vec![1.0, 2.0, 3.0]), 3).unwrap();
+        s.insert("t", Attribute::Scalar(vec![1.0, 2.0, 3.0].into()), 3).unwrap();
         s.insert(
             "v",
-            Attribute::Vector(vec![Vec3::ZERO, Vec3::ONE, Vec3::new(1.0, 0.0, 0.0)]),
+            Attribute::Vector(vec![Vec3::ZERO, Vec3::ONE, Vec3::new(1.0, 0.0, 0.0)].into()),
             3,
         )
         .unwrap();
-        s.insert("id", Attribute::Id(vec![10, 20, 30]), 3).unwrap();
+        s.insert("id", Attribute::Id(vec![10, 20, 30].into()), 3).unwrap();
         s
     }
 
     #[test]
     fn insert_validates_length() {
         let mut s = AttributeSet::new();
-        let err = s.insert("t", Attribute::Scalar(vec![1.0]), 3).unwrap_err();
+        let err = s.insert("t", Attribute::Scalar(vec![1.0].into()), 3).unwrap_err();
         assert!(matches!(err, DataError::ShapeMismatch { .. }));
     }
 
     #[test]
     fn insert_replaces_existing() {
         let mut s = sample_set();
-        s.insert("t", Attribute::Scalar(vec![9.0, 9.0, 9.0]), 3).unwrap();
+        s.insert("t", Attribute::Scalar(vec![9.0, 9.0, 9.0].into()), 3).unwrap();
         assert_eq!(s.len(), 3);
         assert_eq!(s.require_scalar("t").unwrap(), &[9.0, 9.0, 9.0]);
     }
@@ -245,8 +248,8 @@ mod tests {
 
     #[test]
     fn append_rejects_type_mismatch() {
-        let mut a = Attribute::Scalar(vec![1.0]);
-        let b = Attribute::Id(vec![1]);
+        let mut a = Attribute::Scalar(vec![1.0].into());
+        let b = Attribute::Id(vec![1].into());
         assert!(a.append(&b).is_err());
     }
 

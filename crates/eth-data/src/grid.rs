@@ -293,9 +293,9 @@ impl UniformGrid {
         let mut out = self.subgrid_shell(lo, hi)?;
         for (name, attr) in self.attributes.iter() {
             let kept = match attr {
-                Attribute::Scalar(v) => Attribute::Scalar(self.copy_rows(v, lo, hi)),
-                Attribute::Vector(v) => Attribute::Vector(self.copy_rows(v, lo, hi)),
-                Attribute::Id(v) => Attribute::Id(self.copy_rows(v, lo, hi)),
+                Attribute::Scalar(v) => Attribute::Scalar(self.copy_rows(v, lo, hi).into()),
+                Attribute::Vector(v) => Attribute::Vector(self.copy_rows(v, lo, hi).into()),
+                Attribute::Id(v) => Attribute::Id(self.copy_rows(v, lo, hi).into()),
             };
             out.set_attribute(name, kept)?;
         }
@@ -379,7 +379,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         g
     }
 
@@ -505,7 +505,7 @@ pub(crate) mod tests {
                         .flat_map(|p| p.to_array())
                         .map(|x| x.to_bits() as u64)
                         .collect(),
-                    Attribute::Id(v) => v.clone(),
+                    Attribute::Id(v) => v.to_vec(),
                 };
                 (name.to_string(), bits)
             })
@@ -570,7 +570,7 @@ pub(crate) mod tests {
     fn flat_axis_grid_samples() {
         // 2D grid (one vertex thick in z) still samples correctly.
         let mut g = UniformGrid::new([2, 2, 1], Vec3::ZERO, Vec3::ONE).unwrap();
-        g.set_attribute("f", Attribute::Scalar(vec![0.0, 1.0, 2.0, 3.0]))
+        g.set_attribute("f", Attribute::Scalar(vec![0.0, 1.0, 2.0, 3.0].into()))
             .unwrap();
         let f = g.scalar("f").unwrap().to_vec();
         let v = g.sample_trilinear(&f, Vec3::new(0.5, 0.5, 0.0)).unwrap();

@@ -1,12 +1,14 @@
 //! ETH binary data format (`.ebd`).
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian; offsets count from the first magic
+//! byte):
 //!
 //! ```text
-//! magic   : b"EBD2"
+//! magic   : b"EBD3"
 //! kind    : u8           1 = points, 2 = grid
 //! -- points --
 //! count   : u64
+//! pad     : zero bytes up to a multiple of 4
 //! pos     : count * 3 * f32
 //! -- grid --
 //! dims    : 3 * u64
@@ -18,63 +20,76 @@
 //!   name_len : u32, name bytes (utf-8)
 //!   type     : u8   0 = scalar, 1 = vector, 2 = id
 //!   len      : u64
+//!   pad      : zero bytes up to a multiple of the element's alignment
+//!              (4 for scalar and vector, 8 for id)
 //!   payload  : len * {4, 12, 8} bytes
 //! -- trailer --
-//! crc     : u32          CRC-32 (IEEE) of every byte above
+//! crc     : u32          CRC-32 (IEEE) of every byte above, pads included
 //! ```
 //!
-//! Version 2 (`EBD2`) appends the integrity trailer: [`decode`] verifies
-//! the checksum *before* parsing and returns [`DataError::Corrupt`] on a
-//! mismatch, so a flipped payload byte — a chaos-injected wire fault, a
-//! torn disk write — is detected at the codec layer instead of being
-//! parsed into a silently wrong dataset (or rendered). A wrong magic word
-//! is still the distinct [`DataError::Format`]: version skew and protocol
-//! confusion are framing errors, not corruption. The check order is
-//! therefore magic → CRC → parse, always.
+//! Every array starts at a multiple of its element's alignment
+//! ([`LeElement::ALIGN`]), so in a buffer whose first byte is 8-aligned
+//! ([`AlignedBuf`]) each one can be read where it lies. The pads are
+//! always the fewest bytes that get there and always zero — a non-zero
+//! pad behind a valid checksum is [`DataError::Format`] — so each dataset
+//! has exactly one encoding.
+//!
+//! [`decode`] checks in a fixed order: magic ([`DataError::Format`] —
+//! version skew and protocol confusion are framing errors, so `EBD2`, the
+//! unpadded layout before this one, is refused here), then the CRC-32
+//! trailer over the whole body ([`DataError::Corrupt`] on a mismatch: a
+//! flipped byte, a chaos-injected wire fault or a torn disk write is
+//! caught before any byte is trusted), then the header, every length
+//! against the bytes present, every pad, and the grid's shape. Only then
+//! are the arrays handed out.
 //!
 //! # Cost
 //!
 //! Encoding every block every step *is* the loosely-coupled workload the
-//! harness measures, so the codec is built to cost a copy and a checksum
-//! and nothing else:
+//! harness measures, so the codec costs a copy and a checksum to encode,
+//! and a checksum to decode:
 //!
-//! * [`encode`] allocates [`encoded_len`] bytes once and writes each
-//!   payload section (positions, one attribute array) with a single
-//!   [`put_slice_le`] — on a little-endian target a `memcpy` of the source
-//!   array viewed as bytes. The CRC is taken chunk by chunk as the bytes
-//!   go in, not in a second pass over a body that has left the cache.
+//! * [`encode`] allocates [`encoded_len`] bytes once, 8-aligned, and
+//!   writes each payload section (positions, one attribute array) with a
+//!   single [`put_slice_le`] — a `memcpy` of the source array viewed as
+//!   bytes. The CRC is taken chunk by chunk as the bytes go in, not in a
+//!   second pass over a body that has left the cache.
 //! * [`encode_in`] is the same encoder writing into a buffer leased from a
 //!   [`PayloadPool`], for callers that encode block after block: a fresh
 //!   buffer of tens of megabytes that is filled on one thread and dropped
 //!   on another is mapped, zero-filled a page fault at a time and unmapped
 //!   again every call, which costs more than the copy and the checksum
 //!   together (`benches/codec.rs`, the `threaded` rows; DESIGN.md §20).
-//! * [`decode`] makes one CRC pass over the body (it must finish before
-//!   any byte is trusted), then one copy per section out of the shared
-//!   wire buffer into a fresh, aligned `Vec` ([`read_vec_le`]).
+//! * [`decode`] makes one CRC pass over the body and parses a header of a
+//!   few dozen bytes per attribute. The positions and attribute arrays it
+//!   returns are views ([`Array::view`]) of the payload's own bytes: it
+//!   allocates nothing that grows with the element count, and the
+//!   payload's owner (a received frame, a pool lease, a file read back)
+//!   lives until the last view drops. A payload whose first byte is not
+//!   8-aligned — none of the buffers this workspace fills, but any
+//!   `Bytes` may be passed in — is copied once into an [`AlignedBuf`] and
+//!   then takes the same path.
 //!
-//! The format is little-endian by definition; a big-endian target converts
-//! element by element inside [`crate::io::le`], which is also where the
-//! codec's one `unsafe` block (the slice-to-bytes view) lives.
-//!
-//! The encoder's buffer is frozen into a [`bytes::Bytes`] so the same
-//! bytes can be shipped over the transport layer without re-serialization.
+//! The format is little-endian by definition, and so is every target the
+//! crate builds for ([`crate::io::le`]).
 
+use crate::array::Array;
 use crate::crc::{crc32, Crc32};
 use crate::dataset::DataObject;
 use crate::error::{DataError, Result};
 use crate::field::{Attribute, AttributeSet};
 use crate::grid::UniformGrid;
-use crate::io::le::{put_slice_le, read_vec_le, LeElement};
+use crate::io::aligned::{AlignedBuf, ALIGN};
+use crate::io::le::{put_slice_le, LeElement};
 use crate::io::pool::PayloadPool;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"EBD2";
+const MAGIC: &[u8; 4] = b"EBD3";
 
 /// Bytes appended after the body: the CRC-32 integrity trailer.
 const TRAILER_BYTES: usize = 4;
@@ -91,12 +106,20 @@ const ATTR_ID: u8 = 2;
 /// reads it again.
 const HASH_CHUNK: usize = 64 << 10;
 
+/// The zero bytes a pad is cut from (no element aligns wider than this).
+const ZEROS: [u8; ALIGN] = [0; ALIGN];
+
+/// Offset of the first array byte at or after `at` for elements `T`.
+fn aligned_for<T: LeElement>(at: usize) -> usize {
+    at.next_multiple_of(T::ALIGN)
+}
+
 /// The encoder's output: the exact-size buffer plus the CRC-32 of every
 /// byte written to it so far, so the trailer costs no second pass over a
 /// body that has long left the cache (measured in `benches/codec.rs`: ~10 %
 /// of a 32 MiB encode; no difference at 1 MiB).
 struct Body<'a> {
-    buf: &'a mut Vec<u8>,
+    buf: &'a mut AlignedBuf,
     crc: Crc32,
 }
 
@@ -109,123 +132,83 @@ impl BufMut for Body<'_> {
     }
 }
 
-/// Attribute header (`type`, `len`) followed by the payload as one
-/// section copy.
-fn put_payload<T: LeElement>(buf: &mut Body<'_>, ty: u8, v: &[T]) {
-    buf.put_u8(ty);
-    buf.put_u64_le(v.len() as u64);
-    put_slice_le(buf, v);
-}
+impl Body<'_> {
+    /// Zero pad, then `v` as one section copy.
+    fn put_array<T: LeElement>(&mut self, v: &[T]) {
+        let at = self.buf.len();
+        self.put_slice(&ZEROS[..aligned_for::<T>(at) - at]);
+        put_slice_le(self, v);
+    }
 
-fn put_attributes(buf: &mut Body<'_>, attrs: &AttributeSet) {
-    buf.put_u32_le(attrs.len() as u32);
-    for (name, attr) in attrs.iter() {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        match attr {
-            Attribute::Scalar(v) => put_payload(buf, ATTR_SCALAR, v),
-            Attribute::Vector(v) => put_payload(buf, ATTR_VECTOR, v),
-            Attribute::Id(v) => put_payload(buf, ATTR_ID, v),
+    /// Attribute header (`type`, `len`), then the array.
+    fn put_payload<T: LeElement>(&mut self, ty: u8, v: &[T]) {
+        self.put_u8(ty);
+        self.put_u64_le(v.len() as u64);
+        self.put_array(v);
+    }
+
+    fn put_attributes(&mut self, attrs: &AttributeSet) {
+        self.put_u32_le(attrs.len() as u32);
+        for (name, attr) in attrs.iter() {
+            self.put_u32_le(name.len() as u32);
+            self.put_slice(name.as_bytes());
+            match attr {
+                Attribute::Scalar(v) => self.put_payload(ATTR_SCALAR, v),
+                Attribute::Vector(v) => self.put_payload(ATTR_VECTOR, v),
+                Attribute::Id(v) => self.put_payload(ATTR_ID, v),
+            }
         }
     }
 }
 
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(DataError::Format(format!("truncated {what}")))
-    } else {
-        Ok(())
-    }
+/// End offset of an array of `n` elements `T` whose pad starts at `at`.
+fn array_end<T: LeElement>(at: usize, n: usize) -> usize {
+    aligned_for::<T>(at) + n * T::BYTES
 }
 
-/// Wire size of the smallest attribute: name length, type, element count.
-const MIN_ATTR_BYTES: usize = 4 + 1 + 8;
-
-/// Decode a `len`-element payload section off the front of `buf`.
-/// `Bytes::split_to` shares the allocation, so the section views the wire
-/// buffer directly; the element conversion is the only copy.
-fn take<T: LeElement>(buf: &mut Bytes, len: usize, what: &str) -> Result<Vec<T>> {
-    let bytes = len
-        .checked_mul(T::BYTES)
-        .ok_or_else(|| DataError::Format(format!("{what} length overflow")))?;
-    need(buf, bytes, what)?;
-    Ok(read_vec_le(&buf.split_to(bytes)))
-}
-
-/// Decode the attribute section. Returns owned `(name, attribute)` pairs so
-/// the caller can move them into the dataset instead of cloning.
-fn get_attributes(buf: &mut Bytes) -> Result<Vec<(String, Attribute)>> {
-    need(buf, 4, "attribute count")?;
-    let n_attr = buf.get_u32_le() as usize;
-    // The count is wire data: the bytes present bound the table, so a
-    // lying count ends in a truncation error below, not in an abort.
-    let mut attrs = Vec::with_capacity(n_attr.min(buf.remaining() / MIN_ATTR_BYTES));
-    for _ in 0..n_attr {
-        need(buf, 4, "attribute name length")?;
-        let name_len = buf.get_u32_le() as usize;
-        need(buf, name_len, "attribute name")?;
-        let name_bytes = buf.split_to(name_len);
-        let name = std::str::from_utf8(&name_bytes)
-            .map_err(|_| DataError::Format("attribute name is not utf-8".into()))?
-            .to_string();
-        need(buf, 9, "attribute header")?;
-        let ty = buf.get_u8();
-        let len = buf.get_u64_le() as usize;
-        let attr = match ty {
-            ATTR_SCALAR => Attribute::Scalar(take(buf, len, "scalar payload")?),
-            ATTR_VECTOR => Attribute::Vector(take(buf, len, "vector payload")?),
-            ATTR_ID => Attribute::Id(take(buf, len, "id payload")?),
-            other => {
-                return Err(DataError::Format(format!("unknown attribute type {other}")))
-            }
-        };
-        attrs.push((name, attr));
-    }
-    Ok(attrs)
-}
-
-fn attributes_encoded_len(attrs: &AttributeSet) -> usize {
-    4 + attrs
-        .iter()
-        .map(|(name, attr)| {
-            4 + name.len()
-                + 9
-                + match attr {
-                    Attribute::Scalar(v) => v.len() * f32::BYTES,
-                    Attribute::Vector(v) => v.len() * Vec3::BYTES,
-                    Attribute::Id(v) => v.len() * u64::BYTES,
-                }
-        })
-        .sum::<usize>()
+/// End offset of the attribute section starting at `at`.
+fn attributes_end(at: usize, attrs: &AttributeSet) -> usize {
+    attrs.iter().fold(at + 4, |at, (name, attr)| {
+        let at = at + 4 + name.len() + 9;
+        match attr {
+            Attribute::Scalar(v) => array_end::<f32>(at, v.len()),
+            Attribute::Vector(v) => array_end::<Vec3>(at, v.len()),
+            Attribute::Id(v) => array_end::<u64>(at, v.len()),
+        }
+    })
 }
 
 /// Exact size of [`encode`]'s output for `obj`, from the format layout in
 /// the module docs. Lets the encoder allocate once with no slack and no
 /// mid-encode growth copies.
 pub fn encoded_len(obj: &DataObject) -> usize {
-    5 + match obj {
-        DataObject::Points(p) => 8 + p.len() * Vec3::BYTES + attributes_encoded_len(p.attributes()),
-        DataObject::Grid(g) => 24 + 24 + attributes_encoded_len(g.attributes()),
-    } + TRAILER_BYTES
+    let body = match obj {
+        DataObject::Points(p) => {
+            attributes_end(array_end::<Vec3>(5 + 8, p.len()), p.attributes())
+        }
+        DataObject::Grid(g) => attributes_end(5 + 24 + 24, g.attributes()),
+    };
+    body + TRAILER_BYTES
 }
 
-/// Encode a dataset into a fresh byte buffer.
+/// Encode a dataset into a fresh, 8-aligned byte buffer.
 pub fn encode(obj: &DataObject) -> Bytes {
-    let mut buf = Vec::with_capacity(encoded_len(obj));
+    let mut buf = AlignedBuf::with_capacity(encoded_len(obj));
     write(obj, &mut buf);
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// [`encode`], byte for byte, into a buffer leased from `pool`; the buffer
-/// goes back to the pool when the last handle to the returned bytes drops.
+/// goes back to the pool when the last handle to the returned bytes — and
+/// the last array decoded from them — drops.
 pub fn encode_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
     let mut lease = pool.lease(encoded_len(obj));
-    write(obj, lease.vec());
+    write(obj, lease.buf());
     lease.freeze()
 }
 
 /// The encoder: appends `obj`'s [`encoded_len`] bytes to the empty `buf`.
-fn write(obj: &DataObject, buf: &mut Vec<u8>) {
+fn write(obj: &DataObject, buf: &mut AlignedBuf) {
     let mut body = Body {
         buf,
         crc: Crc32::new(),
@@ -235,8 +218,8 @@ fn write(obj: &DataObject, buf: &mut Vec<u8>) {
         DataObject::Points(p) => {
             body.put_u8(KIND_POINTS);
             body.put_u64_le(p.len() as u64);
-            put_slice_le(&mut body, p.positions());
-            put_attributes(&mut body, p.attributes());
+            body.put_array(p.positions());
+            body.put_attributes(p.attributes());
         }
         DataObject::Grid(g) => {
             body.put_u8(KIND_GRID);
@@ -244,7 +227,7 @@ fn write(obj: &DataObject, buf: &mut Vec<u8>) {
                 body.put_u64_le(d as u64);
             }
             put_slice_le(&mut body, &[g.origin(), g.spacing()]);
-            put_attributes(&mut body, g.attributes());
+            body.put_attributes(g.attributes());
         }
     }
     let Body { buf, crc } = body;
@@ -256,63 +239,147 @@ fn write(obj: &DataObject, buf: &mut Vec<u8>) {
     );
 }
 
-/// Decode a dataset from bytes produced by [`encode`].
-///
-/// Check order: magic first (wrong magic is a [`DataError::Format`] —
-/// version skew, not bit rot), then the CRC-32 trailer over the whole
-/// body ([`DataError::Corrupt`] on mismatch), and only then the parse.
-/// A corrupted buffer therefore never reaches the structural decoder.
+/// Wire size of the smallest attribute: name length, type, element count.
+const MIN_ATTR_BYTES: usize = 4 + 1 + 8;
+
+/// The structural parse: a cursor over a checksummed body that hands out
+/// header fields by value and arrays as views of `bytes`.
+struct Reader<'a> {
+    bytes: &'a Bytes,
+    at: usize,
+    /// Where the body ends (the trailer is not parsed).
+    end: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if self.end - self.at < n {
+            return Err(DataError::Format(format!("truncated {what}")));
+        }
+        let bytes: &'a [u8] = self.bytes;
+        self.at += n;
+        Ok(&bytes[self.at - n..self.at])
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+    }
+
+    fn len(&mut self, what: &str) -> Result<usize> {
+        let len = self.u64(what)?;
+        usize::try_from(len).map_err(|_| DataError::Format(format!("{what} {len} overflows")))
+    }
+
+    fn vec3(&mut self, what: &str) -> Result<Vec3> {
+        Ok(Vec3::read_le(self.take(Vec3::BYTES, what)?))
+    }
+
+    /// The pad in front of an array of `T`, then its `len` elements as a
+    /// view of the payload.
+    fn array<T: LeElement>(&mut self, len: usize, what: &str) -> Result<Array<T>> {
+        let pad = aligned_for::<T>(self.at) - self.at;
+        if self.take(pad, what)?.iter().any(|&b| b != 0) {
+            return Err(DataError::Format(format!("non-zero pad before {what}")));
+        }
+        let n = len
+            .checked_mul(T::BYTES)
+            .ok_or_else(|| DataError::Format(format!("{what} length overflow")))?;
+        self.take(n, what)?;
+        Array::view(self.bytes.slice(self.at - n..self.at))
+            .ok_or_else(|| DataError::Format(format!("{what} is not aligned")))
+    }
+
+    /// The attribute section, as owned `(name, attribute)` pairs the
+    /// caller moves into the dataset.
+    fn attributes(&mut self) -> Result<Vec<(String, Attribute)>> {
+        let n_attr = self.u32("attribute count")? as usize;
+        // The count is wire data: the bytes present bound the table, so a
+        // lying count ends in a truncation error below, not in an abort.
+        let mut attrs = Vec::with_capacity(n_attr.min((self.end - self.at) / MIN_ATTR_BYTES));
+        for _ in 0..n_attr {
+            let name_len = self.u32("attribute name length")? as usize;
+            let name = std::str::from_utf8(self.take(name_len, "attribute name")?)
+                .map_err(|_| DataError::Format("attribute name is not utf-8".into()))?
+                .to_string();
+            let ty = self.u8("attribute header")?;
+            let len = self.len("attribute header")?;
+            let attr = match ty {
+                ATTR_SCALAR => Attribute::Scalar(self.array(len, "scalar payload")?),
+                ATTR_VECTOR => Attribute::Vector(self.array(len, "vector payload")?),
+                ATTR_ID => Attribute::Id(self.array(len, "id payload")?),
+                other => {
+                    return Err(DataError::Format(format!("unknown attribute type {other}")))
+                }
+            };
+            attrs.push((name, attr));
+        }
+        Ok(attrs)
+    }
+}
+
+/// Decode a dataset from bytes produced by [`encode`]. The arrays of the
+/// result view `buf` (see the module docs for the checks and the cost).
 pub fn decode(buf: Bytes) -> Result<DataObject> {
-    need(&buf, 5, "header")?;
+    let buf = if (buf.as_ptr() as usize).is_multiple_of(ALIGN) {
+        buf
+    } else {
+        AlignedBuf::copy_from_slice(&buf).freeze()
+    };
+    if buf.len() < 5 {
+        return Err(DataError::Format("truncated header".into()));
+    }
     if &buf[..4] != MAGIC {
         return Err(DataError::Format(format!(
             "bad magic {:?}, expected {MAGIC:?}",
             &buf[..4]
         )));
     }
-    need(&buf, 5 + TRAILER_BYTES, "integrity trailer")?;
-    let body_len = buf.len() - TRAILER_BYTES;
-    let stored = u32::from_le_bytes([
-        buf[body_len],
-        buf[body_len + 1],
-        buf[body_len + 2],
-        buf[body_len + 3],
-    ]);
-    let computed = crc32(&buf[..body_len]);
+    if buf.len() < 5 + TRAILER_BYTES {
+        return Err(DataError::Format("truncated integrity trailer".into()));
+    }
+    let end = buf.len() - TRAILER_BYTES;
+    let stored = u32::from_le_bytes(buf[end..].try_into().expect("4-byte trailer"));
+    let computed = crc32(&buf[..end]);
     if stored != computed {
         return Err(DataError::Corrupt(format!(
             "dataset checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
         )));
     }
-    // body minus the (verified) magic and the trailer, sharing the
-    // allocation
-    let mut buf = buf.slice(4..body_len);
-    match buf.get_u8() {
+    let mut r = Reader {
+        bytes: &buf,
+        at: 4,
+        end,
+    };
+    let obj = match r.u8("header")? {
         KIND_POINTS => {
-            need(&buf, 8, "point count")?;
-            let count = buf.get_u64_le() as usize;
-            let mut cloud = PointCloud::from_positions(take(&mut buf, count, "positions")?);
-            for (name, attr) in get_attributes(&mut buf)? {
+            let count = r.len("point count")?;
+            let mut cloud = PointCloud::from_positions(r.array::<Vec3>(count, "positions")?);
+            for (name, attr) in r.attributes()? {
                 cloud.set_attribute(&name, attr)?;
             }
-            Ok(DataObject::Points(cloud))
+            DataObject::Points(cloud)
         }
         KIND_GRID => {
-            need(&buf, 24, "grid dims")?;
-            let dims = [
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-            ];
-            let geometry: Vec<Vec3> = take(&mut buf, 2, "grid origin and spacing")?;
-            let mut grid = UniformGrid::new(dims, geometry[0], geometry[1])?;
-            for (name, attr) in get_attributes(&mut buf)? {
+            let dims = [r.len("grid dims")?, r.len("grid dims")?, r.len("grid dims")?];
+            let origin = r.vec3("grid origin")?;
+            let spacing = r.vec3("grid spacing")?;
+            let mut grid = UniformGrid::new(dims, origin, spacing)?;
+            for (name, attr) in r.attributes()? {
                 grid.set_attribute(&name, attr)?;
             }
-            Ok(DataObject::Grid(grid))
+            DataObject::Grid(grid)
         }
-        other => Err(DataError::Format(format!("unknown dataset kind {other}"))),
-    }
+        other => return Err(DataError::Format(format!("unknown dataset kind {other}"))),
+    };
+    Ok(obj)
 }
 
 /// Write a dataset to a `.ebd` file.
@@ -323,12 +390,16 @@ pub fn write_file(obj: &DataObject, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Read a dataset from a `.ebd` file.
-pub fn read_file(path: &Path) -> Result<DataObject> {
+/// A file's bytes in an 8-aligned buffer, ready for [`decode`] to view.
+pub fn read_bytes(path: &Path) -> Result<Bytes> {
     let mut f = File::open(path)?;
-    let mut v = Vec::new();
-    f.read_to_end(&mut v)?;
-    decode(Bytes::from(v))
+    let len = f.metadata()?.len() as usize;
+    Ok(AlignedBuf::read_to_end(&mut f, len)?.freeze())
+}
+
+/// Read a dataset from a `.ebd` file; its arrays view the file's bytes.
+pub fn read_file(path: &Path) -> Result<DataObject> {
+    decode(read_bytes(path)?)
 }
 
 #[cfg(test)]
@@ -340,13 +411,13 @@ mod tests {
             Vec3::new(0.5, 1.5, 2.5),
             Vec3::new(-1.0, 0.0, 3.0),
         ]);
-        c.set_attribute("mass", Attribute::Scalar(vec![1.0, 2.0])).unwrap();
+        c.set_attribute("mass", Attribute::Scalar(vec![1.0, 2.0].into())).unwrap();
         c.set_attribute(
             "vel",
-            Attribute::Vector(vec![Vec3::ONE, Vec3::new(0.0, -1.0, 0.5)]),
+            Attribute::Vector(vec![Vec3::ONE, Vec3::new(0.0, -1.0, 0.5)].into()),
         )
         .unwrap();
-        c.set_attribute("id", Attribute::Id(vec![42, 7])).unwrap();
+        c.set_attribute("id", Attribute::Id(vec![42, 7].into())).unwrap();
         DataObject::Points(c)
     }
 
@@ -368,26 +439,95 @@ mod tests {
             .collect()
     }
 
+    /// The golden objects as `EBD2`, the unpadded layout before `EBD3`.
+    const EBD2_GOLDEN: [&str; 2] = [
+        "454244320102000000000000000000003f0000c03f00002040000080bf00000000\
+         0000404003000000040000006d6173730002000000000000000000803f00000040\
+         0300000076656c0102000000000000000000803f0000803f0000803f0000000000\
+         0080bf0000003f0200000069640202000000000000002a00000000000000070000\
+         0000000000e8d3d642",
+        "45424432020300000000000000020000000000000002000000000000000000803f\
+         00000040000040400000003f0000003f0000003f010000000400000074656d7000\
+         0c00000000000000000000000000803e0000003f0000403f0000803f0000a03f00\
+         00c03f0000e03f0000004000001040000020400000304067e536db",
+    ];
+
     #[test]
     fn golden_bytes_are_frozen() {
-        // `EBD2` as the byte-at-a-time encoder wrote it before the bulk
-        // copies and the word-parallel CRC: a point cloud with a scalar, a
-        // vector and an id attribute, and a grid. Spills, time-series
-        // blocks and anything a peer ships must keep decoding, so these
-        // bytes may never change.
-        let points = "454244320102000000000000000000003f0000c03f00002040000080bf00000000\
-                      0000404003000000040000006d6173730002000000000000000000803f00000040\
-                      0300000076656c0102000000000000000000803f0000803f0000803f0000000000\
-                      0080bf0000003f0200000069640202000000000000002a00000000000000070000\
-                      0000000000e8d3d642";
-        let grid = "45424432020300000000000000020000000000000002000000000000000000803f\
+        // `EBD3`: a point cloud with a scalar, a vector and an id
+        // attribute, and a grid. Each array sits behind the fewest zero
+        // bytes that align it (3 before the positions, 3 before "mass", 1
+        // before "id", 2 before "temp"; the vectors need none). Spills,
+        // series blocks and anything a peer ships must keep decoding, so
+        // these bytes change only with the magic.
+        let points = "454244330102000000000000000000000000003f0000c03f00002040000080bf\
+                      000000000000404003000000040000006d617373000200000000000000000000\
+                      0000803f000000400300000076656c0102000000000000000000803f0000803f\
+                      0000803f00000000000080bf0000003f02000000696402020000000000000000\
+                      2a000000000000000700000000000000a5c742a0";
+        let grid = "45424433020300000000000000020000000000000002000000000000000000803f\
                     00000040000040400000003f0000003f0000003f010000000400000074656d7000\
-                    0c00000000000000000000000000803e0000003f0000403f0000803f0000a03f00\
-                    00c03f0000e03f0000004000001040000020400000304067e536db";
+                    0c000000000000000000000000000000803e0000003f0000403f0000803f0000a0\
+                    3f0000c03f0000e03f00000040000010400000204000003040844cda8e";
         for (obj, hex) in [(sample_points(), points), (sample_grid(), grid)] {
             let golden = unhex(hex);
             assert_eq!(encode(&obj).to_vec(), golden);
             assert_eq!(decode(Bytes::from(golden)).unwrap(), obj);
+        }
+        // the layout before this one is version skew, not a dataset
+        for hex in EBD2_GOLDEN {
+            assert!(matches!(
+                decode(Bytes::from(unhex(hex))),
+                Err(DataError::Format(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_non_zero_pad_is_a_format_error() {
+        // each pad of the golden cloud, set behind a recomputed checksum:
+        // one dataset, one encoding
+        let raw = encode(&sample_points()).to_vec();
+        for pad in [13, 14, 15, 61, 62, 63, 127] {
+            assert_eq!(raw[pad], 0, "offset {pad} is a pad byte");
+            let mut bad = raw.clone();
+            bad[pad] = 1;
+            let end = bad.len() - TRAILER_BYTES;
+            let crc = crc32(&bad[..end]);
+            bad[end..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(decode(Bytes::from(bad)), Err(DataError::Format(_))),
+                "pad byte {pad}"
+            );
+        }
+    }
+
+    #[test]
+    fn decoded_arrays_view_the_payload_at_any_base_offset() {
+        let obj = sample_points();
+        let raw = encode(&obj);
+        let range = raw.as_ptr_range();
+        let DataObject::Points(back) = decode(raw.clone()).unwrap() else {
+            panic!("decoded to a different kind");
+        };
+        // an aligned payload is viewed, not copied
+        assert!(back.positions().as_ptr_range().start >= range.start.cast());
+        assert!(back.positions().as_ptr_range().end <= range.end.cast());
+        for (_, attr) in back.attributes().iter() {
+            let bytes = match attr {
+                Attribute::Scalar(v) => v.as_ptr().cast::<u8>(),
+                Attribute::Vector(v) => v.as_ptr().cast(),
+                Attribute::Id(v) => v.as_ptr().cast(),
+            };
+            assert!(range.contains(&bytes));
+        }
+        // any other base is copied once and decodes the same
+        for offset in 0..8 {
+            let mut shifted = AlignedBuf::zeroed(offset);
+            shifted.extend_from_slice(&raw);
+            let shifted = shifted.freeze().slice(offset..);
+            assert_eq!(shifted.as_ptr() as usize % ALIGN, offset);
+            assert_eq!(decode(shifted).unwrap(), obj, "base offset {offset}");
         }
     }
 
@@ -415,13 +555,13 @@ mod tests {
 
         let mut cloud = PointCloud::from_positions(vecs.clone());
         cloud
-            .set_attribute("s", Attribute::Scalar(floats.clone()))
+            .set_attribute("s", Attribute::Scalar(floats.clone().into()))
             .unwrap();
         cloud
-            .set_attribute("v", Attribute::Vector(vecs.clone()))
+            .set_attribute("v", Attribute::Vector(vecs.clone().into()))
             .unwrap();
         cloud
-            .set_attribute("id", Attribute::Id(ids.clone()))
+            .set_attribute("id", Attribute::Id(ids.clone().into()))
             .unwrap();
         let encoded = encode(&DataObject::Points(cloud));
         let DataObject::Points(back) = decode(encoded.clone()).unwrap() else {
@@ -443,7 +583,7 @@ mod tests {
             Some(Attribute::Vector(v)) => assert_eq!(vec_bits(v), vec_bits(&vecs)),
             other => panic!("vector attribute came back as {other:?}"),
         }
-        assert_eq!(back.attribute("id"), Some(&Attribute::Id(ids)));
+        assert_eq!(back.attribute("id"), Some(&Attribute::Id(ids.into())));
         // and re-encoding the decoded object reproduces the bytes
         assert_eq!(encode(&DataObject::Points(back)), encoded);
     }
@@ -520,10 +660,10 @@ mod tests {
         let obj = sample_points();
         let raw = encode(&obj).to_vec();
         // The first attribute ("mass") starts after magic(4) + kind(1) +
-        // count(8) + 2 positions(24) + n_attr(4) = 41; its header is
-        // name_len(4) + "mass"(4) + type(1), then len: u64 at offset 50.
+        // count(8) + pad(3) + 2 positions(24) + n_attr(4) = 44; its header
+        // is name_len(4) + "mass"(4) + type(1), then len: u64 at offset 53.
         let mut bad = raw.clone();
-        bad[50] = 1; // claim 1 element instead of 2
+        bad[53] = 1; // claim 1 element instead of 2
         assert!(matches!(
             decode(Bytes::from(bad)),
             Err(DataError::Corrupt(_))

@@ -5,10 +5,12 @@
 //! preliminary run, and the wire format the transport layer ships across
 //! ranks.
 //!
-//! [`le`] holds the bulk little-endian array copies `binary` and the
-//! journal's result files share; [`pool`] owns the buffers a step loop
-//! encodes into.
+//! [`le`] holds the bulk little-endian array copies and views `binary` and
+//! the journal's result files share; [`aligned`] is the buffer every
+//! encoded block is written or read into; [`pool`] owns the buffers a step
+//! loop encodes into.
 
+pub mod aligned;
 pub mod binary;
 pub mod le;
 pub mod pool;

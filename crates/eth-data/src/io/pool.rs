@@ -8,11 +8,12 @@
 //! proxy stands for never pays, because it reuses its send buffers.
 //!
 //! [`PayloadPool`] gives the buffer an owner that outlives the step: it
-//! [`lease`](PayloadPool::lease)s a `Vec<u8>` and takes it back when the
-//! [`Lease`] drops. A lease frozen into a [`Bytes`] drops with the *last*
-//! handle to it, on whichever thread and by whichever path — decoded,
-//! discarded by a fault injector, a failed send, an unwinding rank — so
-//! there is no "give back" call to forget.
+//! [`lease`](PayloadPool::lease)s an [`AlignedBuf`] and takes it back when
+//! the [`Lease`] drops. A lease frozen into a [`Bytes`] drops with the
+//! *last* handle to it, on whichever thread and by whichever path — the
+//! last array a decode viewed in it dropped after the render, discarded by
+//! a fault injector, a failed send, an unwinding rank — so there is no
+//! "give back" call to forget.
 //!
 //! Nothing here is settable. The pool parks at most [`PARKED_MAX`] buffers
 //! (a returning buffer past that evicts the longest-parked one, so the
@@ -20,6 +21,7 @@
 //! smallest parked buffer that fits, and stays out of the allocator's way
 //! below [`FLOOR_BYTES`], where malloc recycles well on its own.
 
+use crate::io::aligned::AlignedBuf;
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +49,7 @@ pub struct PoolStats {
 
 #[derive(Default)]
 struct Shared {
-    parked: Mutex<VecDeque<Vec<u8>>>,
+    parked: Mutex<VecDeque<AlignedBuf>>,
     leased: AtomicU64,
     fresh: AtomicU64,
     returned: AtomicU64,
@@ -56,7 +58,7 @@ struct Shared {
 impl Shared {
     /// The parked list is valid after every statement that touches it, so
     /// a panic elsewhere while it was held loses nothing.
-    fn parked(&self) -> std::sync::MutexGuard<'_, VecDeque<Vec<u8>>> {
+    fn parked(&self) -> std::sync::MutexGuard<'_, VecDeque<AlignedBuf>> {
         self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -79,7 +81,7 @@ impl PayloadPool {
     pub fn lease(&self, exact_len: usize) -> Lease {
         if exact_len < FLOOR_BYTES {
             return Lease {
-                buf: Vec::with_capacity(exact_len),
+                buf: AlignedBuf::with_capacity(exact_len),
                 home: Weak::new(),
             };
         }
@@ -93,7 +95,7 @@ impl PayloadPool {
         };
         let buf = recycled.unwrap_or_else(|| {
             self.shared.fresh.fetch_add(1, Ordering::Relaxed);
-            Vec::with_capacity(exact_len)
+            AlignedBuf::with_capacity(exact_len)
         });
         Lease {
             buf,
@@ -113,13 +115,13 @@ impl PayloadPool {
 
 /// A buffer on loan from a [`PayloadPool`]; dropping it is the return.
 pub struct Lease {
-    buf: Vec<u8>,
+    buf: AlignedBuf,
     home: Weak<Shared>,
 }
 
 impl Lease {
     /// The buffer to fill.
-    pub fn vec(&mut self) -> &mut Vec<u8> {
+    pub fn buf(&mut self) -> &mut AlignedBuf {
         &mut self.buf
     }
 
@@ -132,7 +134,7 @@ impl Lease {
 
 impl AsRef<[u8]> for Lease {
     fn as_ref(&self) -> &[u8] {
-        &self.buf
+        self.buf.as_bytes()
     }
 }
 
@@ -167,7 +169,7 @@ mod tests {
 
     fn filled(pool: &PayloadPool, len: usize) -> Bytes {
         let mut lease = pool.lease(len);
-        lease.vec().resize(len, 7);
+        lease.buf().extend_from_slice(&vec![7; len]);
         lease.freeze()
     }
 
@@ -186,7 +188,7 @@ mod tests {
         );
         // the next lease of that size is the same allocation, empty
         let mut again = pool.lease(2 * MIB);
-        assert!(again.vec().is_empty() && again.vec().capacity() >= 2 * MIB);
+        assert!(again.buf().is_empty() && again.buf().capacity() >= 2 * MIB);
         assert_eq!(pool.stats().fresh, 1);
     }
 
@@ -197,13 +199,13 @@ mod tests {
         drop(held);
         assert_eq!(pool.stats().parked, 3);
         let mut lease = pool.lease(3 * MIB);
-        assert_eq!(lease.vec().capacity(), 4 * MIB);
+        assert_eq!(lease.buf().capacity(), 4 * MIB);
         let mut lease = pool.lease(3 * MIB);
-        assert_eq!(lease.vec().capacity(), 8 * MIB);
+        assert_eq!(lease.buf().capacity(), 8 * MIB);
         // only the 2 MiB buffer is left: too small, so a fresh allocation
         let before = pool.stats().fresh;
         let mut lease = pool.lease(3 * MIB);
-        assert_eq!(lease.vec().capacity(), 3 * MIB);
+        assert_eq!(lease.buf().capacity(), 3 * MIB);
         assert_eq!(pool.stats().fresh, before + 1);
     }
 
@@ -221,7 +223,7 @@ mod tests {
         assert_eq!(stats.parked, PARKED_MAX);
         assert_eq!(stats.returned, PARKED_MAX as u64 + 2);
         let mut smallest = pool.lease(MIB);
-        assert_eq!(smallest.vec().capacity(), 3 * MIB);
+        assert_eq!(smallest.buf().capacity(), 3 * MIB);
     }
 
     #[test]
@@ -232,7 +234,7 @@ mod tests {
         assert_eq!(pool.stats(), PoolStats::default());
         // nor is a pooled buffer its holder shrank below the floor
         let mut lease = pool.lease(FLOOR_BYTES);
-        lease.vec().shrink_to(16);
+        lease.buf().shrink_to(16);
         drop(lease);
         let stats = pool.stats();
         assert_eq!((stats.leased, stats.returned, stats.parked), (1, 1, 0));

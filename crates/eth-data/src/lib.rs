@@ -11,7 +11,9 @@
 //! * [`points::PointCloud`] — particle data (the HACC cosmology case),
 //! * [`grid::UniformGrid`] — structured volumetric data (the xRAGE case),
 //!
-//! both carrying named attribute arrays ([`field::AttributeSet`]).
+//! both carrying named attribute arrays ([`field::AttributeSet`]) whose
+//! storage ([`array::Array`]) is owned or, for a decoded block, a view of
+//! the bytes it arrived in.
 //!
 //! On top of the containers the crate provides the pieces ETH needs to stand
 //! up an in-situ experiment without a real simulation code:
@@ -23,6 +25,7 @@
 //!   simulation proxy can read them back (Figures 3 and 7 of the paper),
 //! * [`stats`] — summary statistics used by tests and workload validation.
 
+pub mod array;
 pub mod bounds;
 pub mod compress;
 pub mod crc;
@@ -38,6 +41,7 @@ pub mod stats;
 pub mod unstructured;
 pub mod vec3;
 
+pub use array::Array;
 pub use bounds::Aabb;
 pub use bytes::Bytes;
 pub use dataset::DataObject;

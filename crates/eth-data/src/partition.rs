@@ -188,14 +188,18 @@ pub fn partition_points(cloud: &PointCloud, n: usize) -> Result<Vec<PointCloud>>
             Attribute::Scalar(v) => scatter
                 .apply(v)
                 .into_iter()
-                .map(Attribute::Scalar)
+                .map(|v| Attribute::Scalar(v.into()))
                 .collect(),
             Attribute::Vector(v) => scatter
                 .apply(v)
                 .into_iter()
-                .map(Attribute::Vector)
+                .map(|v| Attribute::Vector(v.into()))
                 .collect(),
-            Attribute::Id(v) => scatter.apply(v).into_iter().map(Attribute::Id).collect(),
+            Attribute::Id(v) => scatter
+                .apply(v)
+                .into_iter()
+                .map(|v| Attribute::Id(v.into()))
+                .collect(),
         };
         for (part, attr) in parts.iter_mut().zip(split) {
             part.set_attribute(name, attr)?;
@@ -341,7 +345,7 @@ mod tests {
         }
         let mut c = PointCloud::from_positions(pos);
         let ids: Vec<u64> = (0..n as u64).collect();
-        c.set_attribute("id", Attribute::Id(ids)).unwrap();
+        c.set_attribute("id", Attribute::Id(ids.into())).unwrap();
         c
     }
 
@@ -590,7 +594,7 @@ mod tests {
     fn labeled_grid(dims: [usize; 3]) -> UniformGrid {
         let mut g = UniformGrid::new(dims, Vec3::ZERO, Vec3::ONE).unwrap();
         let vals: Vec<f32> = (0..g.num_vertices()).map(|i| i as f32).collect();
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         g
     }
 

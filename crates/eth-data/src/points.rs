@@ -1,5 +1,6 @@
 //! Point-cloud container — the particle-data class (HACC cosmology case).
 
+use crate::array::Array;
 use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
 use crate::field::{Attribute, AttributeSet};
@@ -10,9 +11,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// This mirrors the HACC payload of the paper: each particle carries an id,
 /// position, and velocity; the id and velocity live in [`PointCloud::attributes`].
+/// A decoded cloud's positions view the payload ([`Array`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PointCloud {
-    positions: Vec<Vec3>,
+    positions: Array<Vec3>,
     attributes: AttributeSet,
 }
 
@@ -21,10 +23,11 @@ impl PointCloud {
         Self::default()
     }
 
-    /// Build from positions; attributes can be attached afterwards.
-    pub fn from_positions(positions: Vec<Vec3>) -> Self {
+    /// Build from positions (a `Vec` or an [`Array`]); attributes can be
+    /// attached afterwards.
+    pub fn from_positions(positions: impl Into<Array<Vec3>>) -> Self {
         PointCloud {
-            positions,
+            positions: positions.into(),
             attributes: AttributeSet::new(),
         }
     }
@@ -39,10 +42,6 @@ impl PointCloud {
 
     pub fn positions(&self) -> &[Vec3] {
         &self.positions
-    }
-
-    pub fn positions_mut(&mut self) -> &mut [Vec3] {
-        &mut self.positions
     }
 
     pub fn attributes(&self) -> &AttributeSet {
@@ -93,7 +92,7 @@ impl PointCloud {
             ));
         }
         self.attributes.append(&other.attributes)?;
-        self.positions.extend_from_slice(&other.positions);
+        self.positions.make_mut().extend_from_slice(&other.positions);
         Ok(())
     }
 
@@ -123,9 +122,9 @@ mod tests {
             Vec3::new(0.0, 2.0, 0.0),
             Vec3::new(0.0, 0.0, 3.0),
         ]);
-        c.set_attribute("mass", Attribute::Scalar(vec![1.0, 2.0, 3.0, 4.0]))
+        c.set_attribute("mass", Attribute::Scalar(vec![1.0, 2.0, 3.0, 4.0].into()))
             .unwrap();
-        c.set_attribute("id", Attribute::Id(vec![0, 1, 2, 3])).unwrap();
+        c.set_attribute("id", Attribute::Id(vec![0, 1, 2, 3].into())).unwrap();
         c
     }
 
@@ -140,7 +139,7 @@ mod tests {
     #[test]
     fn attribute_length_enforced() {
         let mut c = cloud();
-        assert!(c.set_attribute("bad", Attribute::Scalar(vec![1.0])).is_err());
+        assert!(c.set_attribute("bad", Attribute::Scalar(vec![1.0].into())).is_err());
     }
 
     #[test]

@@ -174,7 +174,7 @@ pub fn sample_grid_field(
         .map(|(&v, &m)| if m { v } else { background })
         .collect();
     let mut out = grid.clone();
-    out.set_attribute(field, Attribute::Scalar(sampled))?;
+    out.set_attribute(field, Attribute::Scalar(sampled.into()))?;
     Ok(out)
 }
 
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn grid_field_sampling_masks_but_keeps_topology() {
         let mut g = UniformGrid::new([4, 4, 4], Vec3::ZERO, Vec3::ONE).unwrap();
-        g.set_attribute("t", Attribute::Scalar(vec![10.0; 64])).unwrap();
+        g.set_attribute("t", Attribute::Scalar(vec![10.0; 64].into())).unwrap();
         let spec = SamplingSpec::new(0.25, SamplingMethod::Random, 5).unwrap();
         let s = sample_grid_field(&g, "t", &spec, 0.0).unwrap();
         assert_eq!(s.dims(), g.dims());

@@ -168,7 +168,7 @@ impl UnstructuredGrid {
                 .unwrap_or(background);
             samples.push(v);
         }
-        out.set_attribute(field, Attribute::Scalar(samples))?;
+        out.set_attribute(field, Attribute::Scalar(samples.into()))?;
         Ok(out)
     }
 }
@@ -310,7 +310,7 @@ mod tests {
             .iter()
             .map(|p| 2.0 * p.x + 3.0 * p.y - p.z)
             .collect();
-        m.set_attribute("f", Attribute::Scalar(f.clone())).unwrap();
+        m.set_attribute("f", Attribute::Scalar(f.clone().into())).unwrap();
         let locator = m.build_locator();
         for &(x, y, z) in &[(0.5, 0.5, 0.5), (0.1, 0.8, 0.3), (0.9, 0.05, 0.7)] {
             let p = Vec3::new(x, y, z);
@@ -348,7 +348,7 @@ mod tests {
     fn resample_reproduces_linear_field() {
         let mut m = cube_mesh();
         let f: Vec<f32> = m.points().iter().map(|p| p.x + 10.0 * p.z).collect();
-        m.set_attribute("f", Attribute::Scalar(f)).unwrap();
+        m.set_attribute("f", Attribute::Scalar(f.into())).unwrap();
         let grid = m.resample("f", [5, 5, 5], -1.0).unwrap();
         let vals = grid.scalar("f").unwrap();
         for (idx, &v) in vals.iter().enumerate() {
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn attribute_length_enforced() {
         let mut m = cube_mesh();
-        assert!(m.set_attribute("bad", Attribute::Scalar(vec![1.0])).is_err());
+        assert!(m.set_attribute("bad", Attribute::Scalar(vec![1.0].into())).is_err());
     }
 
     #[test]

@@ -7,6 +7,8 @@ use eth_data::partition::{decompose_domain, partition_grid_slabs, partition_poin
 use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
 use eth_data::{Aabb, DataError, DataObject, PointCloud, UniformGrid, Vec3};
 use proptest::prelude::*;
+use eth_data::io::aligned::AlignedBuf;
+use eth_data::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -53,24 +55,35 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static GLOBAL: LargestRequest = LargestRequest;
 
-/// `EBD2` framing around `body`: the magic in front, the body's true
+/// `EBD3` framing around `body`: the magic in front, the body's true
 /// CRC-32 behind, so the decoder's integrity check passes and the
 /// structural parse is what meets the bytes.
 fn framed(body: &[u8]) -> Vec<u8> {
-    let mut raw = b"EBD2".to_vec();
+    let mut raw = b"EBD3".to_vec();
     raw.extend_from_slice(body);
     let crc = eth_data::crc::crc32(&raw);
     raw.extend_from_slice(&crc.to_le_bytes());
     raw
 }
 
-/// Decode `raw` — `Ok` or `Err`, a panic fails the test — and return the
-/// largest allocation the call made.
-fn decode_noting_allocations(raw: Vec<u8>) -> usize {
-    let bytes = eth_data::Bytes::from(raw);
+/// `raw` as bytes whose first byte sits `base` bytes past an 8-byte
+/// boundary.
+fn at_base(raw: &[u8], base: usize) -> Bytes {
+    let mut buf = AlignedBuf::zeroed(base);
+    buf.extend_from_slice(raw);
+    let bytes = buf.freeze().slice(base..);
+    assert_eq!(bytes.as_ptr() as usize % 8, base);
+    bytes
+}
+
+/// Decode `raw` from base offset `base` — `Ok` or `Err`, a panic fails
+/// the test — and return the result and the largest allocation the call
+/// made.
+fn decode_noting_allocations(raw: &[u8], base: usize) -> (Result<DataObject, DataError>, usize) {
+    let bytes = at_base(raw, base);
     LARGEST.with(|largest| largest.set(0));
-    let _ = binary::decode(bytes);
-    LARGEST.with(|largest| largest.get())
+    let decoded = binary::decode(bytes);
+    (decoded, LARGEST.with(|largest| largest.get()))
 }
 
 /// What a decode of `len` bytes may allocate at once: the bytes, times the
@@ -97,6 +110,51 @@ fn hostile_grid() -> Vec<u8> {
     body.push(0); // scalar
     body.extend_from_slice(&0u64.to_le_bytes()); // of no elements
     framed(&body)
+}
+
+/// Decode `obj`'s encoding and check that it allocated at most a few KiB
+/// at once and that every array of the result lies inside the payload.
+fn decodes_in_place(obj: &DataObject) {
+    let payload = binary::encode(obj);
+    let range = payload.as_ptr_range();
+    LARGEST.with(|largest| largest.set(0));
+    let back = binary::decode(payload).unwrap();
+    let largest = LARGEST.with(|largest| largest.get());
+    assert!(largest <= 4 << 10, "decode made a {largest}-byte request");
+    let (positions, attrs) = match &back {
+        DataObject::Points(p) => (Some(p.positions()), p.attributes()),
+        DataObject::Grid(g) => (None, g.attributes()),
+    };
+    let inside = |start: *const u8, bytes: usize| {
+        range.start <= start && start.wrapping_add(bytes) <= range.end
+    };
+    if let Some(p) = positions {
+        assert!(inside(p.as_ptr().cast(), std::mem::size_of_val(p)), "positions");
+    }
+    for (name, attr) in attrs.iter() {
+        let (start, bytes) = match attr {
+            Attribute::Scalar(v) => (v.as_ptr().cast(), std::mem::size_of_val(&v[..])),
+            Attribute::Vector(v) => (v.as_ptr().cast(), std::mem::size_of_val(&v[..])),
+            Attribute::Id(v) => (v.as_ptr().cast(), std::mem::size_of_val(&v[..])),
+        };
+        assert!(inside(start, bytes), "attribute {name}");
+    }
+    assert_eq!(&back, obj);
+}
+
+#[test]
+fn decoding_an_aligned_block_views_it_and_allocates_nothing_per_element() {
+    let n = 1_000_000;
+    let mut cloud =
+        PointCloud::from_positions((0..n).map(|i| Vec3::splat(i as f32)).collect::<Vec<_>>());
+    cloud.set_attribute("id", Attribute::Id((0..n as u64).collect())).unwrap();
+    cloud.set_attribute("mass", Attribute::Scalar((0..n).map(|i| i as f32).collect())).unwrap();
+    cloud.set_attribute("vel", Attribute::Vector(vec![Vec3::ONE; n].into())).unwrap();
+    decodes_in_place(&DataObject::Points(cloud));
+
+    let mut grid = UniformGrid::new([100, 100, 100], Vec3::ZERO, Vec3::ONE).unwrap();
+    grid.set_attribute("f", Attribute::Scalar((0..n).map(|i| i as f32).collect())).unwrap();
+    decodes_in_place(&DataObject::Grid(grid));
 }
 
 #[test]
@@ -150,7 +208,7 @@ proptest! {
         let mut g = UniformGrid::new([nx, ny, nz], Vec3::ZERO, Vec3::ONE).unwrap();
         let n = g.num_vertices();
         let vals: Vec<f32> = (0..n).map(|i| ((i as u64).wrapping_mul(seed + 1) % 1000) as f32).collect();
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         let obj = DataObject::Grid(g);
         let back = binary::decode(binary::encode(&obj)).unwrap();
         prop_assert_eq!(obj, back);
@@ -258,7 +316,7 @@ proptest! {
     ) {
         let mut g = UniformGrid::new([nx, ny, nz], Vec3::ZERO, Vec3::ONE).unwrap();
         let vals: Vec<f32> = (0..g.num_vertices()).map(|i| i as f32).collect();
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         let slabs = partition_grid_slabs(&g, n).unwrap();
         prop_assert_eq!(slabs.len(), n);
         let axis = g.bounds().longest_axis();
@@ -278,7 +336,7 @@ proptest! {
         let vals: Vec<f32> = (0..27)
             .map(|i| (((i as u64 + 1).wrapping_mul(seed.wrapping_mul(2654435761) + 1)) % 997) as f32)
             .collect();
-        g.set_attribute("f", Attribute::Scalar(vals.clone())).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.clone().into())).unwrap();
         let v = g.sample_trilinear(&vals, Vec3::new(px, py, pz)).unwrap();
         let lo = vals.iter().cloned().fold(f32::INFINITY, f32::min);
         let hi = vals.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -345,7 +403,7 @@ proptest! {
         let mut g = UniformGrid::new([side, side, side], Vec3::ZERO, Vec3::ONE).unwrap();
         let n = g.num_vertices();
         let vals: Vec<f32> = (0..n).map(|i| 1.0 + i as f32).collect(); // all > 0
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         let spec = SamplingSpec::new(ratio, SamplingMethod::Random, seed).unwrap();
         let s = eth_data::sampling::sample_grid_field(&g, "f", &spec, 0.0).unwrap();
         prop_assert_eq!(s.dims(), g.dims());
@@ -373,6 +431,26 @@ proptest! {
     }
 }
 
+/// Two objects as `EBD2` wrote them, the unpadded layout before `EBD3`.
+const EBD2_GOLDEN: [&str; 2] = [
+    "454244320102000000000000000000003f0000c03f00002040000080bf00000000\
+     0000404003000000040000006d6173730002000000000000000000803f00000040\
+     0300000076656c0102000000000000000000803f0000803f0000803f0000000000\
+     0080bf0000003f0200000069640202000000000000002a00000000000000070000\
+     0000000000e8d3d642",
+    "45424432020300000000000000020000000000000002000000000000000000803f\
+     00000040000040400000003f0000003f0000003f010000000400000074656d7000\
+     0c00000000000000000000000000803e0000003f0000403f0000803f0000a03f00\
+     00c03f0000e03f0000004000001040000020400000304067e536db",
+];
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 /// Values a length, count or dimension field can be overwritten with.
 const HOSTILE: [u64; 10] = [
     0,
@@ -390,30 +468,32 @@ const HOSTILE: [u64; 10] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// ROADMAP 1d for `EBD2`: `binary::decode` is total. Arbitrary bytes,
-    /// the same bytes behind a valid magic and checksum, and valid
-    /// encodings with a header, length or dims field overwritten (and the
-    /// trailer recomputed, so the parse really runs) all come back `Ok` or
-    /// `Err` without a panic — this runs in debug, where arithmetic
-    /// overflow is one — and without an allocation sized by a claimed
-    /// length.
+    /// ROADMAP 1d for `EBD3`: `binary::decode` is total. Arbitrary bytes,
+    /// the same bytes behind a valid magic and checksum, valid encodings
+    /// with a header, length or dims field overwritten, and valid
+    /// encodings with one pad byte set (each with the trailer recomputed,
+    /// so the parse really runs) all come back `Ok` or `Err` without a
+    /// panic — this runs in debug, where arithmetic overflow is one — and
+    /// without an allocation sized by a claimed length, from any base
+    /// offset. A set pad is a `Format` error, and so is `EBD2`.
     #[test]
     fn decode_is_total(
         noise in prop::collection::vec(0u16..256, 0..96),
         kind in 0u8..4,
         (offset, width, hostile, random) in (0usize..usize::MAX, 0usize..2, 0usize..HOSTILE.len() + 1, 0u64..u64::MAX),
+        (pad, pad_value, base) in (0usize..usize::MAX, 1u16..256, 0usize..8),
     ) {
         let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
         let mut body = vec![kind];
         body.extend_from_slice(&noise);
 
         let mut grid = UniformGrid::new([2, 3, 2], Vec3::ZERO, Vec3::ONE).unwrap();
-        grid.set_attribute("f", Attribute::Scalar(vec![0.5; 12])).unwrap();
+        grid.set_attribute("f", Attribute::Scalar(vec![0.5; 12].into())).unwrap();
         let mut cloud = PointCloud::from_positions(vec![Vec3::ONE, Vec3::ZERO]);
-        cloud.set_attribute("id", Attribute::Id(vec![7, 8])).unwrap();
-        cloud.set_attribute("v", Attribute::Vector(vec![Vec3::ONE; 2])).unwrap();
-        let valid = if kind % 2 == 0 { DataObject::Grid(grid) } else { DataObject::Points(cloud) };
-        let encoded = binary::encode(&valid).to_vec();
+        cloud.set_attribute("id", Attribute::Id(vec![7, 8].into())).unwrap();
+        cloud.set_attribute("v", Attribute::Vector(vec![Vec3::ONE; 2].into())).unwrap();
+        let valid_obj = if kind % 2 == 0 { DataObject::Grid(grid) } else { DataObject::Points(cloud) };
+        let encoded = binary::encode(&valid_obj).to_vec();
         // overwrite 4 or 8 bytes anywhere in the body (magic and trailer
         // excluded): every header, count, dims and length field is a site
         let mut patched = encoded[4..encoded.len() - 4].to_vec();
@@ -422,13 +502,30 @@ proptest! {
         let value = HOSTILE.get(hostile).copied().unwrap_or(random);
         patched[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
 
-        for raw in [noise, framed(&body), framed(&patched)] {
+        // the pad bytes of the two valid objects: the grid's one before
+        // "f"; the cloud's before the positions, "id" and "v"
+        let pads: &[usize] = if kind % 2 == 0 { &[71] } else { &[13, 14, 15, 59, 60, 61, 62, 63, 94, 95] };
+        let pad = pads[pad % pads.len()];
+        prop_assert_eq!(encoded[pad], 0);
+        let mut padded = encoded[4..encoded.len() - 4].to_vec();
+        padded[pad - 4] = pad_value as u8;
+        let padded = framed(&padded);
+
+        for raw in [noise, framed(&body), framed(&patched), padded.clone()] {
             let len = raw.len();
-            let largest = decode_noting_allocations(raw);
+            let (_, largest) = decode_noting_allocations(&raw, base);
             prop_assert!(
                 largest <= allocation_bound(len),
-                "decoding {len} bytes allocated {largest} at once"
+                "decoding {len} bytes at base {base} allocated {largest} at once"
             );
+        }
+        let (set_pad, _) = decode_noting_allocations(&padded, base);
+        prop_assert!(matches!(set_pad, Err(DataError::Format(_))), "pad {pad}: {set_pad:?}");
+        let (valid, _) = decode_noting_allocations(&encoded, base);
+        prop_assert_eq!(valid.unwrap(), valid_obj);
+        for hex in EBD2_GOLDEN {
+            let (old, _) = decode_noting_allocations(&unhex(hex), base);
+            prop_assert!(matches!(old, Err(DataError::Format(_))), "EBD2: {old:?}");
         }
     }
 }

@@ -110,7 +110,7 @@ mod tests {
                 }
             }
         }
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         g
     }
 
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn degenerate_thin_grids_yield_nothing() {
         let mut g = UniformGrid::new([5, 5, 1], Vec3::ZERO, Vec3::ONE).unwrap();
-        g.set_attribute("f", Attribute::Scalar(vec![1.0; 25])).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vec![1.0; 25].into())).unwrap();
         let (mesh, stats) = extract_isosurface(&g, "f", 0.5).unwrap();
         assert!(mesh.is_empty());
         assert_eq!(stats.cells_scanned, 0);

@@ -378,7 +378,7 @@ mod equivalence {
                 wave
             });
         }
-        grid.set_attribute("f", Attribute::Scalar(values))
+        grid.set_attribute("f", Attribute::Scalar(values.into()))
             .expect("one value per vertex");
         grid
     }

@@ -196,7 +196,7 @@ mod tests {
             vec![[0, 1, 2, 3]],
         )
         .unwrap();
-        m.set_attribute("f", Attribute::Scalar(vec![0.0, 1.0, 0.0, 1.0]))
+        m.set_attribute("f", Attribute::Scalar(vec![0.0, 1.0, 0.0, 1.0].into()))
             .unwrap();
         let (surf, _) = extract_isosurface_unstructured(&m, "f", 0.5).unwrap();
         // no panic; whatever triangles exist validate

@@ -421,7 +421,7 @@ mod tests {
                 }
             }
         }
-        g.set_attribute("temp", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("temp", Attribute::Scalar(vals.into())).unwrap();
         DataObject::Grid(g)
     }
 

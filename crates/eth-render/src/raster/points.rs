@@ -128,7 +128,7 @@ mod tests {
     fn scalar_attribute_drives_color() {
         let mut cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
         cloud
-            .set_attribute("v", Attribute::Scalar(vec![1.0]))
+            .set_attribute("v", Attribute::Scalar(vec![1.0].into()))
             .unwrap();
         let (fb, _) = render_points(&cloud, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
         assert_eq!(fb.color_at(32, 32), Vec3::ONE); // gray map at 1.0
@@ -139,7 +139,7 @@ mod tests {
         let cloud =
             PointCloud::from_positions(vec![Vec3::new(0.0, 1.0, 0.0), Vec3::new(0.0, -1.0, 0.0)]);
         let mut c = PointCloud::from_positions(cloud.positions().to_vec());
-        c.set_attribute("v", Attribute::Scalar(vec![0.0, 1.0]))
+        c.set_attribute("v", Attribute::Scalar(vec![0.0, 1.0].into()))
             .unwrap();
         let (fb, _) = render_points(&c, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
         // the nearer point (y=-1, value 1.0 -> white) wins the center pixel
@@ -244,7 +244,7 @@ mod tests {
         // Two coincident points: the strict < depth test keeps the first.
         let mut cloud = PointCloud::from_positions(vec![Vec3::ZERO, Vec3::ZERO]);
         cloud
-            .set_attribute("v", Attribute::Scalar(vec![1.0, 0.0]))
+            .set_attribute("v", Attribute::Scalar(vec![1.0, 0.0].into()))
             .unwrap();
         let (fb, _) = render_points(&cloud, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
         assert_eq!(fb.color_at(32, 32), Vec3::ONE, "first point wins the tie");
@@ -255,7 +255,7 @@ mod tests {
         let few = PointCloud::from_positions(
             (0..10)
                 .map(|i| Vec3::new(i as f32 * 0.1 - 0.5, 0.0, 0.0))
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         let many = PointCloud::from_positions(
             (0..1000)
@@ -263,7 +263,7 @@ mod tests {
                     let t = i as f32 * 0.37;
                     Vec3::new(t.sin() * 0.8, 0.0, t.cos() * 0.8)
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         let (fb_few, _) = render_points(&few, None, &tf(), &cam(), Vec3::ZERO, 1);
         let (fb_many, _) = render_points(&many, None, &tf(), &cam(), Vec3::ZERO, 1);

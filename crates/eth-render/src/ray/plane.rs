@@ -106,7 +106,7 @@ mod tests {
                 }
             }
         }
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         g
     }
 

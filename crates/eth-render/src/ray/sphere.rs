@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn scalar_colors_particles() {
         let mut cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        cloud.set_attribute("v", Attribute::Scalar(vec![1.0])).unwrap();
+        cloud.set_attribute("v", Attribute::Scalar(vec![1.0].into())).unwrap();
         let rc = SphereRaycaster::build(&cloud, Some("v"), 0.5);
         let flat = Lighting {
             ambient: 1.0,
@@ -398,7 +398,7 @@ mod tests {
             Vec3::new(0.0, -1.0, 0.0), // near
         ]);
         cloud
-            .set_attribute("v", Attribute::Scalar(vec![0.0, 1.0]))
+            .set_attribute("v", Attribute::Scalar(vec![0.0, 1.0].into()))
             .unwrap();
         let rc = SphereRaycaster::build(&cloud, Some("v"), 0.3);
         let flat = Lighting {

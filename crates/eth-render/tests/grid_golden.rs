@@ -131,7 +131,7 @@ fn synthetic(dims: [usize; 3], values: impl Fn(usize, usize, usize) -> f32) -> U
             }
         }
     }
-    grid.set_attribute(FIELD, Attribute::Scalar(field))
+    grid.set_attribute(FIELD, Attribute::Scalar(field.into()))
         .expect("one value per vertex");
     grid
 }

@@ -179,7 +179,7 @@ proptest! {
                 }
             }
         }
-        g.set_attribute("f", Attribute::Scalar(vals)).unwrap();
+        g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
         let (mesh, stats) = extract_isosurface(&g, "f", iso).unwrap();
         prop_assert!(mesh.validate());
         let bounds = g.bounds().padded(1e-4);

@@ -251,7 +251,7 @@ impl AmrTree {
             .zip(&value_count)
             .map(|(&s, &c)| s / c.max(1) as f32)
             .collect();
-        mesh.set_attribute(field_name, Attribute::Scalar(values))?;
+        mesh.set_attribute(field_name, Attribute::Scalar(values.into()))?;
         Ok(mesh)
     }
 
@@ -292,7 +292,7 @@ impl AmrTree {
                     }
                 }
             });
-        grid.set_attribute(field_name, Attribute::Scalar(values))?;
+        grid.set_attribute(field_name, Attribute::Scalar(values.into()))?;
         Ok(grid)
     }
 
@@ -318,7 +318,7 @@ impl AmrTree {
             );
             values.push(self.sample(q).unwrap_or(0.0));
         }
-        grid.set_attribute(field_name, Attribute::Scalar(values))?;
+        grid.set_attribute(field_name, Attribute::Scalar(values.into()))?;
         Ok(grid)
     }
 }

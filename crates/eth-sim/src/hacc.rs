@@ -151,8 +151,8 @@ impl HaccConfig {
         let count = positions.len();
         let mut cloud = PointCloud::from_positions(positions);
         cloud.set_attribute("id", Attribute::Id((0..count as u64).collect()))?;
-        cloud.set_attribute("velocity", Attribute::Vector(velocities))?;
-        cloud.set_attribute("density", Attribute::Scalar(density))?;
+        cloud.set_attribute("velocity", Attribute::Vector(velocities.into()))?;
+        cloud.set_attribute("density", Attribute::Scalar(density.into()))?;
         Ok(cloud)
     }
 }

@@ -57,7 +57,7 @@
 use eth_data::crc::crc32;
 use eth_data::error::{DataError, Result};
 use eth_data::io::binary;
-use eth_data::{Bytes, DataObject};
+use eth_data::DataObject;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -407,7 +407,8 @@ impl TimeSeries {
             }
         };
         let path = self.block_path(index);
-        let raw = fs::read(&path)?;
+        // aligned, so the decoded block views the file's bytes
+        let raw = binary::read_bytes(&path)?;
         if let Some(expect) = crc {
             let got = crc32(&raw);
             if got != expect {
@@ -418,7 +419,7 @@ impl TimeSeries {
             }
         }
         let bytes = raw.len() as u64;
-        let obj = Arc::new(binary::decode(Bytes::from(raw))?);
+        let obj = Arc::new(binary::decode(raw)?);
         inner.stats.reloads += 1;
         inner.stats.reloaded_bytes += bytes;
         if self.budget.is_none_or(|b| bytes <= b) {

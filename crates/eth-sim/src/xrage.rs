@@ -147,7 +147,7 @@ impl XrageConfig {
         let exact = self.temperature_at_vertices(&grid, t);
         grid.set_attribute(
             "temperature_exact",
-            eth_data::field::Attribute::Scalar(exact),
+            eth_data::field::Attribute::Scalar(exact.into()),
         )?;
         Ok(grid)
     }
@@ -265,7 +265,7 @@ mod tests {
             let (i, j, k) = grid.vertex_coords(idx);
             exact.push(field(grid.vertex_position(i, j, k)));
         }
-        grid.set_attribute("temperature_exact", Attribute::Scalar(exact))
+        grid.set_attribute("temperature_exact", Attribute::Scalar(exact.into()))
             .unwrap();
         grid
     }

@@ -32,6 +32,7 @@
 
 use crate::comm::{Result, TransportError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use eth_data::io::aligned::AlignedBuf;
 use eth_data::io::binary;
 use eth_data::io::pool::PayloadPool;
 use eth_data::DataObject;
@@ -131,11 +132,15 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> 
         None
     };
     // The length prefix is a claim until the bytes arrive: reserve at most
-    // `PAYLOAD_RESERVE_CAP` up front and let `read_to_end` grow the buffer
-    // as the stream delivers, so a corrupt or hostile prefix cannot make
-    // this allocate gigabytes. Nothing is zero-filled first either.
-    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE_CAP) as usize);
-    let got = r.by_ref().take(len).read_to_end(&mut payload)? as u64;
+    // `PAYLOAD_RESERVE_CAP` up front and let the buffer grow as the stream
+    // delivers, so a corrupt or hostile prefix cannot make this allocate
+    // gigabytes. The buffer is 8-aligned, so a dataset decoded from it
+    // views it in place (`eth_data::io::binary::decode`).
+    let payload = AlignedBuf::read_to_end(
+        &mut r.by_ref().take(len),
+        len.min(PAYLOAD_RESERVE_CAP) as usize,
+    )?;
+    let got = payload.len() as u64;
     if got != len {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
@@ -147,7 +152,7 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> 
         from,
         tag,
         ctx,
-        payload: Bytes::from(payload),
+        payload: payload.freeze(),
     })
 }
 
@@ -163,27 +168,22 @@ fn encode_spanned(encode: impl FnOnce() -> Bytes) -> Bytes {
     bytes
 }
 
-/// Encode a dataset for shipping. The encoder preallocates the exact
-/// encoded size ([`encoded_dataset_len`]), so building the payload is a
-/// single allocation with no growth copies.
-pub fn encode_dataset(obj: &DataObject) -> Bytes {
-    encode_spanned(|| binary::encode(obj))
-}
-
-/// [`encode_dataset`] into a buffer leased from `pool`, which gets it back
-/// when the last handle to the payload drops — wherever the message ends
-/// up. For senders that ship block after block.
+/// Encode a dataset for shipping into a buffer leased from `pool`, which
+/// gets it back when the last handle to the payload (and the last array
+/// decoded from it) drops — wherever the message ends up. The encoder
+/// knows the exact size up front ([`encoded_dataset_len`]), so the payload
+/// is written with no growth copies.
 pub fn encode_dataset_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
     encode_spanned(|| binary::encode_in(obj, pool))
 }
 
-/// Exact byte length [`encode_dataset`] produces for `obj`, without
+/// Exact byte length [`encode_dataset_in`] produces for `obj`, without
 /// encoding — lets senders size frames or budgets up front.
 pub fn encoded_dataset_len(obj: &DataObject) -> usize {
     binary::encoded_len(obj)
 }
 
-/// Decode a dataset payload.
+/// Decode a dataset payload; its arrays view `payload`.
 pub fn decode_dataset(payload: Bytes) -> Result<DataObject> {
     let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
     binary::decode(payload).map_err(|e| TransportError::Decode(e.to_string()))
@@ -364,8 +364,17 @@ mod tests {
             Vec3::ONE,
             Vec3::new(2.0, 3.0, 4.0),
         ]));
-        let payload = encode_dataset(&obj);
-        let back = decode_dataset(payload).unwrap();
+        let payload = encode_dataset_in(&obj, &PayloadPool::new());
+        let back = decode_dataset(payload.clone()).unwrap();
+        assert_eq!(obj, back);
+        // through the framing: the decoded positions are the frame's bytes
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, 2, None, &payload).unwrap();
+        let frame = read_frame(&mut wire.as_slice()).unwrap();
+        let range = frame.payload.as_ptr_range();
+        let back = decode_dataset(frame.payload.clone()).unwrap();
+        let positions = back.as_points().unwrap().positions().as_ptr_range();
+        assert!(range.start <= positions.start.cast() && positions.end.cast() <= range.end);
         assert_eq!(obj, back);
     }
 
@@ -373,10 +382,13 @@ mod tests {
     fn encoded_dataset_len_matches_encode() {
         let mut cloud = PointCloud::from_positions(vec![Vec3::ONE, Vec3::ZERO, Vec3::ONE]);
         cloud
-            .set_attribute("rho", eth_data::Attribute::Scalar(vec![1.0, 2.0, 3.0]))
+            .set_attribute("rho", eth_data::Attribute::Scalar(vec![1.0, 2.0, 3.0].into()))
             .unwrap();
         let obj = DataObject::Points(cloud);
-        assert_eq!(encode_dataset(&obj).len(), encoded_dataset_len(&obj));
+        assert_eq!(
+            encode_dataset_in(&obj, &PayloadPool::new()).len(),
+            encoded_dataset_len(&obj)
+        );
     }
 
     #[test]
@@ -390,7 +402,8 @@ mod tests {
             Vec3::ONE,
             Vec3::new(2.0, 3.0, 4.0),
         ]));
-        let mut bytes = encode_dataset(&obj).to_vec();
+        let pool = PayloadPool::new();
+        let mut bytes = encode_dataset_in(&obj, &pool).to_vec();
         // flip a body byte (past the magic), exactly what the chaos wrapper does
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -402,7 +415,7 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // a clean payload still decodes through the attributed path
-        let back = decode_dataset_from(7, encode_dataset(&obj)).unwrap();
+        let back = decode_dataset_from(7, encode_dataset_in(&obj, &pool)).unwrap();
         assert_eq!(obj, back);
     }
 

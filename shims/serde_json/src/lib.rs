@@ -156,11 +156,18 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     from_str(s)
 }
 
+/// Deepest nesting of arrays and objects a document may have (the real
+/// crate's recursion limit). The parser recurses once per level, so a
+/// deeper document — a request body of a million `[` — is an error, not a
+/// stack overflow that aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document into the shim's `Value` tree.
 pub fn parse_value_complete(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -177,6 +184,8 @@ pub fn parse_value_complete(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -211,12 +220,16 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ))),
             Some(b'n') => self.parse_keyword("null", Value::Null),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected character {:?} at byte {}",
@@ -224,6 +237,14 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// `parse` one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
@@ -293,13 +314,23 @@ impl<'a> Parser<'a> {
                 }
                 b if b < 0x80 => out.push(b as char),
                 _ => {
-                    // Multi-byte UTF-8: find the full char in the source.
+                    // Multi-byte UTF-8: the leading byte gives the width,
+                    // and only that one character is checked.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|e| Error::new(format!("invalid utf-8 in string: {e}")))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let width = match b {
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(start..start + width)
+                        .and_then(|c| std::str::from_utf8(c).ok())
+                        .ok_or_else(|| {
+                            Error::new(format!("invalid utf-8 in string at byte {start}"))
+                        })?;
+                    out.push_str(c);
+                    self.pos = start + width;
                 }
             }
         }
@@ -463,6 +494,46 @@ mod tests {
         assert!(parse_value_complete("[1,]").is_err());
         assert!(parse_value_complete("1 2").is_err());
         assert!(parse_value_complete("\"unterminated").is_err());
+    }
+
+    fn nested(levels: usize) -> String {
+        "[".repeat(levels) + &"]".repeat(levels)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_limit() {
+        let mut deepest = parse_value_complete(&nested(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            let Value::Array(mut inner) = deepest else {
+                panic!("expected an array");
+            };
+            deepest = inner.pop().unwrap();
+        }
+        assert_eq!(deepest, Value::Array(Vec::new()));
+        assert!(parse_value_complete(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse_value_complete(&objects).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(parse_value_complete(&objects).is_err());
+    }
+
+    #[test]
+    fn a_body_of_brackets_is_an_error_not_an_abort() {
+        // 4 MiB, the service's largest request body: before the cap this
+        // overflowed the stack and took the process with it
+        let body = "[".repeat(4 << 20);
+        assert!(parse_value_complete(&body).is_err());
+        assert!(from_str::<Vec<u8>>(&body).is_err());
+    }
+
+    #[test]
+    fn non_ascii_strings_parse_in_linear_time() {
+        // 2^20 two-, three- and four-byte characters: a quadratic scan of
+        // the rest of the input per character does not finish
+        let text: String = ['é', '€', '𝄞', 'a'].iter().cycle().take(1 << 20).collect();
+        let mut json = String::new();
+        write_escaped(&text, &mut json);
+        assert_eq!(parse_value_complete(&json).unwrap(), Value::Str(text));
     }
 
     #[test]

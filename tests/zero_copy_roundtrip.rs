@@ -5,7 +5,8 @@
 use eth::data::field::Attribute;
 use eth::data::io::binary::{decode, encode, encoded_len};
 use eth::data::{DataObject, PointCloud, UniformGrid, Vec3};
-use eth::transport::message::{decode_dataset, encode_dataset, encoded_dataset_len};
+use eth::data::io::pool::PayloadPool;
+use eth::transport::message::{decode_dataset, encode_dataset_in, encoded_dataset_len};
 use proptest::prelude::*;
 
 fn arb_vec3() -> impl Strategy<Value = Vec3> {
@@ -80,7 +81,7 @@ proptest! {
     /// The transport-layer wrappers agree with the data-layer encoder.
     #[test]
     fn transport_wrappers_agree(obj in arb_points()) {
-        let payload = encode_dataset(&obj);
+        let payload = encode_dataset_in(&obj, &PayloadPool::new());
         prop_assert_eq!(payload.len(), encoded_dataset_len(&obj));
         let back = decode_dataset(payload).unwrap();
         prop_assert_eq!(obj, back);
