@@ -191,8 +191,8 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
 /// Run the kill-rank campaign: every point loses one simulation rank
 /// mid-run to a seeded `kill_rank_at_step` and must complete **without a
 /// campaign-level retry** — the in-run fault-tolerance layer detects the
-/// death by heartbeat, a surviving rank adopts the partition from its last
-/// step checkpoint, and compositing continues around the hole. Returns the
+/// death by heartbeat, a surviving rank adopts the partition (its own proxy
+/// presents it from the series), and compositing continues around the hole. Returns the
 /// per-point report (losses, adoptions, detection-to-adoption latency)
 /// plus the raw outcome.
 pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {

@@ -8,9 +8,10 @@
 
 use eth_cluster::costmodel::AlgorithmClass;
 use eth_cluster::coupling::CouplingStrategy;
+use eth_cluster::experiment::{run_cluster, ClusterExperiment};
 use eth_cluster::metrics::RunMetrics;
 use eth_core::config::{Algorithm, Application, Coupling, ExperimentSpec};
-use eth_core::harness::{run_cluster, ClusterExperiment, RunCaches};
+use eth_core::harness::RunCaches;
 use eth_core::results::{fmt_kw, fmt_pct, fmt_s, ResultTable};
 use eth_core::{Campaign, CampaignOutcome, CoreError, RecoveryPolicy, Result};
 use eth_transport::{FaultPlan, HeartbeatPolicy};

@@ -17,8 +17,9 @@ use std::path::PathBuf;
 /// multi-rank runs beat per-rank heartbeats instead of relying on one
 /// global hang deadline, and a rank that stops beating is declared dead in
 /// O(heartbeat interval). Its partition is adopted by a deterministic
-/// survivor from the last step checkpoint, and frames rendered between the
-/// death and the adoption composite the surviving ranks only.
+/// survivor, whose own proxy presents it from the series at the step the
+/// survivor is on, and frames rendered between the death and the adoption
+/// composite the surviving ranks only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Liveness beacons: interval and miss budget per rank.
@@ -516,8 +517,8 @@ pub struct ExperimentSpec {
     /// failing the run, and the outcome reports the degradation.
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// In-run rank fault tolerance: heartbeats, step checkpoints, partition
-    /// adoption, degraded compositing. Required when the fault plan kills a
+    /// In-run rank fault tolerance: heartbeats, partition adoption,
+    /// degraded compositing. Required when the fault plan kills a
     /// rank; harmless (pure overhead accounting) when no fault fires.
     #[serde(default)]
     pub recovery: Option<RecoveryPolicy>,

@@ -77,12 +77,6 @@ pub enum JournalRecord {
         elapsed_s: f64,
         outcome: RecordedOutcome,
     },
-    /// A rank's in-run recovery checkpoint, spilled by the fault-tolerance
-    /// layer so a post-mortem can replay a partition-adoption decision.
-    /// Replay ignores these for scheduling; the last one per rank wins.
-    Checkpoint {
-        checkpoint: crate::harness::StepCheckpoint,
-    },
 }
 
 /// How an attempt ended, as recorded in the WAL.
@@ -800,6 +794,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A line as `Journal::append` frames it.
+    fn frame(json: &str) -> Vec<u8> {
+        format!("{:08x} {:08x} {}\n", json.len(), crc32(json.as_bytes()), json).into_bytes()
+    }
+
+    #[test]
+    fn a_checkpoint_record_ends_replay_at_its_line() {
+        // The `Checkpoint` record kind is gone. A recovery journal from a
+        // build that still had it holds lines like this one, framed by
+        // `Journal::append` with a valid length and CRC: replay ends at it,
+        // as at any line it cannot read, and keeps everything before it.
+        let dir = tmp_dir("checkpoint-kind");
+        let journal = Journal::open(&dir).unwrap();
+        let before = JournalRecord::Started { index: 0, spec_hash: 1, attempt: 1 };
+        journal.append(&before).unwrap();
+        let old = r#"{"Checkpoint":{"checkpoint":{"rank":1,"partition":1,"step":3,"proxy_cursor":4,"rng_state":43,"degradation":{"dropped_steps":0,"degraded_steps":0,"timeouts":0,"disconnects":0,"corrupt_payloads":0,"rank_losses":0,"adopted_partitions":0,"missing_contributions":0,"migrations":0,"migration_failures":0}}}}"#;
+        let line = frame(old);
+        assert!(line.starts_with(b"0000012d bec87623 "), "not the bytes the old writer framed");
+        let mut bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        bytes.extend_from_slice(&line);
+        bytes.extend_from_slice(&frame(&serde_json::to_string(&before).unwrap()));
+        fs::write(dir.join(JOURNAL_FILE), &bytes).unwrap();
+        assert_eq!(replay(&dir).unwrap(), vec![before]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn second_opener_is_refused_while_the_lock_is_held() {
         let dir = tmp_dir("lock");
@@ -1045,6 +1065,44 @@ mod tests {
             let crc = crc32(&buf);
             buf.extend_from_slice(&crc.to_le_bytes());
             buf
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Replay is total: whatever bytes the WAL holds, it returns the
+            /// records of the valid lines before the first bad one and never
+            /// panics. One flipped bit in a valid line (length, CRC, JSON or
+            /// its newline) ends replay at that line.
+            #[test]
+            fn parsing_is_total_and_keeps_the_valid_prefix(
+                n in 0usize..5,
+                noise in prop::collection::vec(0u16..256, 0..160),
+                flip in 0usize..4096,
+            ) {
+                let records: Vec<JournalRecord> = (0..n)
+                    .map(|i| JournalRecord::Started { index: i, spec_hash: 31 * i as u64, attempt: 1 })
+                    .collect();
+                let mut bytes: Vec<u8> = records
+                    .iter()
+                    .flat_map(|r| frame(&serde_json::to_string(r).unwrap()))
+                    .collect();
+                let valid = bytes.len();
+                // noise dense in newlines, so it is cut into many lines
+                bytes.extend(noise.iter().map(|&b| if b % 8 == 0 { b'\n' } else { b as u8 }));
+                let parsed = parse_records(&bytes[valid..]);
+                let lines = bytes[valid..].iter().filter(|&&b| b == b'\n').count();
+                prop_assert!(parsed.len() <= lines);
+                let parsed = parse_records(&bytes);
+                prop_assert!(parsed.len() >= n);
+                prop_assert_eq!(&parsed[..n], &records[..]);
+                if valid > 0 {
+                    let at = flip % valid;
+                    bytes[at] ^= 0x01;
+                    let line = bytes[..at].iter().filter(|&&b| b == b'\n').count();
+                    prop_assert_eq!(parse_records(&bytes), records[..line].to_vec());
+                }
+            }
         }
 
         proptest! {

@@ -11,10 +11,11 @@
 //!   sockets), rendered with the real renderers, depth-composited across
 //!   ranks, and written as image artifacts. Wall time, operation counts,
 //!   and traffic are measured.
-//! * [`harness::run_cluster`] — **cluster-sim mode**: the same spec is
-//!   compiled to a phase graph and executed on the calibrated Hikari model
-//!   (`eth-cluster`), producing paper-scale execution time / power /
-//!   energy estimates.
+//! * [`eth_cluster::experiment::run_cluster`] — **cluster-sim mode**: the
+//!   same design point is compiled to a phase graph and executed on the
+//!   calibrated Hikari model, producing paper-scale execution time / power
+//!   / energy estimates. It lives in `eth-cluster` beside the model it
+//!   runs, and touches nothing of the native harness.
 //!
 //! Around those two entry points:
 //!
@@ -50,8 +51,7 @@ pub use config::{
 };
 pub use error::{CoreError, Result};
 pub use harness::{
-    run_cluster, run_native, run_native_cached, CacheStats, ClusterExperiment, Degradation,
-    NativeOutcome, PhaseEnergy, RunCaches, StepCheckpoint,
+    run_native, run_native_cached, CacheStats, Degradation, NativeOutcome, PhaseEnergy, RunCaches,
 };
 pub use journal::{Journal, JournalRecord, RecordedOutcome};
 pub use results::ResultTable;

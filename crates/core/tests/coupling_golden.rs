@@ -19,7 +19,10 @@
 //! what moved in `bytes=`, `dropped=` and `missing=` and why. Its
 //! `bytes=` counts were re-counted once more when blocks became `EBD3`
 //! (arrays padded to their alignment); the fixture's header gives each
-//! changed value as the pad bytes of the blocks that row moved.
+//! changed value as the pad bytes of the blocks that row moved. The six
+//! migration rows' `bytes=` were re-counted once more when a handoff
+//! stopped shipping a checkpoint (offer → ack); the header gives each as
+//! the state bytes that row no longer sends.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`

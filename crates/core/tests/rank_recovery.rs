@@ -2,7 +2,8 @@
 //!
 //! These run against the public API only: a seeded `kill_rank_at_step`
 //! fault must be survived *inside* the run — heartbeat detection, partition
-//! adoption from the last step checkpoint, degraded compositing — without
+//! adoption (the adopter re-derives the partition from the series at its
+//! own step), degraded compositing — without
 //! any campaign-level retry, and without ever deadlocking, whichever rank
 //! dies at whichever step.
 

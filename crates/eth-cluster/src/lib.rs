@@ -17,6 +17,8 @@
 //! * [`costmodel`] — per-algorithm analytic costs whose constants are
 //!   calibrated from the real kernels in `eth-render`,
 //! * [`coupling`] — tight / intercore / internode schedule builders,
+//! * [`experiment`] — one paper-scale design point and [`run_cluster`],
+//!   the cluster-sim mode the harness's tables and figures call,
 //! * [`counters`] — TACC-stats-flavored counter aggregation,
 //! * [`metrics`] — execution time, average power, energy, scalability.
 //!
@@ -27,6 +29,7 @@
 pub mod counters;
 pub mod costmodel;
 pub mod coupling;
+pub mod experiment;
 pub mod machine;
 pub mod metrics;
 pub mod node;
@@ -36,6 +39,7 @@ pub mod task;
 pub use costmodel::{AlgorithmClass, Calibration, CostModel, Workload};
 pub use counters::{CounterSet, Histogram};
 pub use coupling::CouplingStrategy;
+pub use experiment::{run_cluster, ClusterExperiment};
 pub use machine::ClusterMachine;
 pub use metrics::RunMetrics;
 pub use node::{ClusterSpec, NodeSpec};

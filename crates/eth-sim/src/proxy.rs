@@ -24,19 +24,12 @@ use std::sync::Arc;
 pub struct SimulationProxy {
     series: Arc<TimeSeries>,
     rank: usize,
-    /// Next step to produce: advances past each presented (or skipped)
-    /// step, so a checkpoint records where the rank's traversal stands.
-    cursor: usize,
 }
 
 impl SimulationProxy {
     /// Proxy presenting `rank`'s blocks of `series`.
     pub fn new(series: Arc<TimeSeries>, rank: usize) -> SimulationProxy {
-        SimulationProxy {
-            series,
-            rank,
-            cursor: 0,
-        }
+        SimulationProxy { series, rank }
     }
 
     /// Proxy replaying a recorded series from `root` as `rank`.
@@ -66,14 +59,7 @@ impl SimulationProxy {
         if block.is_none() {
             eth_obs::count("proxy_skipped_steps", 1.0);
         }
-        self.cursor = self.cursor.max(step + 1);
         Ok(block)
-    }
-
-    /// The next step this proxy would produce: the number of steps it has
-    /// presented or skipped so far. A step checkpoint records it.
-    pub fn cursor(&self) -> usize {
-        self.cursor
     }
 
     /// Drive a sink through every timestep (tight coupling: source and sink
@@ -236,11 +222,6 @@ mod tests {
         assert_eq!(stats.skipped_steps, 2, "steps 1 and 2 degraded");
         assert_eq!(sink.steps, 2);
         assert!(sink.finished);
-        assert_eq!(
-            proxy.cursor(),
-            steps,
-            "a skipped step still advances the cursor"
-        );
         fs::remove_dir_all(&root).ok();
     }
 
@@ -250,29 +231,15 @@ mod tests {
         let mut full_sink = CountingSink::default();
         let mut full = SimulationProxy::new(series.clone(), 0);
         full.run(&mut full_sink).unwrap();
-        assert_eq!(full.cursor(), 5);
+        assert_eq!(full_sink.steps, 5);
 
-        // an adopter resuming from a checkpoint at step 3 sees steps 3..5
+        // a proxy opened at step 3 sees steps 3..5
         let mut tail_sink = CountingSink::default();
         let mut tail = SimulationProxy::new(series, 0);
         let stats = tail.run_from(3, &mut tail_sink).unwrap();
         assert_eq!(stats.steps, 2);
         assert_eq!(tail_sink.steps, 2);
         assert!(tail_sink.finished);
-        assert_eq!(tail.cursor(), 5);
-    }
-
-    #[test]
-    fn cursor_tracks_completed_steps() {
-        let mut proxy = SimulationProxy::new(staged(100, 4), 0);
-        assert_eq!(proxy.cursor(), 0);
-        proxy.step(0).unwrap();
-        assert_eq!(proxy.cursor(), 1);
-        proxy.step(2).unwrap();
-        assert_eq!(proxy.cursor(), 3);
-        // stepping an earlier step never rewinds the cursor
-        proxy.step(1).unwrap();
-        assert_eq!(proxy.cursor(), 3);
     }
 
     #[test]

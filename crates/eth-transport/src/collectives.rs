@@ -84,19 +84,19 @@ impl AdoptNotice {
     }
 }
 
-/// Migration handoff protocol (DESIGN.md §13): three chaos-exempt phases
+/// Migration handoff protocol (DESIGN.md §13): two chaos-exempt messages
 /// per handoff, each on its own tag family salted by the handoff index so
-/// concurrent handoffs never cross. `offer → state → ack`; the source
-/// keeps rendering the partition until a positive ack lands, so a lost or
-/// refused handoff degrades to "no migration happened".
+/// concurrent handoffs never cross. `offer → ack`: the offer names the
+/// partition and the step, which is all the target needs to present the
+/// partition from the series itself. The source keeps rendering the
+/// partition until a positive ack lands, so a lost or refused handoff
+/// degrades to "no migration happened".
 pub const TAG_MIGRATE_OFFER: u32 = CONTROL_TAG_BASE + 0x0200_0000;
-/// Checkpoint transfer of the migrating partition (opaque payload).
-pub const TAG_MIGRATE_STATE: u32 = CONTROL_TAG_BASE + 0x0300_0000;
 /// The target's verdict: committed, or refused (death won the race).
 pub const TAG_MIGRATE_ACK: u32 = CONTROL_TAG_BASE + 0x0400_0000;
 
-/// Phase one of a handoff: the source names the partition it is draining,
-/// itself, and the step the target takes over at.
+/// The first message of a handoff: the source names the partition it is
+/// draining, itself, and the step the target takes over at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateOffer {
     /// Index of the handoff in the spec's resolved schedule.
@@ -138,7 +138,7 @@ impl MigrateOffer {
     }
 }
 
-/// Phase three of a handoff: did the target commit?
+/// The second message of a handoff: did the target commit?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateAck {
     pub handoff: usize,
@@ -173,38 +173,24 @@ impl MigrateAck {
     }
 }
 
-/// Send offer + checkpoint state to the target (phases one and two). The
-/// state payload is opaque to the transport — the harness ships the
-/// partition's serialized [`StepCheckpoint`].
-pub fn send_migrate_offer(
-    comm: &dyn Communicator,
-    target: usize,
-    offer: &MigrateOffer,
-    state: Bytes,
-) -> Result<()> {
-    let salt = offer.handoff as u32;
-    comm.send(target, TAG_MIGRATE_OFFER + salt, offer.encode())?;
-    comm.send(target, TAG_MIGRATE_STATE + salt, state)
+/// Send the offer to the target.
+pub fn send_migrate_offer(comm: &dyn Communicator, target: usize, offer: &MigrateOffer) -> Result<()> {
+    comm.send(target, TAG_MIGRATE_OFFER + offer.handoff as u32, offer.encode())
 }
 
-/// Receive the offer and checkpoint state for handoff `handoff`, bounded
-/// by `timeout` (a control receive must never block past the handoff
-/// budget).
+/// Receive the offer for handoff `handoff`, bounded by `timeout` (a
+/// control receive must never block past the handoff budget).
 pub fn recv_migrate_offer(
     comm: &dyn Communicator,
     from: usize,
     handoff: usize,
     timeout: Duration,
-) -> Result<(MigrateOffer, Bytes)> {
-    let salt = handoff as u32;
-    let deadline = Instant::now() + timeout;
-    let offer = MigrateOffer::decode(&comm.recv_timeout(from, TAG_MIGRATE_OFFER + salt, timeout)?)?;
-    let left = deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-    let state = comm.recv_timeout(from, TAG_MIGRATE_STATE + salt, left)?;
-    Ok((offer, state))
+) -> Result<MigrateOffer> {
+    let bytes = comm.recv_timeout(from, TAG_MIGRATE_OFFER + handoff as u32, timeout)?;
+    MigrateOffer::decode(&bytes)
 }
 
-/// Send the target's verdict back to the source (phase three).
+/// Send the target's verdict back to the source.
 pub fn send_migrate_ack(comm: &dyn Communicator, source: usize, ack: &MigrateAck) -> Result<()> {
     comm.send(source, TAG_MIGRATE_ACK + ack.handoff as u32, ack.encode())
 }
@@ -382,7 +368,6 @@ mod tests {
         const { assert!(CONTROL_TAG_BASE > COLLECTIVE_TAG_BASE) };
         const { assert!(TAG_ADOPT_NOTICE >= CONTROL_TAG_BASE) };
         const { assert!(TAG_MIGRATE_OFFER >= CONTROL_TAG_BASE) };
-        const { assert!(TAG_MIGRATE_STATE >= CONTROL_TAG_BASE) };
         const { assert!(TAG_MIGRATE_ACK >= CONTROL_TAG_BASE) };
         const { assert!(crate::fault::DATA_TAG_MIN < COLLECTIVE_TAG_BASE) };
     }
@@ -407,7 +392,7 @@ mod tests {
     #[test]
     fn migrate_handshake_travels_the_control_plane() {
         // source rank 0 offers partition 2 to target rank 1; the target
-        // commits and acks. The checkpoint payload arrives byte-identical.
+        // commits and acks.
         let results = on_ranks(2, |c| {
             if c.rank() == 0 {
                 let offer = MigrateOffer {
@@ -416,16 +401,14 @@ mod tests {
                     source: 0,
                     step: 3,
                 };
-                send_migrate_offer(c, 1, &offer, Bytes::from_static(b"cursor-state")).unwrap();
+                send_migrate_offer(c, 1, &offer).unwrap();
                 let ack = recv_migrate_ack(c, 1, 4, Duration::from_secs(5)).unwrap();
                 assert!(ack.committed);
                 None
             } else {
-                let (offer, state) =
-                    recv_migrate_offer(c, 0, 4, Duration::from_secs(5)).unwrap();
+                let offer = recv_migrate_offer(c, 0, 4, Duration::from_secs(5)).unwrap();
                 assert_eq!(offer.partition, 2);
                 assert_eq!(offer.step, 3);
-                assert_eq!(&state[..], b"cursor-state");
                 send_migrate_ack(c, 0, &MigrateAck { handoff: 4, committed: true }).unwrap();
                 Some(offer)
             }

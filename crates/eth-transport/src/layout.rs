@@ -45,11 +45,13 @@ impl LayoutFile {
         Ok(())
     }
 
-    /// Read one rank's published address, if present.
+    /// Read one rank's published address, if present. An entry that is not
+    /// an address (invalid UTF-8 included) is a bootstrap error.
     pub fn lookup(&self, rank: usize) -> Result<Option<SocketAddr>> {
         let path = self.entry_path(rank);
-        match fs::read_to_string(&path) {
-            Ok(text) => {
+        match fs::read(&path) {
+            Ok(bytes) => {
+                let text = String::from_utf8_lossy(&bytes);
                 let addr = text.trim().parse::<SocketAddr>().map_err(|e| {
                     TransportError::Bootstrap(format!("bad address '{}': {e}", text.trim()))
                 })?;
@@ -64,6 +66,7 @@ impl LayoutFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("eth-layout-tests").join(name);
@@ -89,5 +92,42 @@ mod tests {
             layout.lookup(0),
             Err(TransportError::Bootstrap(_))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever bytes an entry holds, invalid UTF-8 included, lookup
+        /// returns the address they spell or a bootstrap error; it never
+        /// panics.
+        #[test]
+        fn lookup_is_total(
+            noise in prop::collection::vec(0u16..256, 0..64),
+            port in 1u16..65535,
+        ) {
+            let dir = tmp("total");
+            let layout = LayoutFile::create(&dir).unwrap();
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            fs::write(dir.join("rank_0000.addr"), &noise).unwrap();
+            match layout.lookup(0) {
+                Ok(Some(addr)) => {
+                    let text = std::str::from_utf8(&noise).unwrap();
+                    prop_assert_eq!(Some(addr), text.trim().parse().ok());
+                }
+                Ok(None) => prop_assert!(false, "an entry that exists read as absent"),
+                Err(e) => prop_assert!(matches!(e, TransportError::Bootstrap(_)), "{e}"),
+            }
+            // an address with a stray byte after it is refused too
+            let mut entry = format!("127.0.0.1:{port}").into_bytes();
+            entry.extend_from_slice(&noise);
+            fs::write(dir.join("rank_0000.addr"), &entry).unwrap();
+            match layout.lookup(0) {
+                Ok(addr) => {
+                    let text = std::str::from_utf8(&entry).unwrap();
+                    prop_assert_eq!(addr, text.trim().parse().ok());
+                }
+                Err(e) => prop_assert!(matches!(e, TransportError::Bootstrap(_)), "{e}"),
+            }
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! ```
 
 use eth::core::config::{Algorithm, Application, ExperimentSpec};
-use eth::core::harness::{self, ClusterExperiment};
+use eth::cluster::experiment::{run_cluster, ClusterExperiment};
+use eth::core::harness;
 use eth::core::results::{fmt_kw, fmt_s, ResultTable};
 use eth::data::partition::partition_points;
 use eth::data::DataObject;
@@ -88,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AlgorithmClass::GaussianSplat,
         AlgorithmClass::VtkPoints,
     ] {
-        let m = harness::run_cluster(&ClusterExperiment::hacc(alg, 400, 1_000_000_000));
+        let m = run_cluster(&ClusterExperiment::hacc(alg, 400, 1_000_000_000));
         table1.push_row(vec![
             alg.name().to_string(),
             fmt_s(m.exec_time_s),

@@ -11,7 +11,8 @@
 //! ```
 
 use eth::core::config::{Application, Coupling, ExperimentSpec};
-use eth::core::harness::{self, ClusterExperiment};
+use eth::cluster::experiment::{run_cluster, ClusterExperiment};
+use eth::core::harness;
 use eth::core::results::{fmt_s, ResultTable};
 use eth::core::sweep::Sweep;
 use eth::cluster::costmodel::AlgorithmClass;
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_coupling(strategy)
             .with_steps(4)
             .with_sim_ops(300_000.0);
-        let m = harness::run_cluster(&exp);
+        let m = run_cluster(&exp);
         fig11.push_row(vec![
             strategy.name().to_string(),
             fmt_s(m.exec_time_s),

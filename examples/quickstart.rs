@@ -30,12 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And ask the cluster model what the same design point would cost at
     // paper scale (1B particles on 400 Hikari nodes).
-    let at_scale = harness::ClusterExperiment::hacc(
+    let at_scale = eth::cluster::experiment::ClusterExperiment::hacc(
         eth::cluster::costmodel::AlgorithmClass::RaycastSpheres,
         400,
         1_000_000_000,
     );
-    let metrics = harness::run_cluster(&at_scale);
+    let metrics = eth::cluster::experiment::run_cluster(&at_scale);
     println!(
         "at paper scale: {:.1} s, {:.1} kW, {:.0} kJ on {} nodes",
         metrics.exec_time_s, metrics.avg_power_kw, metrics.energy_kj, metrics.nodes

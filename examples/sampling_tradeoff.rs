@@ -10,7 +10,8 @@
 //! ```
 
 use eth::core::config::{Algorithm, Application, ExperimentSpec};
-use eth::core::harness::{self, ClusterExperiment};
+use eth::cluster::experiment::{run_cluster, ClusterExperiment};
+use eth::core::harness;
 use eth::core::results::{fmt_pct, ResultTable};
 use eth::render::Image;
 
@@ -39,11 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (alg, class) in algs {
         let baseline_img = render_at(alg, 1.0)?;
         let baseline =
-            harness::run_cluster(&ClusterExperiment::hacc(class, 400, 1_000_000_000));
+            run_cluster(&ClusterExperiment::hacc(class, 400, 1_000_000_000));
         for ratio in [0.75, 0.5, 0.25] {
             let img = render_at(alg, ratio)?;
             let rmse = img.rmse(&baseline_img)?;
-            let m = harness::run_cluster(
+            let m = run_cluster(
                 &ClusterExperiment::hacc(class, 400, 1_000_000_000).with_sampling(ratio),
             );
             table.push_row(vec![

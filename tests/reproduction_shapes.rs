@@ -4,7 +4,7 @@
 
 use eth::cluster::costmodel::AlgorithmClass;
 use eth::cluster::coupling::CouplingStrategy;
-use eth::core::harness::{run_cluster, ClusterExperiment};
+use eth::cluster::experiment::{run_cluster, ClusterExperiment};
 
 const B: u64 = 1_000_000_000;
 const XRAGE_LARGE: [u64; 3] = [1840, 1120, 960];
