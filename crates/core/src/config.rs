@@ -196,32 +196,16 @@ pub enum MigrationPattern {
     Rescale { viz_ranks: usize, at_step: usize },
 }
 
-/// The migration axis of a design point: a schedule plus the handoff
-/// protocol's patience. Serde-able so elasticity sweeps record exactly
-/// like any other axis.
+/// The migration axis of a design point: a schedule. Serde-able so
+/// elasticity sweeps record exactly like any other axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MigrationPlan {
     pub pattern: MigrationPattern,
-    /// Per-handoff budget for the offer → state → ack round trip; past it
-    /// the handoff degrades to "no migration happened".
-    #[serde(default = "default_handoff_timeout_ms")]
-    pub handoff_timeout_ms: u64,
-}
-
-fn default_handoff_timeout_ms() -> u64 {
-    1_000
 }
 
 impl MigrationPlan {
     pub fn new(pattern: MigrationPattern) -> MigrationPlan {
-        MigrationPlan {
-            pattern,
-            handoff_timeout_ms: default_handoff_timeout_ms(),
-        }
-    }
-
-    pub fn handoff_timeout(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.handoff_timeout_ms.max(1))
+        MigrationPlan { pattern }
     }
 }
 
@@ -722,11 +706,6 @@ impl ExperimentSpec {
         // Migration is contextual in the same way: the schedule must name
         // viz ranks and steps that exist for this run shape.
         if let Some(plan) = &self.migration {
-            if plan.handoff_timeout_ms == 0 {
-                return Err(CoreError::Config(
-                    "migration.handoff_timeout_ms must be >= 1".into(),
-                ));
-            }
             if self.recovery.is_none() {
                 return Err(CoreError::Config(
                     "migration requires a recovery policy: the handoff \
@@ -1076,16 +1055,39 @@ mod tests {
 
     #[test]
     fn a_retired_key_is_ignored_as_unknown() {
-        // `compress_transport` predates the codec axis; a file that still
-        // carries it loads as if it did not
-        let plain = serde_json::to_string(&ExperimentSpec::builder("t").build().unwrap()).unwrap();
-        let old = plain.replace(
-            "\"wire_compression\":null",
-            "\"wire_compression\":null,\"compress_transport\":true",
-        );
-        assert_ne!(old, plain, "fixture did not add the key");
-        let spec: ExperimentSpec = serde_json::from_str(&old).unwrap();
-        assert_eq!(spec.wire_compression, None);
+        // `compress_transport` predates the codec axis and
+        // `handoff_timeout_ms` the target's verdict; a file that still
+        // carries either loads as if it did not
+        let migrating = ExperimentSpec::builder("t")
+            .coupling(Coupling::Intercore)
+            .ranks(2)
+            .steps(2)
+            .recovery(RecoveryPolicy::default())
+            .migration(MigrationPlan::new(MigrationPattern::Sudden {
+                from: 0,
+                to: 1,
+                at_step: 1,
+            }))
+            .build()
+            .unwrap();
+        for (spec, at, retired) in [
+            (
+                ExperimentSpec::builder("t").build().unwrap(),
+                "\"wire_compression\":null",
+                ",\"compress_transport\":true",
+            ),
+            (
+                migrating,
+                "\"at_step\":1}}",
+                ",\"handoff_timeout_ms\":1000",
+            ),
+        ] {
+            let plain = serde_json::to_string(&spec).unwrap();
+            let old = plain.replace(at, &format!("{at}{retired}"));
+            assert_ne!(old, plain, "fixture did not add {retired}");
+            let back: ExperimentSpec = serde_json::from_str(&old).unwrap();
+            assert_eq!(back, spec, "{retired}");
+        }
     }
 
     #[test]
@@ -1236,7 +1238,6 @@ mod tests {
         };
         // valid intercore sudden migration
         let spec = base().migration(sudden(1, 2, 2)).build().unwrap();
-        assert_eq!(spec.migration.unwrap().handoff_timeout_ms, 1_000);
         assert_eq!(
             spec.migration_handoffs(),
             vec![Handoff { partition: 1, from: 1, to: 2, step: 2 }]

@@ -11,7 +11,7 @@ use eth_transport::comm::Communicator;
 use eth_transport::layout::LayoutFile;
 use eth_transport::link::FabricLink;
 use eth_transport::local::LocalFabric;
-use eth_transport::runner::{launch, spawn_migration_supervisor, Seat, Supervision, Watch};
+use eth_transport::runner::{launch, Seat, Supervision, Watch};
 use eth_transport::socket::{connect_to, listen_as, BOOTSTRAP_TIMEOUT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,9 +129,7 @@ impl Drop for LayoutDir {
 /// draining their wires with nothing to render.
 ///
 /// Ranks claim ids on the run's modeled node layout: sim ranks `0..R` (the
-/// board's slots under a liveness part), viz ranks `R..R+V`. With handoffs
-/// a migration supervisor aborts pending handoffs whose partition's rank
-/// died.
+/// board's slots under a liveness part), viz ranks `R..R+V`.
 fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
     let r = run.spec.ranks;
     // Layout file in a fresh temp dir per run. The counter keeps dirs
@@ -146,18 +144,6 @@ fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
     )));
     let _ = std::fs::remove_dir_all(&layout_dir.0);
     let layout = LayoutFile::create(&layout_dir.0)?;
-
-    // Death arbitration: abort any still-pending handoff whose partition's
-    // simulation rank stopped beating.
-    let handoffs = &run.policy.handoffs;
-    let _aborts = run
-        .live()
-        .filter(|_| !handoffs.is_empty())
-        .map(|(live, board)| {
-            eth_obs::count("liveness_threads", 1.0);
-            let watch = handoffs.iter().map(|h| h.partition).enumerate().collect();
-            spawn_migration_supervisor(board, &run.policy.book, watch, live.recovery.heartbeat)
-        });
 
     // Visualization ranks spawn first so their bootstrap waits show up
     // inside covered connect_to spans instead of as unattributable

@@ -20,7 +20,6 @@ use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::link::PairLink;
 use eth_transport::message::{decode_dataset_from, encode_dataset_in};
-use eth_transport::runner::MigrationBook;
 use eth_transport::{FaultPlan, HeartbeatBoard, HeartbeatPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -72,11 +71,14 @@ impl Drop for Beater {
 /// byte counters so campaigns can report what the codec actually bought
 /// on the wire. Either way the bytes sit in a buffer leased from the run's
 /// pool, which has it back once the far side (or whatever dropped the
-/// message on the way) lets go of it.
+/// message on the way) lets go of it, and the block costs one `Encode`
+/// span carrying the payload's bytes.
 pub(super) fn encode_block(spec: &ExperimentSpec, block: &DataObject, pool: &PayloadPool) -> Bytes {
     match spec.wire_compression {
         Some(codec) => {
+            let mut span = eth_obs::span(eth_obs::Phase::Encode);
             let payload = codec.encode_in(block, pool);
+            span.set_bytes(payload.len() as u64);
             eth_obs::count("wire_raw_bytes", eth_data::io::binary::encoded_len(block) as f64);
             eth_obs::count("wire_compressed_bytes", payload.len() as f64);
             payload
@@ -89,9 +91,13 @@ pub(super) fn encode_block(spec: &ExperimentSpec, block: &DataObject, pool: &Pay
 /// payloads verify their checksum trailer here, so in-flight corruption
 /// surfaces as [`TransportError::Corrupt`] attributed to the sender — the
 /// codec detects it, the chaos layer's own bookkeeping is not consulted.
+/// Either arm records one `Decode` span carrying the payload's bytes.
 fn decode_block(spec: &ExperimentSpec, from: usize, payload: Bytes) -> Result<DataObject> {
     match spec.wire_compression {
-        Some(codec) => Ok(codec.decode(payload)?),
+        Some(codec) => {
+            let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
+            Ok(codec.decode(payload)?)
+        }
         None => Ok(decode_dataset_from(from, payload)?),
     }
 }
@@ -123,9 +129,6 @@ pub(super) struct StepPolicy {
     /// Planned partition handoffs in control-plane order. Empty means
     /// static ownership.
     pub(super) handoffs: Vec<Handoff>,
-    /// One arbitration cell per handoff (commit vs. death-abort).
-    pub(super) book: Arc<MigrationBook>,
-    handoff_timeout: Duration,
 }
 
 /// The recovery part of a [`StepPolicy`].
@@ -138,8 +141,8 @@ pub(super) struct Liveness {
     /// O(detection).
     recv_slice: Duration,
     recv_budget: Duration,
-    /// Wall-clock backstop for composite gathers, a killed rank's wait for
-    /// its own death notice, and the launcher.
+    /// Wall-clock backstop for composite gathers, handoff receives, a
+    /// killed rank's wait for its own death notice, and the launcher.
     pub(super) run_deadline: Duration,
 }
 
@@ -159,16 +162,11 @@ impl StepPolicy {
                 run_deadline: plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE),
             }
         });
-        let handoffs = spec.migration_handoffs();
         StepPolicy {
             tolerant: spec.fault_plan.is_some() || liveness.is_some(),
-            book: MigrationBook::new(handoffs.len()),
-            handoff_timeout: spec
-                .migration
-                .map_or(Duration::ZERO, |m| m.handoff_timeout()),
             plan,
             liveness,
-            handoffs,
+            handoffs: spec.migration_handoffs(),
         }
     }
 }
@@ -355,20 +353,27 @@ fn malformed_contribution() -> CoreError {
     CoreError::Config("malformed framebuffer contribution on the wire".into())
 }
 
-/// Run the handshakes scheduled for `step` that involve this viz rank:
-/// offer → ack, both on the chaos-exempt control plane. The offer names the
-/// partition and the step, and that is all the target needs: from the step
-/// on, its own proxy presents the partition from the series. Every rank
-/// walks the handoff list in the same (index) order, so a rank that sources
-/// one handoff and targets another can never cross-wait with a peer. Commits flip the local
-/// ownership map on both ends; a refused, aborted, or timed-out handoff
-/// degrades to "no migration happened" — the source keeps rendering.
+/// Run the handshakes scheduled for `step` that involve this viz rank: one
+/// offer and one ack per handoff, both on the chaos-exempt control plane.
+/// The target is the only decider. The source offers unconditionally; the
+/// target commits iff the offer is the one its schedule names (handoff,
+/// partition, step, source) and the partition's simulation rank is not
+/// dead, and says so in the ack; the source hands the partition over iff
+/// the ack says committed. The offer is all the target needs: from the
+/// step on, its own proxy presents the partition from the series. Every
+/// rank walks the handoff list in the same (index) order, so a rank that
+/// sources one handoff and targets another can never cross-wait with a
+/// peer. A refused handoff degrades to "no migration happened": the source
+/// keeps rendering.
 ///
-/// Death wins the migration-vs-death race deterministically: intake runs
-/// before the handshake, and a killed simulation rank parks until the
-/// board confirms its death, so by offer time the board already reflects
-/// any death scheduled at or before this step.
-fn migrate_handshakes(
+/// Death wins the migration-vs-death race deterministically: the board's
+/// dead state is monotone, and the target reads it only after the offer
+/// arrives, which the source sends after its intake. So the target refuses
+/// every partition whose death the source saw. Both receives are bounded
+/// by the run deadline alone, the composite gather's backstop, so how long
+/// a peer takes to reach its handshake never changes the outcome; a
+/// receive that fails fails the run.
+pub(super) fn migrate_handshakes(
     cx: &RankCx,
     fabric: VizFabric,
     step: usize,
@@ -377,70 +382,43 @@ fn migrate_handshakes(
     disruption: &mut Vec<f64>,
 ) -> Result<()> {
     let (policy, comm) = (&cx.policy, fabric.comm);
-    let (book, timeout) = (&policy.book, policy.handoff_timeout);
+    let deadline = policy
+        .liveness
+        .as_ref()
+        .map_or(DEFAULT_RUN_DEADLINE, |live| live.run_deadline);
     let me = comm.rank() - fabric.base;
     for (index, h) in policy.handoffs.iter().enumerate() {
-        if h.step != step {
+        if h.step != step || (h.from != me && h.to != me) {
             continue;
         }
+        let scheduled = MigrateOffer {
+            handoff: index,
+            partition: h.partition,
+            source: fabric.base + h.from,
+            step,
+        };
         if h.from == me {
             let t = Instant::now();
-            // Death wins: never offer a partition whose simulation rank is
-            // confirmed dead — the adoption path keeps rendering it here.
-            if cx.is_dead(h.partition) || !book.is_pending(index) {
-                book.abort(index);
+            send_migrate_offer(comm, fabric.base + h.to, &scheduled)?;
+            if recv_migrate_ack(comm, fabric.base + h.to, index, deadline)?.committed {
+                owners[h.partition] = h.to;
+                deg.migrations += 1;
+                eth_obs::count("migrations", 1.0);
+            } else {
                 deg.migration_failures += 1;
                 eth_obs::count("migration_failures", 1.0);
-                disruption.push(t.elapsed().as_secs_f64());
-                continue;
-            }
-            let offer = MigrateOffer {
-                handoff: index,
-                partition: h.partition,
-                source: comm.rank(),
-                step,
-            };
-            send_migrate_offer(comm, fabric.base + h.to, &offer)?;
-            match recv_migrate_ack(comm, fabric.base + h.to, index, timeout) {
-                Ok(MigrateAck {
-                    committed: true, ..
-                }) => {
-                    owners[h.partition] = h.to;
-                    deg.migrations += 1;
-                    eth_obs::count("migrations", 1.0);
-                }
-                _ => {
-                    // refused, aborted, or the ack never landed: keep the
-                    // partition (the target commits only through the book's
-                    // CAS, so a lost ack can at worst double-render one
-                    // step — idempotent under the partition-ordered
-                    // composite).
-                    book.abort(index);
-                    deg.migration_failures += 1;
-                    eth_obs::count("migration_failures", 1.0);
-                }
             }
             disruption.push(t.elapsed().as_secs_f64());
-        } else if h.to == me {
-            // The source skips offering a dead partition, so don't burn
-            // the timeout waiting for an offer that will never come.
-            if cx.is_dead(h.partition) || book.is_aborted(index) {
-                continue;
-            }
-            // A receive error means the source never offered (it saw the
-            // death or aborted first); the source owns the failure
-            // accounting, so nothing to do here on that path.
-            if let Ok(offer) = recv_migrate_offer(comm, fabric.base + h.from, index, timeout) {
-                debug_assert_eq!(offer.partition, h.partition);
-                let committed = !cx.is_dead(h.partition) && book.try_commit(index);
-                let ack = MigrateAck {
-                    handoff: index,
-                    committed,
-                };
-                send_migrate_ack(comm, fabric.base + h.from, &ack)?;
-                if committed {
-                    owners[h.partition] = h.to;
-                }
+        } else {
+            let offer = recv_migrate_offer(comm, fabric.base + h.from, index, deadline)?;
+            let committed = offer == scheduled && !cx.is_dead(h.partition);
+            let ack = MigrateAck {
+                handoff: index,
+                committed,
+            };
+            send_migrate_ack(comm, fabric.base + h.from, &ack)?;
+            if committed {
+                owners[h.partition] = h.to;
             }
         }
     }

@@ -1,9 +1,9 @@
 use super::launch::local_role;
 use super::outcome::RankOutput;
 use super::staging::{memoize, stage_data, MemoSlot};
-use super::step::{drain, encode_block, RankCx};
+use super::step::{drain, encode_block, migrate_handshakes, RankCx, VizFabric};
 use super::*;
-use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, RecoveryPolicy};
+use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::CoreError;
 use eth_transport::comm::Communicator;
 use eth_transport::fault::{FaultPlan, DATA_TAG_MIN};
@@ -709,6 +709,90 @@ fn migration_racing_a_death_resolves_deterministically() {
     assert_eq!(late.images, reference.images, "committed handoff diverged under a late death");
 }
 
+/// The handshakes of a two-viz-rank intercore run, each rank on its own
+/// thread of a two-rank fabric, stepping through nothing but
+/// [`migrate_handshakes`]: viz 0 sources, viz 1 targets. `edit_source`
+/// rewrites the source's copy of the first handoff (the target keeps the
+/// spec's), and the target sleeps `target_delay` before its first step.
+/// Returns each rank's final owners and degradation.
+fn handshakes_on_two_ranks(
+    spec: &ExperimentSpec,
+    edit_source: impl FnOnce(&mut Handoff),
+    target_delay: Duration,
+) -> Vec<(Vec<usize>, Degradation)> {
+    let staged = Arc::new(stage_data(spec, Default::default()).unwrap());
+    let pool = PayloadPool::new();
+    let mut source = RankCx::new(spec, &staged, &pool);
+    edit_source(&mut Arc::get_mut(&mut source).unwrap().policy.handoffs[0]);
+    let cxs = [source, RankCx::new(spec, &staged, &pool)];
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = LocalFabric::new(2)
+            .into_iter()
+            .zip(&cxs)
+            .map(|(comm, cx)| {
+                s.spawn(move || {
+                    if comm.rank() == 1 {
+                        std::thread::sleep(target_delay);
+                    }
+                    let fabric = VizFabric {
+                        comm: &comm,
+                        base: 0,
+                        on_board: false,
+                    };
+                    let mut owners: Vec<usize> =
+                        (0..spec.ranks).map(|p| spec.initial_owner(p)).collect();
+                    let mut deg = Degradation::default();
+                    for step in 0..spec.steps {
+                        migrate_handshakes(cx, fabric, step, &mut owners, &mut deg, &mut Vec::new())
+                            .unwrap();
+                    }
+                    (owners, deg)
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|rank| rank.join().unwrap()).collect()
+    })
+}
+
+fn two_rank_handoff() -> ExperimentSpec {
+    let mut spec = base_spec("verdict");
+    spec.coupling = Coupling::Intercore;
+    spec.ranks = 2;
+    spec.steps = 3;
+    migrating(spec, crate::config::MigrationPattern::Sudden { from: 0, to: 1, at_step: 1 })
+}
+
+#[test]
+fn a_slow_migration_target_still_commits() {
+    // The source waits for the target's verdict however late the target
+    // reaches its handshake; only the run deadline bounds the wait.
+    let spec = two_rank_handoff();
+    assert_eq!(spec.migration_handoffs(), vec![Handoff { partition: 0, from: 0, to: 1, step: 1 }]);
+    let ranks = handshakes_on_two_ranks(&spec, |_| {}, Duration::from_millis(1_200));
+    for (owners, _) in &ranks {
+        assert_eq!(owners, &[1, 1], "both ends must agree the partition moved");
+    }
+    assert_eq!(ranks[0].1.migrations, 1, "{:?}", ranks[0].1);
+    assert_eq!(ranks[0].1.migration_failures, 0);
+}
+
+#[test]
+fn a_migration_offer_off_the_schedule_is_refused() {
+    // The source's copy of the schedule names another partition, or a
+    // later step: the target refuses the offer it receives.
+    let spec = two_rank_handoff();
+    let refused = |what: &str, edit: fn(&mut Handoff)| {
+        let ranks = handshakes_on_two_ranks(&spec, edit, Duration::ZERO);
+        for (owners, _) in &ranks {
+            assert_eq!(owners, &[0, 1], "{what}: a refused offer moved ownership");
+        }
+        assert_eq!(ranks[0].1.migrations, 0, "{what}: {:?}", ranks[0].1);
+        assert_eq!(ranks[0].1.migration_failures, 1, "{what}");
+    };
+    refused("partition", |h| h.partition = 1);
+    refused("step", |h| h.step = 2);
+}
+
 #[test]
 fn budgeted_run_is_byte_identical_and_stays_under_budget() {
     let full = run_native(&base_spec("budget")).unwrap();
@@ -781,25 +865,37 @@ fn a_bad_block_on_disk_costs_one_frame_under_every_coupling() {
 
 #[test]
 fn lossless_wire_compression_is_byte_identical_across_couplings() {
+    use eth_data::compress::Codec;
     let tight = run_native(&base_spec("wire")).unwrap();
+    let blocks = (tight.spec.ranks * tight.spec.steps) as f64;
     for coupling in [Coupling::Intercore, Coupling::Internode] {
-        let mut spec = base_spec("wire");
-        spec.coupling = coupling;
-        spec.wire_compression = Some(eth_data::compress::Codec::Lossless);
-        let out = run_native(&spec).unwrap();
-        assert_eq!(
-            tight.images, out.images,
-            "lossless wire codec changed the image under {coupling:?}"
-        );
-    }
-    // The lossy codec still runs end-to-end and stays close.
-    let mut spec = base_spec("wire");
-    spec.coupling = Coupling::Internode;
-    spec.wire_compression = Some(eth_data::compress::Codec::Quantize);
-    let lossy = run_native(&spec).unwrap();
-    for (a, b) in tight.images.iter().zip(&lossy.images) {
-        let rmse = a.rmse(b).unwrap();
-        assert!(rmse < 0.1, "quantize drifted too far: rmse {rmse}");
+        let mut encoded = Vec::new();
+        for codec in [None, Some(Codec::Lossless), Some(Codec::Quantize)] {
+            let mut spec = base_spec("wire");
+            spec.coupling = coupling;
+            spec.wire_compression = codec;
+            let out = run_native(&spec).unwrap();
+            // every arm of the wire costs one encode and one decode span
+            // per block, whatever the codec
+            for phase in ["encode", "decode"] {
+                let spans = out.counters.get(&format!("phase_{phase}_spans"));
+                assert_eq!(spans, blocks, "{phase} spans under {coupling:?}, {codec:?}");
+            }
+            encoded.push(out.counters.get("phase_encode_bytes"));
+            if codec == Some(Codec::Quantize) {
+                // the lossy codec still runs end-to-end and stays close
+                for (a, b) in tight.images.iter().zip(&out.images) {
+                    let rmse = a.rmse(b).unwrap();
+                    assert!(rmse < 0.1, "quantize drifted too far: rmse {rmse}");
+                }
+            } else {
+                let what = format!("{codec:?} changed the image under {coupling:?}");
+                assert_eq!(tight.images, out.images, "{what}");
+            }
+        }
+        // `Some(Lossless)` ships the same EBD3 bytes as `None`
+        assert!(encoded[0] > 0.0);
+        assert_eq!(encoded[0], encoded[1], "{coupling:?}");
     }
 }
 

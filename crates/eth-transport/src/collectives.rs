@@ -88,11 +88,11 @@ impl AdoptNotice {
 /// per handoff, each on its own tag family salted by the handoff index so
 /// concurrent handoffs never cross. `offer → ack`: the offer names the
 /// partition and the step, which is all the target needs to present the
-/// partition from the series itself. The source keeps rendering the
-/// partition until a positive ack lands, so a lost or refused handoff
-/// degrades to "no migration happened".
+/// partition from the series itself. The target alone decides; the source
+/// keeps rendering the partition unless the ack says committed, so a
+/// refused handoff degrades to "no migration happened".
 pub const TAG_MIGRATE_OFFER: u32 = CONTROL_TAG_BASE + 0x0200_0000;
-/// The target's verdict: committed, or refused (death won the race).
+/// The target's verdict: committed, or refused.
 pub const TAG_MIGRATE_ACK: u32 = CONTROL_TAG_BASE + 0x0400_0000;
 
 /// The first message of a handoff: the source names the partition it is
@@ -143,8 +143,9 @@ impl MigrateOffer {
 pub struct MigrateAck {
     pub handoff: usize,
     /// `true`: the target owns the partition from the offered step on.
-    /// `false`: the target refused (its sim rank is dying, or the death
-    /// arbitration already aborted the handoff) — the source keeps it.
+    /// `false`: the target refused — the offer was not the one its
+    /// schedule names, or the partition's simulation rank is dead — and
+    /// the source keeps it.
     pub committed: bool,
 }
 
@@ -179,7 +180,7 @@ pub fn send_migrate_offer(comm: &dyn Communicator, target: usize, offer: &Migrat
 }
 
 /// Receive the offer for handoff `handoff`, bounded by `timeout` (a
-/// control receive must never block past the handoff budget).
+/// control receive must never block past the run's deadline).
 pub fn recv_migrate_offer(
     comm: &dyn Communicator,
     from: usize,
@@ -195,8 +196,9 @@ pub fn send_migrate_ack(comm: &dyn Communicator, source: usize, ack: &MigrateAck
     comm.send(source, TAG_MIGRATE_ACK + ack.handoff as u32, ack.encode())
 }
 
-/// Receive the verdict for handoff `handoff`, bounded by `timeout`; a
-/// timeout means the handoff failed and the source keeps the partition.
+/// Receive the verdict for handoff `handoff`, bounded by `timeout` (the
+/// run's deadline: only the target decides, so a verdict that does not
+/// come is an error, not a refusal).
 pub fn recv_migrate_ack(
     comm: &dyn Communicator,
     from: usize,

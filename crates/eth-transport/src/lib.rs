@@ -44,6 +44,6 @@ pub use fault::{Backoff, BackoffShape, FaultPlan, KillSpec};
 pub use link::{FabricLink, PairLink};
 pub use local::LocalFabric;
 pub use runner::{
-    launch, run_ranks, spawn_migration_supervisor, DeathNotice, HeartbeatBoard, HeartbeatPolicy,
-    MigrationBook, RankFailure, Seat, Supervision, Supervisor, Watch,
+    launch, run_ranks, DeathNotice, HeartbeatBoard, HeartbeatPolicy, RankFailure, Seat,
+    Supervision, Watch,
 };

@@ -13,7 +13,7 @@ use crate::local::{LocalComm, LocalFabric};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -522,165 +522,6 @@ impl HeartbeatBoard {
     }
 }
 
-/// Handle to the background thread of [`spawn_migration_supervisor`]: it
-/// stops (and the thread joins) when the handle is dropped or
-/// [`Supervisor::stop`] is called.
-pub struct Supervisor {
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl Supervisor {
-    /// Stop scanning and join the supervisor thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Handoff states on a [`MigrationBook`]. A handoff starts `PENDING` and
-/// makes exactly one transition: `COMMITTED` (the target accepted and the
-/// ack landed) or `ABORTED` (timeout, refusal, or the source's sim rank
-/// died mid-handoff).
-pub const HANDOFF_PENDING: u8 = 0;
-pub const HANDOFF_COMMITTED: u8 = 1;
-pub const HANDOFF_ABORTED: u8 = 2;
-
-/// Shared arbitration board for live migration: one atomic cell per
-/// planned handoff. The single compare-and-swap out of `PENDING` is the
-/// linearization point that makes a migration racing a rank death resolve
-/// deterministically — whichever transition lands first wins, both sides
-/// observe the same winner, and the loser's path degrades cleanly (a lost
-/// commit means "no migration happened"; a lost abort means the new owner
-/// already has everything it needs).
-pub struct MigrationBook {
-    slots: Vec<AtomicU8>,
-}
-
-impl MigrationBook {
-    /// A book for `handoffs` planned handoffs, all `PENDING`.
-    pub fn new(handoffs: usize) -> Arc<MigrationBook> {
-        Arc::new(MigrationBook {
-            slots: (0..handoffs).map(|_| AtomicU8::new(HANDOFF_PENDING)).collect(),
-        })
-    }
-
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Commit handoff `h`: `PENDING → COMMITTED`. `true` iff this call won
-    /// the transition (an already-aborted handoff stays aborted).
-    pub fn try_commit(&self, h: usize) -> bool {
-        self.slots[h]
-            .compare_exchange(
-                HANDOFF_PENDING,
-                HANDOFF_COMMITTED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
-    /// Abort handoff `h`: `PENDING → ABORTED`. `true` iff this call won
-    /// the transition (an already-committed handoff stays committed).
-    pub fn abort(&self, h: usize) -> bool {
-        self.slots[h]
-            .compare_exchange(
-                HANDOFF_PENDING,
-                HANDOFF_ABORTED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
-    pub fn status(&self, h: usize) -> u8 {
-        self.slots[h].load(Ordering::Acquire)
-    }
-
-    pub fn is_committed(&self, h: usize) -> bool {
-        self.status(h) == HANDOFF_COMMITTED
-    }
-
-    pub fn is_aborted(&self, h: usize) -> bool {
-        self.status(h) == HANDOFF_ABORTED
-    }
-
-    pub fn is_pending(&self, h: usize) -> bool {
-        self.status(h) == HANDOFF_PENDING
-    }
-
-    /// Handoffs that reached `COMMITTED`.
-    pub fn committed(&self) -> usize {
-        (0..self.len()).filter(|&h| self.is_committed(h)).count()
-    }
-
-    /// Handoffs that reached `ABORTED`.
-    pub fn aborted(&self) -> usize {
-        (0..self.len()).filter(|&h| self.is_aborted(h)).count()
-    }
-}
-
-/// Spawn the migration supervisor beside the heartbeat supervisor: it
-/// watches the heartbeat board and aborts every still-pending handoff
-/// whose partition's sim rank has died — death wins, and the PR 5
-/// adoption path takes over for that partition. `watch` maps handoff
-/// index → the sim rank whose death invalidates it. The supervisor stops
-/// on its own once every watched handoff is resolved or every rank is
-/// done-or-dead.
-pub fn spawn_migration_supervisor(
-    board: &Arc<HeartbeatBoard>,
-    book: &Arc<MigrationBook>,
-    watch: Vec<(usize, usize)>,
-    policy: HeartbeatPolicy,
-) -> Supervisor {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = stop.clone();
-    let board = board.clone();
-    let book = book.clone();
-    let poll = policy.poll_interval();
-    let handle = thread::Builder::new()
-        .name("eth-migration-supervisor".into())
-        .spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                for &(handoff, sim_rank) in &watch {
-                    if book.is_pending(handoff) && board.is_dead(sim_rank) {
-                        book.abort(handoff);
-                    }
-                }
-                let all_resolved = watch.iter().all(|&(h, _)| !book.is_pending(h));
-                let all_settled =
-                    (0..board.size()).all(|r| board.is_done(r) || board.is_dead(r));
-                if all_resolved || all_settled {
-                    break;
-                }
-                thread::sleep(poll);
-            }
-        })
-        .expect("spawn migration supervisor thread");
-    Supervisor {
-        stop,
-        handle: Some(handle),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -997,50 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_book_transitions_are_exclusive_and_sticky() {
-        let book = MigrationBook::new(3);
-        assert_eq!(book.len(), 3);
-        assert!(book.is_pending(0));
-        // first transition wins, the loser observes it
-        assert!(book.try_commit(0));
-        assert!(!book.abort(0), "commit already won handoff 0");
-        assert!(book.is_committed(0));
-        assert!(book.abort(1));
-        assert!(!book.try_commit(1), "abort already won handoff 1");
-        assert!(book.is_aborted(1));
-        // transitions are one-shot
-        assert!(!book.try_commit(0));
-        assert!(!book.abort(1));
-        assert_eq!(book.committed(), 1);
-        assert_eq!(book.aborted(), 1);
-        assert!(book.is_pending(2));
-    }
-
-    #[test]
-    fn migration_supervisor_aborts_handoffs_of_dead_ranks() {
-        let board = HeartbeatBoard::new(3);
-        let book = MigrationBook::new(2);
-        // handoff 0 rides sim rank 1, handoff 1 rides sim rank 2
-        let sup = spawn_migration_supervisor(
-            &board,
-            &book,
-            vec![(0, 1), (1, 2)],
-            fast_policy(),
-        );
-        // rank 2's handoff commits before the death lands: commit sticks
-        assert!(book.try_commit(1));
-        board.declare_dead(1);
-        board.declare_dead(2);
-        let t = Instant::now();
-        while book.is_pending(0) && t.elapsed() < Duration::from_secs(5) {
-            thread::sleep(Duration::from_millis(1));
-        }
-        sup.stop();
-        assert!(book.is_aborted(0), "death must abort the pending handoff");
-        assert!(book.is_committed(1), "a committed handoff survives the death");
-    }
-
-    #[test]
     fn step_done_never_rewinds_attribution() {
         let board = HeartbeatBoard::new(1);
         board.step_done(0, 5);
@@ -1054,6 +851,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::sync::atomic::AtomicBool;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
