@@ -44,6 +44,7 @@ mod step;
 
 pub use outcome::{Degradation, NativeOutcome, PhaseEnergy, PhaseTimes};
 pub use staging::{baseline_spec, CacheStats, RunCaches};
+pub(crate) use staging::{memoize, MemoSlot};
 
 use crate::config::ExperimentSpec;
 use crate::error::Result;

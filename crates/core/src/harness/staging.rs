@@ -4,6 +4,7 @@ use super::run_recorded;
 use crate::config::{Coupling, ExperimentSpec};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{scalar_range, VizPipeline};
+use crate::sweep::lock_recover;
 use eth_data::io::pool::PayloadPool;
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::{Aabb, DataObject};
@@ -129,10 +130,10 @@ fn stage_key(spec: &ExperimentSpec) -> StageKey {
 }
 
 /// A memo slot: the per-key mutex serializes the *first* computation so
-/// concurrent same-key requesters block on the one staging pass instead of
-/// racing to duplicate it. A failed computation leaves the slot empty and
-/// the next requester retries.
-pub(super) struct MemoSlot<T>(Mutex<Option<Arc<T>>>);
+/// concurrent same-key requesters block on the one computation instead of
+/// racing to duplicate it. A failed computation — an `Err` or a panic —
+/// leaves the slot empty and the next requester retries.
+pub(crate) struct MemoSlot<T>(Mutex<Option<Arc<T>>>);
 
 impl<T> Default for MemoSlot<T> {
     fn default() -> Self {
@@ -140,7 +141,11 @@ impl<T> Default for MemoSlot<T> {
     }
 }
 
-pub(super) fn memoize<T, K, F>(
+/// The value under `key`, computing it on the first request: `(value,
+/// hit)`. A panic inside `compute` poisons the slot's mutex with the slot
+/// still empty, so the slot is taken back with [`lock_recover`] and the
+/// next requester computes again.
+pub(crate) fn memoize<T, K, F>(
     map: &Mutex<HashMap<K, Arc<MemoSlot<T>>>>,
     key: K,
     compute: F,
@@ -149,8 +154,8 @@ where
     K: std::hash::Hash + Eq,
     F: FnOnce() -> Result<T>,
 {
-    let slot = map.lock().unwrap().entry(key).or_default().clone();
-    let mut guard = slot.0.lock().unwrap();
+    let slot = lock_recover(map).entry(key).or_default().clone();
+    let mut guard = lock_recover(&slot.0);
     if let Some(cached) = guard.as_ref() {
         return Ok((cached.clone(), true));
     }

@@ -235,6 +235,18 @@ fn failed_compute_leaves_memo_slot_retryable() {
     })
     .unwrap();
     assert_eq!((*v, hit), (41, true));
+
+    // A compute that panics poisons its slot's mutex with the slot still
+    // empty; the campaign contains the panic, and the next requester of
+    // the key must compute again instead of panicking on the poison.
+    let panicked = std::panic::catch_unwind(|| {
+        memoize::<u64, _, _>(&map, 2, || panic!("injected staging panic"))
+    });
+    assert!(panicked.is_err());
+    let (v, hit) = memoize(&map, 2, || Ok(43)).unwrap();
+    assert_eq!((*v, hit), (43, false));
+    let (v, hit) = memoize::<u64, _, _>(&map, 2, || panic!("slot was not populated")).unwrap();
+    assert_eq!((*v, hit), (43, true));
 }
 
 #[test]

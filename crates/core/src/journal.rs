@@ -473,14 +473,28 @@ pub fn write_manifest(dir: &Path, specs: &[ExperimentSpec], hashes: &[u64]) -> R
     };
     let json = serde_json::to_string_pretty(&manifest)
         .map_err(|e| CoreError::Config(format!("unserializable manifest: {e}")))?;
-    let path = dir.join(MANIFEST_FILE);
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    let mut file = File::create(&tmp)?;
-    file.write_all(json.as_bytes())?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp, &path)?;
+    write_atomic(&dir.join(MANIFEST_FILE), json.as_bytes())?;
     Ok(())
+}
+
+/// Replace `path` with `bytes` atomically: write `<path>.tmp`, `fsync` it,
+/// rename it over `path`. A reader (or a restart after a crash) sees the
+/// old file or the new one, never a torn mix. A failed write removes its
+/// temp file, so disk exhaustion leaves no torn spill behind.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let write = || -> std::io::Result<()> {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+        drop(file);
+        fs::rename(&tmp, path)
+    };
+    write().inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
 }
 
 /// Read the campaign manifest, if one has been written.
@@ -581,23 +595,9 @@ fn encode_result(spec_hash: u64, outcome: &NativeOutcome) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Write pre-encoded result bytes temp-then-rename. A failed write
-/// removes its temp file — disk exhaustion must not leave torn spills
-/// for the next resume to GC.
+/// Write pre-encoded result bytes through [`write_atomic`].
 fn write_result_bytes(dir: &Path, index: usize, buf: &[u8]) -> Result<()> {
-    let path = result_path(dir, index);
-    let tmp = path.with_extension("bin.tmp");
-    let write = || -> std::io::Result<()> {
-        let mut file = File::create(&tmp)?;
-        file.write_all(buf)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, &path)
-    };
-    write().map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        classify_io(e)
-    })
+    write_atomic(&result_path(dir, index), buf).map_err(classify_io)
 }
 
 fn corrupt(index: usize, what: &str) -> CoreError {
@@ -1001,6 +1001,36 @@ mod tests {
         assert_eq!(manifest.points.len(), 2);
         assert_eq!(manifest.points[1].spec_hash, hashes[1]);
         assert!(!dir.join(format!("{MANIFEST_FILE}.tmp")).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp() {
+        let dir = tmp_dir("atomic");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.json");
+        let tmp = dir.join("record.json.tmp");
+        write_atomic(&path, b"old").unwrap();
+        assert!(!tmp.exists());
+
+        // the temp path is taken by a directory: creating it fails
+        fs::create_dir(&tmp).unwrap();
+        assert!(write_atomic(&path, b"new").is_err());
+        assert_eq!(fs::read(&path).unwrap(), b"old");
+        assert!(tmp.is_dir(), "only the planted directory is left at the temp path");
+        fs::remove_dir(&tmp).unwrap();
+
+        // the target is a non-empty directory: the temp file is written,
+        // the rename fails, and the temp file goes with the failure
+        let blocked = dir.join("blocked");
+        fs::create_dir_all(blocked.join("inside")).unwrap();
+        assert!(write_atomic(&blocked, b"new").is_err());
+        assert!(!dir.join("blocked.tmp").exists());
+        assert!(blocked.join("inside").is_dir());
+
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new");
+        assert!(!tmp.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -213,6 +213,19 @@ fn drain_interrupts_journals_and_restart_resumes_byte_identical() {
     assert_eq!(svc3.status(admitted.id).unwrap().state, "done");
 }
 
+/// A campaign's record as the service persists it (`service.json`).
+#[derive(serde::Deserialize)]
+struct Record {
+    done: bool,
+    summary: Option<eth_core::serve::CampaignStatus>,
+}
+
+fn read_record(dir: &std::path::Path) -> (Record, String) {
+    let text = std::fs::read_to_string(dir.join("service.json")).unwrap();
+    let record = serde_json::from_str(&text).unwrap_or_else(|e| panic!("torn record ({e}): {text}"));
+    (record, text)
+}
+
 /// A non-running status and an un-timed-out drain both promise that the
 /// campaign's epilogue is on disk: `reproduce serve` exits right after
 /// `drain()`, and a client that polled "done" may restart the service.
@@ -220,12 +233,12 @@ fn drain_interrupts_journals_and_restart_resumes_byte_identical() {
 fn terminal_status_and_drain_imply_a_durable_epilogue() {
     let durable = |root: &std::path::Path, status: &eth_core::serve::CampaignStatus| {
         let dir = root.join(format!("campaign-{:04}", status.id));
-        let text = std::fs::read_to_string(dir.join("outcome.json"))
-            .unwrap_or_else(|e| panic!("campaign {} is {} but has no summary: {e}", status.id, status.state));
-        let summary: eth_core::serve::CampaignStatus = serde_json::from_str(&text).unwrap();
+        let (record, text) = read_record(&dir);
+        let summary = record
+            .summary
+            .unwrap_or_else(|| panic!("campaign {} is {} but has no summary: {text}", status.id, status.state));
         assert_eq!(summary.state, status.state);
-        let record = std::fs::read_to_string(dir.join("service.json")).unwrap();
-        assert!(record.contains("\"done\": true"), "terminal record not durable: {record}");
+        assert!(record.done, "terminal record not durable: {text}");
     };
     for round in 0..8 {
         let root = tmp_root(&format!("epilogue-{round}"));
@@ -236,12 +249,12 @@ fn terminal_status_and_drain_imply_a_durable_epilogue() {
         // Spin, don't sleep: the check has to land inside the worker's
         // epilogue window, right behind the state change.
         let t0 = Instant::now();
-        let summary = root.join("campaign-0000").join("outcome.json");
+        let dir = root.join("campaign-0000");
         let (status, on_disk) = loop {
             let status = svc.status(admitted.id).unwrap();
             if status.state != "running" {
-                // one stat, before the worker can get any further
-                break (status, summary.exists());
+                // one read, before the worker can get any further
+                break (status, read_record(&dir).0.summary.is_some());
             }
             assert!(t0.elapsed() < Duration::from_secs(30), "campaign never finished");
             std::hint::spin_loop();
