@@ -14,8 +14,9 @@ use eth_core::config::{Algorithm, Application, ExperimentSpec};
 use eth_core::error::Result;
 use eth_core::harness::baseline_spec;
 use eth_core::{run_native, Campaign, NativeOutcome, RunCaches};
+use eth_data::compress::Codec;
+use eth_data::io::binary;
 use eth_data::io::pool::PayloadPool;
-use eth_transport::message::{encode_dataset_in, encoded_dataset_len};
 use crate::cli::Report;
 use serde::Serialize;
 use std::time::Instant;
@@ -53,7 +54,8 @@ pub struct CampaignBenchReport {
     pub images_byte_identical: bool,
     /// Bytes produced by the encode-throughput loop.
     pub encoded_bytes: u64,
-    /// Dataset encode throughput (`encode_dataset_in`) in bytes per second.
+    /// Dataset encode throughput (the default wire codec,
+    /// `Codec::Lossless`, into a leased buffer) in bytes per second.
     pub encode_bytes_per_sec: f64,
 }
 
@@ -156,13 +158,13 @@ pub fn run_campaign_bench(smoke: bool) -> Result<CampaignBenchReport> {
     // Encode throughput over the sweep's dataset (step 0, shared by every
     // point). The exact-size check keeps encoded_len honest under load.
     let obj = specs[0].application.generate(0, specs[0].seed)?;
-    let expected = encoded_dataset_len(&obj) as u64;
+    let expected = binary::encoded_len(&obj) as u64;
     let reps = if smoke { 20 } else { 50 };
     let pool = PayloadPool::new();
     let t_enc = Instant::now();
     let mut encoded_bytes = 0u64;
     for _ in 0..reps {
-        let payload = encode_dataset_in(&obj, &pool);
+        let payload = Codec::Lossless.encode_in(&obj, &pool);
         assert_eq!(payload.len() as u64, expected);
         encoded_bytes += payload.len() as u64;
     }

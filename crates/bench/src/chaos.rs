@@ -148,7 +148,6 @@ fn demo_recovery() -> RecoveryPolicy {
             interval_ms: 10,
             miss_budget: 3,
         },
-        max_rank_losses: 1,
         adopt: true,
     }
 }

@@ -104,7 +104,6 @@ fn bench_recovery() -> RecoveryPolicy {
             interval_ms: 10,
             miss_budget: 30,
         },
-        max_rank_losses: 1,
         adopt: true,
     }
 }

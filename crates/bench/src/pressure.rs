@@ -69,7 +69,7 @@ pub struct PressureReport {
     pub wire_compressed_bytes: u64,
     /// `wire_compressed_bytes / wire_raw_bytes`.
     pub wire_compression_ratio: f64,
-    /// The lossless codec must not change the rendered images.
+    /// The default lossless codec must not change the rendered images.
     pub wire_lossless_byte_identical: bool,
 
     /// Peak resident set size of this process (`VmHWM`), if readable.
@@ -437,15 +437,15 @@ pub fn run_pressure_bench(quick: bool) -> Result<PressureReport> {
     let stats = store.stats();
 
     // 3. Wire compression on the internode path: the quantizing codec's
-    // byte counters, and the lossless codec's identity contract.
+    // byte counters, and the default lossless codec's identity contract
+    // (the same images as a run that never crosses a process boundary).
     let mut wire = pressure_spec("pressure-wire", quick)?;
+    let mut tight = wire.clone();
+    tight.coupling = Coupling::Tight;
     wire.coupling = Coupling::Internode;
-    let plain = run_native(&wire)?;
-    let mut lossless = wire.clone();
-    lossless.wire_compression = Some(eth_data::compress::Codec::Lossless);
-    let wire_lossless_byte_identical = run_native(&lossless)?.images == plain.images;
+    let wire_lossless_byte_identical = run_native(&wire)?.images == run_native(&tight)?.images;
     let mut lossy = wire.clone();
-    lossy.wire_compression = Some(eth_data::compress::Codec::Quantize);
+    lossy.wire_compression = eth_data::compress::Codec::Quantize;
     let quantized = run_native(&lossy)?;
     let wire_raw_bytes = quantized.counters.get("wire_raw_bytes") as u64;
     let wire_compressed_bytes = quantized.counters.get("wire_compressed_bytes") as u64;

@@ -25,7 +25,6 @@ use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
-use eth_render::Image;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -321,13 +320,6 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
         progressive_monotonic,
         progressive_exact,
     })
-}
-
-/// RMSE between two framebuffers' color planes (used by tests).
-pub fn color_rmse(a: &eth_render::framebuffer::Framebuffer, b: &eth_render::framebuffer::Framebuffer) -> f64 {
-    let ia = Image::from_pixels(a.width(), a.height(), a.color_buffer().to_vec()).unwrap();
-    let ib = Image::from_pixels(b.width(), b.height(), b.color_buffer().to_vec()).unwrap();
-    ia.rmse(&ib).unwrap()
 }
 
 #[cfg(test)]

@@ -237,7 +237,6 @@ pub fn table2_campaign(
                         interval_ms: 10,
                         miss_budget: 3,
                     },
-                    max_rank_losses: 1,
                     adopt: true,
                 });
                 let victim = i % spec.ranks;

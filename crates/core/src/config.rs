@@ -25,18 +25,10 @@ pub struct RecoveryPolicy {
     /// Liveness beacons: interval and miss budget per rank.
     #[serde(default)]
     pub heartbeat: HeartbeatPolicy,
-    /// Rank deaths tolerated before the run itself fails (the campaign
-    /// retry/quarantine ladder takes over past this point).
-    #[serde(default = "default_max_rank_losses")]
-    pub max_rank_losses: u32,
     /// Adopt dead ranks' partitions (true, the default) or merely keep
     /// compositing the survivors, leaving the dead partitions dark.
     #[serde(default = "default_adopt")]
     pub adopt: bool,
-}
-
-fn default_max_rank_losses() -> u32 {
-    1
 }
 
 fn default_adopt() -> bool {
@@ -47,33 +39,31 @@ impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
         RecoveryPolicy {
             heartbeat: HeartbeatPolicy::default(),
-            max_rank_losses: default_max_rank_losses(),
             adopt: default_adopt(),
         }
     }
 }
 
 impl RecoveryPolicy {
+    /// Rank deaths a run survives; the next one fails it, and the campaign
+    /// retry/quarantine ladder takes over. A fault plan kills at most one.
+    pub(crate) const MAX_RANK_LOSSES: usize = 1;
+
     pub fn validate(&self) -> std::result::Result<(), String> {
-        self.heartbeat.validate()?;
-        if self.max_rank_losses == 0 {
-            return Err("recovery.max_rank_losses must be >= 1 (a policy that \
-                        tolerates zero losses is no policy)"
-                .into());
-        }
-        Ok(())
+        self.heartbeat.validate()
     }
 }
 
 /// Resource governance (DESIGN.md §17): how much memory staging may hold
-/// resident, how much disk the journal may consume, and the watermarks
-/// the backpressure loop runs between. With a memory budget set, staged
-/// blocks past the budget spill to lossless on-disk chunks and stream
-/// back on access — images stay byte-identical to an unbudgeted run.
+/// resident and how much disk the journal may consume; the backpressure
+/// loop runs between fixed fractions of the memory budget. With a memory
+/// budget set, staged blocks past the budget spill to lossless on-disk
+/// chunks and stream back on access — images stay byte-identical to an
+/// unbudgeted run.
 /// With a disk quota set, journal appends and result writes that would
 /// exceed it fail with [`CoreError::DiskFull`] and ride the normal
 /// retry/quarantine ladder instead of panicking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourcePolicy {
     /// Peak resident staged bytes; `None` = unbounded (never spill).
     #[serde(default)]
@@ -84,35 +74,14 @@ pub struct ResourcePolicy {
     /// Where spill chunks go; `None` = a fresh per-process temp dir.
     #[serde(default)]
     pub spill_dir: Option<PathBuf>,
-    /// Backpressure releases admission below this fraction of the budget.
-    #[serde(default = "default_low_watermark")]
-    pub low_watermark: f64,
-    /// Backpressure stops admitting new points above this fraction.
-    #[serde(default = "default_high_watermark")]
-    pub high_watermark: f64,
-}
-
-fn default_low_watermark() -> f64 {
-    0.5
-}
-
-fn default_high_watermark() -> f64 {
-    0.9
-}
-
-impl Default for ResourcePolicy {
-    fn default() -> ResourcePolicy {
-        ResourcePolicy {
-            memory_budget_bytes: None,
-            disk_quota_bytes: None,
-            spill_dir: None,
-            low_watermark: default_low_watermark(),
-            high_watermark: default_high_watermark(),
-        }
-    }
 }
 
 impl ResourcePolicy {
+    /// Backpressure releases admission below this fraction of the budget.
+    const LOW_WATERMARK: f64 = 0.5;
+    /// Backpressure stops admitting new points above this fraction.
+    const HIGH_WATERMARK: f64 = 0.9;
+
     /// A policy that only bounds staging memory.
     pub fn with_memory_budget(bytes: u64) -> ResourcePolicy {
         ResourcePolicy {
@@ -140,34 +109,19 @@ impl ResourcePolicy {
                         (a journal needs at least one append)"
                 .into());
         }
-        for (name, w) in [
-            ("low_watermark", self.low_watermark),
-            ("high_watermark", self.high_watermark),
-        ] {
-            if !(w > 0.0 && w <= 1.0 && w.is_finite()) {
-                return Err(format!("resources.{name} {w} outside (0, 1]"));
-            }
-        }
-        if self.low_watermark > self.high_watermark {
-            return Err(format!(
-                "resources.low_watermark {} above high_watermark {}: the \
-                 backpressure loop would never settle",
-                self.low_watermark, self.high_watermark
-            ));
-        }
         Ok(())
     }
 
     /// Absolute high-watermark threshold, if a memory budget is set.
     pub fn high_threshold_bytes(&self) -> Option<u64> {
         self.memory_budget_bytes
-            .map(|b| (b as f64 * self.high_watermark) as u64)
+            .map(|b| (b as f64 * Self::HIGH_WATERMARK) as u64)
     }
 
     /// Absolute low-watermark threshold, if a memory budget is set.
     pub fn low_threshold_bytes(&self) -> Option<u64> {
         self.memory_budget_bytes
-            .map(|b| (b as f64 * self.low_watermark) as u64)
+            .map(|b| (b as f64 * Self::LOW_WATERMARK) as u64)
     }
 }
 
@@ -396,11 +350,6 @@ impl Algorithm {
             Algorithm::RaycastSpheres,
         ]
     }
-
-    /// The two isosurface backends (the xRAGE experiments).
-    pub fn isosurface_algorithms() -> [Algorithm; 2] {
-        [Algorithm::VtkIsosurface, Algorithm::RaycastIsosurface]
-    }
 }
 
 /// The coupling axis.
@@ -426,45 +375,6 @@ impl Coupling {
 
     pub fn all() -> [Coupling; 3] {
         [Coupling::Tight, Coupling::Intercore, Coupling::Internode]
-    }
-}
-
-/// Render-engine tuning axis: the tile scheduler and progressive
-/// refinement (DESIGN.md §14). Orthogonal to the algorithm choice — tile
-/// size never changes the image, and progressive mode converges to the
-/// same image — so sweeps can vary it freely against any other axis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RenderTuning {
-    /// Framebuffer tile edge in pixels; `None` uses the renderer default
-    /// (16). Must lie in 4..=256.
-    #[serde(default)]
-    pub tile: Option<usize>,
-    /// Initial sampling stride for progressive raycast-spheres refinement
-    /// (power of two in 2..=64); `None` renders full resolution in one
-    /// pass. Backends without progressive support ignore it.
-    #[serde(default)]
-    pub progressive_stride: Option<usize>,
-}
-
-impl RenderTuning {
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if let Some(t) = self.tile {
-            if !(eth_render::tile::MIN_TILE..=eth_render::tile::MAX_TILE).contains(&t) {
-                return Err(format!(
-                    "render.tile {t} outside {}..={}",
-                    eth_render::tile::MIN_TILE,
-                    eth_render::tile::MAX_TILE
-                ));
-            }
-        }
-        if let Some(s) = self.progressive_stride {
-            if !s.is_power_of_two() || !(2..=64).contains(&s) {
-                return Err(format!(
-                    "render.progressive_stride {s} must be a power of two in 2..=64"
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -512,22 +422,18 @@ pub struct ExperimentSpec {
     /// a coupling with a viz side (intercore or internode).
     #[serde(default)]
     pub migration: Option<MigrationPlan>,
-    /// Render-engine tuning (tile size, progressive refinement); `None`
-    /// uses renderer defaults. Never changes converged image content.
-    #[serde(default)]
-    pub render: Option<RenderTuning>,
-    /// Resource governance: staging memory budget (with spill-to-disk),
-    /// journal disk quota, and backpressure watermarks. `None` =
-    /// unbounded, the historical behavior.
+    /// Resource governance: staging memory budget (with spill-to-disk and
+    /// backpressure) and journal disk quota. `None` = unbounded, the
+    /// historical behavior.
     #[serde(default)]
     pub resources: Option<ResourcePolicy>,
     /// Block codec for data crossing a process boundary (intercore IPC /
     /// internode sockets; tight coupling never leaves the process):
-    /// `Lossless` ships full-precision CRC-trailed blocks (byte-identical
-    /// images); `Quantize` is the bounded-error lossy codec; `None` ships
-    /// plain `EBD3`.
+    /// `Lossless`, the default, ships full-precision CRC-trailed `EBD3`
+    /// blocks (byte-identical images); `Quantize` is the bounded-error
+    /// lossy codec.
     #[serde(default)]
-    pub wire_compression: Option<eth_data::compress::Codec>,
+    pub wire_compression: eth_data::compress::Codec,
 }
 
 impl ExperimentSpec {
@@ -673,9 +579,6 @@ impl ExperimentSpec {
         if let Some(recovery) = &self.recovery {
             recovery.validate().map_err(CoreError::Config)?;
         }
-        if let Some(render) = &self.render {
-            render.validate().map_err(CoreError::Config)?;
-        }
         if let Some(resources) = &self.resources {
             resources.validate().map_err(CoreError::Config)?;
         }
@@ -815,9 +718,8 @@ impl ExperimentSpecBuilder {
                 fault_plan: None,
                 recovery: None,
                 migration: None,
-                render: None,
                 resources: None,
-                wire_compression: None,
+                wire_compression: eth_data::compress::Codec::Lossless,
             },
         }
     }
@@ -897,22 +799,15 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Tune the render engine (tile size, progressive refinement).
-    pub fn render_tuning(mut self, tuning: RenderTuning) -> Self {
-        self.spec.render = Some(tuning);
-        self
-    }
-
-    /// Govern memory/disk use: staging budget with spill, journal quota,
-    /// backpressure watermarks.
+    /// Govern memory/disk use: staging budget with spill, journal quota.
     pub fn resources(mut self, policy: ResourcePolicy) -> Self {
         self.spec.resources = Some(policy);
         self
     }
 
-    /// Pick the block codec for process-boundary data explicitly.
+    /// Pick the block codec for process-boundary data.
     pub fn wire_compression(mut self, codec: eth_data::compress::Codec) -> Self {
-        self.spec.wire_compression = Some(codec);
+        self.spec.wire_compression = codec;
         self
     }
 
@@ -952,6 +847,7 @@ pub fn orbit_camera(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eth_data::compress::Codec;
 
     #[test]
     fn builder_defaults_validate() {
@@ -973,70 +869,25 @@ mod tests {
     }
 
     #[test]
-    fn render_tuning_validates_and_round_trips() {
-        let ok = RenderTuning {
-            tile: Some(32),
-            progressive_stride: Some(8),
-        };
-        let spec = ExperimentSpec::builder("t").render_tuning(ok).build().unwrap();
-        assert_eq!(spec.render, Some(ok));
-
-        // out-of-range tile and non-power-of-two stride are rejected
-        assert!(ExperimentSpec::builder("t")
-            .render_tuning(RenderTuning { tile: Some(2), progressive_stride: None })
-            .build()
-            .is_err());
-        assert!(ExperimentSpec::builder("t")
-            .render_tuning(RenderTuning { tile: None, progressive_stride: Some(3) })
-            .build()
-            .is_err());
-        assert!(ExperimentSpec::builder("t")
-            .render_tuning(RenderTuning { tile: None, progressive_stride: Some(128) })
-            .build()
-            .is_err());
-
-        // serde round trip keeps the axis; old specs without it still load
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ExperimentSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.render, Some(ok));
-        let legacy = serde_json::to_string(&ExperimentSpec::builder("old").build().unwrap())
-            .unwrap()
-            .replace("\"render\":null,", "");
-        let old: ExperimentSpec = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(old.render, None);
-    }
-
-    #[test]
     fn resource_policy_validates_and_round_trips() {
         let policy = ResourcePolicy {
             memory_budget_bytes: Some(256 << 20),
             disk_quota_bytes: Some(1 << 30),
             spill_dir: Some(PathBuf::from("/tmp/spill")),
-            low_watermark: 0.4,
-            high_watermark: 0.8,
         };
         let spec = ExperimentSpec::builder("t").resources(policy.clone()).build().unwrap();
         assert_eq!(spec.resources, Some(policy.clone()));
-        assert_eq!(
-            policy.high_threshold_bytes(),
-            Some((256u64 << 20) * 8 / 10)
-        );
+        assert_eq!(policy.high_threshold_bytes(), Some((256u64 << 20) * 9 / 10));
+        assert_eq!(policy.low_threshold_bytes(), Some((256u64 << 20) / 2));
+        assert_eq!(ResourcePolicy::default().high_threshold_bytes(), None);
 
-        // zero budgets and inverted/out-of-range watermarks are rejected
+        // zero budgets are rejected
         assert!(ExperimentSpec::builder("t")
             .resources(ResourcePolicy::with_memory_budget(0))
             .build()
             .is_err());
         assert!(ExperimentSpec::builder("t")
             .resources(ResourcePolicy::with_disk_quota(0))
-            .build()
-            .is_err());
-        assert!(ExperimentSpec::builder("t")
-            .resources(ResourcePolicy { low_watermark: 0.9, high_watermark: 0.5, ..Default::default() })
-            .build()
-            .is_err());
-        assert!(ExperimentSpec::builder("t")
-            .resources(ResourcePolicy { high_watermark: 1.5, ..Default::default() })
             .build()
             .is_err());
 
@@ -1047,17 +898,25 @@ mod tests {
         let legacy = serde_json::to_string(&ExperimentSpec::builder("old").build().unwrap())
             .unwrap()
             .replace("\"resources\":null,", "")
-            .replace(",\"wire_compression\":null", "");
+            .replace(",\"wire_compression\":\"Lossless\"", "");
         let old: ExperimentSpec = serde_json::from_str(&legacy).unwrap();
         assert_eq!(old.resources, None);
-        assert_eq!(old.wire_compression, None);
+        assert_eq!(old.wire_compression, Codec::Lossless);
     }
+
+    /// Specs as the release before the codec change wrote them: with
+    /// `render`, both watermarks and `max_rank_losses`, and an optional
+    /// `wire_compression` whose `None` shipped plain `EBD3`.
+    const PARENT_DEFAULT_SPEC: &str = r#"{"name":"t","application":{"Hacc":{"particles":50000}},"algorithm":"RaycastSpheres","coupling":"Tight","ranks":2,"steps":1,"images_per_step":1,"width":128,"height":128,"sampling_ratio":1,"seed":42,"artifact_dir":null,"viz_ranks":null,"fault_plan":null,"recovery":null,"migration":null,"render":null,"resources":null,"wire_compression":null}"#;
+    const PARENT_FULL_SPEC: &str = r#"{"name":"full","application":{"Hacc":{"particles":50000}},"algorithm":"RaycastSpheres","coupling":"Internode","ranks":2,"steps":1,"images_per_step":1,"width":128,"height":128,"sampling_ratio":1,"seed":42,"artifact_dir":null,"viz_ranks":null,"fault_plan":null,"recovery":{"heartbeat":{"interval_ms":25,"miss_budget":4},"max_rank_losses":1,"adopt":true},"migration":null,"render":{"tile":32,"progressive_stride":8},"resources":{"memory_budget_bytes":1048576,"disk_quota_bytes":null,"spill_dir":null,"low_watermark":0.5,"high_watermark":0.9},"wire_compression":null}"#;
 
     #[test]
     fn a_retired_key_is_ignored_as_unknown() {
-        // `compress_transport` predates the codec axis and
-        // `handoff_timeout_ms` the target's verdict; a file that still
-        // carries either loads as if it did not
+        // `compress_transport` predates the codec axis, `handoff_timeout_ms`
+        // the target's verdict; `render`, the watermarks and the rank-loss
+        // budget were settings no caller varied. A file that still carries
+        // any of them loads as if it did not.
+        let plain = ExperimentSpec::builder("t").build().unwrap();
         let migrating = ExperimentSpec::builder("t")
             .coupling(Coupling::Intercore)
             .ranks(2)
@@ -1070,23 +929,47 @@ mod tests {
             }))
             .build()
             .unwrap();
+        let budgeted = ExperimentSpec::builder("t")
+            .resources(ResourcePolicy::with_memory_budget(1 << 20))
+            .build()
+            .unwrap();
         for (spec, at, retired) in [
+            (&plain, "\"wire_compression\":\"Lossless\"", ",\"compress_transport\":true"),
+            (&migrating, "\"at_step\":1}}", ",\"handoff_timeout_ms\":1000"),
+            (&plain, "\"migration\":null", ",\"render\":null"),
             (
-                ExperimentSpec::builder("t").build().unwrap(),
-                "\"wire_compression\":null",
-                ",\"compress_transport\":true",
+                &plain,
+                "\"migration\":null",
+                ",\"render\":{\"tile\":32,\"progressive_stride\":8}",
             ),
-            (
-                migrating,
-                "\"at_step\":1}}",
-                ",\"handoff_timeout_ms\":1000",
-            ),
+            (&budgeted, "\"spill_dir\":null", ",\"low_watermark\":0.4"),
+            (&budgeted, "\"spill_dir\":null", ",\"high_watermark\":0.8"),
+            (&migrating, "\"adopt\":true", ",\"max_rank_losses\":1"),
         ] {
-            let plain = serde_json::to_string(&spec).unwrap();
+            let plain = serde_json::to_string(spec).unwrap();
             let old = plain.replace(at, &format!("{at}{retired}"));
             assert_ne!(old, plain, "fixture did not add {retired}");
             let back: ExperimentSpec = serde_json::from_str(&old).unwrap();
-            assert_eq!(back, spec, "{retired}");
+            assert_eq!(&back, spec, "{retired}");
+        }
+
+        // and as that release wrote them, where a `null` codec is `Lossless`
+        let full = ExperimentSpec::builder("full")
+            .coupling(Coupling::Internode)
+            .recovery(RecoveryPolicy::default())
+            .resources(ResourcePolicy::with_memory_budget(1 << 20))
+            .build()
+            .unwrap();
+        for (text, want) in [(PARENT_DEFAULT_SPEC, &plain), (PARENT_FULL_SPEC, &full)] {
+            let back: ExperimentSpec = serde_json::from_str(text).unwrap();
+            assert_eq!(&back, want);
+            assert_eq!(back.wire_compression, Codec::Lossless);
+            let quantized = text.replace(
+                "\"wire_compression\":null",
+                "\"wire_compression\":\"Quantize\"",
+            );
+            let back: ExperimentSpec = serde_json::from_str(&quantized).unwrap();
+            assert_eq!(back.wire_compression, Codec::Quantize);
         }
     }
 
@@ -1156,17 +1039,16 @@ mod tests {
     #[test]
     fn recovery_policy_defaults_and_validation() {
         let policy = RecoveryPolicy::default();
-        assert_eq!(policy.max_rank_losses, 1);
         assert!(policy.adopt);
         assert!(policy.validate().is_ok());
         // empty JSON object fills every default
         let parsed: RecoveryPolicy = serde_json::from_str("{}").unwrap();
         assert_eq!(parsed, policy);
         let bad = RecoveryPolicy {
-            max_rank_losses: 0,
+            heartbeat: HeartbeatPolicy { interval_ms: 0, ..Default::default() },
             ..Default::default()
         };
-        assert!(bad.validate().unwrap_err().contains("max_rank_losses"));
+        assert!(bad.validate().unwrap_err().contains("interval_ms"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::outcome::RankOutput;
 use super::staging::StagedData;
 use super::step::{sim_role, viz_role, RankCx, VizFabric, Wire};
-use crate::config::{Coupling, ExperimentSpec};
+use crate::config::{Coupling, ExperimentSpec, RecoveryPolicy};
 use crate::error::Result;
 use eth_data::io::pool::PayloadPool;
 use eth_sim::SimulationProxy;
@@ -38,7 +38,7 @@ impl RankCx {
             watch: self.live().map(|(live, board)| Watch {
                 board: board.clone(),
                 policy: live.recovery.heartbeat,
-                max_losses: live.recovery.max_rank_losses as usize,
+                max_losses: RecoveryPolicy::MAX_RANK_LOSSES,
             }),
         };
         let seats = roles

@@ -172,11 +172,6 @@ pub struct PhaseEnergy {
 }
 
 impl NativeOutcome {
-    /// First image of the run (the usual artifact for quality comparison).
-    pub fn first_image(&self) -> Option<&Image> {
-        self.images.first()
-    }
-
     /// One-paragraph human-readable summary.
     pub fn report(&self) -> String {
         let mut base = format!(

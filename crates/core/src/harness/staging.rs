@@ -282,7 +282,7 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     base.name = format!("{}-baseline", spec.name);
     base.sampling_ratio = 1.0;
     base.coupling = Coupling::Tight;
-    base.wire_compression = None;
+    base.wire_compression = eth_data::compress::Codec::Lossless;
     base.viz_ranks = None;
     base.fault_plan = None;
     base.recovery = None;
@@ -293,13 +293,11 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
 
 /// Pipeline configured with the step's global color range.
 pub(super) fn pipeline_for_step(spec: &ExperimentSpec, staged: &StagedData, step: usize) -> VizPipeline {
-    let mut options = eth_render::pipeline::RenderOptions {
+    let options = eth_render::pipeline::RenderOptions {
         scalar: Some(spec.application.default_scalar().to_string()),
-        tile: spec.render.and_then(|r| r.tile),
-        progressive: spec.render.and_then(|r| r.progressive_stride),
+        range: staged.scalar_ranges[step],
         ..Default::default()
     };
-    options.range = staged.scalar_ranges[step];
     VizPipeline::new(spec).with_options(options)
 }
 

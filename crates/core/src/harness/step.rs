@@ -19,7 +19,6 @@ use eth_transport::collectives::{
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::link::PairLink;
-use eth_transport::message::{decode_dataset_from, encode_dataset_in};
 use eth_transport::{FaultPlan, HeartbeatBoard, HeartbeatPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,40 +65,38 @@ impl Drop for Beater {
     }
 }
 
-/// Encode a block for a process boundary, honoring the spec's
-/// `wire_compression` codec. Compressed sends record raw-vs-compressed
-/// byte counters so campaigns can report what the codec actually bought
-/// on the wire. Either way the bytes sit in a buffer leased from the run's
-/// pool, which has it back once the far side (or whatever dropped the
-/// message on the way) lets go of it, and the block costs one `Encode`
-/// span carrying the payload's bytes.
+/// Encode a block for a process boundary with the spec's wire codec, into
+/// a buffer leased from the run's pool, which has it back once the far side
+/// (or whatever dropped the message on the way) lets go of it. The block
+/// costs one `Encode` span carrying the payload's bytes, and the raw and
+/// on-wire byte counters let campaigns report what the codec bought.
 pub(super) fn encode_block(spec: &ExperimentSpec, block: &DataObject, pool: &PayloadPool) -> Bytes {
-    match spec.wire_compression {
-        Some(codec) => {
-            let mut span = eth_obs::span(eth_obs::Phase::Encode);
-            let payload = codec.encode_in(block, pool);
-            span.set_bytes(payload.len() as u64);
-            eth_obs::count("wire_raw_bytes", eth_data::io::binary::encoded_len(block) as f64);
-            eth_obs::count("wire_compressed_bytes", payload.len() as f64);
-            payload
-        }
-        None => encode_dataset_in(block, pool),
-    }
+    let mut span = eth_obs::span(eth_obs::Phase::Encode);
+    let payload = spec.wire_compression.encode_in(block, pool);
+    span.set_bytes(payload.len() as u64);
+    let raw = eth_data::io::binary::encoded_len(block);
+    eth_obs::count("wire_raw_bytes", raw as f64);
+    eth_obs::count("wire_compressed_bytes", payload.len() as f64);
+    payload
 }
 
-/// Inverse of [`encode_block`]. `from` is the sending rank: uncompressed
-/// payloads verify their checksum trailer here, so in-flight corruption
-/// surfaces as [`TransportError::Corrupt`] attributed to the sender — the
-/// codec detects it, the chaos layer's own bookkeeping is not consulted.
-/// Either arm records one `Decode` span carrying the payload's bytes.
-fn decode_block(spec: &ExperimentSpec, from: usize, payload: Bytes) -> Result<DataObject> {
-    match spec.wire_compression {
-        Some(codec) => {
-            let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
-            Ok(codec.decode(payload)?)
-        }
-        None => Ok(decode_dataset_from(from, payload)?),
-    }
+/// Inverse of [`encode_block`], in one `Decode` span carrying the payload's
+/// bytes. `from` is the sending rank: a payload the codec rejects (a
+/// checksum mismatch, a truncated or malformed block) is a
+/// [`TransportError::Corrupt`] from the sender, so in-flight corruption is
+/// detected by the codec, not taken from the chaos layer's bookkeeping.
+fn decode_block(
+    spec: &ExperimentSpec,
+    from: usize,
+    payload: Bytes,
+) -> std::result::Result<DataObject, TransportError> {
+    let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
+    spec.wire_compression
+        .decode(payload)
+        .map_err(|e| TransportError::Corrupt {
+            peer: from,
+            detail: e.to_string(),
+        })
 }
 
 /// Budget for one block to arrive under liveness supervision when the
@@ -336,17 +333,14 @@ pub(super) fn drain(
     if received.as_ref().is_ok_and(Bytes::is_empty) {
         return Ok(None);
     }
-    match received
-        .map_err(CoreError::from)
-        .and_then(|payload| decode_block(&cx.spec, sim, payload))
-    {
-        Ok(block) => return Ok(Some(block)),
-        Err(e) if !cx.policy.tolerant => return Err(e),
-        Err(CoreError::Transport(e)) => deg.count(&e),
-        // the wire codec rejected the payload
-        Err(_) => deg.corrupt_payloads += 1,
+    match received.and_then(|payload| decode_block(&cx.spec, sim, payload)) {
+        Ok(block) => Ok(Some(block)),
+        Err(e) if !cx.policy.tolerant => Err(e.into()),
+        Err(e) => {
+            deg.count(&e);
+            Ok(None)
+        }
     }
-    Ok(None)
 }
 
 fn malformed_contribution() -> CoreError {

@@ -29,15 +29,15 @@
 //!   directory writes and a later run over the same directory restores,
 //! * [`results`] — result tables (markdown/CSV) for the experiment index,
 //! * [`calibrate`] — measures this host's kernel rates to fit the cluster
-//!   model's [`eth_cluster::Calibration`],
-//! * [`jobfile`] — the job-layout file of Section VII ("the job layout is
-//!   specified in a separate file").
+//!   model's [`eth_cluster::Calibration`].
+//!
+//! Section VII's job-layout file ("the job layout is specified in a
+//! separate file") is the spec itself, serialized as JSON.
 
 pub mod calibrate;
 pub mod config;
 pub mod error;
 pub mod harness;
-pub mod jobfile;
 pub mod journal;
 pub mod pipeline;
 pub mod results;
@@ -47,7 +47,7 @@ pub mod telemetry;
 
 pub use config::{
     Algorithm, Application, Coupling, ExperimentSpec, Handoff, MigrationPattern, MigrationPlan,
-    RecoveryPolicy, RenderTuning,
+    RecoveryPolicy,
 };
 pub use error::{CoreError, Result};
 pub use harness::{

@@ -42,8 +42,6 @@ impl VizPipeline {
     pub fn new(spec: &ExperimentSpec) -> VizPipeline {
         let options = RenderOptions {
             scalar: Some(spec.application.default_scalar().to_string()),
-            tile: spec.render.and_then(|r| r.tile),
-            progressive: spec.render.and_then(|r| r.progressive_stride),
             ..Default::default()
         };
         VizPipeline {

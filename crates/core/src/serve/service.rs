@@ -826,4 +826,33 @@ mod tests {
         assert_eq!(legacy.resources, None);
         let _ = fs::remove_dir_all(&root);
     }
+
+    /// The record the previous release's `reproduce serve` left when it was
+    /// killed right after admitting a two-point sweep, whitespace removed:
+    /// its spec still carries `render`, both watermarks, `max_rank_losses`
+    /// and a `null` wire codec.
+    const PARENT_RECORD: &str = r#"{"id":0,"request":{"tenant":"t","base":{"name":"resume","application":{"Hacc":{"particles":3000}},"algorithm":"GaussianSplat","coupling":"Intercore","ranks":2,"steps":1,"images_per_step":1,"width":24,"height":24,"sampling_ratio":1,"seed":42,"artifact_dir":null,"viz_ranks":null,"fault_plan":null,"recovery":{"heartbeat":{"interval_ms":25,"miss_budget":4},"max_rank_losses":1,"adopt":true},"migration":null,"render":{"tile":32,"progressive_stride":8},"resources":{"memory_budget_bytes":null,"disk_quota_bytes":null,"spill_dir":null,"low_watermark":0.5,"high_watermark":0.9},"wire_compression":null},"algorithms":[],"couplings":[],"sampling_ratios":[1,0.5],"rank_counts":[],"cancel_on_disconnect":false},"done":false,"summary":null}"#;
+
+    #[test]
+    fn a_record_the_parent_wrote_still_resumes() {
+        let root = std::env::temp_dir().join(format!(
+            "eth-serve-parent-record-{:x}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        let dir = root.join(format!("{CAMPAIGN_DIR_PREFIX}0000"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(SERVICE_FILE), PARENT_RECORD).unwrap();
+        let svc = Service::new(&root, ServicePolicy::default()).unwrap();
+        assert_eq!(svc.resume_existing().unwrap(), vec![0]);
+        let t0 = Instant::now();
+        while svc.status(0).unwrap().state == "running" {
+            assert!(t0.elapsed() < Duration::from_secs(60), "resume never ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let status = svc.status(0).unwrap();
+        assert_eq!(status.state, "done");
+        assert_eq!((status.points_done, status.points_failed), (2, 0));
+        let _ = fs::remove_dir_all(&root);
+    }
 }

@@ -45,7 +45,6 @@ fn recovery(adopt: bool) -> RecoveryPolicy {
             interval_ms: 10,
             miss_budget: 30,
         },
-        max_rank_losses: 1,
         adopt,
     }
 }

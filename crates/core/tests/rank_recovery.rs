@@ -22,7 +22,6 @@ fn fast_recovery() -> RecoveryPolicy {
             interval_ms: 10,
             miss_budget: 3,
         },
-        max_rank_losses: 1,
         adopt: true,
     }
 }
@@ -149,7 +148,6 @@ fn migration_interleaved_with_kill_is_deterministic_and_tagged() {
             interval_ms: 10,
             miss_budget: 30,
         },
-        max_rank_losses: 1,
         adopt: true,
     };
 

@@ -81,11 +81,6 @@ impl ClusterExperiment {
         self
     }
 
-    pub fn with_images_per_step(mut self, images: u32) -> Self {
-        self.workload.images_per_step = images;
-        self
-    }
-
     pub fn with_sim_ops(mut self, ops_per_element: f64) -> Self {
         self.workload.sim_ops_per_element = ops_per_element;
         self

@@ -34,11 +34,6 @@ impl Aabb {
         Aabb::new(Vec3::ZERO, Vec3::ONE)
     }
 
-    /// Cube centered at the origin with the given half-extent.
-    pub fn centered_cube(half: f32) -> Self {
-        Aabb::new(Vec3::splat(-half), Vec3::splat(half))
-    }
-
     /// Box tightly covering a set of points. Empty for an empty slice.
     pub fn from_points(points: &[Vec3]) -> Self {
         let mut b = Aabb::empty();

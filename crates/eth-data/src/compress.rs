@@ -29,16 +29,17 @@ use serde::{Deserialize, Serialize};
 
 const MAGIC: &[u8; 4] = b"EBC1";
 
-/// A named block codec: the unit of choice for the wire format and the
-/// spill format. `Quantize` is the bounded-error scheme this module
-/// implements (`EBC1`); `Lossless` is the CRC-trailed binary format
+/// A named block codec: the one place that decides the wire format.
+/// `Quantize` is the bounded-error scheme this module implements (`EBC1`);
+/// `Lossless`, the default, is the CRC-trailed binary format
 /// ([`crate::io::binary`], `EBD3`) — bigger on the wire, but blocks
-/// round-trip byte-identically, which is what staging spill requires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// round-trip byte-identically.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Codec {
     /// 16-bit positions / 8-bit attributes (lossy, ~2-4x smaller).
     Quantize,
     /// Full-precision binary encoding with a CRC-32 trailer.
+    #[default]
     Lossless,
 }
 
@@ -175,10 +176,16 @@ fn put_attr(buf: &mut AlignedBuf, name: &str, attr: &Attribute) {
 }
 
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(DataError::Format(format!("truncated compressed {what}")))
-    } else {
-        Ok(())
+    need_items(buf, n, 0, 0, what)
+}
+
+/// `header` bytes and then `count` items of `item` bytes each must remain
+/// in `buf`. A count no payload could hold is truncation, not an overflow,
+/// so every array decoded after this check is bounded by the payload.
+fn need_items(buf: &Bytes, header: usize, count: usize, item: usize, what: &str) -> Result<()> {
+    match count.checked_mul(item).and_then(|n| n.checked_add(header)) {
+        Some(n) if buf.remaining() >= n => Ok(()),
+        _ => Err(DataError::Format(format!("truncated compressed {what}"))),
     }
 }
 
@@ -195,7 +202,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
     let count = buf.get_u64_le() as usize;
     let attr = match ty {
         ATTR_SCALAR_Q8 => {
-            need(buf, 8 + count, "scalar payload")?;
+            need_items(buf, 8, count, 1, "scalar payload")?;
             let lo = buf.get_f32_le();
             let hi = buf.get_f32_le();
             let mut v = Vec::with_capacity(count);
@@ -205,7 +212,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
             Attribute::Scalar(v.into())
         }
         ATTR_VECTOR_Q8 => {
-            need(buf, 24 + count * 3, "vector payload")?;
+            need_items(buf, 24, count, 3, "vector payload")?;
             let lo = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
             let hi = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
             let mut v = Vec::with_capacity(count);
@@ -218,7 +225,7 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
             Attribute::Vector(v.into())
         }
         ATTR_ID_RAW => {
-            need(buf, count * 8, "id payload")?;
+            need_items(buf, 0, count, 8, "id payload")?;
             let mut v = Vec::with_capacity(count);
             for _ in 0..count {
                 v.push(buf.get_u64_le());
@@ -324,7 +331,7 @@ pub fn decompress(mut buf: Bytes) -> Result<DataObject> {
             let count = buf.get_u64_le() as usize;
             let lo = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
             let hi = Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
-            need(&buf, count * 6, "positions")?;
+            need_items(&buf, 0, count, 6, "positions")?;
             let mut pos = Vec::with_capacity(count);
             for _ in 0..count {
                 let x = dequantize(buf.get_u16_le() as u32, lo.x, hi.x, 65536);

@@ -81,13 +81,6 @@ impl Attribute {
         }
     }
 
-    pub fn as_vector(&self) -> Option<&[Vec3]> {
-        match self {
-            Attribute::Vector(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_id(&self) -> Option<&[u64]> {
         match self {
             Attribute::Id(v) => Some(v),

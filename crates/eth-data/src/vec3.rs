@@ -129,11 +129,6 @@ impl Vec3 {
     pub fn to_array(self) -> [f32; 3] {
         [self.x, self.y, self.z]
     }
-
-    #[inline]
-    pub fn from_array(a: [f32; 3]) -> Self {
-        Vec3::new(a[0], a[1], a[2])
-    }
 }
 
 impl Add for Vec3 {

@@ -529,3 +529,94 @@ proptest! {
         }
     }
 }
+
+/// `compress::decompress` of `raw` — `Ok` or `Err`, a panic fails the test
+/// — and the largest allocation the call made.
+fn decompress_noting_allocations(raw: &[u8]) -> (Result<DataObject, DataError>, usize) {
+    let bytes = Bytes::from(raw.to_vec());
+    LARGEST.with(|largest| largest.set(0));
+    let decoded = compress::decompress(bytes);
+    (decoded, LARGEST.with(|largest| largest.get()))
+}
+
+/// Two `EBC1` blocks whose element counts wrap the size check: a point
+/// count of `0x2AAA_AAAA_AAAA_AAAB` (times 6 bytes a point is 2) and, on an
+/// empty cloud, an id attribute of `0x2000_0000_0000_0001` ids (times 8 is
+/// 8), each followed by the bytes the wrapped size asks for. Debug builds
+/// used to stop on the multiplication, release builds on the capacity.
+fn hostile_ebc1() -> [Vec<u8>; 2] {
+    let header = |count: u64| {
+        let mut raw = b"EBC1".to_vec();
+        raw.push(1); // points
+        raw.extend_from_slice(&count.to_le_bytes());
+        raw.extend_from_slice(&[0; 24]); // bounds
+        raw
+    };
+    let mut points = header(0x2AAA_AAAA_AAAA_AAAB);
+    points.extend_from_slice(&[0; 2]);
+    let mut ids = header(0);
+    ids.extend_from_slice(&1u32.to_le_bytes()); // one attribute
+    ids.extend_from_slice(&1u32.to_le_bytes());
+    ids.push(b'i');
+    ids.push(2); // verbatim ids
+    ids.extend_from_slice(&0x2000_0000_0000_0001u64.to_le_bytes());
+    ids.extend_from_slice(&[0; 8]);
+    [points, ids]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ROADMAP 1d for `EBC1`: `compress::decompress` is total. Arbitrary
+    /// bytes (bare and behind the magic), a valid payload with any one byte
+    /// flipped, every truncation of it, and the two wrapping counts above
+    /// all come back `Ok` or `Err` without a panic — this runs in debug,
+    /// where arithmetic overflow is one — and without an allocation sized
+    /// by a claimed count.
+    #[test]
+    fn decompress_is_total(
+        noise in prop::collection::vec(0u16..256, 0..96),
+        kind in 1u8..3,
+        flip in 1u16..256,
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        let mut behind_magic = b"EBC1".to_vec();
+        behind_magic.push(kind);
+        behind_magic.extend_from_slice(&noise);
+
+        let mut grid = UniformGrid::new([2, 3, 2], Vec3::ZERO, Vec3::ONE).unwrap();
+        grid.set_attribute("f", Attribute::Scalar(vec![0.5; 12].into())).unwrap();
+        let mut cloud = PointCloud::from_positions(vec![Vec3::ONE, Vec3::ZERO]);
+        cloud.set_attribute("id", Attribute::Id(vec![7, 8].into())).unwrap();
+        cloud.set_attribute("v", Attribute::Vector(vec![Vec3::ONE; 2].into())).unwrap();
+        cloud.set_attribute("s", Attribute::Scalar(vec![1.0, 2.0].into())).unwrap();
+        let valid = if kind == 1 { DataObject::Points(cloud) } else { DataObject::Grid(grid) };
+        let encoded = compress::compress(&valid).to_vec();
+        prop_assert!(compress::decompress(encoded.clone().into()).is_ok());
+
+        let mut cases = vec![noise, behind_magic];
+        cases.extend(hostile_ebc1());
+        for at in 0..encoded.len() {
+            let mut flipped = encoded.clone();
+            flipped[at] ^= flip as u8;
+            cases.push(flipped);
+            cases.push(encoded[..at].to_vec());
+        }
+        for raw in &cases {
+            let len = raw.len();
+            let (_, largest) = decompress_noting_allocations(raw);
+            prop_assert!(
+                largest <= allocation_bound(len),
+                "decompressing {len} bytes allocated {largest} at once"
+            );
+        }
+        for raw in hostile_ebc1() {
+            let (got, _) = decompress_noting_allocations(&raw);
+            prop_assert!(matches!(got, Err(DataError::Format(_))), "{got:?}");
+        }
+        for cut in 0..encoded.len() {
+            let (got, _) = decompress_noting_allocations(&encoded[..cut]);
+            prop_assert!(got.is_err(), "a {cut}-byte prefix decoded");
+        }
+    }
+}

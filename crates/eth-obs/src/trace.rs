@@ -55,20 +55,6 @@ impl Trace {
         })
     }
 
-    /// All step boundary marks as `(step, ts_ns)`, sorted by timestamp.
-    pub fn step_marks(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Step { step, ts_ns, .. } => Some((*step, *ts_ns)),
-                _ => None,
-            })
-            .collect();
-        out.sort_by_key(|&(_, ts)| ts);
-        out
-    }
-
     /// Named counter totals (sums over every `count()` call).
     pub fn counts(&self) -> BTreeMap<&'static str, f64> {
         let mut out = BTreeMap::new();

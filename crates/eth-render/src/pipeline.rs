@@ -157,12 +157,6 @@ pub struct RenderStats {
     pub render_time: Duration,
 }
 
-impl RenderStats {
-    pub fn total_time(&self) -> Duration {
-        self.build_time + self.render_time
-    }
-}
-
 /// Result of one frame.
 pub struct RenderOutput {
     pub framebuffer: Framebuffer,

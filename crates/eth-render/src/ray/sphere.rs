@@ -108,10 +108,6 @@ impl<'a> SphereRaycaster<'a> {
         self.bvh.build_ops()
     }
 
-    pub fn num_particles(&self) -> usize {
-        self.bvh.num_primitives()
-    }
-
     /// Shade one hit (or miss) into a `(depth, color)` fragment.
     #[inline]
     fn shade(

@@ -1,4 +1,4 @@
-//! Wire framing and dataset payload helpers.
+//! Wire framing.
 //!
 //! Frame layout (little-endian):
 //!
@@ -26,16 +26,13 @@
 //! happens to match.
 //!
 //! The same framing is used on sockets; the local backend passes the
-//! decoded tuple directly. Dataset payloads reuse `eth_data::io::binary`
-//! (the `.ebd` encoding), so shipping a block across ranks costs one
-//! serialization, not two.
+//! decoded tuple directly. A frame's payload is opaque here: which bytes a
+//! data block becomes on the wire is `eth_data::compress::Codec`'s choice,
+//! and a decoded block's arrays can view the received payload in place.
 
 use crate::comm::{Result, TransportError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use eth_data::io::aligned::AlignedBuf;
-use eth_data::io::binary;
-use eth_data::io::pool::PayloadPool;
-use eth_data::DataObject;
 use eth_obs::SpanContext;
 use std::io::{Read, Write};
 
@@ -161,53 +158,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     read_frame_limited(r, MAX_PAYLOAD)
 }
 
-fn encode_spanned(encode: impl FnOnce() -> Bytes) -> Bytes {
-    let mut span = eth_obs::span(eth_obs::Phase::Encode);
-    let bytes = encode();
-    span.set_bytes(bytes.len() as u64);
-    bytes
-}
-
-/// Encode a dataset for shipping into a buffer leased from `pool`, which
-/// gets it back when the last handle to the payload (and the last array
-/// decoded from it) drops — wherever the message ends up. The encoder
-/// knows the exact size up front ([`encoded_dataset_len`]), so the payload
-/// is written with no growth copies.
-pub fn encode_dataset_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
-    encode_spanned(|| binary::encode_in(obj, pool))
-}
-
-/// Exact byte length [`encode_dataset_in`] produces for `obj`, without
-/// encoding — lets senders size frames or budgets up front.
-pub fn encoded_dataset_len(obj: &DataObject) -> usize {
-    binary::encoded_len(obj)
-}
-
-/// Decode a dataset payload; its arrays view `payload`.
-pub fn decode_dataset(payload: Bytes) -> Result<DataObject> {
-    let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
-    binary::decode(payload).map_err(|e| TransportError::Decode(e.to_string()))
-}
-
-/// Decode a dataset payload received from rank `from`, classifying
-/// failures: a checksum mismatch (the payload was altered in flight or at
-/// rest) surfaces as [`TransportError::Corrupt`] attributed to the sender,
-/// while framing/parse failures stay [`TransportError::Decode`]. This is
-/// what lets the harness count chaos-injected payload corruption as a
-/// *detected* degradation at the codec layer rather than trusting the
-/// injector's own bookkeeping.
-pub fn decode_dataset_from(from: usize, payload: Bytes) -> Result<DataObject> {
-    let _span = eth_obs::span_bytes(eth_obs::Phase::Decode, payload.len() as u64);
-    binary::decode(payload).map_err(|e| match e {
-        eth_data::DataError::Corrupt(detail) => TransportError::Corrupt { peer: from, detail },
-        other => TransportError::Decode(other.to_string()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eth_data::{PointCloud, Vec3};
 
     #[test]
     fn frame_roundtrip_over_a_buffer() {
@@ -360,62 +313,21 @@ mod tests {
 
     #[test]
     fn dataset_payload_roundtrip() {
+        use eth_data::io::binary;
+        use eth_data::{DataObject, PointCloud, Vec3};
         let obj = DataObject::Points(PointCloud::from_positions(vec![
             Vec3::ONE,
             Vec3::new(2.0, 3.0, 4.0),
         ]));
-        let payload = encode_dataset_in(&obj, &PayloadPool::new());
-        let back = decode_dataset(payload.clone()).unwrap();
-        assert_eq!(obj, back);
+        let payload = binary::encode(&obj);
         // through the framing: the decoded positions are the frame's bytes
         let mut wire = Vec::new();
         write_frame(&mut wire, 1, 2, None, &payload).unwrap();
         let frame = read_frame(&mut wire.as_slice()).unwrap();
         let range = frame.payload.as_ptr_range();
-        let back = decode_dataset(frame.payload.clone()).unwrap();
+        let back = binary::decode(frame.payload.clone()).unwrap();
         let positions = back.as_points().unwrap().positions().as_ptr_range();
         assert!(range.start <= positions.start.cast() && positions.end.cast() <= range.end);
-        assert_eq!(obj, back);
-    }
-
-    #[test]
-    fn encoded_dataset_len_matches_encode() {
-        let mut cloud = PointCloud::from_positions(vec![Vec3::ONE, Vec3::ZERO, Vec3::ONE]);
-        cloud
-            .set_attribute("rho", eth_data::Attribute::Scalar(vec![1.0, 2.0, 3.0].into()))
-            .unwrap();
-        let obj = DataObject::Points(cloud);
-        assert_eq!(
-            encode_dataset_in(&obj, &PayloadPool::new()).len(),
-            encoded_dataset_len(&obj)
-        );
-    }
-
-    #[test]
-    fn garbage_dataset_payload_errors() {
-        assert!(decode_dataset(Bytes::from_static(b"not a dataset")).is_err());
-    }
-
-    #[test]
-    fn corrupted_dataset_payload_is_attributed_to_the_sender() {
-        let obj = DataObject::Points(PointCloud::from_positions(vec![
-            Vec3::ONE,
-            Vec3::new(2.0, 3.0, 4.0),
-        ]));
-        let pool = PayloadPool::new();
-        let mut bytes = encode_dataset_in(&obj, &pool).to_vec();
-        // flip a body byte (past the magic), exactly what the chaos wrapper does
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        match decode_dataset_from(7, Bytes::from(bytes)) {
-            Err(TransportError::Corrupt { peer, detail }) => {
-                assert_eq!(peer, 7);
-                assert!(detail.contains("checksum"), "{detail}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        // a clean payload still decodes through the attributed path
-        let back = decode_dataset_from(7, encode_dataset_in(&obj, &pool)).unwrap();
         assert_eq!(obj, back);
     }
 

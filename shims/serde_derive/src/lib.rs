@@ -5,7 +5,8 @@
 //! Supported shapes — exactly what this workspace derives on:
 //! - named-field structs
 //! - enums with unit, tuple, and struct variants (externally tagged)
-//! - `#[serde(default)]` and `#[serde(default = "path")]` on fields
+//! - `#[serde(default)]` and `#[serde(default = "path")]` on fields; such a
+//!   field reads an explicit `null` as absent
 //! - `Option<T>` fields are implicitly optional (missing key -> `None`)
 //! - keys no field names are ignored
 //!
@@ -327,13 +328,21 @@ fn field_init_list(owner: &str, fields: &[Field], src: &str) -> String {
     fields
         .iter()
         .map(|f| {
+            // a defaulted field reads `null` as absent, so a field that was
+            // an `Option` keeps loading after it becomes a plain value
+            let null_is_absent = match f.default {
+                DefaultKind::Required => "",
+                _ if f.is_option => "",
+                _ => ".filter(|__x| !__x.is_null())",
+            };
             format!(
-                "{0}: match ::serde::field({src}, \"{0}\") {{\n\
+                "{0}: match ::serde::field({src}, \"{0}\"){2} {{\n\
                     ::std::option::Option::Some(__x) => ::serde::Deserialize::deserialize_value(__x)?,\n\
                     ::std::option::Option::None => {1},\n\
                 }},",
                 f.name,
-                missing_field_expr(owner, f)
+                missing_field_expr(owner, f),
+                null_is_absent
             )
         })
         .collect()

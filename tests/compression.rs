@@ -16,7 +16,9 @@ fn spec(name: &str, compressed: bool) -> ExperimentSpec {
         .image_size(64, 64)
         .build()
         .unwrap();
-    spec.wire_compression = compressed.then_some(compress::Codec::Quantize);
+    if compressed {
+        spec.wire_compression = compress::Codec::Quantize;
+    }
     spec
 }
 

@@ -5,8 +5,8 @@
 use eth::data::field::Attribute;
 use eth::data::io::binary::{decode, encode, encoded_len};
 use eth::data::{DataObject, PointCloud, UniformGrid, Vec3};
+use eth::data::compress::Codec;
 use eth::data::io::pool::PayloadPool;
-use eth::transport::message::{decode_dataset, encode_dataset_in, encoded_dataset_len};
 use proptest::prelude::*;
 
 fn arb_vec3() -> impl Strategy<Value = Vec3> {
@@ -78,12 +78,18 @@ proptest! {
         prop_assert_eq!(obj, back);
     }
 
-    /// The transport-layer wrappers agree with the data-layer encoder.
+    /// The wire codec's default, into a leased buffer, agrees with the
+    /// data-layer encoder, and its decode views the payload in place.
     #[test]
     fn transport_wrappers_agree(obj in arb_points()) {
-        let payload = encode_dataset_in(&obj, &PayloadPool::new());
-        prop_assert_eq!(payload.len(), encoded_dataset_len(&obj));
-        let back = decode_dataset(payload).unwrap();
+        let payload = Codec::Lossless.encode_in(&obj, &PayloadPool::new());
+        prop_assert_eq!(payload.len(), encoded_len(&obj));
+        prop_assert_eq!(&payload, &encode(&obj));
+        let range = payload.as_ptr_range();
+        let back = Codec::Lossless.decode(payload.clone()).unwrap();
+        let positions = back.as_points().unwrap().positions().as_ptr_range();
+        prop_assert!(positions.start == positions.end
+            || (range.start <= positions.start.cast() && positions.end.cast() <= range.end));
         prop_assert_eq!(obj, back);
     }
 
