@@ -12,7 +12,7 @@ use eth_transport::layout::LayoutFile;
 use eth_transport::link::FabricLink;
 use eth_transport::local::LocalFabric;
 use eth_transport::runner::{launch, Seat, Supervision, Watch};
-use eth_transport::socket::{connect_to, listen_as, BOOTSTRAP_TIMEOUT};
+use eth_transport::socket::{connect_leasing, listen_leasing, BOOTSTRAP_TIMEOUT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -160,8 +160,9 @@ fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
                 let mut wires = Vec::new();
                 for sim in (0..r).filter(|&sim| cx.spec.initial_owner(sim) == v) {
                     // the viz rank announces its own rank on the pair link,
-                    // so frames and errors on both ends carry true identities
-                    let chan = connect_to(&layout, sim, v, BOOTSTRAP_TIMEOUT)?;
+                    // so frames and errors on both ends carry true
+                    // identities; its reader receives into the run's pool
+                    let chan = connect_leasing(&layout, sim, v, BOOTSTRAP_TIMEOUT, &cx.payloads)?;
                     wires.push((sim, Wire::Link(cx.link(chan))));
                 }
                 let fabric = VizFabric {
@@ -178,7 +179,7 @@ fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
         roles.push((
             rank,
             Box::new(move |cx| {
-                let link = cx.link(listen_as(&layout, rank)?);
+                let link = cx.link(listen_leasing(&layout, rank, &cx.payloads)?);
                 sim_role(cx, rank, link.as_ref())
             }),
         ));

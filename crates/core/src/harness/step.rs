@@ -175,8 +175,9 @@ pub(super) struct RankCx {
     pub(super) staged: Arc<StagedData>,
     pub(super) policy: StepPolicy,
     pub(super) board: Option<Arc<HeartbeatBoard>>,
-    /// Where simulation ranks lease the buffers they encode into.
-    payloads: PayloadPool,
+    /// Where simulation ranks lease the buffers they encode into, and
+    /// socket readers the buffers they receive into.
+    pub(super) payloads: PayloadPool,
 }
 
 impl RankCx {

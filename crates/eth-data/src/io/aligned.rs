@@ -18,6 +18,10 @@ const WORD: usize = std::mem::size_of::<u64>();
 
 const _: () = assert!(ALIGN == 8 && WORD == 8);
 
+/// How far [`AlignedBuf::read_from`] zero-extends a buffer ahead of the
+/// bytes that have arrived.
+const FILL_STEP: usize = 64 << 10;
+
 /// A growable byte buffer aligned to [`ALIGN`]. Frozen into [`Bytes`] with
 /// [`AlignedBuf::freeze`], it is the owner the bytes (and any array viewing
 /// them) keep alive.
@@ -88,6 +92,37 @@ impl AlignedBuf {
         }
         buf.len = filled;
         Ok(buf)
+    }
+
+    /// Append up to `want` bytes from `r`, stopping early only where `r`
+    /// ends; returns how many arrived. Words an earlier fill initialised
+    /// are read into as they stand, so a recycled buffer is not zeroed
+    /// again; past them the buffer is zero-extended at most one 64 KiB
+    /// step ahead of what has arrived, so a stream that ends early leaves
+    /// no zeroed tail to speak of, whatever `want` claimed.
+    pub fn read_from(&mut self, r: &mut impl Read, want: usize) -> std::io::Result<usize> {
+        let start = self.len;
+        let end = start.saturating_add(want);
+        while self.len < end {
+            let filled = self.len;
+            let initialised = self.words.len() * WORD;
+            let window = if filled < initialised {
+                initialised
+            } else {
+                filled.saturating_add(FILL_STEP)
+            };
+            let window = window.min(end);
+            self.resize(window);
+            let read = r.read(&mut self.as_mut_bytes()[filled..]);
+            self.len = filled;
+            match read {
+                Ok(0) => break,
+                Ok(n) => self.len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self.len - start)
     }
 
     pub fn len(&self) -> usize {
@@ -214,5 +249,49 @@ mod tests {
                 assert_eq!(buf.capacity(), hint.next_multiple_of(8));
             }
         }
+    }
+
+    #[test]
+    fn read_from_takes_what_is_wanted_and_stops_at_the_end() {
+        let src: Vec<u8> = (0..=255).cycle().take(3 * FILL_STEP + 5).collect();
+        let mut buf = AlignedBuf::copy_from_slice(b"head");
+        assert_eq!(
+            buf.read_from(&mut &src[..], 2 * FILL_STEP + 1).unwrap(),
+            2 * FILL_STEP + 1
+        );
+        assert_eq!(&buf.as_bytes()[4..], &src[..2 * FILL_STEP + 1]);
+        let mut buf = AlignedBuf::new();
+        assert_eq!(buf.read_from(&mut &src[..], usize::MAX).unwrap(), src.len());
+        assert_eq!(buf.as_bytes(), &src[..]);
+        assert!(aligned(buf.as_bytes()));
+        assert_eq!(buf.read_from(&mut &src[..0], 10).unwrap(), 0);
+    }
+
+    #[test]
+    fn read_from_zeroes_a_fresh_buffer_one_step_ahead_and_a_recycled_one_not_at_all() {
+        // a fresh buffer sized for 8 MiB that receives 100 bytes has
+        // initialised one step, not 8 MiB
+        let mut fresh = AlignedBuf::with_capacity(8 << 20);
+        assert_eq!(fresh.read_from(&mut &[7u8; 100][..], 8 << 20).unwrap(), 100);
+        assert_eq!(fresh.words.len() * WORD, FILL_STEP);
+        assert_eq!(fresh.capacity(), 8 << 20);
+
+        // a recycled buffer is read into as it stands: no word past the
+        // new bytes changes, and the storage is the same allocation
+        let mut recycled = AlignedBuf::copy_from_slice(&vec![0xAA; 3 * FILL_STEP]);
+        let (words, storage) = (recycled.words.len(), recycled.words.as_ptr());
+        recycled.clear();
+        let src = vec![1u8; 2 * FILL_STEP + 3];
+        assert_eq!(
+            recycled.read_from(&mut &src[..], usize::MAX).unwrap(),
+            src.len()
+        );
+        assert_eq!(recycled.as_bytes(), &src[..]);
+        assert_eq!(
+            (recycled.words.len(), recycled.words.as_ptr()),
+            (words, storage)
+        );
+        recycled.resize(3 * FILL_STEP);
+        assert!(recycled.as_bytes()[src.len()..].iter().all(|&b| b == 0xAA));
     }
 }

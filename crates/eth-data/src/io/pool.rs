@@ -2,12 +2,14 @@
 //!
 //! A loosely-coupled step encodes every block into a buffer of tens of
 //! megabytes on one rank's thread and drops it on another's (the
-//! visualization rank, after decode; the socket writer, after the send).
-//! Left to the allocator, that buffer is mapped, faulted in page by page
-//! and unmapped again every block of every step — a cost the simulation a
-//! proxy stands for never pays, because it reuses its send buffers.
+//! visualization rank, after decode; the socket writer, after the send),
+//! and across a socket the receiving end reads the same bytes into a
+//! buffer of its own. Left to the allocator, each buffer is mapped,
+//! faulted in page by page and unmapped again every block of every step —
+//! a cost the simulation a proxy stands for never pays, because it reuses
+//! its send and receive buffers.
 //!
-//! [`PayloadPool`] gives the buffer an owner that outlives the step: it
+//! [`PayloadPool`] gives the buffers an owner that outlives the step: it
 //! [`lease`](PayloadPool::lease)s an [`AlignedBuf`] and takes it back when
 //! the [`Lease`] drops. A lease frozen into a [`Bytes`] drops with the
 //! *last* handle to it, on whichever thread and by whichever path — the
@@ -31,8 +33,10 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 pub const FLOOR_BYTES: usize = 1 << 20;
 
 /// Most buffers parked at once: the blocks one step of a two-rank pair
-/// run has in flight, with one step of simulation run-ahead.
-pub const PARKED_MAX: usize = 4;
+/// run has in flight, with one step of simulation run-ahead, at both ends
+/// of a socket wire (2 ranks × 2 steps × 2 ends). A local fabric's two
+/// ends share one buffer and never fill half of it.
+pub const PARKED_MAX: usize = 8;
 
 /// Counts since the pool was made. `leased - returned` leases are out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

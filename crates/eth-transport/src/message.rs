@@ -29,10 +29,13 @@
 //! decoded tuple directly. A frame's payload is opaque here: which bytes a
 //! data block becomes on the wire is `eth_data::compress::Codec`'s choice,
 //! and a decoded block's arrays can view the received payload in place.
+//! The payload is read into a buffer leased from the caller's
+//! [`PayloadPool`], the one the sending end encodes into, so a warm
+//! stream of same-sized frames reads into buffers already mapped.
 
 use crate::comm::{Result, TransportError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use eth_data::io::aligned::AlignedBuf;
+use eth_data::io::pool::PayloadPool;
 use eth_obs::SpanContext;
 use std::io::{Read, Write};
 
@@ -53,7 +56,7 @@ pub const FRAME_MAGIC_V2: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x02]);
 /// fields). Use [`read_frame_limited`] to tighten it per channel.
 pub const MAX_PAYLOAD: u64 = 1 << 34; // 16 GiB
 
-/// Largest payload buffer reserved on the strength of the length prefix
+/// Largest payload buffer leased on the strength of the length prefix
 /// alone; longer payloads grow as their bytes arrive.
 const PAYLOAD_RESERVE_CAP: u64 = 64 << 20;
 
@@ -96,12 +99,13 @@ pub fn write_frame(
     Ok(())
 }
 
-/// Read one frame from a stream (blocking), accepting payloads up to
-/// `max_payload` bytes and either frame version. A wrong magic word or an
-/// oversized length prefix fails with [`TransportError::Decode`] before
-/// any payload allocation; a stream that ends before `len` payload bytes
-/// is an error, never a truncated [`Frame`].
-pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> {
+/// Read one frame from a stream (blocking) into a buffer leased from
+/// `pool`, accepting payloads up to `max_payload` bytes and either frame
+/// version. A wrong magic word or an oversized length prefix fails with
+/// [`TransportError::Decode`] before any payload allocation; a stream that
+/// ends before `len` payload bytes is an error, never a truncated
+/// [`Frame`], and its lease is back in `pool` when the error returns.
+pub fn read_frame_leased(r: &mut impl Read, max_payload: u64, pool: &PayloadPool) -> Result<Frame> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header)?;
     let mut h = &header[..];
@@ -128,17 +132,18 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> 
     } else {
         None
     };
-    // The length prefix is a claim until the bytes arrive: reserve at most
+    // The length prefix is a claim until the bytes arrive: lease at most
     // `PAYLOAD_RESERVE_CAP` up front and let the buffer grow as the stream
     // delivers, so a corrupt or hostile prefix cannot make this allocate
-    // gigabytes. The buffer is 8-aligned, so a dataset decoded from it
-    // views it in place (`eth_data::io::binary::decode`).
-    let payload = AlignedBuf::read_to_end(
-        &mut r.by_ref().take(len),
-        len.min(PAYLOAD_RESERVE_CAP) as usize,
-    )?;
-    let got = payload.len() as u64;
-    if got != len {
+    // gigabytes, nor zero more than a step past the bytes that came. The
+    // buffer is 8-aligned, so a dataset decoded from it views it in place
+    // (`eth_data::io::binary::decode`).
+    let want = usize::try_from(len).map_err(|_| {
+        TransportError::Decode(format!("frame length {len} exceeds the address space"))
+    })?;
+    let mut lease = pool.lease(len.min(PAYLOAD_RESERVE_CAP) as usize);
+    let got = lease.buf().read_from(r, want)?;
+    if got != want {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             format!("frame payload ended after {got} of {len} bytes"),
@@ -149,8 +154,14 @@ pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> 
         from,
         tag,
         ctx,
-        payload: payload.freeze(),
+        payload: lease.freeze(),
     })
+}
+
+/// [`read_frame_leased`] from a pool of its own: a buffer of the frame's
+/// size is allocated for it and freed with the payload.
+pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> {
+    read_frame_leased(r, max_payload, &PayloadPool::new())
 }
 
 /// Read one frame with the default [`MAX_PAYLOAD`] guard.
@@ -337,6 +348,158 @@ mod tests {
         write_frame(&mut wire, 9, 1, None, &Bytes::new()).unwrap();
         let f = read_frame(&mut wire.as_slice()).unwrap();
         assert!(f.payload.is_empty());
+    }
+
+    /// The system allocator, noting the largest single request each thread
+    /// has made: a length prefix may make the reader lease no more than
+    /// `PAYLOAD_RESERVE_CAP` on its word alone.
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: a thread being torn down may allocate after its
+        // locals are gone
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; `note` touches only a `Cell<usize>`
+    // thread-local with a const initializer and no destructor, so it
+    // neither allocates nor unwinds.
+    unsafe impl std::alloc::GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: LargestRequest = LargestRequest;
+
+    #[test]
+    fn a_claimed_length_followed_by_eof_leases_at_most_the_reserve_cap() {
+        for claim in [60u64 << 20, 8 << 30] {
+            let mut wire = BytesMut::new();
+            wire.put_u32_le(FRAME_MAGIC);
+            wire.put_u32_le(1);
+            wire.put_u32_le(2);
+            wire.put_u64_le(claim);
+            wire.extend_from_slice(&[0xAB; 100]);
+            let pool = PayloadPool::new();
+            LARGEST.with(|largest| largest.set(0));
+            let read = read_frame_leased(&mut &wire[..], MAX_PAYLOAD, &pool);
+            let largest = LARGEST.with(|largest| largest.get());
+            assert!(
+                matches!(read, Err(TransportError::Io(_))),
+                "{claim}: {read:?}"
+            );
+            assert!(
+                largest as u64 <= PAYLOAD_RESERVE_CAP,
+                "{claim}: asked for {largest} bytes"
+            );
+            let stats = pool.stats();
+            assert_eq!((stats.leased, stats.returned), (1, 1), "{claim}");
+        }
+    }
+
+    mod pooled {
+        use super::*;
+        use eth_data::io::pool::FLOOR_BYTES;
+        use proptest::prelude::*;
+
+        /// A pool holding `capacities.len()` parked buffers, each filled
+        /// to its capacity with 0xAA.
+        fn dirty_pool(capacities: &[usize]) -> PayloadPool {
+            let pool = PayloadPool::new();
+            let leases: Vec<_> = capacities
+                .iter()
+                .map(|&cap| {
+                    let mut lease = pool.lease(cap);
+                    let room = lease.buf().capacity();
+                    lease.buf().resize(room);
+                    lease.buf().as_mut_bytes().fill(0xAA);
+                    lease
+                })
+                .collect();
+            drop(leases);
+            pool
+        }
+
+        fn wire_of(len: usize, seed: u8) -> (Bytes, Vec<u8>) {
+            let payload: Bytes = (0..len)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+                .collect::<Vec<u8>>()
+                .into();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, 3, 9, None, &payload).unwrap();
+            (payload, wire)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Frames on either side of `FLOOR_BYTES`, read through a pool
+            /// of dirty parked buffers, are the frames a fresh read gives,
+            /// byte for byte; and every lease comes back.
+            #[test]
+            fn pooled_reads_equal_fresh_reads(
+                around in 0usize..2 * FLOOR_BYTES,
+                seed in 0u8..255,
+                parked in prop::collection::vec(FLOOR_BYTES / 2..3 * FLOOR_BYTES, 0..4),
+            ) {
+                let len = FLOOR_BYTES / 2 + around;
+                let (payload, wire) = wire_of(len, seed);
+                let pool = dirty_pool(&parked);
+                let pooled = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &pool).unwrap();
+                let fresh = read_frame(&mut wire.as_slice()).unwrap();
+                prop_assert_eq!(&pooled, &fresh);
+                prop_assert_eq!(&pooled.payload, &payload);
+                drop(pooled);
+                let stats = pool.stats();
+                prop_assert_eq!(stats.leased, stats.returned);
+            }
+
+            /// A frame cut anywhere is an error, and its lease is back by
+            /// the time the error is.
+            #[test]
+            fn every_truncation_errs_and_returns_its_lease(
+                around in 0usize..2 * FLOOR_BYTES,
+                cut in 0.0f64..1.0,
+                parked in prop::collection::vec(FLOOR_BYTES / 2..3 * FLOOR_BYTES, 0..4),
+            ) {
+                let len = FLOOR_BYTES / 2 + around;
+                let (_, wire) = wire_of(len, 7);
+                let at = (cut * wire.len() as f64) as usize;
+                let pool = dirty_pool(&parked);
+                let before = pool.stats();
+                prop_assert!(read_frame_leased(&mut &wire[..at], MAX_PAYLOAD, &pool).is_err());
+                let stats = pool.stats();
+                prop_assert_eq!(stats.leased, stats.returned);
+                prop_assert!(stats.leased - before.leased <= 1);
+            }
+        }
     }
 
     mod totality {

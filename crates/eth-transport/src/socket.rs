@@ -17,15 +17,23 @@
 //!   retries with seeded exponential backoff + jitter under its timeout,
 //!   the listener waits [`BOOTSTRAP_TIMEOUT`] for its one peer,
 //! * a dead peer surfaces as [`TransportError::Disconnected`] on the next
-//!   matching receive, never as an indefinite hang.
+//!   matching receive, never as an indefinite hang; a malformed frame
+//!   surfaces as the [`TransportError::Decode`] that ended the stream, on
+//!   the next receive, and every receive after it as `Disconnected`.
+//!
+//! Each channel's reader thread reads payloads into buffers leased from
+//! the [`PayloadPool`] the bootstrap was given ([`listen_leasing`],
+//! [`connect_leasing`]): a run passes the pool its simulation ranks encode
+//! into, so both ends of the wire recycle one set of buffers.
 
 use crate::comm::{Result, TransportError};
 use crate::fault::Backoff;
 use crate::layout::LayoutFile;
 use crate::link::PairLink;
-use crate::message::{read_frame, write_frame, Frame};
+use crate::message::{read_frame_leased, write_frame, Frame, MAX_PAYLOAD};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use eth_data::io::pool::PayloadPool;
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +45,7 @@ use std::time::{Duration, Instant};
 /// Debug shows the traffic counters only (the stream itself is opaque).
 pub struct StreamChannel {
     writer: Mutex<TcpStream>,
-    inbox: Receiver<Frame>,
+    inbox: Receiver<Result<Frame>>,
     pending: Mutex<Vec<Frame>>,
     local_rank: u32,
     /// The peer's logical rank, learned from the bootstrap handshake.
@@ -46,14 +54,25 @@ pub struct StreamChannel {
     bytes_received: AtomicU64,
 }
 
-fn spawn_reader(stream: TcpStream, tx: Sender<Frame>) {
+fn spawn_reader(stream: TcpStream, tx: Sender<Result<Frame>>, pool: PayloadPool) {
     thread::spawn(move || {
         let mut stream = stream;
-        // EOF or a decode error ends the watch; dropping `tx` closes the
-        // channel so blocked receivers see Disconnected.
-        while let Ok(frame) = read_frame(&mut stream) {
-            if tx.send(frame).is_err() {
-                break;
+        // Any error ends the watch; dropping `tx` closes the channel so
+        // receivers see Disconnected. A malformed frame is passed on first,
+        // so the receiver learns the stream was corrupt, not merely closed.
+        loop {
+            match read_frame_leased(&mut stream, MAX_PAYLOAD, &pool) {
+                Ok(frame) => {
+                    if tx.send(Ok(frame)).is_err() {
+                        break;
+                    }
+                }
+                // EOF, at a frame boundary or inside one, or a reset
+                Err(TransportError::Io(_)) => break,
+                Err(malformed) => {
+                    let _ = tx.send(Err(malformed));
+                    break;
+                }
             }
         }
     });
@@ -80,11 +99,16 @@ impl std::fmt::Debug for StreamChannel {
 }
 
 impl StreamChannel {
-    fn new(stream: TcpStream, local_rank: u32, peer: usize) -> Result<StreamChannel> {
+    fn new(
+        stream: TcpStream,
+        local_rank: u32,
+        peer: usize,
+        pool: &PayloadPool,
+    ) -> Result<StreamChannel> {
         stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
         let (tx, rx) = unbounded();
-        spawn_reader(reader, tx);
+        spawn_reader(reader, tx, pool.clone());
         Ok(StreamChannel {
             writer: Mutex::new(stream),
             inbox: rx,
@@ -158,9 +182,9 @@ impl StreamChannel {
                 None => self
                     .inbox
                     .recv()
-                    .map_err(|_| TransportError::Disconnected { peer: self.peer })?,
+                    .map_err(|_| TransportError::Disconnected { peer: self.peer })??,
                 Some(d) => match self.inbox.recv_deadline(d) {
-                    Ok(f) => f,
+                    Ok(f) => f?,
                     Err(RecvTimeoutError::Timeout) => {
                         return Err(TransportError::Timeout {
                             peer: self.peer,
@@ -227,10 +251,24 @@ pub const BOOTSTRAP_TIMEOUT: Duration = Duration::from_secs(30);
 /// [`TransportError::Bootstrap`] after [`BOOTSTRAP_TIMEOUT`]: a peer that
 /// failed before dialing must not leave this rank waiting forever.
 pub fn listen_as(layout: &LayoutFile, rank: usize) -> Result<StreamChannel> {
-    listen_within(layout, rank, BOOTSTRAP_TIMEOUT)
+    listen_leasing(layout, rank, &PayloadPool::new())
 }
 
-fn listen_within(layout: &LayoutFile, rank: usize, budget: Duration) -> Result<StreamChannel> {
+/// [`listen_as`], the channel's reader leasing payload buffers from `pool`.
+pub fn listen_leasing(
+    layout: &LayoutFile,
+    rank: usize,
+    pool: &PayloadPool,
+) -> Result<StreamChannel> {
+    listen_within(layout, rank, BOOTSTRAP_TIMEOUT, pool)
+}
+
+fn listen_within(
+    layout: &LayoutFile,
+    rank: usize,
+    budget: Duration,
+    pool: &PayloadPool,
+) -> Result<StreamChannel> {
     use std::io::ErrorKind::{TimedOut, WouldBlock};
     let _span = eth_obs::span(eth_obs::Phase::Bootstrap);
     let deadline = Instant::now() + budget;
@@ -280,7 +318,7 @@ fn listen_within(layout: &LayoutFile, rank: usize, budget: Duration) -> Result<S
     };
     // the reader thread shares this socket: frames may take any time
     stream.set_read_timeout(None)?;
-    StreamChannel::new(stream, rank as u32, peer)
+    StreamChannel::new(stream, rank as u32, peer, pool)
 }
 
 /// Visualization-proxy side: poll the layout file for `rank`'s address,
@@ -295,6 +333,17 @@ pub fn connect_to(
     rank: usize,
     local_rank: usize,
     timeout: Duration,
+) -> Result<StreamChannel> {
+    connect_leasing(layout, rank, local_rank, timeout, &PayloadPool::new())
+}
+
+/// [`connect_to`], the channel's reader leasing payload buffers from `pool`.
+pub fn connect_leasing(
+    layout: &LayoutFile,
+    rank: usize,
+    local_rank: usize,
+    timeout: Duration,
+    pool: &PayloadPool,
 ) -> Result<StreamChannel> {
     let _span = eth_obs::span(eth_obs::Phase::Bootstrap);
     let deadline = Instant::now() + timeout;
@@ -330,7 +379,7 @@ pub fn connect_to(
                     let mut s = &stream;
                     s.write_all(&(local_rank as u32).to_le_bytes())?;
                 }
-                return StreamChannel::new(stream, local_rank as u32, rank);
+                return StreamChannel::new(stream, local_rank as u32, rank, pool);
             }
             Err(e) => {
                 if Instant::now() > deadline {
@@ -447,7 +496,7 @@ mod tests {
         let layout = LayoutFile::create(&tmp("nodial")).unwrap();
         let budget = Duration::from_millis(50);
         let start = Instant::now();
-        let err = listen_within(&layout, 3, budget).unwrap_err();
+        let err = listen_within(&layout, 3, budget, &PayloadPool::new()).unwrap_err();
         assert!(matches!(err, TransportError::Bootstrap(_)), "{err}");
         assert!(err.to_string().contains("rank 3"), "{err}");
         assert!(start.elapsed() >= budget);
@@ -459,7 +508,9 @@ mod tests {
     fn listen_gives_up_on_a_peer_that_never_shakes_hands() {
         let layout = LayoutFile::create(&tmp("noshake")).unwrap();
         let l2 = layout.clone();
-        let sim = thread::spawn(move || listen_within(&l2, 0, Duration::from_millis(250)));
+        let sim = thread::spawn(move || {
+            listen_within(&l2, 0, Duration::from_millis(250), &PayloadPool::new())
+        });
         let addr = loop {
             if let Some(addr) = layout.lookup(0).unwrap() {
                 break addr;

@@ -114,10 +114,42 @@ fn malformed_frame_kills_connection_not_process() {
         thread::sleep(Duration::from_millis(100));
     });
     let chan = connect_to(&layout, 0, 1, Duration::from_secs(10)).unwrap();
+    // the first receive learns why the stream ended — a corrupt frame,
+    // which retry and degradation accounting file as corruption — and
+    // every receive after it that the stream is gone
     let err = chan.recv(1).unwrap_err();
-    assert!(matches!(err, TransportError::Disconnected { .. }), "{err}");
+    assert!(matches!(&err, TransportError::Decode(m) if m.contains("magic")), "{err}");
+    let err = chan.recv(1).unwrap_err();
+    assert!(matches!(err, TransportError::Disconnected { peer: 0 }), "{err}");
     garbler.join().unwrap();
     let _ = TcpStream::connect(addr); // tidy: unblock any lingering accept
+}
+
+#[test]
+fn a_frame_cut_short_is_a_disconnect() {
+    use std::io::Write as _;
+    use std::net::TcpListener;
+    // hand-made peer that sends a sound header claiming 4 KiB, 100 bytes
+    // of it, and hangs up: the stream ended, it was not malformed
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let layout = LayoutFile::create(&tmp("cut-short")).unwrap();
+    layout.publish(0, listener.local_addr().unwrap()).unwrap();
+    let peer = thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&eth_transport::message::FRAME_MAGIC.to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&4096u64.to_le_bytes());
+        frame.extend_from_slice(&[0xCD; 100]);
+        s.write_all(&frame).unwrap();
+    });
+    let chan = connect_to(&layout, 0, 1, Duration::from_secs(10)).unwrap();
+    peer.join().unwrap();
+    for _ in 0..2 {
+        let err = chan.recv(1).unwrap_err();
+        assert!(matches!(err, TransportError::Disconnected { peer: 0 }), "{err}");
+    }
 }
 
 #[test]
