@@ -347,8 +347,8 @@ fn run_artifacts(args: &Args, progress: &Progress) -> Option<CampaignTelemetry> 
 
 /// `chaos-campaign`: the lossy retry/quarantine demo campaign — or, with
 /// `--kill-rank`, the in-run fault-tolerance demo where every point loses
-/// one rank to a seeded kill and must complete by heartbeat detection +
-/// partition adoption, without a campaign-level retry.
+/// one rank to a seeded kill and must complete by the rank's declared death
+/// + partition adoption, without a campaign-level retry.
 fn run_chaos(args: &Args, progress: &Progress) -> Option<CampaignTelemetry> {
     let seed = args.int("--seed").unwrap_or(7);
     let kill = args.has("--kill-rank");

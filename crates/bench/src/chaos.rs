@@ -21,7 +21,7 @@ use eth_core::results::ResultTable;
 use eth_core::{run_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
 use eth_core::{RecoveryPolicy, RetryOn, RetryPolicy};
 use eth_transport::fault::SplitMix64;
-use eth_transport::{BackoffShape, FaultPlan, HeartbeatPolicy, TransportError};
+use eth_transport::{BackoffShape, FaultPlan, TransportError};
 use std::time::Duration;
 
 /// The demo's point grid: three algorithms × two sampling ratios.
@@ -140,18 +140,6 @@ fn chaos_campaign_over(seed: u64, caches: &RunCaches) -> Result<(ResultTable, Ca
     Ok((t, outcome))
 }
 
-/// A fast-detection recovery policy for the kill demo (production default
-/// intervals would dominate a CI-sized run).
-fn demo_recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 3,
-        },
-        adopt: true,
-    }
-}
-
 /// The kill-rank campaign's points: one per algorithm, alternating the
 /// coupling between intercore and internode, each with a seeded
 /// `kill_rank_at_step` on a simulation rank. Everything derives from
@@ -179,7 +167,7 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
                 .ranks(ranks)
                 .steps(steps)
                 .image_size(64, 64)
-                .recovery(demo_recovery())
+                .recovery(RecoveryPolicy::default())
                 .fault_plan(FaultPlan::seeded(seed).with_kill_rank_at_step(victim, step))
                 .build()?,
         );
@@ -189,10 +177,10 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
 
 /// Run the kill-rank campaign: every point loses one simulation rank
 /// mid-run to a seeded `kill_rank_at_step` and must complete **without a
-/// campaign-level retry** — the in-run fault-tolerance layer detects the
-/// death by heartbeat, a surviving rank adopts the partition (its own proxy
-/// presents it from the series), and compositing continues around the hole. Returns the
-/// per-point report (losses, adoptions, detection-to-adoption latency)
+/// campaign-level retry** — the killed rank declares its death, a
+/// surviving rank adopts the partition (its own proxy presents it from the
+/// series), and compositing continues around the hole. Returns the
+/// per-point report (losses, adoptions, declaration-to-adoption latency)
 /// plus the raw outcome.
 pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
     let specs = kill_specs(seed)?;

@@ -19,7 +19,6 @@ use eth_core::{
     run_native, Algorithm, Campaign, CampaignTelemetry, MigrationPattern, MigrationPlan,
     RecoveryPolicy, RunCaches,
 };
-use eth_transport::HeartbeatPolicy;
 use crate::cli::Report;
 use serde::Serialize;
 use std::time::Instant;
@@ -94,20 +93,6 @@ impl Report for MigrationBenchReport {
     }
 }
 
-/// Recovery policy for a benchmark-sized run: the migration machinery
-/// requires one, but nobody dies here, so the miss budget is sized
-/// against false positives on a loaded machine rather than detection
-/// latency (a spurious death would abort a handoff and fail the bench).
-fn bench_recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 30,
-        },
-        adopt: true,
-    }
-}
-
 /// Build one pattern's (label, healthy reference, migrating) spec pair.
 fn pattern_point(
     label: &str,
@@ -130,7 +115,7 @@ fn pattern_point(
     }
     let healthy = builder.build()?;
     let mut migrating = healthy.clone();
-    migrating.recovery = Some(bench_recovery());
+    migrating.recovery = Some(RecoveryPolicy::default());
     migrating.migration = Some(MigrationPlan::new(pattern));
     migrating.validate()?;
     Ok((label.to_string(), healthy, migrating))

@@ -14,7 +14,7 @@ use eth_core::config::{Algorithm, Application, Coupling, ExperimentSpec};
 use eth_core::harness::RunCaches;
 use eth_core::results::{fmt_kw, fmt_pct, fmt_s, ResultTable};
 use eth_core::{Campaign, CampaignOutcome, CoreError, RecoveryPolicy, Result};
-use eth_transport::{FaultPlan, HeartbeatPolicy};
+use eth_transport::FaultPlan;
 use std::path::Path;
 
 /// HACC paper-scale particle counts ("full" = 1B, then 750M/500M/250M).
@@ -79,7 +79,7 @@ fn table2_spec(alg: Algorithm, ratio: f64) -> Result<ExperimentSpec> {
 /// order: algorithm-major, then ratio as in [`TABLE2_RATIOS`]). With
 /// `recovery`, the table grows a per-point recovery-summary column drawn
 /// from the campaign outcome (losses survived, partitions adopted,
-/// detection-to-adoption latency).
+/// declaration-to-adoption latency).
 fn table2_from_images(
     caches: &RunCaches,
     images: &[eth_render::Image],
@@ -200,7 +200,7 @@ pub enum Table2 {
     /// the table grows a per-point recovery column. Because adoption
     /// re-renders the dead rank's partition from the shared staged data,
     /// the RMSE column is identical to [`Table2::Plain`]'s — which is
-    /// exactly the demonstration: a rank loss costs detection latency and
+    /// exactly the demonstration: a rank loss costs adoption latency and
     /// extra work on the adopter, not pixels.
     Recovery,
 }
@@ -232,13 +232,7 @@ pub fn table2_campaign(
             for (i, spec) in specs.iter_mut().enumerate() {
                 spec.name = format!("{}-recovery", spec.name);
                 spec.coupling = Coupling::Intercore;
-                spec.recovery = Some(RecoveryPolicy {
-                    heartbeat: HeartbeatPolicy {
-                        interval_ms: 10,
-                        miss_budget: 3,
-                    },
-                    adopt: true,
-                });
+                spec.recovery = Some(RecoveryPolicy::default());
                 let victim = i % spec.ranks;
                 let step = i % spec.steps;
                 spec.fault_plan = Some(FaultPlan::seeded(0xE7).with_kill_rank_at_step(victim, step));

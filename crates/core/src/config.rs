@@ -9,22 +9,15 @@ use eth_render::geometry::slice::Plane;
 use eth_render::pipeline::RenderAlgorithm;
 use eth_sim::{HaccConfig, XrageConfig};
 use eth_transport::fault::FaultPlan;
-use eth_transport::HeartbeatPolicy;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
-/// In-run rank fault tolerance (DESIGN.md §12). With a policy set, native
-/// multi-rank runs beat per-rank heartbeats instead of relying on one
-/// global hang deadline, and a rank that stops beating is declared dead in
-/// O(heartbeat interval). Its partition is adopted by a deterministic
-/// survivor, whose own proxy presents it from the series at the step the
-/// survivor is on, and frames rendered between the death and the adoption
-/// composite the surviving ranks only.
+/// In-run rank fault tolerance (DESIGN.md §12). A simulation rank the
+/// fault plan kills declares its own death, with the last step it sent;
+/// its partition is adopted by a deterministic survivor, whose own proxy
+/// presents it from the series at the step the survivor is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
-    /// Liveness beacons: interval and miss budget per rank.
-    #[serde(default)]
-    pub heartbeat: HeartbeatPolicy,
     /// Adopt dead ranks' partitions (true, the default) or merely keep
     /// compositing the survivors, leaving the dead partitions dark.
     #[serde(default = "default_adopt")]
@@ -38,19 +31,8 @@ fn default_adopt() -> bool {
 impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
         RecoveryPolicy {
-            heartbeat: HeartbeatPolicy::default(),
             adopt: default_adopt(),
         }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Rank deaths a run survives; the next one fails it, and the campaign
-    /// retry/quarantine ladder takes over. A fault plan kills at most one.
-    pub(crate) const MAX_RANK_LOSSES: usize = 1;
-
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        self.heartbeat.validate()
     }
 }
 
@@ -411,14 +393,14 @@ pub struct ExperimentSpec {
     /// failing the run, and the outcome reports the degradation.
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// In-run rank fault tolerance: heartbeats, partition adoption,
-    /// degraded compositing. Required when the fault plan kills a
-    /// rank; harmless (pure overhead accounting) when no fault fires.
+    /// In-run rank fault tolerance: partition adoption, degraded
+    /// compositing. Required when the fault plan kills a rank; changes
+    /// nothing when no fault fires.
     #[serde(default)]
     pub recovery: Option<RecoveryPolicy>,
     /// Planned elasticity: live partition migration between viz ranks or a
     /// viz-rank rescale mid-run (DESIGN.md §13). Requires a recovery policy
-    /// — the handoff protocol rides the same heartbeat/control plane — and
+    /// — the handoff protocol rides the same control plane — and
     /// a coupling with a viz side (intercore or internode).
     #[serde(default)]
     pub migration: Option<MigrationPlan>,
@@ -576,9 +558,6 @@ impl ExperimentSpec {
             // lossy plans must carry a deadline) live with the plan itself
             plan.validate().map_err(CoreError::Config)?;
         }
-        if let Some(recovery) = &self.recovery {
-            recovery.validate().map_err(CoreError::Config)?;
-        }
         if let Some(resources) = &self.resources {
             resources.validate().map_err(CoreError::Config)?;
         }
@@ -590,8 +569,7 @@ impl ExperimentSpec {
             if self.recovery.is_none() {
                 return Err(CoreError::Config(
                     "kill_rank_at_step requires a recovery policy: without \
-                     heartbeats nobody detects the death and the run hangs \
-                     to its global deadline"
+                     one nobody adopts or composites around the death"
                         .into(),
                 ));
             }
@@ -612,7 +590,7 @@ impl ExperimentSpec {
             if self.recovery.is_none() {
                 return Err(CoreError::Config(
                     "migration requires a recovery policy: the handoff \
-                     protocol rides the heartbeat control plane"
+                     protocol rides the recovery control plane"
                         .into(),
                 ));
             }
@@ -787,7 +765,7 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Run with in-run rank fault tolerance (heartbeats + adoption).
+    /// Run with in-run rank fault tolerance (declared deaths + adoption).
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.spec.recovery = Some(policy);
         self
@@ -913,9 +891,10 @@ mod tests {
     #[test]
     fn a_retired_key_is_ignored_as_unknown() {
         // `compress_transport` predates the codec axis, `handoff_timeout_ms`
-        // the target's verdict; `render`, the watermarks and the rank-loss
-        // budget were settings no caller varied. A file that still carries
-        // any of them loads as if it did not.
+        // the target's verdict, `heartbeat` declared deaths; `render`, the
+        // watermarks and the rank-loss budget were settings no caller
+        // varied. A file that still carries any of them loads as if it did
+        // not.
         let plain = ExperimentSpec::builder("t").build().unwrap();
         let migrating = ExperimentSpec::builder("t")
             .coupling(Coupling::Intercore)
@@ -945,6 +924,11 @@ mod tests {
             (&budgeted, "\"spill_dir\":null", ",\"low_watermark\":0.4"),
             (&budgeted, "\"spill_dir\":null", ",\"high_watermark\":0.8"),
             (&migrating, "\"adopt\":true", ",\"max_rank_losses\":1"),
+            (
+                &migrating,
+                "\"recovery\":{",
+                "\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4},",
+            ),
         ] {
             let plain = serde_json::to_string(spec).unwrap();
             let old = plain.replace(at, &format!("{at}{retired}"));
@@ -1037,18 +1021,14 @@ mod tests {
     }
 
     #[test]
-    fn recovery_policy_defaults_and_validation() {
+    fn recovery_policy_defaults_and_serde() {
         let policy = RecoveryPolicy::default();
         assert!(policy.adopt);
-        assert!(policy.validate().is_ok());
         // empty JSON object fills every default
         let parsed: RecoveryPolicy = serde_json::from_str("{}").unwrap();
         assert_eq!(parsed, policy);
-        let bad = RecoveryPolicy {
-            heartbeat: HeartbeatPolicy { interval_ms: 0, ..Default::default() },
-            ..Default::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("interval_ms"));
+        let dark: RecoveryPolicy = serde_json::from_str(r#"{"adopt":false}"#).unwrap();
+        assert_eq!(dark, RecoveryPolicy { adopt: false });
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::outcome::RankOutput;
 use super::staging::StagedData;
 use super::step::{sim_role, viz_role, RankCx, VizFabric, Wire};
-use crate::config::{Coupling, ExperimentSpec, RecoveryPolicy};
+use crate::config::{Coupling, ExperimentSpec};
 use crate::error::Result;
 use eth_data::io::pool::PayloadPool;
 use eth_sim::SimulationProxy;
@@ -11,7 +11,7 @@ use eth_transport::comm::Communicator;
 use eth_transport::layout::LayoutFile;
 use eth_transport::link::FabricLink;
 use eth_transport::local::LocalFabric;
-use eth_transport::runner::{launch, Seat, Supervision, Watch};
+use eth_transport::runner::{launch, Seat};
 use eth_transport::socket::{connect_leasing, listen_leasing, BOOTSTRAP_TIMEOUT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,25 +21,17 @@ type Role = Box<dyn FnOnce(&RankCx) -> Result<RankOutput> + Send>;
 
 impl RankCx {
     /// Start one thread per `(rank, role)` through the transport's launcher
-    /// and collect them under the policy's supervision: none for the empty
-    /// policy (a blocking collect), the plan's per-rank wall-clock budget
-    /// if it sets one, and with a liveness part the heartbeat watch whose
-    /// collector doubles as the supervisor. A hung or panicking rank, or
-    /// one death too many, surfaces as [`CoreError::Rank`] instead of
-    /// wedging or aborting the sweep; ranks that died within the loss
-    /// budget leave tombstones (or, past the grace window, nothing). Every
-    /// rank is collected before the first rank error is reported.
+    /// and collect them under the run's wall-clock budget: none for the
+    /// empty policy (a blocking collect), the run deadline with a liveness
+    /// part, else the plan's per-rank budget if it sets one. A hung or
+    /// panicking rank surfaces as [`CoreError::Rank`] instead of wedging or
+    /// aborting the sweep; a killed rank reports its tombstone like any
+    /// other. Every rank is collected before the first rank error is
+    /// reported.
     fn launch(self: Arc<RankCx>, roles: Vec<(usize, Role)>) -> Result<Vec<RankOutput>> {
-        let supervision = Supervision {
-            budget: match &self.policy.liveness {
-                Some(live) => Some(live.run_deadline),
-                None => self.policy.plan.rank_timeout(),
-            },
-            watch: self.live().map(|(live, board)| Watch {
-                board: board.clone(),
-                policy: live.recovery.heartbeat,
-                max_losses: RecoveryPolicy::MAX_RANK_LOSSES,
-            }),
+        let budget = match &self.policy.liveness {
+            Some(live) => Some(live.run_deadline),
+            None => self.policy.plan.rank_timeout(),
         };
         let seats = roles
             .into_iter()
@@ -48,7 +40,7 @@ impl RankCx {
                 Seat::new(rank, move || role(&cx))
             })
             .collect();
-        launch(seats, &supervision)?.into_iter().flatten().collect()
+        launch(seats, budget)?.into_iter().collect()
     }
 }
 
@@ -99,12 +91,7 @@ pub(super) fn local_role(cx: &RankCx, rank: usize, base: usize, comm: &dyn Commu
         0 => Wire::InProcess(SimulationProxy::new(cx.staged.series.clone(), sim)),
         _ => Wire::Link(link(sim)),
     };
-    let fabric = VizFabric {
-        comm,
-        base,
-        on_board: cx.board.is_some(),
-    };
-    viz_role(cx, fabric, vec![(sim, wire)])
+    viz_role(cx, VizFabric { comm, base }, vec![(sim, wire)])
 }
 
 /// The run's layout directory, removed however the launcher leaves — by
@@ -128,8 +115,8 @@ impl Drop for LayoutDir {
 /// gives them work) and one that shrinks leaves the retiring ranks
 /// draining their wires with nothing to render.
 ///
-/// Ranks claim ids on the run's modeled node layout: sim ranks `0..R` (the
-/// board's slots under a liveness part), viz ranks `R..R+V`.
+/// Ranks claim ids on the run's modeled node layout: sim ranks `0..R`, viz
+/// ranks `R..R+V`.
 fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
     let r = run.spec.ranks;
     // Layout file in a fresh temp dir per run. The counter keeps dirs
@@ -165,12 +152,7 @@ fn launch_sockets(run: Arc<RankCx>) -> Result<Vec<RankOutput>> {
                     let chan = connect_leasing(&layout, sim, v, BOOTSTRAP_TIMEOUT, &cx.payloads)?;
                     wires.push((sim, Wire::Link(cx.link(chan))));
                 }
-                let fabric = VizFabric {
-                    comm: &comm,
-                    base: 0,
-                    on_board: false,
-                };
-                viz_role(cx, fabric, wires)
+                viz_role(cx, VizFabric { comm: &comm, base: 0 }, wires)
             }),
         ));
     }

@@ -34,9 +34,11 @@
 //!
 //! The module's parts: `outcome` (what a run reports and its energy
 //! attribution), `staging` (the preliminary run and the caches runs
-//! share), `step` (the policy and the two roles), `launch` (seating the
-//! ranks on a local fabric or over sockets).
+//! share), `step` (the policy and the two roles), `deaths` (the record
+//! a killed rank declares its death in), `launch` (seating the ranks on a
+//! local fabric or over sockets).
 
+mod deaths;
 mod launch;
 mod outcome;
 mod staging;

@@ -48,8 +48,8 @@ pub struct Degradation {
     pub disconnects: u64,
     /// Payloads that failed integrity or decode checks.
     pub corrupt_payloads: u64,
-    /// Ranks that stopped beating and were declared dead mid-run (only
-    /// possible under a [`crate::config::RecoveryPolicy`]).
+    /// Ranks that died mid-run and declared it (only possible under a
+    /// [`crate::config::RecoveryPolicy`]).
     #[serde(default)]
     pub rank_losses: u64,
     /// Dead ranks' partitions taken over by a surviving rank, whose own
@@ -128,9 +128,10 @@ pub struct NativeOutcome {
     pub bytes_moved: u64,
     /// Faults absorbed (all-zero unless the spec carries a fault plan).
     pub degradation: Degradation,
-    /// Per-loss recovery latency: seconds from a dead rank's last
-    /// heartbeat to its partition's adoption (empty for clean runs or
-    /// runs without a [`RecoveryPolicy`](crate::config::RecoveryPolicy)).
+    /// Per-loss recovery latency: seconds from a dead rank's declaration
+    /// to its partition's adoption (empty for clean runs, runs that do not
+    /// adopt, and runs without a
+    /// [`RecoveryPolicy`](crate::config::RecoveryPolicy)).
     /// Feeds the campaign telemetry's `recovery_latency_s` histogram.
     pub recovery_latency_s: Vec<f64>,
     /// Per-handoff step-latency disruption: seconds the source rank spent
@@ -212,7 +213,7 @@ impl NativeOutcome {
                     .copied()
                     .reduce(f64::max)
                 {
-                    base.push_str(&format!(" (worst detection-to-adoption {worst:.3}s)"));
+                    base.push_str(&format!(" (worst declaration-to-adoption {worst:.3}s)"));
                 }
             }
             if d.migrations + d.migration_failures > 0 {

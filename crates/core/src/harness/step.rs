@@ -1,8 +1,9 @@
 //! The step policy and the two roles every coupling runs.
 
+use super::deaths::Deaths;
 use super::outcome::{Degradation, RankOutput};
 use super::staging::{pipeline_for_step, StagedData};
-use crate::config::{Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
+use crate::config::{ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
 use crate::pipeline::accumulate;
 use bytes::Bytes;
@@ -14,56 +15,14 @@ use eth_sim::SimulationProxy;
 use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
     gather, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer, send_adopt_notice,
-    send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer, Survivors,
+    send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer,
 };
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::link::PairLink;
-use eth_transport::{FaultPlan, HeartbeatBoard, HeartbeatPolicy};
-use std::sync::atomic::{AtomicBool, Ordering};
+use eth_transport::FaultPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Background liveness beacon for one rank: beats the board every half
-/// heartbeat interval until dropped (the rank finished — or was killed,
-/// which is exactly a beacon going silent). Beating from a helper thread
-/// keeps detection latency independent of step duration; a genuinely
-/// wedged rank is still caught by the global deadline backstop.
-struct Beater {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Beater {
-    fn spawn(board: &Arc<HeartbeatBoard>, rank: usize, policy: HeartbeatPolicy) -> Beater {
-        eth_obs::count("liveness_threads", 1.0);
-        let stop = Arc::new(AtomicBool::new(false));
-        let board = board.clone();
-        let flag = stop.clone();
-        let interval = policy.poll_interval();
-        let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                board.beat(rank);
-                std::thread::sleep(interval);
-            }
-        });
-        Beater {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Beater {
-    /// Stops beating *now*: on the kill path the rank must have fallen
-    /// silent before it parks awaiting its own death.
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
 
 /// Encode a block for a process boundary with the spec's wire codec, into
 /// a buffer leased from the run's pool, which has it back once the far side
@@ -99,11 +58,12 @@ fn decode_block(
         })
 }
 
-/// Budget for one block to arrive under liveness supervision when the
-/// fault plan sets no receive deadline.
-const DEFAULT_RECV_BUDGET: Duration = Duration::from_secs(2);
-/// Wall-clock backstop of a heartbeat-supervised run when the fault plan
-/// sets no per-rank budget (heartbeats, not this, are the primary detector).
+/// How often a drainer waiting on a block re-reads the death record. It
+/// decides how soon a declared death is noticed, never what the drainer
+/// concludes.
+const DEATH_POLL: Duration = Duration::from_millis(5);
+/// Wall-clock backstop of a run with a recovery policy when the fault plan
+/// sets no per-rank budget.
 const DEFAULT_RUN_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Everything a run's step loop does beyond "present, move, render,
@@ -111,8 +71,7 @@ const DEFAULT_RUN_DEADLINE: Duration = Duration::from_secs(120);
 /// same [`sim_role`] / [`viz_role`] step and differ only in the
 /// [`PairLink`] a block crosses; fault tolerance and elasticity are parts
 /// of this policy, and every part may be empty. The empty policy is the
-/// plain run: it starts no heartbeat thread and no supervisor, and never
-/// polls a receive.
+/// plain run: it never polls a receive and never looks at a clock.
 pub(super) struct StepPolicy {
     /// Faults on the data path degrade a step instead of failing the run
     /// (the spec carries a fault plan or a recovery policy).
@@ -121,7 +80,7 @@ pub(super) struct StepPolicy {
     /// the receive and run budgets are read from here. The pair links run
     /// behind it only when the spec really carries one ([`RankCx::link`]).
     pub(super) plan: FaultPlan,
-    /// Heartbeats, liveness-sliced receives, adoption.
+    /// Death-aware receives and adoption.
     pub(super) liveness: Option<Liveness>,
     /// Planned partition handoffs in control-plane order. Empty means
     /// static ownership.
@@ -131,15 +90,13 @@ pub(super) struct StepPolicy {
 /// The recovery part of a [`StepPolicy`].
 pub(super) struct Liveness {
     pub(super) recovery: RecoveryPolicy,
-    /// A missing block is either a lost message (one degraded step) or a
-    /// death in progress. Receives run in slices a bit past the detection
-    /// deadline, re-checking liveness between slices: a slow-but-alive
-    /// pair gets the whole `recv_budget`, a confirmed death resolves in
-    /// O(detection).
-    recv_slice: Duration,
+    /// How long a drainer waits for a block its simulation rank is not dead
+    /// at before counting it lost: the plan's receive deadline, or, when
+    /// the plan sets none (nothing can lose a block but a death), the run
+    /// deadline.
     recv_budget: Duration,
-    /// Wall-clock backstop for composite gathers, handoff receives, a
-    /// killed rank's wait for its own death notice, and the launcher.
+    /// Wall-clock backstop for handoff receives, adoption notices and the
+    /// launcher.
     pub(super) run_deadline: Duration,
 }
 
@@ -147,16 +104,11 @@ impl StepPolicy {
     fn new(spec: &ExperimentSpec) -> StepPolicy {
         let plan = spec.fault_plan.clone().unwrap_or_default();
         let liveness = spec.recovery.map(|recovery| {
-            let recv_slice =
-                recovery.heartbeat.detection_deadline() * 2 + Duration::from_millis(25);
+            let run_deadline = plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE);
             Liveness {
                 recovery,
-                recv_slice,
-                recv_budget: plan
-                    .deadline()
-                    .unwrap_or(DEFAULT_RECV_BUDGET)
-                    .max(recv_slice),
-                run_deadline: plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE),
+                recv_budget: plan.deadline().unwrap_or(run_deadline),
+                run_deadline,
             }
         });
         StepPolicy {
@@ -169,12 +121,14 @@ impl StepPolicy {
 }
 
 /// What every rank of a run shares: the spec, the staged data, the policy,
-/// and — iff the policy has a liveness part — the board ranks beat on.
+/// and the record of its deaths.
 pub(super) struct RankCx {
     pub(super) spec: ExperimentSpec,
     pub(super) staged: Arc<StagedData>,
     pub(super) policy: StepPolicy,
-    pub(super) board: Option<Arc<HeartbeatBoard>>,
+    /// Simulation ranks killed by the fault plan, each declared by the rank
+    /// itself (empty without a scripted kill).
+    pub(super) deaths: Deaths,
     /// Where simulation ranks lease the buffers they encode into, and
     /// socket readers the buffers they receive into.
     pub(super) payloads: PayloadPool,
@@ -182,36 +136,13 @@ pub(super) struct RankCx {
 
 impl RankCx {
     pub(super) fn new(spec: &ExperimentSpec, staged: &Arc<StagedData>, payloads: &PayloadPool) -> Arc<RankCx> {
-        let policy = StepPolicy::new(spec);
-        // Who beats the board: every rank of a local fabric; under internode
-        // the simulation ranks — the ones a scripted kill can take down (viz
-        // ranks only consult it).
-        let board = policy.liveness.as_ref().map(|_| {
-            HeartbeatBoard::new(match spec.coupling {
-                Coupling::Intercore => 2 * spec.ranks,
-                Coupling::Tight | Coupling::Internode => spec.ranks,
-            })
-        });
         Arc::new(RankCx {
             spec: spec.clone(),
             staged: staged.clone(),
-            policy,
-            board,
+            policy: StepPolicy::new(spec),
+            deaths: Deaths::new(spec.ranks),
             payloads: payloads.clone(),
         })
-    }
-
-    pub(super) fn live(&self) -> Option<(&Liveness, &Arc<HeartbeatBoard>)> {
-        self.policy.liveness.as_ref().zip(self.board.as_ref())
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        self.board.as_ref().is_some_and(|board| board.is_dead(rank))
-    }
-
-    fn beater(&self, slot: usize) -> Option<Beater> {
-        self.live()
-            .map(|(live, board)| Beater::spawn(board, slot, live.recovery.heartbeat))
     }
 
     /// The pair link a rank's blocks cross: `link` itself, behind the chaos
@@ -244,9 +175,6 @@ pub(super) struct VizFabric<'a> {
     /// in front (the gather leaves them out); tight and internode fabrics
     /// are all-viz.
     pub(super) base: usize,
-    /// The fabric's ranks sit on the liveness board: they beat, may be
-    /// declared dead, and composites must gather around the dead.
-    pub(super) on_board: bool,
 }
 
 /// The simulation side of a step: the rank's proxy presents the block, the
@@ -255,17 +183,13 @@ pub(super) struct VizFabric<'a> {
 pub(super) fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput> {
     let spec = &cx.spec;
     let mut proxy = SimulationProxy::new(cx.staged.series.clone(), rank);
-    let mut beater = cx.beater(rank);
     let mut out = RankOutput::default();
     for step in 0..spec.steps {
-        if let (true, Some((live, board))) = (cx.policy.plan.kills(rank, step), cx.live()) {
-            // The scripted death: stop beating, wait to be declared dead
-            // (so detection latency is measured against a real silence),
-            // and leave a tombstone — the partition's story continues in
-            // whoever drains this rank. Returning drops the link, so the
-            // drainer sees it snap rather than stall.
-            beater.take();
-            board.await_death(rank, live.run_deadline);
+        if cx.policy.plan.kills(rank, step) {
+            // The scripted death: declare it with the last step sent and
+            // leave a tombstone — the partition's story continues in
+            // whoever drains this rank. Returning drops the link.
+            cx.deaths.declare(rank, step.checked_sub(1));
             return Ok(RankOutput::default());
         }
         let t = Instant::now();
@@ -283,18 +207,17 @@ pub(super) fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<
             Err(e) => return Err(e.into()),
         }
         out.phases.transfer_s += t.elapsed().as_secs_f64();
-        if let Some((_, board)) = cx.live() {
-            board.step_done(rank, step);
-        }
     }
     out.bytes_sent = link.bytes_sent();
     Ok(out)
 }
 
-/// Receive `sim`'s block for this step. Without a liveness part this is one
+/// Receive `sim`'s block for `step`. Without a liveness part this is one
 /// blocking receive (the chaos wrapper applies the plan's deadline, so a
-/// dropped message costs one deadline, not the run). With one, the receive
-/// is sliced against the board; `None` with `sim` dead means "adopt", any
+/// dropped message costs one deadline, not the run). With one, a block
+/// `sim` sent is received as usual, and `None` with `sim` dead at `step`
+/// means "adopt": the receive is polled against the death record until
+/// the block arrives, the death is declared, or the budget runs out. Any
 /// other `None` is a lost block whose fault is counted in `deg`, or the
 /// empty payload of a block the simulation rank's proxy skipped (either
 /// way, the hole it leaves is the root's to count).
@@ -302,16 +225,16 @@ pub(super) fn drain(
     cx: &RankCx,
     link: &dyn PairLink,
     sim: usize,
-    tag: u32,
+    step: usize,
     deg: &mut Degradation,
 ) -> Result<Option<DataObject>> {
-    let received = match cx.live() {
+    let tag = DATA_TAG_MIN + step as u32;
+    let received = match &cx.policy.liveness {
         None => link.recv(tag, None),
-        Some((live, board)) => {
+        Some(live) => {
             let deadline = Instant::now() + live.recv_budget;
             loop {
-                // dead already, or died while we waited: the caller adopts
-                if board.is_dead(sim) {
+                if cx.deaths.dead_at(sim, step) {
                     return Ok(None);
                 }
                 let now = Instant::now();
@@ -321,11 +244,11 @@ pub(super) fn drain(
                         elapsed: live.recv_budget,
                     });
                 }
-                match link.recv(tag, Some(live.recv_slice.min(deadline - now))) {
+                match link.recv(tag, Some(DEATH_POLL.min(deadline - now))) {
                     Err(TransportError::Timeout { .. }) => continue,
                     // a link that snaps because its rank died is a death,
                     // not a fault
-                    Err(_) if board.is_dead(sim) => return Ok(None),
+                    Err(_) if cx.deaths.dead_at(sim, step) => return Ok(None),
                     other => break other,
                 }
             }
@@ -361,13 +284,14 @@ fn malformed_contribution() -> CoreError {
 /// peer. A refused handoff degrades to "no migration happened": the source
 /// keeps rendering.
 ///
-/// Death wins the migration-vs-death race deterministically: the board's
-/// dead state is monotone, and the target reads it only after the offer
-/// arrives, which the source sends after its intake. So the target refuses
-/// every partition whose death the source saw. Both receives are bounded
-/// by the run deadline alone, the composite gather's backstop, so how long
-/// a peer takes to reach its handshake never changes the outcome; a
-/// receive that fails fails the run.
+/// Death wins the migration-vs-death race deterministically. The source
+/// drains the partition's wire for this step before it offers, and that
+/// drain returns only once the block arrived or the death was declared;
+/// the target reads the death record only after the offer arrives. So the
+/// target refuses exactly the partitions whose simulation rank is dead at
+/// the handoff step. Both receives are bounded by the run deadline alone,
+/// so how long a peer takes to reach its handshake never changes the
+/// outcome; a receive that fails fails the run.
 pub(super) fn migrate_handshakes(
     cx: &RankCx,
     fabric: VizFabric,
@@ -406,7 +330,7 @@ pub(super) fn migrate_handshakes(
             disruption.push(t.elapsed().as_secs_f64());
         } else {
             let offer = recv_migrate_offer(comm, fabric.base + h.from, index, deadline)?;
-            let committed = offer == scheduled && !cx.is_dead(h.partition);
+            let committed = offer == scheduled && !cx.deaths.dead_at(h.partition, step);
             let ack = MigrateAck {
                 handoff: index,
                 committed,
@@ -421,8 +345,8 @@ pub(super) fn migrate_handshakes(
 }
 
 /// The visualization side of a step: drain the wires, run this step's
-/// handshakes (intake first, so a death racing a migration is already on
-/// the board), render the partitions this rank owns, and contribute them
+/// handshakes (intake first, so a death racing a migration is already
+/// declared), render the partitions this rank owns, and contribute them
 /// to each frame's gather as one partition-framed payload; the root folds
 /// the partition slots in ascending order, counts the empty ones, and
 /// keeps the images.
@@ -431,7 +355,8 @@ pub(super) fn migrate_handshakes(
 /// ascending. Pairings are the *initial* layout's for the whole run — a
 /// migrated partition's original feeder keeps draining its wire (identical
 /// backpressure and fault accounting to a run without migration) while the
-/// new owner presents the partition through a proxy of its own.
+/// new owner presents the partition through a proxy of its own, whatever
+/// becomes of the simulation rank that feeds the old wire.
 pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wire)>) -> Result<RankOutput> {
     let (spec, policy, staged) = (&cx.spec, &cx.policy, &cx.staged);
     let comm = fabric.comm;
@@ -442,7 +367,6 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
         .liveness
         .as_ref()
         .is_some_and(|live| live.recovery.adopt);
-    let _beater = fabric.on_board.then(|| cx.beater(comm.rank())).flatten();
     let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
     // simulation ranks whose death this rank has accounted (exactly once,
     // by the drainer — the partition may live elsewhere by then)
@@ -451,13 +375,6 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
     // proxies for the partitions this rank adopts or migrates in
     let mut inherited: Vec<Option<SimulationProxy>> = (0..r).map(|_| None).collect();
     let mut out = RankOutput::default();
-    // On a fabric whose ranks can die mid-run the gather's root skips the
-    // dead and bounds every other receive.
-    let is_dead = |peer| cx.is_dead(peer);
-    let survivors = cx.live().filter(|_| fabric.on_board).map(|(live, _)| Survivors {
-        is_dead: &is_dead,
-        timeout: live.run_deadline,
-    });
 
     for step in 0..spec.steps {
         let mut deg = Degradation::default();
@@ -475,35 +392,28 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 }
                 Wire::Link(link) => link,
             };
-            let tag = DATA_TAG_MIN + step as u32;
-            wire_blocks[sim] = drain(cx, link.as_ref(), sim, tag, &mut deg)?.map(Arc::new);
-            if let Some((_, board)) = cx.live().filter(|_| wire_blocks[sim].is_none()) {
-                if board.is_dead(sim) && !std::mem::replace(&mut lost[sim], true) {
-                    let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                    deg.rank_losses += 1;
-                    eth_obs::count("rank_losses", 1.0);
-                    if adopt {
-                        deg.adopted_partitions += 1;
-                        eth_obs::count("adopted_partitions", 1.0);
-                        // The dead rank may have run *past* this step (sim
-                        // and viz ranks progress independently). That is
-                        // fine — the adopter's own proxy presents the
-                        // partition at the adopter's own step.
-                        let notice = AdoptNotice {
-                            dead_rank: sim,
-                            adopted_at_step: step,
-                            adopter: r + owners[sim],
-                            latency_ns: board.death_of(sim).map_or(0, |death| {
-                                board.now_ns().saturating_sub(death.last_beat_ns)
-                            }),
-                        };
-                        if is_root {
-                            // the root drained the dead rank itself; no
-                            // wire round-trip
-                            own_notices.push(notice);
-                        } else {
-                            send_adopt_notice(comm, fabric.base, &notice)?;
-                        }
+            wire_blocks[sim] = drain(cx, link.as_ref(), sim, step, &mut deg)?.map(Arc::new);
+            if cx.deaths.dead_at(sim, step) && !std::mem::replace(&mut lost[sim], true) {
+                let _span = eth_obs::span(eth_obs::Phase::Recovery);
+                deg.rank_losses += 1;
+                eth_obs::count("rank_losses", 1.0);
+                if adopt {
+                    deg.adopted_partitions += 1;
+                    eth_obs::count("adopted_partitions", 1.0);
+                    let declared = cx.deaths.deaths().find(|death| death.rank == sim);
+                    let notice = AdoptNotice {
+                        dead_rank: sim,
+                        adopted_at_step: step,
+                        adopter: r + owners[sim],
+                        latency_ns: declared
+                            .map_or(0, |death| death.declared.elapsed().as_nanos() as u64),
+                    };
+                    if is_root {
+                        // the root drained the dead rank itself; no wire
+                        // round-trip
+                        own_notices.push(notice);
+                    } else {
+                        send_adopt_notice(comm, fabric.base, &notice)?;
                     }
                 }
             }
@@ -526,12 +436,12 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
         let t_viz = Instant::now();
         let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
         for p in (0..r).filter(|&p| owners[p] == me) {
+            let drains = wires.iter().any(|(sim, _)| *sim == p);
             let block = match wire_blocks[p].take() {
                 Some(block) => block,
-                // dead and not adopted: dark
-                None if cx.is_dead(p) && !adopt => continue,
-                // own wire, alive, but the message was lost: a hole
-                None if !cx.is_dead(p) && wires.iter().any(|(sim, _)| *sim == p) => continue,
+                // own wire, but the message was lost or its rank is dead
+                // and nobody adopts: a hole (intake settled which)
+                None if drains && !(adopt && cx.deaths.dead_at(p, step)) => continue,
                 // adopted or migrated-in: this rank's proxy presents the
                 // partition, byte-identical to the wire block (a block it
                 // skips is a hole)
@@ -572,8 +482,8 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             let payload = Bytes::from(encode_contribution(&entries));
             let salt = (step * spec.images_per_step + image_index) as u32;
             let members = fabric.base..comm.size();
-            if let Some(parts) = gather(comm, members, salt, payload, survivors)? {
-                let received = parts.iter().flatten().map(|raw| &raw[..]);
+            if let Some(parts) = gather(comm, members, salt, payload)? {
+                let received = parts.iter().map(|raw| &raw[..]);
                 let (frame, stats) = composite_parts(r, spec.width, spec.height, received)
                     .ok_or_else(malformed_contribution)?;
                 deg.missing_contributions += stats.missing_contributions;
@@ -589,33 +499,23 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             // critical-path walk in `eth_obs::merge` attributes backwards from.
             eth_obs::step_mark(step as u64);
         }
-        if let Some(board) = cx.board.as_ref().filter(|_| fabric.on_board) {
-            board.step_done(comm.rank(), step);
-        }
     }
 
-    // The root drains the control plane: one adoption notice per dead
-    // simulation rank, from the rank that drained it, carries the measured
-    // detection-to-adoption latency. A missing notice falls back to the
-    // board's own estimate.
-    if let Some((live, board)) = cx.live().filter(|_| is_root) {
-        let patience = live.recovery.heartbeat.detection_deadline() * 4;
-        for death in board.deaths().into_iter().filter(|death| death.rank < r) {
-            let drainer = spec.initial_owner(death.rank);
-            let notice = if drainer == me {
-                own_notices
-                    .iter()
-                    .find(|n| n.dead_rank == death.rank)
-                    .copied()
-            } else if adopt {
-                recv_adopt_notice(comm, fabric.base + drainer, death.rank, patience).ok()
-            } else {
-                None
+    // The root drains the control plane: one adoption notice per declared
+    // death, from the rank that drained it, carries the measured
+    // declaration-to-adoption latency. Every death is declared by now: the
+    // kill step is one the run reaches, and the last gather waited on the
+    // drainer, whose intake waited on the declaration.
+    if let Some(live) = policy.liveness.as_ref().filter(|_| is_root && adopt) {
+        for death in cx.deaths.deaths() {
+            let notice = match own_notices.iter().find(|n| n.dead_rank == death.rank) {
+                Some(notice) => *notice,
+                None => {
+                    let drainer = fabric.base + spec.initial_owner(death.rank);
+                    recv_adopt_notice(comm, drainer, death.rank, live.run_deadline)?
+                }
             };
-            let latency = notice
-                .map(|n| n.latency_ns as f64 * 1e-9)
-                .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-            out.recovery_latency_s.push(latency);
+            out.recovery_latency_s.push(notice.latency_ns as f64 * 1e-9);
             eth_obs::count("adopt_notices", 1.0);
         }
     }

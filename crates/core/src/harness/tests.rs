@@ -1,7 +1,7 @@
 use super::launch::local_role;
 use super::outcome::RankOutput;
 use super::staging::{memoize, stage_data, MemoSlot};
-use super::step::{drain, encode_block, migrate_handshakes, RankCx, VizFabric};
+use super::step::{drain, encode_block, migrate_handshakes, sim_role, RankCx, VizFabric};
 use super::*;
 use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::CoreError;
@@ -11,7 +11,6 @@ use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::{FaultPlan, DATA_TAG_MIN};
 use eth_transport::link::{FabricLink, PairLink};
 use eth_transport::local::LocalFabric;
-use eth_transport::HeartbeatPolicy;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -102,9 +101,8 @@ fn clean_runs_report_no_degradation() {
         let out = run_native(&spec).unwrap();
         assert!(out.degradation.is_clean());
         assert!(!out.report().contains("degraded"));
-        // the empty policy starts no beater or supervisor thread and
-        // collects its ranks without ever waking on a clock
-        assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
+        // the empty policy collects its ranks without ever waking on a
+        // clock
         assert_eq!(out.counters.get("supervised_launches"), 0.0, "{coupling:?}");
     }
 }
@@ -238,7 +236,7 @@ fn a_payload_the_codec_rejects_is_blamed_on_its_sender() {
         let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
         // a clean payload arrives whole
         sim.send(DATA_TAG_MIN, encode_block(&spec, &block, &pool)).unwrap();
-        let got = drain(&cx, &viz, 0, DATA_TAG_MIN, &mut Degradation::default());
+        let got = drain(&cx, &viz, 0, 0, &mut Degradation::default());
         assert_eq!(got.unwrap().unwrap().num_elements(), block.num_elements());
         // a body byte flipped (past the magic) or the tail cut off
         let clean = encode_block(&spec, &block, &pool).to_vec();
@@ -246,7 +244,7 @@ fn a_payload_the_codec_rejects_is_blamed_on_its_sender() {
         flipped[clean.len() / 2] ^= 0xFF;
         for (what, bad) in [("flipped", flipped), ("truncated", clean[..clean.len() - 3].to_vec())] {
             sim.send(DATA_TAG_MIN, Bytes::from(bad)).unwrap();
-            match drain(&cx, &viz, 0, DATA_TAG_MIN, &mut Degradation::default()) {
+            match drain(&cx, &viz, 0, 0, &mut Degradation::default()) {
                 Err(CoreError::Transport(TransportError::Corrupt { peer: 0, .. })) => {}
                 // a quantized body has no checksum: a flipped byte is a
                 // wrong value, not a detectable fault
@@ -450,7 +448,7 @@ fn an_intercore_blocks_lease_comes_back_only_after_the_block_drops() {
     sim.send(DATA_TAG_MIN, encode_block(&spec, &block, &pool))
         .unwrap();
     let mut deg = Degradation::default();
-    let got = drain(&cx, &viz, 0, DATA_TAG_MIN, &mut deg).unwrap().unwrap();
+    let got = drain(&cx, &viz, 0, 0, &mut deg).unwrap().unwrap();
     assert_eq!(&got, &*block);
     let stats = pool.stats();
     assert_eq!((stats.leased, stats.returned), (1, 0), "returned at decode");
@@ -492,23 +490,11 @@ fn baseline_renders_once_across_ratio_and_coupling_axes() {
     assert_eq!(*b1, full.images);
 }
 
-/// A recovery policy with a fast heartbeat so tests detect deaths in
-/// tens of milliseconds instead of the production default.
-fn fast_recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 3,
-        },
-        adopt: true,
-    }
-}
-
 fn kill_spec(name: &str, coupling: Coupling, victim: usize, step: usize) -> ExperimentSpec {
     let mut spec = base_spec(name);
     spec.coupling = coupling;
     spec.steps = 4;
-    spec.recovery = Some(fast_recovery());
+    spec.recovery = Some(RecoveryPolicy::default());
     spec.fault_plan = Some(FaultPlan::seeded(7).with_kill_rank_at_step(victim, step));
     spec
 }
@@ -563,10 +549,7 @@ fn internode_kill_is_adopted_and_prekill_images_are_identical() {
 #[test]
 fn kill_without_adoption_completes_dark() {
     let mut spec = kill_spec("no-adopt", Coupling::Intercore, 0, 1);
-    spec.recovery = Some(RecoveryPolicy {
-        adopt: false,
-        ..fast_recovery()
-    });
+    spec.recovery = Some(RecoveryPolicy { adopt: false });
     let out = run_native(&spec).unwrap();
     assert_eq!(out.degradation.rank_losses, 1);
     assert_eq!(out.degradation.adopted_partitions, 0);
@@ -596,7 +579,7 @@ fn recovery_policy_without_faults_changes_nothing() {
     ] {
         let mut spec = base_spec("rec-noop");
         spec.coupling = coupling;
-        spec.recovery = Some(fast_recovery());
+        spec.recovery = Some(RecoveryPolicy::default());
         spec.migration = migration;
         let out = run_recorded(&spec, &PayloadPool::new(), |spec| {
             Ok(Arc::new(stage_data(spec, Default::default())?))
@@ -606,28 +589,15 @@ fn recovery_policy_without_faults_changes_nothing() {
         assert_eq!(out.recovery_latency_s.len(), 0);
         assert_eq!(out.migration_disruption_s.len(), 0);
         assert_eq!(reference.images, out.images, "policy changed pixels under {coupling:?}");
-        // liveness did start (contrast `clean_runs_report_no_degradation`)
-        assert!(out.counters.get("liveness_threads") > 0.0, "{coupling:?}");
+        // the launch ran under the run deadline (contrast
+        // `clean_runs_report_no_degradation`), and no thread watched it
         assert_eq!(out.counters.get("supervised_launches"), 1.0, "{coupling:?}");
-    }
-}
-
-/// Recovery policy for the migration tests: same fast 10 ms beat, but
-/// a miss budget wide enough that a beater thread starved by a loaded
-/// parallel test run is not falsely declared dead (a spurious death
-/// would nondeterministically abort a planned handoff).
-fn sturdy_recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 30,
-        },
-        adopt: true,
+        assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
     }
 }
 
 fn migrating(mut spec: ExperimentSpec, pattern: crate::config::MigrationPattern) -> ExperimentSpec {
-    spec.recovery = Some(sturdy_recovery());
+    spec.recovery = Some(RecoveryPolicy::default());
     spec.migration = Some(crate::config::MigrationPlan::new(pattern));
     spec
 }
@@ -739,7 +709,6 @@ fn migration_racing_a_death_resolves_deterministically() {
     // happened" — and adoption keeps every image byte-identical.
     let run = || {
         let mut spec = kill_spec("mig-race", Coupling::Intercore, 1, 1);
-        spec.recovery = Some(sturdy_recovery());
         spec.migration = Some(crate::config::MigrationPlan::new(MigrationPattern::Sudden {
             from: 1,
             to: 0,
@@ -764,7 +733,6 @@ fn migration_racing_a_death_resolves_deterministically() {
     // Death after the handoff: the migration commits, the new owner
     // rides out the death, and the drainer still accounts the loss.
     let mut spec = kill_spec("mig-race", Coupling::Intercore, 1, 3);
-    spec.recovery = Some(sturdy_recovery());
     spec.migration = Some(crate::config::MigrationPlan::new(MigrationPattern::Sudden {
         from: 1,
         to: 0,
@@ -781,11 +749,13 @@ fn migration_racing_a_death_resolves_deterministically() {
 /// thread of a two-rank fabric, stepping through nothing but
 /// [`migrate_handshakes`]: viz 0 sources, viz 1 targets. `edit_source`
 /// rewrites the source's copy of the first handoff (the target keeps the
-/// spec's), and the target sleeps `target_delay` before its first step.
-/// Returns each rank's final owners and degradation.
+/// spec's), `declare` runs on both ranks' contexts before any handshake,
+/// and the target sleeps `target_delay` before its first step. Returns
+/// each rank's final owners and degradation.
 fn handshakes_on_two_ranks(
     spec: &ExperimentSpec,
     edit_source: impl FnOnce(&mut Handoff),
+    declare: impl Fn(&RankCx),
     target_delay: Duration,
 ) -> Vec<(Vec<usize>, Degradation)> {
     let staged = Arc::new(stage_data(spec, Default::default()).unwrap());
@@ -793,6 +763,7 @@ fn handshakes_on_two_ranks(
     let mut source = RankCx::new(spec, &staged, &pool);
     edit_source(&mut Arc::get_mut(&mut source).unwrap().policy.handoffs[0]);
     let cxs = [source, RankCx::new(spec, &staged, &pool)];
+    cxs.iter().for_each(|cx| declare(cx));
     std::thread::scope(|s| {
         let ranks: Vec<_> = LocalFabric::new(2)
             .into_iter()
@@ -802,11 +773,7 @@ fn handshakes_on_two_ranks(
                     if comm.rank() == 1 {
                         std::thread::sleep(target_delay);
                     }
-                    let fabric = VizFabric {
-                        comm: &comm,
-                        base: 0,
-                        on_board: false,
-                    };
+                    let fabric = VizFabric { comm: &comm, base: 0 };
                     let mut owners: Vec<usize> =
                         (0..spec.ranks).map(|p| spec.initial_owner(p)).collect();
                     let mut deg = Degradation::default();
@@ -836,7 +803,7 @@ fn a_slow_migration_target_still_commits() {
     // reaches its handshake; only the run deadline bounds the wait.
     let spec = two_rank_handoff();
     assert_eq!(spec.migration_handoffs(), vec![Handoff { partition: 0, from: 0, to: 1, step: 1 }]);
-    let ranks = handshakes_on_two_ranks(&spec, |_| {}, Duration::from_millis(1_200));
+    let ranks = handshakes_on_two_ranks(&spec, |_| {}, |_| {}, Duration::from_millis(1_200));
     for (owners, _) in &ranks {
         assert_eq!(owners, &[1, 1], "both ends must agree the partition moved");
     }
@@ -850,7 +817,7 @@ fn a_migration_offer_off_the_schedule_is_refused() {
     // later step: the target refuses the offer it receives.
     let spec = two_rank_handoff();
     let refused = |what: &str, edit: fn(&mut Handoff)| {
-        let ranks = handshakes_on_two_ranks(&spec, edit, Duration::ZERO);
+        let ranks = handshakes_on_two_ranks(&spec, edit, |_| {}, Duration::ZERO);
         for (owners, _) in &ranks {
             assert_eq!(owners, &[0, 1], "{what}: a refused offer moved ownership");
         }
@@ -859,6 +826,48 @@ fn a_migration_offer_off_the_schedule_is_refused() {
     };
     refused("partition", |h| h.partition = 1);
     refused("step", |h| h.step = 2);
+}
+
+#[test]
+fn a_death_after_the_handoff_step_still_lets_the_handoff_commit() {
+    // Partition 0 moves at step 1. A simulation rank that sent step 1
+    // before it died is not dead at the handoff step, and the target
+    // commits; one that died before sending step 1 is, and it refuses.
+    let spec = two_rank_handoff();
+    for (last_step, commits) in [(Some(1), true), (Some(2), true), (Some(0), false), (None, false)] {
+        let ranks =
+            handshakes_on_two_ranks(&spec, |_| {}, |cx| cx.deaths.declare(0, last_step), Duration::ZERO);
+        let want: &[usize] = if commits { &[1, 1] } else { &[0, 1] };
+        for (owners, _) in &ranks {
+            assert_eq!(owners, want, "last step {last_step:?}");
+        }
+        assert_eq!(ranks[0].1.migrations, u64::from(commits), "last step {last_step:?}");
+        assert_eq!(ranks[0].1.migration_failures, u64::from(!commits));
+    }
+}
+
+#[test]
+fn a_drainer_behind_a_dead_rank_receives_every_block_it_sent() {
+    // The simulation rank sends steps 0..k and dies at step k; its death
+    // is declared before the drainer starts. Every block it sent is
+    // received as usual, and only step k reports the death.
+    let k = 3;
+    let spec = kill_spec("lagging-drainer", Coupling::Intercore, 0, k);
+    let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
+    let cx = RankCx::new(&spec, &staged, &PayloadPool::new());
+    let fabric = LocalFabric::new(2);
+    let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
+    let tombstone = sim_role(&cx, 0, &sim).unwrap();
+    assert_eq!(tombstone.bytes_sent, 0, "a dead rank's tombstone is the default output");
+    assert_eq!(fabric[0].traffic().messages_sent, k as u64);
+    let mut deg = Degradation::default();
+    for step in 0..k {
+        let block = drain(&cx, &viz, 0, step, &mut deg).unwrap();
+        assert_eq!(block.as_ref(), Some(&*staged.series.get(step, 0).unwrap()), "step {step}");
+    }
+    assert_eq!(drain(&cx, &viz, 0, k, &mut deg).unwrap(), None);
+    assert!(cx.deaths.dead_at(0, k));
+    assert!(deg.is_clean(), "{deg:?}");
 }
 
 #[test]

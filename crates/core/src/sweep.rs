@@ -1058,7 +1058,6 @@ mod tests {
         let hang = CoreError::Rank(RankFailure::Hang {
             rank: 0,
             waited: Duration::from_millis(1),
-            last_step: None,
         });
         assert_eq!(RetryPolicy::classify(&hang), Some(RetryOn::Timeout));
         let gone = CoreError::Transport(TransportError::Disconnected { peer: 1 });

@@ -75,7 +75,7 @@ impl CampaignTelemetry {
             c.add("degradation_disconnects", d.disconnects as f64);
             c.add("degradation_corrupt_payloads", d.corrupt_payloads as f64);
             // In-run fault tolerance: losses survived, partitions adopted,
-            // frames composited around a hole, and the detection-to-
+            // frames composited around a hole, and the declaration-to-
             // adoption latency distribution (the recovery SLO).
             c.add("recovery_rank_losses_total", d.rank_losses as f64);
             c.add(

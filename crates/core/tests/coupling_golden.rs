@@ -32,22 +32,9 @@ use eth_core::{
     run_native, Algorithm, Application, Coupling, ExperimentSpec, MigrationPattern, MigrationPlan,
     RecoveryPolicy,
 };
-use eth_transport::{FaultPlan, HeartbeatPolicy};
+use eth_transport::FaultPlan;
 
 const GOLDEN: &str = include_str!("fixtures/coupling_golden.txt");
-
-/// 10 ms beats with a 300 ms miss budget: a beater thread starved by a
-/// loaded 2-core box is not falsely declared dead, so every row's
-/// degradation record is a function of the spec alone.
-fn recovery(adopt: bool) -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 30,
-        },
-        adopt,
-    }
-}
 
 fn base(name: &str, coupling: Coupling, ranks: usize) -> ExperimentSpec {
     ExperimentSpec::builder(name)
@@ -63,7 +50,7 @@ fn base(name: &str, coupling: Coupling, ranks: usize) -> ExperimentSpec {
 }
 
 fn migrating(mut spec: ExperimentSpec, pattern: MigrationPattern) -> ExperimentSpec {
-    spec.recovery = Some(recovery(true));
+    spec.recovery = Some(RecoveryPolicy::default());
     spec.migration = Some(MigrationPlan::new(pattern));
     spec
 }
@@ -84,7 +71,7 @@ fn specs() -> Vec<ExperimentSpec> {
 
         for (what, adopt) in [("kill-adopt", true), ("kill-dark", false)] {
             let mut kill = named(what);
-            kill.recovery = Some(recovery(adopt));
+            kill.recovery = Some(RecoveryPolicy { adopt });
             kill.fault_plan = Some(FaultPlan::seeded(7).with_kill_rank_at_step(1, 2));
             out.push(kill);
         }
@@ -139,7 +126,7 @@ fn specs() -> Vec<ExperimentSpec> {
     ));
 
     let mut tight = base("tight-recovery", Coupling::Tight, 3);
-    tight.recovery = Some(recovery(true));
+    tight.recovery = Some(RecoveryPolicy::default());
     out.push(tight);
 
     // The rest of the chaos path (second fixture block, generated at acac922).

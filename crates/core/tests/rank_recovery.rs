@@ -1,9 +1,9 @@
 //! Integration tests for the in-run rank fault-tolerance layer.
 //!
 //! These run against the public API only: a seeded `kill_rank_at_step`
-//! fault must be survived *inside* the run — heartbeat detection, partition
-//! adoption (the adopter re-derives the partition from the series at its
-//! own step), degraded compositing — without
+//! fault must be survived *inside* the run — the killed rank's declared
+//! death, partition adoption (the adopter re-derives the partition from the
+//! series at its own step), degraded compositing — without
 //! any campaign-level retry, and without ever deadlocking, whichever rank
 //! dies at whichever step.
 
@@ -11,20 +11,8 @@ use eth_core::{
     run_native, Algorithm, Application, Campaign, Coupling, DegradedReason, ExperimentSpec,
     MigrationPattern, MigrationPlan, RecoveryPolicy, RunCaches,
 };
-use eth_transport::{FaultPlan, HeartbeatPolicy};
+use eth_transport::FaultPlan;
 use std::time::{Duration, Instant};
-
-/// Fast-detection policy so the tests spend milliseconds, not seconds,
-/// waiting out the miss budget.
-fn fast_recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 3,
-        },
-        adopt: true,
-    }
-}
 
 fn spec(name: &str, coupling: Coupling, ranks: usize, steps: usize) -> ExperimentSpec {
     ExperimentSpec::builder(name)
@@ -47,7 +35,7 @@ fn kill_spec(
     step: usize,
 ) -> ExperimentSpec {
     let mut s = spec(name, coupling, ranks, steps);
-    s.recovery = Some(fast_recovery());
+    s.recovery = Some(RecoveryPolicy::default());
     s.fault_plan = Some(FaultPlan::seeded(0xDEAD).with_kill_rank_at_step(victim, step));
     s
 }
@@ -85,7 +73,7 @@ fn internode_seeded_kill_completes_without_campaign_retry() {
         );
     }
 
-    // the detection-to-adoption latency is measured and plausible
+    // the declaration-to-adoption latency is measured and plausible
     assert_eq!(native.recovery_latency_s.len(), 1);
     assert!(
         native.recovery_latency_s[0] > 0.0 && native.recovery_latency_s[0] < 30.0,
@@ -140,20 +128,9 @@ fn any_single_rank_kill_at_any_step_never_deadlocks() {
 fn migration_interleaved_with_kill_is_deterministic_and_tagged() {
     let (ranks, steps) = (3usize, 4usize);
 
-    // A wider miss budget than fast_recovery(): a beater thread starved
-    // by a loaded parallel test run must not be falsely declared dead,
-    // or a spurious death would nondeterministically abort the handoff.
-    let sturdy = RecoveryPolicy {
-        heartbeat: HeartbeatPolicy {
-            interval_ms: 10,
-            miss_budget: 30,
-        },
-        adopt: true,
-    };
-
     // Point 0: pure elasticity — one Sudden handoff, nobody dies.
     let mut elastic = spec("mx-elastic", Coupling::Intercore, ranks, steps);
-    elastic.recovery = Some(sturdy);
+    elastic.recovery = Some(RecoveryPolicy::default());
     elastic.migration = Some(MigrationPlan::new(MigrationPattern::Sudden {
         from: 1,
         to: 2,
@@ -164,7 +141,6 @@ fn migration_interleaved_with_kill_is_deterministic_and_tagged() {
     // partition's simulation rank one step before the handoff — death
     // wins, the handoff degrades to "no migration happened".
     let mut raced = kill_spec("mx-raced", Coupling::Intercore, ranks, steps, 1, 1);
-    raced.recovery = Some(sturdy);
     raced.migration = elastic.migration;
 
     let run = |tag: &str| {

@@ -259,10 +259,10 @@ mod tests {
             link.send(TAG, Bytes::from_static(b"lost")).unwrap();
             link.send(COLLECTIVE_TAG_BASE + 1, Bytes::from_static(b"lost too")).unwrap();
             let mine = || Bytes::from(vec![c.rank() as u8]);
-            gather(&c, 0..3, 0, mine(), None).unwrap();
-            let g = gather(&c, 0..3, 1, mine(), None).unwrap();
+            gather(&c, 0..3, 0, mine()).unwrap();
+            let g = gather(&c, 0..3, 1, mine()).unwrap();
             assert_eq!(link.fault_log().len(), 2);
-            g.map(|parts| parts.iter().flatten().count()).unwrap_or(0)
+            g.map_or(0, |parts| parts.len())
         });
         assert_eq!(totals, vec![3, 0, 0]);
     }

@@ -9,18 +9,17 @@
 //! Tags: the gather uses the top tag bits (`0xC0xx_xxxx`) salted per call,
 //! so user traffic (low tags) never collides as long as it stays below
 //! [`COLLECTIVE_TAG_BASE`]. Above it sits the **control plane**
-//! (`0xE0xx_xxxx`): liveness and recovery notices such as
-//! partition-adoption announcements. Both classes travel on the
-//! communicator, never on a fault-wrapped pair link — chaos may lose
-//! *data*, never the messages that coordinate reacting to the loss — but
-//! unlike a plain gather the control plane is liveness-aware: control
-//! receives always carry a deadline, so a dead peer degrades the run
-//! instead of deadlocking it.
+//! (`0xE0xx_xxxx`): partition-adoption notices and migration handshakes.
+//! Both classes travel on the communicator, never on a fault-wrapped pair
+//! link — chaos may lose *data*, never the messages that coordinate
+//! reacting to the loss — and every control receive carries the run's
+//! deadline, so a peer that never answers fails the run instead of
+//! wedging it.
 
 use crate::comm::{Communicator, Result, TransportError};
 use bytes::Bytes;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tags at or above this value are reserved for collectives.
 pub const COLLECTIVE_TAG_BASE: u32 = 0xC000_0000;
@@ -31,7 +30,7 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0xC000_0000;
 const TAG_GATHER: u32 = COLLECTIVE_TAG_BASE + 0x0200_0000;
 
 /// Tags at or above this value are reserved for the control plane
-/// (rank-liveness and recovery coordination). Sits above
+/// (recovery and migration coordination). Sits above
 /// [`COLLECTIVE_TAG_BASE`], clear of both collectives and data.
 pub const CONTROL_TAG_BASE: u32 = 0xE000_0000;
 
@@ -41,17 +40,17 @@ pub const CONTROL_TAG_BASE: u32 = 0xE000_0000;
 pub const TAG_ADOPT_NOTICE: u32 = CONTROL_TAG_BASE + 0x0100_0000;
 
 /// The control-plane message announcing a partition adoption: who died,
-/// where their work stopped, who took over, and how long detection +
-/// takeover took from the dead rank's last sign of life.
+/// where their work stopped, who took over, and how long the takeover
+/// took from the death's declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdoptNotice {
-    /// The rank that stopped beating.
+    /// The simulation rank that died.
     pub dead_rank: usize,
     /// The step at which the adopter resumed the partition.
     pub adopted_at_step: usize,
     /// The adopting rank.
     pub adopter: usize,
-    /// Nanoseconds from the dead rank's last heartbeat to the adoption.
+    /// Nanoseconds from the death's declaration to the adoption.
     pub latency_ns: u64,
 }
 
@@ -226,36 +225,19 @@ pub fn recv_adopt_notice(
     AdoptNotice::decode(&bytes)
 }
 
-/// The liveness part of a [`gather`] whose contributors can die mid-run.
-#[derive(Clone, Copy)]
-pub struct Survivors<'a> {
-    /// Whether the caller believes a rank dead: its slot is a hole, not a
-    /// wait.
-    pub is_dead: &'a dyn Fn(usize) -> bool,
-    /// Budget for each live contributor's payload.
-    pub timeout: Duration,
-}
-
 /// Gather the payloads of the ranks `members` at the first of them, the
 /// root. Returns `Some(slots)` on the root, indexed by position in
-/// `members` (its own payload in slot 0; `None` in a slot is a missing
-/// contribution), and `None` elsewhere. `salt` must be unique per logical
-/// gather (e.g. step × image) so late payloads cannot cross gathers.
-///
-/// Without `survivors` every receive blocks and any error fails the
-/// gather: the plain run pays for nothing. With it, the root skips ranks
-/// believed dead and receives from the others in short slices, re-checking
-/// liveness between them, so a rank declared dead mid-gather resolves to a
-/// hole in O(detection latency), a disconnected or silent one in at most
-/// `timeout` — never a deadlock — while a live straggler keeps the whole
-/// budget.
+/// `members` (its own payload in slot 0), and `None` elsewhere. `salt` must
+/// be unique per logical gather (e.g. step × image) so late payloads
+/// cannot cross gathers. Every receive blocks and any error fails the
+/// gather: the members are visualization ranks, and no visualization rank
+/// dies mid-run.
 pub fn gather(
     comm: &dyn Communicator,
     members: Range<usize>,
     salt: u32,
     payload: Bytes,
-    survivors: Option<Survivors>,
-) -> Result<Option<Vec<Option<Bytes>>>> {
+) -> Result<Option<Vec<Bytes>>> {
     let rank = comm.rank();
     if !members.contains(&rank) {
         return Err(TransportError::InvalidArgument(format!(
@@ -269,41 +251,11 @@ pub fn gather(
         return Ok(None);
     }
     let mut slots = Vec::with_capacity(members.len());
-    slots.push(Some(payload));
+    slots.push(payload);
     for from in root + 1..members.end {
-        slots.push(match survivors {
-            None => Some(comm.recv(from, tag)?),
-            Some(live) => recv_surviving(comm, from, tag, live)?,
-        });
+        slots.push(comm.recv(from, tag)?);
     }
     Ok(Some(slots))
-}
-
-/// One contributor's payload under [`Survivors`]: `None` when it is (or is
-/// declared) dead, disconnects, or misses its budget.
-fn recv_surviving(
-    comm: &dyn Communicator,
-    from: usize,
-    tag: u32,
-    live: Survivors,
-) -> Result<Option<Bytes>> {
-    let slice = Duration::from_millis(5).min(live.timeout.max(Duration::from_millis(1)));
-    let deadline = Instant::now() + live.timeout;
-    loop {
-        if (live.is_dead)(from) {
-            return Ok(None);
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Ok(None);
-        }
-        match comm.recv_timeout(from, tag, slice.min(deadline - now)) {
-            Ok(bytes) => return Ok(Some(bytes)),
-            Err(TransportError::Timeout { .. }) => continue,
-            Err(TransportError::Disconnected { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,14 +288,14 @@ mod tests {
             if c.rank() < 2 {
                 return None;
             }
-            gather(c, 2..5, 3, Bytes::from(vec![c.rank() as u8]), None).unwrap()
+            gather(c, 2..5, 3, Bytes::from(vec![c.rank() as u8])).unwrap()
         });
         let slots = results[2].as_ref().unwrap();
-        let got: Vec<u8> = slots.iter().map(|slot| slot.as_ref().unwrap()[0]).collect();
+        let got: Vec<u8> = slots.iter().map(|slot| slot[0]).collect();
         assert_eq!(got, vec![2, 3, 4]);
         assert!(results.iter().enumerate().all(|(rank, r)| rank == 2 || r.is_none()));
         // a rank outside the range is refused, not silently counted
-        let refused = on_ranks(2, |c| gather(c, 1..2, 0, Bytes::new(), None).is_err());
+        let refused = on_ranks(2, |c| gather(c, 1..2, 0, Bytes::new()).is_err());
         assert_eq!(refused, vec![true, false]);
     }
 
@@ -356,8 +308,8 @@ mod tests {
             let order = if c.rank() == 1 { [8, 7] } else { [7, 8] };
             let mut got = Vec::new();
             for salt in order {
-                if let Some(slots) = gather(c, 0..2, salt as u32, mine(salt), None).unwrap() {
-                    got.push(slots[1].clone().unwrap());
+                if let Some(slots) = gather(c, 0..2, salt as u32, mine(salt)).unwrap() {
+                    got.push(slots[1].clone());
                 }
             }
             got
@@ -452,51 +404,5 @@ mod tests {
         assert_eq!(got.dead_rank, 2);
         assert_eq!(got.adopter, 1);
         assert_eq!(got.adopted_at_step, 4);
-    }
-
-    #[test]
-    fn a_surviving_gather_skips_the_dead_and_never_blocks_on_them() {
-        use std::time::Instant;
-        // rank 2 is "dead": it never calls the gather at all. The root
-        // must still return, with rank 2's slot empty, well inside the
-        // per-receive timeout budget.
-        let t0 = Instant::now();
-        let results = on_ranks(4, |c| {
-            if c.rank() == 2 {
-                return None; // dead rank: no participation
-            }
-            let survivors = Survivors {
-                is_dead: &|r| r == 2,
-                timeout: Duration::from_secs(5),
-            };
-            gather(c, 0..4, 5, Bytes::from(vec![c.rank() as u8]), Some(survivors)).unwrap()
-        });
-        let slots = results[0].as_ref().unwrap();
-        assert_eq!(slots.len(), 4);
-        assert_eq!(slots[0].as_ref().unwrap()[0], 0);
-        assert_eq!(slots[1].as_ref().unwrap()[0], 1);
-        assert!(slots[2].is_none(), "dead rank contributes nothing");
-        assert_eq!(slots[3].as_ref().unwrap()[0], 3);
-        // the dead slot was skipped, not waited out
-        assert!(t0.elapsed() < Duration::from_secs(4), "root waited on a dead rank");
-    }
-
-    #[test]
-    fn a_surviving_gather_counts_a_silent_live_rank_as_missing() {
-        // rank 1 is believed alive but never sends: the root times out on
-        // it (bounded) and records a missing contribution.
-        let results = on_ranks(3, |c| {
-            if c.rank() == 1 {
-                return None;
-            }
-            let survivors = Survivors {
-                is_dead: &|_| false,
-                timeout: Duration::from_millis(50),
-            };
-            gather(c, 0..3, 9, Bytes::from(vec![c.rank() as u8]), Some(survivors)).unwrap()
-        });
-        let slots = results[0].as_ref().unwrap();
-        assert!(slots[1].is_none(), "silent rank must surface as missing");
-        assert!(slots[2].is_some());
     }
 }

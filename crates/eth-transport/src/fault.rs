@@ -84,11 +84,11 @@ pub struct DisconnectSpec {
     pub after_messages: u64,
 }
 
-/// Kill rank `rank` outright when it reaches step `step`: the rank stops
-/// beating and stops sending, as if its node dropped off the fabric. Unlike
-/// [`DisconnectSpec`] (which severs one link), a kill takes the whole rank
-/// out — every peer loses it at once, and only a recovery policy (heartbeat
-/// detection + partition adoption) lets the run complete. Deterministic by
+/// Kill rank `rank` outright when it reaches step `step`: the rank declares
+/// its death and stops sending, as if its node dropped off the fabric.
+/// Unlike [`DisconnectSpec`] (which severs one link), a kill takes the whole
+/// rank out — every peer loses it at once, and only a recovery policy
+/// (partition adoption) lets the run complete. Deterministic by
 /// construction: the same `(rank, step)` kills at the same point every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KillSpec {
@@ -254,8 +254,8 @@ impl FaultPlan {
     }
 
     /// Does the plan kill `rank` at (or before) `step`? The harness checks
-    /// this at each step boundary; a killed rank stops beating and stops
-    /// producing data from that step on.
+    /// this at each step boundary; a killed rank declares its death and
+    /// produces no data from that step on.
     pub fn kills(&self, rank: usize, step: usize) -> bool {
         matches!(self.kill_rank_at_step, Some(k) if k.rank == rank && step >= k.step)
     }

@@ -18,11 +18,11 @@
 //!   globally visible layout file, opens its port and waits; visualization
 //!   ranks poll the file and connect (Section III-C),
 //! * [`layout`] — the layout file itself,
-//! * [`collectives`] — the composite gather over a range of ranks (with
-//!   an optional liveness part) and the control-plane messages,
+//! * [`collectives`] — the composite gather over a range of ranks and the
+//!   control-plane messages,
 //! * [`runner`] — the `mpirun` equivalent: one launcher that spawns a
-//!   thread per rank and collects them under an optional wall-clock budget
-//!   and an optional heartbeat watch,
+//!   thread per rank and collects them under an optional wall-clock
+//!   budget,
 //! * [`fault`] — deterministic, serializable fault plans (drop / corrupt /
 //!   delay / disconnect as pure functions of a seed and the message key),
 //! * [`chaos`] — the wrapper that enacts a fault plan on a pair link.
@@ -43,7 +43,4 @@ pub use comm::{Communicator, TransportError};
 pub use fault::{Backoff, BackoffShape, FaultPlan, KillSpec};
 pub use link::{FabricLink, PairLink};
 pub use local::LocalFabric;
-pub use runner::{
-    launch, run_ranks, DeathNotice, HeartbeatBoard, HeartbeatPolicy, RankFailure, Seat,
-    Supervision, Watch,
-};
+pub use runner::{launch, run_ranks, RankFailure, Seat};
