@@ -25,7 +25,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use eth_data::crc::crc32;
 use eth_data::io::binary;
 use eth_data::io::pool::PayloadPool;
-use eth_data::{Attribute, DataObject, PointCloud, UniformGrid, Vec3};
+use eth_data::{Attribute, DataObject, Fields, PointCloud, UniformGrid, Vec3};
 
 /// A HACC-shaped block (positions + velocity + mass + id = 36 B/particle)
 /// whose encoding is `bytes` long to within one particle.
@@ -112,7 +112,7 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| on_a_fresh_thread(&|| binary::encode(black_box(&obj))))
         });
         group.bench_function(BenchmarkId::new("encode_in_threaded", label), |b| {
-            b.iter(|| on_a_fresh_thread(&|| binary::encode_in(black_box(&obj), &pool)))
+            b.iter(|| on_a_fresh_thread(&|| binary::encode_in(black_box(&obj), Fields::All, &pool)))
         });
     }
     group.finish();

@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eth_core::config::orbit_camera;
 use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
+use eth_data::Fields;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::raster::splat::render_splats;
 use eth_render::shading::Lighting;
@@ -29,7 +30,7 @@ fn bench(c: &mut Criterion) {
             |b, &ratio| {
                 let spec = SamplingSpec::new(ratio, SamplingMethod::Random, 42).unwrap();
                 b.iter(|| {
-                    let sampled = sample_points(&cloud, &spec).unwrap();
+                    let sampled = sample_points(&cloud, &spec, Fields::Only(Some("density"))).unwrap();
                     render_splats(
                         &sampled,
                         Some("density"),

@@ -17,6 +17,7 @@ use eth_core::{run_native, Campaign, NativeOutcome, RunCaches};
 use eth_data::compress::Codec;
 use eth_data::io::binary;
 use eth_data::io::pool::PayloadPool;
+use eth_data::Fields;
 use crate::cli::Report;
 use serde::Serialize;
 use std::time::Instant;
@@ -164,7 +165,7 @@ pub fn run_campaign_bench(smoke: bool) -> Result<CampaignBenchReport> {
     let t_enc = Instant::now();
     let mut encoded_bytes = 0u64;
     for _ in 0..reps {
-        let payload = Codec::Lossless.encode_in(&obj, &pool);
+        let payload = Codec::Lossless.encode_in(&obj, Fields::All, &pool);
         assert_eq!(payload.len() as u64, expected);
         encoded_bytes += payload.len() as u64;
     }

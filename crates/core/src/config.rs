@@ -183,16 +183,6 @@ impl Application {
         }
     }
 
-    /// Bytes per element crossing the in-situ interface.
-    pub fn bytes_per_element(&self) -> u32 {
-        match self {
-            // id (8) + position (12) + velocity (12)
-            Application::Hacc { .. } => 32,
-            // one f32 field
-            Application::Xrage { .. } => 4,
-        }
-    }
-
     /// Generate the global dataset for one timestep (deterministic in
     /// `(seed, step)`).
     pub fn generate(&self, step: usize, seed: u64) -> Result<DataObject> {

@@ -293,11 +293,6 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
 
 /// Pipeline configured with the step's global color range.
 pub(super) fn pipeline_for_step(spec: &ExperimentSpec, staged: &StagedData, step: usize) -> VizPipeline {
-    let options = eth_render::pipeline::RenderOptions {
-        scalar: Some(spec.application.default_scalar().to_string()),
-        range: staged.scalar_ranges[step],
-        ..Default::default()
-    };
-    VizPipeline::new(spec).with_options(options)
+    VizPipeline::new(spec).with_range(staged.scalar_ranges[step])
 }
 

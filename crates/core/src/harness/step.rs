@@ -5,10 +5,10 @@ use super::outcome::{Degradation, RankOutput};
 use super::staging::{pipeline_for_step, StagedData};
 use crate::config::{ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
-use crate::pipeline::accumulate;
+use crate::pipeline::{accumulate, VizPipeline};
 use bytes::Bytes;
 use eth_data::io::pool::PayloadPool;
-use eth_data::DataObject;
+use eth_data::{DataObject, Fields};
 use eth_render::composite::{composite_parts, encode_contribution};
 use eth_render::framebuffer::Framebuffer;
 use eth_sim::SimulationProxy;
@@ -24,16 +24,24 @@ use eth_transport::FaultPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Encode a block for a process boundary with the spec's wire codec, into
-/// a buffer leased from the run's pool, which has it back once the far side
-/// (or whatever dropped the message on the way) lets go of it. The block
-/// costs one `Encode` span carrying the payload's bytes, and the raw and
-/// on-wire byte counters let campaigns report what the codec bought.
-pub(super) fn encode_block(spec: &ExperimentSpec, block: &DataObject, pool: &PayloadPool) -> Bytes {
+/// Encode what the pipeline `reads` of a block — its geometry and the
+/// field it colours by, never the attributes nothing downstream looks at —
+/// for a process boundary with the spec's wire codec, into a buffer leased
+/// from the run's pool, which has it back once the far side (or whatever
+/// dropped the message on the way) lets go of it. The block costs one
+/// `Encode` span carrying the payload's bytes, and the raw (lossless) and
+/// on-wire byte counters of the same selection let campaigns report what
+/// the codec bought.
+pub(super) fn encode_block(
+    spec: &ExperimentSpec,
+    block: &DataObject,
+    reads: Fields,
+    pool: &PayloadPool,
+) -> Bytes {
     let mut span = eth_obs::span(eth_obs::Phase::Encode);
-    let payload = spec.wire_compression.encode_in(block, pool);
+    let payload = spec.wire_compression.encode_in(block, reads, pool);
     span.set_bytes(payload.len() as u64);
-    let raw = eth_data::io::binary::encoded_len(block);
+    let raw = eth_data::io::binary::selected_len(block, reads);
     eth_obs::count("wire_raw_bytes", raw as f64);
     eth_obs::count("wire_compressed_bytes", payload.len() as f64);
     payload
@@ -178,10 +186,12 @@ pub(super) struct VizFabric<'a> {
 }
 
 /// The simulation side of a step: the rank's proxy presents the block, the
-/// rank encodes it and pushes it across the pair link. A block the proxy
-/// skipped crosses as the empty payload, a hole the composite root counts.
+/// rank encodes what the visualization pipeline reads of it and pushes
+/// that across the pair link. A block the proxy skipped crosses as the
+/// empty payload, a hole the composite root counts.
 pub(super) fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<RankOutput> {
     let spec = &cx.spec;
+    let reader = VizPipeline::new(spec);
     let mut proxy = SimulationProxy::new(cx.staged.series.clone(), rank);
     let mut out = RankOutput::default();
     for step in 0..spec.steps {
@@ -194,7 +204,7 @@ pub(super) fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<
         }
         let t = Instant::now();
         let payload = match proxy.step(step)? {
-            Some(block) => encode_block(spec, &block, &cx.payloads),
+            Some(block) => encode_block(spec, &block, reader.reads(), &cx.payloads),
             None => Bytes::new(),
         };
         out.phases.sim_s += t.elapsed().as_secs_f64();
@@ -443,8 +453,9 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 // and nobody adopts: a hole (intake settled which)
                 None if drains && !(adopt && cx.deaths.dead_at(p, step)) => continue,
                 // adopted or migrated-in: this rank's proxy presents the
-                // partition, byte-identical to the wire block (a block it
-                // skips is a hole)
+                // partition as the series' own handle, every field; the
+                // pipeline reads of it what the wire block carries, so the
+                // frame is byte-identical (a block it skips is a hole)
                 None => {
                     let proxy = inherited[p]
                         .get_or_insert_with(|| SimulationProxy::new(staged.series.clone(), p));

@@ -5,8 +5,11 @@ use super::step::{drain, encode_block, migrate_handshakes, sim_role, RankCx, Viz
 use super::*;
 use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::CoreError;
+use crate::pipeline::VizPipeline;
 use bytes::Bytes;
 use eth_data::compress::Codec;
+use eth_data::io::binary;
+use eth_data::io::pool::FLOOR_BYTES;
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::{FaultPlan, DATA_TAG_MIN};
 use eth_transport::link::{FabricLink, PairLink};
@@ -66,6 +69,48 @@ fn internode_native_run_matches_tight_images() {
     }
     // internode really moved the data across the socket layer
     assert!(internode.bytes_moved > tight.bytes_moved);
+}
+
+#[test]
+fn a_block_crosses_as_what_its_pipeline_reads() {
+    // Each particle algorithm and the isosurface pipeline, across both
+    // process boundaries, unsampled and sampled: the images are the tight
+    // run's (which renders the series' own, every-field blocks), and what
+    // crossed is exactly each block's selection under the lossless codec
+    // plus the composite traffic the tight run also moves.
+    let particles = [Algorithm::VtkPoints, Algorithm::GaussianSplat, Algorithm::RaycastSpheres]
+        .map(|algorithm| (algorithm, Application::Hacc { particles: 3_000 }));
+    let grid = (Algorithm::VtkIsosurface, Application::Xrage { dims: [20, 16, 12] });
+    for (algorithm, application) in particles.into_iter().chain([grid]) {
+        for ratio in [1.0, 0.25] {
+            let mut spec = base_spec("reads");
+            spec.application = application.clone();
+            spec.algorithm = algorithm;
+            spec.sampling_ratio = ratio;
+            let tight = run_native(&spec).unwrap();
+            assert!(tight.images.iter().all(|image| image.coverage(0.01) > 0.0), "{algorithm:?}");
+            let staged = stage_data(&spec, Default::default()).unwrap();
+            let pipeline = VizPipeline::new(&spec);
+            let reads = pipeline.reads();
+            let selected: usize = (0..spec.steps)
+                .flat_map(|step| (0..spec.ranks).map(move |rank| (step, rank)))
+                .map(|(step, rank)| {
+                    let block = staged.series.get(step, rank).unwrap();
+                    let wire = binary::selected_len(&block, reads);
+                    assert!(wire < binary::encoded_len(&block), "nothing left behind");
+                    wire
+                })
+                .sum();
+            for coupling in [Coupling::Intercore, Coupling::Internode] {
+                spec.coupling = coupling;
+                let out = run_native(&spec).unwrap();
+                let case = format!("{algorithm:?} at {ratio} under {coupling:?}");
+                assert_eq!(out.images, tight.images, "{case}");
+                assert_eq!(out.bytes_moved, tight.bytes_moved + selected as u64, "{case}");
+                assert_eq!(out.counters.get("wire_raw_bytes"), selected as f64, "{case}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -234,12 +279,14 @@ fn a_payload_the_codec_rejects_is_blamed_on_its_sender() {
         let cx = RankCx::new(&spec, &staged, &pool);
         let fabric = LocalFabric::new(2);
         let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
+        let pipeline = VizPipeline::new(&spec);
+        let encode = || encode_block(&spec, &block, pipeline.reads(), &pool);
         // a clean payload arrives whole
-        sim.send(DATA_TAG_MIN, encode_block(&spec, &block, &pool)).unwrap();
+        sim.send(DATA_TAG_MIN, encode()).unwrap();
         let got = drain(&cx, &viz, 0, 0, &mut Degradation::default());
         assert_eq!(got.unwrap().unwrap().num_elements(), block.num_elements());
         // a body byte flipped (past the magic) or the tail cut off
-        let clean = encode_block(&spec, &block, &pool).to_vec();
+        let clean = encode().to_vec();
         let mut flipped = clean.clone();
         flipped[clean.len() / 2] ^= 0xFF;
         for (what, bad) in [("flipped", flipped), ("truncated", clean[..clean.len() - 3].to_vec())] {
@@ -362,12 +409,12 @@ fn cached_run_is_byte_identical_to_fresh() {
     assert!((stats.staging_hit_rate() - 0.5).abs() < 1e-12);
 }
 
-/// One step of two ranks whose encoded blocks (~1.5 MB each) clear the
-/// payload pool's floor: with one step no rank can run ahead, so the
-/// pool's counts are exact.
+/// One step of two ranks whose encoded blocks (positions and density,
+/// ~1.5 MB each) clear the payload pool's floor: with one step no rank can
+/// run ahead, so the pool's counts are exact.
 fn pooled_spec(name: &str, coupling: Coupling) -> ExperimentSpec {
     let mut spec = ExperimentSpec::builder(name)
-        .application(Application::Hacc { particles: 80_000 })
+        .application(Application::Hacc { particles: 180_000 })
         .algorithm(Algorithm::VtkPoints)
         .ranks(2)
         .steps(1)
@@ -387,6 +434,13 @@ fn warm_pair_runs_encode_into_parked_buffers() {
     // sender's buffer already home is timing, so `fresh` is asserted only
     // where one buffer serves both ends (the pre-warmed test below covers
     // the socket); the counts of leases and returns are exact everywhere.
+    let spec = pooled_spec("pool-warm", Coupling::Intercore);
+    let staged = stage_data(&spec, Default::default()).unwrap();
+    for rank in 0..spec.ranks {
+        let block = staged.series.get(0, rank).unwrap();
+        let wire = binary::selected_len(&block, VizPipeline::new(&spec).reads());
+        assert!(wire >= FLOOR_BYTES, "rank {rank}'s block ({wire} B) is not leased");
+    }
     for (coupling, per_run) in [(Coupling::Intercore, 2), (Coupling::Internode, 4)] {
         let spec = pooled_spec("pool-warm", coupling);
         let uncached = run_native(&spec).unwrap();
@@ -445,11 +499,11 @@ fn an_intercore_blocks_lease_comes_back_only_after_the_block_drops() {
     let block = staged.series.get(0, 0).unwrap();
     let fabric = LocalFabric::new(2);
     let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
-    sim.send(DATA_TAG_MIN, encode_block(&spec, &block, &pool))
+    sim.send(DATA_TAG_MIN, encode_block(&spec, &block, VizPipeline::new(&spec).reads(), &pool))
         .unwrap();
     let mut deg = Degradation::default();
     let got = drain(&cx, &viz, 0, 0, &mut deg).unwrap().unwrap();
-    assert_eq!(&got, &*block);
+    assert_eq!(got, block.select(VizPipeline::new(&spec).reads()));
     let stats = pool.stats();
     assert_eq!((stats.leased, stats.returned), (1, 0), "returned at decode");
     drop(got);
@@ -863,7 +917,8 @@ fn a_drainer_behind_a_dead_rank_receives_every_block_it_sent() {
     let mut deg = Degradation::default();
     for step in 0..k {
         let block = drain(&cx, &viz, 0, step, &mut deg).unwrap();
-        assert_eq!(block.as_ref(), Some(&*staged.series.get(step, 0).unwrap()), "step {step}");
+        let sent = staged.series.get(step, 0).unwrap().select(VizPipeline::new(&spec).reads());
+        assert_eq!(block, Some(sent), "step {step}");
     }
     assert_eq!(drain(&cx, &viz, 0, k, &mut deg).unwrap(), None);
     assert!(cx.deaths.dead_at(0, k));

@@ -12,7 +12,7 @@
 use crate::config::{orbit_camera, ExperimentSpec};
 use crate::error::Result;
 use eth_data::sampling::{sample_grid_field, sample_points};
-use eth_data::DataObject;
+use eth_data::{DataObject, Fields};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::{render_views, RenderOptions, RenderStats};
 use eth_render::Image;
@@ -39,6 +39,11 @@ pub struct VizPipeline {
 }
 
 impl VizPipeline {
+    /// The pipeline every rank of `spec` runs: it colours by the
+    /// application's field ([`crate::config::Application::default_scalar`]),
+    /// so that field and the geometry are all it reads of a block
+    /// ([`VizPipeline::reads`]) and all a block carries across the in-situ
+    /// interface.
     pub fn new(spec: &ExperimentSpec) -> VizPipeline {
         let options = RenderOptions {
             scalar: Some(spec.application.default_scalar().to_string()),
@@ -51,20 +56,32 @@ impl VizPipeline {
         }
     }
 
-    /// Override the render options (colormap, lighting, explicit range).
-    pub fn with_options(mut self, options: RenderOptions) -> VizPipeline {
-        self.options = options;
+    /// Fix the transfer-function range (every rank of a step colours
+    /// through the step's global range).
+    pub fn with_range(mut self, range: Option<(f32, f32)>) -> VizPipeline {
+        self.options.range = range;
         self
     }
 
-    /// Apply the sampling operator to a block.
+    /// What this pipeline reads of a block: its geometry and the field it
+    /// colours by ([`RenderOptions::reads`]). The harness encodes exactly
+    /// this for a process boundary.
+    pub fn reads(&self) -> Fields<'_> {
+        self.options.reads()
+    }
+
+    /// Apply the sampling operator to a block. A sampled cloud carries
+    /// only what the pipeline reads; which particles it keeps does not
+    /// depend on that.
     pub fn sample(&self, data: &DataObject) -> Result<DataObject> {
         let sampling = self.spec.sampling()?;
         if sampling.is_identity() {
             return Ok(data.clone());
         }
         Ok(match data {
-            DataObject::Points(cloud) => DataObject::Points(sample_points(cloud, &sampling)?),
+            DataObject::Points(cloud) => {
+                DataObject::Points(sample_points(cloud, &sampling, self.reads())?)
+            }
             DataObject::Grid(grid) => {
                 let field = self.spec.application.default_scalar();
                 DataObject::Grid(sample_grid_field(grid, field, &sampling, 0.0)?)
@@ -253,6 +270,9 @@ mod tests {
         let data = s.application.generate(0, s.seed).unwrap();
         let sampled = pipe.sample(&data).unwrap();
         assert_eq!(sampled.num_elements(), 500);
+        // a sampled cloud carries what the pipeline reads, nothing more
+        let names: Vec<_> = sampled.as_points().unwrap().attributes().names().collect();
+        assert_eq!(names, ["density"]);
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! changed value as the pad bytes of the blocks that row moved. The six
 //! migration rows' `bytes=` were re-counted once more when a handoff
 //! stopped shipping a checkpoint (offer → ack); the header gives each as
-//! the state bytes that row no longer sends.
+//! the state bytes that row no longer sends. Every non-tight row's
+//! `bytes=` was re-counted once more when a block started to cross as its
+//! geometry plus the field the pipeline colours by; the header gives each
+//! as the `id` and `velocity` bytes of the blocks that row moved.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`

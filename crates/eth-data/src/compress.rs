@@ -15,10 +15,14 @@
 //! * id attributes — kept verbatim (lossless; ids don't quantize).
 //!
 //! Grids compress their scalar fields the same way; topology is implicit.
+//!
+//! Like `EBD3`'s, the one writer takes a [`Fields`]: the geometry, then
+//! the attributes the selection carries; [`compress`] is its
+//! [`Fields::All`] case.
 
 use crate::dataset::DataObject;
 use crate::error::{DataError, Result};
-use crate::field::{Attribute, AttributeSet};
+use crate::field::{Attribute, AttributeSet, Fields};
 use crate::grid::UniformGrid;
 use crate::io::aligned::AlignedBuf;
 use crate::io::pool::PayloadPool;
@@ -53,16 +57,19 @@ impl Codec {
         }
     }
 
-    /// [`Codec::encode`], byte for byte, into a buffer leased from `pool`
-    /// (see [`crate::io::pool`]).
-    pub fn encode_in(&self, obj: &DataObject, pool: &PayloadPool) -> Bytes {
+    /// `obj`'s geometry and the attributes `fields` carries, encoded with
+    /// this codec into a buffer leased from `pool` (see
+    /// [`crate::io::pool`]); under [`Fields::All`], [`Codec::encode`] byte
+    /// for byte. Decoding gives back [`DataObject::select`] of `obj` (to
+    /// the codec's precision).
+    pub fn encode_in(&self, obj: &DataObject, fields: Fields, pool: &PayloadPool) -> Bytes {
         match self {
             Codec::Quantize => {
-                let mut lease = pool.lease(compressed_len(obj));
-                write(obj, lease.buf());
+                let mut lease = pool.lease(compressed_len(obj, fields));
+                write(obj, fields, lease.buf());
                 lease.freeze()
             }
-            Codec::Lossless => crate::io::binary::encode_in(obj, pool),
+            Codec::Lossless => crate::io::binary::encode_in(obj, fields, pool),
         }
     }
 
@@ -175,6 +182,14 @@ fn put_attr(buf: &mut AlignedBuf, name: &str, attr: &Attribute) {
     }
 }
 
+/// The attribute count, then each attribute `fields` carries.
+fn put_attrs(buf: &mut AlignedBuf, attrs: &AttributeSet, fields: Fields) {
+    buf.put_u32_le(attrs.selected(fields).count() as u32);
+    for (name, attr) in attrs.selected(fields) {
+        put_attr(buf, name, attr);
+    }
+}
+
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
     need_items(buf, n, 0, 0, what)
 }
@@ -240,16 +255,16 @@ fn get_attr(buf: &mut Bytes) -> Result<(String, Attribute)> {
 /// Compress a dataset for the wire. Positions get 16 bits/axis, scalars
 /// 8 bits, vectors 8 bits/component; ids stay lossless.
 pub fn compress(obj: &DataObject) -> Bytes {
-    let mut buf = AlignedBuf::with_capacity(compressed_len(obj));
-    write(obj, &mut buf);
+    let mut buf = AlignedBuf::with_capacity(compressed_len(obj, Fields::All));
+    write(obj, Fields::All, &mut buf);
     buf.freeze()
 }
 
-/// Exact size of [`compress`]'s output for `obj`.
-fn compressed_len(obj: &DataObject) -> usize {
+/// Exact size of the compressed geometry and attributes `fields` carries.
+fn compressed_len(obj: &DataObject, fields: Fields) -> usize {
     let attrs = |set: &AttributeSet| {
         4 + set
-            .iter()
+            .selected(fields)
             .map(|(name, attr)| {
                 4 + name.len()
                     + 9
@@ -267,8 +282,9 @@ fn compressed_len(obj: &DataObject) -> usize {
     }
 }
 
-/// The compressor: appends `obj`'s [`compressed_len`] bytes to `buf`.
-fn write(obj: &DataObject, buf: &mut AlignedBuf) {
+/// The compressor: appends the [`compressed_len`] bytes of `obj` under
+/// `fields` to `buf`.
+fn write(obj: &DataObject, fields: Fields, buf: &mut AlignedBuf) {
     buf.put_slice(MAGIC);
     match obj {
         DataObject::Points(cloud) => {
@@ -288,10 +304,7 @@ fn write(obj: &DataObject, buf: &mut AlignedBuf) {
                 buf.put_u16_le(quantize(p.y, lo.y, hi.y, 65536) as u16);
                 buf.put_u16_le(quantize(p.z, lo.z, hi.z, 65536) as u16);
             }
-            buf.put_u32_le(cloud.attributes().len() as u32);
-            for (name, attr) in cloud.attributes().iter() {
-                put_attr(buf, name, attr);
-            }
+            put_attrs(buf, cloud.attributes(), fields);
         }
         DataObject::Grid(grid) => {
             buf.put_u8(KIND_GRID);
@@ -308,13 +321,10 @@ fn write(obj: &DataObject, buf: &mut AlignedBuf) {
             ] {
                 buf.put_f32_le(c);
             }
-            buf.put_u32_le(grid.attributes().len() as u32);
-            for (name, attr) in grid.attributes().iter() {
-                put_attr(buf, name, attr);
-            }
+            put_attrs(buf, grid.attributes(), fields);
         }
     }
-    debug_assert_eq!(buf.len(), compressed_len(obj), "compressed_len out of sync");
+    debug_assert_eq!(buf.len(), compressed_len(obj, fields), "compressed_len out of sync");
 }
 
 /// Decompress a payload produced by [`compress`].
@@ -499,7 +509,7 @@ mod tests {
         // and both codecs write the same bytes into a leased buffer
         let pool = PayloadPool::new();
         for codec in [Codec::Quantize, Codec::Lossless] {
-            assert_eq!(codec.encode_in(&obj, &pool), codec.encode(&obj));
+            assert_eq!(codec.encode_in(&obj, Fields::All, &pool), codec.encode(&obj));
         }
         assert_eq!(
             Codec::Quantize.decode(q).unwrap().num_elements(),

@@ -1,6 +1,7 @@
 //! The polymorphic dataset handed across the in-situ interface.
 
 use crate::bounds::Aabb;
+use crate::field::Fields;
 use crate::grid::UniformGrid;
 use crate::points::PointCloud;
 use serde::{Deserialize, Serialize};
@@ -39,6 +40,15 @@ impl DataObject {
         match self {
             DataObject::Points(p) => p.payload_bytes(),
             DataObject::Grid(g) => g.payload_bytes(),
+        }
+    }
+
+    /// The block's geometry and the attributes `fields` carries: what an
+    /// encoder given `fields` writes, and what its decoder gives back.
+    pub fn select(&self, fields: Fields) -> DataObject {
+        match self {
+            DataObject::Points(p) => DataObject::Points(p.select(fields)),
+            DataObject::Grid(g) => DataObject::Grid(g.select(fields)),
         }
     }
 

@@ -89,6 +89,33 @@ impl Attribute {
     }
 }
 
+/// Which of a block's attributes an operation carries. Geometry — a
+/// cloud's positions, a grid's shape — is always carried; this names the
+/// attributes beside it.
+///
+/// A visualization pipeline reads a block's geometry and the one field it
+/// colours by, so that is what crosses the in-situ interface
+/// ([`Fields::Only`]); files, spills and partitions keep every attribute
+/// ([`Fields::All`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fields<'a> {
+    /// Every attribute, in the set's order.
+    All,
+    /// The named attribute, if the block holds one; `None` is geometry
+    /// alone.
+    Only(Option<&'a str>),
+}
+
+impl Fields<'_> {
+    /// Whether the attribute called `name` is carried.
+    pub fn keeps(&self, name: &str) -> bool {
+        match self {
+            Fields::All => true,
+            Fields::Only(kept) => *kept == Some(name),
+        }
+    }
+}
+
 /// Ordered collection of named attributes, all with the same length.
 ///
 /// Insertion order is preserved so files written from an `AttributeSet`
@@ -161,13 +188,29 @@ impl AttributeSet {
         self.entries.iter().map(|(n, a)| (n.as_str(), a))
     }
 
-    /// Produce a new set keeping only elements at `indices` in every array.
-    pub fn gather(&self, indices: &[usize]) -> AttributeSet {
+    /// The attributes `fields` carries, in the set's order.
+    pub fn selected<'s>(&'s self, fields: Fields<'s>) -> impl Iterator<Item = (&'s str, &'s Attribute)> {
+        self.iter().filter(move |(name, _)| fields.keeps(name))
+    }
+
+    /// The attributes `fields` carries, as a set of their own. An owned
+    /// array is copied, a view shares its bytes ([`Array`]'s `Clone`).
+    pub fn select(&self, fields: Fields) -> AttributeSet {
         AttributeSet {
             entries: self
-                .entries
-                .iter()
-                .map(|(n, a)| (n.clone(), a.gather(indices)))
+                .selected(fields)
+                .map(|(n, a)| (n.to_string(), a.clone()))
+                .collect(),
+        }
+    }
+
+    /// Produce a new set of the attributes `fields` carries, keeping only
+    /// the elements at `indices` in each array.
+    pub fn gather(&self, indices: &[usize], fields: Fields) -> AttributeSet {
+        AttributeSet {
+            entries: self
+                .selected(fields)
+                .map(|(n, a)| (n.to_string(), a.gather(indices)))
                 .collect(),
         }
     }
@@ -225,9 +268,26 @@ mod tests {
     #[test]
     fn gather_selects_in_order() {
         let s = sample_set();
-        let g = s.gather(&[2, 0]);
+        let g = s.gather(&[2, 0], Fields::All);
         assert_eq!(g.require_scalar("t").unwrap(), &[3.0, 1.0]);
         assert_eq!(g.get("id").unwrap().as_id().unwrap(), &[30, 10]);
+        // a selection gathers only what it carries
+        let t = s.gather(&[2, 0], Fields::Only(Some("t")));
+        assert_eq!(t.names().collect::<Vec<_>>(), ["t"]);
+        assert_eq!(t.require_scalar("t").unwrap(), &[3.0, 1.0]);
+        assert!(s.gather(&[1], Fields::Only(None)).is_empty());
+        assert!(s.gather(&[1], Fields::Only(Some("absent"))).is_empty());
+    }
+
+    #[test]
+    fn a_selection_keeps_the_sets_order() {
+        let s = sample_set();
+        let names = |fields| s.selected(fields).map(|(n, _)| n).collect::<Vec<_>>();
+        assert_eq!(names(Fields::All), ["t", "v", "id"]);
+        assert_eq!(names(Fields::Only(Some("v"))), ["v"]);
+        assert!(names(Fields::Only(None)).is_empty());
+        assert_eq!(s.select(Fields::All), s);
+        assert_eq!(s.select(Fields::Only(Some("id"))).get("id"), s.get("id"));
     }
 
     #[test]

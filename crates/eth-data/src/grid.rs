@@ -9,7 +9,7 @@
 
 use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
-use crate::field::{Attribute, AttributeSet};
+use crate::field::{Attribute, AttributeSet, Fields};
 use crate::vec3::Vec3;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -271,6 +271,17 @@ impl UniformGrid {
         Some(Vec3::new(gx, gy, gz))
     }
 
+    /// The same grid with only the attributes `fields` carries (see
+    /// [`AttributeSet::select`] for what is copied).
+    pub fn select(&self, fields: Fields) -> UniformGrid {
+        UniformGrid {
+            dims: self.dims,
+            origin: self.origin,
+            spacing: self.spacing,
+            attributes: self.attributes.select(fields),
+        }
+    }
+
     /// Approximate in-memory footprint in bytes.
     pub fn payload_bytes(&self) -> usize {
         let mut total = 0;
@@ -356,7 +367,7 @@ impl UniformGrid {
                 }
             }
         }
-        let gathered = self.attributes.gather(&indices);
+        let gathered = self.attributes.gather(&indices, Fields::All);
         for (name, attr) in gathered.iter() {
             out.set_attribute(name, attr.clone())?;
         }

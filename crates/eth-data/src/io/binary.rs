@@ -72,12 +72,23 @@
 //!
 //! The format is little-endian by definition, and so is every target the
 //! crate builds for ([`crate::io::le`]).
+//!
+//! # What is written
+//!
+//! There is one writer, and it takes a [`Fields`]: the geometry always,
+//! and of the attributes only those the selection carries, in the set's
+//! order. A block crossing the in-situ interface carries what its
+//! pipeline reads ([`Fields::Only`] the colouring field); [`encode`],
+//! [`encoded_len`] and files are the [`Fields::All`] case of the same
+//! writer. The bytes are an ordinary `EBD3` block either way — a block
+//! whose other attributes were never there — so [`decode`] does not know
+//! the difference and gives back [`DataObject::select`] of the source.
 
 use crate::array::Array;
 use crate::crc::{crc32, Crc32};
 use crate::dataset::DataObject;
 use crate::error::{DataError, Result};
-use crate::field::{Attribute, AttributeSet};
+use crate::field::{Attribute, AttributeSet, Fields};
 use crate::grid::UniformGrid;
 use crate::io::aligned::{AlignedBuf, ALIGN};
 use crate::io::le::{put_slice_le, LeElement};
@@ -147,9 +158,9 @@ impl Body<'_> {
         self.put_array(v);
     }
 
-    fn put_attributes(&mut self, attrs: &AttributeSet) {
-        self.put_u32_le(attrs.len() as u32);
-        for (name, attr) in attrs.iter() {
+    fn put_attributes(&mut self, attrs: &AttributeSet, fields: Fields) {
+        self.put_u32_le(attrs.selected(fields).count() as u32);
+        for (name, attr) in attrs.selected(fields) {
             self.put_u32_le(name.len() as u32);
             self.put_slice(name.as_bytes());
             match attr {
@@ -167,8 +178,8 @@ fn array_end<T: LeElement>(at: usize, n: usize) -> usize {
 }
 
 /// End offset of the attribute section starting at `at`.
-fn attributes_end(at: usize, attrs: &AttributeSet) -> usize {
-    attrs.iter().fold(at + 4, |at, (name, attr)| {
+fn attributes_end(at: usize, attrs: &AttributeSet, fields: Fields) -> usize {
+    attrs.selected(fields).fold(at + 4, |at, (name, attr)| {
         let at = at + 4 + name.len() + 9;
         match attr {
             Attribute::Scalar(v) => array_end::<f32>(at, v.len()),
@@ -178,37 +189,45 @@ fn attributes_end(at: usize, attrs: &AttributeSet) -> usize {
     })
 }
 
-/// Exact size of [`encode`]'s output for `obj`, from the format layout in
-/// the module docs. Lets the encoder allocate once with no slack and no
-/// mid-encode growth copies.
+/// Exact size of [`encode`]'s output for `obj`: [`selected_len`] of
+/// every attribute.
 pub fn encoded_len(obj: &DataObject) -> usize {
+    selected_len(obj, Fields::All)
+}
+
+/// Exact size of the encoding of `obj`'s geometry and the attributes
+/// `fields` carries, from the format layout in the module docs. Lets the
+/// encoder allocate once with no slack and no mid-encode growth copies.
+pub fn selected_len(obj: &DataObject, fields: Fields) -> usize {
     let body = match obj {
         DataObject::Points(p) => {
-            attributes_end(array_end::<Vec3>(5 + 8, p.len()), p.attributes())
+            attributes_end(array_end::<Vec3>(5 + 8, p.len()), p.attributes(), fields)
         }
-        DataObject::Grid(g) => attributes_end(5 + 24 + 24, g.attributes()),
+        DataObject::Grid(g) => attributes_end(5 + 24 + 24, g.attributes(), fields),
     };
     body + TRAILER_BYTES
 }
 
-/// Encode a dataset into a fresh, 8-aligned byte buffer.
+/// Encode a dataset, every attribute, into a fresh, 8-aligned byte buffer.
 pub fn encode(obj: &DataObject) -> Bytes {
     let mut buf = AlignedBuf::with_capacity(encoded_len(obj));
-    write(obj, &mut buf);
+    write(obj, Fields::All, &mut buf);
     buf.freeze()
 }
 
-/// [`encode`], byte for byte, into a buffer leased from `pool`; the buffer
-/// goes back to the pool when the last handle to the returned bytes — and
-/// the last array decoded from them — drops.
-pub fn encode_in(obj: &DataObject, pool: &PayloadPool) -> Bytes {
-    let mut lease = pool.lease(encoded_len(obj));
-    write(obj, lease.buf());
+/// `obj`'s geometry and the attributes `fields` carries, encoded into a
+/// buffer leased from `pool` ([`encode`], byte for byte, under
+/// [`Fields::All`]); the buffer goes back to the pool when the last handle
+/// to the returned bytes — and the last array decoded from them — drops.
+pub fn encode_in(obj: &DataObject, fields: Fields, pool: &PayloadPool) -> Bytes {
+    let mut lease = pool.lease(selected_len(obj, fields));
+    write(obj, fields, lease.buf());
     lease.freeze()
 }
 
-/// The encoder: appends `obj`'s [`encoded_len`] bytes to the empty `buf`.
-fn write(obj: &DataObject, buf: &mut AlignedBuf) {
+/// The encoder: appends the [`selected_len`] bytes of `obj` under `fields`
+/// to the empty `buf`.
+fn write(obj: &DataObject, fields: Fields, buf: &mut AlignedBuf) {
     let mut body = Body {
         buf,
         crc: Crc32::new(),
@@ -219,7 +238,7 @@ fn write(obj: &DataObject, buf: &mut AlignedBuf) {
             body.put_u8(KIND_POINTS);
             body.put_u64_le(p.len() as u64);
             body.put_array(p.positions());
-            body.put_attributes(p.attributes());
+            body.put_attributes(p.attributes(), fields);
         }
         DataObject::Grid(g) => {
             body.put_u8(KIND_GRID);
@@ -227,15 +246,15 @@ fn write(obj: &DataObject, buf: &mut AlignedBuf) {
                 body.put_u64_le(d as u64);
             }
             put_slice_le(&mut body, &[g.origin(), g.spacing()]);
-            body.put_attributes(g.attributes());
+            body.put_attributes(g.attributes(), fields);
         }
     }
     let Body { buf, crc } = body;
     buf.put_u32_le(crc.finish());
     debug_assert_eq!(
         buf.len(),
-        encoded_len(obj),
-        "encoded_len out of sync with encode"
+        selected_len(obj, fields),
+        "selected_len out of sync with write"
     );
 }
 
@@ -325,8 +344,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode a dataset from bytes produced by [`encode`]. The arrays of the
-/// result view `buf` (see the module docs for the checks and the cost).
+/// Decode a dataset from bytes produced by [`encode`] or [`encode_in`].
+/// The arrays of the result view `buf` (see the module docs for the checks
+/// and the cost).
 pub fn decode(buf: Bytes) -> Result<DataObject> {
     let buf = if (buf.as_ptr() as usize).is_multiple_of(ALIGN) {
         buf
@@ -645,7 +665,7 @@ mod tests {
             big.clone(),
             big,
         ] {
-            let leased = encode_in(&obj, &pool);
+            let leased = encode_in(&obj, Fields::All, &pool);
             assert_eq!(leased, encode(&obj));
             assert_eq!(decode(leased).unwrap(), obj);
         }

@@ -46,7 +46,7 @@ pub use bounds::Aabb;
 pub use bytes::Bytes;
 pub use dataset::DataObject;
 pub use error::DataError;
-pub use field::{Attribute, AttributeSet};
+pub use field::{Attribute, AttributeSet, Fields};
 pub use grid::UniformGrid;
 pub use points::PointCloud;
 pub use unstructured::UnstructuredGrid;

@@ -13,7 +13,7 @@
 
 use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
-use crate::field::Attribute;
+use crate::field::{Attribute, Fields};
 use crate::grid::UniformGrid;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
@@ -135,7 +135,7 @@ pub fn partition_points(cloud: &PointCloud, n: usize) -> Result<Vec<PointCloud>>
     }
     if cloud.is_empty() {
         // n empty clouds — a rank is allowed to hold no data.
-        return Ok((0..n).map(|_| cloud.gather(&[]).unwrap()).collect());
+        return Ok((0..n).map(|_| cloud.gather(&[], Fields::All).unwrap()).collect());
     }
     let positions = cloud.positions();
     let mut domain = Aabb::empty();
@@ -385,7 +385,7 @@ mod tests {
         }
         let domain = cloud.bounds();
         if cloud.is_empty() {
-            return Ok((0..n).map(|_| cloud.gather(&[]).unwrap()).collect());
+            return Ok((0..n).map(|_| cloud.gather(&[], Fields::All).unwrap()).collect());
         }
         let blocks = decompose_domain(&domain, n);
         let mut index_lists: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -413,7 +413,7 @@ mod tests {
                 .expect("at least one block");
             index_lists[bi].push(pi);
         }
-        index_lists.iter().map(|ix| cloud.gather(ix)).collect()
+        index_lists.iter().map(|ix| cloud.gather(ix, Fields::All)).collect()
     }
 
     /// The slab partitioner over the extraction it used before

@@ -3,15 +3,16 @@
 use crate::array::Array;
 use crate::bounds::Aabb;
 use crate::error::{DataError, Result};
-use crate::field::{Attribute, AttributeSet};
+use crate::field::{Attribute, AttributeSet, Fields};
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
 /// A set of particles with positions and per-particle attributes.
 ///
-/// This mirrors the HACC payload of the paper: each particle carries an id,
-/// position, and velocity; the id and velocity live in [`PointCloud::attributes`].
-/// A decoded cloud's positions view the payload ([`Array`]).
+/// This mirrors the HACC payload of the paper: each particle carries a
+/// position, an id, a velocity and a density; all but the position live in
+/// [`PointCloud::attributes`]. A decoded cloud's positions view the payload
+/// ([`Array`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PointCloud {
     positions: Array<Vec3>,
@@ -68,9 +69,18 @@ impl PointCloud {
         Aabb::from_points(&self.positions)
     }
 
-    /// New cloud containing only the particles at `indices`, with all
-    /// attributes gathered consistently.
-    pub fn gather(&self, indices: &[usize]) -> Result<PointCloud> {
+    /// The same particles with only the attributes `fields` carries (see
+    /// [`AttributeSet::select`] for what is copied).
+    pub fn select(&self, fields: Fields) -> PointCloud {
+        PointCloud {
+            positions: self.positions.clone(),
+            attributes: self.attributes.select(fields),
+        }
+    }
+
+    /// New cloud containing only the particles at `indices`, with the
+    /// attributes `fields` carries gathered consistently.
+    pub fn gather(&self, indices: &[usize], fields: Fields) -> Result<PointCloud> {
         if let Some(&bad) = indices.iter().find(|&&i| i >= self.positions.len()) {
             return Err(DataError::InvalidArgument(format!(
                 "gather index {bad} out of range for {} points",
@@ -79,7 +89,7 @@ impl PointCloud {
         }
         Ok(PointCloud {
             positions: indices.iter().map(|&i| self.positions[i]).collect(),
-            attributes: self.attributes.gather(indices),
+            attributes: self.attributes.gather(indices, fields),
         })
     }
 
@@ -145,17 +155,20 @@ mod tests {
     #[test]
     fn gather_keeps_attributes_aligned() {
         let c = cloud();
-        let g = c.gather(&[3, 1]).unwrap();
+        let g = c.gather(&[3, 1], Fields::All).unwrap();
         assert_eq!(g.len(), 2);
         assert_eq!(g.positions()[0], Vec3::new(0.0, 0.0, 3.0));
         assert_eq!(g.scalar("mass").unwrap(), &[4.0, 2.0]);
         assert_eq!(g.attribute("id").unwrap().as_id().unwrap(), &[3, 1]);
+        let mass = c.gather(&[3, 1], Fields::Only(Some("mass"))).unwrap();
+        assert_eq!(mass, g.select(Fields::Only(Some("mass"))));
+        assert!(mass.attribute("id").is_none());
     }
 
     #[test]
     fn gather_rejects_out_of_range() {
         let c = cloud();
-        assert!(c.gather(&[0, 99]).is_err());
+        assert!(c.gather(&[0, 99], Fields::All).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::error::{DataError, Result};
 use crate::grid::UniformGrid;
 use crate::points::PointCloud;
-use crate::field::Attribute;
+use crate::field::{Attribute, Fields};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -82,13 +82,15 @@ fn draw_indices(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
     picked
 }
 
-/// Apply spatial sampling to a point cloud, returning the sampled cloud.
+/// Apply spatial sampling to a point cloud, returning the sampled cloud
+/// with the attributes `fields` carries.
 ///
-/// The output is deterministic in `(spec.seed, cloud contents)` and the kept
-/// indices are in ascending order, so attribute alignment is stable.
-pub fn sample_points(cloud: &PointCloud, spec: &SamplingSpec) -> Result<PointCloud> {
+/// Which particles are kept depends only on the positions, their count and
+/// `spec`, never on the attributes or on `fields`; the kept indices are in
+/// ascending order, so attribute alignment is stable.
+pub fn sample_points(cloud: &PointCloud, spec: &SamplingSpec, fields: Fields) -> Result<PointCloud> {
     if spec.is_identity() {
-        return Ok(cloud.clone());
+        return Ok(cloud.select(fields));
     }
     let n = cloud.len();
     let target = ((n as f64) * spec.ratio).round() as usize;
@@ -102,7 +104,7 @@ pub fn sample_points(cloud: &PointCloud, spec: &SamplingSpec) -> Result<PointClo
             stratified_indices(cloud, spec.ratio, strata, &mut rng)
         }
     };
-    cloud.gather(&indices)
+    cloud.gather(&indices, fields)
 }
 
 fn stratified_indices(
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     fn identity_sampling_is_noop() {
         let c = grid_cloud(4);
-        let s = sample_points(&c, &SamplingSpec::full()).unwrap();
+        let s = sample_points(&c, &SamplingSpec::full(), Fields::All).unwrap();
         assert_eq!(s, c);
     }
 
@@ -218,7 +220,7 @@ mod tests {
         let c = grid_cloud(8); // 512 points
         for ratio in [0.75, 0.5, 0.25] {
             let spec = SamplingSpec::new(ratio, SamplingMethod::Random, 42).unwrap();
-            let s = sample_points(&c, &spec).unwrap();
+            let s = sample_points(&c, &spec, Fields::All).unwrap();
             assert_eq!(s.len(), (512.0 * ratio).round() as usize);
         }
     }
@@ -227,8 +229,8 @@ mod tests {
     fn sampling_is_deterministic_and_a_subset() {
         let c = grid_cloud(6);
         let spec = SamplingSpec::new(0.5, SamplingMethod::Random, 9).unwrap();
-        let a = sample_points(&c, &spec).unwrap();
-        let b = sample_points(&c, &spec).unwrap();
+        let a = sample_points(&c, &spec, Fields::All).unwrap();
+        let b = sample_points(&c, &spec, Fields::All).unwrap();
         assert_eq!(a, b);
         // kept ids are a subset of the originals and strictly increasing
         let ids = a.attribute("id").unwrap().as_id().unwrap();
@@ -237,16 +239,38 @@ mod tests {
     }
 
     #[test]
+    fn a_selection_keeps_the_same_particles() {
+        // the kept set depends on positions, count and seed alone, so
+        // sampling a selection is selecting a sample
+        let mut c = grid_cloud(6);
+        let n = c.len();
+        c.set_attribute("d", Attribute::Scalar((0..n).map(|i| i as f32).collect()))
+            .unwrap();
+        for method in [SamplingMethod::Random, SamplingMethod::Stratified { strata: 3 }] {
+            for ratio in [1.0, 0.5, 0.25] {
+                let spec = SamplingSpec::new(ratio, method, 11).unwrap();
+                let all = sample_points(&c, &spec, Fields::All).unwrap();
+                for fields in [Fields::Only(Some("d")), Fields::Only(None)] {
+                    let picked = sample_points(&c, &spec, fields).unwrap();
+                    assert_eq!(picked, all.select(fields), "{method:?} at {ratio}, {fields:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let c = grid_cloud(6);
         let s1 = sample_points(
             &c,
             &SamplingSpec::new(0.5, SamplingMethod::Random, 1).unwrap(),
+            Fields::All,
         )
         .unwrap();
         let s2 = sample_points(
             &c,
             &SamplingSpec::new(0.5, SamplingMethod::Random, 2).unwrap(),
+            Fields::All,
         )
         .unwrap();
         assert_ne!(s1, s2);
@@ -271,7 +295,7 @@ mod tests {
             .unwrap();
         let spec =
             SamplingSpec::new(0.5, SamplingMethod::Stratified { strata: 4 }, 3).unwrap();
-        let s = sample_points(&c, &spec).unwrap();
+        let s = sample_points(&c, &spec, Fields::All).unwrap();
         // dense cluster near origin should hold ~90% of sampled points
         let near_origin = s
             .positions()

@@ -1,13 +1,14 @@
 //! Property-based tests for the data-model substrate.
 
-use eth_data::compress;
+use eth_data::compress::{self, Codec};
 use eth_data::field::Attribute;
 use eth_data::io::binary;
 use eth_data::partition::{decompose_domain, partition_grid_slabs, partition_points};
 use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
-use eth_data::{Aabb, DataError, DataObject, PointCloud, UniformGrid, Vec3};
+use eth_data::{Aabb, DataError, DataObject, Fields, PointCloud, UniformGrid, Vec3};
 use proptest::prelude::*;
 use eth_data::io::aligned::AlignedBuf;
+use eth_data::io::pool::PayloadPool;
 use eth_data::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -281,7 +282,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let spec = SamplingSpec::new(ratio, SamplingMethod::Random, seed).unwrap();
-        let s = sample_points(&cloud, &spec).unwrap();
+        let s = sample_points(&cloud, &spec, Fields::All).unwrap();
         let want = ((cloud.len() as f64) * ratio).round() as usize;
         prop_assert_eq!(s.len(), want);
         // sampled ids form a strictly increasing subset
@@ -301,7 +302,7 @@ proptest! {
         strata in 1usize..5,
     ) {
         let spec = SamplingSpec::new(ratio, SamplingMethod::Stratified { strata }, 11).unwrap();
-        let s = sample_points(&cloud, &spec).unwrap();
+        let s = sample_points(&cloud, &spec, Fields::All).unwrap();
         // per-stratum rounding can drift by up to one point per stratum
         let want = (cloud.len() as f64) * ratio;
         let slack = (strata * strata * strata) as f64;
@@ -428,6 +429,101 @@ proptest! {
         } else {
             prop_assert!(matches!(err, DataError::Corrupt(_)), "offset {offset}: {err}");
         }
+    }
+}
+
+/// A cloud of `pos.len()` particles (any count, none included) or a grid
+/// of shape `dims`, carrying `id` and `v` (grids: `v`) and, when `with_d`,
+/// `d` — the field the selections below colour by.
+fn block(grid: bool, pos: Vec<Vec3>, dims: [usize; 3], with_d: bool) -> DataObject {
+    if grid {
+        let mut g = UniformGrid::new(dims, Vec3::splat(-1.0), Vec3::splat(0.5)).unwrap();
+        let n = g.num_vertices();
+        if with_d {
+            g.set_attribute("d", Attribute::Scalar((0..n).map(|i| i as f32 * 0.25).collect()))
+                .unwrap();
+        }
+        g.set_attribute("v", Attribute::Scalar((0..n).map(|i| -(i as f32)).collect()))
+            .unwrap();
+        return DataObject::Grid(g);
+    }
+    let n = pos.len();
+    let mut c = PointCloud::from_positions(pos);
+    c.set_attribute("id", Attribute::Id((0..n as u64).map(|i| i * 7 + 1).collect()))
+        .unwrap();
+    c.set_attribute(
+        "v",
+        Attribute::Vector((0..n).map(|i| Vec3::splat(i as f32 - 3.0)).collect()),
+    )
+    .unwrap();
+    if with_d {
+        c.set_attribute("d", Attribute::Scalar((0..n).map(|i| (i % 5) as f32).collect()))
+            .unwrap();
+    }
+    DataObject::Points(c)
+}
+
+/// Every selection the harness can make of such a block, and all fields.
+const SELECTIONS: [Fields<'static>; 6] = [
+    Fields::All,
+    Fields::Only(Some("d")),
+    Fields::Only(Some("v")),
+    Fields::Only(Some("id")),
+    Fields::Only(Some("absent")),
+    Fields::Only(None),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Each codec's one writer, given a selection, writes exactly what it
+    /// writes for the block's projection onto that selection: the length
+    /// is exact (`EBD3`'s `selected_len` here; `EBC1`'s `compressed_len`
+    /// by the writer's own debug assertion), the bytes are the projection's
+    /// full encoding, decode gives back the projection array for array, and
+    /// the all-fields case is the plain encoder byte for byte.
+    #[test]
+    fn codec_selection_writes_the_projection(
+        grid in 0u8..2,
+        pos in prop::collection::vec(arb_vec3(50.0), 0..40),
+        nx in 1usize..5, ny in 1usize..5, nz in 1usize..5,
+        with_d in 0u8..2,
+        pick in 0usize..SELECTIONS.len(),
+    ) {
+        let obj = block(grid == 1, pos, [nx, ny, nz], with_d == 1);
+        let fields = SELECTIONS[pick];
+        let pool = PayloadPool::new();
+        let projected = obj.select(fields);
+        for (name, attr) in projected.as_points().map_or_else(
+            || projected.as_grid().unwrap().attributes(),
+            |p| p.attributes(),
+        ).iter() {
+            prop_assert!(fields.keeps(name), "{name} is not selected");
+            let source = obj.as_points().map_or_else(
+                || obj.as_grid().unwrap().attribute(name),
+                |p| p.attribute(name),
+            );
+            prop_assert_eq!(Some(attr), source);
+        }
+        for codec in [Codec::Lossless, Codec::Quantize] {
+            let wire = codec.encode_in(&obj, fields, &pool);
+            if codec.is_lossless() {
+                prop_assert_eq!(wire.len(), binary::selected_len(&obj, fields));
+            }
+            prop_assert_eq!(&wire, &codec.encode(&projected), "{:?}", codec);
+            if fields == Fields::All {
+                prop_assert_eq!(&wire, &codec.encode(&obj), "{:?}", codec);
+            }
+            let back = codec.decode(wire).unwrap();
+            prop_assert_eq!(back.num_elements(), obj.num_elements());
+            if codec.is_lossless() {
+                prop_assert_eq!(&back, &projected);
+            } else {
+                prop_assert_eq!(&back, &codec.decode(codec.encode(&projected)).unwrap());
+            }
+        }
+        prop_assert_eq!(binary::selected_len(&obj, Fields::All), binary::encoded_len(&obj));
+        prop_assert_eq!(binary::encode_in(&obj, Fields::All, &pool), binary::encode(&obj));
     }
 }
 

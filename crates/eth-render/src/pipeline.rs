@@ -20,7 +20,7 @@ pub use crate::ray::sphere::ProgressivePass;
 use crate::ray::sphere::SphereRaycaster;
 use crate::shading::Lighting;
 use eth_data::error::{DataError, Result};
-use eth_data::{DataObject, Vec3};
+use eth_data::{DataObject, Fields, Vec3};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -124,6 +124,16 @@ impl Default for RenderOptions {
             tile: None,
             progressive: None,
         }
+    }
+}
+
+impl RenderOptions {
+    /// What a render under these options reads of a block: its geometry
+    /// and the [`RenderOptions::scalar`] field, whatever the backend. No
+    /// other attribute can change a pixel, and a block without the field
+    /// colours by depth (particles) or fails (grids) alike.
+    pub fn reads(&self) -> Fields<'_> {
+        Fields::Only(self.scalar.as_deref())
     }
 }
 

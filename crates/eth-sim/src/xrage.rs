@@ -142,8 +142,10 @@ impl XrageConfig {
         )?;
         let mut grid = tree.resample(self.dims, "temperature")?;
         // Also attach the analytic field evaluated directly at vertices as
-        // "temperature_exact" — tests use it to bound resampling error, and
-        // it doubles as a second field for multi-variable pipelines.
+        // "temperature_exact" — tests use it to bound resampling error. It
+        // stays in the series (and in spills and files); a block crosses a
+        // process boundary with only the field its pipeline reads, so this
+        // one crosses only for a pipeline that colours by it.
         let exact = self.temperature_at_vertices(&grid, t);
         grid.set_attribute(
             "temperature_exact",

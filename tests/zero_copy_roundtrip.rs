@@ -4,7 +4,7 @@
 
 use eth::data::field::Attribute;
 use eth::data::io::binary::{decode, encode, encoded_len};
-use eth::data::{DataObject, PointCloud, UniformGrid, Vec3};
+use eth::data::{DataObject, Fields, PointCloud, UniformGrid, Vec3};
 use eth::data::compress::Codec;
 use eth::data::io::pool::PayloadPool;
 use proptest::prelude::*;
@@ -82,7 +82,7 @@ proptest! {
     /// data-layer encoder, and its decode views the payload in place.
     #[test]
     fn transport_wrappers_agree(obj in arb_points()) {
-        let payload = Codec::Lossless.encode_in(&obj, &PayloadPool::new());
+        let payload = Codec::Lossless.encode_in(&obj, Fields::All, &PayloadPool::new());
         prop_assert_eq!(payload.len(), encoded_len(&obj));
         prop_assert_eq!(&payload, &encode(&obj));
         let range = payload.as_ptr_range();
