@@ -96,10 +96,47 @@ fn rate(ops: f64, seconds: f64) -> f64 {
     (ops / seconds.max(1e-9)).max(1.0)
 }
 
+/// Timed calls per kernel, after one untimed warm-up call; a kernel's time
+/// is the fastest of them.
+const ROUNDS: usize = 5;
+
+/// One calibrated kernel: a call runs it once and returns the operations
+/// it counted.
+type Kernel<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// Time every kernel as the best of [`ROUNDS`] warm calls on one thread,
+/// the kernels interleaved round by round, and return each one's
+/// `ops / seconds`. The warm-up round pays the cold caches, page faults
+/// and allocator growth the timed rounds do not; a burst of load from
+/// elsewhere lands on one call of each kernel, not on every call of one;
+/// and one thread keeps the shim's per-call thread spawns, which are
+/// most of a millisecond-long call on two threads, out of every rate. A
+/// rate is a kernel's steady state per core on this host, all of them
+/// measured under the same conditions.
+fn steady_rates<const K: usize>(mut kernels: [Kernel<'_>; K]) -> [f64; K] {
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builder cannot fail");
+    let mut best = [(0.0, f64::INFINITY); K];
+    one.install(|| {
+        for round in 0..=ROUNDS {
+            for (kernel, best) in kernels.iter_mut().zip(&mut best) {
+                let t = Instant::now();
+                let ops = kernel();
+                let seconds = t.elapsed().as_secs_f64();
+                if round > 0 && seconds < best.1 {
+                    *best = (ops, seconds);
+                }
+            }
+        }
+    });
+    best.map(|(ops, seconds)| rate(ops, seconds))
+}
+
 /// Measure this host's kernel rates, returning a calibration whose rate
 /// fields reflect the machine and whose shape fields keep their defaults.
 pub fn measure(budget: CalibrationBudget) -> Calibration {
-    let mut cal = Calibration::default();
     let cloud = test_cloud(budget.particles);
     let grid = test_grid(budget.grid_side);
     let camera = orbit_camera(&cloud.bounds(), budget.image_side, budget.image_side, 0, 1);
@@ -107,81 +144,105 @@ pub fn measure(budget: CalibrationBudget) -> Calibration {
     let tf = TransferFunction::new(Colormap::Viridis, 0.0, 96.0);
     let lighting = Lighting::default();
     let bg = Vec3::ZERO;
-
-    // VTK points (per-particle rate; the 3x3 block cost is inside it)
-    let t = Instant::now();
-    let (_, ps) = render_points(&cloud, Some("density"), &tf, &camera, bg, 3);
-    cal.vtk_points_per_sec = rate(ps.points_in as f64, t.elapsed().as_secs_f64());
-
-    // Gaussian splat at the at-scale regime (sub-pixel impostors)
-    let t = Instant::now();
-    let (_, ss) = render_splats(&cloud, Some("density"), &tf, &camera, &lighting, bg, 0.002);
-    cal.splat_points_per_sec = rate(ss.points_in as f64, t.elapsed().as_secs_f64());
-
-    // BVH build + sphere raycast
-    let t = Instant::now();
+    // what the raycast, triangle and compositing kernels consume is built
+    // once, outside their timings
     let rc = SphereRaycaster::build(&cloud, Some("density"), 0.004);
-    cal.bvh_build_ops_per_sec = rate(rc.build_ops() as f64, t.elapsed().as_secs_f64());
-    let t = Instant::now();
-    let (_, rs) = rc.render(&camera, &tf, &lighting, bg);
-    cal.ray_steps_per_sec = rate(rs.traversal_steps as f64, t.elapsed().as_secs_f64());
-
-    // Marching cubes scan
-    let t = Instant::now();
-    let (mesh, is) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
-    cal.cell_scans_per_sec = rate(is.cells_scanned as f64, t.elapsed().as_secs_f64());
-
-    // Triangle rasterization
-    let t = Instant::now();
-    let (_, ts) = eth_render::raster::triangle::rasterize_mesh(&mesh, &tf, &gcam, &lighting, bg);
-    cal.tris_per_sec = rate(ts.triangles_rasterized as f64, t.elapsed().as_secs_f64());
-
-    // Ray marching
-    let t = Instant::now();
-    let (_, ms) =
-        render_isosurface(&grid, "temperature", 0.0, &gcam, &tf, &lighting, bg).unwrap();
-    cal.march_steps_per_sec = rate(ms.march_steps as f64, t.elapsed().as_secs_f64());
-
-    // Plane slicing
-    let t = Instant::now();
+    let (mesh, _) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
     let planes = [Plane::axis_aligned(2, 0.5)];
-    let (_, pl) = render_slices(&grid, "temperature", &planes, &gcam, &tf, bg).unwrap();
-    cal.plane_samples_per_sec = rate(pl.plane_tests as f64, t.elapsed().as_secs_f64());
-
-    // Compositing (pure pixel merges)
-    let t = Instant::now();
+    let side = budget.image_side;
     let buffers: Vec<_> = (0..8)
         .map(|i| {
-            let mut fb = eth_render::Framebuffer::new(
-                budget.image_side,
-                budget.image_side,
-                bg,
-            );
+            let mut fb = eth_render::Framebuffer::new(side, side, bg);
             fb.write(i * 3, i, 1.0 + i as f32, Vec3::ONE);
             fb
         })
         .collect();
-    let (_, cs) = eth_render::composite::composite_direct(buffers);
-    cal.composite_pixels_per_sec = rate(cs.merge_ops as f64, t.elapsed().as_secs_f64());
-
-    // Simulation-proxy staging rate: serialize + deserialize a block.
-    let t = Instant::now();
     let obj = eth_data::DataObject::Points(cloud.clone());
-    let bytes = eth_data::io::binary::encode(&obj);
-    let payload = bytes.len() as f64;
-    let _ = eth_data::io::binary::decode(bytes).unwrap();
-    cal.sim_bytes_per_sec = rate(payload * 2.0, t.elapsed().as_secs_f64());
 
-    cal
+    let [points, splats, build, rays, cells, tris, march, slices, composite, staging] =
+        steady_rates([
+            // VTK points (per-particle rate; 3x3 blocks, so the separable
+            // block minimum's per-pixel passes are inside it)
+            Box::new(|| {
+                let (_, ps) = render_points(&cloud, Some("density"), &tf, &camera, bg, 3);
+                ps.points_in as f64
+            }),
+            // Gaussian splat at the at-scale regime (sub-pixel impostors)
+            Box::new(|| {
+                let (_, ss) =
+                    render_splats(&cloud, Some("density"), &tf, &camera, &lighting, bg, 0.002);
+                ss.points_in as f64
+            }),
+            // BVH build
+            Box::new(|| SphereRaycaster::build(&cloud, Some("density"), 0.004).build_ops() as f64),
+            // sphere raycast
+            Box::new(|| rc.render(&camera, &tf, &lighting, bg).1.traversal_steps as f64),
+            // marching cubes scan
+            Box::new(|| {
+                let (_, is) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
+                is.cells_scanned as f64
+            }),
+            // triangle rasterization
+            Box::new(|| {
+                let (_, ts) =
+                    eth_render::raster::triangle::rasterize_mesh(&mesh, &tf, &gcam, &lighting, bg);
+                ts.triangles_rasterized as f64
+            }),
+            // ray marching
+            Box::new(|| {
+                let (_, ms) =
+                    render_isosurface(&grid, "temperature", 0.0, &gcam, &tf, &lighting, bg)
+                        .unwrap();
+                ms.march_steps as f64
+            }),
+            // plane slicing
+            Box::new(|| {
+                let (_, pl) = render_slices(&grid, "temperature", &planes, &gcam, &tf, bg).unwrap();
+                pl.plane_tests as f64
+            }),
+            // compositing (pure pixel merges)
+            Box::new(|| {
+                let (_, cs) = eth_render::composite::composite_direct(buffers.clone());
+                cs.merge_ops as f64
+            }),
+            // simulation-proxy staging rate: serialize + deserialize a block
+            Box::new(|| {
+                let bytes = eth_data::io::binary::encode(&obj);
+                let payload = bytes.len() as f64;
+                let _ = eth_data::io::binary::decode(bytes).unwrap();
+                payload * 2.0
+            }),
+        ]);
+    Calibration {
+        vtk_points_per_sec: points,
+        splat_points_per_sec: splats,
+        bvh_build_ops_per_sec: build,
+        ray_steps_per_sec: rays,
+        cell_scans_per_sec: cells,
+        tris_per_sec: tris,
+        march_steps_per_sec: march,
+        plane_samples_per_sec: slices,
+        composite_pixels_per_sec: composite,
+        sim_bytes_per_sec: staging,
+        ..Calibration::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One quick pass per test binary: both tests read the same rates, and
+    /// no two passes contend for the cores they are timing.
+    fn quick() -> Calibration {
+        static QUICK: OnceLock<Calibration> = OnceLock::new();
+        *QUICK.get_or_init(|| measure(CalibrationBudget::quick()))
+    }
 
     #[test]
     fn quick_calibration_produces_sane_rates() {
-        let cal = measure(CalibrationBudget::quick());
+        let cal = quick();
         // every rate is positive and finite
         for (name, v) in [
             ("vtk_points", cal.vtk_points_per_sec),
@@ -212,14 +273,19 @@ mod tests {
         // Host-measured rates vary wildly with build profile and machine
         // load, and the paper's own Finding 3 says the points-vs-raycast
         // ordering depends on rates and problem size. What must survive
-        // ANY positive rates:
-        //  * splat beats points (its per-particle work is a strict subset),
+        // on any host:
+        //  * splat beats points. Both project every particle and store one
+        //    key; points then spreads its keys over 3x3 blocks in two
+        //    per-pixel passes, which the sub-pixel splats skip. That is a
+        //    measured ordering (DESIGN.md §14), not a strict subset of
+        //    work, and it holds at steady state: best of five warm calls
+        //    each on one thread, the kernels interleaved, so one cold call
+        //    or one burst of load elsewhere cannot decide it;
         //  * raycasting's time grows sub-linearly with data while the
         //    rasterizers grow linearly.
         use eth_cluster::costmodel::{AlgorithmClass, CostModel, Workload};
         use eth_cluster::node::ClusterSpec;
-        let cal = measure(CalibrationBudget::quick());
-        let m = CostModel::new(cal, ClusterSpec::hikari(400));
+        let m = CostModel::new(quick(), ClusterSpec::hikari(400));
         let w = |elements: u64| Workload {
             global_elements: elements,
             image_pixels: 512 * 512,

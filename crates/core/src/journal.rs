@@ -478,9 +478,12 @@ pub fn write_manifest(dir: &Path, specs: &[ExperimentSpec], hashes: &[u64]) -> R
 }
 
 /// Replace `path` with `bytes` atomically: write `<path>.tmp`, `fsync` it,
-/// rename it over `path`. A reader (or a restart after a crash) sees the
-/// old file or the new one, never a torn mix. A failed write removes its
-/// temp file, so disk exhaustion leaves no torn spill behind.
+/// rename it over `path`, `fsync` the directory. A reader (or a restart
+/// after a crash) sees the old file or the new one, never a torn mix, and
+/// once this returns `Ok` the new one survives a power loss: the rename
+/// is an entry in the directory, durable only when the directory is. A
+/// failed write removes its temp file, so disk exhaustion leaves no torn
+/// spill behind.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
@@ -490,7 +493,12 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         file.write_all(bytes)?;
         file.sync_data()?;
         drop(file);
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     };
     write().inspect_err(|_| {
         let _ = fs::remove_file(&tmp);

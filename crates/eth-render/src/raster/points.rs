@@ -6,16 +6,21 @@
 //! perception" — there is no per-pixel shading, only a depth test so nearer
 //! particles win.
 //!
-//! Cost shape: O(N) with a per-particle constant proportional to the block
-//! area (`point_size²` fragments per particle).
+//! Cost shape: O(N) + O(W·H·point_size). A particle costs one projection
+//! and one key write whatever its block size; the block's area is paid
+//! per pixel of the image, not per particle, by the separable minimum that
+//! spreads each key over its block (`2h + 1` taps along the rows, `2h + 1`
+//! down the columns, `h = point_size / 2`).
 //!
 //! Parallel structure: one pass of the shared scatter kernel
 //! (`raster/scatter.rs`). Each worker projects its contiguous slice of the
-//! particles once and depth-tests every block straight into its own
-//! per-pixel `(depth, input index)` winner buffer; the transfer function
-//! then runs once per covered pixel, on the winner, instead of once per
-//! particle. The winner — nearest depth, ties to the earlier particle — is
-//! a minimum, so the image is the same for any thread count.
+//! particles once and depth-tests each particle's key at its block centre
+//! in its own `(depth, input index)` winner buffer, which carries an
+//! `h`-pixel halo for blocks that overhang the image; the transfer function
+//! then runs once per covered pixel, on the winner of the pixel's block
+//! minimum, instead of once per particle. The winner — nearest depth, ties
+//! to the earlier particle — is a minimum, so the image is the same for any
+//! thread count and equals the per-pixel block loop (`reference_points`).
 
 use super::scatter::{resolve, scatter};
 use crate::camera::Camera;
@@ -49,13 +54,13 @@ pub fn render_points(
     let point_size = point_size.clamp(1, 9);
     let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
     let positions = cloud.positions();
-    let half = (point_size / 2) as isize;
     let projector = camera.projector();
 
     let scattered = scatter(
         positions.len(),
         camera.width,
         camera.height,
+        point_size / 2,
         |indices, sink| {
             let mut projected = 0usize;
             for (i, &p) in indices.clone().zip(&positions[indices]) {
@@ -63,7 +68,7 @@ pub fn render_points(
                     continue;
                 };
                 projected += 1;
-                sink.block(i, fx as isize, fy as isize, half, depth);
+                sink.centre(i, fx as isize, fy as isize, depth);
             }
             projected
         },
@@ -92,13 +97,17 @@ mod tests {
     use proptest::prelude::*;
 
     fn cam() -> Camera {
+        cam_sized(64, 64)
+    }
+
+    fn cam_sized(width: usize, height: usize) -> Camera {
         Camera::look_at(
             Vec3::new(0.0, -5.0, 0.0),
             Vec3::ZERO,
             Vec3::new(0.0, 0.0, 1.0),
             45.0,
-            64,
-            64,
+            width,
+            height,
         )
     }
 
@@ -192,7 +201,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Frame and statistics equal the serial reference at every thread
         /// count, on hostile clouds (see `hostile_cloud`).
@@ -217,6 +226,97 @@ mod tests {
                 prop_assert!(got.0 == want.0, "frame differs at {threads} threads");
                 prop_assert_eq!(got.1, want.1, "stats differ at {} threads", threads);
             }
+        }
+    }
+
+    /// A world point at view depth `depth` whose projection truncates to
+    /// pixel `(x, y)`, which may lie outside the image: aimed half a pixel
+    /// off the truncation boundary, so the cast is not at the mercy of
+    /// rounding.
+    fn at_pixel(camera: &Camera, x: isize, y: isize, depth: f32) -> Vec3 {
+        let inward = |v: isize| v as f32 + if v < 0 { -0.5 } else { 0.5 };
+        let tan_half = (camera.fov_y * 0.5).tan();
+        let ndc_x = inward(x) / (0.5 * camera.width as f32) - 1.0;
+        let ndc_y = 1.0 - inward(y) / (0.5 * camera.height as f32);
+        camera.position
+            + camera.forward() * depth
+            + camera.right() * (ndc_x * depth * tan_half * camera.aspect())
+            + camera.up() * (ndc_y * depth * tan_half)
+    }
+
+    /// Block centres on the ring where the halo matters: just outside the
+    /// reach of the halo, on its outer edge, one pixel outside the image,
+    /// on the image's first and last pixel, and mirrored on the far side;
+    /// every pairing of an `x` with a `y`, so the corners are included.
+    /// Each centre alone, then all of them together — many copies at
+    /// tied and interleaved depths, so several workers own them — beside
+    /// particles whose pixel cast saturates (±1e30) and non-finite
+    /// coordinates; frame and statistics equal the reference at 1/2/3/8
+    /// threads for every block size.
+    #[test]
+    fn halo_ring_table_matches_serial_reference() {
+        let camera = cam_sized(23, 17);
+        let (width, height) = (camera.width as isize, camera.height as isize);
+        let background = Vec3::new(0.1, 0.2, 0.3);
+        let check = |cloud: &PointCloud, point_size: usize, what: &str| {
+            let want = reference_points(cloud, Some("v"), &tf(), &camera, background, point_size);
+            for (threads, got) in at_thread_counts(|| {
+                render_points(cloud, Some("v"), &tf(), &camera, background, point_size)
+            }) {
+                assert!(
+                    got.0 == want.0,
+                    "{what}, size {point_size}: frame differs at {threads} threads"
+                );
+                assert_eq!(
+                    got.1, want.1,
+                    "{what}, size {point_size}: stats at {threads} threads"
+                );
+            }
+        };
+        let with_values = |positions: Vec<Vec3>| {
+            let n = positions.len();
+            let mut cloud = PointCloud::from_positions(positions);
+            let values = (0..n).map(|i| (i * 7 % 11) as f32 / 10.0).collect();
+            cloud.set_attribute("v", Attribute::Scalar(values)).unwrap();
+            cloud
+        };
+        let extremes = [
+            Vec3::new(1e30, 3.0, 0.0),
+            Vec3::new(-1e30, 3.0, 0.0),
+            Vec3::new(0.0, 3.0, 1e30),
+            Vec3::new(-1e30, 3.0, -1e30),
+            Vec3::new(f32::NAN, 0.0, 0.0),
+            Vec3::new(0.0, 0.0, f32::INFINITY),
+            Vec3::new(f32::NEG_INFINITY, 0.0, 0.0),
+            Vec3::new(0.0, f32::NAN, f32::INFINITY),
+        ];
+        for point_size in 1..=9 {
+            let h = (point_size / 2) as isize;
+            let ring = |len: isize| [-h - 1, -h, -1, 0, len - 1, len, len + h - 1, len + h];
+            let centres: Vec<(isize, isize)> = ring(height)
+                .into_iter()
+                .flat_map(|y| ring(width).map(|x| (x, y)))
+                .collect();
+            for &(x, y) in &centres {
+                let p = at_pixel(&camera, x, y, 3.0);
+                let (fx, fy, _) = camera.project(p).unwrap();
+                assert_eq!((fx as isize, fy as isize), (x, y), "the table's own aim");
+                check(
+                    &with_values(vec![p]),
+                    point_size,
+                    &format!("centre ({x}, {y})"),
+                );
+            }
+            let mut positions = Vec::new();
+            for copy in 0..40 {
+                for (c, &(x, y)) in centres.iter().enumerate() {
+                    let depth = 2.0 + ((copy * 7 + c) % 13) as f32 * 0.5;
+                    positions.push(at_pixel(&camera, x, y, depth));
+                }
+                positions.extend(extremes);
+            }
+            assert!(positions.len() > 2048, "three workers at three threads");
+            check(&with_values(positions), point_size, "the whole ring");
         }
     }
 

@@ -4,19 +4,29 @@
 //! are particles or triangles; the kernel only sees indices.
 //!
 //! [`scatter`] cuts the input indices `0..n` into one contiguous slice per
-//! worker. Each worker owns a `width × height` buffer of packed
-//! `(depth, input index)` keys and depth-tests every fragment its
-//! primitives generate straight into it. [`resolve`] then takes the
-//! per-pixel minimum over the worker buffers and calls the rasterizer's
-//! shader once per *covered pixel* — never per primitive or per fragment —
-//! to fill the [`Framebuffer`].
+//! worker. Each worker owns a buffer of packed `(depth, input index)`
+//! keys and depth-tests every fragment its primitives generate straight
+//! into it. [`resolve`] then takes the per-pixel minimum over the worker
+//! buffers and calls the rasterizer's shader once per *covered pixel* —
+//! never per primitive or per fragment — to fill the [`Framebuffer`].
 //!
 //! The winner of a pixel is the lexicographic minimum of `(depth, index)`:
 //! exactly what an input-order loop with a strict `<` depth test keeps
 //! (nearest fragment, ties to the earlier primitive). A minimum does not
 //! depend on the order its operands arrive in, so the image is the same at
-//! any worker count and any slice boundaries by construction. Scratch is
-//! `workers × pixels × 8` bytes; nothing is sized by the primitive count.
+//! any worker count and any slice boundaries by construction.
+//!
+//! A front end whose primitives are squares of one half-edge `h` (the
+//! points renderer's blocks) stores one key per primitive, at its centre,
+//! and the kernel spreads the keys over the squares as a separable
+//! minimum: a `2h + 1`-tap minimum along every row at the end of each
+//! worker's scatter, then the same down every column inside resolve's
+//! per-pixel minimum. A minimum over a square is the minimum over its
+//! rows' minima, so every pixel keeps the key the per-pixel loop would
+//! have left there. The buffer carries a halo of `h` pixels on each side
+//! for the centres of squares that overhang the image. Scratch is
+//! `workers × (W + 2h) × (H + 2h) × 8` bytes; nothing is sized by the
+//! primitive count. Splats and triangles are the `h = 0` case.
 
 use crate::framebuffer::Framebuffer;
 use eth_data::Vec3;
@@ -34,9 +44,13 @@ const MIN_BAND: usize = 32 * 1024;
 
 /// One worker's winner buffer, handed to the rasterizer's slice loop.
 pub(crate) struct Sink {
+    /// `(width + 2 * halo) × (height + 2 * halo)` keys, the image at
+    /// offset `(halo, halo)`.
     keys: Vec<u64>,
     width: isize,
     height: isize,
+    /// Half-edge of the squares [`Sink::centre`] stores.
+    halo: isize,
     /// Fragments rasterized inside the image (whether or not they won).
     fragments: u64,
 }
@@ -72,13 +86,23 @@ impl Sink {
         (depth < f32::INFINITY).then(|| (depth_key(depth) as u64) << 32 | index as u64)
     }
 
-    /// Depth-test the square block of pixels within `half` of `(cx, cy)`,
-    /// all at `depth`, for primitive `index`.
+    /// The slot of pixel `(x, y)`, which may lie up to `halo` outside
+    /// the image.
     #[inline]
-    pub(crate) fn block(&mut self, index: usize, cx: isize, cy: isize, half: isize, depth: f32) {
+    fn slot(&mut self, x: isize, y: isize) -> &mut u64 {
+        let stride = self.width + 2 * self.halo;
+        &mut self.keys[((y + self.halo) * stride + x + self.halo) as usize]
+    }
+
+    /// Depth-test primitive `index`'s square of pixels within `halo` of
+    /// `(cx, cy)`, all at `depth`: one key, stored at the centre, which
+    /// the row pass and [`resolve`] spread over the square.
+    #[inline]
+    pub(crate) fn centre(&mut self, index: usize, cx: isize, cy: isize, depth: f32) {
         let Some(key) = Sink::key(depth, index) else {
             return;
         };
+        let half = self.halo;
         let x0 = cx.saturating_sub(half).max(0);
         let x1 = cx.saturating_add(half).min(self.width - 1);
         let y0 = cy.saturating_sub(half).max(0);
@@ -86,13 +110,10 @@ impl Sink {
         if x0 > x1 || y0 > y1 {
             return;
         }
+        // the square reaches the image, so its centre lies in the halo
         self.fragments += ((x1 - x0 + 1) * (y1 - y0 + 1)) as u64;
-        for y in y0..=y1 {
-            let row = (y * self.width) as usize;
-            for slot in &mut self.keys[row + x0 as usize..=row + x1 as usize] {
-                *slot = (*slot).min(key);
-            }
-        }
+        let slot = self.slot(cx, cy);
+        *slot = (*slot).min(key);
     }
 
     /// Depth-test one fragment of primitive `index` at pixel `(x, y)`.
@@ -105,8 +126,21 @@ impl Sink {
             return;
         };
         self.fragments += 1;
-        let slot = &mut self.keys[(y * self.width + x) as usize];
+        let slot = self.slot(x, y);
         *slot = (*slot).min(key);
+    }
+
+    /// The row half of the square minimum: slot `x < width` of every row
+    /// becomes the minimum of the `2 * halo + 1` slots from `x` on, which
+    /// are the centres within `halo` of image column `x`. In place, left
+    /// to right: slot `x` is read last by its own output.
+    fn spread_rows(&mut self) {
+        let (width, halo) = (self.width as usize, self.halo as usize);
+        for row in self.keys.chunks_exact_mut(width + 2 * halo) {
+            for x in 0..width {
+                row[x] = row[x..=x + 2 * halo].iter().fold(EMPTY, |m, &k| m.min(k));
+            }
+        }
     }
 }
 
@@ -115,6 +149,7 @@ impl Sink {
 pub(crate) struct Scattered<S> {
     width: usize,
     height: usize,
+    halo: usize,
     workers: Vec<(Sink, S)>,
 }
 
@@ -132,7 +167,15 @@ impl<S> Scattered<S> {
 
 /// Run `rasterize(indices, sink)` over `0..n` cut into one contiguous
 /// slice per rayon worker (so `ThreadPool::install` governs the count).
-pub(crate) fn scatter<S, F>(n: usize, width: usize, height: usize, rasterize: F) -> Scattered<S>
+/// `halo` is the half-edge of the squares the front end stores with
+/// [`Sink::centre`]; 0 for one that only calls [`Sink::put`].
+pub(crate) fn scatter<S, F>(
+    n: usize,
+    width: usize,
+    height: usize,
+    halo: usize,
+    rasterize: F,
+) -> Scattered<S>
 where
     S: Send,
     F: Fn(Range<usize>, &mut Sink) -> S + Sync,
@@ -146,31 +189,46 @@ where
         .into_par_iter()
         .map(|w| {
             let mut sink = Sink {
-                keys: vec![EMPTY; width * height],
+                keys: vec![EMPTY; (width + 2 * halo) * (height + 2 * halo)],
                 width: width as isize,
                 height: height as isize,
+                halo: halo as isize,
                 fragments: 0,
             };
             let out = rasterize(w * slice..((w + 1) * slice).min(n), &mut sink);
+            if halo > 0 {
+                sink.spread_rows();
+            }
             (sink, out)
         })
         .collect();
     Scattered {
         width,
         height,
+        halo,
         workers,
     }
 }
 
 /// Build the frame: every pixel some fragment landed on gets the winning
 /// fragment's depth and `shade(index, x, y, depth)` as its colour, where
-/// `index` is the winning primitive; the rest stay cleared.
+/// `index` is the winning primitive; the rest stay cleared. The minimum
+/// runs over the workers and, with a halo, down the `2 * halo + 1` row
+/// minima each pixel's square spans: the column half of the square
+/// minimum, read-only, so the bands stay independent.
 pub(crate) fn resolve<S, F>(scattered: &Scattered<S>, background: Vec3, shade: F) -> Framebuffer
 where
     S: Sync,
     F: Fn(usize, usize, usize, f32) -> Vec3 + Sync,
 {
-    let &Scattered { width, height, .. } = scattered;
+    let &Scattered {
+        width,
+        height,
+        halo,
+        ..
+    } = scattered;
+    let stride = width + 2 * halo;
+    let taps = 2 * halo + 1;
     let mut fb = Framebuffer::new(width, height, background);
     let band = (height.div_ceil(rayon::current_num_threads()) * width).max(MIN_BAND);
     let (color, depth) = fb.planes_mut();
@@ -180,22 +238,32 @@ where
         .enumerate()
         .for_each(|(b, (color, depth))| {
             let first = b * band;
+            let (mut x, mut y) = (first % width, first / width);
             for i in 0..depth.len() {
-                let pixel = first + i;
-                let key = scattered
-                    .workers
-                    .iter()
-                    .fold(EMPTY, |key, (sink, _)| key.min(sink.keys[pixel]));
-                if key == EMPTY {
-                    continue;
+                // the top row of the pixel's square in every worker buffer
+                let top = y * stride + x;
+                let key = if halo == 0 {
+                    scattered
+                        .workers
+                        .iter()
+                        .fold(EMPTY, |key, (sink, _)| key.min(sink.keys[top]))
+                } else {
+                    scattered.workers.iter().fold(EMPTY, |key, (sink, _)| {
+                        sink.keys[top..]
+                            .iter()
+                            .step_by(stride)
+                            .take(taps)
+                            .fold(key, |key, &k| key.min(k))
+                    })
+                };
+                if key != EMPTY {
+                    depth[i] = key_depth((key >> 32) as u32);
+                    color[i] = shade((key & 0xffff_ffff) as usize, x, y, depth[i]);
                 }
-                depth[i] = key_depth((key >> 32) as u32);
-                color[i] = shade(
-                    (key & 0xffff_ffff) as usize,
-                    pixel % width,
-                    pixel / width,
-                    depth[i],
-                );
+                x += 1;
+                if x == width {
+                    (x, y) = (0, y + 1);
+                }
             }
         });
     fb
@@ -302,7 +370,7 @@ mod tests {
         let (width, height) = (301usize, 257usize);
         assert!(width * height > 2 * MIN_BAND && !MIN_BAND.is_multiple_of(width));
         let frames = crate::testing::at_thread_counts(|| {
-            let scattered = scatter(20_000, width, height, |indices, sink| {
+            let scattered = scatter(20_000, width, height, 0, |indices, sink| {
                 for i in indices {
                     let (x, y) = (i * 7919 % width, i * 104_729 % height);
                     sink.put(i, x as isize, y as isize, (i % 13) as f32);

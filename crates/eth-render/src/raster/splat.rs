@@ -8,12 +8,13 @@
 //! normals are reconstructed from the disc parameterization, giving the
 //! appearance of a shaded sphere without any sphere geometry.
 //!
-//! Cost shape: O(N), with a smaller per-particle constant than
-//! [`crate::raster::points`] for typical footprints — the paper observed
-//! Gaussian splat outperforming VTK points and attributed it to "a superior
-//! implementation"; here the advantage is structural (sub-pixel impostors
-//! collapse to a single fragment, while VTK points always pay the full
-//! fixed block).
+//! Cost shape: O(N) plus the impostors' pixels. The paper observed Gaussian
+//! splat outperforming VTK points and attributed it to "a superior
+//! implementation". Here a sub-pixel impostor is one fragment, shaded by
+//! one affine map of its albedo, and VTK points stores one key per particle
+//! too but spreads it over its block in two per-pixel passes; so at the
+//! at-scale (sub-pixel) regime splat stays ahead by a measured margin
+//! (DESIGN.md §14), not by a strict subset of work.
 //!
 //! Parallel structure: the same scatter kernel as the points renderer
 //! (`raster/scatter.rs`). The scatter pass computes only each fragment's
@@ -65,8 +66,16 @@ impl Footprint {
             cx: fx as isize,
             cy: fy as isize,
             depth,
-            r_px: (projector.pixels_per_world_unit(depth) * radius).min(MAX_FOOTPRINT_PX),
+            r_px: Footprint::radius_px(projector, depth, radius),
         })
+    }
+
+    /// Screen radius of an impostor of world `radius` at view `depth`.
+    /// Never grows with depth for a positive `radius`; for any other it
+    /// lies on the same side of [`SUBPIXEL_PX`] at every depth.
+    #[inline]
+    fn radius_px(projector: &Projector, depth: f32, radius: f32) -> f32 {
+        (projector.pixels_per_world_unit(depth) * radius).min(MAX_FOOTPRINT_PX)
     }
 
     fn is_subpixel(&self) -> bool {
@@ -107,6 +116,7 @@ pub fn render_splats(
         positions.len(),
         camera.width,
         camera.height,
+        0,
         |indices, sink| {
             let mut stats = SplatStats::default();
             for (i, &p) in indices.clone().zip(&positions[indices]) {
@@ -138,21 +148,25 @@ pub fn render_splats(
     );
 
     // Sub-pixel impostors all face the camera, so their shading collapses
-    // to one affine map of the albedo (the structural reason splatting
-    // outruns VTK points).
+    // to one affine map of the albedo.
     let view_dir = -camera.forward();
     let flat_add = lighting.shade(Vec3::ZERO, view_dir, view_dir);
     let flat_scale = lighting.shade(Vec3::ONE, view_dir, view_dir) - flat_add;
-    let fb = resolve(&scattered, background, |i, x, y, _| {
+    let fb = resolve(&scattered, background, |i, x, y, depth| {
+        // A fragment lies no deeper than its impostor's centre, and the
+        // screen radius never grows with depth: a fragment whose own depth
+        // gives a sub-pixel radius is a sub-pixel impostor's one fragment,
+        // at the centre's depth, and shades without projecting again.
+        if Footprint::radius_px(&projector, depth, radius) < SUBPIXEL_PX {
+            let albedo = tf.color(scalars.map_or(depth, |s| s[i]));
+            return albedo.mul_elem(flat_scale) + flat_add;
+        }
         let fp = Footprint::of(&projector, positions[i], radius)
             .expect("a winning fragment's particle projects");
         let albedo = tf.color(match scalars {
             Some(s) => s[i],
             None => fp.depth,
         });
-        if fp.is_subpixel() {
-            return albedo.mul_elem(flat_scale) + flat_add;
-        }
         let (nx, ny, nz) = fp
             .normal_at(x as isize - fp.cx, y as isize - fp.cy)
             .expect("a winning fragment lies inside its disc");

@@ -147,7 +147,7 @@ pub fn rasterize_mesh(
         });
 
     let (width, height) = (camera.width, camera.height);
-    let scattered = scatter(mesh.indices.len(), width, height, |triangles, sink| {
+    let scattered = scatter(mesh.indices.len(), width, height, 0, |triangles, sink| {
         let mut rasterized = 0usize;
         for t in triangles {
             let Some(tri) = Coverage::of(&projected, mesh.indices[t], camera) else {
