@@ -11,6 +11,7 @@ use eth_render::raster::points::render_points;
 use eth_render::raster::splat::render_splats;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use eth_sim::HaccConfig;
 use eth_data::Vec3;
 
@@ -30,17 +31,38 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(particles as u64));
 
     group.bench_function(BenchmarkId::from_parameter("vtk_points"), |b| {
-        b.iter(|| render_points(&cloud, Some("density"), &tf, &camera, bg, 3))
+        b.iter(|| {
+            render_points(
+                &cloud,
+                Some("density"),
+                &tf,
+                &camera,
+                bg,
+                3,
+                &mut Scratch::new(),
+            )
+        })
     });
     group.bench_function(BenchmarkId::from_parameter("gaussian_splat"), |b| {
-        b.iter(|| render_splats(&cloud, Some("density"), &tf, &camera, &lighting, bg, radius))
+        b.iter(|| {
+            render_splats(
+                &cloud,
+                Some("density"),
+                &tf,
+                &camera,
+                &lighting,
+                bg,
+                radius,
+                &mut Scratch::new(),
+            )
+        })
     });
     group.bench_function(BenchmarkId::from_parameter("raycast_spheres_build"), |b| {
-        b.iter(|| SphereRaycaster::build(&cloud, Some("density"), radius))
+        b.iter(|| SphereRaycaster::build(&cloud, Some("density"), radius, &mut Scratch::new()))
     });
-    let rc = SphereRaycaster::build(&cloud, Some("density"), radius);
+    let rc = SphereRaycaster::build(&cloud, Some("density"), radius, &mut Scratch::new());
     group.bench_function(BenchmarkId::from_parameter("raycast_spheres_render"), |b| {
-        b.iter(|| rc.render(&camera, &tf, &lighting, bg))
+        b.iter(|| rc.render(&camera, &tf, &lighting, bg, &mut Scratch::new()))
     });
     group.finish();
 }

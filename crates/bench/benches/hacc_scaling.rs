@@ -10,6 +10,7 @@ use eth_render::raster::points::render_points;
 use eth_render::raster::splat::render_splats;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use eth_sim::HaccConfig;
 use eth_data::Vec3;
 
@@ -28,14 +29,35 @@ fn bench(c: &mut Criterion) {
         let camera = orbit_camera(&cloud.bounds(), 192, 192, 0, 1);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("vtk_points", n), &n, |b, _| {
-            b.iter(|| render_points(&cloud, Some("density"), &tf, &camera, bg, 3))
+            b.iter(|| {
+                render_points(
+                    &cloud,
+                    Some("density"),
+                    &tf,
+                    &camera,
+                    bg,
+                    3,
+                    &mut Scratch::new(),
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("gaussian_splat", n), &n, |b, _| {
-            b.iter(|| render_splats(&cloud, Some("density"), &tf, &camera, &lighting, bg, 0.002))
+            b.iter(|| {
+                render_splats(
+                    &cloud,
+                    Some("density"),
+                    &tf,
+                    &camera,
+                    &lighting,
+                    bg,
+                    0.002,
+                    &mut Scratch::new(),
+                )
+            })
         });
-        let rc = SphereRaycaster::build(&cloud, Some("density"), 0.002);
+        let rc = SphereRaycaster::build(&cloud, Some("density"), 0.002, &mut Scratch::new());
         group.bench_with_input(BenchmarkId::new("raycast_render", n), &n, |b, _| {
-            b.iter(|| rc.render(&camera, &tf, &lighting, bg))
+            b.iter(|| rc.render(&camera, &tf, &lighting, bg, &mut Scratch::new()))
         });
     }
     group.finish();

@@ -26,6 +26,7 @@ use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
 use eth_render::tile::{tiles, DEFAULT_TILE};
 use eth_render::Framebuffer;
+use eth_render::Scratch;
 use eth_sim::hacc::HaccConfig;
 use eth_sim::xrage::XrageConfig;
 use std::time::{Duration, Instant};
@@ -61,7 +62,7 @@ fn bench_frame(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for &n in &sizes {
         let cloud = PointCloud::from_positions(scatter(n, 42));
-        let rc = SphereRaycaster::build(&cloud, None, RADIUS);
+        let rc = SphereRaycaster::build(&cloud, None, RADIUS, &mut Scratch::new());
         let cam = Camera::look_at(
             Vec3::new(0.0, -3.2, 0.6),
             Vec3::ZERO,
@@ -72,10 +73,12 @@ fn bench_frame(c: &mut Criterion) {
         );
         group.throughput(Throughput::Elements((320 * 240) as u64));
         group.bench_with_input(BenchmarkId::new("tiled_packets", n), &n, |b, _| {
-            b.iter(|| rc.render(&cam, &tf, &lighting, Vec3::ZERO))
+            b.iter(|| rc.render(&cam, &tf, &lighting, Vec3::ZERO, &mut Scratch::new()))
         });
         group.bench_with_input(BenchmarkId::new("progressive", n), &n, |b, _| {
-            b.iter(|| rc.render_progressive(&cam, &tf, &lighting, Vec3::ZERO, 16))
+            b.iter(|| {
+                rc.render_progressive(&cam, &tf, &lighting, Vec3::ZERO, 16, &mut Scratch::new())
+            })
         });
     }
     group.finish();
@@ -189,7 +192,7 @@ fn bench_workload_ranks(c: &mut Criterion) {
         group.finish();
         let passes = one.install(|| build_passes(centers, radius, 9));
 
-        let rc = SphereRaycaster::build(&part, Some("density"), radius);
+        let rc = SphereRaycaster::build(&part, Some("density"), radius, &mut Scratch::new());
         let bvh = SphereBvh::build(centers, radius);
         let mut group = c.benchmark_group("render_frame");
         group.sample_size(10);
@@ -201,7 +204,7 @@ fn bench_workload_ranks(c: &mut Criterion) {
             one.install(|| median_of(&mut group, id, frame))
         };
         let frame = row("hacc_rank_1t", &mut || {
-            black_box(rc.render(&camera, &tf, &lighting, Vec3::ZERO));
+            black_box(rc.render(&camera, &tf, &lighting, Vec3::ZERO, &mut Scratch::new()));
         });
         let generate = row("hacc_rank_1t_generate", &mut || {
             packets(&mut |p| {
@@ -274,6 +277,7 @@ fn bench_particles(c: &mut Criterion) {
                 &camera,
                 Vec3::ZERO,
                 2,
+                &mut Scratch::new(),
             ));
         });
         row("splat", &mut || {
@@ -285,6 +289,7 @@ fn bench_particles(c: &mut Criterion) {
                 &lighting,
                 Vec3::ZERO,
                 radius,
+                &mut Scratch::new(),
             ));
         });
         eprintln!(
@@ -330,7 +335,9 @@ fn bench_extract(c: &mut Criterion) {
         black_box(extract_isosurface(slab, "temperature", isovalue).expect("field present"));
     });
     row("extract_slice", &mut || {
-        black_box(extract_slice(slab, "temperature", &plane).expect("field present"));
+        black_box(
+            extract_slice(slab, "temperature", &plane, &mut Scratch::new()).expect("field present"),
+        );
     });
     eprintln!(
         "  extract/{label}: iso {:.2}x, slice {:.2}x the counting pass ({:.2} ms)",
@@ -398,7 +405,14 @@ fn bench_raster(c: &mut Criterion) {
                 .expect("the pool builder cannot fail");
             row(&format!("rasterize_{threads}t"), &mut || {
                 pool.install(|| {
-                    black_box(rasterize_mesh(&mesh, &tf, &camera, &lighting, Vec3::ZERO));
+                    black_box(rasterize_mesh(
+                        &mesh,
+                        &tf,
+                        &camera,
+                        &lighting,
+                        Vec3::ZERO,
+                        &mut Scratch::new(),
+                    ));
                 });
             });
         }

@@ -10,6 +10,7 @@ use eth_data::Fields;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::raster::splat::render_splats;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use eth_sim::HaccConfig;
 use eth_data::Vec3;
 
@@ -39,6 +40,7 @@ fn bench(c: &mut Criterion) {
                         &lighting,
                         Vec3::ZERO,
                         0.002,
+                        &mut Scratch::new(),
                     )
                 })
             },

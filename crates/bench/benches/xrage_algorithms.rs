@@ -10,6 +10,7 @@ use eth_render::raster::triangle::rasterize_mesh;
 use eth_render::ray::plane::render_slices;
 use eth_render::ray::raymarch::render_isosurface;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use eth_sim::XrageConfig;
 use eth_data::Vec3;
 
@@ -30,26 +31,47 @@ fn bench(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("vtk_isosurface"), |b| {
         b.iter(|| {
             let (mesh, _) = extract_isosurface(&grid, "temperature", iso).unwrap();
-            rasterize_mesh(&mesh, &tf, &camera, &lighting, bg)
+            rasterize_mesh(&mesh, &tf, &camera, &lighting, bg, &mut Scratch::new())
         })
     });
     group.bench_function(BenchmarkId::from_parameter("raycast_isosurface"), |b| {
         b.iter(|| {
-            render_isosurface(&grid, "temperature", iso, &camera, &tf, &lighting, bg).unwrap()
+            render_isosurface(
+                &grid,
+                "temperature",
+                iso,
+                &camera,
+                &tf,
+                &lighting,
+                bg,
+                &mut Scratch::new(),
+            )
+            .unwrap()
         })
     });
     group.bench_function(BenchmarkId::from_parameter("vtk_slice"), |b| {
         b.iter(|| {
             let mut mesh = eth_render::geometry::TriangleMesh::new();
             for p in &planes {
-                let (m, _) = extract_slice(&grid, "temperature", p).unwrap();
+                let (m, _) = extract_slice(&grid, "temperature", p, &mut Scratch::new()).unwrap();
                 mesh.append(&m);
             }
-            rasterize_mesh(&mesh, &tf, &camera, &lighting, bg)
+            rasterize_mesh(&mesh, &tf, &camera, &lighting, bg, &mut Scratch::new())
         })
     });
     group.bench_function(BenchmarkId::from_parameter("raycast_slice"), |b| {
-        b.iter(|| render_slices(&grid, "temperature", &planes, &camera, &tf, bg).unwrap())
+        b.iter(|| {
+            render_slices(
+                &grid,
+                "temperature",
+                &planes,
+                &camera,
+                &tf,
+                bg,
+                &mut Scratch::new(),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }

@@ -11,6 +11,7 @@ use eth_render::geometry::marching_cubes::extract_isosurface;
 use eth_render::raster::triangle::rasterize_mesh;
 use eth_render::ray::raymarch::render_isosurface;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use eth_sim::XrageConfig;
 use eth_data::Vec3;
 
@@ -35,7 +36,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("vtk_isosurface", cells), &cells, |b, _| {
             b.iter(|| {
                 let (mesh, _) = extract_isosurface(&grid, "temperature", iso).unwrap();
-                rasterize_mesh(&mesh, &tf, &camera, &lighting, bg)
+                rasterize_mesh(&mesh, &tf, &camera, &lighting, bg, &mut Scratch::new())
             })
         });
         group.bench_with_input(
@@ -43,8 +44,17 @@ fn bench(c: &mut Criterion) {
             &cells,
             |b, _| {
                 b.iter(|| {
-                    render_isosurface(&grid, "temperature", iso, &camera, &tf, &lighting, bg)
-                        .unwrap()
+                    render_isosurface(
+                        &grid,
+                        "temperature",
+                        iso,
+                        &camera,
+                        &tf,
+                        &lighting,
+                        bg,
+                        &mut Scratch::new(),
+                    )
+                    .unwrap()
                 })
             },
         );

@@ -25,6 +25,7 @@ use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -274,10 +275,11 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
     let mut frame_curve = Vec::new();
     for &n in &frame_sizes {
         let points = cloud(n, 42);
-        let rc = SphereRaycaster::build(&points, None, RADIUS);
+        let rc = SphereRaycaster::build(&points, None, RADIUS, &mut Scratch::new());
         let cam = camera(fw, fh);
-        let (frame_ms, (_, stats)) =
-            best_ms(repeats, || rc.render(&cam, &tf(), &lighting, Vec3::ZERO));
+        let (frame_ms, (_, stats)) = best_ms(repeats, || {
+            rc.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new())
+        });
         frame_curve.push(FramePoint {
             particles: n,
             width: fw,
@@ -294,14 +296,15 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
     let (iw, ih) = if quick { (96, 72) } else { (320, 240) };
     let id_cloud = cloud(id_n, 7);
     let cam = camera(iw, ih);
-    let hl = SphereRaycaster::build(&id_cloud, None, RADIUS);
+    let hl = SphereRaycaster::build(&id_cloud, None, RADIUS, &mut Scratch::new());
     let md = SphereRaycaster::build_median(&id_cloud, None, RADIUS);
-    let (fb_hl, _) = hl.render(&cam, &tf(), &lighting, Vec3::ZERO);
-    let (fb_md, _) = md.render(&cam, &tf(), &lighting, Vec3::ZERO);
+    let (fb_hl, _) = hl.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
+    let (fb_md, _) = md.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
     let byte_identical = fb_hl == fb_md;
 
     // --- progressive contract ---------------------------------------------
-    let (fb_prog, _, passes) = hl.render_progressive(&cam, &tf(), &lighting, Vec3::ZERO, 16);
+    let (fb_prog, _, passes) =
+        hl.render_progressive(&cam, &tf(), &lighting, Vec3::ZERO, 16, &mut Scratch::new());
     let progressive_rmse: Vec<f64> = passes.iter().map(|p| p.rmse).collect();
     let progressive_monotonic = progressive_rmse.windows(2).all(|w| w[1] <= w[0])
         && progressive_rmse.last().copied() == Some(0.0);

@@ -24,6 +24,7 @@ use eth_render::ray::plane::render_slices;
 use eth_render::ray::raymarch::render_isosurface;
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
+use eth_render::Scratch;
 use std::time::Instant;
 
 /// Size knobs for the calibration pass.
@@ -146,7 +147,7 @@ pub fn measure(budget: CalibrationBudget) -> Calibration {
     let bg = Vec3::ZERO;
     // what the raycast, triangle and compositing kernels consume is built
     // once, outside their timings
-    let rc = SphereRaycaster::build(&cloud, Some("density"), 0.004);
+    let rc = SphereRaycaster::build(&cloud, Some("density"), 0.004, &mut Scratch::new());
     let (mesh, _) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
     let planes = [Plane::axis_aligned(2, 0.5)];
     let side = budget.image_side;
@@ -164,19 +165,42 @@ pub fn measure(budget: CalibrationBudget) -> Calibration {
             // VTK points (per-particle rate; 3x3 blocks, so the separable
             // block minimum's per-pixel passes are inside it)
             Box::new(|| {
-                let (_, ps) = render_points(&cloud, Some("density"), &tf, &camera, bg, 3);
+                let (_, ps) = render_points(
+                    &cloud,
+                    Some("density"),
+                    &tf,
+                    &camera,
+                    bg,
+                    3,
+                    &mut Scratch::new(),
+                );
                 ps.points_in as f64
             }),
             // Gaussian splat at the at-scale regime (sub-pixel impostors)
             Box::new(|| {
-                let (_, ss) =
-                    render_splats(&cloud, Some("density"), &tf, &camera, &lighting, bg, 0.002);
+                let (_, ss) = render_splats(
+                    &cloud,
+                    Some("density"),
+                    &tf,
+                    &camera,
+                    &lighting,
+                    bg,
+                    0.002,
+                    &mut Scratch::new(),
+                );
                 ss.points_in as f64
             }),
             // BVH build
-            Box::new(|| SphereRaycaster::build(&cloud, Some("density"), 0.004).build_ops() as f64),
+            Box::new(|| {
+                SphereRaycaster::build(&cloud, Some("density"), 0.004, &mut Scratch::new())
+                    .build_ops() as f64
+            }),
             // sphere raycast
-            Box::new(|| rc.render(&camera, &tf, &lighting, bg).1.traversal_steps as f64),
+            Box::new(|| {
+                rc.render(&camera, &tf, &lighting, bg, &mut Scratch::new())
+                    .1
+                    .traversal_steps as f64
+            }),
             // marching cubes scan
             Box::new(|| {
                 let (_, is) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
@@ -184,20 +208,43 @@ pub fn measure(budget: CalibrationBudget) -> Calibration {
             }),
             // triangle rasterization
             Box::new(|| {
-                let (_, ts) =
-                    eth_render::raster::triangle::rasterize_mesh(&mesh, &tf, &gcam, &lighting, bg);
+                let (_, ts) = eth_render::raster::triangle::rasterize_mesh(
+                    &mesh,
+                    &tf,
+                    &gcam,
+                    &lighting,
+                    bg,
+                    &mut Scratch::new(),
+                );
                 ts.triangles_rasterized as f64
             }),
             // ray marching
             Box::new(|| {
-                let (_, ms) =
-                    render_isosurface(&grid, "temperature", 0.0, &gcam, &tf, &lighting, bg)
-                        .unwrap();
+                let (_, ms) = render_isosurface(
+                    &grid,
+                    "temperature",
+                    0.0,
+                    &gcam,
+                    &tf,
+                    &lighting,
+                    bg,
+                    &mut Scratch::new(),
+                )
+                .unwrap();
                 ms.march_steps as f64
             }),
             // plane slicing
             Box::new(|| {
-                let (_, pl) = render_slices(&grid, "temperature", &planes, &gcam, &tf, bg).unwrap();
+                let (_, pl) = render_slices(
+                    &grid,
+                    "temperature",
+                    &planes,
+                    &gcam,
+                    &tf,
+                    bg,
+                    &mut Scratch::new(),
+                )
+                .unwrap();
                 pl.plane_tests as f64
             }),
             // compositing (pure pixel merges)

@@ -6,6 +6,7 @@ use super::step::{sim_role, viz_role, RankCx, VizFabric, Wire};
 use crate::config::{Coupling, ExperimentSpec};
 use crate::error::Result;
 use eth_data::io::pool::PayloadPool;
+use eth_render::scratch::ScratchPool;
 use eth_sim::SimulationProxy;
 use eth_transport::comm::Communicator;
 use eth_transport::layout::LayoutFile;
@@ -48,8 +49,9 @@ pub(super) fn run_coupled(
     spec: &ExperimentSpec,
     staged: &Arc<StagedData>,
     payloads: &PayloadPool,
+    scratch: &ScratchPool,
 ) -> Result<Vec<RankOutput>> {
-    let cx = RankCx::new(spec, staged, payloads);
+    let cx = RankCx::new(spec, staged, payloads, scratch);
     match spec.coupling {
         Coupling::Tight | Coupling::Intercore => launch_local(cx),
         Coupling::Internode => launch_sockets(cx),

@@ -51,6 +51,7 @@ pub(crate) use staging::{memoize, MemoSlot};
 use crate::config::ExperimentSpec;
 use crate::error::Result;
 use eth_data::io::pool::PayloadPool;
+use eth_render::scratch::ScratchPool;
 use eth_sim::timeseries::StagingAccountant;
 use launch::run_coupled;
 use outcome::{attribute_run, merge_outputs};
@@ -61,7 +62,7 @@ use std::time::Instant;
 /// Run an experiment natively (see module docs).
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
-    run_recorded(spec, &PayloadPool::new(), |spec| {
+    run_recorded(spec, &PayloadPool::new(), &ScratchPool::new(), |spec| {
         Ok(Arc::new(stage_data(spec, StagingAccountant::new())?))
     })
 }
@@ -72,7 +73,9 @@ pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
 /// are a pure function of the cache key.
 pub fn run_native_cached(spec: &ExperimentSpec, caches: &RunCaches) -> Result<NativeOutcome> {
     spec.validate()?;
-    run_recorded(spec, &caches.payloads, |spec| caches.staged(spec))
+    run_recorded(spec, &caches.payloads, &caches.scratch, |spec| {
+        caches.staged(spec)
+    })
 }
 
 /// Run one experiment under a per-run flight recorder: stage (or fetch)
@@ -80,11 +83,12 @@ pub fn run_native_cached(spec: &ExperimentSpec, caches: &RunCaches) -> Result<Na
 /// drain the trace into the outcome's power attribution and counters.
 /// The recorder stacks on whatever sinks the caller already attached
 /// (e.g. a campaign-level recorder), so both see the same spans.
-/// `payloads` is the owning [`RunCaches`]' pool, or a fresh one that lives
-/// as long as an uncached run.
+/// `payloads` and `scratch` are the owning [`RunCaches`]' pools, or fresh
+/// ones that live as long as an uncached run.
 fn run_recorded<F>(
     spec: &ExperimentSpec,
     payloads: &PayloadPool,
+    scratch: &ScratchPool,
     stage: F,
 ) -> Result<NativeOutcome>
 where
@@ -95,7 +99,7 @@ where
     let t0_ns = eth_obs::now_ns();
     let outputs = {
         let _obs = recorder.attach();
-        stage(spec).and_then(|staged| run_coupled(spec, &staged, payloads))
+        stage(spec).and_then(|staged| run_coupled(spec, &staged, payloads, scratch))
     }?;
     let mut outcome = merge_outputs(spec, t0.elapsed().as_secs_f64(), outputs);
     attribute_run(&mut outcome, &recorder.take(), t0_ns);

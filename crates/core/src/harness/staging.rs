@@ -5,9 +5,10 @@ use crate::config::{Coupling, ExperimentSpec};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{scalar_range, VizPipeline};
 use crate::sweep::lock_recover;
-use eth_data::io::pool::PayloadPool;
+use eth_data::io::pool::{PayloadPool, PoolStats};
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::{Aabb, DataObject};
+use eth_render::scratch::{ScratchPool, ScratchStats};
 use eth_render::Image;
 use eth_sim::timeseries::{StagingAccountant, TimeSeries};
 use serde::{Deserialize, Serialize};
@@ -195,6 +196,9 @@ pub struct RunCaches {
     /// Its counts depend on how far simulation ranks ran ahead, so they
     /// stay out of [`CacheStats`].
     pub(super) payloads: PayloadPool,
+    /// The visualization ranks' frame buffers: one set leased per rank per
+    /// run, parked between runs.
+    pub(super) scratch: ScratchPool,
 }
 
 impl RunCaches {
@@ -205,6 +209,19 @@ impl RunCaches {
     /// Counters so far (snapshot).
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock().unwrap()
+    }
+
+    /// Counts of the encoded-payload pool every run through this cache set
+    /// leases from. How many payloads a run holds at once depends on how
+    /// far its simulation ranks ran ahead, so `fresh` is timing.
+    pub fn payload_stats(&self) -> PoolStats {
+        self.payloads.stats()
+    }
+
+    /// Counts of the frame-buffer sets every run through this cache set
+    /// leases, one per visualization rank.
+    pub fn scratch_stats(&self) -> ScratchStats {
+        self.scratch.stats()
     }
 
     /// Resident / spilled staged bytes held by this cache set.
@@ -254,7 +271,7 @@ impl RunCaches {
             let base = baseline_spec(spec);
             base.validate()?;
             let staged = self.staged(&base)?;
-            Ok(run_recorded(&base, &self.payloads, move |_| Ok(staged))?.images)
+            Ok(run_recorded(&base, &self.payloads, &self.scratch, move |_| Ok(staged))?.images)
         })?;
         drop(lookup);
         eth_obs::count(

@@ -6,11 +6,13 @@ use super::staging::{pipeline_for_step, StagedData};
 use crate::config::{ExperimentSpec, Handoff, RecoveryPolicy};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{accumulate, VizPipeline};
+use crate::sweep::lock_recover;
 use bytes::Bytes;
 use eth_data::io::pool::PayloadPool;
 use eth_data::{DataObject, Fields};
 use eth_render::composite::{composite_parts, encode_contribution};
 use eth_render::framebuffer::Framebuffer;
+use eth_render::scratch::{ScratchLease, ScratchPool};
 use eth_sim::SimulationProxy;
 use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
@@ -21,7 +23,7 @@ use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
 use eth_transport::link::PairLink;
 use eth_transport::FaultPlan;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Encode what the pipeline `reads` of a block — its geometry and the
@@ -140,17 +142,42 @@ pub(super) struct RankCx {
     /// Where simulation ranks lease the buffers they encode into, and
     /// socket readers the buffers they receive into.
     pub(super) payloads: PayloadPool,
+    /// The set each visualization rank makes its frames in, by viz index,
+    /// leased together when the run starts and returned together when it
+    /// ends ([`ScratchPool::lease`]): viz rank `v` of the next run draws
+    /// the set rank `v` sized, whichever rank thread starts first.
+    scratch: Vec<Mutex<ScratchLease>>,
 }
 
 impl RankCx {
-    pub(super) fn new(spec: &ExperimentSpec, staged: &Arc<StagedData>, payloads: &PayloadPool) -> Arc<RankCx> {
+    pub(super) fn new(
+        spec: &ExperimentSpec,
+        staged: &Arc<StagedData>,
+        payloads: &PayloadPool,
+        scratch: &ScratchPool,
+    ) -> Arc<RankCx> {
         Arc::new(RankCx {
             spec: spec.clone(),
             staged: staged.clone(),
             policy: StepPolicy::new(spec),
             deaths: Deaths::new(spec.ranks),
             payloads: payloads.clone(),
+            scratch: RankCx::lease_sets(spec, scratch),
         })
+    }
+
+    fn lease_sets(spec: &ExperimentSpec, pool: &ScratchPool) -> Vec<Mutex<ScratchLease>> {
+        let mut sets = pool.lease(spec.max_viz_count());
+        // The colour planes of the images the composite root will return,
+        // allocated on the thread that starts the run: the thread that
+        // receives the images, and most likely the one to free them.
+        let planes = (0..spec.steps * spec.images_per_step)
+            .map(|_| Vec::with_capacity(spec.width * spec.height))
+            .collect();
+        if let Some(root) = sets.first_mut() {
+            root.provide_image_planes(planes);
+        }
+        sets.into_iter().map(Mutex::new).collect()
     }
 
     /// The pair link a rank's blocks cross: `link` itself, behind the chaos
@@ -359,7 +386,8 @@ pub(super) fn migrate_handshakes(
 /// declared), render the partitions this rank owns, and contribute them
 /// to each frame's gather as one partition-framed payload; the root folds
 /// the partition slots in ascending order, counts the empty ones, and
-/// keeps the images.
+/// keeps the images. Every buffer the rank sizes by a block or an image
+/// is in its scratch set ([`RankCx`]'s, at its viz index).
 ///
 /// `wires` are the `(simulation rank, wire)` pairs this rank drains,
 /// ascending. Pairings are the *initial* layout's for the whole run — a
@@ -384,6 +412,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
     let mut own_notices: Vec<AdoptNotice> = Vec::new();
     // proxies for the partitions this rank adopts or migrates in
     let mut inherited: Vec<Option<SimulationProxy>> = (0..r).map(|_| None).collect();
+    let mut scratch = lock_recover(&cx.scratch[me]);
     let mut out = RankOutput::default();
 
     for step in 0..spec.steps {
@@ -465,7 +494,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                     }
                 }
             };
-            let pass = pipeline.execute_step(step, &block, &staged.bounds[step])?;
+            let pass = pipeline.execute_step(step, &block, &staged.bounds[step], &mut scratch)?;
             out.stats = accumulate(out.stats, pass.stats);
             rendered.push((p, pass.frames));
         }
@@ -490,18 +519,22 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 .iter()
                 .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
                 .collect();
-            let payload = Bytes::from(encode_contribution(&entries));
+            let payload = encode_contribution(&entries, scratch.contributions());
             let salt = (step * spec.images_per_step + image_index) as u32;
             let members = fabric.base..comm.size();
             if let Some(parts) = gather(comm, members, salt, payload)? {
                 let received = parts.iter().map(|raw| &raw[..]);
-                let (frame, stats) = composite_parts(r, spec.width, spec.height, received)
-                    .ok_or_else(malformed_contribution)?;
+                let (frame, stats) =
+                    composite_parts(r, spec.width, spec.height, received, &mut scratch)
+                        .ok_or_else(malformed_contribution)?;
                 deg.missing_contributions += stats.missing_contributions;
-                let image = frame.into_image();
+                let image = scratch.into_image(frame);
                 pipeline.write_artifact(step, image_index, &image)?;
                 out.images.push(image);
             }
+        }
+        for fb in rendered.into_iter().flat_map(|(_, frames)| frames) {
+            scratch.recycle(fb);
         }
         out.phases.composite_s += t_comp.elapsed().as_secs_f64();
         out.degradation.absorb(&deg);

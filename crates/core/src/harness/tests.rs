@@ -160,7 +160,7 @@ fn intercore_simulation_ranks_send_their_blocks_and_nothing_else() {
     let mut spec = base_spec("ic-sends");
     spec.coupling = Coupling::Intercore;
     let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
-    let cx = RankCx::new(&spec, &staged, &PayloadPool::new());
+    let cx = RankCx::new(&spec, &staged, &PayloadPool::new(), &ScratchPool::new());
     let r = spec.ranks;
     let ranks: Vec<(RankOutput, eth_transport::comm::TrafficCounters)> =
         std::thread::scope(|s| {
@@ -276,7 +276,7 @@ fn a_payload_the_codec_rejects_is_blamed_on_its_sender() {
         let mut spec = spec.clone();
         spec.coupling = Coupling::Intercore;
         spec.wire_compression = codec;
-        let cx = RankCx::new(&spec, &staged, &pool);
+        let cx = RankCx::new(&spec, &staged, &pool, &ScratchPool::new());
         let fabric = LocalFabric::new(2);
         let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
         let pipeline = VizPipeline::new(&spec);
@@ -495,7 +495,7 @@ fn an_intercore_blocks_lease_comes_back_only_after_the_block_drops() {
     let spec = pooled_spec("pool-view", Coupling::Intercore);
     let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
     let pool = PayloadPool::new();
-    let cx = RankCx::new(&spec, &staged, &pool);
+    let cx = RankCx::new(&spec, &staged, &pool, &ScratchPool::new());
     let block = staged.series.get(0, 0).unwrap();
     let fabric = LocalFabric::new(2);
     let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
@@ -635,7 +635,7 @@ fn recovery_policy_without_faults_changes_nothing() {
         spec.coupling = coupling;
         spec.recovery = Some(RecoveryPolicy::default());
         spec.migration = migration;
-        let out = run_recorded(&spec, &PayloadPool::new(), |spec| {
+        let out = run_recorded(&spec, &PayloadPool::new(), &ScratchPool::new(), |spec| {
             Ok(Arc::new(stage_data(spec, Default::default())?))
         })
         .unwrap();
@@ -814,9 +814,12 @@ fn handshakes_on_two_ranks(
 ) -> Vec<(Vec<usize>, Degradation)> {
     let staged = Arc::new(stage_data(spec, Default::default()).unwrap());
     let pool = PayloadPool::new();
-    let mut source = RankCx::new(spec, &staged, &pool);
+    let mut source = RankCx::new(spec, &staged, &pool, &ScratchPool::new());
     edit_source(&mut Arc::get_mut(&mut source).unwrap().policy.handoffs[0]);
-    let cxs = [source, RankCx::new(spec, &staged, &pool)];
+    let cxs = [
+        source,
+        RankCx::new(spec, &staged, &pool, &ScratchPool::new()),
+    ];
     cxs.iter().for_each(|cx| declare(cx));
     std::thread::scope(|s| {
         let ranks: Vec<_> = LocalFabric::new(2)
@@ -908,7 +911,7 @@ fn a_drainer_behind_a_dead_rank_receives_every_block_it_sent() {
     let k = 3;
     let spec = kill_spec("lagging-drainer", Coupling::Intercore, 0, k);
     let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
-    let cx = RankCx::new(&spec, &staged, &PayloadPool::new());
+    let cx = RankCx::new(&spec, &staged, &PayloadPool::new(), &ScratchPool::new());
     let fabric = LocalFabric::new(2);
     let (sim, viz) = (FabricLink::new(&fabric[0], 1), FabricLink::new(&fabric[1], 0));
     let tombstone = sim_role(&cx, 0, &sim).unwrap();
@@ -976,7 +979,10 @@ fn a_bad_block_on_disk_costs_one_frame_under_every_coupling() {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&victim, &bytes).unwrap();
-        let out = run_recorded(&spec, &PayloadPool::new(), |_| Ok(staged.clone())).unwrap();
+        let out = run_recorded(&spec, &PayloadPool::new(), &ScratchPool::new(), |_| {
+            Ok(staged.clone())
+        })
+        .unwrap();
         assert_eq!(out.counters.get("proxy_skipped_steps"), 1.0, "{coupling:?}");
         // the hole is counted once per frame at the root, and nothing else moves
         let holes = Degradation {

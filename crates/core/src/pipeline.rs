@@ -15,7 +15,7 @@ use eth_data::sampling::{sample_grid_field, sample_points};
 use eth_data::{DataObject, Fields};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::{render_views, RenderOptions, RenderStats};
-use eth_render::Image;
+use eth_render::{Image, Scratch};
 use eth_sim::interface::InSituSink;
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -36,6 +36,9 @@ pub struct VizPipeline {
     options: RenderOptions,
     /// Collected per-step outputs (drained by the harness).
     pub outputs: Vec<StepFrames>,
+    /// The buffers [`InSituSink::consume`] renders in, kept across steps;
+    /// the frames leave with `outputs`.
+    scratch: Scratch,
 }
 
 impl VizPipeline {
@@ -53,6 +56,7 @@ impl VizPipeline {
             spec: spec.clone(),
             options,
             outputs: Vec::new(),
+            scratch: Scratch::new(),
         }
     }
 
@@ -90,7 +94,9 @@ impl VizPipeline {
     }
 
     /// Run the full rank-local pipeline for one step: sample, then render
-    /// every image of the step with the orbiting camera.
+    /// every image of the step with the orbiting camera, in the buffers of
+    /// the rank's `scratch` (the frames too, until the rank hands them back
+    /// with [`Scratch::recycle`]).
     ///
     /// `global_bounds` must be the *global* data bounds so all ranks agree
     /// on the camera.
@@ -99,6 +105,7 @@ impl VizPipeline {
         step: usize,
         data: &DataObject,
         global_bounds: &eth_data::Aabb,
+        scratch: &mut Scratch,
     ) -> Result<StepFrames> {
         // The identity sampling renders the block in place; only a real
         // reduction allocates.
@@ -132,7 +139,7 @@ impl VizPipeline {
         // (the raycaster's BVH) is built once per step
         let mut frames = Vec::with_capacity(cameras.len());
         let mut stats = RenderStats::default();
-        for out in render_views(&sampled, &algorithm, &cameras, &opts)? {
+        for out in render_views(&sampled, &algorithm, &cameras, &opts, scratch)? {
             stats = accumulate(stats, out.stats);
             frames.push(out.framebuffer);
         }
@@ -195,9 +202,10 @@ pub fn accumulate(mut a: RenderStats, b: RenderStats) -> RenderStats {
 impl InSituSink for VizPipeline {
     fn consume(&mut self, step: usize, data: &DataObject) -> eth_data::error::Result<()> {
         let bounds = data.bounds();
-        let out = self
-            .execute_step(step, data, &bounds)
-            .map_err(|e| eth_data::error::DataError::InvalidArgument(e.to_string()))?;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.execute_step(step, data, &bounds, &mut scratch);
+        self.scratch = scratch;
+        let out = out.map_err(|e| eth_data::error::DataError::InvalidArgument(e.to_string()))?;
         self.outputs.push(out);
         Ok(())
     }
@@ -225,7 +233,9 @@ mod tests {
         let s = spec();
         let pipe = VizPipeline::new(&s);
         let data = s.application.generate(0, s.seed).unwrap();
-        let out = pipe.execute_step(0, &data, &data.bounds()).unwrap();
+        let out = pipe
+            .execute_step(0, &data, &data.bounds(), &mut Scratch::new())
+            .unwrap();
         assert_eq!(out.frames.len(), 2);
         assert!(out.frames[0].fragments_landed() > 10);
         // orbiting camera: the two images differ
@@ -245,7 +255,9 @@ mod tests {
         let pipe = VizPipeline::new(&s);
         let data = s.application.generate(0, s.seed).unwrap();
         let bounds = data.bounds();
-        let out = pipe.execute_step(0, &data, &bounds).unwrap();
+        let out = pipe
+            .execute_step(0, &data, &bounds, &mut Scratch::new())
+            .unwrap();
         assert_eq!(out.frames.len(), 3);
 
         // each frame is the frame a render of its own makes; the step is

@@ -94,12 +94,17 @@ impl AlgorithmClass {
 /// Kernel rates (per fully-busy node) and shape parameters.
 ///
 /// Defaults are rough measurements of this repository's kernels on a
-/// ~2020s x86 node, scaled to 24 cores; `eth-core::calibrate` re-measures
-/// them on the host and the `reproduce` binary uses the re-fit values.
+/// ~2020s x86 node, scaled to 24 cores, and they are what the model runs
+/// on: every caller, `reproduce` included, uses [`Calibration::default`].
+/// `eth-core::calibrate::measure` re-measures the kernels on the host, but
+/// only its own tests call it, to check the measured rates keep the
+/// orderings these defaults encode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
-    /// VTK-points particles rendered per second per node (each particle
-    /// pays its full fixed-size block of fragments).
+    /// VTK-points particles rendered per second per node. A particle costs
+    /// one projection and one key write whatever its block size; the
+    /// block's area is paid per image pixel, by the separable minimum that
+    /// spreads each key over its block.
     pub vtk_points_per_sec: f64,
     /// Splat particles rendered per second per node (sub-pixel impostors
     /// collapse to a single precomputed-shading fragment).

@@ -29,8 +29,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
-/// Requests below this are plain allocations the pool never sees again.
-pub const FLOOR_BYTES: usize = 1 << 20;
+/// Requests below this are plain allocations the pool never sees again:
+/// glibc's default mmap threshold, under which malloc serves and reuses
+/// chunks from its arenas, and at or above which every fresh request is
+/// mapped, faulted in and parked or unmapped by glibc's own rules.
+pub const FLOOR_BYTES: usize = 128 << 10;
 
 /// Most buffers parked at once: the blocks one step of a two-rank pair
 /// run has in flight, with one step of simulation run-ahead, at both ends
@@ -45,6 +48,8 @@ pub struct PoolStats {
     pub leased: u64,
     /// Of those, the ones no parked buffer could serve.
     pub fresh: u64,
+    /// Bytes allocated for the `fresh` ones.
+    pub fresh_bytes: u64,
     /// Leases that came back (parked, or let go past the cap).
     pub returned: u64,
     /// Buffers parked right now.
@@ -56,6 +61,7 @@ struct Shared {
     parked: Mutex<VecDeque<AlignedBuf>>,
     leased: AtomicU64,
     fresh: AtomicU64,
+    fresh_bytes: AtomicU64,
     returned: AtomicU64,
 }
 
@@ -98,8 +104,11 @@ impl PayloadPool {
             best.and_then(|i| parked.remove(i))
         };
         let buf = recycled.unwrap_or_else(|| {
+            let buf = AlignedBuf::with_capacity(exact_len);
             self.shared.fresh.fetch_add(1, Ordering::Relaxed);
-            AlignedBuf::with_capacity(exact_len)
+            let bytes = buf.capacity() as u64;
+            self.shared.fresh_bytes.fetch_add(bytes, Ordering::Relaxed);
+            buf
         });
         Lease {
             buf,
@@ -111,6 +120,7 @@ impl PayloadPool {
         PoolStats {
             leased: self.shared.leased.load(Ordering::Relaxed),
             fresh: self.shared.fresh.load(Ordering::Relaxed),
+            fresh_bytes: self.shared.fresh_bytes.load(Ordering::Relaxed),
             returned: self.shared.returned.load(Ordering::Relaxed),
             parked: self.shared.parked().len(),
         }
@@ -190,6 +200,7 @@ mod tests {
             (stats.leased, stats.fresh, stats.returned, stats.parked),
             (1, 1, 1, 1)
         );
+        assert_eq!(stats.fresh_bytes, 2 * MIB as u64);
         // the next lease of that size is the same allocation, empty
         let mut again = pool.lease(2 * MIB);
         assert!(again.buf().is_empty() && again.buf().capacity() >= 2 * MIB);

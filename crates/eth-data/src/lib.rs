@@ -43,7 +43,7 @@ pub mod vec3;
 
 pub use array::Array;
 pub use bounds::Aabb;
-pub use bytes::Bytes;
+pub use bytes::{BufMut, Bytes};
 pub use dataset::DataObject;
 pub use error::DataError;
 pub use field::{Attribute, AttributeSet, Fields};

@@ -13,8 +13,13 @@ use std::time::Instant;
 pub const NO_RANK: u32 = u32::MAX;
 
 /// Ring-buffer capacity per thread: records buffered locally before a
-/// drain into the attached recorders. 4096 × 48 B ≈ 192 KiB worst case.
-const RING: usize = 4096;
+/// drain into the attached recorders. The buffer grows to it as records
+/// arrive, so a thread that records a few spans holds a few hundred
+/// bytes; 2048 × 56 B = 112 KiB stays under the 128 KiB at which the
+/// allocator maps a request, so even a busy thread's ring is not a mapped
+/// and faulted allocation per thread per frame.
+const RING: usize = 2048;
+const _: () = assert!(RING * std::mem::size_of::<Record>() < 128 << 10);
 
 /// The span taxonomy — every instrumented stretch of the pipeline.
 ///
@@ -327,9 +332,6 @@ impl TlState {
     fn push(&mut self, record: Record) {
         if self.sinks.is_empty() && !GLOBAL_ON.load(Ordering::Relaxed) {
             return; // armed by some other thread's recorder — not ours
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve(RING);
         }
         self.buf.push(record);
         if self.buf.len() >= RING {

@@ -6,23 +6,28 @@
 //!
 //! * a rank ships each frame as one **contribution**
 //!   ([`encode_contribution`]): a framed list of `(partition, framebuffer)`
-//!   entries, empty when it rendered nothing;
-//! * the root decodes every contribution it received into partition slots
-//!   and folds them in ascending partition order ([`composite_parts`] over
-//!   [`composite_owned`]), so the image bytes are a function of the
-//!   partition set, never of which rank rendered what or in which order
-//!   contributions arrived. A slot nobody filled is a hole: composited
-//!   around and counted, here and nowhere else;
-//! * [`composite_direct`] is the fold itself (a gather-to-root schedule).
+//!   entries, empty when it rendered nothing, encoded into a buffer the
+//!   rank's [`Scratch`] leases;
+//! * the root reads every contribution it received in place and folds the
+//!   entries in ascending partition order ([`composite_parts`]), so the
+//!   image bytes are a function of the partition set, never of which rank
+//!   rendered what or in which order contributions arrived. A partition
+//!   nobody filled is a hole: composited around and counted, here and
+//!   nowhere else;
+//! * [`composite_direct`] is the same fold over framebuffers in hand (a
+//!   gather-to-root schedule).
 
-use crate::framebuffer::Framebuffer;
+use crate::framebuffer::{Framebuffer, WireFrame};
+use crate::scratch::Scratch;
+use eth_data::io::pool::PayloadPool;
+use eth_data::{Bytes, Vec3};
 
 /// Work done by a compositing call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompositeStats {
     /// Number of per-pixel merge operations performed.
     pub merge_ops: u64,
-    /// Slots nobody contributed to ([`composite_owned`]: partitions whose
+    /// Slots nobody contributed to ([`composite_parts`]: partitions whose
     /// frames never arrived). Non-zero marks a degraded frame.
     pub missing_contributions: u64,
 }
@@ -66,82 +71,35 @@ pub fn composite_direct(mut buffers: Vec<Framebuffer>) -> (Framebuffer, Composit
     (acc, stats)
 }
 
-/// Slot-mapped compositing (DESIGN.md §13): contributions arrive as
-/// `(slot, framebuffer)` pairs and the fold runs in ascending **slot**
-/// order — never arrival order. A slot is a partition id, filled by
-/// whichever rank owns the partition at that step, so the image bytes are
-/// independent of who rendered what. This is what makes a migrated run
-/// byte-identical to the undisturbed one.
-///
-/// Duplicate contributions for one slot (a handoff whose ack was lost
-/// after commit: both owners render it) merge idempotently; a slot nobody
-/// filled is composited around and counted in
-/// [`CompositeStats::missing_contributions`].
-///
-/// Panics when *no* slot has a contribution ([`composite_parts`] emits the
-/// dark frame for that case).
-pub fn composite_owned(
-    slot_count: usize,
-    contribs: Vec<(usize, Framebuffer)>,
-) -> (Framebuffer, CompositeStats) {
-    let mut stats = CompositeStats::default();
-    let mut slots: Vec<Option<Framebuffer>> = (0..slot_count).map(|_| None).collect();
-    for (slot, fb) in contribs {
-        assert!(
-            slot < slot_count,
-            "contribution for slot {slot} but only {slot_count} exist"
-        );
-        match &mut slots[slot] {
-            Some(existing) => {
-                let _span = eth_obs::span(eth_obs::Phase::Composite);
-                stats.merge_ops += (fb.width() * fb.height()) as u64;
-                existing.composite_in(&fb);
-            }
-            empty => *empty = Some(fb),
-        }
-    }
-    let mut missing = 0u64;
-    let bufs: Vec<Framebuffer> = slots
-        .into_iter()
-        .filter_map(|slot| {
-            if slot.is_none() {
-                missing += 1;
-            }
-            slot
-        })
-        .collect();
-    assert!(!bufs.is_empty(), "nothing to composite");
-    let (fb, fold) = composite_direct(bufs);
-    stats.merge_ops += fold.merge_ops;
-    stats.missing_contributions = missing;
-    (fb, stats)
-}
-
 /// Encode one rank's contribution to a frame: `count: u32`, then per entry
 /// `partition: u32, len: u32` and the framebuffer's own bytes
-/// ([`Framebuffer::to_bytes`]), all little-endian. A rank with nothing to
-/// render contributes the empty payload.
-pub fn encode_contribution(entries: &[(usize, &Framebuffer)]) -> Vec<u8> {
+/// ([`Framebuffer::to_bytes`]), all little-endian, into a buffer leased
+/// from `pool` (the rank's [`Scratch::contributions`]), which has it back
+/// once the root lets go of it. A rank with nothing to render contributes
+/// the empty payload.
+pub fn encode_contribution(entries: &[(usize, &Framebuffer)], pool: &PayloadPool) -> Bytes {
     if entries.is_empty() {
-        return Vec::new();
+        return Bytes::new();
     }
     let total = 4 + entries.iter().map(|(_, fb)| 8 + fb.byte_len()).sum::<usize>();
-    let mut buf = Vec::with_capacity(total);
+    let mut lease = pool.lease(total);
+    let buf = lease.buf();
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (partition, fb) in entries {
         buf.extend_from_slice(&(*partition as u32).to_le_bytes());
         buf.extend_from_slice(&(fb.byte_len() as u32).to_le_bytes());
-        fb.write_bytes(&mut buf);
+        fb.write_bytes(buf);
     }
     debug_assert_eq!(buf.len(), total);
-    buf
+    lease.freeze()
 }
 
 /// Wire size of the smallest entry: partition, length, a 0×0 framebuffer.
 const MIN_ENTRY_BYTES: usize = 4 + 4 + 20;
 
-/// Inverse of [`encode_contribution`]; `None` on malformed input.
-pub fn decode_contribution(raw: &[u8]) -> Option<Vec<(usize, Framebuffer)>> {
+/// The entries of one contribution, parsed in place; `None` on malformed
+/// input.
+fn wire_entries(raw: &[u8]) -> Option<Vec<(usize, WireFrame<'_>)>> {
     if raw.is_empty() {
         return Some(Vec::new());
     }
@@ -156,50 +114,94 @@ pub fn decode_contribution(raw: &[u8]) -> Option<Vec<(usize, Framebuffer)>> {
         let partition = u32::from_le_bytes(prefix[0..4].try_into().ok()?) as usize;
         let len = u32::from_le_bytes(prefix[4..8].try_into().ok()?) as usize;
         let (body, tail) = tail.split_at_checked(len)?;
-        entries.push((partition, Framebuffer::from_bytes(body)?));
+        entries.push((partition, WireFrame::parse(body)?));
         rest = tail;
     }
     Some(entries)
 }
 
-/// Composite one gathered frame at the root: decode every contribution
-/// received, drop each entry into its partition's slot, and fold the
-/// `partitions` slots in ascending order. A frame every contributor lost
-/// comes out dark (`width × height`), with every slot counted missing.
-/// `None` when a contribution is malformed, names a partition outside
-/// `0..partitions`, or carries a framebuffer of another size — wire data
-/// never reaches the fold's asserts.
+/// Composite one gathered frame at the root: parse every contribution
+/// received in place and fold its entries in ascending partition order
+/// (DESIGN.md §13) — never arrival order, so the image bytes are a
+/// function of the partition set, not of which rank rendered what. The
+/// first entry is the accumulator (its background is the frame's); every
+/// later one merges in keeping the strictly nearer fragment. Duplicate
+/// entries for one partition (a handoff whose ack was lost after commit:
+/// both owners render it) are the same render, and merging a buffer into
+/// one it already merged into changes nothing. A partition nobody filled
+/// is a hole: composited around and counted in
+/// [`CompositeStats::missing_contributions`]; a frame every contributor
+/// lost comes out dark, every partition counted.
+///
+/// The frame's colour plane, the image it becomes
+/// ([`Scratch::into_image`]), is one the run provided
+/// ([`Scratch::provide_image_planes`]) or a fresh allocation; its depth
+/// plane is `scratch`'s. `None` when a contribution is malformed, names a
+/// partition outside `0..partitions`, or carries a framebuffer of another
+/// size — wire data never reaches the fold.
 pub fn composite_parts<'a>(
     partitions: usize,
     width: usize,
     height: usize,
     contributions: impl IntoIterator<Item = &'a [u8]>,
+    scratch: &mut Scratch,
 ) -> Option<(Framebuffer, CompositeStats)> {
     let mut entries = Vec::new();
     for raw in contributions {
-        for (partition, fb) in decode_contribution(raw)? {
-            if partition >= partitions || fb.width() != width || fb.height() != height {
+        for (partition, wire) in wire_entries(raw)? {
+            if partition >= partitions || wire.width != width || wire.height != height {
                 return None;
             }
-            entries.push((partition, fb));
+            entries.push((partition, wire));
         }
     }
-    if entries.is_empty() {
-        let dark = Framebuffer::new(width, height, eth_data::Vec3::ZERO);
-        let stats = CompositeStats {
-            missing_contributions: partitions as u64,
-            ..CompositeStats::default()
-        };
-        return Some((dark, stats));
+    // stable: duplicates keep their arrival order
+    entries.sort_by_key(|(partition, _)| *partition);
+    let filled = entries.chunk_by(|a, b| a.0 == b.0).count();
+    let mut stats = CompositeStats {
+        missing_contributions: (partitions - filled) as u64,
+        ..CompositeStats::default()
+    };
+    let pixels = width * height;
+    let (mut color, mut depth) = scratch.composite_planes(pixels);
+    let Some(((_, first), rest)) = entries.split_first() else {
+        color.resize(pixels, Vec3::ZERO);
+        depth.resize(pixels, f32::INFINITY);
+        return Some((
+            Framebuffer::from_planes(width, height, Vec3::ZERO, color, depth),
+            stats,
+        ));
+    };
+    let mut span = eth_obs::span(eth_obs::Phase::Composite);
+    span.set_bytes((entries.len() * pixels) as u64 * 16);
+    let (c, d) = first.planes();
+    color.extend_from_slice(&c);
+    depth.extend_from_slice(&d);
+    let mut acc = Framebuffer::from_planes(width, height, first.background, color, depth);
+    for (_, wire) in rest {
+        let (c, d) = wire.planes();
+        acc.merge_planes(&c, &d);
+        stats.merge_ops += pixels as u64;
     }
-    Some(composite_owned(partitions, entries))
+    Some((acc, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eth_data::Vec3;
     use proptest::prelude::*;
+
+    /// Inverse of [`encode_contribution`]; `None` on malformed input.
+    fn decode_contribution(raw: &[u8]) -> Option<Vec<(usize, Framebuffer)>> {
+        let entries = wire_entries(raw)?;
+        let bodies = entries.into_iter().map(|(partition, wire)| {
+            let (color, depth) = wire.planes();
+            let (w, h, bg) = (wire.width, wire.height, wire.background);
+            let fb = Framebuffer::from_planes(w, h, bg, color.into_owned(), depth.into_owned());
+            (partition, fb)
+        });
+        Some(bodies.collect())
+    }
 
     fn striped(width: usize, height: usize, stripe: usize, of: usize, depth: f32) -> Framebuffer {
         // Buffer that owns every `of`-th column starting at `stripe`.
@@ -257,8 +259,30 @@ mod tests {
         assert!(msg.contains("4x8") && msg.contains("8x8"), "{msg}");
     }
 
+    /// One contribution per `(partition, framebuffer)` entry, in the order
+    /// given.
+    fn contributions(entries: &[(usize, Framebuffer)]) -> Vec<Bytes> {
+        let pool = PayloadPool::new();
+        entries
+            .iter()
+            .map(|(p, fb)| encode_contribution(&[(*p, fb)], &pool))
+            .collect()
+    }
+
+    fn fold(count: usize, entries: &[(usize, Framebuffer)]) -> (Framebuffer, CompositeStats) {
+        let parts = contributions(entries);
+        composite_parts(
+            count,
+            16,
+            8,
+            parts.iter().map(|p| &p[..]),
+            &mut Scratch::new(),
+        )
+        .expect("well-formed contributions")
+    }
+
     #[test]
-    fn owned_composite_is_contributor_order_independent() {
+    fn parts_are_contributor_order_independent() {
         let count = 4;
         let make = |i: usize| striped(16, 8, i, count, (i + 1) as f32);
         let (want, _) = composite_direct((0..count).map(make).collect());
@@ -266,29 +290,32 @@ mod tests {
         // would after a migration moved partitions between ranks
         let scrambled: Vec<(usize, Framebuffer)> =
             [2usize, 0, 3, 1].iter().map(|&p| (p, make(p))).collect();
-        let (got, stats) = composite_owned(count, scrambled);
+        let (got, stats) = fold(count, &scrambled);
         assert_eq!(got, want, "ownership must not leak into image bytes");
         assert_eq!(stats.missing_contributions, 0);
+        assert_eq!(stats.merge_ops, 3 * 16 * 8);
     }
 
     #[test]
-    fn owned_composite_merges_duplicates_idempotently() {
+    fn parts_merge_duplicates_idempotently() {
         // both the old and new owner rendered partition 1 (ack lost after
-        // commit): the duplicate merges away
+        // commit): the duplicate merges away, wherever it arrives
         let count = 3;
         let make = |i: usize| striped(16, 8, i, count, (i + 1) as f32);
         let (want, _) = composite_direct((0..count).map(make).collect());
-        let contribs = vec![(0, make(0)), (1, make(1)), (1, make(1)), (2, make(2))];
-        let (got, stats) = composite_owned(count, contribs);
-        assert_eq!(got, want);
-        assert_eq!(stats.missing_contributions, 0);
+        for order in [[0, 1, 1, 2], [1, 2, 0, 1], [1, 1, 2, 0]] {
+            let entries: Vec<_> = order.iter().map(|&p| (p, make(p))).collect();
+            let (got, stats) = fold(count, &entries);
+            assert_eq!(got, want, "{order:?}");
+            assert_eq!(stats.missing_contributions, 0);
+        }
     }
 
     #[test]
-    fn owned_composite_counts_unowned_partitions_as_missing() {
+    fn parts_count_unowned_partitions_as_missing() {
         let count = 3;
         let make = |i: usize| striped(16, 8, i, count, (i + 1) as f32);
-        let (got, stats) = composite_owned(count, vec![(0, make(0)), (2, make(2))]);
+        let (got, stats) = fold(count, &[(2, make(2)), (0, make(0))]);
         assert_eq!(stats.missing_contributions, 1);
         // the hole is composited around: the survivors fold as if alone
         let (want, _) = composite_direct(vec![make(0), make(2)]);
@@ -296,9 +323,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nothing to composite")]
-    fn owned_composite_rejects_no_contributions() {
-        composite_owned(3, Vec::new());
+    fn parts_read_unaligned_contributions_too() {
+        // a contribution whose planes sit off their alignment is decoded,
+        // not refused
+        let (a, b) = (striped(16, 8, 0, 2, 1.0), striped(16, 8, 1, 2, 2.0));
+        let raw = encode_contribution(&[(0, &a), (1, &b)], &PayloadPool::new());
+        let mut shifted = vec![0u8; raw.len() + 1];
+        shifted[1..].copy_from_slice(&raw);
+        let mut scratch = Scratch::new();
+        let (got, _) = composite_parts(2, 16, 8, [&shifted[1..]], &mut scratch).unwrap();
+        assert_eq!(got, composite_direct(vec![a, b]).0);
     }
 
     #[test]
@@ -308,31 +342,44 @@ mod tests {
         let (a, b, c) = (make(0), make(2), make(3));
         // one rank co-owns partitions 3 and 0, one owns 2, one rendered
         // nothing: partition 1 is the frame's one hole
+        let pool = PayloadPool::new();
         let parts = [
-            encode_contribution(&[(3, &c), (0, &a)]),
-            encode_contribution(&[]),
-            encode_contribution(&[(2, &b)]),
+            encode_contribution(&[(3, &c), (0, &a)], &pool),
+            encode_contribution(&[], &pool),
+            encode_contribution(&[(2, &b)], &pool),
         ];
         assert!(parts[1].is_empty(), "nothing to render is the empty payload");
-        let (got, stats) = composite_parts(count, 16, 8, parts.iter().map(|p| &p[..])).unwrap();
+        let mut scratch = Scratch::new();
+        let received = parts.iter().map(|p| &p[..]);
+        let (got, stats) = composite_parts(count, 16, 8, received, &mut scratch).unwrap();
         let (want, _) = composite_direct(vec![make(0), make(2), make(3)]);
         assert_eq!(got, want);
         assert_eq!(stats.missing_contributions, 1);
         // nobody contributed: a dark frame, every slot a hole
-        let (dark, stats) = composite_parts(count, 16, 8, [&parts[1][..]]).unwrap();
+        let (dark, stats) = composite_parts(count, 16, 8, [&parts[1][..]], &mut scratch).unwrap();
         assert_eq!(dark, Framebuffer::new(16, 8, Vec3::ZERO));
         assert_eq!(stats.missing_contributions, count as u64);
     }
 
     #[test]
     fn parts_reject_wire_data_the_fold_would_panic_on() {
+        let (pool, scratch) = (PayloadPool::new(), &mut Scratch::new());
         let fb = striped(16, 8, 0, 2, 1.0);
-        let outside = encode_contribution(&[(4, &fb)]);
-        assert!(composite_parts(4, 16, 8, [&outside[..]]).is_none(), "partition out of range");
+        let outside = encode_contribution(&[(4, &fb)], &pool);
+        assert!(
+            composite_parts(4, 16, 8, [&outside[..]], scratch).is_none(),
+            "partition out of range"
+        );
         let other = Framebuffer::new(8, 8, Vec3::ZERO);
-        let resized = encode_contribution(&[(0, &other)]);
-        assert!(composite_parts(4, 16, 8, [&resized[..]]).is_none(), "framebuffer size");
-        assert!(composite_parts(4, 16, 8, [&[0xff, 0, 0][..]]).is_none(), "framing");
+        let resized = encode_contribution(&[(0, &other)], &pool);
+        assert!(
+            composite_parts(4, 16, 8, [&resized[..]], scratch).is_none(),
+            "framebuffer size"
+        );
+        assert!(
+            composite_parts(4, 16, 8, [&[0xff, 0, 0][..]], scratch).is_none(),
+            "framing"
+        );
     }
 
     /// Two entries of different sizes, the second with something drawn.
@@ -347,7 +394,7 @@ mod tests {
         // ~4.3 G entries claimed by four bytes, and by a valid payload
         assert!(decode_contribution(&[0xff; 4]).is_none());
         let (a, b) = two_entries();
-        let mut raw = encode_contribution(&[(0, &a), (1, &b)]);
+        let mut raw = encode_contribution(&[(0, &a), (1, &b)], &PayloadPool::new()).to_vec();
         raw[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_contribution(&raw).is_none());
     }
@@ -355,7 +402,7 @@ mod tests {
     #[test]
     fn truncation_at_every_offset_is_an_error() {
         let (a, b) = two_entries();
-        let raw = encode_contribution(&[(4, &a), (1, &b)]);
+        let raw = encode_contribution(&[(4, &a), (1, &b)], &PayloadPool::new());
         // count, then per entry: partition, length, `to_bytes`
         let mut framed = 2u32.to_le_bytes().to_vec();
         for (partition, fb) in [(4u32, &a), (1, &b)] {
@@ -388,13 +435,14 @@ mod tests {
             let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
             let _ = decode_contribution(&noise);
             let _ = Framebuffer::from_bytes(&noise);
-            let _ = composite_parts(2, 2, 2, [&noise[..]]);
+            let scratch = &mut Scratch::new();
+            let _ = composite_parts(2, 2, 2, [&noise[..]], scratch);
             let (a, b) = two_entries();
-            let mut raw = encode_contribution(&[(0, &a), (1, &b)]);
+            let mut raw = encode_contribution(&[(0, &a), (1, &b)], &PayloadPool::new()).to_vec();
             let at = at % (raw.len() - 3);
             raw[at..at + 4].copy_from_slice(&(patch as u32).to_le_bytes());
             let _ = decode_contribution(&raw);
-            let _ = composite_parts(2, 2, 2, [&raw[..]]);
+            let _ = composite_parts(2, 2, 2, [&raw[..]], scratch);
         }
     }
 }

@@ -5,8 +5,10 @@
 //! the sort-last structure a distributed ETH run uses.
 
 use crate::image::Image;
-use eth_data::io::le::{put_slice_le, read_vec_le, LeElement};
+use eth_data::io::le::{put_slice_le, read_vec_le, view_le, LeElement};
+use eth_data::BufMut;
 use eth_data::Vec3;
+use std::borrow::Cow;
 
 /// An RGB color buffer with a parallel depth buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +30,35 @@ impl Framebuffer {
             depth: vec![f32::INFINITY; width * height],
             background,
         }
+    }
+
+    /// A buffer over planes its caller filled (`width * height` each).
+    pub(crate) fn from_planes(
+        width: usize,
+        height: usize,
+        background: Vec3,
+        color: Vec<Vec3>,
+        depth: Vec<f32>,
+    ) -> Framebuffer {
+        debug_assert!(color.len() == width * height && depth.len() == width * height);
+        Framebuffer {
+            width,
+            height,
+            color,
+            depth,
+            background,
+        }
+    }
+
+    /// Clear to [`Framebuffer::new`]'s state in the planes already held,
+    /// which allocate only to grow.
+    pub(crate) fn reset(&mut self, width: usize, height: usize, background: Vec3) {
+        let pixels = width * height;
+        self.color.clear();
+        self.color.resize(pixels, background);
+        self.depth.clear();
+        self.depth.resize(pixels, f32::INFINITY);
+        (self.width, self.height, self.background) = (width, height, background);
     }
 
     pub fn width(&self) -> usize {
@@ -114,7 +145,12 @@ impl Framebuffer {
     pub fn composite_in(&mut self, other: &Framebuffer) {
         assert_eq!(self.width, other.width, "framebuffer width mismatch");
         assert_eq!(self.height, other.height, "framebuffer height mismatch");
-        merge_nearest(&mut self.color, &mut self.depth, &other.color, &other.depth);
+        self.merge_planes(&other.color, &other.depth);
+    }
+
+    /// [`Framebuffer::composite_in`] over another buffer's planes.
+    pub(crate) fn merge_planes(&mut self, color: &[Vec3], depth: &[f32]) {
+        merge_nearest(&mut self.color, &mut self.depth, color, depth);
     }
 
     /// Number of pixels something was drawn into.
@@ -124,8 +160,14 @@ impl Framebuffer {
 
     /// Finish: drop the depth buffer and return the color image.
     pub fn into_image(self) -> Image {
-        Image::from_pixels(self.width, self.height, self.color)
-            .expect("framebuffer dimensions are consistent by construction")
+        self.into_image_and_depth().0
+    }
+
+    /// [`Framebuffer::into_image`], handing the depth plane back too.
+    pub(crate) fn into_image_and_depth(self) -> (Image, Vec<f32>) {
+        let image = Image::from_pixels(self.width, self.height, self.color)
+            .expect("framebuffer dimensions are consistent by construction");
+        (image, self.depth)
     }
 
     /// Serialize for shipping across ranks (compositing). Little-endian:
@@ -144,9 +186,9 @@ impl Framebuffer {
 
     /// Append [`Framebuffer::to_bytes`] to `out`, for callers framing
     /// several framebuffers into one message.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.width as u32).to_le_bytes());
-        out.extend_from_slice(&(self.height as u32).to_le_bytes());
+    pub fn write_bytes(&self, out: &mut impl BufMut) {
+        out.put_slice(&(self.width as u32).to_le_bytes());
+        out.put_slice(&(self.height as u32).to_le_bytes());
         put_slice_le(out, &[self.background]);
         put_slice_le(out, &self.color);
         put_slice_le(out, &self.depth);
@@ -156,6 +198,32 @@ impl Framebuffer {
     /// input; the planes are sized by the bytes present, never by the
     /// dimensions the header claims.
     pub fn from_bytes(raw: &[u8]) -> Option<Framebuffer> {
+        let wire = WireFrame::parse(raw)?;
+        let (color, depth) = wire.planes();
+        Some(Framebuffer {
+            width: wire.width,
+            height: wire.height,
+            color: color.into_owned(),
+            depth: depth.into_owned(),
+            background: wire.background,
+        })
+    }
+}
+
+/// A framebuffer's wire bytes ([`Framebuffer::to_bytes`]), parsed in
+/// place: what the composite root folds without decoding a copy.
+pub(crate) struct WireFrame<'a> {
+    pub(crate) width: usize,
+    pub(crate) height: usize,
+    pub(crate) background: Vec3,
+    color: &'a [u8],
+    depth: &'a [u8],
+}
+
+impl<'a> WireFrame<'a> {
+    /// `None` on malformed input; the planes are sized by the bytes
+    /// present, never by the dimensions the header claims.
+    pub(crate) fn parse(raw: &'a [u8]) -> Option<WireFrame<'a>> {
         let (header, planes) = raw.split_at_checked(HEADER_BYTES)?;
         let width = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
         let height = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
@@ -164,13 +232,24 @@ impl Framebuffer {
             return None;
         }
         let (color, depth) = planes.split_at(n * Vec3::BYTES);
-        Some(Framebuffer {
+        Some(WireFrame {
             width,
             height,
-            color: read_vec_le(color),
-            depth: read_vec_le(depth),
             background: Vec3::read_le(&header[8..]),
+            color,
+            depth,
         })
+    }
+
+    /// The colour and depth planes: read in place when the bytes are
+    /// aligned for them (every contribution an encoder leased is), else
+    /// decoded into a copy.
+    pub(crate) fn planes(&self) -> (Cow<'a, [Vec3]>, Cow<'a, [f32]>) {
+        let color =
+            view_le(self.color).map_or_else(|| Cow::Owned(read_vec_le(self.color)), Cow::Borrowed);
+        let depth =
+            view_le(self.depth).map_or_else(|| Cow::Owned(read_vec_le(self.depth)), Cow::Borrowed);
+        (color, depth)
     }
 }
 

@@ -21,6 +21,7 @@
 
 use crate::geometry::mesh::TriangleMesh;
 use crate::geometry::zero_set::{self, crossing_weight, Surface};
+use crate::scratch::Scratch;
 use eth_data::error::Result;
 use eth_data::{UniformGrid, Vec3};
 
@@ -65,18 +66,30 @@ impl Surface for Isosurface<'_> {
     }
 }
 
-/// Extract the isosurface of `field` at `isovalue`.
+/// [`extract_isosurface_in`] for a caller with no [`Scratch`] of its own.
 pub fn extract_isosurface(
     grid: &UniformGrid,
     field: &str,
     isovalue: f32,
+) -> Result<(TriangleMesh, IsosurfaceStats)> {
+    extract_isosurface_in(grid, field, isovalue, &mut Scratch::new())
+}
+
+/// Extract the isosurface of `field` at `isovalue`. The sweep's arrays are
+/// `scratch`'s, and so are the mesh's until [`Scratch::recycle_mesh`] takes
+/// them back.
+pub fn extract_isosurface_in(
+    grid: &UniformGrid,
+    field: &str,
+    isovalue: f32,
+    scratch: &mut Scratch,
 ) -> Result<(TriangleMesh, IsosurfaceStats)> {
     let surface = Isosurface {
         grid,
         values: grid.scalar(field)?,
         isovalue,
     };
-    let (mesh, cells_crossed) = zero_set::extract(grid.dims(), &surface);
+    let (mesh, cells_crossed) = zero_set::extract(grid.dims(), &surface, scratch);
     let stats = IsosurfaceStats {
         cells_scanned: grid.num_cells() as u64,
         cells_crossed,

@@ -21,6 +21,14 @@ impl TriangleMesh {
         Self::default()
     }
 
+    /// Empty the mesh, keeping its arrays' allocations.
+    pub fn clear(&mut self) {
+        self.positions.clear();
+        self.normals.clear();
+        self.scalars.clear();
+        self.indices.clear();
+    }
+
     pub fn num_vertices(&self) -> usize {
         self.positions.len()
     }

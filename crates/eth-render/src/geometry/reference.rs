@@ -326,6 +326,7 @@ mod equivalence {
     use super::*;
     use crate::geometry::marching_cubes::extract_isosurface as sweep_isosurface;
     use crate::geometry::slice::extract_slice as sweep_slice;
+    use crate::scratch::Scratch;
     use crate::testing::at_thread_counts;
     use eth_data::field::Attribute;
     use eth_data::Vec3;
@@ -423,7 +424,8 @@ mod equivalence {
                 )),
             };
             let want = extract_slice(&grid, "f", &plane).expect("field present");
-            for (threads, got) in at_thread_counts(|| sweep_slice(&grid, "f", &plane)) {
+            let sweep = || sweep_slice(&grid, "f", &plane, &mut Scratch::new());
+            for (threads, got) in at_thread_counts(sweep) {
                 let got = got.expect("field present");
                 prop_assert!(bits(&got.0) == bits(&want.0), "slice mesh differs at {threads} threads");
                 prop_assert_eq!(got.1, want.1, "slice stats differ at {} threads", threads);

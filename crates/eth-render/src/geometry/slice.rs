@@ -12,6 +12,7 @@
 
 use crate::geometry::mesh::TriangleMesh;
 use crate::geometry::zero_set::{self, crossing_weight, Surface};
+use crate::scratch::Scratch;
 use eth_data::error::{DataError, Result};
 use eth_data::{UniformGrid, Vec3};
 use serde::{Deserialize, Serialize};
@@ -95,11 +96,14 @@ impl Surface for Cut<'_> {
 
 /// Extract the cut of `plane` through the grid, colored by `field`:
 /// triangle-vertex scalars are the data field interpolated along the cut
-/// edges, and normals are the plane normal.
+/// edges, and normals are the plane normal. The sweep's arrays are
+/// `scratch`'s, and so are the mesh's until [`Scratch::recycle_mesh`]
+/// takes them back.
 pub fn extract_slice(
     grid: &UniformGrid,
     field: &str,
     plane: &Plane,
+    scratch: &mut Scratch,
 ) -> Result<(TriangleMesh, SliceStats)> {
     if plane.normal.length_squared() < 1e-12 {
         return Err(DataError::InvalidArgument(
@@ -111,7 +115,7 @@ pub fn extract_slice(
         values: grid.scalar(field)?,
         plane,
     };
-    let (mesh, cells_cut) = zero_set::extract(grid.dims(), &surface);
+    let (mesh, cells_cut) = zero_set::extract(grid.dims(), &surface, scratch);
     let stats = SliceStats {
         cells_scanned: grid.num_cells() as u64,
         cells_cut,
@@ -160,7 +164,7 @@ mod tests {
     fn axis_slice_is_flat_and_covers_cross_section() {
         let g = ramp_grid(9);
         let plane = Plane::axis_aligned(2, 0.5);
-        let (mesh, stats) = extract_slice(&g, "f", &plane).unwrap();
+        let (mesh, stats) = extract_slice(&g, "f", &plane, &mut Scratch::new()).unwrap();
         assert!(mesh.validate());
         assert!(stats.triangles > 0);
         // all vertices on the plane
@@ -176,7 +180,7 @@ mod tests {
     fn slice_scalars_interpolate_field() {
         let g = ramp_grid(9);
         let plane = Plane::axis_aligned(2, 0.3);
-        let (mesh, _) = extract_slice(&g, "f", &plane).unwrap();
+        let (mesh, _) = extract_slice(&g, "f", &plane, &mut Scratch::new()).unwrap();
         // field is x, so scalar at a vertex must equal its x coordinate
         for (p, &s) in mesh.positions.iter().zip(&mesh.scalars) {
             assert!((s - p.x).abs() < 1e-4, "scalar {s} vs x {}", p.x);
@@ -187,7 +191,7 @@ mod tests {
     fn oblique_slice_works() {
         let g = ramp_grid(11);
         let plane = Plane::from_point_normal(Vec3::splat(0.5), Vec3::new(1.0, 1.0, 1.0));
-        let (mesh, stats) = extract_slice(&g, "f", &plane).unwrap();
+        let (mesh, stats) = extract_slice(&g, "f", &plane, &mut Scratch::new()).unwrap();
         assert!(stats.cells_cut > 0);
         for &p in &mesh.positions {
             assert!(plane.distance(p).abs() < 1e-4);
@@ -202,7 +206,7 @@ mod tests {
     fn plane_outside_grid_cuts_nothing() {
         let g = ramp_grid(6);
         let plane = Plane::axis_aligned(0, 5.0);
-        let (mesh, stats) = extract_slice(&g, "f", &plane).unwrap();
+        let (mesh, stats) = extract_slice(&g, "f", &plane, &mut Scratch::new()).unwrap();
         assert!(mesh.is_empty());
         assert_eq!(stats.cells_cut, 0);
         // … but the scan still walked every cell (the paper's point)
@@ -216,7 +220,7 @@ mod tests {
             normal: Vec3::ZERO,
             offset: 0.0,
         };
-        assert!(extract_slice(&g, "f", &bad).is_err());
+        assert!(extract_slice(&g, "f", &bad, &mut Scratch::new()).is_err());
     }
 
     #[test]
@@ -225,8 +229,8 @@ mod tests {
         let g1 = ramp_grid(9); // 8^3 cells
         let g2 = ramp_grid(17); // 16^3 cells
         let plane = Plane::axis_aligned(0, 0.5);
-        let (_, s1) = extract_slice(&g1, "f", &plane).unwrap();
-        let (_, s2) = extract_slice(&g2, "f", &plane).unwrap();
+        let (_, s1) = extract_slice(&g1, "f", &plane, &mut Scratch::new()).unwrap();
+        let (_, s2) = extract_slice(&g2, "f", &plane, &mut Scratch::new()).unwrap();
         let cut_ratio = s2.cells_cut as f64 / s1.cells_cut as f64;
         let scan_ratio = s2.cells_scanned as f64 / s1.cells_scanned as f64;
         assert!((3.0..5.5).contains(&cut_ratio), "cut ratio {cut_ratio}");

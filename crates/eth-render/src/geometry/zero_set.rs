@@ -24,6 +24,7 @@
 //! thread count.
 
 use crate::geometry::mesh::TriangleMesh;
+use crate::scratch::{overwritten, Scratch};
 use eth_data::Vec3;
 use rayon::prelude::*;
 
@@ -134,14 +135,14 @@ pub(super) fn crossing_weight(toward_zero: f32, from: f32, to: f32) -> f32 {
 /// non-zero corner offsets of the Freudenthal split). Two vertex layers
 /// alternate; an entry is stamped with its vertex layer, so moving on to the
 /// next layer needs no clearing.
-struct EdgeCache {
+struct EdgeCache<'a> {
     nx: usize,
     ny: usize,
     /// `(layer + 1) << 32 | mesh vertex`; 0 is "never written".
-    slots: Vec<u64>,
+    slots: &'a mut [u64],
 }
 
-impl EdgeCache {
+impl EdgeCache<'_> {
     /// The mesh vertex on the edge leaving grid vertex `lower` in direction
     /// `dir` (1..=7), made by `create` if this is the edge's first visit.
     fn vertex(&mut self, lower: [usize; 3], dir: usize, create: impl FnOnce() -> u32) -> u32 {
@@ -181,17 +182,22 @@ fn straddling_cells(rows: &[&[u64]; 4], w: usize, nx: usize) -> u64 {
 
 /// Extract `surface` over a uniform grid of `dims` vertices. Returns the mesh
 /// and the number of cells that straddle the surface (each emits geometry).
-pub(super) fn extract<S: Surface>(dims: [usize; 3], surface: &S) -> (TriangleMesh, u64) {
+/// The sign bits, the edge cache and the mesh's arrays are `scratch`'s.
+pub(super) fn extract<S: Surface>(
+    dims: [usize; 3],
+    surface: &S,
+    scratch: &mut Scratch,
+) -> (TriangleMesh, u64) {
     let [nx, ny, nz] = dims;
-    let mut mesh = TriangleMesh::new();
+    let mut mesh = scratch.mesh();
     let mut straddling = 0u64;
     if nx < 2 || ny < 2 || nz < 2 {
         return (mesh, straddling);
     }
 
     let words = nx.div_ceil(64);
-    let mut signs = vec![0u64; words * ny * nz];
-    signs
+    // the sweep writes every word
+    overwritten(&mut scratch.signs, words * ny * nz)
         .par_chunks_mut(words * ny)
         .enumerate()
         .for_each(|(k, layer)| {
@@ -202,10 +208,13 @@ pub(super) fn extract<S: Surface>(dims: [usize; 3], surface: &S) -> (TriangleMes
                 *word = pack_above(surface.row(i0, j, k, buf), surface.level());
             }
         });
+    let signs = &scratch.signs[..words * ny * nz];
     let row = |j: usize, k: usize| &signs[(k * ny + j) * words..][..words];
     let above = |row: &[u64], i: usize| (row[i / 64] >> (i % 64)) as usize & 1;
 
-    let slots = vec![0; 2 * ny * nx * 7];
+    let slots = &mut scratch.edges;
+    slots.clear();
+    slots.resize(2 * ny * nx * 7, 0);
     let mut cache = EdgeCache { nx, ny, slots };
     for k in 0..nz - 1 {
         for j in 0..ny - 1 {

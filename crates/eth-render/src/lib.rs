@@ -30,6 +30,7 @@ pub mod image;
 pub mod pipeline;
 pub mod raster;
 pub mod ray;
+pub mod scratch;
 pub mod shading;
 pub mod tile;
 
@@ -37,6 +38,7 @@ pub use camera::Camera;
 pub use framebuffer::Framebuffer;
 pub use image::Image;
 pub use pipeline::{RenderAlgorithm, RenderStats};
+pub use scratch::Scratch;
 
 #[cfg(test)]
 pub(crate) mod testing {

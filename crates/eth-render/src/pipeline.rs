@@ -9,7 +9,7 @@
 use crate::camera::Camera;
 use crate::color::{Colormap, TransferFunction};
 use crate::framebuffer::Framebuffer;
-use crate::geometry::marching_cubes::extract_isosurface;
+use crate::geometry::marching_cubes::extract_isosurface_in;
 use crate::geometry::slice::{extract_slice, Plane};
 use crate::raster::points::render_points;
 use crate::raster::splat::render_splats;
@@ -18,6 +18,7 @@ use crate::ray::plane::render_slices;
 use crate::ray::raymarch::render_isosurface;
 pub use crate::ray::sphere::ProgressivePass;
 use crate::ray::sphere::SphereRaycaster;
+use crate::scratch::Scratch;
 use crate::shading::Lighting;
 use eth_data::error::{DataError, Result};
 use eth_data::{DataObject, Fields, Vec3};
@@ -193,7 +194,7 @@ fn transfer_function(obj: &DataObject, opts: &RenderOptions) -> TransferFunction
 }
 
 /// Render one frame of `obj` with `algorithm`: the one-camera case of
-/// [`render_views`].
+/// [`render_views`], for a caller with no [`Scratch`] of its own.
 ///
 /// Errors when the algorithm and data class do not match (e.g. raycast
 /// spheres on a grid) or when a required scalar field is missing.
@@ -203,7 +204,8 @@ pub fn render(
     camera: &Camera,
     opts: &RenderOptions,
 ) -> Result<RenderOutput> {
-    let mut views = render_views(obj, algorithm, std::slice::from_ref(camera), opts)?;
+    let scratch = &mut Scratch::new();
+    let mut views = render_views(obj, algorithm, std::slice::from_ref(camera), opts, scratch)?;
     Ok(views.pop().expect("one output per camera"))
 }
 
@@ -214,11 +216,15 @@ pub fn render(
 /// `build_ops` and `build_time` (the paper's "initial structure-generation
 /// phase"; later views report 0). Every frame equals the one [`render`]
 /// makes with the same camera.
+///
+/// Every buffer the views size by the block or the image is `scratch`'s;
+/// the frames are too, until [`Scratch::recycle`] takes them back.
 pub fn render_views(
     obj: &DataObject,
     algorithm: &RenderAlgorithm,
     cameras: &[Camera],
     opts: &RenderOptions,
+    scratch: &mut Scratch,
 ) -> Result<Vec<RenderOutput>> {
     if !algorithm.accepts(obj) {
         return Err(DataError::InvalidArgument(format!(
@@ -229,10 +235,14 @@ pub fn render_views(
     }
     let tf = transfer_function(obj, opts);
     let mut raycaster = None;
-    cameras
+    let views = cameras
         .iter()
-        .map(|camera| render_view(obj, algorithm, camera, opts, &tf, &mut raycaster))
-        .collect()
+        .map(|camera| render_view(obj, algorithm, camera, opts, &tf, &mut raycaster, scratch))
+        .collect();
+    if let Some(rc) = raycaster {
+        scratch.recycle_tree(rc.into_tree());
+    }
+    views
 }
 
 /// One view of [`render_views`]; `raycaster` is the sphere structure the
@@ -244,6 +254,7 @@ fn render_view<'a>(
     opts: &RenderOptions,
     tf: &TransferFunction,
     raycaster: &mut Option<SphereRaycaster<'a>>,
+    scratch: &mut Scratch,
 ) -> Result<RenderOutput> {
     let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let scalar = opts.scalar.as_deref();
@@ -256,7 +267,15 @@ fn render_view<'a>(
     let fb = match (algorithm, obj) {
         (RenderAlgorithm::VtkPoints { point_size }, DataObject::Points(cloud)) => {
             let t0 = Instant::now();
-            let (fb, s) = render_points(cloud, scalar, tf, camera, opts.background, *point_size);
+            let (fb, s) = render_points(
+                cloud,
+                scalar,
+                tf,
+                camera,
+                opts.background,
+                *point_size,
+                scratch,
+            );
             stats.render_time = t0.elapsed();
             stats.fragments = s.fragments;
             fb
@@ -271,6 +290,7 @@ fn render_view<'a>(
                 &opts.lighting,
                 opts.background,
                 *radius,
+                scratch,
             );
             stats.render_time = t0.elapsed();
             stats.fragments = s.fragments;
@@ -279,7 +299,7 @@ fn render_view<'a>(
         (RenderAlgorithm::RaycastSpheres { radius }, DataObject::Points(cloud)) => {
             let rc = raycaster.get_or_insert_with(|| {
                 let t0 = Instant::now();
-                let rc = SphereRaycaster::build(cloud, scalar, *radius);
+                let rc = SphereRaycaster::build(cloud, scalar, *radius, scratch);
                 stats.build_time = t0.elapsed();
                 stats.build_ops = rc.build_ops();
                 rc
@@ -287,8 +307,14 @@ fn render_view<'a>(
             let t1 = Instant::now();
             let (fb, s) = match opts.progressive {
                 Some(stride) => {
-                    let (fb, s, p) =
-                        rc.render_progressive(camera, tf, &opts.lighting, opts.background, stride);
+                    let (fb, s, p) = rc.render_progressive(
+                        camera,
+                        tf,
+                        &opts.lighting,
+                        opts.background,
+                        stride,
+                        scratch,
+                    );
                     passes = p;
                     (fb, s)
                 }
@@ -298,6 +324,7 @@ fn render_view<'a>(
                     &opts.lighting,
                     opts.background,
                     opts.tile.unwrap_or(crate::tile::DEFAULT_TILE),
+                    scratch,
                 ),
             };
             stats.render_time = t1.elapsed();
@@ -312,14 +339,16 @@ fn render_view<'a>(
                 DataError::InvalidArgument("isosurface rendering needs options.scalar".into())
             })?;
             let t0 = Instant::now();
-            let (mesh, s) = extract_isosurface(grid, field, *isovalue)?;
+            let (mesh, s) = extract_isosurface_in(grid, field, *isovalue, scratch)?;
             stats.build_time = t0.elapsed();
             stats.build_ops = s.cells_scanned;
             stats.triangles = s.triangles;
             let t1 = Instant::now();
-            let (fb, rs) = rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background);
+            let (fb, rs) =
+                rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background, scratch);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
+            scratch.recycle_mesh(mesh);
             fb
         }
         (RenderAlgorithm::RaycastIsosurface { isovalue }, DataObject::Grid(grid)) => {
@@ -335,6 +364,7 @@ fn render_view<'a>(
                 tf,
                 &opts.lighting,
                 opts.background,
+                scratch,
             )?;
             stats.render_time = t0.elapsed();
             stats.rays = s.rays;
@@ -350,15 +380,17 @@ fn render_view<'a>(
             let mut mesh = crate::geometry::mesh::TriangleMesh::new();
             let mut scanned = 0u64;
             for plane in planes {
-                let (m, s) = extract_slice(grid, field, plane)?;
+                let (m, s) = extract_slice(grid, field, plane, scratch)?;
                 scanned += s.cells_scanned;
                 mesh.append(&m);
+                scratch.recycle_mesh(m);
             }
             stats.build_time = t0.elapsed();
             stats.build_ops = scanned;
             stats.triangles = mesh.num_triangles() as u64;
             let t1 = Instant::now();
-            let (fb, rs) = rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background);
+            let (fb, rs) =
+                rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background, scratch);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
             fb
@@ -368,7 +400,7 @@ fn render_view<'a>(
                 DataError::InvalidArgument("slice rendering needs options.scalar".into())
             })?;
             let t0 = Instant::now();
-            let (fb, s) = render_slices(grid, field, planes, camera, tf, opts.background)?;
+            let (fb, s) = render_slices(grid, field, planes, camera, tf, opts.background, scratch)?;
             stats.render_time = t0.elapsed();
             stats.rays = s.rays;
             stats.ray_steps = s.plane_tests;
@@ -437,6 +469,100 @@ mod tests {
         RenderOptions {
             scalar: Some(scalar.to_string()),
             ..Default::default()
+        }
+    }
+
+    /// `n` particles in the unit cube around the origin, with a `rho`.
+    fn cloud(n: usize, seed: u64) -> DataObject {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+        };
+        let pos: Vec<Vec3> = (0..n).map(|_| Vec3::new(next(), next(), next())).collect();
+        let mut c = PointCloud::from_positions(pos);
+        let rho = (0..n).map(|i| (i % 7) as f32).collect();
+        c.set_attribute("rho", Attribute::Scalar(rho)).unwrap();
+        DataObject::Points(c)
+    }
+
+    /// An `n`³ grid whose `rho` is zero on a sphere of `radius`.
+    fn sphere(n: usize, radius: f32) -> DataObject {
+        let spacing = Vec3::splat(2.0 / (n - 1) as f32);
+        let mut g = UniformGrid::new([n; 3], Vec3::splat(-1.0), spacing).unwrap();
+        let mut vals = Vec::with_capacity(n * n * n);
+        for k in 0..n {
+            for j in 0..n {
+                for i in 0..n {
+                    vals.push(radius - g.vertex_position(i, j, k).length());
+                }
+            }
+        }
+        g.set_attribute("rho", Attribute::Scalar(vals.into()))
+            .unwrap();
+        DataObject::Grid(g)
+    }
+
+    /// One set reused across frames of growing and shrinking sizes renders
+    /// what a fresh set does: the arrays a kernel overwrites without
+    /// clearing hold the last frame's bytes, and a frame or a mesh handed
+    /// back comes out again at another size.
+    #[test]
+    fn a_reused_set_renders_what_a_fresh_one_does() {
+        let planes = vec![Plane::axis_aligned(2, 0.1), Plane::axis_aligned(0, -0.2)];
+        let algorithms = [
+            RenderAlgorithm::VtkPoints { point_size: 3 },
+            RenderAlgorithm::GaussianSplat { radius: 0.04 },
+            RenderAlgorithm::RaycastSpheres { radius: 0.02 },
+            RenderAlgorithm::VtkIsosurface { isovalue: 0.0 },
+            RenderAlgorithm::RaycastIsosurface { isovalue: 0.0 },
+            RenderAlgorithm::VtkSlice {
+                planes: planes.clone(),
+            },
+            RenderAlgorithm::RaycastSlice { planes },
+        ];
+        let blocks = [
+            cloud(3_000, 1),
+            sphere(20, 0.6),
+            cloud(200, 2),
+            sphere(9, 0.3),
+            cloud(5_000, 3),
+            sphere(24, 0.8),
+        ];
+        let sizes = [(48, 48), (23, 70), (64, 40)];
+        let mut shared = Scratch::new();
+        for round in 0..2 {
+            for (b, block) in blocks.iter().enumerate() {
+                let (w, h) = sizes[(b + round) % sizes.len()];
+                let bounds = block.bounds();
+                let cameras = [
+                    Camera::framing(&bounds, w, h),
+                    Camera::framing(&bounds, h, w),
+                ];
+                for algorithm in algorithms.iter().filter(|a| a.accepts(block)) {
+                    let fresh = &mut Scratch::new();
+                    let want = render_views(block, algorithm, &cameras, &opts("rho"), fresh);
+                    let got = render_views(block, algorithm, &cameras, &opts("rho"), &mut shared);
+                    for (got, want) in got.unwrap().into_iter().zip(want.unwrap()) {
+                        let what = format!("{} on block {b}, round {round}", algorithm.name());
+                        assert!(got.framebuffer == want.framebuffer, "{what}");
+                        let counts = |s: RenderStats| {
+                            (
+                                s.build_ops,
+                                s.triangles,
+                                s.rays,
+                                s.ray_steps,
+                                s.fragments,
+                                s.tiles,
+                            )
+                        };
+                        assert_eq!(counts(got.stats), counts(want.stats), "{what}");
+                        shared.recycle(got.framebuffer);
+                    }
+                }
+            }
         }
     }
 

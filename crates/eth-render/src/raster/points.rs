@@ -26,6 +26,7 @@ use super::scatter::{resolve, scatter};
 use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
+use crate::scratch::Scratch;
 use eth_data::{PointCloud, Vec3};
 
 /// Statistics returned by the points renderer. A function of the input
@@ -43,6 +44,7 @@ pub struct PointsStats {
 /// * `scalar` — optional name of the attribute used for color; when absent
 ///   particles are colored by their depth (a common fallback).
 /// * `point_size` — block edge in pixels (the paper uses 1–3).
+/// * `scratch` — the rank's buffers: the key planes, and the frame.
 pub fn render_points(
     cloud: &PointCloud,
     scalar: Option<&str>,
@@ -50,6 +52,7 @@ pub fn render_points(
     camera: &Camera,
     background: Vec3,
     point_size: usize,
+    scratch: &mut Scratch,
 ) -> (Framebuffer, PointsStats) {
     let point_size = point_size.clamp(1, 9);
     let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
@@ -61,6 +64,7 @@ pub fn render_points(
         camera.width,
         camera.height,
         point_size / 2,
+        &mut scratch.key_planes,
         |indices, sink| {
             let mut projected = 0usize;
             for (i, &p) in indices.clone().zip(&positions[indices]) {
@@ -73,7 +77,8 @@ pub fn render_points(
             projected
         },
     );
-    let fb = resolve(&scattered, background, |i, _, _, depth| {
+    let fb = scratch.framebuffer(camera.width, camera.height, background);
+    let fb = resolve(&scattered, fb, |i, _, _, depth| {
         tf.color(match scalars {
             Some(s) => s[i],
             None => depth,
@@ -84,6 +89,7 @@ pub fn render_points(
         points_projected: scattered.slices().sum(),
         fragments: scattered.fragments(),
     };
+    scattered.park(&mut scratch.key_planes);
     (fb, stats)
 }
 
@@ -118,7 +124,15 @@ mod tests {
     #[test]
     fn single_point_lands_center() {
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        let (fb, stats) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 1);
+        let (fb, stats) = render_points(
+            &cloud,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.points_projected, 1);
         assert_eq!(stats.fragments, 1);
         assert!(fb.depth_at(32, 32).is_finite());
@@ -127,8 +141,24 @@ mod tests {
     #[test]
     fn block_size_scales_fragments() {
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        let (_, s1) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 1);
-        let (_, s3) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 3);
+        let (_, s1) = render_points(
+            &cloud,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
+        let (_, s3) = render_points(
+            &cloud,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            3,
+            &mut Scratch::new(),
+        );
         assert_eq!(s1.fragments, 1);
         assert_eq!(s3.fragments, 9);
     }
@@ -139,7 +169,15 @@ mod tests {
         cloud
             .set_attribute("v", Attribute::Scalar(vec![1.0].into()))
             .unwrap();
-        let (fb, _) = render_points(&cloud, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
+        let (fb, _) = render_points(
+            &cloud,
+            Some("v"),
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.color_at(32, 32), Vec3::ONE); // gray map at 1.0
     }
 
@@ -150,7 +188,15 @@ mod tests {
         let mut c = PointCloud::from_positions(cloud.positions().to_vec());
         c.set_attribute("v", Attribute::Scalar(vec![0.0, 1.0].into()))
             .unwrap();
-        let (fb, _) = render_points(&c, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
+        let (fb, _) = render_points(
+            &c,
+            Some("v"),
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
         // the nearer point (y=-1, value 1.0 -> white) wins the center pixel
         assert_eq!(fb.color_at(32, 32), Vec3::ONE);
     }
@@ -158,7 +204,15 @@ mod tests {
     #[test]
     fn behind_camera_points_skipped() {
         let cloud = PointCloud::from_positions(vec![Vec3::new(0.0, -10.0, 0.0)]);
-        let (fb, stats) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 3);
+        let (fb, stats) = render_points(
+            &cloud,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            3,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.points_projected, 0);
         assert_eq!(fb.fragments_landed(), 0);
     }
@@ -221,7 +275,8 @@ mod tests {
             let background = Vec3::new(0.1, 0.2, 0.3);
             let want = reference_points(&cloud, scalar, &tf(), &camera, background, point_size);
             for (threads, got) in at_thread_counts(|| {
-                render_points(&cloud, scalar, &tf(), &camera, background, point_size)
+                let scratch = &mut Scratch::new();
+                render_points(&cloud, scalar, &tf(), &camera, background, point_size, scratch)
             }) {
                 prop_assert!(got.0 == want.0, "frame differs at {threads} threads");
                 prop_assert_eq!(got.1, want.1, "stats differ at {} threads", threads);
@@ -261,7 +316,15 @@ mod tests {
         let check = |cloud: &PointCloud, point_size: usize, what: &str| {
             let want = reference_points(cloud, Some("v"), &tf(), &camera, background, point_size);
             for (threads, got) in at_thread_counts(|| {
-                render_points(cloud, Some("v"), &tf(), &camera, background, point_size)
+                render_points(
+                    cloud,
+                    Some("v"),
+                    &tf(),
+                    &camera,
+                    background,
+                    point_size,
+                    &mut Scratch::new(),
+                )
             }) {
                 assert!(
                     got.0 == want.0,
@@ -326,7 +389,8 @@ mod tests {
         let c = cam();
         let corner = c.primary_ray(0, 0).at(5.0);
         let cloud = PointCloud::from_positions(vec![corner]);
-        let (fb, stats) = render_points(&cloud, None, &tf(), &c, Vec3::ZERO, 5);
+        let (fb, stats) =
+            render_points(&cloud, None, &tf(), &c, Vec3::ZERO, 5, &mut Scratch::new());
         assert_eq!(stats.fragments, 9);
         assert_eq!(fb.fragments_landed(), 9);
     }
@@ -334,7 +398,15 @@ mod tests {
     #[test]
     fn wide_blocks_are_complete() {
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        let (fb, stats) = render_points(&cloud, None, &tf(), &cam(), Vec3::ZERO, 5);
+        let (fb, stats) = render_points(
+            &cloud,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            5,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.fragments, 25);
         assert_eq!(fb.fragments_landed(), 25);
     }
@@ -346,7 +418,15 @@ mod tests {
         cloud
             .set_attribute("v", Attribute::Scalar(vec![1.0, 0.0].into()))
             .unwrap();
-        let (fb, _) = render_points(&cloud, Some("v"), &tf(), &cam(), Vec3::ZERO, 1);
+        let (fb, _) = render_points(
+            &cloud,
+            Some("v"),
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.color_at(32, 32), Vec3::ONE, "first point wins the tie");
     }
 
@@ -365,8 +445,24 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let (fb_few, _) = render_points(&few, None, &tf(), &cam(), Vec3::ZERO, 1);
-        let (fb_many, _) = render_points(&many, None, &tf(), &cam(), Vec3::ZERO, 1);
+        let (fb_few, _) = render_points(
+            &few,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
+        let (fb_many, _) = render_points(
+            &many,
+            None,
+            &tf(),
+            &cam(),
+            Vec3::ZERO,
+            1,
+            &mut Scratch::new(),
+        );
         assert!(fb_many.fragments_landed() > fb_few.fragments_landed());
     }
 }

@@ -24,9 +24,10 @@
 //! per-pixel minimum. A minimum over a square is the minimum over its
 //! rows' minima, so every pixel keeps the key the per-pixel loop would
 //! have left there. The buffer carries a halo of `h` pixels on each side
-//! for the centres of squares that overhang the image. Scratch is
-//! `workers × (W + 2h) × (H + 2h) × 8` bytes; nothing is sized by the
-//! primitive count. Splats and triangles are the `h = 0` case.
+//! for the centres of squares that overhang the image. The key planes are
+//! `workers × (W + 2h) × (H + 2h) × 8` bytes of the rank's
+//! [`Scratch`](crate::scratch::Scratch), kept between frames; nothing is
+//! sized by the primitive count. Splats and triangles are the `h = 0` case.
 
 use crate::framebuffer::Framebuffer;
 use eth_data::Vec3;
@@ -163,17 +164,24 @@ impl<S> Scattered<S> {
     pub(crate) fn slices(&self) -> impl Iterator<Item = &S> {
         self.workers.iter().map(|(_, out)| out)
     }
+
+    /// Hand the workers' key planes back to the set they came from.
+    pub(crate) fn park(self, planes: &mut Vec<Vec<u64>>) {
+        planes.extend(self.workers.into_iter().map(|(sink, _)| sink.keys));
+    }
 }
 
 /// Run `rasterize(indices, sink)` over `0..n` cut into one contiguous
 /// slice per rayon worker (so `ThreadPool::install` governs the count).
 /// `halo` is the half-edge of the squares the front end stores with
-/// [`Sink::centre`]; 0 for one that only calls [`Sink::put`].
+/// [`Sink::centre`]; 0 for one that only calls [`Sink::put`]. The workers'
+/// key planes are taken from `planes`; [`Scattered::park`] puts them back.
 pub(crate) fn scatter<S, F>(
     n: usize,
     width: usize,
     height: usize,
     halo: usize,
+    planes: &mut Vec<Vec<u64>>,
     rasterize: F,
 ) -> Scattered<S>
 where
@@ -185,11 +193,20 @@ where
         "the winner key holds a 32-bit primitive index"
     );
     let slice = n.div_ceil(rayon::current_num_threads()).max(MIN_SLICE);
-    let workers = (0..n.div_ceil(slice))
+    let count = n.div_ceil(slice);
+    if planes.len() < count {
+        planes.resize_with(count, Vec::new);
+    }
+    let workers = planes
+        .drain(..count)
+        .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|w| {
+        .enumerate()
+        .map(|(w, mut keys)| {
+            keys.clear();
+            keys.resize((width + 2 * halo) * (height + 2 * halo), EMPTY);
             let mut sink = Sink {
-                keys: vec![EMPTY; (width + 2 * halo) * (height + 2 * halo)],
+                keys,
                 width: width as isize,
                 height: height as isize,
                 halo: halo as isize,
@@ -210,13 +227,14 @@ where
     }
 }
 
-/// Build the frame: every pixel some fragment landed on gets the winning
-/// fragment's depth and `shade(index, x, y, depth)` as its colour, where
-/// `index` is the winning primitive; the rest stay cleared. The minimum
-/// runs over the workers and, with a halo, down the `2 * halo + 1` row
-/// minima each pixel's square spans: the column half of the square
-/// minimum, read-only, so the bands stay independent.
-pub(crate) fn resolve<S, F>(scattered: &Scattered<S>, background: Vec3, shade: F) -> Framebuffer
+/// Build the frame in `fb`, a cleared buffer of the scatter's size: every
+/// pixel some fragment landed on gets the winning fragment's depth and
+/// `shade(index, x, y, depth)` as its colour, where `index` is the winning
+/// primitive; the rest stay cleared. The minimum runs over the workers
+/// and, with a halo, down the `2 * halo + 1` row minima each pixel's
+/// square spans: the column half of the square minimum, read-only, so the
+/// bands stay independent.
+pub(crate) fn resolve<S, F>(scattered: &Scattered<S>, mut fb: Framebuffer, shade: F) -> Framebuffer
 where
     S: Sync,
     F: Fn(usize, usize, usize, f32) -> Vec3 + Sync,
@@ -229,7 +247,7 @@ where
     } = scattered;
     let stride = width + 2 * halo;
     let taps = 2 * halo + 1;
-    let mut fb = Framebuffer::new(width, height, background);
+    debug_assert!(fb.width() == width && fb.height() == height);
     let band = (height.div_ceil(rayon::current_num_threads()) * width).max(MIN_BAND);
     let (color, depth) = fb.planes_mut();
     color
@@ -370,13 +388,15 @@ mod tests {
         let (width, height) = (301usize, 257usize);
         assert!(width * height > 2 * MIN_BAND && !MIN_BAND.is_multiple_of(width));
         let frames = crate::testing::at_thread_counts(|| {
-            let scattered = scatter(20_000, width, height, 0, |indices, sink| {
+            let mut planes = Vec::new();
+            let scattered = scatter(20_000, width, height, 0, &mut planes, |indices, sink| {
                 for i in indices {
                     let (x, y) = (i * 7919 % width, i * 104_729 % height);
                     sink.put(i, x as isize, y as isize, (i % 13) as f32);
                 }
             });
-            resolve(&scattered, Vec3::ZERO, |i, x, y, depth| {
+            let fb = Framebuffer::new(width, height, Vec3::ZERO);
+            resolve(&scattered, fb, |i, x, y, depth| {
                 Vec3::new(i as f32, (y * width + x) as f32, depth)
             })
         });

@@ -29,6 +29,7 @@ use super::scatter::{resolve, scatter};
 use crate::camera::{Camera, Projector};
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
+use crate::scratch::Scratch;
 use crate::shading::Lighting;
 use eth_data::{PointCloud, Vec3};
 
@@ -99,6 +100,8 @@ impl Footprint {
 }
 
 /// Render a point cloud as sphere impostors of world-space `radius`.
+// the frame's inputs, as every renderer takes them, and the rank's buffers
+#[allow(clippy::too_many_arguments)]
 pub fn render_splats(
     cloud: &PointCloud,
     scalar: Option<&str>,
@@ -107,6 +110,7 @@ pub fn render_splats(
     lighting: &Lighting,
     background: Vec3,
     radius: f32,
+    scratch: &mut Scratch,
 ) -> (Framebuffer, SplatStats) {
     let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
     let positions = cloud.positions();
@@ -117,6 +121,7 @@ pub fn render_splats(
         camera.width,
         camera.height,
         0,
+        &mut scratch.key_planes,
         |indices, sink| {
             let mut stats = SplatStats::default();
             for (i, &p) in indices.clone().zip(&positions[indices]) {
@@ -152,7 +157,8 @@ pub fn render_splats(
     let view_dir = -camera.forward();
     let flat_add = lighting.shade(Vec3::ZERO, view_dir, view_dir);
     let flat_scale = lighting.shade(Vec3::ONE, view_dir, view_dir) - flat_add;
-    let fb = resolve(&scattered, background, |i, x, y, depth| {
+    let fb = scratch.framebuffer(camera.width, camera.height, background);
+    let fb = resolve(&scattered, fb, |i, x, y, depth| {
         // A fragment lies no deeper than its impostor's centre, and the
         // screen radius never grows with depth: a fragment whose own depth
         // gives a sub-pixel radius is a sub-pixel impostor's one fragment,
@@ -183,6 +189,7 @@ pub fn render_splats(
         stats.points_projected += s.points_projected;
         stats.subpixel_splats += s.subpixel_splats;
     }
+    scattered.park(&mut scratch.key_planes);
     (fb, stats)
 }
 
@@ -220,6 +227,7 @@ mod tests {
             &Lighting::default(),
             Vec3::ZERO,
             0.5,
+            &mut Scratch::new(),
         );
         assert_eq!(stats.points_projected, 1);
         assert!(stats.fragments > 4, "fragments {}", stats.fragments);
@@ -238,6 +246,7 @@ mod tests {
             &Lighting::default(),
             Vec3::ZERO,
             1e-4,
+            &mut Scratch::new(),
         );
         assert_eq!(stats.fragments, 1);
         assert_eq!(stats.subpixel_splats, 1);
@@ -259,6 +268,7 @@ mod tests {
             &light_along_view,
             Vec3::ZERO,
             0.8,
+            &mut Scratch::new(),
         );
         let center = fb.color_at(64, 64);
         // scan from the left edge: first covered pixel is the leftmost rim
@@ -287,6 +297,7 @@ mod tests {
             &Lighting::default(),
             Vec3::ZERO,
             0.5,
+            &mut Scratch::new(),
         );
         // center of the sphere is nearer than the silhouette depth (5.0)
         let d = fb.depth_at(32, 32);
@@ -387,7 +398,8 @@ mod tests {
             let background = Vec3::new(0.1, 0.2, 0.3);
             let want = reference_splats(&cloud, scalar, &tf(), &camera, &lighting, background, radius);
             for (threads, got) in at_thread_counts(|| {
-                render_splats(&cloud, scalar, &tf(), &camera, &lighting, background, radius)
+                let scratch = &mut Scratch::new();
+                render_splats(&cloud, scalar, &tf(), &camera, &lighting, background, radius, scratch)
             }) {
                 prop_assert!(got.0 == want.0, "frame differs at {threads} threads");
                 prop_assert_eq!(got.1, want.1, "stats differ at {} threads", threads);
@@ -401,9 +413,27 @@ mod tests {
         // and a larger radius pushes the bulge behind the eye plane.
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
         let l = Lighting::default();
-        let (fb, _) = render_splats(&cloud, None, &tf(), &cam(64), &l, Vec3::ZERO, 5.0);
+        let (fb, _) = render_splats(
+            &cloud,
+            None,
+            &tf(),
+            &cam(64),
+            &l,
+            Vec3::ZERO,
+            5.0,
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.depth_at(32, 32), 0.0);
-        let (fb, _) = render_splats(&cloud, None, &tf(), &cam(64), &l, Vec3::ZERO, 7.0);
+        let (fb, _) = render_splats(
+            &cloud,
+            None,
+            &tf(),
+            &cam(64),
+            &l,
+            Vec3::ZERO,
+            7.0,
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.depth_at(32, 32), -2.0);
     }
 }

@@ -20,6 +20,7 @@ use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::geometry::mesh::TriangleMesh;
+use crate::scratch::{overwritten, Scratch};
 use crate::shading::Lighting;
 use eth_data::Vec3;
 use rayon::prelude::*;
@@ -123,18 +124,23 @@ impl Coverage {
     }
 }
 
-/// Rasterize a mesh into a framebuffer.
+/// Rasterize a mesh into a framebuffer; `scratch` holds the projected
+/// vertices, the key planes and the frame.
 pub fn rasterize_mesh(
     mesh: &TriangleMesh,
     tf: &TransferFunction,
     camera: &Camera,
     lighting: &Lighting,
     background: Vec3,
+    scratch: &mut Scratch,
 ) -> (Framebuffer, RasterStats) {
     debug_assert!(mesh.validate(), "invalid mesh handed to rasterizer");
     // Project all vertices once, one contiguous slice per worker.
     let projector = camera.projector();
-    let mut projected: Vec<Option<Vec3>> = vec![None; mesh.positions.len()];
+    // the pass below writes every vertex's slot
+    let mut projected = std::mem::take(&mut scratch.projected);
+    overwritten(&mut projected, mesh.positions.len());
+    projected.truncate(mesh.positions.len());
     let workers = rayon::current_num_threads();
     let slice = mesh.positions.len().div_ceil(workers).max(MIN_SLICE);
     projected
@@ -147,7 +153,8 @@ pub fn rasterize_mesh(
         });
 
     let (width, height) = (camera.width, camera.height);
-    let scattered = scatter(mesh.indices.len(), width, height, 0, |triangles, sink| {
+    let planes = &mut scratch.key_planes;
+    let scattered = scatter(mesh.indices.len(), width, height, 0, planes, |triangles, sink| {
         let mut rasterized = 0usize;
         for t in triangles {
             let Some(tri) = Coverage::of(&projected, mesh.indices[t], camera) else {
@@ -168,7 +175,8 @@ pub fn rasterize_mesh(
     });
 
     let view_dir = -camera.forward();
-    let fb = resolve(&scattered, background, |t, px, py, _| {
+    let fb = scratch.framebuffer(width, height, background);
+    let fb = resolve(&scattered, fb, |t, px, py, _| {
         let (_, [pw0, pw1, pw2]) = Coverage::of(&projected, mesh.indices[t], camera)
             .and_then(|tri| tri.at(px, py))
             .expect("a winning fragment lies inside its triangle");
@@ -182,6 +190,8 @@ pub fn rasterize_mesh(
         triangles_rasterized: scattered.slices().sum(),
         fragments: scattered.fragments(),
     };
+    scattered.park(&mut scratch.key_planes);
+    scratch.projected = projected;
     (fb, stats)
 }
 
@@ -226,7 +236,14 @@ mod tests {
     #[test]
     fn quad_covers_center() {
         let m = quad_mesh(0.0);
-        let (fb, stats) = rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
+        let (fb, stats) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.triangles_rasterized, 2);
         assert!(stats.fragments > 50);
         assert!(fb.depth_at(32, 32).is_finite());
@@ -255,7 +272,14 @@ mod tests {
             specular: 0.0,
             ..Lighting::default()
         };
-        let (fb, _) = rasterize_mesh(&both, &tf(), &cam(), &light, Vec3::splat(0.5));
+        let (fb, _) = rasterize_mesh(
+            &both,
+            &tf(),
+            &cam(),
+            &light,
+            Vec3::splat(0.5),
+            &mut Scratch::new(),
+        );
         // near quad scalar 0 -> black under pure-ambient lighting
         assert_eq!(fb.color_at(32, 32), Vec3::ZERO);
     }
@@ -263,8 +287,14 @@ mod tests {
     #[test]
     fn empty_mesh_renders_background() {
         let m = TriangleMesh::new();
-        let (fb, stats) =
-            rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::splat(0.2));
+        let (fb, stats) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::splat(0.2),
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.fragments, 0);
         assert_eq!(fb.color_at(10, 10), Vec3::splat(0.2));
     }
@@ -277,14 +307,28 @@ mod tests {
         let v1 = m.push_vertex(Vec3::ZERO, n, 0.5);
         let v2 = m.push_vertex(Vec3::ZERO, n, 0.5);
         m.push_triangle(v0, v1, v2);
-        let (_, stats) = rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
+        let (_, stats) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.triangles_rasterized, 0);
     }
 
     #[test]
     fn behind_camera_triangles_dropped() {
         let m = quad_mesh(-10.0);
-        let (_, stats) = rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
+        let (_, stats) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.triangles_rasterized, 0);
     }
 
@@ -296,8 +340,22 @@ mod tests {
         for t in &mut m2.indices {
             t.swap(1, 2);
         }
-        let (f1, s1) = rasterize_mesh(&m1, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
-        let (f2, s2) = rasterize_mesh(&m2, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
+        let (f1, s1) = rasterize_mesh(
+            &m1,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (f2, s2) = rasterize_mesh(
+            &m2,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         // edge pixels (w == 0) may flip in/out with winding; allow a sliver
         let d = (s1.fragments as i64 - s2.fragments as i64).unsigned_abs();
         assert!(d <= 8, "fragment counts differ by {d}");
@@ -319,8 +377,22 @@ mod tests {
             let v2 = m.push_vertex(base + Vec3::new(0.0, 0.0, 0.1), n, 0.7);
             m.push_triangle(v0, v1, v2);
         }
-        let (f1, _) = rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
-        let (f2, _) = rasterize_mesh(&m, &tf(), &cam(), &Lighting::default(), Vec3::ZERO);
+        let (f1, _) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (f2, _) = rasterize_mesh(
+            &m,
+            &tf(),
+            &cam(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(f1, f2);
     }
 
@@ -664,7 +736,7 @@ mod tests {
                 "one triangle covers the whole image"
             );
             for (threads, got) in at_thread_counts(|| {
-                rasterize_mesh(&mesh, &tf(), &camera, &lighting, background)
+                rasterize_mesh(&mesh, &tf(), &camera, &lighting, background, &mut Scratch::new())
             }) {
                 // the wire encoding is both planes' bit patterns
                 prop_assert!(got.0.to_bytes() == want.0.to_bytes(), "frame differs at {threads} threads");
@@ -691,8 +763,22 @@ mod tests {
             specular: 0.0,
             ..Lighting::default()
         };
-        let (_, one) = rasterize_mesh(&second, &tf(), &cam(), &light, Vec3::splat(0.5));
-        let (fb, stats) = rasterize_mesh(&both, &tf(), &cam(), &light, Vec3::splat(0.5));
+        let (_, one) = rasterize_mesh(
+            &second,
+            &tf(),
+            &cam(),
+            &light,
+            Vec3::splat(0.5),
+            &mut Scratch::new(),
+        );
+        let (fb, stats) = rasterize_mesh(
+            &both,
+            &tf(),
+            &cam(),
+            &light,
+            Vec3::splat(0.5),
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.color_at(32, 32), Vec3::ONE, "first quad wins the tie");
         assert_eq!(
             stats.fragments,

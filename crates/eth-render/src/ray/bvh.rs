@@ -36,6 +36,7 @@
 //! per-frame [`RayGenerator`] ([`RayPacket::generate`]).
 
 use crate::camera::{Ray, RayGenerator};
+use crate::scratch::{overwritten, Scratch};
 use eth_data::{Aabb, Vec3};
 use std::mem::MaybeUninit;
 
@@ -68,6 +69,22 @@ pub struct SphereBvh {
     /// Primitive-visit operations performed during the build
     /// (≈ N log N for the median build, ≈ c·N for the HLBVH).
     build_ops: u64,
+}
+
+/// The HLBVH build's arrays, kept in a rank's
+/// [`Scratch`](crate::scratch::Scratch) between frames: the build's own
+/// (codes, keys and the treelet sort's second buffer, each one per
+/// primitive) and a tree's (nodes, centres, primitive index) while no
+/// tree holds them. Every one is cleared and resized by the build, so it
+/// allocates only to grow.
+#[derive(Default)]
+pub(crate) struct BvhScratch {
+    codes: Vec<u32>,
+    keys: Vec<u64>,
+    sort: Vec<u64>,
+    nodes: Vec<Node>,
+    centers: Vec<Vec3>,
+    prim_index: Vec<u32>,
 }
 
 /// A ray/sphere intersection.
@@ -340,12 +357,13 @@ unsafe impl<T: Send> Send for ScatterOut<T> {}
 unsafe impl<T: Send> Sync for ScatterOut<T> {}
 
 /// Sort one treelet's keys by code, stably (all share the treelet prefix):
-/// LSD over the 21 code bits below it, `scratch` as the second buffer —
+/// LSD over the 21 code bits below it, `tmp` (as long) as the second buffer —
 /// three 7-bit digits, or for a long run two wide ones (fewer passes over
 /// it; a 2 Ki-entry histogram costs less than a pass only when the run is
 /// long). A digit every key shares would move nothing and is skipped, so a
 /// run of coincident centres costs only its counting passes.
-fn sort_run(run: &mut [u64], scratch: &mut Vec<u64>) {
+fn sort_run(run: &mut [u64], tmp: &mut [u64]) {
+    debug_assert_eq!(run.len(), tmp.len());
     if run.len() <= SHORT_RUN {
         run.sort_unstable();
         return;
@@ -355,10 +373,6 @@ fn sort_run(run: &mut [u64], scratch: &mut Vec<u64>) {
     } else {
         &[(0, 11), (11, 10)]
     };
-    if scratch.len() < run.len() {
-        scratch.resize(run.len(), 0);
-    }
-    let tmp = &mut scratch[..run.len()];
     let mut in_run = true;
     let mut histogram = [0u32; 1 << 11];
     for &(shift, bits) in digits {
@@ -769,7 +783,14 @@ fn packet_enters(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool 
 }
 
 impl SphereBvh {
-    /// Build over `centers` with the given world-space sphere radius.
+    /// [`SphereBvh::build_in`] for a caller with no [`Scratch`] of its own.
+    pub fn build(centers: &[Vec3], radius: f32) -> SphereBvh {
+        SphereBvh::build_in(centers, radius, &mut Scratch::new())
+    }
+
+    /// Build over `centers` with the given world-space sphere radius. The
+    /// build's arrays are `scratch`'s, and so are the tree's until
+    /// [`Scratch::recycle_tree`] takes them back.
     ///
     /// The default build is the HLBVH: linear time, rayon-parallel, and
     /// deterministic for any thread count (the Morton order is a stable
@@ -780,8 +801,9 @@ impl SphereBvh {
     /// Six passes, each closed by a flight-recorder instant named after
     /// it (`bvh_bounds`, `bvh_keys`, `bvh_scatter`, `bvh_treelets`,
     /// `bvh_upper`, `bvh_emit`) so a trace shows where a build went.
-    pub fn build(centers: &[Vec3], radius: f32) -> SphereBvh {
+    pub fn build_in(centers: &[Vec3], radius: f32, scratch: &mut Scratch) -> SphereBvh {
         use rayon::prelude::*;
+        let scratch = &mut scratch.bvh;
         assert!(radius > 0.0, "sphere radius must be positive");
         let _span = eth_obs::span_bytes(
             eth_obs::Phase::BvhBuild,
@@ -807,7 +829,8 @@ impl SphereBvh {
         //    treelet prefixes. One chunk per worker: the chunking decides
         //    only who writes which slot, never the order.
         let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(4096);
-        let mut codes: Vec<u32> = vec![0; n];
+        // every pass writes each slot of these before it reads it
+        let codes = overwritten(&mut scratch.codes, n);
         let histograms: Vec<[u32; TREELETS]> = codes
             .par_chunks_mut(chunk)
             .enumerate()
@@ -845,7 +868,7 @@ impl SphereBvh {
                 runs.push((start as usize, (base - start) as usize));
             }
         }
-        let mut keys: Vec<u64> = vec![0; n];
+        let keys = overwritten(&mut scratch.keys, n);
         let out = ScatterOut(keys.as_mut_ptr());
         codes
             .par_chunks(chunk)
@@ -872,26 +895,33 @@ impl SphereBvh {
         //    and node count. The root of a treelet is the union of its
         //    padded leaves, which is the padded box of all its centres:
         //    padding subtracts or adds the same radius, which is monotone.
-        let mut sorted_centers: Vec<Vec3> = Vec::with_capacity(n);
-        let mut prim_index: Vec<u32> = vec![0; n];
+        let mut sorted_centers = std::mem::take(&mut scratch.centers);
+        sorted_centers.clear();
+        sorted_centers.reserve(n);
+        let mut prim_index = std::mem::take(&mut scratch.prim_index);
+        overwritten(&mut prim_index, n);
+        prim_index.truncate(n);
+        let sort = overwritten(&mut scratch.sort, n);
         let prefix_bit = PREFIX_SHIFT as i32 - 1;
         let plans: Vec<TreeletPlan> = {
-            let mut keys_left = keys.as_mut_slice();
-            let mut codes_left = codes.as_mut_slice();
+            let mut keys_left = keys;
+            let mut sort_left = sort;
+            let mut codes_left = &mut *codes;
             let mut centers_left = &mut sorted_centers.spare_capacity_mut()[..n];
             let mut prims_left = prim_index.as_mut_slice();
             let mut work = Vec::with_capacity(runs.len());
             for &(start, len) in &runs {
                 let (k, kr) = std::mem::take(&mut keys_left).split_at_mut(len);
+                let (t, tr) = std::mem::take(&mut sort_left).split_at_mut(len);
                 let (o, or) = std::mem::take(&mut codes_left).split_at_mut(len);
                 let (c, cr) = std::mem::take(&mut centers_left).split_at_mut(len);
                 let (p, pr) = std::mem::take(&mut prims_left).split_at_mut(len);
-                (keys_left, codes_left, centers_left, prims_left) = (kr, or, cr, pr);
-                work.push((start, k, o, c, p));
+                (keys_left, sort_left, codes_left, centers_left, prims_left) = (kr, tr, or, cr, pr);
+                work.push((start, (k, t), o, c, p));
             }
             work.into_par_iter()
-                .map_init(Vec::new, |scratch, (start, run, out_k, out_c, out_p)| {
-                    sort_run(run, scratch);
+                .map(|(start, (run, tmp), out_k, out_c, out_p)| {
+                    sort_run(run, tmp);
                     let outs = out_k.iter_mut().zip(out_c.iter_mut()).zip(out_p);
                     for (&key, ((code, slot), prim)) in run.iter().zip(outs) {
                         (*code, *prim) = (key_code(key), key_prim(key));
@@ -915,7 +945,6 @@ impl SphereBvh {
         // SAFETY: the treelet runs partition `0..n`, and each wrote every
         // slot of its range above.
         unsafe { sorted_centers.set_len(n) };
-        drop(keys);
         eth_obs::instant("bvh_treelets");
 
         // 5. Sweep-SAH upper tree over the treelet roots, laid out first:
@@ -930,7 +959,9 @@ impl SphereBvh {
         ops += plans.len() as u64;
         let mut bases = vec![0; plans.len()];
         let total = plans.iter().map(|p| p.nodes).sum::<usize>() + plans.len() - 1;
-        let mut nodes: Vec<Node> = Vec::with_capacity(total);
+        let mut nodes = std::mem::take(&mut scratch.nodes);
+        nodes.clear();
+        nodes.reserve(total);
         let slots = &mut nodes.spare_capacity_mut()[..total];
         assert_eq!(place_upper(&upper, &plans, 0, slots, &mut bases), total);
         eth_obs::instant("bvh_upper");
@@ -947,6 +978,7 @@ impl SphereBvh {
             (rest, at) = (tail, bases[t] + plans[t].nodes);
             work.push((t, own));
         }
+        let codes = &scratch.codes[..n];
         work.into_par_iter().for_each(|(t, own)| {
             let plan = &plans[t];
             let range = plan.start..plan.start + plan.len;
@@ -1017,6 +1049,12 @@ impl SphereBvh {
             radius,
             build_ops,
         }
+    }
+
+    /// Hand the tree's arrays back to the build that made them.
+    pub(crate) fn park(self, scratch: &mut BvhScratch) {
+        (scratch.nodes, scratch.centers, scratch.prim_index) =
+            (self.nodes, self.centers, self.prim_index);
     }
 
     fn empty(radius: f32) -> SphereBvh {
@@ -1950,7 +1988,6 @@ mod tests {
             (s >> 40) as u32
         };
         let prefix = 0x15 << PREFIX_SHIFT;
-        let mut scratch = Vec::new();
         let lens = [
             0,
             1,
@@ -1971,7 +2008,7 @@ mod tests {
                     .collect();
                 let mut want = run.clone();
                 want.sort_by_key(|&k| key_code(k)); // stable == by (code, input order)
-                sort_run(&mut run, &mut scratch);
+                sort_run(&mut run, &mut vec![0; len]);
                 assert_eq!(run, want, "{len} keys below {below:#x}");
             }
         }

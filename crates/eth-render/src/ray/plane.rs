@@ -12,6 +12,7 @@ use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::geometry::slice::Plane;
+use crate::scratch::Scratch;
 use crate::tile::{self, DEFAULT_TILE};
 use eth_data::error::Result;
 use eth_data::UniformGrid;
@@ -35,11 +36,12 @@ pub fn render_slices(
     camera: &Camera,
     tf: &TransferFunction,
     background: Vec3,
+    scratch: &mut Scratch,
 ) -> Result<(Framebuffer, PlaneRaycastStats)> {
     let values = grid.scalar(field)?;
     let rays = camera.ray_generator();
 
-    let mut fb = Framebuffer::new(camera.width, camera.height, background);
+    let mut fb = scratch.framebuffer(camera.width, camera.height, background);
     let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
         let mut st = PlaneRaycastStats::default();
         for py in t.y0..t.y0 + t.h {
@@ -129,8 +131,16 @@ mod tests {
     fn single_plane_hits_center() {
         let g = ramp_grid(16);
         let plane = Plane::axis_aligned(1, 0.0); // y = 0, facing camera
-        let (fb, stats) =
-            render_slices(&g, "f", &[plane], &cam(64), &tf(), Vec3::ZERO).unwrap();
+        let (fb, stats) = render_slices(
+            &g,
+            "f",
+            &[plane],
+            &cam(64),
+            &tf(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         assert!(stats.hits > 500);
         // center pixel: ray along +y hits y=0 at depth 4; field z=0 -> gray 0.5
         let c = fb.color_at(32, 32);
@@ -143,8 +153,26 @@ mod tests {
         let g1 = ramp_grid(8);
         let g2 = ramp_grid(32);
         let plane = Plane::axis_aligned(1, 0.0);
-        let (_, s1) = render_slices(&g1, "f", &[plane], &cam(32), &tf(), Vec3::ZERO).unwrap();
-        let (_, s2) = render_slices(&g2, "f", &[plane], &cam(32), &tf(), Vec3::ZERO).unwrap();
+        let (_, s1) = render_slices(
+            &g1,
+            "f",
+            &[plane],
+            &cam(32),
+            &tf(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
+        let (_, s2) = render_slices(
+            &g2,
+            "f",
+            &[plane],
+            &cam(32),
+            &tf(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         // 64x the cells, identical plane tests
         assert_eq!(s1.plane_tests, s2.plane_tests);
     }
@@ -154,8 +182,16 @@ mod tests {
         let g = ramp_grid(16);
         let near = Plane::axis_aligned(1, -0.5);
         let far = Plane::axis_aligned(1, 0.5);
-        let (fb, _) =
-            render_slices(&g, "f", &[far, near], &cam(64), &tf(), Vec3::ZERO).unwrap();
+        let (fb, _) = render_slices(
+            &g,
+            "f",
+            &[far, near],
+            &cam(64),
+            &tf(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         // nearest plane is at y=-0.5 -> depth 3.5 at the center
         assert!((fb.depth_at(32, 32) - 3.5).abs() < 0.01);
     }
@@ -167,7 +203,16 @@ mod tests {
         // physically constructible for a perspective camera; instead check a
         // plane parallel to the central ray only barely contributes.
         let plane = Plane::axis_aligned(2, 0.0); // z = 0, seen edge-on
-        let (fb, _) = render_slices(&g, "f", &[plane], &cam(64), &tf(), Vec3::ZERO).unwrap();
+        let (fb, _) = render_slices(
+            &g,
+            "f",
+            &[plane],
+            &cam(64),
+            &tf(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         // edge-on plane covers roughly a line of pixels, not the whole image
         let covered = fb.fragments_landed();
         assert!(covered < 64 * 64 / 4, "covered {covered}");
@@ -177,8 +222,16 @@ mod tests {
     fn plane_outside_grid_is_invisible() {
         let g = ramp_grid(8);
         let plane = Plane::axis_aligned(1, 50.0);
-        let (fb, stats) =
-            render_slices(&g, "f", &[plane], &cam(32), &tf(), Vec3::splat(0.1)).unwrap();
+        let (fb, stats) = render_slices(
+            &g,
+            "f",
+            &[plane],
+            &cam(32),
+            &tf(),
+            Vec3::splat(0.1),
+            &mut Scratch::new(),
+        )
+        .unwrap();
         assert_eq!(stats.hits, 0);
         assert_eq!(fb.fragments_landed(), 0);
     }
@@ -186,7 +239,16 @@ mod tests {
     #[test]
     fn no_planes_renders_background() {
         let g = ramp_grid(8);
-        let (fb, stats) = render_slices(&g, "f", &[], &cam(8), &tf(), Vec3::splat(0.7)).unwrap();
+        let (fb, stats) = render_slices(
+            &g,
+            "f",
+            &[],
+            &cam(8),
+            &tf(),
+            Vec3::splat(0.7),
+            &mut Scratch::new(),
+        )
+        .unwrap();
         assert_eq!(stats.plane_tests, 0);
         assert_eq!(fb.color_at(4, 4), Vec3::splat(0.7));
     }

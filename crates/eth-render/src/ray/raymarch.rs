@@ -22,6 +22,7 @@
 use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
+use crate::scratch::Scratch;
 use crate::shading::Lighting;
 use crate::tile::{self, DEFAULT_TILE};
 use eth_data::error::Result;
@@ -39,6 +40,8 @@ pub struct RaymarchStats {
 }
 
 /// Ray-march the isosurface `field == isovalue`.
+// the frame's inputs, as every renderer takes them, and the rank's buffers
+#[allow(clippy::too_many_arguments)]
 pub fn render_isosurface(
     grid: &UniformGrid,
     field: &str,
@@ -47,6 +50,7 @@ pub fn render_isosurface(
     tf: &TransferFunction,
     lighting: &Lighting,
     background: Vec3,
+    scratch: &mut Scratch,
 ) -> Result<(Framebuffer, RaymarchStats)> {
     let values = grid.scalar(field)?;
     let bounds = grid.bounds();
@@ -54,7 +58,7 @@ pub fn render_isosurface(
     let dt = spacing.min_component().min(spacing.max_component()) * 0.7;
     let rays = camera.ray_generator();
 
-    let mut fb = Framebuffer::new(camera.width, camera.height, background);
+    let mut fb = scratch.framebuffer(camera.width, camera.height, background);
     let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
         let _span = eth_obs::span(eth_obs::Phase::Tile);
         let mut st = RaymarchStats::default();
@@ -185,6 +189,7 @@ mod tests {
             &tf(),
             &Lighting::default(),
             Vec3::ZERO,
+            &mut Scratch::new(),
         )
         .unwrap();
         assert!(stats.hits > 100, "hits {}", stats.hits);
@@ -213,6 +218,7 @@ mod tests {
             &tf(),
             &Lighting::default(),
             Vec3::ZERO,
+            &mut Scratch::new(),
         )
         .unwrap();
         assert!(stats.rays_entering <= stats.rays);
@@ -226,8 +232,28 @@ mod tests {
         let g2 = sphere_grid(33, 0.6);
         let c = cam(32);
         let l = Lighting::default();
-        let (_, s1) = render_isosurface(&g1, "f", 0.0, &c, &tf(), &l, Vec3::ZERO).unwrap();
-        let (_, s2) = render_isosurface(&g2, "f", 0.0, &c, &tf(), &l, Vec3::ZERO).unwrap();
+        let (_, s1) = render_isosurface(
+            &g1,
+            "f",
+            0.0,
+            &c,
+            &tf(),
+            &l,
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
+        let (_, s2) = render_isosurface(
+            &g2,
+            "f",
+            0.0,
+            &c,
+            &tf(),
+            &l,
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         let ratio = s2.march_steps as f64 / s1.march_steps as f64;
         assert!((1.5..3.0).contains(&ratio), "march ratio {ratio} (want ~2)");
     }
@@ -243,6 +269,7 @@ mod tests {
             &tf(),
             &Lighting::default(),
             Vec3::splat(0.25),
+            &mut Scratch::new(),
         )
         .unwrap();
         assert_eq!(stats.hits, 0);
@@ -259,7 +286,8 @@ mod tests {
             &cam(8),
             &tf(),
             &Lighting::default(),
-            Vec3::ZERO
+            Vec3::ZERO,
+            &mut Scratch::new()
         )
         .is_err());
     }
@@ -275,9 +303,10 @@ mod tests {
         let c = cam(64);
         let l = Lighting::default();
         let (fb_ray, _) =
-            render_isosurface(&g, "f", 0.0, &c, &tf(), &l, Vec3::ZERO).unwrap();
+            render_isosurface(&g, "f", 0.0, &c, &tf(), &l, Vec3::ZERO, &mut Scratch::new())
+                .unwrap();
         let (mesh, _) = extract_isosurface(&g, "f", 0.0).unwrap();
-        let (fb_geom, _) = rasterize_mesh(&mesh, &tf(), &c, &l, Vec3::ZERO);
+        let (fb_geom, _) = rasterize_mesh(&mesh, &tf(), &c, &l, Vec3::ZERO, &mut Scratch::new());
         let img_ray = fb_ray.into_image();
         let img_geom = fb_geom.into_image();
         let rmse = img_ray.rmse(&img_geom).unwrap();

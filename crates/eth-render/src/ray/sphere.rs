@@ -31,6 +31,7 @@ use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::ray::bvh::{RayPacket, SphereBvh, SphereHit, PACKET_WIDTH};
+use crate::scratch::Scratch;
 use crate::shading::Lighting;
 use crate::tile::{self, DEFAULT_TILE};
 use eth_data::{PointCloud, Vec3};
@@ -82,12 +83,24 @@ impl<'a> SphereRaycaster<'a> {
     ///
     /// * `scalar` — optional attribute for color lookup.
     /// * `radius` — world-space particle radius.
-    pub fn build(cloud: &'a PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster<'a> {
+    /// * `scratch` — the rank's buffers; the tree's arrays go back with
+    ///   [`SphereRaycaster::into_tree`] and [`Scratch::recycle_tree`].
+    pub fn build(
+        cloud: &'a PointCloud,
+        scalar: Option<&str>,
+        radius: f32,
+        scratch: &mut Scratch,
+    ) -> SphereRaycaster<'a> {
         let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
         SphereRaycaster {
-            bvh: SphereBvh::build(cloud.positions(), radius),
+            bvh: SphereBvh::build_in(cloud.positions(), radius, scratch),
             scalars,
         }
+    }
+
+    /// The acceleration structure, for its holder to hand back.
+    pub fn into_tree(self) -> SphereBvh {
+        self.bvh
     }
 
     /// Like [`SphereRaycaster::build`] but with the median-split baseline
@@ -137,8 +150,9 @@ impl<'a> SphereRaycaster<'a> {
         tf: &TransferFunction,
         lighting: &Lighting,
         background: Vec3,
+        scratch: &mut Scratch,
     ) -> (Framebuffer, SphereRaycastStats) {
-        self.render_tiled(camera, tf, lighting, background, DEFAULT_TILE)
+        self.render_tiled(camera, tf, lighting, background, DEFAULT_TILE, scratch)
     }
 
     /// Render one frame; framebuffer tiles of `tile_size × tile_size`
@@ -146,7 +160,7 @@ impl<'a> SphereRaycaster<'a> {
     /// see [`tile::trace_in_place`]), and rays within a tile are generated
     /// into packets of [`PACKET_WIDTH`] and traverse the BVH together.
     /// Tiles write disjoint pixel ranges, so the image is identical for any
-    /// thread count.
+    /// thread count. The frame is one of `scratch`'s.
     pub fn render_tiled(
         &self,
         camera: &Camera,
@@ -154,9 +168,10 @@ impl<'a> SphereRaycaster<'a> {
         lighting: &Lighting,
         background: Vec3,
         tile_size: usize,
+        scratch: &mut Scratch,
     ) -> (Framebuffer, SphereRaycastStats) {
         let rays = camera.ray_generator();
-        let mut fb = Framebuffer::new(camera.width, camera.height, background);
+        let mut fb = scratch.framebuffer(camera.width, camera.height, background);
         let traced = tile::trace_in_place(&mut fb, tile_size, |t, band| {
             let _span = eth_obs::span(eth_obs::Phase::Tile);
             let mut steps = 0u64;
@@ -208,12 +223,13 @@ impl<'a> SphereRaycaster<'a> {
         lighting: &Lighting,
         background: Vec3,
         initial_stride: usize,
+        scratch: &mut Scratch,
     ) -> (Framebuffer, SphereRaycastStats, Vec<ProgressivePass>) {
         let width = camera.width;
         let height = camera.height;
         let stride0 = initial_stride.next_power_of_two().clamp(2, 64);
         let rays = camera.ray_generator();
-        let mut fb = Framebuffer::new(width, height, background);
+        let mut fb = scratch.framebuffer(width, height, background);
         let mut stats = SphereRaycastStats {
             particles: self.bvh.num_primitives(),
             build_ops: self.bvh.build_ops(),
@@ -362,8 +378,14 @@ mod tests {
     #[test]
     fn sphere_renders_as_disc() {
         let cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
-        let rc = SphereRaycaster::build(&cloud, None, 0.5);
-        let (fb, stats) = rc.render(&cam(64), &tf(), &Lighting::default(), Vec3::ZERO);
+        let rc = SphereRaycaster::build(&cloud, None, 0.5, &mut Scratch::new());
+        let (fb, stats) = rc.render(
+            &cam(64),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.rays, 64 * 64);
         assert!(stats.hits > 20, "hits {}", stats.hits);
         assert!(stats.tiles > 0);
@@ -376,14 +398,14 @@ mod tests {
     fn scalar_colors_particles() {
         let mut cloud = PointCloud::from_positions(vec![Vec3::ZERO]);
         cloud.set_attribute("v", Attribute::Scalar(vec![1.0].into())).unwrap();
-        let rc = SphereRaycaster::build(&cloud, Some("v"), 0.5);
+        let rc = SphereRaycaster::build(&cloud, Some("v"), 0.5, &mut Scratch::new());
         let flat = Lighting {
             ambient: 1.0,
             diffuse: 0.0,
             specular: 0.0,
             ..Lighting::default()
         };
-        let (fb, _) = rc.render(&cam(32), &tf(), &flat, Vec3::ZERO);
+        let (fb, _) = rc.render(&cam(32), &tf(), &flat, Vec3::ZERO, &mut Scratch::new());
         assert_eq!(fb.color_at(16, 16), Vec3::ONE);
     }
 
@@ -396,22 +418,34 @@ mod tests {
         cloud
             .set_attribute("v", Attribute::Scalar(vec![0.0, 1.0].into()))
             .unwrap();
-        let rc = SphereRaycaster::build(&cloud, Some("v"), 0.3);
+        let rc = SphereRaycaster::build(&cloud, Some("v"), 0.3, &mut Scratch::new());
         let flat = Lighting {
             ambient: 1.0,
             diffuse: 0.0,
             specular: 0.0,
             ..Lighting::default()
         };
-        let (fb, _) = rc.render(&cam(64), &tf(), &flat, Vec3::splat(0.5));
+        let (fb, _) = rc.render(
+            &cam(64),
+            &tf(),
+            &flat,
+            Vec3::splat(0.5),
+            &mut Scratch::new(),
+        );
         assert_eq!(fb.color_at(32, 32), Vec3::ONE, "near particle must occlude");
     }
 
     #[test]
     fn empty_cloud_gives_background() {
         let cloud = PointCloud::new();
-        let rc = SphereRaycaster::build(&cloud, None, 0.5);
-        let (fb, stats) = rc.render(&cam(16), &tf(), &Lighting::default(), Vec3::splat(0.3));
+        let rc = SphereRaycaster::build(&cloud, None, 0.5, &mut Scratch::new());
+        let (fb, stats) = rc.render(
+            &cam(16),
+            &tf(),
+            &Lighting::default(),
+            Vec3::splat(0.3),
+            &mut Scratch::new(),
+        );
         assert_eq!(stats.hits, 0);
         assert_eq!(fb.color_at(8, 8), Vec3::splat(0.3));
     }
@@ -420,9 +454,21 @@ mod tests {
     fn render_cost_tracks_rays_not_particles() {
         // Same scene at two image sizes: traversal steps scale with pixels.
         let cloud = scene(2000);
-        let rc = SphereRaycaster::build(&cloud, None, 0.02);
-        let (_, s_small) = rc.render(&cam(32), &tf(), &Lighting::default(), Vec3::ZERO);
-        let (_, s_large) = rc.render(&cam(64), &tf(), &Lighting::default(), Vec3::ZERO);
+        let rc = SphereRaycaster::build(&cloud, None, 0.02, &mut Scratch::new());
+        let (_, s_small) = rc.render(
+            &cam(32),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (_, s_large) = rc.render(
+            &cam(64),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         let ratio = s_large.traversal_steps as f64 / s_small.traversal_steps as f64;
         // 4x the rays -> ~4x the packets; packet coherence differs a bit
         // between the two sizes, so the band is generous — the property
@@ -437,21 +483,46 @@ mod tests {
             .map(|i| Vec3::new((i as f32 * 0.7).sin(), 0.0, (i as f32 * 0.3).cos()))
             .collect();
         let cloud = PointCloud::from_positions(pos);
-        let rc = SphereRaycaster::build(&cloud, None, 0.05);
-        let (a, _) = rc.render(&cam(48), &tf(), &Lighting::default(), Vec3::ZERO);
-        let (b, _) = rc.render(&cam(48), &tf(), &Lighting::default(), Vec3::ZERO);
+        let rc = SphereRaycaster::build(&cloud, None, 0.05, &mut Scratch::new());
+        let (a, _) = rc.render(
+            &cam(48),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (b, _) = rc.render(
+            &cam(48),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(a, b);
     }
 
     #[test]
     fn tile_size_does_not_change_the_image() {
         let cloud = scene(1500);
-        let rc = SphereRaycaster::build(&cloud, None, 0.03);
+        let rc = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
         let camera = cam(70); // not a multiple of any tile size: edge tiles
-        let (reference, _) = rc.render_tiled(&camera, &tf(), &Lighting::default(), Vec3::ZERO, 16);
+        let (reference, _) = rc.render_tiled(
+            &camera,
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            16,
+            &mut Scratch::new(),
+        );
         for tile_size in [4, 8, 32, 64] {
-            let (fb, _) =
-                rc.render_tiled(&camera, &tf(), &Lighting::default(), Vec3::ZERO, tile_size);
+            let (fb, _) = rc.render_tiled(
+                &camera,
+                &tf(),
+                &Lighting::default(),
+                Vec3::ZERO,
+                tile_size,
+                &mut Scratch::new(),
+            );
             assert_eq!(fb, reference, "tile size {tile_size}");
         }
     }
@@ -459,22 +530,49 @@ mod tests {
     #[test]
     fn hlbvh_frame_matches_median_frame_exactly() {
         let cloud = scene(3000);
-        let hlbvh = SphereRaycaster::build(&cloud, None, 0.03);
+        let hlbvh = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
         let median = SphereRaycaster::build_median(&cloud, None, 0.03);
-        let (a, _) = hlbvh.render(&cam(96), &tf(), &Lighting::default(), Vec3::ZERO);
-        let (b, _) = median.render(&cam(96), &tf(), &Lighting::default(), Vec3::ZERO);
+        let (a, _) = hlbvh.render(
+            &cam(96),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (b, _) = median.render(
+            &cam(96),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
         assert_eq!(a, b, "HLBVH and median-split frames must be byte-identical");
     }
 
     #[test]
     fn progressive_converges_to_full_render() {
         let cloud = scene(2000);
-        let rc = SphereRaycaster::build(&cloud, None, 0.04);
+        let rc = SphereRaycaster::build(&cloud, None, 0.04, &mut Scratch::new());
         let camera = cam(75); // odd size exercises clipped blocks
-        let (full, full_stats) = rc.render(&camera, &tf(), &Lighting::default(), Vec3::ZERO);
-        let (prog, prog_stats, passes) =
-            rc.render_progressive(&camera, &tf(), &Lighting::default(), Vec3::ZERO, 8);
-        assert_eq!(prog, full, "converged progressive frame must equal full render");
+        let (full, full_stats) = rc.render(
+            &camera,
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            &mut Scratch::new(),
+        );
+        let (prog, prog_stats, passes) = rc.render_progressive(
+            &camera,
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            8,
+            &mut Scratch::new(),
+        );
+        assert_eq!(
+            prog, full,
+            "converged progressive frame must equal full render"
+        );
         // every pixel traced exactly once across all passes
         assert_eq!(prog_stats.rays, full_stats.rays);
         assert_eq!(passes.len(), 4, "strides 8,4,2,1");
@@ -491,13 +589,25 @@ mod tests {
     #[test]
     fn progressive_stride_is_normalized() {
         let cloud = scene(200);
-        let rc = SphereRaycaster::build(&cloud, None, 0.05);
+        let rc = SphereRaycaster::build(&cloud, None, 0.05, &mut Scratch::new());
         // stride 0/1 clamp up to 2; stride 5 rounds up to 8
-        let (_, _, p) =
-            rc.render_progressive(&cam(16), &tf(), &Lighting::default(), Vec3::ZERO, 0);
+        let (_, _, p) = rc.render_progressive(
+            &cam(16),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            0,
+            &mut Scratch::new(),
+        );
         assert_eq!(p.first().unwrap().stride, 2);
-        let (_, _, p) =
-            rc.render_progressive(&cam(16), &tf(), &Lighting::default(), Vec3::ZERO, 5);
+        let (_, _, p) = rc.render_progressive(
+            &cam(16),
+            &tf(),
+            &Lighting::default(),
+            Vec3::ZERO,
+            5,
+            &mut Scratch::new(),
+        );
         assert_eq!(p.first().unwrap().stride, 8);
     }
 }

@@ -36,6 +36,7 @@ use eth_render::geometry::slice::extract_slice;
 use eth_render::geometry::{Plane, TriangleMesh};
 use eth_render::pipeline::{render, RenderOptions};
 use eth_render::{Camera, RenderAlgorithm};
+use eth_render::Scratch;
 use eth_sim::xrage::XrageConfig;
 
 const GOLDEN: &str = include_str!("fixtures/grid_golden.txt");
@@ -104,7 +105,8 @@ fn iso_row(name: &str, grid: &UniformGrid, isovalue: f32) -> String {
 
 fn slice_rows(name: &str, grid: &UniformGrid, planes: &[Plane], out: &mut Vec<String>) {
     for (p, plane) in planes.iter().enumerate() {
-        let (mesh, s) = extract_slice(grid, FIELD, plane).expect("field present");
+        let (mesh, s) =
+            extract_slice(grid, FIELD, plane, &mut Scratch::new()).expect("field present");
         out.push(format!(
             "{name} plane={p} {} scanned={} cut={} tris={}",
             mesh_columns(&mesh),

@@ -9,6 +9,7 @@ use eth_render::color::{Colormap, TransferFunction};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
 use eth_render::tile::DEFAULT_TILE;
+use eth_render::Scratch;
 
 /// Deterministic scatter in [-1, 1]³.
 fn scatter(n: usize, seed: u64) -> Vec<Vec3> {
@@ -38,12 +39,12 @@ fn tf() -> TransferFunction {
 #[test]
 fn hlbvh_frame_is_byte_identical_to_median_baseline() {
     let cloud = PointCloud::from_positions(scatter(30_000, 11));
-    let hl = SphereRaycaster::build(&cloud, None, 0.01);
+    let hl = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
     let md = SphereRaycaster::build_median(&cloud, None, 0.01);
     let camera = cam(160, 120);
     let lighting = Lighting::default();
-    let (fa, sa) = hl.render(&camera, &tf(), &lighting, Vec3::ZERO);
-    let (fb, sb) = md.render(&camera, &tf(), &lighting, Vec3::ZERO);
+    let (fa, sa) = hl.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
+    let (fb, sb) = md.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
     assert!(sa.hits > 0, "scene must actually be visible");
     assert_eq!(sa.hits, sb.hits);
     assert_eq!(fa, fb, "tree shape leaked into the image");
@@ -52,22 +53,43 @@ fn hlbvh_frame_is_byte_identical_to_median_baseline() {
 #[test]
 fn frames_are_identical_across_thread_counts_and_tile_sizes() {
     let cloud = PointCloud::from_positions(scatter(20_000, 3));
-    let rc = SphereRaycaster::build(&cloud, None, 0.01);
+    let rc = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
     let camera = cam(128, 96);
     let lighting = Lighting::default();
-    let (reference, _) = rc.render_tiled(&camera, &tf(), &lighting, Vec3::ZERO, DEFAULT_TILE);
+    let (reference, _) = rc.render_tiled(
+        &camera,
+        &tf(),
+        &lighting,
+        Vec3::ZERO,
+        DEFAULT_TILE,
+        &mut Scratch::new(),
+    );
 
     // one worker thread
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let (serial, _) = pool.install(|| {
-        let rc1 = SphereRaycaster::build(&cloud, None, 0.01);
-        rc1.render_tiled(&camera, &tf(), &lighting, Vec3::ZERO, DEFAULT_TILE)
+        let rc1 = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
+        rc1.render_tiled(
+            &camera,
+            &tf(),
+            &lighting,
+            Vec3::ZERO,
+            DEFAULT_TILE,
+            &mut Scratch::new(),
+        )
     });
     assert_eq!(reference, serial, "thread count leaked into the image");
 
     // tile size is a pure scheduling knob
     for tile in [4usize, 32, 256] {
-        let (ft, _) = rc.render_tiled(&camera, &tf(), &lighting, Vec3::ZERO, tile);
+        let (ft, _) = rc.render_tiled(
+            &camera,
+            &tf(),
+            &lighting,
+            Vec3::ZERO,
+            tile,
+            &mut Scratch::new(),
+        );
         assert_eq!(reference, ft, "tile size {tile} changed the image");
     }
 }
@@ -75,12 +97,18 @@ fn frames_are_identical_across_thread_counts_and_tile_sizes() {
 #[test]
 fn progressive_rmse_ladder_is_monotone_and_ends_exact() {
     let cloud = PointCloud::from_positions(scatter(15_000, 5));
-    let rc = SphereRaycaster::build(&cloud, None, 0.01);
+    let rc = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
     let camera = cam(128, 96);
     let lighting = Lighting::default();
-    let (full, full_stats) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO);
-    let (prog, prog_stats, passes) =
-        rc.render_progressive(&camera, &tf(), &lighting, Vec3::ZERO, 16);
+    let (full, full_stats) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
+    let (prog, prog_stats, passes) = rc.render_progressive(
+        &camera,
+        &tf(),
+        &lighting,
+        Vec3::ZERO,
+        16,
+        &mut Scratch::new(),
+    );
 
     assert_eq!(prog, full, "progressive did not converge to the exact frame");
     assert_eq!(prog_stats.rays, full_stats.rays, "every pixel traced exactly once");
@@ -109,9 +137,9 @@ fn hlbvh_build_is_reproducible_for_large_scatters() {
     assert_eq!(a.num_nodes(), b.num_nodes());
     let camera = cam(64, 48);
     let cloud = PointCloud::from_positions(centers);
-    let rc = SphereRaycaster::build(&cloud, None, 0.01);
+    let rc = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
     let lighting = Lighting::default();
-    let (f1, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO);
-    let (f2, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO);
+    let (f1, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
+    let (f2, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
     assert_eq!(f1, f2);
 }

@@ -35,6 +35,7 @@ use eth_render::geometry::Plane;
 use eth_render::pipeline::{render_views, RenderOptions, RenderOutput};
 use eth_render::ray::bvh::SphereBvh;
 use eth_render::{Camera, RenderAlgorithm};
+use eth_render::Scratch;
 use eth_sim::hacc::HaccConfig;
 use eth_sim::xrage::XrageConfig;
 
@@ -99,6 +100,7 @@ fn sphere_rows(
         &RenderAlgorithm::RaycastSpheres { radius },
         cameras,
         opts,
+        &mut Scratch::new(),
     )
     .expect("raycast spheres render point clouds");
     for (v, view) in views.iter().enumerate() {
@@ -311,7 +313,8 @@ fn rows() -> Vec<String> {
                     },
                 ),
             ] {
-                let views = render_views(&data, &algorithm, &cameras, &opts).expect("grids render");
+                let views = render_views(&data, &algorithm, &cameras, &opts, &mut Scratch::new())
+                    .expect("grids render");
                 for (v, view) in views.iter().enumerate() {
                     out.push(format!(
                         "{name}-{w}x{h}-{label} view={v} {}",

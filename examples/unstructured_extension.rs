@@ -15,6 +15,7 @@ use eth::render::color::{Colormap, TransferFunction};
 use eth::render::geometry::unstructured::extract_isosurface_unstructured;
 use eth::render::raster::triangle::rasterize_mesh;
 use eth::render::shading::Lighting;
+use eth::render::Scratch;
 use eth::sim::XrageConfig;
 use eth::data::Vec3;
 
@@ -47,17 +48,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let camera = orbit_camera(&mesh.bounds(), 256, 256, 0, 1);
     let tf = TransferFunction::new(Colormap::Hot, 300.0, 6000.0);
     let lighting = Lighting::default();
-    let (fb_direct, _) = rasterize_mesh(&surface, &tf, &camera, &lighting, Vec3::ZERO);
+    let (fb_direct, _) = rasterize_mesh(
+        &surface,
+        &tf,
+        &camera,
+        &lighting,
+        Vec3::ZERO,
+        &mut Scratch::new(),
+    );
     let img_direct = fb_direct.into_image();
 
     // --- route (b): downsample to structured, then the grid pipeline ---
     let grid = mesh.resample("temperature", [48, 48, 48], cfg.ambient)?;
-    let (grid_surface, _) = eth::render::geometry::marching_cubes::extract_isosurface(
-        &grid,
-        "temperature",
-        iso,
-    )?;
-    let (fb_via_grid, _) = rasterize_mesh(&grid_surface, &tf, &camera, &lighting, Vec3::ZERO);
+    let (grid_surface, _) =
+        eth::render::geometry::marching_cubes::extract_isosurface(&grid, "temperature", iso)?;
+    let (fb_via_grid, _) = rasterize_mesh(
+        &grid_surface,
+        &tf,
+        &camera,
+        &lighting,
+        Vec3::ZERO,
+        &mut Scratch::new(),
+    );
     let img_via_grid = fb_via_grid.into_image();
 
     // --- compare the two routes ----------------------------------------

@@ -16,6 +16,7 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`]; applies
@@ -24,14 +25,20 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Number of worker threads a parallel region will use.
+/// Number of worker threads a parallel region will use: the installed
+/// override, else the machine's core count. The count is read once per
+/// process: `available_parallelism` re-reads the cgroup files on every
+/// call, which a parallel region would otherwise pay each time it starts.
 pub fn current_num_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.with(|c| c.get()) {
         return n.max(1);
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Stand-in for rayon's pool builder: the only supported knob is the
@@ -73,8 +80,10 @@ impl ThreadPool {
     }
 }
 
-/// Run both closures, potentially in parallel, and return both results.
-/// Panics from either closure propagate to the caller.
+/// Run both closures, potentially in parallel, and return both results:
+/// on a second thread when the region may use more than one, else both on
+/// the caller, `oper_a` first. Panics from either closure propagate to the
+/// caller.
 pub fn join<A, RA, B, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -82,6 +91,9 @@ where
     RA: Send,
     RB: Send,
 {
+    if current_num_threads() <= 1 {
+        return (oper_a(), oper_b());
+    }
     std::thread::scope(|s| {
         let b = s.spawn(oper_b);
         let ra = oper_a();
@@ -469,6 +481,35 @@ mod tests {
     fn join_runs_both() {
         let (a, b) = crate::join(|| 1 + 1, || "two");
         assert_eq!((a, b), (2, "two"));
+    }
+
+    #[test]
+    fn join_on_one_thread_stays_on_the_caller() {
+        let caller = std::thread::current().id();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let (a, b) = pool.install(|| {
+            crate::join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        });
+        assert_eq!((a, b), (caller, caller));
+        // with two threads the second closure runs on a thread of its own
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let (a, b) = pool.install(|| {
+            crate::join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        });
+        assert_eq!(a, caller);
+        assert_ne!(b, caller);
     }
 
     #[test]
