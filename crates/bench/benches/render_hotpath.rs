@@ -24,7 +24,7 @@ use eth_render::raster::triangle::rasterize_mesh;
 use eth_render::ray::bvh::{RayPacket, SphereBvh, PACKET_WIDTH};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
-use eth_render::tile::{tiles, DEFAULT_TILE};
+use eth_render::tile::tiles;
 use eth_render::Framebuffer;
 use eth_render::Scratch;
 use eth_sim::hacc::HaccConfig;
@@ -74,11 +74,6 @@ fn bench_frame(c: &mut Criterion) {
         group.throughput(Throughput::Elements((320 * 240) as u64));
         group.bench_with_input(BenchmarkId::new("tiled_packets", n), &n, |b, _| {
             b.iter(|| rc.render(&cam, &tf, &lighting, Vec3::ZERO, &mut Scratch::new()))
-        });
-        group.bench_with_input(BenchmarkId::new("progressive", n), &n, |b, _| {
-            b.iter(|| {
-                rc.render_progressive(&cam, &tf, &lighting, Vec3::ZERO, 16, &mut Scratch::new())
-            })
         });
     }
     group.finish();
@@ -136,9 +131,9 @@ fn build_passes(centers: &[Vec3], radius: f32, runs: usize) -> Vec<(&'static str
         .collect()
 }
 
-/// `SphereBvh::build` and one `render_tiled` frame on the two partitions
-/// the ranks of the `hacc.raycast.tight` workload raycast (HACC 2 M, seed
-/// 1, step 0, two ranks: 922 480 and 1 077 520 particles), orbit camera at
+/// `SphereBvh::build` and one `SphereRaycaster::render` frame on the two
+/// partitions the ranks of the `hacc.raycast.tight` workload raycast (HACC
+/// 2 M, seed 1, step 0, two ranks: 922 480 and 1 077 520 particles), orbit camera at
 /// 512², on one thread — the per-rank reference the end-to-end benchmark
 /// cannot show. The line after each partition splits both into phases:
 /// the build's from the instants that close its passes, the frame's by
@@ -163,8 +158,8 @@ fn bench_workload_ranks(c: &mut Criterion) {
         .build()
         .expect("the pool builder cannot fail");
     let rays = camera.ray_generator();
-    let frame_tiles = tiles(camera.width, camera.height, DEFAULT_TILE);
-    // every packet of a frame, in tile order, as `render_tiled` makes them
+    let frame_tiles = tiles(camera.width, camera.height);
+    // every packet of a frame, in tile order, as `SphereRaycaster::render` makes them
     let packets = |visit: &mut dyn FnMut(RayPacket)| {
         for t in &frame_tiles {
             for py in t.y0..t.y0 + t.h {

@@ -116,7 +116,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "render-bench",
-        about: "render hot path: HLBVH build curve, tiling, progressive RMSE ladder",
+        about: "render hot path: HLBVH build curve, tiled frame times, byte identity",
         flags: &[flag("--quick", Takes::Nothing, "CI smoke: schema + byte-identity, no timing gates"), OUT],
         run: |args, progress| {
             report("render-bench", args, progress, || Ok((render::run_render_bench(args.has("--quick"))?, None)))

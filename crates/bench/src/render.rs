@@ -1,5 +1,5 @@
 //! Render hot-path benchmark: HLBVH build vs the median-split baseline,
-//! tiled frame times, and the progressive-refinement contract.
+//! and tiled frame times.
 //!
 //! This is the measurement behind `reproduce render-bench`, which emits
 //! `BENCH_render.json`:
@@ -14,9 +14,7 @@
 //!   boxes and therefore not a gate,
 //! * a frame-time curve for the tiled packet-traversal renderer,
 //! * a correctness bit: the frame rendered from an HLBVH tree is
-//!   byte-identical to the frame rendered from a median-split tree,
-//! * the progressive-refinement RMSE ladder: per-pass RMSE versus the
-//!   converged image must decrease monotonically and end exactly at 0.
+//!   byte-identical to the frame rendered from a median-split tree.
 
 use crate::cli::Report;
 use eth_core::error::{CoreError, Result};
@@ -87,12 +85,6 @@ pub struct RenderBenchReport {
     /// Frame from the HLBVH tree equals the frame from the median-split
     /// tree bit-for-bit (depth and color buffers).
     pub byte_identical: bool,
-    /// Per-pass RMSE of the progressive render vs its converged image.
-    pub progressive_rmse: Vec<f64>,
-    /// Strictly non-increasing RMSE ladder.
-    pub progressive_monotonic: bool,
-    /// Final progressive frame equals the one-pass tiled frame exactly.
-    pub progressive_exact: bool,
 }
 
 impl Report for RenderBenchReport {
@@ -103,17 +95,11 @@ impl Report for RenderBenchReport {
         format!(
             "render: hlbvh build {:.2}x vs median (largest common size), \
              ops-scaling exponent {:.3} (wall {:.3}) up to {largest} particles, \
-             byte-identical: {}, progressive rmse {:?} (monotonic: {}, exact: {})",
+             byte-identical: {}",
             self.build_speedup,
             self.hlbvh_scaling_exponent,
             self.hlbvh_wall_exponent,
             self.byte_identical,
-            self.progressive_rmse
-                .iter()
-                .map(|r| (r * 1e4).round() / 1e4)
-                .collect::<Vec<_>>(),
-            self.progressive_monotonic,
-            self.progressive_exact,
         )
     }
 
@@ -126,15 +112,6 @@ impl Report for RenderBenchReport {
         }
         if !self.byte_identical {
             return Err("HLBVH frame diverged from the median-split frame".into());
-        }
-        if !self.progressive_monotonic {
-            return Err(format!(
-                "progressive RMSE not monotone: {:?}",
-                self.progressive_rmse
-            ));
-        }
-        if !self.progressive_exact {
-            return Err("progressive render did not converge to the exact frame".into());
         }
         if !self.quick {
             if self.build_speedup < 3.0 {
@@ -302,14 +279,6 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
     let (fb_md, _) = md.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
     let byte_identical = fb_hl == fb_md;
 
-    // --- progressive contract ---------------------------------------------
-    let (fb_prog, _, passes) =
-        hl.render_progressive(&cam, &tf(), &lighting, Vec3::ZERO, 16, &mut Scratch::new());
-    let progressive_rmse: Vec<f64> = passes.iter().map(|p| p.rmse).collect();
-    let progressive_monotonic = progressive_rmse.windows(2).all(|w| w[1] <= w[0])
-        && progressive_rmse.last().copied() == Some(0.0);
-    let progressive_exact = fb_prog == fb_hl;
-
     Ok(RenderBenchReport {
         schema: SCHEMA.to_string(),
         quick,
@@ -319,9 +288,6 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
         hlbvh_wall_exponent,
         frame_curve,
         byte_identical,
-        progressive_rmse,
-        progressive_monotonic,
-        progressive_exact,
     })
 }
 
@@ -335,8 +301,6 @@ mod tests {
         assert_eq!(report.schema, SCHEMA);
         assert!(report.quick);
         assert!(report.byte_identical);
-        assert!(report.progressive_monotonic);
-        assert!(report.progressive_exact);
         assert_eq!(report.build_curve.len(), 2);
         assert!(report.check().is_ok());
         // JSON round-trips with the schema tag first-class

@@ -306,7 +306,7 @@ fn phase_utilization(phase: eth_obs::Phase) -> Option<f64> {
         // recovery spans wrap adoption bookkeeping; the adopted partition's
         // actual compute bills through its nested render/composite spans,
         // so billing the wrapper too would double-charge the node. The
-        // render-internal spans (build, tiles, progressive passes) nest
+        // render-internal spans (build, tiles) nest
         // inside a Render span for the same reason.
         Phase::CacheLookup
         | Phase::QueueWait
@@ -314,8 +314,7 @@ fn phase_utilization(phase: eth_obs::Phase) -> Option<f64> {
         | Phase::Bootstrap
         | Phase::Recovery
         | Phase::BvhBuild
-        | Phase::Tile
-        | Phase::ProgressivePass => None,
+        | Phase::Tile => None,
     }
 }
 

@@ -271,7 +271,6 @@ fn is_render_progress_metric(name: &str) -> bool {
             | "bvh_nodes"
             | "phase_tile_spans"
             | "phase_bvh_build_spans"
-            | "phase_progressive_pass_spans"
             | "phase_render_spans"
             | "phase_composite_spans"
     )

@@ -794,8 +794,23 @@ mod tests {
         // Re-stitching the re-imported trace reproduces the same path
         // (timestamps quantized to µs precision in the export — the
         // synthetic ns-scale trace rounds, so only check structure).
-        let m2 = MergedTrace::build(trace);
+        let m2 = MergedTrace::build(trace.clone());
         assert_eq!(m2.matched.len(), 1);
+
+        // A trace written while the raycaster still had a progressive
+        // path: its `progressive_pass` span names no phase now, so the
+        // import skips it and keeps every other record.
+        let old = json.replacen(
+            "{\"traceEvents\":[",
+            "{\"traceEvents\":[{\"name\":\"progressive_pass\",\"cat\":\"phase\",\"ph\":\"X\",\
+             \"ts\":0.750,\"dur\":0.100,\"pid\":1,\"tid\":0,\"args\":{\"bytes\":0}},",
+            1,
+        );
+        assert_ne!(old, json);
+        let v = serde_json::parse_value_complete(&old).expect("valid JSON");
+        let (old_trace, old_summary) = trace_from_chrome(&v).expect("imports");
+        assert_eq!(old_trace.records, trace.records);
+        assert_eq!(old_summary, Some(summary));
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub enum Phase {
     BvhBuild,
     /// One framebuffer tile rendered as a work unit (nested under Render).
     Tile,
-    /// One progressive-refinement pass over the frame (nested under Render).
-    ProgressivePass,
     /// Image compositing across ranks.
     Composite,
     /// Journal append + fsync.
@@ -77,7 +75,6 @@ impl Phase {
             Phase::Render => "render",
             Phase::BvhBuild => "bvh_build",
             Phase::Tile => "tile",
-            Phase::ProgressivePass => "progressive_pass",
             Phase::Composite => "composite",
             Phase::JournalAppend => "journal_append",
             Phase::CacheLookup => "cache_lookup",
@@ -105,7 +102,6 @@ impl Phase {
             Phase::Render,
             Phase::BvhBuild,
             Phase::Tile,
-            Phase::ProgressivePass,
             Phase::Composite,
             Phase::JournalAppend,
             Phase::CacheLookup,

@@ -103,16 +103,6 @@ impl Framebuffer {
         self.write(x as usize, y as usize, depth, color)
     }
 
-    /// Unconditional write: replace color *and* depth, no depth test.
-    /// Progressive refinement uses it to overwrite coarse fill-in values
-    /// with exact ones (which may be *farther* than the stand-in).
-    #[inline]
-    pub fn store(&mut self, x: usize, y: usize, depth: f32, color: Vec3) {
-        let i = self.idx(x, y);
-        self.depth[i] = depth;
-        self.color[i] = color;
-    }
-
     /// The colour and depth planes, row-major, for renderers that fill
     /// disjoint pixel ranges on parallel workers.
     pub(crate) fn planes_mut(&mut self) -> (&mut [Vec3], &mut [f32]) {

@@ -16,7 +16,6 @@ use crate::raster::splat::render_splats;
 use crate::raster::triangle::rasterize_mesh;
 use crate::ray::plane::render_slices;
 use crate::ray::raymarch::render_isosurface;
-pub use crate::ray::sphere::ProgressivePass;
 use crate::ray::sphere::SphereRaycaster;
 use crate::scratch::Scratch;
 use crate::shading::Lighting;
@@ -90,43 +89,22 @@ impl RenderAlgorithm {
     }
 }
 
-/// Options common to all backends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What a caller sets for a frame: the colouring field and its range.
+/// The colormap, the lighting ([`Lighting::default`]) and the background
+/// are the same for every frame: no experiment varies them.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RenderOptions {
     /// Scalar attribute used for coloring; `None` colors by depth
     /// (particles) or requires a field anyway (grids error).
     pub scalar: Option<String>,
-    pub colormap: Colormap,
     /// Explicit transfer-function range; fitted from data when `None`.
     pub range: Option<(f32, f32)>,
-    pub lighting: Lighting,
-    pub background: Vec3,
-    /// Framebuffer tile edge for the tiled renderers; `None` uses
-    /// [`crate::tile::DEFAULT_TILE`]. Tile size never changes the image,
-    /// only the parallel work decomposition.
-    #[serde(default)]
-    pub tile: Option<usize>,
-    /// Progressive refinement for raycast-spheres: the initial sampling
-    /// stride (rounded to a power of two in 2..=64). The frame converges
-    /// to the exact image; [`RenderOutput::passes`] reports per-pass RMSE.
-    /// Other backends ignore this.
-    #[serde(default)]
-    pub progressive: Option<usize>,
 }
 
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            scalar: None,
-            colormap: Colormap::Viridis,
-            range: None,
-            lighting: Lighting::default(),
-            background: Vec3::ZERO,
-            tile: None,
-            progressive: None,
-        }
-    }
-}
+const COLORMAP: Colormap = Colormap::Viridis;
+
+/// The colour of a pixel no primitive covers.
+const BACKGROUND: Vec3 = Vec3::ZERO;
 
 impl RenderOptions {
     /// What a render under these options reads of a block: its geometry
@@ -159,7 +137,8 @@ pub struct RenderStats {
     /// camera alone, the same at any thread count and under any primitive
     /// order. For the raycasters: rays that hit.
     pub fragments: u64,
-    /// Framebuffer tiles rendered (tiled backends; 0 otherwise).
+    /// Framebuffer tiles the sphere raycaster rendered; 0 for every other
+    /// backend, including the tiled ray marcher and slicer.
     #[serde(default)]
     pub tiles: u64,
     /// Wall time of the build/extract phase.
@@ -172,15 +151,12 @@ pub struct RenderStats {
 pub struct RenderOutput {
     pub framebuffer: Framebuffer,
     pub stats: RenderStats,
-    /// Progressive-refinement passes (empty unless
-    /// [`RenderOptions::progressive`] was set and the backend supports it).
-    pub passes: Vec<ProgressivePass>,
 }
 
 /// Resolve the transfer function for a dataset/options pair.
 fn transfer_function(obj: &DataObject, opts: &RenderOptions) -> TransferFunction {
     if let Some((lo, hi)) = opts.range {
-        return TransferFunction::new(opts.colormap, lo, hi);
+        return TransferFunction::new(COLORMAP, lo, hi);
     }
     let values: Option<&[f32]> = match (obj, &opts.scalar) {
         (DataObject::Points(p), Some(name)) => p.scalar(name).ok(),
@@ -188,8 +164,8 @@ fn transfer_function(obj: &DataObject, opts: &RenderOptions) -> TransferFunction
         _ => None,
     };
     match values {
-        Some(v) => TransferFunction::fit(opts.colormap, v),
-        None => TransferFunction::new(opts.colormap, 0.0, 1.0),
+        Some(v) => TransferFunction::fit(COLORMAP, v),
+        None => TransferFunction::new(COLORMAP, 0.0, 1.0),
     }
 }
 
@@ -258,11 +234,11 @@ fn render_view<'a>(
 ) -> Result<RenderOutput> {
     let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let scalar = opts.scalar.as_deref();
+    let lighting = &Lighting::default();
     let mut stats = RenderStats {
         elements: obj.num_elements() as u64,
         ..Default::default()
     };
-    let mut passes: Vec<ProgressivePass> = Vec::new();
 
     let fb = match (algorithm, obj) {
         (RenderAlgorithm::VtkPoints { point_size }, DataObject::Points(cloud)) => {
@@ -272,7 +248,7 @@ fn render_view<'a>(
                 scalar,
                 tf,
                 camera,
-                opts.background,
+                BACKGROUND,
                 *point_size,
                 scratch,
             );
@@ -287,8 +263,8 @@ fn render_view<'a>(
                 scalar,
                 tf,
                 camera,
-                &opts.lighting,
-                opts.background,
+                lighting,
+                BACKGROUND,
                 *radius,
                 scratch,
             );
@@ -305,28 +281,7 @@ fn render_view<'a>(
                 rc
             });
             let t1 = Instant::now();
-            let (fb, s) = match opts.progressive {
-                Some(stride) => {
-                    let (fb, s, p) = rc.render_progressive(
-                        camera,
-                        tf,
-                        &opts.lighting,
-                        opts.background,
-                        stride,
-                        scratch,
-                    );
-                    passes = p;
-                    (fb, s)
-                }
-                None => rc.render_tiled(
-                    camera,
-                    tf,
-                    &opts.lighting,
-                    opts.background,
-                    opts.tile.unwrap_or(crate::tile::DEFAULT_TILE),
-                    scratch,
-                ),
-            };
+            let (fb, s) = rc.render(camera, tf, lighting, BACKGROUND, scratch);
             stats.render_time = t1.elapsed();
             stats.rays = s.rays;
             stats.ray_steps = s.traversal_steps;
@@ -345,7 +300,7 @@ fn render_view<'a>(
             stats.triangles = s.triangles;
             let t1 = Instant::now();
             let (fb, rs) =
-                rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background, scratch);
+                rasterize_mesh(&mesh, tf, camera, lighting, BACKGROUND, scratch);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
             scratch.recycle_mesh(mesh);
@@ -362,8 +317,8 @@ fn render_view<'a>(
                 *isovalue,
                 camera,
                 tf,
-                &opts.lighting,
-                opts.background,
+                lighting,
+                BACKGROUND,
                 scratch,
             )?;
             stats.render_time = t0.elapsed();
@@ -390,7 +345,7 @@ fn render_view<'a>(
             stats.triangles = mesh.num_triangles() as u64;
             let t1 = Instant::now();
             let (fb, rs) =
-                rasterize_mesh(&mesh, tf, camera, &opts.lighting, opts.background, scratch);
+                rasterize_mesh(&mesh, tf, camera, lighting, BACKGROUND, scratch);
             stats.render_time = t1.elapsed();
             stats.fragments = rs.fragments;
             fb
@@ -400,7 +355,7 @@ fn render_view<'a>(
                 DataError::InvalidArgument("slice rendering needs options.scalar".into())
             })?;
             let t0 = Instant::now();
-            let (fb, s) = render_slices(grid, field, planes, camera, tf, opts.background, scratch)?;
+            let (fb, s) = render_slices(grid, field, planes, camera, tf, BACKGROUND, scratch)?;
             stats.render_time = t0.elapsed();
             stats.rays = s.rays;
             stats.ray_steps = s.plane_tests;
@@ -413,7 +368,6 @@ fn render_view<'a>(
     Ok(RenderOutput {
         framebuffer: fb,
         stats,
-        passes,
     })
 }
 

@@ -13,7 +13,7 @@ use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::geometry::slice::Plane;
 use crate::scratch::Scratch;
-use crate::tile::{self, DEFAULT_TILE};
+use crate::tile;
 use eth_data::error::Result;
 use eth_data::UniformGrid;
 use eth_data::Vec3;
@@ -42,7 +42,7 @@ pub fn render_slices(
     let rays = camera.ray_generator();
 
     let mut fb = scratch.framebuffer(camera.width, camera.height, background);
-    let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
+    let traced = tile::trace_in_place(&mut fb, |t, band| {
         let mut st = PlaneRaycastStats::default();
         for py in t.y0..t.y0 + t.h {
             let ndc_y = rays.ndc_y(py);

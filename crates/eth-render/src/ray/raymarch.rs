@@ -24,7 +24,7 @@ use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::scratch::Scratch;
 use crate::shading::Lighting;
-use crate::tile::{self, DEFAULT_TILE};
+use crate::tile;
 use eth_data::error::Result;
 use eth_data::{UniformGrid, Vec3};
 
@@ -59,7 +59,7 @@ pub fn render_isosurface(
     let rays = camera.ray_generator();
 
     let mut fb = scratch.framebuffer(camera.width, camera.height, background);
-    let traced = tile::trace_in_place(&mut fb, DEFAULT_TILE, |t, band| {
+    let traced = tile::trace_in_place(&mut fb, |t, band| {
         let _span = eth_obs::span(eth_obs::Phase::Tile);
         let mut st = RaymarchStats::default();
         for py in t.y0..t.y0 + t.h {

@@ -20,12 +20,6 @@
 //!
 //! A raycaster lives inside one `render_views` call, so it borrows the
 //! colouring attribute from the cloud rather than copying it.
-//!
-//! [`SphereRaycaster::render_progressive`] trades latency for completeness
-//! the way interactive in-situ viewers do: a strided coarse pass fills the
-//! frame with nearest-anchor stand-ins immediately, then successive passes
-//! halve the stride and refine in place until the image equals the full
-//! render bit-for-bit.
 
 use crate::camera::Camera;
 use crate::color::TransferFunction;
@@ -33,13 +27,8 @@ use crate::framebuffer::Framebuffer;
 use crate::ray::bvh::{RayPacket, SphereBvh, SphereHit, PACKET_WIDTH};
 use crate::scratch::Scratch;
 use crate::shading::Lighting;
-use crate::tile::{self, DEFAULT_TILE};
+use crate::tile;
 use eth_data::{PointCloud, Vec3};
-use rayon::prelude::*;
-
-/// One traced packet of progressive anchors: their depth/color pixels in
-/// anchor order, traversal steps spent, and hits found.
-type TracedPixels = (Vec<(f32, Vec3)>, u64, u64);
 
 /// Statistics from one sphere-raycast render.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -55,16 +44,6 @@ pub struct SphereRaycastStats {
     pub traversal_steps: u64,
     /// Framebuffer tiles rendered.
     pub tiles: u64,
-}
-
-/// One progressive-refinement pass: the stride it sampled at, the rays it
-/// actually traced, and the RMSE of the frame it left behind versus the
-/// converged image.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ProgressivePass {
-    pub stride: usize,
-    pub rays: u64,
-    pub rmse: f64,
 }
 
 /// A built sphere-raycasting scene: keeps the acceleration structure so the
@@ -143,7 +122,12 @@ impl<'a> SphereRaycaster<'a> {
         }
     }
 
-    /// Render one frame with the default tile size.
+    /// Render one frame; framebuffer tiles are the parallel work unit
+    /// (written straight into the frame, see [`tile::trace_in_place`]), and
+    /// rays within a tile are generated into packets of [`PACKET_WIDTH`]
+    /// and traverse the BVH together. Tiles write disjoint pixel ranges, so
+    /// the image is identical for any thread count. The frame is one of
+    /// `scratch`'s.
     pub fn render(
         &self,
         camera: &Camera,
@@ -152,27 +136,9 @@ impl<'a> SphereRaycaster<'a> {
         background: Vec3,
         scratch: &mut Scratch,
     ) -> (Framebuffer, SphereRaycastStats) {
-        self.render_tiled(camera, tf, lighting, background, DEFAULT_TILE, scratch)
-    }
-
-    /// Render one frame; framebuffer tiles of `tile_size × tile_size`
-    /// pixels are the parallel work unit (written straight into the frame,
-    /// see [`tile::trace_in_place`]), and rays within a tile are generated
-    /// into packets of [`PACKET_WIDTH`] and traverse the BVH together.
-    /// Tiles write disjoint pixel ranges, so the image is identical for any
-    /// thread count. The frame is one of `scratch`'s.
-    pub fn render_tiled(
-        &self,
-        camera: &Camera,
-        tf: &TransferFunction,
-        lighting: &Lighting,
-        background: Vec3,
-        tile_size: usize,
-        scratch: &mut Scratch,
-    ) -> (Framebuffer, SphereRaycastStats) {
         let rays = camera.ray_generator();
         let mut fb = scratch.framebuffer(camera.width, camera.height, background);
-        let traced = tile::trace_in_place(&mut fb, tile_size, |t, band| {
+        let traced = tile::trace_in_place(&mut fb, |t, band| {
             let _span = eth_obs::span(eth_obs::Phase::Tile);
             let mut steps = 0u64;
             let mut hits = 0u64;
@@ -205,142 +171,6 @@ impl<'a> SphereRaycaster<'a> {
         }
         eth_obs::count("rays_traced", stats.rays as f64);
         (fb, stats)
-    }
-
-    /// Progressive render: a coarse pass traces every `initial_stride`-th
-    /// pixel and floods each stride×stride block with its anchor's value,
-    /// then each subsequent pass halves the stride, traces only the new
-    /// anchors, and re-floods — so a recognizable frame exists after
-    /// tracing 1/stride² of the rays and the final pass leaves the exact
-    /// image (bit-identical to [`SphereRaycaster::render`]). Returns the
-    /// converged frame, cumulative stats, and one [`ProgressivePass`] per
-    /// pass with the RMSE its intermediate frame had versus the converged
-    /// image (monotonically decreasing, ending at 0).
-    pub fn render_progressive(
-        &self,
-        camera: &Camera,
-        tf: &TransferFunction,
-        lighting: &Lighting,
-        background: Vec3,
-        initial_stride: usize,
-        scratch: &mut Scratch,
-    ) -> (Framebuffer, SphereRaycastStats, Vec<ProgressivePass>) {
-        let width = camera.width;
-        let height = camera.height;
-        let stride0 = initial_stride.next_power_of_two().clamp(2, 64);
-        let rays = camera.ray_generator();
-        let mut fb = scratch.framebuffer(width, height, background);
-        let mut stats = SphereRaycastStats {
-            particles: self.bvh.num_primitives(),
-            build_ops: self.bvh.build_ops(),
-            ..Default::default()
-        };
-        // (stride, rays traced, color snapshot after the pass)
-        let mut passes: Vec<(usize, u64, Vec<Vec3>)> = Vec::new();
-        let mut s = stride0;
-        loop {
-            let _span = eth_obs::span(eth_obs::Phase::ProgressivePass);
-            // Anchors: s-grid points not already traced by a coarser pass
-            // (coarser anchors live on the 2s-grid ⊆ s-grid).
-            let mut anchors: Vec<(usize, usize)> = Vec::new();
-            let mut y = 0;
-            while y < height {
-                let mut x = 0;
-                while x < width {
-                    if s == stride0 || x % (2 * s) != 0 || y % (2 * s) != 0 {
-                        anchors.push((x, y));
-                    }
-                    x += s;
-                }
-                y += s;
-            }
-            // Trace the new anchors in ray packets (chunks preserve order,
-            // so the result vector is deterministic).
-            let traced: Vec<TracedPixels> = anchors
-                .par_chunks(PACKET_WIDTH)
-                .map(|chunk| {
-                    let packet = RayPacket::generate(&rays, chunk.len(), |l| {
-                        let (x, y) = chunk[l];
-                        (rays.ndc_x(x), rays.ndc_y(y))
-                    });
-                    let mut steps = 0u64;
-                    let mut hits = 0u64;
-                    let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
-                    let frags = (0..chunk.len())
-                        .map(|l| {
-                            if lane_hits[l].is_some() {
-                                hits += 1;
-                            }
-                            self.shade(lane_hits[l], packet.dir(l), tf, lighting, background)
-                        })
-                        .collect();
-                    (frags, steps, hits)
-                })
-                .collect();
-            let mut fresh = traced
-                .iter()
-                .flat_map(|(frags, _, _)| frags.iter().copied());
-            for (_, steps, hits) in &traced {
-                stats.traversal_steps += steps;
-                stats.hits += hits;
-            }
-            stats.rays += anchors.len() as u64;
-
-            // Flood every s-grid block from its anchor: new anchors use the
-            // freshly traced fragment, old anchors re-flood their (exact)
-            // stored pixel so every pixel's stand-in is ≤ s away.
-            let mut y = 0;
-            while y < height {
-                let mut x = 0;
-                while x < width {
-                    let (d, c) = if s == stride0 || x % (2 * s) != 0 || y % (2 * s) != 0 {
-                        fresh.next().expect("one traced fragment per new anchor")
-                    } else {
-                        (fb.depth_at(x, y), fb.color_at(x, y))
-                    };
-                    if s == 1 {
-                        fb.store(x, y, d, c);
-                    } else {
-                        for by in y..(y + s).min(height) {
-                            for bx in x..(x + s).min(width) {
-                                fb.store(bx, by, d, c);
-                            }
-                        }
-                    }
-                    x += s;
-                }
-                y += s;
-            }
-            passes.push((s, anchors.len() as u64, fb.color_buffer().to_vec()));
-            if s == 1 {
-                break;
-            }
-            s /= 2;
-        }
-        eth_obs::count("rays_traced", stats.rays as f64);
-
-        // Score each intermediate frame against the converged one.
-        let final_color = fb.color_buffer();
-        let n = (final_color.len() * 3) as f64;
-        let report = passes
-            .into_iter()
-            .map(|(stride, rays, snapshot)| {
-                let sum: f64 = snapshot
-                    .iter()
-                    .zip(final_color)
-                    .map(|(a, b)| {
-                        let d = *a - *b;
-                        (d.x as f64).powi(2) + (d.y as f64).powi(2) + (d.z as f64).powi(2)
-                    })
-                    .sum();
-                ProgressivePass {
-                    stride,
-                    rays,
-                    rmse: if n > 0.0 { (sum / n).sqrt() } else { 0.0 },
-                }
-            })
-            .collect();
-        (fb, stats, report)
     }
 }
 
@@ -502,32 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_size_does_not_change_the_image() {
-        let cloud = scene(1500);
-        let rc = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
-        let camera = cam(70); // not a multiple of any tile size: edge tiles
-        let (reference, _) = rc.render_tiled(
-            &camera,
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            16,
-            &mut Scratch::new(),
-        );
-        for tile_size in [4, 8, 32, 64] {
-            let (fb, _) = rc.render_tiled(
-                &camera,
-                &tf(),
-                &Lighting::default(),
-                Vec3::ZERO,
-                tile_size,
-                &mut Scratch::new(),
-            );
-            assert_eq!(fb, reference, "tile size {tile_size}");
-        }
-    }
-
-    #[test]
     fn hlbvh_frame_matches_median_frame_exactly() {
         let cloud = scene(3000);
         let hlbvh = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
@@ -547,67 +351,5 @@ mod tests {
             &mut Scratch::new(),
         );
         assert_eq!(a, b, "HLBVH and median-split frames must be byte-identical");
-    }
-
-    #[test]
-    fn progressive_converges_to_full_render() {
-        let cloud = scene(2000);
-        let rc = SphereRaycaster::build(&cloud, None, 0.04, &mut Scratch::new());
-        let camera = cam(75); // odd size exercises clipped blocks
-        let (full, full_stats) = rc.render(
-            &camera,
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            &mut Scratch::new(),
-        );
-        let (prog, prog_stats, passes) = rc.render_progressive(
-            &camera,
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            8,
-            &mut Scratch::new(),
-        );
-        assert_eq!(
-            prog, full,
-            "converged progressive frame must equal full render"
-        );
-        // every pixel traced exactly once across all passes
-        assert_eq!(prog_stats.rays, full_stats.rays);
-        assert_eq!(passes.len(), 4, "strides 8,4,2,1");
-        assert_eq!(passes.last().unwrap().rmse, 0.0);
-        for w in passes.windows(2) {
-            assert!(
-                w[1].rmse <= w[0].rmse,
-                "RMSE must not increase: {passes:?}"
-            );
-        }
-        assert!(passes[0].rmse > 0.0, "coarse pass differs from converged");
-    }
-
-    #[test]
-    fn progressive_stride_is_normalized() {
-        let cloud = scene(200);
-        let rc = SphereRaycaster::build(&cloud, None, 0.05, &mut Scratch::new());
-        // stride 0/1 clamp up to 2; stride 5 rounds up to 8
-        let (_, _, p) = rc.render_progressive(
-            &cam(16),
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            0,
-            &mut Scratch::new(),
-        );
-        assert_eq!(p.first().unwrap().stride, 2);
-        let (_, _, p) = rc.render_progressive(
-            &cam(16),
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            5,
-            &mut Scratch::new(),
-        );
-        assert_eq!(p.first().unwrap().stride, 8);
     }
 }

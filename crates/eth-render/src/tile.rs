@@ -4,25 +4,20 @@
 //! packet traversal to find coherent rays. (The particle rasterizers
 //! parallelize over the *input* instead — see `raster/scatter.rs`.)
 //!
-//! A [`TileRect`] is a small screen-space rectangle (16×16 by default —
-//! big enough to amortize scheduling, small enough to load-balance an
-//! uneven image). [`trace_in_place`] cuts the framebuffer's planes into
+//! A [`TileRect`] is a small screen-space rectangle ([`TILE`] pixels on a
+//! side — big enough to amortize scheduling, small enough to load-balance
+//! an uneven image). [`trace_in_place`] cuts the framebuffer's planes into
 //! bands of tile rows — disjoint `&mut` slices, one rayon item each — and
 //! a band's tiles store their pixels straight into it. Every tile owns a
-//! disjoint pixel range, so the result is identical for any thread count,
-//! tile size or completion order.
+//! disjoint pixel range, so the result is identical for any thread count
+//! or completion order.
 
 use crate::framebuffer::Framebuffer;
 use eth_data::Vec3;
 use rayon::prelude::*;
 
-/// Default tile edge in pixels.
-pub const DEFAULT_TILE: usize = 16;
-
-/// Tile sizes outside this range either thrash the scheduler (tiny) or
-/// starve it (huge). Shared by the spec validator in `eth-core`.
-pub const MIN_TILE: usize = 4;
-pub const MAX_TILE: usize = 256;
+/// Tile edge in pixels.
+pub const TILE: usize = 16;
 
 /// A screen-space tile: `w × h` pixels at `(x0, y0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,22 +50,21 @@ impl Band<'_> {
 /// Run `trace(tile, band)` for every tile of `fb` (see [`tiles`]) on the
 /// rayon workers; `trace` stores its tile's pixels into `band`, the rows
 /// that hold it. Returns what each call returned, in row-major tile order.
-pub(crate) fn trace_in_place<S, F>(fb: &mut Framebuffer, tile: usize, trace: F) -> Vec<S>
+pub(crate) fn trace_in_place<S, F>(fb: &mut Framebuffer, trace: F) -> Vec<S>
 where
     S: Send,
     F: Fn(TileRect, &mut Band<'_>) -> S + Sync,
 {
     let (width, height) = (fb.width(), fb.height());
-    let tile = tile.clamp(MIN_TILE, MAX_TILE);
     let (color, depth) = fb.planes_mut();
-    let band_pixels = (tile * width).max(1);
+    let band_pixels = (TILE * width).max(1);
     let bands: Vec<Vec<S>> = color
         .par_chunks_mut(band_pixels)
         .zip(depth.par_chunks_mut(band_pixels))
         .enumerate()
         .map(|(b, (color, depth))| {
-            let y0 = b * tile;
-            let h = tile.min(height - y0);
+            let y0 = b * TILE;
+            let h = TILE.min(height - y0);
             let mut band = Band {
                 color,
                 depth,
@@ -78,9 +72,9 @@ where
                 y0,
             };
             (0..width)
-                .step_by(tile)
+                .step_by(TILE)
                 .map(|x0| {
-                    let w = tile.min(width - x0);
+                    let w = TILE.min(width - x0);
                     trace(TileRect { x0, y0, w, h }, &mut band)
                 })
                 .collect()
@@ -90,21 +84,19 @@ where
 }
 
 /// Cut a `width × height` image into row-major tiles of at most
-/// `tile × tile` pixels (edge tiles are clipped). `tile` is clamped into
-/// `[MIN_TILE, MAX_TILE]`.
-pub fn tiles(width: usize, height: usize, tile: usize) -> Vec<TileRect> {
-    let tile = tile.clamp(MIN_TILE, MAX_TILE);
-    let mut out = Vec::with_capacity(width.div_ceil(tile) * height.div_ceil(tile));
+/// [`TILE`] × [`TILE`] pixels (edge tiles are clipped).
+pub fn tiles(width: usize, height: usize) -> Vec<TileRect> {
+    let mut out = Vec::with_capacity(width.div_ceil(TILE) * height.div_ceil(TILE));
     let mut y0 = 0;
     while y0 < height {
-        let h = tile.min(height - y0);
+        let h = TILE.min(height - y0);
         let mut x0 = 0;
         while x0 < width {
-            let w = tile.min(width - x0);
+            let w = TILE.min(width - x0);
             out.push(TileRect { x0, y0, w, h });
-            x0 += tile;
+            x0 += TILE;
         }
-        y0 += tile;
+        y0 += TILE;
     }
     out
 }
@@ -115,8 +107,8 @@ mod tests {
 
     #[test]
     fn tiles_cover_image_exactly_once() {
-        for (w, h, t) in [(64, 64, 16), (100, 70, 16), (33, 9, 8), (5, 5, 16)] {
-            let ts = tiles(w, h, t);
+        for (w, h) in [(64, 64), (100, 70), (33, 9), (5, 5)] {
+            let ts = tiles(w, h);
             let mut covered = vec![0u8; w * h];
             for tr in &ts {
                 assert!(tr.w >= 1 && tr.h >= 1);
@@ -126,30 +118,16 @@ mod tests {
                     }
                 }
             }
-            assert!(covered.iter().all(|&c| c == 1), "{w}x{h} tile {t}");
+            assert!(covered.iter().all(|&c| c == 1), "{w}x{h}");
         }
     }
 
     #[test]
-    fn tile_size_is_clamped() {
-        let ts = tiles(64, 64, 0);
-        assert!(ts.iter().all(|t| t.w <= MIN_TILE && t.h <= MIN_TILE));
-        let ts = tiles(4096, 16, 100_000);
-        assert!(ts.iter().all(|t| t.w <= MAX_TILE));
-    }
-
-    #[test]
     fn in_place_tiles_are_the_tile_list_and_write_each_pixel_once() {
-        for (w, h, t) in [
-            (97, 61, 4),
-            (150, 90, 16),
-            (33, 9, 64),
-            (5, 5, 16),
-            (512, 3, 300),
-        ] {
+        for (w, h) in [(97, 61), (150, 90), (33, 9), (5, 5), (512, 3)] {
             for (threads, (fb, visited)) in crate::testing::at_thread_counts(|| {
                 let mut fb = Framebuffer::new(w, h, Vec3::ZERO);
-                let visited = trace_in_place(&mut fb, t, |tile, band| {
+                let visited = trace_in_place(&mut fb, |tile, band| {
                     for y in tile.y0..tile.y0 + tile.h {
                         for x in tile.x0..tile.x0 + tile.w {
                             band.store(x, y, (y * w + x) as f32, Vec3::splat(x as f32));
@@ -159,11 +137,7 @@ mod tests {
                 });
                 (fb, visited)
             }) {
-                assert_eq!(
-                    visited,
-                    tiles(w, h, t),
-                    "{w}x{h} tile {t}, {threads} threads"
-                );
+                assert_eq!(visited, tiles(w, h), "{w}x{h}, {threads} threads");
                 for (i, (&d, c)) in fb.depth_buffer().iter().zip(fb.color_buffer()).enumerate() {
                     assert_eq!((d, c.x), (i as f32, (i % w) as f32), "pixel {i}");
                 }
@@ -173,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_image_has_no_tiles() {
-        assert!(tiles(0, 0, 16).is_empty());
-        assert!(tiles(16, 0, 16).is_empty());
+        assert!(tiles(0, 0).is_empty());
+        assert!(tiles(16, 0).is_empty());
     }
 }

@@ -1,14 +1,12 @@
 //! Integration contracts for the HLBVH render hot path (DESIGN.md §14):
-//! full-resolution frames are byte-identical whichever builder produced
-//! the tree and however many threads render it, and progressive
-//! refinement walks a monotone RMSE ladder down to the exact frame.
+//! frames are byte-identical whichever builder produced the tree and
+//! however many threads render it.
 
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::ray::sphere::SphereRaycaster;
 use eth_render::shading::Lighting;
-use eth_render::tile::DEFAULT_TILE;
 use eth_render::Scratch;
 
 /// Deterministic scatter in [-1, 1]³.
@@ -51,80 +49,20 @@ fn hlbvh_frame_is_byte_identical_to_median_baseline() {
 }
 
 #[test]
-fn frames_are_identical_across_thread_counts_and_tile_sizes() {
+fn frames_are_identical_across_thread_counts() {
     let cloud = PointCloud::from_positions(scatter(20_000, 3));
     let rc = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
     let camera = cam(128, 96);
     let lighting = Lighting::default();
-    let (reference, _) = rc.render_tiled(
-        &camera,
-        &tf(),
-        &lighting,
-        Vec3::ZERO,
-        DEFAULT_TILE,
-        &mut Scratch::new(),
-    );
+    let (reference, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
 
     // one worker thread
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let (serial, _) = pool.install(|| {
         let rc1 = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
-        rc1.render_tiled(
-            &camera,
-            &tf(),
-            &lighting,
-            Vec3::ZERO,
-            DEFAULT_TILE,
-            &mut Scratch::new(),
-        )
+        rc1.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new())
     });
     assert_eq!(reference, serial, "thread count leaked into the image");
-
-    // tile size is a pure scheduling knob
-    for tile in [4usize, 32, 256] {
-        let (ft, _) = rc.render_tiled(
-            &camera,
-            &tf(),
-            &lighting,
-            Vec3::ZERO,
-            tile,
-            &mut Scratch::new(),
-        );
-        assert_eq!(reference, ft, "tile size {tile} changed the image");
-    }
-}
-
-#[test]
-fn progressive_rmse_ladder_is_monotone_and_ends_exact() {
-    let cloud = PointCloud::from_positions(scatter(15_000, 5));
-    let rc = SphereRaycaster::build(&cloud, None, 0.01, &mut Scratch::new());
-    let camera = cam(128, 96);
-    let lighting = Lighting::default();
-    let (full, full_stats) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
-    let (prog, prog_stats, passes) = rc.render_progressive(
-        &camera,
-        &tf(),
-        &lighting,
-        Vec3::ZERO,
-        16,
-        &mut Scratch::new(),
-    );
-
-    assert_eq!(prog, full, "progressive did not converge to the exact frame");
-    assert_eq!(prog_stats.rays, full_stats.rays, "every pixel traced exactly once");
-    assert!(passes.len() >= 4, "stride 16 → passes at 16/8/4/2/1");
-    assert!(passes[0].rmse > 0.0, "coarse pass must differ from converged");
-    for w in passes.windows(2) {
-        assert!(
-            w[1].rmse <= w[0].rmse,
-            "RMSE went up: {} -> {}",
-            w[0].rmse,
-            w[1].rmse
-        );
-        assert!(w[1].stride < w[0].stride);
-    }
-    assert_eq!(passes.last().unwrap().stride, 1);
-    assert_eq!(passes.last().unwrap().rmse, 0.0);
 }
 
 #[test]

@@ -16,12 +16,11 @@
 //! `prim_index` a test outside the crate has — so "same tree node for
 //! node" is checked here too, not only in the crate's own reference test.
 //!
-//! Rows cover odd image sizes (97×61, 150×90) at tile sizes 4, 16 and 64,
+//! Rows cover odd image sizes (97×61, 150×90), so edge tiles are clipped,
 //! two views sharing one tree through `render_views`, colouring by a scalar
-//! and by depth, progressive refinement from stride 8, a radius larger
-//! than the view distance (rays that start inside spheres), coincident
-//! centres, NaN and ±∞ centres, an empty cloud, and `render_isosurface` /
-//! `render_slices` on small xRAGE grids.
+//! and by depth, a radius larger than the view distance (rays that start
+//! inside spheres), coincident centres, NaN and ±∞ centres, an empty
+//! cloud, and `render_isosurface` / `render_slices` on small xRAGE grids.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-render --test raycast_golden -- --ignored --nocapture print_rows`
@@ -104,24 +103,13 @@ fn sphere_rows(
     )
     .expect("raycast spheres render point clouds");
     for (v, view) in views.iter().enumerate() {
-        let passes: Vec<String> = view
-            .passes
-            .iter()
-            .map(|p| format!("{}:{}:{:016x}", p.stride, p.rays, p.rmse.to_bits()))
-            .collect();
-        out.push(format!(
-            "{name} view={v} {} passes=[{}]",
-            view_columns(view),
-            passes.join(","),
-        ));
+        out.push(format!("{name} view={v} {}", view_columns(view)));
     }
 }
 
-fn options(scalar: Option<&str>, tile: Option<usize>, progressive: Option<usize>) -> RenderOptions {
+fn options(scalar: Option<&str>) -> RenderOptions {
     RenderOptions {
         scalar: scalar.map(str::to_string),
-        tile,
-        progressive,
         ..Default::default()
     }
 }
@@ -160,23 +148,21 @@ fn hostile_cloud() -> PointCloud {
 fn rows() -> Vec<String> {
     let mut out = Vec::new();
 
-    // HACC: odd sizes, three tile sizes, two views sharing one tree.
+    // HACC: odd sizes, two views sharing one tree.
     let hacc = HaccConfig::with_particles(20_000)
         .generate(1)
         .expect("hacc generates");
     let bounds = hacc.bounds();
     for (w, h) in [(97, 61), (150, 90)] {
         let cameras = two_views(Camera::framing(&bounds, w, h), bounds.center());
-        for tile in [4, 16, 64] {
-            sphere_rows(
-                &format!("hacc-{w}x{h}-tile{tile}"),
-                &hacc,
-                0.03,
-                &cameras,
-                &options(Some("density"), Some(tile), None),
-                &mut out,
-            );
-        }
+        sphere_rows(
+            &format!("hacc-{w}x{h}-tile16"),
+            &hacc,
+            0.03,
+            &cameras,
+            &options(Some("density")),
+            &mut out,
+        );
     }
     let cameras = two_views(Camera::framing(&bounds, 97, 61), bounds.center());
     sphere_rows(
@@ -184,15 +170,7 @@ fn rows() -> Vec<String> {
         &hacc,
         0.004,
         &cameras,
-        &options(None, None, None),
-        &mut out,
-    );
-    sphere_rows(
-        "hacc-97x61-progressive8",
-        &hacc,
-        0.03,
-        &cameras,
-        &options(Some("density"), None, Some(8)),
+        &options(None),
         &mut out,
     );
     // every ray starts inside some sphere
@@ -209,7 +187,7 @@ fn rows() -> Vec<String> {
         &hacc,
         0.6,
         &[inside],
-        &options(Some("density"), None, None),
+        &options(Some("density")),
         &mut out,
     );
 
@@ -235,7 +213,7 @@ fn rows() -> Vec<String> {
         &PointCloud::from_positions(dup),
         0.1,
         &[eye],
-        &options(None, Some(4), None),
+        &options(None),
         &mut out,
     );
     sphere_rows(
@@ -243,7 +221,7 @@ fn rows() -> Vec<String> {
         &PointCloud::from_positions(vec![Vec3::new(0.5, 0.5, 0.5); 1_000]),
         0.2,
         &[eye],
-        &options(None, None, Some(8)),
+        &options(None),
         &mut out,
     );
 
@@ -266,23 +244,21 @@ fn rows() -> Vec<String> {
         150,
         90,
     );
-    for (label, tile, progressive) in [("", Some(16), None), ("-progressive8", None, Some(8))] {
-        sphere_rows(
-            &format!("hostile{label}"),
-            &hostile,
-            0.05,
-            &[axis, oblique],
-            &options(Some("v"), tile, progressive),
-            &mut out,
-        );
-    }
+    sphere_rows(
+        "hostile",
+        &hostile,
+        0.05,
+        &[axis, oblique],
+        &options(Some("v")),
+        &mut out,
+    );
 
     sphere_rows(
         "empty",
         &PointCloud::new(),
         0.05,
         &[axis],
-        &options(None, None, None),
+        &options(None),
         &mut out,
     );
 
@@ -303,7 +279,7 @@ fn rows() -> Vec<String> {
         let b: Aabb = data.bounds();
         for (w, h) in [(97, 61), (150, 90)] {
             let cameras = two_views(Camera::framing(&b, w, h), b.center());
-            let opts = options(Some("temperature"), None, None);
+            let opts = options(Some("temperature"));
             for (label, algorithm) in [
                 ("iso", RenderAlgorithm::RaycastIsosurface { isovalue }),
                 (
