@@ -51,7 +51,7 @@ fn terminal(svc: &Service, id: usize) -> bool {
 fn overload_is_shed_while_admitted_campaigns_progress() {
     let root = tmp_root("shed");
     let policy = ServicePolicy {
-        max_queued_points: 2,
+        max_queued_points: 3,
         per_tenant_inflight: 1,
         ..ServicePolicy::default()
     };
@@ -79,7 +79,13 @@ fn overload_is_shed_while_admitted_campaigns_progress() {
         "expected per-tenant shed, got {err}"
     );
 
-    // Different tenant: global queued-points bound (2 + 1 > 2).
+    // Another tenant with room in the queue admits: the in-flight cap is
+    // per tenant.
+    let other = svc
+        .submit(&CampaignRequest::single("dave", small_spec("shed-d")))
+        .expect("another tenant admits");
+
+    // Different tenant: global queued-points bound (3 + 1 > 3).
     let req_b = CampaignRequest::single("bob", small_spec("shed-b"));
     match svc.submit(&req_b).unwrap_err() {
         AdmissionError::Shed { retry_after_s, reason } => {
@@ -92,8 +98,10 @@ fn overload_is_shed_while_admitted_campaigns_progress() {
     // Shedding happened while the admitted campaign was untouched; let
     // it finish and verify the queue reopens.
     gate.store(true, Ordering::SeqCst);
-    wait_until("campaign to finish", || terminal(&svc, admitted.id));
-    assert_eq!(svc.status(admitted.id).unwrap().state, "done");
+    for id in [admitted.id, other.id] {
+        wait_until("campaign to finish", || terminal(&svc, id));
+        assert_eq!(svc.status(id).unwrap().state, "done");
+    }
     assert_eq!(svc.queue_depth(), 0);
     svc.submit(&req_b).expect("queue reopened after completion");
 
@@ -271,8 +279,8 @@ fn terminal_status_and_drain_imply_a_durable_epilogue() {
     }
 }
 
-/// Minimal HTTP/1.1 client: one request, read to EOF.
-fn http(addr: std::net::SocketAddr, request: &str) -> (u16, Vec<u8>) {
+/// Minimal HTTP/1.1 client: one request, read to EOF; (head, body).
+fn exchange(addr: std::net::SocketAddr, request: &str) -> (String, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(request.as_bytes()).unwrap();
     let mut raw = Vec::new();
@@ -281,13 +289,18 @@ fn http(addr: std::net::SocketAddr, request: &str) -> (u16, Vec<u8>) {
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .expect("response head");
-    let head = std::str::from_utf8(&raw[..head_end]).unwrap();
+    let body = raw.split_off(head_end + 4);
+    (String::from_utf8(raw).unwrap(), body)
+}
+
+fn http(addr: std::net::SocketAddr, request: &str) -> (u16, Vec<u8>) {
+    let (head, body) = exchange(addr, request);
     let status: u16 = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("status code");
-    (status, raw[head_end + 4..].to_vec())
+    (status, body)
 }
 
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, Vec<u8>) {
@@ -322,6 +335,22 @@ fn http_surface_end_to_end() {
     assert_eq!(status, 201, "{}", String::from_utf8_lossy(&body));
     let submitted: eth_core::serve::CampaignStatus =
         serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+
+    // A campaign bigger than the queue bound sheds with 429 and a
+    // Retry-After hint.
+    let mut flood = CampaignRequest::single("mallory", small_spec("http-flood"));
+    let n = ServicePolicy::default().max_queued_points + 1;
+    flood.sampling_ratios = (1..=n).map(|i| i as f64 / n as f64).collect();
+    let flood = serde_json::to_string(&flood).unwrap();
+    let (head, _) = exchange(
+        addr,
+        &format!(
+            "POST /campaigns HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{flood}",
+            flood.len()
+        ),
+    );
+    assert!(head.starts_with("HTTP/1.1 429"), "{head}");
+    assert!(head.to_ascii_lowercase().contains("\r\nretry-after: "), "{head}");
 
     wait_until("campaign over http", || {
         let (s, b) = get(addr, &format!("/campaigns/{}", submitted.id));
