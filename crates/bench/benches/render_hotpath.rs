@@ -1,5 +1,5 @@
-//! Render hot path: HLBVH vs median-split build times, tiled
-//! packet-traversal frame times, the build and the frame on one rank's share
+//! Render hot path: HLBVH build times, tiled packet-traversal frame
+//! times, the build and the frame on one rank's share
 //! of the `hacc.raycast.tight` workload with a per-phase split, and the two
 //! particle rasterizers, the two grid extraction filters and the triangle
 //! rasterizer, each beside its hardware reference (DESIGN.md §14, §19). The JSON-report variant with
@@ -44,9 +44,6 @@ fn bench_build(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("hlbvh", n), &n, |b, _| {
             b.iter(|| SphereBvh::build(&centers, RADIUS))
-        });
-        group.bench_with_input(BenchmarkId::new("median_split", n), &n, |b, _| {
-            b.iter(|| SphereBvh::build_median(&centers, RADIUS))
         });
     }
     group.finish();

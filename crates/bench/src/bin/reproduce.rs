@@ -11,7 +11,7 @@
 use eth_bench::cli::{die, Args, Flag, Report, Takes};
 use eth_bench::progress::{Progress, Verbosity};
 use eth_bench::runs::Table2;
-use eth_bench::{campaign, chaos, migrate, pressure, render, runs, say, serve, trace};
+use eth_bench::{chaos, migrate, pressure, render, runs, say, serve, trace};
 use eth_core::CampaignTelemetry;
 use std::path::{Path, PathBuf};
 
@@ -106,18 +106,9 @@ const COMMANDS: &[Command] = &[
         ..ROW
     },
     Command {
-        name: "bench",
-        about: "campaign-throughput benchmark",
-        flags: &[flag("--smoke", Takes::Nothing, "CI-sized"), OUT],
-        run: |args, progress| {
-            report("bench", args, progress, || Ok((campaign::run_campaign_bench(args.has("--smoke"))?, None)))
-        },
-        ..ROW
-    },
-    Command {
         name: "render-bench",
-        about: "render hot path: HLBVH build curve, tiled frame times, byte identity",
-        flags: &[flag("--quick", Takes::Nothing, "CI smoke: schema + byte-identity, no timing gates"), OUT],
+        about: "render hot path: HLBVH build curve, tiled frame times",
+        flags: &[flag("--quick", Takes::Nothing, "CI smoke: schema only, no scaling gate"), OUT],
         run: |args, progress| {
             report("render-bench", args, progress, || Ok((render::run_render_bench(args.has("--quick"))?, None)))
         },
@@ -245,11 +236,11 @@ fn check_artifacts(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The one driver behind `bench`, `render-bench`, `migrate`,
-/// `pressure-bench` and `pressure-chaos`: run, print the summary, write the
-/// JSON (to `--out`, else the report's default path, if it has one), hold
-/// the report to its contract. Hands back the telemetry of the campaign
-/// the run included, if it had one.
+/// The one function behind `render-bench`, `migrate`, `pressure-bench` and
+/// `pressure-chaos`: run, print the summary, write the JSON (to `--out`,
+/// else the report's default path, if it has one), hold the report to its
+/// contract. Hands back the telemetry of the campaign the run included, if
+/// it had one.
 fn report<R: Report>(
     name: &'static str,
     args: &Args,
@@ -457,7 +448,7 @@ mod tests {
         let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
         let mut all = invocations(&std::fs::read_to_string(readme).unwrap());
         let documented = all.len();
-        assert!(documented >= 13, "extraction broke: {documented} README invocations");
+        assert!(documented >= 12, "extraction broke: {documented} README invocations");
         let run = [argv::TABLE2, argv::TABLE2_JOURNAL, argv::TABLE2_RESUME, argv::SERVE];
         all.extend(run.iter().map(|argv| argv.iter().map(|w| w.to_string()).collect()));
         for argv in &all {
@@ -475,13 +466,13 @@ mod tests {
     #[test]
     fn usage_errors_are_errors() {
         for bad in [
-            "bench --nope", // unknown flag
+            "render-bench --nope", // unknown flag
             "--nope",
-            "bench --out", // missing value
+            "render-bench --out", // missing value
             "--csv",
             "chaos-campaign --seed x", // unparseable value
             "table2 --memory-budget 1parsec",
-            "bench extra",                   // stray positional
+            "render-bench extra",            // stray positional
             "tableX",                        // unknown artifact
             "table2 --resume",               // without --journal
             "fig8 --journal D",              // campaign flags need table2
@@ -491,9 +482,9 @@ mod tests {
             assert!(plan(&words(bad)).is_err(), "`reproduce {bad}` must be refused");
         }
         // flags may sit anywhere, globals even before the command word
-        let (command, args) = plan(&words("--quiet --trace t.json bench --smoke --out x.json")).unwrap();
-        assert_eq!(command.name, "bench");
-        assert!(args.has("--quiet") && args.has("--smoke"));
+        let (command, args) = plan(&words("--quiet --trace t.json render-bench --quick --out x.json")).unwrap();
+        assert_eq!(command.name, "render-bench");
+        assert!(args.has("--quiet") && args.has("--quick"));
         assert_eq!((args.get("--trace"), args.get("--out")), (Some("t.json"), Some("x.json")));
         assert_eq!(plan(&words("table2 --memory-budget 256M")).unwrap().1.size("--memory-budget"), Some(256 << 20));
     }

@@ -187,7 +187,7 @@ pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
     let caches = RunCaches::new();
     // No retry policy on purpose: a retried point would mask a recovery
     // failure. Every point must succeed on attempt 1.
-    let outcome = Campaign::new().run_with(&specs, &caches);
+    let outcome = Campaign::new().execute(&specs, &caches, None, None)?;
 
     let mut t = ResultTable::new(
         &format!("Kill-rank campaign (seed {seed}, single-rank kill per point, no retries)"),

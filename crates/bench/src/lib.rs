@@ -7,7 +7,6 @@
 //! criterion benches under `benches/` time the corresponding *native*
 //! kernels on this machine.
 
-pub mod campaign;
 pub mod chaos;
 pub mod cli;
 pub mod migrate;

@@ -220,7 +220,7 @@ pub fn run_migration_bench(samples: usize) -> Result<(MigrationBenchReport, Camp
     // One campaign pass over the migrating points: its telemetry carries
     // the migration counters and the disruption histogram for --metrics.
     let specs: Vec<ExperimentSpec> = points.iter().map(|(_, _, m)| m.clone()).collect();
-    let outcome = Campaign::new().run_with(&specs, &RunCaches::new());
+    let outcome = Campaign::new().execute(&specs, &RunCaches::new(), None, None)?;
     if let Some(e) = outcome.results.iter().find_map(|r| r.as_ref().err()) {
         return Err(CoreError::Config(format!("campaign point failed: {e}")));
     }

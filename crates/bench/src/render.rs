@@ -1,23 +1,18 @@
-//! Render hot-path benchmark: HLBVH build vs the median-split baseline,
-//! and tiled frame times.
+//! Render hot-path benchmark: HLBVH build times and tiled frame times.
 //!
 //! This is the measurement behind `reproduce render-bench`, which emits
 //! `BENCH_render.json`:
 //!
-//! * a build-time curve — HLBVH at 10⁵/10⁶/10⁷ particles against the
-//!   median-split builder at 10⁵/10⁶ — with the speedup at the largest
-//!   common size and the HLBVH log-log scaling exponent. The exponent is
-//!   fitted over the *counted build operations* (machine-independent;
-//!   linear-time builds sit at 1.0, the median split trends N log N);
-//!   wall times are reported alongside with their own informational
-//!   slope, which is allocator/page-fault bound at 10⁷ on small CI
-//!   boxes and therefore not a gate,
-//! * a frame-time curve for the tiled packet-traversal renderer,
-//! * a correctness bit: the frame rendered from an HLBVH tree is
-//!   byte-identical to the frame rendered from a median-split tree.
+//! * a build-time curve — the HLBVH at 10⁵/10⁶/10⁷ particles — with its
+//!   log-log scaling exponent. The exponent is fitted over the *counted
+//!   build operations* (machine-independent; linear-time builds sit at
+//!   1.0); wall times are reported alongside with their own
+//!   informational slope, which is allocator/page-fault bound at 10⁷ on
+//!   small CI boxes and therefore not a gate,
+//! * a frame-time curve for the tiled packet-traversal renderer.
 
 use crate::cli::Report;
-use eth_core::error::{CoreError, Result};
+use eth_core::error::Result;
 use eth_data::{PointCloud, Vec3};
 use eth_render::camera::Camera;
 use eth_render::color::{Colormap, TransferFunction};
@@ -27,8 +22,8 @@ use eth_render::Scratch;
 use serde::Serialize;
 use std::time::Instant;
 
-/// Schema tag checked by the CI smoke validator.
-pub const SCHEMA: &str = "eth-render-bench/v1";
+/// Schema tag; `check` rejects any other.
+pub const SCHEMA: &str = "eth-render-bench/v2";
 
 /// Particle radius used throughout (matches the HACC-like scatter scale).
 const RADIUS: f32 = 0.01;
@@ -41,12 +36,6 @@ pub struct BuildPoint {
     pub hlbvh_ms: f64,
     /// Counted build operations for the HLBVH build (machine-independent).
     pub hlbvh_ops: u64,
-    /// Median-split build wall time; `None` where the size was skipped
-    /// because the baseline would dominate the benchmark's runtime.
-    pub median_ms: Option<f64>,
-    pub median_ops: Option<u64>,
-    /// `median_ms / hlbvh_ms` where both ran.
-    pub speedup: Option<f64>,
 }
 
 /// One size on the frame-time curve (tiled packet renderer, HLBVH tree).
@@ -69,8 +58,6 @@ pub struct RenderBenchReport {
     /// True for the CI-sized run (timing gates are not enforced there).
     pub quick: bool,
     pub build_curve: Vec<BuildPoint>,
-    /// Build speedup HLBVH vs median at the largest size both ran.
-    pub build_speedup: f64,
     /// Least-squares slope of log(build ops) vs log(N) over the HLBVH
     /// curve. Counted operations are deterministic and machine-
     /// independent; exactly 1.0 for a linear-time build. The acceptance
@@ -82,9 +69,6 @@ pub struct RenderBenchReport {
     /// is reported but never gated.
     pub hlbvh_wall_exponent: f64,
     pub frame_curve: Vec<FramePoint>,
-    /// Frame from the HLBVH tree equals the frame from the median-split
-    /// tree bit-for-bit (depth and color buffers).
-    pub byte_identical: bool,
 }
 
 impl Report for RenderBenchReport {
@@ -93,39 +77,23 @@ impl Report for RenderBenchReport {
     fn summary(&self) -> String {
         let largest = self.build_curve.last().map(|p| p.particles).unwrap_or(0);
         format!(
-            "render: hlbvh build {:.2}x vs median (largest common size), \
-             ops-scaling exponent {:.3} (wall {:.3}) up to {largest} particles, \
-             byte-identical: {}",
-            self.build_speedup,
-            self.hlbvh_scaling_exponent,
-            self.hlbvh_wall_exponent,
-            self.byte_identical,
+            "render: hlbvh build ops-scaling exponent {:.3} (wall {:.3}) up to \
+             {largest} particles",
+            self.hlbvh_scaling_exponent, self.hlbvh_wall_exponent,
         )
     }
 
-    /// Check the perf/correctness contract. Timing gates (`speedup`,
-    /// scaling exponent) only apply to the full-size run — quick mode is
-    /// for schema and byte-identity under CI noise.
+    /// Check the contract. The scaling gate only applies to the full-size
+    /// run — quick mode checks the schema.
     fn check(&self) -> std::result::Result<(), String> {
         if self.schema != SCHEMA {
             return Err(format!("schema {:?} != {SCHEMA:?}", self.schema));
         }
-        if !self.byte_identical {
-            return Err("HLBVH frame diverged from the median-split frame".into());
-        }
-        if !self.quick {
-            if self.build_speedup < 3.0 {
-                return Err(format!(
-                    "HLBVH build speedup {:.2}x < 3x at the largest common size",
-                    self.build_speedup
-                ));
-            }
-            if self.hlbvh_scaling_exponent >= 1.15 {
-                return Err(format!(
-                    "HLBVH build ops-scaling exponent {:.3} >= 1.15 (not near-linear)",
-                    self.hlbvh_scaling_exponent
-                ));
-            }
+        if !self.quick && self.hlbvh_scaling_exponent >= 1.15 {
+            return Err(format!(
+                "HLBVH build ops-scaling exponent {:.3} >= 1.15 (not near-linear)",
+                self.hlbvh_scaling_exponent
+            ));
         }
         Ok(())
     }
@@ -193,42 +161,25 @@ fn loglog_slope(points: &[(usize, f64)]) -> f64 {
 /// whole thing finishes in CI seconds; the report notes it so timing
 /// gates are skipped.
 pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
-    // (sizes the HLBVH builds, sizes the median baseline also builds)
-    let (hlbvh_sizes, median_sizes, repeats): (Vec<usize>, Vec<usize>, usize) = if quick {
-        (vec![10_000, 40_000], vec![10_000, 40_000], 2)
+    let (sizes, repeats): (Vec<usize>, usize) = if quick {
+        (vec![10_000, 40_000], 2)
     } else {
-        (vec![100_000, 1_000_000, 10_000_000], vec![100_000, 1_000_000], 5)
+        (vec![100_000, 1_000_000, 10_000_000], 5)
     };
 
     // --- build-time curve -------------------------------------------------
     let mut build_curve = Vec::new();
-    for &n in &hlbvh_sizes {
+    for &n in &sizes {
         let centers = scatter(n, 42);
         let repeats = if n >= 10_000_000 { 1 } else { repeats };
         let (hlbvh_ms, bvh) =
             best_ms(repeats, || eth_render::ray::bvh::SphereBvh::build(&centers, RADIUS));
-        let (median_ms, median_ops) = if median_sizes.contains(&n) {
-            let (ms, mbvh) = best_ms(repeats, || {
-                eth_render::ray::bvh::SphereBvh::build_median(&centers, RADIUS)
-            });
-            (Some(ms), Some(mbvh.build_ops()))
-        } else {
-            (None, None)
-        };
         build_curve.push(BuildPoint {
             particles: n,
             hlbvh_ms,
             hlbvh_ops: bvh.build_ops(),
-            median_ms,
-            median_ops,
-            speedup: median_ms.map(|m| m / hlbvh_ms),
         });
     }
-    let build_speedup = build_curve
-        .iter()
-        .filter_map(|p| p.speedup)
-        .next_back()
-        .ok_or_else(|| CoreError::Config("no common build size measured".into()))?;
     let hlbvh_scaling_exponent = loglog_slope(
         &build_curve
             .iter()
@@ -268,26 +219,13 @@ pub fn run_render_bench(quick: bool) -> Result<RenderBenchReport> {
         });
     }
 
-    // --- byte identity: HLBVH frame vs median-split frame ----------------
-    let id_n = if quick { 20_000 } else { 200_000 };
-    let (iw, ih) = if quick { (96, 72) } else { (320, 240) };
-    let id_cloud = cloud(id_n, 7);
-    let cam = camera(iw, ih);
-    let hl = SphereRaycaster::build(&id_cloud, None, RADIUS, &mut Scratch::new());
-    let md = SphereRaycaster::build_median(&id_cloud, None, RADIUS);
-    let (fb_hl, _) = hl.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
-    let (fb_md, _) = md.render(&cam, &tf(), &lighting, Vec3::ZERO, &mut Scratch::new());
-    let byte_identical = fb_hl == fb_md;
-
     Ok(RenderBenchReport {
         schema: SCHEMA.to_string(),
         quick,
         build_curve,
-        build_speedup,
         hlbvh_scaling_exponent,
         hlbvh_wall_exponent,
         frame_curve,
-        byte_identical,
     })
 }
 
@@ -300,26 +238,24 @@ mod tests {
         let report = run_render_bench(true).unwrap();
         assert_eq!(report.schema, SCHEMA);
         assert!(report.quick);
-        assert!(report.byte_identical);
         assert_eq!(report.build_curve.len(), 2);
         assert!(report.check().is_ok());
         // JSON round-trips with the schema tag first-class
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("eth-render-bench/v1"));
+        assert!(json.contains("eth-render-bench/v2"));
     }
 
     #[test]
     fn check_rejects_broken_contracts() {
         let mut report = run_render_bench(true).unwrap();
-        report.byte_identical = false;
-        assert!(report.check().is_err());
-        report.byte_identical = true;
         report.schema = "bogus".into();
         assert!(report.check().is_err());
         report.schema = SCHEMA.into();
         report.quick = false;
-        report.build_speedup = 1.0;
+        report.hlbvh_scaling_exponent = 1.2;
         assert!(report.check().is_err());
+        report.hlbvh_scaling_exponent = 1.0;
+        assert!(report.check().is_ok());
     }
 
     #[test]

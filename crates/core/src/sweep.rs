@@ -487,19 +487,6 @@ impl Campaign {
         threads.clamp(1, self.capacity)
     }
 
-    /// [`Campaign::run_with`] over a fresh cache set.
-    pub fn run(&self, specs: &[ExperimentSpec]) -> CampaignOutcome {
-        self.run_with(specs, &RunCaches::new())
-    }
-
-    /// [`Campaign::execute`] with no journal and the default runner (pass
-    /// the same `caches` to several campaigns to share staging between
-    /// them).
-    pub fn run_with(&self, specs: &[ExperimentSpec], caches: &RunCaches) -> CampaignOutcome {
-        self.execute(specs, caches, None, None)
-            .expect("a campaign without a journal directory has no fallible setup")
-    }
-
     /// [`Campaign::execute`] with a crash-safe journal in `dir` and the
     /// default runner.
     pub fn run_journaled(
@@ -1261,7 +1248,7 @@ mod tests {
     #[test]
     fn campaign_table() {
         use Scenario::*;
-        let reference = Campaign::with_capacity(2).run(&table_points());
+        let reference = Campaign::with_capacity(2).execute(&table_points(), &RunCaches::new(), None, None).unwrap();
         assert_eq!(reference.failures(), 0);
         let images = |out: &CampaignOutcome, i: usize| out.results[i].as_ref().unwrap().images.clone();
         let mut cells = 0;
@@ -1498,7 +1485,7 @@ mod tests {
         let campaign = Campaign::with_capacity(2)
             .with_resources(ResourcePolicy::with_memory_budget(resident));
         let t = Instant::now();
-        let out = campaign.run_with(&[small_point()], &caches);
+        let out = campaign.execute(&[small_point()], &caches, None, None).unwrap();
         assert!(out.results[0].is_ok());
         // The gate held admission for the (bounded) stall cap, then let
         // the point through rather than deadlocking on a gauge that will
@@ -1512,7 +1499,7 @@ mod tests {
         // ...and a campaign whose caches hold nothing never stalls, no
         // matter what the rest of the process has staged.
         let t = Instant::now();
-        let out = campaign.run(&[small_point()]);
+        let out = campaign.execute(&[small_point()], &RunCaches::new(), None, None).unwrap();
         assert!(out.results[0].is_ok());
         assert!(t.elapsed() < BACKPRESSURE_STALL_CAP, "stalled on someone else's bytes");
     }

@@ -52,7 +52,9 @@ fn internode_seeded_kill_completes_without_campaign_retry() {
 
     let killed = kill_spec("in-kill", Coupling::Internode, ranks, steps, victim, kill_at);
     let caches = RunCaches::new();
-    let outcome = Campaign::new().run_with(std::slice::from_ref(&killed), &caches);
+    let outcome = Campaign::new()
+        .execute(std::slice::from_ref(&killed), &caches, None, None)
+        .unwrap();
 
     assert_eq!(outcome.attempts, vec![1], "recovery must happen in-run");
     assert!(outcome.quarantined.is_empty());
@@ -148,7 +150,7 @@ fn migration_interleaved_with_kill_is_deterministic_and_tagged() {
         for s in specs.iter_mut() {
             s.name = format!("{}-{tag}", s.name);
         }
-        Campaign::new().run_with(&specs, &RunCaches::new())
+        Campaign::new().execute(&specs, &RunCaches::new(), None, None).unwrap()
     };
 
     let a = run("a");

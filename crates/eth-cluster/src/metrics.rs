@@ -63,11 +63,6 @@ impl RunMetrics {
         }
     }
 
-    /// Speedup of this run relative to a baseline run.
-    pub fn speedup_over(&self, baseline: &RunMetrics) -> f64 {
-        baseline.exec_time_s / self.exec_time_s.max(1e-12)
-    }
-
     /// The paper's scalability metric: `t(N) / t(1)` (lower is better;
     /// perfect strong scaling gives `1/N`).
     pub fn scalability(&self, single_node: &RunMetrics) -> f64 {
@@ -116,10 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_scalability() {
+    fn scalability_is_time_over_single_node_time() {
         let one = run(1, 64.0, 1.0);
         let fast = run(8, 8.0, 1.0);
-        assert!((fast.speedup_over(&one) - 8.0).abs() < 1e-9);
         assert!((fast.scalability(&one) - 0.125).abs() < 1e-9);
     }
 

@@ -118,14 +118,6 @@ impl PhaseGraph {
         &self.phases
     }
 
-    /// Total busy node-seconds (work content, ignoring scheduling).
-    pub fn total_node_seconds(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(|p| p.duration_s * p.group.count as f64)
-            .sum()
-    }
-
     /// Critical-path length through the DAG (lower bound on makespan).
     pub fn critical_path_s(&self) -> f64 {
         let mut finish = vec![0.0f64; self.phases.len()];
@@ -177,7 +169,6 @@ mod tests {
             vec![viz],
         );
         assert_eq!(g.len(), 3);
-        assert_eq!(g.total_node_seconds(), (2.0 + 3.0 + 0.5) * 4.0);
         assert!((g.critical_path_s() - 5.5).abs() < 1e-12);
     }
 

@@ -75,16 +75,6 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// Index of the fullest bucket.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
     /// Shannon entropy of the normalized histogram, in bits. A rough proxy
     /// for information content; used to validate that synthetic fields are
     /// not trivially flat ("simulated data does not generally contain enough
@@ -138,7 +128,6 @@ mod tests {
         let h = Histogram::build(&[0.1, 0.2, 0.6, -5.0, 99.0], 0.0, 1.0, 2);
         assert_eq!(h.total(), 5);
         assert_eq!(h.counts, vec![3, 2]); // -5 clamps low, 99 clamps high
-        assert_eq!(h.mode_bin(), 0);
     }
 
     #[test]

@@ -83,21 +83,6 @@ impl Trace {
         map.into_values().collect()
     }
 
-    /// Latest span end / event timestamp in the trace (ns).
-    pub fn max_end_ns(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| match r {
-                Record::Span(s) => s.end_ns(),
-                Record::Instant { ts_ns, .. }
-                | Record::Count { ts_ns, .. }
-                | Record::Step { ts_ns, .. } => *ts_ns,
-                Record::Flow(f) => f.ts_ns,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Verify the per-thread nesting invariant: on any one thread, two
     /// spans are either disjoint or properly nested. RAII construction
     /// guarantees this; the checker is the test oracle that the buffering
@@ -412,6 +397,5 @@ mod tests {
         assert_eq!(totals[0].spans, 2);
         assert_eq!(totals[0].bytes, 300);
         assert!((totals[0].busy_s - 0.004).abs() < 1e-12);
-        assert_eq!(t.max_end_ns(), 5_000_000);
     }
 }

@@ -86,22 +86,6 @@ impl Image {
         Ok((acc / (self.pixels.len() * 3) as f64).sqrt())
     }
 
-    /// Mean absolute per-channel difference; a secondary quality metric.
-    pub fn mean_abs_diff(&self, reference: &Image) -> Result<f64> {
-        if self.width != reference.width || self.height != reference.height {
-            return Err(DataError::InvalidArgument("image sizes differ".into()));
-        }
-        if self.pixels.is_empty() {
-            return Ok(0.0);
-        }
-        let mut acc = 0.0f64;
-        for (a, b) in self.pixels.iter().zip(&reference.pixels) {
-            let d = *a - *b;
-            acc += d.x.abs() as f64 + d.y.abs() as f64 + d.z.abs() as f64;
-        }
-        Ok(acc / (self.pixels.len() * 3) as f64)
-    }
-
     /// Fraction of pixels that differ from the reference by more than `tol`
     /// in any channel.
     pub fn fraction_changed(&self, reference: &Image, tol: f32) -> Result<f64> {
@@ -488,7 +472,6 @@ mod tests {
         let b = Image::filled(2, 2, Vec3::splat(0.5));
         // every channel differs by 0.5 -> rmse = 0.5
         assert!((a.rmse(&b).unwrap() - 0.5).abs() < 1e-9);
-        assert!((a.mean_abs_diff(&b).unwrap() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -5,23 +5,18 @@
 //! traversed to determine whether the viewing rays strike a sphere with a
 //! cost that is sub-linear in the number of particles." (Section IV-C)
 //!
-//! Two builders share one node layout and one traversal:
-//!
-//! * [`SphereBvh::build`] — the default **HLBVH** (hierarchical linear
-//!   BVH, PBR-book recipe), in six passes: centroid bounds on lane
-//!   accumulators; 30-bit Morton codes with each chunk's histogram of the
-//!   9-bit treelet prefix, in one pass; one stable scatter of `(code,
-//!   index)` keys by that prefix; then per treelet, while its run is in
-//!   cache, an LSD sort of the 21 bits below the prefix, the gather of
-//!   centres into Morton order, and its root box and node count; a
-//!   sweep-SAH upper tree over the treelet roots, laid out first; and each
-//!   treelet emitted from Morton-bit splits straight into its final node
-//!   slots (parallel across treelets). Build cost is linear in N up to the
-//!   (tiny) upper tree, which is why million-particle frames rebuild in
-//!   milliseconds.
-//! * [`SphereBvh::build_median`] — the previous top-down median split
-//!   (O(N log N)), kept as the reference baseline for benchmarks and
-//!   byte-identity tests.
+//! The builder, [`SphereBvh::build`], is an **HLBVH** (hierarchical
+//! linear BVH, PBR-book recipe), in six passes: centroid bounds on lane
+//! accumulators; 30-bit Morton codes with each chunk's histogram of the
+//! 9-bit treelet prefix, in one pass; one stable scatter of `(code,
+//! index)` keys by that prefix; then per treelet, while its run is in
+//! cache, an LSD sort of the 21 bits below the prefix, the gather of
+//! centres into Morton order, and its root box and node count; a
+//! sweep-SAH upper tree over the treelet roots, laid out first; and each
+//! treelet emitted from Morton-bit splits straight into its final node
+//! slots (parallel across treelets). Build cost is linear in N up to the
+//! (tiny) upper tree, which is why million-particle frames rebuild in
+//! milliseconds.
 //!
 //! Traversal is an iterative stack walk with near-child-first ordering and
 //! t-max pruning, either one ray at a time ([`SphereBvh::intersect`]) or
@@ -66,8 +61,7 @@ pub struct SphereBvh {
     /// Map from reordered slot to original primitive index (for attributes).
     prim_index: Vec<u32>,
     radius: f32,
-    /// Primitive-visit operations performed during the build
-    /// (≈ N log N for the median build, ≈ c·N for the HLBVH).
+    /// Primitive-visit operations performed during the build (≈ c·N).
     build_ops: u64,
 }
 
@@ -101,118 +95,6 @@ pub struct SphereHit {
 }
 
 const LEAF_SIZE: usize = 8;
-
-/// Subtrees below this many primitives build on one thread: at the top of
-/// a large tree both children clear the bar and fork, toward the leaves
-/// the recursion goes serial and avoids per-node join overhead.
-const PAR_BUILD_MIN: usize = 8192;
-
-// ---------------------------------------------------------------------------
-// Median-split build (the O(N log N) baseline).
-// ---------------------------------------------------------------------------
-
-/// Nodes a median-split subtree over `count` primitives flattens to. A pure
-/// function of the count (the split point is always `count / 2`), which is
-/// what lets parallel builders write absolute child offsets into disjoint
-/// slices.
-fn subtree_node_count(count: usize) -> usize {
-    if count <= LEAF_SIZE {
-        1
-    } else {
-        let left = count / 2;
-        1 + subtree_node_count(left) + subtree_node_count(count - left)
-    }
-}
-
-/// Build the subtree over `centers`/`prims` into `nodes` (exactly
-/// `subtree_node_count(centers.len())` entries, root at `nodes[0]` whose
-/// absolute index is `node_base`). `prim_base` is the absolute offset of
-/// this range in the reordered primitive arrays. Returns the
-/// primitive-visit op count. Children whose primitive count reaches
-/// `par_min` build on parallel threads.
-fn build_subtree(
-    nodes: &mut [Node],
-    node_base: usize,
-    centers: &mut [Vec3],
-    prims: &mut [u32],
-    prim_base: usize,
-    radius: f32,
-    par_min: usize,
-) -> u64 {
-    let count = centers.len();
-    let mut bounds = Aabb::empty();
-    for &c in centers.iter() {
-        bounds.expand_point(c);
-    }
-    let bounds = bounds.padded(radius);
-    let mut ops = count as u64;
-
-    if count <= LEAF_SIZE {
-        nodes[0] = Node {
-            bounds,
-            payload: prim_base as u32,
-            count: count as u16,
-            axis: 0,
-        };
-        return ops;
-    }
-    let axis = bounds.longest_axis();
-    let mid = count / 2;
-    // Median split: O(n) selection per level -> O(N log N) total.
-    {
-        // co-sort centers and prim indices around the median
-        let mut order: Vec<usize> = (0..count).collect();
-        order.select_nth_unstable_by(mid, |&a, &b| {
-            centers[a][axis]
-                .partial_cmp(&centers[b][axis])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let reordered_c: Vec<Vec3> = order.iter().map(|&i| centers[i]).collect();
-        let reordered_p: Vec<u32> = order.iter().map(|&i| prims[i]).collect();
-        centers.copy_from_slice(&reordered_c);
-        prims.copy_from_slice(&reordered_p);
-    }
-    let left_nodes = subtree_node_count(mid);
-    nodes[0] = Node {
-        bounds,
-        payload: (node_base + 1 + left_nodes) as u32,
-        count: 0,
-        axis: axis as u8,
-    };
-    let (_, children) = nodes.split_at_mut(1);
-    let (left_n, right_n) = children.split_at_mut(left_nodes);
-    let (left_c, right_c) = centers.split_at_mut(mid);
-    let (left_p, right_p) = prims.split_at_mut(mid);
-    if count >= par_min {
-        let (left_ops, right_ops) = rayon::join(
-            || build_subtree(left_n, node_base + 1, left_c, left_p, prim_base, radius, par_min),
-            || {
-                build_subtree(
-                    right_n,
-                    node_base + 1 + left_nodes,
-                    right_c,
-                    right_p,
-                    prim_base + mid,
-                    radius,
-                    par_min,
-                )
-            },
-        );
-        ops + left_ops + right_ops
-    } else {
-        ops += build_subtree(left_n, node_base + 1, left_c, left_p, prim_base, radius, par_min);
-        ops += build_subtree(
-            right_n,
-            node_base + 1 + left_nodes,
-            right_c,
-            right_p,
-            prim_base + mid,
-            radius,
-            par_min,
-        );
-        ops
-    }
-}
 
 // ---------------------------------------------------------------------------
 // HLBVH build: Morton keys, one prefix scatter, treelets sorted and emitted
@@ -792,11 +674,13 @@ impl SphereBvh {
     /// build's arrays are `scratch`'s, and so are the tree's until
     /// [`Scratch::recycle_tree`] takes them back.
     ///
-    /// The default build is the HLBVH: linear time, rayon-parallel, and
+    /// The build is the HLBVH: linear time, rayon-parallel, and
     /// deterministic for any thread count (the Morton order is a stable
     /// sort, treelets build independently, and the upper SAH sweep is
-    /// ordered). Traversal semantics are identical to the median-split
-    /// baseline — for any ray, the nearest hit is the same sphere.
+    /// ordered). With finite centres the nearest hit does not depend on
+    /// the tree's shape: traversal returns the `t` that
+    /// [`SphereBvh::intersect_brute_force`] returns, to the bit, and the
+    /// same sphere barring an exact tie in `t`.
     ///
     /// Six passes, each closed by a flight-recorder instant named after
     /// it (`bvh_bounds`, `bvh_keys`, `bvh_scatter`, `bvh_treelets`,
@@ -1013,44 +897,6 @@ impl SphereBvh {
         bvh
     }
 
-    /// The previous top-down median-split build (O(N log N)): the
-    /// reference baseline the HLBVH is benchmarked and byte-identity
-    /// tested against.
-    pub fn build_median(centers: &[Vec3], radius: f32) -> SphereBvh {
-        SphereBvh::build_median_impl(centers, radius, PAR_BUILD_MIN)
-    }
-
-    /// [`SphereBvh::build_median`] with the parallel-recursion threshold
-    /// exposed so tests can pin the build fully serial (`usize::MAX`) or
-    /// maximally parallel (`1`) and compare the results.
-    fn build_median_impl(centers: &[Vec3], radius: f32, par_min: usize) -> SphereBvh {
-        assert!(radius > 0.0, "sphere radius must be positive");
-        let n = centers.len();
-        if n == 0 {
-            return SphereBvh::empty(radius);
-        }
-        let mut centers = centers.to_vec();
-        let mut prim_index: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = vec![
-            Node {
-                bounds: Aabb::empty(),
-                payload: 0,
-                count: 0,
-                axis: 0,
-            };
-            subtree_node_count(n)
-        ];
-        let build_ops =
-            build_subtree(&mut nodes, 0, &mut centers, &mut prim_index, 0, radius, par_min);
-        SphereBvh {
-            nodes,
-            centers,
-            prim_index,
-            radius,
-            build_ops,
-        }
-    }
-
     /// Hand the tree's arrays back to the build that made them.
     pub(crate) fn park(self, scratch: &mut BvhScratch) {
         (scratch.nodes, scratch.centers, scratch.prim_index) =
@@ -1084,9 +930,8 @@ impl SphereBvh {
         self.radius
     }
 
-    /// Primitive-visit operations performed by the build (≈ N log N for
-    /// the median build, ≈ c·N for the HLBVH); calibrates the
-    /// cluster-scale cost model.
+    /// Primitive-visit operations performed by the build (≈ c·N);
+    /// calibrates the cluster-scale cost model.
     pub fn build_ops(&self) -> u64 {
         self.build_ops
     }
@@ -1655,14 +1500,35 @@ mod tests {
         out
     }
 
+    /// A tree that is one leaf over `centers`, in their order: the build
+    /// splits even a handful of spheres when their Morton codes differ.
+    fn one_leaf(centers: &[Vec3], radius: f32) -> SphereBvh {
+        assert!(centers.len() <= LEAF_SIZE);
+        let mut bounds = Aabb::empty();
+        for &c in centers {
+            bounds.expand_point(c);
+        }
+        SphereBvh {
+            nodes: vec![Node {
+                bounds: bounds.padded(radius),
+                payload: 0,
+                count: centers.len() as u16,
+                axis: 0,
+            }],
+            centers: centers.to_vec(),
+            prim_index: (0..centers.len() as u32).collect(),
+            radius,
+            build_ops: centers.len() as u64,
+        }
+    }
+
     #[test]
     fn empty_bvh_hits_nothing() {
-        for bvh in [SphereBvh::build(&[], 0.1), SphereBvh::build_median(&[], 0.1)] {
-            let mut steps = 0;
-            assert!(bvh
-                .intersect(&ray(Vec3::new(0.0, -5.0, 0.0), Vec3::ZERO), f32::MAX, &mut steps)
-                .is_none());
-        }
+        let bvh = SphereBvh::build(&[], 0.1);
+        let mut steps = 0;
+        assert!(bvh
+            .intersect(&ray(Vec3::new(0.0, -5.0, 0.0), Vec3::ZERO), f32::MAX, &mut steps)
+            .is_none());
     }
 
     #[test]
@@ -1695,51 +1561,27 @@ mod tests {
 
     #[test]
     fn hlbvh_agrees_with_brute_force() {
-        let centers = scatter(500);
-        let bvh = SphereBvh::build(&centers, 0.05);
-        let mut disagreements = 0;
-        for i in 0..200 {
-            let theta = i as f32 * 0.1;
-            let origin = Vec3::new(theta.cos() * 6.0, theta.sin() * 6.0, (i % 10) as f32 * 0.3 - 1.5);
-            let r = ray(origin, Vec3::ZERO);
-            let mut steps = 0;
-            let a = bvh.intersect(&r, f32::MAX, &mut steps);
-            let b = bvh.intersect_brute_force(&r, f32::MAX);
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    if (x.t - y.t).abs() > 1e-3 {
-                        disagreements += 1;
-                    }
-                }
-                _ => disagreements += 1,
-            }
-        }
-        assert_eq!(disagreements, 0);
-    }
-
-    #[test]
-    fn hlbvh_and_median_find_the_same_hits() {
+        // Closest hit is independent of tree shape: same t to the bit,
+        // same sphere.
         let centers = scatter(2_000);
-        let hlbvh = SphereBvh::build(&centers, 0.05);
-        let median = SphereBvh::build_median(&centers, 0.05);
+        let bvh = SphereBvh::build(&centers, 0.05);
+        let mut hits = 0;
         for i in 0..300 {
             let theta = i as f32 * 0.07;
             let origin =
                 Vec3::new(theta.cos() * 6.0, theta.sin() * 6.0, (i % 7) as f32 * 0.4 - 1.4);
             let r = ray(origin, Vec3::ZERO);
-            let (mut s1, mut s2) = (0, 0);
-            let a = hlbvh.intersect(&r, f32::MAX, &mut s1);
-            let b = median.intersect(&r, f32::MAX, &mut s2);
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.t.to_bits(), y.t.to_bits(), "ray {i}");
-                    assert_eq!(x.prim, y.prim, "ray {i}");
-                }
-                (a, b) => panic!("ray {i}: {a:?} vs {b:?}"),
-            }
+            let mut steps = 0;
+            let a = bvh.intersect(&r, f32::MAX, &mut steps);
+            let b = bvh.intersect_brute_force(&r, f32::MAX);
+            hits += a.is_some() as usize;
+            assert_eq!(
+                a.map(|h| (h.t.to_bits(), h.prim)),
+                b.map(|h| (h.t.to_bits(), h.prim)),
+                "ray {i}"
+            );
         }
+        assert!(hits > 0, "no ray hit the scatter");
     }
 
     #[test]
@@ -1814,9 +1656,7 @@ mod tests {
             centers.extend((0..3).filter(|h| subset >> h & 1 == 1).map(|h| hostile[h]));
             for _ in 0..centers.len() {
                 centers.rotate_left(1);
-                let leaf = SphereBvh::build_median(&centers, 0.5);
-                assert_eq!(leaf.nodes.len(), 1);
-                check(&leaf, &rays);
+                check(&one_leaf(&centers, 0.5), &rays);
             }
         }
     }
@@ -1842,15 +1682,6 @@ mod tests {
         let mut steps = 0;
         assert!(bvh.intersect(&r, 2.0, &mut steps).is_none());
         assert!(bvh.intersect(&r, 100.0, &mut steps).is_some());
-    }
-
-    #[test]
-    fn median_build_ops_grow_superlinearly_but_modestly() {
-        let a = SphereBvh::build_median(&scatter(1_000), 0.05);
-        let b = SphereBvh::build_median(&scatter(8_000), 0.05);
-        let ratio = b.build_ops() as f64 / a.build_ops() as f64;
-        // N log N: 8x data -> between 8x and ~11x ops
-        assert!(ratio > 7.5 && ratio < 13.0, "build ops ratio {ratio}");
     }
 
     #[test]
@@ -1891,24 +1722,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_median_build_is_byte_identical_to_serial() {
-        // Serial (threshold never reached) vs maximally parallel (every
-        // interior node forks): the flattened tree, the reordered
-        // primitive arrays, and the op count must all match exactly.
-        let centers = scatter(20_000);
-        let serial = SphereBvh::build_median_impl(&centers, 0.05, usize::MAX);
-        let parallel = SphereBvh::build_median_impl(&centers, 0.05, 1);
-        assert_eq!(serial.nodes, parallel.nodes);
-        assert_eq!(serial.centers, parallel.centers);
-        assert_eq!(serial.prim_index, parallel.prim_index);
-        assert_eq!(serial.build_ops, parallel.build_ops);
-        // and the public entry point agrees with itself
-        let public = SphereBvh::build_median(&centers, 0.05);
-        assert_eq!(public.nodes, serial.nodes);
-        assert_eq!(public.prim_index, serial.prim_index);
-    }
-
-    #[test]
     fn hlbvh_build_is_deterministic_across_thread_counts() {
         let centers = scatter(30_000);
         let wide = SphereBvh::build(&centers, 0.05);
@@ -1921,16 +1734,6 @@ mod tests {
         assert_eq!(wide.centers, narrow.centers);
         assert_eq!(wide.prim_index, narrow.prim_index);
         assert_eq!(wide.build_ops, narrow.build_ops);
-    }
-
-    #[test]
-    fn median_node_layout_is_exact_preorder() {
-        // The node array is sized by subtree_node_count up front; nothing
-        // is pushed, so the count must match the prediction exactly.
-        for n in [1usize, 8, 9, 100, 1000] {
-            let bvh = SphereBvh::build_median(&scatter(n), 0.05);
-            assert_eq!(bvh.num_nodes(), subtree_node_count(n), "n={n}");
-        }
     }
 
     #[test]
@@ -2224,14 +2027,9 @@ mod tests {
     fn coincident_centers_do_not_break_build() {
         // All Morton codes equal: the treelet emitter must fall back to
         // median splits once the code bits are exhausted.
-        let centers = vec![Vec3::ONE; 100];
-        for bvh in [
-            SphereBvh::build(&centers, 0.1),
-            SphereBvh::build_median(&centers, 0.1),
-        ] {
-            let r = ray(Vec3::new(1.0, -5.0, 1.0), Vec3::ONE);
-            let mut steps = 0;
-            assert!(bvh.intersect(&r, f32::MAX, &mut steps).is_some());
-        }
+        let bvh = SphereBvh::build(&vec![Vec3::ONE; 100], 0.1);
+        let r = ray(Vec3::new(1.0, -5.0, 1.0), Vec3::ONE);
+        let mut steps = 0;
+        assert!(bvh.intersect(&r, f32::MAX, &mut steps).is_some());
     }
 }

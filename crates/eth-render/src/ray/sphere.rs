@@ -82,20 +82,6 @@ impl<'a> SphereRaycaster<'a> {
         self.bvh
     }
 
-    /// Like [`SphereRaycaster::build`] but with the median-split baseline
-    /// builder (benchmarks and byte-identity tests).
-    pub fn build_median(
-        cloud: &'a PointCloud,
-        scalar: Option<&str>,
-        radius: f32,
-    ) -> SphereRaycaster<'a> {
-        let scalars = scalar.and_then(|name| cloud.scalar(name).ok());
-        SphereRaycaster {
-            bvh: SphereBvh::build_median(cloud.positions(), radius),
-            scalars,
-        }
-    }
-
     pub fn build_ops(&self) -> u64 {
         self.bvh.build_ops()
     }
@@ -332,24 +318,21 @@ mod tests {
     }
 
     #[test]
-    fn hlbvh_frame_matches_median_frame_exactly() {
+    fn every_pixel_holds_the_brute_force_hit_of_its_primary_ray() {
         let cloud = scene(3000);
-        let hlbvh = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
-        let median = SphereRaycaster::build_median(&cloud, None, 0.03);
-        let (a, _) = hlbvh.render(
-            &cam(96),
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            &mut Scratch::new(),
-        );
-        let (b, _) = median.render(
-            &cam(96),
-            &tf(),
-            &Lighting::default(),
-            Vec3::ZERO,
-            &mut Scratch::new(),
-        );
-        assert_eq!(a, b, "HLBVH and median-split frames must be byte-identical");
+        let (camera, lighting, background) = (cam(96), Lighting::default(), Vec3::ZERO);
+        let rc = SphereRaycaster::build(&cloud, None, 0.03, &mut Scratch::new());
+        let (fb, stats) = rc.render(&camera, &tf(), &lighting, background, &mut Scratch::new());
+        assert!(stats.hits > 0, "the scene must be visible");
+        let bits = |v: Vec3| [v.x, v.y, v.z].map(f32::to_bits);
+        for py in 0..camera.height {
+            for px in 0..camera.width {
+                let ray = camera.primary_ray(px, py);
+                let hit = rc.bvh.intersect_brute_force(&ray, f32::MAX);
+                let (depth, color) = rc.shade(hit, ray.dir, &tf(), &lighting, background);
+                assert_eq!(fb.depth_at(px, py).to_bits(), depth.to_bits(), "({px}, {py})");
+                assert_eq!(bits(fb.color_at(px, py)), bits(color), "({px}, {py})");
+            }
+        }
     }
 }

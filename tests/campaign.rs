@@ -48,7 +48,7 @@ fn campaign_matches_sequential_execution_exactly() {
         .specs()
         .unwrap();
     let sequential: Vec<_> = specs.iter().map(|s| run_native(s).unwrap()).collect();
-    let out = Campaign::with_capacity(3).run(&specs);
+    let out = Campaign::with_capacity(3).execute(&specs, &RunCaches::new(), None, None).unwrap();
     assert_eq!(out.failures(), 0);
     assert_eq!(out.results.len(), sequential.len());
     for (i, (seq, par)) in sequential.iter().zip(out.outcomes()).enumerate() {
@@ -63,8 +63,8 @@ fn campaign_runs_are_repeatable() {
         .sampling_ratios(&[1.0, 0.25])
         .specs()
         .unwrap();
-    let a = Campaign::with_capacity(2).run(&specs);
-    let b = Campaign::with_capacity(8).run(&specs);
+    let a = Campaign::with_capacity(2).execute(&specs, &RunCaches::new(), None, None).unwrap();
+    let b = Campaign::with_capacity(8).execute(&specs, &RunCaches::new(), None, None).unwrap();
     assert_eq!(a.failures() + b.failures(), 0);
     for (x, y) in a.outcomes().zip(b.outcomes()) {
         assert_eq!(x.images, y.images, "capacity changed the output");
@@ -82,7 +82,7 @@ fn staging_hit_rate_meets_campaign_floor() {
         .unwrap();
     let n = specs.len();
     assert_eq!(n, 12);
-    let out = Campaign::new().run(&specs);
+    let out = Campaign::new().execute(&specs, &RunCaches::new(), None, None).unwrap();
     assert_eq!(out.failures(), 0);
     assert_eq!(out.cache.staging_misses, 1);
     assert_eq!(out.cache.staging_hits, (n - 1) as u64);
@@ -97,7 +97,7 @@ fn campaign_admits_mixed_couplings() {
     intercore.coupling = Coupling::Intercore;
     let tight = base("mixed");
     let specs = vec![intercore.clone(), tight.clone()];
-    let out = Campaign::with_capacity(2).run(&specs);
+    let out = Campaign::with_capacity(2).execute(&specs, &RunCaches::new(), None, None).unwrap();
     assert_eq!(out.failures(), 0);
     let solo_a = run_native(&intercore).unwrap();
     let solo_b = run_native(&tight).unwrap();
