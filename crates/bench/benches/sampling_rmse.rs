@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eth_core::config::orbit_camera;
-use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
+use eth_data::sampling::{sample_points, SamplingSpec};
 use eth_data::Fields;
 use eth_render::color::{Colormap, TransferFunction};
 use eth_render::raster::splat::render_splats;
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("ratio_{ratio:.2}")),
             &ratio,
             |b, &ratio| {
-                let spec = SamplingSpec::new(ratio, SamplingMethod::Random, 42).unwrap();
+                let spec = SamplingSpec::new(ratio, 42).unwrap();
                 b.iter(|| {
                     let sampled = sample_points(&cloud, &spec, Fields::Only(Some("density"))).unwrap();
                     render_splats(

@@ -20,8 +20,9 @@ use eth_core::harness::RunCaches;
 use eth_core::results::ResultTable;
 use eth_core::{run_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
 use eth_core::{RecoveryPolicy, RetryOn, RetryPolicy};
-use eth_transport::fault::SplitMix64;
 use eth_transport::{BackoffShape, FaultPlan, TransportError};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::time::Duration;
 
 /// The demo's point grid: three algorithms × two sampling ratios.
@@ -40,7 +41,7 @@ pub const MAX_ATTEMPTS: u32 = 3;
 /// (0..=3). A point with 3 planned failures outlasts the retry budget and
 /// must end up quarantined.
 fn planned_failures(seed: u64, index: usize) -> u32 {
-    let mut rng = SplitMix64::new(
+    let mut rng = StdRng::seed_from_u64(
         seed.wrapping_add(0xA076_1D64_78BD_642F)
             .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     );
@@ -149,7 +150,7 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
     let steps = 3usize;
     let mut out = Vec::new();
     for (i, alg) in ALGORITHMS.into_iter().enumerate() {
-        let mut rng = SplitMix64::new(
+        let mut rng = StdRng::seed_from_u64(
             seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
         let victim = (rng.next_u64() % ranks as u64) as usize;

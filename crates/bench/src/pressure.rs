@@ -25,8 +25,9 @@ use eth_core::config::{Application, Coupling, ExperimentSpec, ResourcePolicy};
 use eth_core::harness::RunCaches;
 use eth_core::{run_native, Algorithm, Campaign, CoreError, Result, RetryPolicy};
 use eth_sim::timeseries::{StagingAccountant, TimeSeries};
-use eth_transport::fault::SplitMix64;
 use eth_transport::{BackoffShape, FaultPlan};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -235,7 +236,7 @@ enum PlannedFault {
 }
 
 fn planned_fault(seed: u64, index: usize) -> PlannedFault {
-    let mut rng = SplitMix64::new(
+    let mut rng = StdRng::seed_from_u64(
         seed.wrapping_add(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((index as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
     );

@@ -3,7 +3,7 @@
 use crate::error::{CoreError, Result};
 use eth_cluster::costmodel::AlgorithmClass;
 use eth_cluster::coupling::CouplingStrategy;
-use eth_data::sampling::{SamplingMethod, SamplingSpec};
+use eth_data::sampling::SamplingSpec;
 use eth_data::{DataObject, Vec3};
 use eth_render::geometry::slice::Plane;
 use eth_render::pipeline::RenderAlgorithm;
@@ -15,26 +15,10 @@ use std::path::PathBuf;
 /// In-run rank fault tolerance (DESIGN.md §12). A simulation rank the
 /// fault plan kills declares its own death, with the last step it sent;
 /// its partition is adopted by a deterministic survivor, whose own proxy
-/// presents it from the series at the step the survivor is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryPolicy {
-    /// Adopt dead ranks' partitions (true, the default) or merely keep
-    /// compositing the survivors, leaving the dead partitions dark.
-    #[serde(default = "default_adopt")]
-    pub adopt: bool,
-}
-
-fn default_adopt() -> bool {
-    true
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            adopt: default_adopt(),
-        }
-    }
-}
+/// presents it from the series at the step the survivor is on. The policy
+/// has no settings: its presence turns recovery on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RecoveryPolicy {}
 
 /// Resource governance (DESIGN.md §17): how much memory staging may hold
 /// resident and how much disk the journal may consume; the backpressure
@@ -415,8 +399,7 @@ impl ExperimentSpec {
 
     /// Resolved sampling configuration.
     pub fn sampling(&self) -> Result<SamplingSpec> {
-        SamplingSpec::new(self.sampling_ratio, SamplingMethod::Random, self.seed)
-            .map_err(CoreError::from)
+        SamplingSpec::new(self.sampling_ratio, self.seed).map_err(CoreError::from)
     }
 
     /// Viz-side rank count at step 0: intercore pairs one viz rank per sim
@@ -913,11 +896,12 @@ mod tests {
             ),
             (&budgeted, "\"spill_dir\":null", ",\"low_watermark\":0.4"),
             (&budgeted, "\"spill_dir\":null", ",\"high_watermark\":0.8"),
-            (&migrating, "\"adopt\":true", ",\"max_rank_losses\":1"),
+            (&migrating, "\"recovery\":{", "\"max_rank_losses\":1"),
+            (&migrating, "\"recovery\":{", "\"adopt\":true"),
             (
                 &migrating,
                 "\"recovery\":{",
-                "\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4},",
+                "\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4}",
             ),
         ] {
             let plain = serde_json::to_string(spec).unwrap();
@@ -1013,12 +997,12 @@ mod tests {
     #[test]
     fn recovery_policy_defaults_and_serde() {
         let policy = RecoveryPolicy::default();
-        assert!(policy.adopt);
-        // empty JSON object fills every default
+        assert_eq!(serde_json::to_string(&policy).unwrap(), "{}");
         let parsed: RecoveryPolicy = serde_json::from_str("{}").unwrap();
         assert_eq!(parsed, policy);
-        let dark: RecoveryPolicy = serde_json::from_str(r#"{"adopt":false}"#).unwrap();
-        assert_eq!(dark, RecoveryPolicy { adopt: false });
+        // the retired `adopt` key loads as unknown, whatever its value
+        let old: RecoveryPolicy = serde_json::from_str(r#"{"adopt":false}"#).unwrap();
+        assert_eq!(old, policy);
     }
 
     #[test]

@@ -129,8 +129,7 @@ pub struct NativeOutcome {
     /// Faults absorbed (all-zero unless the spec carries a fault plan).
     pub degradation: Degradation,
     /// Per-loss recovery latency: seconds from a dead rank's declaration
-    /// to its partition's adoption (empty for clean runs, runs that do not
-    /// adopt, and runs without a
+    /// to its partition's adoption (empty for clean runs and runs without a
     /// [`RecoveryPolicy`](crate::config::RecoveryPolicy)).
     /// Feeds the campaign telemetry's `recovery_latency_s` histogram.
     pub recovery_latency_s: Vec<f64>,

@@ -3,7 +3,7 @@
 use super::deaths::Deaths;
 use super::outcome::{Degradation, RankOutput};
 use super::staging::{pipeline_for_step, StagedData};
-use crate::config::{ExperimentSpec, Handoff, RecoveryPolicy};
+use crate::config::{ExperimentSpec, Handoff};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{accumulate, VizPipeline};
 use crate::sweep::lock_recover;
@@ -99,7 +99,6 @@ pub(super) struct StepPolicy {
 
 /// The recovery part of a [`StepPolicy`].
 pub(super) struct Liveness {
-    pub(super) recovery: RecoveryPolicy,
     /// How long a drainer waits for a block its simulation rank is not dead
     /// at before counting it lost: the plan's receive deadline, or, when
     /// the plan sets none (nothing can lose a block but a death), the run
@@ -113,10 +112,9 @@ pub(super) struct Liveness {
 impl StepPolicy {
     fn new(spec: &ExperimentSpec) -> StepPolicy {
         let plan = spec.fault_plan.clone().unwrap_or_default();
-        let liveness = spec.recovery.map(|recovery| {
+        let liveness = spec.recovery.map(|_| {
             let run_deadline = plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE);
             Liveness {
-                recovery,
                 recv_budget: plan.deadline().unwrap_or(run_deadline),
                 run_deadline,
             }
@@ -401,10 +399,6 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
     let r = spec.ranks;
     let me = comm.rank() - fabric.base;
     let is_root = me == 0;
-    let adopt = policy
-        .liveness
-        .as_ref()
-        .is_some_and(|live| live.recovery.adopt);
     let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
     // simulation ranks whose death this rank has accounted (exactly once,
     // by the drainer — the partition may live elsewhere by then)
@@ -436,24 +430,22 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 let _span = eth_obs::span(eth_obs::Phase::Recovery);
                 deg.rank_losses += 1;
                 eth_obs::count("rank_losses", 1.0);
-                if adopt {
-                    deg.adopted_partitions += 1;
-                    eth_obs::count("adopted_partitions", 1.0);
-                    let declared = cx.deaths.deaths().find(|death| death.rank == sim);
-                    let notice = AdoptNotice {
-                        dead_rank: sim,
-                        adopted_at_step: step,
-                        adopter: r + owners[sim],
-                        latency_ns: declared
-                            .map_or(0, |death| death.declared.elapsed().as_nanos() as u64),
-                    };
-                    if is_root {
-                        // the root drained the dead rank itself; no wire
-                        // round-trip
-                        own_notices.push(notice);
-                    } else {
-                        send_adopt_notice(comm, fabric.base, &notice)?;
-                    }
+                deg.adopted_partitions += 1;
+                eth_obs::count("adopted_partitions", 1.0);
+                let declared = cx.deaths.deaths().find(|death| death.rank == sim);
+                let notice = AdoptNotice {
+                    dead_rank: sim,
+                    adopted_at_step: step,
+                    adopter: r + owners[sim],
+                    latency_ns: declared
+                        .map_or(0, |death| death.declared.elapsed().as_nanos() as u64),
+                };
+                if is_root {
+                    // the root drained the dead rank itself; no wire
+                    // round-trip
+                    own_notices.push(notice);
+                } else {
+                    send_adopt_notice(comm, fabric.base, &notice)?;
                 }
             }
             out.phases.transfer_s += t.elapsed().as_secs_f64();
@@ -478,9 +470,8 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             let drains = wires.iter().any(|(sim, _)| *sim == p);
             let block = match wire_blocks[p].take() {
                 Some(block) => block,
-                // own wire, but the message was lost or its rank is dead
-                // and nobody adopts: a hole (intake settled which)
-                None if drains && !(adopt && cx.deaths.dead_at(p, step)) => continue,
+                // own wire, but the message was lost: a hole
+                None if drains && !cx.deaths.dead_at(p, step) => continue,
                 // adopted or migrated-in: this rank's proxy presents the
                 // partition as the series' own handle, every field; the
                 // pipeline reads of it what the wire block carries, so the
@@ -550,7 +541,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
     // declaration-to-adoption latency. Every death is declared by now: the
     // kill step is one the run reaches, and the last gather waited on the
     // drainer, whose intake waited on the declaration.
-    if let Some(live) = policy.liveness.as_ref().filter(|_| is_root && adopt) {
+    if let Some(live) = policy.liveness.as_ref().filter(|_| is_root) {
         for death in cx.deaths.deaths() {
             let notice = match own_notices.iter().find(|n| n.dead_rank == death.rank) {
                 Some(notice) => *notice,

@@ -601,22 +601,6 @@ fn internode_kill_is_adopted_and_prekill_images_are_identical() {
 }
 
 #[test]
-fn kill_without_adoption_completes_dark() {
-    let mut spec = kill_spec("no-adopt", Coupling::Intercore, 0, 1);
-    spec.recovery = Some(RecoveryPolicy { adopt: false });
-    let out = run_native(&spec).unwrap();
-    assert_eq!(out.degradation.rank_losses, 1);
-    assert_eq!(out.degradation.adopted_partitions, 0);
-    assert!(
-        out.degradation.missing_contributions > 0,
-        "the dead partition's frames must be counted as holes: {:?}",
-        out.degradation
-    );
-    // still a full-length image sequence; the hole is composited around
-    assert_eq!(out.images.len(), 4 * out.spec.images_per_step);
-}
-
-#[test]
 fn recovery_policy_without_faults_changes_nothing() {
     use crate::config::{MigrationPattern, MigrationPlan};
     let reference = run_native(&base_spec("rec-noop")).unwrap();

@@ -5,12 +5,8 @@
 //! distribution. We vary the sampling ratio and study how the metrics
 //! included in this study change." (Section IV-B)
 //!
-//! Two distributions are provided:
-//! * [`SamplingMethod::Random`] — uniform Bernoulli-style selection with an
-//!   exact target count (a deterministic partial Fisher–Yates draw),
-//! * [`SamplingMethod::Stratified`] — the domain is divided into a coarse
-//!   lattice and the per-cell budget is drawn per stratum, preserving the
-//!   large-scale density structure (important for halo visibility).
+//! The distribution is uniform: a subset of exactly the target count,
+//! drawn by a deterministic partial Fisher–Yates shuffle.
 //!
 //! Grids are sampled by masking vertices to a background value — the grid
 //! topology is preserved (which is why sampling does *not* reduce traversal
@@ -24,40 +20,30 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Which spatial-sampling distribution to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SamplingMethod {
-    /// Uniform random subset of exactly `ratio * N` points.
-    Random,
-    /// Per-stratum uniform sampling over a `strata^3` lattice.
-    Stratified { strata: usize },
-}
-
-/// Validated sampling configuration.
+/// Validated sampling configuration: a uniform random subset of exactly
+/// `ratio * N` points.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SamplingSpec {
     /// Fraction of points kept, in `(0, 1]`. 1.0 is the unsampled baseline.
     pub ratio: f64,
-    pub method: SamplingMethod,
     /// RNG seed so experiments are reproducible run-to-run.
     pub seed: u64,
 }
 
 impl SamplingSpec {
-    pub fn new(ratio: f64, method: SamplingMethod, seed: u64) -> Result<Self> {
+    pub fn new(ratio: f64, seed: u64) -> Result<Self> {
         if !(ratio > 0.0 && ratio <= 1.0) {
             return Err(DataError::InvalidArgument(format!(
                 "sampling ratio must be in (0, 1], got {ratio}"
             )));
         }
-        Ok(SamplingSpec { ratio, method, seed })
+        Ok(SamplingSpec { ratio, seed })
     }
 
     /// The unsampled baseline (identity).
     pub fn full() -> Self {
         SamplingSpec {
             ratio: 1.0,
-            method: SamplingMethod::Random,
             seed: 0,
         }
     }
@@ -85,8 +71,8 @@ fn draw_indices(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
 /// Apply spatial sampling to a point cloud, returning the sampled cloud
 /// with the attributes `fields` carries.
 ///
-/// Which particles are kept depends only on the positions, their count and
-/// `spec`, never on the attributes or on `fields`; the kept indices are in
+/// Which particles are kept depends only on their count and `spec`, never
+/// on the positions, the attributes or `fields`; the kept indices are in
 /// ascending order, so attribute alignment is stable.
 pub fn sample_points(cloud: &PointCloud, spec: &SamplingSpec, fields: Fields) -> Result<PointCloud> {
     if spec.is_identity() {
@@ -95,58 +81,8 @@ pub fn sample_points(cloud: &PointCloud, spec: &SamplingSpec, fields: Fields) ->
     let n = cloud.len();
     let target = ((n as f64) * spec.ratio).round() as usize;
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let indices = match spec.method {
-        SamplingMethod::Random => draw_indices(n, target, &mut rng),
-        SamplingMethod::Stratified { strata } => {
-            if strata == 0 {
-                return Err(DataError::InvalidArgument("strata must be > 0".into()));
-            }
-            stratified_indices(cloud, spec.ratio, strata, &mut rng)
-        }
-    };
+    let indices = draw_indices(n, target, &mut rng);
     cloud.gather(&indices, fields)
-}
-
-fn stratified_indices(
-    cloud: &PointCloud,
-    ratio: f64,
-    strata: usize,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let bounds = cloud.bounds();
-    if bounds.is_empty() {
-        return Vec::new();
-    }
-    let ext = bounds.extent();
-    let cell = |p: crate::vec3::Vec3| -> usize {
-        let f = |v: f32, lo: f32, e: f32| -> usize {
-            if e <= 0.0 {
-                0
-            } else {
-                (((v - lo) / e * strata as f32) as usize).min(strata - 1)
-            }
-        };
-        let i = f(p.x, bounds.min.x, ext.x);
-        let j = f(p.y, bounds.min.y, ext.y);
-        let k = f(p.z, bounds.min.z, ext.z);
-        (k * strata + j) * strata + i
-    };
-    // Bucket point indices by stratum.
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); strata * strata * strata];
-    for (i, &p) in cloud.positions().iter().enumerate() {
-        buckets[cell(p)].push(i);
-    }
-    let mut kept = Vec::new();
-    for bucket in buckets {
-        if bucket.is_empty() {
-            continue;
-        }
-        let want = ((bucket.len() as f64) * ratio).round() as usize;
-        let picks = draw_indices(bucket.len(), want, rng);
-        kept.extend(picks.into_iter().map(|local| bucket[local]));
-    }
-    kept.sort_unstable();
-    kept
 }
 
 /// Apply spatial sampling to a grid scalar field by masking de-selected
@@ -203,9 +139,9 @@ mod tests {
 
     #[test]
     fn ratio_validation() {
-        assert!(SamplingSpec::new(0.0, SamplingMethod::Random, 1).is_err());
-        assert!(SamplingSpec::new(1.5, SamplingMethod::Random, 1).is_err());
-        assert!(SamplingSpec::new(1.0, SamplingMethod::Random, 1).is_ok());
+        assert!(SamplingSpec::new(0.0, 1).is_err());
+        assert!(SamplingSpec::new(1.5, 1).is_err());
+        assert!(SamplingSpec::new(1.0, 1).is_ok());
     }
 
     #[test]
@@ -219,7 +155,7 @@ mod tests {
     fn random_sampling_hits_exact_count() {
         let c = grid_cloud(8); // 512 points
         for ratio in [0.75, 0.5, 0.25] {
-            let spec = SamplingSpec::new(ratio, SamplingMethod::Random, 42).unwrap();
+            let spec = SamplingSpec::new(ratio, 42).unwrap();
             let s = sample_points(&c, &spec, Fields::All).unwrap();
             assert_eq!(s.len(), (512.0 * ratio).round() as usize);
         }
@@ -228,7 +164,7 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_and_a_subset() {
         let c = grid_cloud(6);
-        let spec = SamplingSpec::new(0.5, SamplingMethod::Random, 9).unwrap();
+        let spec = SamplingSpec::new(0.5, 9).unwrap();
         let a = sample_points(&c, &spec, Fields::All).unwrap();
         let b = sample_points(&c, &spec, Fields::All).unwrap();
         assert_eq!(a, b);
@@ -240,20 +176,18 @@ mod tests {
 
     #[test]
     fn a_selection_keeps_the_same_particles() {
-        // the kept set depends on positions, count and seed alone, so
+        // the kept set depends on the count and seed alone, so
         // sampling a selection is selecting a sample
         let mut c = grid_cloud(6);
         let n = c.len();
         c.set_attribute("d", Attribute::Scalar((0..n).map(|i| i as f32).collect()))
             .unwrap();
-        for method in [SamplingMethod::Random, SamplingMethod::Stratified { strata: 3 }] {
-            for ratio in [1.0, 0.5, 0.25] {
-                let spec = SamplingSpec::new(ratio, method, 11).unwrap();
-                let all = sample_points(&c, &spec, Fields::All).unwrap();
-                for fields in [Fields::Only(Some("d")), Fields::Only(None)] {
-                    let picked = sample_points(&c, &spec, fields).unwrap();
-                    assert_eq!(picked, all.select(fields), "{method:?} at {ratio}, {fields:?}");
-                }
+        for ratio in [1.0, 0.5, 0.25] {
+            let spec = SamplingSpec::new(ratio, 11).unwrap();
+            let all = sample_points(&c, &spec, Fields::All).unwrap();
+            for fields in [Fields::Only(Some("d")), Fields::Only(None)] {
+                let picked = sample_points(&c, &spec, fields).unwrap();
+                assert_eq!(picked, all.select(fields), "at {ratio}, {fields:?}");
             }
         }
     }
@@ -261,57 +195,16 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let c = grid_cloud(6);
-        let s1 = sample_points(
-            &c,
-            &SamplingSpec::new(0.5, SamplingMethod::Random, 1).unwrap(),
-            Fields::All,
-        )
-        .unwrap();
-        let s2 = sample_points(
-            &c,
-            &SamplingSpec::new(0.5, SamplingMethod::Random, 2).unwrap(),
-            Fields::All,
-        )
-        .unwrap();
+        let s1 = sample_points(&c, &SamplingSpec::new(0.5, 1).unwrap(), Fields::All).unwrap();
+        let s2 = sample_points(&c, &SamplingSpec::new(0.5, 2).unwrap(), Fields::All).unwrap();
         assert_ne!(s1, s2);
-    }
-
-    #[test]
-    fn stratified_preserves_density_structure() {
-        // Two clusters of very different density; stratified sampling must
-        // keep their point-count ratio approximately intact.
-        let mut pos = Vec::new();
-        for i in 0..900 {
-            let t = i as f32 * 0.001;
-            pos.push(Vec3::new(t.sin() * 0.1, t.cos() * 0.1, (i % 10) as f32 * 0.01));
-        }
-        for i in 0..100 {
-            let t = i as f32 * 0.01;
-            pos.push(Vec3::new(5.0 + t.sin() * 0.1, 5.0 + t.cos() * 0.1, 5.0));
-        }
-        let n = pos.len();
-        let mut c = PointCloud::from_positions(pos);
-        c.set_attribute("id", Attribute::Id((0..n as u64).collect()))
-            .unwrap();
-        let spec =
-            SamplingSpec::new(0.5, SamplingMethod::Stratified { strata: 4 }, 3).unwrap();
-        let s = sample_points(&c, &spec, Fields::All).unwrap();
-        // dense cluster near origin should hold ~90% of sampled points
-        let near_origin = s
-            .positions()
-            .iter()
-            .filter(|p| p.length() < 1.0)
-            .count() as f64;
-        let frac = near_origin / s.len() as f64;
-        assert!((0.8..=0.98).contains(&frac), "dense fraction {frac}");
-        assert!((s.len() as f64 - 500.0).abs() <= 5.0, "len {}", s.len());
     }
 
     #[test]
     fn grid_field_sampling_masks_but_keeps_topology() {
         let mut g = UniformGrid::new([4, 4, 4], Vec3::ZERO, Vec3::ONE).unwrap();
         g.set_attribute("t", Attribute::Scalar(vec![10.0; 64].into())).unwrap();
-        let spec = SamplingSpec::new(0.25, SamplingMethod::Random, 5).unwrap();
+        let spec = SamplingSpec::new(0.25, 5).unwrap();
         let s = sample_grid_field(&g, "t", &spec, 0.0).unwrap();
         assert_eq!(s.dims(), g.dims());
         let vals = s.scalar("t").unwrap();

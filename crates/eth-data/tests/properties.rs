@@ -4,7 +4,7 @@ use eth_data::compress::{self, Codec};
 use eth_data::field::Attribute;
 use eth_data::io::binary;
 use eth_data::partition::{decompose_domain, partition_grid_slabs, partition_points};
-use eth_data::sampling::{sample_points, SamplingMethod, SamplingSpec};
+use eth_data::sampling::{sample_points, SamplingSpec};
 use eth_data::{Aabb, DataError, DataObject, Fields, PointCloud, UniformGrid, Vec3};
 use proptest::prelude::*;
 use eth_data::io::aligned::AlignedBuf;
@@ -281,7 +281,7 @@ proptest! {
         ratio in 0.05f64..1.0,
         seed in 0u64..500,
     ) {
-        let spec = SamplingSpec::new(ratio, SamplingMethod::Random, seed).unwrap();
+        let spec = SamplingSpec::new(ratio, seed).unwrap();
         let s = sample_points(&cloud, &spec, Fields::All).unwrap();
         let want = ((cloud.len() as f64) * ratio).round() as usize;
         prop_assert_eq!(s.len(), want);
@@ -293,21 +293,6 @@ proptest! {
         for (i, &id) in ids.iter().enumerate() {
             prop_assert_eq!(w[i], id as f32 * 0.5);
         }
-    }
-
-    #[test]
-    fn stratified_sampling_within_tolerance(
-        cloud in arb_cloud(400),
-        ratio in 0.1f64..0.9,
-        strata in 1usize..5,
-    ) {
-        let spec = SamplingSpec::new(ratio, SamplingMethod::Stratified { strata }, 11).unwrap();
-        let s = sample_points(&cloud, &spec, Fields::All).unwrap();
-        // per-stratum rounding can drift by up to one point per stratum
-        let want = (cloud.len() as f64) * ratio;
-        let slack = (strata * strata * strata) as f64;
-        prop_assert!((s.len() as f64 - want).abs() <= slack + 1.0,
-            "len {} vs want {want} (slack {slack})", s.len());
     }
 
     #[test]
@@ -405,7 +390,7 @@ proptest! {
         let n = g.num_vertices();
         let vals: Vec<f32> = (0..n).map(|i| 1.0 + i as f32).collect(); // all > 0
         g.set_attribute("f", Attribute::Scalar(vals.into())).unwrap();
-        let spec = SamplingSpec::new(ratio, SamplingMethod::Random, seed).unwrap();
+        let spec = SamplingSpec::new(ratio, seed).unwrap();
         let s = eth_data::sampling::sample_grid_field(&g, "f", &spec, 0.0).unwrap();
         prop_assert_eq!(s.dims(), g.dims());
         let out = s.scalar("f").unwrap();

@@ -29,7 +29,7 @@
 use eth_data::crc::crc32;
 use eth_data::field::Attribute;
 use eth_data::partition::partition_grid_slabs;
-use eth_data::sampling::{sample_grid_field, SamplingMethod, SamplingSpec};
+use eth_data::sampling::{sample_grid_field, SamplingSpec};
 use eth_data::{DataObject, UniformGrid, Vec3};
 use eth_render::geometry::marching_cubes::extract_isosurface;
 use eth_render::geometry::slice::extract_slice;
@@ -178,7 +178,7 @@ fn rows() -> Vec<String> {
     }
 
     // The harness's sampling mask: three quarters of the vertices at background.
-    let spec = SamplingSpec::new(0.25, SamplingMethod::Random, 7).expect("ratio in (0, 1]");
+    let spec = SamplingSpec::new(0.25, 7).expect("ratio in (0, 1]");
     let masked = sample_grid_field(&whole, FIELD, &spec, cfg.ambient).expect("mask");
     out.push(iso_row("masked-0.25", &masked, front));
 

@@ -21,11 +21,13 @@
 //! is not.
 
 use crate::comm::{Result, TransportError};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSide, SplitMix64};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSide};
 use crate::link::PairLink;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Deterministically mangle a payload (send-side wire corruption). The
@@ -35,7 +37,7 @@ fn mangle(payload: &Bytes, seed: u64, seq: u64) -> Bytes {
         return payload.clone();
     }
     let mut data = payload.to_vec();
-    let mut rng = SplitMix64::new(seed ^ seq.wrapping_mul(0x2545_F491_4F6C_DD1D));
+    let mut rng = StdRng::seed_from_u64(seed ^ seq.wrapping_mul(0x2545_F491_4F6C_DD1D));
     data[0] ^= 0xA5;
     let flips = (data.len() / 64).clamp(1, 32);
     for _ in 0..flips {
@@ -67,19 +69,23 @@ impl<L: PairLink> ChaosLink<L> {
         }
     }
 
+    fn log(&self) -> MutexGuard<'_, Vec<FaultEvent>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Every fault injected so far, in injection order.
     pub fn fault_log(&self) -> Vec<FaultEvent> {
-        self.log.lock().clone()
+        self.log().clone()
     }
 
     /// The fault log serialized to JSON — the "schedule" two same-seed
     /// runs must reproduce byte-for-byte.
     pub fn schedule_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(&*self.log.lock()).unwrap_or_default()
+        serde_json::to_vec(&*self.log()).unwrap_or_default()
     }
 
     fn note(&self, kind: FaultKind, from: usize, to: usize, tag: u32, seq: u64) {
-        self.log.lock().push(FaultEvent {
+        self.log().push(FaultEvent {
             kind,
             from,
             to,

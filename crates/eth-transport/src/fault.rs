@@ -14,6 +14,8 @@
 //! has no tag window: what is exempt (collectives, control messages) is
 //! exempt by never travelling on a wrapped link.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -22,32 +24,6 @@ use std::time::Duration;
 /// [`crate::collectives::COLLECTIVE_TAG_BASE`] is data's alone, so a block
 /// on a link that shares a fabric with collectives never matches one.
 pub const DATA_TAG_MIN: u32 = 0x1000;
-
-/// splitmix64: tiny, statistically solid, dependency-free PRNG. Used for
-/// fault decisions and backoff jitter; NOT for cryptography.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// Which side of a channel a decision is made on. Send-side decisions
 /// (drop, delay, wire corruption) and receive-side decisions (integrity
@@ -334,11 +310,11 @@ impl FaultPlan {
             .wrapping_add((to as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
             .wrapping_add((tag as u64).wrapping_mul(0x1656_67B1_9E37_79F9))
             .wrapping_add(seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = SplitMix64::new(key);
+        let mut rng = StdRng::seed_from_u64(key);
         FaultDecision {
-            drop: rng.next_f64() < self.drop_prob,
-            corrupt: rng.next_f64() < self.corrupt_prob,
-            delay_ms: if rng.next_f64() < self.delay_prob {
+            drop: rng.random_f64() < self.drop_prob,
+            corrupt: rng.random_f64() < self.corrupt_prob,
+            delay_ms: if rng.random_f64() < self.delay_prob {
                 self.delay_ms
             } else {
                 0
@@ -411,7 +387,7 @@ impl BackoffShape {
 
 /// Exponential backoff with deterministic jitter and an attempt budget,
 /// replacing fixed-interval spin loops during bootstrap. Jitter draws from
-/// a seeded [`SplitMix64`], so retry timing is reproducible per rank while
+/// a seeded [`StdRng`], so retry timing is reproducible per rank while
 /// still decorrelated across ranks (no thundering herd on the listener).
 #[derive(Debug)]
 pub struct Backoff {
@@ -419,7 +395,7 @@ pub struct Backoff {
     budget: u32,
     base: Duration,
     cap: Duration,
-    rng: SplitMix64,
+    rng: StdRng,
 }
 
 impl Backoff {
@@ -434,7 +410,7 @@ impl Backoff {
             budget,
             base,
             cap,
-            rng: SplitMix64::new(seed),
+            rng: StdRng::seed_from_u64(seed),
         }
     }
 
@@ -478,17 +454,6 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_uniform_ish() {
-        let mut a = SplitMix64::new(9);
-        let mut b = SplitMix64::new(9);
-        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        let mean: f64 = (0..1000).map(|_| a.next_f64()).sum::<f64>() / 1000.0;
-        assert!((0.4..0.6).contains(&mean), "mean {mean}");
-    }
 
     #[test]
     fn decisions_are_pure_functions_of_the_key() {

@@ -7,9 +7,9 @@
 //!
 //! * [`comm`] — the [`comm::Communicator`] trait: rank-addressed, tagged,
 //!   ordered point-to-point messaging with traffic counters,
-//! * [`local`] — the communicator: in-process (threads + crossbeam
-//!   channels), the intra-job MPI role, used by every coupling's
-//!   compositing and by tests,
+//! * [`local`] — the communicator: in-process (threads +
+//!   `std::sync::mpsc` channels), the intra-job MPI role, used by every
+//!   coupling's compositing and by tests,
 //! * [`link`] — the [`link::PairLink`] a block crosses between a
 //!   simulation rank and the visualization rank that drains it: a view of
 //!   a communicator inside one job, a socket between two,

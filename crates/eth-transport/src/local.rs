@@ -1,13 +1,12 @@
-//! In-process communicator: ranks are threads, links are crossbeam
+//! In-process communicator: ranks are threads, links are `std::sync::mpsc`
 //! channels. This is the intra-job MPI role: tight and intercore coupling
 //! run entirely over this fabric.
 
 use crate::comm::{Communicator, Result, TrafficCounters, TransportError};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // (from, tag, sender's span context when recording, payload)
@@ -32,7 +31,9 @@ pub struct LocalComm {
     /// `Disconnected` instead of waiting forever for a message nobody is
     /// left to send.
     outboxes: Vec<Option<Sender<Envelope>>>,
-    inbox: Receiver<Envelope>,
+    /// Behind a lock only so that `&LocalComm` can be shared across
+    /// threads (`mpsc::Receiver` is not `Sync`); one receive runs at a time.
+    inbox: Mutex<Receiver<Envelope>>,
     /// Messages received but not yet matched by (from, tag).
     pending: Mutex<Vec<Envelope>>,
     counters: Arc<Counters>,
@@ -49,7 +50,7 @@ impl LocalFabric {
         let mut inboxes = Vec::with_capacity(size);
         let mut senders = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             senders.push(tx);
             inboxes.push(rx);
         }
@@ -64,7 +65,7 @@ impl LocalFabric {
                     .enumerate()
                     .map(|(to, tx)| (to != rank).then(|| tx.clone()))
                     .collect(),
-                inbox,
+                inbox: Mutex::new(inbox),
                 pending: Mutex::new(Vec::new()),
                 counters: Arc::new(Counters::default()),
             })
@@ -73,6 +74,10 @@ impl LocalFabric {
 }
 
 impl LocalComm {
+    fn pending(&self) -> MutexGuard<'_, Vec<Envelope>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Shared receive path: match from `pending`, then pull from the
     /// channel (bounded by `deadline` when given) buffering non-matches.
     fn recv_inner(&self, from: usize, tag: u32, deadline: Option<Instant>) -> Result<Bytes> {
@@ -82,7 +87,7 @@ impl LocalComm {
         // Check messages already pulled off the channel.
         {
             let matched = {
-                let mut pending = self.pending.lock();
+                let mut pending = self.pending();
                 pending
                     .iter()
                     .position(|(f, t, _, _)| *f == from && *t == tag)
@@ -103,13 +108,13 @@ impl LocalComm {
             }
         }
         // Pull from the channel until a match appears; buffer the rest.
+        let inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let envelope = match deadline {
-                None => self
-                    .inbox
+                None => inbox
                     .recv()
                     .map_err(|_| TransportError::Disconnected { peer: from })?,
-                Some(d) => match self.inbox.recv_deadline(d) {
+                Some(d) => match inbox.recv_timeout(d.saturating_duration_since(Instant::now())) {
                     Ok(e) => e,
                     Err(RecvTimeoutError::Timeout) => {
                         return Err(TransportError::Timeout {
@@ -144,7 +149,7 @@ impl LocalComm {
                 }
                 return Ok(payload);
             }
-            self.pending.lock().push(envelope);
+            self.pending().push(envelope);
         }
     }
 }
@@ -175,7 +180,7 @@ impl Communicator for LocalComm {
                 .send(envelope)
                 .map_err(|_| TransportError::Disconnected { peer: to }),
             None => {
-                self.pending.lock().push(envelope);
+                self.pending().push(envelope);
                 Ok(())
             }
         }
@@ -313,6 +318,35 @@ mod tests {
             .unwrap_err();
         assert!(
             matches!(err, TransportError::Timeout { peer: 1, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_queued_message_beats_a_past_deadline() {
+        let mut comms = LocalFabric::new(2);
+        let c1 = comms.pop().unwrap();
+        let c0 = comms.pop().unwrap();
+        c0.send(1, 4, Bytes::from_static(b"queued")).unwrap();
+        let past = Instant::now();
+        assert_eq!(&c1.recv_deadline(0, 4, past).unwrap()[..], b"queued");
+        // an empty inbox reports the deadline at once
+        let err = c1.recv_deadline(0, 4, past).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Timeout { peer: 0, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn send_to_a_dropped_rank_is_disconnected() {
+        let mut comms = LocalFabric::new(2);
+        let c1 = comms.pop().unwrap();
+        let c0 = comms.pop().unwrap();
+        drop(c1);
+        let err = c0.send(1, 1, Bytes::from_static(b"ghost")).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Disconnected { peer: 1 }),
             "{err}"
         );
     }

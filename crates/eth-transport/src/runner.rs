@@ -10,8 +10,8 @@
 
 use crate::comm::Communicator;
 use crate::local::{LocalComm, LocalFabric};
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -89,7 +89,7 @@ pub fn launch<T: Send + 'static>(
 ) -> std::result::Result<Vec<T>, RankFailure> {
     let size = seats.len();
     let obs = eth_obs::current_context();
-    let (tx, rx) = unbounded::<(usize, thread::Result<T>)>();
+    let (tx, rx) = channel::<(usize, thread::Result<T>)>();
     let mut ranks = Vec::with_capacity(size);
     let mut handles = Vec::with_capacity(size);
     for (seat, Seat { rank, body }) in seats.into_iter().enumerate() {
@@ -117,7 +117,7 @@ pub fn launch<T: Send + 'static>(
     for _ in 0..size {
         let report = match deadline {
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(at) => rx.recv_deadline(at),
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
         };
         let (seat, result) = match report {
             Ok(report) => report,

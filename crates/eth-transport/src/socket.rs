@@ -32,11 +32,11 @@ use crate::layout::LayoutFile;
 use crate::link::PairLink;
 use crate::message::{read_frame_leased, write_frame, Frame, MAX_PAYLOAD};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use eth_data::io::pool::PayloadPool;
-use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,9 @@ use std::time::{Duration, Instant};
 /// Debug shows the traffic counters only (the stream itself is opaque).
 pub struct StreamChannel {
     writer: Mutex<TcpStream>,
-    inbox: Receiver<Result<Frame>>,
+    /// Behind a lock only so that `&StreamChannel` can be shared across
+    /// threads (`mpsc::Receiver` is not `Sync`); one receive runs at a time.
+    inbox: Mutex<Receiver<Result<Frame>>>,
     pending: Mutex<Vec<Frame>>,
     local_rank: u32,
     /// The peer's logical rank, learned from the bootstrap handshake.
@@ -83,7 +85,8 @@ impl Drop for StreamChannel {
         // The reader thread holds a clone of the fd; without an explicit
         // shutdown the connection would stay open (and the peer would
         // never see EOF) until the reader unblocks on its own.
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+        let writer = self.writer.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let _ = writer.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -107,11 +110,11 @@ impl StreamChannel {
     ) -> Result<StreamChannel> {
         stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         spawn_reader(reader, tx, pool.clone());
         Ok(StreamChannel {
             writer: Mutex::new(stream),
-            inbox: rx,
+            inbox: Mutex::new(rx),
             pending: Mutex::new(Vec::new()),
             local_rank,
             peer,
@@ -139,7 +142,7 @@ impl StreamChannel {
         if let Some(ctx) = ctx {
             eth_obs::flow_out(ctx, self.peer, tag, payload.len() as u64);
         }
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         write_frame(&mut *w, self.local_rank, tag, ctx, &payload)
     }
 
@@ -158,11 +161,15 @@ impl StreamChannel {
         self.recv_inner(tag, Some(deadline))
     }
 
+    fn pending(&self) -> MutexGuard<'_, Vec<Frame>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn recv_inner(&self, tag: u32, deadline: Option<Instant>) -> Result<Bytes> {
         let mut span = eth_obs::span(eth_obs::Phase::Recv);
         let started = Instant::now();
         let matched = {
-            let mut pending = self.pending.lock();
+            let mut pending = self.pending();
             pending
                 .iter()
                 .position(|f| f.tag == tag)
@@ -177,13 +184,13 @@ impl StreamChannel {
             }
             return Ok(f.payload);
         }
+        let inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let frame = match deadline {
-                None => self
-                    .inbox
+                None => inbox
                     .recv()
                     .map_err(|_| TransportError::Disconnected { peer: self.peer })??,
-                Some(d) => match self.inbox.recv_deadline(d) {
+                Some(d) => match inbox.recv_timeout(d.saturating_duration_since(Instant::now())) {
                     Ok(f) => f?,
                     Err(RecvTimeoutError::Timeout) => {
                         return Err(TransportError::Timeout {
@@ -205,7 +212,7 @@ impl StreamChannel {
                 }
                 return Ok(frame.payload);
             }
-            self.pending.lock().push(frame);
+            self.pending().push(frame);
         }
     }
 
@@ -487,6 +494,48 @@ mod tests {
             }
             other => panic!("expected Timeout, got {other:?}"),
         }
+        chan.send(1, Bytes::from_static(b"done")).unwrap();
+        sim.join().unwrap();
+    }
+
+    #[test]
+    fn a_channel_is_shared_across_threads() {
+        // callers ship through `&StreamChannel` from scoped threads
+        fn shared<T: Sync>() {}
+        shared::<StreamChannel>();
+    }
+
+    #[test]
+    fn a_received_frame_beats_a_past_deadline() {
+        // A frame the reader has already queued is delivered even when the
+        // deadline has passed; only an empty inbox times out. When the
+        // frame lands is up to the reader thread, so poll with a deadline
+        // that is always past: a receive that looked at the clock first
+        // would time out every time.
+        let layout = LayoutFile::create(&tmp("past")).unwrap();
+        let l2 = layout.clone();
+        let sim = thread::spawn(move || {
+            let chan = listen_as(&l2, 0).unwrap();
+            chan.send(4, Bytes::from_static(b"queued")).unwrap();
+            chan.recv(1).unwrap();
+        });
+        let chan = connect_to(&layout, 0, 1, Duration::from_secs(10)).unwrap();
+        let past = Instant::now();
+        let polling = Instant::now();
+        let got = loop {
+            match chan.recv_deadline(4, past) {
+                Ok(payload) => break payload,
+                Err(TransportError::Timeout { .. }) => {
+                    assert!(
+                        polling.elapsed() < Duration::from_secs(10),
+                        "never delivered"
+                    );
+                    thread::sleep(Duration::from_millis(5));
+                }
+                Err(other) => panic!("expected the frame or Timeout, got {other:?}"),
+            }
+        };
+        assert_eq!(&got[..], b"queued");
         chan.send(1, Bytes::from_static(b"done")).unwrap();
         sim.join().unwrap();
     }

@@ -48,6 +48,11 @@ fn socket_peer_disconnect_surfaces_as_error() {
     // the actual peer rank, not a placeholder
     let err = chan.recv(2).unwrap_err();
     assert!(matches!(err, TransportError::Disconnected { peer: 0 }), "{err}");
+    // and a bounded receive learns it at once, not at its deadline
+    let start = std::time::Instant::now();
+    let err = chan.recv_timeout(2, Duration::from_secs(30)).unwrap_err();
+    assert!(matches!(err, TransportError::Disconnected { peer: 0 }), "{err}");
+    assert!(start.elapsed() < Duration::from_secs(10), "waited out the deadline");
 }
 
 #[test]
