@@ -151,7 +151,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "trace-analyze",
         positional: "FILE",
-        about: "per-step critical path of a saved (stitched or plain) trace",
+        about: "per-step critical path a `--trace` export embeds",
         flags: &[flag("--top", Takes::Int("N"), "rows per table (default 5)")],
         metrics: false,
         check: |args| match args.positional.len() {

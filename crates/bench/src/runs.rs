@@ -7,7 +7,6 @@
 //! recorded output of the `reproduce` binary.
 
 use eth_cluster::costmodel::AlgorithmClass;
-use eth_cluster::coupling::CouplingStrategy;
 use eth_cluster::experiment::{run_cluster, ClusterExperiment};
 use eth_cluster::metrics::RunMetrics;
 use eth_core::config::{Algorithm, Application, Coupling, ExperimentSpec};
@@ -335,14 +334,14 @@ pub fn fig11() -> ResultTable {
         "Figure 11: coupling strategies (HACC 1B + light simulation, 400 nodes)",
         &["Coupling", "Time (s)", "Power (kW)", "Energy (MJ)"],
     );
-    for strategy in CouplingStrategy::all() {
+    for coupling in Coupling::all() {
         let exp = ClusterExperiment::hacc(AlgorithmClass::RaycastSpheres, 400, 1_000_000_000)
-            .with_coupling(strategy)
+            .with_coupling(coupling)
             .with_steps(4)
             .with_sim_ops(300_000.0);
         let m = run_cluster(&exp);
         t.push_row(vec![
-            strategy.name().to_string(),
+            coupling.name().to_string(),
             fmt_s(m.exec_time_s),
             fmt_kw(m.avg_power_kw),
             format!("{:.3}", m.energy_kj / 1000.0),

@@ -1,29 +1,34 @@
 //! `reproduce trace-analyze` — the saved-trace critical-path printer.
 
 use crate::cli::die;
+use eth_obs::CriticalPathSummary;
+use serde::Deserialize;
 use std::path::Path;
 
-/// `trace-analyze FILE [--top N]`: read a (stitched or plain) Chrome trace
-/// JSON and print the per-step critical-path attribution. Prefers the
-/// summary a stitched export embeds; a plain trace gets its flows
-/// re-paired and the walk re-run here.
+/// `trace-analyze FILE [--top N]`: read a trace `--trace` exported and
+/// print the per-step critical-path attribution it embeds
+/// (`ethCriticalPath`). The export omits that block only when the trace
+/// has no step marks, and then there is no path to print.
 pub fn analyze(path: &Path, top: usize) {
     let file = path.display();
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(1, format!("failed to read {file}: {e}")));
     let value = serde_json::parse_value_complete(&text)
         .unwrap_or_else(|e| die(1, format!("{file} is not valid JSON: {e}")));
-    let (trace, embedded) = eth_obs::trace_from_chrome(&value)
-        .unwrap_or_else(|e| die(1, format!("{file} is not a Chrome trace: {e}")));
-    // Plain export: re-pair the flows and walk the critical path here.
-    let summary = embedded
-        .or_else(|| eth_obs::MergedTrace::build(trace).critical_path)
+    let block = value
+        .as_object()
+        .and_then(|root| serde::field(root, "ethCriticalPath"))
         .unwrap_or_else(|| {
-            die(1, format!(
-                "{file}: no step marks in the trace; record with --trace on a run \
-                 that composites at least one step"
-            ))
+            die(
+                1,
+                format!(
+                    "{file}: no critical path in the trace (it has no step marks); record \
+                     with --trace on a run that composites at least one step"
+                ),
+            )
         });
+    let summary = CriticalPathSummary::deserialize_value(block)
+        .unwrap_or_else(|e| die(1, format!("{file}: unreadable ethCriticalPath: {e}")));
     println!(
         "critical path over {} steps ({:.3}s total, coverage {:.1}%{}):",
         summary.steps,

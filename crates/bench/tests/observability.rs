@@ -58,11 +58,11 @@ fn check_stitched(stitched: &str) -> (Value, f64) {
 }
 
 /// A seeded chaos campaign run under an attached recorder exports a
-/// well-formed trace whose Chrome JSON parses, and its telemetry renders
-/// to parseable Prometheus text and JSONL. The stitched export (what
-/// `reproduce --trace` writes) draws every flow arrow whole, its flow
-/// books balance, its critical-path shares and idle tile the step
-/// windows, and `trace-analyze` reads it back.
+/// well-formed trace, and its telemetry renders to parseable Prometheus
+/// text and JSONL. The export (what `reproduce --trace` writes) parses,
+/// draws every flow arrow whole, its flow books balance, its
+/// critical-path shares and idle tile the step windows, and
+/// `trace-analyze` prints the path it embeds.
 #[test]
 fn seeded_campaign_trace_and_telemetry_export() {
     let recorder = eth_obs::Recorder::new();
@@ -73,9 +73,6 @@ fn seeded_campaign_trace_and_telemetry_export() {
 
     trace.check_well_formed().expect("well-formed trace");
     assert!(trace.spans().count() > 0, "campaign must record spans");
-    let chrome = trace.to_chrome_trace();
-    serde_json::parse_value_complete(&chrome).expect("trace JSON parses");
-
     // The lossy plan drops messages: each is an honest dangling send.
     let stitched = eth_obs::MergedTrace::build(trace).to_chrome_trace();
     let (export, _) = check_stitched(&stitched);

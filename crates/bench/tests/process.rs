@@ -1,7 +1,9 @@
 //! The contracts that need the `reproduce` process itself: a journaled
-//! campaign killed with SIGKILL resumes to the whole table, and `serve`
-//! drains on SIGTERM and a restart serves the same bytes. Every child
-//! runs in a temporary directory, so nothing lands in the source tree.
+//! campaign killed with SIGKILL resumes to the whole table, `serve`
+//! drains on SIGTERM and a restart serves the same bytes, and
+//! `trace-analyze` fails with exit 1 on an export that has no critical
+//! path. Every child runs in a temporary directory, so nothing lands in
+//! the source tree.
 
 mod argv;
 
@@ -66,6 +68,35 @@ fn a_killed_journaled_campaign_resumes_to_the_whole_table() {
     let said = String::from_utf8_lossy(&resumed.stderr);
     assert!(said.contains("campaign: 9 points"), "{said}");
     assert_eq!(resumed.stdout, run(argv::TABLE2, &dir).stdout);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A trace with no step marks exports no `ethCriticalPath` block:
+/// `trace-analyze` prints nothing on stdout, exits 1 and names the file.
+#[test]
+fn trace_analyze_without_step_marks_exits_1_naming_the_file() {
+    let dir = tmp_dir("no-steps");
+    let recorder = eth_obs::Recorder::new();
+    {
+        let _attached = recorder.attach();
+        let _render = eth_obs::span(eth_obs::Phase::Render);
+    }
+    let export = eth_obs::MergedTrace::build(recorder.take()).to_chrome_trace();
+    assert!(!export.contains("ethCriticalPath"), "{export}");
+    let path = dir.join("no-steps.json");
+    std::fs::write(&path, export).unwrap();
+
+    let out = reproduce(&["trace-analyze", path.to_str().unwrap()], &dir)
+        .output()
+        .unwrap();
+    let said = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{said}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(said.contains(&path.display().to_string()), "{said}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

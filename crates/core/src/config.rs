@@ -2,7 +2,6 @@
 
 use crate::error::{CoreError, Result};
 use eth_cluster::costmodel::AlgorithmClass;
-use eth_cluster::coupling::CouplingStrategy;
 use eth_data::sampling::SamplingSpec;
 use eth_data::{DataObject, Vec3};
 use eth_render::geometry::slice::Plane;
@@ -308,31 +307,8 @@ impl Algorithm {
     }
 }
 
-/// The coupling axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Coupling {
-    Tight,
-    Intercore,
-    Internode,
-}
-
-impl Coupling {
-    pub fn name(self) -> &'static str {
-        self.strategy().name()
-    }
-
-    pub fn strategy(self) -> CouplingStrategy {
-        match self {
-            Coupling::Tight => CouplingStrategy::Tight,
-            Coupling::Intercore => CouplingStrategy::Intercore,
-            Coupling::Internode => CouplingStrategy::Internode,
-        }
-    }
-
-    pub fn all() -> [Coupling; 3] {
-        [Coupling::Tight, Coupling::Intercore, Coupling::Internode]
-    }
-}
+/// The coupling axis: one enum, shared with the cluster model.
+pub use eth_cluster::coupling::Coupling;
 
 /// A fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

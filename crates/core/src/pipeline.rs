@@ -5,9 +5,8 @@
 //! [`VizPipeline`] is the operation chain one rank applies to each block of
 //! data it receives across the in-situ interface: spatial sampling →
 //! rendering → (the caller composites across ranks) → optional artifact.
-//!
-//! The pipeline also implements [`InSituSink`], so a single-process
-//! (tight-coupled) experiment is just `proxy.run(&mut pipeline)`.
+//! The harness's step loop is its one driver: `viz_role` hands it each
+//! block a simulation rank's `SimulationProxy::step` presented.
 
 use crate::config::{orbit_camera, ExperimentSpec};
 use crate::error::Result;
@@ -16,7 +15,6 @@ use eth_data::{DataObject, Fields};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::{render_views, RenderOptions, RenderStats};
 use eth_render::{Image, Scratch};
-use eth_sim::interface::InSituSink;
 use std::borrow::Cow;
 use std::path::PathBuf;
 
@@ -34,11 +32,6 @@ pub struct StepFrames {
 pub struct VizPipeline {
     spec: ExperimentSpec,
     options: RenderOptions,
-    /// Collected per-step outputs (drained by the harness).
-    pub outputs: Vec<StepFrames>,
-    /// The buffers [`InSituSink::consume`] renders in, kept across steps;
-    /// the frames leave with `outputs`.
-    scratch: Scratch,
 }
 
 impl VizPipeline {
@@ -55,8 +48,6 @@ impl VizPipeline {
         VizPipeline {
             spec: spec.clone(),
             options,
-            outputs: Vec::new(),
-            scratch: Scratch::new(),
         }
     }
 
@@ -199,24 +190,10 @@ pub fn accumulate(mut a: RenderStats, b: RenderStats) -> RenderStats {
     a
 }
 
-impl InSituSink for VizPipeline {
-    fn consume(&mut self, step: usize, data: &DataObject) -> eth_data::error::Result<()> {
-        let bounds = data.bounds();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.execute_step(step, data, &bounds, &mut scratch);
-        self.scratch = scratch;
-        let out = out.map_err(|e| eth_data::error::DataError::InvalidArgument(e.to_string()))?;
-        self.outputs.push(out);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Algorithm, Application, ExperimentSpec};
-    use eth_sim::timeseries::{StagingAccountant, TimeSeries};
-    use eth_sim::SimulationProxy;
 
     fn spec() -> ExperimentSpec {
         ExperimentSpec::builder("pipe")
@@ -299,20 +276,6 @@ mod tests {
         let data = s.application.generate(0, s.seed).unwrap();
         let sampled = pipe.sample(&data).unwrap();
         assert_eq!(sampled.num_elements(), data.num_elements());
-    }
-
-    #[test]
-    fn pipeline_as_in_situ_sink() {
-        // The quickstart shape: proxy drives the pipeline directly.
-        let s = spec();
-        let series = TimeSeries::new(1, 2, None, None, StagingAccountant::new()).unwrap();
-        for step in 0..2 {
-            series.insert(step, 0, s.application.generate(step, s.seed).unwrap()).unwrap();
-        }
-        let mut proxy = SimulationProxy::new(std::sync::Arc::new(series), 0);
-        let mut pipe = VizPipeline::new(&s);
-        proxy.run(&mut pipe).unwrap();
-        assert_eq!(pipe.outputs.len(), 2);
     }
 
     #[test]

@@ -46,16 +46,6 @@ pub enum AlgorithmClass {
 }
 
 impl AlgorithmClass {
-    pub fn is_geometry_based(self) -> bool {
-        matches!(
-            self,
-            AlgorithmClass::VtkPoints
-                | AlgorithmClass::GaussianSplat
-                | AlgorithmClass::VtkIsosurface
-                | AlgorithmClass::VtkSlice
-        )
-    }
-
     /// Extraction-based grid pipelines (marching cubes / plane
     /// extraction): the ones whose variable-size partial meshes cause the
     /// compositing contention the paper observed in Figure 15. The

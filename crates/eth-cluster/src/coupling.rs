@@ -32,27 +32,23 @@ use serde::{Deserialize, Serialize};
 
 /// The coupling axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CouplingStrategy {
+pub enum Coupling {
     Tight,
     Intercore,
     Internode,
 }
 
-impl CouplingStrategy {
+impl Coupling {
     pub fn name(self) -> &'static str {
         match self {
-            CouplingStrategy::Tight => "tight",
-            CouplingStrategy::Intercore => "intercore",
-            CouplingStrategy::Internode => "internode",
+            Coupling::Tight => "tight",
+            Coupling::Intercore => "intercore",
+            Coupling::Internode => "internode",
         }
     }
 
-    pub fn all() -> [CouplingStrategy; 3] {
-        [
-            CouplingStrategy::Tight,
-            CouplingStrategy::Intercore,
-            CouplingStrategy::Internode,
-        ]
+    pub fn all() -> [Coupling; 3] {
+        [Coupling::Tight, Coupling::Intercore, Coupling::Internode]
     }
 }
 
@@ -65,7 +61,7 @@ const INTERCORE_IPC_FRACTION: f64 = 0.35;
 /// `total_nodes` is the full allocation; internode splits it in half.
 pub fn build_schedule(
     model: &CostModel,
-    strategy: CouplingStrategy,
+    strategy: Coupling,
     alg: AlgorithmClass,
     workload: &Workload,
     total_nodes: u32,
@@ -73,7 +69,7 @@ pub fn build_schedule(
     assert!(total_nodes >= 1);
     let mut graph = PhaseGraph::new();
     match strategy {
-        CouplingStrategy::Tight => {
+        Coupling::Tight => {
             let group = NodeGroup::all(total_nodes);
             let sim = model.sim_phase(workload, total_nodes);
             let viz = model.viz_phase(alg, workload, total_nodes);
@@ -107,7 +103,7 @@ pub fn build_schedule(
                 );
             }
         }
-        CouplingStrategy::Intercore => {
+        Coupling::Intercore => {
             let group = NodeGroup::all(total_nodes);
             let sim = model.sim_phase(workload, total_nodes);
             let viz = model.viz_phase(alg, workload, total_nodes);
@@ -152,7 +148,7 @@ pub fn build_schedule(
                 );
             }
         }
-        CouplingStrategy::Internode => {
+        Coupling::Internode => {
             build_internode(&mut graph, model, alg, workload, total_nodes, 0.5);
         }
     }
@@ -281,7 +277,7 @@ mod tests {
         let m = model(400);
         let g = build_schedule(
             &m,
-            CouplingStrategy::Tight,
+            Coupling::Tight,
             AlgorithmClass::VtkPoints,
             &hacc_coupled(),
             400,
@@ -296,7 +292,7 @@ mod tests {
         let w = hacc_coupled();
         let g = build_schedule(
             &m,
-            CouplingStrategy::Internode,
+            Coupling::Internode,
             AlgorithmClass::RaycastSpheres,
             &w,
             400,
@@ -330,7 +326,7 @@ mod tests {
         let w = hacc_coupled();
         let mut times = std::collections::HashMap::new();
         let mut energies = std::collections::HashMap::new();
-        for strategy in CouplingStrategy::all() {
+        for strategy in Coupling::all() {
             let m = model(total);
             let machine = ClusterMachine::new(m.cluster);
             let g = build_schedule(&m, strategy, AlgorithmClass::RaycastSpheres, &w, total);
@@ -367,8 +363,8 @@ mod tests {
             let g = build_schedule(&m, s, AlgorithmClass::RaycastSpheres, &w, total);
             machine.execute(&g).makespan
         };
-        let t_tight = t(CouplingStrategy::Tight);
-        let t_intercore = t(CouplingStrategy::Intercore);
+        let t_tight = t(Coupling::Tight);
+        let t_intercore = t(Coupling::Intercore);
         assert!((t_intercore / t_tight - 1.0).abs() < 0.1);
     }
 
@@ -392,7 +388,7 @@ mod tests {
     fn symmetric_split_matches_internode() {
         let m = model(400);
         let w = hacc_coupled();
-        let a = build_schedule(&m, CouplingStrategy::Internode, AlgorithmClass::VtkPoints, &w, 400);
+        let a = build_schedule(&m, Coupling::Internode, AlgorithmClass::VtkPoints, &w, 400);
         let b = build_schedule_split(&m, AlgorithmClass::VtkPoints, &w, 400, 0.5);
         assert_eq!(a, b);
     }
@@ -441,7 +437,7 @@ mod tests {
         let m = model(2);
         let g = build_schedule(
             &m,
-            CouplingStrategy::Internode,
+            Coupling::Internode,
             AlgorithmClass::VtkPoints,
             &hacc_coupled(),
             2,
@@ -453,9 +449,9 @@ mod tests {
 
     #[test]
     fn strategy_names() {
-        assert_eq!(CouplingStrategy::Tight.name(), "tight");
-        assert_eq!(CouplingStrategy::Intercore.name(), "intercore");
-        assert_eq!(CouplingStrategy::Internode.name(), "internode");
-        assert_eq!(CouplingStrategy::all().len(), 3);
+        assert_eq!(Coupling::Tight.name(), "tight");
+        assert_eq!(Coupling::Intercore.name(), "intercore");
+        assert_eq!(Coupling::Internode.name(), "internode");
+        assert_eq!(Coupling::all().len(), 3);
     }
 }

@@ -3,7 +3,7 @@
 //! execution time / power / energy numbers the tables and figures report.
 
 use crate::costmodel::{AlgorithmClass, Calibration, CostModel, Workload};
-use crate::coupling::{build_schedule, CouplingStrategy};
+use crate::coupling::{build_schedule, Coupling};
 use crate::machine::ClusterMachine;
 use crate::metrics::RunMetrics;
 use crate::node::ClusterSpec;
@@ -12,7 +12,7 @@ use crate::node::ClusterSpec;
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterExperiment {
     pub algorithm: AlgorithmClass,
-    pub coupling: CouplingStrategy,
+    pub coupling: Coupling,
     pub nodes: u32,
     pub workload: Workload,
     pub calibration: Calibration,
@@ -28,7 +28,7 @@ impl ClusterExperiment {
     pub fn hacc(algorithm: AlgorithmClass, nodes: u32, particles: u64) -> ClusterExperiment {
         ClusterExperiment {
             algorithm,
-            coupling: CouplingStrategy::Tight,
+            coupling: Coupling::Tight,
             nodes,
             workload: Workload {
                 global_elements: particles,
@@ -49,7 +49,7 @@ impl ClusterExperiment {
     pub fn xrage(algorithm: AlgorithmClass, nodes: u32, dims: [u64; 3]) -> ClusterExperiment {
         ClusterExperiment {
             algorithm,
-            coupling: CouplingStrategy::Tight,
+            coupling: Coupling::Tight,
             nodes,
             workload: Workload {
                 global_elements: dims[0] * dims[1] * dims[2],
@@ -66,7 +66,7 @@ impl ClusterExperiment {
         }
     }
 
-    pub fn with_coupling(mut self, coupling: CouplingStrategy) -> Self {
+    pub fn with_coupling(mut self, coupling: Coupling) -> Self {
         self.coupling = coupling;
         self
     }
@@ -93,7 +93,7 @@ impl ClusterExperiment {
 
     /// Space-share with an asymmetric split (implies internode coupling).
     pub fn with_viz_fraction(mut self, fraction: f64) -> Self {
-        self.coupling = CouplingStrategy::Internode;
+        self.coupling = Coupling::Internode;
         self.viz_fraction = Some(fraction);
         self
     }
@@ -104,7 +104,7 @@ pub fn run_cluster(exp: &ClusterExperiment) -> RunMetrics {
     let cluster = ClusterSpec::hikari(exp.nodes);
     let model = CostModel::new(exp.calibration, cluster);
     let graph = match (exp.coupling, exp.viz_fraction) {
-        (CouplingStrategy::Internode, Some(fraction)) => {
+        (Coupling::Internode, Some(fraction)) => {
             crate::coupling::build_schedule_split(
                 &model,
                 exp.algorithm,
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn cluster_mode_coupling_builder() {
         let exp = ClusterExperiment::hacc(AlgorithmClass::VtkPoints, 64, 10_000_000)
-            .with_coupling(CouplingStrategy::Internode)
+            .with_coupling(Coupling::Internode)
             .with_sampling(0.5)
             .with_steps(3)
             .with_sim_ops(100.0);

@@ -38,7 +38,7 @@ pub mod task;
 
 pub use costmodel::{AlgorithmClass, Calibration, CostModel, Workload};
 pub use counters::{CounterSet, Histogram};
-pub use coupling::CouplingStrategy;
+pub use coupling::Coupling;
 pub use experiment::{run_cluster, ClusterExperiment};
 pub use machine::ClusterMachine;
 pub use metrics::RunMetrics;

@@ -25,16 +25,18 @@
 //!    a corrupt nesting — [`Trace::check_well_formed`] verifies the
 //!    invariant that survives: per-thread spans are properly nested.
 //!
-//! Consumers sit in [`trace`]: a Chrome trace-event JSON exporter
-//! (Perfetto-loadable, `reproduce … --trace out.json`), per-phase busy
-//! time for power attribution (`eth-core::harness`), and histogram feeds
-//! for campaign telemetry (`eth-core::telemetry`).
+//! Consumers: [`Trace`]'s per-phase busy time for power attribution
+//! (`eth-core::harness`) and histogram feeds for campaign telemetry
+//! (`eth-core::telemetry`), and [`MergedTrace`], which stitches flows,
+//! walks the critical path and writes the one export format, a
+//! Perfetto-loadable Chrome trace-event JSON (`reproduce … --trace
+//! out.json`, `eth serve`'s `/trace`).
 
 pub mod merge;
 mod span;
 mod trace;
 
-pub use merge::{trace_from_chrome, CriticalPathSummary, MergedTrace, PhaseShare, RankShare};
+pub use merge::{CriticalPathSummary, MergedTrace, PhaseShare, RankShare};
 pub use span::{
     count, current_context, flow_context, flow_in, flow_out, install_global, instant, now_ns,
     set_rank, span, span_bytes, step_mark, take_global, uninstall_global, Attachment, Context,

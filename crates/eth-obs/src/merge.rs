@@ -6,7 +6,8 @@
 //! This module pairs the [`FlowRecord`]s the transports emit (one `Out`
 //! inside each Send span, one `In` at the matching recv's match point)
 //! into flow edges, exports one Perfetto-loadable trace with flow arrows
-//! (`ph:"s"`/`ph:"f"`), and walks the per-step **critical path**: the
+//! (`ph:"s"`/`ph:"f"`) — the crate's one trace writer; nothing reads a
+//! trace back — and walks the per-step **critical path**: the
 //! chain of spans — stage → sim → encode → send → recv → render →
 //! composite — that bounds each step's latency, attributed per rank and
 //! phase.
@@ -26,7 +27,7 @@
 //! walk simply declines a jump when no matched edge exists.
 
 use crate::span::{FlowDir, FlowRecord, Phase, Record, SpanRecord, NO_RANK};
-use crate::trace::{pid_for, sep, write_process_names, Trace};
+use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -129,17 +130,19 @@ impl MergedTrace {
         }
     }
 
-    /// Export the stitched Perfetto view: every record the plain exporter
-    /// writes (pid = rank + 1 preserved), plus one `ph:"s"` → `ph:"f"`
-    /// flow arrow per matched send/recv pair, plus an `ethFlowStats` /
-    /// `ethCriticalPath` summary block that `reproduce trace-analyze`
-    /// (and the CI smoke) read back.
+    /// Export as Chrome trace-event JSON (the `chrome://tracing` /
+    /// Perfetto "JSON Array Format"), the one trace format: spans become
+    /// complete ("X") events with `pid` = rank + 1 and `tid` = recorder
+    /// thread id, instants and step marks "i", counts "C", plus one
+    /// `ph:"s"` → `ph:"f"` flow arrow per matched send/recv pair, and an
+    /// `ethFlowStats` / `ethCriticalPath` summary block that `reproduce
+    /// trace-analyze` prints.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::with_capacity(64 + self.trace.records.len() * 112);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
         let mut pids: BTreeMap<u32, &'static str> = BTreeMap::new();
-        self.trace.write_chrome_events(&mut out, &mut first, &mut pids);
+        write_chrome_events(&self.trace, &mut out, &mut first, &mut pids);
         for f in &self.matched {
             let (src_pid, src_label) = pid_for(f.src.rank);
             let (dst_pid, dst_label) = pid_for(f.dst.rank);
@@ -509,114 +512,153 @@ fn charge(
     *window_rank_s.entry(span.rank).or_insert(0.0) += dt;
 }
 
-// ---------------------------------------------------------------------------
-// Re-import: rebuild a Trace (+ summary) from an exported stitched JSON,
-// so `reproduce trace-analyze` works on any trace file on disk.
-// ---------------------------------------------------------------------------
-
-/// Parse a Chrome trace-event JSON (plain or stitched) back into a
-/// [`Trace`] plus the embedded critical-path summary, when present.
-/// Span names that don't match a known [`Phase`] are skipped; flow `s`/`f`
-/// events become paired flow records.
-pub fn trace_from_chrome(
-    v: &serde::Value,
-) -> Result<(Trace, Option<CriticalPathSummary>), String> {
-    let root = v.as_object().ok_or("trace root is not an object")?;
-    let events = serde::field(root, "traceEvents")
-        .and_then(|e| e.as_array())
-        .ok_or("missing traceEvents array")?;
-    let mut records = Vec::with_capacity(events.len());
-    for e in events {
-        let Some(fields) = e.as_object() else { continue };
-        let ph = serde::field(fields, "ph").and_then(|p| p.as_str()).unwrap_or("");
-        let num = |key: &str| -> Option<f64> {
-            serde::field(fields, key).and_then(|v| match v {
-                serde::Value::F64(f) => Some(*f),
-                serde::Value::U64(n) => Some(*n as f64),
-                serde::Value::I64(n) => Some(*n as f64),
-                _ => None,
-            })
-        };
-        let ts_ns = (num("ts").unwrap_or(0.0).max(0.0) * 1000.0).round() as u64;
-        let pid = num("pid").unwrap_or(0.0) as u32;
-        let rank = if pid == 0 { NO_RANK } else { pid - 1 };
-        let thread = num("tid").unwrap_or(0.0) as u32;
-        match ph {
-            "X" => {
-                let name = serde::field(fields, "name").and_then(|n| n.as_str()).unwrap_or("");
-                let Some(phase) = Phase::from_name(name) else { continue };
-                let dur_ns = (num("dur").unwrap_or(0.0).max(0.0) * 1000.0).round() as u64;
-                let bytes = serde::field(fields, "args")
-                    .and_then(|a| a.as_object())
-                    .and_then(|a| serde::field(a, "bytes"))
-                    .and_then(|b| match b {
-                        serde::Value::U64(n) => Some(*n),
-                        serde::Value::F64(f) if *f >= 0.0 => Some(*f as u64),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
-                records.push(Record::Span(SpanRecord {
-                    phase,
-                    start_ns: ts_ns,
-                    dur_ns,
-                    rank,
+/// Write a trace's records as Chrome trace events (no envelope, no
+/// process metadata: [`MergedTrace::to_chrome_trace`] writes those).
+fn write_chrome_events(
+    trace: &Trace,
+    out: &mut String,
+    first: &mut bool,
+    pids: &mut BTreeMap<u32, &'static str>,
+) {
+    for r in &trace.records {
+        match r {
+            Record::Span(s) => {
+                let (pid, label) = pid_for(s.rank);
+                pids.entry(pid).or_insert(label);
+                sep(out, first);
+                let _ = write!(
+                    out,
+                    "{{\"name\":{},\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:.3},\
+                     \"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"bytes\":{}}}}}",
+                    json_str(s.phase.name()),
+                    s.start_ns as f64 / 1000.0,
+                    s.dur_ns as f64 / 1000.0,
+                    pid,
+                    s.thread,
+                    s.bytes
+                );
+            }
+            Record::Instant {
+                name,
+                ts_ns,
+                rank,
+                thread,
+            } => {
+                let (pid, label) = pid_for(*rank);
+                pids.entry(pid).or_insert(label);
+                sep(out, first);
+                let _ = write!(
+                    out,
+                    "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"ts\":{:.3},\
+                     \"s\":\"t\",\"pid\":{},\"tid\":{}}}",
+                    json_str(name),
+                    *ts_ns as f64 / 1000.0,
+                    pid,
+                    thread
+                );
+            }
+            Record::Count { name, ts_ns, value } => {
+                sep(out, first);
+                let _ = write!(
+                    out,
+                    "{{\"name\":{},\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{:.3},\
+                     \"pid\":0,\"tid\":0,\"args\":{{\"value\":{}}}}}",
+                    json_str(name),
+                    *ts_ns as f64 / 1000.0,
+                    fmt_f64(*value)
+                );
+            }
+            Record::Step {
+                step,
+                ts_ns,
+                rank,
+                thread,
+            } => {
+                let (pid, label) = pid_for(*rank);
+                pids.entry(pid).or_insert(label);
+                sep(out, first);
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"step\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{:.3},\
+                     \"s\":\"t\",\"pid\":{},\"tid\":{},\"args\":{{\"step\":{}}}}}",
+                    *ts_ns as f64 / 1000.0,
+                    pid,
                     thread,
-                    bytes,
-                }));
+                    step
+                );
             }
-            "i" => {
-                let name = serde::field(fields, "name").and_then(|n| n.as_str()).unwrap_or("");
-                if name == "step" {
-                    let step = serde::field(fields, "args")
-                        .and_then(|a| a.as_object())
-                        .and_then(|a| serde::field(a, "step"))
-                        .and_then(|s| match s {
-                            serde::Value::U64(n) => Some(*n),
-                            serde::Value::F64(f) if *f >= 0.0 => Some(*f as u64),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-                    records.push(Record::Step {
-                        step,
-                        ts_ns,
-                        rank,
-                        thread,
-                    });
-                }
-            }
-            "s" | "f" => {
-                let id = num("id").unwrap_or(0.0) as u64;
-                let args = serde::field(fields, "args").and_then(|a| a.as_object());
-                let arg_u64 = |key: &str| -> u64 {
-                    args.and_then(|a| serde::field(a, key))
-                        .and_then(|v| match v {
-                            serde::Value::U64(n) => Some(*n),
-                            serde::Value::F64(f) if *f >= 0.0 => Some(*f as u64),
-                            _ => None,
-                        })
-                        .unwrap_or(0)
-                };
-                records.push(Record::Flow(FlowRecord {
-                    ctx: crate::span::SpanContext {
-                        trace_id: 0,
-                        span_id: id,
-                    },
-                    dir: if ph == "s" { FlowDir::Out } else { FlowDir::In },
-                    peer: NO_RANK,
-                    tag: arg_u64("tag") as u32,
-                    ts_ns,
-                    rank,
-                    thread,
-                    bytes: arg_u64("bytes"),
-                }));
-            }
-            _ => {}
+            // Flow endpoints only make sense once paired: the
+            // exporter draws the matched arrows after the records.
+            Record::Flow(_) => {}
         }
     }
-    let summary = serde::field(root, "ethCriticalPath")
-        .filter(|v| !v.is_null())
-        .and_then(|v| CriticalPathSummary::deserialize_value(v).ok());
-    Ok((Trace { records }, summary))
+}
+
+/// Comma/newline separator between trace events.
+fn sep(out: &mut String, first: &mut bool) {
+    if !*first {
+        out.push(',');
+    }
+    *first = false;
+    out.push('\n');
+}
+
+/// Name the per-rank process rows so Perfetto's timeline reads "rank N"
+/// instead of bare pids.
+fn write_process_names(out: &mut String, first: &mut bool, pids: &BTreeMap<u32, &'static str>) {
+    for (pid, label) in pids {
+        sep(out, first);
+        let name = if label.is_empty() {
+            format!("rank {}", pid - 1)
+        } else {
+            label.to_string()
+        };
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
+             \"args\":{{\"name\":{}}}}}",
+            pid,
+            json_str(&name)
+        );
+    }
+}
+
+/// Rank → chrome pid. Rank r maps to pid r+1; records with no declared
+/// rank (scheduler, cache fills, journal) collect under pid 0.
+fn pid_for(rank: u32) -> (u32, &'static str) {
+    if rank == NO_RANK {
+        (0, "harness")
+    } else {
+        (rank + 1, "")
+    }
+}
+
+/// Minimal JSON string encoder (names are controlled identifiers, but
+/// escape defensively so the exporter can never emit invalid JSON).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// JSON-safe float formatting (no NaN/inf literals).
+fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -783,34 +825,28 @@ mod tests {
         assert_eq!(cp.dangling_flows, 1);
     }
 
-    #[test]
-    fn stitched_export_roundtrips_through_the_importer() {
-        let m = MergedTrace::build(two_rank_trace());
-        let json = m.to_chrome_trace();
-        let v = serde_json::parse_value_complete(&json).expect("valid JSON");
-        let (trace, summary) = trace_from_chrome(&v).expect("imports");
-        let summary = summary.expect("summary embedded");
-        assert_eq!(summary, m.critical_path.clone().unwrap());
-        // Re-stitching the re-imported trace reproduces the same path
-        // (timestamps quantized to µs precision in the export — the
-        // synthetic ns-scale trace rounds, so only check structure).
-        let m2 = MergedTrace::build(trace.clone());
-        assert_eq!(m2.matched.len(), 1);
+    /// The export format, byte for byte:
+    /// `MergedTrace::build(two_rank_trace()).to_chrome_trace()`. Anything
+    /// that changes these bytes changes what Perfetto and `trace-analyze`
+    /// read.
+    const TWO_RANK_EXPORT: &str = r#"{"traceEvents":[
+{"name":"sim","cat":"phase","ph":"X","ts":0.000,"dur":0.400,"pid":2,"tid":1,"args":{"bytes":0}},
+{"name":"send","cat":"phase","ph":"X","ts":0.400,"dur":0.200,"pid":2,"tid":1,"args":{"bytes":0}},
+{"name":"recv","cat":"phase","ph":"X","ts":0.100,"dur":0.600,"pid":1,"tid":0,"args":{"bytes":0}},
+{"name":"render","cat":"phase","ph":"X","ts":0.700,"dur":0.200,"pid":1,"tid":0,"args":{"bytes":0}},
+{"name":"composite","cat":"phase","ph":"X","ts":0.900,"dur":0.100,"pid":1,"tid":0,"args":{"bytes":0}},
+{"name":"step","cat":"event","ph":"i","ts":1.000,"s":"t","pid":1,"tid":0,"args":{"step":0}},
+{"name":"msg","cat":"flow","ph":"s","id":42,"ts":0.550,"pid":2,"tid":1,"args":{"tag":4096,"bytes":64}},
+{"name":"msg","cat":"flow","ph":"f","bp":"e","id":42,"ts":0.650,"pid":1,"tid":0,"args":{"tag":4096,"bytes":64}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"rank 0"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"rank 1"}}
+],"displayTimeUnit":"ms","ethFlowStats":{"matched":1,"danglingOut":0,"danglingIn":0},"ethCriticalPath":{"steps":1,"total_s":0.0000010000000000000002,"phases":[{"phase":"sim","seconds":0.00000040000000000000003,"share":0.39999999999999997},{"phase":"render","seconds":0.00000020000000000000002,"share":0.19999999999999998},{"phase":"send","seconds":0.00000015000000000000002,"share":0.15},{"phase":"recv","seconds":0.00000015000000000000002,"share":0.15},{"phase":"composite","seconds":0.00000010000000000000001,"share":0.09999999999999999}],"idle_s":0,"coverage":1,"bounding_ranks":[{"rank":1,"steps_bounded":1,"seconds":0.00000055},{"rank":0,"steps_bounded":0,"seconds":0.00000045000000000000003}],"step_s":[0.0000010000000000000002],"dangling_flows":0}}
+"#;
 
-        // A trace written while the raycaster still had a progressive
-        // path: its `progressive_pass` span names no phase now, so the
-        // import skips it and keeps every other record.
-        let old = json.replacen(
-            "{\"traceEvents\":[",
-            "{\"traceEvents\":[{\"name\":\"progressive_pass\",\"cat\":\"phase\",\"ph\":\"X\",\
-             \"ts\":0.750,\"dur\":0.100,\"pid\":1,\"tid\":0,\"args\":{\"bytes\":0}},",
-            1,
-        );
-        assert_ne!(old, json);
-        let v = serde_json::parse_value_complete(&old).expect("valid JSON");
-        let (old_trace, old_summary) = trace_from_chrome(&v).expect("imports");
-        assert_eq!(old_trace.records, trace.records);
-        assert_eq!(old_summary, Some(summary));
+    #[test]
+    fn stitched_export_is_byte_identical_to_the_recorded_golden() {
+        let m = MergedTrace::build(two_rank_trace());
+        assert_eq!(m.to_chrome_trace(), TWO_RANK_EXPORT);
     }
 
     #[test]

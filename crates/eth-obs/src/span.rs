@@ -84,33 +84,6 @@ impl Phase {
             Phase::Recovery => "recovery",
         }
     }
-
-    /// Inverse of [`Phase::name`], for re-importing exported traces.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::all().iter().copied().find(|p| p.name() == name)
-    }
-
-    /// Every phase, for exhaustive aggregation.
-    pub fn all() -> &'static [Phase] {
-        &[
-            Phase::Stage,
-            Phase::Sim,
-            Phase::Encode,
-            Phase::Decode,
-            Phase::Send,
-            Phase::Recv,
-            Phase::Render,
-            Phase::BvhBuild,
-            Phase::Tile,
-            Phase::Composite,
-            Phase::JournalAppend,
-            Phase::CacheLookup,
-            Phase::QueueWait,
-            Phase::Backoff,
-            Phase::Bootstrap,
-            Phase::Recovery,
-        ]
-    }
 }
 
 /// Identity of one cross-thread/cross-rank message, propagated on the

@@ -1,9 +1,9 @@
-//! The collected record stream and its consumers: per-phase aggregation,
-//! the Chrome trace-event exporter, and the well-formedness checker.
+//! The collected record stream and its consumers: per-phase aggregation
+//! and the well-formedness checker. Its one exporter is the stitched
+//! Chrome trace, [`crate::MergedTrace::to_chrome_trace`].
 
-use crate::span::{Phase, Record, SpanRecord, NO_RANK};
+use crate::span::{Phase, Record, SpanRecord};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 
 /// Everything a [`crate::Recorder`] drained: spans, instants, counts, in
 /// flush order (per-thread close order within each drain).
@@ -122,175 +122,6 @@ impl Trace {
         }
         Ok(())
     }
-
-    /// Export as Chrome trace-event JSON (the `chrome://tracing` /
-    /// Perfetto "JSON Array Format"). Spans become complete ("X") events
-    /// with `pid` = rank and `tid` = recorder thread id, so a campaign
-    /// renders as one timeline per rank; instants become "i", counts "C".
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(64 + self.records.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut pids: BTreeMap<u32, &'static str> = BTreeMap::new();
-        self.write_chrome_events(&mut out, &mut first, &mut pids);
-        write_process_names(&mut out, &mut first, &pids);
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
-    }
-
-    /// Write this trace's records as Chrome trace events (no envelope, no
-    /// process metadata — the callers own those). Shared between the plain
-    /// exporter above and the stitched exporter in [`crate::merge`].
-    pub(crate) fn write_chrome_events(
-        &self,
-        out: &mut String,
-        first: &mut bool,
-        pids: &mut BTreeMap<u32, &'static str>,
-    ) {
-        for r in &self.records {
-            match r {
-                Record::Span(s) => {
-                    let (pid, label) = pid_for(s.rank);
-                    pids.entry(pid).or_insert(label);
-                    sep(out, first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":{},\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:.3},\
-                         \"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"bytes\":{}}}}}",
-                        json_str(s.phase.name()),
-                        s.start_ns as f64 / 1000.0,
-                        s.dur_ns as f64 / 1000.0,
-                        pid,
-                        s.thread,
-                        s.bytes
-                    );
-                }
-                Record::Instant {
-                    name,
-                    ts_ns,
-                    rank,
-                    thread,
-                } => {
-                    let (pid, label) = pid_for(*rank);
-                    pids.entry(pid).or_insert(label);
-                    sep(out, first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"ts\":{:.3},\
-                         \"s\":\"t\",\"pid\":{},\"tid\":{}}}",
-                        json_str(name),
-                        *ts_ns as f64 / 1000.0,
-                        pid,
-                        thread
-                    );
-                }
-                Record::Count { name, ts_ns, value } => {
-                    sep(out, first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":{},\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{:.3},\
-                         \"pid\":0,\"tid\":0,\"args\":{{\"value\":{}}}}}",
-                        json_str(name),
-                        *ts_ns as f64 / 1000.0,
-                        fmt_f64(*value)
-                    );
-                }
-                Record::Step {
-                    step,
-                    ts_ns,
-                    rank,
-                    thread,
-                } => {
-                    let (pid, label) = pid_for(*rank);
-                    pids.entry(pid).or_insert(label);
-                    sep(out, first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"step\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{:.3},\
-                         \"s\":\"t\",\"pid\":{},\"tid\":{},\"args\":{{\"step\":{}}}}}",
-                        *ts_ns as f64 / 1000.0,
-                        pid,
-                        thread,
-                        step
-                    );
-                }
-                // Flow endpoints only make sense once paired — the
-                // stitched exporter (crate::merge) draws the arrows.
-                Record::Flow(_) => {}
-            }
-        }
-    }
-}
-
-/// Comma/newline separator between trace events.
-pub(crate) fn sep(out: &mut String, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-}
-
-/// Name the per-rank process rows so Perfetto's timeline reads "rank N"
-/// instead of bare pids.
-pub(crate) fn write_process_names(
-    out: &mut String,
-    first: &mut bool,
-    pids: &BTreeMap<u32, &'static str>,
-) {
-    for (pid, label) in pids {
-        sep(out, first);
-        let name = if label.is_empty() {
-            format!("rank {}", pid - 1)
-        } else {
-            label.to_string()
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            pid,
-            json_str(&name)
-        );
-    }
-}
-
-/// Rank → chrome pid. Rank r maps to pid r+1; records with no declared
-/// rank (scheduler, cache fills, journal) collect under pid 0.
-pub(crate) fn pid_for(rank: u32) -> (u32, &'static str) {
-    if rank == NO_RANK {
-        (0, "harness")
-    } else {
-        (rank + 1, "")
-    }
-}
-
-/// Minimal JSON string encoder (names are controlled identifiers, but
-/// escape defensively so the exporter can never emit invalid JSON).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON-safe float formatting (no NaN/inf literals).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +177,7 @@ mod tests {
             instant("step_done");
             count("retries", 1.0);
         }
-        let json = r.take().to_chrome_trace();
+        let json = crate::MergedTrace::build(r.take()).to_chrome_trace();
         let v = serde_json::parse_value_complete(&json).expect("valid JSON");
         let root = v.as_object().expect("root object");
         let events = root

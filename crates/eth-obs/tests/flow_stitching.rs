@@ -2,10 +2,11 @@
 //! contexts — including dropped messages — merges into a well-formed
 //! stitched trace: every delivered message becomes exactly one flow
 //! arrow with both endpoints, every dropped one is counted dangling,
-//! arrows never point backwards, and the whole thing survives a
-//! Chrome-JSON export → re-import round trip.
+//! arrows never point backwards, and the Chrome-JSON export embeds the
+//! critical path that was walked, exactly when there is one.
 
 use proptest::prelude::*;
+use serde::Deserialize;
 use std::sync::mpsc;
 
 proptest! {
@@ -107,13 +108,16 @@ proptest! {
             None => prop_assert_eq!(steps, 0),
         }
 
-        // Export → re-import → re-stitch is stable: the same flows pair.
+        // The export's `ethCriticalPath` block is the walked summary,
+        // present exactly when the trace has step marks.
         let value = serde_json::parse_value_complete(&chrome)
             .map_err(|e| TestCaseError::fail(format!("chrome export unparseable: {e}")))?;
-        let (reimported, summary) = eth_obs::trace_from_chrome(&value)
-            .map_err(TestCaseError::fail)?;
-        prop_assert_eq!(summary.is_some(), steps > 0);
-        let again = eth_obs::MergedTrace::build(reimported);
-        prop_assert_eq!(again.matched.len(), delivered);
+        let root = value.as_object().ok_or_else(|| TestCaseError::fail("root is not an object"))?;
+        let embedded = serde::field(root, "ethCriticalPath")
+            .map(eth_obs::CriticalPathSummary::deserialize_value)
+            .transpose()
+            .map_err(|e| TestCaseError::fail(format!("ethCriticalPath unreadable: {e}")))?;
+        prop_assert_eq!(embedded.is_some(), steps > 0);
+        prop_assert_eq!(embedded, merged.critical_path);
     }
 }

@@ -73,7 +73,7 @@ proptest! {
         }
 
         // The Chrome export is valid JSON whatever the program was.
-        let chrome = trace.to_chrome_trace();
+        let chrome = eth_obs::MergedTrace::build(trace).to_chrome_trace();
         prop_assert!(serde_json::parse_value_complete(&chrome).is_ok());
     }
 }

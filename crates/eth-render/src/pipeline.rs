@@ -66,18 +66,6 @@ impl RenderAlgorithm {
         }
     }
 
-    /// Does this algorithm belong to the geometry-based pipeline
-    /// (as opposed to the geometry-free raycasting pipeline)?
-    pub fn is_geometry_based(&self) -> bool {
-        matches!(
-            self,
-            RenderAlgorithm::VtkPoints { .. }
-                | RenderAlgorithm::GaussianSplat { .. }
-                | RenderAlgorithm::VtkIsosurface { .. }
-                | RenderAlgorithm::VtkSlice { .. }
-        )
-    }
-
     /// Does this algorithm accept the given data class?
     pub fn accepts(&self, obj: &DataObject) -> bool {
         match self {
@@ -636,14 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn names_and_classes() {
+    fn names() {
         assert_eq!(
             RenderAlgorithm::VtkPoints { point_size: 1 }.name(),
             "vtk_points"
         );
-        assert!(RenderAlgorithm::VtkPoints { point_size: 1 }.is_geometry_based());
-        assert!(!RenderAlgorithm::RaycastSpheres { radius: 0.1 }.is_geometry_based());
-        assert!(RenderAlgorithm::VtkSlice { planes: vec![] }.is_geometry_based());
     }
 
     #[test]

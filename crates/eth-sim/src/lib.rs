@@ -5,8 +5,6 @@
 //! internally, but which is much easier to reconfigure for different
 //! in-situ architectures" (Section I). This crate provides:
 //!
-//! * [`interface`] — the simulation↔analysis coupling interface (the thick
-//!   black line of Figure 1),
 //! * [`hacc`] — a deterministic halo-clustered particle generator standing
 //!   in for HACC dark-sky outputs,
 //! * [`xrage`] — an analytic blast-wave field generator standing in for
@@ -18,8 +16,11 @@
 //!   budget, in per-block files past it, and the staging store every
 //!   native run fills,
 //! * [`proxy`] — the simulation proxy that presents one rank's blocks of
-//!   such a series to the in-situ interface, skipping a corrupt or
-//!   missing block instead of failing the rank.
+//!   such a series, one step at a time, skipping a corrupt or missing
+//!   block instead of failing the rank. [`SimulationProxy::step`] is the
+//!   simulation side of the in-situ interface (the thick black line of
+//!   Figure 1): the harness's step loop sends what it presents over a
+//!   `PairLink` to the visualization ranks.
 //!
 //! Both generators are substitutions for data we cannot have (documented in
 //! DESIGN.md): they produce the same *structural* content the visualization
@@ -28,13 +29,11 @@
 
 pub mod amr;
 pub mod hacc;
-pub mod interface;
 pub mod proxy;
 pub mod timeseries;
 pub mod xrage;
 
 pub use hacc::HaccConfig;
-pub use interface::InSituSink;
 pub use proxy::SimulationProxy;
 pub use timeseries::TimeSeries;
 pub use xrage::XrageConfig;

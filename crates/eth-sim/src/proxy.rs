@@ -6,14 +6,12 @@
 //! [`TimeSeries`] — a recording opened from disk (Figure 7), or the
 //! staging series the harness fills for a run — one timestep at a time.
 //! The harness's step loop presents every block through
-//! [`SimulationProxy::step`]; [`SimulationProxy::run`] drives an
-//! [`InSituSink`] through the same rule.
+//! [`SimulationProxy::step`], its one entry.
 //!
 //! One bad block costs a frame, not the rank: a block whose file is
 //! corrupt or missing is skipped, counted once in `proxy_skipped_steps`,
 //! and the proxy moves on.
 
-use crate::interface::InSituSink;
 use crate::timeseries::TimeSeries;
 use eth_data::error::{DataError, Result};
 use eth_data::DataObject;
@@ -61,55 +59,12 @@ impl SimulationProxy {
         }
         Ok(block)
     }
-
-    /// Drive a sink through every timestep (tight coupling: source and sink
-    /// in the same call stack, exactly the paper's unified mode). Skipped
-    /// steps are counted in [`ProxyRunStats::skipped_steps`]; any other
-    /// failure, the sink's included, aborts the run.
-    pub fn run(&mut self, sink: &mut dyn InSituSink) -> Result<ProxyRunStats> {
-        self.run_from(0, sink)
-    }
-
-    /// [`SimulationProxy::run`], starting at `start_step` instead of zero.
-    pub fn run_from(
-        &mut self,
-        start_step: usize,
-        sink: &mut dyn InSituSink,
-    ) -> Result<ProxyRunStats> {
-        let mut stats = ProxyRunStats::default();
-        for step in start_step..self.num_timesteps() {
-            let sim_span = eth_obs::span(eth_obs::Phase::Sim);
-            let Some(data) = self.step(step)? else {
-                stats.skipped_steps += 1;
-                continue;
-            };
-            drop(sim_span);
-            stats.steps += 1;
-            stats.elements += data.num_elements() as u64;
-            stats.bytes_presented += data.payload_bytes() as u64;
-            sink.consume(step, &data)?;
-        }
-        sink.finish()?;
-        Ok(stats)
-    }
-}
-
-/// Accounting from one proxy run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProxyRunStats {
-    pub steps: usize,
-    pub elements: u64,
-    /// Bytes presented across the in-situ interface.
-    pub bytes_presented: u64,
-    /// Steps dropped because their block was corrupt or missing on disk.
-    pub skipped_steps: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hacc::HaccConfig;
-    use crate::interface::CountingSink;
     use crate::timeseries::StagingAccountant;
     use eth_data::partition::partition_points;
     use std::fs;
@@ -133,16 +88,26 @@ mod tests {
         Arc::new(series)
     }
 
+    /// Step `proxy` through its whole series, as the step loop does:
+    /// (blocks presented, steps skipped, elements presented).
+    fn replay(proxy: &mut SimulationProxy) -> (usize, usize, u64) {
+        let (mut blocks, mut skipped, mut elements) = (0, 0, 0);
+        for step in 0..proxy.num_timesteps() {
+            match proxy.step(step).unwrap() {
+                Some(block) => {
+                    blocks += 1;
+                    elements += block.num_elements() as u64;
+                }
+                None => skipped += 1,
+            }
+        }
+        (blocks, skipped, elements)
+    }
+
     #[test]
-    fn proxy_drives_sink() {
+    fn stepping_presents_every_block() {
         let mut proxy = SimulationProxy::new(staged(500, 3), 0);
-        let mut sink = CountingSink::default();
-        let stats = proxy.run(&mut sink).unwrap();
-        assert_eq!(stats.steps, 3);
-        assert_eq!(sink.steps, 3);
-        assert_eq!(sink.elements, 1500);
-        assert!(sink.finished);
-        assert_eq!(stats.elements, sink.elements);
+        assert_eq!(replay(&mut proxy), (3, 0, 1500));
     }
 
     #[test]
@@ -178,21 +143,19 @@ mod tests {
         for rank in 0..ranks {
             let mut proxy = SimulationProxy::from_disk(&root, rank).unwrap();
             assert_eq!(proxy.num_timesteps(), 2);
-            let mut sink = CountingSink::default();
-            proxy.run(&mut sink).unwrap();
-            total += sink.elements;
+            let (blocks, skipped, elements) = replay(&mut proxy);
+            assert_eq!((blocks, skipped), (2, 0));
+            total += elements;
         }
         assert_eq!(total, 800 * steps as u64);
         fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn a_rank_outside_the_series_aborts_the_run() {
+    fn a_rank_outside_the_series_is_an_error() {
         let mut proxy = SimulationProxy::new(staged(100, 2), 5);
-        let mut sink = CountingSink::default();
-        let err = proxy.run(&mut sink).unwrap_err();
+        let err = proxy.step(0).unwrap_err();
         assert!(matches!(err, DataError::InvalidArgument(_)), "{err}");
-        assert!(!sink.finished);
     }
 
     #[test]
@@ -216,30 +179,11 @@ mod tests {
         fs::remove_file(root.join("step_0002").join("rank_0000.ebd")).unwrap();
 
         let mut proxy = SimulationProxy::from_disk(&root, 0).unwrap();
-        let mut sink = CountingSink::default();
-        let stats = proxy.run(&mut sink).unwrap();
-        assert_eq!(stats.steps, 2, "steps 0 and 3 survive");
-        assert_eq!(stats.skipped_steps, 2, "steps 1 and 2 degraded");
-        assert_eq!(sink.steps, 2);
-        assert!(sink.finished);
+        assert!(proxy.step(0).unwrap().is_some());
+        assert!(proxy.step(1).unwrap().is_none(), "step 1 is corrupt");
+        assert!(proxy.step(2).unwrap().is_none(), "step 2 is missing");
+        assert!(proxy.step(3).unwrap().is_some());
         fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn run_from_replays_only_the_tail() {
-        let series = staged(200, 5);
-        let mut full_sink = CountingSink::default();
-        let mut full = SimulationProxy::new(series.clone(), 0);
-        full.run(&mut full_sink).unwrap();
-        assert_eq!(full_sink.steps, 5);
-
-        // a proxy opened at step 3 sees steps 3..5
-        let mut tail_sink = CountingSink::default();
-        let mut tail = SimulationProxy::new(series, 0);
-        let stats = tail.run_from(3, &mut tail_sink).unwrap();
-        assert_eq!(stats.steps, 2);
-        assert_eq!(tail_sink.steps, 2);
-        assert!(tail_sink.finished);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x01]);
 /// v2 magic: same layout plus a 16-byte span context after the header.
 pub const FRAME_MAGIC_V2: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x02]);
 
-/// Default maximum accepted payload (guards against corrupt length
-/// fields). Use [`read_frame_limited`] to tighten it per channel.
+/// Largest payload the socket reader accepts (guards against corrupt
+/// length fields); [`read_frame_leased`] takes the limit per call.
 pub const MAX_PAYLOAD: u64 = 1 << 34; // 16 GiB
 
 /// Largest payload buffer leased on the strength of the length prefix
@@ -158,17 +158,6 @@ pub fn read_frame_leased(r: &mut impl Read, max_payload: u64, pool: &PayloadPool
     })
 }
 
-/// [`read_frame_leased`] from a pool of its own: a buffer of the frame's
-/// size is allocated for it and freed with the payload.
-pub fn read_frame_limited(r: &mut impl Read, max_payload: u64) -> Result<Frame> {
-    read_frame_leased(r, max_payload, &PayloadPool::new())
-}
-
-/// Read one frame with the default [`MAX_PAYLOAD`] guard.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
-    read_frame_limited(r, MAX_PAYLOAD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +169,8 @@ mod tests {
         write_frame(&mut wire, 3, 77, None, &payload).unwrap();
         // v1 layout byte-for-byte: no context word when ctx is None
         assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
-        let frame = read_frame(&mut wire.as_slice()).unwrap();
+        let frame =
+            read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         assert_eq!(frame.from, 3);
         assert_eq!(frame.tag, 77);
         assert_eq!(frame.ctx, None);
@@ -200,7 +190,8 @@ mod tests {
             wire.len(),
             FRAME_HEADER_BYTES + FRAME_CONTEXT_BYTES + payload.len()
         );
-        let frame = read_frame(&mut wire.as_slice()).unwrap();
+        let frame =
+            read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         assert_eq!(frame.ctx, Some(ctx));
         assert_eq!(frame.payload, payload);
     }
@@ -218,7 +209,7 @@ mod tests {
         header.put_u64_le(payload.len() as u64);
         wire.extend_from_slice(&header);
         wire.extend_from_slice(payload);
-        let f = read_frame(&mut wire.as_slice()).unwrap();
+        let f = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         assert_eq!(f.from, 5);
         assert_eq!(f.tag, 0x1000);
         assert_eq!(f.ctx, None);
@@ -240,7 +231,7 @@ mod tests {
         }
         let mut r = wire.as_slice();
         for i in 0..5u32 {
-            let f = read_frame(&mut r).unwrap();
+            let f = read_frame_leased(&mut r, MAX_PAYLOAD, &PayloadPool::new()).unwrap();
             assert_eq!(f.from, i);
             assert_eq!(f.tag, i * 10);
             assert_eq!(f.payload.len(), i as usize);
@@ -252,7 +243,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, 0, 0, None, &Bytes::from_static(b"abcdef")).unwrap();
         wire.truncate(wire.len() - 2);
-        assert!(read_frame(&mut wire.as_slice()).is_err());
+        assert!(read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).is_err());
     }
 
     #[test]
@@ -269,7 +260,7 @@ mod tests {
         header.put_u64_le(8 << 30);
         wire.extend_from_slice(&header);
         wire.extend_from_slice(&[0xAB; 100]);
-        match read_frame(&mut wire.as_slice()) {
+        match read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()) {
             Err(TransportError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
                 assert!(e.to_string().contains("100 of 8589934592"), "{e}");
@@ -288,7 +279,7 @@ mod tests {
         header.put_u64_le(MAX_PAYLOAD + 1);
         wire.extend_from_slice(&header);
         assert!(matches!(
-            read_frame(&mut wire.as_slice()),
+            read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()),
             Err(TransportError::Decode(_))
         ));
     }
@@ -304,7 +295,7 @@ mod tests {
         header.put_u32_le(2);
         header.put_u64_le(1 << 40);
         wire.extend_from_slice(&header);
-        match read_frame(&mut wire.as_slice()) {
+        match read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()) {
             Err(TransportError::Decode(m)) => assert!(m.contains("magic"), "{m}"),
             other => panic!("expected Decode error, got {other:?}"),
         }
@@ -315,9 +306,9 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, 0, 0, None, &Bytes::from(vec![0u8; 64])).unwrap();
         // the same frame passes with a loose limit and fails with a tight one
-        assert!(read_frame_limited(&mut wire.as_slice(), 64).is_ok());
+        assert!(read_frame_leased(&mut wire.as_slice(), 64, &PayloadPool::new()).is_ok());
         assert!(matches!(
-            read_frame_limited(&mut wire.as_slice(), 63),
+            read_frame_leased(&mut wire.as_slice(), 63, &PayloadPool::new()),
             Err(TransportError::Decode(_))
         ));
     }
@@ -334,7 +325,8 @@ mod tests {
         // through the framing: the decoded positions are the frame's bytes
         let mut wire = Vec::new();
         write_frame(&mut wire, 1, 2, None, &payload).unwrap();
-        let frame = read_frame(&mut wire.as_slice()).unwrap();
+        let frame =
+            read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         let range = frame.payload.as_ptr_range();
         let back = binary::decode(frame.payload.clone()).unwrap();
         let positions = back.as_points().unwrap().positions().as_ptr_range();
@@ -346,7 +338,7 @@ mod tests {
     fn empty_payload_frame() {
         let mut wire = Vec::new();
         write_frame(&mut wire, 9, 1, None, &Bytes::new()).unwrap();
-        let f = read_frame(&mut wire.as_slice()).unwrap();
+        let f = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         assert!(f.payload.is_empty());
     }
 
@@ -473,7 +465,7 @@ mod tests {
                 let (payload, wire) = wire_of(len, seed);
                 let pool = dirty_pool(&parked);
                 let pooled = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &pool).unwrap();
-                let fresh = read_frame(&mut wire.as_slice()).unwrap();
+                let fresh = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
                 prop_assert_eq!(&pooled, &fresh);
                 prop_assert_eq!(&pooled.payload, &payload);
                 drop(pooled);
@@ -530,7 +522,7 @@ mod tests {
                 pick in 0u8..4,
                 body in prop::collection::vec(0u16..256, 0..160),
             ) {
-                let _ = read_frame_limited(&mut bytes(noise).as_slice(), MAX_PAYLOAD);
+                let _ = read_frame_leased(&mut bytes(noise).as_slice(), MAX_PAYLOAD, &PayloadPool::new());
                 // short prefixes often fit the bytes present; any other
                 // almost never does
                 let len = if pick & 1 == 0 { short } else { any_len };
@@ -545,7 +537,7 @@ mod tests {
                 wire.extend_from_slice(&body);
                 let ctx = if v2 == 1 { FRAME_CONTEXT_BYTES } else { 0 };
                 let present = body.len().saturating_sub(ctx) as u64;
-                match read_frame_limited(&mut &wire[..], limit) {
+                match read_frame_leased(&mut &wire[..], limit, &PayloadPool::new()) {
                     Ok(frame) => {
                         prop_assert!(len <= limit && len <= present && body.len() >= ctx);
                         prop_assert_eq!(&frame.payload[..], &body[ctx..ctx + len as usize]);

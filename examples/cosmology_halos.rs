@@ -3,8 +3,9 @@
 //! 1. A "preliminary run": the halo-clustered particle generator writes
 //!    per-timestep, per-rank blocks to disk — the recorded data a real
 //!    simulation would have produced.
-//! 2. The simulation proxy replays the recording into the in-situ
-//!    interface, and all three particle algorithms render it.
+//! 2. The simulation proxy replays the recording one step at a time, as
+//!    the harness's step loop does, and all three particle algorithms
+//!    render it.
 //! 3. The same design points are evaluated at paper scale on the cluster
 //!    model (Table I shape: splat < points < raycast, power ~flat).
 //!
@@ -18,7 +19,6 @@ use eth::core::harness;
 use eth::core::results::{fmt_kw, fmt_s, ResultTable};
 use eth::data::partition::partition_points;
 use eth::data::DataObject;
-use eth::sim::interface::CountingSink;
 use eth::sim::timeseries::TimeSeries;
 use eth::sim::{HaccConfig, SimulationProxy};
 
@@ -48,9 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut replay_elements = 0;
     for rank in 0..ranks {
         let mut proxy = SimulationProxy::from_disk(&recording, rank)?;
-        let mut sink = CountingSink::default();
-        proxy.run(&mut sink)?;
-        replay_elements += sink.elements;
+        for step in 0..proxy.num_timesteps() {
+            if let Some(block) = proxy.step(step)? {
+                replay_elements += block.num_elements();
+            }
+        }
     }
     println!(
         "proxy replay presented {replay_elements} particles across {ranks} ranks"

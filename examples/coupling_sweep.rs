@@ -16,7 +16,6 @@ use eth::core::harness;
 use eth::core::results::{fmt_s, ResultTable};
 use eth::core::sweep::Sweep;
 use eth::cluster::costmodel::AlgorithmClass;
-use eth::cluster::coupling::CouplingStrategy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- native sweep ---------------------------------------------------
@@ -58,14 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (HACC 1B + light simulation, 400 nodes)",
         &["Coupling", "Time (s)", "Energy (MJ)"],
     );
-    for strategy in CouplingStrategy::all() {
+    for coupling in Coupling::all() {
         let exp = ClusterExperiment::hacc(AlgorithmClass::RaycastSpheres, 400, 1_000_000_000)
-            .with_coupling(strategy)
+            .with_coupling(coupling)
             .with_steps(4)
             .with_sim_ops(300_000.0);
         let m = run_cluster(&exp);
         fig11.push_row(vec![
-            strategy.name().to_string(),
+            coupling.name().to_string(),
             fmt_s(m.exec_time_s),
             format!("{:.2}", m.energy_kj / 1000.0),
         ]);

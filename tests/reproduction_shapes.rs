@@ -3,7 +3,7 @@
 //! exact numbers).
 
 use eth::cluster::costmodel::AlgorithmClass;
-use eth::cluster::coupling::CouplingStrategy;
+use eth::cluster::coupling::Coupling;
 use eth::cluster::experiment::{run_cluster, ClusterExperiment};
 
 const B: u64 = 1_000_000_000;
@@ -82,9 +82,9 @@ fn finding6_intercore_coupling_wins_for_hacc() {
                 .with_sim_ops(300_000.0),
         )
     };
-    let tight = run(CouplingStrategy::Tight);
-    let intercore = run(CouplingStrategy::Intercore);
-    let internode = run(CouplingStrategy::Internode);
+    let tight = run(Coupling::Tight);
+    let intercore = run(Coupling::Intercore);
+    let internode = run(Coupling::Internode);
     assert!(intercore.exec_time_s < tight.exec_time_s);
     assert!(intercore.exec_time_s < internode.exec_time_s);
     assert!(intercore.energy_kj < tight.energy_kj);
