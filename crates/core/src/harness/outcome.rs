@@ -147,7 +147,9 @@ pub struct NativeOutcome {
     /// Dynamic-energy breakdown by phase (which phases bought the watts).
     pub phase_energy: Vec<PhaseEnergy>,
     /// Structured counters from the run's trace: per-phase busy seconds /
-    /// span counts / bytes, proxy skipped steps, and degradation totals.
+    /// span counts / bytes, flow stitching, and the trace's named counts
+    /// (proxy skipped steps, cache hits, wire bytes). What `degradation`
+    /// and `critical_path` carry is not repeated here.
     pub counters: CounterSet,
     /// Per-step critical path through the stitched cross-rank trace:
     /// which phases bound each frame's latency, attributed by walking
@@ -418,34 +420,7 @@ pub(super) fn attribute_run(outcome: &mut NativeOutcome, trace: &eth_obs::Trace,
                 (merged.dangling_out + merged.dangling_in) as f64,
             );
         }
-        if let Some(cp) = merged.critical_path {
-            for p in &cp.phases {
-                counters.add(&format!("critical_path_{}_s", p.phase), p.seconds);
-            }
-            outcome.critical_path = Some(cp);
-        }
-    }
-    let d = &outcome.degradation;
-    if !d.is_clean() {
-        counters.add("degradation_dropped_steps", d.dropped_steps as f64);
-        counters.add("degradation_degraded_steps", d.degraded_steps as f64);
-        counters.add("degradation_timeouts", d.timeouts as f64);
-        counters.add("degradation_disconnects", d.disconnects as f64);
-        counters.add("degradation_corrupt_payloads", d.corrupt_payloads as f64);
-        if d.rank_losses > 0 {
-            counters.add("recovery_rank_losses", d.rank_losses as f64);
-            counters.add("recovery_adopted_partitions", d.adopted_partitions as f64);
-        }
-        if d.missing_contributions > 0 {
-            counters.add(
-                "recovery_missing_contributions",
-                d.missing_contributions as f64,
-            );
-        }
-        if d.migrations + d.migration_failures > 0 {
-            counters.add("recovery_migrations", d.migrations as f64);
-            counters.add("recovery_migration_failures", d.migration_failures as f64);
-        }
+        outcome.critical_path = merged.critical_path;
     }
     outcome.counters = counters;
 }

@@ -16,8 +16,7 @@ use eth_render::scratch::{ScratchLease, ScratchPool};
 use eth_sim::SimulationProxy;
 use eth_transport::chaos::ChaosLink;
 use eth_transport::collectives::{
-    gather, recv_adopt_notice, recv_migrate_ack, recv_migrate_offer, send_adopt_notice,
-    send_migrate_ack, send_migrate_offer, AdoptNotice, MigrateAck, MigrateOffer,
+    gather, recv_control, send_control, AdoptNotice, MigrateAck, MigrateOffer,
 };
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::fault::DATA_TAG_MIN;
@@ -228,7 +227,11 @@ pub(super) fn sim_role(cx: &RankCx, rank: usize, link: &dyn PairLink) -> Result<
             return Ok(RankOutput::default());
         }
         let t = Instant::now();
-        let payload = match proxy.step(step)? {
+        let block = {
+            let _span = eth_obs::span(eth_obs::Phase::Sim);
+            proxy.step(step)?
+        };
+        let payload = match block {
             Some(block) => encode_block(spec, &block, reader.reads(), &cx.payloads),
             None => Bytes::new(),
         };
@@ -353,24 +356,23 @@ pub(super) fn migrate_handshakes(
         };
         if h.from == me {
             let t = Instant::now();
-            send_migrate_offer(comm, fabric.base + h.to, &scheduled)?;
-            if recv_migrate_ack(comm, fabric.base + h.to, index, deadline)?.committed {
+            send_control(comm, fabric.base + h.to, &scheduled)?;
+            let ack: MigrateAck = recv_control(comm, fabric.base + h.to, index, deadline)?;
+            if ack.committed {
                 owners[h.partition] = h.to;
                 deg.migrations += 1;
-                eth_obs::count("migrations", 1.0);
             } else {
                 deg.migration_failures += 1;
-                eth_obs::count("migration_failures", 1.0);
             }
             disruption.push(t.elapsed().as_secs_f64());
         } else {
-            let offer = recv_migrate_offer(comm, fabric.base + h.from, index, deadline)?;
+            let offer: MigrateOffer = recv_control(comm, fabric.base + h.from, index, deadline)?;
             let committed = offer == scheduled && !cx.deaths.dead_at(h.partition, step);
             let ack = MigrateAck {
                 handoff: index,
                 committed,
             };
-            send_migrate_ack(comm, fabric.base + h.from, &ack)?;
+            send_control(comm, fabric.base + h.from, &ack)?;
             if committed {
                 owners[h.partition] = h.to;
             }
@@ -419,6 +421,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             let t = Instant::now();
             let link = match wire {
                 Wire::InProcess(proxy) => {
+                    let _span = eth_obs::span(eth_obs::Phase::Sim);
                     wire_blocks[sim] = proxy.step(step)?;
                     out.phases.sim_s += t.elapsed().as_secs_f64();
                     continue;
@@ -429,9 +432,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             if cx.deaths.dead_at(sim, step) && !std::mem::replace(&mut lost[sim], true) {
                 let _span = eth_obs::span(eth_obs::Phase::Recovery);
                 deg.rank_losses += 1;
-                eth_obs::count("rank_losses", 1.0);
                 deg.adopted_partitions += 1;
-                eth_obs::count("adopted_partitions", 1.0);
                 let declared = cx.deaths.deaths().find(|death| death.rank == sim);
                 let notice = AdoptNotice {
                     dead_rank: sim,
@@ -445,7 +446,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                     // round-trip
                     own_notices.push(notice);
                 } else {
-                    send_adopt_notice(comm, fabric.base, &notice)?;
+                    send_control(comm, fabric.base, &notice)?;
                 }
             }
             out.phases.transfer_s += t.elapsed().as_secs_f64();
@@ -479,6 +480,7 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 None => {
                     let proxy = inherited[p]
                         .get_or_insert_with(|| SimulationProxy::new(staged.series.clone(), p));
+                    let _span = eth_obs::span(eth_obs::Phase::Sim);
                     match proxy.step(step)? {
                         Some(block) => block,
                         None => continue,
@@ -547,11 +549,10 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
                 Some(notice) => *notice,
                 None => {
                     let drainer = fabric.base + spec.initial_owner(death.rank);
-                    recv_adopt_notice(comm, drainer, death.rank, live.run_deadline)?
+                    recv_control::<AdoptNotice>(comm, drainer, death.rank, live.run_deadline)?
                 }
             };
             out.recovery_latency_s.push(notice.latency_ns as f64 * 1e-9);
-            eth_obs::count("adopt_notices", 1.0);
         }
     }
 

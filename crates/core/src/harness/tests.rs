@@ -149,6 +149,13 @@ fn clean_runs_report_no_degradation() {
         // the empty policy collects its ranks without ever waking on a
         // clock
         assert_eq!(out.counters.get("supervised_launches"), 0.0, "{coupling:?}");
+        // every proxy step is one Sim span, billed like any compute phase
+        let steps = (spec.ranks * spec.steps) as f64;
+        assert_eq!(out.counters.get("phase_sim_spans"), steps, "{coupling:?}");
+        assert!(
+            out.phase_energy.iter().any(|row| row.phase == "sim"),
+            "{coupling:?}"
+        );
     }
 }
 
@@ -561,8 +568,27 @@ fn intercore_kill_is_adopted_and_images_match_the_healthy_run() {
     let reference = run_native(&healthy).unwrap();
 
     let out = run_native(&kill_spec("ic-kill", Coupling::Intercore, 1, 2)).unwrap();
-    assert_eq!(out.degradation.rank_losses, 1, "{:?}", out.degradation);
-    assert_eq!(out.degradation.adopted_partitions, 1);
+    let recovered = Degradation {
+        rank_losses: 1,
+        adopted_partitions: 1,
+        ..Degradation::default()
+    };
+    assert_eq!(out.degradation, recovered);
+    // each recovery fact has one name, the typed field: the counters
+    // repeat neither `degradation` nor `critical_path`
+    let repeated: Vec<&str> = out
+        .counters
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| {
+            name.starts_with("recovery_")
+                || name.starts_with("degradation_")
+                || (name.starts_with("critical_path_") && name.ends_with("_s"))
+                || ["rank_losses", "adopted_partitions", "adopt_notices"].contains(name)
+        })
+        .collect();
+    assert!(repeated.is_empty(), "{repeated:?}");
+    assert!(out.critical_path.is_some());
     assert_eq!(out.images.len(), reference.images.len());
     // Adoption re-renders the dead rank's partition from the shared
     // staged series, so every image — not just the pre-kill ones — is

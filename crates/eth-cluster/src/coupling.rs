@@ -21,10 +21,11 @@
 //!   This overlap is the mechanism behind the paper's Finding 6
 //!   ("proximity does not equate with optimality": intercore beats the
 //!   merged process even though both live on the same nodes).
-//! * **internode** — sim on the first half of the allocation, viz on the
-//!   second half: each side has half the nodes (so double the per-node
-//!   data), every step crosses the interconnect, and sim of step *i+1*
-//!   pipelines with viz of step *i*.
+//! * **internode** — sim on one share of the allocation, viz on the rest:
+//!   at the paper's symmetric layout ([`SYMMETRIC_VIZ_FRACTION`]) each side
+//!   has half the nodes (so double the per-node data), every step crosses
+//!   the interconnect, and sim of step *i+1* pipelines with viz of step
+//!   *i*. The visualization share is the internode arm's one parameter.
 
 use crate::costmodel::{AlgorithmClass, CostModel, Workload};
 use crate::task::{NodeGroup, PhaseGraph, PhaseKind};
@@ -56,15 +57,25 @@ impl Coupling {
 /// (one extra shared-memory traversal of the payload).
 const INTERCORE_IPC_FRACTION: f64 = 0.35;
 
+/// The paper's internode layout: half the allocation visualizes.
+pub const SYMMETRIC_VIZ_FRACTION: f64 = 0.5;
+
 /// Compile one experiment into a phase graph.
 ///
-/// `total_nodes` is the full allocation; internode splits it in half.
+/// `total_nodes` is the full allocation. Internode gives the share
+/// `viz_fraction`, in (0, 1), to the visualization proxy — the "differing
+/// numbers of nodes for each" variant of the paper's Figure 2, and the tool
+/// for testing its hypothesis that "a better way to distribute work is to
+/// allocate a small number of nodes for visualization and the remaining
+/// nodes for simulation" (Section VI-A, after Finding 5). Tight and
+/// intercore share every node and ignore it.
 pub fn build_schedule(
     model: &CostModel,
     strategy: Coupling,
     alg: AlgorithmClass,
     workload: &Workload,
     total_nodes: u32,
+    viz_fraction: f64,
 ) -> PhaseGraph {
     assert!(total_nodes >= 1);
     let mut graph = PhaseGraph::new();
@@ -149,35 +160,9 @@ pub fn build_schedule(
             }
         }
         Coupling::Internode => {
-            build_internode(&mut graph, model, alg, workload, total_nodes, 0.5);
+            build_internode(&mut graph, model, alg, workload, total_nodes, viz_fraction);
         }
     }
-    graph
-}
-
-/// Internode coupling with an arbitrary visualization share — the
-/// "differing numbers of nodes for each" variant of the paper's Figure 2,
-/// and the tool for testing the paper's own hypothesis that "a better way
-/// to distribute work is to allocate a small number of nodes for
-/// visualization and the remaining nodes for simulation" (Section VI-A,
-/// after Finding 5).
-///
-/// `viz_fraction` in (0, 1): share of the allocation given to the
-/// visualization proxy (0.5 = the paper's symmetric internode).
-pub fn build_schedule_split(
-    model: &CostModel,
-    alg: AlgorithmClass,
-    workload: &Workload,
-    total_nodes: u32,
-    viz_fraction: f64,
-) -> PhaseGraph {
-    assert!(total_nodes >= 2, "a split needs at least two nodes");
-    assert!(
-        viz_fraction > 0.0 && viz_fraction < 1.0,
-        "viz_fraction must be in (0, 1), got {viz_fraction}"
-    );
-    let mut graph = PhaseGraph::new();
-    build_internode(&mut graph, model, alg, workload, total_nodes, viz_fraction);
     graph
 }
 
@@ -189,60 +174,60 @@ fn build_internode(
     total_nodes: u32,
     viz_fraction: f64,
 ) {
-    {
-        {
-            let viz_nodes = ((total_nodes as f64 * viz_fraction).round() as u32)
-                .clamp(1, total_nodes.saturating_sub(1).max(1));
-            let sim_nodes = (total_nodes - viz_nodes).max(1);
-            let sim_group = NodeGroup::new(0, sim_nodes);
-            let viz_group = NodeGroup::new(sim_nodes, viz_nodes);
-            let sim = model.sim_phase(workload, sim_nodes);
-            let viz = model.viz_phase(alg, workload, viz_nodes);
-            let comp = model.composite_phase(alg, workload, viz_nodes);
-            let xfer = model.transfer_phase(workload, sim_nodes);
-            let mut prev_viz: Option<usize> = None;
-            for step in 0..workload.steps {
-                // Sim nodes serialize on their own group automatically.
-                let s = graph.add(
-                    format!("sim[{step}]"),
-                    PhaseKind::Simulation,
-                    sim_group,
-                    sim.seconds,
-                    sim.utilization,
-                    vec![],
-                );
-                // Transfer occupies the *sim* side (send) and gates the viz.
-                let t = graph.add(
-                    format!("xfer[{step}]"),
-                    PhaseKind::Transfer,
-                    sim_group,
-                    xfer.seconds,
-                    xfer.utilization,
-                    vec![s],
-                );
-                let mut deps = vec![t];
-                if let Some(pv) = prev_viz {
-                    deps.push(pv);
-                }
-                let v = graph.add(
-                    format!("viz[{step}]"),
-                    PhaseKind::Visualization,
-                    viz_group,
-                    viz.seconds,
-                    viz.utilization,
-                    deps,
-                );
-                let c = graph.add(
-                    format!("composite[{step}]"),
-                    PhaseKind::Composite,
-                    viz_group,
-                    comp.seconds,
-                    comp.utilization,
-                    vec![v],
-                );
-                prev_viz = Some(c);
-            }
+    assert!(
+        viz_fraction > 0.0 && viz_fraction < 1.0,
+        "viz_fraction must be in (0, 1), got {viz_fraction}"
+    );
+    let viz_nodes = ((total_nodes as f64 * viz_fraction).round() as u32)
+        .clamp(1, total_nodes.saturating_sub(1).max(1));
+    let sim_nodes = (total_nodes - viz_nodes).max(1);
+    let sim_group = NodeGroup::new(0, sim_nodes);
+    let viz_group = NodeGroup::new(sim_nodes, viz_nodes);
+    let sim = model.sim_phase(workload, sim_nodes);
+    let viz = model.viz_phase(alg, workload, viz_nodes);
+    let comp = model.composite_phase(alg, workload, viz_nodes);
+    let xfer = model.transfer_phase(workload, sim_nodes);
+    let mut prev_viz: Option<usize> = None;
+    for step in 0..workload.steps {
+        // Sim nodes serialize on their own group automatically.
+        let s = graph.add(
+            format!("sim[{step}]"),
+            PhaseKind::Simulation,
+            sim_group,
+            sim.seconds,
+            sim.utilization,
+            vec![],
+        );
+        // Transfer occupies the *sim* side (send) and gates the viz.
+        let t = graph.add(
+            format!("xfer[{step}]"),
+            PhaseKind::Transfer,
+            sim_group,
+            xfer.seconds,
+            xfer.utilization,
+            vec![s],
+        );
+        let mut deps = vec![t];
+        if let Some(pv) = prev_viz {
+            deps.push(pv);
         }
+        let v = graph.add(
+            format!("viz[{step}]"),
+            PhaseKind::Visualization,
+            viz_group,
+            viz.seconds,
+            viz.utilization,
+            deps,
+        );
+        let c = graph.add(
+            format!("composite[{step}]"),
+            PhaseKind::Composite,
+            viz_group,
+            comp.seconds,
+            comp.utilization,
+            vec![v],
+        );
+        prev_viz = Some(c);
     }
 }
 
@@ -281,6 +266,7 @@ mod tests {
             AlgorithmClass::VtkPoints,
             &hacc_coupled(),
             400,
+            SYMMETRIC_VIZ_FRACTION,
         );
         assert_eq!(g.len(), 3 * 4); // sim, viz, composite per step
         assert!(g.phases().iter().all(|p| p.group.count == 400));
@@ -296,6 +282,7 @@ mod tests {
             AlgorithmClass::RaycastSpheres,
             &w,
             400,
+            SYMMETRIC_VIZ_FRACTION,
         );
         for p in g.phases() {
             match p.kind {
@@ -329,7 +316,14 @@ mod tests {
         for strategy in Coupling::all() {
             let m = model(total);
             let machine = ClusterMachine::new(m.cluster);
-            let g = build_schedule(&m, strategy, AlgorithmClass::RaycastSpheres, &w, total);
+            let g = build_schedule(
+                &m,
+                strategy,
+                AlgorithmClass::RaycastSpheres,
+                &w,
+                total,
+                SYMMETRIC_VIZ_FRACTION,
+            );
             let (trace, profile) = machine.run(&g);
             times.insert(strategy.name(), trace.makespan);
             energies.insert(strategy.name(), profile.energy_kj);
@@ -360,7 +354,14 @@ mod tests {
         let m = model(total);
         let machine = ClusterMachine::new(m.cluster);
         let t = |s| {
-            let g = build_schedule(&m, s, AlgorithmClass::RaycastSpheres, &w, total);
+            let g = build_schedule(
+                &m,
+                s,
+                AlgorithmClass::RaycastSpheres,
+                &w,
+                total,
+                SYMMETRIC_VIZ_FRACTION,
+            );
             machine.execute(&g).makespan
         };
         let t_tight = t(Coupling::Tight);
@@ -373,7 +374,14 @@ mod tests {
         let m = model(400);
         let w = hacc_coupled();
         for (frac, want_viz) in [(0.125, 50u32), (0.25, 100), (0.5, 200), (0.75, 300)] {
-            let g = build_schedule_split(&m, AlgorithmClass::RaycastSpheres, &w, 400, frac);
+            let g = build_schedule(
+                &m,
+                Coupling::Internode,
+                AlgorithmClass::RaycastSpheres,
+                &w,
+                400,
+                frac,
+            );
             let viz = g
                 .phases()
                 .iter()
@@ -382,15 +390,6 @@ mod tests {
             assert_eq!(viz.group.count, want_viz, "fraction {frac}");
             assert_eq!(viz.group.first, 400 - want_viz);
         }
-    }
-
-    #[test]
-    fn symmetric_split_matches_internode() {
-        let m = model(400);
-        let w = hacc_coupled();
-        let a = build_schedule(&m, Coupling::Internode, AlgorithmClass::VtkPoints, &w, 400);
-        let b = build_schedule_split(&m, AlgorithmClass::VtkPoints, &w, 400, 0.5);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -408,7 +407,14 @@ mod tests {
         w.sampling_ratio = 0.25; // viz renders the sampled subset
         let machine = ClusterMachine::new(m.cluster);
         let time_at = |frac: f64| {
-            let g = build_schedule_split(&m, AlgorithmClass::RaycastSpheres, &w, 400, frac);
+            let g = build_schedule(
+                &m,
+                Coupling::Internode,
+                AlgorithmClass::RaycastSpheres,
+                &w,
+                400,
+                frac,
+            );
             machine.execute(&g).makespan
         };
         let small = time_at(0.125);
@@ -423,8 +429,9 @@ mod tests {
     #[should_panic]
     fn split_rejects_degenerate_fraction() {
         let m = model(4);
-        build_schedule_split(
+        build_schedule(
             &m,
+            Coupling::Internode,
             AlgorithmClass::VtkPoints,
             &hacc_coupled(),
             4,
@@ -441,6 +448,7 @@ mod tests {
             AlgorithmClass::VtkPoints,
             &hacc_coupled(),
             2,
+            SYMMETRIC_VIZ_FRACTION,
         );
         let machine = ClusterMachine::new(m.cluster);
         let trace = machine.execute(&g);

@@ -3,7 +3,7 @@
 //! execution time / power / energy numbers the tables and figures report.
 
 use crate::costmodel::{AlgorithmClass, Calibration, CostModel, Workload};
-use crate::coupling::{build_schedule, Coupling};
+use crate::coupling::{build_schedule, Coupling, SYMMETRIC_VIZ_FRACTION};
 use crate::machine::ClusterMachine;
 use crate::metrics::RunMetrics;
 use crate::node::ClusterSpec;
@@ -16,10 +16,10 @@ pub struct ClusterExperiment {
     pub nodes: u32,
     pub workload: Workload,
     pub calibration: Calibration,
-    /// Asymmetric internode split: share of the allocation given to the
-    /// visualization proxy. `None` uses the coupling's canonical layout
-    /// (internode = 0.5). Ignored for tight/intercore.
-    pub viz_fraction: Option<f64>,
+    /// Internode split: share of the allocation given to the
+    /// visualization proxy ([`SYMMETRIC_VIZ_FRACTION`] unless set).
+    /// Ignored for tight/intercore.
+    pub viz_fraction: f64,
 }
 
 impl ClusterExperiment {
@@ -41,7 +41,7 @@ impl ClusterExperiment {
                 sim_ops_per_element: 0.0,
             },
             calibration: Calibration::default(),
-            viz_fraction: None,
+            viz_fraction: SYMMETRIC_VIZ_FRACTION,
         }
     }
 
@@ -62,7 +62,7 @@ impl ClusterExperiment {
                 sim_ops_per_element: 0.0,
             },
             calibration: Calibration::default(),
-            viz_fraction: None,
+            viz_fraction: SYMMETRIC_VIZ_FRACTION,
         }
     }
 
@@ -94,7 +94,7 @@ impl ClusterExperiment {
     /// Space-share with an asymmetric split (implies internode coupling).
     pub fn with_viz_fraction(mut self, fraction: f64) -> Self {
         self.coupling = Coupling::Internode;
-        self.viz_fraction = Some(fraction);
+        self.viz_fraction = fraction;
         self
     }
 }
@@ -103,18 +103,14 @@ impl ClusterExperiment {
 pub fn run_cluster(exp: &ClusterExperiment) -> RunMetrics {
     let cluster = ClusterSpec::hikari(exp.nodes);
     let model = CostModel::new(exp.calibration, cluster);
-    let graph = match (exp.coupling, exp.viz_fraction) {
-        (Coupling::Internode, Some(fraction)) => {
-            crate::coupling::build_schedule_split(
-                &model,
-                exp.algorithm,
-                &exp.workload,
-                exp.nodes,
-                fraction,
-            )
-        }
-        _ => build_schedule(&model, exp.coupling, exp.algorithm, &exp.workload, exp.nodes),
-    };
+    let graph = build_schedule(
+        &model,
+        exp.coupling,
+        exp.algorithm,
+        &exp.workload,
+        exp.nodes,
+        exp.viz_fraction,
+    );
     let machine = ClusterMachine::new(cluster);
     let (trace, profile) = machine.run(&graph);
     RunMetrics::from_run(exp.nodes, &trace, &profile)

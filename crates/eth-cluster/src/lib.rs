@@ -16,7 +16,8 @@
 //!   the greedy list scheduler that executes them on node groups,
 //! * [`costmodel`] — per-algorithm analytic costs whose constants are
 //!   calibrated from the real kernels in `eth-render`,
-//! * [`coupling`] — tight / intercore / internode schedule builders,
+//! * [`coupling`] — the one schedule builder, for tight / intercore /
+//!   internode coupling,
 //! * [`experiment`] — one paper-scale design point and [`run_cluster`],
 //!   the cluster-sim mode the harness's tables and figures call,
 //! * [`counters`] — TACC-stats-flavored counter aggregation,

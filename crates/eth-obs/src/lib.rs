@@ -18,7 +18,9 @@
 //!    thread-local ring buffer (one `Vec` reused for the thread's life)
 //!    and drain it into the attached [`Recorder`]s only when the buffer
 //!    fills or the attachment ends — the hot path never takes the
-//!    registry lock.
+//!    registry lock. Every sink is an attachment (a [`Context`] carries
+//!    it to spawned threads); there is no process-global recorder, so a
+//!    thread with no sink drops its records at the first check.
 //! 3. **Well-formed by construction.** Spans are recorded on close
 //!    (start + duration in one record), so every close trivially matches
 //!    an open and records from different threads cannot interleave into
@@ -38,9 +40,8 @@ mod trace;
 
 pub use merge::{CriticalPathSummary, MergedTrace, PhaseShare, RankShare};
 pub use span::{
-    count, current_context, flow_context, flow_in, flow_out, install_global, instant, now_ns,
-    set_rank, span, span_bytes, step_mark, take_global, uninstall_global, Attachment, Context,
-    ContextGuard, FlowDir, FlowRecord, Phase, Record, Recorder, Span, SpanContext, SpanRecord,
-    NO_RANK,
+    count, current_context, flow_context, flow_in, flow_out, instant, now_ns, set_rank, span,
+    span_bytes, step_mark, Attachment, Context, ContextGuard, FlowDir, FlowRecord, Phase, Record,
+    Recorder, Span, SpanContext, SpanRecord, NO_RANK,
 };
 pub use trace::Trace;

@@ -4,7 +4,7 @@
 use crate::Trace;
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -30,7 +30,8 @@ const _: () = assert!(RING * std::mem::size_of::<Record>() < 128 << 10);
 pub enum Phase {
     /// Proxy staging: generating/loading simulation data before a run.
     Stage,
-    /// Simulation proxy stepping (in-situ sink path).
+    /// Simulation proxy stepping: one span per `SimulationProxy::step`
+    /// call of the step loop.
     Sim,
     /// Dataset pack/encode on the send side.
     Encode,
@@ -91,10 +92,10 @@ impl Phase {
 /// receive side of one transfer can be stitched into a flow arrow.
 ///
 /// `trace_id` is process-stable (every context minted by this process
-/// shares it); `span_id` is unique per minted context. A context is only
-/// minted while recording is enabled — [`flow_context`] returns `None`
-/// on the disabled path, so frames carry zero extra bytes when nobody is
-/// listening.
+/// shares it, and it is odd, so a context is never all zero); `span_id`
+/// is unique per minted context. A context is only minted while recording
+/// is enabled — [`flow_context`] returns `None` on the disabled path, and
+/// a socket frame then carries a zero context word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanContext {
     pub trace_id: u64,
@@ -197,25 +198,17 @@ pub enum Record {
 }
 
 // ---------------------------------------------------------------------------
-// Global state: enablement count, trace epoch, global recorder.
+// Global state: enablement count and trace epoch.
 // ---------------------------------------------------------------------------
 
-/// Number of live attachments process-wide (thread attachments + the
-/// global recorder). Zero ⇒ spans are disarmed at the single-load fast
-/// path.
+/// Number of live thread attachments process-wide. Zero ⇒ spans are
+/// disarmed at the single-load fast path.
 static ENABLED: AtomicUsize = AtomicUsize::new(0);
-/// Fast flag mirroring "a global recorder is installed".
-static GLOBAL_ON: AtomicBool = AtomicBool::new(false);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
 fn epoch() -> &'static Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now)
-}
-
-fn global_slot() -> &'static Mutex<Option<Recorder>> {
-    static GLOBAL: OnceLock<Mutex<Option<Recorder>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(None))
 }
 
 /// Nanoseconds since the process trace epoch (monotonic).
@@ -226,37 +219,6 @@ pub fn now_ns() -> u64 {
 #[inline(always)]
 fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) != 0
-}
-
-/// Install `recorder` as the process-wide sink: every thread's records
-/// drain into it (in addition to any thread-local attachments). Replaces
-/// a previously installed recorder.
-pub fn install_global(recorder: &Recorder) {
-    let mut slot = global_slot().lock().unwrap();
-    if slot.is_none() {
-        ENABLED.fetch_add(1, Ordering::Relaxed);
-    }
-    *slot = Some(recorder.clone());
-    GLOBAL_ON.store(true, Ordering::Relaxed);
-}
-
-/// Remove the global recorder (if any) and return it.
-pub fn uninstall_global() -> Option<Recorder> {
-    let mut slot = global_slot().lock().unwrap();
-    let prev = slot.take();
-    if prev.is_some() {
-        ENABLED.fetch_sub(1, Ordering::Relaxed);
-        GLOBAL_ON.store(false, Ordering::Relaxed);
-    }
-    prev
-}
-
-/// Drain the global recorder into a [`Trace`] (flushing the calling
-/// thread's buffer first). The recorder stays installed.
-pub fn take_global() -> Option<Trace> {
-    flush_current_thread();
-    let rec = global_slot().lock().unwrap().clone();
-    rec.map(|r| r.take())
 }
 
 // ---------------------------------------------------------------------------
@@ -287,19 +249,11 @@ impl TlState {
         for sink in &self.sinks {
             sink.extend(&self.buf);
         }
-        if GLOBAL_ON.load(Ordering::Relaxed) {
-            let global = global_slot().lock().unwrap().clone();
-            if let Some(g) = global {
-                if !self.sinks.iter().any(|s| s.same_as(&g)) {
-                    g.extend(&self.buf);
-                }
-            }
-        }
         self.buf.clear();
     }
 
     fn push(&mut self, record: Record) {
-        if self.sinks.is_empty() && !GLOBAL_ON.load(Ordering::Relaxed) {
+        if self.sinks.is_empty() {
             return; // armed by some other thread's recorder — not ours
         }
         self.buf.push(record);
@@ -343,9 +297,8 @@ pub fn set_rank(rank: usize) {
 // Recorder + attachments.
 // ---------------------------------------------------------------------------
 
-/// A sink that collects records from every thread it is attached to (or
-/// from all threads, when installed globally). Cheap to clone (shared
-/// handle).
+/// A sink that collects records from every thread it is attached to.
+/// Cheap to clone (shared handle).
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Arc<Mutex<Vec<Record>>>,
@@ -385,14 +338,6 @@ impl Recorder {
         flush_current_thread();
         Trace {
             records: std::mem::take(&mut *self.inner.lock().unwrap()),
-        }
-    }
-
-    /// Copy of everything recorded so far (calling thread flushed first).
-    pub fn snapshot(&self) -> Trace {
-        flush_current_thread();
-        Trace {
-            records: self.inner.lock().unwrap().clone(),
         }
     }
 }
@@ -565,8 +510,8 @@ fn process_trace_id() -> u64 {
 }
 
 /// Mint a fresh wire context for an outgoing message — or `None` when
-/// recording is disabled, so the transport writes a legacy frame with
-/// zero extra bytes. The disabled path is the usual single relaxed load.
+/// recording is disabled. The disabled path is the usual single relaxed
+/// load.
 #[inline]
 pub fn flow_context() -> Option<SpanContext> {
     if !enabled() {
@@ -670,7 +615,7 @@ mod tests {
             let _s = span(Phase::Recv);
         }
         // overflow flush already moved a full ring into the recorder
-        assert!(r.snapshot().records.len() >= RING);
+        assert_eq!(r.inner.lock().unwrap().len(), RING);
         drop(_a);
         assert_eq!(r.take().records.len(), RING + 10);
     }
@@ -702,24 +647,6 @@ mod tests {
         let threads: std::collections::HashSet<u32> = t.spans().map(|s| s.thread).collect();
         assert_eq!(threads.len(), 3, "each rank thread gets its own id");
         t.check_well_formed().unwrap();
-    }
-
-    #[test]
-    fn global_recorder_collects_without_attachment() {
-        // Other tests may be recording concurrently (the global sink sees
-        // every thread) — assert only on records this test uniquely emits.
-        let r = Recorder::new();
-        install_global(&r);
-        {
-            let _s = span(Phase::JournalAppend);
-        }
-        instant("checkpoint");
-        count("widgets", 2.0);
-        let t = take_global().expect("global installed");
-        assert!(t.spans().any(|s| s.phase == Phase::JournalAppend));
-        assert_eq!(t.counts().get("widgets").copied(), Some(2.0));
-        assert!(uninstall_global().is_some());
-        assert!(take_global().is_none());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Tags: the gather uses the top tag bits (`0xC0xx_xxxx`) salted per call,
 //! so user traffic (low tags) never collides as long as it stays below
 //! [`COLLECTIVE_TAG_BASE`]. Above it sits the **control plane**
-//! (`0xE0xx_xxxx`): partition-adoption notices and migration handshakes.
+//! (`0xE0xx_xxxx`): partition-adoption notices and migration handshakes,
+//! each a [`ControlMessage`] of little-endian `u64` words with one codec
+//! and one send and one receive ([`send_control`], [`recv_control`]).
 //! Both classes travel on the communicator, never on a fault-wrapped pair
 //! link — chaos may lose *data*, never the messages that coordinate
 //! reacting to the loss — and every control receive carries the run's
@@ -34,14 +36,71 @@ const TAG_GATHER: u32 = COLLECTIVE_TAG_BASE + 0x0200_0000;
 /// [`COLLECTIVE_TAG_BASE`], clear of both collectives and data.
 pub const CONTROL_TAG_BASE: u32 = 0xE000_0000;
 
-/// Adoption notice: `TAG_ADOPT_NOTICE + dead_rank`, sent by the rank that
-/// adopted a dead rank's partition to the root, carrying an
-/// [`AdoptNotice`].
-pub const TAG_ADOPT_NOTICE: u32 = CONTROL_TAG_BASE + 0x0100_0000;
+/// A control-plane message: a fixed number of little-endian `u64` words,
+/// sent under its tag family plus a salt that keeps concurrent messages of
+/// one type from crossing. [`send_control`] and [`recv_control`] carry all
+/// three types; [`ControlMessage::decode`] is the one length check.
+pub trait ControlMessage: Sized {
+    /// Type name, for decode errors.
+    const NAME: &'static str;
+    /// Tag family; the message's salt is added to it.
+    const TAG: u32;
+    /// Words on the wire.
+    const WORDS: usize;
+
+    /// The salt this message travels under.
+    fn salt(&self) -> usize;
+    /// The message as [`Self::WORDS`] words.
+    fn to_words(&self) -> Vec<u64>;
+    /// The message from exactly [`Self::WORDS`] words.
+    fn from_words(words: &[u64]) -> Self;
+
+    fn encode(&self) -> Bytes {
+        let words = self.to_words();
+        debug_assert_eq!(words.len(), Self::WORDS);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        Bytes::from(bytes)
+    }
+
+    fn decode(bytes: &Bytes) -> Result<Self> {
+        if bytes.len() != Self::WORDS * 8 {
+            return Err(TransportError::Decode(format!(
+                "{} of {} bytes (want {})",
+                Self::NAME,
+                bytes.len(),
+                Self::WORDS * 8
+            )));
+        }
+        let words: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+            .collect();
+        Ok(Self::from_words(&words))
+    }
+}
+
+/// Send a control message to `to`.
+pub fn send_control<M: ControlMessage>(comm: &dyn Communicator, to: usize, msg: &M) -> Result<()> {
+    comm.send(to, M::TAG + msg.salt() as u32, msg.encode())
+}
+
+/// Receive the control message of type `M` under `salt` from `from`,
+/// bounded by `timeout`: a control receive must never block past the
+/// run's deadline, and a message that does not come is an error, never a
+/// default.
+pub fn recv_control<M: ControlMessage>(
+    comm: &dyn Communicator,
+    from: usize,
+    salt: usize,
+    timeout: Duration,
+) -> Result<M> {
+    M::decode(&comm.recv_timeout(from, M::TAG + salt as u32, timeout)?)
+}
 
 /// The control-plane message announcing a partition adoption: who died,
 /// where their work stopped, who took over, and how long the takeover
-/// took from the death's declaration.
+/// took from the death's declaration. The rank that adopted a dead rank's
+/// partition sends it to the root, salted by the dead rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdoptNotice {
     /// The simulation rank that died.
@@ -54,35 +113,33 @@ pub struct AdoptNotice {
     pub latency_ns: u64,
 }
 
-impl AdoptNotice {
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&(self.dead_rank as u64).to_le_bytes());
-        out.extend_from_slice(&(self.adopted_at_step as u64).to_le_bytes());
-        out.extend_from_slice(&(self.adopter as u64).to_le_bytes());
-        out.extend_from_slice(&self.latency_ns.to_le_bytes());
-        Bytes::from(out)
+impl ControlMessage for AdoptNotice {
+    const NAME: &'static str = "adopt notice";
+    const TAG: u32 = CONTROL_TAG_BASE + 0x0100_0000;
+    const WORDS: usize = 4;
+
+    fn salt(&self) -> usize {
+        self.dead_rank
     }
 
-    pub fn decode(bytes: &Bytes) -> Result<AdoptNotice> {
-        if bytes.len() != 32 {
-            return Err(TransportError::Decode(format!(
-                "adopt notice of {} bytes (want 32)",
-                bytes.len()
-            )));
+    fn to_words(&self) -> Vec<u64> {
+        let (dead, step, adopter) = (self.dead_rank, self.adopted_at_step, self.adopter);
+        vec![dead as u64, step as u64, adopter as u64, self.latency_ns]
+    }
+
+    fn from_words(w: &[u64]) -> AdoptNotice {
+        AdoptNotice {
+            dead_rank: w[0] as usize,
+            adopted_at_step: w[1] as usize,
+            adopter: w[2] as usize,
+            latency_ns: w[3],
         }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte word"))
-        };
-        Ok(AdoptNotice {
-            dead_rank: word(0) as usize,
-            adopted_at_step: word(1) as usize,
-            adopter: word(2) as usize,
-            latency_ns: word(3),
-        })
     }
 }
 
+/// The first message of a handoff: the source names the partition it is
+/// draining, itself, and the step the target takes over at.
+///
 /// Migration handoff protocol (DESIGN.md §13): two chaos-exempt messages
 /// per handoff, each on its own tag family salted by the handoff index so
 /// concurrent handoffs never cross. `offer → ack`: the offer names the
@@ -90,12 +147,6 @@ impl AdoptNotice {
 /// partition from the series itself. The target alone decides; the source
 /// keeps rendering the partition unless the ack says committed, so a
 /// refused handoff degrades to "no migration happened".
-pub const TAG_MIGRATE_OFFER: u32 = CONTROL_TAG_BASE + 0x0200_0000;
-/// The target's verdict: committed, or refused.
-pub const TAG_MIGRATE_ACK: u32 = CONTROL_TAG_BASE + 0x0400_0000;
-
-/// The first message of a handoff: the source names the partition it is
-/// draining, itself, and the step the target takes over at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateOffer {
     /// Index of the handoff in the spec's resolved schedule.
@@ -108,36 +159,32 @@ pub struct MigrateOffer {
     pub step: usize,
 }
 
-impl MigrateOffer {
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&(self.handoff as u64).to_le_bytes());
-        out.extend_from_slice(&(self.partition as u64).to_le_bytes());
-        out.extend_from_slice(&(self.source as u64).to_le_bytes());
-        out.extend_from_slice(&(self.step as u64).to_le_bytes());
-        Bytes::from(out)
+impl ControlMessage for MigrateOffer {
+    const NAME: &'static str = "migrate offer";
+    const TAG: u32 = CONTROL_TAG_BASE + 0x0200_0000;
+    const WORDS: usize = 4;
+
+    fn salt(&self) -> usize {
+        self.handoff
     }
 
-    pub fn decode(bytes: &Bytes) -> Result<MigrateOffer> {
-        if bytes.len() != 32 {
-            return Err(TransportError::Decode(format!(
-                "migrate offer of {} bytes (want 32)",
-                bytes.len()
-            )));
+    fn to_words(&self) -> Vec<u64> {
+        [self.handoff, self.partition, self.source, self.step]
+            .map(|w| w as u64)
+            .to_vec()
+    }
+
+    fn from_words(w: &[u64]) -> MigrateOffer {
+        MigrateOffer {
+            handoff: w[0] as usize,
+            partition: w[1] as usize,
+            source: w[2] as usize,
+            step: w[3] as usize,
         }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte word"))
-        };
-        Ok(MigrateOffer {
-            handoff: word(0) as usize,
-            partition: word(1) as usize,
-            source: word(2) as usize,
-            step: word(3) as usize,
-        })
     }
 }
 
-/// The second message of a handoff: did the target commit?
+/// The second message of a handoff, the target's verdict: did it commit?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateAck {
     pub handoff: usize,
@@ -148,81 +195,25 @@ pub struct MigrateAck {
     pub committed: bool,
 }
 
-impl MigrateAck {
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&(self.handoff as u64).to_le_bytes());
-        out.extend_from_slice(&(self.committed as u64).to_le_bytes());
-        Bytes::from(out)
+impl ControlMessage for MigrateAck {
+    const NAME: &'static str = "migrate ack";
+    const TAG: u32 = CONTROL_TAG_BASE + 0x0400_0000;
+    const WORDS: usize = 2;
+
+    fn salt(&self) -> usize {
+        self.handoff
     }
 
-    pub fn decode(bytes: &Bytes) -> Result<MigrateAck> {
-        if bytes.len() != 16 {
-            return Err(TransportError::Decode(format!(
-                "migrate ack of {} bytes (want 16)",
-                bytes.len()
-            )));
+    fn to_words(&self) -> Vec<u64> {
+        vec![self.handoff as u64, self.committed as u64]
+    }
+
+    fn from_words(w: &[u64]) -> MigrateAck {
+        MigrateAck {
+            handoff: w[0] as usize,
+            committed: w[1] != 0,
         }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte word"))
-        };
-        Ok(MigrateAck {
-            handoff: word(0) as usize,
-            committed: word(1) != 0,
-        })
     }
-}
-
-/// Send the offer to the target.
-pub fn send_migrate_offer(comm: &dyn Communicator, target: usize, offer: &MigrateOffer) -> Result<()> {
-    comm.send(target, TAG_MIGRATE_OFFER + offer.handoff as u32, offer.encode())
-}
-
-/// Receive the offer for handoff `handoff`, bounded by `timeout` (a
-/// control receive must never block past the run's deadline).
-pub fn recv_migrate_offer(
-    comm: &dyn Communicator,
-    from: usize,
-    handoff: usize,
-    timeout: Duration,
-) -> Result<MigrateOffer> {
-    let bytes = comm.recv_timeout(from, TAG_MIGRATE_OFFER + handoff as u32, timeout)?;
-    MigrateOffer::decode(&bytes)
-}
-
-/// Send the target's verdict back to the source.
-pub fn send_migrate_ack(comm: &dyn Communicator, source: usize, ack: &MigrateAck) -> Result<()> {
-    comm.send(source, TAG_MIGRATE_ACK + ack.handoff as u32, ack.encode())
-}
-
-/// Receive the verdict for handoff `handoff`, bounded by `timeout` (the
-/// run's deadline: only the target decides, so a verdict that does not
-/// come is an error, not a refusal).
-pub fn recv_migrate_ack(
-    comm: &dyn Communicator,
-    from: usize,
-    handoff: usize,
-    timeout: Duration,
-) -> Result<MigrateAck> {
-    let bytes = comm.recv_timeout(from, TAG_MIGRATE_ACK + handoff as u32, timeout)?;
-    MigrateAck::decode(&bytes)
-}
-
-/// Send an adoption notice to `root` on the control plane.
-pub fn send_adopt_notice(comm: &dyn Communicator, root: usize, notice: &AdoptNotice) -> Result<()> {
-    comm.send(root, TAG_ADOPT_NOTICE + notice.dead_rank as u32, notice.encode())
-}
-
-/// Receive the adoption notice for `dead_rank`, bounded by `timeout` (a
-/// control receive must never block on a fabric that just lost a rank).
-pub fn recv_adopt_notice(
-    comm: &dyn Communicator,
-    from: usize,
-    dead_rank: usize,
-    timeout: Duration,
-) -> Result<AdoptNotice> {
-    let bytes = comm.recv_timeout(from, TAG_ADOPT_NOTICE + dead_rank as u32, timeout)?;
-    AdoptNotice::decode(&bytes)
 }
 
 /// Gather the payloads of the ranks `members` at the first of them, the
@@ -320,27 +311,66 @@ mod tests {
     #[test]
     fn control_tags_sit_above_collectives_and_data() {
         const { assert!(CONTROL_TAG_BASE > COLLECTIVE_TAG_BASE) };
-        const { assert!(TAG_ADOPT_NOTICE >= CONTROL_TAG_BASE) };
-        const { assert!(TAG_MIGRATE_OFFER >= CONTROL_TAG_BASE) };
-        const { assert!(TAG_MIGRATE_ACK >= CONTROL_TAG_BASE) };
+        const { assert!(AdoptNotice::TAG >= CONTROL_TAG_BASE) };
+        const { assert!(MigrateOffer::TAG >= CONTROL_TAG_BASE) };
+        const { assert!(MigrateAck::TAG >= CONTROL_TAG_BASE) };
         const { assert!(crate::fault::DATA_TAG_MIN < COLLECTIVE_TAG_BASE) };
     }
 
+    fn roundtrips<M: ControlMessage + PartialEq + std::fmt::Debug>(msg: M, wire: &[u64]) {
+        let bytes = msg.encode();
+        let words: Vec<u8> = wire.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(&bytes[..], &words[..], "{}: payload words", M::NAME);
+        assert_eq!(M::decode(&bytes).unwrap(), msg);
+        match M::decode(&Bytes::from_static(b"short")) {
+            Err(TransportError::Decode(m)) => assert!(m.starts_with(M::NAME), "{m}"),
+            other => panic!("{}: expected a Decode error, got {other:?}", M::NAME),
+        }
+    }
+
     #[test]
-    fn migrate_codecs_roundtrip_and_reject_short_payloads() {
+    fn control_messages_roundtrip_word_for_word_and_reject_wrong_lengths() {
+        let notice = AdoptNotice {
+            dead_rank: 3,
+            adopted_at_step: 7,
+            adopter: 1,
+            latency_ns: 12_345_678,
+        };
+        roundtrips(notice, &[3, 7, 1, 12_345_678]);
         let offer = MigrateOffer {
             handoff: 2,
             partition: 5,
             source: 1,
             step: 9,
         };
-        assert_eq!(MigrateOffer::decode(&offer.encode()).unwrap(), offer);
-        assert!(MigrateOffer::decode(&Bytes::from_static(b"short")).is_err());
+        roundtrips(offer, &[2, 5, 1, 9]);
         for committed in [true, false] {
-            let ack = MigrateAck { handoff: 3, committed };
-            assert_eq!(MigrateAck::decode(&ack.encode()).unwrap(), ack);
+            let ack = MigrateAck {
+                handoff: 3,
+                committed,
+            };
+            roundtrips(ack, &[3, committed as u64]);
         }
-        assert!(MigrateAck::decode(&Bytes::from_static(b"short")).is_err());
+    }
+
+    mod totality {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary bytes decode to `Ok` or `Err` under every message
+            /// type, never a panic; `Ok` exactly at the message's length.
+            #[test]
+            fn decoding_is_total(raw in prop::collection::vec(0u16..256, 0..48)) {
+                let bytes = Bytes::from(raw.into_iter().map(|b| b as u8).collect::<Vec<u8>>());
+                let len = bytes.len();
+                prop_assert_eq!(AdoptNotice::decode(&bytes).is_ok(), len == 32);
+                prop_assert_eq!(MigrateOffer::decode(&bytes).is_ok(), len == 32);
+                prop_assert_eq!(MigrateAck::decode(&bytes).is_ok(), len == 16);
+            }
+        }
     }
 
     #[test]
@@ -355,31 +385,23 @@ mod tests {
                     source: 0,
                     step: 3,
                 };
-                send_migrate_offer(c, 1, &offer).unwrap();
-                let ack = recv_migrate_ack(c, 1, 4, Duration::from_secs(5)).unwrap();
+                send_control(c, 1, &offer).unwrap();
+                let ack: MigrateAck = recv_control(c, 1, 4, Duration::from_secs(5)).unwrap();
                 assert!(ack.committed);
                 None
             } else {
-                let offer = recv_migrate_offer(c, 0, 4, Duration::from_secs(5)).unwrap();
+                let offer: MigrateOffer = recv_control(c, 0, 4, Duration::from_secs(5)).unwrap();
                 assert_eq!(offer.partition, 2);
                 assert_eq!(offer.step, 3);
-                send_migrate_ack(c, 0, &MigrateAck { handoff: 4, committed: true }).unwrap();
+                let ack = MigrateAck {
+                    handoff: 4,
+                    committed: true,
+                };
+                send_control(c, 0, &ack).unwrap();
                 Some(offer)
             }
         });
         assert_eq!(results[1].unwrap().source, 0);
-    }
-
-    #[test]
-    fn adopt_notice_roundtrips_and_rejects_short_payloads() {
-        let notice = AdoptNotice {
-            dead_rank: 3,
-            adopted_at_step: 7,
-            adopter: 1,
-            latency_ns: 12_345_678,
-        };
-        assert_eq!(AdoptNotice::decode(&notice.encode()).unwrap(), notice);
-        assert!(AdoptNotice::decode(&Bytes::from_static(b"short")).is_err());
     }
 
     #[test]
@@ -392,10 +414,10 @@ mod tests {
                     adopter: 1,
                     latency_ns: 99,
                 };
-                send_adopt_notice(c, 0, &notice).unwrap();
+                send_control(c, 0, &notice).unwrap();
                 None
             } else if c.rank() == 0 {
-                Some(recv_adopt_notice(c, 1, 2, Duration::from_secs(5)).unwrap())
+                Some(recv_control::<AdoptNotice>(c, 1, 2, Duration::from_secs(5)).unwrap())
             } else {
                 None
             }

@@ -3,21 +3,22 @@
 //! Frame layout (little-endian):
 //!
 //! ```text
-//! magic: u32     protocol magic + version ("ETH" + 0x01 or 0x02)
+//! magic: u32     protocol magic + version ("ETH" + 0x02)
 //! from : u32     sender rank
 //! tag  : u32     matching tag
 //! len  : u64     payload length
-//! ctx  : 16 B    span context (version 0x02 frames only)
+//! ctx  : 16 B    span context, all zero when there is none
 //! data : len bytes
 //! ```
 //!
-//! Version 0x02 frames carry a 16-byte [`eth_obs::SpanContext`] between
-//! the header and the payload, stitching the send span to the matching
-//! receive span in merged traces. Both versions are current: writers emit
-//! v2 only when the flight recorder is live (`eth_obs::flow_context()`
-//! returned a context) and v1 otherwise, so the wire carries **zero**
-//! extra bytes when recording is off. v1 is what every un-recorded run
-//! sends — readers accept both.
+//! There is one layout. The 16-byte [`eth_obs::SpanContext`] between the
+//! header and the payload stitches the send span to the matching receive
+//! span in merged traces; a sender with no live flight recorder
+//! (`eth_obs::flow_context()` returned `None`) writes zeros, which read
+//! back as no context (a minted context is never zero: its trace id is
+//! odd). Both ends of a socket are the same binary, so a version-1 frame
+//! (`ETH\x01`, no context word) is a [`TransportError::Decode`] naming its
+//! version.
 //!
 //! The magic word makes a desynchronized or corrupted stream fail fast
 //! with [`TransportError::Decode`] instead of interpreting garbage as a
@@ -39,18 +40,15 @@ use eth_data::io::pool::PayloadPool;
 use eth_obs::SpanContext;
 use std::io::{Read, Write};
 
-/// Header size on the wire (not counting the v2 context word).
+/// Header size on the wire (not counting the context word).
 pub const FRAME_HEADER_BYTES: usize = 20;
 
-/// Span-context trailer size for v2 frames.
+/// Span-context word size, between the header and the payload.
 pub const FRAME_CONTEXT_BYTES: usize = 16;
 
 /// Protocol magic + version word: `b"ETH"` followed by the format version.
 /// Bump the low byte when the frame layout changes.
-pub const FRAME_MAGIC: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x01]);
-
-/// v2 magic: same layout plus a 16-byte span context after the header.
-pub const FRAME_MAGIC_V2: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x02]);
+pub const FRAME_MAGIC: u32 = u32::from_le_bytes([b'E', b'T', b'H', 0x02]);
 
 /// Largest payload the socket reader accepts (guards against corrupt
 /// length fields); [`read_frame_leased`] takes the limit per call.
@@ -65,14 +63,13 @@ const PAYLOAD_RESERVE_CAP: u64 = 64 << 20;
 pub struct Frame {
     pub from: u32,
     pub tag: u32,
-    /// Sender's span context (v2 frames recorded under a live flight
-    /// recorder); `None` on v1 frames (recording off).
+    /// Sender's span context, minted under a live flight recorder;
+    /// `None` when the context word is zero (recording off).
     pub ctx: Option<SpanContext>,
     pub payload: Bytes,
 }
 
-/// Write one frame to a stream. A `Some` context emits a v2 frame; `None`
-/// emits the v1 layout byte-for-byte (recording off ⇒ zero cost).
+/// Write one frame to a stream; `None` writes a zero context word.
 pub fn write_frame(
     w: &mut impl Write,
     from: u32,
@@ -80,19 +77,12 @@ pub fn write_frame(
     ctx: Option<SpanContext>,
     payload: &Bytes,
 ) -> Result<()> {
-    let cap = FRAME_HEADER_BYTES + if ctx.is_some() { FRAME_CONTEXT_BYTES } else { 0 };
-    let mut header = BytesMut::with_capacity(cap);
-    header.put_u32_le(if ctx.is_some() {
-        FRAME_MAGIC_V2
-    } else {
-        FRAME_MAGIC
-    });
+    let mut header = BytesMut::with_capacity(FRAME_HEADER_BYTES + FRAME_CONTEXT_BYTES);
+    header.put_u32_le(FRAME_MAGIC);
     header.put_u32_le(from);
     header.put_u32_le(tag);
     header.put_u64_le(payload.len() as u64);
-    if let Some(c) = ctx {
-        header.put_slice(&c.to_bytes());
-    }
+    header.put_slice(&ctx.map_or([0; FRAME_CONTEXT_BYTES], SpanContext::to_bytes));
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
@@ -100,21 +90,26 @@ pub fn write_frame(
 }
 
 /// Read one frame from a stream (blocking) into a buffer leased from
-/// `pool`, accepting payloads up to `max_payload` bytes and either frame
-/// version. A wrong magic word or an oversized length prefix fails with
-/// [`TransportError::Decode`] before any payload allocation; a stream that
-/// ends before `len` payload bytes is an error, never a truncated
-/// [`Frame`], and its lease is back in `pool` when the error returns.
+/// `pool`, accepting payloads up to `max_payload` bytes. A wrong magic
+/// word (a version-1 frame's among them) or an oversized length prefix
+/// fails with [`TransportError::Decode`] before any payload allocation; a
+/// stream that ends before `len` payload bytes is an error, never a
+/// truncated [`Frame`], and its lease is back in `pool` when the error
+/// returns.
 pub fn read_frame_leased(r: &mut impl Read, max_payload: u64, pool: &PayloadPool) -> Result<Frame> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header)?;
     let mut h = &header[..];
     let magic = h.get_u32_le();
-    if magic != FRAME_MAGIC && magic != FRAME_MAGIC_V2 {
+    if magic != FRAME_MAGIC {
+        let named = match magic.to_le_bytes() {
+            [b'E', b'T', b'H', version] => {
+                format!("protocol version {version}; this build reads version 2 only")
+            }
+            _ => "the stream is corrupt or speaks a different protocol".to_string(),
+        };
         return Err(TransportError::Decode(format!(
-            "bad frame magic {magic:#010x} (expected {FRAME_MAGIC:#010x} or \
-             {FRAME_MAGIC_V2:#010x}): stream is corrupt or speaks a different \
-             protocol version"
+            "bad frame magic {magic:#010x} (expected {FRAME_MAGIC:#010x}): {named}"
         )));
     }
     let from = h.get_u32_le();
@@ -125,13 +120,9 @@ pub fn read_frame_leased(r: &mut impl Read, max_payload: u64, pool: &PayloadPool
             "frame length {len} exceeds maximum {max_payload}"
         )));
     }
-    let ctx = if magic == FRAME_MAGIC_V2 {
-        let mut ctx_bytes = [0u8; FRAME_CONTEXT_BYTES];
-        r.read_exact(&mut ctx_bytes)?;
-        Some(SpanContext::from_bytes(ctx_bytes))
-    } else {
-        None
-    };
+    let mut ctx_bytes = [0u8; FRAME_CONTEXT_BYTES];
+    r.read_exact(&mut ctx_bytes)?;
+    let ctx = (ctx_bytes != [0; FRAME_CONTEXT_BYTES]).then(|| SpanContext::from_bytes(ctx_bytes));
     // The length prefix is a claim until the bytes arrive: lease at most
     // `PAYLOAD_RESERVE_CAP` up front and let the buffer grow as the stream
     // delivers, so a corrupt or hostile prefix cannot make this allocate
@@ -163,12 +154,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_roundtrip_over_a_buffer() {
+    fn recording_off_writes_a_zero_context_that_reads_back_none() {
         let payload = Bytes::from_static(b"hello ranks");
         let mut wire = Vec::new();
         write_frame(&mut wire, 3, 77, None, &payload).unwrap();
-        // v1 layout byte-for-byte: no context word when ctx is None
-        assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
+        assert_eq!(
+            wire.len(),
+            FRAME_HEADER_BYTES + FRAME_CONTEXT_BYTES + payload.len()
+        );
+        assert_eq!(
+            wire[FRAME_HEADER_BYTES..][..FRAME_CONTEXT_BYTES],
+            [0; FRAME_CONTEXT_BYTES]
+        );
         let frame =
             read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
         assert_eq!(frame.from, 3);
@@ -178,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_frame_carries_span_context() {
+    fn a_frame_carries_its_span_context() {
         let ctx = SpanContext {
             trace_id: 0xABCD_EF01_2345_6789,
             span_id: 42,
@@ -197,23 +194,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_decode() {
-        // A context-free frame written by hand, byte for byte what an
-        // un-recorded writer sends: must decode under the v2-aware reader.
+    fn a_version_1_frame_is_a_decode_error() {
+        // The old context-free layout, byte for byte: refused by its magic,
+        // and the error names the version it spoke.
         let payload = b"no span context";
-        let mut wire = Vec::new();
-        let mut header = BytesMut::new();
-        header.put_u32_le(FRAME_MAGIC);
-        header.put_u32_le(5);
-        header.put_u32_le(0x1000);
-        header.put_u64_le(payload.len() as u64);
-        wire.extend_from_slice(&header);
-        wire.extend_from_slice(payload);
-        let f = read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()).unwrap();
-        assert_eq!(f.from, 5);
-        assert_eq!(f.tag, 0x1000);
-        assert_eq!(f.ctx, None);
-        assert_eq!(&f.payload[..], payload);
+        let mut wire = BytesMut::new();
+        wire.put_slice(b"ETH\x01");
+        wire.put_u32_le(5);
+        wire.put_u32_le(0x1000);
+        wire.put_u64_le(payload.len() as u64);
+        wire.put_slice(payload);
+        match read_frame_leased(&mut &wire[..], MAX_PAYLOAD, &PayloadPool::new()) {
+            Err(TransportError::Decode(m)) => assert!(m.contains("protocol version 1"), "{m}"),
+            other => panic!("expected a Decode error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -258,6 +252,7 @@ mod tests {
         header.put_u32_le(1);
         header.put_u32_le(2);
         header.put_u64_le(8 << 30);
+        header.put_slice(&[0; FRAME_CONTEXT_BYTES]);
         wire.extend_from_slice(&header);
         wire.extend_from_slice(&[0xAB; 100]);
         match read_frame_leased(&mut wire.as_slice(), MAX_PAYLOAD, &PayloadPool::new()) {
@@ -398,6 +393,7 @@ mod tests {
             wire.put_u32_le(1);
             wire.put_u32_le(2);
             wire.put_u64_le(claim);
+            wire.put_slice(&[0; FRAME_CONTEXT_BYTES]);
             wire.extend_from_slice(&[0xAB; 100]);
             let pool = PayloadPool::new();
             LARGEST.with(|largest| largest.set(0));
@@ -505,15 +501,14 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Arbitrary bytes, and a header under either magic with any
-            /// length prefix in front of arbitrary bytes, read to `Ok` or
-            /// `Err` — never a panic. A prefix over the limit, or claiming
-            /// more bytes than the stream holds, is `Err`; any other is the
-            /// frame it describes.
+            /// Arbitrary bytes, and a header with any length prefix in
+            /// front of arbitrary bytes, read to `Ok` or `Err` — never a
+            /// panic. A prefix over the limit, or claiming more bytes than
+            /// the stream holds, is `Err`; any other is the frame it
+            /// describes.
             #[test]
             fn reading_is_total(
                 noise in prop::collection::vec(0u16..256, 0..64),
-                v2 in 0u8..2,
                 from in 0u64..1 << 32,
                 tag in 0u64..1 << 32,
                 short in 0u64..128,
@@ -530,12 +525,12 @@ mod tests {
 
                 let body = bytes(body);
                 let mut wire = BytesMut::new();
-                wire.put_u32_le(if v2 == 1 { FRAME_MAGIC_V2 } else { FRAME_MAGIC });
+                wire.put_u32_le(FRAME_MAGIC);
                 wire.put_u32_le(from as u32);
                 wire.put_u32_le(tag as u32);
                 wire.put_u64_le(len);
                 wire.extend_from_slice(&body);
-                let ctx = if v2 == 1 { FRAME_CONTEXT_BYTES } else { 0 };
+                let ctx = FRAME_CONTEXT_BYTES;
                 let present = body.len().saturating_sub(ctx) as u64;
                 match read_frame_leased(&mut &wire[..], limit, &PayloadPool::new()) {
                     Ok(frame) => {

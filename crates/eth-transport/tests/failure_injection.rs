@@ -146,6 +146,7 @@ fn a_frame_cut_short_is_a_disconnect() {
         frame.extend_from_slice(&0u32.to_le_bytes());
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.extend_from_slice(&4096u64.to_le_bytes());
+        frame.extend_from_slice(&[0; eth_transport::message::FRAME_CONTEXT_BYTES]);
         frame.extend_from_slice(&[0xCD; 100]);
         s.write_all(&frame).unwrap();
     });

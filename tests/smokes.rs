@@ -22,7 +22,7 @@ fn chaos_campaign_is_seeded_and_quarantines() {
 
 /// `reproduce chaos-campaign --kill-rank`: every point survives exactly
 /// its scripted rank loss on the first attempt, and the telemetry export
-/// carries the recovery counters and the latency histogram.
+/// carries the recovery counters, each once, and the latency histogram.
 #[test]
 fn kill_rank_campaign_recovers_in_run_and_exports_recovery() {
     let (_, outcome) = chaos::kill_campaign(7).expect("kill campaign");
@@ -44,6 +44,14 @@ fn kill_rank_campaign_recovers_in_run_and_exports_recovery() {
         "TYPE eth_campaign_recovery_latency_s histogram",
     ] {
         assert!(prom.contains(line), "missing {line:?} in\n{prom}");
+    }
+    // each recovery fact under one exported name
+    for bare in [
+        "eth_campaign_rank_losses ",
+        "eth_campaign_adopted_partitions ",
+        "eth_campaign_adopt_notices ",
+    ] {
+        assert!(!prom.contains(bare), "duplicate {bare:?} in\n{prom}");
     }
     assert!(outcome
         .telemetry
