@@ -19,7 +19,7 @@ use eth_core::config::{Application, Coupling, ExperimentSpec};
 use eth_core::harness::RunCaches;
 use eth_core::results::ResultTable;
 use eth_core::{run_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
-use eth_core::{RecoveryPolicy, RetryOn, RetryPolicy};
+use eth_core::{RetryOn, RetryPolicy};
 use eth_transport::{BackoffShape, FaultPlan, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -168,7 +168,6 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
                 .ranks(ranks)
                 .steps(steps)
                 .image_size(64, 64)
-                .recovery(RecoveryPolicy::default())
                 .fault_plan(FaultPlan::seeded(seed).with_kill_rank_at_step(victim, step))
                 .build()?,
         );
@@ -181,7 +180,7 @@ fn kill_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
 /// campaign-level retry** — the killed rank declares its death, a
 /// surviving rank adopts the partition (its own proxy presents it from the
 /// series), and compositing continues around the hole. Returns the
-/// per-point report (losses, adoptions, declaration-to-adoption latency)
+/// per-point report (losses, declaration-to-adoption latency)
 /// plus the raw outcome.
 pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
     let specs = kill_specs(seed)?;
@@ -197,30 +196,27 @@ pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
             "Coupling",
             "Outcome",
             "Rank Losses",
-            "Adopted",
             "Recovery Latency",
         ],
     );
     for (i, result) in outcome.results.iter().enumerate() {
-        let (status, losses, adopted, latency) = match result {
+        let (status, losses, latency) = match result {
             Ok(native) => (
                 "ok".to_string(),
                 native.degradation.rank_losses.to_string(),
-                native.degradation.adopted_partitions.to_string(),
                 native
                     .recovery_latency_s
                     .first()
                     .map(|s| format!("{:.0} ms", s * 1e3))
                     .unwrap_or_else(|| "-".into()),
             ),
-            Err(e) => (format!("failed ({e})"), "-".into(), "-".into(), "-".into()),
+            Err(e) => (format!("failed ({e})"), "-".into(), "-".into()),
         };
         t.push_row(vec![
             specs[i].name.clone(),
             format!("{:?}", specs[i].coupling).to_lowercase(),
             status,
             losses,
-            adopted,
             latency,
         ]);
     }
@@ -239,7 +235,6 @@ mod tests {
         for result in &outcome.results {
             let native = result.as_ref().expect("kill point must complete in-run");
             assert_eq!(native.degradation.rank_losses, 1);
-            assert_eq!(native.degradation.adopted_partitions, 1);
             assert!(!native.images.is_empty());
         }
         assert_eq!(outcome.degraded().len(), outcome.results.len());

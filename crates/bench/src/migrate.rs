@@ -16,8 +16,7 @@
 use eth_core::config::{Application, Coupling, ExperimentSpec};
 use eth_core::error::{CoreError, Result};
 use eth_core::{
-    run_native, Algorithm, Campaign, CampaignTelemetry, MigrationPattern, MigrationPlan,
-    RecoveryPolicy, RunCaches,
+    run_native, Algorithm, Campaign, CampaignTelemetry, MigrationPattern, MigrationPlan, RunCaches,
 };
 use crate::cli::Report;
 use serde::Serialize;
@@ -115,7 +114,6 @@ fn pattern_point(
     }
     let healthy = builder.build()?;
     let mut migrating = healthy.clone();
-    migrating.recovery = Some(RecoveryPolicy::default());
     migrating.migration = Some(MigrationPlan::new(pattern));
     migrating.validate()?;
     Ok((label.to_string(), healthy, migrating))

@@ -12,7 +12,7 @@ use eth_cluster::metrics::RunMetrics;
 use eth_core::config::{Algorithm, Application, Coupling, ExperimentSpec};
 use eth_core::harness::RunCaches;
 use eth_core::results::{fmt_kw, fmt_pct, fmt_s, ResultTable};
-use eth_core::{Campaign, CampaignOutcome, CoreError, RecoveryPolicy, Result};
+use eth_core::{Campaign, CampaignOutcome, CoreError, Result};
 use eth_transport::FaultPlan;
 use std::path::Path;
 
@@ -77,8 +77,8 @@ fn table2_spec(alg: Algorithm, ratio: f64) -> Result<ExperimentSpec> {
 /// Assemble the Table II rows from the nine rendered point images (row
 /// order: algorithm-major, then ratio as in [`TABLE2_RATIOS`]). With
 /// `recovery`, the table grows a per-point recovery-summary column drawn
-/// from the campaign outcome (losses survived, partitions adopted,
-/// declaration-to-adoption latency).
+/// from the campaign outcome (losses survived, each one a partition
+/// adopted, and the declaration-to-adoption latency).
 fn table2_from_images(
     caches: &RunCaches,
     images: &[eth_render::Image],
@@ -137,10 +137,7 @@ fn recovery_summary(outcome: &CampaignOutcome, index: usize) -> String {
                     .first()
                     .map(|s| format!(", {:.0} ms", s * 1e3))
                     .unwrap_or_default();
-                format!(
-                    "{} lost / {} adopted{latency}",
-                    d.rank_losses, d.adopted_partitions
-                )
+                format!("{} lost{latency}", d.rank_losses)
             }
         }
         Some(Err(e)) => format!("failed ({e})"),
@@ -193,8 +190,8 @@ pub enum Table2 {
     /// bounded memory costs spill traffic, not pixels.
     Budgeted(u64),
     /// Under fire (`reproduce table2 --recovery`): every point runs
-    /// intercore-coupled with a [`RecoveryPolicy`] and a seeded
-    /// `kill_rank_at_step` on one simulation rank, so each of the nine
+    /// intercore-coupled with a seeded `kill_rank_at_step` on one
+    /// simulation rank (which turns in-run recovery on), so each of the nine
     /// cells loses a rank mid-run and recovers by partition adoption, and
     /// the table grows a per-point recovery column. Because adoption
     /// re-renders the dead rank's partition from the shared staged data,
@@ -231,7 +228,6 @@ pub fn table2_campaign(
             for (i, spec) in specs.iter_mut().enumerate() {
                 spec.name = format!("{}-recovery", spec.name);
                 spec.coupling = Coupling::Intercore;
-                spec.recovery = Some(RecoveryPolicy::default());
                 let victim = i % spec.ranks;
                 let step = i % spec.steps;
                 spec.fault_plan = Some(FaultPlan::seeded(0xE7).with_kill_rank_at_step(victim, step));

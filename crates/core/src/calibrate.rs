@@ -27,33 +27,12 @@ use eth_render::shading::Lighting;
 use eth_render::Scratch;
 use std::time::Instant;
 
-/// Size knobs for the calibration pass.
-#[derive(Debug, Clone, Copy)]
-pub struct CalibrationBudget {
-    pub particles: usize,
-    pub grid_side: usize,
-    pub image_side: usize,
-}
-
-impl CalibrationBudget {
-    /// Fast pass (sub-second) used by tests and default tooling.
-    pub fn quick() -> CalibrationBudget {
-        CalibrationBudget {
-            particles: 60_000,
-            grid_side: 32,
-            image_side: 128,
-        }
-    }
-
-    /// Longer pass for the `reproduce` binary.
-    pub fn standard() -> CalibrationBudget {
-        CalibrationBudget {
-            particles: 400_000,
-            grid_side: 64,
-            image_side: 256,
-        }
-    }
-}
+/// Particles in the calibration cloud: a sub-second pass.
+const PARTICLES: usize = 60_000;
+/// Vertices along each side of the calibration grid.
+const GRID_SIDE: usize = 32;
+/// Width and height of every calibration frame.
+const IMAGE_SIDE: usize = 128;
 
 fn test_cloud(n: usize) -> PointCloud {
     let mut pos = Vec::with_capacity(n);
@@ -137,11 +116,11 @@ fn steady_rates<const K: usize>(mut kernels: [Kernel<'_>; K]) -> [f64; K] {
 
 /// Measure this host's kernel rates, returning a calibration whose rate
 /// fields reflect the machine and whose shape fields keep their defaults.
-pub fn measure(budget: CalibrationBudget) -> Calibration {
-    let cloud = test_cloud(budget.particles);
-    let grid = test_grid(budget.grid_side);
-    let camera = orbit_camera(&cloud.bounds(), budget.image_side, budget.image_side, 0, 1);
-    let gcam = orbit_camera(&grid.bounds(), budget.image_side, budget.image_side, 0, 1);
+pub fn measure() -> Calibration {
+    let cloud = test_cloud(PARTICLES);
+    let grid = test_grid(GRID_SIDE);
+    let camera = orbit_camera(&cloud.bounds(), IMAGE_SIDE, IMAGE_SIDE, 0, 1);
+    let gcam = orbit_camera(&grid.bounds(), IMAGE_SIDE, IMAGE_SIDE, 0, 1);
     let tf = TransferFunction::new(Colormap::Viridis, 0.0, 96.0);
     let lighting = Lighting::default();
     let bg = Vec3::ZERO;
@@ -150,10 +129,9 @@ pub fn measure(budget: CalibrationBudget) -> Calibration {
     let rc = SphereRaycaster::build(&cloud, Some("density"), 0.004, &mut Scratch::new());
     let (mesh, _) = extract_isosurface(&grid, "temperature", 0.0).unwrap();
     let planes = [Plane::axis_aligned(2, 0.5)];
-    let side = budget.image_side;
     let buffers: Vec<_> = (0..8)
         .map(|i| {
-            let mut fb = eth_render::Framebuffer::new(side, side, bg);
+            let mut fb = eth_render::Framebuffer::new(IMAGE_SIDE, IMAGE_SIDE, bg);
             fb.write(i * 3, i, 1.0 + i as f32, Vec3::ONE);
             fb
         })
@@ -284,7 +262,7 @@ mod tests {
     /// no two passes contend for the cores they are timing.
     fn quick() -> Calibration {
         static QUICK: OnceLock<Calibration> = OnceLock::new();
-        *QUICK.get_or_init(|| measure(CalibrationBudget::quick()))
+        *QUICK.get_or_init(measure)
     }
 
     #[test]

@@ -11,14 +11,6 @@ use eth_transport::fault::FaultPlan;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
-/// In-run rank fault tolerance (DESIGN.md §12). A simulation rank the
-/// fault plan kills declares its own death, with the last step it sent;
-/// its partition is adopted by a deterministic survivor, whose own proxy
-/// presents it from the series at the step the survivor is on. The policy
-/// has no settings: its presence turns recovery on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryPolicy {}
-
 /// Resource governance (DESIGN.md §17): how much memory staging may hold
 /// resident and how much disk the journal may consume; the backpressure
 /// loop runs between fixed fractions of the memory budget. With a memory
@@ -340,18 +332,15 @@ pub struct ExperimentSpec {
     /// internode process boundaries; tight coupling has no boundary to
     /// fault). With a plan set, the harness runs fault-tolerant: missed
     /// deadlines and disconnects degrade the affected steps instead of
-    /// failing the run, and the outcome reports the degradation.
+    /// failing the run, and the outcome reports the degradation. A
+    /// scripted rank kill also turns in-run recovery on (DESIGN.md §12):
+    /// the dead rank's partition is adopted by a deterministic survivor.
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// In-run rank fault tolerance: partition adoption, degraded
-    /// compositing. Required when the fault plan kills a rank; changes
-    /// nothing when no fault fires.
-    #[serde(default)]
-    pub recovery: Option<RecoveryPolicy>,
     /// Planned elasticity: live partition migration between viz ranks or a
-    /// viz-rank rescale mid-run (DESIGN.md §13). Requires a recovery policy
-    /// — the handoff protocol rides the same control plane — and
-    /// a coupling with a viz side (intercore or internode).
+    /// viz-rank rescale mid-run (DESIGN.md §13). The handoff protocol rides
+    /// the recovery control plane, which a plan turns on; it needs a
+    /// coupling with a viz side (intercore or internode).
     #[serde(default)]
     pub migration: Option<MigrationPlan>,
     /// Resource governance: staging memory budget (with spill-to-disk and
@@ -511,17 +500,9 @@ impl ExperimentSpec {
             resources.validate().map_err(CoreError::Config)?;
         }
         // A rank kill is contextual: the plan cannot know the run shape, so
-        // the spec checks it — the victim and step must exist, the coupling
-        // must have independent rank lifetimes, and someone must be
-        // listening for the death.
+        // the spec checks it — the victim and step must exist, and the
+        // coupling must have independent rank lifetimes.
         if let Some(plan) = self.fault_plan.as_ref().filter(|p| p.kill_rank_at_step.is_some()) {
-            if self.recovery.is_none() {
-                return Err(CoreError::Config(
-                    "kill_rank_at_step requires a recovery policy: without \
-                     one nobody adopts or composites around the death"
-                        .into(),
-                ));
-            }
             if self.coupling == Coupling::Tight {
                 return Err(CoreError::Config(
                     "kill_rank_at_step requires intercore or internode \
@@ -536,13 +517,6 @@ impl ExperimentSpec {
         // Migration is contextual in the same way: the schedule must name
         // viz ranks and steps that exist for this run shape.
         if let Some(plan) = &self.migration {
-            if self.recovery.is_none() {
-                return Err(CoreError::Config(
-                    "migration requires a recovery policy: the handoff \
-                     protocol rides the recovery control plane"
-                        .into(),
-                ));
-            }
             if self.coupling == Coupling::Tight {
                 return Err(CoreError::Config(
                     "migration requires intercore or internode coupling \
@@ -643,7 +617,6 @@ impl ExperimentSpecBuilder {
                 artifact_dir: None,
                 viz_ranks: None,
                 fault_plan: None,
-                recovery: None,
                 migration: None,
                 resources: None,
                 wire_compression: eth_data::compress::Codec::Lossless,
@@ -714,13 +687,7 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Run with in-run rank fault tolerance (declared deaths + adoption).
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.spec.recovery = Some(policy);
-        self
-    }
-
-    /// Schedule a live migration or rescale (requires `.recovery(..)`).
+    /// Schedule a live migration or rescale.
     pub fn migration(mut self, plan: MigrationPlan) -> Self {
         self.spec.migration = Some(plan);
         self
@@ -840,16 +807,15 @@ mod tests {
     #[test]
     fn a_retired_key_is_ignored_as_unknown() {
         // `compress_transport` predates the codec axis, `handoff_timeout_ms`
-        // the target's verdict, `heartbeat` declared deaths; `render`, the
-        // watermarks and the rank-loss budget were settings no caller
-        // varied. A file that still carries any of them loads as if it did
-        // not.
+        // the target's verdict; `render`, the watermarks and `recovery`
+        // (a kill or a migration turns recovery on) were settings no
+        // caller varied. A file that still carries any of them loads as if
+        // it did not.
         let plain = ExperimentSpec::builder("t").build().unwrap();
         let migrating = ExperimentSpec::builder("t")
             .coupling(Coupling::Intercore)
             .ranks(2)
             .steps(2)
-            .recovery(RecoveryPolicy::default())
             .migration(MigrationPlan::new(MigrationPattern::Sudden {
                 from: 0,
                 to: 1,
@@ -872,12 +838,12 @@ mod tests {
             ),
             (&budgeted, "\"spill_dir\":null", ",\"low_watermark\":0.4"),
             (&budgeted, "\"spill_dir\":null", ",\"high_watermark\":0.8"),
-            (&migrating, "\"recovery\":{", "\"max_rank_losses\":1"),
-            (&migrating, "\"recovery\":{", "\"adopt\":true"),
+            (&plain, "\"fault_plan\":null", ",\"recovery\":null"),
+            (&migrating, "\"fault_plan\":null", ",\"recovery\":{}"),
             (
                 &migrating,
-                "\"recovery\":{",
-                "\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4}",
+                "\"fault_plan\":null",
+                ",\"recovery\":{\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4},\"max_rank_losses\":1,\"adopt\":true}",
             ),
         ] {
             let plain = serde_json::to_string(spec).unwrap();
@@ -890,7 +856,6 @@ mod tests {
         // and as that release wrote them, where a `null` codec is `Lossless`
         let full = ExperimentSpec::builder("full")
             .coupling(Coupling::Internode)
-            .recovery(RecoveryPolicy::default())
             .resources(ResourcePolicy::with_memory_budget(1 << 20))
             .build()
             .unwrap();
@@ -905,6 +870,18 @@ mod tests {
             let back: ExperimentSpec = serde_json::from_str(&quantized).unwrap();
             assert_eq!(back.wire_compression, Codec::Quantize);
         }
+
+        // a degradation record as that release wrote it, whose
+        // `adopted_partitions` repeated `rank_losses`
+        let old = r#"{"dropped_steps":0,"degraded_steps":0,"timeouts":0,"disconnects":0,"corrupt_payloads":0,"rank_losses":1,"adopted_partitions":1,"missing_contributions":0,"migrations":0,"migration_failures":0}"#;
+        let back: crate::Degradation = serde_json::from_str(old).unwrap();
+        assert_eq!(
+            back,
+            crate::Degradation {
+                rank_losses: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
@@ -971,17 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_policy_defaults_and_serde() {
-        let policy = RecoveryPolicy::default();
-        assert_eq!(serde_json::to_string(&policy).unwrap(), "{}");
-        let parsed: RecoveryPolicy = serde_json::from_str("{}").unwrap();
-        assert_eq!(parsed, policy);
-        // the retired `adopt` key loads as unknown, whatever its value
-        let old: RecoveryPolicy = serde_json::from_str(r#"{"adopt":false}"#).unwrap();
-        assert_eq!(old, policy);
-    }
-
-    #[test]
     fn kill_fault_is_validated_against_the_run_shape() {
         let kill = |rank, step| FaultPlan::seeded(1).with_kill_rank_at_step(rank, step);
         let base = || {
@@ -989,25 +955,14 @@ mod tests {
                 .coupling(Coupling::Intercore)
                 .ranks(2)
                 .steps(3)
-                .recovery(RecoveryPolicy::default())
         };
-        // valid: intercore, recovery present, victim and step in range
+        // valid: intercore, victim and step in range
         let spec = base().fault_plan(kill(1, 2)).build().unwrap();
         assert_eq!(spec.fault_plan.unwrap().kill_rank_at_step.unwrap().rank, 1);
-        // no recovery policy → nobody detects the death
-        let err = ExperimentSpec::builder("kill")
-            .coupling(Coupling::Intercore)
-            .ranks(2)
-            .steps(3)
-            .fault_plan(kill(1, 2))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("recovery"), "{err}");
         // tight coupling has one rank lifetime
         let err = ExperimentSpec::builder("kill")
             .ranks(2)
             .steps(3)
-            .recovery(RecoveryPolicy::default())
             .fault_plan(kill(1, 2))
             .build()
             .unwrap_err();
@@ -1015,15 +970,14 @@ mod tests {
         // out-of-range victim and step
         assert!(base().fault_plan(kill(5, 0)).build().is_err());
         assert!(base().fault_plan(kill(0, 9)).build().is_err());
-        // and a spec with recovery + kill roundtrips through serde
+        // and a spec with a kill roundtrips through serde
         let spec = base().fault_plan(kill(0, 1)).build().unwrap();
         let text = serde_json::to_string(&spec).unwrap();
         let back: ExperimentSpec = serde_json::from_str(&text).unwrap();
         assert_eq!(spec, back);
-        // older spec files without the recovery field still parse
+        // older spec files without the kill field still parse
         let mut value: serde::Value = serde_json::from_str(&text).unwrap();
         if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(k, _)| k != "recovery");
             if let Some((_, serde::Value::Object(plan_fields))) =
                 fields.iter_mut().find(|(k, _)| k == "fault_plan")
             {
@@ -1032,7 +986,6 @@ mod tests {
         }
         let old_text = serde_json::to_string(&value).unwrap();
         let old: ExperimentSpec = serde_json::from_str(&old_text).unwrap();
-        assert!(old.recovery.is_none());
         assert!(old.fault_plan.unwrap().kill_rank_at_step.is_none());
     }
 
@@ -1043,7 +996,6 @@ mod tests {
                 .coupling(Coupling::Intercore)
                 .ranks(3)
                 .steps(4)
-                .recovery(RecoveryPolicy::default())
         };
         let sudden = |from, to, at| {
             MigrationPlan::new(MigrationPattern::Sudden { from, to, at_step: at })
@@ -1056,20 +1008,10 @@ mod tests {
         );
         assert_eq!(spec.planned_owner(1, 1), 1);
         assert_eq!(spec.planned_owner(1, 2), 2);
-        // migration without recovery has no control plane to ride
-        let err = ExperimentSpec::builder("mig")
-            .coupling(Coupling::Intercore)
-            .ranks(3)
-            .steps(4)
-            .migration(sudden(1, 2, 2))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("recovery"), "{err}");
         // tight coupling has nothing to migrate between
         let err = ExperimentSpec::builder("mig")
             .ranks(3)
             .steps(4)
-            .recovery(RecoveryPolicy::default())
             .migration(sudden(1, 2, 2))
             .build()
             .unwrap_err();
@@ -1102,7 +1044,6 @@ mod tests {
             .coupling(Coupling::Internode)
             .ranks(3)
             .steps(4)
-            .recovery(RecoveryPolicy::default())
             .migration(noop)
             .build()
             .is_err());
@@ -1117,7 +1058,6 @@ mod tests {
                 .ranks(6)
                 .steps(8)
                 .viz_ranks(2)
-                .recovery(RecoveryPolicy::default())
         };
         let spec = base()
             .migration(MigrationPlan::new(MigrationPattern::Fluid {

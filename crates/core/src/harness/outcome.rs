@@ -49,17 +49,14 @@ pub struct Degradation {
     /// Payloads that failed integrity or decode checks.
     pub corrupt_payloads: u64,
     /// Ranks that died mid-run and declared it (only possible under a
-    /// [`crate::config::RecoveryPolicy`]).
+    /// fault plan's scripted kill). Each dead rank's partition is adopted
+    /// by a surviving rank, whose own proxy presents it from the series.
     #[serde(default)]
     pub rank_losses: u64,
-    /// Dead ranks' partitions taken over by a surviving rank, whose own
-    /// proxy presents them from the series.
-    #[serde(default)]
-    pub adopted_partitions: u64,
     /// Holes composited around: one per frame for each partition slot the
-    /// root received no contribution for, whatever the cause — a dead
-    /// partition nobody adopted, a lost block, a cut link. Counted at the
-    /// composite root and nowhere else.
+    /// root received no contribution for, whatever the cause — a block a
+    /// proxy skipped, a lost block, a cut link. Counted at the composite
+    /// root and nowhere else.
     #[serde(default)]
     pub missing_contributions: u64,
     /// Planned partition handoffs that committed: the target acked, took
@@ -91,7 +88,6 @@ impl Degradation {
         self.disconnects += other.disconnects;
         self.corrupt_payloads += other.corrupt_payloads;
         self.rank_losses += other.rank_losses;
-        self.adopted_partitions += other.adopted_partitions;
         self.missing_contributions += other.missing_contributions;
         self.migrations += other.migrations;
         self.migration_failures += other.migration_failures;
@@ -129,8 +125,7 @@ pub struct NativeOutcome {
     /// Faults absorbed (all-zero unless the spec carries a fault plan).
     pub degradation: Degradation,
     /// Per-loss recovery latency: seconds from a dead rank's declaration
-    /// to its partition's adoption (empty for clean runs and runs without a
-    /// [`RecoveryPolicy`](crate::config::RecoveryPolicy)).
+    /// to its partition's adoption (empty for runs without a scripted kill).
     /// Feeds the campaign telemetry's `recovery_latency_s` histogram.
     pub recovery_latency_s: Vec<f64>,
     /// Per-handoff step-latency disruption: seconds the source rank spent
@@ -204,9 +199,9 @@ impl NativeOutcome {
             ));
             if d.rank_losses > 0 {
                 base.push_str(&format!(
-                    "; recovered: {} rank losses, {} partitions adopted, \
+                    "; recovered: {} rank losses (each partition adopted), \
                      {} missing contributions",
-                    d.rank_losses, d.adopted_partitions, d.missing_contributions
+                    d.rank_losses, d.missing_contributions
                 ));
                 if let Some(worst) = self
                     .recovery_latency_s

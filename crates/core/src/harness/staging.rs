@@ -302,7 +302,6 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     base.wire_compression = eth_data::compress::Codec::Lossless;
     base.viz_ranks = None;
     base.fault_plan = None;
-    base.recovery = None;
     base.migration = None;
     base.artifact_dir = None;
     base

@@ -71,7 +71,7 @@ fn decode_block(
 /// decides how soon a declared death is noticed, never what the drainer
 /// concludes.
 const DEATH_POLL: Duration = Duration::from_millis(5);
-/// Wall-clock backstop of a run with a recovery policy when the fault plan
+/// Wall-clock backstop of a run with a liveness part when the fault plan
 /// sets no per-rank budget.
 const DEFAULT_RUN_DEADLINE: Duration = Duration::from_secs(120);
 
@@ -83,13 +83,15 @@ const DEFAULT_RUN_DEADLINE: Duration = Duration::from_secs(120);
 /// plain run: it never polls a receive and never looks at a clock.
 pub(super) struct StepPolicy {
     /// Faults on the data path degrade a step instead of failing the run
-    /// (the spec carries a fault plan or a recovery policy).
+    /// (the spec carries a fault plan or a migration plan).
     tolerant: bool,
     /// The spec's fault plan, inert when it has none: scripted kills and
     /// the receive and run budgets are read from here. The pair links run
     /// behind it only when the spec really carries one ([`RankCx::link`]).
     pub(super) plan: FaultPlan,
-    /// Death-aware receives and adoption.
+    /// Death-aware receives and adoption: present iff the spec scripts a
+    /// rank kill or plans a migration, whose handshakes ride the same
+    /// control plane.
     pub(super) liveness: Option<Liveness>,
     /// Planned partition handoffs in control-plane order. Empty means
     /// static ownership.
@@ -111,7 +113,8 @@ pub(super) struct Liveness {
 impl StepPolicy {
     fn new(spec: &ExperimentSpec) -> StepPolicy {
         let plan = spec.fault_plan.clone().unwrap_or_default();
-        let liveness = spec.recovery.map(|_| {
+        let wanted = plan.kill_rank_at_step.is_some() || spec.migration.is_some();
+        let liveness = wanted.then(|| {
             let run_deadline = plan.rank_timeout().unwrap_or(DEFAULT_RUN_DEADLINE);
             Liveness {
                 recv_budget: plan.deadline().unwrap_or(run_deadline),
@@ -339,10 +342,12 @@ pub(super) fn migrate_handshakes(
     disruption: &mut Vec<f64>,
 ) -> Result<()> {
     let (policy, comm) = (&cx.policy, fabric.comm);
-    let deadline = policy
-        .liveness
-        .as_ref()
-        .map_or(DEFAULT_RUN_DEADLINE, |live| live.run_deadline);
+    // a migration plan turns the liveness part on: without one there is
+    // nothing to hand off
+    let Some(live) = &policy.liveness else {
+        return Ok(());
+    };
+    let deadline = live.run_deadline;
     let me = comm.rank() - fabric.base;
     for (index, h) in policy.handoffs.iter().enumerate() {
         if h.step != step || (h.from != me && h.to != me) {
@@ -432,7 +437,6 @@ pub(super) fn viz_role(cx: &RankCx, fabric: VizFabric, mut wires: Vec<(usize, Wi
             if cx.deaths.dead_at(sim, step) && !std::mem::replace(&mut lost[sim], true) {
                 let _span = eth_obs::span(eth_obs::Phase::Recovery);
                 deg.rank_losses += 1;
-                deg.adopted_partitions += 1;
                 let declared = cx.deaths.deaths().find(|death| death.rank == sim);
                 let notice = AdoptNotice {
                     dead_rank: sim,

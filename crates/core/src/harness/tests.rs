@@ -3,7 +3,7 @@ use super::outcome::RankOutput;
 use super::staging::{memoize, stage_data, MemoSlot};
 use super::step::{drain, encode_block, migrate_handshakes, sim_role, RankCx, VizFabric};
 use super::*;
-use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
+use crate::config::{Algorithm, Application, Coupling, ExperimentSpec, Handoff};
 use crate::error::CoreError;
 use crate::pipeline::VizPipeline;
 use bytes::Bytes;
@@ -380,7 +380,7 @@ fn supervised_run_times_out_instead_of_wedging() {
         Ok(_) => {} // a very fast machine may finish inside 1 ms
     }
     // Every coupling is launched the same way, so the budget bounds the
-    // pair couplings too — with no recovery policy. Each send is
+    // pair couplings too — with no liveness part. Each send is
     // delayed far past the budget, so these cannot finish inside it.
     for coupling in [Coupling::Intercore, Coupling::Internode] {
         let plan = FaultPlan::seeded(1)
@@ -555,7 +555,6 @@ fn kill_spec(name: &str, coupling: Coupling, victim: usize, step: usize) -> Expe
     let mut spec = base_spec(name);
     spec.coupling = coupling;
     spec.steps = 4;
-    spec.recovery = Some(RecoveryPolicy::default());
     spec.fault_plan = Some(FaultPlan::seeded(7).with_kill_rank_at_step(victim, step));
     spec
 }
@@ -570,7 +569,6 @@ fn intercore_kill_is_adopted_and_images_match_the_healthy_run() {
     let out = run_native(&kill_spec("ic-kill", Coupling::Intercore, 1, 2)).unwrap();
     let recovered = Degradation {
         rank_losses: 1,
-        adopted_partitions: 1,
         ..Degradation::default()
     };
     assert_eq!(out.degradation, recovered);
@@ -614,7 +612,6 @@ fn internode_kill_is_adopted_and_prekill_images_are_identical() {
 
     let out = run_native(&kill_spec("in-kill", Coupling::Internode, 2, kill_at)).unwrap();
     assert_eq!(out.degradation.rank_losses, 1, "{:?}", out.degradation);
-    assert_eq!(out.degradation.adopted_partitions, 1);
     // the run completes with a full image set despite the death
     assert_eq!(out.images.len(), reference.images.len());
     // steps before the kill cannot have been touched by recovery
@@ -627,41 +624,47 @@ fn internode_kill_is_adopted_and_prekill_images_are_identical() {
 }
 
 #[test]
-fn recovery_policy_without_faults_changes_nothing() {
+fn a_liveness_part_with_nothing_due_changes_no_pixels_and_runs_supervised() {
     use crate::config::{MigrationPattern, MigrationPlan};
-    let reference = run_native(&base_spec("rec-noop")).unwrap();
-    // A handoff plan none of whose handoffs ever comes due (validation
-    // rejects it, so these two inputs enter below `run_native`): the
-    // policy has every part switched on and nothing to do.
-    let never = MigrationPlan::new(MigrationPattern::Sudden { from: 0, to: 1, at_step: 99 });
-    for (coupling, migration) in [
-        (Coupling::Tight, None),
-        (Coupling::Intercore, None),
-        (Coupling::Internode, None),
-        (Coupling::Intercore, Some(never)),
-        (Coupling::Internode, Some(never)),
-    ] {
-        let mut spec = base_spec("rec-noop");
-        spec.coupling = coupling;
-        spec.recovery = Some(RecoveryPolicy::default());
-        spec.migration = migration;
-        let out = run_recorded(&spec, &PayloadPool::new(), &ScratchPool::new(), |spec| {
-            Ok(Arc::new(stage_data(spec, Default::default())?))
-        })
-        .unwrap();
-        assert!(out.degradation.is_clean(), "{coupling:?}: {:?}", out.degradation);
-        assert_eq!(out.recovery_latency_s.len(), 0);
-        assert_eq!(out.migration_disruption_s.len(), 0);
-        assert_eq!(reference.images, out.images, "policy changed pixels under {coupling:?}");
-        // the launch ran under the run deadline (contrast
-        // `clean_runs_report_no_degradation`), and no thread watched it
-        assert_eq!(out.counters.get("supervised_launches"), 1.0, "{coupling:?}");
-        assert_eq!(out.counters.get("liveness_threads"), 0.0, "{coupling:?}");
+    let reference = run_native(&base_spec("live-noop")).unwrap();
+    // A kill and a handoff that never come due (validation rejects both, so
+    // they enter below `run_native`): each turns the liveness part on, and
+    // it has nothing to do.
+    let never_kill = FaultPlan::default().with_kill_rank_at_step(1, 99);
+    let never_move = MigrationPlan::new(MigrationPattern::Sudden {
+        from: 0,
+        to: 1,
+        at_step: 99,
+    });
+    for coupling in [Coupling::Intercore, Coupling::Internode] {
+        for (kill, migration) in [(Some(never_kill.clone()), None), (None, Some(never_move))] {
+            let mut spec = base_spec("live-noop");
+            spec.coupling = coupling;
+            spec.fault_plan = kill;
+            spec.migration = migration;
+            let out = run_recorded(&spec, &PayloadPool::new(), &ScratchPool::new(), |spec| {
+                Ok(Arc::new(stage_data(spec, Default::default())?))
+            })
+            .unwrap();
+            assert!(
+                out.degradation.is_clean(),
+                "{coupling:?}: {:?}",
+                out.degradation
+            );
+            assert_eq!(out.recovery_latency_s.len(), 0);
+            assert_eq!(out.migration_disruption_s.len(), 0);
+            assert_eq!(
+                reference.images, out.images,
+                "liveness changed pixels under {coupling:?}"
+            );
+            // the launch ran under the run deadline (contrast
+            // `clean_runs_report_no_degradation`)
+            assert_eq!(out.counters.get("supervised_launches"), 1.0, "{coupling:?}");
+        }
     }
 }
 
 fn migrating(mut spec: ExperimentSpec, pattern: crate::config::MigrationPattern) -> ExperimentSpec {
-    spec.recovery = Some(RecoveryPolicy::default());
     spec.migration = Some(crate::config::MigrationPlan::new(pattern));
     spec
 }

@@ -47,7 +47,6 @@ pub mod telemetry;
 
 pub use config::{
     Algorithm, Application, Coupling, ExperimentSpec, Handoff, MigrationPattern, MigrationPlan,
-    RecoveryPolicy,
 };
 pub use error::{CoreError, Result};
 pub use harness::{

@@ -17,6 +17,7 @@ use crate::journal::{self, Journal, JournalRecord, RecordedOutcome};
 use crate::telemetry::CampaignTelemetry;
 use eth_data::DataError;
 use eth_transport::fault::BackoffShape;
+use eth_transport::runner::panic_message;
 use eth_transport::{RankFailure, TransportError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -281,7 +282,7 @@ impl CancelToken {
 /// campaign health on this distinction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DegradedReason {
-    /// At least one rank died and its partition was adopted or dropped.
+    /// At least one rank died and a survivor adopted its partition.
     RankLoss,
     /// At least one planned partition handoff committed, or degraded to
     /// "no migration happened" after losing its race with a death.
@@ -482,7 +483,8 @@ impl Campaign {
         let threads = match spec.coupling {
             Coupling::Tight => ranks,
             Coupling::Intercore => 2 * ranks,
-            Coupling::Internode => ranks + spec.viz_ranks.unwrap_or(ranks),
+            // a growing rescale seats its largest viz side from the start
+            Coupling::Internode => ranks + spec.max_viz_count(),
         };
         threads.clamp(1, self.capacity)
     }
@@ -627,7 +629,7 @@ impl Campaign {
                 .unwrap_or_else(|payload| {
                     Err(CoreError::Rank(RankFailure::Panic {
                         rank: index,
-                        message: panic_message(payload),
+                        message: panic_message(payload.as_ref()),
                     }))
                 })
                 .and_then(|outcome| log.persist(outcome));
@@ -834,14 +836,6 @@ pub fn spec_for_attempt(spec: &ExperimentSpec, attempt: u32) -> ExperimentSpec {
     spec
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
-}
-
 /// Recover a mutex guard whether or not the lock is poisoned — for locks
 /// whose holders restore their invariants before every unlock, so a
 /// poisoned mutex only means some *other* holder panicked mid-section
@@ -1017,6 +1011,15 @@ mod tests {
         assert_eq!(c.point_cost(&spec), 8); // 4 sim + 4 paired viz
         spec.viz_ranks = Some(1);
         assert_eq!(c.point_cost(&spec), 5); // 4 sim + 1 viz
+        spec.viz_ranks = Some(2);
+        spec.migration = Some(crate::config::MigrationPlan::new(
+            crate::config::MigrationPattern::Rescale {
+                viz_ranks: 3,
+                at_step: 1,
+            },
+        ));
+        assert_eq!(c.point_cost(&spec), 7); // 4 sim + the rescale's 3 viz, seated at launch
+        spec.migration = None;
         // an over-wide point clamps to capacity instead of deadlocking
         let tiny = Campaign::with_capacity(2);
         spec.viz_ranks = None;

@@ -74,14 +74,10 @@ impl CampaignTelemetry {
             c.add("degradation_timeouts", d.timeouts as f64);
             c.add("degradation_disconnects", d.disconnects as f64);
             c.add("degradation_corrupt_payloads", d.corrupt_payloads as f64);
-            // In-run fault tolerance: losses survived, partitions adopted,
-            // frames composited around a hole, and the declaration-to-
-            // adoption latency distribution (the recovery SLO).
+            // In-run fault tolerance: losses survived (each one a partition
+            // adopted), frames composited around a hole, and the
+            // declaration-to-adoption latency distribution (the recovery SLO).
             c.add("recovery_rank_losses_total", d.rank_losses as f64);
-            c.add(
-                "recovery_adopted_partitions_total",
-                d.adopted_partitions as f64,
-            );
             c.add(
                 "recovery_missing_contributions_total",
                 d.missing_contributions as f64,
@@ -525,7 +521,6 @@ mod tests {
     fn recovery_metrics_export_as_histogram_and_gauges() {
         let mut c = CounterSet::new();
         c.add("recovery_rank_losses_total", 1.0);
-        c.add("recovery_adopted_partitions_total", 1.0);
         for v in [0.031, 0.044] {
             c.observe("recovery_latency_s", v);
         }
@@ -536,7 +531,7 @@ mod tests {
         assert!(prom.contains("eth_campaign_recovery_latency_s_count 2"));
         let jsonl = t.to_jsonl();
         assert!(jsonl.contains("recovery_latency_s"));
-        // losses/adoptions are deterministic; latency only counts
+        // losses are deterministic; latency only counts
         let view = t.deterministic_view();
         assert!(view.contains(&("recovery_rank_losses_total".to_string(), 1)));
         assert!(view.contains(&("recovery_latency_s/count".to_string(), 2)));

@@ -26,8 +26,9 @@
 //! `bytes=` was re-counted once more when a block started to cross as its
 //! geometry plus the field the pipeline colours by; the header gives each
 //! as the `id` and `velocity` bytes of the blocks that row moved. The two
-//! `kill-dark` rows left with the dark path (a recovery policy always
-//! adopts); the other 21 rows are unedited.
+//! `kill-dark` rows left with the dark path (a killed rank's partition is
+//! always adopted); the other 21 rows are unedited, save that the
+//! `adopted=` column left with the counter that repeated `losses=`.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`
@@ -35,7 +36,6 @@
 
 use eth_core::{
     run_native, Algorithm, Application, Coupling, ExperimentSpec, MigrationPattern, MigrationPlan,
-    RecoveryPolicy,
 };
 use eth_transport::FaultPlan;
 
@@ -55,7 +55,6 @@ fn base(name: &str, coupling: Coupling, ranks: usize) -> ExperimentSpec {
 }
 
 fn migrating(mut spec: ExperimentSpec, pattern: MigrationPattern) -> ExperimentSpec {
-    spec.recovery = Some(RecoveryPolicy::default());
     spec.migration = Some(MigrationPlan::new(pattern));
     spec
 }
@@ -75,7 +74,6 @@ fn specs() -> Vec<ExperimentSpec> {
         out.push(drop);
 
         let mut kill = named("kill-adopt");
-        kill.recovery = Some(RecoveryPolicy::default());
         kill.fault_plan = Some(FaultPlan::seeded(7).with_kill_rank_at_step(1, 2));
         out.push(kill);
 
@@ -128,9 +126,9 @@ fn specs() -> Vec<ExperimentSpec> {
         },
     ));
 
-    let mut tight = base("tight-recovery", Coupling::Tight, 3);
-    tight.recovery = Some(RecoveryPolicy::default());
-    out.push(tight);
+    // A plain tight run; the name is the row's, from when recovery was a
+    // setting a tight spec could carry.
+    out.push(base("tight-recovery", Coupling::Tight, 3));
 
     // The rest of the chaos path (second fixture block, generated at acac922).
     for (tag, coupling) in [("ic", Coupling::Intercore), ("in", Coupling::Internode)] {
@@ -188,7 +186,7 @@ fn row(spec: &ExperimentSpec) -> String {
         .collect();
     format!(
         "{} bytes={} dropped={} degraded={} timeouts={} disconnects={} corrupt={} \
-         losses={} adopted={} missing={} migrations={} migration_failures={} images={}",
+         losses={} missing={} migrations={} migration_failures={} images={}",
         spec.name,
         out.bytes_moved,
         d.dropped_steps,
@@ -197,7 +195,6 @@ fn row(spec: &ExperimentSpec) -> String {
         d.disconnects,
         d.corrupt_payloads,
         d.rank_losses,
-        d.adopted_partitions,
         d.missing_contributions,
         d.migrations,
         d.migration_failures,

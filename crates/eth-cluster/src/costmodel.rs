@@ -86,9 +86,10 @@ impl AlgorithmClass {
 /// Defaults are rough measurements of this repository's kernels on a
 /// ~2020s x86 node, scaled to 24 cores, and they are what the model runs
 /// on: every caller, `reproduce` included, uses [`Calibration::default`].
-/// `eth-core::calibrate::measure` re-measures the kernels on the host, but
-/// only its own tests call it, to check the measured rates keep the
-/// orderings these defaults encode.
+/// `eth-core::calibrate::measure` re-measures the kernels on the host in
+/// one sub-second pass at fixed sizes (60 000 particles, a 32³ grid,
+/// 128² frames), but only its own tests call it, to check the measured
+/// rates keep the orderings these defaults encode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
     /// VTK-points particles rendered per second per node. A particle costs

@@ -44,7 +44,9 @@ impl std::fmt::Display for RankFailure {
 
 impl std::error::Error for RankFailure {}
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text a panic carried: its `&str` or `String` payload, or a stand-in
+/// for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

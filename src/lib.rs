@@ -43,7 +43,6 @@ pub mod prelude {
     pub use eth_cluster::metrics::RunMetrics;
     pub use eth_core::config::{
         Algorithm, Application, Coupling, ExperimentSpec, MigrationPattern, MigrationPlan,
-        RecoveryPolicy,
     };
     pub use eth_core::harness;
     pub use eth_core::harness::{run_native, run_native_cached, RunCaches};
