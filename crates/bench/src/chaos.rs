@@ -6,21 +6,19 @@
 //! the harness exercises its degraded paths for real. On top of that, a
 //! seeded transient-failure schedule injects timeouts at the campaign
 //! boundary through a runner wrapped around [`run_attempt`] (see
-//! [`Campaign::execute`]) — the knob that lets recovery
-//! policy itself be swept as a design axis: some points succeed first
-//! try, some need retries (with jittered backoff against fresh fault
-//! seeds), and points whose schedule outlasts `max_attempts` are
-//! quarantined while the campaign proceeds.
+//! [`Campaign::execute`]): some points succeed first try, some need
+//! retries (with jittered backoff against fresh fault seeds), and points
+//! whose schedule outlasts [`MAX_ATTEMPTS`] are quarantined while the
+//! campaign proceeds.
 //!
 //! Everything is derived from one seed: same seed ⇒ same attempt counts,
 //! same quarantine set, same degradation counters, results in input order.
 
 use eth_core::config::{Application, Coupling, ExperimentSpec};
 use eth_core::harness::RunCaches;
-use eth_core::results::ResultTable;
+use eth_core::results::{fmt_ms, ResultTable};
 use eth_core::{run_attempt, Algorithm, Campaign, CampaignOutcome, CoreError, Result};
-use eth_core::{RetryOn, RetryPolicy};
-use eth_transport::{BackoffShape, FaultPlan, TransportError};
+use eth_transport::{FaultPlan, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::time::Duration;
@@ -33,8 +31,7 @@ const ALGORITHMS: [Algorithm; 3] = [
 ];
 const RATIOS: [f64; 2] = [0.5, 0.25];
 
-/// Attempts per point, including the first (the ISSUE's acceptance
-/// policy: `RetryPolicy { max_attempts: 3 }`).
+/// Attempts per point, including the first.
 pub const MAX_ATTEMPTS: u32 = 3;
 
 /// How many injected transient failures point `index` faces under `seed`
@@ -81,20 +78,6 @@ pub fn chaos_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
 
 fn chaos_campaign_over(seed: u64, caches: &RunCaches) -> Result<(ResultTable, CampaignOutcome)> {
     let specs = specs(seed)?;
-    let policy = RetryPolicy {
-        max_attempts: MAX_ATTEMPTS,
-        // short backoff: this is a demo, not a production outage
-        backoff: BackoffShape {
-            base_ms: 1,
-            cap_ms: 8,
-        },
-        retry_on: vec![
-            RetryOn::Timeout,
-            RetryOn::Disconnect,
-            RetryOn::Panic,
-            RetryOn::Corrupt,
-        ],
-    };
     let flaky = |index: usize, spec: &ExperimentSpec, attempt: u32, caches: &RunCaches| {
         if attempt <= planned_failures(seed, index) {
             return Err(CoreError::Transport(TransportError::Timeout {
@@ -105,7 +88,7 @@ fn chaos_campaign_over(seed: u64, caches: &RunCaches) -> Result<(ResultTable, Ca
         run_attempt(spec, attempt, caches)
     };
     let outcome = Campaign::new()
-        .with_retry_policy(policy)
+        .with_max_attempts(MAX_ATTEMPTS)
         .execute(&specs, caches, None, Some(&flaky))?;
 
     let mut t = ResultTable::new(
@@ -207,7 +190,7 @@ pub fn kill_campaign(seed: u64) -> Result<(ResultTable, CampaignOutcome)> {
                 native
                     .recovery_latency_s
                     .first()
-                    .map(|s| format!("{:.0} ms", s * 1e3))
+                    .map(|&s| fmt_ms(s))
                     .unwrap_or_else(|| "-".into()),
             ),
             Err(e) => (format!("failed ({e})"), "-".into(), "-".into()),

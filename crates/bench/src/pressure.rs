@@ -23,9 +23,9 @@
 use crate::cli::Report;
 use eth_core::config::{Application, Coupling, ExperimentSpec, ResourcePolicy};
 use eth_core::harness::RunCaches;
-use eth_core::{run_native, Algorithm, Campaign, CoreError, Result, RetryPolicy};
+use eth_core::{run_native, Algorithm, Campaign, CoreError, Result};
 use eth_sim::timeseries::{StagingAccountant, TimeSeries};
-use eth_transport::{BackoffShape, FaultPlan};
+use eth_transport::FaultPlan;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::Serialize;
@@ -285,18 +285,12 @@ fn chaos_specs(seed: u64) -> Result<Vec<ExperimentSpec>> {
     Ok(out)
 }
 
-fn chaos_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        // Short backoff: this is a smoke, not a production outage.
-        backoff: BackoffShape { base_ms: 1, cap_ms: 8 },
-        retry_on: RetryPolicy::standard(3).retry_on,
-    }
-}
+/// Attempts per point, including the first.
+const CHAOS_ATTEMPTS: u32 = 3;
 
-/// Run the seeded resource-chaos campaign: journaled, retried under the
-/// standard policy (which classifies `DiskFull`/`OutOfMemory` as
-/// `RetryOn::Resource`), then resumed from the same journal directory.
+/// Run the seeded resource-chaos campaign: journaled, each point given
+/// [`CHAOS_ATTEMPTS`] attempts (`DiskFull` and `OutOfMemory` are transient,
+/// so they are retried), then resumed from the same journal directory.
 pub fn pressure_chaos(seed: u64) -> Result<PressureChaos> {
     let specs = chaos_specs(seed)?;
     let dir = std::env::temp_dir().join(format!(
@@ -306,7 +300,7 @@ pub fn pressure_chaos(seed: u64) -> Result<PressureChaos> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let outcome = Campaign::new()
-        .with_retry_policy(chaos_policy())
+        .with_max_attempts(CHAOS_ATTEMPTS)
         .run_journaled(&specs, &RunCaches::new(), &dir)?;
 
     let mut first_try = 0;
@@ -335,7 +329,7 @@ pub fn pressure_chaos(seed: u64) -> Result<PressureChaos> {
     }
 
     let resumed = Campaign::new()
-        .with_retry_policy(chaos_policy())
+        .with_max_attempts(CHAOS_ATTEMPTS)
         .run_journaled(&specs, &RunCaches::new(), &dir)?;
     let resume_restored = resumed.restored.len();
     let _ = std::fs::remove_dir_all(&dir);

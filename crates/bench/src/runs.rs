@@ -11,7 +11,7 @@ use eth_cluster::experiment::{run_cluster, ClusterExperiment};
 use eth_cluster::metrics::RunMetrics;
 use eth_core::config::{Algorithm, Application, Coupling, ExperimentSpec};
 use eth_core::harness::RunCaches;
-use eth_core::results::{fmt_kw, fmt_pct, fmt_s, ResultTable};
+use eth_core::results::{fmt_kw, fmt_ms, fmt_pct, fmt_s, ResultTable};
 use eth_core::{Campaign, CampaignOutcome, CoreError, Result};
 use eth_transport::FaultPlan;
 use std::path::Path;
@@ -135,7 +135,7 @@ fn recovery_summary(outcome: &CampaignOutcome, index: usize) -> String {
                 let latency = native
                     .recovery_latency_s
                     .first()
-                    .map(|s| format!(", {:.0} ms", s * 1e3))
+                    .map(|&s| format!(", {}", fmt_ms(s)))
                     .unwrap_or_default();
                 format!("{} lost{latency}", d.rank_losses)
             }

@@ -809,8 +809,9 @@ mod tests {
         // `compress_transport` predates the codec axis, `handoff_timeout_ms`
         // the target's verdict; `render`, the watermarks and `recovery`
         // (a kill or a migration turns recovery on) were settings no
-        // caller varied. A file that still carries any of them loads as if
-        // it did not.
+        // caller varied, and a fault plan's `delay_prob` / `delay_ms` a
+        // fault nothing outside tests injected. A file that still carries
+        // any of them loads as if it did not.
         let plain = ExperimentSpec::builder("t").build().unwrap();
         let migrating = ExperimentSpec::builder("t")
             .coupling(Coupling::Intercore)
@@ -825,6 +826,11 @@ mod tests {
             .unwrap();
         let budgeted = ExperimentSpec::builder("t")
             .resources(ResourcePolicy::with_memory_budget(1 << 20))
+            .build()
+            .unwrap();
+        let faulted = ExperimentSpec::builder("t")
+            .coupling(Coupling::Intercore)
+            .fault_plan(FaultPlan::seeded(3).with_drop(0.2))
             .build()
             .unwrap();
         for (spec, at, retired) in [
@@ -845,6 +851,9 @@ mod tests {
                 "\"fault_plan\":null",
                 ",\"recovery\":{\"heartbeat\":{\"interval_ms\":25,\"miss_budget\":4},\"max_rank_losses\":1,\"adopt\":true}",
             ),
+            // every faulted spec the parent wrote, and one that delayed
+            (&faulted, "\"corrupt_prob\":0", ",\"delay_prob\":0,\"delay_ms\":0"),
+            (&faulted, "\"corrupt_prob\":0", ",\"delay_prob\":0.1,\"delay_ms\":15"),
         ] {
             let plain = serde_json::to_string(spec).unwrap();
             let old = plain.replace(at, &format!("{at}{retired}"));
@@ -934,9 +943,6 @@ mod tests {
         let silly = FaultPlan::seeded(1).with_corrupt(-0.01);
         let err = ExperimentSpec::builder("t").fault_plan(silly).build().unwrap_err();
         assert!(err.to_string().contains("corrupt_prob"), "{err}");
-        // a delay fault that injects no latency is a misconfiguration
-        let silly = FaultPlan::seeded(1).with_delay(0.5, 0);
-        assert!(ExperimentSpec::builder("t").fault_plan(silly).build().is_err());
         // seeded plans carry a deadline and pass
         let ok = FaultPlan::seeded(1).with_drop(0.5);
         let spec = ExperimentSpec::builder("t").fault_plan(ok).build().unwrap();

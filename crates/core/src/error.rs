@@ -37,8 +37,8 @@ pub enum CoreError {
         holder: u32,
     },
     /// A durable write hit the disk quota (or a real `ENOSPC`). Classified
-    /// as a retryable resource fault: the point degrades, retries, or
-    /// quarantines through [`crate::sweep::RetryPolicy`] instead of
+    /// as a transient resource fault: the point fails, retries, or
+    /// quarantines under [`crate::Campaign::with_max_attempts`] instead of
     /// panicking mid-append.
     DiskFull {
         /// What was being written when the quota ran out.

@@ -274,6 +274,29 @@ fn internode_payload_corruption_is_detected_at_the_codec() {
 }
 
 #[test]
+fn every_corrupt_payload_is_a_send_the_plan_flipped() {
+    // Corruption is decided once, at the sender, on the bytes that cross:
+    // the viz side's count is exactly the sends `decide` marks corrupt.
+    // Simulation rank r's link runs to fabric rank R + r under intercore
+    // and to visualization rank r under internode; step n crosses as the
+    // link's n-th message under tag DATA_TAG_MIN + n.
+    let plan = FaultPlan::seeded(9).with_corrupt(0.5);
+    for (coupling, peer_base) in [(Coupling::Intercore, 3), (Coupling::Internode, 0)] {
+        let mut spec = base_spec("flipped");
+        spec.steps = 4;
+        spec.coupling = coupling;
+        spec.fault_plan = Some(plan.clone());
+        let flipped = (0..spec.ranks)
+            .flat_map(|r| (0..spec.steps).map(move |n| (r, n)))
+            .filter(|&(r, n)| plan.decide(r, peer_base + r, DATA_TAG_MIN + n as u32, n as u64).corrupt)
+            .count();
+        assert!(flipped > 0, "{coupling:?}: seed 9 flips nothing");
+        let out = run_native(&spec).unwrap();
+        assert_eq!(out.degradation.corrupt_payloads, flipped as u64, "{coupling:?}");
+    }
+}
+
+#[test]
 fn a_payload_the_codec_rejects_is_blamed_on_its_sender() {
     let spec = base_spec("blame");
     let staged = Arc::new(stage_data(&spec, Default::default()).unwrap());
@@ -379,26 +402,26 @@ fn supervised_run_times_out_instead_of_wedging() {
         Err(other) => panic!("expected a rank failure, got {other}"),
         Ok(_) => {} // a very fast machine may finish inside 1 ms
     }
-    // Every coupling is launched the same way, so the budget bounds the
-    // pair couplings too — with no liveness part. Each send is
-    // delayed far past the budget, so these cannot finish inside it.
-    for coupling in [Coupling::Intercore, Coupling::Internode] {
-        let plan = FaultPlan::seeded(1)
-            .with_delay(1.0, 400)
-            .with_rank_timeout_ms(100);
-        let mut spec = base_spec("slow-link");
-        spec.coupling = coupling;
-        spec.fault_plan = Some(plan);
-        let t0 = Instant::now();
-        match run_native(&spec) {
-            Err(CoreError::Rank(f)) => {
-                assert!(f.to_string().contains("did not finish"), "{coupling:?}: {f}")
-            }
-            Err(other) => panic!("{coupling:?}: expected a rank failure, got {other}"),
-            Ok(_) => panic!("{coupling:?}: the rank budget was ignored"),
-        }
-        assert!(t0.elapsed() < Duration::from_millis(700), "{coupling:?} waited out the run");
+    // Every coupling is launched the same way (`RankCx::launch`), so the
+    // budget bounds the pair couplings too — with no liveness part. Every
+    // block is dropped and each receive waits out a deadline far past the
+    // budget, so the run cannot finish inside it. Intercore stands for
+    // both: across a socket the sender hangs up once its steps are sent,
+    // so a dropped block surfaces as a disconnect before any deadline.
+    let plan = FaultPlan::seeded(1)
+        .with_drop(1.0)
+        .with_recv_deadline_ms(400)
+        .with_rank_timeout_ms(100);
+    let mut spec = base_spec("slow-link");
+    spec.coupling = Coupling::Intercore;
+    spec.fault_plan = Some(plan);
+    let t0 = Instant::now();
+    match run_native(&spec) {
+        Err(CoreError::Rank(f)) => assert!(f.to_string().contains("did not finish"), "{f}"),
+        Err(other) => panic!("expected a rank failure, got {other}"),
+        Ok(_) => panic!("the rank budget was ignored"),
     }
+    assert!(t0.elapsed() < Duration::from_millis(700), "waited out the run");
 }
 
 #[test]

@@ -61,5 +61,5 @@ pub use serve::{
 pub use telemetry::{counters_to_prometheus, CampaignTelemetry};
 pub use sweep::{
     run_attempt, spec_for_attempt, Campaign, CampaignOutcome, CancelToken, DegradedReason,
-    PointResult, PointRunner, RetryOn, RetryPolicy, Sweep,
+    PointResult, PointRunner, Sweep,
 };

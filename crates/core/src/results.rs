@@ -108,6 +108,19 @@ pub fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// Format seconds as milliseconds to three significant digits, so a
+/// sub-millisecond measurement keeps its size: `0.214 ms`, `12.3 ms`,
+/// `1234 ms`.
+pub fn fmt_ms(seconds: f64) -> String {
+    let ms = seconds * 1e3;
+    let decimals = if ms > 0.0 {
+        (2 - ms.log10().floor() as i32).clamp(0, 12) as usize
+    } else {
+        0
+    };
+    format!("{ms:.decimals$} ms")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,5 +181,22 @@ mod tests {
         assert_eq!(fmt_s(1.234), "1.23");
         assert_eq!(fmt_kw(55.67), "55.7");
         assert_eq!(fmt_pct(0.391), "39.1%");
+        assert_eq!(fmt_ms(0.000_214), "0.214 ms");
+        assert_eq!(fmt_ms(0.012_34), "12.3 ms");
+        assert_eq!(fmt_ms(1.234), "1234 ms");
+        assert_eq!(fmt_ms(0.0), "0 ms");
+    }
+
+    #[test]
+    fn a_positive_latency_never_prints_as_zero() {
+        // one nanosecond, the finest an `Instant` measures, up to an hour
+        let mut s = 1e-9;
+        while s < 3600.0 {
+            let text = fmt_ms(s);
+            let value: f64 = text.trim_end_matches(" ms").parse().unwrap();
+            assert!(value > 0.0, "{s} s printed as {text}");
+            assert!((value / (s * 1e3) - 1.0).abs() < 0.01, "{s} s printed as {text}");
+            s *= 1.37;
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::harness::{run_native_cached, CacheStats, NativeOutcome, RunCaches};
 use crate::journal::{self, Journal, JournalRecord, RecordedOutcome};
 use crate::telemetry::CampaignTelemetry;
 use eth_data::DataError;
-use eth_transport::fault::BackoffShape;
+use eth_transport::fault::Backoff;
 use eth_transport::runner::panic_message;
 use eth_transport::{RankFailure, TransportError};
 use serde::{Deserialize, Serialize};
@@ -143,108 +143,32 @@ fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
 /// the failure that point produced (other points are unaffected).
 pub type PointResult = std::result::Result<NativeOutcome, CoreError>;
 
-/// The failure classes a [`RetryPolicy`] can cover. Failures outside
-/// these classes (configuration errors, structural data errors) are
-/// deterministic — retrying them would burn attempts for nothing, so
-/// they always fail the point on the first attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RetryOn {
-    /// Receive deadlines and rank wall-clock budget overruns.
-    Timeout,
-    /// Severed links: disconnects, socket IO failures, bootstrap races.
-    Disconnect,
-    /// A rank (or the point itself) panicked.
-    Panic,
-    /// A payload failed its integrity or decode check.
-    Corrupt,
-    /// Resource exhaustion: a durable write hit the disk quota (or a
-    /// real `ENOSPC`), or a staged-block allocation failed against the
-    /// memory budget. Worth retrying — pressure is transient: earlier
-    /// points release quota and residency as they finish.
-    Resource,
-}
-
-/// Per-point retry behaviour for a [`Campaign`]. Serde-able, so recovery
-/// policy can be swept (and recorded) like any other experiment axis.
-///
-/// A failed attempt whose error class is in `retry_on` re-enters the
-/// admission queue after a jittered exponential backoff; once
-/// `max_attempts` attempts are spent the point is **quarantined** — its
-/// result slot records [`CoreError::Quarantined`] and the campaign moves
-/// on. Errors outside `retry_on` fail the point immediately, so the
-/// default policy ([`RetryPolicy::none`]) reproduces single-shot
-/// semantics exactly and never quarantines anything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total attempts per point, including the first (minimum 1).
-    #[serde(default = "default_max_attempts")]
-    pub max_attempts: u32,
-    /// Shape of the between-attempt backoff (jitter is seeded per point).
-    #[serde(default)]
-    pub backoff: BackoffShape,
-    /// Which failure classes are worth retrying.
-    #[serde(default)]
-    pub retry_on: Vec<RetryOn>,
-}
-
-fn default_max_attempts() -> u32 {
-    1
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: every point gets exactly one attempt and plain errors.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: BackoffShape::default(),
-            retry_on: Vec::new(),
-        }
-    }
-
-    /// Retry every transient class up to `max_attempts` total attempts.
-    pub fn standard(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            backoff: BackoffShape::default(),
-            retry_on: vec![
-                RetryOn::Timeout,
-                RetryOn::Disconnect,
-                RetryOn::Panic,
-                RetryOn::Corrupt,
-                RetryOn::Resource,
-            ],
-        }
-    }
-
-    /// The failure class of `err`, when it has one.
-    pub fn classify(err: &CoreError) -> Option<RetryOn> {
-        match err {
-            CoreError::Transport(TransportError::Timeout { .. })
-            | CoreError::Rank(RankFailure::Hang { .. }) => Some(RetryOn::Timeout),
-            CoreError::Transport(
-                TransportError::Disconnected { .. }
+/// Is `err` worth another attempt? Timeouts, severed links, panics,
+/// corrupt payloads and resource exhaustion are transient: pressure
+/// passes as earlier points release quota and residency, and a retry runs
+/// against fresh fault seeds. Everything else (configuration errors,
+/// structural data errors) is deterministic — retrying it would burn
+/// attempts for nothing, so it fails the point on its first attempt.
+fn is_transient(err: &CoreError) -> bool {
+    matches!(
+        err,
+        CoreError::Transport(
+            TransportError::Timeout { .. }
+                | TransportError::Disconnected { .. }
                 | TransportError::Io(_)
-                | TransportError::Bootstrap(_),
-            ) => Some(RetryOn::Disconnect),
-            CoreError::Rank(RankFailure::Panic { .. }) => Some(RetryOn::Panic),
-            CoreError::Transport(TransportError::Corrupt { .. } | TransportError::Decode(_))
-            | CoreError::Data(DataError::Corrupt(_)) => Some(RetryOn::Corrupt),
-            CoreError::DiskFull { .. } | CoreError::OutOfMemory(_) => Some(RetryOn::Resource),
-            _ => None,
-        }
-    }
-
-    /// Does this policy cover retrying `err`?
-    fn covers(&self, err: &CoreError) -> bool {
-        Self::classify(err).is_some_and(|class| self.retry_on.contains(&class))
-    }
+                | TransportError::Bootstrap(_)
+                | TransportError::Corrupt { .. }
+                | TransportError::Decode(_)
+        ) | CoreError::Rank(RankFailure::Hang { .. } | RankFailure::Panic { .. })
+            | CoreError::Data(DataError::Corrupt(_))
+            | CoreError::DiskFull { .. }
+            | CoreError::OutOfMemory(_)
+    )
 }
+
+/// The pause before a retry: 1 ms doubling to 8 ms, jittered per point.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(8);
 
 /// A cooperative cancellation token shared between a campaign and
 /// whoever supervises it (the serve layer's drain path, a client
@@ -397,7 +321,8 @@ impl CampaignOutcome {
 /// campaign keeps going.
 pub struct Campaign {
     capacity: usize,
-    retry: RetryPolicy,
+    /// Attempts per point, including the first (minimum 1).
+    max_attempts: u32,
     cancel: Option<CancelToken>,
     resources: Option<ResourcePolicy>,
 }
@@ -436,7 +361,7 @@ impl Campaign {
     pub fn with_capacity(slots: usize) -> Campaign {
         Campaign {
             capacity: slots.max(1),
-            retry: RetryPolicy::none(),
+            max_attempts: 1,
             cancel: None,
             resources: None,
         }
@@ -462,12 +387,13 @@ impl Campaign {
         self
     }
 
-    /// Attach a retry policy (the default is [`RetryPolicy::none`]).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Campaign {
-        self.retry = RetryPolicy {
-            max_attempts: policy.max_attempts.max(1),
-            ..policy
-        };
+    /// Give every point up to `attempts` attempts (minimum 1, the
+    /// default). A transient failure (see [`Campaign::execute`]) is retried
+    /// while attempts remain, and a point that spends them all is
+    /// quarantined. With one attempt a failure is reported as itself and
+    /// nothing is quarantined.
+    pub fn with_max_attempts(mut self, attempts: u32) -> Campaign {
+        self.max_attempts = attempts.max(1);
         self
     }
 
@@ -514,12 +440,14 @@ impl Campaign {
     ///
     /// `runner` defaults to [`run_attempt`]; see [`PointRunner`].
     ///
-    /// Retry flow: a failed attempt covered by the retry policy releases
-    /// its slots, is journaled as a failed attempt, sleeps its jittered
-    /// backoff, then takes a *fresh* ticket and rejoins the FIFO queue —
-    /// so retries cannot starve first attempts and admission stays
-    /// strictly ordered. Once `max_attempts` are spent the point is
-    /// quarantined and the campaign proceeds.
+    /// Retry flow: with more than one attempt, an attempt that fails
+    /// transiently (a timeout, a severed link, a panic, a corrupt payload,
+    /// a full disk or a failed allocation) releases its slots, is
+    /// journaled as a failed attempt, sleeps its jittered backoff, then
+    /// takes a *fresh* ticket and rejoins the FIFO queue — so retries
+    /// cannot starve first attempts and admission stays strictly ordered.
+    /// Once the attempts are spent the point is quarantined and the
+    /// campaign proceeds.
     pub fn execute(
         &self,
         specs: &[ExperimentSpec],
@@ -587,7 +515,7 @@ impl Campaign {
     }
 
     /// One point's life on its scheduler thread: gate, queue, attempt,
-    /// log, and — while the retry policy covers the failure — again.
+    /// log, and — while the failure is transient and attempts remain — again.
     /// Returns the final result and the attempts it consumed.
     fn run_point(
         &self,
@@ -598,12 +526,14 @@ impl Campaign {
         runner: &PointRunner<'_>,
         log: &PointLog<'_>,
     ) -> (PointResult, u32) {
-        let policy = &self.retry;
         let index = log.index;
         let cost = self.point_cost(spec);
-        let mut backoff = policy
-            .backoff
-            .instantiate(0x9E37_79B9_7F4A_7C15 ^ index as u64, policy.max_attempts);
+        let mut backoff = Backoff::with_shape(
+            0x9E37_79B9_7F4A_7C15 ^ index as u64,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
+            self.max_attempts,
+        );
         let mut attempt = 1u32;
         loop {
             self.hold_at_gate(caches);
@@ -634,8 +564,8 @@ impl Campaign {
                 })
                 .and_then(|outcome| log.persist(outcome));
             let (result, retry) = match result {
-                Err(err) if policy.covers(&err) => {
-                    let budget_left = attempt < policy.max_attempts;
+                Err(err) if self.max_attempts > 1 && is_transient(&err) => {
+                    let budget_left = attempt < self.max_attempts;
                     if budget_left && !self.canceled() {
                         (Err(err), true)
                     } else if budget_left {
@@ -1027,46 +957,54 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_roundtrips_through_serde() {
-        let policy = RetryPolicy::standard(3);
-        let text = serde_json::to_string(&policy).unwrap();
-        let back: RetryPolicy = serde_json::from_str(&text).unwrap();
-        assert_eq!(policy, back);
-        // defaults reproduce the no-retry policy
-        let empty: RetryPolicy = serde_json::from_str("{}").unwrap();
-        assert_eq!(empty, RetryPolicy::none());
-    }
-
-    #[test]
     fn error_classification_covers_the_transient_classes() {
         use std::time::Duration;
         let timeout = CoreError::Transport(TransportError::Timeout {
             peer: 0,
             elapsed: Duration::from_millis(1),
         });
-        assert_eq!(RetryPolicy::classify(&timeout), Some(RetryOn::Timeout));
         let hang = CoreError::Rank(RankFailure::Hang {
             rank: 0,
             waited: Duration::from_millis(1),
         });
-        assert_eq!(RetryPolicy::classify(&hang), Some(RetryOn::Timeout));
         let gone = CoreError::Transport(TransportError::Disconnected { peer: 1 });
-        assert_eq!(RetryPolicy::classify(&gone), Some(RetryOn::Disconnect));
         let boom = CoreError::Rank(RankFailure::Panic {
             rank: 0,
             message: "x".into(),
         });
-        assert_eq!(RetryPolicy::classify(&boom), Some(RetryOn::Panic));
         let bad = CoreError::Transport(TransportError::Corrupt {
             peer: 0,
             detail: "checksum".into(),
         });
-        assert_eq!(RetryPolicy::classify(&bad), Some(RetryOn::Corrupt));
+        let full = CoreError::DiskFull {
+            what: "result write".into(),
+            needed: 4096,
+            used: 100,
+            quota: 1000,
+        };
+        let oom = CoreError::OutOfMemory("staging block 3".into());
+        for err in [&timeout, &hang, &gone, &boom, &bad, &full, &oom] {
+            assert!(is_transient(err), "{err}");
+        }
         // deterministic failures are never retryable
-        let cfg = CoreError::Config("bad ratio".into());
-        assert_eq!(RetryPolicy::classify(&cfg), None);
-        assert!(!RetryPolicy::standard(3).covers(&cfg));
-        assert!(!RetryPolicy::none().covers(&timeout));
+        assert!(!is_transient(&CoreError::Config("bad ratio".into())));
+    }
+
+    #[test]
+    fn one_attempt_reports_a_transient_failure_as_itself() {
+        // The default campaign gives each point one attempt: a timeout is
+        // the point's result, not a quarantine.
+        let timing_out = |_: usize, _: &ExperimentSpec, _: u32, _: &RunCaches| Err(injected_timeout());
+        let out = Campaign::with_capacity(1)
+            .execute(&[small_point()], &RunCaches::new(), None, Some(&timing_out))
+            .unwrap();
+        assert!(
+            matches!(out.results[0], Err(CoreError::Transport(TransportError::Timeout { .. }))),
+            "{:?}",
+            out.results[0].as_ref().err()
+        );
+        assert_eq!(out.attempts, vec![1]);
+        assert!(out.quarantined.is_empty());
     }
 
     fn small_point() -> ExperimentSpec {
@@ -1160,7 +1098,7 @@ mod tests {
     /// is accounted for (a restored point is `Ok`, 1 attempt, 0 runs).
     struct Cell {
         specs: Vec<ExperimentSpec>,
-        retry: RetryPolicy,
+        max_attempts: u32,
         capacity: usize,
         want: [Want; 3],
         attempts: [u32; 3],
@@ -1176,7 +1114,7 @@ mod tests {
         use Want::{Canceled, Config, Ok, Panic, Quarantined};
         let mut c = Cell {
             specs: table_points(),
-            retry: RetryPolicy::standard(3),
+            max_attempts: 3,
             capacity: 4,
             want: [Ok; 3],
             attempts: [1; 3],
@@ -1219,7 +1157,7 @@ mod tests {
                 if by_spec {
                     return None;
                 }
-                c.retry = RetryPolicy::none();
+                c.max_attempts = 1;
                 c.want[VICTIM] = Panic;
             }
             // Capacity 1 serializes the points in input order.
@@ -1238,7 +1176,7 @@ mod tests {
                     return None;
                 }
                 c.capacity = 1;
-                c.retry = RetryPolicy::standard(5);
+                c.max_attempts = 5;
                 (c.want[VICTIM], c.want[2], c.runs[2]) = (Canceled, Canceled, 0);
             }
         }
@@ -1299,7 +1237,7 @@ mod tests {
                     };
                     let caches = RunCaches::new();
                     let out = Campaign::with_capacity(cell.capacity)
-                        .with_retry_policy(cell.retry.clone())
+                        .with_max_attempts(cell.max_attempts)
                         .with_cancel_token(token.clone())
                         .execute(
                             &cell.specs,
@@ -1326,9 +1264,12 @@ mod tests {
                     assert_eq!(out.quarantined, quarantined, "{tag}");
                     if let Err(CoreError::Quarantined { attempts, last_error }) = &out.results[VICTIM] {
                         assert_eq!(*attempts, 3, "{tag}");
-                        let class = RetryPolicy::classify(last_error);
-                        let want = if runner == Runner::Default { RetryOn::Resource } else { RetryOn::Timeout };
-                        assert_eq!(class, Some(want), "{tag}: {last_error}");
+                        let want = if runner == Runner::Default {
+                            matches!(**last_error, CoreError::OutOfMemory(_))
+                        } else {
+                            matches!(**last_error, CoreError::Transport(TransportError::Timeout { .. }))
+                        };
+                        assert!(want, "{tag}: {last_error}");
                     }
                     assert_eq!(out.failures(), out.results.iter().filter(|r| r.is_err()).count());
                     assert!(out.wall_s > 0.0 && out.points_per_sec() > 0.0, "{tag}");
@@ -1432,22 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_errors_classify_and_standard_policy_covers_them() {
-        let df = CoreError::DiskFull {
-            what: "result write".into(),
-            needed: 4096,
-            used: 100,
-            quota: 1000,
-        };
-        assert_eq!(RetryPolicy::classify(&df), Some(RetryOn::Resource));
-        let oom = CoreError::OutOfMemory("staging block 3".into());
-        assert_eq!(RetryPolicy::classify(&oom), Some(RetryOn::Resource));
-        assert!(RetryPolicy::standard(3).covers(&df));
-        assert!(RetryPolicy::standard(3).covers(&oom));
-        assert!(!RetryPolicy::none().covers(&df));
-    }
-
-    #[test]
     fn journal_quota_exhaustion_quarantines_instead_of_panicking() {
         let dir = std::env::temp_dir().join(format!(
             "eth-sweep-quota-{:x}",
@@ -1458,7 +1383,7 @@ mod tests {
         // every result write hits DiskFull, burns its retries, and the
         // point quarantines — the campaign never panics mid-append.
         let campaign = Campaign::with_capacity(2)
-            .with_retry_policy(RetryPolicy::standard(2))
+            .with_max_attempts(2)
             .with_resources(ResourcePolicy::with_disk_quota(700));
         let out = campaign
             .run_journaled(&[small_point()], &RunCaches::new(), &dir)

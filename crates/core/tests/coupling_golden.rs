@@ -28,7 +28,11 @@
 //! as the `id` and `velocity` bytes of the blocks that row moved. The two
 //! `kill-dark` rows left with the dark path (a killed rank's partition is
 //! always adopted); the other 21 rows are unedited, save that the
-//! `adopted=` column left with the counter that repeated `losses=`.
+//! `adopted=` column left with the counter that repeated `losses=`. The
+//! `ic-corrupt` and `in-corrupt` rows were regenerated once more when the
+//! receive side stopped making up corruptions for intact payloads; the
+//! header lists every changed value with its `(rank, step)`, and the other
+//! 19 rows are unedited.
 //!
 //! To regenerate (only ever at a commit whose output you trust):
 //! `cargo test -p eth-core --test coupling_golden -- --ignored --nocapture print_rows`

@@ -1,18 +1,19 @@
 //! The chaos wrapper: enact a [`FaultPlan`] on a pair link.
 //!
 //! [`ChaosLink`] wraps any [`PairLink`] — the fabric view intercore uses or
-//! the TCP stream internode uses — consults the plan's deterministic
-//! decision function per message, enacts the faults, and appends every
-//! injected fault to a log so a run's fault schedule can be asserted
-//! byte-identical across runs.
+//! the TCP stream internode uses — and consults the plan's deterministic
+//! decision function once per message, at the sender, on the bytes that
+//! cross:
+//! * **drop** — the write never happens; the receiver meets the plan's
+//!   deadline (across a socket, the sender's hang-up once its steps are
+//!   sent),
+//! * **corruption** — payload bytes are flipped before the write, so the
+//!   receiver's codec rejects a payload that really is damaged, like bit
+//!   rot on the wire.
 //!
-//! Enactment sides:
-//! * **send** — delay (sleep before the write), drop (the write never
-//!   happens), wire corruption (the payload is mangled before the write,
-//!   so the receiver sees a decode failure, like real bit rot),
-//! * **recv** — injected disconnect (the link is treated as dead from a
-//!   chosen message onward) and integrity failure
-//!   ([`TransportError::Corrupt`]).
+//! An injected disconnect treats the link as dead from a chosen message
+//! onward, on either end. No fault adds latency and nothing is logged: the
+//! schedule is [`FaultPlan::decide`], a pure function of the message key.
 //!
 //! The fault domain is the sim↔viz link and nothing else: collectives and
 //! control messages travel on the communicator, which is never wrapped, so
@@ -21,13 +22,12 @@
 //! is not.
 
 use crate::comm::{Result, TransportError};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSide};
+use crate::fault::FaultPlan;
 use crate::link::PairLink;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Deterministically mangle a payload (send-side wire corruption). The
@@ -55,7 +55,6 @@ pub struct ChaosLink<L> {
     /// fault decision.
     send_seq: AtomicU64,
     recv_seq: AtomicU64,
-    log: Mutex<Vec<FaultEvent>>,
 }
 
 impl<L: PairLink> ChaosLink<L> {
@@ -65,33 +64,7 @@ impl<L: PairLink> ChaosLink<L> {
             plan,
             send_seq: AtomicU64::new(0),
             recv_seq: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
         }
-    }
-
-    fn log(&self) -> MutexGuard<'_, Vec<FaultEvent>> {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Every fault injected so far, in injection order.
-    pub fn fault_log(&self) -> Vec<FaultEvent> {
-        self.log().clone()
-    }
-
-    /// The fault log serialized to JSON — the "schedule" two same-seed
-    /// runs must reproduce byte-for-byte.
-    pub fn schedule_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(&*self.log()).unwrap_or_default()
-    }
-
-    fn note(&self, kind: FaultKind, from: usize, to: usize, tag: u32, seq: u64) {
-        self.log().push(FaultEvent {
-            kind,
-            from,
-            to,
-            tag,
-            seq,
-        });
     }
 }
 
@@ -109,16 +82,10 @@ impl<L: PairLink> PairLink for ChaosLink<L> {
         // a statistic: orders nothing but itself
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed);
         if self.plan.disconnects(peer, seq) {
-            self.note(FaultKind::Disconnect, local, peer, tag, seq);
             return Err(TransportError::Disconnected { peer });
         }
-        let decision = self.plan.decide(FaultSide::Send, local, peer, tag, seq);
-        if decision.delay_ms > 0 {
-            self.note(FaultKind::Delay, local, peer, tag, seq);
-            std::thread::sleep(Duration::from_millis(decision.delay_ms));
-        }
+        let decision = self.plan.decide(local, peer, tag, seq);
         if decision.drop {
-            self.note(FaultKind::Drop, local, peer, tag, seq);
             // Record the send attempt so a stitched trace shows the lost
             // message as a dangling flow-out instead of nothing at all.
             let _span = eth_obs::span_bytes(eth_obs::Phase::Send, payload.len() as u64);
@@ -128,7 +95,6 @@ impl<L: PairLink> PairLink for ChaosLink<L> {
             return Ok(()); // silently lost
         }
         let payload = if decision.corrupt {
-            self.note(FaultKind::Corrupt, local, peer, tag, seq);
             mangle(&payload, self.plan.seed, seq)
         } else {
             payload
@@ -139,22 +105,12 @@ impl<L: PairLink> PairLink for ChaosLink<L> {
     /// With no `within`, the plan's receive deadline applies: with one
     /// configured, this never blocks indefinitely.
     fn recv(&self, tag: u32, within: Option<Duration>) -> Result<Bytes> {
-        let (local, peer) = (self.local_rank(), self.peer_rank());
+        let peer = self.peer_rank();
         let seq = self.recv_seq.fetch_add(1, Ordering::Relaxed);
         if self.plan.disconnects(peer, seq) {
-            self.note(FaultKind::Disconnect, peer, local, tag, seq);
             return Err(TransportError::Disconnected { peer });
         }
-        let payload = self.inner.recv(tag, within.or(self.plan.deadline()))?;
-        let decision = self.plan.decide(FaultSide::Recv, peer, local, tag, seq);
-        if decision.corrupt {
-            self.note(FaultKind::Corrupt, peer, local, tag, seq);
-            return Err(TransportError::Corrupt {
-                peer,
-                detail: format!("injected integrity failure (seq {seq})"),
-            });
-        }
-        Ok(payload)
+        self.inner.recv(tag, within.or(self.plan.deadline()))
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -188,8 +144,6 @@ mod tests {
         let (c0, c1) = pair(&comms, &FaultPlan::default());
         c0.send(TAG, Bytes::from_static(b"hello")).unwrap();
         assert_eq!(&c1.recv(TAG, None).unwrap()[..], b"hello");
-        assert!(c0.fault_log().is_empty());
-        assert!(c1.fault_log().is_empty());
     }
 
     #[test]
@@ -202,8 +156,6 @@ mod tests {
         c0.send(TAG, Bytes::from_static(b"lost")).unwrap();
         let err = c1.recv(TAG, None).unwrap_err();
         assert!(matches!(err, TransportError::Timeout { peer: 0, .. }), "{err}");
-        assert_eq!(c0.fault_log().len(), 1);
-        assert_eq!(c0.fault_log()[0].kind, FaultKind::Drop);
     }
 
     #[test]
@@ -216,28 +168,50 @@ mod tests {
         assert!(matches!(err, TransportError::Disconnected { peer: 1 }), "{err}");
     }
 
+    /// What the receiver of one message sees.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Intact,
+        Changed,
+        TimedOut,
+    }
+
     #[test]
-    fn same_seed_same_schedule_bytes() {
+    fn the_receiver_sees_exactly_what_the_senders_decisions_say() {
+        let plan = FaultPlan::seeded(99)
+            .with_drop(0.4)
+            .with_corrupt(0.3)
+            .with_recv_deadline_ms(20);
         let run = || {
             let comms = LocalFabric::new(2);
-            let plan = FaultPlan::seeded(99)
-                .with_drop(0.4)
-                .with_corrupt(0.3)
-                .with_recv_deadline_ms(20);
             let (c0, c1) = pair(&comms, &plan);
+            // one tag per message, so a drop cannot shift a later message
+            // into its slot
             for i in 0..50u32 {
-                c0.send(TAG + (i % 3), Bytes::from(vec![i as u8; 8])).unwrap();
+                c0.send(TAG + i, Bytes::from(vec![i as u8; 8])).unwrap();
             }
-            for i in 0..50u32 {
-                let _ = c1.recv(TAG + (i % 3), Some(Duration::from_millis(1)));
-            }
-            (c0.schedule_bytes(), c1.schedule_bytes())
+            (0..50u32)
+                .map(|i| match c1.recv(TAG + i, Some(Duration::from_millis(1))) {
+                    Ok(got) if got[..] == [i as u8; 8] => Seen::Intact,
+                    Ok(_) => Seen::Changed,
+                    Err(TransportError::Timeout { .. }) => Seen::TimedOut,
+                    Err(e) => panic!("message {i}: {e}"),
+                })
+                .collect::<Vec<_>>()
         };
-        let (s0a, s1a) = run();
-        let (s0b, s1b) = run();
-        assert!(!s0a.is_empty() && s0a != b"[]", "no faults fired");
-        assert_eq!(s0a, s0b, "sender schedules diverged across runs");
-        assert_eq!(s1a, s1b, "receiver schedules diverged across runs");
+        let seen = run();
+        assert_eq!(seen, run(), "the same seed saw different messages");
+        // drops are the receive timeouts, corruptions the payloads that
+        // differ from what was sent: nothing else faults a message
+        let want: Vec<Seen> = (0..50u32)
+            .map(|i| match plan.decide(0, 1, TAG + i, u64::from(i)) {
+                d if d.drop => Seen::TimedOut,
+                d if d.corrupt => Seen::Changed,
+                _ => Seen::Intact,
+            })
+            .collect();
+        assert_eq!(seen, want);
+        assert!(seen.contains(&Seen::TimedOut) && seen.contains(&Seen::Changed), "{seen:?}");
     }
 
     #[test]
@@ -261,13 +235,19 @@ mod tests {
         use crate::runner::run_ranks;
         let totals = run_ranks(3, |c| {
             let plan = FaultPlan::seeded(8).with_drop(1.0).with_recv_deadline_ms(100);
-            let link = ChaosLink::new(FabricLink::new(&c, (c.rank() + 1) % 3), plan);
-            link.send(TAG, Bytes::from_static(b"lost")).unwrap();
-            link.send(COLLECTIVE_TAG_BASE + 1, Bytes::from_static(b"lost too")).unwrap();
+            let wrap = |peer| ChaosLink::new(FabricLink::new(&c, peer), plan.clone());
+            let (to_next, from_prev) = (wrap((c.rank() + 1) % 3), wrap((c.rank() + 2) % 3));
+            to_next.send(TAG, Bytes::from_static(b"lost")).unwrap();
+            to_next.send(COLLECTIVE_TAG_BASE + 1, Bytes::from_static(b"lost too")).unwrap();
             let mine = || Bytes::from(vec![c.rank() as u8]);
             gather(&c, 0..3, 0, mine()).unwrap();
             let g = gather(&c, 0..3, 1, mine()).unwrap();
-            assert_eq!(link.fault_log().len(), 2);
+            // both of the previous rank's messages were dropped: each
+            // receive runs into the deadline
+            for tag in [TAG, COLLECTIVE_TAG_BASE + 1] {
+                let err = from_prev.recv(tag, None).unwrap_err();
+                assert!(matches!(err, TransportError::Timeout { .. }), "{err}");
+            }
             g.map_or(0, |parts| parts.len())
         });
         assert_eq!(totals, vec![3, 0, 0]);

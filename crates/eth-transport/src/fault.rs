@@ -1,7 +1,7 @@
 //! Deterministic fault plans: the experiment axis for chaos testing.
 //!
 //! A [`FaultPlan`] describes *which* faults to inject (drop, corruption,
-//! latency, peer disconnect) as a pure function of the message key
+//! peer disconnect) as a pure function of the message key
 //! `(from, to, tag, sequence)` and a seed — never of wall-clock time or a
 //! shared mutable RNG — so the same plan produces the *same* fault
 //! schedule on every run. That makes fault scenarios sweepable experiment
@@ -10,9 +10,10 @@
 //! observed degradation is reproducible.
 //!
 //! The plan only *describes* faults; [`crate::chaos::ChaosLink`] enacts them
-//! on a sim↔viz pair link. Every message on such a link is data, so a plan
-//! has no tag window: what is exempt (collectives, control messages) is
-//! exempt by never travelling on a wrapped link.
+//! on a sim↔viz pair link, once, at the sender, on the bytes that cross.
+//! Every message on such a link is data, so a plan has no tag window: what
+//! is exempt (collectives, control messages) is exempt by never travelling
+//! on a wrapped link.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -25,31 +26,14 @@ use std::time::Duration;
 /// on a link that shares a fabric with collectives never matches one.
 pub const DATA_TAG_MIN: u32 = 0x1000;
 
-/// Which side of a channel a decision is made on. Send-side decisions
-/// (drop, delay, wire corruption) and receive-side decisions (integrity
-/// failure) draw from independent streams so wrapping both endpoints of a
-/// link with the same plan never double-applies a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultSide {
-    Send,
-    Recv,
-}
-
 /// The faults that apply to one message, decided deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultDecision {
-    /// Injected latency before the operation proceeds.
-    pub delay_ms: u64,
     /// Message is silently lost.
     pub drop: bool,
-    /// Payload is mangled (send side) or fails integrity (recv side).
+    /// Payload bytes are flipped before the write; the receiver's codec
+    /// rejects them.
     pub corrupt: bool,
-}
-
-impl FaultDecision {
-    pub fn is_clean(&self) -> bool {
-        self.delay_ms == 0 && !self.drop && !self.corrupt
-    }
 }
 
 /// Kill the link to `peer` once `after_messages` messages have crossed it
@@ -63,9 +47,9 @@ pub struct DisconnectSpec {
 /// Kill rank `rank` outright when it reaches step `step`: the rank declares
 /// its death and stops sending, as if its node dropped off the fabric.
 /// Unlike [`DisconnectSpec`] (which severs one link), a kill takes the whole
-/// rank out — every peer loses it at once, and only a recovery policy
-/// (partition adoption) lets the run complete. Deterministic by
-/// construction: the same `(rank, step)` kills at the same point every run.
+/// rank out — every peer loses it at once, and a surviving rank adopts its
+/// partition so the run completes. Deterministic by construction: the same
+/// `(rank, step)` kills at the same point every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KillSpec {
     /// Rank to kill (a simulation-side rank under intercore/internode).
@@ -89,20 +73,14 @@ pub struct FaultPlan {
     /// Probability a message is silently dropped (send side).
     #[serde(default)]
     pub drop_prob: f64,
-    /// Probability a payload is corrupted.
+    /// Probability a payload is corrupted on the wire (send side).
     #[serde(default)]
     pub corrupt_prob: f64,
-    /// Probability a message is delayed by `delay_ms`.
-    #[serde(default)]
-    pub delay_prob: f64,
-    /// Injected latency when a delay fault fires, milliseconds.
-    #[serde(default)]
-    pub delay_ms: u64,
     /// Kill one peer's link mid-run.
     #[serde(default)]
     pub disconnect: Option<DisconnectSpec>,
-    /// Kill one whole rank at a given step (requires a recovery policy on
-    /// the experiment for the run to survive).
+    /// Kill one whole rank at a given step; a surviving rank adopts its
+    /// partition.
     #[serde(default)]
     pub kill_rank_at_step: Option<KillSpec>,
     /// Receive deadline on a wrapped link, milliseconds; 0 = none.
@@ -131,8 +109,6 @@ impl Default for FaultPlan {
             seed: 0,
             drop_prob: 0.0,
             corrupt_prob: 0.0,
-            delay_prob: 0.0,
-            delay_ms: 0,
             disconnect: None,
             kill_rank_at_step: None,
             recv_deadline_ms: 0,
@@ -163,12 +139,6 @@ impl FaultPlan {
 
     pub fn with_corrupt(mut self, prob: f64) -> Self {
         self.corrupt_prob = prob;
-        self
-    }
-
-    pub fn with_delay(mut self, prob: f64, delay_ms: u64) -> Self {
-        self.delay_prob = prob;
-        self.delay_ms = delay_ms;
         self
     }
 
@@ -207,10 +177,7 @@ impl FaultPlan {
 
     /// Any fault configured at all? (An inert plan wraps transparently.)
     pub fn is_active(&self) -> bool {
-        self.drop_prob > 0.0
-            || self.corrupt_prob > 0.0
-            || self.delay_prob > 0.0
-            || self.disconnect.is_some()
+        self.drop_prob > 0.0 || self.corrupt_prob > 0.0 || self.disconnect.is_some()
     }
 
     /// The receive deadline, if one is configured.
@@ -241,20 +208,10 @@ impl FaultPlan {
     /// `ExperimentSpec::validate` delegates here so an out-of-range plan is
     /// rejected before a campaign schedules it.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("corrupt_prob", self.corrupt_prob),
-            ("delay_prob", self.delay_prob),
-        ] {
+        for (name, p) in [("drop_prob", self.drop_prob), ("corrupt_prob", self.corrupt_prob)] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("fault plan {name} {p} outside [0, 1]"));
             }
-        }
-        if self.delay_prob > 0.0 && self.delay_ms == 0 {
-            return Err(
-                "fault plan delay_prob > 0 but delay_ms is 0; a delay fault must inject latency"
-                    .into(),
-            );
         }
         // a plan that can lose messages must bound the waits it causes,
         // or the run would hang instead of degrading
@@ -293,19 +250,17 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Decide the faults for one message: a pure function of the plan and
-    /// the message key, so the schedule is identical on every run.
-    pub fn decide(&self, side: FaultSide, from: usize, to: usize, tag: u32, seq: u64) -> FaultDecision {
+    /// Decide the faults for one message `from` → `to`: a pure function of
+    /// the plan and the message key, so the schedule is identical on every
+    /// run. Only the sender asks, so a message is faulted at most once.
+    pub fn decide(&self, from: usize, to: usize, tag: u32, seq: u64) -> FaultDecision {
         if !self.is_active() {
             return FaultDecision::default();
         }
-        // distinct stream per side so wrapping both endpoints of one link
-        // never double-applies a fault
-        let salt: u64 = match side {
-            FaultSide::Send => 0x5EBD,
-            FaultSide::Recv => 0x2ECF,
-        };
-        let key = (self.seed ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        // the salt is the one the send side has always drawn under, so a
+        // seed keeps its schedule
+        const SALT: u64 = 0x5EBD;
+        let key = (self.seed ^ SALT.wrapping_mul(0xD6E8_FEB8_6659_FD93))
             .wrapping_add((from as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add((to as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
             .wrapping_add((tag as u64).wrapping_mul(0x1656_67B1_9E37_79F9))
@@ -314,79 +269,12 @@ impl FaultPlan {
         FaultDecision {
             drop: rng.random_f64() < self.drop_prob,
             corrupt: rng.random_f64() < self.corrupt_prob,
-            delay_ms: if rng.random_f64() < self.delay_prob {
-                self.delay_ms
-            } else {
-                0
-            },
         }
-    }
-}
-
-/// One injected fault, for the reproducibility log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultEvent {
-    pub kind: FaultKind,
-    pub from: usize,
-    pub to: usize,
-    pub tag: u32,
-    pub seq: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    Delay,
-    Drop,
-    Corrupt,
-    Disconnect,
-}
-
-/// The serializable *shape* of an exponential backoff — base and cap in
-/// milliseconds — so retry timing can ride inside an experiment spec or a
-/// campaign retry policy like any other swept parameter. Build a runnable
-/// [`Backoff`] with [`BackoffShape::instantiate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BackoffShape {
-    /// First retry interval, milliseconds.
-    #[serde(default = "default_backoff_base_ms")]
-    pub base_ms: u64,
-    /// Interval growth stops here, milliseconds.
-    #[serde(default = "default_backoff_cap_ms")]
-    pub cap_ms: u64,
-}
-
-fn default_backoff_base_ms() -> u64 {
-    1
-}
-
-fn default_backoff_cap_ms() -> u64 {
-    100
-}
-
-impl Default for BackoffShape {
-    fn default() -> BackoffShape {
-        BackoffShape {
-            base_ms: default_backoff_base_ms(),
-            cap_ms: default_backoff_cap_ms(),
-        }
-    }
-}
-
-impl BackoffShape {
-    /// Build a runnable [`Backoff`] with this shape, a jitter seed, and an
-    /// attempt budget.
-    pub fn instantiate(&self, seed: u64, budget: u32) -> Backoff {
-        Backoff::with_shape(
-            seed,
-            Duration::from_millis(self.base_ms.max(1)),
-            Duration::from_millis(self.cap_ms.max(1)),
-            budget,
-        )
     }
 }
 
 /// Exponential backoff with deterministic jitter and an attempt budget,
-/// replacing fixed-interval spin loops during bootstrap. Jitter draws from
+/// for bootstrap polling and between a campaign point's attempts. Jitter draws from
 /// a seeded [`StdRng`], so retry timing is reproducible per rank while
 /// still decorrelated across ranks (no thundering herd on the listener).
 #[derive(Debug)]
@@ -459,24 +347,34 @@ mod tests {
     fn decisions_are_pure_functions_of_the_key() {
         let plan = FaultPlan::seeded(7).with_drop(0.3).with_corrupt(0.2);
         for seq in 0..100 {
-            let a = plan.decide(FaultSide::Send, 0, 1, 0x1001, seq);
-            let b = plan.decide(FaultSide::Send, 0, 1, 0x1001, seq);
+            let a = plan.decide(0, 1, 0x1001, seq);
+            let b = plan.decide(0, 1, 0x1001, seq);
             assert_eq!(a, b);
         }
         // different seeds give different schedules
         let other = FaultPlan::seeded(8).with_drop(0.3).with_corrupt(0.2);
         let differs = (0..100).any(|seq| {
-            plan.decide(FaultSide::Send, 0, 1, 0x1001, seq)
-                != other.decide(FaultSide::Send, 0, 1, 0x1001, seq)
+            plan.decide(0, 1, 0x1001, seq)
+                != other.decide(0, 1, 0x1001, seq)
         });
         assert!(differs, "seed change did not change the schedule");
+
+        // The send stream is the one every seeded plan has drawn from: the
+        // intercore `coupling_golden` rows under seed 9 flip exactly these
+        // two of their twelve blocks (sim rank r -> fabric rank 3 + r).
+        let plan = FaultPlan::seeded(9).with_corrupt(0.5);
+        let flipped: Vec<(usize, u64)> = (0..3)
+            .flat_map(|r| (0..4u64).map(move |step| (r, step)))
+            .filter(|&(r, step)| plan.decide(r, 3 + r, DATA_TAG_MIN + step as u32, step).corrupt)
+            .collect();
+        assert_eq!(flipped, vec![(1, 2), (2, 3)]);
     }
 
     #[test]
     fn probabilities_are_roughly_honored() {
         let plan = FaultPlan::seeded(42).with_drop(0.5);
         let drops = (0..1000)
-            .filter(|&seq| plan.decide(FaultSide::Send, 0, 1, 0x1001, seq).drop)
+            .filter(|&seq| plan.decide(0, 1, 0x1001, seq).drop)
             .count();
         assert!((350..650).contains(&drops), "drops {drops}");
     }
@@ -494,7 +392,7 @@ mod tests {
     fn plan_roundtrips_through_serde() {
         let plan = FaultPlan::seeded(11)
             .with_drop(0.25)
-            .with_delay(0.1, 15)
+            .with_corrupt(0.1)
             .with_disconnect(1, 3)
             .with_kill_rank_at_step(1, 2);
         let text = serde_json::to_string(&plan).unwrap();
@@ -550,10 +448,8 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("drop_prob"));
         let bad = FaultPlan::seeded(1).with_corrupt(-0.1);
         assert!(bad.validate().unwrap_err().contains("corrupt_prob"));
-        let bad = FaultPlan::seeded(1).with_delay(f64::NAN, 5);
-        assert!(bad.validate().unwrap_err().contains("delay_prob"));
-        let bad = FaultPlan::seeded(1).with_delay(0.2, 0);
-        assert!(bad.validate().unwrap_err().contains("delay_ms"));
+        let bad = FaultPlan::seeded(1).with_corrupt(f64::NAN);
+        assert!(bad.validate().unwrap_err().contains("corrupt_prob"));
 
         // lossy without a deadline would hang instead of degrading
         let bad = FaultPlan::default().with_drop(0.1);
@@ -572,24 +468,6 @@ mod tests {
         // a kill step the run never reaches would silently never fire
         let err = plan.validate_kill(2, 2).unwrap_err();
         assert!(err.contains("step 2"), "{err}");
-    }
-
-    #[test]
-    fn backoff_shape_roundtrips_and_instantiates() {
-        let shape = BackoffShape { base_ms: 2, cap_ms: 32 };
-        let text = serde_json::to_string(&shape).unwrap();
-        let back: BackoffShape = serde_json::from_str(&text).unwrap();
-        assert_eq!(shape, back);
-        let empty: BackoffShape = serde_json::from_str("{}").unwrap();
-        assert_eq!(empty, BackoffShape::default());
-
-        let mut b = shape.instantiate(9, 3);
-        let delays: Vec<Duration> = std::iter::from_fn(|| b.next_delay()).collect();
-        assert_eq!(delays.len(), 3, "budget not honored");
-        assert!(delays[0] >= Duration::from_millis(1)); // jitter floor of 2 ms base
-        // same seed, same shape => identical timing
-        let mut c = shape.instantiate(9, 3);
-        assert_eq!(c.next_delay().unwrap(), delays[0]);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   thread per rank and collects them under an optional wall-clock
 //!   budget,
 //! * [`fault`] — deterministic, serializable fault plans (drop / corrupt /
-//!   delay / disconnect as pure functions of a seed and the message key),
-//! * [`chaos`] — the wrapper that enacts a fault plan on a pair link.
+//!   disconnect as pure functions of a seed and the message key),
+//! * [`chaos`] — the wrapper that enacts a fault plan on a pair link, at
+//!   the sender.
 
 pub mod chaos;
 pub mod collectives;
@@ -40,7 +41,7 @@ pub mod socket;
 
 pub use chaos::ChaosLink;
 pub use comm::{Communicator, TransportError};
-pub use fault::{Backoff, BackoffShape, FaultPlan, KillSpec};
+pub use fault::{Backoff, FaultPlan, KillSpec};
 pub use link::{FabricLink, PairLink};
 pub use local::LocalFabric;
 pub use runner::{launch, run_ranks, RankFailure, Seat};

@@ -2,12 +2,11 @@
 //! must survive arbitrary stage→spill→reload interleavings under a
 //! shrinking memory budget without changing a byte, and a journaled
 //! campaign must survive an injected ENOSPC at *any* append ordinal —
-//! recovering through the retry policy with byte-identical images, never
+//! recovering through a retry with byte-identical images, never
 //! panicking (the disk-full mirror of `durability.rs`'s truncation test).
 
 use eth::core::config::{Algorithm, Application, ExperimentSpec};
 use eth::core::sweep::{Campaign, Sweep};
-use eth::core::RetryPolicy;
 use eth::data::DataObject;
 use eth::render::image::Image;
 use eth::sim::timeseries::{StagingAccountant, TimeSeries};
@@ -105,7 +104,7 @@ proptest! {
         let specs = sweep_specs(Some(fail_at));
 
         let outcome = Campaign::new()
-            .with_retry_policy(RetryPolicy::standard(2))
+            .with_max_attempts(2)
             .run_journaled(&specs, &eth::prelude::RunCaches::new(), &dir)
             .unwrap();
         prop_assert_eq!(outcome.failures(), 0, "injection at ordinal {} leaked", fail_at);
@@ -121,7 +120,7 @@ proptest! {
         // attempt, or a success whose Finished record was torn), a resume
         // must reproduce the same bytes.
         let resumed = Campaign::new()
-            .with_retry_policy(RetryPolicy::standard(2))
+            .with_max_attempts(2)
             .run_journaled(&sweep_specs(None), &eth::prelude::RunCaches::new(), &dir)
             .unwrap();
         prop_assert_eq!(resumed.failures(), 0);
