@@ -2,14 +2,15 @@
 //! times, the build and the frame on one rank's share
 //! of the `hacc.raycast.tight` workload with a per-phase split, and the two
 //! particle rasterizers, the two grid extraction filters and the triangle
-//! rasterizer, each beside its hardware reference (DESIGN.md §14, §19). The JSON-report variant with
-//! acceptance gates is `reproduce render-bench`; this is the
-//! statistics-grade criterion view of the same loops.
+//! rasterizer, each beside its hardware reference (DESIGN.md §14, §19).
+//! `bvh_build` runs the HLBVH from 5·10⁴ to 10⁷ particles; the gate on
+//! its counted-ops slope is `cargo test -p eth-render
+//! hlbvh_build_ops_grow_linearly`, and the ledger replay measures the
+//! build on every workload's own data.
 
 use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
-use eth_bench::render::scatter;
 use eth_core::config::{orbit_camera, Application};
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::{PointCloud, Vec3};
@@ -33,8 +34,19 @@ use std::time::{Duration, Instant};
 
 const RADIUS: f32 = 0.01;
 
+/// Deterministic uniform scatter in [-1, 1]³ (splitmix-style; the same
+/// particle set for every run and thread count).
+fn scatter(n: usize, seed: u64) -> Vec<Vec3> {
+    let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut rnd = move || {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((s >> 33) as f64 / (1u64 << 31) as f64) as f32 * 2.0 - 1.0
+    };
+    (0..n).map(|_| Vec3::new(rnd(), rnd(), rnd())).collect()
+}
+
 fn bench_build(c: &mut Criterion) {
-    let sizes = [50_000usize, 200_000, 800_000];
+    let sizes = [50_000usize, 200_000, 800_000, 10_000_000];
     let mut group = c.benchmark_group("bvh_build");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));

@@ -11,7 +11,7 @@
 use eth_bench::cli::{die, Args, Flag, Report, Takes};
 use eth_bench::progress::{Progress, Verbosity};
 use eth_bench::runs::Table2;
-use eth_bench::{chaos, migrate, pressure, render, runs, say, serve, trace};
+use eth_bench::{chaos, migrate, pressure, runs, say, serve, trace};
 use eth_core::CampaignTelemetry;
 use std::path::{Path, PathBuf};
 
@@ -102,15 +102,6 @@ const COMMANDS: &[Command] = &[
             report("migrate", args, progress, || {
                 migrate::run_migration_bench(samples).map(|(report, campaign)| (report, Some(campaign)))
             })
-        },
-        ..ROW
-    },
-    Command {
-        name: "render-bench",
-        about: "render hot path: HLBVH build curve, tiled frame times",
-        flags: &[flag("--quick", Takes::Nothing, "CI smoke: schema only, no scaling gate"), OUT],
-        run: |args, progress| {
-            report("render-bench", args, progress, || Ok((render::run_render_bench(args.has("--quick"))?, None)))
         },
         ..ROW
     },
@@ -236,11 +227,10 @@ fn check_artifacts(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The one function behind `render-bench`, `migrate`, `pressure-bench` and
-/// `pressure-chaos`: run, print the summary, write the JSON (to `--out`,
-/// else the report's default path, if it has one), hold the report to its
-/// contract. Hands back the telemetry of the campaign the run included, if
-/// it had one.
+/// The one function behind `migrate`, `pressure-bench` and `pressure-chaos`:
+/// run, print the summary, write the JSON (to `--out`, else the report's
+/// default path, if it has one), hold the report to its contract. Hands
+/// back the telemetry of the campaign the run included, if it had one.
 fn report<R: Report>(
     name: &'static str,
     args: &Args,
@@ -466,13 +456,13 @@ mod tests {
     #[test]
     fn usage_errors_are_errors() {
         for bad in [
-            "render-bench --nope", // unknown flag
+            "pressure-bench --nope", // unknown flag
             "--nope",
-            "render-bench --out", // missing value
+            "pressure-bench --out", // missing value
             "--csv",
             "chaos-campaign --seed x", // unparseable value
             "table2 --memory-budget 1parsec",
-            "render-bench extra",            // stray positional
+            "pressure-bench extra",          // stray positional
             "tableX",                        // unknown artifact
             "table2 --resume",               // without --journal
             "fig8 --journal D",              // campaign flags need table2
@@ -482,8 +472,8 @@ mod tests {
             assert!(plan(&words(bad)).is_err(), "`reproduce {bad}` must be refused");
         }
         // flags may sit anywhere, globals even before the command word
-        let (command, args) = plan(&words("--quiet --trace t.json render-bench --quick --out x.json")).unwrap();
-        assert_eq!(command.name, "render-bench");
+        let (command, args) = plan(&words("--quiet --trace t.json pressure-bench --quick --out x.json")).unwrap();
+        assert_eq!(command.name, "pressure-bench");
         assert!(args.has("--quiet") && args.has("--quick"));
         assert_eq!((args.get("--trace"), args.get("--out")), (Some("t.json"), Some("x.json")));
         assert_eq!(plan(&words("table2 --memory-budget 256M")).unwrap().1.size("--memory-budget"), Some(256 << 20));

@@ -137,9 +137,9 @@ impl Args {
     }
 }
 
-/// What `reproduce`'s report-producing subcommands (`bench`,
-/// `render-bench`, `migrate`, `pressure-bench`, `pressure-chaos`) have in
-/// common: a one-line summary for the terminal, a JSON form, a contract.
+/// What `reproduce`'s report-producing subcommands (`migrate`,
+/// `pressure-bench`, `pressure-chaos`) have in common: a one-line summary
+/// for the terminal, a JSON form, a contract.
 pub trait Report: serde::Serialize {
     /// Where the JSON lands without `--out`; `None` = printed only.
     const DEFAULT_OUT: Option<&'static str>;

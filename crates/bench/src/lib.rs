@@ -12,7 +12,6 @@ pub mod cli;
 pub mod migrate;
 pub mod pressure;
 pub mod progress;
-pub mod render;
 pub mod runs;
 pub mod serve;
 pub mod trace;

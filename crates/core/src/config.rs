@@ -320,7 +320,7 @@ pub struct ExperimentSpec {
     pub sampling_ratio: f64,
     /// RNG seed for data generation and sampling.
     pub seed: u64,
-    /// Directory PPM artifacts are written into (none = keep in memory).
+    /// Directory PNG artifacts are written into (none = keep in memory).
     pub artifact_dir: Option<PathBuf>,
     /// Internode only: number of visualization ranks when it differs from
     /// the simulation rank count (Figure 2's "differing numbers of nodes

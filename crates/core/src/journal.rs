@@ -24,7 +24,7 @@
 //! journal history, nobody else's.
 //!
 //! **Result files.** A finished point's images and metrics are persisted
-//! raw (`f32` pixels, not the lossy 8-bit PPM artifact path) with a CRC-32
+//! raw (`f32` pixels, not the lossy 8-bit PNG artifact path) with a CRC-32
 //! trailer, so a resumed campaign restores byte-identical results or —
 //! if the file is missing, torn, or from a different spec — silently
 //! re-runs the point. Journal and result writes are best-effort from the
@@ -554,7 +554,7 @@ struct ResultHeader {
 
 /// Persist a finished point's outcome: JSON header + raw `f32` pixels +
 /// CRC-32 trailer, written to a temp file, fsync'd, then renamed into
-/// place. Raw pixels (not the 8-bit PPM artifact path) keep restored
+/// place. Raw pixels (not the 8-bit PNG artifact path) keep restored
 /// results byte-identical to the run that produced them.
 pub fn save_result(dir: &Path, index: usize, spec_hash: u64, outcome: &NativeOutcome) -> Result<()> {
     let buf = encode_result(spec_hash, outcome)?;

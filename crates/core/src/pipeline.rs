@@ -141,17 +141,18 @@ impl VizPipeline {
         })
     }
 
-    /// Write a composited image artifact (PPM) for `(step, image)`.
+    /// Write a composited image artifact (PNG, [`Image::to_png`]) for
+    /// `(step, image)`.
     pub fn write_artifact(&self, step: usize, image_index: usize, image: &Image) -> Result<Option<PathBuf>> {
         let Some(dir) = &self.spec.artifact_dir else {
             return Ok(None);
         };
-        std::fs::create_dir_all(dir).map_err(eth_data::error::DataError::from)?;
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!(
-            "{}_step{:03}_img{:03}.ppm",
+            "{}_step{:03}_img{:03}.png",
             self.spec.name, step, image_index
         ));
-        image.write_ppm(&path)?;
+        std::fs::write(&path, image.to_png())?;
         Ok(Some(path))
     }
 }

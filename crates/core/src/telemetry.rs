@@ -212,11 +212,7 @@ impl CampaignTelemetry {
     pub fn deterministic_view(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         for (name, value) in self.counters.iter() {
-            if is_timing_metric(name)
-                || is_render_progress_metric(name)
-                || is_flow_metric(name)
-                || is_pressure_metric(name)
-            {
+            if is_timing_metric(name) || is_pressure_metric(name) {
                 continue;
             }
             out.push((name.to_string(), value.round() as u64));
@@ -228,18 +224,14 @@ impl CampaignTelemetry {
     }
 }
 
-/// Timing-valued scalars (suffix convention) are excluded from the
-/// deterministic view; everything else counts events and must reproduce.
+/// Timing-valued scalars (suffix convention, and critical-path shares,
+/// which are ratios of times) are excluded from the deterministic view;
+/// everything else counts events and must reproduce.
 fn is_timing_metric(name: &str) -> bool {
-    name.ends_with("_s") || name.ends_with("_rate") || name.ends_with("_per_s")
-}
-
-/// Flow-stitching metrics depend on wall-clock message timing (whether a
-/// delayed frame still matched before the receiver's deadline), so like
-/// the timing scalars they export but sit outside the determinism
-/// contract. Critical-path shares are ratios of timing values.
-fn is_flow_metric(name: &str) -> bool {
-    name.starts_with("flow_") || name.starts_with("critical_path_")
+    name.ends_with("_s")
+        || name.ends_with("_rate")
+        || name.ends_with("_per_s")
+        || name.starts_with("critical_path_")
 }
 
 /// Resource-pressure gauges depend on the concurrent schedule, not the
@@ -251,25 +243,6 @@ fn is_flow_metric(name: &str) -> bool {
 /// deterministic view.
 fn is_pressure_metric(name: &str) -> bool {
     matches!(name, "backpressure_stalls" | "journal_quota_used")
-}
-
-/// Render work-volume metrics measure how far *into* an attempt the
-/// renderer got (rays, tiles, trees built) rather than a scheduler
-/// event. An attempt truncated by the fault plan's wall-clock receive
-/// deadline keeps its schedule (attempt/retry/drop counts are seeded)
-/// but not its exact render progress, so on an oversubscribed box these
-/// can legitimately differ between reruns. They stay in the trace and
-/// the Prometheus/JSONL exports — just not in the determinism contract.
-fn is_render_progress_metric(name: &str) -> bool {
-    matches!(
-        name,
-        "rays_traced"
-            | "bvh_nodes"
-            | "phase_tile_spans"
-            | "phase_bvh_build_spans"
-            | "phase_render_spans"
-            | "phase_composite_spans"
-    )
 }
 
 /// Render any [`CounterSet`] as Prometheus text under `prefix` (the
@@ -441,7 +414,9 @@ mod tests {
         let view = t.deterministic_view();
         let names: Vec<&str> = view.iter().map(|(n, _)| n.as_str()).collect();
         assert!(!names.contains(&"critical_path_share_sim"));
-        assert!(!names.contains(&"flow_dangling"));
+        // a fault is decided at the sender, so which flows stitch is a
+        // count like any other
+        assert!(names.contains(&"flow_dangling"));
         // the histogram's observation count still reproduces
         assert!(names.contains(&"step_critical_path_s/count"));
         let prom = t.to_prometheus();
@@ -498,22 +473,30 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_view_excludes_timing_and_render_progress() {
+    fn deterministic_view_excludes_timing_but_keeps_render_work() {
         let mut t = sample_telemetry();
         t.counters.add("rays_traced", 4096.0);
         t.counters.add("bvh_nodes", 899.0);
-        t.counters.add("phase_tile_spans", 48.0);
+        for span in ["tile", "bvh_build", "render", "composite"] {
+            t.counters.add(&format!("phase_{span}_spans"), 48.0);
+        }
         let view = t.deterministic_view();
         let names: Vec<&str> = view.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"points_total"));
         assert!(names.contains(&"queue_wait_s/count"));
         assert!(!names.contains(&"phase_render_busy_s"));
-        // Render work-volume metrics are exported but not part of the
-        // determinism contract (a wall-clock recv deadline can truncate
-        // an attempt mid-render on an oversubscribed box).
-        assert!(!names.contains(&"rays_traced"));
-        assert!(!names.contains(&"bvh_nodes"));
-        assert!(!names.contains(&"phase_tile_spans"));
+        // An attempt either runs whole or fails before it starts, so how
+        // much it rendered is a count like any other.
+        for name in [
+            "rays_traced",
+            "bvh_nodes",
+            "phase_tile_spans",
+            "phase_bvh_build_spans",
+            "phase_render_spans",
+            "phase_composite_spans",
+        ] {
+            assert!(names.contains(&name), "{name}");
+        }
         assert!(t.to_prometheus().contains("eth_campaign_rays_traced 4096"));
     }
 

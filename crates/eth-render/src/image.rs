@@ -2,9 +2,6 @@
 
 use eth_data::error::{DataError, Result};
 use eth_data::Vec3;
-use std::fs::File;
-use std::io::{BufWriter, Read as _, Write as _};
-use std::path::Path;
 
 /// A linear-RGB image; channel values nominally in `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,29 +181,8 @@ impl Image {
         lit as f64 / self.pixels.len() as f64
     }
 
-    /// Write as binary PPM (P6), sRGB-ish gamma 2.2, 8-bit.
-    pub fn write_ppm(&self, path: &Path) -> Result<()> {
-        let f = File::create(path)?;
-        let mut w = BufWriter::new(f);
-        write!(w, "P6\n{} {}\n255\n", self.width, self.height)?;
-        let mut row = Vec::with_capacity(self.width * 3);
-        for y in 0..self.height {
-            row.clear();
-            for x in 0..self.width {
-                let c = self.get(x, y);
-                for ch in [c.x, c.y, c.z] {
-                    let v = ch.clamp(0.0, 1.0).powf(1.0 / 2.2);
-                    row.push((v * 255.0 + 0.5) as u8);
-                }
-            }
-            w.write_all(&row)?;
-        }
-        Ok(())
-    }
-
-    /// Encode as an 8-bit RGB PNG, using the same sRGB-ish gamma-2.2
-    /// quantization as [`Image::write_ppm`], so the PNG and PPM artifacts
-    /// of one frame show identical pixels.
+    /// Encode as an 8-bit RGB PNG, sRGB-ish gamma 2.2 — the one encoding
+    /// of a frame, for artifacts on disk and for the campaign service.
     ///
     /// The encoder is self-contained (no compression library in the
     /// build): the IDAT zlib stream uses *stored* deflate blocks — larger
@@ -261,71 +237,6 @@ impl Image {
         png_chunk(&mut png, b"IEND", &[]);
         png
     }
-
-    /// Read a binary PPM written by [`Image::write_ppm`] (P6, maxval 255).
-    pub fn read_ppm(path: &Path) -> Result<Image> {
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
-        // Parse the three header fields, skipping whitespace/comments.
-        let mut pos = 0usize;
-        let mut field = |raw: &[u8]| -> Result<String> {
-            // skip whitespace and comments
-            loop {
-                while pos < raw.len() && raw[pos].is_ascii_whitespace() {
-                    pos += 1;
-                }
-                if pos < raw.len() && raw[pos] == b'#' {
-                    while pos < raw.len() && raw[pos] != b'\n' {
-                        pos += 1;
-                    }
-                } else {
-                    break;
-                }
-            }
-            let start = pos;
-            while pos < raw.len() && !raw[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            if start == pos {
-                return Err(DataError::Format("truncated PPM header".into()));
-            }
-            Ok(std::str::from_utf8(&raw[start..pos])
-                .map_err(|_| DataError::Format("non-utf8 PPM header".into()))?
-                .to_string())
-        };
-        let magic = field(&raw)?;
-        if magic != "P6" {
-            return Err(DataError::Format(format!("not a P6 PPM (got '{magic}')")));
-        }
-        let width: usize = field(&raw)?
-            .parse()
-            .map_err(|_| DataError::Format("bad PPM width".into()))?;
-        let height: usize = field(&raw)?
-            .parse()
-            .map_err(|_| DataError::Format("bad PPM height".into()))?;
-        let maxval: usize = field(&raw)?
-            .parse()
-            .map_err(|_| DataError::Format("bad PPM maxval".into()))?;
-        if maxval != 255 {
-            return Err(DataError::Format(format!("unsupported maxval {maxval}")));
-        }
-        pos += 1; // single whitespace after maxval
-        let need = width * height * 3;
-        if raw.len() < pos + need {
-            return Err(DataError::Format("truncated PPM pixel data".into()));
-        }
-        let mut pixels = Vec::with_capacity(width * height);
-        for i in 0..width * height {
-            let o = pos + i * 3;
-            let decode = |b: u8| ((b as f32) / 255.0).powf(2.2);
-            pixels.push(Vec3::new(
-                decode(raw[o]),
-                decode(raw[o + 1]),
-                decode(raw[o + 2]),
-            ));
-        }
-        Image::from_pixels(width, height, pixels)
-    }
 }
 
 /// Adler-32 over `data` (RFC 1950 §8.2), for the zlib trailer.
@@ -349,10 +260,10 @@ fn png_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(kind);
     out.extend_from_slice(payload);
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(kind);
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&eth_data::crc::crc32(&crc_input).to_be_bytes());
+    let mut crc = eth_data::crc::Crc32::new();
+    crc.update(kind);
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_be_bytes());
 }
 
 #[cfg(test)]
@@ -425,7 +336,7 @@ mod tests {
         }
         assert_eq!(kinds.first().map(|k| &k[..]), Some(&b"IHDR"[..]));
         assert_eq!(kinds.last().map(|k| &k[..]), Some(&b"IEND"[..]));
-        // scanlines carry the same gamma-2.2 bytes the PPM path writes
+        // scanlines carry the gamma-2.2 bytes
         let raw = inflate_stored(&idat);
         assert_eq!(raw.len(), 2 * (1 + 3 * 3));
         let quant = |v: f32| (v.clamp(0.0, 1.0).powf(1.0 / 2.2) * 255.0 + 0.5) as u8;
@@ -433,8 +344,10 @@ mod tests {
         assert_eq!(&raw[1..4], &[quant(1.0), 0, 0]);
         let last = &raw[raw.len() - 3..];
         assert_eq!(last, &[quant(0.25), quant(0.5), quant(0.75)]);
-        // deterministic: same image, same bytes
+        // deterministic: same image, same bytes — the bytes the encoder
+        // wrote before it stopped copying each chunk to checksum it
         assert_eq!(png, img.to_png());
+        assert_eq!((png.len(), eth_data::crc::crc32(&png)), (88, 0x5bd7_e151));
     }
 
     #[test]
@@ -549,32 +462,5 @@ mod tests {
         assert!((ab - ba).abs() < 1e-12);
         assert!((-1.0..=1.0).contains(&ab));
         assert!(a.ssim(&Image::black(8, 8)).is_err());
-    }
-
-    #[test]
-    fn ppm_roundtrip() {
-        let dir = std::env::temp_dir().join("eth-image-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("img.ppm");
-        let mut img = Image::black(3, 2);
-        img.set(0, 0, Vec3::new(1.0, 0.0, 0.0));
-        img.set(2, 1, Vec3::new(0.25, 0.5, 0.75));
-        img.write_ppm(&path).unwrap();
-        let back = Image::read_ppm(&path).unwrap();
-        assert_eq!(back.width(), 3);
-        assert_eq!(back.height(), 2);
-        // 8-bit + gamma roundtrip: small quantization error allowed
-        assert!(img.rmse(&back).unwrap() < 0.01);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn ppm_rejects_garbage() {
-        let dir = std::env::temp_dir().join("eth-image-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.ppm");
-        std::fs::write(&path, b"P3\n1 1\n255\n0 0 0\n").unwrap();
-        assert!(Image::read_ppm(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

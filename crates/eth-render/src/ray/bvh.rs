@@ -1691,6 +1691,19 @@ mod tests {
         let ratio = b.build_ops() as f64 / a.build_ops() as f64;
         // O(N): 8x data -> ~8x ops (small constant drift from treelets)
         assert!(ratio > 6.0 && ratio < 10.5, "build ops ratio {ratio}");
+        // The least-squares slope of log(ops) over log(N) across two
+        // decades: 1.0 for a linear-time build, 0.99 here.
+        let curve: Vec<(f64, f64)> = [1_000, 3_000, 10_000, 30_000, 100_000]
+            .into_iter()
+            .map(|n| (n as f64, SphereBvh::build(&scatter(n), 0.05).build_ops() as f64))
+            .collect();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = curve.iter().map(|&(n, ops)| (n.ln(), ops.ln())).unzip();
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let (mx, my) = (mean(&xs), mean(&ys));
+        let num: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+        let den: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+        let slope = num / den;
+        assert!(slope < 1.15, "build ops grow as N^{slope:.3}: {curve:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Generates a HACC-like particle timestep, runs the tight-coupled
 //! pipeline over 4 ranks with the raycasting backend, composites the ranks'
-//! framebuffers, and writes a PPM artifact.
+//! framebuffers, and writes a PNG artifact.
 //!
 //! ```text
 //! cargo run --release --example quickstart

@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let dir = std::env::temp_dir().join("eth-unstructured");
     std::fs::create_dir_all(&dir)?;
-    img_direct.write_ppm(&dir.join("iso_direct.ppm"))?;
-    img_via_grid.write_ppm(&dir.join("iso_downsampled.ppm"))?;
+    std::fs::write(dir.join("iso_direct.png"), img_direct.to_png())?;
+    std::fs::write(dir.join("iso_downsampled.png"), img_via_grid.to_png())?;
     println!("artifacts in {}", dir.display());
     Ok(())
 }

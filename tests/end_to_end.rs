@@ -160,17 +160,17 @@ fn artifacts_land_on_disk() {
     spec.artifact_dir = Some(dir.clone());
     let out = run_native(&spec).unwrap();
     assert_eq!(out.images.len(), 2);
-    let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-    assert_eq!(files.len(), 2, "expected 2 PPM artifacts");
-    // written artifact re-reads to the in-memory image (modulo 8-bit gamma)
-    let first = files
-        .iter()
-        .map(|f| f.as_ref().unwrap().path())
-        .find(|p| p.to_string_lossy().contains("step000"))
-        .unwrap();
-    let reread = eth::render::Image::read_ppm(&first).unwrap();
-    let rmse = reread.rmse(&out.images[0]).unwrap();
-    assert!(rmse < 0.02, "artifact does not match in-memory image: {rmse}");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|f| f.unwrap().path())
+        .collect();
+    files.sort();
+    let names: Vec<_> = files.iter().map(|p| p.file_name().unwrap().to_owned()).collect();
+    assert_eq!(names, ["artifact_step000_img000.png", "artifact_step001_img000.png"]);
+    // each artifact is the PNG encoding of its in-memory image, byte for byte
+    for (path, image) in files.iter().zip(&out.images) {
+        assert!(std::fs::read(path).unwrap() == image.to_png(), "{}", path.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

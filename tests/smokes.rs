@@ -1,10 +1,10 @@
 //! The contracts `reproduce`'s campaign and benchmark subcommands hold,
 //! asserted on what their library entries return: chaos determinism,
-//! in-run rank recovery, zero-loss migration, the render and pressure
-//! benches, and the Prometheus lines their telemetry exports.
+//! in-run rank recovery, zero-loss migration, the pressure bench,
+//! and the Prometheus lines their telemetry exports.
 
 use eth_bench::cli::Report;
-use eth_bench::{chaos, migrate, pressure, render};
+use eth_bench::{chaos, migrate, pressure};
 
 /// `reproduce chaos-campaign --seed 7`: the table is a function of the
 /// seed, and the seed's schedule quarantines a point.
@@ -85,25 +85,6 @@ fn migration_smoke_is_zero_loss() {
     assert!(
         prom.contains("TYPE eth_campaign_migration_disruption_s histogram"),
         "{prom}"
-    );
-}
-
-/// `reproduce render-bench --quick`: a v2 report over a growing build
-/// curve.
-#[test]
-fn render_bench_quick_holds_its_contract() {
-    let r = render::run_render_bench(true).expect("render bench");
-    r.check().unwrap();
-    assert_eq!(r.schema, render::SCHEMA);
-    assert!(r.quick);
-    let curve = &r.build_curve;
-    assert!(
-        curve.len() >= 2 && curve.iter().all(|p| p.hlbvh_ms > 0.0),
-        "{curve:?}"
-    );
-    assert!(
-        curve.windows(2).all(|w| w[1].particles > w[0].particles),
-        "{curve:?}"
     );
 }
 
